@@ -17,7 +17,6 @@ pub mod p11;
 pub mod p12;
 pub mod p13;
 pub mod p14;
-pub mod p15;
 pub mod p9;
 
 pub use socialreach_core as core;

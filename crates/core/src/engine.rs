@@ -137,22 +137,34 @@ pub trait AccessEngine {
     }
 
     /// Audiences of many `(owner, path)` conditions over one shared
-    /// snapshot; `conds[i]` maps to the `i`-th returned outcome. The
-    /// default evaluates one condition at a time; engines that can
-    /// amortize graph traversal across conditions (the online engine's
-    /// multi-source BFS) override it. When several conditions share a
-    /// traversal, its work counters are reported on the first of them
-    /// and zero on the rest, so summing outcomes stays truthful.
+    /// snapshot — `conds[i]` maps to the `i`-th returned (sorted)
+    /// audience — plus the work census of the traversals that actually
+    /// ran. The default evaluates one condition at a time; engines that
+    /// can amortize graph traversal across conditions (the online
+    /// engine's shared-prefix plan) override it. `rounds` equals
+    /// `traversals` on a single graph — there is no cross-shard
+    /// fixpoint — and `exported_states` stays zero.
     fn audience_batch_with_snapshot(
         &self,
         g: &SocialGraph,
         snap: &CsrSnapshot,
         conds: &[(NodeId, &PathExpr)],
-    ) -> Result<Vec<AudienceOutcome>, EvalError> {
-        conds
+    ) -> Result<(Vec<Vec<NodeId>>, ReadStats), EvalError> {
+        let mut stats = ReadStats {
+            conditions: conds.len(),
+            traversals: conds.len(),
+            rounds: conds.len(),
+            ..ReadStats::default()
+        };
+        let audiences = conds
             .iter()
-            .map(|&(owner, path)| self.audience_with_snapshot(g, snap, owner, path))
-            .collect()
+            .map(|&(owner, path)| {
+                let out = self.audience_with_snapshot(g, snap, owner, path)?;
+                stats.states_expanded += out.stats.states_visited;
+                Ok(out.members)
+            })
+            .collect::<Result<_, EvalError>>()?;
+        Ok((audiences, stats))
     }
 }
 
@@ -225,95 +237,38 @@ impl AccessEngine for OnlineEngine {
         })
     }
 
-    /// Materializes the whole bundle's audiences in shared traversals.
-    ///
-    /// By default the bundle's conditions compile into one
-    /// shared-prefix trie ([`crate::query::BundlePlan`]) and the masked
-    /// multi-source BFS walks each shared prefix once per 64-condition
-    /// chunk ([`crate::query::evaluate_plan_audiences`]), forking the
-    /// condition masks only where the paths diverge. With
-    /// `SOCIALREACH_BUNDLE_PLAN=grouped` — or in the never-in-practice
-    /// case of a bundle overflowing the plan's `u16` node budget — the
-    /// conditions instead group by **canonical** path expression and
-    /// each group's owners traverse together in one multi-source pass
-    /// ([`online::evaluate_audience_batch`]). Either way the traversal
-    /// census lands on the first condition it covers; the rest report
-    /// zero stats.
+    /// Materializes the whole bundle's audiences in shared traversals:
+    /// the conditions compile into one shared-prefix trie
+    /// ([`crate::query::BundlePlan`]) and the masked multi-source BFS
+    /// walks each shared prefix once per 64-condition chunk
+    /// ([`crate::query::evaluate_plan_audiences`]), forking the
+    /// condition masks only where the paths diverge. The census counts
+    /// one traversal per chunk and carries the plan-vs-chains automaton
+    /// state counts behind [`ReadStats::prefix_share`].
     fn audience_batch_with_snapshot(
         &self,
         g: &SocialGraph,
         snap: &CsrSnapshot,
         conds: &[(NodeId, &PathExpr)],
-    ) -> Result<Vec<AudienceOutcome>, EvalError> {
-        if !crate::query::grouped_plan_forced() {
-            let paths: Vec<&PathExpr> = conds.iter().map(|&(_, p)| p).collect();
-            if let Some(plan) = crate::query::BundlePlan::compile(&paths) {
-                let owners: Vec<NodeId> = conds.iter().map(|&(o, _)| o).collect();
-                let run = crate::query::evaluate_plan_audiences(g, snap, &plan, &owners);
-                let census = EvalStats {
-                    states_visited: run.states_visited,
-                    edges_scanned: run.edges_scanned,
-                    ..EvalStats::default()
-                };
-                return Ok(run
-                    .audiences
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, members)| AudienceOutcome {
-                        members,
-                        stats: if i == 0 { census } else { EvalStats::default() },
-                    })
-                    .collect());
-            }
+    ) -> Result<(Vec<Vec<NodeId>>, ReadStats), EvalError> {
+        let mut stats = ReadStats {
+            conditions: conds.len(),
+            ..ReadStats::default()
+        };
+        let mut audiences = Vec::with_capacity(conds.len());
+        let paths: Vec<&PathExpr> = conds.iter().map(|&(_, p)| p).collect();
+        for (part, plan) in crate::query::BundlePlan::compile_all(&paths) {
+            let owners: Vec<NodeId> = conds[part].iter().map(|&(o, _)| o).collect();
+            let run = crate::query::evaluate_plan_audiences(g, snap, &plan, &owners);
+            audiences.extend(run.audiences);
+            stats.traversals += run.traversals;
+            stats.states_expanded += run.states_visited;
+            stats.plan_states += plan.plan_states();
+            stats.expr_states += plan.expr_states();
         }
-        let mut outcomes: Vec<Option<AudienceOutcome>> = (0..conds.len()).map(|_| None).collect();
-        let canon: Vec<PathExpr> = conds.iter().map(|&(_, p)| p.canonical()).collect();
-        for (rep, members) in group_by_canonical_path(&canon) {
-            if canon[rep].is_empty() {
-                // Empty paths (ad-hoc `MATCH (o)` queries) match only
-                // their owner; nothing to traverse.
-                for &i in &members {
-                    outcomes[i] = Some(AudienceOutcome {
-                        members: vec![conds[i].0],
-                        stats: EvalStats::default(),
-                    });
-                }
-                continue;
-            }
-            let owners: Vec<NodeId> = members.iter().map(|&i| conds[i].0).collect();
-            let batch = online::evaluate_audience_batch(g, snap, &owners, &canon[rep]);
-            for (k, (&i, audience)) in members.iter().zip(batch.audiences).enumerate() {
-                outcomes[i] = Some(AudienceOutcome {
-                    members: audience,
-                    stats: if k == 0 {
-                        batch.stats.into()
-                    } else {
-                        EvalStats::default()
-                    },
-                });
-            }
-        }
-        Ok(outcomes
-            .into_iter()
-            .map(|o| o.expect("every condition belongs to a group"))
-            .collect())
+        stats.rounds = stats.traversals;
+        Ok((audiences, stats))
     }
-}
-
-/// Groups condition indices by **canonical** path equality: conditions
-/// whose predicates differ only in spelling (order, duplicates, depth
-/// notation) share one traversal group. Returns `(representative,
-/// member indices)` pairs in first-appearance order. Bundles reuse a
-/// small set of path templates, so the quadratic probe stays tiny.
-pub(crate) fn group_by_canonical_path(canon: &[PathExpr]) -> Vec<(usize, Vec<usize>)> {
-    let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-    for (i, path) in canon.iter().enumerate() {
-        match groups.iter_mut().find(|(rep, _)| &canon[*rep] == path) {
-            Some((_, members)) => members.push(i),
-            None => groups.push((i, vec![i])),
-        }
-    }
-    groups
 }
 
 /// The full audience of a resource under the policy semantics: the
@@ -352,8 +307,8 @@ pub fn resource_audience<E: AccessEngine>(
 /// is evaluated exactly once through
 /// [`AccessEngine::audience_batch_with_snapshot`], so engines that
 /// amortize traversal across conditions (the online engine's
-/// multi-source BFS) pay one shared frontier pass per path template
-/// instead of one walk per condition. Results come back in `rids`
+/// multi-source BFS) pay one shared frontier pass per 64-condition
+/// chunk of the bundle's plan instead of one walk per condition. Results come back in `rids`
 /// order with the usual policy semantics per resource: union over
 /// rules of the intersection over each rule's condition audiences,
 /// plus the owner. Without a snapshot the conditions fall back to
@@ -365,29 +320,19 @@ pub fn resource_audience_batch<E: AccessEngine>(
     engine: &E,
     snap: Option<&CsrSnapshot>,
 ) -> Result<Vec<Vec<NodeId>>, EvalError> {
-    merge_bundle_audiences(store, rids, |uniq| match snap {
-        Some(snap) => Ok(engine
-            .audience_batch_with_snapshot(g, snap, uniq)?
-            .into_iter()
-            .map(|o| o.members)
-            .collect()),
-        None => uniq
-            .iter()
-            .map(|&(o, p)| Ok(engine.audience(g, o, p)?.members))
-            .collect::<Result<_, EvalError>>(),
-    })
+    Ok(resource_audience_batch_with_stats(g, store, rids, engine, snap)?.0)
 }
 
 /// [`resource_audience_batch`] plus the bundle's uniform work census
-/// ([`ReadStats`]): deduped condition count, shared traversal passes
-/// (one shared-prefix-plan pass per 64-condition chunk when a snapshot
-/// batches them — one per canonical-path group × 64-owner mask chunk
-/// under `SOCIALREACH_BUNDLE_PLAN=grouped`, mirroring the sharded
-/// backend's fixpoint count — and one per condition otherwise),
-/// product states expanded, and in trie mode the plan-vs-chains
-/// automaton state counts behind [`ReadStats::prefix_share`].
-/// `rounds` equals `traversals` on a single graph — there is no
-/// cross-shard fixpoint — and `exported_states` is always zero here.
+/// ([`ReadStats`]): deduped condition count, traversal passes and
+/// product states expanded as reported by the engine that ran them
+/// ([`AccessEngine::audience_batch_with_snapshot`] — one shared-prefix
+/// plan pass per 64-condition chunk on the online engine, with the
+/// plan-vs-chains automaton state counts behind
+/// [`ReadStats::prefix_share`]), or one traversal per condition when
+/// there is no snapshot to batch over. `rounds` equals `traversals` on
+/// a single graph — there is no cross-shard fixpoint — and
+/// `exported_states` is always zero here.
 pub fn resource_audience_batch_with_stats<E: AccessEngine>(
     g: &SocialGraph,
     store: &PolicyStore,
@@ -395,71 +340,14 @@ pub fn resource_audience_batch_with_stats<E: AccessEngine>(
     engine: &E,
     snap: Option<&CsrSnapshot>,
 ) -> Result<(Vec<Vec<NodeId>>, ReadStats), EvalError> {
+    let Some(snap) = snap else {
+        return resource_audience_batch_per_condition_with_stats(g, store, rids, engine, None);
+    };
     let mut stats = ReadStats::default();
     let audiences = merge_bundle_audiences(store, rids, |uniq| {
-        stats.conditions = uniq.len();
-        match snap {
-            Some(snap) => {
-                // Predict the traversal shape the engine will choose.
-                // Trie mode (the default) runs one shared-plan pass per
-                // 64-condition chunk of the traversable conditions and
-                // reports the plan-vs-chains automaton state counts
-                // behind `ReadStats::prefix_share`. Grouped mode (env
-                // lever or `u16` node overflow) runs one multi-source
-                // pass per canonical-path group × 64-owner mask chunk
-                // (`online::evaluate_audience_batch`), the same count
-                // the sharded backend reports as fixpoints.
-                let plan = if crate::query::grouped_plan_forced() {
-                    None
-                } else {
-                    let paths: Vec<&PathExpr> = uniq.iter().map(|&(_, p)| p).collect();
-                    crate::query::BundlePlan::compile(&paths)
-                };
-                match &plan {
-                    Some(plan) => {
-                        stats.plan_states = plan.plan_states();
-                        stats.expr_states = plan.expr_states();
-                        let traversable = (0..plan.num_conds())
-                            .filter(|&i| plan.root_of(i).is_some())
-                            .count();
-                        stats.traversals = traversable.div_ceil(64);
-                    }
-                    None => {
-                        let canon: Vec<PathExpr> =
-                            uniq.iter().map(|&(_, p)| p.canonical()).collect();
-                        stats.traversals = group_by_canonical_path(&canon)
-                            .iter()
-                            .map(|(rep, members)| {
-                                if canon[*rep].is_empty() {
-                                    0
-                                } else {
-                                    members.len().div_ceil(64)
-                                }
-                            })
-                            .sum();
-                    }
-                }
-                stats.rounds = stats.traversals;
-                let outcomes = engine.audience_batch_with_snapshot(g, snap, uniq)?;
-                let mut members = Vec::with_capacity(outcomes.len());
-                for o in outcomes {
-                    stats.states_expanded += o.stats.states_visited;
-                    members.push(o.members);
-                }
-                Ok(members)
-            }
-            None => {
-                stats.traversals = uniq.len();
-                stats.rounds = uniq.len();
-                uniq.iter()
-                    .map(|&(o, p)| {
-                        let out = engine.audience(g, o, p)?;
-                        stats.states_expanded += out.stats.states_visited;
-                        Ok(out.members)
-                    })
-                    .collect::<Result<_, EvalError>>()
-            }
-        }
+        let (audiences, s) = engine.audience_batch_with_snapshot(g, snap, uniq)?;
+        stats = s;
+        Ok(audiences)
     })?;
     Ok((audiences, stats))
 }
@@ -1320,34 +1208,11 @@ mod tests {
     }
 
     #[test]
-    fn canonicalization_merges_predicate_order_variants_into_one_group() {
-        // Two textual spellings of the same condition — predicates
-        // reordered and one duplicated — must share a traversal group
-        // once canonicalized; a genuinely different predicate must not.
-        let mut vocab = socialreach_graph::Vocabulary::new();
-        let a = parse_path("friend+[1,2]{age>=18,city=\"lyon\"}", &mut vocab).unwrap();
-        let b = parse_path("friend+[1..2]{city=\"lyon\",age>=18,age>=18}", &mut vocab).unwrap();
-        let c = parse_path("friend+[1..2]{age>=21}", &mut vocab).unwrap();
-        assert_ne!(a, b, "the raw spellings differ");
-        let canon: Vec<PathExpr> = [&a, &b, &c].iter().map(|p| p.canonical()).collect();
-        let groups = group_by_canonical_path(&canon);
-        assert_eq!(
-            groups.len(),
-            2,
-            "spelling variants collapse; distinct predicates fork"
-        );
-        assert_eq!(groups[0].1, vec![0, 1]);
-        assert_eq!(groups[1].1, vec![2]);
-    }
-
-    #[test]
     fn bundle_census_pins_group_count_across_spelling_variants() {
-        // Satellite regression: the bundle work census must count ONE
-        // traversal for a bundle whose two rules spell the same
-        // condition differently — in trie mode (one chunk, fully
-        // shared plan) and in forced-grouped mode (one canonical
-        // group) alike. Owner differs per rule so the conditions don't
-        // dedupe upstream in `merge_bundle_audiences`.
+        // The bundle work census must count ONE traversal for a bundle
+        // whose two rules spell the same condition differently (one
+        // chunk, fully shared plan). Owner differs per rule so the
+        // conditions don't dedupe upstream in `merge_bundle_audiences`.
         let (mut g, mut store, rid) = setup();
         let bob = g.node_by_name("Bob").unwrap();
         let rid2 = store.register_resource(bob);
@@ -1371,10 +1236,8 @@ mod tests {
             stats.traversals, 1,
             "canonicalized spellings share one traversal"
         );
-        if !crate::query::grouped_plan_forced() {
-            assert_eq!(stats.plan_states, stats.expr_states / 2, "one shared chain");
-            assert_eq!(stats.prefix_share(), Some(0.5));
-        }
+        assert_eq!(stats.plan_states, stats.expr_states / 2, "one shared chain");
+        assert_eq!(stats.prefix_share(), Some(0.5));
     }
 
     #[test]

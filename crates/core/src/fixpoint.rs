@@ -1,0 +1,709 @@
+//! The masked cross-shard fixpoint: **one** round loop, two lanes.
+//!
+//! A partitioned read — sharded or networked, a whole bundle's
+//! audiences or one targeted check — is the same algorithm: seed the
+//! owners' home shards, let every shard with pending seeds drain its
+//! local frontier, merge what the shards report in shard order, forward
+//! to each exported member's home shard only the condition bits it has
+//! not been sent before, and repeat until nothing is pending (or the
+//! targeted requester is hit). [`masked_fixpoint`] is the only place
+//! that loop lives. It is generic over [`ShardLane`] — *how one round
+//! reaches one shard* — with exactly two production implementations:
+//! the in-process lane of [`crate::sharded`] (a function call) and the
+//! remote lane of [`crate::remote`] (a `Round` exchange on a socket).
+//!
+//! The shard-local half of a round is shared as well: the in-process
+//! lane and the shard server's `Round` handler both run
+//! [`local_round`] — global→local seed translation, one seeded run of
+//! the lane's [`ShardEngine`], ghost filtering, local→global exports —
+//! so the id translation an export-forwarding fix would touch exists
+//! once.
+
+use crate::online::{self, MaskedSeedState, SeededBatchState};
+use crate::path::PathExpr;
+use crate::query::{self, BundlePlan, ChunkMasks, PlanBatchState, PlanNode};
+use crate::remote::proto::{WireMatch, WireRefusal};
+use crate::service::ReadStats;
+use crate::sharded::BundleFixpointStats;
+use socialreach_graph::csr::CsrSnapshot;
+use socialreach_graph::shard::{MaskedExport, MaskedExportSet, MaskedStateKey};
+use socialreach_graph::{NodeId, SocialGraph};
+use std::borrow::Cow;
+use std::collections::HashMap;
+
+/// A cross-shard product-state coordinate: global member, step index
+/// (or plan node id), saturated depth.
+pub(crate) type StateKey = (u32, u16, u32);
+
+/// What one shard reports for one round, in **global** member ids (the
+/// field-for-field shape of the wire's `Round` response).
+#[derive(Debug, Default)]
+pub(crate) struct LaneRound {
+    /// Home members that completed the final step, with the condition
+    /// bits that newly matched them (ghosts already filtered out).
+    pub matched: Vec<WireMatch>,
+    /// Masked states visited at ghost replicas, with the newly arrived
+    /// bits.
+    pub exports: Vec<MaskedExport>,
+    /// The `(step, depth)` at which the stop member completed the final
+    /// step, when it did (the shard's run returned early).
+    pub hit: Option<(u16, u32)>,
+    /// Product states the shard expanded this round.
+    pub states_expanded: u64,
+}
+
+/// How the fixpoint reaches one shard. A lane is built knowing what it
+/// runs — a compiled bundle-plan chunk, or one linear path with parent
+/// tracking — and opens lazily, when its first seeds arrive, so shards
+/// a traversal never touches allocate and exchange nothing.
+pub(crate) trait ShardLane: Send {
+    /// Why a round can fail (`Infallible` in process, a transport or
+    /// protocol error over the wire).
+    type Error: Send;
+
+    /// Called once, on the driver's own thread, before the lane's first
+    /// round: an in-process lane allocates its round-persistent engine
+    /// here, because memory allocated on a fan-out thread and freed by
+    /// the driver stays in that thread's malloc arena (+20 % peak RSS
+    /// on `feed_sharded`). A lane whose opening is a remote exchange
+    /// keeps the default and opens in its first [`ShardLane::round`],
+    /// where the exchange overlaps with the other lanes' rounds.
+    fn open(&mut self) {}
+
+    /// Delivers one round's seeds and returns what the shard's run
+    /// matched and exported. `stop` names the member whose completion
+    /// of the final step ends the run early (linear lanes only).
+    fn round(
+        &mut self,
+        seeds: &[MaskedExport],
+        stop: Option<u32>,
+    ) -> Result<LaneRound, Self::Error>;
+
+    /// Closes the lane. The driver calls this exactly once on every
+    /// lane it delivered a round to, whatever the outcome.
+    fn end(&mut self);
+}
+
+/// Result of one [`masked_fixpoint`].
+#[derive(Debug, Default)]
+pub(crate) struct FixpointRun {
+    /// `audiences[bit]` — sorted members matched under condition bit
+    /// `bit`. Left empty by targeted runs, which only want the hit.
+    pub audiences: Vec<Vec<NodeId>>,
+    /// `(lane, step, depth)` of the early-exit hit, if the stop member
+    /// completed the final step.
+    pub hit: Option<(usize, u16, u32)>,
+    /// Which lane exported each forwarded state — the hand-offs a
+    /// stitched witness follows. Recorded by targeted runs only.
+    pub origin: HashMap<StateKey, usize>,
+    /// Fixpoint rounds run.
+    pub rounds: usize,
+    /// Masked boundary exports forwarded (new bits only).
+    pub exported_states: usize,
+    /// Product states expanded, per lane.
+    pub states_expanded: Vec<usize>,
+}
+
+/// The one seed of a targeted (bit 0, word 0) linear-path fixpoint:
+/// `owner` at the path's start state.
+pub(crate) fn owner_seed(owner: NodeId) -> MaskedExport {
+    MaskedExport {
+        key: MaskedStateKey {
+            member: owner.0,
+            step: 0,
+            depth: 0,
+            word: 0,
+        },
+        mask: 1,
+    }
+}
+
+impl FixpointRun {
+    /// Adds this run's round/export/expansion census to a read's.
+    pub(crate) fn add_to(&self, stats: &mut ReadStats) {
+        stats.rounds += self.rounds;
+        stats.exported_states += self.exported_states;
+        stats.states_expanded += self.states_expanded.iter().sum::<usize>();
+    }
+}
+
+/// Runs one masked fixpoint over `lanes` (index = shard), then ends
+/// every lane it opened — after success, an early-exit hit, and a lane
+/// error alike.
+///
+/// `seeds` enter at their members' home lanes (`home_of`). With `stop =
+/// Some((lane, member))` the run is **targeted**: that lane early-exits
+/// when the member completes the final step, `origin` is recorded and
+/// no audience is collected. `finish` runs on the result while the
+/// lanes are still open — the targeted callers read their witness off
+/// the lanes' parent chains there.
+pub(crate) fn masked_fixpoint<L: ShardLane, T>(
+    lanes: &mut [L],
+    home_of: impl Fn(u32) -> usize,
+    seeds: &[MaskedExport],
+    stop: Option<(usize, u32)>,
+    finish: impl FnOnce(&[L], FixpointRun) -> Result<T, L::Error>,
+) -> Result<T, L::Error> {
+    let mut opened = vec![false; lanes.len()];
+    let result =
+        run_rounds(lanes, &mut opened, home_of, seeds, stop).and_then(|run| finish(lanes, run));
+    for (lane, _) in lanes.iter_mut().zip(&opened).filter(|(_, &o)| o) {
+        lane.end();
+    }
+    result
+}
+
+/// The round loop of [`masked_fixpoint`]; `opened[i]` is set when lane
+/// `i` is opened, before its first round.
+fn run_rounds<L: ShardLane>(
+    lanes: &mut [L],
+    opened: &mut [bool],
+    home_of: impl Fn(u32) -> usize,
+    seeds: &[MaskedExport],
+    stop: Option<(usize, u32)>,
+) -> Result<FixpointRun, L::Error> {
+    let bits = seeds.iter().fold(0, |all, s| all | s.mask);
+    let mut run = FixpointRun {
+        audiences: match stop {
+            None => vec![Vec::new(); (u64::BITS - bits.leading_zeros()) as usize],
+            Some(_) => Vec::new(),
+        },
+        states_expanded: vec![0; lanes.len()],
+        ..FixpointRun::default()
+    };
+    // Bits already forwarded: re-delivering a known bit would be
+    // absorbed by the shard's persistent mask state anyway, so it is
+    // never sent.
+    let mut imported = MaskedExportSet::new();
+    let mut pending: Vec<Vec<MaskedExport>> = vec![Vec::new(); lanes.len()];
+    for seed in seeds {
+        imported.insert(seed.key, seed.mask);
+        pending[home_of(seed.key.member)].push(*seed);
+    }
+
+    while run.hit.is_none() {
+        let mut active: Vec<(usize, &mut L, Vec<MaskedExport>)> = lanes
+            .iter_mut()
+            .zip(&mut pending)
+            .enumerate()
+            .filter(|(_, (_, seeds))| !seeds.is_empty())
+            .map(|(i, (lane, seeds))| (i, lane, std::mem::take(seeds)))
+            .collect();
+        if active.is_empty() {
+            break;
+        }
+        run.rounds += 1;
+        for (i, lane, _) in &mut active {
+            if !std::mem::replace(&mut opened[*i], true) {
+                lane.open();
+            }
+        }
+        let run_lane = |(i, lane, seeds): (usize, &mut L, Vec<MaskedExport>)| {
+            let stop = stop
+                .filter(|&(lane, _)| lane == i)
+                .map(|(_, member)| member);
+            (i, lane.round(&seeds, stop))
+        };
+        // Fan out only when it can pay: several active lanes *and*
+        // actual hardware parallelism (a scoped spawn per lane per
+        // round is pure overhead on one core).
+        let inline = active.len() == 1 || cores() == 1;
+        let outs: Vec<(usize, Result<LaneRound, L::Error>)> = if inline {
+            active.into_iter().map(run_lane).collect()
+        } else {
+            std::thread::scope(|scope| {
+                let run_lane = &run_lane;
+                let handles: Vec<_> = active
+                    .into_iter()
+                    .map(|task| scope.spawn(move || run_lane(task)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("shard lane panicked"))
+                    .collect()
+            })
+        };
+
+        // Merge in lane order: deterministic regardless of the fan-out
+        // interleaving.
+        for (i, out) in outs {
+            let out = out?;
+            run.states_expanded[i] += out.states_expanded as usize;
+            if run.hit.is_some() {
+                continue; // past the hit only the work census counts
+            }
+            if let Some((step, depth)) = out.hit {
+                // The chain to the hit consists of states seeded in
+                // earlier rounds, so `origin` already covers every
+                // hand-off a trace will follow — dropping this round's
+                // remaining exports is safe (and the point of the early
+                // exit).
+                run.hit = Some((i, step, depth));
+                continue;
+            }
+            if stop.is_none() {
+                for m in &out.matched {
+                    let mut bits = m.mask;
+                    while bits != 0 {
+                        let bit = bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        run.audiences[bit].push(NodeId(m.member));
+                    }
+                }
+            }
+            for exp in &out.exports {
+                let new = imported.insert(exp.key, exp.mask);
+                if new != 0 {
+                    run.exported_states += 1;
+                    if stop.is_some() {
+                        run.origin
+                            .insert((exp.key.member, exp.key.step, exp.key.depth), i);
+                    }
+                    pending[home_of(exp.key.member)].push(MaskedExport {
+                        key: exp.key,
+                        mask: new,
+                    });
+                }
+            }
+        }
+    }
+
+    for audience in &mut run.audiences {
+        // Each (member, bit) pair is reported at most once (the
+        // engines' matched masks persist), so the dedup is a guard.
+        audience.sort_unstable();
+        audience.dedup();
+    }
+    Ok(run)
+}
+
+/// Materializes a bundle's condition audiences (in `conds` order, each
+/// sorted) over `shards` lanes: compiles the conditions into
+/// shared-prefix plans ([`BundlePlan::compile_all`] — one, unless the
+/// bundle overflows the plan-node budget), seeds every 64-condition
+/// chunk at its owners' root plan nodes, and has `run_chunk(plan,
+/// masks, word, seeds)` run that chunk's [`masked_fixpoint`] over the
+/// backend's lanes. Empty paths match their owner without traversing.
+pub(crate) fn bundle_audiences<E, F>(
+    conds: &[(NodeId, &PathExpr)],
+    shards: usize,
+    mut run_chunk: F,
+) -> Result<(Vec<Vec<NodeId>>, BundleFixpointStats), E>
+where
+    F: FnMut(&BundlePlan, &ChunkMasks, u32, &[MaskedExport]) -> Result<FixpointRun, E>,
+{
+    let mut stats = BundleFixpointStats {
+        states_expanded: vec![0; shards],
+        ..BundleFixpointStats::default()
+    };
+    let mut audiences: Vec<Vec<NodeId>> = vec![Vec::new(); conds.len()];
+    let paths: Vec<&PathExpr> = conds.iter().map(|&(_, p)| p).collect();
+    for (part, plan) in BundlePlan::compile_all(&paths) {
+        stats.plan_states += plan.plan_states();
+        stats.expr_states += plan.expr_states();
+        let base = part.start;
+        let mut traversable: Vec<usize> = Vec::new();
+        for (i, &(owner, _)) in conds[part].iter().enumerate() {
+            match plan.root_of(i) {
+                Some(_) => traversable.push(i),
+                None => audiences[base + i].push(owner), // empty path: owner only
+            }
+        }
+        for (word, chunk) in traversable.chunks(64).enumerate() {
+            let word = word as u32;
+            stats.fixpoints += 1;
+            let masks = plan.chunk_masks(chunk);
+            let seeds: Vec<MaskedExport> = chunk
+                .iter()
+                .enumerate()
+                .map(|(bit, &ci)| MaskedExport {
+                    key: MaskedStateKey {
+                        member: conds[base + ci].0 .0,
+                        step: plan.root_of(ci).expect("traversable condition"),
+                        depth: 0,
+                        word,
+                    },
+                    mask: 1 << bit,
+                })
+                .collect();
+            let run = run_chunk(&plan, &masks, word, &seeds)?;
+            stats.rounds += run.rounds;
+            stats.exported_states += run.exported_states;
+            for (total, n) in stats.states_expanded.iter_mut().zip(run.states_expanded) {
+                *total += n;
+            }
+            for (&ci, audience) in chunk.iter().zip(run.audiences) {
+                audiences[base + ci] = audience;
+            }
+        }
+    }
+    Ok((audiences, stats))
+}
+
+/// Hardware parallelism, looked up once per process.
+pub(crate) fn cores() -> usize {
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
+}
+
+// ---------------------------------------------------------------------
+// The shard-local half of a round
+// ---------------------------------------------------------------------
+
+/// One shard's node space: its graph and pinned snapshot in
+/// **shard-local** ids, plus the translation tables back to global
+/// member ids.
+pub(crate) struct ShardView<'a> {
+    /// The shard's graph of home members and ghost replicas.
+    pub graph: &'a SocialGraph,
+    /// The snapshot pinned for the whole evaluation.
+    pub snap: &'a CsrSnapshot,
+    /// Local node index → global member id.
+    pub globals: &'a [NodeId],
+    /// Local node index → is a ghost replica (the export watch set;
+    /// ghosts are never reported as matches — only a member's home
+    /// shard speaks for them).
+    pub ghost: &'a [bool],
+}
+
+/// The round-persistent engine behind an open lane, with what it runs:
+/// borrowed from the caller in process, owned (re-parsed from the wire)
+/// in a shard server's session.
+pub(crate) enum ShardEngine<'a> {
+    /// One path expression; seeds carry step indexes. Supports the
+    /// targeted stop and, built with parents, witness traces.
+    Linear {
+        /// Round-persistent masked visited state.
+        engine: SeededBatchState,
+        /// The path the engine was built for.
+        path: Cow<'a, PathExpr>,
+    },
+    /// A bundle-plan chunk; seeds carry plan node ids in the `step`
+    /// slot. Audience fixpoints only.
+    Plan {
+        /// Round-persistent per-node masked visited state.
+        engine: PlanBatchState,
+        /// The trie nodes the engine was built for.
+        nodes: Cow<'a, [PlanNode]>,
+        /// The chunk's ε-fork/accept masks.
+        masks: Cow<'a, ChunkMasks>,
+    },
+}
+
+/// Runs one round on one shard: translates the seeds (global ids, as
+/// routed) into the shard's node space via `local_of`, drains the
+/// engine's frontier, and reports matches and exports back in global
+/// ids. Seeds and the stop member come from outside the shard — a
+/// word the session was not opened for, a member the shard holds no
+/// copy of, a stop on a plan session or at a ghost are refused, never
+/// evaluated.
+pub(crate) fn local_round(
+    view: &ShardView<'_>,
+    local_of: impl Fn(u32) -> Option<NodeId>,
+    engine: &mut ShardEngine<'_>,
+    word: u32,
+    seeds: &[MaskedExport],
+    stop: Option<u32>,
+) -> Result<LaneRound, WireRefusal> {
+    let mut local_seeds: Vec<MaskedSeedState> = Vec::with_capacity(seeds.len());
+    for e in seeds {
+        if e.key.word != word {
+            return Err(WireRefusal::BadRequest {
+                detail: format!(
+                    "seed word {} does not match the session's word {word}",
+                    e.key.word
+                ),
+            });
+        }
+        let local = local_of(e.key.member).ok_or(WireRefusal::UnknownMember {
+            member: e.key.member,
+        })?;
+        local_seeds.push((local, e.key.step, e.key.depth, e.mask));
+    }
+    if stop.is_some() && matches!(engine, ShardEngine::Plan { .. }) {
+        return Err(WireRefusal::BadRequest {
+            detail: "plan sessions serve audience fixpoints only (no stop target)".to_owned(),
+        });
+    }
+    let stop_local = match stop {
+        Some(m) => match local_of(m) {
+            Some(l) if !view.ghost[l.index()] => Some(l),
+            Some(_) => {
+                return Err(WireRefusal::BadRequest {
+                    detail: format!("stop member {m} is a ghost on this shard"),
+                })
+            }
+            None => return Err(WireRefusal::UnknownMember { member: m }),
+        },
+        None => None,
+    };
+    let out = match engine {
+        ShardEngine::Linear { engine, path } => online::evaluate_audience_batch_seeded_stop(
+            view.graph,
+            view.snap,
+            path,
+            engine,
+            &local_seeds,
+            view.ghost,
+            stop_local,
+        ),
+        ShardEngine::Plan {
+            engine,
+            nodes,
+            masks,
+        } => query::evaluate_plan_batch_seeded(
+            view.graph,
+            view.snap,
+            nodes,
+            masks,
+            engine,
+            &local_seeds,
+            view.ghost,
+        ),
+    };
+    Ok(LaneRound {
+        matched: out
+            .matched
+            .iter()
+            .filter(|(m, _)| !view.ghost[m.index()])
+            .map(|&(m, bits)| WireMatch {
+                member: view.globals[m.index()].0,
+                mask: bits,
+            })
+            .collect(),
+        exports: out
+            .exports
+            .iter()
+            .map(|&(m, step, depth, bits)| MaskedExport {
+                key: MaskedStateKey {
+                    member: view.globals[m.index()].0,
+                    step,
+                    depth,
+                    word,
+                },
+                mask: bits,
+            })
+            .collect(),
+        hit: out.hit,
+        states_expanded: out.stats.states_visited as u64,
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::VecDeque;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    fn export(member: u32, mask: u64) -> MaskedExport {
+        MaskedExport {
+            key: MaskedStateKey {
+                member,
+                step: 0,
+                depth: 0,
+                word: 0,
+            },
+            mask,
+        }
+    }
+
+    /// What a scripted lane does on one round.
+    enum Step {
+        /// Matches every seeded member under the seed's bits and
+        /// exports these states.
+        Export(Vec<MaskedExport>),
+        /// Early-exit hit.
+        Hit,
+        /// The lane fails mid-round.
+        Fail,
+    }
+
+    /// An in-memory lane that replays a script (then keeps matching its
+    /// seeds, exporting nothing) and records its life cycle: the seed
+    /// batches it was handed and how often it was ended.
+    struct ScriptedLane<'a> {
+        script: VecDeque<Step>,
+        heard: Vec<Vec<MaskedExport>>,
+        opens: usize,
+        ends: &'a AtomicUsize,
+    }
+
+    impl<'a> ScriptedLane<'a> {
+        fn new(ends: &'a AtomicUsize, script: Vec<Step>) -> Self {
+            ScriptedLane {
+                script: script.into(),
+                heard: Vec::new(),
+                opens: 0,
+                ends,
+            }
+        }
+    }
+
+    impl ShardLane for ScriptedLane<'_> {
+        type Error = &'static str;
+
+        fn open(&mut self) {
+            self.opens += 1;
+        }
+
+        fn round(
+            &mut self,
+            seeds: &[MaskedExport],
+            _stop: Option<u32>,
+        ) -> Result<LaneRound, Self::Error> {
+            assert_eq!(self.opens, 1, "opened once, before the first round");
+            self.heard.push(seeds.to_vec());
+            let exports = match self.script.pop_front() {
+                Some(Step::Export(exports)) => exports,
+                Some(Step::Hit) => {
+                    return Ok(LaneRound {
+                        hit: Some((0, 1)),
+                        states_expanded: 1,
+                        ..LaneRound::default()
+                    })
+                }
+                Some(Step::Fail) => return Err("lane failed mid-round"),
+                None => Vec::new(),
+            };
+            Ok(LaneRound {
+                matched: seeds
+                    .iter()
+                    .map(|s| WireMatch {
+                        member: s.key.member,
+                        mask: s.mask,
+                    })
+                    .collect(),
+                exports,
+                hit: None,
+                states_expanded: 1,
+            })
+        }
+
+        fn end(&mut self) {
+            assert_eq!(self.opens, 1, "only opened lanes are ended");
+            self.ends.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Members 0–9 live on lane 0, 10–19 on lane 1, 20–29 on lane 2.
+    fn home_of(member: u32) -> usize {
+        member as usize / 10
+    }
+
+    fn run(
+        lanes: &mut [ScriptedLane<'_>],
+        seeds: &[MaskedExport],
+        stop: Option<(usize, u32)>,
+    ) -> Result<FixpointRun, &'static str> {
+        masked_fixpoint(lanes, home_of, seeds, stop, |_, run| Ok(run))
+    }
+
+    fn loads(ends: &[AtomicUsize]) -> Vec<usize> {
+        ends.iter().map(|e| e.load(Ordering::Relaxed)).collect()
+    }
+
+    #[test]
+    fn every_opened_lane_is_ended_exactly_once_on_success() {
+        let ends: [AtomicUsize; 3] = Default::default();
+        let mut lanes = vec![
+            ScriptedLane::new(&ends[0], vec![Step::Export(vec![export(10, 1)])]),
+            ScriptedLane::new(&ends[1], vec![]),
+            ScriptedLane::new(&ends[2], vec![]),
+        ];
+        let out = run(&mut lanes, &[export(0, 1)], None).unwrap();
+        assert_eq!(out.audiences, vec![vec![NodeId(0), NodeId(10)]]);
+        assert_eq!((out.rounds, out.exported_states), (2, 1));
+        assert_eq!(out.states_expanded, vec![1, 1, 0]);
+        assert_eq!(lanes[1].heard, vec![vec![export(10, 1)]]);
+        assert_eq!(loads(&ends), vec![1, 1, 0], "lane 2 never opened");
+    }
+
+    #[test]
+    fn an_early_exit_hit_stops_the_rounds_and_still_ends_the_lanes() {
+        let ends: [AtomicUsize; 3] = Default::default();
+        let mut lanes = vec![
+            ScriptedLane::new(&ends[0], vec![Step::Export(vec![export(10, 1)])]),
+            ScriptedLane::new(&ends[1], vec![Step::Hit]),
+            ScriptedLane::new(&ends[2], vec![]),
+        ];
+        let out = run(&mut lanes, &[export(0, 1)], Some((1, 15))).unwrap();
+        assert_eq!(out.hit, Some((1, 0, 1)));
+        assert_eq!(out.origin.get(&(10, 0, 0)), Some(&0), "hand-off recorded");
+        assert!(
+            out.audiences.is_empty(),
+            "targeted runs collect no audience"
+        );
+        assert_eq!(out.rounds, 2);
+        assert_eq!(loads(&ends), vec![1, 1, 0]);
+    }
+
+    #[test]
+    fn a_lane_error_mid_round_ends_every_opened_lane() {
+        let ends: [AtomicUsize; 3] = Default::default();
+        let mut lanes = vec![
+            ScriptedLane::new(
+                &ends[0],
+                vec![Step::Export(vec![export(10, 1), export(20, 1)])],
+            ),
+            ScriptedLane::new(&ends[1], vec![Step::Fail]),
+            ScriptedLane::new(&ends[2], vec![]),
+        ];
+        let err = run(&mut lanes, &[export(0, 1)], None).unwrap_err();
+        assert_eq!(err, "lane failed mid-round");
+        assert_eq!(loads(&ends), vec![1, 1, 1], "failed and healthy alike");
+    }
+
+    #[test]
+    fn finish_sees_open_lanes_and_its_error_still_ends_them() {
+        let ends = [AtomicUsize::new(0)];
+        let mut lanes = vec![ScriptedLane::new(&ends[0], vec![Step::Hit])];
+        let out: Result<(), _> = masked_fixpoint(
+            &mut lanes,
+            home_of,
+            &[export(0, 1)],
+            Some((0, 5)),
+            |_, _| {
+                assert_eq!(loads(&ends), vec![0], "lanes still open");
+                Err("stitching failed")
+            },
+        );
+        assert_eq!(out, Err("stitching failed"));
+        assert_eq!(loads(&ends), vec![1]);
+    }
+
+    #[test]
+    fn duplicate_and_reordered_exports_change_neither_audiences_nor_census() {
+        // Lanes 0 and 2 both reach member 10 (under different bits);
+        // one of them reports its export twice, and `swap` exchanges
+        // which lane says what — the order lane 1 hears them in.
+        let outcome = |swap: bool| {
+            let ends: [AtomicUsize; 3] = Default::default();
+            let once = vec![export(10, 0b01), export(11, 0b01)];
+            let twice = vec![export(10, 0b10), export(10, 0b10)];
+            let (first, last) = if swap { (twice, once) } else { (once, twice) };
+            let mut lanes = vec![
+                ScriptedLane::new(&ends[0], vec![Step::Export(first)]),
+                ScriptedLane::new(&ends[1], vec![]),
+                ScriptedLane::new(&ends[2], vec![Step::Export(last)]),
+            ];
+            let out = run(&mut lanes, &[export(0, 0b01), export(20, 0b10)], None).unwrap();
+            let heard: usize = lanes[1].heard.iter().map(Vec::len).sum();
+            (out.audiences, out.exported_states, out.rounds, heard)
+        };
+        let forward = outcome(false);
+        assert_eq!(
+            forward.0,
+            vec![
+                vec![NodeId(0), NodeId(10), NodeId(11)],
+                vec![NodeId(10), NodeId(20)]
+            ]
+        );
+        assert_eq!(forward.1, 3, "the repeated export forwards no new bit");
+        assert_eq!(forward.3, 3, "and is never delivered");
+        assert_eq!(outcome(true), forward, "lane order is immaterial");
+    }
+}

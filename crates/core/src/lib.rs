@@ -81,7 +81,8 @@
 //!
 //! On top of the shared snapshot, `audience_batch` evaluates all the
 //! owners/conditions of a policy bundle with a multi-source flat BFS
-//! ([`online::evaluate_audience_batch`]): up to 64 owners traverse
+//! over the bundle's shared-prefix plan
+//! ([`query::evaluate_plan_audiences`]): up to 64 conditions traverse
 //! together, one frontier pass per `(label, direction)` layer,
 //! amortizing edge scans across the bundle.
 //!
@@ -105,18 +106,43 @@
 //!
 //! Bundle reads are **batch-amortized**: `ShardedSystem::audience_batch`
 //! and `check_batch` run *one* masked fixpoint per bundle instead of
-//! one per condition. The bundle's distinct conditions group by path
-//! expression and traverse together as bits of a seeded multi-source
-//! mask BFS ([`online::evaluate_audience_batch_seeded`]); boundary
-//! exports carry those masks
+//! one per condition. The bundle's distinct conditions compile into a
+//! shared-prefix plan and traverse together as bits of a seeded
+//! multi-source mask BFS ([`query::evaluate_plan_batch_seeded`]);
+//! boundary exports carry those masks
 //! ([`socialreach_graph::shard::MaskedStateKey`], chunked into further
 //! 64-bit words for wider bundles), and each shard's visited/mask
-//! state persists across the fixpoint's rounds
-//! ([`online::SeededBatchState`]), keeping total work linear in the
-//! explored region even when walks ping-pong across a boundary. The
-//! batched path is pinned to the per-condition fixpoint, the
-//! single-graph batch BFS and the reference engine by
+//! state persists across the fixpoint's rounds, keeping total work
+//! linear in the explored region even when walks ping-pong across a
+//! boundary. The batched path is pinned to the per-condition fixpoint,
+//! the single-graph batch BFS and the reference engine by
 //! `tests/shard_batch_differential.rs`.
+//!
+//! ## One fixpoint driver, two lanes
+//!
+//! Every masked cross-shard read — a bundle's audiences or one
+//! targeted `check`/`explain`, in process or over the wire — runs the
+//! **same** round loop, the crate-private `fixpoint::masked_fixpoint`:
+//! take each shard's pending seeds, run the active shards (inline when
+//! one is active or the host has one core, scoped threads otherwise),
+//! merge their reports in shard order, forward only condition bits a
+//! home shard has not been sent before, stop on the targeted
+//! requester's hit, and close every shard-side evaluation it opened
+//! whatever the outcome. The loop is generic over a small `ShardLane`
+//! trait (lazy open → `round(seeds, stop)` in global ids → `end`) with
+//! exactly two implementations: the in-process lane of [`sharded`]
+//! (a function call) and the remote lane of [`remote`] (`BeginEval` /
+//! `BeginEvalPlan` → `Round` sub-batches → `EndEval`). The shard-local
+//! half of a round — global→local seed translation, one seeded engine
+//! run, ghost filtering, local→global exports — is likewise one
+//! function, called by the in-process lane and by the shard server's
+//! `Round` handler. [`ShardedSystem`] and [`NetworkedSystem`]
+//! contribute seed construction and witness stitching; the
+//! single-graph backend needs no lanes and calls the plan engine
+//! directly. The per-condition fixpoint
+//! ([`ShardedSystem::evaluate_condition`]) and
+//! [`online::evaluate_reference`] stay apart on purpose: they are the
+//! oracles the differential suites compare the driver against.
 //!
 //! ## Networked serving: shards as processes
 //!
@@ -154,9 +180,9 @@
 //! errors; [`query::parse_policy`] accepts either grammar, so
 //! `add_rule` and the CLI take both, and ad-hoc audience questions
 //! enter through [`AccessService::query_audience`] without
-//! registering a resource. Its back half replaces the batched read
-//! paths' *identical-expression* grouping key with a **shared-prefix
-//! trie** ([`query::BundlePlan`]): a bundle's distinct conditions
+//! registering a resource. Its back half is the batched read paths'
+//! one planner, a **shared-prefix trie** ([`query::BundlePlan`]): a
+//! bundle's distinct conditions
 //! compile into one plan whose nodes are canonicalized steps, the
 //! masked multi-source BFS ([`query::engine`]) walks each shared
 //! prefix once per 64-condition chunk, and condition masks fork only
@@ -164,17 +190,17 @@
 //! fixpoint, and across the wire (`BeginEvalPlan`). The compression
 //! achieved is reported per read as
 //! [`ReadStats::plan_states`]/[`ReadStats::expr_states`] and feeds the
-//! adaptive planner's per-resource profiles. Setting
-//! `SOCIALREACH_BUNDLE_PLAN=grouped` restores the old grouping key
-//! (the benchmark baseline and differential oracle);
-//! `tests/query_differential.rs` pins both strategies to
-//! per-condition evaluation on all three deployments.
+//! adaptive planner's per-resource profiles. A bundle past the
+//! plan's `u16` node budget is bisected into several plans and served
+//! through the same code; `tests/query_differential.rs` pins the
+//! planned path to per-condition evaluation on all three deployments.
 
 pub mod carminati;
 pub mod durability;
 pub mod engine;
 pub mod error;
 pub mod examples;
+mod fixpoint;
 pub mod joinengine;
 pub mod lineplan;
 pub mod online;

@@ -44,21 +44,15 @@
 //! looks at those, so its `edges_filtered` is always zero. The two
 //! `edges_scanned` series therefore share an axis in experiments.
 //!
-//! # Batch audience evaluation
-//!
-//! [`evaluate_audience_batch`] answers the audience-dominant workload
-//! ("who can see this post?" for a whole policy bundle) with a
-//! **multi-source** flat BFS: up to 64 owners traverse together, each
-//! product state carrying a bitmask of the sources that reached it, so
-//! one scan of a `(node, label, direction)` CSR slice serves every
-//! owner whose frontier touches that node — amortizing edge scans
-//! across the bundle instead of re-walking the graph per condition.
-//!
 //! # Seeded mask engine (the sharded batch primitive)
 //!
-//! [`evaluate_audience_batch_seeded`] generalizes the mask BFS for the
-//! sharded serving layer: the search enters the layered product space
-//! at **arbitrary** `(member, step, depth, mask)` states and exports
+//! [`evaluate_audience_batch_seeded`] is a **multi-source** mask BFS
+//! for the sharded serving layer: up to 64 conditions traverse
+//! together, each product state carrying a bitmask of the conditions
+//! that reached it, so one scan of a `(node, label, direction)` CSR
+//! slice serves every condition whose frontier touches that node. The
+//! search enters the layered product space at **arbitrary**
+//! `(member, step, depth, mask)` states and exports
 //! the masked states it visits at *watched* members (a shard's ghost
 //! replicas). Its visited/mask bookkeeping lives in a caller-owned
 //! [`SeededBatchState`] that **persists across runs**, so the
@@ -93,15 +87,6 @@ pub struct SearchStats {
     /// adjacency list); the snapshot engine's per-(node, label) slices
     /// never touch a non-matching edge, so it reports zero.
     pub edges_filtered: usize,
-}
-
-impl SearchStats {
-    /// Element-wise accumulation (batch paths merge per-chunk counters).
-    pub fn absorb(&mut self, other: &SearchStats) {
-        self.states_visited += other.states_visited;
-        self.edges_scanned += other.edges_scanned;
-        self.edges_filtered += other.edges_filtered;
-    }
 }
 
 /// One traversed relationship of a witness walk: the edge plus the
@@ -168,16 +153,6 @@ struct Scratch {
     parent_hop: Vec<u32>,
     /// Per-path layer table, rebuilt per call without reallocating.
     layers: Vec<LayerInfo>,
-    /// Multi-source batch BFS: source bits ever arrived at a state.
-    seen_mask: Vec<u64>,
-    /// Source bits that arrived since the state was last processed.
-    pending_mask: Vec<u64>,
-    /// Epoch stamps validating `seen_mask`/`pending_mask`.
-    mask_epoch: Vec<u32>,
-    /// Per-member source bits already recorded in an audience.
-    matched_mask: Vec<u64>,
-    /// Epoch stamps validating `matched_mask`.
-    matched_mask_epoch: Vec<u32>,
 }
 
 impl Scratch {
@@ -187,8 +162,6 @@ impl Scratch {
         if self.epoch == u32::MAX {
             self.visited.fill(0);
             self.matched_epoch.fill(0);
-            self.mask_epoch.fill(0);
-            self.matched_mask_epoch.fill(0);
             self.epoch = 0;
         }
         self.epoch += 1;
@@ -569,219 +542,6 @@ pub fn evaluate_with_snapshot(
         witness,
         stats,
     }
-}
-
-// ---------------------------------------------------------------------
-// Multi-source batch audience engine
-// ---------------------------------------------------------------------
-
-/// Audiences of many owners under one path expression, evaluated
-/// together (see [`evaluate_audience_batch`]).
-#[derive(Clone, Debug)]
-pub struct BatchAudienceOutcome {
-    /// `audiences[i]` is the full sorted audience of `owners[i]` —
-    /// element-for-element what `evaluate(g, owners[i], path,
-    /// None).matched` returns.
-    pub audiences: Vec<Vec<NodeId>>,
-    /// Aggregate work counters across the whole batch. One frontier
-    /// pass serves every owner in a 64-source chunk, so
-    /// `edges_scanned` sits far below the per-owner sum a sequential
-    /// sweep would pay.
-    pub stats: SearchStats,
-}
-
-/// Materializes the audiences of up to arbitrarily many `owners` under
-/// one `path`, sharing frontier passes between them.
-///
-/// Owners are processed in chunks of 64; within a chunk every product
-/// state carries a bitmask of the sources that reached it, so each
-/// `(node, label, direction)` CSR slice is scanned **once per state
-/// activation** regardless of how many owners' searches pass through
-/// it (the multi-source BFS technique of Then et al., adapted to the
-/// layered product space). Bits propagate as deltas: a state forwards
-/// only the sources that newly arrived. Sources that reach a state in
-/// the same BFS wave share its slice scan outright, so total work
-/// approaches the *union* of the per-owner traversals when frontiers
-/// overlap — and degrades to at most their sum (one re-activation per
-/// distinct arrival wave, i.e. never worse than sequential evaluation
-/// by more than the mask bookkeeping) when they don't.
-///
-/// Falls back to per-owner [`evaluate_with_snapshot`] when the
-/// snapshot is stale for `g` or the dense product space would be
-/// unreasonable — semantics are identical either way.
-pub fn evaluate_audience_batch(
-    g: &SocialGraph,
-    snap: &CsrSnapshot,
-    owners: &[NodeId],
-    path: &PathExpr,
-) -> BatchAudienceOutcome {
-    let mut stats = SearchStats::default();
-    if path.is_empty() {
-        return BatchAudienceOutcome {
-            audiences: owners.iter().map(|&o| vec![o]).collect(),
-            stats,
-        };
-    }
-    let flat = if snap.matches(g) {
-        flat_dimensions(snap, path)
-    } else {
-        None
-    };
-    let Some((v_count, _, total_states)) = flat else {
-        // Degenerate product space or stale snapshot: same answers,
-        // one owner at a time.
-        let audiences = owners
-            .iter()
-            .map(|&o| {
-                let out = evaluate_with_snapshot(g, snap, o, path, None);
-                stats.absorb(&out.stats);
-                out.matched
-            })
-            .collect();
-        return BatchAudienceOutcome { audiences, stats };
-    };
-
-    let steps = &path.steps;
-    let mut audiences: Vec<Vec<NodeId>> = vec![Vec::new(); owners.len()];
-    SCRATCH.with(|scratch| {
-        let s = &mut *scratch.borrow_mut();
-        fill_layer_table(steps, &mut s.layers);
-        if s.seen_mask.len() < total_states {
-            s.seen_mask.resize(total_states, 0);
-            s.pending_mask.resize(total_states, 0);
-            s.mask_epoch.resize(total_states, 0);
-        }
-        if s.matched_mask.len() < snap.num_nodes() {
-            s.matched_mask.resize(snap.num_nodes(), 0);
-            s.matched_mask_epoch.resize(snap.num_nodes(), 0);
-        }
-
-        for (chunk_idx, chunk) in owners.chunks(64).enumerate() {
-            let chunk_base = chunk_idx * 64;
-            let epoch = s.next_epoch();
-            s.frontier.clear();
-            s.next.clear();
-
-            let Scratch {
-                frontier,
-                next,
-                layers,
-                seen_mask,
-                pending_mask,
-                mask_epoch,
-                matched_mask,
-                matched_mask_epoch,
-                ..
-            } = &mut *s;
-
-            // Validates a state's mask slots for this epoch, zeroing
-            // stale contents lazily.
-            macro_rules! fresh {
-                ($idx:expr) => {{
-                    let idx = $idx;
-                    if mask_epoch[idx] != epoch {
-                        mask_epoch[idx] = epoch;
-                        seen_mask[idx] = 0;
-                        pending_mask[idx] = 0;
-                    }
-                    idx
-                }};
-            }
-
-            // Seed layer 0 with each owner's bit; owners sharing a
-            // member share one start state with several bits.
-            for (bit, owner) in chunk.iter().enumerate() {
-                let idx = fresh!(owner.index());
-                let new = 1u64 << bit;
-                if seen_mask[idx] & new == 0 {
-                    seen_mask[idx] |= new;
-                    if pending_mask[idx] == 0 {
-                        frontier.push(u64::from(owner.0)); // layer 0 tag
-                    }
-                    pending_mask[idx] |= new;
-                }
-            }
-
-            while !frontier.is_empty() {
-                for &state in frontier.iter() {
-                    let v = state as u32;
-                    let lay = (state >> 32) as usize;
-                    let idx = (lay as u32 * v_count + v) as usize;
-                    // Consume the delta: only sources that arrived
-                    // since the state last ran need (re)processing.
-                    let delta = pending_mask[idx];
-                    pending_mask[idx] = 0;
-                    debug_assert_ne!(delta, 0, "queued state without pending bits");
-                    stats.states_visited += 1;
-                    let li = layers[lay];
-                    let step = &steps[li.step as usize];
-                    let node = NodeId(v);
-
-                    // Forwards `delta` to `target`, queueing it for the
-                    // next level on its 0 → nonzero pending transition.
-                    let mut send = |target_layer: u32,
-                                    target_v: u32,
-                                    bits: u64,
-                                    next: &mut Vec<u64>| {
-                        let t = fresh!((target_layer * v_count + target_v) as usize);
-                        let new = bits & !seen_mask[t];
-                        if new != 0 {
-                            seen_mask[t] |= new;
-                            if pending_mask[t] == 0 {
-                                next.push((u64::from(target_layer) << 32) | u64::from(target_v));
-                            }
-                            pending_mask[t] |= new;
-                        }
-                    };
-
-                    // Step completion for the newly arrived sources.
-                    if li.completes && step.conds.iter().all(|c| c.eval(g.node_attrs(node))) {
-                        if li.last {
-                            if matched_mask_epoch[node.index()] != epoch {
-                                matched_mask_epoch[node.index()] = epoch;
-                                matched_mask[node.index()] = 0;
-                            }
-                            let mut new_matched = delta & !matched_mask[node.index()];
-                            matched_mask[node.index()] |= new_matched;
-                            while new_matched != 0 {
-                                let bit = new_matched.trailing_zeros() as usize;
-                                new_matched &= new_matched - 1;
-                                audiences[chunk_base + bit].push(node);
-                            }
-                        } else {
-                            send(li.eps_layer, v, delta, next);
-                        }
-                    }
-
-                    // Edge expansion within the step.
-                    if !li.expands {
-                        continue;
-                    }
-                    if matches!(step.dir, Direction::Out | Direction::Both) {
-                        let out = snap.out_neighbors(v, step.label);
-                        for &nbr in out.nodes {
-                            stats.edges_scanned += 1;
-                            send(li.next_layer, nbr, delta, next);
-                        }
-                    }
-                    if matches!(step.dir, Direction::In | Direction::Both) {
-                        let inn = snap.in_neighbors(v, step.label);
-                        for &nbr in inn.nodes {
-                            stats.edges_scanned += 1;
-                            send(li.next_layer, nbr, delta, next);
-                        }
-                    }
-                }
-                std::mem::swap(frontier, next);
-                next.clear();
-            }
-        }
-    });
-
-    for audience in &mut audiences {
-        audience.sort_unstable();
-    }
-    BatchAudienceOutcome { audiences, stats }
 }
 
 // ---------------------------------------------------------------------
@@ -1483,8 +1243,8 @@ impl SeededBatchState {
     }
 }
 
-/// [`evaluate_audience_batch`] generalized to **seeded** entry: one
-/// run drains the frontier produced by `seeds` (plus whatever earlier
+/// One seeded run of the multi-source mask BFS: it
+/// drains the frontier produced by `seeds` (plus whatever earlier
 /// runs left unexplored — nothing, by post-condition), recording
 /// matches and exporting masked states visited at `watched` members.
 ///
@@ -2267,109 +2027,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_audiences_match_per_owner_evaluation() {
-        let mut g = chain();
-        g.set_node_attr(g.node_by_name("Carol").unwrap(), "age", 20i64);
-        let texts = [
-            "friend+[1]",
-            "friend+[1,2]",
-            "friend*[1..]",
-            "friend+[1,2]/colleague+[1]",
-            "friend+[2]{age>=18}",
-            "friend-[1]",
-        ];
-        let paths: Vec<PathExpr> = texts.iter().map(|t| parse(&mut g, t)).collect();
-        let snap = g.snapshot();
-        let owners: Vec<NodeId> = g.nodes().collect();
-        for (p, text) in paths.iter().zip(texts) {
-            let batch = evaluate_audience_batch(&g, &snap, &owners, p);
-            assert_eq!(batch.audiences.len(), owners.len());
-            for (owner, audience) in owners.iter().zip(&batch.audiences) {
-                let solo = evaluate_with_snapshot(&g, &snap, *owner, p, None);
-                assert_eq!(audience, &solo.matched, "{text} from {owner}");
-            }
-        }
-    }
-
-    #[test]
-    fn batch_amortizes_edge_scans_across_owners() {
-        // A star: every leaf's friend-[1] audience passes through the
-        // hub, so the shared frontier scans far fewer edges than the
-        // per-owner sum.
-        let mut g = SocialGraph::new();
-        let hub = g.add_node("hub");
-        let leaves: Vec<NodeId> = (0..30).map(|i| g.add_node(&format!("l{i}"))).collect();
-        for &l in &leaves {
-            g.connect(hub, "friend", l);
-        }
-        let p = parse(&mut g, "friend-[1]/friend+[1]");
-        let snap = g.snapshot();
-        let batch = evaluate_audience_batch(&g, &snap, &leaves, &p);
-        let solo_total: usize = leaves
-            .iter()
-            .map(|&o| {
-                evaluate_with_snapshot(&g, &snap, o, &p, None)
-                    .stats
-                    .edges_scanned
-            })
-            .sum();
-        assert!(
-            batch.stats.edges_scanned < solo_total / 2,
-            "batch {} vs per-owner sum {}",
-            batch.stats.edges_scanned,
-            solo_total
-        );
-        for (i, &o) in leaves.iter().enumerate() {
-            let solo = evaluate_with_snapshot(&g, &snap, o, &p, None);
-            assert_eq!(batch.audiences[i], solo.matched);
-        }
-    }
-
-    #[test]
-    fn batch_chunks_beyond_64_owners() {
-        // 70 members in a friend ring — more owners than one mask
-        // chunk holds, so the chunk loop must run twice.
-        let mut g = SocialGraph::new();
-        let nodes: Vec<NodeId> = (0..70).map(|i| g.add_node(&format!("r{i}"))).collect();
-        for i in 0..70usize {
-            g.connect(nodes[i], "friend", nodes[(i + 1) % 70]);
-        }
-        let p = parse(&mut g, "friend+[1,2]");
-        let snap = g.snapshot();
-        let batch = evaluate_audience_batch(&g, &snap, &nodes, &p);
-        for (i, &o) in nodes.iter().enumerate() {
-            let solo = evaluate_with_snapshot(&g, &snap, o, &p, None);
-            assert_eq!(batch.audiences[i], solo.matched, "owner {o}");
-        }
-    }
-
-    #[test]
-    fn batch_handles_empty_paths_and_duplicate_owners() {
-        let g = chain();
-        let alice = g.node_by_name("Alice").unwrap();
-        let snap = g.snapshot();
-        let owners = [alice, alice];
-        let p = PathExpr::new(vec![]);
-        let batch = evaluate_audience_batch(&g, &snap, &owners, &p);
-        assert_eq!(batch.audiences, vec![vec![alice], vec![alice]]);
-    }
-
-    #[test]
-    fn batch_falls_back_on_stale_snapshots() {
-        let mut g = chain();
-        let snap = g.snapshot();
-        let alice = g.node_by_name("Alice").unwrap();
-        let dave = g.node_by_name("Dave").unwrap();
-        g.connect(alice, "friend", dave); // stales `snap`
-        let p = parse(&mut g, "friend+[1]");
-        let batch = evaluate_audience_batch(&g, &snap, &[alice], &p);
-        assert!(
-            batch.audiences[0].contains(&dave),
-            "stale snapshot must not hide the new edge"
-        );
-    }
-
-    #[test]
     fn reference_engine_reports_filtered_edges_separately() {
         let mut g = chain();
         let alice = g.node_by_name("Alice").unwrap();
@@ -2596,14 +2253,17 @@ mod tests {
     }
 
     #[test]
-    fn masked_engine_matches_the_unseeded_batch() {
+    fn masked_engine_matches_per_owner_evaluation() {
         let mut g = chain();
         let snap = g.snapshot();
         let owners: Vec<NodeId> = g.nodes().collect();
         let none = vec![false; g.num_nodes()];
         for text in ["friend+[1,2]", "friend*[1..]/colleague+[1]", "friend-[1]"] {
             let p = parse(&mut g, text);
-            let truth = evaluate_audience_batch(&g, &snap, &owners, &p);
+            let truth: Vec<Vec<NodeId>> = owners
+                .iter()
+                .map(|&o| evaluate_with_snapshot(&g, &snap, o, &p, None).matched)
+                .collect();
             let mut state = SeededBatchState::new(&g, &snap, &p);
             let seeds: Vec<MaskedSeedState> = owners
                 .iter()
@@ -2614,7 +2274,7 @@ mod tests {
             assert!(out.exports.is_empty(), "nothing watched");
             assert_eq!(
                 audiences_by_bit(&out.matched, owners.len()),
-                truth.audiences,
+                truth,
                 "path {text}"
             );
         }

@@ -228,8 +228,8 @@ pub struct ResourceProfile {
     /// of per-condition product states the bundle's shared-prefix
     /// compilation eliminated (`1 − plan/expr`, from
     /// [`ReadStats::prefix_share`]). Stays at its default (0) until a
-    /// trie-planned batched read observes it — grouped-mode, targeted
-    /// and per-condition reads leave the EWMA untouched. Near-tie
+    /// trie-planned batched read observes it — targeted and
+    /// per-condition reads leave the EWMA untouched. Near-tie
     /// audience planning consults this field: the shared plan is only
     /// preferred over per-condition walks when prefixes actually
     /// overlap.
@@ -1025,8 +1025,9 @@ mod tests {
         let prof = p.profile(rid(0)).unwrap();
         assert_eq!(prof.prefix_share, 0.4375);
 
-        // A grouped-mode census (no plan compiled → expr_states == 0)
-        // reports no share and must leave the EWMA untouched.
+        // A census without a plan (targeted or per-condition read →
+        // expr_states == 0) reports no share and must leave the EWMA
+        // untouched.
         p.observe_audience(
             &[rid(0)],
             BundleStrategy::Batched,

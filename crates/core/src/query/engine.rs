@@ -602,8 +602,8 @@ mod tests {
         let friend = parse_path("friend+[1]", g.vocab_mut()).unwrap();
         let snap = g.snapshot();
         let empty = crate::path::PathExpr::new(vec![]);
-        let paths = vec![&friend, &empty, &friend];
-        let owners = vec![NodeId(0), NodeId(3), NodeId(1)];
+        let paths = vec![&friend, &empty, &friend, &empty];
+        let owners = vec![NodeId(0), NodeId(3), NodeId(1), NodeId(3)];
         let plan = BundlePlan::compile(&paths).unwrap();
         let got = evaluate_plan_audiences(&g, &snap, &plan, &owners);
         assert_eq!(got.audiences[0], vec![NodeId(1)]);
@@ -613,6 +613,64 @@ mod tests {
             "empty path yields the owner"
         );
         assert_eq!(got.audiences[2], vec![NodeId(2)]);
+        assert_eq!(got.audiences[3], vec![NodeId(3)], "duplicate owners too");
+    }
+
+    /// Audiences of many `owners` under one `path`: the one-path
+    /// plan, every owner a condition of it.
+    fn one_path_audiences(
+        g: &SocialGraph,
+        snap: &CsrSnapshot,
+        owners: &[NodeId],
+        path: &crate::path::PathExpr,
+    ) -> PlanAudienceOutcome {
+        let plan = BundlePlan::compile(&vec![path; owners.len()]).unwrap();
+        evaluate_plan_audiences(g, snap, &plan, owners)
+    }
+
+    #[test]
+    fn one_path_plan_amortizes_edge_scans_across_owners() {
+        // A star: every leaf's friend-[1] audience passes through the
+        // hub, so the shared frontier scans far fewer edges than the
+        // per-owner sum.
+        let mut g = SocialGraph::new();
+        let hub = g.add_node("hub");
+        let leaves: Vec<NodeId> = (0..30).map(|i| g.add_node(&format!("l{i}"))).collect();
+        for &l in &leaves {
+            g.connect(hub, "friend", l);
+        }
+        let p = parse_path("friend-[1]/friend+[1]", g.vocab_mut()).unwrap();
+        let snap = g.snapshot();
+        let batch = one_path_audiences(&g, &snap, &leaves, &p);
+        let solo_total: usize = leaves
+            .iter()
+            .map(|&o| {
+                evaluate_with_snapshot(&g, &snap, o, &p, None)
+                    .stats
+                    .edges_scanned
+            })
+            .sum();
+        assert!(
+            batch.edges_scanned < solo_total / 2,
+            "batch {} vs per-owner sum {solo_total}",
+            batch.edges_scanned
+        );
+        for (i, &o) in leaves.iter().enumerate() {
+            assert_eq!(batch.audiences[i], single_audience(&g, &snap, o, &p));
+        }
+    }
+
+    #[test]
+    fn stale_snapshots_fall_back_to_the_current_graph() {
+        let mut g = fixture();
+        let snap = g.snapshot();
+        g.connect(NodeId(0), "friend", NodeId(5)); // stales `snap`
+        let p = parse_path("friend+[1]", g.vocab_mut()).unwrap();
+        let batch = one_path_audiences(&g, &snap, &[NodeId(0)], &p);
+        assert!(
+            batch.audiences[0].contains(&NodeId(5)),
+            "stale snapshot must not hide the new edge"
+        );
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //! * **Plan compiler** ([`plan::BundlePlan`]): compiles a bundle of
 //!   conditions into one shared-prefix trie so the masked multi-source
 //!   BFS ([`engine`]) walks each shared prefix **once** and forks
-//!   64-bit condition masks only where the paths diverge — replacing
-//!   the identical-expression grouping key in the single-graph,
-//!   sharded and networked batch read paths.
+//!   64-bit condition masks only where the paths diverge. It is the
+//!   one batched read path of the single-graph, sharded and networked
+//!   backends; per-condition evaluation is the oracle it is tested
+//!   against.
 //!
 //! Ad-hoc audience queries enter through
 //! [`AccessService::query_audience`](crate::service::AccessService::query_audience):
@@ -99,16 +100,6 @@ pub fn parse_queries_readonly(
         });
     }
     Ok(out)
-}
-
-/// True when the `SOCIALREACH_BUNDLE_PLAN=grouped` lever forces the
-/// batched read paths back onto the identical-expression grouping key
-/// (the shared-prefix trie's benchmark baseline and differential
-/// oracle). Any other value — including unset — serves the trie plan.
-pub fn grouped_plan_forced() -> bool {
-    std::env::var("SOCIALREACH_BUNDLE_PLAN")
-        .map(|v| v.eq_ignore_ascii_case("grouped"))
-        .unwrap_or(false)
 }
 
 #[cfg(test)]

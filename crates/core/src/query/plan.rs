@@ -2,10 +2,10 @@
 //!
 //! A bundle of access conditions overwhelmingly shares *prefixes* even
 //! when the full paths differ (`friend.friend` vs
-//! `friend.friend.colleague` in a feed-shaped read). The batched
-//! evaluators used to share traversal only between conditions whose
-//! path expressions were *identical* — the grouping key. This module
-//! replaces that key with a prefix trie: each bundle compiles into one
+//! `friend.friend.colleague` in a feed-shaped read). Sharing traversal
+//! only between conditions whose path expressions are *identical*
+//! misses that, so the batched evaluators share by prefix: each bundle
+//! compiles into one
 //! [`BundlePlan`] whose nodes are canonicalized [`Step`]s, conditions
 //! that spell the same first k steps share the first k trie nodes, and
 //! the masked multi-source BFS walks each shared node **once**,
@@ -26,6 +26,7 @@
 //! the per-expression engine, state for state.
 
 use crate::path::ast::{PathExpr, Step};
+use std::ops::Range;
 
 /// One node of the shared-prefix trie: a canonical step plus the trie
 /// edges to the steps that may follow it in some condition.
@@ -67,8 +68,9 @@ impl BundlePlan {
     /// trie. Steps are canonicalized before node lookup, so
     /// semantically identical steps share a node regardless of how
     /// they were written. Returns `None` if the bundle needs more than
-    /// `u16::MAX` trie nodes (callers fall back to per-expression
-    /// grouping).
+    /// `u16::MAX` trie nodes — node ids travel in the `u16` step slot
+    /// of masked state keys; [`BundlePlan::compile_all`] splits such a
+    /// bundle into several plans.
     pub fn compile(paths: &[&PathExpr]) -> Option<BundlePlan> {
         let mut plan = BundlePlan {
             nodes: Vec::new(),
@@ -116,6 +118,32 @@ impl BundlePlan {
             plan.chains.push(Some(chain));
         }
         Some(plan)
+    }
+
+    /// Compiles a bundle into plans that together cover `paths` in
+    /// order: each `(range, plan)` pair plans `paths[range]`, and the
+    /// ranges partition `0..paths.len()`. That is one plan for the whole
+    /// bundle unless it overflows [`BundlePlan::compile`]'s node budget,
+    /// in which case the list is bisected until every part fits — the
+    /// batched read paths run the parts back to back through the same
+    /// code, losing only the prefix sharing across a cut.
+    pub fn compile_all(paths: &[&PathExpr]) -> Vec<(Range<usize>, BundlePlan)> {
+        fn go(paths: &[&PathExpr], offset: usize, out: &mut Vec<(Range<usize>, BundlePlan)>) {
+            match BundlePlan::compile(paths) {
+                Some(plan) => out.push((offset..offset + paths.len(), plan)),
+                None => {
+                    // One path alone addresses its steps in the same
+                    // `u16` slot on every engine.
+                    assert!(paths.len() > 1, "a path of more than u16::MAX steps");
+                    let mid = paths.len() / 2;
+                    go(&paths[..mid], offset, out);
+                    go(&paths[mid..], offset + mid, out);
+                }
+            }
+        }
+        let mut out = Vec::with_capacity(1);
+        go(paths, 0, &mut out);
+        out
     }
 
     /// Number of conditions the plan was compiled from.
@@ -268,6 +296,37 @@ mod tests {
         let end1 = *plan.chains[1].as_ref().unwrap().last().unwrap() as usize;
         assert_eq!(masks.accept_mask[end0], 0b001);
         assert_eq!(masks.accept_mask[end1], 0b010);
+    }
+
+    #[test]
+    fn node_budget_overflow_bisects_into_plans_that_fit() {
+        // 261 paths of 252 steps, every step distinguished by its
+        // attribute predicate: 65 772 distinct trie nodes (no sharing)
+        // with two-layer nodes, so the tables stay tiny.
+        let mut vocab = Vocabulary::new();
+        let ps: Vec<PathExpr> = (0..261)
+            .map(|i| {
+                let steps: Vec<String> = (0..252)
+                    .map(|j| format!("friend+[1]{{age>={}}}", i * 252 + j))
+                    .collect();
+                parse_path(&steps.join("/"), &mut vocab).unwrap()
+            })
+            .collect();
+        let refs: Vec<&PathExpr> = ps.iter().collect();
+        assert!(BundlePlan::compile(&refs).is_none(), "past the u16 budget");
+        let parts = BundlePlan::compile_all(&refs);
+        assert_eq!(parts.len(), 2, "one bisection suffices");
+        assert_eq!(parts[0].0, 0..130);
+        assert_eq!(parts[1].0, 130..261);
+        for (range, plan) in &parts {
+            assert_eq!(plan.num_conds(), range.len());
+            assert_eq!(plan.nodes.len(), range.len() * 252);
+            assert_eq!(plan.plan_states(), plan.expr_states(), "nothing shared");
+        }
+        // A bundle that fits stays one plan over the whole range.
+        let whole = BundlePlan::compile_all(&refs[..3]);
+        assert_eq!(whole.len(), 1);
+        assert_eq!(whole[0].0, 0..3);
     }
 
     #[test]

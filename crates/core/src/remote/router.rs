@@ -23,16 +23,22 @@
 //! of view, and a shard that *is* behind refuses `BeginEval`'s epoch
 //! check rather than serving a torn read.
 //!
-//! Reads are `&self` and fan out on scoped threads like the in-process
-//! backend; on a retryable transport failure the router re-dials every
-//! down shard (op-log catch-up included) and re-runs the whole
-//! evaluation once with fresh evaluation ids — the engines' masked
-//! state is per-evaluation, so a retry cannot observe leftovers.
+//! Reads are `&self` and run the in-process backend's round loop,
+//! literally: both call `crate::fixpoint::masked_fixpoint`, and this
+//! module only contributes the remote lane (`BeginEval`/`BeginEvalPlan`
+//! → `Round` sub-batches → `EndEval` on one shard's connection), seed
+//! construction and `Trace`-based witness stitching. The driver closes
+//! every session it opened even when a lane fails mid-round. On a
+//! retryable transport failure the router re-dials every down shard
+//! (op-log catch-up included) and re-runs the whole evaluation once
+//! with fresh evaluation ids — the engines' masked state is
+//! per-evaluation, so a retry cannot observe leftovers.
 
 use super::frame::{self, FrameError};
 use super::proto::{self, Request, Response, ShardOp, PROTOCOL_VERSION};
 use super::{Conn, RemoteError, ShardAddr, DEFAULT_READ_TIMEOUT, MAX_ROUND_EXPORTS};
 use crate::error::EvalError;
+use crate::fixpoint::{self, LaneRound, ShardLane, StateKey};
 use crate::path::PathExpr;
 use crate::policy::{Decision, PolicyStore, ResourceId};
 use crate::service::{
@@ -40,18 +46,12 @@ use crate::service::{
     WitnessWalk,
 };
 use parking_lot::{Mutex, RwLock};
-use socialreach_graph::shard::{
-    BoundaryEdge, BoundaryTable, MaskedExport, MaskedExportSet, MaskedStateKey, ShardAssignment,
-};
+use socialreach_graph::shard::{BoundaryEdge, BoundaryTable, MaskedExport, ShardAssignment};
 use socialreach_graph::{AttrValue, LabelId, NodeId, SocialGraph, Vocabulary};
 use std::collections::{HashMap, HashSet};
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
-
-/// A cross-shard product-state coordinate: global member, step index,
-/// saturated depth.
-type StateKey = (u32, u16, u32);
 
 /// One dialed shard connection.
 struct ShardClient {
@@ -148,25 +148,77 @@ struct NetMember {
     ghosts: Vec<u32>,
 }
 
-/// Work census of one remote fixpoint, folded into [`ReadStats`].
-#[derive(Clone, Copy, Debug, Default)]
-struct NetStats {
-    fixpoints: usize,
-    rounds: usize,
-    states_expanded: usize,
-    exported_states: usize,
-    /// Shared-trie automaton states (zero in grouped mode).
-    plan_states: usize,
-    /// One-chain-per-condition automaton states (zero in grouped mode).
-    expr_states: usize,
+/// The remote [`ShardLane`]: one shard process, reached by
+/// `BeginEval`/`BeginEvalPlan` → `Round` sub-batches → `EndEval` on
+/// its connection (each lane locks only its own shard's connection, so
+/// the driver's scoped threads never contend).
+struct RemoteLane<'a> {
+    sys: &'a NetworkedSystem,
+    shard: usize,
+    eval: u64,
+    /// The prebuilt open request, sent on the first round.
+    begin: &'a Request,
+    begun: bool,
 }
 
-/// Result of one remote round on one shard.
-struct RoundOutcome {
-    matched: Vec<proto::WireMatch>,
-    exports: Vec<MaskedExport>,
-    hit: Option<(u16, u32)>,
-    states_expanded: u64,
+impl ShardLane for RemoteLane<'_> {
+    type Error = RemoteError;
+
+    /// Opens the evaluation on the shard if this is its first
+    /// activation, then delivers the seeds in
+    /// [`MAX_ROUND_EXPORTS`]-sized sub-batches (at most one frame in
+    /// flight per shard). Returns the merged outcome; an early-exit hit
+    /// stops further delivery.
+    fn round(
+        &mut self,
+        seeds: &[MaskedExport],
+        stop: Option<u32>,
+    ) -> Result<LaneRound, RemoteError> {
+        let (sys, shard, eval) = (self.sys, self.shard, self.eval);
+        if !self.begun {
+            sys.ensure_vocab(shard)?;
+            match sys.call_shard(shard, self.begin)? {
+                Response::EvalOpen { .. } => self.begun = true,
+                other => return Err(sys.unexpected(shard, "EvalOpen", &other)),
+            }
+        }
+        let mut out = LaneRound::default();
+        for chunk in seeds.chunks(MAX_ROUND_EXPORTS) {
+            let req = Request::Round {
+                eval,
+                seeds: chunk.to_vec(),
+                stop,
+            };
+            match sys.call_shard(shard, &req)? {
+                Response::Round {
+                    matched,
+                    exports,
+                    hit,
+                    states_expanded,
+                } => {
+                    out.matched.extend(matched);
+                    out.exports.extend(exports);
+                    out.states_expanded += states_expanded;
+                    if hit.is_some() {
+                        out.hit = hit;
+                        break;
+                    }
+                }
+                other => return Err(sys.unexpected(shard, "Round", &other)),
+            }
+        }
+        Ok(out)
+    }
+
+    /// Closes the shard-side session if one was opened (best-effort: a
+    /// dead shard's sessions died with it).
+    fn end(&mut self) {
+        if self.begun {
+            let _ = self
+                .sys
+                .call_shard(self.shard, &Request::EndEval { eval: self.eval });
+        }
+    }
 }
 
 /// The networked deployment's router (see the module docs).
@@ -801,471 +853,126 @@ impl NetworkedSystem {
         }
     }
 
-    /// Opens the evaluation on a shard if this is its first activation
-    /// (delivering the prebuilt `begin` request — `BeginEval` for the
-    /// linear engine, `BeginEvalPlan` for the shared-trie plan), then
-    /// delivers the seeds in [`MAX_ROUND_EXPORTS`]-sized sub-batches
-    /// (at most one frame in flight per shard). Returns the merged
-    /// outcome; an early-exit hit stops further delivery.
-    fn shard_round(
-        &self,
-        shard: usize,
-        eval: u64,
-        begun: &mut bool,
-        seeds: &[MaskedExport],
-        begin: &Request,
-        stop: Option<u32>,
-    ) -> Result<RoundOutcome, RemoteError> {
-        if !*begun {
-            self.ensure_vocab(shard)?;
-            match self.call_shard(shard, begin)? {
-                Response::EvalOpen { .. } => *begun = true,
-                other => return Err(self.unexpected(shard, "EvalOpen", &other)),
-            }
-        }
-        let mut out = RoundOutcome {
-            matched: Vec::new(),
-            exports: Vec::new(),
-            hit: None,
-            states_expanded: 0,
-        };
-        for chunk in seeds.chunks(MAX_ROUND_EXPORTS) {
-            let req = Request::Round {
-                eval,
-                seeds: chunk.to_vec(),
-                stop,
-            };
-            match self.call_shard(shard, &req)? {
-                Response::Round {
-                    matched,
-                    exports,
-                    hit,
-                    states_expanded,
-                } => {
-                    out.matched.extend(matched);
-                    out.exports.extend(exports);
-                    out.states_expanded += states_expanded;
-                    if hit.is_some() {
-                        out.hit = hit;
-                        break;
-                    }
-                }
-                other => return Err(self.unexpected(shard, "Round", &other)),
-            }
-        }
-        Ok(out)
-    }
-
-    /// One fixpoint round across the active shards — on parallel
-    /// scoped threads when several shards are active and the host has
-    /// real cores (each thread owns its shard's lane lock), inline
-    /// otherwise. Mirrors the in-process driver's fan-out policy.
-    fn run_remote_round(
-        &self,
-        round: &[(usize, Vec<MaskedExport>)],
-        begun: &mut [bool],
-        eval: u64,
-        begin: &Request,
-        stop: Option<(usize, u32)>,
-    ) -> Result<Vec<RoundOutcome>, RemoteError> {
-        let eval_one = |shard: usize, seeds: &[MaskedExport], begun: &mut bool| {
-            self.shard_round(
+    /// One unopened remote lane per shard for evaluation `eval`.
+    fn lanes<'a>(&'a self, eval: u64, begin: &'a Request) -> Vec<RemoteLane<'a>> {
+        (0..self.lanes.len())
+            .map(|shard| RemoteLane {
+                sys: self,
                 shard,
                 eval,
-                begun,
-                seeds,
                 begin,
-                stop.filter(|&(s, _)| s == shard).map(|(_, m)| m),
-            )
-        };
-        static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-        let cores = *CORES.get_or_init(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        });
-        if round.len() == 1 || cores == 1 {
-            let mut outs = Vec::with_capacity(round.len());
-            for (shard, seeds) in round {
-                outs.push(eval_one(*shard, seeds, &mut begun[*shard])?);
-            }
-            return Ok(outs);
-        }
-        // Disjoint &mut begun[shard] borrows for the scoped threads.
-        let mut slots: Vec<(usize, &Vec<MaskedExport>, &mut bool)> =
-            Vec::with_capacity(round.len());
-        let mut it = begun.iter_mut().enumerate();
-        for (shard, seeds) in round {
-            let flag = loop {
-                let (i, b) = it.next().expect("round is in ascending shard order");
-                if i == *shard {
-                    break b;
-                }
-            };
-            slots.push((*shard, seeds, flag));
-        }
-        std::thread::scope(|scope| {
-            let eval_one = &eval_one;
-            let handles: Vec<_> = slots
-                .into_iter()
-                .map(|(shard, seeds, flag)| scope.spawn(move || eval_one(shard, seeds, flag)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard round panicked"))
-                .collect()
-        })
+                begun: false,
+            })
+            .collect()
     }
 
-    /// Closes an evaluation on every shard it was opened on
-    /// (best-effort: a dead shard's sessions died with it).
-    fn end_eval(&self, eval: u64, begun: &[bool]) {
-        for (shard, b) in begun.iter().enumerate() {
-            if *b {
-                let _ = self.call_shard(shard, &Request::EndEval { eval });
-            }
-        }
-    }
-
-    /// The batched bundle fixpoint over the wire — the exact algorithm
-    /// of [`crate::sharded::ShardedSystem::evaluate_conditions_batched`]
-    /// with `Round` exchanges in place of in-process seeded runs:
-    /// conditions group by path, each group's owners traverse as
-    /// condition bits (64 per word chunk), the router forwards only
-    /// **new** bits between shards ([`MaskedExportSet`]), and merging
-    /// happens in shard order for determinism.
-    fn evaluate_conditions_batched(
-        &self,
-        conds: &[(NodeId, &PathExpr)],
-    ) -> Result<(Vec<Vec<NodeId>>, NetStats), RemoteError> {
-        if !crate::query::grouped_plan_forced() {
-            let paths: Vec<&PathExpr> = conds.iter().map(|&(_, p)| p).collect();
-            if let Some(plan) = crate::query::BundlePlan::compile(&paths) {
-                return self.evaluate_conditions_planned(conds, &plan);
-            }
-        }
-        let n = self.lanes.len();
-        let mut stats = NetStats::default();
-        let mut audiences: Vec<Vec<NodeId>> = vec![Vec::new(); conds.len()];
-        let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-        for (i, &(_, path)) in conds.iter().enumerate() {
-            match groups.iter_mut().find(|(rep, _)| conds[*rep].1 == path) {
-                Some((_, members)) => members.push(i),
-                None => groups.push((i, vec![i])),
-            }
-        }
-        for (rep, members) in groups {
-            let path = conds[rep].1;
-            if path.is_empty() {
-                for &ci in &members {
-                    audiences[ci] = vec![conds[ci].0];
-                }
-                continue;
-            }
-            let path_text = path.to_text(&self.vocab);
-            let mut imported = MaskedExportSet::new();
-            for (word, chunk) in members.chunks(64).enumerate() {
-                let word = word as u32;
-                stats.fixpoints += 1;
-                let eval = self.eval_counter.fetch_add(1, Ordering::Relaxed);
-                let begin = Request::BeginEval {
-                    eval,
-                    epoch: self.epoch,
-                    path: path_text.clone(),
-                    word,
-                    parents: false,
-                };
-                let mut begun = vec![false; n];
-                let mut pending: Vec<Vec<MaskedExport>> = vec![Vec::new(); n];
-                for (bit, &ci) in chunk.iter().enumerate() {
-                    let owner = conds[ci].0;
-                    let key = MaskedStateKey {
-                        member: owner.0,
-                        step: 0,
-                        depth: 0,
-                        word,
-                    };
-                    imported.insert(key, 1 << bit);
-                    pending[self.members[owner.index()].home as usize].push(MaskedExport {
-                        key,
-                        mask: 1 << bit,
-                    });
-                }
-                let result = (|| loop {
-                    let round: Vec<(usize, Vec<MaskedExport>)> = pending
-                        .iter_mut()
-                        .enumerate()
-                        .filter(|(_, seeds)| !seeds.is_empty())
-                        .map(|(i, seeds)| (i, std::mem::take(seeds)))
-                        .collect();
-                    if round.is_empty() {
-                        return Ok(());
-                    }
-                    stats.rounds += 1;
-                    let outs = self.run_remote_round(&round, &mut begun, eval, &begin, None)?;
-                    for ((_, _), out) in round.iter().zip(outs) {
-                        for m in &out.matched {
-                            let mut b = m.mask;
-                            while b != 0 {
-                                let bit = b.trailing_zeros() as usize;
-                                b &= b - 1;
-                                audiences[chunk[bit]].push(NodeId(m.member));
-                            }
-                        }
-                        for exp in &out.exports {
-                            let new = imported.insert(exp.key, exp.mask);
-                            if new != 0 {
-                                stats.exported_states += 1;
-                                let home = self.members[exp.key.member as usize].home as usize;
-                                pending[home].push(MaskedExport {
-                                    key: exp.key,
-                                    mask: new,
-                                });
-                            }
-                        }
-                        stats.states_expanded += out.states_expanded as usize;
-                    }
-                })();
-                self.end_eval(eval, &begun);
-                result?;
-            }
-        }
-        for audience in &mut audiences {
-            audience.sort_unstable();
-            audience.dedup();
-        }
-        Ok((audiences, stats))
-    }
-
-    /// The shared-prefix bundle fixpoint over the wire: the router
-    /// compiles the bundle into one [`crate::query::BundlePlan`] trie
-    /// and ships it to every shard as a [`Request::BeginEvalPlan`]
+    /// The batched bundle fixpoint over the wire — the algorithm of
+    /// [`crate::sharded::ShardedSystem::evaluate_conditions_batched`],
+    /// literally (both call [`fixpoint::masked_fixpoint`]), with `Round`
+    /// exchanges in place of in-process seeded runs: the router
+    /// compiles the bundle into one shared-prefix
+    /// [`crate::query::BundlePlan`] trie and ships each 64-condition
+    /// chunk to the shards it reaches as a [`Request::BeginEvalPlan`]
     /// (plan nodes travel as canonical one-step path text plus the
     /// chunk's ε-fork/accept masks), so each shared prefix is entered
     /// once per shard and condition masks fork where paths diverge.
-    /// Round exchanges, new-bit forwarding, and shard-order merging are
-    /// identical to the grouped path — only the per-group traversals
-    /// collapse into one per 64-condition chunk.
-    fn evaluate_conditions_planned(
+    fn evaluate_conditions_batched(
         &self,
         conds: &[(NodeId, &PathExpr)],
-        plan: &crate::query::BundlePlan,
-    ) -> Result<(Vec<Vec<NodeId>>, NetStats), RemoteError> {
-        let n = self.lanes.len();
-        let mut stats = NetStats {
-            plan_states: plan.plan_states(),
-            expr_states: plan.expr_states(),
-            ..NetStats::default()
-        };
-        let mut audiences: Vec<Vec<NodeId>> = vec![Vec::new(); conds.len()];
-        let mut traversable: Vec<usize> = Vec::new();
-        for (i, &(owner, _)) in conds.iter().enumerate() {
-            match plan.root_of(i) {
-                Some(_) => traversable.push(i),
-                None => audiences[i].push(owner), // empty path: owner only
-            }
-        }
-        if traversable.is_empty() {
-            return Ok((audiences, stats));
-        }
-        // Bits already forwarded, shared across the chunks (the word
-        // index keys them apart).
-        let mut imported = MaskedExportSet::new();
-        for (word, chunk) in traversable.chunks(64).enumerate() {
-            let word = word as u32;
-            stats.fixpoints += 1;
-            let masks = plan.chunk_masks(chunk);
-            let eval = self.eval_counter.fetch_add(1, Ordering::Relaxed);
-            let nodes: Vec<proto::WirePlanNode> = plan
-                .nodes
-                .iter()
-                .enumerate()
-                .map(|(i, node)| proto::WirePlanNode {
-                    step: PathExpr::new(vec![node.step.clone()]).to_text(&self.vocab),
-                    children: node.children.clone(),
-                    mask: masks.node_mask[i],
-                    accept: masks.accept_mask[i],
-                })
-                .collect();
-            let begin = Request::BeginEvalPlan {
-                eval,
-                epoch: self.epoch,
-                nodes,
-                word,
-            };
-            let mut begun = vec![false; n];
-            let mut pending: Vec<Vec<MaskedExport>> = vec![Vec::new(); n];
-            for (bit, &ci) in chunk.iter().enumerate() {
-                let owner = conds[ci].0;
-                let root = plan.root_of(ci).expect("traversable condition");
-                let key = MaskedStateKey {
-                    member: owner.0,
-                    step: root,
-                    depth: 0,
+    ) -> Result<(Vec<Vec<NodeId>>, ReadStats), RemoteError> {
+        let (audiences, stats) =
+            fixpoint::bundle_audiences(conds, self.lanes.len(), |plan, masks, word, seeds| {
+                let eval = self.eval_counter.fetch_add(1, Ordering::Relaxed);
+                let nodes: Vec<proto::WirePlanNode> = plan
+                    .nodes
+                    .iter()
+                    .enumerate()
+                    .map(|(i, node)| proto::WirePlanNode {
+                        step: PathExpr::new(vec![node.step.clone()]).to_text(&self.vocab),
+                        children: node.children.clone(),
+                        mask: masks.node_mask[i],
+                        accept: masks.accept_mask[i],
+                    })
+                    .collect();
+                let begin = Request::BeginEvalPlan {
+                    eval,
+                    epoch: self.epoch,
+                    nodes,
                     word,
                 };
-                imported.insert(key, 1 << bit);
-                pending[self.members[owner.index()].home as usize].push(MaskedExport {
-                    key,
-                    mask: 1 << bit,
-                });
-            }
-            let result = (|| loop {
-                let round: Vec<(usize, Vec<MaskedExport>)> = pending
-                    .iter_mut()
-                    .enumerate()
-                    .filter(|(_, seeds)| !seeds.is_empty())
-                    .map(|(i, seeds)| (i, std::mem::take(seeds)))
-                    .collect();
-                if round.is_empty() {
-                    return Ok(());
-                }
-                stats.rounds += 1;
-                let outs = self.run_remote_round(&round, &mut begun, eval, &begin, None)?;
-                for ((_, _), out) in round.iter().zip(outs) {
-                    for m in &out.matched {
-                        let mut b = m.mask;
-                        while b != 0 {
-                            let bit = b.trailing_zeros() as usize;
-                            b &= b - 1;
-                            audiences[chunk[bit]].push(NodeId(m.member));
-                        }
-                    }
-                    for exp in &out.exports {
-                        let new = imported.insert(exp.key, exp.mask);
-                        if new != 0 {
-                            stats.exported_states += 1;
-                            let home = self.members[exp.key.member as usize].home as usize;
-                            pending[home].push(MaskedExport {
-                                key: exp.key,
-                                mask: new,
-                            });
-                        }
-                    }
-                    stats.states_expanded += out.states_expanded as usize;
-                }
-            })();
-            self.end_eval(eval, &begun);
-            result?;
-        }
-        for audience in &mut audiences {
-            audience.sort_unstable();
-            audience.dedup();
-        }
-        Ok((audiences, stats))
+                fixpoint::masked_fixpoint(
+                    &mut self.lanes(eval, &begin),
+                    |m| self.members[m as usize].home as usize,
+                    seeds,
+                    None,
+                    |_, run| Ok(run),
+                )
+            })?;
+        Ok((audiences, stats.read_stats(conds.len())))
     }
 
     /// The targeted single-condition fixpoint over the wire (the
     /// `check`/`explain` path): a 1-bit bundle with first-arrival
     /// parent tracking on every shard engine, early exit on the
     /// requester's home shard, and the witness stitched from remote
-    /// `Trace` segments. Mirrors
+    /// `Trace` segments while the sessions are still open. Mirrors
     /// [`crate::sharded::ShardedSystem::evaluate_condition_targeted_with_stats`].
     fn evaluate_condition_targeted(
         &self,
         owner: NodeId,
         path: &PathExpr,
         requester: NodeId,
-        want_witness: bool,
-    ) -> Result<(Option<Vec<WalkHop>>, NetStats), RemoteError> {
-        let _ = want_witness; // the stitch is cheap; always produced on a hit
-        let mut stats = NetStats {
-            fixpoints: 1,
-            ..NetStats::default()
+    ) -> Result<(Option<Vec<WalkHop>>, ReadStats), RemoteError> {
+        let mut stats = ReadStats {
+            conditions: 1,
+            traversals: 1,
+            ..ReadStats::default()
         };
         if path.is_empty() {
             return Ok(((requester == owner).then(Vec::new), stats));
         }
-        let n = self.lanes.len();
-        let path_text = path.to_text(&self.vocab);
         let eval = self.eval_counter.fetch_add(1, Ordering::Relaxed);
         let begin = Request::BeginEval {
             eval,
             epoch: self.epoch,
-            path: path_text.clone(),
+            path: path.to_text(&self.vocab),
             word: 0,
             parents: true,
         };
-        let mut begun = vec![false; n];
         let stop = (self.members[requester.index()].home as usize, requester.0);
-        let mut imported = MaskedExportSet::new();
-        let mut origin: HashMap<StateKey, usize> = HashMap::new();
-        let mut pending: Vec<Vec<MaskedExport>> = vec![Vec::new(); n];
-        let owner_key = MaskedStateKey {
-            member: owner.0,
-            step: 0,
-            depth: 0,
-            word: 0,
-        };
-        imported.insert(owner_key, 1);
-        pending[self.members[owner.index()].home as usize].push(MaskedExport {
-            key: owner_key,
-            mask: 1,
-        });
-        let result = (|| {
-            let mut hit: Option<(usize, u16, u32)> = None;
-            'fixpoint: loop {
-                let round: Vec<(usize, Vec<MaskedExport>)> = pending
-                    .iter_mut()
-                    .enumerate()
-                    .filter(|(_, seeds)| !seeds.is_empty())
-                    .map(|(i, seeds)| (i, std::mem::take(seeds)))
-                    .collect();
-                if round.is_empty() {
-                    break;
-                }
-                stats.rounds += 1;
-                let outs = self.run_remote_round(&round, &mut begun, eval, &begin, Some(stop))?;
-                for ((shard_ix, _), out) in round.iter().zip(outs) {
-                    stats.states_expanded += out.states_expanded as usize;
-                    if let Some((step, depth)) = out.hit {
-                        // The granting chain consists of states seeded
-                        // in earlier rounds, so `origin` already covers
-                        // every hand-off the trace follows.
-                        hit = Some((*shard_ix, step, depth));
-                        break 'fixpoint;
+        fixpoint::masked_fixpoint(
+            &mut self.lanes(eval, &begin),
+            |m| self.members[m as usize].home as usize,
+            &[fixpoint::owner_seed(owner)],
+            Some(stop),
+            |_, run| {
+                run.add_to(&mut stats);
+                let witness = match run.hit {
+                    None => None,
+                    Some((shard_ix, step, depth)) => {
+                        let at = (shard_ix, requester.0, step, depth);
+                        Some(self.stitch_remote(eval, &run.origin, owner, at)?)
                     }
-                    for exp in &out.exports {
-                        let new = imported.insert(exp.key, exp.mask);
-                        if new != 0 {
-                            stats.exported_states += 1;
-                            origin.insert((exp.key.member, exp.key.step, exp.key.depth), *shard_ix);
-                            let home = self.members[exp.key.member as usize].home as usize;
-                            pending[home].push(MaskedExport {
-                                key: exp.key,
-                                mask: new,
-                            });
-                        }
-                    }
-                }
-            }
-            match hit {
-                None => Ok(None),
-                Some((shard_ix, step, depth)) => self
-                    .stitch_remote(eval, &origin, owner, shard_ix, requester.0, step, depth)
-                    .map(Some),
-            }
-        })();
-        self.end_eval(eval, &begun);
-        result.map(|witness| (witness, stats))
+                };
+                Ok((witness, stats))
+            },
+        )
     }
 
     /// Stitches a targeted grant's witness from remote `Trace`
-    /// segments: the hit shard's parent chain ends at a seed the
+    /// segments, starting `at` the hit `(shard, member, step, depth)`:
+    /// the hit shard's parent chain ends at a seed the
     /// router forwarded; `origin` names the exporting shard, where the
     /// chain continues (the member's copy there is its ghost replica)
     /// — until the owner seed terminates the walk.
-    #[allow(clippy::too_many_arguments)]
     fn stitch_remote(
         &self,
         eval: u64,
         origin: &HashMap<StateKey, usize>,
         owner: NodeId,
-        mut shard_ix: usize,
-        mut member: u32,
-        mut step: u16,
-        mut depth: u32,
+        at: (usize, u32, u16, u32),
     ) -> Result<Vec<WalkHop>, RemoteError> {
+        let (mut shard_ix, mut member, mut step, mut depth) = at;
         let mut segments: Vec<Vec<WalkHop>> = Vec::new();
         loop {
             let req = Request::Trace {
@@ -1320,15 +1027,17 @@ impl NetworkedSystem {
     fn audience_per_condition(
         &self,
         conds: &[(NodeId, &PathExpr)],
-    ) -> Result<(Vec<Vec<NodeId>>, NetStats), RemoteError> {
-        let mut total = NetStats::default();
+    ) -> Result<(Vec<Vec<NodeId>>, ReadStats), RemoteError> {
+        let mut total = ReadStats::default();
         let mut audiences = Vec::with_capacity(conds.len());
         for &cond in conds {
             let (mut auds, s) = self.evaluate_conditions_batched(&[cond])?;
-            total.fixpoints += s.fixpoints;
-            total.rounds += s.rounds;
-            total.states_expanded += s.states_expanded;
-            total.exported_states += s.exported_states;
+            // A one-condition plan shares nothing: no plan census.
+            total.absorb(&ReadStats {
+                plan_states: 0,
+                expr_states: 0,
+                ..s
+            });
             audiences.push(auds.pop().expect("one audience per condition"));
         }
         Ok((audiences, total))
@@ -1391,20 +1100,6 @@ impl NetworkedSystem {
     }
 }
 
-impl NetStats {
-    fn into_read_stats(self, conditions: usize) -> ReadStats {
-        ReadStats {
-            conditions,
-            traversals: self.fixpoints,
-            rounds: self.rounds,
-            states_expanded: self.states_expanded,
-            exported_states: self.exported_states,
-            plan_states: self.plan_states,
-            expr_states: self.expr_states,
-        }
-    }
-}
-
 impl AccessService for NetworkedSystem {
     fn describe(&self) -> String {
         format!("networked(n={})", self.lanes.len())
@@ -1449,7 +1144,7 @@ impl AccessService for NetworkedSystem {
         let mut stats = ReadStats::default();
         let audiences = crate::engine::merge_bundle_audiences(&self.store, rids, |uniq| {
             let (audiences, s) = self.with_read_retry(|| self.evaluate_conditions_batched(uniq))?;
-            stats = s.into_read_stats(uniq.len());
+            stats = s;
             Ok(audiences)
         })?;
         Ok((audiences, stats))
@@ -1517,9 +1212,9 @@ impl AccessService for NetworkedSystem {
             }
             for cond in &rule.conditions {
                 let (witness, s) = self.with_read_retry(|| {
-                    self.evaluate_condition_targeted(cond.owner, &cond.path, requester, false)
+                    self.evaluate_condition_targeted(cond.owner, &cond.path, requester)
                 })?;
-                stats.absorb(&s.into_read_stats(1));
+                stats.absorb(&s);
                 if witness.is_none() {
                     continue 'rules;
                 }
@@ -1562,9 +1257,9 @@ impl AccessService for NetworkedSystem {
             let mut walks = Vec::new();
             for cond in &rule.conditions {
                 let (witness, s) = self.with_read_retry(|| {
-                    self.evaluate_condition_targeted(cond.owner, &cond.path, requester, true)
+                    self.evaluate_condition_targeted(cond.owner, &cond.path, requester)
                 })?;
-                stats.absorb(&s.into_read_stats(1));
+                stats.absorb(&s);
                 let Some(witness) = witness else {
                     continue 'rules;
                 };
@@ -1594,7 +1289,7 @@ impl AccessService for NetworkedSystem {
                 let audiences = crate::engine::merge_bundle_audiences(&self.store, rids, |uniq| {
                     let (audiences, s) =
                         self.with_read_retry(|| self.audience_per_condition(uniq))?;
-                    stats = s.into_read_stats(uniq.len());
+                    stats = s;
                     Ok(audiences)
                 })?;
                 Ok((audiences, stats))

@@ -14,22 +14,22 @@
 //! under the core lock and publishes the new epoch (also invalidating
 //! every open evaluation session — their engines were built over the
 //! old topology). Evaluation sessions pin a CSR snapshot and a
-//! round-persistent [`SeededBatchState`], so the rounds of one
-//! cross-shard fixpoint reuse visited state exactly like the
-//! in-process sharded backend.
+//! round-persistent [`ShardEngine`], and a `Round` request runs the
+//! same shard-local round ([`fixpoint::local_round`]) as the
+//! in-process sharded backend's lane — the wire only carries its
+//! inputs and outputs.
 
 use super::frame;
-use super::proto::{
-    self, Request, Response, ShardOp, WireHop, WireMatch, WireRefusal, PROTOCOL_VERSION,
-};
+use super::proto::{self, Request, Response, ShardOp, WireHop, WireRefusal, PROTOCOL_VERSION};
 use super::{Conn, Listener, ShardAddr};
-use crate::online::{self, MaskedSeedState, SeededBatchState};
-use crate::path::{parse_path, PathExpr};
+use crate::fixpoint::{self, ShardEngine, ShardView};
+use crate::online::SeededBatchState;
+use crate::path::parse_path;
 use crate::query::{ChunkMasks, PlanBatchState, PlanNode};
 use parking_lot::Mutex;
 use socialreach_graph::csr::CsrSnapshot;
-use socialreach_graph::shard::{MaskedExport, MaskedStateKey};
 use socialreach_graph::{NodeId, SocialGraph};
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::io::{self, Read};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -43,33 +43,13 @@ const POLL: Duration = Duration::from_millis(50);
 /// client torn mid-frame releases the worker instead of pinning it.
 const FRAME_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// The engine behind an open evaluation: the linear path automaton
-/// (`BeginEval` — targeted stop and parent-tracked traces supported)
-/// or the shared-prefix trie plan (`BeginEvalPlan` — batched audience
-/// fixpoints only).
-enum EvalEngine {
-    /// One path expression, seeds carry step indexes.
-    Linear {
-        /// Round-persistent masked visited state.
-        engine: SeededBatchState,
-        /// The re-parsed path the engine runs.
-        path: PathExpr,
-    },
-    /// A shipped bundle plan, seeds carry plan node ids in the `step`
-    /// slot.
-    Plan {
-        /// Round-persistent per-node masked visited state.
-        engine: PlanBatchState,
-        /// The re-parsed trie nodes.
-        nodes: Vec<PlanNode>,
-        /// This chunk's node/accept masks.
-        masks: ChunkMasks,
-    },
-}
-
 /// One open masked-fixpoint evaluation.
 struct EvalSession {
-    engine: EvalEngine,
+    /// The linear path automaton (`BeginEval` — targeted stop and
+    /// parent-tracked traces supported) or the shipped shared-prefix
+    /// plan chunk (`BeginEvalPlan` — audience fixpoints only), owning
+    /// what it re-parsed from the wire.
+    engine: ShardEngine<'static>,
     snap: Arc<CsrSnapshot>,
     word: u32,
 }
@@ -329,9 +309,9 @@ impl ShardCore {
                 self.evals.insert(
                     eval,
                     EvalSession {
-                        engine: EvalEngine::Linear {
+                        engine: ShardEngine::Linear {
                             engine,
-                            path: parsed,
+                            path: Cow::Owned(parsed),
                         },
                         snap,
                         word,
@@ -406,10 +386,10 @@ impl ShardCore {
                 self.evals.insert(
                     eval,
                     EvalSession {
-                        engine: EvalEngine::Plan {
+                        engine: ShardEngine::Plan {
                             engine,
-                            nodes: plan_nodes,
-                            masks,
+                            nodes: Cow::Owned(plan_nodes),
+                            masks: Cow::Owned(masks),
                         },
                         snap,
                         word,
@@ -418,108 +398,42 @@ impl ShardCore {
                 (Response::EvalOpen { eval }, false)
             }
             Request::Round { eval, seeds, stop } => {
-                let Some(sess) = self.evals.get(&eval) else {
-                    return refuse(WireRefusal::UnknownEval { eval });
-                };
-                let word = sess.word;
-                let mut local_seeds: Vec<MaskedSeedState> = Vec::with_capacity(seeds.len());
-                for e in &seeds {
-                    if e.key.word != word {
-                        return refuse(WireRefusal::BadRequest {
-                            detail: format!(
-                                "seed word {} does not match the session's word {word}",
-                                e.key.word
-                            ),
-                        });
-                    }
-                    let Some(&local) = self.local_of.get(&e.key.member) else {
-                        return refuse(WireRefusal::UnknownMember {
-                            member: e.key.member,
-                        });
-                    };
-                    local_seeds.push((local, e.key.step, e.key.depth, e.mask));
-                }
-                if stop.is_some() && matches!(sess.engine, EvalEngine::Plan { .. }) {
-                    return refuse(WireRefusal::BadRequest {
-                        detail: "plan sessions serve audience fixpoints only (no stop target)"
-                            .to_owned(),
-                    });
-                }
-                let stop_local = match stop {
-                    Some(m) => match self.local_of.get(&m) {
-                        Some(&l) if !self.ghost[l.index()] => Some(l),
-                        Some(_) => {
-                            return refuse(WireRefusal::BadRequest {
-                                detail: format!("stop member {m} is a ghost on this shard"),
-                            })
-                        }
-                        None => return refuse(WireRefusal::UnknownMember { member: m }),
-                    },
-                    None => None,
-                };
                 let ShardCore {
                     graph,
                     globals,
                     ghost,
+                    local_of,
                     evals,
                     ..
                 } = self;
-                let sess = evals.get_mut(&eval).expect("checked above");
-                let out = match &mut sess.engine {
-                    EvalEngine::Linear { engine, path } => {
-                        online::evaluate_audience_batch_seeded_stop(
-                            graph,
-                            &sess.snap,
-                            path,
-                            engine,
-                            &local_seeds,
-                            ghost,
-                            stop_local,
-                        )
-                    }
-                    EvalEngine::Plan {
-                        engine,
-                        nodes,
-                        masks,
-                    } => crate::query::evaluate_plan_batch_seeded(
-                        graph,
-                        &sess.snap,
-                        nodes,
-                        masks,
-                        engine,
-                        &local_seeds,
-                        ghost,
-                    ),
+                let Some(sess) = evals.get_mut(&eval) else {
+                    return refuse(WireRefusal::UnknownEval { eval });
                 };
-                (
-                    Response::Round {
-                        matched: out
-                            .matched
-                            .iter()
-                            .filter(|(m, _)| !ghost[m.index()])
-                            .map(|&(m, bits)| WireMatch {
-                                member: globals[m.index()].0,
-                                mask: bits,
-                            })
-                            .collect(),
-                        exports: out
-                            .exports
-                            .iter()
-                            .map(|&(m, step, depth, bits)| MaskedExport {
-                                key: MaskedStateKey {
-                                    member: globals[m.index()].0,
-                                    step,
-                                    depth,
-                                    word,
-                                },
-                                mask: bits,
-                            })
-                            .collect(),
-                        hit: out.hit,
-                        states_expanded: out.stats.states_visited as u64,
-                    },
-                    false,
-                )
+                let view = ShardView {
+                    graph,
+                    snap: &sess.snap,
+                    globals,
+                    ghost,
+                };
+                match fixpoint::local_round(
+                    &view,
+                    |m| local_of.get(&m).copied(),
+                    &mut sess.engine,
+                    sess.word,
+                    &seeds,
+                    stop,
+                ) {
+                    Ok(round) => (
+                        Response::Round {
+                            matched: round.matched,
+                            exports: round.exports,
+                            hit: round.hit,
+                            states_expanded: round.states_expanded,
+                        },
+                        false,
+                    ),
+                    Err(refusal) => refuse(refusal),
+                }
             }
             Request::Trace {
                 eval,
@@ -533,7 +447,7 @@ impl ShardCore {
                 let Some(&local) = self.local_of.get(&member) else {
                     return refuse(WireRefusal::UnknownMember { member });
                 };
-                let EvalEngine::Linear { engine, .. } = &sess.engine else {
+                let ShardEngine::Linear { engine, .. } = &sess.engine else {
                     return refuse(WireRefusal::BadRequest {
                         detail: "plan sessions keep no parent chains (trace a linear session)"
                             .to_owned(),

@@ -70,10 +70,12 @@ pub struct ReadStats {
     /// Distinct `(owner, path)` conditions evaluated after bundle-level
     /// dedup.
     pub conditions: usize,
-    /// Shared traversal passes run — one per path-template group ×
-    /// 64-condition mask chunk on both deployments (multi-source mask
-    /// BFS passes on a single graph, masked fixpoints on a sharded
-    /// one), so the column is comparable across backends.
+    /// Shared traversal passes run — one per 64-condition mask chunk
+    /// of the bundle's shared-prefix plan on every deployment
+    /// (multi-source mask BFS passes on a single graph, masked
+    /// fixpoints on a sharded or networked one), so the column is
+    /// comparable across backends; one per condition for targeted and
+    /// per-condition reads.
     pub traversals: usize,
     /// Fixpoint rounds across those traversals. Equals `traversals` on
     /// a single graph (one pass is one "round"); on a sharded
@@ -89,7 +91,7 @@ pub struct ReadStats {
     /// Automaton layers of the shared-prefix bundle plan
     /// ([`crate::query::BundlePlan`]) the batched read compiled — each
     /// shared prefix counted **once**. Zero when no bundle plan was
-    /// compiled (targeted reads, empty bundles).
+    /// compiled (targeted and per-condition reads, empty bundles).
     pub plan_states: usize,
     /// Automaton layers the same bundle occupies with one chain per
     /// condition (no sharing). `1 − plan_states / expr_states` is the
@@ -112,7 +114,8 @@ impl ReadStats {
 
     /// The bundle's shared-prefix hit rate in `[0, 1]` — the fraction
     /// of per-condition automaton layers the compiled plan elided —
-    /// or `None` when no plan census was recorded.
+    /// or `None` when no plan census was recorded: the read was
+    /// targeted or per-condition (every batched read compiles a plan).
     pub fn prefix_share(&self) -> Option<f64> {
         if self.expr_states == 0 {
             return None;

@@ -48,28 +48,35 @@
 //!
 //! # Batched reads (one fixpoint per bundle)
 //!
-//! The per-condition fixpoint above is the targeted-check/witness
-//! primitive. Bundle reads — [`ShardedSystem::audience_batch`] and
+//! The per-condition fixpoint above is the differential oracle (and
+//! the [`BundleStrategy::PerCondition`] arm). Bundle reads —
+//! [`ShardedSystem::audience_batch`] and
 //! [`ShardedSystem::check_batch`] — run the **masked** variant
-//! instead: the bundle's distinct conditions are grouped by path
-//! expression and each group's owners traverse together through one
-//! round-based fixpoint of per-shard seeded mask BFS
-//! ([`online::evaluate_audience_batch_seeded`]), every product state
+//! instead: the bundle's distinct conditions compile into one
+//! shared-prefix trie ([`crate::query::BundlePlan`]) and each
+//! 64-condition chunk of it traverses through one round-based fixpoint
+//! of per-shard seeded mask BFS
+//! ([`crate::query::evaluate_plan_batch_seeded`]), every product state
 //! carrying a bitmask of the conditions that reached it. Boundary
-//! exports carry those masks ([`MaskedStateKey`]; groups wider than 64
-//! conditions chunk into further mask words), and the router forwards
-//! only bits it has not forwarded before. Each shard's visited/mask
-//! state **persists across rounds** of the evaluation
-//! ([`online::SeededBatchState`]), so a walk that ping-pongs through
-//! one shard k times expands each product state at most once per
-//! arriving bit — total work is linear in the explored region, where
-//! re-seeding fresh visited sets each round (what the per-condition
-//! fixpoint does) is quadratic on such paths. Decisions for
-//! `check_batch` fall out of the materialized audiences (a requester
-//! is granted exactly when a rule's every condition-audience contains
-//! them), and grants needing a human-readable walk (`explain`) replay
-//! the targeted per-condition fixpoint, which reconstructs stitched
-//! witnesses.
+//! exports carry those masks
+//! ([`socialreach_graph::shard::MaskedStateKey`]; bundles wider than
+//! 64 conditions chunk into further mask words), and the driver
+//! forwards only bits it has not forwarded before. Each shard's
+//! visited/mask state **persists across rounds** of the evaluation, so
+//! a walk that ping-pongs through one shard k times expands each
+//! product state at most once per arriving bit — total work is linear
+//! in the explored region, where re-seeding fresh visited sets each
+//! round (what the per-condition fixpoint does) is quadratic on such
+//! paths. Decisions for `check_batch` fall out of the materialized
+//! audiences (a requester is granted exactly when a rule's every
+//! condition-audience contains them); a single `check`/`explain` runs
+//! the same fixpoint as a 1-bit linear-path bundle with early exit and
+//! parent tracking, which reconstructs stitched witnesses.
+//!
+//! The round loop itself — pending seeds, fan-out, shard-order merge,
+//! new-bit forwarding — lives once, in `crate::fixpoint`; this
+//! module contributes the in-process lane (one shard, reached by a
+//! function call), seed construction and witness stitching.
 //!
 //! # Mutations
 //!
@@ -83,29 +90,24 @@
 
 use crate::engine::{Enforcer, OnlineEngine};
 use crate::error::EvalError;
-use crate::online::{
-    self, MaskedSeedState, SeedState, SeededBatchOutcome, SeededBatchState, SeededOutcome,
-    SeededTarget, WitnessHop,
-};
+use crate::fixpoint::{self, LaneRound, ShardEngine, ShardLane, ShardView, StateKey};
+use crate::online::{self, SeedState, SeededBatchState, SeededOutcome, SeededTarget, WitnessHop};
 use crate::path::PathExpr;
 use crate::policy::{Decision, PolicyStore, ResourceId};
+use crate::query::{BundlePlan, ChunkMasks, PlanBatchState};
 use crate::service::{
     AccessService, BundleStrategy, CheckPlan, Explanation, MutateService, ReadStats, WalkHop,
     WitnessWalk,
 };
 use parking_lot::RwLock;
 use socialreach_graph::csr::CsrSnapshot;
-use socialreach_graph::shard::{
-    BoundaryEdge, BoundaryTable, MaskedExportSet, MaskedStateKey, ShardAssignment,
-};
+use socialreach_graph::shard::{BoundaryEdge, BoundaryTable, MaskedExport, ShardAssignment};
 use socialreach_graph::{AttrValue, LabelId, NodeId, SocialGraph, Vocabulary};
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// A cross-shard product-state coordinate: global member, step index,
-/// saturated depth.
-type StateKey = (u32, u16, u32);
 
 /// One hop of a stitched cross-shard witness walk, in **global** ids —
 /// the shared [`WalkHop`] of the service vocabulary (the name is kept
@@ -130,9 +132,7 @@ pub struct ShardedEval {
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct BundleFixpointStats {
     /// Masked fixpoints run: one per 64-condition chunk of the shared
-    /// trie plan (the default), or one per (path group, 64-condition
-    /// chunk) under `SOCIALREACH_BUNDLE_PLAN=grouped` — *not* one per
-    /// condition either way.
+    /// trie plan — *not* one per condition.
     pub fixpoints: usize,
     /// Fixpoint rounds across all of them.
     pub rounds: usize,
@@ -142,19 +142,26 @@ pub struct BundleFixpointStats {
     pub states_expanded: Vec<usize>,
     /// Masked boundary exports the router forwarded (new bits only).
     pub exported_states: usize,
-    /// Automaton states the shared trie plan occupies (zero in grouped
-    /// mode) — see [`crate::query::BundlePlan::plan_states`].
+    /// Automaton states the shared trie plan occupies — see
+    /// [`crate::query::BundlePlan::plan_states`].
     pub plan_states: usize,
     /// Automaton states one-chain-per-condition evaluation would
-    /// occupy (zero in grouped mode).
+    /// occupy.
     pub expr_states: usize,
 }
 
 impl BundleFixpointStats {
-    fn new(shards: usize) -> Self {
-        BundleFixpointStats {
-            states_expanded: vec![0; shards],
-            ..BundleFixpointStats::default()
+    /// This census as the uniform [`ReadStats`] of a bundle of
+    /// `conditions` deduped conditions.
+    pub(crate) fn read_stats(&self, conditions: usize) -> ReadStats {
+        ReadStats {
+            conditions,
+            traversals: self.fixpoints,
+            rounds: self.rounds,
+            states_expanded: self.states_expanded.iter().sum(),
+            exported_states: self.exported_states,
+            plan_states: self.plan_states,
+            expr_states: self.expr_states,
         }
     }
 }
@@ -219,6 +226,81 @@ struct RunRecord {
     seeds: Vec<SeedState>,
     /// `keys[i]` is the global coordinate of `seeds[i]`.
     keys: Vec<StateKey>,
+}
+
+/// What an in-process lane runs once it opens.
+#[derive(Clone, Copy)]
+enum LaneProgram<'a> {
+    /// One 64-condition chunk of a compiled bundle plan (audiences).
+    Plan(&'a BundlePlan, &'a ChunkMasks),
+    /// One linear path with first-arrival parent tracking (the
+    /// targeted `check`/`explain` path, which needs early exit and
+    /// witness chains the plan engine does not keep).
+    Traced(&'a PathExpr),
+}
+
+/// The in-process [`ShardLane`]: one shard of a [`ShardedSystem`],
+/// reached by a function call over its pinned snapshot.
+struct LocalLane<'a> {
+    index: u32,
+    members: &'a [MemberEntry],
+    shard: &'a Shard,
+    snap: &'a CsrSnapshot,
+    program: LaneProgram<'a>,
+    word: u32,
+    /// Materialized when the lane opens: shards a traversal never
+    /// touches never allocate mask arrays.
+    engine: Option<ShardEngine<'a>>,
+}
+
+impl ShardLane for LocalLane<'_> {
+    type Error = Infallible;
+
+    fn open(&mut self) {
+        let (shard, snap) = (self.shard, self.snap);
+        self.engine = Some(match self.program {
+            LaneProgram::Plan(plan, masks) => ShardEngine::Plan {
+                engine: PlanBatchState::new(&shard.graph, snap, &plan.nodes),
+                nodes: Cow::Borrowed(&plan.nodes),
+                masks: Cow::Borrowed(masks),
+            },
+            LaneProgram::Traced(path) => ShardEngine::Linear {
+                engine: SeededBatchState::with_parents(&shard.graph, snap, path),
+                path: Cow::Borrowed(path),
+            },
+        });
+    }
+
+    fn round(
+        &mut self,
+        seeds: &[MaskedExport],
+        stop: Option<u32>,
+    ) -> Result<LaneRound, Infallible> {
+        let (shard, snap) = (self.shard, self.snap);
+        let engine = self.engine.as_mut().expect("opened before its first round");
+        let view = ShardView {
+            graph: &shard.graph,
+            snap,
+            globals: &shard.globals,
+            ghost: &shard.ghost,
+        };
+        // Seeds and the stop member are routed to their home shard,
+        // where `local` is the member's node.
+        let (index, members) = (self.index, self.members);
+        let local_of = |m: u32| {
+            members
+                .get(m as usize)
+                .filter(|e| e.home == index)
+                .map(|e| e.local)
+        };
+        Ok(
+            fixpoint::local_round(&view, local_of, engine, self.word, seeds, stop)
+                .expect("the driver routes seeds and stops to their members' home shards"),
+        )
+    }
+
+    /// Nothing to close: the engine state dies with the lane.
+    fn end(&mut self) {}
 }
 
 /// The sharded serving façade: the [`crate::AccessControlSystem`] API
@@ -911,13 +993,7 @@ impl ShardedSystem {
         // Fan out only when it can pay: several active shards *and*
         // actual hardware parallelism (a scoped spawn per shard per
         // round is pure overhead on one core).
-        static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-        let cores = *CORES.get_or_init(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        });
-        if round.len() == 1 || cores == 1 {
+        if round.len() == 1 || fixpoint::cores() == 1 {
             return round
                 .iter()
                 .map(|(shard_ix, seeds, _)| eval(*shard_ix, seeds))
@@ -937,18 +1013,16 @@ impl ShardedSystem {
     }
 
     /// Evaluates a bundle's distinct access conditions through the
-    /// masked batch fixpoint. By default the whole bundle compiles into
-    /// one shared-prefix trie and runs through
-    /// [`ShardedSystem::evaluate_conditions_planned`]: shared prefixes
-    /// traverse once per 64-condition chunk, masks fork at divergence
-    /// points. Under `SOCIALREACH_BUNDLE_PLAN=grouped` (or on `u16`
-    /// plan-node overflow) conditions instead group by identical path
-    /// expression; each group's owners become condition bits of a
-    /// seeded mask BFS (64 per mask word — wider groups chunk into
-    /// further words with no cross-talk), and **one** round-based
-    /// fixpoint per chunk serves every condition in it. Per-shard
-    /// visited/mask state persists across the rounds of a chunk
-    /// ([`online::SeededBatchState`]), so total work is linear in the
+    /// masked batch fixpoint (`crate::fixpoint`): the whole bundle
+    /// compiles into one shared-prefix trie
+    /// ([`crate::query::BundlePlan`]) and each 64-condition chunk of
+    /// it runs as **one** round-based cross-shard fixpoint — shared
+    /// prefixes traverse once per chunk, masks fork at divergence
+    /// points. Seeds carry the condition's *root plan node* in the
+    /// `step` slot of the masked state key; per-bit reachability is
+    /// step-for-step the linear automaton of that bit's own chain (see
+    /// [`crate::query::plan`]). Per-shard visited/mask state persists
+    /// across the rounds of a chunk, so total work is linear in the
     /// explored region per condition bit. Returns each condition's
     /// audience (global ids, sorted) in `conds` order, plus the work
     /// census.
@@ -956,324 +1030,44 @@ impl ShardedSystem {
         &self,
         conds: &[(NodeId, &PathExpr)],
     ) -> (Vec<Vec<NodeId>>, BundleFixpointStats) {
-        let mut stats = BundleFixpointStats::new(self.shards.len());
-        let mut audiences: Vec<Vec<NodeId>> = vec![Vec::new(); conds.len()];
-        if conds.is_empty() {
-            return (audiences, stats);
-        }
-        if !crate::query::grouped_plan_forced() {
-            let paths: Vec<&PathExpr> = conds.iter().map(|&(_, p)| p).collect();
-            if let Some(plan) = crate::query::BundlePlan::compile(&paths) {
-                return self.evaluate_conditions_planned(conds, &plan);
-            }
-        }
-        let snaps = self.publish_all();
-
-        // Group condition indices by equal path (bundles reuse a small
-        // set of templates, so the quadratic probe stays tiny).
-        let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-        for (i, &(_, path)) in conds.iter().enumerate() {
-            match groups.iter_mut().find(|(rep, _)| conds[*rep].1 == path) {
-                Some((_, members)) => members.push(i),
-                None => groups.push((i, vec![i])),
-            }
-        }
-
-        for (rep, members) in groups {
-            let path = conds[rep].1;
-            if path.is_empty() {
-                for &ci in &members {
-                    audiences[ci] = vec![conds[ci].0];
-                }
-                continue;
-            }
-            // The router-side record of bits already forwarded, shared
-            // across the group's chunks (the word index keys them
-            // apart).
-            let mut imported = MaskedExportSet::new();
-            for (word, chunk) in members.chunks(64).enumerate() {
-                let word = word as u32;
-                stats.fixpoints += 1;
-                // Engines materialize lazily, on a shard's first seed
-                // delivery: shards the chunk's traversal never touches
-                // never allocate mask arrays.
-                let mut engines: Vec<Option<SeededBatchState>> =
-                    (0..self.shards.len()).map(|_| None).collect();
-                let mut pending: Vec<Vec<MaskedSeedState>> = vec![Vec::new(); self.shards.len()];
-                for (bit, &ci) in chunk.iter().enumerate() {
-                    let owner = conds[ci].0;
-                    let entry = &self.members[owner.index()];
-                    imported.insert(
-                        MaskedStateKey {
-                            member: owner.0,
-                            step: 0,
-                            depth: 0,
-                            word,
-                        },
-                        1 << bit,
-                    );
-                    pending[entry.home as usize].push((entry.local, 0, 0, 1 << bit));
-                }
-
-                loop {
-                    let round: Vec<(usize, Vec<MaskedSeedState>)> = pending
-                        .iter_mut()
-                        .enumerate()
-                        .filter(|(_, seeds)| !seeds.is_empty())
-                        .map(|(i, seeds)| (i, std::mem::take(seeds)))
-                        .collect();
-                    if round.is_empty() {
-                        break;
-                    }
-                    stats.rounds += 1;
-                    let outs =
-                        self.run_masked_round(&round, &mut engines, &snaps, path, None, false);
-
-                    // Merge in shard order: deterministic regardless
-                    // of the fan-out interleaving.
-                    for ((shard_ix, _), out) in round.iter().zip(outs) {
-                        let shard = &self.shards[*shard_ix];
-                        for &(m, bits) in &out.matched {
-                            if shard.ghost[m.index()] {
-                                continue; // only the home shard speaks
-                            }
-                            let global = shard.globals[m.index()];
-                            let mut b = bits;
-                            while b != 0 {
-                                let bit = b.trailing_zeros() as usize;
-                                b &= b - 1;
-                                audiences[chunk[bit]].push(global);
-                            }
-                        }
-                        for &(m, step, depth, bits) in &out.exports {
-                            let global = shard.globals[m.index()];
-                            let key = MaskedStateKey {
-                                member: global.0,
-                                step,
-                                depth,
-                                word,
-                            };
-                            let new = imported.insert(key, bits);
-                            if new != 0 {
-                                stats.exported_states += 1;
-                                let entry = &self.members[global.index()];
-                                pending[entry.home as usize].push((entry.local, step, depth, new));
-                            }
-                        }
-                    }
-                }
-
-                for (i, engine) in engines.iter().enumerate() {
-                    if let Some(engine) = engine {
-                        stats.states_expanded[i] += engine.states_expanded();
-                    }
-                }
-            }
-        }
-
-        for audience in &mut audiences {
-            audience.sort_unstable();
-            // Each (member, bit) pair is reported at most once (the
-            // engine's matched masks persist), so this is a no-op kept
-            // as a guard.
-            audience.dedup();
-        }
-        (audiences, stats)
-    }
-
-    /// The trie half of [`ShardedSystem::evaluate_conditions_batched`]:
-    /// runs the whole bundle's compiled shared-prefix plan as **one**
-    /// cross-shard fixpoint per 64-condition chunk. Seeds carry the
-    /// condition's *root plan node* in the `step` slot of the masked
-    /// state key, so exports, imports and re-seeds flow through the
-    /// identical round machinery as the grouped path — the plan node id
-    /// plays the role the linear automaton's step index plays there,
-    /// and per-bit reachability is step-for-step the linear automaton
-    /// of that bit's own chain (see [`crate::query::plan`]).
-    fn evaluate_conditions_planned(
-        &self,
-        conds: &[(NodeId, &PathExpr)],
-        plan: &crate::query::BundlePlan,
-    ) -> (Vec<Vec<NodeId>>, BundleFixpointStats) {
-        let mut stats = BundleFixpointStats::new(self.shards.len());
-        stats.plan_states = plan.plan_states();
-        stats.expr_states = plan.expr_states();
-        let mut audiences: Vec<Vec<NodeId>> = vec![Vec::new(); conds.len()];
-        let mut traversable: Vec<usize> = Vec::new();
-        for (i, &(owner, _)) in conds.iter().enumerate() {
-            match plan.root_of(i) {
-                Some(_) => traversable.push(i),
-                None => audiences[i].push(owner), // empty path: owner only
-            }
-        }
-        if traversable.is_empty() {
-            return (audiences, stats);
-        }
-        let snaps = self.publish_all();
-        // The router-side record of bits already forwarded, shared
-        // across the chunks (the word index keys them apart).
-        let mut imported = MaskedExportSet::new();
-        for (word, chunk) in traversable.chunks(64).enumerate() {
-            let word = word as u32;
-            stats.fixpoints += 1;
-            let masks = plan.chunk_masks(chunk);
-            // Engines materialize lazily, on a shard's first seed
-            // delivery, exactly as in the grouped path.
-            let mut engines: Vec<Option<crate::query::PlanBatchState>> =
-                (0..self.shards.len()).map(|_| None).collect();
-            let mut pending: Vec<Vec<MaskedSeedState>> = vec![Vec::new(); self.shards.len()];
-            for (bit, &ci) in chunk.iter().enumerate() {
-                let owner = conds[ci].0;
-                let root = plan.root_of(ci).expect("traversable condition");
-                let entry = &self.members[owner.index()];
-                imported.insert(
-                    MaskedStateKey {
-                        member: owner.0,
-                        step: root,
-                        depth: 0,
-                        word,
-                    },
-                    1 << bit,
-                );
-                pending[entry.home as usize].push((entry.local, root, 0, 1 << bit));
-            }
-
-            loop {
-                let round: Vec<(usize, Vec<MaskedSeedState>)> = pending
-                    .iter_mut()
-                    .enumerate()
-                    .filter(|(_, seeds)| !seeds.is_empty())
-                    .map(|(i, seeds)| (i, std::mem::take(seeds)))
-                    .collect();
-                if round.is_empty() {
-                    break;
-                }
-                stats.rounds += 1;
-                let outs = self.run_masked_plan_round(&round, &mut engines, &snaps, plan, &masks);
-
-                // Merge in shard order: deterministic regardless of the
-                // fan-out interleaving.
-                for ((shard_ix, _), out) in round.iter().zip(outs) {
-                    let shard = &self.shards[*shard_ix];
-                    for &(m, bits) in &out.matched {
-                        if shard.ghost[m.index()] {
-                            continue; // only the home shard speaks
-                        }
-                        let global = shard.globals[m.index()];
-                        let mut b = bits;
-                        while b != 0 {
-                            let bit = b.trailing_zeros() as usize;
-                            b &= b - 1;
-                            audiences[chunk[bit]].push(global);
-                        }
-                    }
-                    for &(m, node, depth, bits) in &out.exports {
-                        let global = shard.globals[m.index()];
-                        let key = MaskedStateKey {
-                            member: global.0,
-                            step: node,
-                            depth,
-                            word,
-                        };
-                        let new = imported.insert(key, bits);
-                        if new != 0 {
-                            stats.exported_states += 1;
-                            let entry = &self.members[global.index()];
-                            pending[entry.home as usize].push((entry.local, node, depth, new));
-                        }
-                    }
-                }
-            }
-
-            for (i, engine) in engines.iter().enumerate() {
-                if let Some(engine) = engine {
-                    stats.states_expanded[i] += engine.states_expanded();
-                }
-            }
-        }
-
-        for audience in &mut audiences {
-            audience.sort_unstable();
-            audience.dedup();
-        }
-        (audiences, stats)
-    }
-
-    /// [`ShardedSystem::run_masked_round`] for the trie plan: each
-    /// active shard drains its seeded frontier through the plan engine
-    /// ([`crate::query::evaluate_plan_batch_seeded`]) over its pinned
-    /// snapshot and round-persistent per-node mask state — on parallel
-    /// scoped threads when several shards are active. The plan path has
-    /// no targeted early-exit and no parent tracking; `check`/`explain`
-    /// stay on the linear engine.
-    fn run_masked_plan_round(
-        &self,
-        round: &[(usize, Vec<MaskedSeedState>)],
-        engines: &mut [Option<crate::query::PlanBatchState>],
-        snaps: &[Arc<CsrSnapshot>],
-        plan: &crate::query::BundlePlan,
-        masks: &crate::query::ChunkMasks,
-    ) -> Vec<SeededBatchOutcome> {
-        // Pair each active shard with the mutable borrow of its engine
-        // (materialized on first activation); `round` is in ascending
-        // shard order, so one pass over `iter_mut` yields the disjoint
-        // borrows.
-        let mut tasks: Vec<(
-            usize,
-            &Vec<MaskedSeedState>,
-            &mut crate::query::PlanBatchState,
-        )> = Vec::with_capacity(round.len());
-        let mut it = engines.iter_mut().enumerate();
-        for (shard_ix, seeds) in round {
-            let slot = loop {
-                let (i, e) = it.next().expect("every active shard has an engine slot");
-                if i == *shard_ix {
-                    break e;
-                }
-            };
-            let engine = slot.get_or_insert_with(|| {
-                let shard = &self.shards[*shard_ix];
-                crate::query::PlanBatchState::new(&shard.graph, &snaps[*shard_ix], &plan.nodes)
+        // Published on the first chunk that traverses anything.
+        let mut snaps: Option<Vec<Arc<CsrSnapshot>>> = None;
+        let Ok(out) =
+            fixpoint::bundle_audiences(conds, self.shards.len(), |plan, masks, word, seeds| {
+                let snaps = snaps.get_or_insert_with(|| self.publish_all());
+                fixpoint::masked_fixpoint(
+                    &mut self.lanes(snaps, LaneProgram::Plan(plan, masks), word),
+                    |m| self.members[m as usize].home as usize,
+                    seeds,
+                    None,
+                    |_, run| Ok(run),
+                )
             });
-            tasks.push((*shard_ix, seeds, engine));
-        }
-        let eval = |shard_ix: usize,
-                    seeds: &[MaskedSeedState],
-                    engine: &mut crate::query::PlanBatchState| {
-            let shard = &self.shards[shard_ix];
-            crate::query::evaluate_plan_batch_seeded(
-                &shard.graph,
-                &snaps[shard_ix],
-                &plan.nodes,
-                masks,
-                engine,
-                seeds,
-                &shard.ghost,
-            )
-        };
-        static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-        let cores = *CORES.get_or_init(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        });
-        if tasks.len() == 1 || cores == 1 {
-            return tasks
-                .into_iter()
-                .map(|(shard_ix, seeds, engine)| eval(shard_ix, seeds, engine))
-                .collect();
-        }
-        std::thread::scope(|scope| {
-            let eval = &eval;
-            let handles: Vec<_> = tasks
-                .into_iter()
-                .map(|(shard_ix, seeds, engine)| scope.spawn(move || eval(shard_ix, seeds, engine)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard evaluation panicked"))
-                .collect()
-        })
+        out
+    }
+
+    /// One unopened in-process lane per shard, over the pinned
+    /// snapshots.
+    fn lanes<'a>(
+        &'a self,
+        snaps: &'a [Arc<CsrSnapshot>],
+        program: LaneProgram<'a>,
+        word: u32,
+    ) -> Vec<LocalLane<'a>> {
+        self.shards
+            .iter()
+            .zip(snaps)
+            .enumerate()
+            .map(|(index, (shard, snap))| LocalLane {
+                index: index as u32,
+                members: &self.members,
+                shard,
+                snap,
+                program,
+                word,
+                engine: None,
+            })
+            .collect()
     }
 
     /// Targeted single-condition evaluation through the **masked
@@ -1316,74 +1110,21 @@ impl ShardedSystem {
         }
         let snaps = self.publish_all();
         let req_entry = &self.members[requester.index()];
-        let stop = (req_entry.home as usize, req_entry.local);
-
-        let owner_entry = &self.members[owner.index()];
-        let mut imported = MaskedExportSet::new();
-        let mut origin: HashMap<StateKey, usize> = HashMap::new();
-        let mut engines: Vec<Option<SeededBatchState>> =
-            (0..self.shards.len()).map(|_| None).collect();
-        let mut pending: Vec<Vec<MaskedSeedState>> = vec![Vec::new(); self.shards.len()];
-        imported.insert(
-            MaskedStateKey {
-                member: owner.0,
-                step: 0,
-                depth: 0,
-                word: 0,
+        let mut lanes = self.lanes(&snaps, LaneProgram::Traced(path), 0);
+        let Ok((witness, run)) = fixpoint::masked_fixpoint(
+            &mut lanes,
+            |m| self.members[m as usize].home as usize,
+            &[fixpoint::owner_seed(owner)],
+            Some((req_entry.home as usize, requester.0)),
+            |lanes, run| {
+                let witness = run.hit.map(|(shard_ix, step, depth)| {
+                    let at = (shard_ix, req_entry.local, step, depth);
+                    self.stitch_traced(lanes, &run.origin, owner, at)
+                });
+                Ok((witness, run))
             },
-            1,
         );
-        pending[owner_entry.home as usize].push((owner_entry.local, 0, 0, 1));
-
-        let mut hit: Option<(usize, u16, u32)> = None;
-        'fixpoint: loop {
-            let round: Vec<(usize, Vec<MaskedSeedState>)> = pending
-                .iter_mut()
-                .enumerate()
-                .filter(|(_, seeds)| !seeds.is_empty())
-                .map(|(i, seeds)| (i, std::mem::take(seeds)))
-                .collect();
-            if round.is_empty() {
-                break;
-            }
-            stats.rounds += 1;
-            let outs = self.run_masked_round(&round, &mut engines, &snaps, path, Some(stop), true);
-            for ((shard_ix, _), out) in round.iter().zip(outs) {
-                if let Some((step, depth)) = out.hit {
-                    // The chain to the hit consists of states seeded in
-                    // earlier rounds, so `origin` already covers every
-                    // cross-shard hand-off the trace will follow —
-                    // breaking without processing further exports is
-                    // safe (and the point of the early exit).
-                    hit = Some((*shard_ix, step, depth));
-                    break 'fixpoint;
-                }
-                let shard = &self.shards[*shard_ix];
-                for &(m, step, depth, bits) in &out.exports {
-                    let global = shard.globals[m.index()];
-                    let key = MaskedStateKey {
-                        member: global.0,
-                        step,
-                        depth,
-                        word: 0,
-                    };
-                    let new = imported.insert(key, bits);
-                    if new != 0 {
-                        stats.exported_states += 1;
-                        origin.insert((global.0, step, depth), *shard_ix);
-                        let entry = &self.members[global.index()];
-                        pending[entry.home as usize].push((entry.local, step, depth, new));
-                    }
-                }
-            }
-        }
-        for engine in engines.iter().flatten() {
-            stats.states_expanded += engine.states_expanded();
-        }
-
-        let witness = hit.map(|(shard_ix, step, depth)| {
-            self.stitch_traced(&engines, &origin, owner, shard_ix, stop.1, step, depth)
-        });
+        run.add_to(&mut stats);
         (
             ShardedEval {
                 matched: Vec::new(),
@@ -1395,27 +1136,24 @@ impl ShardedSystem {
     }
 
     /// Stitches a targeted grant's witness by walking the per-shard
-    /// **persistent parent chains** (no replay): the hit shard's
-    /// segment ends at a seed the router forwarded; `origin` names the
-    /// shard that exported it, where the chain continues from the
-    /// member's ghost replica — until the owner seed terminates the
-    /// walk.
-    #[allow(clippy::too_many_arguments)]
+    /// **persistent parent chains** (no replay), starting `at` the hit
+    /// `(shard, local member, step, depth)`: the hit shard's segment
+    /// ends at a seed the router forwarded; `origin` names the shard
+    /// that exported it, where the chain continues from the member's
+    /// ghost replica — until the owner seed terminates the walk.
     fn stitch_traced(
         &self,
-        engines: &[Option<SeededBatchState>],
+        lanes: &[LocalLane<'_>],
         origin: &HashMap<StateKey, usize>,
         owner: NodeId,
-        mut shard_ix: usize,
-        mut local: NodeId,
-        mut step: u16,
-        mut depth: u32,
+        at: (usize, NodeId, u16, u32),
     ) -> Vec<ShardedHop> {
+        let (mut shard_ix, mut local, mut step, mut depth) = at;
         let mut segments: Vec<Vec<ShardedHop>> = Vec::new();
         loop {
-            let engine = engines[shard_ix]
-                .as_ref()
-                .expect("traced shard ran a fixpoint");
+            let Some(ShardEngine::Linear { engine, .. }) = &lanes[shard_ix].engine else {
+                panic!("traced shard ran a linear fixpoint");
+            };
             let (hops, (seed_local, seed_step, seed_depth)) = engine
                 .trace(local, step, depth)
                 .expect("granting chain is parent-tracked");
@@ -1440,83 +1178,6 @@ impl ShardedSystem {
         }
         segments.reverse();
         segments.concat()
-    }
-
-    /// Runs one masked fixpoint round: each active shard drains its
-    /// seeded frontier over its pinned snapshot and round-persistent
-    /// mask state — on parallel scoped threads when several shards are
-    /// active and the host has real cores, inline otherwise. With
-    /// `stop = Some((shard, local))` that shard's run early-exits when
-    /// the member completes the final step; `parents` builds the
-    /// engines with first-arrival parent tracking (the targeted path).
-    fn run_masked_round(
-        &self,
-        round: &[(usize, Vec<MaskedSeedState>)],
-        engines: &mut [Option<SeededBatchState>],
-        snaps: &[Arc<CsrSnapshot>],
-        path: &PathExpr,
-        stop: Option<(usize, NodeId)>,
-        parents: bool,
-    ) -> Vec<SeededBatchOutcome> {
-        // Pair each active shard with the mutable borrow of its
-        // engine (materialized on first activation); `round` is in
-        // ascending shard order, so one pass over `iter_mut` yields
-        // the disjoint borrows.
-        let mut tasks: Vec<(usize, &Vec<MaskedSeedState>, &mut SeededBatchState)> =
-            Vec::with_capacity(round.len());
-        let mut it = engines.iter_mut().enumerate();
-        for (shard_ix, seeds) in round {
-            let slot = loop {
-                let (i, e) = it.next().expect("every active shard has an engine slot");
-                if i == *shard_ix {
-                    break e;
-                }
-            };
-            let engine = slot.get_or_insert_with(|| {
-                let shard = &self.shards[*shard_ix];
-                if parents {
-                    SeededBatchState::with_parents(&shard.graph, &snaps[*shard_ix], path)
-                } else {
-                    SeededBatchState::new(&shard.graph, &snaps[*shard_ix], path)
-                }
-            });
-            tasks.push((*shard_ix, seeds, engine));
-        }
-        let eval = |shard_ix: usize, seeds: &[MaskedSeedState], engine: &mut SeededBatchState| {
-            let shard = &self.shards[shard_ix];
-            online::evaluate_audience_batch_seeded_stop(
-                &shard.graph,
-                &snaps[shard_ix],
-                path,
-                engine,
-                seeds,
-                &shard.ghost,
-                stop.filter(|&(s, _)| s == shard_ix).map(|(_, l)| l),
-            )
-        };
-        static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-        let cores = *CORES.get_or_init(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        });
-        if tasks.len() == 1 || cores == 1 {
-            return tasks
-                .into_iter()
-                .map(|(shard_ix, seeds, engine)| eval(shard_ix, seeds, engine))
-                .collect();
-        }
-        std::thread::scope(|scope| {
-            let eval = &eval;
-            let handles: Vec<_> = tasks
-                .into_iter()
-                .map(|(shard_ix, seeds, engine)| scope.spawn(move || eval(shard_ix, seeds, engine)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard evaluation panicked"))
-                .collect()
-        })
     }
 
     /// Stitches the granting run's local segment with replays of the
@@ -1623,7 +1284,7 @@ impl AccessService for ShardedSystem {
     }
 
     /// Decides a batch of requests through **one** masked cross-shard
-    /// fixpoint per bundle (per distinct path among the touched
+    /// fixpoint per bundle (per 64-condition chunk of the touched
     /// resources' conditions), rather than one per request or per
     /// condition: the uncached resources' condition audiences are
     /// materialized together and each request is decided by audience
@@ -1643,8 +1304,8 @@ impl AccessService for ShardedSystem {
 
     /// Audiences of a whole bundle of resources, in `rids` order,
     /// through **one** masked cross-shard fixpoint per bundle: the
-    /// distinct `(owner, path)` conditions are grouped by path and
-    /// each group's owners traverse together as condition bits of a
+    /// distinct `(owner, path)` conditions compile into one
+    /// shared-prefix plan and traverse together as condition bits of a
     /// seeded mask BFS ([`ShardedSystem::evaluate_conditions_batched`]).
     /// The per-resource merge semantics are the single-graph system's,
     /// literally ([`crate::engine::merge_bundle_audiences`]); the
@@ -1656,15 +1317,7 @@ impl AccessService for ShardedSystem {
         let mut stats = ReadStats::default();
         let audiences = crate::engine::merge_bundle_audiences(&self.store, rids, |uniq| {
             let (audiences, s) = self.evaluate_conditions_batched(uniq);
-            stats = ReadStats {
-                conditions: uniq.len(),
-                traversals: s.fixpoints,
-                rounds: s.rounds,
-                states_expanded: s.states_expanded.iter().sum(),
-                exported_states: s.exported_states,
-                plan_states: s.plan_states,
-                expr_states: s.expr_states,
-            };
+            stats = s.read_stats(uniq.len());
             Ok(audiences)
         })?;
         Ok((audiences, stats))

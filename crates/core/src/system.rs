@@ -395,10 +395,10 @@ impl AccessService for AccessControlSystem {
         }
         match self.online.publish_snapshot(&self.graph) {
             Some(snap) => {
-                let outcomes =
+                let (audiences, _) =
                     OnlineEngine.audience_batch_with_snapshot(&self.graph, &snap, &conds)?;
-                for (slot, o) in slots.into_iter().zip(outcomes) {
-                    out[slot] = o.members;
+                for (slot, audience) in slots.into_iter().zip(audiences) {
+                    out[slot] = audience;
                 }
             }
             None => {

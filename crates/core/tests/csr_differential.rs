@@ -7,7 +7,8 @@
 //! specification).
 
 use proptest::prelude::*;
-use socialreach_core::{online, parse_path, PathExpr};
+use socialreach_core::query::evaluate_plan_audiences;
+use socialreach_core::{online, parse_path, BundlePlan, PathExpr};
 use socialreach_graph::{NodeId, SocialGraph};
 
 const LABELS: [&str; 3] = ["friend", "colleague", "parent"];
@@ -145,9 +146,10 @@ proptest! {
 
     #[test]
     fn batch_audiences_equal_reference_audiences(case in case_strategy()) {
-        // The multi-source batch engine must agree member-for-member
+        // The multi-source plan engine, run as a one-path plan with
+        // every owner a condition of it, must agree member-for-member
         // with the reference spec for every owner, including duplicate
-        // owners in one batch (masks must not cross-contaminate).
+        // owners in one chunk (masks must not cross-contaminate).
         let mut g = case.graph;
         let parsed: Vec<PathExpr> = case
             .paths
@@ -159,7 +161,8 @@ proptest! {
         owners.push(NodeId(0)); // duplicate source in the same chunk
 
         for (path, text) in parsed.iter().zip(&case.paths) {
-            let batch = online::evaluate_audience_batch(&g, &snap, &owners, path);
+            let plan = BundlePlan::compile(&vec![path; owners.len()]).expect("one chain");
+            let batch = evaluate_plan_audiences(&g, &snap, &plan, &owners);
             prop_assert_eq!(batch.audiences.len(), owners.len());
             for (owner, audience) in owners.iter().zip(&batch.audiences) {
                 let truth = online::evaluate_reference(&g, *owner, path, None);

@@ -1,14 +1,15 @@
 //! Differential property tests for the query front-end and the
 //! shared-prefix bundle plan: on random graphs × bundle-shaped random
-//! policies, the trie-planned bundle evaluation (the default) must
-//! agree condition-for-condition with
+//! policies, the trie-planned bundle evaluation (the one batched read
+//! path) must agree condition-for-condition with
 //!
-//! 1. the identical-expression grouping it replaced
-//!    (`SOCIALREACH_BUNDLE_PLAN=grouped`),
-//! 2. the per-condition evaluation (reference engine on a single
+//! 1. the per-condition evaluation (reference engine on a single
 //!    graph, per-condition fixpoint on a sharded one), and
-//! 3. itself across deployments — single, sharded(4) and networked(2)
-//!    serve equal answers for the same ad-hoc query bundle.
+//! 2. itself across deployments — single, sharded(4) and networked(2)
+//!    serve equal answers for the same ad-hoc query bundle —
+//!
+//! including a bundle past the plan's `u16` node budget, which the
+//! read paths bisect into several plans.
 //!
 //! The openCypher-flavored front-end rides along: rendering a path
 //! expression into `MATCH` syntax and re-parsing it is the identity
@@ -18,32 +19,12 @@
 use proptest::prelude::*;
 use socialreach_core::query::{parse_queries_readonly, render_query};
 use socialreach_core::{
-    online, parse_path, parse_query, AccessEngine, Deployment, OnlineEngine, PathExpr,
+    online, parse_path, parse_query, AccessEngine, BundlePlan, Deployment, OnlineEngine, PathExpr,
     ShardedSystem,
 };
 use socialreach_graph::{NodeId, ShardAssignment, SocialGraph};
-use std::sync::Mutex;
 
 const LABELS: [&str; 3] = ["friend", "colleague", "parent"];
-
-/// `SOCIALREACH_BUNDLE_PLAN` is process-global: every evaluation whose
-/// outcome depends on the plan mode runs under this lock, so the
-/// grouped-mode legs cannot race the trie-mode ones.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-/// Runs `f` with the bundle-plan lever forced to `grouped` (true) or
-/// restored to the trie default (false), holding the env lock.
-fn with_mode<T>(grouped: bool, f: impl FnOnce() -> T) -> T {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    if grouped {
-        std::env::set_var("SOCIALREACH_BUNDLE_PLAN", "grouped");
-    } else {
-        std::env::remove_var("SOCIALREACH_BUNDLE_PLAN");
-    }
-    let out = f();
-    std::env::remove_var("SOCIALREACH_BUNDLE_PLAN");
-    out
-}
 
 // ---------------------------------------------------------------------
 // Random bundle-shaped cases (prefix sharing arises naturally from the
@@ -132,46 +113,32 @@ fn build_conds(g: &mut SocialGraph, case: &Case) -> Vec<(NodeId, PathExpr)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Trie-planned bundles ≡ identical-expression grouping ≡ the
-    /// per-condition reference, on single and sharded(4) deployments.
+    /// Trie-planned bundles ≡ the per-condition reference, on single
+    /// and sharded(4) deployments.
     #[test]
-    fn trie_plan_matches_grouped_and_per_condition(case in case_strategy()) {
+    fn trie_plan_matches_per_condition(case in case_strategy()) {
         let mut g = case.graph.clone();
         let conds = build_conds(&mut g, &case);
         let cond_refs: Vec<(NodeId, &PathExpr)> =
             conds.iter().map(|(o, p)| (*o, p)).collect();
 
-        // Single graph: trie vs grouped vs the reference engine.
+        // Single graph: trie vs the reference engine.
         let snap = g.snapshot();
-        let trie = with_mode(false, || {
-            OnlineEngine
-                .audience_batch_with_snapshot(&g, &snap, &cond_refs)
-                .unwrap()
-        });
-        let grouped = with_mode(true, || {
-            OnlineEngine
-                .audience_batch_with_snapshot(&g, &snap, &cond_refs)
-                .unwrap()
-        });
+        let (trie, single_stats) = OnlineEngine
+            .audience_batch_with_snapshot(&g, &snap, &cond_refs)
+            .unwrap();
         for (i, (owner, path)) in conds.iter().enumerate() {
-            prop_assert_eq!(
-                &trie[i].members, &grouped[i].members,
-                "single trie vs grouped: owner={} path #{}", owner, i
-            );
             let truth = online::evaluate_reference(&g, *owner, path, None);
             prop_assert_eq!(
-                &trie[i].members, &truth.matched,
+                &trie[i], &truth.matched,
                 "single trie vs reference: owner={}", owner
             );
         }
 
-        // Sharded(4): trie vs grouped vs the per-condition fixpoint.
+        // Sharded(4): trie vs the per-condition fixpoint.
         let sys = ShardedSystem::from_graph(&g, ShardAssignment::hashed(4, 11));
-        let (trie_a, trie_stats) =
-            with_mode(false, || sys.evaluate_conditions_batched(&cond_refs));
-        let (grouped_a, grouped_stats) =
-            with_mode(true, || sys.evaluate_conditions_batched(&cond_refs));
-        prop_assert_eq!(&trie_a, &grouped_a, "sharded trie vs grouped");
+        let (trie_a, trie_stats) = sys.evaluate_conditions_batched(&cond_refs);
+        prop_assert_eq!(&trie_a, &trie, "sharded trie vs single trie");
         for (i, (owner, path)) in conds.iter().enumerate() {
             let per_cond = sys.evaluate_condition(*owner, path, None);
             prop_assert_eq!(
@@ -180,11 +147,12 @@ proptest! {
             );
         }
 
-        // Census contract: the trie reports its sharing census, the
-        // grouped baseline reports none (prefix_share() → None).
+        // Census contract: both backends report the sharing census of
+        // the plan they ran — the same plan.
         prop_assert!(trie_stats.plan_states <= trie_stats.expr_states);
-        prop_assert_eq!(grouped_stats.plan_states, 0);
-        prop_assert_eq!(grouped_stats.expr_states, 0);
+        prop_assert_eq!(single_stats.plan_states, trie_stats.plan_states);
+        prop_assert_eq!(single_stats.expr_states, trie_stats.expr_states);
+        prop_assert_eq!(single_stats.traversals, trie_stats.fixpoints);
         if conds.iter().any(|(_, p)| !p.is_empty()) {
             prop_assert!(trie_stats.expr_states > 0, "traversable bundles census the plan");
         }
@@ -206,12 +174,11 @@ proptest! {
 }
 
 /// The same ad-hoc query bundle answers identically on single,
-/// sharded(4) and networked(2) deployments, in both plan modes —
-/// including a query whose relationship type no graph has interned
-/// (empty audience, never an error) and an empty-path `MATCH (owner)`
-/// (owner-only audience).
+/// sharded(4) and networked(2) deployments — including a query whose
+/// relationship type no graph has interned (empty audience, never an
+/// error) and an empty-path `MATCH (owner)` (owner-only audience).
 #[test]
-fn query_bundles_agree_across_deployments_and_modes() {
+fn query_bundles_agree_across_deployments() {
     let handles = socialreach_core::remote::spawn_local_fleet(2, false).expect("fleet spawns");
     let addrs: Vec<_> = handles.iter().map(|h| h.addr().clone()).collect();
     let mut backends = vec![
@@ -253,28 +220,80 @@ fn query_bundles_agree_across_deployments_and_modes() {
 
     let mut seen: Option<Vec<Vec<NodeId>>> = None;
     for svc in &backends {
-        for grouped in [false, true] {
-            let got = with_mode(grouped, || {
-                svc.reads().query_audience_bundle(&queries).unwrap()
-            });
-            match &seen {
-                None => {
-                    // Spot-check the reference leg before fanning out.
-                    assert_eq!(got[4], vec![], "unknown type → empty audience");
-                    assert_eq!(got[5], vec![members[1]], "empty path → owner only");
-                    assert!(got[0].contains(&members[2]));
-                    seen = Some(got);
-                }
-                Some(expect) => assert_eq!(
-                    &got,
-                    expect,
-                    "{} grouped={} must match the single-graph answers",
-                    svc.reads().describe(),
-                    grouped
-                ),
+        let got = svc.reads().query_audience_bundle(&queries).unwrap();
+        match &seen {
+            None => {
+                // Spot-check the reference leg before fanning out.
+                assert_eq!(got[4], vec![], "unknown type → empty audience");
+                assert_eq!(got[5], vec![members[1]], "empty path → owner only");
+                assert!(got[0].contains(&members[2]));
+                seen = Some(got);
             }
+            Some(expect) => assert_eq!(
+                &got,
+                expect,
+                "{} must match the single-graph answers",
+                svc.reads().describe()
+            ),
         }
     }
+}
+
+/// A bundle needing more trie nodes than the plan's `u16` budget is
+/// bisected into plans that fit and served through the same code: on
+/// an 8-member ring, 261 conditions of 252 pairwise-distinct steps
+/// (65 772 nodes) answer exactly as per-condition evaluation does, on
+/// the single graph and on a 2-shard partition, with the census summed
+/// over both plans.
+#[test]
+fn bundles_past_the_plan_node_budget_are_bisected_not_regrouped() {
+    let mut g = SocialGraph::new();
+    let ring: Vec<NodeId> = (0..8).map(|i| g.add_node(&format!("r{i}"))).collect();
+    for i in 0..8 {
+        g.connect(ring[i], "friend", ring[(i + 1) % 8]);
+        g.set_node_attr(ring[i], "age", 1_000_000i64);
+    }
+    let conds: Vec<(NodeId, PathExpr)> = (0..261usize)
+        .map(|i| {
+            let steps: Vec<String> = (0..252)
+                .map(|j| format!("friend+[1]{{age>={}}}", i * 252 + j))
+                .collect();
+            (
+                ring[i % 8],
+                parse_path(&steps.join("/"), g.vocab_mut()).unwrap(),
+            )
+        })
+        .collect();
+    let cond_refs: Vec<(NodeId, &PathExpr)> = conds.iter().map(|(o, p)| (*o, p)).collect();
+    let paths: Vec<&PathExpr> = conds.iter().map(|(_, p)| p).collect();
+    assert!(BundlePlan::compile(&paths).is_none(), "one plan overflows");
+
+    let snap = g.snapshot();
+    let truth: Vec<Vec<NodeId>> = conds
+        .iter()
+        .map(|(o, p)| online::evaluate_with_snapshot(&g, &snap, *o, p, None).matched)
+        .collect();
+    // 252 hops around an 8-ring land 4 members on.
+    assert_eq!(truth[3], vec![ring[7]]);
+
+    let (single, stats) = OnlineEngine
+        .audience_batch_with_snapshot(&g, &snap, &cond_refs)
+        .unwrap();
+    assert_eq!(single, truth, "single graph, bisected");
+    assert_eq!(stats.conditions, 261);
+    assert_eq!(
+        stats.traversals,
+        130usize.div_ceil(64) + 131usize.div_ceil(64),
+        "each half chunks on its own"
+    );
+    assert_eq!(stats.expr_states, 261 * 252 * 2, "census summed over plans");
+    assert_eq!(stats.plan_states, stats.expr_states, "nothing shared");
+
+    let sys = ShardedSystem::from_graph(&g, ShardAssignment::hashed(2, 11));
+    let (sharded, sharded_stats) = sys.evaluate_conditions_batched(&cond_refs);
+    assert_eq!(sharded, truth, "sharded(2), bisected");
+    assert_eq!(sharded_stats.fixpoints, stats.traversals);
+    assert_eq!(sharded_stats.expr_states, stats.expr_states);
 }
 
 /// Read-only parsing interns nothing: an unknown label in a query must

@@ -3,9 +3,8 @@
 //! per-bundle masked engine (`ShardedSystem::audience_batch` /
 //! `check_batch`) must agree condition-for-condition with
 //!
-//! 1. the single-graph multi-source batch BFS
-//!    (`online::evaluate_audience_batch`, via the engine's grouped
-//!    batch path),
+//! 1. the single-graph multi-source plan BFS
+//!    (`query::evaluate_plan_audiences`, via the engine's batch path),
 //! 2. the per-condition sharded fixpoint
 //!    (`ShardedSystem::audience_batch_per_condition`), and
 //! 3. the reference engine, member-for-member,
@@ -163,7 +162,7 @@ proptest! {
         let snap = g.snapshot();
         let cond_refs: Vec<(NodeId, &PathExpr)> =
             conds.iter().map(|(o, p)| (*o, p)).collect();
-        let single_conds = OnlineEngine
+        let (single_conds, _) = OnlineEngine
             .audience_batch_with_snapshot(&g, &snap, &cond_refs)
             .unwrap();
 
@@ -176,7 +175,7 @@ proptest! {
             let (batched_conds, stats) = sys.evaluate_conditions_batched(&cond_refs);
             for (i, (owner, path)) in conds.iter().enumerate() {
                 prop_assert_eq!(
-                    &batched_conds[i], &single_conds[i].members,
+                    &batched_conds[i], &single_conds[i],
                     "condition audience: owner={} shards={}", owner, shards
                 );
                 let truth = online::evaluate_reference(&g, *owner, path, None);

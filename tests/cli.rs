@@ -6,11 +6,17 @@ use std::process::{Command, Stdio};
 
 const EDGES: &str = "Alice\tfriend\tBob\nBob\tfriend\tCarol\nCarol\tcolleague\tDave\n";
 
-fn edges_file() -> std::path::PathBuf {
-    let path =
-        std::env::temp_dir().join(format!("socialreach-cli-test-{}.tsv", std::process::id()));
-    std::fs::write(&path, EDGES).expect("write temp edge list");
-    path
+/// The shared edge-list fixture, written **once** per test process:
+/// the tests run on parallel threads, and a rewrite per test let one
+/// test's CLI child read the file while another had just truncated it.
+fn edges_file() -> &'static std::path::Path {
+    static FILE: std::sync::OnceLock<std::path::PathBuf> = std::sync::OnceLock::new();
+    FILE.get_or_init(|| {
+        let path =
+            std::env::temp_dir().join(format!("socialreach-cli-test-{}.tsv", std::process::id()));
+        std::fs::write(&path, EDGES).expect("write temp edge list");
+        path
+    })
 }
 
 fn cli() -> Command {
