@@ -71,9 +71,9 @@ fn main() {
         // frequency scaling, cache pressure on a shared runner — lands
         // evenly on all three modes instead of on whichever was timed
         // first; the per-mode *minimum* pass strips scheduler and
-        // allocator noise, which dominates sub-millisecond passes (the
-        // `time_min` rationale — after warm-up every mode replays the
-        // identical read stream, so minima are directly comparable).
+        // allocator noise, which dominates sub-millisecond passes (after
+        // warm-up every mode replays the identical read stream, so
+        // minima are directly comparable).
         let svcs: [&dyn AccessService; 3] = [&adaptive, &forced_batch, &forced_per_cond];
         let mut minima = [Duration::MAX; 3];
         for svc in svcs {

@@ -15,7 +15,6 @@ use std::time::{Duration, Instant};
 pub mod p10;
 pub mod p11;
 pub mod p12;
-pub mod p13;
 pub mod p14;
 pub mod p9;
 
@@ -86,22 +85,6 @@ pub fn time_avg(n: usize, mut f: impl FnMut()) -> Duration {
         f();
     }
     t0.elapsed() / n.max(1) as u32
-}
-
-/// Minimum wall-clock over `n` invocations (after one warm-up call).
-/// The minimum strips scheduler and allocator noise, which dominates
-/// sub-millisecond passes on busy machines — the right statistic when
-/// comparing two implementations of the *same* work (e.g. P13's
-/// static-vs-dyn dispatch).
-pub fn time_min(n: usize, mut f: impl FnMut()) -> Duration {
-    f();
-    let mut best = Duration::MAX;
-    for _ in 0..n.max(1) {
-        let t0 = Instant::now();
-        f();
-        best = best.min(t0.elapsed());
-    }
-    best
 }
 
 /// Renders `bytes` with a binary-prefix unit.

@@ -1,7 +1,7 @@
 //! Shared setup for experiment P11 — sharded multi-graph serving.
 //!
 //! The question: what does hash-partitioning the serving layer
-//! ([`ShardedSystem`]) cost or buy against the single-graph system, as
+//! ([`socialreach_core::ShardedSystem`]) cost or buy against the single-graph system, as
 //! a function of the **shard count** and the **cross-shard traffic
 //! density** (the fraction of relationships crossing shard
 //! boundaries)? Three measurements, used by both the

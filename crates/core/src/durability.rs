@@ -92,14 +92,11 @@
 //! ```
 
 use crate::error::EvalError;
-use crate::policy::{Decision, PolicyStore, ResourceId};
-use crate::service::{
-    AccessResponse, AccessService, BundleStrategy, CheckPlan, Deployment, Explanation,
-    MutateService, ReadBatch, ReadStats, ServiceInstance,
-};
+use crate::policy::{PolicyStore, ResourceId};
+use crate::service::{AccessService, Deployment, MutateService, ServiceInstance};
 use serde::{Deserialize, Serialize};
 use socialreach_graph::wire::crc32;
-use socialreach_graph::{persist, AttrValue, LabelId, NodeId, SocialGraph};
+use socialreach_graph::{persist, AttrValue, NodeId, SocialGraph};
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
@@ -1179,9 +1176,11 @@ impl DurableService {
         &self.store
     }
 
-    /// This service as a deployment-agnostic read service.
+    /// The read surface: durability adds nothing to a read, so this is
+    /// the wrapped backend's own [`AccessService`], untouched — no
+    /// forwarding layer to keep in step with the trait.
     pub fn reads(&self) -> &dyn AccessService {
-        self
+        self.inner.reads()
     }
 
     /// This service as a deployment-agnostic write service.
@@ -1380,123 +1379,9 @@ fn apply_record(
 }
 
 // ---------------------------------------------------------------------
-// Trait impls: reads forward, writes log
+// Trait impl: writes log (reads are the backend's own — see
+// [`DurableService::reads`])
 // ---------------------------------------------------------------------
-
-impl AccessService for DurableService {
-    fn describe(&self) -> String {
-        format!("durable({})", self.inner.reads().describe())
-    }
-
-    fn num_members(&self) -> usize {
-        self.inner.reads().num_members()
-    }
-
-    fn num_relationships(&self) -> usize {
-        self.inner.reads().num_relationships()
-    }
-
-    fn resolve_user(&self, name: &str) -> Result<NodeId, EvalError> {
-        self.inner.reads().resolve_user(name)
-    }
-
-    fn member_name(&self, member: NodeId) -> &str {
-        self.inner.member_name(member)
-    }
-
-    fn label_name(&self, label: LabelId) -> &str {
-        self.inner.label_name(label)
-    }
-
-    fn check(&self, resource: ResourceId, requester: NodeId) -> Result<Decision, EvalError> {
-        self.inner.reads().check(resource, requester)
-    }
-
-    fn check_batch(
-        &self,
-        requests: &[(ResourceId, NodeId)],
-        threads: usize,
-    ) -> Result<Vec<Decision>, EvalError> {
-        self.inner.reads().check_batch(requests, threads)
-    }
-
-    fn audience_batch_with_stats(
-        &self,
-        rids: &[ResourceId],
-    ) -> Result<(Vec<Vec<NodeId>>, ReadStats), EvalError> {
-        self.inner.reads().audience_batch_with_stats(rids)
-    }
-
-    fn query_audience_bundle(
-        &self,
-        queries: &[(NodeId, &str)],
-    ) -> Result<Vec<Vec<NodeId>>, EvalError> {
-        self.inner.reads().query_audience_bundle(queries)
-    }
-
-    fn explain(
-        &self,
-        resource: ResourceId,
-        requester: NodeId,
-    ) -> Result<Option<Explanation>, EvalError> {
-        self.inner.reads().explain(resource, requester)
-    }
-
-    fn cache_stats(&self) -> (u64, u64) {
-        self.inner.reads().cache_stats()
-    }
-
-    fn check_with_stats(
-        &self,
-        resource: ResourceId,
-        requester: NodeId,
-    ) -> Result<(Decision, ReadStats), EvalError> {
-        self.inner.reads().check_with_stats(resource, requester)
-    }
-
-    fn check_batch_with_stats(
-        &self,
-        requests: &[(ResourceId, NodeId)],
-        threads: usize,
-    ) -> Result<(Vec<Decision>, ReadStats), EvalError> {
-        self.inner.reads().check_batch_with_stats(requests, threads)
-    }
-
-    fn explain_with_stats(
-        &self,
-        resource: ResourceId,
-        requester: NodeId,
-    ) -> Result<(Option<Explanation>, ReadStats), EvalError> {
-        self.inner.reads().explain_with_stats(resource, requester)
-    }
-
-    fn read_batch(&self, batch: &ReadBatch) -> Result<Vec<AccessResponse>, EvalError> {
-        self.inner.reads().read_batch(batch)
-    }
-
-    fn stats_supported(&self) -> bool {
-        self.inner.reads().stats_supported()
-    }
-
-    fn audience_batch_forced(
-        &self,
-        rids: &[ResourceId],
-        strategy: BundleStrategy,
-    ) -> Result<(Vec<Vec<NodeId>>, ReadStats), EvalError> {
-        self.inner.reads().audience_batch_forced(rids, strategy)
-    }
-
-    fn check_batch_forced(
-        &self,
-        requests: &[(ResourceId, NodeId)],
-        threads: usize,
-        plan: CheckPlan,
-    ) -> Result<(Vec<Decision>, ReadStats), EvalError> {
-        self.inner
-            .reads()
-            .check_batch_forced(requests, threads, plan)
-    }
-}
 
 impl MutateService for DurableService {
     fn add_user(&mut self, name: &str) -> NodeId {

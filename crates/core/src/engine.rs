@@ -8,15 +8,15 @@
 //! request, and, on the basis of the specified access rules, it
 //! determines whether access should be granted or denied."*
 
+use crate::decision::{self, DecisionCache};
 use crate::error::EvalError;
 use crate::online;
 use crate::path::PathExpr;
 use crate::policy::{Decision, PolicyStore, ResourceId};
-use crate::service::{BundleStrategy, ReadStats};
+use crate::service::{BundleStrategy, CheckPlan, ReadStats};
 use parking_lot::RwLock;
 use socialreach_graph::csr::CsrSnapshot;
 use socialreach_graph::{NodeId, SocialGraph};
-use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -301,38 +301,24 @@ pub fn resource_audience<E: AccessEngine>(
     Ok(audience)
 }
 
-/// [`resource_audience`] for a whole **bundle** of resources at once.
+/// [`resource_audience`] for a whole **bundle** of resources at once,
+/// plus the bundle's uniform work census ([`ReadStats`]).
 ///
 /// Every distinct `(owner, path)` condition across the bundle's rules
 /// is evaluated exactly once through
 /// [`AccessEngine::audience_batch_with_snapshot`], so engines that
 /// amortize traversal across conditions (the online engine's
-/// multi-source BFS) pay one shared frontier pass per 64-condition
-/// chunk of the bundle's plan instead of one walk per condition. Results come back in `rids`
-/// order with the usual policy semantics per resource: union over
-/// rules of the intersection over each rule's condition audiences,
-/// plus the owner. Without a snapshot the conditions fall back to
-/// one-at-a-time [`AccessEngine::audience`].
-pub fn resource_audience_batch<E: AccessEngine>(
-    g: &SocialGraph,
-    store: &PolicyStore,
-    rids: &[ResourceId],
-    engine: &E,
-    snap: Option<&CsrSnapshot>,
-) -> Result<Vec<Vec<NodeId>>, EvalError> {
-    Ok(resource_audience_batch_with_stats(g, store, rids, engine, snap)?.0)
-}
-
-/// [`resource_audience_batch`] plus the bundle's uniform work census
-/// ([`ReadStats`]): deduped condition count, traversal passes and
-/// product states expanded as reported by the engine that ran them
-/// ([`AccessEngine::audience_batch_with_snapshot`] — one shared-prefix
-/// plan pass per 64-condition chunk on the online engine, with the
-/// plan-vs-chains automaton state counts behind
-/// [`ReadStats::prefix_share`]), or one traversal per condition when
-/// there is no snapshot to batch over. `rounds` equals `traversals` on
-/// a single graph — there is no cross-shard fixpoint — and
-/// `exported_states` is always zero here.
+/// shared-prefix plan) pay one shared frontier pass per 64-condition
+/// chunk of the bundle's plan instead of one walk per condition.
+/// Results come back in `rids` order with the usual policy semantics
+/// per resource: union over rules of the intersection over each rule's
+/// condition audiences, plus the owner. The census is the engine's own
+/// (deduped conditions, traversal passes, product states, the
+/// plan-vs-chains counts behind [`ReadStats::prefix_share`]); `rounds`
+/// equals `traversals` on a single graph — there is no cross-shard
+/// fixpoint — and `exported_states` is always zero here. Without a
+/// snapshot the conditions fall back to one-at-a-time
+/// [`AccessEngine::audience`].
 pub fn resource_audience_batch_with_stats<E: AccessEngine>(
     g: &SocialGraph,
     store: &PolicyStore,
@@ -343,13 +329,9 @@ pub fn resource_audience_batch_with_stats<E: AccessEngine>(
     let Some(snap) = snap else {
         return resource_audience_batch_per_condition_with_stats(g, store, rids, engine, None);
     };
-    let mut stats = ReadStats::default();
-    let audiences = merge_bundle_audiences(store, rids, |uniq| {
-        let (audiences, s) = engine.audience_batch_with_snapshot(g, snap, uniq)?;
-        stats = s;
-        Ok(audiences)
-    })?;
-    Ok((audiences, stats))
+    merge_bundle_audiences(store, rids, |uniq| {
+        engine.audience_batch_with_snapshot(g, snap, uniq)
+    })
 }
 
 /// [`resource_audience_batch_with_stats`] with batching **disabled**:
@@ -365,12 +347,15 @@ pub fn resource_audience_batch_per_condition_with_stats<E: AccessEngine>(
     engine: &E,
     snap: Option<&CsrSnapshot>,
 ) -> Result<(Vec<Vec<NodeId>>, ReadStats), EvalError> {
-    let mut stats = ReadStats::default();
-    let audiences = merge_bundle_audiences(store, rids, |uniq| {
-        stats.conditions = uniq.len();
-        stats.traversals = uniq.len();
-        stats.rounds = uniq.len();
-        uniq.iter()
+    merge_bundle_audiences(store, rids, |uniq| {
+        let mut stats = ReadStats {
+            conditions: uniq.len(),
+            traversals: uniq.len(),
+            rounds: uniq.len(),
+            ..ReadStats::default()
+        };
+        let audiences = uniq
+            .iter()
             .map(|&(o, p)| {
                 let out = match snap {
                     Some(s) => engine.audience_with_snapshot(g, s, o, p)?,
@@ -379,26 +364,30 @@ pub fn resource_audience_batch_per_condition_with_stats<E: AccessEngine>(
                 stats.states_expanded += out.stats.states_visited;
                 Ok(out.members)
             })
-            .collect::<Result<_, EvalError>>()
-    })?;
-    Ok((audiences, stats))
+            .collect::<Result<_, EvalError>>()?;
+        Ok((audiences, stats))
+    })
 }
 
-/// The bundle-audience **semantics**, shared by every serving facade
-/// (the single-graph [`resource_audience_batch`] above and the sharded
-/// system's `audience_batch`): dedupe the distinct `(owner, path)`
+/// The bundle-audience **semantics**, shared by every serving backend
+/// (the single-graph functions above, the sharded and the networked
+/// `audience_batch_forced`): dedupe the distinct `(owner, path)`
 /// conditions across the bundle's rules, obtain each unique
 /// condition's **sorted** audience from `eval` (called once, in
-/// condition-discovery order), and merge per resource — union over
-/// rules of the intersection over each rule's condition audiences,
-/// plus the owner; empty-condition rules contribute nothing.
+/// condition-discovery order, returning the audiences and the census
+/// of producing them), and merge per resource — union over rules of
+/// the intersection over each rule's condition audiences, plus the
+/// owner; empty-condition rules contribute nothing. The census passes
+/// through.
 pub(crate) fn merge_bundle_audiences<F>(
     store: &PolicyStore,
     rids: &[ResourceId],
     eval: F,
-) -> Result<Vec<Vec<NodeId>>, EvalError>
+) -> Result<(Vec<Vec<NodeId>>, ReadStats), EvalError>
 where
-    F: for<'a> FnOnce(&'a [(NodeId, &'a PathExpr)]) -> Result<Vec<Vec<NodeId>>, EvalError>,
+    F: for<'a> FnOnce(
+        &'a [(NodeId, &'a PathExpr)],
+    ) -> Result<(Vec<Vec<NodeId>>, ReadStats), EvalError>,
 {
     // Dedupe conditions across the bundle; remember each resource's
     // rule structure as indices into the unique list.
@@ -424,10 +413,10 @@ where
         shape.push((owner, rule_shapes));
     }
 
-    let audiences: Vec<Vec<NodeId>> = eval(&uniq)?;
+    let (audiences, stats) = eval(&uniq)?;
     debug_assert_eq!(audiences.len(), uniq.len());
 
-    Ok(shape
+    let merged = shape
         .into_iter()
         .map(|(owner, rule_shapes)| {
             let mut audience = vec![owner];
@@ -451,7 +440,8 @@ where
             audience.dedup();
             audience
         })
-        .collect())
+        .collect();
+    Ok((merged, stats))
 }
 
 /// Caching policy enforcer: intercepts access requests, consults the
@@ -464,7 +454,7 @@ where
 /// enforcer maintains a **publication pipeline**: at any time one
 /// `Arc<CsrSnapshot>` is *published* as the current epoch's index, and
 /// every reader — [`Enforcer::check_access`], [`Enforcer::audience_batch`],
-/// each [`Enforcer::check_batch`] worker — clones the `Arc` and runs
+/// each [`Enforcer::check_batch_forced`] worker — clones the `Arc` and runs
 /// against that immutable snapshot concurrently, through `&self`.
 /// When a reader finds the published snapshot stale for `g`, exactly
 /// one publisher (under the write lock) installs a fresh one — built
@@ -477,12 +467,10 @@ where
 #[derive(Debug)]
 pub struct Enforcer<E> {
     engine: E,
-    cache: RwLock<HashMap<(ResourceId, NodeId), Decision>>,
+    decisions: DecisionCache,
     published: RwLock<Option<Arc<CsrSnapshot>>>,
     epoch: AtomicU64,
     append_publication: bool,
-    hits: AtomicU64,
-    misses: AtomicU64,
 }
 
 impl<E: AccessEngine> Enforcer<E> {
@@ -490,12 +478,10 @@ impl<E: AccessEngine> Enforcer<E> {
     pub fn new(engine: E) -> Self {
         Enforcer {
             engine,
-            cache: RwLock::new(HashMap::new()),
+            decisions: DecisionCache::default(),
             published: RwLock::new(None),
             epoch: AtomicU64::new(0),
             append_publication: false,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
         }
     }
 
@@ -513,11 +499,6 @@ impl<E: AccessEngine> Enforcer<E> {
     pub fn with_append_publication(mut self) -> Self {
         self.append_publication = true;
         self
-    }
-
-    /// The wrapped engine.
-    pub fn engine(&self) -> &E {
-        &self.engine
     }
 
     /// A current snapshot of `g`, from the published epoch when
@@ -595,7 +576,8 @@ impl<E: AccessEngine> Enforcer<E> {
     /// run (short-circuited conditions don't count), product states
     /// from the engine's own counters. The owner fast path and
     /// decision-cache hits report an all-zero census — no traversal
-    /// ran.
+    /// ran, and no snapshot was pinned: the epoch's `Arc` is cloned by
+    /// the first condition that actually evaluates.
     pub fn check_access_with_stats(
         &self,
         g: &SocialGraph,
@@ -603,90 +585,57 @@ impl<E: AccessEngine> Enforcer<E> {
         rid: ResourceId,
         requester: NodeId,
     ) -> Result<(Decision, ReadStats), EvalError> {
-        let mut stats = ReadStats::default();
-        let owner = store.owner_of(rid)?;
-        if requester == owner {
-            return Ok((Decision::Grant, stats));
-        }
-        if let Some(&d) = self.cache.read().get(&(rid, requester)) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((d, stats));
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-
-        let snap = if self.engine.uses_snapshot() {
-            self.snapshot_for(g)
-        } else {
-            None
-        };
-        let mut decision = Decision::Deny;
-        'rules: for rule in store.rules_for(rid) {
-            for cond in &rule.conditions {
-                let out = match &snap {
-                    Some(s) => self
-                        .engine
-                        .check_with_snapshot(g, s, cond.owner, &cond.path, requester)?,
-                    None => self.engine.check(g, cond.owner, &cond.path, requester)?,
-                };
-                stats.conditions += 1;
-                stats.traversals += 1;
-                stats.rounds += 1; // one pass is one "round" on a single graph
-                stats.states_expanded += out.stats.states_visited;
-                if !out.granted {
-                    continue 'rules; // conjunction failed; try next rule
-                }
-            }
-            if !rule.conditions.is_empty() {
-                decision = Decision::Grant;
-                break;
-            }
-        }
-        self.cache.write().insert((rid, requester), decision);
-        Ok((decision, stats))
+        let mut pinned: Option<Option<Arc<CsrSnapshot>>> = None;
+        decision::check(&self.decisions, store, rid, requester, |cond| {
+            let snap = pinned.get_or_insert_with(|| self.publish_snapshot(g));
+            let out = match snap {
+                Some(s) => self
+                    .engine
+                    .check_with_snapshot(g, s, cond.owner, &cond.path, requester)?,
+                None => self.engine.check(g, cond.owner, &cond.path, requester)?,
+            };
+            Ok((out.granted, ReadStats::one_pass(out.stats.states_visited)))
+        })
     }
 
-    /// Decides a batch of requests on `threads` worker threads
-    /// (scoped; no detached state). Decisions come back in request
-    /// order. The decision cache is shared across workers, so duplicate
-    /// requests in a batch are answered once.
+    /// Decides a batch of requests along the forced route; decisions
+    /// come back in request order with the batch's cumulative census.
+    ///
+    /// [`CheckPlan::Targeted`] runs one early-exit walk per request on
+    /// up to `threads` scoped worker threads (no detached state). The
+    /// decision cache is shared across workers, so duplicate requests
+    /// are answered once. [`CheckPlan::Audience`] materializes the
+    /// uncached resources' audiences with the given bundle strategy and
+    /// decides by membership (`threads` is unused). Owner fast path and
+    /// cache accounting are identical on both routes, so they are
+    /// interchangeable per batch.
     ///
     /// Engines are immutable after construction, so `E: Sync` is the
     /// only extra requirement.
-    pub fn check_batch(
+    pub fn check_batch_forced(
         &self,
         g: &SocialGraph,
         store: &PolicyStore,
         requests: &[(ResourceId, NodeId)],
         threads: usize,
-    ) -> Result<Vec<Decision>, EvalError>
-    where
-        E: Sync,
-    {
-        Ok(self.check_batch_with_stats(g, store, requests, threads)?.0)
-    }
-
-    /// [`Enforcer::check_batch`] plus the batch's cumulative work
-    /// census, summed across workers.
-    pub fn check_batch_with_stats(
-        &self,
-        g: &SocialGraph,
-        store: &PolicyStore,
-        requests: &[(ResourceId, NodeId)],
-        threads: usize,
+        plan: CheckPlan,
     ) -> Result<(Vec<Decision>, ReadStats), EvalError>
     where
         E: Sync,
     {
+        if let CheckPlan::Audience(strategy) = plan {
+            return decision::check_via_audiences(&self.decisions, store, requests, |need| {
+                self.audience_batch_forced(g, store, need, strategy)
+            });
+        }
+        let check = |slice: &[(ResourceId, NodeId)]| {
+            decision::check_each(slice, |rid, req| {
+                self.check_access_with_stats(g, store, rid, req)
+            })
+        };
         let threads = threads.max(1).min(requests.len().max(1));
         if threads == 1 {
-            let mut stats = ReadStats::default();
-            let mut decisions = Vec::with_capacity(requests.len());
-            for &(rid, req) in requests {
-                let (d, s) = self.check_access_with_stats(g, store, rid, req)?;
-                stats.absorb(&s);
-                decisions.push(d);
-            }
-            return Ok((decisions, stats));
+            return check(requests);
         }
         // Publish the epoch's snapshot once up front so cold workers
         // start traversing immediately instead of queueing on the
@@ -695,20 +644,10 @@ impl<E: AccessEngine> Enforcer<E> {
         let chunk = requests.len().div_ceil(threads);
         type ChunkResult = Result<(Vec<Decision>, ReadStats), EvalError>;
         let results: Vec<ChunkResult> = std::thread::scope(|scope| {
+            let check = &check;
             let handles: Vec<_> = requests
                 .chunks(chunk)
-                .map(|slice| {
-                    scope.spawn(move || {
-                        let mut stats = ReadStats::default();
-                        let mut decisions = Vec::with_capacity(slice.len());
-                        for &(rid, req) in slice {
-                            let (d, s) = self.check_access_with_stats(g, store, rid, req)?;
-                            stats.absorb(&s);
-                            decisions.push(d);
-                        }
-                        Ok((decisions, stats))
-                    })
-                })
+                .map(|slice| scope.spawn(move || check(slice)))
                 .collect();
             handles
                 .into_iter()
@@ -727,35 +666,25 @@ impl<E: AccessEngine> Enforcer<E> {
 
     /// Audiences of a whole bundle of resources over one shared
     /// snapshot epoch, batched through the engine
-    /// ([`resource_audience_batch`]); results come back in `rids`
-    /// order.
+    /// ([`resource_audience_batch_with_stats`]); results come back in
+    /// `rids` order.
     pub fn audience_batch(
         &self,
         g: &SocialGraph,
         store: &PolicyStore,
         rids: &[ResourceId],
     ) -> Result<Vec<Vec<NodeId>>, EvalError> {
-        let snap = self.publish_snapshot(g);
-        resource_audience_batch(g, store, rids, &self.engine, snap.as_deref())
+        Ok(self
+            .audience_batch_forced(g, store, rids, BundleStrategy::Batched)?
+            .0)
     }
 
     /// [`Enforcer::audience_batch`] plus the bundle's uniform work
-    /// census ([`ReadStats`]).
-    pub fn audience_batch_with_stats(
-        &self,
-        g: &SocialGraph,
-        store: &PolicyStore,
-        rids: &[ResourceId],
-    ) -> Result<(Vec<Vec<NodeId>>, ReadStats), EvalError> {
-        let snap = self.publish_snapshot(g);
-        resource_audience_batch_with_stats(g, store, rids, &self.engine, snap.as_deref())
-    }
-
-    /// [`Enforcer::audience_batch_with_stats`] with the bundle
-    /// strategy **forced**: `Batched` is the default multi-source path
-    /// above; `PerCondition` runs one traversal per deduped condition
-    /// over the same published snapshot. Both arms return identical
-    /// audiences — the planner's single-graph dispatch seam.
+    /// census ([`ReadStats`]), with the bundle strategy **forced**:
+    /// `Batched` is the multi-source path; `PerCondition` runs one
+    /// traversal per deduped condition over the same published
+    /// snapshot. Both arms return identical audiences — the planner's
+    /// single-graph dispatch seam.
     pub fn audience_batch_forced(
         &self,
         g: &SocialGraph,
@@ -778,71 +707,6 @@ impl<E: AccessEngine> Enforcer<E> {
         }
     }
 
-    /// Decides a batch of requests by **audience membership** instead
-    /// of targeted walks: materialize the deduped resources' audiences
-    /// (with the forced bundle strategy), then answer each request by
-    /// binary search — the [`crate::CheckPlan::Audience`] route the
-    /// planner picks when many requests share few resources. Owner
-    /// fast path
-    /// and the shared decision cache behave exactly as in
-    /// [`Enforcer::check_access_with_stats`], so the two routes are
-    /// interchangeable per batch.
-    pub fn check_batch_via_audiences(
-        &self,
-        g: &SocialGraph,
-        store: &PolicyStore,
-        requests: &[(ResourceId, NodeId)],
-        strategy: BundleStrategy,
-    ) -> Result<(Vec<Decision>, ReadStats), EvalError> {
-        // Resources that actually need evaluation: requested by a
-        // non-owner and not already decided in the cache.
-        let mut need: Vec<ResourceId> = Vec::new();
-        let mut needed: HashSet<ResourceId> = HashSet::new();
-        {
-            let cache = self.cache.read();
-            for &(rid, req) in requests {
-                let owner = store.owner_of(rid)?;
-                if req == owner || cache.contains_key(&(rid, req)) {
-                    continue;
-                }
-                if needed.insert(rid) {
-                    need.push(rid);
-                }
-            }
-        }
-        let (audiences, stats) = if need.is_empty() {
-            (Vec::new(), ReadStats::default())
-        } else {
-            self.audience_batch_forced(g, store, &need, strategy)?
-        };
-        let by_rid: HashMap<ResourceId, &Vec<NodeId>> =
-            need.iter().copied().zip(audiences.iter()).collect();
-        let mut cache = self.cache.write();
-        let mut out = Vec::with_capacity(requests.len());
-        for &(rid, req) in requests {
-            let owner = store.owner_of(rid)?;
-            if req == owner {
-                out.push(Decision::Grant);
-                continue;
-            }
-            if let Some(&d) = cache.get(&(rid, req)) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                out.push(d);
-                continue;
-            }
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            let audience = by_rid[&rid];
-            let d = if audience.binary_search(&req).is_ok() {
-                Decision::Grant
-            } else {
-                Decision::Deny
-            };
-            cache.insert((rid, req), d);
-            out.push(d);
-        }
-        Ok((out, stats))
-    }
-
     /// Drops every cached decision but **keeps** the published snapshot
     /// as the base the next publication can patch
     /// ([`CsrSnapshot::apply_edge_appends`]) or revalidate against —
@@ -850,7 +714,7 @@ impl<E: AccessEngine> Enforcer<E> {
     /// attribute writes, or policy changes (everything
     /// `AccessControlSystem` can do).
     pub fn invalidate_decisions(&self) {
-        self.cache.write().clear();
+        self.decisions.clear();
     }
 
     /// Drops every cached decision, the published snapshot, **and**
@@ -860,22 +724,19 @@ impl<E: AccessEngine> Enforcer<E> {
     /// calling thread's fallback cache can be dropped from here;
     /// other threads validate theirs by generation on next use.)
     pub fn invalidate(&self) {
-        self.cache.write().clear();
+        self.decisions.clear();
         *self.published.write() = None;
         online::release_thread_snapshot();
     }
 
     /// `(hits, misses)` counters since construction.
     pub fn cache_stats(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
+        self.decisions.stats()
     }
 
     /// Number of cached decisions.
     pub fn cache_len(&self) -> usize {
-        self.cache.read().len()
+        self.decisions.len()
     }
 }
 
@@ -1040,8 +901,8 @@ mod tests {
             .map(|&(r, u)| enforcer.check_access(&g, &store, r, u).unwrap())
             .collect();
         for threads in [1, 2, 4, 7] {
-            let parallel = enforcer
-                .check_batch(&g, &store, &requests, threads)
+            let (parallel, _) = enforcer
+                .check_batch_forced(&g, &store, &requests, threads, CheckPlan::Targeted)
                 .unwrap();
             assert_eq!(parallel, sequential, "threads = {threads}");
         }
@@ -1054,7 +915,7 @@ mod tests {
         let enforcer = Enforcer::new(OnlineEngine);
         let bad = vec![(crate::policy::ResourceId(999), alice)];
         assert!(matches!(
-            enforcer.check_batch(&g, &store, &bad, 4),
+            enforcer.check_batch_forced(&g, &store, &bad, 4, CheckPlan::Targeted),
             Err(EvalError::UnknownResource(999))
         ));
     }
@@ -1063,7 +924,11 @@ mod tests {
     fn check_batch_on_empty_input() {
         let (g, store, _) = setup();
         let enforcer = Enforcer::new(OnlineEngine);
-        assert_eq!(enforcer.check_batch(&g, &store, &[], 8).unwrap(), vec![]);
+        let (decisions, census) = enforcer
+            .check_batch_forced(&g, &store, &[], 8, CheckPlan::Targeted)
+            .unwrap();
+        assert!(decisions.is_empty());
+        assert_eq!(census, ReadStats::default());
     }
 
     #[test]

@@ -21,6 +21,13 @@ impl ParseError {
             source: source.to_owned(),
         }
     }
+
+    /// The refusal both policy grammars raise at the first step past
+    /// [`crate::path::PathExpr::MAX_STEPS`] (`pos` is where it starts).
+    pub(crate) fn too_many_steps(pos: usize, source: &str) -> Self {
+        let budget = crate::path::PathExpr::MAX_STEPS;
+        ParseError::new(pos, format!("a path holds at most {budget} steps"), source)
+    }
 }
 
 impl fmt::Display for ParseError {

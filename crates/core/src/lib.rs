@@ -144,6 +144,27 @@
 //! [`online::evaluate_reference`] stay apart on purpose: they are the
 //! oracles the differential suites compare the driver against.
 //!
+//! ## One decision layer, three backends
+//!
+//! Above the engines sits the paper's grant rule — *the owner is
+//! always granted; otherwise some rule must have all of its conditions
+//! satisfied; no rules means private* — and it is written **once**, in
+//! the crate-private `decision` module: `check` (owner fast path →
+//! decision cache → the rules-disjoin / conditions-conjoin loop),
+//! `explain` (the same loop collecting witness walks),
+//! `check_via_audiences` (the membership route of a check batch), the
+//! targeted per-request loop and the ad-hoc query parse → scatter. The
+//! [`Enforcer`] of the single graph, [`ShardedSystem`] and
+//! [`NetworkedSystem`] each own one `DecisionCache` and pass a closure
+//! that evaluates *one condition* their own way — a snapshot walk
+//! (pinned only after a cache miss), the in-process targeted fixpoint,
+//! the over-the-wire one under its whole-read retry — so decisions and
+//! `cache_stats` accounting cannot drift between deployments. The
+//! [`AccessService`] trait mirrors that split: a backend implements
+//! thirteen required methods (naming, the five census-returning read
+//! primitives, its default check route) and every other read is a
+//! provided method defined once on the trait.
+//!
 //! ## Networked serving: shards as processes
 //!
 //! The [`remote`] module lifts the sharded backend across process
@@ -192,10 +213,13 @@
 //! [`ReadStats::plan_states`]/[`ReadStats::expr_states`] and feeds the
 //! adaptive planner's per-resource profiles. A bundle past the
 //! plan's `u16` node budget is bisected into several plans and served
-//! through the same code; `tests/query_differential.rs` pins the
+//! through the same code (one *path* past that budget,
+//! [`PathExpr::MAX_STEPS`], is refused by both parsers with a caret
+//! error); `tests/query_differential.rs` pins the
 //! planned path to per-condition evaluation on all three deployments.
 
 pub mod carminati;
+mod decision;
 pub mod durability;
 pub mod engine;
 pub mod error;
@@ -219,7 +243,7 @@ pub use durability::{
     HistoryEntry, RecoveryReport, TornTail, WalRecord,
 };
 pub use engine::{
-    resource_audience, resource_audience_batch, resource_audience_batch_per_condition_with_stats,
+    resource_audience, resource_audience_batch_per_condition_with_stats,
     resource_audience_batch_with_stats, AccessEngine, AudienceOutcome, CheckOutcome, Enforcer,
     EvalStats, OnlineEngine,
 };

@@ -301,6 +301,14 @@ pub struct PathExpr {
 }
 
 impl PathExpr {
+    /// The step budget of one path: the largest one-path bundle
+    /// [`crate::query::BundlePlan::compile`] accepts. Every engine
+    /// addresses a path's steps (or a plan's nodes) in the `u16` slot
+    /// of its product-state key, so the parsers of both policy
+    /// syntaxes refuse a longer path with a caret error instead of
+    /// letting an engine wrap the index.
+    pub const MAX_STEPS: usize = u16::MAX as usize;
+
     /// Builds a path from steps.
     pub fn new(steps: Vec<Step>) -> Self {
         PathExpr { steps }

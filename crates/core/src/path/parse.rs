@@ -46,6 +46,9 @@ pub fn parse_path(text: &str, vocab: &mut Vocabulary) -> Result<PathExpr, ParseE
             Some(b'/') | Some(b'=') => {
                 p.pos += 1;
                 p.skip_ws();
+                if steps.len() == PathExpr::MAX_STEPS {
+                    return Err(ParseError::too_many_steps(p.pos, p.src));
+                }
                 steps.push(p.step(vocab)?);
             }
             None => break,

@@ -725,42 +725,31 @@ impl PlannedService {
     pub fn into_inner(self) -> ServiceInstance {
         self.inner
     }
-
-    /// The backend's unplanned route for a check batch of `len`
-    /// requests — what cold-start serves. Mirrors each backend's
-    /// `check_batch_with_stats` dispatch.
-    fn default_check_plan(&self, len: usize) -> CheckPlan {
-        match &self.inner {
-            ServiceInstance::Single(_) => CheckPlan::Targeted,
-            ServiceInstance::Sharded(_) | ServiceInstance::Networked(_) if len <= 1 => {
-                CheckPlan::Targeted
-            }
-            ServiceInstance::Sharded(_) | ServiceInstance::Networked(_) => {
-                CheckPlan::Audience(BundleStrategy::Batched)
-            }
-        }
-    }
 }
 
+/// Forwards naming and the un-profiled reads, **observes** the
+/// primitives that carry a census (an explicit force outranks the
+/// planner but still warms the profile), and overrides exactly the two
+/// provided reads where a policy is chosen.
 impl AccessService for PlannedService {
     fn describe(&self) -> String {
         format!(
             "planned({}, {})",
-            self.inner.reads().describe(),
+            self.inner.describe(),
             self.planner.mode.as_str()
         )
     }
 
     fn num_members(&self) -> usize {
-        self.inner.reads().num_members()
+        self.inner.num_members()
     }
 
     fn num_relationships(&self) -> usize {
-        self.inner.reads().num_relationships()
+        self.inner.num_relationships()
     }
 
     fn resolve_user(&self, name: &str) -> Result<NodeId, EvalError> {
-        self.inner.reads().resolve_user(name)
+        self.inner.resolve_user(name)
     }
 
     fn member_name(&self, member: NodeId) -> &str {
@@ -771,8 +760,8 @@ impl AccessService for PlannedService {
         self.inner.label_name(label)
     }
 
-    fn check(&self, resource: ResourceId, requester: NodeId) -> Result<Decision, EvalError> {
-        Ok(self.check_with_stats(resource, requester)?.0)
+    fn cache_stats(&self) -> (u64, u64) {
+        self.inner.cache_stats()
     }
 
     fn check_with_stats(
@@ -781,71 +770,10 @@ impl AccessService for PlannedService {
         requester: NodeId,
     ) -> Result<(Decision, ReadStats), EvalError> {
         let start = Instant::now();
-        let (decision, stats) = self.inner.reads().check_with_stats(resource, requester)?;
+        let (decision, stats) = self.inner.check_with_stats(resource, requester)?;
         self.planner
             .observe_targeted(resource, start.elapsed().as_nanos() as u64, &stats);
         Ok((decision, stats))
-    }
-
-    fn check_batch(
-        &self,
-        requests: &[(ResourceId, NodeId)],
-        threads: usize,
-    ) -> Result<Vec<Decision>, EvalError> {
-        Ok(self.check_batch_with_stats(requests, threads)?.0)
-    }
-
-    fn check_batch_with_stats(
-        &self,
-        requests: &[(ResourceId, NodeId)],
-        threads: usize,
-    ) -> Result<(Vec<Decision>, ReadStats), EvalError> {
-        let plan = self
-            .planner
-            .plan_checks(requests, self.default_check_plan(requests.len()));
-        let start = Instant::now();
-        let (decisions, stats) = self
-            .inner
-            .reads()
-            .check_batch_forced(requests, threads, plan)?;
-        self.planner
-            .observe_checks(requests, plan, start.elapsed().as_nanos() as u64, &stats);
-        Ok((decisions, stats))
-    }
-
-    fn audience_batch_with_stats(
-        &self,
-        rids: &[ResourceId],
-    ) -> Result<(Vec<Vec<NodeId>>, ReadStats), EvalError> {
-        let strategy = self.planner.plan_audience(rids);
-        let start = Instant::now();
-        let (audiences, stats) = self.inner.reads().audience_batch_forced(rids, strategy)?;
-        self.planner.observe_audience(
-            rids,
-            strategy,
-            start.elapsed().as_nanos() as u64,
-            &stats,
-            &audiences,
-        );
-        Ok((audiences, stats))
-    }
-
-    fn query_audience_bundle(
-        &self,
-        queries: &[(NodeId, &str)],
-    ) -> Result<Vec<Vec<NodeId>>, EvalError> {
-        // Read-only ad-hoc queries carry no ResourceId to profile, so
-        // they bypass the planner and ride the backend's default
-        // bundle strategy.
-        self.inner.reads().query_audience_bundle(queries)
-    }
-
-    fn explain(
-        &self,
-        resource: ResourceId,
-        requester: NodeId,
-    ) -> Result<Option<Explanation>, EvalError> {
-        Ok(self.explain_with_stats(resource, requester)?.0)
     }
 
     fn explain_with_stats(
@@ -854,18 +782,10 @@ impl AccessService for PlannedService {
         requester: NodeId,
     ) -> Result<(Option<Explanation>, ReadStats), EvalError> {
         let start = Instant::now();
-        let (explanation, stats) = self.inner.reads().explain_with_stats(resource, requester)?;
+        let (explanation, stats) = self.inner.explain_with_stats(resource, requester)?;
         self.planner
             .observe_targeted(resource, start.elapsed().as_nanos() as u64, &stats);
         Ok((explanation, stats))
-    }
-
-    fn cache_stats(&self) -> (u64, u64) {
-        self.inner.reads().cache_stats()
-    }
-
-    fn stats_supported(&self) -> bool {
-        self.inner.reads().stats_supported()
     }
 
     fn audience_batch_forced(
@@ -873,10 +793,8 @@ impl AccessService for PlannedService {
         rids: &[ResourceId],
         strategy: BundleStrategy,
     ) -> Result<(Vec<Vec<NodeId>>, ReadStats), EvalError> {
-        // An explicit force outranks the planner; still observe, so
-        // forced traffic warms the profile.
         let start = Instant::now();
-        let (audiences, stats) = self.inner.reads().audience_batch_forced(rids, strategy)?;
+        let (audiences, stats) = self.inner.audience_batch_forced(rids, strategy)?;
         self.planner.observe_audience(
             rids,
             strategy,
@@ -894,13 +812,44 @@ impl AccessService for PlannedService {
         plan: CheckPlan,
     ) -> Result<(Vec<Decision>, ReadStats), EvalError> {
         let start = Instant::now();
-        let (decisions, stats) = self
-            .inner
-            .reads()
-            .check_batch_forced(requests, threads, plan)?;
+        let (decisions, stats) = self.inner.check_batch_forced(requests, threads, plan)?;
         self.planner
             .observe_checks(requests, plan, start.elapsed().as_nanos() as u64, &stats);
         Ok((decisions, stats))
+    }
+
+    /// Read-only ad-hoc queries carry no [`ResourceId`] to profile, so
+    /// they bypass the planner and ride the backend's default bundle
+    /// strategy.
+    fn query_audience_bundle(
+        &self,
+        queries: &[(NodeId, &str)],
+    ) -> Result<Vec<Vec<NodeId>>, EvalError> {
+        self.inner.query_audience_bundle(queries)
+    }
+
+    fn default_check_plan(&self, len: usize) -> CheckPlan {
+        self.inner.default_check_plan(len)
+    }
+
+    /// The planner picks the bundle strategy.
+    fn audience_batch_with_stats(
+        &self,
+        rids: &[ResourceId],
+    ) -> Result<(Vec<Vec<NodeId>>, ReadStats), EvalError> {
+        self.audience_batch_forced(rids, self.planner.plan_audience(rids))
+    }
+
+    /// The planner picks the decision route (cold start serves the
+    /// backend's [`AccessService::default_check_plan`]).
+    fn check_batch_with_stats(
+        &self,
+        requests: &[(ResourceId, NodeId)],
+        threads: usize,
+    ) -> Result<(Vec<Decision>, ReadStats), EvalError> {
+        let default = self.default_check_plan(requests.len());
+        let plan = self.planner.plan_checks(requests, default);
+        self.check_batch_forced(requests, threads, plan)
     }
 }
 

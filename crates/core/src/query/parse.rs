@@ -70,6 +70,9 @@ pub fn parse_query(text: &str, vocab: &mut Vocabulary) -> Result<PathExpr, Parse
         if p.at_end() {
             break;
         }
+        if steps.len() == PathExpr::MAX_STEPS {
+            return Err(ParseError::too_many_steps(p.pos, p.src));
+        }
         let (label_name, dir, depths) = p.rel()?;
         let label = vocab.intern_label(label_name);
         p.skip_ws();

@@ -68,9 +68,10 @@ impl BundlePlan {
     /// trie. Steps are canonicalized before node lookup, so
     /// semantically identical steps share a node regardless of how
     /// they were written. Returns `None` if the bundle needs more than
-    /// `u16::MAX` trie nodes — node ids travel in the `u16` step slot
-    /// of masked state keys; [`BundlePlan::compile_all`] splits such a
-    /// bundle into several plans.
+    /// [`PathExpr::MAX_STEPS`] trie nodes — node ids travel in the
+    /// `u16` step slot of masked state keys;
+    /// [`BundlePlan::compile_all`] splits such a bundle into several
+    /// plans.
     pub fn compile(paths: &[&PathExpr]) -> Option<BundlePlan> {
         let mut plan = BundlePlan {
             nodes: Vec::new(),
@@ -97,7 +98,7 @@ impl BundlePlan {
                 {
                     Some(n) => n,
                     None => {
-                        if plan.nodes.len() >= u16::MAX as usize {
+                        if plan.nodes.len() >= PathExpr::MAX_STEPS {
                             return None;
                         }
                         let id = plan.nodes.len() as u16;
@@ -132,9 +133,13 @@ impl BundlePlan {
             match BundlePlan::compile(paths) {
                 Some(plan) => out.push((offset..offset + paths.len(), plan)),
                 None => {
-                    // One path alone addresses its steps in the same
-                    // `u16` slot on every engine.
-                    assert!(paths.len() > 1, "a path of more than u16::MAX steps");
+                    // Unreachable for a parsed policy: both grammars
+                    // refuse a path past `PathExpr::MAX_STEPS`, which
+                    // is exactly the budget a lone path needs.
+                    assert!(
+                        paths.len() > 1,
+                        "a path of more than PathExpr::MAX_STEPS steps was built past the parsers"
+                    );
                     let mid = paths.len() / 2;
                     go(&paths[..mid], offset, out);
                     go(&paths[mid..], offset + mid, out);

@@ -18,9 +18,10 @@
 //!   blocking stream; the CRC covers the length bytes so a damaged
 //!   length cannot fake a frame. No async runtime: plain
 //!   `std::net`/`std::os::unix::net` with threads.
-//! * [`proto`] — serde-encoded [`Request`]/[`Response`] messages. All
-//!   member coordinates on the wire are **global** ids; each server
-//!   translates to its local node space at the edge.
+//! * [`proto`] — serde-encoded [`proto::Request`] /
+//!   [`proto::Response`] messages. All member coordinates on the wire
+//!   are **global** ids; each server translates to its local node
+//!   space at the edge.
 //! * [`ShardAddr`] — TCP (`host:port`) or Unix-domain (`unix:/path`)
 //!   endpoints; both transports run the identical protocol and the
 //!   conformance tier keeps both green.

@@ -5,8 +5,9 @@
 //! same encoding the WAL uses, deterministic and self-describing) and
 //! travel inside the CRC frames of [`super::frame`]. The traversal
 //! vocabulary is **not** new: boundary exports ride the exact
-//! [`MaskedExport`]/[`MaskedStateKey`] types the in-process sharded
-//! router moves between shards, with `key.member` in deployment-global
+//! [`MaskedExport`] /
+//! [`MaskedStateKey`](socialreach_graph::shard::MaskedStateKey) types
+//! the in-process sharded router moves between shards, with `key.member` in deployment-global
 //! member ids (each server translates to its local node space at the
 //! edge).
 //!

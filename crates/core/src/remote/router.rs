@@ -37,18 +37,19 @@
 use super::frame::{self, FrameError};
 use super::proto::{self, Request, Response, ShardOp, PROTOCOL_VERSION};
 use super::{Conn, RemoteError, ShardAddr, DEFAULT_READ_TIMEOUT, MAX_ROUND_EXPORTS};
+use crate::decision::{self, DecisionCache};
 use crate::error::EvalError;
 use crate::fixpoint::{self, LaneRound, ShardLane, StateKey};
 use crate::path::PathExpr;
 use crate::policy::{Decision, PolicyStore, ResourceId};
 use crate::service::{
     AccessService, BundleStrategy, CheckPlan, Explanation, MutateService, ReadStats, WalkHop,
-    WitnessWalk,
 };
-use parking_lot::{Mutex, RwLock};
+use crate::sharded::partitioned_check_plan;
+use parking_lot::Mutex;
 use socialreach_graph::shard::{BoundaryEdge, BoundaryTable, MaskedExport, ShardAssignment};
 use socialreach_graph::{AttrValue, LabelId, NodeId, SocialGraph, Vocabulary};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -245,9 +246,7 @@ pub struct NetworkedSystem {
     /// source for shards that missed commits.
     oplog: Vec<Vec<(u64, Vec<ShardOp>)>>,
     epoch: u64,
-    cache: RwLock<HashMap<(ResourceId, NodeId), Decision>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    decisions: DecisionCache,
     eval_counter: AtomicU64,
     read_timeout: Duration,
 }
@@ -293,9 +292,7 @@ impl NetworkedSystem {
             edges: Vec::new(),
             oplog: vec![Vec::new(); n],
             epoch: 0,
-            cache: RwLock::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            decisions: DecisionCache::default(),
             eval_counter: AtomicU64::new(1),
             read_timeout: DEFAULT_READ_TIMEOUT,
         };
@@ -385,7 +382,7 @@ impl NetworkedSystem {
 
     /// Adopts a policy store built against the same member ids.
     pub fn adopt_store(&mut self, store: PolicyStore) {
-        self.cache.get_mut().clear();
+        self.decisions.clear();
         self.store = store;
     }
 
@@ -689,7 +686,7 @@ impl NetworkedSystem {
                 }
             }
         }
-        self.cache.get_mut().clear();
+        self.decisions.clear();
         Ok(())
     }
 
@@ -816,7 +813,7 @@ impl NetworkedSystem {
     /// Registers a resource owned by `owner` (router-local: policy
     /// lives at the router, only topology is sharded).
     pub fn share(&mut self, owner: NodeId) -> ResourceId {
-        self.cache.get_mut().clear();
+        self.decisions.clear();
         self.store.register_resource(owner)
     }
 
@@ -824,7 +821,7 @@ impl NetworkedSystem {
     /// either syntax, classic path notation or the openCypher-flavored
     /// `MATCH` grammar ([`crate::query::parse_policy`]).
     pub fn allow(&mut self, rid: ResourceId, path_text: &str) -> Result<(), EvalError> {
-        self.cache.get_mut().clear();
+        self.decisions.clear();
         let owner = self.store.owner_of(rid)?;
         let path = crate::query::parse_policy(path_text, &mut self.vocab)?;
         self.store.add_rule(crate::policy::AccessRule {
@@ -1042,64 +1039,12 @@ impl NetworkedSystem {
         }
         Ok((audiences, total))
     }
-
-    /// Decides a batch by audience membership (the audience-plan arm
-    /// shared with the in-process backends).
-    fn check_batch_via_audiences(
-        &self,
-        requests: &[(ResourceId, NodeId)],
-        strategy: BundleStrategy,
-    ) -> Result<(Vec<Decision>, ReadStats), EvalError> {
-        let mut stats = ReadStats::default();
-        let mut decisions: Vec<Option<Decision>> = vec![None; requests.len()];
-        let mut need: Vec<ResourceId> = Vec::new();
-        let mut needed: HashSet<ResourceId> = HashSet::new();
-        {
-            let cache = self.cache.read();
-            for (i, &(rid, req)) in requests.iter().enumerate() {
-                let owner = self.store.owner_of(rid)?;
-                if req == owner {
-                    decisions[i] = Some(Decision::Grant);
-                } else if let Some(&d) = cache.get(&(rid, req)) {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    decisions[i] = Some(d);
-                } else {
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    if needed.insert(rid) {
-                        need.push(rid);
-                    }
-                }
-            }
-        }
-        if !need.is_empty() {
-            let (audiences, s) = AccessService::audience_batch_forced(self, &need, strategy)?;
-            stats.absorb(&s);
-            let by_rid: HashMap<ResourceId, &Vec<NodeId>> =
-                need.iter().copied().zip(audiences.iter()).collect();
-            let mut cache = self.cache.write();
-            for (i, &(rid, req)) in requests.iter().enumerate() {
-                if decisions[i].is_some() {
-                    continue;
-                }
-                let d = if by_rid[&rid].binary_search(&req).is_ok() {
-                    Decision::Grant
-                } else {
-                    Decision::Deny
-                };
-                cache.insert((rid, req), d);
-                decisions[i] = Some(d);
-            }
-        }
-        Ok((
-            decisions
-                .into_iter()
-                .map(|d| d.expect("every request decided"))
-                .collect(),
-            stats,
-        ))
-    }
 }
 
+/// The deployment-agnostic read surface. Decisions run the shared
+/// decision layer; this backend contributes the over-the-wire
+/// evaluation of one condition (targeted) or one bundle (batched),
+/// each under the whole-read retry.
 impl AccessService for NetworkedSystem {
     fn describe(&self) -> String {
         format!("networked(n={})", self.lanes.len())
@@ -1125,69 +1070,8 @@ impl AccessService for NetworkedSystem {
         self.vocab.label_name(label)
     }
 
-    fn check(&self, rid: ResourceId, requester: NodeId) -> Result<Decision, EvalError> {
-        Ok(self.check_with_stats(rid, requester)?.0)
-    }
-
-    fn check_batch(
-        &self,
-        requests: &[(ResourceId, NodeId)],
-        threads: usize,
-    ) -> Result<Vec<Decision>, EvalError> {
-        Ok(self.check_batch_with_stats(requests, threads)?.0)
-    }
-
-    fn audience_batch_with_stats(
-        &self,
-        rids: &[ResourceId],
-    ) -> Result<(Vec<Vec<NodeId>>, ReadStats), EvalError> {
-        let mut stats = ReadStats::default();
-        let audiences = crate::engine::merge_bundle_audiences(&self.store, rids, |uniq| {
-            let (audiences, s) = self.with_read_retry(|| self.evaluate_conditions_batched(uniq))?;
-            stats = s;
-            Ok(audiences)
-        })?;
-        Ok((audiences, stats))
-    }
-
-    fn query_audience_bundle(
-        &self,
-        queries: &[(NodeId, &str)],
-    ) -> Result<Vec<Vec<NodeId>>, EvalError> {
-        let texts: Vec<&str> = queries.iter().map(|&(_, t)| t).collect();
-        let parsed = crate::query::parse_queries_readonly(&texts, &self.vocab)?;
-        let mut out: Vec<Vec<NodeId>> = vec![Vec::new(); queries.len()];
-        let mut conds: Vec<(NodeId, &PathExpr)> = Vec::new();
-        let mut slots: Vec<usize> = Vec::new();
-        for (i, path) in parsed.iter().enumerate() {
-            if let Some(path) = path {
-                conds.push((queries[i].0, path));
-                slots.push(i);
-            }
-        }
-        if conds.is_empty() {
-            return Ok(out);
-        }
-        let (audiences, _) = self.with_read_retry(|| self.evaluate_conditions_batched(&conds))?;
-        for (slot, audience) in slots.into_iter().zip(audiences) {
-            out[slot] = audience;
-        }
-        Ok(out)
-    }
-
-    fn explain(
-        &self,
-        rid: ResourceId,
-        requester: NodeId,
-    ) -> Result<Option<Explanation>, EvalError> {
-        Ok(self.explain_with_stats(rid, requester)?.0)
-    }
-
     fn cache_stats(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
+        self.decisions.stats()
     }
 
     fn check_with_stats(
@@ -1195,49 +1079,12 @@ impl AccessService for NetworkedSystem {
         rid: ResourceId,
         requester: NodeId,
     ) -> Result<(Decision, ReadStats), EvalError> {
-        let mut stats = ReadStats::default();
-        let owner = self.store.owner_of(rid)?;
-        if requester == owner {
-            return Ok((Decision::Grant, stats));
-        }
-        if let Some(&d) = self.cache.read().get(&(rid, requester)) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((d, stats));
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut decision = Decision::Deny;
-        'rules: for rule in self.store.rules_for(rid) {
-            if rule.conditions.is_empty() {
-                continue;
-            }
-            for cond in &rule.conditions {
-                let (witness, s) = self.with_read_retry(|| {
-                    self.evaluate_condition_targeted(cond.owner, &cond.path, requester)
-                })?;
-                stats.absorb(&s);
-                if witness.is_none() {
-                    continue 'rules;
-                }
-            }
-            decision = Decision::Grant;
-            break;
-        }
-        self.cache.write().insert((rid, requester), decision);
-        Ok((decision, stats))
-    }
-
-    fn check_batch_with_stats(
-        &self,
-        requests: &[(ResourceId, NodeId)],
-        threads: usize,
-    ) -> Result<(Vec<Decision>, ReadStats), EvalError> {
-        let _ = threads;
-        if requests.len() == 1 {
-            let (rid, req) = requests[0];
-            let (d, s) = self.check_with_stats(rid, req)?;
-            return Ok((vec![d], s));
-        }
-        self.check_batch_via_audiences(requests, BundleStrategy::Batched)
+        decision::check(&self.decisions, &self.store, rid, requester, |cond| {
+            let (witness, s) = self.with_read_retry(|| {
+                self.evaluate_condition_targeted(cond.owner, &cond.path, requester)
+            })?;
+            Ok((witness.is_some(), s))
+        })
     }
 
     fn explain_with_stats(
@@ -1245,36 +1092,11 @@ impl AccessService for NetworkedSystem {
         rid: ResourceId,
         requester: NodeId,
     ) -> Result<(Option<Explanation>, ReadStats), EvalError> {
-        let mut stats = ReadStats::default();
-        let owner = self.store.owner_of(rid)?;
-        if requester == owner {
-            return Ok((Some(Explanation::Ownership { owner }), stats));
-        }
-        'rules: for rule in self.store.rules_for(rid) {
-            if rule.conditions.is_empty() {
-                continue;
-            }
-            let mut walks = Vec::new();
-            for cond in &rule.conditions {
-                let (witness, s) = self.with_read_retry(|| {
-                    self.evaluate_condition_targeted(cond.owner, &cond.path, requester)
-                })?;
-                stats.absorb(&s);
-                let Some(witness) = witness else {
-                    continue 'rules;
-                };
-                walks.push(WitnessWalk {
-                    start: cond.owner,
-                    hops: witness,
-                });
-            }
-            return Ok((Some(Explanation::Rule { walks }), stats));
-        }
-        Ok((None, stats))
-    }
-
-    fn stats_supported(&self) -> bool {
-        true
+        decision::explain(&self.store, rid, requester, |cond| {
+            self.with_read_retry(|| {
+                self.evaluate_condition_targeted(cond.owner, &cond.path, requester)
+            })
+        })
     }
 
     fn audience_batch_forced(
@@ -1282,41 +1104,45 @@ impl AccessService for NetworkedSystem {
         rids: &[ResourceId],
         strategy: BundleStrategy,
     ) -> Result<(Vec<Vec<NodeId>>, ReadStats), EvalError> {
-        match strategy {
-            BundleStrategy::Batched => AccessService::audience_batch_with_stats(self, rids),
-            BundleStrategy::PerCondition => {
-                let mut stats = ReadStats::default();
-                let audiences = crate::engine::merge_bundle_audiences(&self.store, rids, |uniq| {
-                    let (audiences, s) =
-                        self.with_read_retry(|| self.audience_per_condition(uniq))?;
-                    stats = s;
-                    Ok(audiences)
-                })?;
-                Ok((audiences, stats))
-            }
-        }
+        crate::engine::merge_bundle_audiences(&self.store, rids, |uniq| {
+            self.with_read_retry(|| match strategy {
+                BundleStrategy::Batched => self.evaluate_conditions_batched(uniq),
+                BundleStrategy::PerCondition => self.audience_per_condition(uniq),
+            })
+        })
     }
 
     fn check_batch_forced(
         &self,
         requests: &[(ResourceId, NodeId)],
-        threads: usize,
+        _threads: usize,
         plan: CheckPlan,
     ) -> Result<(Vec<Decision>, ReadStats), EvalError> {
-        let _ = threads;
         match plan {
             CheckPlan::Targeted => {
-                let mut stats = ReadStats::default();
-                let mut decisions = Vec::with_capacity(requests.len());
-                for &(rid, req) in requests {
-                    let (d, s) = self.check_with_stats(rid, req)?;
-                    stats.absorb(&s);
-                    decisions.push(d);
-                }
-                Ok((decisions, stats))
+                decision::check_each(requests, |rid, req| self.check_with_stats(rid, req))
             }
-            CheckPlan::Audience(strategy) => self.check_batch_via_audiences(requests, strategy),
+            CheckPlan::Audience(strategy) => {
+                decision::check_via_audiences(&self.decisions, &self.store, requests, |need| {
+                    self.audience_batch_forced(need, strategy)
+                })
+            }
         }
+    }
+
+    fn query_audience_bundle(
+        &self,
+        queries: &[(NodeId, &str)],
+    ) -> Result<Vec<Vec<NodeId>>, EvalError> {
+        decision::query_bundle(&self.vocab, queries, |conds| {
+            Ok(self
+                .with_read_retry(|| self.evaluate_conditions_batched(conds))?
+                .0)
+        })
+    }
+
+    fn default_check_plan(&self, len: usize) -> CheckPlan {
+        partitioned_check_plan(len)
     }
 }
 

@@ -101,6 +101,19 @@ pub struct ReadStats {
 }
 
 impl ReadStats {
+    /// The census of one targeted single-graph evaluation: one
+    /// condition, one traversal, one pass (a pass is one "round" where
+    /// there is no cross-shard fixpoint).
+    pub(crate) fn one_pass(states_expanded: usize) -> ReadStats {
+        ReadStats {
+            conditions: 1,
+            traversals: 1,
+            rounds: 1,
+            states_expanded,
+            ..ReadStats::default()
+        }
+    }
+
     /// Element-wise accumulation.
     pub fn absorb(&mut self, other: &ReadStats) {
         self.conditions += other.conditions;
@@ -349,14 +362,66 @@ pub enum CheckPlan {
 
 /// The deployment-agnostic **read** surface of an access-control
 /// serving backend. Object-safe: callers hold `&dyn AccessService`
-/// and stay oblivious to whether one epoch-published graph or N
-/// shards answer them.
+/// and stay oblivious to whether one epoch-published graph, N
+/// in-process shards or N shard processes answer them.
 ///
-/// Required methods are the per-backend primitives; `audience`,
-/// `audience_batch`, `explain_lines` and `read_batch` are provided in
-/// terms of them, so a backend implements one body per primitive and
-/// inherits the rest.
+/// **Required = what a backend answers differently; provided =
+/// written once.** A backend (or decorator) implements thirteen
+/// methods:
+///
+/// * seven naming/introspection methods — [`describe`], [`num_members`],
+///   [`num_relationships`], [`resolve_user`], [`member_name`],
+///   [`label_name`], [`cache_stats`];
+/// * five read primitives, each returning its answer *and* the real
+///   work census of producing it — [`check_with_stats`],
+///   [`explain_with_stats`], [`audience_batch_forced`] (bundle strategy
+///   named by the caller), [`check_batch_forced`] (decision route named
+///   by the caller), [`query_audience_bundle`];
+/// * one policy answer — [`default_check_plan`], the route an
+///   unplanned check batch of a given size takes.
+///
+/// Every other read — [`check`], [`check_batch`],
+/// [`check_batch_with_stats`], [`explain`], [`explain_lines`],
+/// [`audience`], [`audience_batch`], [`audience_batch_with_stats`],
+/// [`query_audience`], [`read_batch`] — is a provided method defined
+/// here, once, in terms of those primitives, so it cannot drift between
+/// deployments. Decorators forward the required methods and override a
+/// provided one only where they *choose* a policy
+/// ([`crate::PlannedService`] picks the strategy of
+/// `audience_batch_with_stats` and the route of
+/// `check_batch_with_stats`).
+///
+/// The in-tree backends decide through one shared decision layer (the
+/// crate-private `decision` module): the grant rule below is written
+/// once and each backend contributes only how it evaluates a single
+/// condition.
+///
+/// [`describe`]: AccessService::describe
+/// [`num_members`]: AccessService::num_members
+/// [`num_relationships`]: AccessService::num_relationships
+/// [`resolve_user`]: AccessService::resolve_user
+/// [`member_name`]: AccessService::member_name
+/// [`label_name`]: AccessService::label_name
+/// [`cache_stats`]: AccessService::cache_stats
+/// [`check_with_stats`]: AccessService::check_with_stats
+/// [`explain_with_stats`]: AccessService::explain_with_stats
+/// [`audience_batch_forced`]: AccessService::audience_batch_forced
+/// [`check_batch_forced`]: AccessService::check_batch_forced
+/// [`query_audience_bundle`]: AccessService::query_audience_bundle
+/// [`default_check_plan`]: AccessService::default_check_plan
+/// [`check`]: AccessService::check
+/// [`check_batch`]: AccessService::check_batch
+/// [`check_batch_with_stats`]: AccessService::check_batch_with_stats
+/// [`explain`]: AccessService::explain
+/// [`explain_lines`]: AccessService::explain_lines
+/// [`audience`]: AccessService::audience
+/// [`audience_batch`]: AccessService::audience_batch
+/// [`audience_batch_with_stats`]: AccessService::audience_batch_with_stats
+/// [`query_audience`]: AccessService::query_audience
+/// [`read_batch`]: AccessService::read_batch
 pub trait AccessService: Send + Sync {
+    // -- required: naming and introspection ---------------------------
+
     /// Deployment label for logs and benchmark tables
     /// (e.g. `"single(online-bfs)"`, `"sharded(n=4)"`).
     fn describe(&self) -> String;
@@ -377,128 +442,59 @@ pub trait AccessService: Send + Sync {
     /// Display name of a relationship type.
     fn label_name(&self, label: LabelId) -> &str;
 
-    /// Decides whether `requester` may access `resource` (owner always
-    /// granted; rules disjoin; conditions within a rule conjoin; no
-    /// rules ⇒ private).
-    fn check(&self, resource: ResourceId, requester: NodeId) -> Result<Decision, EvalError>;
-
-    /// Decides a batch of requests over one coherent snapshot state;
-    /// decisions come back in request order. `threads` is the worker
-    /// hint of [`ReadBatch::threads`].
-    fn check_batch(
-        &self,
-        requests: &[(ResourceId, NodeId)],
-        threads: usize,
-    ) -> Result<Vec<Decision>, EvalError>;
-
-    /// Audiences of a whole bundle of resources in `rids` order, plus
-    /// the bundle's uniform work census. This is the primitive the
-    /// audience reads build on: backends amortize shared traversal
-    /// across the bundle's deduped conditions here.
-    fn audience_batch_with_stats(
-        &self,
-        rids: &[ResourceId],
-    ) -> Result<(Vec<Vec<NodeId>>, ReadStats), EvalError>;
-
-    /// Explains a grant with structured witness walks, or `None` when
-    /// access is denied. Render with [`Explanation::render`] or
-    /// [`AccessService::explain_lines`]; replay through the path
-    /// automaton in conformance tests.
-    fn explain(
-        &self,
-        resource: ResourceId,
-        requester: NodeId,
-    ) -> Result<Option<Explanation>, EvalError>;
-
-    /// Decision-cache statistics `(hits, misses)`.
+    /// Decision-cache statistics `(hits, misses)`: owner requests
+    /// count as neither, a request answered from the cache is a hit, a
+    /// request that had to be evaluated is a miss — on every route of
+    /// every backend (a duplicate of an uncached request within one
+    /// batch is one miss, then one hit).
     fn cache_stats(&self) -> (u64, u64);
 
-    /// Whether the `*_with_stats` reads report **real** work censuses.
-    /// Backends that override [`AccessService::check_with_stats`],
-    /// [`AccessService::explain_with_stats`] and
-    /// [`AccessService::check_batch_with_stats`] with live counters
-    /// must also override this to `true`; the inherited defaults
-    /// report all-zero censuses that would silently starve any
-    /// telemetry consumer (the adaptive planner learns nothing from
-    /// zeros). Both in-tree backends support stats.
-    fn stats_supported(&self) -> bool {
-        false
-    }
+    // -- required: the read primitives --------------------------------
 
-    /// [`AccessService::check`] plus the read's work census. Backends
-    /// override this with real counters (the default reports zeros);
-    /// decision-cache hits and the owner fast path legitimately report
-    /// an all-zero census — no traversal ran.
+    /// Decides whether `requester` may access `resource` (owner always
+    /// granted; rules disjoin; conditions within a rule conjoin; no
+    /// rules ⇒ private), plus the read's work census. Decision-cache
+    /// hits and the owner fast path legitimately report an all-zero
+    /// census — no traversal ran.
     fn check_with_stats(
         &self,
         resource: ResourceId,
         requester: NodeId,
-    ) -> Result<(Decision, ReadStats), EvalError> {
-        debug_assert!(
-            !self.stats_supported(),
-            "{}: stats_supported() is true but check_with_stats inherited the zero-census default",
-            self.describe()
-        );
-        Ok((self.check(resource, requester)?, ReadStats::default()))
-    }
+    ) -> Result<(Decision, ReadStats), EvalError>;
 
-    /// [`AccessService::check_batch`] plus the batch's cumulative work
-    /// census. Backends override this with real counters.
-    fn check_batch_with_stats(
-        &self,
-        requests: &[(ResourceId, NodeId)],
-        threads: usize,
-    ) -> Result<(Vec<Decision>, ReadStats), EvalError> {
-        debug_assert!(
-            !self.stats_supported(),
-            "{}: stats_supported() is true but check_batch_with_stats inherited the zero-census default",
-            self.describe()
-        );
-        Ok((self.check_batch(requests, threads)?, ReadStats::default()))
-    }
-
-    /// [`AccessService::explain`] plus the read's work census.
-    /// Backends override this with real counters.
+    /// Explains a grant with structured witness walks, or `None` when
+    /// access is denied, plus the read's work census. Render with
+    /// [`Explanation::render`] or [`AccessService::explain_lines`];
+    /// replay through the path automaton in conformance tests.
     fn explain_with_stats(
         &self,
         resource: ResourceId,
         requester: NodeId,
-    ) -> Result<(Option<Explanation>, ReadStats), EvalError> {
-        debug_assert!(
-            !self.stats_supported(),
-            "{}: stats_supported() is true but explain_with_stats inherited the zero-census default",
-            self.describe()
-        );
-        Ok((self.explain(resource, requester)?, ReadStats::default()))
-    }
+    ) -> Result<(Option<Explanation>, ReadStats), EvalError>;
 
-    /// [`AccessService::audience_batch_with_stats`] with the bundle
-    /// strategy **forced** instead of backend-chosen. Backends with
-    /// interchangeable engines override both arms (the planner's
-    /// dispatch seam); the default serves its one path regardless of
-    /// the hint, which is always semantically correct.
+    /// Audiences of a whole bundle of resources in `rids` order, with
+    /// the bundle's deduped conditions traversed by the **named**
+    /// strategy, plus the bundle's uniform work census. This is the
+    /// primitive every audience read builds on. Both strategies return
+    /// identical audiences on every backend — the choice moves
+    /// latency, never correctness.
     fn audience_batch_forced(
         &self,
         rids: &[ResourceId],
         strategy: BundleStrategy,
-    ) -> Result<(Vec<Vec<NodeId>>, ReadStats), EvalError> {
-        let _ = strategy;
-        self.audience_batch_with_stats(rids)
-    }
+    ) -> Result<(Vec<Vec<NodeId>>, ReadStats), EvalError>;
 
-    /// [`AccessService::check_batch_with_stats`] with the decision
-    /// route **forced** instead of backend-chosen. Backends with both
-    /// a targeted path and an audience-membership path override; the
-    /// default serves its one path regardless of the hint.
+    /// Decides a batch of requests over one coherent snapshot state
+    /// along the **named** route; decisions come back in request order
+    /// with the batch's cumulative census. `threads` is the worker
+    /// hint of [`ReadBatch::threads`]. Every route returns identical
+    /// decisions and moves [`AccessService::cache_stats`] identically.
     fn check_batch_forced(
         &self,
         requests: &[(ResourceId, NodeId)],
         threads: usize,
         plan: CheckPlan,
-    ) -> Result<(Vec<Decision>, ReadStats), EvalError> {
-        let _ = plan;
-        self.check_batch_with_stats(requests, threads)
-    }
+    ) -> Result<(Vec<Decision>, ReadStats), EvalError>;
 
     /// Materializes the audiences of a bundle of **ad-hoc queries**,
     /// in request order: each `(owner, text)` pair is parsed with
@@ -515,12 +511,60 @@ pub trait AccessService: Send + Sync {
         queries: &[(NodeId, &str)],
     ) -> Result<Vec<Vec<NodeId>>, EvalError>;
 
-    /// [`AccessService::query_audience_bundle`] for one query.
-    fn query_audience(&self, owner: NodeId, text: &str) -> Result<Vec<NodeId>, EvalError> {
-        Ok(self
-            .query_audience_bundle(&[(owner, text)])?
-            .pop()
-            .expect("one audience per query"))
+    // -- required: the one policy answer ------------------------------
+
+    /// The route an unplanned [`AccessService::check_batch`] of `len`
+    /// requests takes on this backend (a single graph walks targeted;
+    /// a partitioned one materializes batched audiences once a batch
+    /// holds more than one request). [`crate::PlannedService`] serves
+    /// it verbatim on cold start.
+    fn default_check_plan(&self, len: usize) -> CheckPlan;
+
+    // -- provided: written once ---------------------------------------
+
+    /// [`AccessService::check_with_stats`] without the census.
+    fn check(&self, resource: ResourceId, requester: NodeId) -> Result<Decision, EvalError> {
+        Ok(self.check_with_stats(resource, requester)?.0)
+    }
+
+    /// [`AccessService::check_batch_with_stats`] without the census.
+    fn check_batch(
+        &self,
+        requests: &[(ResourceId, NodeId)],
+        threads: usize,
+    ) -> Result<Vec<Decision>, EvalError> {
+        Ok(self.check_batch_with_stats(requests, threads)?.0)
+    }
+
+    /// Decides a batch along the backend's default route:
+    /// [`AccessService::check_batch_forced`] under
+    /// [`AccessService::default_check_plan`].
+    fn check_batch_with_stats(
+        &self,
+        requests: &[(ResourceId, NodeId)],
+        threads: usize,
+    ) -> Result<(Vec<Decision>, ReadStats), EvalError> {
+        let plan = self.default_check_plan(requests.len());
+        self.check_batch_forced(requests, threads, plan)
+    }
+
+    /// [`AccessService::explain_with_stats`] without the census.
+    fn explain(
+        &self,
+        resource: ResourceId,
+        requester: NodeId,
+    ) -> Result<Option<Explanation>, EvalError> {
+        Ok(self.explain_with_stats(resource, requester)?.0)
+    }
+
+    /// [`AccessService::explain`], rendered to the human-readable walk
+    /// lines the CLI and examples print.
+    fn explain_lines(
+        &self,
+        resource: ResourceId,
+        requester: NodeId,
+    ) -> Result<Option<Vec<String>>, EvalError> {
+        Ok(self.explain(resource, requester)?.map(|e| e.render(self)))
     }
 
     /// The full audience of one resource (global member ids, sorted).
@@ -536,14 +580,22 @@ pub trait AccessService: Send + Sync {
         Ok(self.audience_batch_with_stats(rids)?.0)
     }
 
-    /// [`AccessService::explain`], rendered to the human-readable walk
-    /// lines the CLI and examples print.
-    fn explain_lines(
+    /// Audiences of a bundle plus its census under the default bundle
+    /// strategy: [`AccessService::audience_batch_forced`] with
+    /// [`BundleStrategy::Batched`].
+    fn audience_batch_with_stats(
         &self,
-        resource: ResourceId,
-        requester: NodeId,
-    ) -> Result<Option<Vec<String>>, EvalError> {
-        Ok(self.explain(resource, requester)?.map(|e| e.render(self)))
+        rids: &[ResourceId],
+    ) -> Result<(Vec<Vec<NodeId>>, ReadStats), EvalError> {
+        self.audience_batch_forced(rids, BundleStrategy::Batched)
+    }
+
+    /// [`AccessService::query_audience_bundle`] for one query.
+    fn query_audience(&self, owner: NodeId, text: &str) -> Result<Vec<NodeId>, EvalError> {
+        Ok(self
+            .query_audience_bundle(&[(owner, text)])?
+            .pop()
+            .expect("one audience per query"))
     }
 
     /// Evaluates a heterogeneous batch of reads, responses in request
@@ -852,6 +904,8 @@ impl ServiceInstance {
     }
 }
 
+/// Forwards the required methods to the wrapped backend; the provided
+/// reads then run against it unchanged.
 impl AccessService for ServiceInstance {
     fn describe(&self) -> String {
         self.reads().describe()
@@ -870,46 +924,11 @@ impl AccessService for ServiceInstance {
     }
 
     fn member_name(&self, member: NodeId) -> &str {
-        match self {
-            ServiceInstance::Single(s) => s.member_name(member),
-            ServiceInstance::Sharded(s) => AccessService::member_name(s, member),
-            ServiceInstance::Networked(s) => AccessService::member_name(s, member),
-        }
+        self.reads().member_name(member)
     }
 
     fn label_name(&self, label: LabelId) -> &str {
-        match self {
-            ServiceInstance::Single(s) => AccessService::label_name(s, label),
-            ServiceInstance::Sharded(s) => AccessService::label_name(s, label),
-            ServiceInstance::Networked(s) => AccessService::label_name(s, label),
-        }
-    }
-
-    fn check(&self, resource: ResourceId, requester: NodeId) -> Result<Decision, EvalError> {
-        self.reads().check(resource, requester)
-    }
-
-    fn check_batch(
-        &self,
-        requests: &[(ResourceId, NodeId)],
-        threads: usize,
-    ) -> Result<Vec<Decision>, EvalError> {
-        self.reads().check_batch(requests, threads)
-    }
-
-    fn audience_batch_with_stats(
-        &self,
-        rids: &[ResourceId],
-    ) -> Result<(Vec<Vec<NodeId>>, ReadStats), EvalError> {
-        self.reads().audience_batch_with_stats(rids)
-    }
-
-    fn explain(
-        &self,
-        resource: ResourceId,
-        requester: NodeId,
-    ) -> Result<Option<Explanation>, EvalError> {
-        self.reads().explain(resource, requester)
+        self.reads().label_name(label)
     }
 
     fn cache_stats(&self) -> (u64, u64) {
@@ -924,24 +943,12 @@ impl AccessService for ServiceInstance {
         self.reads().check_with_stats(resource, requester)
     }
 
-    fn check_batch_with_stats(
-        &self,
-        requests: &[(ResourceId, NodeId)],
-        threads: usize,
-    ) -> Result<(Vec<Decision>, ReadStats), EvalError> {
-        self.reads().check_batch_with_stats(requests, threads)
-    }
-
     fn explain_with_stats(
         &self,
         resource: ResourceId,
         requester: NodeId,
     ) -> Result<(Option<Explanation>, ReadStats), EvalError> {
         self.reads().explain_with_stats(resource, requester)
-    }
-
-    fn stats_supported(&self) -> bool {
-        self.reads().stats_supported()
     }
 
     fn audience_batch_forced(
@@ -966,6 +973,10 @@ impl AccessService for ServiceInstance {
         queries: &[(NodeId, &str)],
     ) -> Result<Vec<Vec<NodeId>>, EvalError> {
         self.reads().query_audience_bundle(queries)
+    }
+
+    fn default_check_plan(&self, len: usize) -> CheckPlan {
+        self.reads().default_check_plan(len)
     }
 }
 

@@ -50,8 +50,8 @@
 //!
 //! The per-condition fixpoint above is the differential oracle (and
 //! the [`BundleStrategy::PerCondition`] arm). Bundle reads —
-//! [`ShardedSystem::audience_batch`] and
-//! [`ShardedSystem::check_batch`] — run the **masked** variant
+//! [`AccessService::audience_batch`] and
+//! [`AccessService::check_batch`] — run the **masked** variant
 //! instead: the bundle's distinct conditions compile into one
 //! shared-prefix trie ([`crate::query::BundlePlan`]) and each
 //! 64-condition chunk of it traverses through one round-based fixpoint
@@ -88,6 +88,7 @@
 //! top-level decision cache drops on any mutation; published shard
 //! snapshots are retained as patch bases.
 
+use crate::decision::{self, DecisionCache};
 use crate::engine::{Enforcer, OnlineEngine};
 use crate::error::EvalError;
 use crate::fixpoint::{self, LaneRound, ShardEngine, ShardLane, ShardView, StateKey};
@@ -97,16 +98,13 @@ use crate::policy::{Decision, PolicyStore, ResourceId};
 use crate::query::{BundlePlan, ChunkMasks, PlanBatchState};
 use crate::service::{
     AccessService, BundleStrategy, CheckPlan, Explanation, MutateService, ReadStats, WalkHop,
-    WitnessWalk,
 };
-use parking_lot::RwLock;
 use socialreach_graph::csr::CsrSnapshot;
 use socialreach_graph::shard::{BoundaryEdge, BoundaryTable, MaskedExport, ShardAssignment};
 use socialreach_graph::{AttrValue, LabelId, NodeId, SocialGraph, Vocabulary};
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::convert::Infallible;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// One hop of a stitched cross-shard witness walk, in **global** ids —
@@ -323,9 +321,7 @@ pub struct ShardedSystem {
     /// Global edge log `(src, label, dst)` in insertion order —
     /// introspection, audits, witness validation.
     edges: Vec<(NodeId, LabelId, NodeId)>,
-    cache: RwLock<HashMap<(ResourceId, NodeId), Decision>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    decisions: DecisionCache,
 }
 
 impl ShardedSystem {
@@ -348,9 +344,7 @@ impl ShardedSystem {
             store: PolicyStore::new(),
             boundary: BoundaryTable::new(n),
             edges: Vec::new(),
-            cache: RwLock::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            decisions: DecisionCache::default(),
         }
     }
 
@@ -468,14 +462,6 @@ impl ShardedSystem {
             .get(name)
             .copied()
             .ok_or_else(|| socialreach_graph::GraphError::UnknownName(name.to_owned()).into())
-    }
-
-    /// Decision-cache statistics `(hits, misses)`.
-    pub fn cache_stats(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
     }
 
     // ------------------------------------------------------------------
@@ -651,66 +637,23 @@ impl ShardedSystem {
     /// Any mutation stales every cached decision. Published shard
     /// snapshots are retained as incremental patch bases.
     fn dirty(&mut self) {
-        self.cache.get_mut().clear();
+        self.decisions.clear();
     }
 
     // ------------------------------------------------------------------
     // Reads (the `&self` fan-out path)
     // ------------------------------------------------------------------
 
-    /// This backend as a deployment-agnostic read service (the
-    /// [`AccessService`] all read callers should migrate to).
+    /// This backend as a deployment-agnostic read service.
     pub fn service(&self) -> &dyn AccessService {
         self
-    }
-
-    /// Decides whether `requester` may access `rid` (same semantics as
-    /// the single-graph enforcer: owner always granted, rules disjoin,
-    /// conditions within a rule conjoin, no rules ⇒ private).
-    #[deprecated(since = "0.2.0", note = "read through the `AccessService` trait")]
-    pub fn check(&self, rid: ResourceId, requester: NodeId) -> Result<Decision, EvalError> {
-        AccessService::check(self, rid, requester)
-    }
-
-    /// Decides a batch of requests through **one** masked cross-shard
-    /// fixpoint per bundle ([`AccessService::check_batch`] on this
-    /// backend).
-    #[deprecated(since = "0.2.0", note = "read through the `AccessService` trait")]
-    pub fn check_batch(
-        &self,
-        requests: &[(ResourceId, NodeId)],
-        threads: usize,
-    ) -> Result<Vec<Decision>, EvalError> {
-        AccessService::check_batch(self, requests, threads)
-    }
-
-    /// The full audience of a resource (global member ids, sorted).
-    #[deprecated(since = "0.2.0", note = "read through the `AccessService` trait")]
-    pub fn audience(&self, rid: ResourceId) -> Result<Vec<NodeId>, EvalError> {
-        AccessService::audience(self, rid)
-    }
-
-    /// Audiences of a whole bundle of resources, in `rids` order.
-    #[deprecated(since = "0.2.0", note = "read through the `AccessService` trait")]
-    pub fn audience_batch(&self, rids: &[ResourceId]) -> Result<Vec<Vec<NodeId>>, EvalError> {
-        AccessService::audience_batch(self, rids)
-    }
-
-    /// [`ShardedSystem`]'s bundle audiences plus the uniform work
-    /// census.
-    #[deprecated(since = "0.2.0", note = "read through the `AccessService` trait")]
-    pub fn audience_batch_with_stats(
-        &self,
-        rids: &[ResourceId],
-    ) -> Result<(Vec<Vec<NodeId>>, ReadStats), EvalError> {
-        AccessService::audience_batch_with_stats(self, rids)
     }
 
     /// The pre-amortization bundle path, retained as the comparison
     /// baseline (bench P12) and differential-test oracle: every
     /// distinct condition runs its **own** per-condition cross-shard
     /// fixpoint, with fresh per-round visited state. Semantics are
-    /// identical to [`ShardedSystem::audience_batch`]; the batched
+    /// identical to [`AccessService::audience_batch`]; the batched
     /// engine exists because this shape pays `O(conditions × rounds)`
     /// shard passes and re-traverses explored regions on paths that
     /// ping-pong across a boundary.
@@ -731,91 +674,18 @@ impl ShardedSystem {
         &self,
         rids: &[ResourceId],
     ) -> Result<(Vec<Vec<NodeId>>, ReadStats), EvalError> {
-        let mut stats = ReadStats::default();
-        let audiences = crate::engine::merge_bundle_audiences(&self.store, rids, |uniq| {
-            Ok(uniq
+        crate::engine::merge_bundle_audiences(&self.store, rids, |uniq| {
+            let mut stats = ReadStats::default();
+            let audiences = uniq
                 .iter()
                 .map(|&(owner, path)| {
                     let (eval, s) = self.evaluate_condition_with_stats(owner, path, None);
                     stats.absorb(&s);
                     eval.matched
                 })
-                .collect())
-        })?;
-        Ok((audiences, stats))
-    }
-
-    /// Decides a batch by **audience membership**: the uncached
-    /// resources' condition audiences are materialized together (with
-    /// the forced bundle strategy) and each request decided by binary
-    /// search — equivalent to targeted checks because a rule grants
-    /// exactly the intersection of its condition audiences. Decisions
-    /// come back in request order and populate the decision cache.
-    fn check_batch_via_audiences(
-        &self,
-        requests: &[(ResourceId, NodeId)],
-        strategy: BundleStrategy,
-    ) -> Result<(Vec<Decision>, ReadStats), EvalError> {
-        let mut stats = ReadStats::default();
-        let mut decisions: Vec<Option<Decision>> = vec![None; requests.len()];
-        // Insertion-ordered dedup of the resources needing evaluation.
-        let mut need: Vec<ResourceId> = Vec::new();
-        let mut needed: HashSet<ResourceId> = HashSet::new();
-        {
-            let cache = self.cache.read();
-            for (i, &(rid, req)) in requests.iter().enumerate() {
-                let owner = self.store.owner_of(rid)?;
-                if req == owner {
-                    decisions[i] = Some(Decision::Grant);
-                } else if let Some(&d) = cache.get(&(rid, req)) {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    decisions[i] = Some(d);
-                } else {
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    if needed.insert(rid) {
-                        need.push(rid);
-                    }
-                }
-            }
-        }
-        if !need.is_empty() {
-            let (audiences, s) = AccessService::audience_batch_forced(self, &need, strategy)?;
-            stats.absorb(&s);
-            let by_rid: HashMap<ResourceId, &Vec<NodeId>> =
-                need.iter().copied().zip(audiences.iter()).collect();
-            let mut cache = self.cache.write();
-            for (i, &(rid, req)) in requests.iter().enumerate() {
-                if decisions[i].is_some() {
-                    continue;
-                }
-                let audience = by_rid[&rid];
-                let d = if audience.binary_search(&req).is_ok() {
-                    Decision::Grant
-                } else {
-                    Decision::Deny
-                };
-                cache.insert((rid, req), d);
-                decisions[i] = Some(d);
-            }
-        }
-        Ok((
-            decisions
-                .into_iter()
-                .map(|d| d.expect("every request decided"))
-                .collect(),
-            stats,
-        ))
-    }
-
-    /// Explains a grant as human-readable walk lines, stitched across
-    /// shard boundaries, or `None` when access is denied.
-    #[deprecated(since = "0.2.0", note = "read through the `AccessService` trait")]
-    pub fn explain(
-        &self,
-        rid: ResourceId,
-        requester: NodeId,
-    ) -> Result<Option<Vec<String>>, EvalError> {
-        AccessService::explain_lines(self, rid, requester)
+                .collect();
+            Ok((audiences, stats))
+        })
     }
 
     /// Publishes every shard's snapshot for its current topology and
@@ -1248,8 +1118,9 @@ impl ShardedSystem {
 }
 
 /// The deployment-agnostic read surface: this impl block is the **one
-/// place** the sharded backend's reads live (the deprecated inherent
-/// methods forward here).
+/// place** the sharded backend's reads live. Decisions run the shared
+/// decision layer; this backend contributes the cross-shard evaluation
+/// of one condition (targeted) or one bundle (batched).
 impl AccessService for ShardedSystem {
     fn describe(&self) -> String {
         format!("sharded(n={})", self.shards.len())
@@ -1275,218 +1146,109 @@ impl AccessService for ShardedSystem {
         self.vocab.label_name(label)
     }
 
-    /// A single targeted check runs the early-exiting per-condition
-    /// cross-shard fixpoint (same semantics as the single-graph
-    /// enforcer: owner always granted, rules disjoin, conditions
-    /// within a rule conjoin, no rules ⇒ private).
-    fn check(&self, rid: ResourceId, requester: NodeId) -> Result<Decision, EvalError> {
-        Ok(self.check_with_stats(rid, requester)?.0)
-    }
-
-    /// Decides a batch of requests through **one** masked cross-shard
-    /// fixpoint per bundle (per 64-condition chunk of the touched
-    /// resources' conditions), rather than one per request or per
-    /// condition: the uncached resources' condition audiences are
-    /// materialized together and each request is decided by audience
-    /// membership — the two are equivalent because a rule grants
-    /// exactly the members in the intersection of its condition
-    /// audiences. Decisions come back in request order and populate
-    /// the decision cache. `threads` is accepted for API stability;
-    /// the fixpoint already fans out across shards on parallel scoped
-    /// threads.
-    fn check_batch(
-        &self,
-        requests: &[(ResourceId, NodeId)],
-        threads: usize,
-    ) -> Result<Vec<Decision>, EvalError> {
-        Ok(self.check_batch_with_stats(requests, threads)?.0)
-    }
-
-    /// Audiences of a whole bundle of resources, in `rids` order,
-    /// through **one** masked cross-shard fixpoint per bundle: the
-    /// distinct `(owner, path)` conditions compile into one
-    /// shared-prefix plan and traverse together as condition bits of a
-    /// seeded mask BFS ([`ShardedSystem::evaluate_conditions_batched`]).
-    /// The per-resource merge semantics are the single-graph system's,
-    /// literally ([`crate::engine::merge_bundle_audiences`]); the
-    /// fixpoint census comes back as the uniform [`ReadStats`].
-    fn audience_batch_with_stats(
-        &self,
-        rids: &[ResourceId],
-    ) -> Result<(Vec<Vec<NodeId>>, ReadStats), EvalError> {
-        let mut stats = ReadStats::default();
-        let audiences = crate::engine::merge_bundle_audiences(&self.store, rids, |uniq| {
-            let (audiences, s) = self.evaluate_conditions_batched(uniq);
-            stats = s.read_stats(uniq.len());
-            Ok(audiences)
-        })?;
-        Ok((audiences, stats))
-    }
-
-    /// Ad-hoc query bundles run the same masked cross-shard fixpoint
-    /// as registered-rule bundles
-    /// ([`ShardedSystem::evaluate_conditions_batched`]). Parsing is
-    /// read-only against the master vocabulary — a query mentioning a
-    /// never-seen relationship type or attribute is unsatisfiable and
-    /// reports an empty audience without touching any shard.
-    fn query_audience_bundle(
-        &self,
-        queries: &[(NodeId, &str)],
-    ) -> Result<Vec<Vec<NodeId>>, EvalError> {
-        let texts: Vec<&str> = queries.iter().map(|&(_, t)| t).collect();
-        let parsed = crate::query::parse_queries_readonly(&texts, &self.vocab)?;
-        let mut out: Vec<Vec<NodeId>> = vec![Vec::new(); queries.len()];
-        let mut conds: Vec<(NodeId, &PathExpr)> = Vec::new();
-        let mut slots: Vec<usize> = Vec::new();
-        for (i, path) in parsed.iter().enumerate() {
-            if let Some(path) = path {
-                conds.push((queries[i].0, path));
-                slots.push(i);
-            }
-        }
-        if !conds.is_empty() {
-            let (audiences, _) = self.evaluate_conditions_batched(&conds);
-            for (slot, audience) in slots.into_iter().zip(audiences) {
-                out[slot] = audience;
-            }
-        }
-        Ok(out)
-    }
-
-    /// Explains a grant with one stitched cross-shard walk per
-    /// satisfied condition of the first granting rule.
-    fn explain(
-        &self,
-        rid: ResourceId,
-        requester: NodeId,
-    ) -> Result<Option<Explanation>, EvalError> {
-        Ok(self.explain_with_stats(rid, requester)?.0)
-    }
-
     fn cache_stats(&self) -> (u64, u64) {
-        ShardedSystem::cache_stats(self)
+        self.decisions.stats()
     }
 
+    /// Each condition runs the early-exiting targeted cross-shard
+    /// fixpoint
+    /// ([`ShardedSystem::evaluate_condition_targeted_with_stats`]).
     fn check_with_stats(
         &self,
         rid: ResourceId,
         requester: NodeId,
     ) -> Result<(Decision, ReadStats), EvalError> {
-        let mut stats = ReadStats::default();
-        let owner = self.store.owner_of(rid)?;
-        if requester == owner {
-            return Ok((Decision::Grant, stats));
-        }
-        if let Some(&d) = self.cache.read().get(&(rid, requester)) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((d, stats));
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut decision = Decision::Deny;
-        'rules: for rule in self.store.rules_for(rid) {
-            if rule.conditions.is_empty() {
-                continue;
-            }
-            for cond in &rule.conditions {
-                let (out, s) =
-                    self.evaluate_condition_targeted_with_stats(cond.owner, &cond.path, requester);
-                stats.absorb(&s);
-                if !out.granted {
-                    continue 'rules;
-                }
-            }
-            decision = Decision::Grant;
-            break;
-        }
-        self.cache.write().insert((rid, requester), decision);
-        Ok((decision, stats))
+        decision::check(&self.decisions, &self.store, rid, requester, |cond| {
+            let (out, s) =
+                self.evaluate_condition_targeted_with_stats(cond.owner, &cond.path, requester);
+            Ok((out.granted, s))
+        })
     }
 
-    fn check_batch_with_stats(
-        &self,
-        requests: &[(ResourceId, NodeId)],
-        threads: usize,
-    ) -> Result<(Vec<Decision>, ReadStats), EvalError> {
-        let _ = threads;
-        if requests.len() == 1 {
-            // A single targeted check is cheaper through the
-            // early-exiting masked fixpoint.
-            let (rid, req) = requests[0];
-            let (d, s) = self.check_with_stats(rid, req)?;
-            return Ok((vec![d], s));
-        }
-        self.check_batch_via_audiences(requests, BundleStrategy::Batched)
-    }
-
+    /// One stitched cross-shard walk per condition of the first
+    /// granting rule.
     fn explain_with_stats(
         &self,
         rid: ResourceId,
         requester: NodeId,
     ) -> Result<(Option<Explanation>, ReadStats), EvalError> {
-        let mut stats = ReadStats::default();
-        let owner = self.store.owner_of(rid)?;
-        if requester == owner {
-            return Ok((Some(Explanation::Ownership { owner }), stats));
-        }
-        'rules: for rule in self.store.rules_for(rid) {
-            if rule.conditions.is_empty() {
-                continue;
-            }
-            let mut walks = Vec::new();
-            for cond in &rule.conditions {
-                let (out, s) =
-                    self.evaluate_condition_targeted_with_stats(cond.owner, &cond.path, requester);
-                stats.absorb(&s);
-                let Some(witness) = out.witness else {
-                    continue 'rules;
-                };
-                walks.push(WitnessWalk {
-                    start: cond.owner,
-                    hops: witness,
-                });
-            }
-            return Ok((Some(Explanation::Rule { walks }), stats));
-        }
-        Ok((None, stats))
+        decision::explain(&self.store, rid, requester, |cond| {
+            let (out, s) =
+                self.evaluate_condition_targeted_with_stats(cond.owner, &cond.path, requester);
+            Ok((out.witness, s))
+        })
     }
 
-    fn stats_supported(&self) -> bool {
-        true
-    }
-
+    /// `Batched` runs **one** masked cross-shard fixpoint per bundle:
+    /// the distinct `(owner, path)` conditions compile into one
+    /// shared-prefix plan and traverse together as condition bits of a
+    /// seeded mask BFS ([`ShardedSystem::evaluate_conditions_batched`]).
+    /// `PerCondition` is the oracle
+    /// ([`ShardedSystem::audience_batch_per_condition_with_stats`]).
+    /// The per-resource merge semantics are the single-graph system's,
+    /// literally (`engine::merge_bundle_audiences`).
     fn audience_batch_forced(
         &self,
         rids: &[ResourceId],
         strategy: BundleStrategy,
     ) -> Result<(Vec<Vec<NodeId>>, ReadStats), EvalError> {
-        match strategy {
-            BundleStrategy::Batched => AccessService::audience_batch_with_stats(self, rids),
-            BundleStrategy::PerCondition => self.audience_batch_per_condition_with_stats(rids),
+        if strategy == BundleStrategy::PerCondition {
+            return self.audience_batch_per_condition_with_stats(rids);
         }
+        crate::engine::merge_bundle_audiences(&self.store, rids, |uniq| {
+            let (audiences, s) = self.evaluate_conditions_batched(uniq);
+            Ok((audiences, s.read_stats(uniq.len())))
+        })
     }
 
+    /// `threads` is accepted for API stability; the fixpoint already
+    /// fans out across shards on parallel scoped threads.
     fn check_batch_forced(
         &self,
         requests: &[(ResourceId, NodeId)],
-        threads: usize,
+        _threads: usize,
         plan: CheckPlan,
     ) -> Result<(Vec<Decision>, ReadStats), EvalError> {
-        let _ = threads;
         match plan {
             CheckPlan::Targeted => {
-                // One early-exiting masked fixpoint per request;
-                // duplicates are served by the decision cache.
-                let mut stats = ReadStats::default();
-                let mut decisions = Vec::with_capacity(requests.len());
-                for &(rid, req) in requests {
-                    let (d, s) = self.check_with_stats(rid, req)?;
-                    stats.absorb(&s);
-                    decisions.push(d);
-                }
-                Ok((decisions, stats))
+                decision::check_each(requests, |rid, req| self.check_with_stats(rid, req))
             }
-            CheckPlan::Audience(strategy) => self.check_batch_via_audiences(requests, strategy),
+            CheckPlan::Audience(strategy) => {
+                decision::check_via_audiences(&self.decisions, &self.store, requests, |need| {
+                    self.audience_batch_forced(need, strategy)
+                })
+            }
         }
+    }
+
+    /// Ad-hoc query bundles run the same masked cross-shard fixpoint
+    /// as registered-rule bundles, parsed read-only against the master
+    /// vocabulary.
+    fn query_audience_bundle(
+        &self,
+        queries: &[(NodeId, &str)],
+    ) -> Result<Vec<Vec<NodeId>>, EvalError> {
+        decision::query_bundle(&self.vocab, queries, |conds| {
+            Ok(self.evaluate_conditions_batched(conds).0)
+        })
+    }
+
+    /// A lone check is cheaper through the early-exiting targeted
+    /// fixpoint; anything larger materializes the touched resources'
+    /// audiences in **one** masked fixpoint per bundle and decides by
+    /// membership.
+    fn default_check_plan(&self, len: usize) -> CheckPlan {
+        partitioned_check_plan(len)
+    }
+}
+
+/// The unplanned check route of the partitioned backends (in-process
+/// and networked shards share it).
+pub(crate) fn partitioned_check_plan(len: usize) -> CheckPlan {
+    if len <= 1 {
+        CheckPlan::Targeted
+    } else {
+        CheckPlan::Audience(BundleStrategy::Batched)
     }
 }
 
@@ -1684,8 +1446,7 @@ mod tests {
         let dave = sys.user("Dave").unwrap();
         sys.service().check(rid, bob).unwrap();
         sys.service().check(rid, bob).unwrap();
-        let (hits, misses) = sys.cache_stats();
-        assert_eq!((hits, misses), (1, 1));
+        assert_eq!(sys.service().cache_stats(), (1, 1));
         let requests: Vec<_> = (0..30)
             .map(|i| (rid, if i % 2 == 0 { bob } else { dave }))
             .collect();

@@ -1,18 +1,17 @@
 //! `AccessControlSystem` — the single-graph serving backend: members,
 //! relationships, shared resources, textual policies, and enforced
 //! access checks with pluggable engines. Reads are served through the
-//! deployment-agnostic [`AccessService`] trait (the inherent read
-//! methods are deprecated one-line forwards onto it), writes through
+//! deployment-agnostic [`AccessService`] trait, writes through
 //! [`MutateService`]; construct one via
 //! [`crate::service::Deployment::single`] to stay backend-agnostic.
 //!
 //! # Read/write split and the publication lifecycle
 //!
-//! Every **read** — [`check`](AccessControlSystem::check),
-//! [`check_batch`](AccessControlSystem::check_batch),
-//! [`audience`](AccessControlSystem::audience),
-//! [`audience_batch`](AccessControlSystem::audience_batch),
-//! [`explain`](AccessControlSystem::explain) — takes `&self`, so any
+//! Every **read** — [`check`](AccessService::check),
+//! [`check_batch`](AccessService::check_batch),
+//! [`audience`](AccessService::audience),
+//! [`audience_batch`](AccessService::audience_batch),
+//! [`explain`](AccessService::explain) — takes `&self`, so any
 //! number of requester threads can evaluate concurrently against one
 //! system (e.g. through `std::thread::scope`). Reads share the
 //! epoch-published [`CsrSnapshot`] held by the wrapped [`Enforcer`]:
@@ -30,16 +29,15 @@
 //! [`CsrSnapshot`]: socialreach_graph::csr::CsrSnapshot
 //! [`CsrSnapshot::apply_edge_appends`]: socialreach_graph::csr::CsrSnapshot::apply_edge_appends
 
+use crate::decision;
 use crate::engine::{AccessEngine, Enforcer, OnlineEngine};
 use crate::error::EvalError;
 use crate::joinengine::{JoinEngineConfig, JoinIndexEngine};
 use crate::online;
-use crate::path::PathExpr;
 use crate::policy::{Decision, PolicyStore, ResourceId};
-use crate::query::{parse_policy, parse_queries_readonly};
+use crate::query::parse_policy;
 use crate::service::{
     AccessService, BundleStrategy, CheckPlan, Explanation, MutateService, ReadStats, WalkHop,
-    WitnessWalk,
 };
 use parking_lot::RwLock;
 use socialreach_graph::{AttrValue, EdgeId, LabelId, NodeId, SocialGraph};
@@ -113,8 +111,7 @@ impl AccessControlSystem {
         self.store = store;
     }
 
-    /// This backend as a deployment-agnostic read service (the
-    /// [`AccessService`] all read callers should migrate to).
+    /// This backend as a deployment-agnostic read service.
     pub fn service(&self) -> &dyn AccessService {
         self
     }
@@ -207,53 +204,10 @@ impl AccessControlSystem {
         fresh
     }
 
-    /// Decides whether `requester` may access `rid`.
-    #[deprecated(since = "0.2.0", note = "read through the `AccessService` trait")]
-    pub fn check(&self, rid: ResourceId, requester: NodeId) -> Result<Decision, EvalError> {
-        AccessService::check(self, rid, requester)
-    }
-
-    /// Decides a batch of requests on up to `threads` worker threads
-    /// sharing the current snapshot epoch; decisions come back in
-    /// request order ([`Enforcer::check_batch`]).
-    #[deprecated(since = "0.2.0", note = "read through the `AccessService` trait")]
-    pub fn check_batch(
-        &self,
-        requests: &[(ResourceId, NodeId)],
-        threads: usize,
-    ) -> Result<Vec<Decision>, EvalError> {
-        AccessService::check_batch(self, requests, threads)
-    }
-
-    /// The full audience of a resource: the union over rules of the
-    /// intersection over each rule's conditions (plus the owner).
-    #[deprecated(since = "0.2.0", note = "read through the `AccessService` trait")]
-    pub fn audience(&self, rid: ResourceId) -> Result<Vec<NodeId>, EvalError> {
-        AccessService::audience(self, rid)
-    }
-
-    /// Audiences of a whole bundle of resources at once (a feed of
-    /// posts, an album), in `rids` order.
-    #[deprecated(since = "0.2.0", note = "read through the `AccessService` trait")]
-    pub fn audience_batch(&self, rids: &[ResourceId]) -> Result<Vec<Vec<NodeId>>, EvalError> {
-        AccessService::audience_batch(self, rids)
-    }
-
     /// Number of snapshot publications the online enforcer has made
     /// (each rebuild or incremental patch is one epoch).
     pub fn snapshot_epoch(&self) -> u64 {
         self.online.snapshot_epoch()
-    }
-
-    /// Explains a grant as human-readable walk lines, or `None` when
-    /// access is denied.
-    #[deprecated(since = "0.2.0", note = "read through the `AccessService` trait")]
-    pub fn explain(
-        &self,
-        rid: ResourceId,
-        requester: NodeId,
-    ) -> Result<Option<Vec<String>>, EvalError> {
-        AccessService::explain_lines(self, rid, requester)
     }
 
     /// Parses a policy in either syntax — classic path notation or the
@@ -261,19 +215,6 @@ impl AccessControlSystem {
     /// vocabulary (exposed for examples and tests).
     pub fn parse(&mut self, text: &str) -> Result<crate::path::PathExpr, EvalError> {
         Ok(parse_policy(text, self.graph.vocab_mut())?)
-    }
-
-    /// Decision-cache statistics of the active engine `(hits, misses)`.
-    pub fn cache_stats(&self) -> (u64, u64) {
-        match self.choice {
-            EngineChoice::Online => self.online.cache_stats(),
-            EngineChoice::JoinIndex(_) => self
-                .join
-                .read()
-                .as_ref()
-                .map(|e| e.cache_stats())
-                .unwrap_or((0, 0)),
-        }
     }
 
     fn dirty(&mut self) {
@@ -288,9 +229,28 @@ impl AccessControlSystem {
     }
 }
 
+/// Runs `$body` with `$e` bound to the active engine's enforcer — the
+/// online one, or the lazily built join-index one — statically
+/// dispatched on both arms.
+macro_rules! with_enforcer {
+    ($sys:expr, |$e:ident| $body:expr) => {
+        match $sys.choice {
+            EngineChoice::Online => {
+                let $e = &$sys.online;
+                $body
+            }
+            EngineChoice::JoinIndex(_) => {
+                let join = $sys.join_enforcer();
+                let $e = &*join;
+                $body
+            }
+        }
+    };
+}
+
 /// The deployment-agnostic read surface: this impl block is the **one
-/// place** the single-graph backend's reads live (the deprecated
-/// inherent methods forward here).
+/// place** the single-graph backend's reads live. Decisions run the
+/// shared decision layer inside the active [`Enforcer`].
 impl AccessService for AccessControlSystem {
     fn describe(&self) -> String {
         match self.choice {
@@ -319,112 +279,18 @@ impl AccessService for AccessControlSystem {
         self.graph.vocab().label_name(label)
     }
 
-    fn check(&self, rid: ResourceId, requester: NodeId) -> Result<Decision, EvalError> {
-        match self.choice {
-            EngineChoice::Online => {
-                self.online
-                    .check_access(&self.graph, &self.store, rid, requester)
-            }
-            EngineChoice::JoinIndex(_) => {
-                self.join_enforcer()
-                    .check_access(&self.graph, &self.store, rid, requester)
-            }
-        }
-    }
-
-    fn check_batch(
-        &self,
-        requests: &[(ResourceId, NodeId)],
-        threads: usize,
-    ) -> Result<Vec<Decision>, EvalError> {
-        match self.choice {
-            EngineChoice::Online => {
-                self.online
-                    .check_batch(&self.graph, &self.store, requests, threads)
-            }
-            EngineChoice::JoinIndex(_) => {
-                self.join_enforcer()
-                    .check_batch(&self.graph, &self.store, requests, threads)
-            }
-        }
-    }
-
-    /// Under the online engine the bundle's distinct conditions are
-    /// deduped and every set of owners sharing a path template
-    /// traverses the shared snapshot together in one multi-source pass
-    /// — the batch-audience workload this system is built around.
-    fn audience_batch_with_stats(
-        &self,
-        rids: &[ResourceId],
-    ) -> Result<(Vec<Vec<NodeId>>, ReadStats), EvalError> {
-        match self.choice {
-            EngineChoice::Online => {
-                self.online
-                    .audience_batch_with_stats(&self.graph, &self.store, rids)
-            }
-            EngineChoice::JoinIndex(_) => {
-                self.join_enforcer()
-                    .audience_batch_with_stats(&self.graph, &self.store, rids)
-            }
-        }
-    }
-
-    /// Ad-hoc query bundles always run on the online engine over the
-    /// published snapshot — they are one-shot reads, so the join
-    /// index's precomputation has nothing to amortize. Parsing is
-    /// read-only against the system's vocabulary: a query mentioning a
-    /// never-seen relationship type or attribute is unsatisfiable and
-    /// reports an empty audience without ever touching the graph.
-    fn query_audience_bundle(
-        &self,
-        queries: &[(NodeId, &str)],
-    ) -> Result<Vec<Vec<NodeId>>, EvalError> {
-        let texts: Vec<&str> = queries.iter().map(|&(_, t)| t).collect();
-        let parsed = parse_queries_readonly(&texts, self.graph.vocab())?;
-        let mut out: Vec<Vec<NodeId>> = vec![Vec::new(); queries.len()];
-        let mut conds: Vec<(NodeId, &PathExpr)> = Vec::new();
-        let mut slots: Vec<usize> = Vec::new();
-        for (i, path) in parsed.iter().enumerate() {
-            if let Some(path) = path {
-                conds.push((queries[i].0, path));
-                slots.push(i);
-            }
-        }
-        if conds.is_empty() {
-            return Ok(out);
-        }
-        match self.online.publish_snapshot(&self.graph) {
-            Some(snap) => {
-                let (audiences, _) =
-                    OnlineEngine.audience_batch_with_snapshot(&self.graph, &snap, &conds)?;
-                for (slot, audience) in slots.into_iter().zip(audiences) {
-                    out[slot] = audience;
-                }
-            }
-            None => {
-                // Edge-free graph: nothing to publish, nothing to walk.
-                for (slot, &(owner, path)) in slots.into_iter().zip(&conds) {
-                    if path.is_empty() {
-                        out[slot] = vec![owner];
-                    }
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Always uses the online engine (the join index does not keep
-    /// witnesses).
-    fn explain(
-        &self,
-        rid: ResourceId,
-        requester: NodeId,
-    ) -> Result<Option<Explanation>, EvalError> {
-        Ok(self.explain_with_stats(rid, requester)?.0)
-    }
-
+    /// Of the active engine (zero before the join index is first
+    /// built).
     fn cache_stats(&self) -> (u64, u64) {
-        AccessControlSystem::cache_stats(self)
+        match self.choice {
+            EngineChoice::Online => self.online.cache_stats(),
+            EngineChoice::JoinIndex(_) => self
+                .join
+                .read()
+                .as_ref()
+                .map(|e| e.cache_stats())
+                .unwrap_or((0, 0)),
+        }
     }
 
     fn check_with_stats(
@@ -432,106 +298,57 @@ impl AccessService for AccessControlSystem {
         rid: ResourceId,
         requester: NodeId,
     ) -> Result<(Decision, ReadStats), EvalError> {
-        match self.choice {
-            EngineChoice::Online => {
-                self.online
-                    .check_access_with_stats(&self.graph, &self.store, rid, requester)
-            }
-            EngineChoice::JoinIndex(_) => self.join_enforcer().check_access_with_stats(
-                &self.graph,
-                &self.store,
-                rid,
-                requester,
-            ),
-        }
+        with_enforcer!(self, |e| e.check_access_with_stats(
+            &self.graph,
+            &self.store,
+            rid,
+            requester
+        ))
     }
 
-    fn check_batch_with_stats(
-        &self,
-        requests: &[(ResourceId, NodeId)],
-        threads: usize,
-    ) -> Result<(Vec<Decision>, ReadStats), EvalError> {
-        match self.choice {
-            EngineChoice::Online => {
-                self.online
-                    .check_batch_with_stats(&self.graph, &self.store, requests, threads)
-            }
-            EngineChoice::JoinIndex(_) => self.join_enforcer().check_batch_with_stats(
-                &self.graph,
-                &self.store,
-                requests,
-                threads,
-            ),
-        }
-    }
-
+    /// Always uses the online engine (the join index does not keep
+    /// witnesses).
     fn explain_with_stats(
         &self,
         rid: ResourceId,
         requester: NodeId,
     ) -> Result<(Option<Explanation>, ReadStats), EvalError> {
-        let mut stats = ReadStats::default();
-        let owner = self.store.owner_of(rid)?;
-        if requester == owner {
-            return Ok((Some(Explanation::Ownership { owner }), stats));
-        }
-        let rules = self.store.rules_for(rid).to_vec();
-        'rules: for rule in &rules {
-            if rule.conditions.is_empty() {
-                continue;
-            }
-            let mut walks = Vec::new();
-            for cond in &rule.conditions {
-                let out = online::evaluate(&self.graph, cond.owner, &cond.path, Some(requester));
-                stats.conditions += 1;
-                stats.traversals += 1;
-                stats.rounds += 1;
-                stats.states_expanded += out.stats.states_visited;
-                let Some(witness) = out.witness else {
-                    continue 'rules;
-                };
-                let mut hops = Vec::with_capacity(witness.len());
-                let mut at = cond.owner;
-                for (eid, forward) in witness {
-                    let rec = self.graph.edge(eid);
-                    hops.push(WalkHop {
-                        src: rec.src,
-                        dst: rec.dst,
-                        label: rec.label,
-                        forward,
-                    });
-                    at = if forward { rec.dst } else { rec.src };
-                }
-                debug_assert_eq!(at, requester);
-                walks.push(WitnessWalk {
-                    start: cond.owner,
-                    hops,
-                });
-            }
-            return Ok((Some(Explanation::Rule { walks }), stats));
-        }
-        Ok((None, stats))
+        decision::explain(&self.store, rid, requester, |cond| {
+            let out = online::evaluate(&self.graph, cond.owner, &cond.path, Some(requester));
+            let census = ReadStats::one_pass(out.stats.states_visited);
+            let hops = out.witness.map(|witness| {
+                witness
+                    .into_iter()
+                    .map(|(eid, forward)| {
+                        let rec = self.graph.edge(eid);
+                        WalkHop {
+                            src: rec.src,
+                            dst: rec.dst,
+                            label: rec.label,
+                            forward,
+                        }
+                    })
+                    .collect()
+            });
+            Ok((hops, census))
+        })
     }
 
-    fn stats_supported(&self) -> bool {
-        true
-    }
-
+    /// Under the online engine the bundle's distinct conditions are
+    /// deduped and compiled into one shared-prefix plan that traverses
+    /// the shared snapshot in one multi-source pass per 64-condition
+    /// chunk — the batch-audience workload this system is built around.
     fn audience_batch_forced(
         &self,
         rids: &[ResourceId],
         strategy: BundleStrategy,
     ) -> Result<(Vec<Vec<NodeId>>, ReadStats), EvalError> {
-        match self.choice {
-            EngineChoice::Online => {
-                self.online
-                    .audience_batch_forced(&self.graph, &self.store, rids, strategy)
-            }
-            EngineChoice::JoinIndex(_) => {
-                self.join_enforcer()
-                    .audience_batch_forced(&self.graph, &self.store, rids, strategy)
-            }
-        }
+        with_enforcer!(self, |e| e.audience_batch_forced(
+            &self.graph,
+            &self.store,
+            rids,
+            strategy
+        ))
     }
 
     fn check_batch_forced(
@@ -540,23 +357,45 @@ impl AccessService for AccessControlSystem {
         threads: usize,
         plan: CheckPlan,
     ) -> Result<(Vec<Decision>, ReadStats), EvalError> {
-        match plan {
-            CheckPlan::Targeted => self.check_batch_with_stats(requests, threads),
-            CheckPlan::Audience(strategy) => match self.choice {
-                EngineChoice::Online => self.online.check_batch_via_audiences(
-                    &self.graph,
-                    &self.store,
-                    requests,
-                    strategy,
-                ),
-                EngineChoice::JoinIndex(_) => self.join_enforcer().check_batch_via_audiences(
-                    &self.graph,
-                    &self.store,
-                    requests,
-                    strategy,
-                ),
-            },
-        }
+        with_enforcer!(self, |e| e.check_batch_forced(
+            &self.graph,
+            &self.store,
+            requests,
+            threads,
+            plan
+        ))
+    }
+
+    /// Ad-hoc query bundles always run on the online engine over the
+    /// published snapshot — they are one-shot reads, so the join
+    /// index's precomputation has nothing to amortize.
+    fn query_audience_bundle(
+        &self,
+        queries: &[(NodeId, &str)],
+    ) -> Result<Vec<Vec<NodeId>>, EvalError> {
+        decision::query_bundle(self.graph.vocab(), queries, |conds| {
+            match self.online.publish_snapshot(&self.graph) {
+                Some(snap) => Ok(OnlineEngine
+                    .audience_batch_with_snapshot(&self.graph, &snap, conds)?
+                    .0),
+                // Edge-free graph: nothing to publish, nothing to walk.
+                None => Ok(conds
+                    .iter()
+                    .map(|&(owner, path)| {
+                        if path.is_empty() {
+                            vec![owner]
+                        } else {
+                            Vec::new()
+                        }
+                    })
+                    .collect()),
+            }
+        })
+    }
+
+    /// One early-exit walk per request, whatever the batch size.
+    fn default_check_plan(&self, _len: usize) -> CheckPlan {
+        CheckPlan::Targeted
     }
 }
 
@@ -687,8 +526,7 @@ mod tests {
         let bob = sys.user("Bob").unwrap();
         sys.service().check(rid, bob).unwrap();
         sys.service().check(rid, bob).unwrap();
-        let (hits, misses) = sys.cache_stats();
-        assert_eq!((hits, misses), (1, 1));
+        assert_eq!(sys.service().cache_stats(), (1, 1));
     }
 
     #[test]

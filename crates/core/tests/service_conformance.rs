@@ -14,10 +14,12 @@ mod common;
 
 use proptest::prelude::*;
 use socialreach_core::{
-    Decision, Deployment, EngineChoice, Explanation, JoinEngineConfig, MutateService, PathExpr,
+    AccessService, BundleStrategy, CheckPlan, Decision, Deployment, DurableService, EngineChoice,
+    Explanation, JoinEngineConfig, MutateService, PathExpr, PlannedService, PlannerMode,
     PolicyStore, ReadBatch, ResourceId, ServiceInstance,
 };
 use socialreach_graph::{NodeId, SocialGraph};
+use std::path::PathBuf;
 
 /// The deployments every conformance scenario must agree across. The
 /// first entry is the reference. The networked leg spawns a live
@@ -25,17 +27,24 @@ use socialreach_graph::{NodeId, SocialGraph};
 /// outlive every use of the returned deployment, and test processes
 /// end soon after.
 fn deployments() -> Vec<Deployment> {
-    let fleet = socialreach_core::remote::spawn_local_fleet(3, false).expect("fleet spawns");
-    let addrs = fleet.iter().map(|h| h.addr().clone()).collect();
-    std::mem::forget(fleet);
     vec![
         Deployment::online(),
         Deployment::single(EngineChoice::JoinIndex(JoinEngineConfig::default())),
         Deployment::sharded(1, 3),
         Deployment::sharded(4, 3),
         Deployment::sharded(7, 3),
-        Deployment::networked_with(addrs, 3),
+        networked(3),
     ]
+}
+
+/// A networked deployment over a fresh (leaked) loopback fleet of
+/// `shards` servers. A fleet serves exactly one build: its shards
+/// refuse a second router.
+fn networked(shards: usize) -> Deployment {
+    let fleet = socialreach_core::remote::spawn_local_fleet(shards, false).expect("fleet spawns");
+    let addrs = fleet.iter().map(|h| h.addr().clone()).collect();
+    std::mem::forget(fleet);
+    Deployment::networked_with(addrs, 3)
 }
 
 /// A raw graph + policy store behind the [`MutateService`] trait: the
@@ -208,51 +217,268 @@ fn granted_explains_replay_through_the_path_automaton() {
     }
 }
 
-/// The heterogeneous `read_batch` vocabulary answers exactly like the
-/// individual reads, on every backend, and its census is sane
-/// (single-graph deployments never export boundary states).
-#[test]
-fn read_batches_match_individual_reads_everywhere() {
-    for deployment in deployments() {
-        let mut svc = deployment.build();
-        let rids = apply_script(svc.writes());
-        let reads = svc.reads();
-        let members: Vec<NodeId> = (0..reads.num_members() as u32).map(NodeId).collect();
-        let mut batch = ReadBatch::new();
-        for &rid in &rids {
-            batch = batch.audience(rid);
-            for &m in &members {
-                batch = batch.check(rid, m).explain(rid, m);
+/// What stands between the caller and the scripted backend.
+#[derive(Clone, Copy, Debug)]
+enum Wrap {
+    Bare,
+    Durable,
+    Planned(PlannerMode),
+}
+
+/// A scripted backend behind a [`Wrap`] (the durable leg owns its
+/// scratch directory).
+enum Wrapped {
+    Bare(ServiceInstance),
+    Durable(Box<DurableService>, PathBuf),
+    Planned(PlannedService),
+}
+
+impl Wrapped {
+    fn scripted(deployment: &Deployment, wrap: Wrap, tag: usize) -> (Wrapped, Vec<ResourceId>) {
+        match wrap {
+            Wrap::Bare => {
+                let mut svc = deployment.build();
+                let rids = apply_script(svc.writes());
+                (Wrapped::Bare(svc), rids)
+            }
+            Wrap::Durable => {
+                let dir = std::env::temp_dir()
+                    .join(format!("srconf-durable-{}-{tag}", std::process::id()));
+                let _ = std::fs::remove_dir_all(&dir);
+                let mut svc = deployment.durable(&dir).expect("durable opens");
+                let rids = apply_script(svc.writes());
+                (Wrapped::Durable(Box::new(svc), dir), rids)
+            }
+            Wrap::Planned(mode) => {
+                let mut svc = PlannedService::over(deployment.build(), mode);
+                let rids = apply_script(&mut svc);
+                (Wrapped::Planned(svc), rids)
             }
         }
-        let responses = reads.read_batch(&batch).unwrap();
-        assert_eq!(responses.len(), batch.reads.len());
-        let mut it = responses.iter();
-        for &rid in &rids {
-            let audience = it.next().unwrap();
-            assert_eq!(
-                audience.audience.as_ref().unwrap(),
-                &reads.audience(rid).unwrap(),
-                "{}",
-                reads.describe()
-            );
-            if matches!(deployment, Deployment::Single(_)) {
+    }
+
+    fn reads(&self) -> &dyn AccessService {
+        match self {
+            Wrapped::Bare(s) => s.reads(),
+            Wrapped::Durable(s, _) => s.reads(),
+            Wrapped::Planned(s) => s,
+        }
+    }
+}
+
+impl Drop for Wrapped {
+    fn drop(&mut self) {
+        if let Wrapped::Durable(_, dir) = self {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+}
+
+/// Provided ≡ primitive, through every decorator: on bare,
+/// `DurableService`-wrapped and `PlannedService`-wrapped backends every
+/// provided read equals the primitive it is defined by, a decorator
+/// passes the inner census through unchanged (checked against a bare
+/// twin), and the heterogeneous `read_batch` vocabulary answers exactly
+/// like the individual reads with a sane census (single-graph
+/// deployments never export boundary states).
+#[test]
+fn read_batches_match_individual_reads_everywhere() {
+    let wraps = [
+        Wrap::Bare,
+        Wrap::Durable,
+        Wrap::Planned(PlannerMode::ForcedBatch),
+        Wrap::Planned(PlannerMode::ForcedPerCondition),
+    ];
+    for wrap in wraps {
+        for (tag, (deployment, twin)) in deployments().into_iter().zip(deployments()).enumerate() {
+            let (svc, rids) = Wrapped::scripted(&deployment, wrap, tag);
+            let (bare, _) = Wrapped::scripted(&twin, Wrap::Bare, tag);
+            let (reads, bare) = (svc.reads(), bare.reads());
+            let tag = format!("{wrap:?} over {}", bare.describe());
+            let members: Vec<NodeId> = (0..reads.num_members() as u32).map(NodeId).collect();
+            let requests: Vec<(ResourceId, NodeId)> = rids
+                .iter()
+                .flat_map(|&rid| members.iter().map(move |&m| (rid, m)))
+                .collect();
+
+            // Census pass-through, on caches equally cold on both sides.
+            for &(rid, m) in &requests {
                 assert_eq!(
-                    audience.stats.exported_states, 0,
-                    "single-graph reads never cross a boundary"
+                    reads.check_with_stats(rid, m).unwrap(),
+                    bare.check_with_stats(rid, m).unwrap(),
+                    "check census of {rid:?}/{m} ({tag})"
+                );
+                assert_eq!(
+                    reads.explain_with_stats(rid, m).unwrap(),
+                    bare.explain_with_stats(rid, m).unwrap(),
+                    "explain census of {rid:?}/{m} ({tag})"
                 );
             }
-            for &m in &members {
-                let check = it.next().unwrap();
-                assert_eq!(check.decision.unwrap(), reads.check(rid, m).unwrap());
-                let explain = it.next().unwrap();
+            for strategy in [BundleStrategy::Batched, BundleStrategy::PerCondition] {
                 assert_eq!(
-                    explain.explanation.is_some(),
-                    check.decision.unwrap() == Decision::Grant
+                    reads.audience_batch_forced(&rids, strategy).unwrap(),
+                    bare.audience_batch_forced(&rids, strategy).unwrap(),
+                    "{strategy:?} bundle census ({tag})"
                 );
-                if let Some(Explanation::Ownership { owner }) = &explain.explanation {
-                    assert_eq!(*owner, m, "ownership explanations name the requester");
+            }
+            assert_eq!(
+                reads.default_check_plan(requests.len()),
+                bare.default_check_plan(requests.len())
+            );
+
+            // Provided reads equal the primitives they are defined by.
+            let chosen = match wrap {
+                Wrap::Planned(PlannerMode::ForcedPerCondition) => BundleStrategy::PerCondition,
+                _ => BundleStrategy::Batched,
+            };
+            let bundle = reads.audience_batch_with_stats(&rids).unwrap();
+            assert_eq!(
+                bundle,
+                reads.audience_batch_forced(&rids, chosen).unwrap(),
+                "{tag}"
+            );
+            assert_eq!(reads.audience_batch(&rids).unwrap(), bundle.0, "{tag}");
+            for (&rid, audience) in rids.iter().zip(&bundle.0) {
+                assert_eq!(&reads.audience(rid).unwrap(), audience, "{tag}");
+                for &m in &members {
+                    let d = reads.check(rid, m).unwrap();
+                    assert_eq!(d, reads.check_with_stats(rid, m).unwrap().0, "{tag}");
+                    let lone = reads
+                        .check_batch_forced(&[(rid, m)], 1, CheckPlan::Targeted)
+                        .unwrap();
+                    assert_eq!(d, lone.0[0], "{tag}");
+                    assert_eq!(d.is_granted(), audience.contains(&m), "{tag}");
+                    let explained = reads.explain(rid, m).unwrap();
+                    assert_eq!(explained.is_some(), d.is_granted(), "{tag}");
+                    assert_eq!(explained, reads.explain_with_stats(rid, m).unwrap().0);
+                    assert_eq!(
+                        reads.explain_lines(rid, m).unwrap(),
+                        explained.map(|e| e.render(reads)),
+                        "{tag}"
+                    );
                 }
+            }
+            let routed = reads.check_batch_with_stats(&requests, 1).unwrap();
+            let plan = reads.default_check_plan(requests.len());
+            assert_eq!(
+                routed.0,
+                reads.check_batch_forced(&requests, 1, plan).unwrap().0,
+                "{tag}"
+            );
+            assert_eq!(reads.check_batch(&requests, 1).unwrap(), routed.0, "{tag}");
+            let query = (members[0], "MATCH (o)-[:friend*1..2]->(v)");
+            assert_eq!(
+                reads.query_audience(query.0, query.1).unwrap(),
+                reads.query_audience_bundle(&[query]).unwrap()[0],
+                "{tag}"
+            );
+
+            // The heterogeneous batch answers like the individual reads.
+            let mut batch = ReadBatch::new();
+            for &rid in &rids {
+                batch = batch.audience(rid);
+                for &m in &members {
+                    batch = batch.check(rid, m).explain(rid, m);
+                }
+            }
+            let responses = reads.read_batch(&batch).unwrap();
+            assert_eq!(responses.len(), batch.reads.len());
+            let mut it = responses.iter();
+            for &rid in &rids {
+                let audience = it.next().unwrap();
+                assert_eq!(
+                    audience.audience.as_ref().unwrap(),
+                    &reads.audience(rid).unwrap(),
+                    "{tag}"
+                );
+                if matches!(deployment, Deployment::Single(_)) {
+                    assert_eq!(
+                        audience.stats.exported_states, 0,
+                        "single-graph reads never cross a boundary"
+                    );
+                }
+                for &m in &members {
+                    let check = it.next().unwrap();
+                    assert_eq!(check.decision.unwrap(), reads.check(rid, m).unwrap());
+                    let explain = it.next().unwrap();
+                    assert_eq!(
+                        explain.explanation.is_some(),
+                        check.decision.unwrap() == Decision::Grant
+                    );
+                    if let Some(Explanation::Ownership { owner }) = &explain.explanation {
+                        assert_eq!(*owner, m, "ownership explanations name the requester");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Routes agree on decisions **and** cache accounting: one script with
+/// owner requests, duplicate requests and already-cached requests is
+/// decided under every [`CheckPlan`] on fresh twins of every backend;
+/// the decisions are identical and the `cache_stats()` delta is the
+/// same — owners count as neither, a cached request is a hit, and a
+/// duplicate of an uncached request is one miss then one hit.
+#[test]
+fn check_routes_agree_on_decisions_and_cache_accounting() {
+    let plans = [
+        CheckPlan::Targeted,
+        CheckPlan::Audience(BundleStrategy::Batched),
+        CheckPlan::Audience(BundleStrategy::PerCondition),
+    ];
+    let mut reference: Option<Vec<Decision>> = None;
+    for plan in plans {
+        let mut legs = deployments();
+        legs.push(networked(2));
+        for deployment in legs {
+            let mut svc = deployment.build();
+            let rids = apply_script(svc.writes());
+            let reads = svc.reads();
+            let tag = format!("{plan:?} on {}", reads.describe());
+            let id = |name: &str| reads.resolve_user(name).unwrap();
+            let (album, feed, memo, diary, ring) = (rids[0], rids[1], rids[2], rids[3], rids[4]);
+
+            // Two decisions land in the cache ahead of the batch.
+            let cached = [(album, id("Cleo")), (feed, id("Dan"))];
+            for (rid, m) in cached {
+                reads.check(rid, m).unwrap();
+            }
+            let owners = [(album, id("Ava")), (diary, id("Edith"))];
+            let fresh = [
+                (album, id("Ben")),
+                (memo, id("Gus")),
+                (feed, id("June")),
+                (diary, id("Ava")),
+                (ring, id("Gus")),
+            ];
+            let duplicates = [fresh[0], fresh[1], fresh[3]];
+            let requests: Vec<(ResourceId, NodeId)> = [
+                &owners[..1],
+                &fresh[..2],
+                &cached[..],
+                &duplicates[..2],
+                &fresh[2..],
+                &owners[1..],
+                &duplicates[2..],
+            ]
+            .concat();
+
+            let (hits0, misses0) = reads.cache_stats();
+            assert_eq!((hits0, misses0), (0, cached.len() as u64), "{tag}");
+            let (decisions, _) = reads.check_batch_forced(&requests, 1, plan).unwrap();
+            let (hits1, misses1) = reads.cache_stats();
+            assert_eq!(
+                (hits1 - hits0, misses1 - misses0),
+                ((cached.len() + duplicates.len()) as u64, fresh.len() as u64),
+                "cache accounting ({tag})"
+            );
+            for (&(rid, m), &d) in requests.iter().zip(&decisions) {
+                assert_eq!(d, reads.check(rid, m).unwrap(), "{rid:?}/{m} ({tag})");
+            }
+            match &reference {
+                None => reference = Some(decisions),
+                Some(expect) => assert_eq!(&decisions, expect, "{tag}"),
             }
         }
     }

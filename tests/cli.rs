@@ -246,6 +246,27 @@ fn bad_path_expression_reports_position() {
 }
 
 #[test]
+fn over_long_path_expression_is_a_parse_error() {
+    // 65 536 one-letter steps: one past the step budget, and exactly
+    // the longest single argument Linux passes to a child (128 KiB
+    // with its NUL).
+    let policy = vec!["f"; 65_536].join("/");
+    let file = edges_file();
+    let out = match cli()
+        .args(["check", file.to_str().unwrap(), "Alice", &policy, "Bob"])
+        .output()
+    {
+        Ok(out) => out,
+        // A platform with a tighter argument cap cannot deliver the
+        // policy at all; the library-level tests still cover it.
+        Err(e) if e.raw_os_error() == Some(7) => return,
+        Err(e) => panic!("spawns: {e}"),
+    };
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("at most 65535 steps"));
+}
+
+#[test]
 fn unknown_member_is_a_usage_error() {
     let file = edges_file();
     let out = cli()

@@ -4,8 +4,8 @@
 
 use socialreach::core::{plan, PlanConfig};
 use socialreach::{
-    parse_path, AccessControlSystem, AccessService, Decision, Deployment, EvalError,
-    JoinEngineConfig, JoinIndexEngine, JoinStrategy, SocialGraph,
+    parse_path, AccessControlSystem, AccessService, Decision, Deployment, EvalError, Explanation,
+    JoinEngineConfig, JoinIndexEngine, JoinStrategy, PathExpr, SocialGraph,
 };
 
 // ---------------------------------------------------------------------
@@ -265,6 +265,82 @@ fn garbage_rules_are_rejected_through_every_deployment() {
             "rejected rules must not leak into decisions ({})",
             svc.reads().describe()
         );
+    }
+}
+
+/// `steps` outgoing `friend` hops, in classic or `MATCH` syntax, plus
+/// the byte offset where the last step starts.
+fn long_policy(steps: usize, cypher: bool) -> (String, usize) {
+    let (head, step, sep) = if cypher {
+        ("MATCH (o)", "-[:friend]->(v)", "")
+    } else {
+        ("", "friend+", "/")
+    };
+    let body = vec![step; steps].join(sep);
+    let text = format!("{head}{body}");
+    let last = text.len() - step.len();
+    (text, last)
+}
+
+#[test]
+fn over_long_paths_are_refused_at_parse_time_never_truncated() {
+    // Engines address a path's steps in a `u16` slot. A budget-sized
+    // path must evaluate exactly; one step more must be a typed,
+    // caret-anchored refusal in both syntaxes on every backend — never
+    // a wrapped step index (a wrong answer) or a panic on the next read.
+    let budget = PathExpr::MAX_STEPS;
+    for deployment in trait_deployments() {
+        let mut svc = deployment.build();
+        let ring: Vec<_> = (0..8)
+            .map(|i| svc.writes().add_user(&format!("u{i}")))
+            .collect();
+        for i in 0..8 {
+            svc.writes()
+                .add_relationship(ring[i], "friend", ring[(i + 1) % 8]);
+        }
+        let rid = svc.writes().add_resource(ring[0]);
+        svc.writes()
+            .add_rule(rid, &long_policy(budget, false).0)
+            .unwrap();
+        let label = svc.reads().describe();
+
+        // `budget` hops around an 8-ring end on member `budget % 8`.
+        let end = ring[budget % 8];
+        let decisions = |svc: &dyn AccessService| -> Vec<Decision> {
+            ring.iter().map(|&u| svc.check(rid, u).unwrap()).collect()
+        };
+        let before = decisions(svc.reads());
+        for (&u, &d) in ring.iter().zip(&before) {
+            let expect = u == ring[0] || u == end;
+            assert_eq!(d.is_granted(), expect, "{u:?} on {label}");
+        }
+        assert_eq!(svc.reads().audience(rid).unwrap(), vec![ring[0], end]);
+        match svc.reads().explain(rid, end).unwrap() {
+            Some(Explanation::Rule { walks }) => {
+                assert_eq!(walks[0].hops.len(), budget, "{label}")
+            }
+            other => panic!("expected a {budget}-hop walk on {label}, got {other:?}"),
+        }
+
+        for cypher in [false, true] {
+            let (text, last_step) = long_policy(budget + 1, cypher);
+            for err in [
+                svc.writes().add_rule(rid, &text).unwrap_err(),
+                svc.reads().query_audience(ring[0], &text).unwrap_err(),
+            ] {
+                let EvalError::Parse(e) = err else {
+                    panic!("expected a parse error on {label}, got {err:?}");
+                };
+                assert_eq!(e.pos, last_step, "caret at the step past the budget");
+                assert!(e.message.contains("at most 65535 steps"), "{}", e.message);
+            }
+        }
+        assert_eq!(
+            decisions(svc.reads()),
+            before,
+            "refused rules leave no trace"
+        );
+        assert_eq!(svc.reads().audience(rid).unwrap(), vec![ring[0], end]);
     }
 }
 
