@@ -62,12 +62,18 @@ pub(crate) trait ShardLane: Send {
     type Error: Send;
 
     /// Called once, on the driver's own thread, before the lane's first
-    /// round: an in-process lane allocates its round-persistent engine
-    /// here, because memory allocated on a fan-out thread and freed by
-    /// the driver stays in that thread's malloc arena (+20 % peak RSS
-    /// on `feed_sharded`). A lane whose opening is a remote exchange
-    /// keeps the default and opens in its first [`ShardLane::round`],
-    /// where the exchange overlaps with the other lanes' rounds.
+    /// round: an in-process lane takes its round-persistent engine's
+    /// scratch from the **driver thread's** pool here
+    /// ([`crate::online`], "Pooled mask scratch") and gives it back
+    /// there when the lane is dropped, so a read allocates nothing
+    /// after warm-up and resets only what it touched. Taking on a
+    /// fan-out thread would find that short-lived thread's pool empty
+    /// every round (and memory allocated there and freed by the driver
+    /// stays in that thread's malloc arena: +20 % peak RSS on
+    /// `feed_sharded` when PR 13 measured it). A lane whose opening is
+    /// a remote exchange keeps the default and opens in its first
+    /// [`ShardLane::round`], where the exchange overlaps with the other
+    /// lanes' rounds.
     fn open(&mut self) {}
 
     /// Delivers one round's seeds and returns what the shard's run
@@ -206,20 +212,25 @@ fn run_rounds<L: ShardLane>(
         };
         // Fan out only when it can pay: several active lanes *and*
         // actual hardware parallelism (a scoped spawn per lane per
-        // round is pure overhead on one core).
+        // round is pure overhead on one core). The driver would only
+        // park while its lanes run, so it runs the last one itself and
+        // spawns the others; `outs` stays in lane order.
         let inline = active.len() == 1 || cores() == 1;
         let outs: Vec<(usize, Result<LaneRound, L::Error>)> = if inline {
             active.into_iter().map(run_lane).collect()
         } else {
             std::thread::scope(|scope| {
                 let run_lane = &run_lane;
+                let last = active.pop().expect("several active lanes");
                 let handles: Vec<_> = active
                     .into_iter()
                     .map(|task| scope.spawn(move || run_lane(task)))
                     .collect();
+                let last = run_lane(last);
                 handles
                     .into_iter()
                     .map(|h| h.join().expect("shard lane panicked"))
+                    .chain(std::iter::once(last))
                     .collect()
             })
         };
@@ -673,6 +684,116 @@ mod tests {
         );
         assert_eq!(out, Err("stitching failed"));
         assert_eq!(loads(&ends), vec![1]);
+    }
+
+    /// A lane over a real parent-tracked engine (member ids are node
+    /// ids; nobody is a ghost) that can panic after its run — with the
+    /// scratch dirty and still lent out.
+    struct EngineLane<'a> {
+        graph: &'a SocialGraph,
+        snap: &'a CsrSnapshot,
+        path: &'a PathExpr,
+        engine: Option<SeededBatchState>,
+        panics: bool,
+    }
+
+    impl ShardLane for EngineLane<'_> {
+        type Error = std::convert::Infallible;
+
+        fn open(&mut self) {
+            self.engine = Some(SeededBatchState::with_parents(
+                self.graph, self.snap, self.path,
+            ));
+        }
+
+        fn round(
+            &mut self,
+            seeds: &[MaskedExport],
+            _stop: Option<u32>,
+        ) -> Result<LaneRound, Self::Error> {
+            let seeds: Vec<MaskedSeedState> = seeds
+                .iter()
+                .map(|e| (NodeId(e.key.member), e.key.step, e.key.depth, e.mask))
+                .collect();
+            let out = online::evaluate_audience_batch_seeded(
+                self.graph,
+                self.snap,
+                self.path,
+                self.engine.as_mut().expect("opened"),
+                &seeds,
+                &[],
+            );
+            assert!(!self.panics, "lane failed mid-round");
+            Ok(LaneRound {
+                matched: out
+                    .matched
+                    .iter()
+                    .map(|&(m, mask)| WireMatch { member: m.0, mask })
+                    .collect(),
+                states_expanded: out.stats.states_visited as u64,
+                ..LaneRound::default()
+            })
+        }
+
+        fn end(&mut self) {}
+    }
+
+    #[test]
+    fn a_lane_that_panics_mid_round_leaves_no_dirty_scratch_behind() {
+        let mut g = SocialGraph::new();
+        let members: Vec<NodeId> = (0..20).map(|i| g.add_node(&format!("m{i}"))).collect();
+        for w in members.windows(2) {
+            g.connect(w[0], "friend", w[1]);
+        }
+        let path = crate::path::parse_path("friend+[1..3]", g.vocab_mut()).unwrap();
+        let snap = g.snapshot();
+        let lanes = |panics: bool| -> Vec<EngineLane<'_>> {
+            [panics, false]
+                .into_iter()
+                .map(|panics| EngineLane {
+                    graph: &g,
+                    snap: &snap,
+                    path: &path,
+                    engine: None,
+                    panics,
+                })
+                .collect()
+        };
+        // Both lanes are seeded, so with several cores lane 0 panics on
+        // a fan-out thread and lane 1 runs on the driver.
+        let seeds = [export(0, 0b01), export(10, 0b10)];
+        let read = |mut lanes: Vec<EngineLane<'_>>| {
+            masked_fixpoint(&mut lanes, home_of, &seeds, None, |_, run| Ok(run))
+                .unwrap_or_else(|e| match e {})
+        };
+
+        online::release_thread_caches();
+        let before = online::thread_cache_stats().mask_pool;
+        let unwound = std::panic::catch_unwind(|| read(lanes(true)));
+        assert!(unwound.is_err(), "the lane's panic reaches the caller");
+        let after = online::thread_cache_stats().mask_pool;
+        assert_eq!(after.takes, before.takes + 2, "both lanes opened");
+        assert_eq!(
+            after.buffers_held, 0,
+            "scratches dropped while unwinding are never recycled"
+        );
+        assert_eq!(
+            (after.slots_reset, after.full_fills),
+            (before.slots_reset, before.full_fills),
+            "nor reset"
+        );
+
+        // The next read on this thread starts from fresh allocations
+        // and answers correctly.
+        let run = read(lanes(false));
+        let fresh = online::thread_cache_stats().mask_pool;
+        assert_eq!(fresh.grows, after.grows + 2, "nothing was left to reuse");
+        assert_eq!(fresh.buffers_held, 2, "a clean read gives back");
+        for (bit, owner) in [(0, members[0]), (1, members[10])] {
+            let truth = online::evaluate_reference(&g, owner, &path, None).matched;
+            assert_eq!(run.audiences[bit], truth, "owner {owner}");
+        }
+        online::release_thread_caches();
     }
 
     #[test]

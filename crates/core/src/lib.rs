@@ -124,7 +124,8 @@
 //! targeted `check`/`explain`, in process or over the wire — runs the
 //! **same** round loop, the crate-private `fixpoint::masked_fixpoint`:
 //! take each shard's pending seeds, run the active shards (inline when
-//! one is active or the host has one core, scoped threads otherwise),
+//! one is active or the host has one core; otherwise the driver runs
+//! the last active shard itself and scoped threads run the others),
 //! merge their reports in shard order, forward only condition bits a
 //! home shard has not been sent before, stop on the targeted
 //! requester's hit, and close every shard-side evaluation it opened
@@ -143,6 +144,24 @@
 //! ([`ShardedSystem::evaluate_condition`]) and
 //! [`online::evaluate_reference`] stay apart on purpose: they are the
 //! oracles the differential suites compare the driver against.
+//!
+//! ## Masked reads cost what they explore
+//!
+//! The flat mask engines — the linear one behind targeted sharded
+//! checks ([`online::SeededBatchState`]) and the plan one behind every
+//! bundle ([`query::PlanBatchState`]) — share one pooled scratch type
+//! (see [`online`], "Pooled mask scratch"): a dense `u32` directory per
+//! product state over a compact arena of the states a read actually
+//! reaches. Constructing an engine takes a scratch from the calling
+//! thread's pool (all-zero by invariant, so nothing is filled);
+//! dropping it walks the arena once to clear what the read reached and
+//! gives the scratch back, unless the thread is panicking. A shard
+//! lane opens and drops its engine on the fixpoint's driver thread, a
+//! shard server's session on its connection thread, so after warm-up a
+//! masked read allocates nothing `|V|`-sized and a read that never
+//! leaves its seed costs the same at 10³ and at 10⁵ members.
+//! [`online::thread_cache_stats`] reports the pool;
+//! [`online::release_thread_caches`] sheds it.
 //!
 //! ## One decision layer, three backends
 //!

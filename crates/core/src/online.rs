@@ -64,9 +64,53 @@
 //! single-source seeded engine ([`evaluate_seeded`]) remains the
 //! targeted-check/witness primitive; the mask engine is the audience
 //! and batched-decision hot path.
+//!
+//! # Pooled mask scratch: the all-zero invariant
+//!
+//! The flat mask engines (this module's and [`crate::query::engine`]'s
+//! plan variant) keep their state in one type, `MaskScratch`, held in a
+//! per-thread pool beside the targeted engine's epoch-stamped scratch.
+//! A read must cost what its walk explores — in time *and* in memory it
+//! dirties — not `layers · |V|`, so a scratch is a dense **directory**
+//! (`u32` per product state: where the state's slot is, `0` for a state
+//! not reached) over a compact **slot arena** holding `seen`, `pending`
+//! and the first-arrival parent of exactly the states a read reaches,
+//! plus one `matched` word per member and the two frontier queues.
+//!
+//! * **Invariant:** a scratch that is not in use has its directory and
+//!   `matched` all zero and its arena and queues empty. Taking one from
+//!   the pool is therefore a pop — no fill — and a fresh one is a
+//!   lazily zeroed allocation (the pool's *grow* step, the only place a
+//!   `|V|`-sized array is allocated on a masked read).
+//! * **Who resets:** `MaskMarks::send_from` is the only writer of the
+//!   directory, and every entry it sets has a slot that records its
+//!   index; dropping a [`SeededBatchState`] or
+//!   [`crate::query::PlanBatchState`] gives the scratch back, which
+//!   walks the arena once, zeroing each slot's directory entry and its
+//!   member's `matched` word (`matched[v]` is only written while a
+//!   state at `v` is processed, so the arena covers it), then clears
+//!   the arena. Reset is `O(states reached)`. Once a read has reached
+//!   more than `1/8` of the dense span, give-back `fill(0)`s the span
+//!   instead and drops the oversized arena.
+//! * **Parents need no reset:** a parent pointer is a field of the slot
+//!   created on a state's first arrival, naming an older slot of the
+//!   same arena; [`SeededBatchState::trace`] enters through the
+//!   directory and follows slots. The arena is cleared wholesale, so
+//!   nothing of an earlier use is reachable.
+//! * **Never recycled dirty:** an engine dropped while its thread is
+//!   panicking drops its scratch instead of returning it, and debug
+//!   builds assert the whole buffer is zero on give-back.
+//!
+//! What a thread retains per scratch is the directory (4 B per product
+//! state of the largest space served), `matched` (8 B per member) and
+//! an arena no larger than the directory — a quarter of the 16 B
+//! `seen`/`pending` pair the engines used to allocate and zero per
+//! read, and the part a read makes resident is the pages it touches.
+//! [`release_thread_caches`] drops the pool; [`thread_cache_stats`]
+//! reports what it holds and what it has done.
 
 use crate::path::PathExpr;
-use socialreach_graph::csr::CsrSnapshot;
+use socialreach_graph::csr::{CsrSnapshot, Neighbors};
 use socialreach_graph::{Direction, EdgeId, NodeId, SocialGraph};
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;
@@ -237,6 +281,9 @@ fn flat_dimensions(snap: &CsrSnapshot, path: &PathExpr) -> Option<(u32, u64, usi
 
 thread_local! {
     static SCRATCH: RefCell<Scratch> = RefCell::default();
+    /// The mask engines' scratches this thread holds, all of them
+    /// all-zero (see the module docs).
+    static MASK_POOL: RefCell<MaskPool> = RefCell::default();
     /// One cached snapshot per thread for callers that evaluate against
     /// a bare `&SocialGraph` (the engine layer caches its own shared
     /// snapshot; see `Enforcer`).
@@ -289,7 +336,8 @@ pub(crate) fn thread_snapshot_if_current(g: &SocialGraph) -> Option<Rc<CsrSnapsh
     })
 }
 
-/// Releases this thread's cached snapshot and search buffers.
+/// Releases this thread's cached snapshot, search buffers and pooled
+/// mask scratches.
 ///
 /// The caches are sized to the largest graph/query this thread has
 /// evaluated and are otherwise retained for reuse; a long-lived worker
@@ -298,6 +346,9 @@ pub(crate) fn thread_snapshot_if_current(g: &SocialGraph) -> Option<Rc<CsrSnapsh
 pub fn release_thread_caches() {
     release_thread_snapshot();
     SCRATCH.with(|scratch| *scratch.borrow_mut() = Scratch::default());
+    // The pool's counters are monotonic instrumentation; only the
+    // buffers go.
+    MASK_POOL.with(|pool| pool.borrow_mut().free = Vec::new());
 }
 
 /// Releases only this thread's cached [`CsrSnapshot`] (and the
@@ -322,13 +373,45 @@ pub struct ThreadCacheStats {
     pub snapshot_cached: bool,
     /// Dense visited slots currently allocated in the BFS scratch.
     pub scratch_state_slots: usize,
+    /// The mask engines' scratch pool.
+    pub mask_pool: MaskPoolStats,
 }
 
-/// Reports this thread's cached-snapshot presence and scratch size.
+/// Footprint and work counters of this thread's mask-scratch pool (see
+/// the module docs). The counters are monotonic over the thread's life;
+/// [`release_thread_caches`] drops the buffers and leaves them.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct MaskPoolStats {
+    /// Scratches held by the pool (not those currently lent to an
+    /// engine).
+    pub buffers_held: usize,
+    /// Heap bytes those scratches have allocated.
+    pub bytes_held: usize,
+    /// Scratches handed to an engine.
+    pub takes: u64,
+    /// Takes that had to allocate a `|V|`-sized array (a first use, or
+    /// a larger product space than the scratch had served before).
+    pub grows: u64,
+    /// Reached states cleared one by one on give-back.
+    pub slots_reset: u64,
+    /// Give-backs that fell back to `fill(0)` over the dense span.
+    pub full_fills: u64,
+}
+
+/// Reports this thread's cached-snapshot presence, scratch size and
+/// mask-scratch pool.
 pub fn thread_cache_stats() -> ThreadCacheStats {
     ThreadCacheStats {
         snapshot_cached: SNAPSHOT.with(|slot| slot.borrow().is_some()),
         scratch_state_slots: SCRATCH.with(|scratch| scratch.borrow().visited.len()),
+        mask_pool: MASK_POOL.with(|pool| {
+            let pool = pool.borrow();
+            MaskPoolStats {
+                buffers_held: pool.free.len(),
+                bytes_held: pool.free.iter().map(MaskScratch::heap_bytes).sum(),
+                ..pool.stats
+            }
+        }),
     }
 }
 
@@ -1003,6 +1086,260 @@ fn evaluate_seeded_sparse(
 }
 
 // ---------------------------------------------------------------------
+// Pooled mask scratch (shared state of the linear and plan mask engines)
+// ---------------------------------------------------------------------
+
+/// Give-back clears the directory entry by entry while at most this
+/// fraction of the dense span was reached, and `fill(0)`s the span past
+/// it (dropping the then-oversized slot arena): a sequential fill moves
+/// 4 B per state at memory bandwidth, a reached state costs two
+/// scattered stores.
+const REACHED_FILL_DIVISOR: usize = 8;
+
+/// Scratches one thread retains; a give-back past it drops the buffer.
+/// A thread needs as many at once as one fixpoint has lanes open (one
+/// per active shard).
+const MASK_POOL_CAP: usize = 8;
+
+/// `parent` of a slot nothing leads to: a seed, or any slot of an
+/// engine that does not track parents.
+const NO_PARENT: u32 = u32::MAX;
+
+#[derive(Default)]
+struct MaskPool {
+    free: Vec<MaskScratch>,
+    /// Work counters (`buffers_held`/`bytes_held` are computed on
+    /// read).
+    stats: MaskPoolStats,
+}
+
+/// Everything a mask engine knows about one product state it has
+/// reached. Slots live in a per-read arena in arrival order, so the
+/// memory a read dirties is proportional to the states it reaches.
+#[derive(Clone, Copy)]
+struct MaskSlot {
+    /// Bits ever arrived.
+    seen: u64,
+    /// Bits arrived since the state was last processed (`⊆ seen`).
+    pending: u64,
+    /// The state's dense index `layer · |V| + member` — the directory
+    /// entry that points here.
+    idx: u32,
+    /// Arena position of the state this one was **first** reached
+    /// from, or [`NO_PARENT`].
+    parent: u32,
+    /// `(eid << 1) | forward` of that first arrival, or [`HOP_NONE`]
+    /// for seeds and ε-moves.
+    hop: u32,
+}
+
+/// The mask state of a [`MaskScratch`] behind the only operations that
+/// write it, so every directory entry that leaves zero has a slot
+/// recording where it is (see the module docs for the invariant this
+/// keeps).
+#[derive(Default)]
+pub(crate) struct MaskMarks {
+    v_count: u32,
+    /// `layers · |V|` of the current use; every state it addresses is
+    /// below it (the directory may be longer, from an earlier use).
+    span: usize,
+    /// `1 +` arena position of each reached state, `0` for the others,
+    /// indexed by `layer · |V| + member`.
+    dir: Vec<u32>,
+    /// The reached states, in arrival order.
+    slots: Vec<MaskSlot>,
+    /// Bits already reported as matched, per member.
+    matched: Vec<u64>,
+}
+
+impl MaskMarks {
+    #[inline]
+    fn index(&self, layer: u32, v: u32) -> usize {
+        (layer * self.v_count + v) as usize
+    }
+
+    /// Forwards `bits` to a state, queueing it on the 0 → non-zero
+    /// pending transition. On the state's **first-ever** arrival it
+    /// gets its slot, remembering `from` (the arena position of the
+    /// state being processed, [`NO_PARENT`] for a seed) and `hop`.
+    #[inline]
+    pub(crate) fn send_from(
+        &mut self,
+        queue: &mut Vec<u64>,
+        layer: u32,
+        v: u32,
+        bits: u64,
+        from: u32,
+        hop: u32,
+    ) {
+        let idx = self.index(layer, v);
+        let packed = (u64::from(layer) << 32) | u64::from(v);
+        match self.dir[idx] {
+            0 if bits != 0 => {
+                self.slots.push(MaskSlot {
+                    seen: bits,
+                    pending: bits,
+                    idx: idx as u32,
+                    parent: from,
+                    hop,
+                });
+                self.dir[idx] = self.slots.len() as u32;
+                queue.push(packed);
+            }
+            0 => {}
+            at => {
+                let slot = &mut self.slots[at as usize - 1];
+                let new = bits & !slot.seen;
+                if new != 0 {
+                    slot.seen |= new;
+                    if slot.pending == 0 {
+                        queue.push(packed);
+                    }
+                    slot.pending |= new;
+                }
+            }
+        }
+    }
+
+    /// [`MaskMarks::send_from`] for an engine that keeps no parent
+    /// chains, and for seeds.
+    #[inline]
+    pub(crate) fn send(&mut self, queue: &mut Vec<u64>, layer: u32, v: u32, bits: u64) {
+        self.send_from(queue, layer, v, bits, NO_PARENT, HOP_NONE);
+    }
+
+    /// Takes the bits awaiting processing at a queued state; also
+    /// returns its arena position (the `from` of what it forwards).
+    #[inline]
+    pub(crate) fn take_pending(&mut self, layer: u32, v: u32) -> (u32, u64) {
+        let at = self.dir[self.index(layer, v)] - 1;
+        (at, std::mem::take(&mut self.slots[at as usize].pending))
+    }
+
+    /// The bits of `bits` member `v` has not been reported under yet,
+    /// now marked reported. Only called while a state at `v` is being
+    /// processed, so `v` has a slot.
+    #[inline]
+    pub(crate) fn claim_matched(&mut self, v: u32, bits: u64) -> u64 {
+        let word = &mut self.matched[v as usize];
+        let new = bits & !*word;
+        *word |= new;
+        new
+    }
+}
+
+/// The reusable state of one flat mask engine — [`FlatBatch`] here, the
+/// plan engine's flat variant in [`crate::query::engine`]: the state
+/// directory with its slot arena, the per-member matched words and the
+/// two frontier queues. Taken from and given back to this thread's
+/// pool; all-zero (and empty) whenever it is not in use.
+#[derive(Default)]
+pub(crate) struct MaskScratch {
+    pub(crate) marks: MaskMarks,
+    /// Packed `(layer << 32) | member` states of the current level.
+    pub(crate) frontier: Vec<u64>,
+    /// … and of the level being built.
+    pub(crate) next: Vec<u64>,
+}
+
+/// Replaces `v` by a (lazily) zeroed array of `len` when it is shorter.
+/// The old content is all-zero by the pool invariant, so nothing is
+/// copied.
+fn grow_zeroed<T: Copy + Default>(v: &mut Vec<T>, len: usize) -> bool {
+    if v.len() >= len {
+        return false;
+    }
+    *v = vec![T::default(); len];
+    true
+}
+
+impl MaskScratch {
+    /// Takes a scratch for a `layers × v_count` product space from this
+    /// thread's pool, growing (never shrinking) its dense arrays — this
+    /// is the only place a `|V|`-sized array is allocated on a masked
+    /// read.
+    pub(crate) fn take(v_count: u32, layers: usize) -> Self {
+        let span = layers * v_count as usize;
+        MASK_POOL.with(|pool| {
+            let pool = &mut *pool.borrow_mut();
+            let mut s = pool.free.pop().unwrap_or_default();
+            let grew = grow_zeroed(&mut s.marks.dir, span)
+                | grow_zeroed(&mut s.marks.matched, v_count as usize);
+            pool.stats.takes += 1;
+            pool.stats.grows += u64::from(grew);
+            s.marks.v_count = v_count;
+            s.marks.span = span;
+            s
+        })
+    }
+
+    /// Returns the scratch to this thread's pool (leaving `self`
+    /// empty), zeroing what the use reached. A panicking thread drops
+    /// it instead — an unwound engine is never recycled dirty — and so
+    /// does a pool already at [`MASK_POOL_CAP`].
+    pub(crate) fn give_back(&mut self) {
+        let mut s = std::mem::take(self);
+        if std::thread::panicking() {
+            return;
+        }
+        // `try_with`: an engine dropped while the thread's locals are
+        // being destroyed just frees its scratch.
+        let _ = MASK_POOL.try_with(|pool| {
+            let pool = &mut *pool.borrow_mut();
+            if pool.free.len() >= MASK_POOL_CAP {
+                return;
+            }
+            s.reset(&mut pool.stats);
+            pool.free.push(s);
+        });
+    }
+
+    /// Restores the all-zero invariant in `O(states reached)` — or,
+    /// when more than `1/REACHED_FILL_DIVISOR` of the span was reached,
+    /// by a fill of the span, dropping the arena and queues: those are
+    /// then the footprint of one huge read, not something to retain.
+    fn reset(&mut self, stats: &mut MaskPoolStats) {
+        let m = &mut self.marks;
+        if m.slots.len() > m.span / REACHED_FILL_DIVISOR {
+            m.dir[..m.span].fill(0);
+            m.matched[..m.v_count as usize].fill(0);
+            stats.full_fills += 1;
+            m.slots = Vec::new();
+            self.frontier = Vec::new();
+            self.next = Vec::new();
+        } else {
+            for slot in &m.slots {
+                m.dir[slot.idx as usize] = 0;
+                m.matched[(slot.idx % m.v_count) as usize] = 0;
+            }
+            stats.slots_reset += m.slots.len() as u64;
+            m.slots.clear();
+            self.frontier.clear();
+            self.next.clear();
+        }
+        debug_assert!(
+            m.dir.iter().all(|&e| e == 0) && m.matched.iter().all(|&w| w == 0),
+            "a mask scratch must be all-zero when it returns to the pool"
+        );
+    }
+
+    fn heap_bytes(&self) -> usize {
+        let m = &self.marks;
+        std::mem::size_of::<u32>() * m.dir.capacity()
+            + std::mem::size_of::<MaskSlot>() * m.slots.capacity()
+            + std::mem::size_of::<u64>()
+                * (m.matched.capacity() + self.frontier.capacity() + self.next.capacity())
+    }
+}
+
+/// `watched[v]`, where an empty `watched` slice means nobody is watched
+/// (a single-graph read has no ghosts and allocates no watch set).
+#[inline]
+pub(crate) fn is_watched(watched: &[bool], v: usize) -> bool {
+    !watched.is_empty() && watched[v]
+}
+
+// ---------------------------------------------------------------------
 // Seeded multi-source mask engine (the batched serving primitive)
 // ---------------------------------------------------------------------
 
@@ -1059,33 +1396,23 @@ enum BatchInner {
     Sparse(SparseBatch),
 }
 
-/// Persistent parent pointers of a parent-tracked flat batch engine
-/// ([`SeededBatchState::with_parents`]): for each product state, the
-/// state it was **first** reached from and the hop taken, surviving
-/// across runs so a cross-round chain can be traced without replay.
-struct FlatParents {
-    /// Predecessor state index; seeds point at themselves.
-    state: Vec<u32>,
-    /// `(eid << 1) | forward`, or [`HOP_NONE`] for seeds and ε-moves.
-    hop: Vec<u32>,
-}
-
-/// Dense-array variant: masks indexed by `layer · |V| + member`.
+/// Dense variant: state directory indexed by `layer · |V| + member`,
+/// in a pooled [`MaskScratch`] that drop gives back.
 struct FlatBatch {
-    v_count: u32,
     bases: Vec<u32>,
     sats: Vec<u32>,
     layers: Vec<LayerInfo>,
-    /// Bits ever arrived, per product state.
-    seen: Vec<u64>,
-    /// Bits arrived since the state was last processed.
-    pending: Vec<u64>,
-    /// Bits already reported as matched, per member.
-    matched_mask: Vec<u64>,
-    frontier: Vec<u64>,
-    next: Vec<u64>,
-    /// First-arrival parent pointers, when tracking is enabled.
-    parents: Option<FlatParents>,
+    /// Whether slots remember their first arrival
+    /// ([`SeededBatchState::with_parents`]), surviving across runs so a
+    /// cross-round chain can be traced without replay.
+    track_parents: bool,
+    scratch: MaskScratch,
+}
+
+impl Drop for FlatBatch {
+    fn drop(&mut self) {
+        self.scratch.give_back();
+    }
 }
 
 /// Sparse mirror for degenerate product spaces (astronomical
@@ -1103,11 +1430,17 @@ struct SparseBatch {
 }
 
 impl SeededBatchState {
-    /// Fresh state for evaluating `path` over `snap`/`g`. Picks the
-    /// flat dense-array variant when the product space is reasonable
+    /// State for evaluating `path` over `snap`/`g`. Picks the flat
+    /// dense-array variant when the product space is reasonable
     /// ([`evaluate_with_snapshot`]'s criterion) and the sparse mirror
-    /// otherwise — run results are identical either way.
+    /// otherwise — run results are identical either way. The flat
+    /// variant's arrays come from this thread's scratch pool and return
+    /// to it (reset in `O(states touched)`) when the state is dropped.
     pub fn new(g: &SocialGraph, snap: &CsrSnapshot, path: &PathExpr) -> Self {
+        Self::build(g, snap, path, false)
+    }
+
+    fn build(g: &SocialGraph, snap: &CsrSnapshot, path: &PathExpr, parents: bool) -> Self {
         assert!(!path.is_empty(), "the batched driver handles empty paths");
         let steps = &path.steps;
         let inner = match if snap.matches(g) {
@@ -1115,21 +1448,16 @@ impl SeededBatchState {
         } else {
             None
         } {
-            Some((v_count, _, total_states)) => {
+            Some((v_count, layer_count, _)) => {
                 let (bases, sats) = layer_bases(steps);
                 let mut layers = Vec::new();
                 fill_layer_table(steps, &mut layers);
                 BatchInner::Flat(FlatBatch {
-                    v_count,
                     bases,
                     sats,
                     layers,
-                    seen: vec![0; total_states],
-                    pending: vec![0; total_states],
-                    matched_mask: vec![0; snap.num_nodes()],
-                    frontier: Vec::new(),
-                    next: Vec::new(),
-                    parents: None,
+                    track_parents: parents,
+                    scratch: MaskScratch::take(v_count, layer_count as usize),
                 })
             }
             None => BatchInner::Sparse(SparseBatch {
@@ -1139,7 +1467,7 @@ impl SeededBatchState {
                 matched_mask: HashMap::new(),
                 frontier: Vec::new(),
                 next: Vec::new(),
-                parents: None,
+                parents: parents.then(HashMap::new),
             }),
         };
         SeededBatchState {
@@ -1169,18 +1497,7 @@ impl SeededBatchState {
     /// `check`/`explain` path. Multi-bit bundles must keep using the
     /// replay-based reconstruction.
     pub fn with_parents(g: &SocialGraph, snap: &CsrSnapshot, path: &PathExpr) -> Self {
-        let mut state = Self::new(g, snap, path);
-        match &mut state.inner {
-            BatchInner::Flat(fb) => {
-                let total = fb.seen.len();
-                fb.parents = Some(FlatParents {
-                    state: vec![0; total],
-                    hop: vec![0; total],
-                });
-            }
-            BatchInner::Sparse(sb) => sb.parents = Some(HashMap::new()),
-        }
-        state
+        Self::build(g, snap, path, true)
     }
 
     /// Walks the persistent parent chain back from the product state
@@ -1198,27 +1515,26 @@ impl SeededBatchState {
     ) -> Option<(Vec<WitnessHop>, SeedState)> {
         match &self.inner {
             BatchInner::Flat(fb) => {
-                let parents = fb.parents.as_ref()?;
-                let lay = fb.bases[step as usize] + depth.min(fb.sats[step as usize]);
-                let mut cur = lay * fb.v_count + member.0;
-                if fb.seen[cur as usize] == 0 {
+                if !fb.track_parents {
                     return None;
                 }
+                let marks = &fb.scratch.marks;
+                let lay = fb.bases[step as usize] + depth.min(fb.sats[step as usize]);
+                let mut at = marks.dir[marks.index(lay, member.0)].checked_sub(1)?;
                 let mut hops = Vec::new();
-                loop {
-                    let hop = parents.hop[cur as usize];
-                    let prev = parents.state[cur as usize];
-                    if hop != HOP_NONE {
-                        hops.push((EdgeId(hop >> 1), hop & 1 == 1));
+                let seed = loop {
+                    let slot = &marks.slots[at as usize];
+                    if slot.hop != HOP_NONE {
+                        hops.push((EdgeId(slot.hop >> 1), slot.hop & 1 == 1));
                     }
-                    if prev == cur {
-                        break;
+                    if slot.parent == NO_PARENT {
+                        break slot.idx;
                     }
-                    cur = prev;
-                }
+                    at = slot.parent;
+                };
                 hops.reverse();
-                let v = cur % fb.v_count;
-                let lay = cur / fb.v_count;
+                let v = seed % marks.v_count;
+                let lay = seed / marks.v_count;
                 let li = fb.layers[lay as usize];
                 Some((hops, (NodeId(v), li.step, lay - fb.bases[li.step as usize])))
             }
@@ -1246,7 +1562,8 @@ impl SeededBatchState {
 /// One seeded run of the multi-source mask BFS: it
 /// drains the frontier produced by `seeds` (plus whatever earlier
 /// runs left unexplored — nothing, by post-condition), recording
-/// matches and exporting masked states visited at `watched` members.
+/// matches and exporting masked states visited at `watched` members
+/// (an empty slice watches nobody).
 ///
 /// Semantics per condition bit are those of the single-source seeded
 /// engine ([`evaluate_seeded`]) restricted to this graph's edges: a
@@ -1255,8 +1572,9 @@ impl SeededBatchState {
 /// only locally present edges. The sharded router obtains global
 /// semantics by fixpointing masked runs across shards.
 ///
-/// `state` must have been created by [`SeededBatchState::new`] for
-/// this same `(g, snap, path)`; runs may repeat freely, and bits
+/// `state` must have been created by [`SeededBatchState::new`] (or
+/// [`SeededBatchState::with_parents`]) for this same `(g, snap, path)`;
+/// runs may repeat freely, and bits
 /// reported (matched or exported) are disjoint across runs.
 pub fn evaluate_audience_batch_seeded(
     g: &SocialGraph,
@@ -1295,34 +1613,6 @@ pub fn evaluate_audience_batch_seeded_stop(
 }
 
 impl FlatBatch {
-    /// Forwards `bits` to a state, queueing it on the 0 → nonzero
-    /// pending transition. Free function shape so the BFS loop can
-    /// split-borrow the mask arrays. Returns `true` on the state's
-    /// **first-ever** arrival (any bit), the moment a parent pointer
-    /// should be recorded.
-    #[inline]
-    fn send(
-        seen: &mut [u64],
-        pending: &mut [u64],
-        queue: &mut Vec<u64>,
-        v_count: u32,
-        layer: u32,
-        v: u32,
-        bits: u64,
-    ) -> bool {
-        let idx = (layer * v_count + v) as usize;
-        let first = seen[idx] == 0;
-        let new = bits & !seen[idx];
-        if new != 0 {
-            seen[idx] |= new;
-            if pending[idx] == 0 {
-                queue.push((u64::from(layer) << 32) | u64::from(v));
-            }
-            pending[idx] |= new;
-        }
-        first && new != 0
-    }
-
     #[allow(clippy::too_many_arguments)]
     fn run(
         &mut self,
@@ -1338,38 +1628,29 @@ impl FlatBatch {
         let steps = &path.steps;
         let mut out = SeededBatchOutcome::default();
         let FlatBatch {
-            v_count,
             bases,
             sats,
             layers,
-            seen,
-            pending,
-            matched_mask,
+            track_parents,
+            scratch,
+        } = self;
+        let MaskScratch {
+            marks,
             frontier,
             next,
-            parents,
-        } = self;
-        let v_count = *v_count;
+        } = scratch;
 
         debug_assert!(frontier.is_empty(), "previous run drained its frontier");
         for &(m, step, depth, bits) in seeds {
             let lay = bases[step as usize] + depth.min(sats[step as usize]);
-            if Self::send(seen, pending, frontier, v_count, lay, m.0, bits) {
-                if let Some(p) = parents.as_mut() {
-                    let idx = (lay * v_count + m.0) as usize;
-                    p.state[idx] = lay * v_count + m.0;
-                    p.hop[idx] = HOP_NONE;
-                }
-            }
+            marks.send(frontier, lay, m.0, bits);
         }
 
         while !frontier.is_empty() {
             for &packed in frontier.iter() {
                 let v = packed as u32;
                 let lay = (packed >> 32) as u32;
-                let idx = (lay * v_count + v) as usize;
-                let delta = pending[idx];
-                pending[idx] = 0;
+                let (at, delta) = marks.take_pending(lay, v);
                 debug_assert_ne!(delta, 0, "queued state without pending bits");
                 out.stats.states_visited += 1;
                 *states_expanded += 1;
@@ -1377,7 +1658,7 @@ impl FlatBatch {
                 let step = &steps[li.step as usize];
                 let node = NodeId(v);
 
-                if watched[node.index()] {
+                if is_watched(watched, node.index()) {
                     out.exports
                         .push((node, li.step, lay - bases[li.step as usize], delta));
                 }
@@ -1385,85 +1666,42 @@ impl FlatBatch {
                 // Step completion for the newly arrived bits.
                 if li.completes && step.conds.iter().all(|c| c.eval(g.node_attrs(node))) {
                     if li.last {
-                        let new_matched = delta & !matched_mask[node.index()];
+                        let new_matched = marks.claim_matched(v, delta);
                         if new_matched != 0 {
-                            matched_mask[node.index()] |= new_matched;
                             out.matched.push((node, new_matched));
                             if stop == Some(node) {
                                 out.hit = Some((li.step, lay - bases[li.step as usize]));
                                 return out;
                             }
                         }
-                    } else if Self::send(seen, pending, next, v_count, li.eps_layer, v, delta) {
-                        if let Some(p) = parents.as_mut() {
-                            let ni = (li.eps_layer * v_count + v) as usize;
-                            p.state[ni] = idx as u32;
-                            p.hop[ni] = HOP_NONE;
-                        }
+                    } else {
+                        marks.send_from(next, li.eps_layer, v, delta, at, HOP_NONE);
                     }
                 }
 
-                // Edge expansion within the step.
+                // Edge expansion within the step. Only a parent-tracked
+                // engine reads the edge-id column.
                 if !li.expands {
                     continue;
                 }
-                if matches!(step.dir, Direction::Out | Direction::Both) {
-                    let nbrs = snap.out_neighbors(v, step.label);
-                    match parents.as_mut() {
-                        None => {
-                            for &nbr in nbrs.nodes {
-                                out.stats.edges_scanned += 1;
-                                Self::send(seen, pending, next, v_count, li.next_layer, nbr, delta);
-                            }
+                let mut expand = |nbrs: Neighbors<'_>, forward: u32| {
+                    out.stats.edges_scanned += nbrs.nodes.len();
+                    if *track_parents {
+                        for (&nbr, &eid) in nbrs.nodes.iter().zip(nbrs.edges) {
+                            let hop = (eid << 1) | forward;
+                            marks.send_from(next, li.next_layer, nbr, delta, at, hop);
                         }
-                        Some(p) => {
-                            for (&nbr, &eid) in nbrs.nodes.iter().zip(nbrs.edges) {
-                                out.stats.edges_scanned += 1;
-                                if Self::send(
-                                    seen,
-                                    pending,
-                                    next,
-                                    v_count,
-                                    li.next_layer,
-                                    nbr,
-                                    delta,
-                                ) {
-                                    let ni = (li.next_layer * v_count + nbr) as usize;
-                                    p.state[ni] = idx as u32;
-                                    p.hop[ni] = (eid << 1) | 1;
-                                }
-                            }
+                    } else {
+                        for &nbr in nbrs.nodes {
+                            marks.send(next, li.next_layer, nbr, delta);
                         }
                     }
+                };
+                if matches!(step.dir, Direction::Out | Direction::Both) {
+                    expand(snap.out_neighbors(v, step.label), 1);
                 }
                 if matches!(step.dir, Direction::In | Direction::Both) {
-                    let nbrs = snap.in_neighbors(v, step.label);
-                    match parents.as_mut() {
-                        None => {
-                            for &nbr in nbrs.nodes {
-                                out.stats.edges_scanned += 1;
-                                Self::send(seen, pending, next, v_count, li.next_layer, nbr, delta);
-                            }
-                        }
-                        Some(p) => {
-                            for (&nbr, &eid) in nbrs.nodes.iter().zip(nbrs.edges) {
-                                out.stats.edges_scanned += 1;
-                                if Self::send(
-                                    seen,
-                                    pending,
-                                    next,
-                                    v_count,
-                                    li.next_layer,
-                                    nbr,
-                                    delta,
-                                ) {
-                                    let ni = (li.next_layer * v_count + nbr) as usize;
-                                    p.state[ni] = idx as u32;
-                                    p.hop[ni] = eid << 1;
-                                }
-                            }
-                        }
-                    }
+                    expand(snap.in_neighbors(v, step.label), 0);
                 }
             }
             std::mem::swap(frontier, next);
@@ -1539,7 +1777,7 @@ impl SparseBatch {
                 let step = &steps[i as usize];
                 let node = NodeId(v);
 
-                if watched[node.index()] {
+                if is_watched(watched, node.index()) {
                     out.exports.push((node, i, d, delta));
                 }
 
@@ -2080,10 +2318,140 @@ mod tests {
         );
 
         let _ = evaluate(&g, alice, &p, None);
+        // A masked read leaves its scratch in the pool …
+        let snap = g.snapshot();
+        let mut state = SeededBatchState::with_parents(&g, &snap, &p);
+        let out =
+            evaluate_audience_batch_seeded(&g, &snap, &p, &mut state, &[(alice, 0, 0, 1)], &[]);
+        assert!(!out.matched.is_empty());
+        assert_eq!(thread_cache_stats().mask_pool.buffers_held, 0, "lent out");
+        drop(state);
+        let pooled = thread_cache_stats().mask_pool;
+        assert_eq!(pooled.buffers_held, 1, "drop gives the scratch back");
+        assert!(pooled.bytes_held > 0);
+        assert_eq!((pooled.takes, pooled.grows), (1, 1), "first use allocates");
+        assert!(pooled.slots_reset + pooled.full_fills > 0, "and was reset");
+        // … which a snapshot-only release keeps …
+        release_thread_snapshot();
+        assert_eq!(thread_cache_stats().mask_pool, pooled);
+
+        // … and a full release drops, counters aside.
         release_thread_caches();
         let cold = thread_cache_stats();
         assert!(!cold.snapshot_cached);
         assert_eq!(cold.scratch_state_slots, 0, "full release drops scratch");
+        assert_eq!(
+            cold.mask_pool,
+            MaskPoolStats {
+                buffers_held: 0,
+                bytes_held: 0,
+                ..pooled
+            },
+            "full release drops the pooled scratches and keeps the counters"
+        );
+    }
+
+    #[test]
+    fn the_pool_retains_a_bounded_number_of_scratches() {
+        let mut g = chain();
+        let p = parse(&mut g, "friend+[1,2]");
+        let snap = g.snapshot();
+        release_thread_caches();
+        let lent: Vec<SeededBatchState> = (0..MASK_POOL_CAP + 3)
+            .map(|_| SeededBatchState::new(&g, &snap, &p))
+            .collect();
+        drop(lent);
+        assert_eq!(
+            thread_cache_stats().mask_pool.buffers_held,
+            MASK_POOL_CAP,
+            "excess scratches are dropped on give-back"
+        );
+        release_thread_caches();
+    }
+
+    #[test]
+    fn a_recycled_scratch_serves_smaller_and_larger_spaces_alike() {
+        // One pooled buffer through: a hit that leaves the frontier
+        // undrained and `pending` non-zero, a path with fewer layers,
+        // a larger graph (grow), the fill fallback — each answer equal
+        // to the reference's, and the give-back assert (debug builds)
+        // checking the whole buffer after every one.
+        release_thread_caches();
+        let mut small = chain();
+        let alice = small.node_by_name("Alice").unwrap();
+        let bob = small.node_by_name("Bob").unwrap();
+        let long = parse(&mut small, "friend+[1..3]/colleague+[1]");
+        let short = parse(&mut small, "friend+[1]");
+        let small_snap = small.snapshot();
+        let mut big = SocialGraph::new();
+        let nodes: Vec<NodeId> = (0..200).map(|i| big.add_node(&format!("n{i}"))).collect();
+        for w in nodes.windows(2) {
+            big.connect(w[0], "friend", w[1]);
+        }
+        let ring = parse(&mut big, "friend+[1..]");
+        let big_snap = big.snapshot();
+
+        let audience = |g: &SocialGraph, snap: &CsrSnapshot, p: &PathExpr, owner: NodeId| {
+            let mut state = SeededBatchState::new(g, snap, p);
+            let out =
+                evaluate_audience_batch_seeded(g, snap, p, &mut state, &[(owner, 0, 0, 1)], &[]);
+            audiences_by_bit(&out.matched, 1).remove(0)
+        };
+
+        let mut state = SeededBatchState::with_parents(&small, &small_snap, &long);
+        let hit = evaluate_audience_batch_seeded_stop(
+            &small,
+            &small_snap,
+            &long,
+            &mut state,
+            &[(alice, 0, 0, 1)],
+            &[],
+            Some(bob),
+        );
+        assert!(hit.hit.is_none(), "Bob never completes the colleague step");
+        drop(state);
+        let dave = small.node_by_name("Dave").unwrap();
+        let mut state = SeededBatchState::with_parents(&small, &small_snap, &long);
+        let hit = evaluate_audience_batch_seeded_stop(
+            &small,
+            &small_snap,
+            &long,
+            &mut state,
+            &[(alice, 0, 0, 1)],
+            &[],
+            Some(dave),
+        );
+        let (step, depth) = hit.hit.expect("Dave completes the path");
+        let (hops, seed) = state.trace(dave, step, depth).expect("parent-tracked");
+        assert_eq!(seed, (alice, 0, 0));
+        assert_eq!(
+            Some(hops),
+            evaluate_reference(&small, alice, &long, Some(dave)).witness
+        );
+        drop(state);
+
+        assert_eq!(
+            audience(&small, &small_snap, &short, alice),
+            evaluate_reference(&small, alice, &short, None).matched
+        );
+        let fills = thread_cache_stats().mask_pool.full_fills;
+        assert_eq!(
+            audience(&big, &big_snap, &ring, nodes[0]),
+            evaluate_reference(&big, nodes[0], &ring, None).matched
+        );
+        let after_big = thread_cache_stats().mask_pool;
+        assert!(after_big.full_fills > fills, "the whole chain was touched");
+        assert_eq!(
+            audience(&small, &small_snap, &long, alice),
+            evaluate_reference(&small, alice, &long, None).matched
+        );
+        let done = thread_cache_stats().mask_pool;
+        assert_eq!(done.buffers_held, 1, "one buffer served every read");
+        assert_eq!(
+            done.grows, after_big.grows,
+            "shrinking back allocates nothing"
+        );
+        release_thread_caches();
     }
 
     #[test]

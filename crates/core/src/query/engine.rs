@@ -17,15 +17,28 @@
 //! dense flat-array variant with the same size caps, the same sparse
 //! fallback, the same round persistence (`seen`/`pending` masks make
 //! re-seeding idempotent, so the sharded fixpoint re-enters shards
-//! cheaply), the same `matched_mask` report deduplication, and the
+//! cheaply), the same `matched` report deduplication, and the
 //! same watched-member export contract — exports carry the **plan
 //! node id** in the slot where the linear engine carries the step
 //! index, which is why trie node ids share the `u16` budget of
 //! [`MaskedSeedState`]. Parent tracking and early-exit are
 //! deliberately absent: targeted `check`/`explain` and witness
 //! reconstruction stay on the per-expression engine.
+//!
+//! The flat variant owns no array of its own: its state directory and
+//! slot arena are the linear engine's `MaskScratch`, taken from the
+//! calling thread's pool by [`PlanBatchState::new`] and given back —
+//! zeroed in `O(states reached)` — when the state is dropped. The
+//! all-zero invariant, who resets, and why nothing else needs resetting
+//! are written once, in [`crate::online`]'s module docs; this engine
+//! only ever reaches the masks through `MaskMarks`, which is what keeps
+//! every reached state on record for the reset. A bundle read on a
+//! single graph therefore costs what its traversal explores, not
+//! `16 B × plan layers × |V|` per 64-condition chunk.
 
-use crate::online::{MaskedSeedState, SeededBatchOutcome, MAX_FLAT_LAYERS, MAX_FLAT_STATES};
+use crate::online::{
+    is_watched, MaskScratch, MaskedSeedState, SeededBatchOutcome, MAX_FLAT_LAYERS, MAX_FLAT_STATES,
+};
 use crate::query::plan::{BundlePlan, ChunkMasks, PlanNode};
 use socialreach_graph::{CsrSnapshot, Direction, NodeId, SocialGraph};
 use std::collections::HashMap;
@@ -62,19 +75,21 @@ enum PlanInner {
     Sparse(SparsePlanBatch),
 }
 
-/// Dense-array variant: masks indexed by `layer · |V| + member`.
+/// Dense variant: state directory indexed by `layer · |V| + member`, in
+/// a pooled `MaskScratch` that drop gives back.
 struct FlatPlanBatch {
-    v_count: u32,
     /// First layer id of each plan node.
     bases: Vec<u32>,
     /// Saturation depth of each plan node's step.
     sats: Vec<u32>,
     layers: Vec<PlanLayerInfo>,
-    seen: Vec<u64>,
-    pending: Vec<u64>,
-    matched_mask: Vec<u64>,
-    frontier: Vec<u64>,
-    next: Vec<u64>,
+    scratch: MaskScratch,
+}
+
+impl Drop for FlatPlanBatch {
+    fn drop(&mut self) {
+        self.scratch.give_back();
+    }
 }
 
 /// Sparse mirror for degenerate product spaces, keyed by
@@ -104,10 +119,10 @@ fn flat_plan_dimensions(snap: &CsrSnapshot, nodes: &[PlanNode]) -> Option<(u32, 
 }
 
 impl PlanBatchState {
-    /// Fresh state for evaluating `nodes` over `snap`/`g`. Picks the
-    /// flat dense-array variant when the product space is reasonable
-    /// and the sparse mirror otherwise — run results are identical
-    /// either way.
+    /// State for evaluating `nodes` over `snap`/`g`. Picks the flat
+    /// dense-array variant (arrays from this thread's scratch pool)
+    /// when the product space is reasonable and the sparse mirror
+    /// otherwise — run results are identical either way.
     pub fn new(g: &SocialGraph, snap: &CsrSnapshot, nodes: &[PlanNode]) -> Self {
         assert!(
             !nodes.is_empty(),
@@ -138,17 +153,11 @@ impl PlanBatchState {
                     }
                     base += sat + 1;
                 }
-                let total_states = layer_count as usize * v_count as usize;
                 PlanInner::Flat(FlatPlanBatch {
-                    v_count,
                     bases,
                     sats,
                     layers,
-                    seen: vec![0; total_states],
-                    pending: vec![0; total_states],
-                    matched_mask: vec![0; snap.num_nodes()],
-                    frontier: Vec::new(),
-                    next: Vec::new(),
+                    scratch: MaskScratch::take(v_count, layer_count as usize),
                 })
             }
             None => PlanInner::Sparse(SparsePlanBatch {
@@ -174,7 +183,7 @@ impl PlanBatchState {
 
 /// One seeded run of the plan engine: drains the frontier produced by
 /// `seeds`, recording accepts and exporting masked states visited at
-/// `watched` members. The contract matches
+/// `watched` members (an empty slice watches nobody). The contract matches
 /// [`crate::online::evaluate_audience_batch_seeded`] — bits reported
 /// (matched or exported) are disjoint across runs, and re-seeding
 /// known bits is a no-op — with plan node ids in the `step` slot of
@@ -201,29 +210,6 @@ pub fn evaluate_plan_batch_seeded(
 }
 
 impl FlatPlanBatch {
-    /// Forwards `bits` to a state, queueing it on the 0 → nonzero
-    /// pending transition (free-function shape for split borrows).
-    #[inline]
-    fn send(
-        seen: &mut [u64],
-        pending: &mut [u64],
-        queue: &mut Vec<u64>,
-        v_count: u32,
-        layer: u32,
-        v: u32,
-        bits: u64,
-    ) {
-        let idx = (layer * v_count + v) as usize;
-        let new = bits & !seen[idx];
-        if new != 0 {
-            seen[idx] |= new;
-            if pending[idx] == 0 {
-                queue.push((u64::from(layer) << 32) | u64::from(v));
-            }
-            pending[idx] |= new;
-        }
-    }
-
     #[allow(clippy::too_many_arguments)]
     fn run(
         &mut self,
@@ -238,31 +224,28 @@ impl FlatPlanBatch {
         debug_assert!(snap.matches(g), "snapshot pinned for the whole bundle");
         let mut out = SeededBatchOutcome::default();
         let FlatPlanBatch {
-            v_count,
             bases,
             sats,
             layers,
-            seen,
-            pending,
-            matched_mask,
+            scratch,
+        } = self;
+        let MaskScratch {
+            marks,
             frontier,
             next,
-        } = self;
-        let v_count = *v_count;
+        } = scratch;
 
         debug_assert!(frontier.is_empty(), "previous run drained its frontier");
         for &(m, node, depth, bits) in seeds {
             let lay = bases[node as usize] + depth.min(sats[node as usize]);
-            Self::send(seen, pending, frontier, v_count, lay, m.0, bits);
+            marks.send(frontier, lay, m.0, bits);
         }
 
         while !frontier.is_empty() {
             for &packed in frontier.iter() {
                 let v = packed as u32;
                 let lay = (packed >> 32) as u32;
-                let idx = (lay * v_count + v) as usize;
-                let delta = pending[idx];
-                pending[idx] = 0;
+                let (_, delta) = marks.take_pending(lay, v);
                 debug_assert_ne!(delta, 0, "queued state without pending bits");
                 out.stats.states_visited += 1;
                 *states_expanded += 1;
@@ -271,7 +254,7 @@ impl FlatPlanBatch {
                 let step = &pn.step;
                 let node = NodeId(v);
 
-                if watched[node.index()] {
+                if is_watched(watched, node.index()) {
                     out.exports
                         .push((node, li.node, lay - bases[li.node as usize], delta));
                 }
@@ -280,16 +263,14 @@ impl FlatPlanBatch {
                 // the bits whose condition ends here, ε-fork the rest
                 // into the children on their chains.
                 if li.completes && step.conds.iter().all(|c| c.eval(g.node_attrs(node))) {
-                    let acc =
-                        delta & masks.accept_mask[li.node as usize] & !matched_mask[node.index()];
+                    let acc = marks.claim_matched(v, delta & masks.accept_mask[li.node as usize]);
                     if acc != 0 {
-                        matched_mask[node.index()] |= acc;
                         out.matched.push((node, acc));
                     }
                     for &child in &pn.children {
                         let fwd = delta & masks.node_mask[child as usize];
                         if fwd != 0 {
-                            Self::send(seen, pending, next, v_count, bases[child as usize], v, fwd);
+                            marks.send(next, bases[child as usize], v, fwd);
                         }
                     }
                 }
@@ -301,13 +282,13 @@ impl FlatPlanBatch {
                 if matches!(step.dir, Direction::Out | Direction::Both) {
                     for &nbr in snap.out_neighbors(v, step.label).nodes {
                         out.stats.edges_scanned += 1;
-                        Self::send(seen, pending, next, v_count, li.next_layer, nbr, delta);
+                        marks.send(next, li.next_layer, nbr, delta);
                     }
                 }
                 if matches!(step.dir, Direction::In | Direction::Both) {
                     for &nbr in snap.in_neighbors(v, step.label).nodes {
                         out.stats.edges_scanned += 1;
-                        Self::send(seen, pending, next, v_count, li.next_layer, nbr, delta);
+                        marks.send(next, li.next_layer, nbr, delta);
                     }
                 }
             }
@@ -375,7 +356,7 @@ impl SparsePlanBatch {
                 let step = &pn.step;
                 let node = NodeId(v);
 
-                if watched[node.index()] {
+                if is_watched(watched, node.index()) {
                     out.exports.push((node, n, d, delta));
                 }
 
@@ -469,7 +450,6 @@ pub fn evaluate_plan_audiences(
     if traversable.is_empty() {
         return out;
     }
-    let watched = vec![false; g.num_nodes()];
     for chunk in traversable.chunks(64) {
         let masks = plan.chunk_masks(chunk);
         let mut state = PlanBatchState::new(g, snap, &plan.nodes);
@@ -485,8 +465,8 @@ pub fn evaluate_plan_audiences(
                 )
             })
             .collect();
-        let run =
-            evaluate_plan_batch_seeded(g, snap, &plan.nodes, &masks, &mut state, &seeds, &watched);
+        // No ghosts on a single graph: nobody is watched.
+        let run = evaluate_plan_batch_seeded(g, snap, &plan.nodes, &masks, &mut state, &seeds, &[]);
         for (member, mut bits) in run.matched {
             while bits != 0 {
                 let bit = bits.trailing_zeros() as usize;

@@ -247,7 +247,7 @@ struct LocalLane<'a> {
     program: LaneProgram<'a>,
     word: u32,
     /// Materialized when the lane opens: shards a traversal never
-    /// touches never allocate mask arrays.
+    /// touches never take a mask scratch.
     engine: Option<ShardEngine<'a>>,
 }
 
@@ -297,7 +297,8 @@ impl ShardLane for LocalLane<'_> {
         )
     }
 
-    /// Nothing to close: the engine state dies with the lane.
+    /// Nothing to close: the engine dies with the lane, and its drop —
+    /// on the driver thread — returns the scratch to that thread's pool.
     fn end(&mut self) {}
 }
 

@@ -270,16 +270,33 @@ impl JsonParser<'_> {
                     }
                     self.pos += 1;
                 }
+                Some(b) if b.is_ascii() => {
+                    out.push(char::from(b));
+                    self.pos += 1;
+                }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| Error::parse(self.pos, "invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("non-empty checked above");
+                    let c = self
+                        .scalar_at_pos()
+                        .ok_or_else(|| Error::parse(self.pos, "invalid UTF-8"))?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
             }
         }
+    }
+
+    /// Decodes the UTF-8 scalar that starts at `pos` from a window of at
+    /// most four bytes — never from the whole remaining input, which
+    /// made string parsing quadratic in the document length.
+    fn scalar_at_pos(&self) -> Option<char> {
+        let window = &self.bytes[self.pos..self.bytes.len().min(self.pos + 4)];
+        let valid = match std::str::from_utf8(window) {
+            Ok(s) => s,
+            // The window may cut the *next* scalar short; the one at
+            // `pos` is whole exactly when a valid prefix exists.
+            Err(e) => std::str::from_utf8(&window[..e.valid_up_to()]).ok()?,
+        };
+        valid.chars().next()
     }
 
     fn parse_number(&mut self) -> Result<Value, Error> {
@@ -349,6 +366,68 @@ mod tests {
             let back: f64 = from_str(&text).unwrap();
             assert_eq!(back, f, "{text}");
         }
+    }
+
+    fn parse_bytes(bytes: &[u8]) -> Result<Value, Error> {
+        JsonParser { bytes, pos: 0 }.parse_value()
+    }
+
+    #[test]
+    fn string_parsing_is_linear_in_the_document() {
+        // 2 MB of strings, multi-byte scalars included. Re-validating
+        // the remaining input per character (the defect this pins) is
+        // ~10^12 byte visits here — hours; one pass is well under a
+        // second even unoptimized, so the bound is not timing-fragile.
+        let doc: Vec<String> = (0..21_000)
+            .map(|i| format!("member-{i:06}-é∀𝄞-").repeat(4))
+            .collect();
+        let text = to_string(&doc).unwrap();
+        assert!(text.len() > 2_000_000, "{} bytes", text.len());
+        let start = std::time::Instant::now();
+        let back: Vec<String> = from_str(&text).unwrap();
+        assert!(
+            start.elapsed() < std::time::Duration::from_secs(5),
+            "string parsing took {:?}",
+            start.elapsed()
+        );
+        assert_eq!(back, doc);
+    }
+
+    #[test]
+    fn scalars_decode_from_a_bounded_window() {
+        // 1-, 2-, 3- and 4-byte scalars, back to back and last.
+        let s: String = from_str("\"aé∀𝄞\"").unwrap();
+        assert_eq!(s, "aé∀𝄞");
+        // A multi-byte scalar at the very end of the input still
+        // decodes (the window is shorter than four bytes): what is
+        // wrong with this document is the missing quote.
+        for open in ["\"é", "\"∀", "\"𝄞", "\"x𝄞"] {
+            let err = parse_bytes(open.as_bytes()).unwrap_err();
+            assert_eq!(err, Error::parse(open.len(), "unterminated string"));
+        }
+    }
+
+    #[test]
+    fn invalid_and_truncated_utf8_is_refused_where_it_starts() {
+        // A stray continuation byte, an overlong lead, a surrogate.
+        for bad in [
+            &b"\"ab\x80cd\""[..],
+            b"\"ab\xc0\xafcd\"",
+            b"\"ab\xed\xa0\x80\"",
+        ] {
+            let err = parse_bytes(bad).unwrap_err();
+            assert_eq!(err, Error::parse(3, "invalid UTF-8"), "{bad:?}");
+        }
+        // A scalar cut short by the closing quote, and by the end of
+        // the input.
+        for cut in [&b"\"ab\xe2\x88\""[..], b"\"ab\xf0\x9d\x84", b"\"ab\xc3"] {
+            let err = parse_bytes(cut).unwrap_err();
+            assert_eq!(err, Error::parse(3, "invalid UTF-8"), "{cut:?}");
+        }
+        // Bad bytes at the first plain character: the position the
+        // whole-remainder validation reported, too.
+        let err = parse_bytes(b"\"\xff\"").unwrap_err();
+        assert_eq!(err, Error::parse(1, "invalid UTF-8"));
     }
 
     #[test]
