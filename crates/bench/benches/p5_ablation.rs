@@ -36,7 +36,7 @@ fn join_strategies(c: &mut Criterion) {
         // only benchmark configurations that terminate.
         if engine.evaluate(&g, owner, &path, None).is_err() {
             eprintln!(
-                "p5_join_strategy: skipping {} (tuple budget exceeded; see EXPERIMENTS.md P5a)",
+                "p5_join_strategy: skipping {} (tuple budget exceeded; run-experiments p5 reports it)",
                 engine.name()
             );
             continue;

@@ -1,5 +1,5 @@
 //! Regenerates every figure of Ben Dhia (EDBT 2012) from the
-//! implementation — the executable counterpart of EXPERIMENTS.md.
+//! implementation.
 //!
 //! ```text
 //! cargo run -p socialreach-bench --bin paper-artifacts            # all figures
@@ -142,7 +142,7 @@ fn fig5() {
     println!(
         "\n(Exact digits depend on tie-breaking the paper leaves unspecified; \
          the containment property is checked against ground truth by the test \
-         suite — see DESIGN.md §3.)"
+         suite.)"
     );
 }
 
@@ -251,8 +251,8 @@ fn joins() {
     println!(
         "(The paper's Figure lists three of these; the reachability join \
          over the full tables also surfaces the friend-chain candidates \
-         through Bill/Elena — see EXPERIMENTS.md X1 for the discrepancy \
-         note. Post-processing prunes them all.)"
+         through Bill/Elena, which the Figure omits. Post-processing prunes \
+         them all.)"
     );
 
     println!("\n§3.4: /friend/parent/friend from Alice, requester George:");

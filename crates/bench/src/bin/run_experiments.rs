@@ -1,6 +1,6 @@
-//! Runs the performance study P1–P7 (DESIGN.md §4) with plain wall-clock
-//! timing and prints one markdown table per experiment — the source of
-//! the numbers recorded in EXPERIMENTS.md.
+//! Runs the performance study P0–P8 (one function per experiment below)
+//! with plain wall-clock timing and prints one markdown table per
+//! experiment.
 //!
 //! ```text
 //! cargo run --release -p socialreach-bench --bin run-experiments           # all

@@ -1,8 +1,8 @@
 #![warn(missing_docs)]
 //! Shared benchmark harness: dataset registry, timing helpers and ASCII
 //! table rendering used by the `paper-artifacts` / `run-experiments`
-//! binaries and the Criterion benches (experiments P1–P7, see DESIGN.md
-//! §4).
+//! binaries and the Criterion benches (experiments P1–P8, each
+//! documented where `run-experiments` runs it).
 //!
 //! Sizing: `SOCIALREACH_QUICK=1` shrinks every sweep so the full suite
 //! finishes in seconds (CI mode); the default sizes target a laptop
@@ -12,7 +12,6 @@ use socialreach_core::{JoinEngineConfig, JoinIndexConfig, JoinStrategy, PlanConf
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-pub mod p10;
 pub mod p11;
 pub mod p12;
 pub mod p14;

@@ -337,8 +337,8 @@ pub fn resource_audience_batch_with_stats<E: AccessEngine>(
 /// [`resource_audience_batch_with_stats`] with batching **disabled**:
 /// one independent engine traversal per deduped condition over the
 /// shared snapshot — the [`BundleStrategy::PerCondition`] entry point
-/// the planner dispatches to, and the strategy BENCH_p10 showed
-/// winning on sparse graphs. Audiences and census conventions are
+/// the planner dispatches to, and the strategy experiment P10
+/// showed winning on sparse graphs. Audiences and census conventions are
 /// identical to the batched path; only the traversal grouping differs.
 pub fn resource_audience_batch_per_condition_with_stats<E: AccessEngine>(
     g: &SocialGraph,
@@ -461,9 +461,13 @@ where
 /// from scratch, or **patched** from the previous epoch via
 /// [`CsrSnapshot::apply_edge_appends`] when the owner has opted in
 /// with [`Enforcer::with_append_publication`] — and bumps the epoch
-/// counter ([`Enforcer::snapshot_epoch`]). Mutators never touch the
-/// published snapshot in place; they only make it stale, so in-flight
-/// readers keep their epoch's `Arc` alive until they finish.
+/// counter ([`Enforcer::snapshot_epoch`]). A patch is copy-on-write:
+/// the new epoch shares every index page the appends did not touch
+/// with the previous one and rebuilds only the rest, so republishing
+/// after one new relationship costs two page rebuilds. Mutators never
+/// touch the published snapshot in place, and no page is ever
+/// modified once built; in-flight readers keep their epoch's `Arc`
+/// alive until they finish and read exactly what it held.
 #[derive(Debug)]
 pub struct Enforcer<E> {
     engine: E,
@@ -1025,6 +1029,39 @@ mod tests {
         assert_eq!(patched.num_edges(), base.num_edges() + 1);
         // And the patch is exactly what a rebuild would produce.
         assert_eq!(*patched, g.snapshot());
+    }
+
+    #[test]
+    fn a_pinned_epoch_is_unchanged_by_later_publications() {
+        let (mut g, mut store, rid) = setup();
+        store.allow(rid, "friend+[1]", &mut g).unwrap();
+        // Several pages of members, so later patches share pages with
+        // the pinned epoch instead of replacing them all.
+        let friend = g.intern_label("friend");
+        for i in 0..1000u32 {
+            let v = g.add_node(&format!("m{i}"));
+            g.add_edge(NodeId(i % 3), v, friend);
+        }
+        let enforcer = Enforcer::new(OnlineEngine).with_append_publication();
+        let pinned = enforcer
+            .publish_snapshot(&g)
+            .expect("online engine publishes");
+        let epoch = enforcer.snapshot_epoch();
+        // Built independently, so it shares no page with `pinned`.
+        let expected = CsrSnapshot::build(&g);
+        for k in 1..=5u32 {
+            let v = g.add_node(&format!("late{k}"));
+            g.add_edge(NodeId(k), v, friend);
+            g.add_edge(v, NodeId(999 - k), friend);
+            enforcer.invalidate_decisions();
+            enforcer.check_access(&g, &store, rid, v).unwrap();
+            assert_eq!(enforcer.snapshot_epoch(), epoch + u64::from(k));
+        }
+        assert_eq!(*pinned, expected, "the pinned epoch reads what it read");
+        assert!(!pinned.matches(&g));
+        let latest = enforcer.current_snapshot().expect("published");
+        assert!(latest.matches(&g));
+        assert_eq!(*latest, CsrSnapshot::build(&g));
     }
 
     #[test]

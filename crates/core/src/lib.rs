@@ -71,13 +71,17 @@
 //! published snapshot; they advance the graph's process-unique
 //! *generation* stamp, which makes the epoch stale. The next reader
 //! republishes under a write lock — **incrementally** when the owner
-//! can vouch for append-only lineage
-//! ([`CsrSnapshot::apply_edge_appends`](socialreach_graph::csr::CsrSnapshot::apply_edge_appends)
-//! merges the appended edges into the per-(node, label) runs in
-//! amortized `O(deg)`), and by a **parallel full build** otherwise
-//! (scoped threads per direction index, per-node segment sorts fanned
-//! across workers). In-flight readers keep their epoch's `Arc` alive
-//! until they finish, so publication is wait-free for them.
+//! can vouch for append-only lineage, and by a **parallel full build**
+//! otherwise (workers claim pages of both directions from one queue).
+//! The index is split into immutable pages of 256 consecutive members,
+//! so the incremental path
+//! ([`CsrSnapshot::apply_edge_appends`](socialreach_graph::csr::CsrSnapshot::apply_edge_appends))
+//! is copy-on-write: it rebuilds only the pages that appended edges or
+//! members land on and shares every other page with the previous
+//! epoch, so one new relationship costs two page rebuilds, not a copy
+//! of the whole index. In-flight readers keep their epoch's `Arc` —
+//! and with it every page it references — alive until they finish, so
+//! publication is wait-free for them.
 //!
 //! On top of the shared snapshot, `audience_batch` evaluates all the
 //! owners/conditions of a policy bundle with a multi-source flat BFS

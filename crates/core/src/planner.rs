@@ -9,9 +9,9 @@
 //! `check` batch can materialize full audiences or run early-exit
 //! targeted walks. The batched engines win ~3.7× on dense
 //! template-sharing bundles and *lose* (~0.8×) on sparse low-overlap
-//! ones (BENCH_p10), and the masked fixpoint wins 1.2–2.4× exactly
-//! when walks cross shard boundaries (BENCH_p12). No static default is
-//! right everywhere.
+//! ones (experiment P10, recorded in CHANGES.md), and the masked
+//! fixpoint wins 1.2–2.4× exactly when walks cross shard boundaries
+//! (BENCH_p12). No static default is right everywhere.
 //!
 //! [`PlannedService`] closes that gap. It decorates any
 //! [`ServiceInstance`] — exactly like [`crate::DurableService`] wraps
@@ -103,7 +103,7 @@ const ALPHA: f64 = 0.25;
 /// least-sampled candidate instead of exploiting the argmin, so the
 /// losing arm's estimate cannot go permanently stale. (The winning
 /// arm re-measures on every read, so its drift is self-correcting.)
-/// At the worst observed flip ratio (~3.7×, BENCH_p10 dense) the
+/// At the worst observed flip ratio (~3.7×, experiment P10 dense) the
 /// amortized probe overhead is bounded by (3.7−1)/256 ≈ 1%.
 const PROBE_PERIOD: u64 = 256;
 

@@ -23,7 +23,9 @@
 //! next read can republish it **incrementally**
 //! ([`CsrSnapshot::apply_edge_appends`] — the system owns its graph,
 //! so the append-only lineage the patch requires holds by
-//! construction). The lazily built join index is dropped and rebuilt
+//! construction). The patch rebuilds only the index pages the new
+//! members and relationships land on and shares the rest with the
+//! previous epoch. The lazily built join index is dropped and rebuilt
 //! on the next indexed read, as in the paper's static-graph model.
 //!
 //! [`CsrSnapshot`]: socialreach_graph::csr::CsrSnapshot

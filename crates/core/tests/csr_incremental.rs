@@ -4,6 +4,11 @@
 //! full `CsrSnapshot::build` of the grown graph would — and the online
 //! engine must return identical decisions, audiences and valid
 //! witnesses over either snapshot.
+//!
+//! The first two properties run on graphs of 2–8 members, where the
+//! engine check can afford every owner × requester pair. The last one
+//! runs on graphs of three to four pages of members, aimed at the page
+//! boundaries of the copy-on-write patch.
 
 use proptest::prelude::*;
 use socialreach_core::{online, parse_path, PathExpr};
@@ -151,4 +156,140 @@ proptest! {
         let one_shot = base.apply_edge_appends(&g).expect("append-only lineage");
         prop_assert_eq!(one_shot, chained);
     }
+
+    #[test]
+    fn paged_patches_are_identical_to_rebuilds(case in paged_case_strategy()) {
+        let mut g = SocialGraph::new();
+        for i in 0..case.base_nodes {
+            g.add_node(&format!("u{i}"));
+        }
+        for l in LABELS {
+            g.intern_label(l);
+        }
+        let friend = g.vocab().label("friend").unwrap();
+        let n = g.num_nodes() as u32;
+        for &(s, t, l) in &case.base_edges {
+            let label = g.vocab().label(LABELS[l]).unwrap();
+            g.add_edge(NodeId(s % n), NodeId(t % n), label);
+        }
+        // The hub's `friend` run outweighs the rest of its page.
+        let hub = NodeId(case.hub % n);
+        for i in 0..case.hub_degree as u32 {
+            g.add_edge(hub, NodeId(i.wrapping_mul(7919) % n), friend);
+        }
+
+        let base = g.snapshot();
+        let mut chained = base.clone();
+        for (round, append) in case.appends.iter().enumerate() {
+            let n = g.num_nodes() as u32;
+            let new_nodes = match append.new_nodes {
+                // Fill the partial last page exactly (a full page more
+                // when the last page is already full).
+                (0, _) => PAGE - n % PAGE,
+                // Open at least one new page.
+                (1, x) => PAGE + x % PAGE,
+                (_, x) => x % 4,
+            };
+            for k in 0..new_nodes {
+                g.add_node(&format!("extra{round}-{k}"));
+            }
+            for &(s, t, l) in &append.edges {
+                let (s, t) = (endpoint(&g, hub, s), endpoint(&g, hub, t));
+                let label = g.vocab().label(LABELS[l]).unwrap();
+                g.add_edge(s, t, label);
+            }
+            chained = chained.apply_edge_appends(&g).expect("append-only lineage");
+            prop_assert!(chained.matches(&g), "round {}", round);
+            prop_assert_eq!(&chained, &CsrSnapshot::build(&g), "round {}", round);
+        }
+        let one_shot = base.apply_edge_appends(&g).expect("append-only lineage");
+        prop_assert_eq!(&one_shot, &chained);
+
+        // Audiences from owners on both sides of every page boundary,
+        // and from the hub, over the patched snapshot.
+        let paths: Vec<PathExpr> = ["friend+[1..2]", "colleague-[1]", "parent*[1]"]
+            .iter()
+            .map(|t| parse_path(t, g.vocab_mut()).expect("fixed paths parse"))
+            .collect();
+        let n = g.num_nodes() as u32;
+        let owners = (1..=n / PAGE)
+            .flat_map(|k| [k * PAGE - 1, k * PAGE])
+            .filter(|&v| v < n)
+            .map(NodeId)
+            .chain([hub]);
+        for owner in owners {
+            for path in &paths {
+                let truth = online::evaluate_reference(&g, owner, path, None);
+                let fast = online::evaluate_with_snapshot(&g, &chained, owner, path, None);
+                prop_assert_eq!(&fast.matched, &truth.matched, "owner={}", owner);
+            }
+        }
+    }
+}
+
+/// `socialreach_graph::csr`'s page size (a private constant there): the
+/// paged property aims its appends at multiples of it.
+const PAGE: u32 = 256;
+
+/// An endpoint spec, resolved by [`endpoint`].
+type Spec = (u8, u32);
+
+#[derive(Clone, Debug)]
+struct PagedAppend {
+    /// `(mode, x)`: mode 0 fills the partial last page, mode 1 opens
+    /// new pages, anything else adds `x % 4` members.
+    new_nodes: Spec,
+    /// Edges between [`endpoint`] specs.
+    edges: Vec<(Spec, Spec, usize)>,
+}
+
+#[derive(Clone, Debug)]
+struct PagedCase {
+    /// Between two and three and a half pages, so the graph spans at
+    /// least three.
+    base_nodes: usize,
+    base_edges: Vec<(u32, u32, usize)>,
+    hub: u32,
+    hub_degree: usize,
+    appends: Vec<PagedAppend>,
+}
+
+/// Resolves an endpoint spec against the current graph: kind 0 is the
+/// last member of a page (`k·PAGE − 1`), kind 1 the first member of the
+/// next (`k·PAGE`), kind 2 the hub, anything else member `x`.
+fn endpoint(g: &SocialGraph, hub: NodeId, (kind, x): Spec) -> NodeId {
+    let n = g.num_nodes() as u32;
+    let k = 1 + x % n.div_ceil(PAGE);
+    NodeId(
+        match kind {
+            0 => k * PAGE - 1,
+            1 => k * PAGE,
+            2 => hub.0,
+            _ => x,
+        } % n,
+    )
+}
+
+fn paged_case_strategy() -> impl Strategy<Value = PagedCase> {
+    let spec = (0..5u8, 0..4096u32);
+    let append = (
+        (0..4u8, 0..4096u32),
+        proptest::collection::vec((spec.clone(), spec, 0..3usize), 1..12),
+    )
+        .prop_map(|(new_nodes, edges)| PagedAppend { new_nodes, edges });
+    (
+        (2 * PAGE as usize + 1)..(3 * PAGE as usize + PAGE as usize / 2),
+        proptest::collection::vec((0..4096u32, 0..4096u32, 0..3usize), 400..1200),
+        (0..4096u32, 300..900usize),
+        proptest::collection::vec(append, 1..5),
+    )
+        .prop_map(
+            |(base_nodes, base_edges, (hub, hub_degree), appends)| PagedCase {
+                base_nodes,
+                base_edges,
+                hub,
+                hub_degree,
+                appends,
+            },
+        )
 }

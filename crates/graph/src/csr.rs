@@ -9,27 +9,47 @@
 //!
 //! [`CsrSnapshot`] is the immutable, cache-friendly alternative
 //! (pruned-landmark systems and production relationship-policy engines
-//! use the same layout): all edge occurrences of one direction live in
-//! two flat parallel arrays (`neighbor`, `edge id`), sorted by
+//! use the same layout): the edge occurrences of one direction live in
+//! two parallel arrays (`neighbor`, `edge id`), sorted by
 //! `(node, label, edge id)`, with a per-node run table locating each
 //! label's contiguous slice. A label-constrained expansion is then a
 //! binary search over the node's (few) label runs followed by a linear
 //! scan of exactly the matching edges.
 //!
+//! # Pages
+//!
+//! Each direction index is split into **pages** of `PAGE_NODES` (256)
+//! consecutive members; the last page may be partial. A page holds
+//! those arrays for its members only, with page-local offsets, and a
+//! direction index is a `Vec<Arc<Page>>`. An expansion of `v` looks up
+//! page `v / PAGE_NODES` and then reads a plain CSR: one extra pointer
+//! hop, and [`Neighbors`] is still two contiguous slices.
+//!
+//! A page is built once and **never mutated**. That is what lets
+//! successive snapshots share it: a snapshot of a grown graph reuses,
+//! by `Arc::clone`, every page the growth did not touch, and a reader
+//! still holding the previous `Arc<CsrSnapshot>` keeps reading exactly
+//! the pages it pinned.
+//!
 //! # Lifecycle: build, patch, publish
 //!
 //! Snapshots are tied to the graph's mutation [`generation`]
-//! (`SocialGraph::generation`) and support three refresh paths:
+//! (`SocialGraph::generation`). One page builder serves both refresh
+//! paths:
 //!
-//! * [`CsrSnapshot::build`] — full (re)index, **parallel**: the two
-//!   direction indexes build on separate scoped threads, and each
-//!   direction fans its per-node segment sorts across workers
-//!   ([`CsrSnapshot::build_with_threads`] pins the worker count).
-//! * [`CsrSnapshot::apply_edge_appends`] — **incremental**: when the
-//!   graph has only grown (the only topology mutations [`SocialGraph`]
-//!   offers are node/edge appends), the per-(node, label) runs are
-//!   merged with the appended occurrences instead of re-sorted; the
-//!   copy-dominated patch beats a full rebuild on small append batches.
+//! * [`CsrSnapshot::build`] — full (re)index: edge ids are bucketed by
+//!   page, then up to `threads` workers claim pages from one queue
+//!   covering both directions ([`CsrSnapshot::build_with_threads`] pins
+//!   the worker count). A page's bucket is freed as soon as its page
+//!   is built, so the build never holds a flat copy of the index
+//!   beside the pages.
+//! * [`CsrSnapshot::apply_edge_appends`] — **copy-on-write patch**: when
+//!   the graph has only grown (the only topology mutations
+//!   [`SocialGraph`] offers are node/edge appends), a page is rebuilt
+//!   from its old edge ids plus the appended ones only if appended edges
+//!   or new members land on it; every other page is shared. One appended
+//!   edge costs one page per direction plus `|V| / PAGE_NODES` pointer
+//!   copies, instead of rewriting both `O(|V| + |E|)` indexes.
 //! * [`CsrSnapshot::matches`] — O(1) currency check used by the
 //!   publication layers in `socialreach-core`, which hold one
 //!   `Arc<CsrSnapshot>` per epoch and republish (patched or rebuilt)
@@ -39,9 +59,24 @@
 
 use crate::graph::SocialGraph;
 use crate::ids::{EdgeId, LabelId};
+use std::ops::Range;
+use std::sync::{Arc, Mutex};
 
-/// Below this many edge occurrences a direction index builds and sorts
-/// on the calling thread: thread spawn overhead would dominate.
+/// Members per page. A power of two, so a member's page and slot are a
+/// shift and a mask. 256 keeps the rebuild behind one appended edge
+/// small (1024 measured slower on `churn_durable`) for one extra pointer
+/// hop per expansion.
+const PAGE_NODES: usize = 256;
+
+/// `log2(PAGE_NODES)`.
+const PAGE_SHIFT: u32 = PAGE_NODES.trailing_zeros();
+
+// The page builder packs a page-local slot into the top 16 bits of its
+// sort key.
+const _: () = assert!(PAGE_NODES.is_power_of_two() && PAGE_NODES <= 1 << 16);
+
+/// Below this many edges a snapshot builds on the calling thread: thread
+/// spawn overhead would dominate.
 const PARALLEL_MIN_EDGES: usize = 1 << 13;
 
 /// One contiguous run of same-label edge occurrences of one node.
@@ -49,7 +84,7 @@ const PARALLEL_MIN_EDGES: usize = 1 << 13;
 struct LabelRun {
     /// Interned label of every occurrence in the run.
     label: u16,
-    /// Start offset into the direction's flat arrays.
+    /// Start offset into the page's arrays.
     start: u32,
     /// One past the last offset.
     end: u32,
@@ -64,37 +99,74 @@ enum Side {
     In,
 }
 
+/// One edge occurrence as the page builder takes it: a key packing
+/// `(slot, label, edge id)`, so ordering never goes back to the graph,
+/// and the stored neighbor.
+type Occurrence = (u64, u32);
+
+/// Packs an occurrence of edge `e` at page slot `slot`.
+#[inline]
+fn pack(slot: usize, label: u16, e: u32, nbr: u32) -> Occurrence {
+    (
+        ((slot as u64) << 48) | (u64::from(label) << 32) | u64::from(e),
+        nbr,
+    )
+}
+
 impl Side {
-    /// The node whose adjacency the edge occurrence belongs to.
+    /// The member whose adjacency edge `e` belongs to.
     #[inline]
-    fn key(self, g: &SocialGraph, e: usize) -> usize {
-        let rec = g.edge(EdgeId(e as u32));
+    fn key(self, g: &SocialGraph, e: u32) -> usize {
+        let rec = g.edge(EdgeId(e));
         match self {
             Side::Out => rec.src.index(),
             Side::In => rec.dst.index(),
         }
     }
 
-    /// The neighbor stored for the occurrence.
+    /// Edge `e` as an occurrence on the page of its `key` member.
     #[inline]
-    fn nbr(self, g: &SocialGraph, e: u32) -> u32 {
+    fn occurrence(self, g: &SocialGraph, e: u32) -> Occurrence {
         let rec = g.edge(EdgeId(e));
-        match self {
-            Side::Out => rec.dst.0,
-            Side::In => rec.src.0,
-        }
+        let (v, nbr) = match self {
+            Side::Out => (rec.src.index(), rec.dst.0),
+            Side::In => (rec.dst.index(), rec.src.0),
+        };
+        pack(v & (PAGE_NODES - 1), rec.label.0, e, nbr)
     }
 }
 
-/// Flat adjacency of one direction (out or in).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-struct DirIndex {
-    /// `node_offsets[v]..node_offsets[v+1]` spans `v`'s occurrences in
-    /// the flat arrays (all labels, label-sorted).
+/// Number of members on page `p` of a graph with `n` members.
+fn page_len(n: usize, p: usize) -> usize {
+    (n - (p << PAGE_SHIFT)).min(PAGE_NODES)
+}
+
+/// The ids of edges `edges`, bucketed by the page of their `side`
+/// endpoint over `pages` pages, ascending within each bucket. Every
+/// bucket is allocated at its exact size.
+fn bucket_by_page(g: &SocialGraph, side: Side, pages: usize, edges: Range<usize>) -> Vec<Vec<u32>> {
+    let page_of = |e: usize| side.key(g, e as u32) >> PAGE_SHIFT;
+    let mut counts = vec![0usize; pages];
+    for e in edges.clone() {
+        counts[page_of(e)] += 1;
+    }
+    let mut buckets: Vec<Vec<u32>> = counts.into_iter().map(Vec::with_capacity).collect();
+    for e in edges {
+        buckets[page_of(e)].push(e as u32);
+    }
+    buckets
+}
+
+/// The adjacency of one page of members in one direction. Every offset
+/// is page-local: slot `s` is member `page · PAGE_NODES + s`.
+#[derive(Debug, PartialEq, Eq)]
+struct Page {
+    /// `node_offsets[s]..node_offsets[s+1]` spans slot `s`'s occurrences
+    /// (all labels, label-sorted).
     node_offsets: Vec<u32>,
-    /// `run_offsets[v]..run_offsets[v+1]` spans `v`'s label runs.
+    /// `run_offsets[s]..run_offsets[s+1]` spans slot `s`'s label runs.
     run_offsets: Vec<u32>,
-    /// Label runs, per node, ascending by label.
+    /// Label runs, per slot, ascending by label.
     runs: Vec<LabelRun>,
     /// Neighbor member ids (`dst` for out, `src` for in).
     neighbor: Vec<u32>,
@@ -129,242 +201,90 @@ impl Neighbors<'_> {
     }
 }
 
-/// Sorts each node's bucketed segment by `(label, edge id)`, fanning
-/// contiguous chunks of nodes (balanced by occurrence count) across
-/// `workers` scoped threads.
-fn sort_segments(g: &SocialGraph, edge: &mut [u32], node_offsets: &[u32], workers: usize) {
-    let n = node_offsets.len() - 1;
-    let label_of = |e: u32| g.edge(EdgeId(e)).label.0;
-    if workers <= 1 || edge.len() < PARALLEL_MIN_EDGES {
-        for v in 0..n {
-            let seg = &mut edge[node_offsets[v] as usize..node_offsets[v + 1] as usize];
-            seg.sort_unstable_by_key(|&e| (label_of(e), e));
+impl Page {
+    /// The one page builder, shared by the full build and the patch:
+    /// indexes a page of `slots` members from the occurrences of exactly
+    /// the edges that belong on it, in any order. A counting scatter by
+    /// slot, then a stable sort of each slot's segment by
+    /// `(label, edge id)` — linear for a segment that was already sorted
+    /// apart from a few appended occurrences at its tail.
+    fn build(slots: usize, occurrences: Vec<Occurrence>) -> Page {
+        let slot_of = |o: &Occurrence| (o.0 >> 48) as usize;
+        let mut node_offsets = vec![0u32; slots + 1];
+        for o in &occurrences {
+            node_offsets[slot_of(o) + 1] += 1;
         }
-        return;
-    }
-
-    // Chunk boundaries (node indices) splitting the occurrence total
-    // roughly evenly, so one hub node cannot serialize the fan-out any
-    // worse than its own segment.
-    let total = edge.len();
-    let mut bounds: Vec<usize> = Vec::with_capacity(workers + 1);
-    bounds.push(0);
-    for k in 1..workers {
-        let target = total * k / workers;
-        let v = node_offsets
-            .partition_point(|&o| (o as usize) < target)
-            .min(n);
-        if v > *bounds.last().expect("bounds seeded") && v < n {
-            bounds.push(v);
+        for s in 0..slots {
+            node_offsets[s + 1] += node_offsets[s];
         }
-    }
-    bounds.push(n);
+        let mut sorted: Vec<Occurrence> = vec![(0, 0); occurrences.len()];
+        let mut cursor = node_offsets[..slots].to_vec();
+        for o in occurrences {
+            let s = slot_of(&o);
+            sorted[cursor[s] as usize] = o;
+            cursor[s] += 1;
+        }
 
-    std::thread::scope(|scope| {
-        let mut rest = edge;
-        let mut consumed = 0usize;
-        for (i, w) in bounds.windows(2).enumerate() {
-            let (lo_node, hi_node) = (w[0], w[1]);
-            let hi_off = node_offsets[hi_node] as usize;
-            let (chunk, tail) = rest.split_at_mut(hi_off - consumed);
-            rest = tail;
-            let base = consumed;
-            consumed = hi_off;
-            let mut sort_chunk = move || {
-                for v in lo_node..hi_node {
-                    let (lo, hi) = (
-                        node_offsets[v] as usize - base,
-                        node_offsets[v + 1] as usize - base,
-                    );
-                    chunk[lo..hi].sort_unstable_by_key(|&e| (label_of(e), e));
-                }
-            };
-            // The calling thread takes the last chunk itself instead of
-            // blocking idle at scope exit — same parallelism, one fewer
-            // spawn, and the worker budget is respected exactly.
-            if i + 2 == bounds.len() {
-                sort_chunk();
-            } else {
-                scope.spawn(sort_chunk);
+        for s in 0..slots {
+            let (lo, hi) = (node_offsets[s] as usize, node_offsets[s + 1] as usize);
+            sorted[lo..hi].sort_by_key(|&(key, _)| key);
+        }
+
+        // A label run starts wherever `(slot, label)`, the key above the
+        // edge id, changes. The runs are counted first so their array is
+        // allocated once at its exact size: a page is rebuilt on every
+        // write, and growth slack or a shrinking realloc there fragments
+        // the heap.
+        let group = |i: usize| sorted[i].0 >> 32;
+        let starts = || (0..sorted.len()).filter(|&i| i == 0 || group(i) != group(i - 1));
+        let mut runs: Vec<LabelRun> = Vec::with_capacity(starts().count());
+        let mut run_offsets = vec![0u32; slots + 1];
+        for i in starts() {
+            if let Some(prev) = runs.last_mut() {
+                prev.end = i as u32;
             }
+            run_offsets[(group(i) >> 16) as usize + 1] += 1;
+            runs.push(LabelRun {
+                label: group(i) as u16,
+                start: i as u32,
+                end: sorted.len() as u32,
+            });
         }
-    });
-}
-
-impl DirIndex {
-    /// Builds one direction, sorting node segments on up to `workers`
-    /// threads.
-    fn build(g: &SocialGraph, side: Side, workers: usize) -> Self {
-        let n = g.num_nodes();
-        let m = g.num_edges();
-        let mut counts = vec![0u32; n + 1];
-        for e in 0..m {
-            counts[side.key(g, e) + 1] += 1;
+        for s in 0..slots {
+            run_offsets[s + 1] += run_offsets[s];
         }
-        let mut node_offsets = counts;
-        for i in 0..n {
-            node_offsets[i + 1] += node_offsets[i];
-        }
-
-        // Bucket edge ids by node, preserving edge-id order, then sort
-        // each node's segment by (label, edge id) — stable within label.
-        let mut edge: Vec<u32> = vec![0; m];
-        let mut cursor: Vec<u32> = node_offsets[..n].to_vec();
-        for e in 0..m {
-            let k = side.key(g, e);
-            edge[cursor[k] as usize] = e as u32;
-            cursor[k] += 1;
-        }
-        sort_segments(g, &mut edge, &node_offsets, workers);
-
-        // Materialize neighbors and carve label runs.
-        let label_of = |e: u32| g.edge(EdgeId(e)).label.0;
-        let mut neighbor: Vec<u32> = Vec::with_capacity(m);
-        let mut runs: Vec<LabelRun> = Vec::new();
-        let mut run_offsets: Vec<u32> = Vec::with_capacity(n + 1);
-        run_offsets.push(0);
-        for v in 0..n {
-            let (lo, hi) = (node_offsets[v] as usize, node_offsets[v + 1] as usize);
-            let mut i = lo;
-            while i < hi {
-                let label = label_of(edge[i]);
-                let start = i;
-                while i < hi && label_of(edge[i]) == label {
-                    i += 1;
-                }
-                runs.push(LabelRun {
-                    label,
-                    start: start as u32,
-                    end: i as u32,
-                });
-            }
-            run_offsets.push(runs.len() as u32);
-        }
-        for &e in &edge {
-            neighbor.push(side.nbr(g, e));
-        }
-
-        DirIndex {
+        Page {
             node_offsets,
             run_offsets,
             runs,
-            neighbor,
-            edge,
+            neighbor: sorted.iter().map(|&(_, nbr)| nbr).collect(),
+            edge: sorted.iter().map(|&(key, _)| key as u32).collect(),
         }
     }
 
-    /// Rebuilds this direction for `g`, which must extend the indexed
-    /// graph by appends only (edge ids `old_m..` are new). Old runs are
-    /// block-copied and merged label-by-label with the sorted appended
-    /// occurrences — no per-edge re-sort. Appended edge ids are larger
-    /// than every indexed one, so appending them at the tail of their
-    /// label run preserves ascending edge-id order.
-    fn apply_appends(&self, g: &SocialGraph, side: Side, old_n: usize, old_m: usize) -> DirIndex {
-        let new_n = g.num_nodes();
-        let new_m = g.num_edges();
-        // Appended occurrences as (bucket node, label, edge id), sorted.
-        let mut added: Vec<(u32, u16, u32)> = (old_m..new_m)
-            .map(|e| {
-                (
-                    side.key(g, e) as u32,
-                    g.edge(EdgeId(e as u32)).label.0,
-                    e as u32,
-                )
-            })
-            .collect();
-        added.sort_unstable();
-
-        let mut out = DirIndex {
-            node_offsets: Vec::with_capacity(new_n + 1),
-            run_offsets: Vec::with_capacity(new_n + 1),
-            runs: Vec::with_capacity(self.runs.len() + added.len()),
-            neighbor: Vec::with_capacity(new_m),
-            edge: Vec::with_capacity(new_m),
-        };
-        out.node_offsets.push(0);
-        out.run_offsets.push(0);
-
-        let mut ai = 0usize;
-        for v in 0..new_n {
-            let (old_lo, old_hi, old_runs): (usize, usize, &[LabelRun]) = if v < old_n {
-                (
-                    self.node_offsets[v] as usize,
-                    self.node_offsets[v + 1] as usize,
-                    &self.runs[self.run_offsets[v] as usize..self.run_offsets[v + 1] as usize],
-                )
-            } else {
-                (0, 0, &[])
-            };
-            let a_start = ai;
-            while ai < added.len() && added[ai].0 == v as u32 {
-                ai += 1;
-            }
-            let news = &added[a_start..ai];
-
-            if news.is_empty() {
-                // Untouched node: block-copy the segment, shift the runs.
-                let base = out.edge.len() as u32;
-                out.edge.extend_from_slice(&self.edge[old_lo..old_hi]);
-                out.neighbor
-                    .extend_from_slice(&self.neighbor[old_lo..old_hi]);
-                for r in old_runs {
-                    out.runs.push(LabelRun {
-                        label: r.label,
-                        start: r.start - old_lo as u32 + base,
-                        end: r.end - old_lo as u32 + base,
-                    });
-                }
-            } else {
-                // Merge old runs with the node's new label groups, both
-                // ascending by label.
-                let mut oi = 0usize;
-                let mut ni = 0usize;
-                while oi < old_runs.len() || ni < news.len() {
-                    let next_old = old_runs.get(oi).map(|r| r.label);
-                    let next_new = news.get(ni).map(|&(_, l, _)| l);
-                    let label = match (next_old, next_new) {
-                        (Some(a), Some(b)) => a.min(b),
-                        (Some(a), None) => a,
-                        (None, Some(b)) => b,
-                        (None, None) => unreachable!("loop condition"),
-                    };
-                    let start = out.edge.len() as u32;
-                    if next_old == Some(label) {
-                        let r = old_runs[oi];
-                        oi += 1;
-                        out.edge
-                            .extend_from_slice(&self.edge[r.start as usize..r.end as usize]);
-                        out.neighbor
-                            .extend_from_slice(&self.neighbor[r.start as usize..r.end as usize]);
-                    }
-                    if next_new == Some(label) {
-                        while ni < news.len() && news[ni].1 == label {
-                            let eid = news[ni].2;
-                            out.edge.push(eid);
-                            out.neighbor.push(side.nbr(g, eid));
-                            ni += 1;
-                        }
-                    }
-                    out.runs.push(LabelRun {
-                        label,
-                        start,
-                        end: out.edge.len() as u32,
-                    });
+    /// This page's occurrences in key order, read back from its own
+    /// arrays, with room for `extra` more.
+    fn occurrences(&self, extra: usize) -> Vec<Occurrence> {
+        let mut out = Vec::with_capacity(self.edge.len() + extra);
+        for s in 0..self.slots() {
+            let runs = &self.runs[self.run_offsets[s] as usize..self.run_offsets[s + 1] as usize];
+            for run in runs {
+                for i in run.start as usize..run.end as usize {
+                    out.push(pack(s, run.label, self.edge[i], self.neighbor[i]));
                 }
             }
-            out.node_offsets.push(out.edge.len() as u32);
-            out.run_offsets.push(out.runs.len() as u32);
         }
         out
     }
 
+    /// Members on this page.
+    fn slots(&self) -> usize {
+        self.node_offsets.len() - 1
+    }
+
     #[inline]
-    fn label_slice(&self, v: u32, label: LabelId) -> Neighbors<'_> {
-        let (rlo, rhi) = (
-            self.run_offsets[v as usize] as usize,
-            self.run_offsets[v as usize + 1] as usize,
-        );
-        let runs = &self.runs[rlo..rhi];
+    fn label_slice(&self, slot: usize, label: LabelId) -> Neighbors<'_> {
+        let runs = &self.runs[self.run_offsets[slot] as usize..self.run_offsets[slot + 1] as usize];
         // Nodes touch a handful of labels; runs are sorted by label, so
         // binary search — and for the tiny common case the linear probe
         // inside `binary_search_by` is already optimal.
@@ -384,10 +304,10 @@ impl DirIndex {
     }
 
     #[inline]
-    fn all_slice(&self, v: u32) -> Neighbors<'_> {
+    fn all_slice(&self, slot: usize) -> Neighbors<'_> {
         let (lo, hi) = (
-            self.node_offsets[v as usize] as usize,
-            self.node_offsets[v as usize + 1] as usize,
+            self.node_offsets[slot] as usize,
+            self.node_offsets[slot + 1] as usize,
         );
         Neighbors {
             nodes: &self.neighbor[lo..hi],
@@ -396,9 +316,112 @@ impl DirIndex {
     }
 
     fn heap_bytes(&self) -> usize {
-        (self.node_offsets.len() + self.run_offsets.len()) * 4
+        std::mem::size_of::<Page>()
+            + (self.node_offsets.len() + self.run_offsets.len()) * 4
             + self.runs.len() * std::mem::size_of::<LabelRun>()
             + (self.neighbor.len() + self.edge.len()) * 4
+    }
+}
+
+/// Page `p` of `side` from `ids`, its bucket of edge ids.
+fn bucket_page(g: &SocialGraph, side: Side, p: usize, ids: Vec<u32>) -> Page {
+    let occurrences = ids.iter().map(|&e| side.occurrence(g, e)).collect();
+    drop(ids);
+    Page::build(page_len(g.num_nodes(), p), occurrences)
+}
+
+/// Builds every page of `jobs` — `(side, page, edge ids)` — in job
+/// order, with up to `workers` threads (the calling thread among them)
+/// claiming pages from one queue. Claiming page by page, rather than
+/// splitting the pages into fixed chunks, keeps a hub's page from
+/// serializing anything but itself.
+fn build_pages(
+    g: &SocialGraph,
+    jobs: Vec<(Side, usize, Vec<u32>)>,
+    workers: usize,
+) -> Vec<Arc<Page>> {
+    let queue = Mutex::new(jobs.into_iter().enumerate());
+    let claim = || {
+        let mut built = Vec::new();
+        loop {
+            // The guard drops at the end of this statement: building
+            // runs unlocked.
+            let job = queue.lock().expect("page queue poisoned").next();
+            let Some((i, (side, p, ids))) = job else {
+                return built;
+            };
+            built.push((i, bucket_page(g, side, p, ids)));
+        }
+    };
+    let mut built: Vec<(usize, Page)> = std::thread::scope(|scope| {
+        let claim = &claim;
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(claim)).collect();
+        let mut built = claim();
+        for h in helpers {
+            built.extend(h.join().expect("page builder panicked"));
+        }
+        built
+    });
+    built.sort_unstable_by_key(|&(i, _)| i);
+    built.into_iter().map(|(_, page)| Arc::new(page)).collect()
+}
+
+/// Paged adjacency of one direction (out or in).
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct DirIndex {
+    /// Page `p` covers members `p · PAGE_NODES ..`.
+    pages: Vec<Arc<Page>>,
+}
+
+impl DirIndex {
+    /// This direction for `g`, which must extend the indexed graph by
+    /// appends only (edge ids `old_m..` are new). A page is rebuilt from
+    /// its old occurrences plus its appended ones when appended edges or
+    /// new members land on it, and shared otherwise.
+    fn apply_appends(&self, g: &SocialGraph, side: Side, old_m: usize) -> DirIndex {
+        let n = g.num_nodes();
+        let appended = bucket_by_page(g, side, n.div_ceil(PAGE_NODES), old_m..g.num_edges());
+        let pages = appended
+            .into_iter()
+            .enumerate()
+            .map(|(p, added)| match self.pages.get(p) {
+                Some(page) if added.is_empty() && page.slots() == page_len(n, p) => {
+                    Arc::clone(page)
+                }
+                old => {
+                    let mut occurrences = old.map_or_else(
+                        || Vec::with_capacity(added.len()),
+                        |page| page.occurrences(added.len()),
+                    );
+                    occurrences.extend(added.iter().map(|&e| side.occurrence(g, e)));
+                    Arc::new(Page::build(page_len(n, p), occurrences))
+                }
+            })
+            .collect();
+        DirIndex { pages }
+    }
+
+    #[inline]
+    fn page(&self, v: u32) -> (&Page, usize) {
+        let v = v as usize;
+        (&self.pages[v >> PAGE_SHIFT], v & (PAGE_NODES - 1))
+    }
+
+    #[inline]
+    fn label_slice(&self, v: u32, label: LabelId) -> Neighbors<'_> {
+        let (page, slot) = self.page(v);
+        page.label_slice(slot, label)
+    }
+
+    #[inline]
+    fn all_slice(&self, v: u32) -> Neighbors<'_> {
+        let (page, slot) = self.page(v);
+        page.all_slice(slot)
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.pages.len() * std::mem::size_of::<Arc<Page>>()
+            + self.pages.iter().map(|p| p.heap_bytes()).sum::<usize>()
     }
 }
 
@@ -415,13 +438,11 @@ pub struct CsrSnapshot {
 impl CsrSnapshot {
     /// Builds a snapshot of the graph's current topology, using up to
     /// [`available_parallelism`](std::thread::available_parallelism)
-    /// worker threads, **capped at 8** — the build has two directions
-    /// × memory-bound segment sorts, so wider fan-out mostly adds
-    /// spawn overhead; pass a bigger budget explicitly through
-    /// [`CsrSnapshot::build_with_threads`] to probe beyond the cap.
-    /// `O(|V| + |E| + Σ_v deg(v) log deg(v))` total work; the two
-    /// direction indexes build concurrently and each direction's
-    /// per-node segment sorts fan across its workers.
+    /// worker threads, **capped at 8** — the build is memory-bound, so
+    /// wider fan-out mostly adds spawn overhead; pass a bigger budget
+    /// explicitly through [`CsrSnapshot::build_with_threads`] to probe
+    /// beyond the cap. `O(|V| + |E| log(page edges))` total work, with
+    /// the pages of both directions fanned across the workers.
     pub fn build(g: &SocialGraph) -> Self {
         let threads = std::thread::available_parallelism()
             .map(|n| n.get())
@@ -435,37 +456,39 @@ impl CsrSnapshot {
     /// entirely on the calling thread — the configuration benchmarked
     /// as the single-threaded baseline.
     pub fn build_with_threads(g: &SocialGraph, threads: usize) -> Self {
-        let threads = threads.max(1);
-        let (out, inn) = if threads == 1 || g.num_edges() < PARALLEL_MIN_EDGES {
-            (
-                DirIndex::build(g, Side::Out, 1),
-                DirIndex::build(g, Side::In, 1),
-            )
+        let pages = g.num_nodes().div_ceil(PAGE_NODES);
+        let workers = if g.num_edges() < PARALLEL_MIN_EDGES {
+            1
         } else {
-            // One scoped thread per direction; each direction gets half
-            // the worker budget for its segment-sort fan-out.
-            let out_workers = threads.div_ceil(2);
-            let in_workers = (threads / 2).max(1);
-            std::thread::scope(|scope| {
-                let inn = scope.spawn(move || DirIndex::build(g, Side::In, in_workers));
-                let out = DirIndex::build(g, Side::Out, out_workers);
-                (out, inn.join().expect("direction builder panicked"))
-            })
+            threads.max(1)
         };
+        let jobs = [Side::Out, Side::In]
+            .into_iter()
+            .flat_map(|side| {
+                bucket_by_page(g, side, pages, 0..g.num_edges())
+                    .into_iter()
+                    .enumerate()
+                    .map(move |(p, ids)| (side, p, ids))
+            })
+            .collect();
+        let mut out = build_pages(g, jobs, workers);
+        let inn = out.split_off(pages);
         CsrSnapshot {
             generation: g.topology_generation(),
             num_nodes: g.num_nodes() as u32,
             num_edges: g.num_edges() as u32,
-            out,
-            inn,
+            out: DirIndex { pages: out },
+            inn: DirIndex { pages: inn },
         }
     }
 
-    /// Patches this snapshot to cover `g` **incrementally**, in
-    /// amortized `O(appended · log deg)` merge work plus a
-    /// copy-dominated `O(|V| + |E|)` array rewrite — no per-node
-    /// re-sort, which is what makes it beat [`CsrSnapshot::build`] on
-    /// small append batches.
+    /// Patches this snapshot to cover `g` **incrementally**, copy on
+    /// write: every page that no appended edge or member lands on is
+    /// shared with `self`, and each touched page is rebuilt from its
+    /// old edge ids plus its appended ones. One appended edge costs one
+    /// page rebuild per direction (`O(page edges · log)`) plus
+    /// `O(|V| / PAGE_NODES)` pointer copies; `self` is left untouched,
+    /// so readers still holding it are unaffected.
     ///
     /// # Precondition (caller-guaranteed lineage)
     ///
@@ -499,8 +522,8 @@ impl CsrSnapshot {
             generation: g.topology_generation(),
             num_nodes: g.num_nodes() as u32,
             num_edges: g.num_edges() as u32,
-            out: self.out.apply_appends(g, Side::Out, old_n, old_m),
-            inn: self.inn.apply_appends(g, Side::In, old_n, old_m),
+            out: self.out.apply_appends(g, Side::Out, old_m),
+            inn: self.inn.apply_appends(g, Side::In, old_m),
         })
     }
 
@@ -557,7 +580,8 @@ impl CsrSnapshot {
         self.inn.all_slice(v)
     }
 
-    /// Heap bytes used (for index-size reporting).
+    /// Heap bytes reachable from this snapshot (for index-size
+    /// reporting); pages shared with other epochs count in each.
     pub fn heap_bytes(&self) -> usize {
         self.out.heap_bytes() + self.inn.heap_bytes()
     }
@@ -838,5 +862,54 @@ mod tests {
         let patched = base.apply_edge_appends(&g).expect("pure appends");
         assert_eq!(patched, snap_of(&g));
         assert_slices_agree(&g, &patched);
+    }
+
+    /// Pages of `patched` that are not the very `Arc` of `base`'s page
+    /// at the same index (a page `base` lacks counts as rebuilt).
+    fn rebuilt_pages(base: &DirIndex, patched: &DirIndex) -> Vec<usize> {
+        (0..patched.pages.len())
+            .filter(|&p| {
+                base.pages
+                    .get(p)
+                    .is_none_or(|old| !Arc::ptr_eq(old, &patched.pages[p]))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_one_edge_append_shares_every_untouched_page() {
+        // Four and a half pages.
+        let n = 4 * PAGE_NODES as u32 + PAGE_NODES as u32 / 2;
+        let mut g = random_graph(n, 6 * n as usize, 2024);
+        let base = snap_of(&g);
+        assert_eq!(base.out.pages.len(), 5);
+        let a = g.vocab().label("a").unwrap();
+        // Source on page 0, target on page 3.
+        g.add_edge(NodeId(7), NodeId(3 * PAGE_NODES as u32 + 1), a);
+        let patched = base.apply_edge_appends(&g).expect("append-only lineage");
+        assert_eq!(rebuilt_pages(&base.out, &patched.out), vec![0]);
+        assert_eq!(rebuilt_pages(&base.inn, &patched.inn), vec![3]);
+        assert_eq!(patched, snap_of(&g));
+        assert_slices_agree(&g, &patched);
+        // The base epoch still reads its own adjacency.
+        assert_eq!(base.out_all(7).len() + 1, patched.out_all(7).len());
+    }
+
+    #[test]
+    fn appending_a_member_touches_only_the_last_page() {
+        // A partial last page gains a slot; a full one gets a new page
+        // behind it.
+        for n in [2 * PAGE_NODES as u32 + 9, 3 * PAGE_NODES as u32] {
+            let mut g = random_graph(n, 5 * n as usize, u64::from(n));
+            let base = snap_of(&g);
+            g.add_node("newcomer");
+            let patched = base.apply_edge_appends(&g).expect("append-only lineage");
+            let last = patched.out.pages.len() - 1;
+            assert_eq!(last, n as usize / PAGE_NODES, "n = {n}");
+            assert_eq!(rebuilt_pages(&base.out, &patched.out), vec![last]);
+            assert_eq!(rebuilt_pages(&base.inn, &patched.inn), vec![last]);
+            assert_eq!(patched, snap_of(&g), "n = {n}");
+            assert!(patched.out_all(n).is_empty() && patched.in_all(n).is_empty());
+        }
     }
 }

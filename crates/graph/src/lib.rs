@@ -17,14 +17,15 @@
 //! * [`graph`] — the mutable [`SocialGraph`] itself, carrying a
 //!   process-unique mutation *generation* stamp;
 //! * [`csr`] — immutable label-partitioned CSR adjacency snapshots
-//!   ([`CsrSnapshot`]): the online engine's hot-path layout. Snapshots
-//!   build **in parallel** (scoped threads per direction index,
-//!   per-node segment sorts fanned across workers) and refresh
-//!   **incrementally** after append-only growth
-//!   ([`CsrSnapshot::apply_edge_appends`] merges new edges into the
-//!   per-(node, label) runs instead of re-sorting); the enforcement
-//!   layers above publish one `Arc<CsrSnapshot>` per epoch and share
-//!   it across concurrent readers;
+//!   ([`CsrSnapshot`]): the online engine's hot-path layout, split into
+//!   immutable, reference-counted pages of 256 consecutive members.
+//!   Snapshots build **in parallel** (workers claim pages of both
+//!   directions from one queue) and refresh **copy-on-write** after
+//!   append-only growth ([`CsrSnapshot::apply_edge_appends`] rebuilds
+//!   only the pages that appended edges or members land on and shares
+//!   the rest with the previous snapshot); the enforcement layers above
+//!   publish one `Arc<CsrSnapshot>` per epoch and share it across
+//!   concurrent readers;
 //! * [`digraph`] — a compact CSR digraph used by index structures (the
 //!   line graph, condensations, …);
 //! * [`algo`] — BFS, iterative Tarjan SCC, condensation and topological

@@ -11,7 +11,7 @@
 //! where the W-table entry `W(x, y)` lists the centers that can
 //! contribute at all.
 //!
-//! In-memory substitutions (documented in DESIGN.md §3): the B⁺-tree
+//! In-memory substitutions for the paper's disk structures: the B⁺-tree
 //! becomes a [`BTreeMap`] keyed by center id; base tables become sorted
 //! vectors of line-vertex ids per `(label, orientation)`.
 

@@ -6,7 +6,7 @@
 //! Exact digits depend on tie-breaking the paper leaves unspecified
 //! (which SCC representative, sibling visit order), so the artifact is
 //! validated by the labeling's containment property against ground-truth
-//! BFS, not digit-for-digit (DESIGN.md §3, item 4).
+//! BFS, not digit-for-digit.
 
 use crate::interval::IntervalLabeling;
 use crate::line::LineGraph;

@@ -2,8 +2,8 @@
 //!
 //! §5 of the paper promises an evaluation *"over real and large
 //! representative synthetic datasets"* without naming either. We
-//! substitute four standard random-graph families (DESIGN.md §3, item
-//! 9), all seeded and deterministic:
+//! substitute four standard random-graph families, all seeded and
+//! deterministic:
 //!
 //! * [`Topology::ErdosRenyi`] — the uniform G(n, m) null model;
 //! * [`Topology::BarabasiAlbert`] — preferential attachment, matching

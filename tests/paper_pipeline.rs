@@ -1,7 +1,8 @@
 //! Integration tests that replay the paper end to end: every figure's
 //! artifact is rebuilt through the public API and checked against the
-//! properties the paper states (see EXPERIMENTS.md for the artifact
-//! index and the recorded discrepancies).
+//! properties the paper states (the `paper-artifacts` binary prints the
+//! same artifacts, with a note wherever one differs from the printed
+//! figure).
 
 use socialreach::core::examples::{paper_graph, q1, worked_query, MEMBERS};
 use socialreach::core::{plan, PlanConfig};
