@@ -13,7 +13,6 @@ use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 pub mod p11;
-pub mod p12;
 pub mod p14;
 pub mod p9;
 

@@ -6,8 +6,8 @@
 //! strategy on every regime after warm-up, and strictly better than
 //! the **worst** forced strategy on the flip regimes where the engines
 //! genuinely diverge (experiment P10, recorded in CHANGES.md: batch
-//! ≈3.7× on dense bundles, ≈0.8× on sparse ones; BENCH_p12: the masked
-//! fixpoint 1.2–2.4× on cross-heavy shards)?
+//! ≈3.7× on dense bundles, ≈0.8× on sparse ones; experiment P12, also
+//! recorded there: the masked fixpoint 1.2–2.4× on cross-heavy shards)?
 //!
 //! The sweep re-creates those flip regimes and adds the mixed stream
 //! the planner exists for:

@@ -17,9 +17,11 @@
 //! [`local_round`] — global→local seed translation, one seeded run of
 //! the lane's [`ShardEngine`], ghost filtering, local→global exports —
 //! so the id translation an export-forwarding fix would touch exists
-//! once.
+//! once. The engine is always the plan engine ([`crate::query::engine`]):
+//! a bundle chunk runs its shared-prefix plan, a per-condition or
+//! targeted read the one-path plan of its condition.
 
-use crate::online::{self, MaskedSeedState, SeededBatchState};
+use crate::online::MaskedSeedState;
 use crate::path::PathExpr;
 use crate::query::{self, BundlePlan, ChunkMasks, PlanBatchState, PlanNode};
 use crate::remote::proto::{WireMatch, WireRefusal};
@@ -53,9 +55,10 @@ pub(crate) struct LaneRound {
 }
 
 /// How the fixpoint reaches one shard. A lane is built knowing what it
-/// runs — a compiled bundle-plan chunk, or one linear path with parent
-/// tracking — and opens lazily, when its first seeds arrive, so shards
-/// a traversal never touches allocate and exchange nothing.
+/// runs — a compiled bundle-plan chunk, or one path's one-path plan
+/// with parent tracking — and opens lazily, when its first seeds
+/// arrive, so shards a traversal never touches allocate and exchange
+/// nothing.
 pub(crate) trait ShardLane: Send {
     /// Why a round can fail (`Infallible` in process, a transport or
     /// protocol error over the wire).
@@ -78,7 +81,7 @@ pub(crate) trait ShardLane: Send {
 
     /// Delivers one round's seeds and returns what the shard's run
     /// matched and exported. `stop` names the member whose completion
-    /// of the final step ends the run early (linear lanes only).
+    /// of the final step ends the run early (one-path lanes only).
     fn round(
         &mut self,
         seeds: &[MaskedExport],
@@ -110,8 +113,8 @@ pub(crate) struct FixpointRun {
     pub states_expanded: Vec<usize>,
 }
 
-/// The one seed of a targeted (bit 0, word 0) linear-path fixpoint:
-/// `owner` at the path's start state.
+/// The one seed of a targeted (bit 0, word 0) one-path fixpoint:
+/// `owner` at the path's start state (plan node 0 is step 0).
 pub(crate) fn owner_seed(owner: NodeId) -> MaskedExport {
     MaskedExport {
         key: MaskedStateKey {
@@ -381,28 +384,21 @@ pub(crate) struct ShardView<'a> {
     pub ghost: &'a [bool],
 }
 
-/// The round-persistent engine behind an open lane, with what it runs:
-/// borrowed from the caller in process, owned (re-parsed from the wire)
-/// in a shard server's session.
-pub(crate) enum ShardEngine<'a> {
-    /// One path expression; seeds carry step indexes. Supports the
-    /// targeted stop and, built with parents, witness traces.
-    Linear {
-        /// Round-persistent masked visited state.
-        engine: SeededBatchState,
-        /// The path the engine was built for.
-        path: Cow<'a, PathExpr>,
-    },
-    /// A bundle-plan chunk; seeds carry plan node ids in the `step`
-    /// slot. Audience fixpoints only.
-    Plan {
-        /// Round-persistent per-node masked visited state.
-        engine: PlanBatchState,
-        /// The trie nodes the engine was built for.
-        nodes: Cow<'a, [PlanNode]>,
-        /// The chunk's ε-fork/accept masks.
-        masks: Cow<'a, ChunkMasks>,
-    },
+/// The round-persistent plan engine behind an open lane, with what it
+/// runs: borrowed from the caller in process, owned (re-parsed from the
+/// wire) in a shard server's session. Seeds carry plan node ids in the
+/// `step` slot — step indexes, for a one-path plan.
+pub(crate) struct ShardEngine<'a> {
+    /// Round-persistent per-node masked visited state.
+    pub engine: PlanBatchState,
+    /// The trie nodes the engine was built for.
+    pub nodes: Cow<'a, [PlanNode]>,
+    /// The ε-fork/accept masks of the chunk.
+    pub masks: Cow<'a, ChunkMasks>,
+    /// Opened for one path (`BeginEval`, or an in-process targeted
+    /// read) rather than for a bundle-plan chunk (`BeginEvalPlan`):
+    /// only such a session takes a stop member or answers a trace.
+    pub one_path: bool,
 }
 
 /// Runs one round on one shard: translates the seeds (global ids, as
@@ -410,8 +406,8 @@ pub(crate) enum ShardEngine<'a> {
 /// engine's frontier, and reports matches and exports back in global
 /// ids. Seeds and the stop member come from outside the shard — a
 /// word the session was not opened for, a member the shard holds no
-/// copy of, a stop on a plan session or at a ghost are refused, never
-/// evaluated.
+/// copy of, a stop on a bundle-plan session or at a ghost are refused,
+/// never evaluated.
 pub(crate) fn local_round(
     view: &ShardView<'_>,
     local_of: impl Fn(u32) -> Option<NodeId>,
@@ -435,7 +431,7 @@ pub(crate) fn local_round(
         })?;
         local_seeds.push((local, e.key.step, e.key.depth, e.mask));
     }
-    if stop.is_some() && matches!(engine, ShardEngine::Plan { .. }) {
+    if stop.is_some() && !engine.one_path {
         return Err(WireRefusal::BadRequest {
             detail: "plan sessions serve audience fixpoints only (no stop target)".to_owned(),
         });
@@ -452,30 +448,16 @@ pub(crate) fn local_round(
         },
         None => None,
     };
-    let out = match engine {
-        ShardEngine::Linear { engine, path } => online::evaluate_audience_batch_seeded_stop(
-            view.graph,
-            view.snap,
-            path,
-            engine,
-            &local_seeds,
-            view.ghost,
-            stop_local,
-        ),
-        ShardEngine::Plan {
-            engine,
-            nodes,
-            masks,
-        } => query::evaluate_plan_batch_seeded(
-            view.graph,
-            view.snap,
-            nodes,
-            masks,
-            engine,
-            &local_seeds,
-            view.ghost,
-        ),
-    };
+    let out = query::evaluate_plan_batch_seeded(
+        view.graph,
+        view.snap,
+        &engine.nodes,
+        &engine.masks,
+        &mut engine.engine,
+        &local_seeds,
+        view.ghost,
+        stop_local,
+    );
     Ok(LaneRound {
         matched: out
             .matched
@@ -507,6 +489,7 @@ pub(crate) fn local_round(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::online;
     use std::collections::VecDeque;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -692,8 +675,9 @@ mod tests {
     struct EngineLane<'a> {
         graph: &'a SocialGraph,
         snap: &'a CsrSnapshot,
-        path: &'a PathExpr,
-        engine: Option<SeededBatchState>,
+        plan: &'a BundlePlan,
+        masks: &'a ChunkMasks,
+        engine: Option<PlanBatchState>,
         panics: bool,
     }
 
@@ -701,8 +685,10 @@ mod tests {
         type Error = std::convert::Infallible;
 
         fn open(&mut self) {
-            self.engine = Some(SeededBatchState::with_parents(
-                self.graph, self.snap, self.path,
+            self.engine = Some(PlanBatchState::with_parents(
+                self.graph,
+                self.snap,
+                &self.plan.nodes,
             ));
         }
 
@@ -715,13 +701,15 @@ mod tests {
                 .iter()
                 .map(|e| (NodeId(e.key.member), e.key.step, e.key.depth, e.mask))
                 .collect();
-            let out = online::evaluate_audience_batch_seeded(
+            let out = query::evaluate_plan_batch_seeded(
                 self.graph,
                 self.snap,
-                self.path,
+                &self.plan.nodes,
+                self.masks,
                 self.engine.as_mut().expect("opened"),
                 &seeds,
                 &[],
+                None,
             );
             assert!(!self.panics, "lane failed mid-round");
             Ok(LaneRound {
@@ -747,13 +735,17 @@ mod tests {
         }
         let path = crate::path::parse_path("friend+[1..3]", g.vocab_mut()).unwrap();
         let snap = g.snapshot();
+        // One path, two conditions of it (bits 0 and 1).
+        let plan = BundlePlan::compile(&[&path, &path]).unwrap();
+        let masks = plan.chunk_masks(&[0, 1]);
         let lanes = |panics: bool| -> Vec<EngineLane<'_>> {
             [panics, false]
                 .into_iter()
                 .map(|panics| EngineLane {
                     graph: &g,
                     snap: &snap,
-                    path: &path,
+                    plan: &plan,
+                    masks: &masks,
                     engine: None,
                     panics,
                 })

@@ -99,34 +99,36 @@
 //! append-patching pipeline above. Cross-shard relationships are
 //! recorded in a boundary table and replicated into both endpoint
 //! shards against attribute-synchronized *ghost* replicas. Reads run a
-//! round-based fixpoint of per-shard **seeded** product BFS
-//! ([`online::evaluate_seeded`]): each shard traverses its local CSR
-//! snapshot, exports every product state visited at a ghost, and the
-//! router re-seeds those states at the member's home shard (parallel
-//! scoped threads when several shards are active in a round) until no
-//! new state appears. Witnesses stitch per-shard walk segments. A
-//! differential proptest suite (`tests/shard_differential.rs`) pins the
-//! sharded semantics to the single-graph system across shard counts.
+//! round-based fixpoint of per-shard **seeded** masked BFS over a
+//! shared-prefix plan ([`query::evaluate_plan_batch_seeded`]): each
+//! shard traverses its local CSR snapshot, exports every product state
+//! visited at a ghost, and the router re-seeds those states at the
+//! member's home shard (parallel scoped threads when several shards are
+//! active in a round) until no new state appears. Witnesses stitch
+//! per-shard walk segments. A differential proptest suite
+//! (`tests/shard_differential.rs`) pins the sharded semantics to the
+//! single-graph system across shard counts.
 //!
 //! Bundle reads are **batch-amortized**: `ShardedSystem::audience_batch`
 //! and `check_batch` run *one* masked fixpoint per bundle instead of
 //! one per condition. The bundle's distinct conditions compile into a
-//! shared-prefix plan and traverse together as bits of a seeded
-//! multi-source mask BFS ([`query::evaluate_plan_batch_seeded`]);
-//! boundary exports carry those masks
+//! shared-prefix plan and traverse together as condition bits of the
+//! fixpoint; boundary exports carry those masks
 //! ([`socialreach_graph::shard::MaskedStateKey`], chunked into further
 //! 64-bit words for wider bundles), and each shard's visited/mask
 //! state persists across the fixpoint's rounds, keeping total work
 //! linear in the explored region even when walks ping-pong across a
-//! boundary. The batched path is pinned to the per-condition fixpoint,
-//! the single-graph batch BFS and the reference engine by
-//! `tests/shard_batch_differential.rs`.
+//! boundary. One condition — a targeted check, or one condition of the
+//! per-condition bundle arm — is the same fixpoint over its one-path
+//! plan. The batched path is pinned to the single-graph batch BFS and
+//! the reference engine by `tests/shard_batch_differential.rs`.
 //!
 //! ## One fixpoint driver, two lanes
 //!
-//! Every masked cross-shard read — a bundle's audiences or one
-//! targeted `check`/`explain`, in process or over the wire — runs the
-//! **same** round loop, the crate-private `fixpoint::masked_fixpoint`:
+//! Every cross-shard read — a bundle's audiences, one condition's
+//! audience or one targeted `check`/`explain`, in process or over the
+//! wire — runs the **same** round loop over the **same** engine, the
+//! crate-private `fixpoint::masked_fixpoint`:
 //! take each shard's pending seeds, run the active shards (inline when
 //! one is active or the host has one core; otherwise the driver runs
 //! the last active shard itself and scoped threads run the others),
@@ -138,28 +140,29 @@
 //! exactly two implementations: the in-process lane of [`sharded`]
 //! (a function call) and the remote lane of [`remote`] (`BeginEval` /
 //! `BeginEvalPlan` → `Round` sub-batches → `EndEval`). The shard-local
-//! half of a round — global→local seed translation, one seeded engine
+//! half of a round — global→local seed translation, one plan-engine
 //! run, ghost filtering, local→global exports — is likewise one
 //! function, called by the in-process lane and by the shard server's
 //! `Round` handler. [`ShardedSystem`] and [`NetworkedSystem`]
 //! contribute seed construction and witness stitching; the
 //! single-graph backend needs no lanes and calls the plan engine
-//! directly. The per-condition fixpoint
-//! ([`ShardedSystem::evaluate_condition`]) and
-//! [`online::evaluate_reference`] stay apart on purpose: they are the
-//! oracles the differential suites compare the driver against.
+//! directly. Per-condition sharded reads
+//! ([`ShardedSystem::evaluate_condition`]) run this driver too, so
+//! they are no independent check of it: the oracles the differential
+//! suites compare the driver against are [`online::evaluate_reference`]
+//! and the single-graph deployment.
 //!
 //! ## Masked reads cost what they explore
 //!
-//! The flat mask engines — the linear one behind targeted sharded
-//! checks ([`online::SeededBatchState`]) and the plan one behind every
-//! bundle ([`query::PlanBatchState`]) — share one pooled scratch type
-//! (see [`online`], "Pooled mask scratch"): a dense `u32` directory per
-//! product state over a compact arena of the states a read actually
-//! reaches. Constructing an engine takes a scratch from the calling
-//! thread's pool (all-zero by invariant, so nothing is filled);
-//! dropping it walks the arena once to clear what the read reached and
-//! gives the scratch back, unless the thread is panicking. A shard
+//! The one masked engine ([`query::PlanBatchState`]) — behind every
+//! bundle and every partitioned read, targeted or not — keeps its flat
+//! state in a pooled scratch (see [`online`], "Pooled mask scratch"):
+//! a dense `u32` directory per product state over a compact arena of
+//! the states a read actually reaches. Constructing an engine takes a
+//! scratch from the calling thread's pool (all-zero by invariant, so
+//! nothing is filled); dropping it walks the arena once to clear what
+//! the read reached and gives the scratch back, unless the thread is
+//! panicking. A shard
 //! lane opens and drops its engine on the fixpoint's driver thread, a
 //! shard server's session on its connection thread, so after warm-up a
 //! masked read allocates nothing `|V|`-sized and a read that never

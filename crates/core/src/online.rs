@@ -19,21 +19,25 @@
 //!
 //! Matching is over **walks** — members and relationships may repeat.
 //!
-//! # Two implementations, one semantics
+//! # The targeted engine, the reference and the mask-scratch pool
 //!
-//! * [`evaluate`] / [`evaluate_with_snapshot`] — the production engine:
-//!   a level-synchronous BFS over a label-partitioned
-//!   [`CsrSnapshot`], with flat dense visited/parent arrays indexed by
-//!   `(step, depth) · |V| + member` and swap-buffer frontiers. A path
-//!   step scans only the `O(deg_label)` matching CSR slice instead of
-//!   filtering all `O(deg)` incident edges, and the hot loop touches no
-//!   hash map or `VecDeque`.
+//! * [`evaluate`] / [`evaluate_with_snapshot`] — the single-graph
+//!   engine: a level-synchronous BFS from the owner over a
+//!   label-partitioned [`CsrSnapshot`], with flat dense visited/parent
+//!   arrays indexed by `(step, depth) · |V| + member` and swap-buffer
+//!   frontiers. A path step scans only the `O(deg_label)` matching CSR
+//!   slice instead of filtering all `O(deg)` incident edges, and the
+//!   hot loop touches no hash map or `VecDeque`.
 //! * [`evaluate_reference`] — the original HashMap/VecDeque product BFS,
 //!   retained verbatim as the executable specification. The flat engine
 //!   is property-tested decision-for-decision against it
 //!   (`tests/csr_differential.rs`), and degenerate inputs whose product
 //!   space would make the dense arrays unreasonable (astronomical
 //!   saturation depths) transparently fall back to it.
+//! * The pooled mask scratch (below) — the state of the one **masked**
+//!   engine, [`crate::query::engine`]'s plan engine, which serves every
+//!   bundle, every partitioned read and every seeded run: a linear path
+//!   runs there as the one-path plan.
 //!
 //! Both traversals expand states in identical FIFO order, so audiences,
 //! decisions and witness walks agree exactly — including
@@ -44,32 +48,11 @@
 //! looks at those, so its `edges_filtered` is always zero. The two
 //! `edges_scanned` series therefore share an axis in experiments.
 //!
-//! # Seeded mask engine (the sharded batch primitive)
-//!
-//! [`evaluate_audience_batch_seeded`] is a **multi-source** mask BFS
-//! for the sharded serving layer: up to 64 conditions traverse
-//! together, each product state carrying a bitmask of the conditions
-//! that reached it, so one scan of a `(node, label, direction)` CSR
-//! slice serves every condition whose frontier touches that node. The
-//! search enters the layered product space at **arbitrary**
-//! `(member, step, depth, mask)` states and exports
-//! the masked states it visits at *watched* members (a shard's ghost
-//! replicas). Its visited/mask bookkeeping lives in a caller-owned
-//! [`SeededBatchState`] that **persists across runs**, so the
-//! cross-shard fixpoint can re-enter a shard round after round and pay
-//! only for the *new* condition bits each round delivers — total work
-//! stays linear in the explored region instead of re-traversing it per
-//! round (and, because up to 64 conditions share each frontier pass,
-//! linear in the region rather than in `conditions × region`). The
-//! single-source seeded engine ([`evaluate_seeded`]) remains the
-//! targeted-check/witness primitive; the mask engine is the audience
-//! and batched-decision hot path.
-//!
 //! # Pooled mask scratch: the all-zero invariant
 //!
-//! The flat mask engines (this module's and [`crate::query::engine`]'s
-//! plan variant) keep their state in one type, `MaskScratch`, held in a
-//! per-thread pool beside the targeted engine's epoch-stamped scratch.
+//! The plan engine's flat variant keeps its state in one type,
+//! `MaskScratch`, held in a per-thread pool beside the targeted
+//! engine's epoch-stamped scratch.
 //! A read must cost what its walk explores — in time *and* in memory it
 //! dirties — not `layers · |V|`, so a scratch is a dense **directory**
 //! (`u32` per product state: where the state's slot is, `0` for a state
@@ -84,19 +67,19 @@
 //!   `|V|`-sized array is allocated on a masked read).
 //! * **Who resets:** `MaskMarks::send_from` is the only writer of the
 //!   directory, and every entry it sets has a slot that records its
-//!   index; dropping a [`SeededBatchState`] or
-//!   [`crate::query::PlanBatchState`] gives the scratch back, which
-//!   walks the arena once, zeroing each slot's directory entry and its
-//!   member's `matched` word (`matched[v]` is only written while a
-//!   state at `v` is processed, so the arena covers it), then clears
-//!   the arena. Reset is `O(states reached)`. Once a read has reached
-//!   more than `1/8` of the dense span, give-back `fill(0)`s the span
-//!   instead and drops the oversized arena.
+//!   index; dropping a [`crate::query::PlanBatchState`] gives the
+//!   scratch back, which walks the arena once, zeroing each slot's
+//!   directory entry and its member's `matched` word (`matched[v]` is
+//!   only written while a state at `v` is processed, so the arena
+//!   covers it), then clears the arena. Reset is `O(states reached)`.
+//!   Once a read has reached more than `1/8` of the dense span,
+//!   give-back `fill(0)`s the span instead and drops the oversized
+//!   arena.
 //! * **Parents need no reset:** a parent pointer is a field of the slot
 //!   created on a state's first arrival, naming an older slot of the
-//!   same arena; [`SeededBatchState::trace`] enters through the
-//!   directory and follows slots. The arena is cleared wholesale, so
-//!   nothing of an earlier use is reachable.
+//!   same arena; [`crate::query::PlanBatchState::trace`] enters through
+//!   the directory and follows slots. The arena is cleared wholesale,
+//!   so nothing of an earlier use is reachable.
 //! * **Never recycled dirty:** an engine dropped while its thread is
 //!   panicking drops its scratch instead of returning it, and debug
 //!   builds assert the whole buffer is zero on give-back.
@@ -110,7 +93,7 @@
 //! reports what it holds and what it has done.
 
 use crate::path::PathExpr;
-use socialreach_graph::csr::{CsrSnapshot, Neighbors};
+use socialreach_graph::csr::CsrSnapshot;
 use socialreach_graph::{Direction, EdgeId, NodeId, SocialGraph};
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;
@@ -180,7 +163,7 @@ pub(crate) const MAX_FLAT_STATES: u64 = 1 << 24;
 pub(crate) const MAX_FLAT_LAYERS: u64 = 1 << 20;
 /// `parent_hop` packs `edge id << 1 | forward`; this marks ε-moves and
 /// the start state.
-const HOP_NONE: u32 = u32::MAX;
+pub(crate) const HOP_NONE: u32 = u32::MAX;
 
 /// Reusable per-thread search buffers, epoch-stamped so reuse costs
 /// `O(1)` instead of a clear per query. Frontier entries pack
@@ -234,7 +217,7 @@ struct LayerInfo {
 }
 
 /// Fills `layers` with the dense per-(step, depth) layer table of
-/// `steps` (shared by the single-source and batch engines).
+/// `steps`.
 fn fill_layer_table(steps: &[crate::path::Step], layers: &mut Vec<LayerInfo>) {
     layers.clear();
     let mut base = 0u32;
@@ -628,465 +611,7 @@ pub fn evaluate_with_snapshot(
 }
 
 // ---------------------------------------------------------------------
-// Seeded evaluation (the sharded serving layer's per-shard primitive)
-// ---------------------------------------------------------------------
-
-/// A product-automaton coordinate exchanged between shards: the member
-/// plus its `(step, depth)` position, with `depth` capped at the step's
-/// saturation point (all deeper states behave identically, so the cap
-/// makes the coordinate canonical across independently built shards).
-pub type SeedState = (NodeId, u16, u32);
-
-/// What a seeded evaluation is looking for.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SeededTarget {
-    /// Explore the whole reachable product space: collect the audience
-    /// and every watched state.
-    Audience,
-    /// Stop as soon as this member completes the final step (an access
-    /// check).
-    Member(NodeId),
-    /// Stop as soon as this exact product state is visited (cross-shard
-    /// witness reconstruction replays a prior run up to the state it
-    /// exported).
-    State(NodeId, u16, u32),
-}
-
-/// Result of a seeded evaluation.
-#[derive(Clone, Debug, Default)]
-pub struct SeededOutcome {
-    /// Members that completed the final step, sorted (includes watched
-    /// members — the caller filters ghosts).
-    pub matched: Vec<NodeId>,
-    /// Every product state visited at a watched member, depth already
-    /// saturated — the states a shard exports for its neighbors to
-    /// continue from. Unique by construction (each state is visited
-    /// once).
-    pub reached: Vec<SeedState>,
-    /// Whether the target (member or state) was found.
-    pub hit: bool,
-    /// When `hit` under a non-audience target: the local walk from one
-    /// of the seeds to the target, plus the index (into `seeds`) of the
-    /// seed it traces back to.
-    pub witness: Option<(Vec<WitnessHop>, usize)>,
-    /// Work counters.
-    pub stats: SearchStats,
-}
-
-/// Per-step base offsets and saturations of the dense layer table:
-/// layer id of `(step, depth)` is `bases[step] + depth.min(sats[step])`.
-fn layer_bases(steps: &[crate::path::Step]) -> (Vec<u32>, Vec<u32>) {
-    let mut bases = Vec::with_capacity(steps.len());
-    let mut sats = Vec::with_capacity(steps.len());
-    let mut base = 0u32;
-    for step in steps {
-        let sat = step.depths.saturation();
-        bases.push(base);
-        sats.push(sat);
-        base += sat + 1;
-    }
-    (bases, sats)
-}
-
-/// [`evaluate_with_snapshot`] generalized for the sharded serving
-/// layer: the search starts from arbitrary product states (`seeds`),
-/// reports every state visited at a *watched* member (the shard's
-/// ghost copies of remote members, whose expansion is completed by the
-/// owning shard), and can chase a state target as well as a member
-/// target.
-///
-/// Semantics are those of the single-graph engine restricted to this
-/// graph's edges: a state `(v, step, depth)` is reachable from the
-/// seeds exactly when the unsharded engine could reach it using only
-/// locally present edges. The sharded router obtains global semantics
-/// by fixpointing seeded runs across shards (every exported watched
-/// state is re-seeded at the member's owning shard, where its full
-/// adjacency lives).
-///
-/// Uses the flat dense-state engine when the product space is
-/// reasonable ([`evaluate_with_snapshot`]'s criterion) and a sparse
-/// HashMap walk mirroring [`evaluate_reference`] otherwise — results
-/// are identical.
-pub fn evaluate_seeded(
-    g: &SocialGraph,
-    snap: &CsrSnapshot,
-    path: &PathExpr,
-    seeds: &[SeedState],
-    watched: &[bool],
-    target: SeededTarget,
-) -> SeededOutcome {
-    debug_assert!(!path.is_empty(), "the router handles empty paths");
-    if path.is_empty() || seeds.is_empty() {
-        return SeededOutcome::default();
-    }
-    if snap.matches(g) && flat_dimensions(snap, path).is_some() {
-        evaluate_seeded_flat(g, snap, path, seeds, watched, target)
-    } else {
-        evaluate_seeded_sparse(g, path, seeds, watched, target)
-    }
-}
-
-fn evaluate_seeded_flat(
-    g: &SocialGraph,
-    snap: &CsrSnapshot,
-    path: &PathExpr,
-    seeds: &[SeedState],
-    watched: &[bool],
-    target: SeededTarget,
-) -> SeededOutcome {
-    let steps = &path.steps;
-    let (v_count, _, total_states) =
-        flat_dimensions(snap, path).expect("caller checked dimensions");
-    let (bases, sats) = layer_bases(steps);
-    let layer_of = |step: u16, depth: u32| bases[step as usize] + depth.min(sats[step as usize]);
-
-    let track_parents = !matches!(target, SeededTarget::Audience);
-    let target_member = match target {
-        SeededTarget::Member(m) => Some(m),
-        _ => None,
-    };
-    let target_idx: Option<u32> = match target {
-        SeededTarget::State(m, step, depth) => Some(layer_of(step, depth) * v_count + m.0),
-        _ => None,
-    };
-
-    let mut stats = SearchStats::default();
-    let mut matched: Vec<NodeId> = Vec::new();
-    let mut reached: Vec<SeedState> = Vec::new();
-    let mut hit_state: Option<u32> = None;
-    // Seed states self-parent; the replay resolves which seed a chain
-    // ends at through this (tiny) index list.
-    let mut seed_index: Vec<(u32, usize)> = Vec::with_capacity(seeds.len());
-
-    let witness = SCRATCH.with(|scratch| {
-        let s = &mut *scratch.borrow_mut();
-        fill_layer_table(steps, &mut s.layers);
-        // `layer_bases` must describe exactly the layout
-        // `fill_layer_table` produced — the two are parallel
-        // constructions, so pin their agreement here.
-        debug_assert_eq!(
-            s.layers.len() as u32,
-            bases.last().unwrap() + sats.last().unwrap() + 1,
-            "layer_bases and fill_layer_table disagree on the layer count"
-        );
-        for (i, &base) in bases.iter().enumerate() {
-            debug_assert_eq!(
-                s.layers[base as usize].step as usize, i,
-                "layer_bases and fill_layer_table disagree on step {i}'s base layer"
-            );
-        }
-        if s.visited.len() < total_states {
-            s.visited.resize(total_states, 0);
-        }
-        if s.matched_epoch.len() < snap.num_nodes() {
-            s.matched_epoch.resize(snap.num_nodes(), 0);
-        }
-        if track_parents && s.parent_state.len() < total_states {
-            s.parent_state.resize(total_states, 0);
-            s.parent_hop.resize(total_states, 0);
-        }
-        let epoch = s.next_epoch();
-        s.frontier.clear();
-        s.next.clear();
-
-        for (i, &(m, step, depth)) in seeds.iter().enumerate() {
-            let lay = layer_of(step, depth);
-            let idx = lay * v_count + m.0;
-            if s.visited[idx as usize] == epoch {
-                continue; // duplicate seed; first occurrence wins
-            }
-            s.visited[idx as usize] = epoch;
-            if track_parents {
-                s.parent_state[idx as usize] = idx;
-                s.parent_hop[idx as usize] = HOP_NONE;
-            }
-            seed_index.push((idx, i));
-            if target_idx == Some(idx) {
-                hit_state = Some(idx);
-            }
-            s.frontier.push((u64::from(lay) << 32) | u64::from(m.0));
-        }
-
-        'search: while !s.frontier.is_empty() && hit_state.is_none() {
-            let Scratch {
-                visited,
-                matched_epoch,
-                frontier,
-                next,
-                parent_state,
-                parent_hop,
-                layers,
-                ..
-            } = s;
-            for &state in frontier.iter() {
-                let v = state as u32;
-                let lay = (state >> 32) as u32;
-                let idx = lay * v_count + v;
-                let li = layers[lay as usize];
-                stats.states_visited += 1;
-                let step = &steps[li.step as usize];
-                let node = NodeId(v);
-
-                if watched[node.index()] {
-                    reached.push((node, li.step, lay - bases[li.step as usize]));
-                }
-
-                if li.completes && step.conds.iter().all(|c| c.eval(g.node_attrs(node))) {
-                    if li.last {
-                        if matched_epoch[node.index()] != epoch {
-                            matched_epoch[node.index()] = epoch;
-                            matched.push(node);
-                        }
-                        if target_member == Some(node) {
-                            hit_state = Some(idx);
-                            break 'search;
-                        }
-                    } else {
-                        let eps = li.eps_layer * v_count + v;
-                        let slot = &mut visited[eps as usize];
-                        if *slot != epoch {
-                            *slot = epoch;
-                            if track_parents {
-                                parent_state[eps as usize] = idx;
-                                parent_hop[eps as usize] = HOP_NONE;
-                            }
-                            if target_idx == Some(eps) {
-                                hit_state = Some(eps);
-                                break 'search;
-                            }
-                            next.push((u64::from(li.eps_layer) << 32) | u64::from(v));
-                        }
-                    }
-                }
-
-                if !li.expands {
-                    continue;
-                }
-                let next_base = li.next_layer * v_count;
-                let next_tag = u64::from(li.next_layer) << 32;
-                let mut found = false;
-                let mut expand = |nbr: u32, eid: u32, forward: bool| {
-                    stats.edges_scanned += 1;
-                    let ns = next_base + nbr;
-                    let slot = &mut visited[ns as usize];
-                    if *slot != epoch {
-                        *slot = epoch;
-                        if track_parents {
-                            parent_state[ns as usize] = idx;
-                            parent_hop[ns as usize] = (eid << 1) | u32::from(forward);
-                        }
-                        if target_idx == Some(ns) {
-                            found = true;
-                        }
-                        next.push(next_tag | u64::from(nbr));
-                    }
-                };
-                if matches!(step.dir, Direction::Out | Direction::Both) {
-                    let out = snap.out_neighbors(v, step.label);
-                    for (&nbr, &eid) in out.nodes.iter().zip(out.edges) {
-                        expand(nbr, eid, true);
-                    }
-                }
-                if matches!(step.dir, Direction::In | Direction::Both) {
-                    let inn = snap.in_neighbors(v, step.label);
-                    for (&nbr, &eid) in inn.nodes.iter().zip(inn.edges) {
-                        expand(nbr, eid, false);
-                    }
-                }
-                if found {
-                    hit_state = Some(target_idx.expect("found implies a state target"));
-                    break 'search;
-                }
-            }
-            std::mem::swap(&mut s.frontier, &mut s.next);
-            s.next.clear();
-        }
-
-        hit_state.filter(|_| track_parents).map(|end| {
-            let mut hops = Vec::new();
-            let mut cur = end;
-            loop {
-                let hop = s.parent_hop[cur as usize];
-                let prev = s.parent_state[cur as usize];
-                if hop != HOP_NONE {
-                    hops.push((EdgeId(hop >> 1), hop & 1 == 1));
-                }
-                if prev == cur {
-                    break;
-                }
-                cur = prev;
-            }
-            hops.reverse();
-            let seed = seed_index
-                .iter()
-                .find(|&&(idx, _)| idx == cur)
-                .map(|&(_, i)| i)
-                .expect("witness chain ends at a seed");
-            (hops, seed)
-        })
-    });
-
-    matched.sort_unstable();
-    SeededOutcome {
-        matched,
-        reached,
-        hit: hit_state.is_some(),
-        witness,
-        stats,
-    }
-}
-
-/// Sparse-state mirror of [`evaluate_seeded_flat`] for degenerate
-/// product spaces, structured after [`evaluate_reference`].
-fn evaluate_seeded_sparse(
-    g: &SocialGraph,
-    path: &PathExpr,
-    seeds: &[SeedState],
-    watched: &[bool],
-    target: SeededTarget,
-) -> SeededOutcome {
-    let steps = &path.steps;
-    let sat: Vec<u32> = steps.iter().map(|s| s.depths.saturation()).collect();
-    let canon = |(m, step, depth): SeedState| (m.0, step, depth.min(sat[step as usize]));
-
-    let target_member = match target {
-        SeededTarget::Member(m) => Some(m),
-        _ => None,
-    };
-    let target_state: Option<State> = match target {
-        SeededTarget::State(m, step, depth) => Some(canon((m, step, depth))),
-        _ => None,
-    };
-
-    let mut stats = SearchStats::default();
-    let mut parent: HashMap<State, Option<(State, Option<WitnessHop>)>> = HashMap::new();
-    let mut seed_of: HashMap<State, usize> = HashMap::new();
-    let mut queue: VecDeque<State> = VecDeque::new();
-    for (i, &seed) in seeds.iter().enumerate() {
-        let state = canon(seed);
-        if let Entry::Vacant(e) = parent.entry(state) {
-            e.insert(None);
-            seed_of.insert(state, i);
-            queue.push_back(state);
-        }
-    }
-
-    let mut matched: Vec<NodeId> = Vec::new();
-    let mut matched_seen = vec![false; g.num_nodes()];
-    let mut reached: Vec<SeedState> = Vec::new();
-    let mut hit_state: Option<State> = target_state.filter(|t| parent.contains_key(t));
-
-    'search: while hit_state.is_none() {
-        let Some(state) = queue.pop_front() else {
-            break;
-        };
-        let (v, i, d) = state;
-        stats.states_visited += 1;
-        let step = &steps[i as usize];
-        let node = NodeId(v);
-
-        if watched[node.index()] {
-            reached.push((node, i, d));
-        }
-
-        if d >= 1
-            && step.depths.contains(d)
-            && step.conds.iter().all(|c| c.eval(g.node_attrs(node)))
-        {
-            if (i as usize) == steps.len() - 1 {
-                if !matched_seen[node.index()] {
-                    matched_seen[node.index()] = true;
-                    matched.push(node);
-                }
-                if target_member == Some(node) {
-                    hit_state = Some(state);
-                    break 'search;
-                }
-            } else {
-                let eps: State = (v, i + 1, 0);
-                if let Entry::Vacant(e) = parent.entry(eps) {
-                    e.insert(Some((state, None)));
-                    if target_state == Some(eps) {
-                        hit_state = Some(eps);
-                        break 'search;
-                    }
-                    queue.push_back(eps);
-                }
-            }
-        }
-
-        if d >= sat[i as usize] && !step.depths.is_unbounded() {
-            continue;
-        }
-        let d_next = (d + 1).min(sat[i as usize]);
-        let out = matches!(step.dir, Direction::Out | Direction::Both);
-        let inc = matches!(step.dir, Direction::In | Direction::Both);
-        if out {
-            for (eid, rec) in g.out_edges(node) {
-                if rec.label != step.label {
-                    stats.edges_filtered += 1;
-                    continue;
-                }
-                stats.edges_scanned += 1;
-                let next: State = (rec.dst.0, i, d_next);
-                if let Entry::Vacant(e) = parent.entry(next) {
-                    e.insert(Some((state, Some((eid, true)))));
-                    if target_state == Some(next) {
-                        hit_state = Some(next);
-                        break 'search;
-                    }
-                    queue.push_back(next);
-                }
-            }
-        }
-        if inc {
-            for (eid, rec) in g.in_edges(node) {
-                if rec.label != step.label {
-                    stats.edges_filtered += 1;
-                    continue;
-                }
-                stats.edges_scanned += 1;
-                let next: State = (rec.src.0, i, d_next);
-                if let Entry::Vacant(e) = parent.entry(next) {
-                    e.insert(Some((state, Some((eid, false)))));
-                    if target_state == Some(next) {
-                        hit_state = Some(next);
-                        break 'search;
-                    }
-                    queue.push_back(next);
-                }
-            }
-        }
-    }
-
-    let witness = hit_state
-        .filter(|_| !matches!(target, SeededTarget::Audience))
-        .map(|end| {
-            let mut hops = Vec::new();
-            let mut cur = end;
-            while let Some(Some((prev, hop))) = parent.get(&cur) {
-                if let Some(h) = hop {
-                    hops.push(*h);
-                }
-                cur = *prev;
-            }
-            hops.reverse();
-            let seed = *seed_of.get(&cur).expect("witness chain ends at a seed");
-            (hops, seed)
-        });
-
-    matched.sort_unstable();
-    SeededOutcome {
-        matched,
-        reached,
-        hit: hit_state.is_some(),
-        witness,
-        stats,
-    }
-}
-
-// ---------------------------------------------------------------------
-// Pooled mask scratch (shared state of the linear and plan mask engines)
+// Pooled mask scratch (the state of the plan engine's flat variant)
 // ---------------------------------------------------------------------
 
 /// Give-back clears the directory entry by entry while at most this
@@ -1226,12 +751,30 @@ impl MaskMarks {
         *word |= new;
         new
     }
+
+    /// Follows first-arrival parents from the state `(layer, v)` back to
+    /// its chain's seed: the hops in walk order plus the seed's
+    /// `(layer, member)`. `None` for a state never reached.
+    pub(crate) fn chain(&self, layer: u32, v: u32) -> Option<(Vec<WitnessHop>, u32, u32)> {
+        let mut slot = &self.slots[self.dir[self.index(layer, v)].checked_sub(1)? as usize];
+        let mut hops = Vec::new();
+        loop {
+            if slot.hop != HOP_NONE {
+                hops.push((EdgeId(slot.hop >> 1), slot.hop & 1 == 1));
+            }
+            if slot.parent == NO_PARENT {
+                break;
+            }
+            slot = &self.slots[slot.parent as usize];
+        }
+        hops.reverse();
+        Some((hops, slot.idx / self.v_count, slot.idx % self.v_count))
+    }
 }
 
-/// The reusable state of one flat mask engine — [`FlatBatch`] here, the
-/// plan engine's flat variant in [`crate::query::engine`]: the state
-/// directory with its slot arena, the per-member matched words and the
-/// two frontier queues. Taken from and given back to this thread's
+/// The reusable state of the plan engine's flat variant
+/// ([`crate::query::engine`]): the state directory with its slot
+/// arena, the per-member matched words and the two frontier queues. Taken from and given back to this thread's
 /// pool; all-zero (and empty) whenever it is not in use.
 #[derive(Default)]
 pub(crate) struct MaskScratch {
@@ -1340,16 +883,20 @@ pub(crate) fn is_watched(watched: &[bool], v: usize) -> bool {
 }
 
 // ---------------------------------------------------------------------
-// Seeded multi-source mask engine (the batched serving primitive)
+// Seed states and run outcomes of the masked engine
 // ---------------------------------------------------------------------
 
-/// A masked product state exchanged between the batched fixpoint
-/// driver and the per-shard mask engine: the member, its `(step,
-/// depth)` coordinate (depth capped at the step's saturation point),
-/// and the bundle-condition bits that reached it.
+/// A product-automaton coordinate `(member, step, depth)` — a plan node
+/// id in the step slot — with `depth` capped at the step's saturation
+/// point, which makes it canonical across independently built shards.
+pub type SeedState = (NodeId, u16, u32);
+
+/// A masked product state exchanged between the fixpoint driver and
+/// the per-shard mask engine: a [`SeedState`] plus the condition bits
+/// that reached it.
 pub type MaskedSeedState = (NodeId, u16, u32, u64);
 
-/// Result of one [`evaluate_audience_batch_seeded`] run.
+/// Result of one [`crate::query::evaluate_plan_batch_seeded`] run.
 #[derive(Clone, Debug, Default)]
 pub struct SeededBatchOutcome {
     /// Members that completed the final step during this run, each
@@ -1361,488 +908,14 @@ pub struct SeededBatchOutcome {
     /// the bits that newly arrived there (depth already saturated).
     /// Bits at one state are disjoint across runs by construction.
     pub exports: Vec<MaskedSeedState>,
-    /// The `(step, depth)` coordinate at which the `stop` member of an
-    /// early-exit run ([`evaluate_audience_batch_seeded_stop`])
-    /// completed the final step, when it did. The run returns
-    /// immediately on a hit, so a hit run's frontier is **not**
-    /// drained: after a hit the engine may only be used for
-    /// [`SeededBatchState::trace`].
+    /// The `(node, depth)` coordinate at which the `stop` member of an
+    /// early-exit run completed an accepting plan node, when it did.
+    /// The run returns immediately on a hit, so a hit run's frontier is
+    /// **not** drained: after a hit the engine may only be used for
+    /// [`crate::query::PlanBatchState::trace`].
     pub hit: Option<(u16, u32)>,
     /// Work counters for this run only.
     pub stats: SearchStats,
-}
-
-/// Round-persistent bookkeeping of the seeded mask engine: which
-/// condition bits have ever arrived at each product state, which bits
-/// await processing, and which bits each member has already matched
-/// under. One value serves **one** `(graph, snapshot, path, ≤64
-/// conditions)` evaluation across arbitrarily many seeded runs; the
-/// cross-shard fixpoint driver keeps one per shard per bundle chunk.
-///
-/// Persistence is the point: seeding a state whose bits are already
-/// known is a no-op, so a fixpoint that re-enters a shard `k` times
-/// (a walk ping-ponging across a boundary) expands each state at most
-/// once per arriving bit instead of re-traversing the explored region
-/// every round.
-pub struct SeededBatchState {
-    /// Cumulative states processed across every run (the
-    /// round-linearity instrumentation the sharded driver reports).
-    states_expanded: usize,
-    inner: BatchInner,
-}
-
-enum BatchInner {
-    Flat(FlatBatch),
-    Sparse(SparseBatch),
-}
-
-/// Dense variant: state directory indexed by `layer · |V| + member`,
-/// in a pooled [`MaskScratch`] that drop gives back.
-struct FlatBatch {
-    bases: Vec<u32>,
-    sats: Vec<u32>,
-    layers: Vec<LayerInfo>,
-    /// Whether slots remember their first arrival
-    /// ([`SeededBatchState::with_parents`]), surviving across runs so a
-    /// cross-round chain can be traced without replay.
-    track_parents: bool,
-    scratch: MaskScratch,
-}
-
-impl Drop for FlatBatch {
-    fn drop(&mut self) {
-        self.scratch.give_back();
-    }
-}
-
-/// Sparse mirror for degenerate product spaces (astronomical
-/// saturation depths), keyed by `(member, step, depth)`.
-struct SparseBatch {
-    sats: Vec<u32>,
-    seen: HashMap<State, u64>,
-    pending: HashMap<State, u64>,
-    matched_mask: HashMap<u32, u64>,
-    frontier: Vec<State>,
-    next: Vec<State>,
-    /// First-arrival parent pointers (`state → (predecessor, hop)`;
-    /// seeds map to themselves with no hop), when tracking is enabled.
-    parents: Option<HashMap<State, (State, Option<WitnessHop>)>>,
-}
-
-impl SeededBatchState {
-    /// State for evaluating `path` over `snap`/`g`. Picks the flat
-    /// dense-array variant when the product space is reasonable
-    /// ([`evaluate_with_snapshot`]'s criterion) and the sparse mirror
-    /// otherwise — run results are identical either way. The flat
-    /// variant's arrays come from this thread's scratch pool and return
-    /// to it (reset in `O(states touched)`) when the state is dropped.
-    pub fn new(g: &SocialGraph, snap: &CsrSnapshot, path: &PathExpr) -> Self {
-        Self::build(g, snap, path, false)
-    }
-
-    fn build(g: &SocialGraph, snap: &CsrSnapshot, path: &PathExpr, parents: bool) -> Self {
-        assert!(!path.is_empty(), "the batched driver handles empty paths");
-        let steps = &path.steps;
-        let inner = match if snap.matches(g) {
-            flat_dimensions(snap, path)
-        } else {
-            None
-        } {
-            Some((v_count, layer_count, _)) => {
-                let (bases, sats) = layer_bases(steps);
-                let mut layers = Vec::new();
-                fill_layer_table(steps, &mut layers);
-                BatchInner::Flat(FlatBatch {
-                    bases,
-                    sats,
-                    layers,
-                    track_parents: parents,
-                    scratch: MaskScratch::take(v_count, layer_count as usize),
-                })
-            }
-            None => BatchInner::Sparse(SparseBatch {
-                sats: steps.iter().map(|s| s.depths.saturation()).collect(),
-                seen: HashMap::new(),
-                pending: HashMap::new(),
-                matched_mask: HashMap::new(),
-                frontier: Vec::new(),
-                next: Vec::new(),
-                parents: parents.then(HashMap::new),
-            }),
-        };
-        SeededBatchState {
-            states_expanded: 0,
-            inner,
-        }
-    }
-
-    /// Total product states processed across every run so far. Each
-    /// state is processed once per *wave of new bits*, so for a
-    /// single-condition evaluation this is exactly the number of
-    /// distinct states explored — the counter the round-linearity
-    /// regression pins.
-    pub fn states_expanded(&self) -> usize {
-        self.states_expanded
-    }
-
-    /// [`SeededBatchState::new`] with **first-arrival parent
-    /// tracking**: every product state remembers the state it was
-    /// first reached from and the hop taken, across runs, so
-    /// [`SeededBatchState::trace`] can reconstruct a witness chain
-    /// without replaying the search.
-    ///
-    /// Parent chains follow *first* arrivals regardless of condition
-    /// bits, so they are only guaranteed to carry a given bit for
-    /// **single-condition** (one-bit) evaluations — the targeted
-    /// `check`/`explain` path. Multi-bit bundles must keep using the
-    /// replay-based reconstruction.
-    pub fn with_parents(g: &SocialGraph, snap: &CsrSnapshot, path: &PathExpr) -> Self {
-        Self::build(g, snap, path, true)
-    }
-
-    /// Walks the persistent parent chain back from the product state
-    /// `(member, step, depth)` to a **seed** of some earlier run,
-    /// returning the hops in walk order plus the seed's coordinate.
-    /// `None` when the engine wasn't built with
-    /// [`SeededBatchState::with_parents`] or the state was never
-    /// reached. Valid after an early-exit hit — tracing is the one
-    /// operation an exhausted engine still supports.
-    pub fn trace(
-        &self,
-        member: NodeId,
-        step: u16,
-        depth: u32,
-    ) -> Option<(Vec<WitnessHop>, SeedState)> {
-        match &self.inner {
-            BatchInner::Flat(fb) => {
-                if !fb.track_parents {
-                    return None;
-                }
-                let marks = &fb.scratch.marks;
-                let lay = fb.bases[step as usize] + depth.min(fb.sats[step as usize]);
-                let mut at = marks.dir[marks.index(lay, member.0)].checked_sub(1)?;
-                let mut hops = Vec::new();
-                let seed = loop {
-                    let slot = &marks.slots[at as usize];
-                    if slot.hop != HOP_NONE {
-                        hops.push((EdgeId(slot.hop >> 1), slot.hop & 1 == 1));
-                    }
-                    if slot.parent == NO_PARENT {
-                        break slot.idx;
-                    }
-                    at = slot.parent;
-                };
-                hops.reverse();
-                let v = seed % marks.v_count;
-                let lay = seed / marks.v_count;
-                let li = fb.layers[lay as usize];
-                Some((hops, (NodeId(v), li.step, lay - fb.bases[li.step as usize])))
-            }
-            BatchInner::Sparse(sb) => {
-                let parents = sb.parents.as_ref()?;
-                let mut cur: State = (member.0, step, depth.min(sb.sats[step as usize]));
-                let mut hops = Vec::new();
-                loop {
-                    let &(prev, hop) = parents.get(&cur)?;
-                    if let Some(h) = hop {
-                        hops.push(h);
-                    }
-                    if prev == cur {
-                        break;
-                    }
-                    cur = prev;
-                }
-                hops.reverse();
-                Some((hops, (NodeId(cur.0), cur.1, cur.2)))
-            }
-        }
-    }
-}
-
-/// One seeded run of the multi-source mask BFS: it
-/// drains the frontier produced by `seeds` (plus whatever earlier
-/// runs left unexplored — nothing, by post-condition), recording
-/// matches and exporting masked states visited at `watched` members
-/// (an empty slice watches nobody).
-///
-/// Semantics per condition bit are those of the single-source seeded
-/// engine ([`evaluate_seeded`]) restricted to this graph's edges: a
-/// state `(v, step, depth)` accumulates bit `b` exactly when the
-/// unsharded engine could reach it from one of bit `b`'s seeds using
-/// only locally present edges. The sharded router obtains global
-/// semantics by fixpointing masked runs across shards.
-///
-/// `state` must have been created by [`SeededBatchState::new`] (or
-/// [`SeededBatchState::with_parents`]) for this same `(g, snap, path)`;
-/// runs may repeat freely, and bits
-/// reported (matched or exported) are disjoint across runs.
-pub fn evaluate_audience_batch_seeded(
-    g: &SocialGraph,
-    snap: &CsrSnapshot,
-    path: &PathExpr,
-    state: &mut SeededBatchState,
-    seeds: &[MaskedSeedState],
-    watched: &[bool],
-) -> SeededBatchOutcome {
-    evaluate_audience_batch_seeded_stop(g, snap, path, state, seeds, watched, None)
-}
-
-/// [`evaluate_audience_batch_seeded`] with an **early-exit target**:
-/// the run returns the moment `stop` completes the final step
-/// (`hit` carries the completing `(step, depth)` coordinate), leaving
-/// the frontier undrained. After a hit the engine must only be used
-/// for [`SeededBatchState::trace`] — the targeted `check`/`explain`
-/// path that replaces the per-condition ping-pong fixpoint.
-pub fn evaluate_audience_batch_seeded_stop(
-    g: &SocialGraph,
-    snap: &CsrSnapshot,
-    path: &PathExpr,
-    state: &mut SeededBatchState,
-    seeds: &[MaskedSeedState],
-    watched: &[bool],
-    stop: Option<NodeId>,
-) -> SeededBatchOutcome {
-    let SeededBatchState {
-        states_expanded,
-        inner,
-    } = state;
-    match inner {
-        BatchInner::Flat(fb) => fb.run(g, snap, path, seeds, watched, stop, states_expanded),
-        BatchInner::Sparse(sb) => sb.run(g, path, seeds, watched, stop, states_expanded),
-    }
-}
-
-impl FlatBatch {
-    #[allow(clippy::too_many_arguments)]
-    fn run(
-        &mut self,
-        g: &SocialGraph,
-        snap: &CsrSnapshot,
-        path: &PathExpr,
-        seeds: &[MaskedSeedState],
-        watched: &[bool],
-        stop: Option<NodeId>,
-        states_expanded: &mut usize,
-    ) -> SeededBatchOutcome {
-        debug_assert!(snap.matches(g), "snapshot pinned for the whole bundle");
-        let steps = &path.steps;
-        let mut out = SeededBatchOutcome::default();
-        let FlatBatch {
-            bases,
-            sats,
-            layers,
-            track_parents,
-            scratch,
-        } = self;
-        let MaskScratch {
-            marks,
-            frontier,
-            next,
-        } = scratch;
-
-        debug_assert!(frontier.is_empty(), "previous run drained its frontier");
-        for &(m, step, depth, bits) in seeds {
-            let lay = bases[step as usize] + depth.min(sats[step as usize]);
-            marks.send(frontier, lay, m.0, bits);
-        }
-
-        while !frontier.is_empty() {
-            for &packed in frontier.iter() {
-                let v = packed as u32;
-                let lay = (packed >> 32) as u32;
-                let (at, delta) = marks.take_pending(lay, v);
-                debug_assert_ne!(delta, 0, "queued state without pending bits");
-                out.stats.states_visited += 1;
-                *states_expanded += 1;
-                let li = layers[lay as usize];
-                let step = &steps[li.step as usize];
-                let node = NodeId(v);
-
-                if is_watched(watched, node.index()) {
-                    out.exports
-                        .push((node, li.step, lay - bases[li.step as usize], delta));
-                }
-
-                // Step completion for the newly arrived bits.
-                if li.completes && step.conds.iter().all(|c| c.eval(g.node_attrs(node))) {
-                    if li.last {
-                        let new_matched = marks.claim_matched(v, delta);
-                        if new_matched != 0 {
-                            out.matched.push((node, new_matched));
-                            if stop == Some(node) {
-                                out.hit = Some((li.step, lay - bases[li.step as usize]));
-                                return out;
-                            }
-                        }
-                    } else {
-                        marks.send_from(next, li.eps_layer, v, delta, at, HOP_NONE);
-                    }
-                }
-
-                // Edge expansion within the step. Only a parent-tracked
-                // engine reads the edge-id column.
-                if !li.expands {
-                    continue;
-                }
-                let mut expand = |nbrs: Neighbors<'_>, forward: u32| {
-                    out.stats.edges_scanned += nbrs.nodes.len();
-                    if *track_parents {
-                        for (&nbr, &eid) in nbrs.nodes.iter().zip(nbrs.edges) {
-                            let hop = (eid << 1) | forward;
-                            marks.send_from(next, li.next_layer, nbr, delta, at, hop);
-                        }
-                    } else {
-                        for &nbr in nbrs.nodes {
-                            marks.send(next, li.next_layer, nbr, delta);
-                        }
-                    }
-                };
-                if matches!(step.dir, Direction::Out | Direction::Both) {
-                    expand(snap.out_neighbors(v, step.label), 1);
-                }
-                if matches!(step.dir, Direction::In | Direction::Both) {
-                    expand(snap.in_neighbors(v, step.label), 0);
-                }
-            }
-            std::mem::swap(frontier, next);
-            next.clear();
-        }
-        out
-    }
-}
-
-impl SparseBatch {
-    /// Returns `true` on the state's first-ever arrival (any bit) —
-    /// the moment a parent pointer should be recorded.
-    #[inline]
-    fn send(
-        seen: &mut HashMap<State, u64>,
-        pending: &mut HashMap<State, u64>,
-        queue: &mut Vec<State>,
-        st: State,
-        bits: u64,
-    ) -> bool {
-        let slot = seen.entry(st).or_insert(0);
-        let first = *slot == 0;
-        let new = bits & !*slot;
-        if new != 0 {
-            *slot |= new;
-            let p = pending.entry(st).or_insert(0);
-            if *p == 0 {
-                queue.push(st);
-            }
-            *p |= new;
-        }
-        first && new != 0
-    }
-
-    fn run(
-        &mut self,
-        g: &SocialGraph,
-        path: &PathExpr,
-        seeds: &[MaskedSeedState],
-        watched: &[bool],
-        stop: Option<NodeId>,
-        states_expanded: &mut usize,
-    ) -> SeededBatchOutcome {
-        let steps = &path.steps;
-        let mut out = SeededBatchOutcome::default();
-        let SparseBatch {
-            sats,
-            seen,
-            pending,
-            matched_mask,
-            frontier,
-            next,
-            parents,
-        } = self;
-
-        debug_assert!(frontier.is_empty(), "previous run drained its frontier");
-        for &(m, step, depth, bits) in seeds {
-            let st: State = (m.0, step, depth.min(sats[step as usize]));
-            if Self::send(seen, pending, frontier, st, bits) {
-                if let Some(p) = parents.as_mut() {
-                    p.insert(st, (st, None));
-                }
-            }
-        }
-
-        while !frontier.is_empty() {
-            for &st in frontier.iter() {
-                let (v, i, d) = st;
-                let delta = pending.insert(st, 0).unwrap_or(0);
-                debug_assert_ne!(delta, 0, "queued state without pending bits");
-                out.stats.states_visited += 1;
-                *states_expanded += 1;
-                let step = &steps[i as usize];
-                let node = NodeId(v);
-
-                if is_watched(watched, node.index()) {
-                    out.exports.push((node, i, d, delta));
-                }
-
-                if d >= 1
-                    && step.depths.contains(d)
-                    && step.conds.iter().all(|c| c.eval(g.node_attrs(node)))
-                {
-                    if (i as usize) == steps.len() - 1 {
-                        let mask = matched_mask.entry(v).or_insert(0);
-                        let new_matched = delta & !*mask;
-                        if new_matched != 0 {
-                            *mask |= new_matched;
-                            out.matched.push((node, new_matched));
-                            if stop == Some(node) {
-                                out.hit = Some((i, d));
-                                return out;
-                            }
-                        }
-                    } else if Self::send(seen, pending, next, (v, i + 1, 0), delta) {
-                        if let Some(p) = parents.as_mut() {
-                            p.insert((v, i + 1, 0), (st, None));
-                        }
-                    }
-                }
-
-                if d >= sats[i as usize] && !step.depths.is_unbounded() {
-                    continue;
-                }
-                let d_next = (d + 1).min(sats[i as usize]);
-                if matches!(step.dir, Direction::Out | Direction::Both) {
-                    for (eid, rec) in g.out_edges(node) {
-                        if rec.label != step.label {
-                            out.stats.edges_filtered += 1;
-                            continue;
-                        }
-                        out.stats.edges_scanned += 1;
-                        let ns = (rec.dst.0, i, d_next);
-                        if Self::send(seen, pending, next, ns, delta) {
-                            if let Some(p) = parents.as_mut() {
-                                p.insert(ns, (st, Some((eid, true))));
-                            }
-                        }
-                    }
-                }
-                if matches!(step.dir, Direction::In | Direction::Both) {
-                    for (eid, rec) in g.in_edges(node) {
-                        if rec.label != step.label {
-                            out.stats.edges_filtered += 1;
-                            continue;
-                        }
-                        out.stats.edges_scanned += 1;
-                        let ns = (rec.src.0, i, d_next);
-                        if Self::send(seen, pending, next, ns, delta) {
-                            if let Some(p) = parents.as_mut() {
-                                p.insert(ns, (st, Some((eid, false))));
-                            }
-                        }
-                    }
-                }
-            }
-            std::mem::swap(frontier, next);
-            next.clear();
-        }
-        out
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1975,6 +1048,7 @@ pub fn evaluate_reference(
 mod tests {
     use super::*;
     use crate::path::{parse_path, PathExpr};
+    use crate::query::{evaluate_plan_batch_seeded, BundlePlan, ChunkMasks, PlanBatchState};
 
     fn parse(g: &mut SocialGraph, text: &str) -> PathExpr {
         parse_path(text, g.vocab_mut()).unwrap_or_else(|e| panic!("{e}"))
@@ -2293,6 +1367,50 @@ mod tests {
         assert_eq!(before, after);
     }
 
+    /// A path as the masked engine runs it over one graph: the one-path
+    /// plan (its node ids are the step indexes), with every condition
+    /// bit riding the one chain.
+    struct OnePath<'a> {
+        g: &'a SocialGraph,
+        snap: &'a CsrSnapshot,
+        plan: BundlePlan,
+        masks: ChunkMasks,
+    }
+
+    impl<'a> OnePath<'a> {
+        fn new(g: &'a SocialGraph, snap: &'a CsrSnapshot, p: &PathExpr) -> Self {
+            let plan = BundlePlan::compile(&[p]).expect("one path fits a plan");
+            let masks = plan.chunk_masks(&[0; 64]);
+            OnePath {
+                g,
+                snap,
+                plan,
+                masks,
+            }
+        }
+
+        /// A fresh engine, parent-tracked when `traced`.
+        fn engine(&self, traced: bool) -> PlanBatchState {
+            let build = if traced {
+                PlanBatchState::with_parents
+            } else {
+                PlanBatchState::new
+            };
+            build(self.g, self.snap, &self.plan.nodes)
+        }
+
+        fn run(
+            &self,
+            state: &mut PlanBatchState,
+            seeds: &[MaskedSeedState],
+            watched: &[bool],
+            stop: Option<NodeId>,
+        ) -> SeededBatchOutcome {
+            let (g, snap, nodes, masks) = (self.g, self.snap, &self.plan.nodes, &self.masks);
+            evaluate_plan_batch_seeded(g, snap, nodes, masks, state, seeds, watched, stop)
+        }
+    }
+
     #[test]
     fn release_apis_drop_exactly_their_caches() {
         // Regression for the stale thread-local fallback risk: the
@@ -2320,9 +1438,9 @@ mod tests {
         let _ = evaluate(&g, alice, &p, None);
         // A masked read leaves its scratch in the pool …
         let snap = g.snapshot();
-        let mut state = SeededBatchState::with_parents(&g, &snap, &p);
-        let out =
-            evaluate_audience_batch_seeded(&g, &snap, &p, &mut state, &[(alice, 0, 0, 1)], &[]);
+        let one = OnePath::new(&g, &snap, &p);
+        let mut state = one.engine(true);
+        let out = one.run(&mut state, &[(alice, 0, 0, 1)], &[], None);
         assert!(!out.matched.is_empty());
         assert_eq!(thread_cache_stats().mask_pool.buffers_held, 0, "lent out");
         drop(state);
@@ -2356,10 +1474,9 @@ mod tests {
         let mut g = chain();
         let p = parse(&mut g, "friend+[1,2]");
         let snap = g.snapshot();
+        let one = OnePath::new(&g, &snap, &p);
         release_thread_caches();
-        let lent: Vec<SeededBatchState> = (0..MASK_POOL_CAP + 3)
-            .map(|_| SeededBatchState::new(&g, &snap, &p))
-            .collect();
+        let lent: Vec<PlanBatchState> = (0..MASK_POOL_CAP + 3).map(|_| one.engine(false)).collect();
         drop(lent);
         assert_eq!(
             thread_cache_stats().mask_pool.buffers_held,
@@ -2392,35 +1509,19 @@ mod tests {
         let big_snap = big.snapshot();
 
         let audience = |g: &SocialGraph, snap: &CsrSnapshot, p: &PathExpr, owner: NodeId| {
-            let mut state = SeededBatchState::new(g, snap, p);
-            let out =
-                evaluate_audience_batch_seeded(g, snap, p, &mut state, &[(owner, 0, 0, 1)], &[]);
+            let one = OnePath::new(g, snap, p);
+            let out = one.run(&mut one.engine(false), &[(owner, 0, 0, 1)], &[], None);
             audiences_by_bit(&out.matched, 1).remove(0)
         };
 
-        let mut state = SeededBatchState::with_parents(&small, &small_snap, &long);
-        let hit = evaluate_audience_batch_seeded_stop(
-            &small,
-            &small_snap,
-            &long,
-            &mut state,
-            &[(alice, 0, 0, 1)],
-            &[],
-            Some(bob),
-        );
+        let traced = OnePath::new(&small, &small_snap, &long);
+        let mut state = traced.engine(true);
+        let hit = traced.run(&mut state, &[(alice, 0, 0, 1)], &[], Some(bob));
         assert!(hit.hit.is_none(), "Bob never completes the colleague step");
         drop(state);
         let dave = small.node_by_name("Dave").unwrap();
-        let mut state = SeededBatchState::with_parents(&small, &small_snap, &long);
-        let hit = evaluate_audience_batch_seeded_stop(
-            &small,
-            &small_snap,
-            &long,
-            &mut state,
-            &[(alice, 0, 0, 1)],
-            &[],
-            Some(dave),
-        );
+        let mut state = traced.engine(true);
+        let hit = traced.run(&mut state, &[(alice, 0, 0, 1)], &[], Some(dave));
         let (step, depth) = hit.hit.expect("Dave completes the path");
         let (hops, seed) = state.trace(dave, step, depth).expect("parent-tracked");
         assert_eq!(seed, (alice, 0, 0));
@@ -2466,158 +1567,64 @@ mod tests {
     }
 
     #[test]
-    fn seeded_from_the_start_state_matches_evaluate() {
-        let mut g = chain();
-        let snap = g.snapshot();
-        let alice = g.node_by_name("Alice").unwrap();
-        let carol = g.node_by_name("Carol").unwrap();
-        let dave = g.node_by_name("Dave").unwrap();
-        let none = vec![false; g.num_nodes()];
-        for text in ["friend+[1,2]", "friend*[1..]/colleague+[1]", "friend-[1]"] {
-            let p = parse(&mut g, text);
-            let truth = evaluate(&g, alice, &p, None);
-            let seeded = evaluate_seeded(
-                &g,
-                &snap,
-                &p,
-                &[(alice, 0, 0)],
-                &none,
-                SeededTarget::Audience,
-            );
-            assert_eq!(seeded.matched, truth.matched, "path {text}");
-            assert!(seeded.reached.is_empty(), "nothing watched");
-            for requester in [carol, dave] {
-                let truth = evaluate(&g, alice, &p, Some(requester));
-                let seeded = evaluate_seeded(
-                    &g,
-                    &snap,
-                    &p,
-                    &[(alice, 0, 0)],
-                    &none,
-                    SeededTarget::Member(requester),
-                );
-                assert_eq!(seeded.hit, truth.granted, "path {text}");
-                if seeded.hit {
-                    let (hops, seed) = seeded.witness.expect("hit carries a witness");
-                    assert_eq!(seed, 0);
-                    assert_eq!(hops, truth.witness.expect("granted carries a witness"));
-                }
-            }
-        }
-    }
-
-    #[test]
     fn seeded_flat_and_sparse_agree() {
+        // A snapshot of another graph is stale for `g`, so the engine runs
+        // its sparse variant over `g`'s adjacency (the pool lends it
+        // nothing). Both variants match, export, stop and trace alike.
         let mut g = chain();
-        let snap = g.snapshot();
-        let alice = g.node_by_name("Alice").unwrap();
-        let bob = g.node_by_name("Bob").unwrap();
+        let [alice, bob, carol, dave] =
+            ["Alice", "Bob", "Carol", "Dave"].map(|n| g.node_by_name(n).unwrap());
         let mut watched = vec![false; g.num_nodes()];
         watched[bob.index()] = true;
         let p = parse(&mut g, "friend+[1..3]");
-        let seeds = [(alice, 0u16, 0u32), (bob, 0, 2)];
-        let flat = evaluate_seeded_flat(&g, &snap, &p, &seeds, &watched, SeededTarget::Audience);
-        let sparse = evaluate_seeded_sparse(&g, &p, &seeds, &watched, SeededTarget::Audience);
-        assert_eq!(flat.matched, sparse.matched);
-        let mut fr = flat.reached.clone();
-        let mut sr = sparse.reached.clone();
-        fr.sort_unstable();
-        sr.sort_unstable();
-        assert_eq!(fr, sr, "watched exports agree across engines");
-        assert!(!fr.is_empty(), "Bob is on the friend walk");
-    }
-
-    #[test]
-    fn seeded_mid_path_seeds_continue_the_walk() {
-        // Seeding Carol at (step 0, depth 1) of friend+[1..2]/colleague+[1]
-        // must complete through her colleague edge to Dave.
-        let mut g = chain();
-        let snap = g.snapshot();
-        let carol = g.node_by_name("Carol").unwrap();
-        let dave = g.node_by_name("Dave").unwrap();
-        let none = vec![false; g.num_nodes()];
-        let p = parse(&mut g, "friend+[1..2]/colleague+[1]");
-        let out = evaluate_seeded(
-            &g,
-            &snap,
-            &p,
-            &[(carol, 0, 1)],
-            &none,
-            SeededTarget::Audience,
+        let (snap, stale) = (g.snapshot(), SocialGraph::new().snapshot());
+        let seeds = [(alice, 0u16, 0u32, 1u64), (bob, 0, 2, 1), (dave, 0, 99, 1)];
+        let run = |snap: &CsrSnapshot| {
+            let one = OnePath::new(&g, snap, &p);
+            let mut out = one.run(&mut one.engine(true), &seeds, &watched, None);
+            out.matched.sort_unstable();
+            out.exports.sort_unstable();
+            let mut state = one.engine(true);
+            let hit = one.run(&mut state, &seeds, &watched, Some(carol)).hit;
+            let (step, depth) = hit.expect("Carol is on the friend walk");
+            // A seed traces to itself; an unreached state, a node past
+            // the plan and an untraced engine trace to nothing.
+            assert_eq!(state.trace(bob, 0, 2), Some((vec![], (bob, 0, 2))));
+            assert_eq!(state.trace(alice, 0, 3), None);
+            assert_eq!(state.trace(alice, 7, 0), None);
+            let mut untraced = one.engine(false);
+            one.run(&mut untraced, &seeds, &watched, None);
+            assert_eq!(untraced.trace(carol, step, depth), None);
+            let trace = state.trace(carol, step, depth);
+            (out.matched, out.exports, (step, depth), trace)
+        };
+        let takes = thread_cache_stats().mask_pool.takes;
+        let sparse = run(&stale);
+        assert_eq!(
+            thread_cache_stats().mask_pool.takes,
+            takes,
+            "a stale snapshot runs the sparse variant"
         );
-        assert_eq!(out.matched, vec![dave]);
-        // Depth past saturation canonicalizes to the same state.
-        let deep = evaluate_seeded(
-            &g,
-            &snap,
-            &p,
-            &[(carol, 0, 99)],
-            &none,
-            SeededTarget::Audience,
-        );
-        assert_eq!(deep.matched, vec![dave]);
-    }
-
-    #[test]
-    fn seeded_state_target_stops_with_a_segment() {
-        let mut g = chain();
-        let snap = g.snapshot();
-        let alice = g.node_by_name("Alice").unwrap();
-        let carol = g.node_by_name("Carol").unwrap();
-        let none = vec![false; g.num_nodes()];
-        let p = parse(&mut g, "friend+[1..2]/colleague+[1]");
-        // Reaching Carol at (step 0, depth 2) takes two friend hops.
-        let out = evaluate_seeded(
-            &g,
-            &snap,
-            &p,
-            &[(alice, 0, 0)],
-            &none,
-            SeededTarget::State(carol, 0, 2),
-        );
-        assert!(out.hit);
-        let (hops, seed) = out.witness.expect("state target carries a witness");
-        assert_eq!(seed, 0);
-        assert_eq!(hops.len(), 2);
-        // A state target that equals a seed yields an empty segment.
-        let trivial = evaluate_seeded(
-            &g,
-            &snap,
-            &p,
-            &[(alice, 0, 0)],
-            &none,
-            SeededTarget::State(alice, 0, 0),
-        );
-        assert!(trivial.hit);
-        assert_eq!(trivial.witness.expect("hit").0.len(), 0);
-        // An unreachable state never hits.
-        let missed = evaluate_seeded(
-            &g,
-            &snap,
-            &p,
-            &[(carol, 1, 1)],
-            &none,
-            SeededTarget::State(alice, 0, 1),
-        );
-        assert!(!missed.hit);
-        assert!(missed.witness.is_none());
+        let flat = run(&snap);
+        assert_eq!(flat, sparse);
+        assert!(!flat.1.is_empty(), "Bob is on the friend walk");
+        assert!(flat.0.contains(&(dave, 1)), "depth 99 saturates to 3");
+        let (hops, seed) = flat.3.expect("Carol's hit traces");
+        assert_eq!((hops.len(), seed), (1, (bob, 0, 2)), "one hop past a seed");
     }
 
     /// Collects a masked run's audiences per condition bit, sorted.
     fn audiences_by_bit(matched: &[(NodeId, u64)], bits: usize) -> Vec<Vec<NodeId>> {
-        let mut audiences = vec![Vec::new(); bits];
-        for &(node, mask) in matched {
-            let mut m = mask;
-            while m != 0 {
-                let bit = m.trailing_zeros() as usize;
-                m &= m - 1;
-                audiences[bit].push(node);
-            }
-        }
-        for a in &mut audiences {
+        let audience = |bit: usize| {
+            let mut a: Vec<NodeId> = matched
+                .iter()
+                .filter(|&&(_, mask)| mask & (1 << bit) != 0)
+                .map(|&(node, _)| node)
+                .collect();
             a.sort_unstable();
-        }
-        audiences
+            a
+        };
+        (0..bits).map(audience).collect()
     }
 
     #[test]
@@ -2632,13 +1639,13 @@ mod tests {
                 .iter()
                 .map(|&o| evaluate_with_snapshot(&g, &snap, o, &p, None).matched)
                 .collect();
-            let mut state = SeededBatchState::new(&g, &snap, &p);
+            let one = OnePath::new(&g, &snap, &p);
             let seeds: Vec<MaskedSeedState> = owners
                 .iter()
                 .enumerate()
                 .map(|(bit, &o)| (o, 0, 0, 1u64 << bit))
                 .collect();
-            let out = evaluate_audience_batch_seeded(&g, &snap, &p, &mut state, &seeds, &none);
+            let out = one.run(&mut one.engine(false), &seeds, &none, None);
             assert!(out.exports.is_empty(), "nothing watched");
             assert_eq!(
                 audiences_by_bit(&out.matched, owners.len()),
@@ -2651,30 +1658,28 @@ mod tests {
     #[test]
     fn masked_engine_reports_each_bit_once_across_runs() {
         let mut g = chain();
-        let snap = g.snapshot();
         let alice = g.node_by_name("Alice").unwrap();
         let bob = g.node_by_name("Bob").unwrap();
         let none = vec![false; g.num_nodes()];
         let p = parse(&mut g, "friend+[1,2]");
-        let mut state = SeededBatchState::new(&g, &snap, &p);
-        let out =
-            evaluate_audience_batch_seeded(&g, &snap, &p, &mut state, &[(alice, 0, 0, 1)], &none);
+        let snap = g.snapshot();
+        let one = OnePath::new(&g, &snap, &p);
+        let mut state = one.engine(false);
+        let out = one.run(&mut state, &[(alice, 0, 0, 1)], &none, None);
         assert!(!out.matched.is_empty());
         let expanded = state.states_expanded();
         assert!(expanded > 0);
 
         // Re-seeding known bits is a no-op: persistence makes the
         // fixpoint linear in the explored region.
-        let again =
-            evaluate_audience_batch_seeded(&g, &snap, &p, &mut state, &[(alice, 0, 0, 1)], &none);
+        let again = one.run(&mut state, &[(alice, 0, 0, 1)], &none, None);
         assert!(again.matched.is_empty());
         assert!(again.exports.is_empty());
         assert_eq!(again.stats.states_visited, 0);
         assert_eq!(state.states_expanded(), expanded, "no re-traversal");
 
         // A new bit through the same region reports only itself.
-        let fresh =
-            evaluate_audience_batch_seeded(&g, &snap, &p, &mut state, &[(bob, 0, 0, 2)], &none);
+        let fresh = one.run(&mut state, &[(bob, 0, 0, 2)], &none, None);
         for &(_, mask) in &fresh.matched {
             assert_eq!(mask & 1, 0, "bit 0 was already reported");
         }
@@ -2683,48 +1688,40 @@ mod tests {
     #[test]
     fn masked_engine_exports_watched_states_with_delta_bits() {
         let mut g = chain();
-        let snap = g.snapshot();
         let alice = g.node_by_name("Alice").unwrap();
         let eve = g.node_by_name("Eve").unwrap();
         let bob = g.node_by_name("Bob").unwrap();
         let mut watched = vec![false; g.num_nodes()];
         watched[bob.index()] = true;
         let p = parse(&mut g, "friend+[1,2]");
-        let mut state = SeededBatchState::new(&g, &snap, &p);
-        let out = evaluate_audience_batch_seeded(
-            &g,
-            &snap,
-            &p,
-            &mut state,
-            &[(alice, 0, 0, 0b01), (eve, 0, 0, 0b10)],
-            &watched,
-        );
+        let snap = g.snapshot();
+        let one = OnePath::new(&g, &snap, &p);
+        let mut state = one.engine(false);
+        let seeds = [(alice, 0, 0, 0b01), (eve, 0, 0, 0b10)];
+        let out = one.run(&mut state, &seeds, &watched, None);
         // Alice reaches Bob at depth 1; Eve does not reach Bob at all.
         assert_eq!(out.exports, vec![(bob, 0, 1, 0b01)]);
         // A later run delivering Eve's bit to Bob exports only it.
-        let relay = evaluate_audience_batch_seeded(
-            &g,
-            &snap,
-            &p,
-            &mut state,
-            &[(bob, 0, 1, 0b11)],
-            &watched,
-        );
+        let relay = one.run(&mut state, &[(bob, 0, 1, 0b11)], &watched, None);
         assert_eq!(relay.exports, vec![(bob, 0, 1, 0b10)]);
     }
 
     #[test]
     fn masked_engine_sparse_variant_matches_per_owner_evaluation() {
         // A saturation depth past MAX_FLAT_LAYERS forces the sparse
-        // mirror; answers must not change.
+        // mirror (which takes nothing from the pool); answers must not
+        // change.
         let mut g = chain();
-        let snap = g.snapshot();
         let owners: Vec<NodeId> = g.nodes().collect();
         let none = vec![false; g.num_nodes()];
         let p = parse(&mut g, "friend+[1..4000000]");
-        let mut state = SeededBatchState::new(&g, &snap, &p);
-        assert!(
-            matches!(state.inner, BatchInner::Sparse(_)),
+        let snap = g.snapshot();
+        let one = OnePath::new(&g, &snap, &p);
+        let takes = thread_cache_stats().mask_pool.takes;
+        let mut state = one.engine(false);
+        assert_eq!(
+            thread_cache_stats().mask_pool.takes,
+            takes,
             "degenerate saturation uses the sparse mirror"
         );
         let seeds: Vec<MaskedSeedState> = owners
@@ -2732,7 +1729,7 @@ mod tests {
             .enumerate()
             .map(|(bit, &o)| (o, 0, 0, 1u64 << bit))
             .collect();
-        let out = evaluate_audience_batch_seeded(&g, &snap, &p, &mut state, &seeds, &none);
+        let out = one.run(&mut state, &seeds, &none, None);
         let audiences = audiences_by_bit(&out.matched, owners.len());
         for (bit, &owner) in owners.iter().enumerate() {
             let truth = evaluate(&g, owner, &p, None);

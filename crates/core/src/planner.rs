@@ -1,17 +1,19 @@
 //! Telemetry-fed adaptive read planner: pick the winning engine per
 //! bundle, on either backend.
 //!
-//! Both deployments ship **interchangeable** read strategies whose
-//! relative cost flips with workload shape. A single graph can answer
-//! an audience bundle with one 64-way multi-source mask BFS or with
-//! one independent walk per condition; a sharded deployment can run
-//! one batched masked fixpoint or one per-condition fixpoint; a small
-//! `check` batch can materialize full audiences or run early-exit
-//! targeted walks. The batched engines win ~3.7× on dense
-//! template-sharing bundles and *lose* (~0.8×) on sparse low-overlap
-//! ones (experiment P10, recorded in CHANGES.md), and the masked
-//! fixpoint wins 1.2–2.4× exactly when walks cross shard boundaries
-//! (BENCH_p12). No static default is right everywhere.
+//! Every deployment ships **interchangeable** read strategies whose
+//! relative cost may flip with workload shape. An audience bundle runs
+//! either `Batched` — the bundle's distinct conditions compiled into
+//! one shared-prefix plan, 64 conditions per masked traversal (a
+//! multi-source mask BFS on a single graph, one masked cross-shard
+//! fixpoint on a sharded or networked one) — or `PerCondition`: one
+//! independent walk per condition on a single graph, one masked
+//! fixpoint per condition (its one-path plan, through the same driver
+//! and engine) on a partitioned one. A small `check` batch can
+//! materialize those audiences or run early-exit targeted walks. The
+//! ratios that once separated the arms were measured before a masked
+//! read cost only what it explores, and are kept as history in
+//! CHANGES.md; which arm wins is left to measurement, per resource.
 //!
 //! [`PlannedService`] closes that gap. It decorates any
 //! [`ServiceInstance`] — exactly like [`crate::DurableService`] wraps

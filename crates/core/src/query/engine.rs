@@ -1,45 +1,62 @@
-//! Masked seeded BFS over a shared-prefix plan.
+//! Masked seeded BFS over a shared-prefix plan — the one masked engine.
 //!
-//! The per-expression seeded engine ([`crate::online`]) runs one
-//! product automaton — the linear chain of a single path — carrying 64
-//! condition bits that all share that chain. This module generalizes
-//! the automaton to a [`BundlePlan`] trie: the state space is
-//! `(member, plan node, depth within node)`, completion at a node
-//! ε-forks into the node's *children* with the condition masks
-//! intersected against each child's [`ChunkMasks::node_mask`], and a
-//! member is reported into a condition's audience when its bit is in
-//! the completing node's `accept_mask`. Shared prefixes are therefore
-//! walked once for every condition that spells them, and the engine
-//! degenerates to exactly the per-expression engine when no two
-//! conditions share a prefix.
+//! The state space is `(member, plan node, depth within node)` over a
+//! [`BundlePlan`] trie: completion at a node ε-forks into the node's
+//! *children* with the condition masks intersected against each
+//! child's [`ChunkMasks::node_mask`], and a member is reported into a
+//! condition's audience when its bit is in the completing node's
+//! `accept_mask`. Up to 64 conditions traverse together, each product
+//! state carrying the bitmask of the conditions that reached it, so one
+//! scan of a `(node, label, direction)` CSR slice serves every
+//! condition whose frontier touches that member, and shared prefixes
+//! are walked once for every condition that spells them.
 //!
-//! The mechanics mirror the linear engine state for state: the same
-//! dense flat-array variant with the same size caps, the same sparse
-//! fallback, the same round persistence (`seen`/`pending` masks make
-//! re-seeding idempotent, so the sharded fixpoint re-enters shards
-//! cheaply), the same `matched` report deduplication, and the
-//! same watched-member export contract — exports carry the **plan
-//! node id** in the slot where the linear engine carries the step
-//! index, which is why trie node ids share the `u16` budget of
-//! [`MaskedSeedState`]. Parent tracking and early-exit are
-//! deliberately absent: targeted `check`/`explain` and witness
-//! reconstruction stay on the per-expression engine.
+//! A linear path is the **one-path plan** `BundlePlan::compile(&[path])`,
+//! whose node ids are its step indexes: this engine is therefore also
+//! the sharded and networked backends' per-condition and targeted
+//! primitive, and exported `(member, step, depth)` keys keep their
+//! meaning.
 //!
-//! The flat variant owns no array of its own: its state directory and
-//! slot arena are the linear engine's `MaskScratch`, taken from the
-//! calling thread's pool by [`PlanBatchState::new`] and given back —
-//! zeroed in `O(states reached)` — when the state is dropped. The
-//! all-zero invariant, who resets, and why nothing else needs resetting
+//! * **Seeded runs.** A run enters the product space at arbitrary
+//!   `(member, node, depth, mask)` states and exports the masked states
+//!   it visits at *watched* members (a shard's ghost replicas) — plan
+//!   node ids travel in the `step` slot of [`MaskedSeedState`], which
+//!   is why trie node ids share its `u16` budget.
+//! * **Round persistence.** `seen`/`pending` masks live in a
+//!   caller-owned [`PlanBatchState`] across runs, so re-seeding known
+//!   bits is a no-op and a fixpoint that re-enters a shard round after
+//!   round pays only for the bits each round newly delivers: total work
+//!   stays linear in the explored region.
+//! * **Early exit and parent tracking** (the targeted `check`/`explain`
+//!   read). A run may name a `stop` member and returns the moment that
+//!   member is accepted ([`SeededBatchOutcome::hit`]). An engine built
+//!   with [`PlanBatchState::with_parents`] records, for every product
+//!   state, the state it was **first** reached from and the hop taken,
+//!   across runs, so [`PlanBatchState::trace`] reads a witness chain
+//!   back to its seed without replaying anything. First arrivals ignore
+//!   condition bits, so a chain is only guaranteed to carry a given bit
+//!   for a one-condition read.
+//!
+//! Two variants give identical answers: the flat one over dense arrays
+//! when the product space is reasonable, and a sparse HashMap mirror
+//! for degenerate product spaces (astronomical saturation depths) and
+//! snapshots stale for the graph. The flat variant owns no array of its
+//! own: its state directory and slot arena are a `MaskScratch`, taken
+//! from the calling thread's pool by [`PlanBatchState::new`] and given
+//! back — zeroed in `O(states reached)` — when the state is dropped.
+//! The all-zero invariant, who resets, and why parents need no reset
 //! are written once, in [`crate::online`]'s module docs; this engine
 //! only ever reaches the masks through `MaskMarks`, which is what keeps
-//! every reached state on record for the reset. A bundle read on a
-//! single graph therefore costs what its traversal explores, not
-//! `16 B × plan layers × |V|` per 64-condition chunk.
+//! every reached state on record for the reset. A read therefore costs
+//! what its traversal explores, not `16 B × plan layers × |V|` per
+//! 64-condition chunk.
 
 use crate::online::{
-    is_watched, MaskScratch, MaskedSeedState, SeededBatchOutcome, MAX_FLAT_LAYERS, MAX_FLAT_STATES,
+    is_watched, MaskScratch, MaskedSeedState, SeedState, SeededBatchOutcome, WitnessHop, HOP_NONE,
+    MAX_FLAT_LAYERS, MAX_FLAT_STATES,
 };
 use crate::query::plan::{BundlePlan, ChunkMasks, PlanNode};
+use socialreach_graph::csr::Neighbors;
 use socialreach_graph::{CsrSnapshot, Direction, NodeId, SocialGraph};
 use std::collections::HashMap;
 
@@ -47,8 +64,7 @@ use std::collections::HashMap;
 type PState = (u32, u16, u32);
 
 /// Everything about a `(node, depth)` layer that is constant across
-/// its `|V|` states (the plan analog of the linear engine's layer
-/// table).
+/// its `|V|` states.
 #[derive(Clone, Copy, Debug)]
 struct PlanLayerInfo {
     /// Plan node this layer belongs to.
@@ -61,10 +77,12 @@ struct PlanLayerInfo {
     next_layer: u32,
 }
 
-/// Round-persistent bookkeeping of the plan engine — one value serves
-/// one `(graph, snapshot, plan, ≤64 conditions)` chunk across
-/// arbitrarily many seeded runs, exactly like
-/// [`crate::online::SeededBatchState`] serves one path.
+/// Round-persistent bookkeeping of the plan engine: which condition
+/// bits have ever arrived at each product state, which await
+/// processing, and which bits each member has already been reported
+/// under. One value serves one `(graph, snapshot, plan, ≤64
+/// conditions)` chunk across arbitrarily many seeded runs; the
+/// cross-shard fixpoint keeps one per shard per chunk.
 pub struct PlanBatchState {
     states_expanded: usize,
     inner: PlanInner,
@@ -83,6 +101,9 @@ struct FlatPlanBatch {
     /// Saturation depth of each plan node's step.
     sats: Vec<u32>,
     layers: Vec<PlanLayerInfo>,
+    /// Whether slots remember the hop of their first arrival
+    /// ([`PlanBatchState::with_parents`]).
+    track_parents: bool,
     scratch: MaskScratch,
 }
 
@@ -101,17 +122,24 @@ struct SparsePlanBatch {
     matched_mask: HashMap<u32, u64>,
     frontier: Vec<PState>,
     next: Vec<PState>,
+    /// First-arrival parent pointers (`state → (predecessor, hop)`;
+    /// seeds map to themselves with no hop), when tracking is enabled.
+    parents: Option<HashMap<PState, (PState, Option<WitnessHop>)>>,
 }
 
 /// `(v_count, layer_count)` when the dense product space of the plan
-/// over `snap` is reasonable (same caps as the linear engine).
+/// over `snap` is reasonable: within the targeted engine's state and
+/// layer caps, and with edge ids that fit a packed hop.
 fn flat_plan_dimensions(snap: &CsrSnapshot, nodes: &[PlanNode]) -> Option<(u32, u64)> {
     let num_nodes = snap.num_nodes() as u64;
     let layer_count: u64 = nodes
         .iter()
         .map(|n| n.step.depths.saturation() as u64 + 1)
         .sum();
-    if num_nodes == 0 || layer_count > MAX_FLAT_LAYERS || layer_count * num_nodes > MAX_FLAT_STATES
+    if num_nodes == 0
+        || layer_count > MAX_FLAT_LAYERS
+        || layer_count * num_nodes > MAX_FLAT_STATES
+        || snap.num_edges() as u64 >= u64::from(HOP_NONE >> 1)
     {
         return None;
     }
@@ -121,9 +149,23 @@ fn flat_plan_dimensions(snap: &CsrSnapshot, nodes: &[PlanNode]) -> Option<(u32, 
 impl PlanBatchState {
     /// State for evaluating `nodes` over `snap`/`g`. Picks the flat
     /// dense-array variant (arrays from this thread's scratch pool)
-    /// when the product space is reasonable and the sparse mirror
-    /// otherwise — run results are identical either way.
+    /// when the product space is reasonable and the snapshot current,
+    /// and the sparse mirror otherwise — run results are identical
+    /// either way.
     pub fn new(g: &SocialGraph, snap: &CsrSnapshot, nodes: &[PlanNode]) -> Self {
+        Self::build(g, snap, nodes, false)
+    }
+
+    /// [`PlanBatchState::new`] with **first-arrival parent tracking**,
+    /// surviving across runs, for [`PlanBatchState::trace`]. Chains
+    /// follow first arrivals regardless of condition bits, so they are
+    /// only guaranteed to carry a given bit for one-condition reads —
+    /// the targeted `check`/`explain` path.
+    pub fn with_parents(g: &SocialGraph, snap: &CsrSnapshot, nodes: &[PlanNode]) -> Self {
+        Self::build(g, snap, nodes, true)
+    }
+
+    fn build(g: &SocialGraph, snap: &CsrSnapshot, nodes: &[PlanNode], parents: bool) -> Self {
         assert!(
             !nodes.is_empty(),
             "a plan chunk traverses at least one node"
@@ -157,6 +199,7 @@ impl PlanBatchState {
                     bases,
                     sats,
                     layers,
+                    track_parents: parents,
                     scratch: MaskScratch::take(v_count, layer_count as usize),
                 })
             }
@@ -167,6 +210,7 @@ impl PlanBatchState {
                 matched_mask: HashMap::new(),
                 frontier: Vec::new(),
                 next: Vec::new(),
+                parents: parents.then(HashMap::new),
             }),
         };
         PlanBatchState {
@@ -175,21 +219,76 @@ impl PlanBatchState {
         }
     }
 
-    /// Total product states processed across every run so far.
+    /// Total product states processed across every run so far. Each
+    /// state is processed once per *wave of new bits*, so for a
+    /// one-condition evaluation this is exactly the number of distinct
+    /// states explored — the counter the round-linearity regression
+    /// pins.
     pub fn states_expanded(&self) -> usize {
         self.states_expanded
+    }
+
+    /// Walks the persistent parent chain back from the product state
+    /// `(member, node, depth)` to a **seed** of some earlier run,
+    /// returning the hops in walk order plus the seed's coordinate.
+    /// `None` when the engine wasn't built with
+    /// [`PlanBatchState::with_parents`], the node is not in the plan or
+    /// the state was never reached. Valid after an early-exit hit —
+    /// tracing is the one operation an exhausted engine still supports.
+    pub fn trace(
+        &self,
+        member: NodeId,
+        node: u16,
+        depth: u32,
+    ) -> Option<(Vec<WitnessHop>, SeedState)> {
+        match &self.inner {
+            PlanInner::Flat(fb) => {
+                if !fb.track_parents {
+                    return None;
+                }
+                let lay = fb.bases.get(node as usize)? + depth.min(fb.sats[node as usize]);
+                let (hops, seed_lay, seed_v) = fb.scratch.marks.chain(lay, member.0)?;
+                let li = fb.layers[seed_lay as usize];
+                let seed_depth = seed_lay - fb.bases[li.node as usize];
+                Some((hops, (NodeId(seed_v), li.node, seed_depth)))
+            }
+            PlanInner::Sparse(sb) => {
+                let parents = sb.parents.as_ref()?;
+                let mut cur: PState = (member.0, node, depth.min(*sb.sats.get(node as usize)?));
+                let mut hops = Vec::new();
+                loop {
+                    let &(prev, hop) = parents.get(&cur)?;
+                    hops.extend(hop);
+                    if prev == cur {
+                        break;
+                    }
+                    cur = prev;
+                }
+                hops.reverse();
+                Some((hops, (NodeId(cur.0), cur.1, cur.2)))
+            }
+        }
     }
 }
 
 /// One seeded run of the plan engine: drains the frontier produced by
 /// `seeds`, recording accepts and exporting masked states visited at
-/// `watched` members (an empty slice watches nobody). The contract matches
-/// [`crate::online::evaluate_audience_batch_seeded`] — bits reported
-/// (matched or exported) are disjoint across runs, and re-seeding
-/// known bits is a no-op — with plan node ids in the `step` slot of
-/// seeds and exports. `state` must have been created by
-/// [`PlanBatchState::new`] for this same `(g, snap, nodes)`; `masks`
-/// must stay the same chunk across runs.
+/// `watched` members (an empty slice watches nobody). Bits reported
+/// (matched or exported) are disjoint across runs, and re-seeding known
+/// bits is a no-op. With `stop = Some(m)` the run returns the moment
+/// `m` is accepted under a new bit (`hit` carries the accepting
+/// `(node, depth)`), leaving the frontier undrained: after a hit the
+/// engine may only be traced.
+///
+/// Per condition bit the semantics are those of the bit's own path
+/// automaton restricted to this graph's edges: a state accumulates bit
+/// `b` exactly when the unsharded engine could reach it from one of
+/// `b`'s seeds using only locally present edges. The sharded backends
+/// obtain global semantics by fixpointing runs across shards.
+///
+/// `state` must have been created for this same `(g, snap, nodes)`;
+/// `masks` must stay the same chunk across runs.
+#[allow(clippy::too_many_arguments)]
 pub fn evaluate_plan_batch_seeded(
     g: &SocialGraph,
     snap: &CsrSnapshot,
@@ -198,14 +297,15 @@ pub fn evaluate_plan_batch_seeded(
     state: &mut PlanBatchState,
     seeds: &[MaskedSeedState],
     watched: &[bool],
+    stop: Option<NodeId>,
 ) -> SeededBatchOutcome {
     let PlanBatchState {
         states_expanded,
         inner,
     } = state;
     match inner {
-        PlanInner::Flat(fb) => fb.run(g, snap, nodes, masks, seeds, watched, states_expanded),
-        PlanInner::Sparse(sb) => sb.run(g, nodes, masks, seeds, watched, states_expanded),
+        PlanInner::Flat(fb) => fb.run(g, snap, nodes, masks, seeds, watched, stop, states_expanded),
+        PlanInner::Sparse(sb) => sb.run(g, nodes, masks, seeds, watched, stop, states_expanded),
     }
 }
 
@@ -219,6 +319,7 @@ impl FlatPlanBatch {
         masks: &ChunkMasks,
         seeds: &[MaskedSeedState],
         watched: &[bool],
+        stop: Option<NodeId>,
         states_expanded: &mut usize,
     ) -> SeededBatchOutcome {
         debug_assert!(snap.matches(g), "snapshot pinned for the whole bundle");
@@ -227,6 +328,7 @@ impl FlatPlanBatch {
             bases,
             sats,
             layers,
+            track_parents,
             scratch,
         } = self;
         let MaskScratch {
@@ -245,7 +347,7 @@ impl FlatPlanBatch {
             for &packed in frontier.iter() {
                 let v = packed as u32;
                 let lay = (packed >> 32) as u32;
-                let (_, delta) = marks.take_pending(lay, v);
+                let (at, delta) = marks.take_pending(lay, v);
                 debug_assert_ne!(delta, 0, "queued state without pending bits");
                 out.stats.states_visited += 1;
                 *states_expanded += 1;
@@ -263,33 +365,51 @@ impl FlatPlanBatch {
                 // the bits whose condition ends here, ε-fork the rest
                 // into the children on their chains.
                 if li.completes && step.conds.iter().all(|c| c.eval(g.node_attrs(node))) {
-                    let acc = marks.claim_matched(v, delta & masks.accept_mask[li.node as usize]);
+                    // Only an accepting bit touches the member's word.
+                    let accept = delta & masks.accept_mask[li.node as usize];
+                    let acc = if accept != 0 {
+                        marks.claim_matched(v, accept)
+                    } else {
+                        0
+                    };
                     if acc != 0 {
                         out.matched.push((node, acc));
+                        if stop == Some(node) {
+                            out.hit = Some((li.node, lay - bases[li.node as usize]));
+                            return out;
+                        }
                     }
                     for &child in &pn.children {
                         let fwd = delta & masks.node_mask[child as usize];
                         if fwd != 0 {
-                            marks.send(next, bases[child as usize], v, fwd);
+                            marks.send_from(next, bases[child as usize], v, fwd, at, HOP_NONE);
                         }
                     }
                 }
 
-                // Edge expansion within the node.
+                // Edge expansion within the node. Only a parent-tracked
+                // engine reads the edge-id column.
                 if !li.expands {
                     continue;
                 }
-                if matches!(step.dir, Direction::Out | Direction::Both) {
-                    for &nbr in snap.out_neighbors(v, step.label).nodes {
-                        out.stats.edges_scanned += 1;
-                        marks.send(next, li.next_layer, nbr, delta);
+                let mut expand = |nbrs: Neighbors<'_>, forward: u32| {
+                    out.stats.edges_scanned += nbrs.nodes.len();
+                    if *track_parents {
+                        for (&nbr, &eid) in nbrs.nodes.iter().zip(nbrs.edges) {
+                            let hop = (eid << 1) | forward;
+                            marks.send_from(next, li.next_layer, nbr, delta, at, hop);
+                        }
+                    } else {
+                        for &nbr in nbrs.nodes {
+                            marks.send(next, li.next_layer, nbr, delta);
+                        }
                     }
+                };
+                if matches!(step.dir, Direction::Out | Direction::Both) {
+                    expand(snap.out_neighbors(v, step.label), 1);
                 }
                 if matches!(step.dir, Direction::In | Direction::Both) {
-                    for &nbr in snap.in_neighbors(v, step.label).nodes {
-                        out.stats.edges_scanned += 1;
-                        marks.send(next, li.next_layer, nbr, delta);
-                    }
+                    expand(snap.in_neighbors(v, step.label), 0);
                 }
             }
             std::mem::swap(frontier, next);
@@ -300,6 +420,9 @@ impl FlatPlanBatch {
 }
 
 impl SparsePlanBatch {
+    /// Forwards `bits` to `st`, queueing it on the 0 → non-zero pending
+    /// transition. Returns `true` on the state's first-ever arrival —
+    /// the moment a parent pointer is recorded.
     #[inline]
     fn send(
         seen: &mut HashMap<PState, u64>,
@@ -307,8 +430,9 @@ impl SparsePlanBatch {
         queue: &mut Vec<PState>,
         st: PState,
         bits: u64,
-    ) {
+    ) -> bool {
         let slot = seen.entry(st).or_insert(0);
+        let first = *slot == 0;
         let new = bits & !*slot;
         if new != 0 {
             *slot |= new;
@@ -318,8 +442,10 @@ impl SparsePlanBatch {
             }
             *p |= new;
         }
+        first && new != 0
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn run(
         &mut self,
         g: &SocialGraph,
@@ -327,6 +453,7 @@ impl SparsePlanBatch {
         masks: &ChunkMasks,
         seeds: &[MaskedSeedState],
         watched: &[bool],
+        stop: Option<NodeId>,
         states_expanded: &mut usize,
     ) -> SeededBatchOutcome {
         let mut out = SeededBatchOutcome::default();
@@ -337,12 +464,20 @@ impl SparsePlanBatch {
             matched_mask,
             frontier,
             next,
+            parents,
         } = self;
+        let mut record = |st: PState, from: PState, hop: Option<WitnessHop>| {
+            if let Some(p) = parents.as_mut() {
+                p.insert(st, (from, hop));
+            }
+        };
 
         debug_assert!(frontier.is_empty(), "previous run drained its frontier");
         for &(m, node, depth, bits) in seeds {
             let st: PState = (m.0, node, depth.min(sats[node as usize]));
-            Self::send(seen, pending, frontier, st, bits);
+            if Self::send(seen, pending, frontier, st, bits) {
+                record(st, st, None);
+            }
         }
 
         while !frontier.is_empty() {
@@ -369,11 +504,15 @@ impl SparsePlanBatch {
                     if acc != 0 {
                         *mask |= acc;
                         out.matched.push((node, acc));
+                        if stop == Some(node) {
+                            out.hit = Some((n, d));
+                            return out;
+                        }
                     }
                     for &child in &pn.children {
                         let fwd = delta & masks.node_mask[child as usize];
-                        if fwd != 0 {
-                            Self::send(seen, pending, next, (v, child, 0), fwd);
+                        if fwd != 0 && Self::send(seen, pending, next, (v, child, 0), fwd) {
+                            record((v, child, 0), st, None);
                         }
                     }
                 }
@@ -383,23 +522,29 @@ impl SparsePlanBatch {
                 }
                 let d_next = (d + 1).min(sats[n as usize]);
                 if matches!(step.dir, Direction::Out | Direction::Both) {
-                    for (_, rec) in g.out_edges(node) {
+                    for (eid, rec) in g.out_edges(node) {
                         if rec.label != step.label {
                             out.stats.edges_filtered += 1;
                             continue;
                         }
                         out.stats.edges_scanned += 1;
-                        Self::send(seen, pending, next, (rec.dst.0, n, d_next), delta);
+                        let ns = (rec.dst.0, n, d_next);
+                        if Self::send(seen, pending, next, ns, delta) {
+                            record(ns, st, Some((eid, true)));
+                        }
                     }
                 }
                 if matches!(step.dir, Direction::In | Direction::Both) {
-                    for (_, rec) in g.in_edges(node) {
+                    for (eid, rec) in g.in_edges(node) {
                         if rec.label != step.label {
                             out.stats.edges_filtered += 1;
                             continue;
                         }
                         out.stats.edges_scanned += 1;
-                        Self::send(seen, pending, next, (rec.src.0, n, d_next), delta);
+                        let ns = (rec.src.0, n, d_next);
+                        if Self::send(seen, pending, next, ns, delta) {
+                            record(ns, st, Some((eid, false)));
+                        }
                     }
                 }
             }
@@ -466,7 +611,8 @@ pub fn evaluate_plan_audiences(
             })
             .collect();
         // No ghosts on a single graph: nobody is watched.
-        let run = evaluate_plan_batch_seeded(g, snap, &plan.nodes, &masks, &mut state, &seeds, &[]);
+        let run =
+            evaluate_plan_batch_seeded(g, snap, &plan.nodes, &masks, &mut state, &seeds, &[], None);
         for (member, mut bits) in run.matched {
             while bits != 0 {
                 let bit = bits.trailing_zeros() as usize;
@@ -671,6 +817,7 @@ mod tests {
             &mut state,
             &seeds,
             &watched,
+            None,
         );
         assert!(!first.matched.is_empty());
         let again = evaluate_plan_batch_seeded(
@@ -681,6 +828,7 @@ mod tests {
             &mut state,
             &seeds,
             &watched,
+            None,
         );
         assert!(again.matched.is_empty(), "bits are disjoint across runs");
         assert_eq!(
@@ -708,6 +856,7 @@ mod tests {
             &mut state,
             &seeds,
             &watched,
+            None,
         );
         assert!(
             run.exports

@@ -23,7 +23,8 @@
 //! `node_mask[child]`, so a bit never enters a node outside its chain,
 //! and within its chain the node sequence *is* the linear automaton of
 //! its path. Per-bit reachability is therefore identical to running
-//! the per-expression engine, state for state.
+//! the path's own automaton — the targeted engine's and the
+//! reference's — state for state.
 
 use crate::path::ast::{PathExpr, Step};
 use std::ops::Range;
@@ -187,7 +188,7 @@ impl BundlePlan {
     }
 
     /// Product-automaton layers of one node: depths `0..=sat` of its
-    /// step (mirrors the per-expression engine's layer table).
+    /// step (mirrors the targeted engine's layer table).
     fn node_layers(&self, n: u16) -> usize {
         self.nodes[n as usize].step.depths.saturation() as usize + 1
     }

@@ -102,9 +102,14 @@ pub enum Request {
         /// The epoch being abandoned.
         epoch: u64,
     },
-    /// Open a masked-fixpoint evaluation session. Refused unless
-    /// `epoch` matches the shard's published epoch (the read half of
-    /// the fence).
+    /// Open a masked-fixpoint evaluation session over one path. The
+    /// shard runs it as the path's one-path plan, whose node ids are
+    /// the step indexes, with every condition bit riding the path's
+    /// chain; `Round` seeds carry step indexes in the `step` slot. The
+    /// targeted check/explain session: it accepts `Round.stop`, and
+    /// built with `parents` it answers `Trace`. Refused unless `epoch`
+    /// matches the shard's published epoch (the read half of the
+    /// fence).
     BeginEval {
         /// Router-unique evaluation id (shared by every shard of one
         /// evaluation).
@@ -122,16 +127,15 @@ pub enum Request {
         parents: bool,
     },
     /// Open a masked-fixpoint evaluation session over a **shared-prefix
-    /// trie plan** ([`crate::query::BundlePlan`]) instead of a single
-    /// linear path: `nodes` ships the plan's trie with each node's step
-    /// in canonical text and its per-chunk condition masks baked in,
-    /// and subsequent `Round` seeds carry *plan node ids* in the `step`
+    /// trie plan** ([`crate::query::BundlePlan`]) shipped whole:
+    /// `nodes` carries the plan's trie with each node's step in
+    /// canonical text and its per-chunk condition masks baked in, and
+    /// subsequent `Round` seeds carry *plan node ids* in the `step`
     /// slot of their masked keys. Plan sessions serve batched audience
     /// fixpoints only — they refuse `Round.stop` and `Trace` (targeted
-    /// check/explain stays on `BeginEval`'s linear engine). Refused
-    /// unless `epoch` matches, exactly like `BeginEval`. Appended in
-    /// protocol version 1: the variant is new but no existing message
-    /// changed shape.
+    /// check/explain opens with `BeginEval`). Refused unless `epoch`
+    /// matches, exactly like `BeginEval`. Appended in protocol version
+    /// 1: the variant is new but no existing message changed shape.
     BeginEvalPlan {
         /// Router-unique evaluation id (shared by every shard of one
         /// evaluation).

@@ -23,9 +23,8 @@ use super::frame;
 use super::proto::{self, Request, Response, ShardOp, WireHop, WireRefusal, PROTOCOL_VERSION};
 use super::{Conn, Listener, ShardAddr};
 use crate::fixpoint::{self, ShardEngine, ShardView};
-use crate::online::SeededBatchState;
 use crate::path::parse_path;
-use crate::query::{ChunkMasks, PlanBatchState, PlanNode};
+use crate::query::{BundlePlan, ChunkMasks, PlanBatchState, PlanNode};
 use parking_lot::Mutex;
 use socialreach_graph::csr::CsrSnapshot;
 use socialreach_graph::{NodeId, SocialGraph};
@@ -45,10 +44,10 @@ const FRAME_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// One open masked-fixpoint evaluation.
 struct EvalSession {
-    /// The linear path automaton (`BeginEval` — targeted stop and
-    /// parent-tracked traces supported) or the shipped shared-prefix
-    /// plan chunk (`BeginEvalPlan` — audience fixpoints only), owning
-    /// what it re-parsed from the wire.
+    /// The plan engine over the one-path plan of a `BeginEval` path
+    /// (targeted stop and parent-tracked traces supported) or over the
+    /// shipped shared-prefix plan chunk of a `BeginEvalPlan` (audience
+    /// fixpoints only), owning what it re-parsed from the wire.
     engine: ShardEngine<'static>,
     snap: Arc<CsrSnapshot>,
     word: u32,
@@ -301,17 +300,24 @@ impl ShardCore {
                     });
                 }
                 let snap = self.snapshot();
+                // Both parsers refuse a path past the plan-node budget.
+                let plan = BundlePlan::compile(&[&parsed]).expect("a parsed path fits a plan");
+                // Every condition bit a seed may carry rides the one
+                // chain, as on the path's own automaton.
+                let masks = plan.chunk_masks(&[0; 64]);
                 let engine = if parents {
-                    SeededBatchState::with_parents(&self.graph, &snap, &parsed)
+                    PlanBatchState::with_parents(&self.graph, &snap, &plan.nodes)
                 } else {
-                    SeededBatchState::new(&self.graph, &snap, &parsed)
+                    PlanBatchState::new(&self.graph, &snap, &plan.nodes)
                 };
                 self.evals.insert(
                     eval,
                     EvalSession {
-                        engine: ShardEngine::Linear {
+                        engine: ShardEngine {
                             engine,
-                            path: Cow::Owned(parsed),
+                            nodes: Cow::Owned(plan.nodes),
+                            masks: Cow::Owned(masks),
+                            one_path: true,
                         },
                         snap,
                         word,
@@ -386,10 +392,11 @@ impl ShardCore {
                 self.evals.insert(
                     eval,
                     EvalSession {
-                        engine: ShardEngine::Plan {
+                        engine: ShardEngine {
                             engine,
                             nodes: Cow::Owned(plan_nodes),
                             masks: Cow::Owned(masks),
+                            one_path: false,
                         },
                         snap,
                         word,
@@ -447,13 +454,13 @@ impl ShardCore {
                 let Some(&local) = self.local_of.get(&member) else {
                     return refuse(WireRefusal::UnknownMember { member });
                 };
-                let ShardEngine::Linear { engine, .. } = &sess.engine else {
+                if !sess.engine.one_path {
                     return refuse(WireRefusal::BadRequest {
                         detail: "plan sessions keep no parent chains (trace a linear session)"
                             .to_owned(),
                     });
-                };
-                match engine.trace(local, step, depth) {
+                }
+                match sess.engine.engine.trace(local, step, depth) {
                     None => refuse(WireRefusal::BadRequest {
                         detail: format!(
                             "state (member {member}, step {step}, depth {depth}) has no \

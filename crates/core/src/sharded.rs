@@ -21,57 +21,42 @@
 //!   either replica) but are never reported as audience members — only
 //!   a member's home shard speaks for them.
 //!
-//! # Cross-shard reads
+//! # Cross-shard reads: one masked fixpoint
 //!
 //! Every read fans out over the shards through the existing `&self`
-//! epoch read path. A path-expression evaluation runs a **round-based
-//! fixpoint** of per-shard seeded product BFS
-//! ([`online::evaluate_seeded`]):
+//! epoch read path, and every read — a bundle's audiences, one
+//! condition's audience, one targeted check — is the same
+//! **round-based masked fixpoint** of per-shard seeded plan BFS
+//! ([`crate::query::evaluate_plan_batch_seeded`]):
 //!
-//! 1. Round 0 seeds the owner's home shard at product state
-//!    `(owner, step 0, depth 0)`.
-//! 2. Each active shard traverses its local CSR snapshot. Whenever the
-//!    walk visits a state at a ghost, that `(member, step, depth)`
-//!    coordinate is exported.
-//! 3. The router forwards every newly seen export to the member's home
-//!    shard — the one place that has the member's full adjacency — and
-//!    the next round begins. States are deduplicated globally, so the
-//!    fixpoint terminates after at most |V| · |layers| imports.
+//! 1. The conditions compile into one shared-prefix trie
+//!    ([`crate::query::BundlePlan`]; one condition is its one-path
+//!    plan) and every 64-condition chunk seeds its owners' home shards
+//!    at `(owner, root node, depth 0)`, each under its condition bit.
+//! 2. Each active shard traverses its local CSR snapshot, every product
+//!    state carrying the bitmask of the conditions that reached it.
+//!    Whenever the walk visits a state at a ghost, that masked
+//!    `(member, node, depth)` coordinate is exported
+//!    ([`socialreach_graph::shard::MaskedStateKey`]; bundles wider
+//!    than 64 conditions chunk into further mask words).
+//! 3. The driver forwards to each exported member's home shard — the
+//!    one place that has the member's full adjacency — only the bits it
+//!    has not forwarded before, and the next round begins.
 //!
-//! Rounds with several active shards evaluate them on **parallel
-//! scoped threads**; decisions, audiences and witnesses are
-//! deterministic regardless of the interleaving because exports are
-//! merged in shard order. Witnesses stitch per-shard walk segments:
-//! the granting shard returns the segment from its seed to the
-//! requester, and the router replays exporting runs backwards
-//! ([`online::SeededTarget::State`]) until it reaches the owner seed.
-//!
-//! # Batched reads (one fixpoint per bundle)
-//!
-//! The per-condition fixpoint above is the differential oracle (and
-//! the [`BundleStrategy::PerCondition`] arm). Bundle reads —
-//! [`AccessService::audience_batch`] and
-//! [`AccessService::check_batch`] — run the **masked** variant
-//! instead: the bundle's distinct conditions compile into one
-//! shared-prefix trie ([`crate::query::BundlePlan`]) and each
-//! 64-condition chunk of it traverses through one round-based fixpoint
-//! of per-shard seeded mask BFS
-//! ([`crate::query::evaluate_plan_batch_seeded`]), every product state
-//! carrying a bitmask of the conditions that reached it. Boundary
-//! exports carry those masks
-//! ([`socialreach_graph::shard::MaskedStateKey`]; bundles wider than
-//! 64 conditions chunk into further mask words), and the driver
-//! forwards only bits it has not forwarded before. Each shard's
-//! visited/mask state **persists across rounds** of the evaluation, so
-//! a walk that ping-pongs through one shard k times expands each
-//! product state at most once per arriving bit — total work is linear
-//! in the explored region, where re-seeding fresh visited sets each
-//! round (what the per-condition fixpoint does) is quadratic on such
-//! paths. Decisions for `check_batch` fall out of the materialized
+//! Each shard's visited/mask state **persists across rounds** of the
+//! evaluation, so a walk that ping-pongs through one shard k times
+//! expands each product state at most once per arriving bit: total
+//! work is linear in the explored region. Rounds with several active
+//! shards run on **parallel scoped threads**; answers are deterministic
+//! regardless of the interleaving because exports are merged in shard
+//! order. Decisions for `check_batch` fall out of the materialized
 //! audiences (a requester is granted exactly when a rule's every
 //! condition-audience contains them); a single `check`/`explain` runs
-//! the same fixpoint as a 1-bit linear-path bundle with early exit and
-//! parent tracking, which reconstructs stitched witnesses.
+//! the condition as a 1-bit bundle of its one-path plan with early exit
+//! on the requester's home shard and first-arrival parent tracking, and
+//! the witness is stitched from the shards' persistent parent chains.
+//! The per-condition bundle arm ([`BundleStrategy::PerCondition`]) is
+//! one such fixpoint per distinct condition.
 //!
 //! The round loop itself — pending seeds, fan-out, shard-order merge,
 //! new-bit forwarding — lives once, in `crate::fixpoint`; this
@@ -92,7 +77,7 @@ use crate::decision::{self, DecisionCache};
 use crate::engine::{Enforcer, OnlineEngine};
 use crate::error::EvalError;
 use crate::fixpoint::{self, LaneRound, ShardEngine, ShardLane, ShardView, StateKey};
-use crate::online::{self, SeedState, SeededBatchState, SeededOutcome, SeededTarget, WitnessHop};
+use crate::online::WitnessHop;
 use crate::path::PathExpr;
 use crate::policy::{Decision, PolicyStore, ResourceId};
 use crate::query::{BundlePlan, ChunkMasks, PlanBatchState};
@@ -103,7 +88,7 @@ use socialreach_graph::csr::CsrSnapshot;
 use socialreach_graph::shard::{BoundaryEdge, BoundaryTable, MaskedExport, ShardAssignment};
 use socialreach_graph::{AttrValue, LabelId, NodeId, SocialGraph, Vocabulary};
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::convert::Infallible;
 use std::sync::Arc;
 
@@ -217,24 +202,14 @@ struct MemberEntry {
     ghosts: Vec<(u32, NodeId)>,
 }
 
-/// A seeded run of one shard, recorded so witness reconstruction can
-/// replay it.
-struct RunRecord {
-    shard: usize,
-    seeds: Vec<SeedState>,
-    /// `keys[i]` is the global coordinate of `seeds[i]`.
-    keys: Vec<StateKey>,
-}
-
-/// What an in-process lane runs once it opens.
+/// What an in-process lane runs once it opens: one 64-condition chunk
+/// of a compiled plan, parent-tracked with a stop member allowed when
+/// `traced` (the targeted `check`/`explain` read of one path).
 #[derive(Clone, Copy)]
-enum LaneProgram<'a> {
-    /// One 64-condition chunk of a compiled bundle plan (audiences).
-    Plan(&'a BundlePlan, &'a ChunkMasks),
-    /// One linear path with first-arrival parent tracking (the
-    /// targeted `check`/`explain` path, which needs early exit and
-    /// witness chains the plan engine does not keep).
-    Traced(&'a PathExpr),
+struct LaneProgram<'a> {
+    plan: &'a BundlePlan,
+    masks: &'a ChunkMasks,
+    traced: bool,
 }
 
 /// The in-process [`ShardLane`]: one shard of a [`ShardedSystem`],
@@ -255,17 +230,21 @@ impl ShardLane for LocalLane<'_> {
     type Error = Infallible;
 
     fn open(&mut self) {
-        let (shard, snap) = (self.shard, self.snap);
-        self.engine = Some(match self.program {
-            LaneProgram::Plan(plan, masks) => ShardEngine::Plan {
-                engine: PlanBatchState::new(&shard.graph, snap, &plan.nodes),
-                nodes: Cow::Borrowed(&plan.nodes),
-                masks: Cow::Borrowed(masks),
+        let (graph, snap) = (&self.shard.graph, self.snap);
+        let LaneProgram {
+            plan,
+            masks,
+            traced,
+        } = self.program;
+        self.engine = Some(ShardEngine {
+            engine: if traced {
+                PlanBatchState::with_parents(graph, snap, &plan.nodes)
+            } else {
+                PlanBatchState::new(graph, snap, &plan.nodes)
             },
-            LaneProgram::Traced(path) => ShardEngine::Linear {
-                engine: SeededBatchState::with_parents(&shard.graph, snap, path),
-                path: Cow::Borrowed(path),
-            },
+            nodes: Cow::Borrowed(&plan.nodes),
+            masks: Cow::Borrowed(masks),
+            one_path: traced,
         });
     }
 
@@ -650,14 +629,11 @@ impl ShardedSystem {
         self
     }
 
-    /// The pre-amortization bundle path, retained as the comparison
-    /// baseline (bench P12) and differential-test oracle: every
-    /// distinct condition runs its **own** per-condition cross-shard
-    /// fixpoint, with fresh per-round visited state. Semantics are
-    /// identical to [`AccessService::audience_batch`]; the batched
-    /// engine exists because this shape pays `O(conditions × rounds)`
-    /// shard passes and re-traverses explored regions on paths that
-    /// ping-pong across a boundary.
+    /// The per-condition bundle path: every distinct condition runs its
+    /// **own** one-condition masked fixpoint
+    /// ([`ShardedSystem::evaluate_condition`] without a target), so no
+    /// two conditions share a traversal. Semantics are identical to
+    /// [`AccessService::audience_batch`].
     pub fn audience_batch_per_condition(
         &self,
         rids: &[ResourceId],
@@ -668,9 +644,9 @@ impl ShardedSystem {
     /// [`ShardedSystem::audience_batch_per_condition`] plus the
     /// bundle's cumulative work census — the
     /// [`crate::BundleStrategy::PerCondition`] entry point the planner
-    /// dispatches to. Each deduped condition's fixpoint reports one
-    /// condition / one traversal; absorbing them yields the uniform
-    /// bundle census.
+    /// dispatches to, and the same loop as the networked router's. Each
+    /// deduped condition reports one condition and its fixpoint;
+    /// one-condition plans share nothing, so there is no plan census.
     pub fn audience_batch_per_condition_with_stats(
         &self,
         rids: &[ResourceId],
@@ -703,9 +679,11 @@ impl ShardedSystem {
     }
 
     /// Evaluates one access condition `(owner, path)` across the
-    /// shards: the round-based seeded-BFS fixpoint of the module docs.
-    /// With `target = Some(v)` the evaluation short-circuits on grant
-    /// and reconstructs a stitched witness; with `None` it materializes
+    /// shards. With `target = Some(v)` it is the targeted read
+    /// ([`ShardedSystem::evaluate_condition_targeted_with_stats`]):
+    /// it short-circuits on grant and stitches a witness. With `None`
+    /// it is a one-condition
+    /// [`ShardedSystem::evaluate_conditions_batched`] that materializes
     /// the full (global) audience.
     pub fn evaluate_condition(
         &self,
@@ -717,170 +695,32 @@ impl ShardedSystem {
     }
 
     /// [`ShardedSystem::evaluate_condition`] plus the fixpoint's
-    /// uniform work census: one condition and one traversal (this
-    /// fixpoint), `rounds` cross-shard round-trips, the product states
-    /// the per-shard seeded evaluations expanded, and the boundary
-    /// states exported between shards.
+    /// uniform work census: one condition, its traversal, the
+    /// cross-shard rounds, the product states the shards expanded and
+    /// the boundary states exported between them (no plan census — a
+    /// one-condition plan shares nothing).
     pub fn evaluate_condition_with_stats(
         &self,
         owner: NodeId,
         path: &PathExpr,
         target: Option<NodeId>,
     ) -> (ShardedEval, ReadStats) {
-        let mut stats = ReadStats {
-            conditions: 1,
-            traversals: 1,
-            ..ReadStats::default()
-        };
-        if path.is_empty() {
-            let granted = target == Some(owner);
-            return (
-                ShardedEval {
-                    matched: if target.is_none() {
-                        vec![owner]
-                    } else {
-                        vec![]
-                    },
-                    granted,
-                    witness: granted.then(Vec::new),
-                },
-                stats,
-            );
+        if let Some(requester) = target {
+            return self.evaluate_condition_targeted_with_stats(owner, path, requester);
         }
-        let snaps = self.publish_all();
-
-        let owner_entry = &self.members[owner.index()];
-        let mut imported: HashSet<StateKey> = HashSet::new();
-        let mut queues: Vec<(Vec<SeedState>, Vec<StateKey>)> =
-            (0..self.shards.len()).map(|_| Default::default()).collect();
-        let owner_key: StateKey = (owner.0, 0, 0);
-        imported.insert(owner_key);
-        queues[owner_entry.home as usize]
-            .0
-            .push((owner_entry.local, 0, 0));
-        queues[owner_entry.home as usize].1.push(owner_key);
-
-        let mut matched: Vec<NodeId> = Vec::new();
-        let mut runs: Vec<RunRecord> = Vec::new();
-        let mut origin: HashMap<StateKey, usize> = HashMap::new();
-        let mut grant: Option<(usize, Vec<WitnessHop>, usize)> = None;
-
-        while grant.is_none() {
-            let round: Vec<(usize, Vec<SeedState>, Vec<StateKey>)> = queues
-                .iter_mut()
-                .enumerate()
-                .filter(|(_, q)| !q.0.is_empty())
-                .map(|(i, q)| {
-                    let (seeds, keys) = std::mem::take(q);
-                    (i, seeds, keys)
-                })
-                .collect();
-            if round.is_empty() {
-                break;
-            }
-            stats.rounds += 1;
-            let outs = self.run_round(&round, &snaps, path, target);
-
-            // Merge in shard order: deterministic regardless of the
-            // fan-out interleaving.
-            for ((shard_ix, seeds, keys), out) in round.into_iter().zip(outs) {
-                let run_ix = runs.len();
-                stats.states_expanded += out.stats.states_visited;
-                runs.push(RunRecord {
-                    shard: shard_ix,
-                    seeds,
-                    keys,
-                });
-                let shard = &self.shards[shard_ix];
-                for m in &out.matched {
-                    if !shard.ghost[m.index()] {
-                        matched.push(shard.globals[m.index()]);
-                    }
-                }
-                if out.hit {
-                    let (hops, seed_ix) = out.witness.expect("hit carries a witness");
-                    grant = Some((run_ix, hops, seed_ix));
-                    break;
-                }
-                for &(node, step, depth) in &out.reached {
-                    let global = shard.globals[node.index()];
-                    let key: StateKey = (global.0, step, depth);
-                    if imported.insert(key) {
-                        stats.exported_states += 1;
-                        origin.insert(key, run_ix);
-                        let entry = &self.members[global.index()];
-                        let q = &mut queues[entry.home as usize];
-                        q.0.push((entry.local, step, depth));
-                        q.1.push(key);
-                    }
-                }
-            }
-        }
-
-        let witness = grant.map(|(run_ix, hops, seed_ix)| {
-            self.stitch_witness(
-                &runs, &snaps, path, owner_key, run_ix, hops, seed_ix, &origin,
-            )
-        });
-        matched.sort_unstable();
-        matched.dedup();
+        let (mut audiences, stats) = self.evaluate_conditions_batched(&[(owner, path)]);
         (
             ShardedEval {
-                matched,
-                granted: witness.is_some(),
-                witness,
+                matched: audiences.pop().expect("one audience per condition"),
+                granted: false,
+                witness: None,
             },
-            stats,
+            ReadStats {
+                plan_states: 0,
+                expr_states: 0,
+                ..stats.read_stats(1)
+            },
         )
-    }
-
-    /// Runs one fixpoint round: each active shard evaluates its seeds
-    /// over its published snapshot — on parallel scoped threads when
-    /// several shards are active, inline when one is.
-    fn run_round(
-        &self,
-        round: &[(usize, Vec<SeedState>, Vec<StateKey>)],
-        snaps: &[Arc<CsrSnapshot>],
-        path: &PathExpr,
-        target: Option<NodeId>,
-    ) -> Vec<SeededOutcome> {
-        let eval = |shard_ix: usize, seeds: &[SeedState]| {
-            let shard = &self.shards[shard_ix];
-            let shard_target = match target {
-                Some(t) if self.members[t.index()].home as usize == shard_ix => {
-                    SeededTarget::Member(self.members[t.index()].local)
-                }
-                _ => SeededTarget::Audience,
-            };
-            online::evaluate_seeded(
-                &shard.graph,
-                &snaps[shard_ix],
-                path,
-                seeds,
-                &shard.ghost,
-                shard_target,
-            )
-        };
-        // Fan out only when it can pay: several active shards *and*
-        // actual hardware parallelism (a scoped spawn per shard per
-        // round is pure overhead on one core).
-        if round.len() == 1 || fixpoint::cores() == 1 {
-            return round
-                .iter()
-                .map(|(shard_ix, seeds, _)| eval(*shard_ix, seeds))
-                .collect();
-        }
-        std::thread::scope(|scope| {
-            let eval = &eval;
-            let handles: Vec<_> = round
-                .iter()
-                .map(|(shard_ix, seeds, _)| scope.spawn(move || eval(*shard_ix, seeds)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard evaluation panicked"))
-                .collect()
-        })
     }
 
     /// Evaluates a bundle's distinct access conditions through the
@@ -906,8 +746,13 @@ impl ShardedSystem {
         let Ok(out) =
             fixpoint::bundle_audiences(conds, self.shards.len(), |plan, masks, word, seeds| {
                 let snaps = snaps.get_or_insert_with(|| self.publish_all());
+                let program = LaneProgram {
+                    plan,
+                    masks,
+                    traced: false,
+                };
                 fixpoint::masked_fixpoint(
-                    &mut self.lanes(snaps, LaneProgram::Plan(plan, masks), word),
+                    &mut self.lanes(snaps, program, word),
                     |m| self.members[m as usize].home as usize,
                     seeds,
                     None,
@@ -941,20 +786,18 @@ impl ShardedSystem {
             .collect()
     }
 
-    /// Targeted single-condition evaluation through the **masked
-    /// seeded engine**: does `requester` satisfy `(owner, path)`? The
-    /// condition runs as a 1-bit bundle (bit 0, word 0) of the same
-    /// cross-shard fixpoint that serves batched audiences —
-    /// round-persistent per-shard mask state keeps the work linear in
-    /// the explored region even when a walk ping-pongs across a
-    /// boundary — with two targeted extras: the requester's home shard
-    /// **early-exits** the moment the requester completes the final
-    /// step, and every engine tracks first-arrival parent pointers so
-    /// the stitched witness is read off the persistent chains
-    /// ([`ShardedSystem::stitch_traced`]) instead of replaying runs.
+    /// Targeted single-condition evaluation: does `requester` satisfy
+    /// `(owner, path)`? The condition runs as a 1-bit bundle (bit 0,
+    /// word 0) of its one-path plan through the same cross-shard
+    /// fixpoint that serves batched audiences — round-persistent
+    /// per-shard mask state keeps the work linear in the explored
+    /// region even when a walk ping-pongs across a boundary — with two
+    /// targeted extras: the requester's home shard **early-exits** the
+    /// moment the requester completes the final step, and every engine
+    /// tracks first-arrival parent pointers so the stitched witness is
+    /// read off the persistent chains.
+    /// The plan and its masks are compiled once per call, not per lane.
     ///
-    /// This replaces the legacy per-condition fixpoint (fresh
-    /// per-round visited state) for single `check`/`explain`;
     /// `matched` is always empty — audiences go through
     /// [`ShardedSystem::evaluate_conditions_batched`].
     pub fn evaluate_condition_targeted_with_stats(
@@ -981,7 +824,14 @@ impl ShardedSystem {
         }
         let snaps = self.publish_all();
         let req_entry = &self.members[requester.index()];
-        let mut lanes = self.lanes(&snaps, LaneProgram::Traced(path), 0);
+        let plan = BundlePlan::compile(&[path]).expect("a parsed path fits a plan");
+        let masks = plan.chunk_masks(&[0]);
+        let program = LaneProgram {
+            plan: &plan,
+            masks: &masks,
+            traced: true,
+        };
+        let mut lanes = self.lanes(&snaps, program, 0);
         let Ok((witness, run)) = fixpoint::masked_fixpoint(
             &mut lanes,
             |m| self.members[m as usize].home as usize,
@@ -1022,10 +872,12 @@ impl ShardedSystem {
         let (mut shard_ix, mut local, mut step, mut depth) = at;
         let mut segments: Vec<Vec<ShardedHop>> = Vec::new();
         loop {
-            let Some(ShardEngine::Linear { engine, .. }) = &lanes[shard_ix].engine else {
-                panic!("traced shard ran a linear fixpoint");
-            };
+            let engine = lanes[shard_ix]
+                .engine
+                .as_ref()
+                .expect("a traced shard opened");
             let (hops, (seed_local, seed_step, seed_depth)) = engine
+                .engine
                 .trace(local, step, depth)
                 .expect("granting chain is parent-tracked");
             segments.push(self.translate_hops(shard_ix, &hops));
@@ -1046,55 +898,6 @@ impl ShardedSystem {
             local = ghost_local;
             step = seed_step;
             depth = seed_depth;
-        }
-        segments.reverse();
-        segments.concat()
-    }
-
-    /// Stitches the granting run's local segment with replays of the
-    /// exporting runs, back to the owner seed.
-    #[allow(clippy::too_many_arguments)]
-    fn stitch_witness(
-        &self,
-        runs: &[RunRecord],
-        snaps: &[Arc<CsrSnapshot>],
-        path: &PathExpr,
-        owner_key: StateKey,
-        run_ix: usize,
-        hops: Vec<WitnessHop>,
-        seed_ix: usize,
-        origin: &HashMap<StateKey, usize>,
-    ) -> Vec<ShardedHop> {
-        let mut segments: Vec<Vec<ShardedHop>> =
-            vec![self.translate_hops(runs[run_ix].shard, &hops)];
-        let mut key = runs[run_ix].keys[seed_ix];
-        while key != owner_key {
-            let prev_ix = *origin
-                .get(&key)
-                .expect("every imported state has an exporting run");
-            let rr = &runs[prev_ix];
-            let shard = &self.shards[rr.shard];
-            // The exported state lived at the member's ghost replica on
-            // the exporting shard.
-            let ghost_local = self.members[key.0 as usize]
-                .ghosts
-                .iter()
-                .find(|&&(s, _)| s as usize == rr.shard)
-                .map(|&(_, l)| l)
-                .expect("exported states live at ghost replicas");
-            let out = online::evaluate_seeded(
-                &shard.graph,
-                &snaps[rr.shard],
-                path,
-                &rr.seeds,
-                &shard.ghost,
-                SeededTarget::State(ghost_local, key.1, key.2),
-            );
-            let (hops, seed_ix) = out
-                .witness
-                .expect("replaying an exporting run reaches its export");
-            segments.push(self.translate_hops(rr.shard, &hops));
-            key = rr.keys[seed_ix];
         }
         segments.reverse();
         segments.concat()
@@ -1184,7 +987,7 @@ impl AccessService for ShardedSystem {
     /// the distinct `(owner, path)` conditions compile into one
     /// shared-prefix plan and traverse together as condition bits of a
     /// seeded mask BFS ([`ShardedSystem::evaluate_conditions_batched`]).
-    /// `PerCondition` is the oracle
+    /// `PerCondition` runs one such fixpoint per condition
     /// ([`ShardedSystem::audience_batch_per_condition_with_stats`]).
     /// The per-resource merge semantics are the single-graph system's,
     /// literally (`engine::merge_bundle_audiences`).

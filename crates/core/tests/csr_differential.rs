@@ -7,7 +7,9 @@
 //! specification).
 
 use proptest::prelude::*;
-use socialreach_core::query::evaluate_plan_audiences;
+use socialreach_core::query::{
+    evaluate_plan_audiences, evaluate_plan_batch_seeded, PlanBatchState,
+};
 use socialreach_core::{online, parse_path, BundlePlan, PathExpr};
 use socialreach_graph::{NodeId, SocialGraph};
 
@@ -291,19 +293,23 @@ impl World {
             .collect()
     }
 
-    /// Answers `read` on the mask engines (pooled scratch).
+    /// Answers `read` on the plan engine (pooled scratch); kinds 0 and
+    /// 2 run one path as its one-path plan.
     fn masked(&self, read: &ReadSpec) -> Answer {
         let gi = read.graph % self.graphs.len();
         let (g, snap) = (&self.graphs[gi], &self.snaps[gi]);
         let path = &self.paths[gi][read.path % self.paths[gi].len()];
         let [a, b, c] = read.members.map(|m| self.member(gi, m));
+        let one_path = BundlePlan::compile(&[path]).expect("one chain");
         match read.kind {
             0 => {
-                let mut state = online::SeededBatchState::with_parents(g, snap, path);
-                let run = online::evaluate_audience_batch_seeded_stop(
+                let masks = one_path.chunk_masks(&[0]);
+                let mut state = PlanBatchState::with_parents(g, snap, &one_path.nodes);
+                let run = evaluate_plan_batch_seeded(
                     g,
                     snap,
-                    path,
+                    &one_path.nodes,
+                    &masks,
                     &mut state,
                     &[(a, 0, 0, 1)],
                     &[],
@@ -332,10 +338,19 @@ impl World {
                 Answer::Audiences(evaluate_plan_audiences(g, snap, &plan, &owners).audiences)
             }
             _ => {
-                let mut state = online::SeededBatchState::new(g, snap, path);
+                let masks = one_path.chunk_masks(&[0, 0, 0]);
+                let mut state = PlanBatchState::new(g, snap, &one_path.nodes);
                 let seeds = [(a, 0, 0, 0b001), (b, 0, 0, 0b010), (c, 0, 0, 0b100)];
-                let run =
-                    online::evaluate_audience_batch_seeded(g, snap, path, &mut state, &seeds, &[]);
+                let run = evaluate_plan_batch_seeded(
+                    g,
+                    snap,
+                    &one_path.nodes,
+                    &masks,
+                    &mut state,
+                    &seeds,
+                    &[],
+                    None,
+                );
                 let mut audiences = vec![Vec::new(); 3];
                 for (member, mask) in run.matched {
                     for (bit, audience) in audiences.iter_mut().enumerate() {

@@ -5,8 +5,10 @@
 //!
 //! 1. the single-graph multi-source plan BFS
 //!    (`query::evaluate_plan_audiences`, via the engine's batch path),
-//! 2. the per-condition sharded fixpoint
-//!    (`ShardedSystem::audience_batch_per_condition`), and
+//! 2. the per-condition sharded path — one masked fixpoint per
+//!    condition (`ShardedSystem::audience_batch_per_condition`), which
+//!    shares the driver and engine with the batched path, so every
+//!    comparison with it also has an independent leg below —, and
 //! 3. the reference engine, member-for-member,
 //!
 //! across shard counts {1, 2, 4, 7} — batching, masking and chunking
@@ -328,9 +330,9 @@ fn wide_bundles_chunk_into_words_without_cross_talk() {
 
 /// Round-linearity regression (the visited-persistence fix): a path
 /// that re-enters one shard's hub region k times expands O(region)
-/// states in total, not O(k · region). The per-condition fixpoint
-/// (fresh visited state per round) re-traverses the hub on every
-/// re-entry; the batched engine's round-persistent masks must not.
+/// states in total, not O(k · region). A fixpoint with fresh visited
+/// state per round would re-traverse the hub on every re-entry; the
+/// round-persistent masks must not.
 #[test]
 fn pingpong_fixpoint_expands_the_region_once() {
     const HUB: u32 = 40; // satellites of the shard-0 hub
@@ -426,11 +428,33 @@ fn pingpong_fixpoint_expands_the_region_once() {
         K * HUB
     );
 
-    // Semantics stay equal to the per-condition fixpoint on the same
-    // adversarial topology.
+    // Semantics stay equal to the per-condition path and to a
+    // single-graph deployment of the same members and edges on the
+    // same adversarial topology.
     let rid = sys.share(o);
     sys.allow(rid, "friend+[1..]").unwrap();
     let batched = sys.service().audience_batch(&[rid]).unwrap();
     let per_cond = sys.audience_batch_per_condition(&[rid]).unwrap();
     assert_eq!(batched, per_cond, "semantics agree on the ping-pong graph");
+    let mut single = Deployment::online().build();
+    for m in 0..sys.num_members() {
+        single
+            .writes()
+            .add_user(sys.member_name(NodeId::from_index(m)));
+    }
+    for &(src, label, dst) in sys.edge_log() {
+        single
+            .writes()
+            .add_relationship(src, sys.vocab().label_name(label), dst);
+    }
+    let single_rid = single.writes().add_resource(o);
+    single
+        .writes()
+        .add_rule(single_rid, "friend+[1..]")
+        .unwrap();
+    assert_eq!(
+        batched,
+        single.reads().audience_batch(&[single_rid]).unwrap(),
+        "the single graph agrees on the ping-pong graph"
+    );
 }

@@ -26,6 +26,10 @@ fn readers_race_a_writer_across_epochs() {
         }
         let rid = s.share(members[0]);
         s.allow(rid, "friend+[1..8]").unwrap();
+        // Publish every shard once before the race: publication is
+        // lazy, so without this an interleaving where all appends land
+        // before the first read would publish each shard exactly once.
+        assert_eq!(s.service().check(rid, members[1]).unwrap(), Decision::Grant);
         (rid, members)
     };
 

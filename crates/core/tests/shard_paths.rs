@@ -5,8 +5,12 @@
 //! guarantee that members whose every relationship is cross-shard
 //! ("boundary-only" members) still appear in audiences.
 
-use socialreach_core::{Decision, ShardedSystem};
-use socialreach_graph::ShardAssignment;
+mod common;
+
+use socialreach_core::{
+    online, parse_path, Decision, Deployment, Explanation, PolicyStore, ShardedSystem,
+};
+use socialreach_graph::{NodeId, ShardAssignment, SocialGraph};
 
 /// Pins `names[i]` to `shards[i]`, everyone else hashed.
 fn pinned(shard_count: u32, names: &[&str], shards: &[u32]) -> ShardAssignment {
@@ -214,4 +218,62 @@ fn ghost_attribute_predicates_gate_mid_walk_completion() {
         Decision::Grant,
         "the ghost replica sees the updated attribute"
     );
+}
+
+#[test]
+fn astronomical_depths_check_and_explain_on_the_sparse_engine() {
+    // friend+[1..4000000] needs ~4·10⁶ depth layers, past the flat
+    // engine's caps: every shard runs the sparse plan variant, so its
+    // early exit and its parent chains decide and explain. The graph is
+    // a DAG, so no walk is longer than a few hops.
+    let mut g = SocialGraph::new();
+    let m: Vec<NodeId> = (0..8).map(|i| g.add_node(&format!("u{i}"))).collect();
+    for (s, d) in [
+        (0, 1),
+        (1, 2),
+        (2, 3),
+        (3, 4),
+        (0, 5),
+        (5, 3),
+        (2, 6),
+        (7, 0),
+    ] {
+        g.connect(m[s], "friend", m[d]);
+    }
+    let text = "friend+[1..4000000]";
+    let path = parse_path(text, g.vocab_mut()).unwrap();
+    let mut store = PolicyStore::new();
+    let rid = store.register_resource(m[0]);
+    store.allow(rid, text, &mut g).unwrap();
+
+    let fleet = socialreach_core::remote::spawn_local_fleet(2, false).expect("fleet spawns");
+    let addrs: Vec<_> = fleet.iter().map(|h| h.addr().clone()).collect();
+    for deployment in [
+        Deployment::sharded(1, 5),
+        Deployment::sharded(2, 5),
+        Deployment::networked_with(addrs, 5),
+    ] {
+        let svc = deployment.from_graph(&g, store.clone());
+        let tag = deployment.describe();
+        for requester in g.nodes() {
+            let truth = online::evaluate_reference(&g, m[0], &path, Some(requester));
+            let expect = if truth.granted || requester == m[0] {
+                Decision::Grant
+            } else {
+                Decision::Deny
+            };
+            let decision = svc.reads().check(rid, requester).unwrap();
+            assert_eq!(decision, expect, "{tag}: check of {requester}");
+            match svc.reads().explain(rid, requester).unwrap() {
+                Some(Explanation::Rule { walks }) => {
+                    assert!(truth.granted, "{tag}: a walk for {requester}");
+                    for walk in walks {
+                        common::assert_witness_valid(&g, m[0], requester, &path, &walk.hops);
+                    }
+                }
+                Some(Explanation::Ownership { owner }) => assert_eq!(owner, requester),
+                None => assert_eq!(expect, Decision::Deny, "{tag}: explain of {requester}"),
+            }
+        }
+    }
 }

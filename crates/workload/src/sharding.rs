@@ -123,8 +123,8 @@ impl CrossShardTopology {
     /// mix (`friend` 70% / `colleague` 20% / `parent` 10%) and half of
     /// them reciprocated — mirroring [`crate::spec::GraphSpec::build`]
     /// over this generator's placement-aware ties. Deterministic per
-    /// RNG state; the benches (P11/P12) and the batch-amortization
-    /// workloads share this shape.
+    /// RNG state; bench P11 and the batch-amortization workloads share
+    /// this shape.
     pub fn build_graph(&self, rng: &mut StdRng) -> SocialGraph {
         let ties = self.generate(rng);
         let mut graph = SocialGraph::new();
