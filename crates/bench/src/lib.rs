@@ -12,7 +12,6 @@ use socialreach_core::{JoinEngineConfig, JoinIndexConfig, JoinStrategy, PlanConf
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-pub mod p11;
 pub mod p14;
 pub mod p9;
 

@@ -11,6 +11,9 @@
 //! reaches one shard* — with exactly two production implementations:
 //! the in-process lane of [`crate::sharded`] (a function call) and the
 //! remote lane of [`crate::remote`] (a `Round` exchange on a socket).
+//! A round is send-then-receive on the driver's thread: remote shards
+//! compute in parallel between the two, an in-process lane inside
+//! `send`.
 //!
 //! The shard-local half of a round is shared as well: the in-process
 //! lane and the shard server's `Round` handler both run
@@ -55,41 +58,30 @@ pub(crate) struct LaneRound {
 }
 
 /// How the fixpoint reaches one shard. A lane is built knowing what it
-/// runs — a compiled bundle-plan chunk, or one path's one-path plan
-/// with parent tracking — and opens lazily, when its first seeds
-/// arrive, so shards a traversal never touches allocate and exchange
-/// nothing.
-pub(crate) trait ShardLane: Send {
+/// runs — a compiled bundle-plan chunk, or one path's one-path plan —
+/// and opens lazily, with its first `send`, so shards a traversal never
+/// touches allocate and exchange nothing. Every call comes from the
+/// driver's thread, so an in-process lane's engine takes its scratch
+/// from that thread's pool and gives it back there ([`crate::online`],
+/// "Pooled mask scratch"): a read allocates nothing after warm-up and
+/// resets only what it touched.
+pub(crate) trait ShardLane {
     /// Why a round can fail (`Infallible` in process, a transport or
     /// protocol error over the wire).
-    type Error: Send;
+    type Error;
 
-    /// Called once, on the driver's own thread, before the lane's first
-    /// round: an in-process lane takes its round-persistent engine's
-    /// scratch from the **driver thread's** pool here
-    /// ([`crate::online`], "Pooled mask scratch") and gives it back
-    /// there when the lane is dropped, so a read allocates nothing
-    /// after warm-up and resets only what it touched. Taking on a
-    /// fan-out thread would find that short-lived thread's pool empty
-    /// every round (and memory allocated there and freed by the driver
-    /// stays in that thread's malloc arena: +20 % peak RSS on
-    /// `feed_sharded` when PR 13 measured it). A lane whose opening is
-    /// a remote exchange keeps the default and opens in its first
-    /// [`ShardLane::round`], where the exchange overlaps with the other
-    /// lanes' rounds.
-    fn open(&mut self) {}
+    /// Starts one round: delivers its seeds. `stop` names the member
+    /// whose completion of the final step ends the run early (one-path
+    /// lanes only). A remote lane writes one request frame and returns;
+    /// an in-process lane runs the round here.
+    fn send(&mut self, seeds: &[MaskedExport], stop: Option<u32>) -> Result<(), Self::Error>;
 
-    /// Delivers one round's seeds and returns what the shard's run
-    /// matched and exported. `stop` names the member whose completion
-    /// of the final step ends the run early (one-path lanes only).
-    fn round(
-        &mut self,
-        seeds: &[MaskedExport],
-        stop: Option<u32>,
-    ) -> Result<LaneRound, Self::Error>;
+    /// Finishes the round `send` started: returns what the shard's run
+    /// matched and exported.
+    fn recv(&mut self) -> Result<LaneRound, Self::Error>;
 
     /// Closes the lane. The driver calls this exactly once on every
-    /// lane it delivered a round to, whatever the outcome.
+    /// lane it sent a round to, whatever the outcome.
     fn end(&mut self);
 }
 
@@ -144,14 +136,14 @@ impl FixpointRun {
 /// Some((lane, member))` the run is **targeted**: that lane early-exits
 /// when the member completes the final step, `origin` is recorded and
 /// no audience is collected. `finish` runs on the result while the
-/// lanes are still open — the targeted callers read their witness off
-/// the lanes' parent chains there.
+/// lanes are still open — an `explain` reads its witness off the
+/// lanes' parent chains there.
 pub(crate) fn masked_fixpoint<L: ShardLane, T>(
     lanes: &mut [L],
     home_of: impl Fn(u32) -> usize,
     seeds: &[MaskedExport],
     stop: Option<(usize, u32)>,
-    finish: impl FnOnce(&[L], FixpointRun) -> Result<T, L::Error>,
+    finish: impl FnOnce(&mut [L], FixpointRun) -> Result<T, L::Error>,
 ) -> Result<T, L::Error> {
     let mut opened = vec![false; lanes.len()];
     let result =
@@ -162,8 +154,8 @@ pub(crate) fn masked_fixpoint<L: ShardLane, T>(
     result
 }
 
-/// The round loop of [`masked_fixpoint`]; `opened[i]` is set when lane
-/// `i` is opened, before its first round.
+/// The round loop of [`masked_fixpoint`]; `opened[i]` is set before
+/// lane `i`'s first `send`.
 fn run_rounds<L: ShardLane>(
     lanes: &mut [L],
     opened: &mut [bool],
@@ -191,57 +183,28 @@ fn run_rounds<L: ShardLane>(
     }
 
     while run.hit.is_none() {
-        let mut active: Vec<(usize, &mut L, Vec<MaskedExport>)> = lanes
-            .iter_mut()
-            .zip(&mut pending)
-            .enumerate()
-            .filter(|(_, (_, seeds))| !seeds.is_empty())
-            .map(|(i, (lane, seeds))| (i, lane, std::mem::take(seeds)))
+        let active: Vec<usize> = (0..lanes.len())
+            .filter(|&i| !pending[i].is_empty())
             .collect();
         if active.is_empty() {
             break;
         }
         run.rounds += 1;
-        for (i, lane, _) in &mut active {
-            if !std::mem::replace(&mut opened[*i], true) {
-                lane.open();
-            }
-        }
-        let run_lane = |(i, lane, seeds): (usize, &mut L, Vec<MaskedExport>)| {
+        // Send to every active lane before receiving from any, so the
+        // shards of a networked read compute in parallel.
+        for &i in &active {
+            opened[i] = true;
+            let seeds = std::mem::take(&mut pending[i]);
             let stop = stop
                 .filter(|&(lane, _)| lane == i)
                 .map(|(_, member)| member);
-            (i, lane.round(&seeds, stop))
-        };
-        // Fan out only when it can pay: several active lanes *and*
-        // actual hardware parallelism (a scoped spawn per lane per
-        // round is pure overhead on one core). The driver would only
-        // park while its lanes run, so it runs the last one itself and
-        // spawns the others; `outs` stays in lane order.
-        let inline = active.len() == 1 || cores() == 1;
-        let outs: Vec<(usize, Result<LaneRound, L::Error>)> = if inline {
-            active.into_iter().map(run_lane).collect()
-        } else {
-            std::thread::scope(|scope| {
-                let run_lane = &run_lane;
-                let last = active.pop().expect("several active lanes");
-                let handles: Vec<_> = active
-                    .into_iter()
-                    .map(|task| scope.spawn(move || run_lane(task)))
-                    .collect();
-                let last = run_lane(last);
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard lane panicked"))
-                    .chain(std::iter::once(last))
-                    .collect()
-            })
-        };
+            lanes[i].send(&seeds, stop)?;
+        }
 
-        // Merge in lane order: deterministic regardless of the fan-out
-        // interleaving.
-        for (i, out) in outs {
-            let out = out?;
+        // Receive and merge in lane order: deterministic whatever order
+        // the shards finish in.
+        for i in active {
+            let out = lanes[i].recv()?;
             run.states_expanded[i] += out.states_expanded as usize;
             if run.hit.is_some() {
                 continue; // past the hit only the work census counts
@@ -354,16 +317,6 @@ where
     Ok((audiences, stats))
 }
 
-/// Hardware parallelism, looked up once per process.
-pub(crate) fn cores() -> usize {
-    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *CORES.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    })
-}
-
 // ---------------------------------------------------------------------
 // The shard-local half of a round
 // ---------------------------------------------------------------------
@@ -395,9 +348,10 @@ pub(crate) struct ShardEngine<'a> {
     pub nodes: Cow<'a, [PlanNode]>,
     /// The ε-fork/accept masks of the chunk.
     pub masks: Cow<'a, ChunkMasks>,
-    /// Opened for one path (`BeginEval`, or an in-process targeted
-    /// read) rather than for a bundle-plan chunk (`BeginEvalPlan`):
-    /// only such a session takes a stop member or answers a trace.
+    /// Opened for one path (a targeted read, in process or a
+    /// `SessionSpec::Path` session) rather than for a bundle-plan
+    /// chunk: only such an engine takes a stop member or answers a
+    /// trace.
     pub one_path: bool,
 }
 
@@ -512,8 +466,10 @@ mod tests {
         Export(Vec<MaskedExport>),
         /// Early-exit hit.
         Hit,
-        /// The lane fails mid-round.
-        Fail,
+        /// The lane fails to send the round.
+        FailSend,
+        /// The lane sends the round, then fails to receive its result.
+        FailRecv,
     }
 
     /// An in-memory lane that replays a script (then keeps matching its
@@ -522,7 +478,8 @@ mod tests {
     struct ScriptedLane<'a> {
         script: VecDeque<Step>,
         heard: Vec<Vec<MaskedExport>>,
-        opens: usize,
+        /// The round `send` scripted, until `recv` returns it.
+        sent: Option<Result<LaneRound, &'static str>>,
         ends: &'a AtomicUsize,
     }
 
@@ -531,7 +488,7 @@ mod tests {
             ScriptedLane {
                 script: script.into(),
                 heard: Vec::new(),
-                opens: 0,
+                sent: None,
                 ends,
             }
         }
@@ -540,30 +497,27 @@ mod tests {
     impl ShardLane for ScriptedLane<'_> {
         type Error = &'static str;
 
-        fn open(&mut self) {
-            self.opens += 1;
-        }
-
-        fn round(
-            &mut self,
-            seeds: &[MaskedExport],
-            _stop: Option<u32>,
-        ) -> Result<LaneRound, Self::Error> {
-            assert_eq!(self.opens, 1, "opened once, before the first round");
+        fn send(&mut self, seeds: &[MaskedExport], _stop: Option<u32>) -> Result<(), Self::Error> {
+            assert!(self.sent.is_none(), "one round in flight at a time");
             self.heard.push(seeds.to_vec());
             let exports = match self.script.pop_front() {
                 Some(Step::Export(exports)) => exports,
                 Some(Step::Hit) => {
-                    return Ok(LaneRound {
+                    self.sent = Some(Ok(LaneRound {
                         hit: Some((0, 1)),
                         states_expanded: 1,
                         ..LaneRound::default()
-                    })
+                    }));
+                    return Ok(());
                 }
-                Some(Step::Fail) => return Err("lane failed mid-round"),
+                Some(Step::FailSend) => return Err("lane failed to send"),
+                Some(Step::FailRecv) => {
+                    self.sent = Some(Err("lane failed to receive"));
+                    return Ok(());
+                }
                 None => Vec::new(),
             };
-            Ok(LaneRound {
+            self.sent = Some(Ok(LaneRound {
                 matched: seeds
                     .iter()
                     .map(|s| WireMatch {
@@ -574,11 +528,16 @@ mod tests {
                 exports,
                 hit: None,
                 states_expanded: 1,
-            })
+            }));
+            Ok(())
+        }
+
+        fn recv(&mut self) -> Result<LaneRound, Self::Error> {
+            self.sent.take().expect("received after a send")
         }
 
         fn end(&mut self) {
-            assert_eq!(self.opens, 1, "only opened lanes are ended");
+            assert!(!self.heard.is_empty(), "only lanes sent to are ended");
             self.ends.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -637,18 +596,25 @@ mod tests {
 
     #[test]
     fn a_lane_error_mid_round_ends_every_opened_lane() {
-        let ends: [AtomicUsize; 3] = Default::default();
-        let mut lanes = vec![
-            ScriptedLane::new(
-                &ends[0],
-                vec![Step::Export(vec![export(10, 1), export(20, 1)])],
-            ),
-            ScriptedLane::new(&ends[1], vec![Step::Fail]),
-            ScriptedLane::new(&ends[2], vec![]),
-        ];
-        let err = run(&mut lanes, &[export(0, 1)], None).unwrap_err();
-        assert_eq!(err, "lane failed mid-round");
-        assert_eq!(loads(&ends), vec![1, 1, 1], "failed and healthy alike");
+        // Round 2 has lanes 1 and 2 active; lane 1 fails. A failed send
+        // stops the round before lane 2 is sent to; a failed receive
+        // comes after every active lane was sent its seeds.
+        for (fail, err, ended) in [
+            (Step::FailSend, "lane failed to send", vec![1, 1, 0]),
+            (Step::FailRecv, "lane failed to receive", vec![1, 1, 1]),
+        ] {
+            let ends: [AtomicUsize; 3] = Default::default();
+            let mut lanes = vec![
+                ScriptedLane::new(
+                    &ends[0],
+                    vec![Step::Export(vec![export(10, 1), export(20, 1)])],
+                ),
+                ScriptedLane::new(&ends[1], vec![fail]),
+                ScriptedLane::new(&ends[2], vec![]),
+            ];
+            assert_eq!(run(&mut lanes, &[export(0, 1)], None).unwrap_err(), err);
+            assert_eq!(loads(&ends), ended, "failed and healthy alike: {err}");
+        }
     }
 
     #[test]
@@ -670,49 +636,41 @@ mod tests {
     }
 
     /// A lane over a real parent-tracked engine (member ids are node
-    /// ids; nobody is a ghost) that can panic after its run — with the
-    /// scratch dirty and still lent out.
+    /// ids; nobody is a ghost) that runs its round in `send` and can
+    /// panic in `recv` — with the scratch dirty and still lent out.
     struct EngineLane<'a> {
         graph: &'a SocialGraph,
         snap: &'a CsrSnapshot,
         plan: &'a BundlePlan,
         masks: &'a ChunkMasks,
         engine: Option<PlanBatchState>,
+        sent: Option<LaneRound>,
         panics: bool,
     }
 
     impl ShardLane for EngineLane<'_> {
         type Error = std::convert::Infallible;
 
-        fn open(&mut self) {
-            self.engine = Some(PlanBatchState::with_parents(
-                self.graph,
-                self.snap,
-                &self.plan.nodes,
-            ));
-        }
-
-        fn round(
-            &mut self,
-            seeds: &[MaskedExport],
-            _stop: Option<u32>,
-        ) -> Result<LaneRound, Self::Error> {
+        fn send(&mut self, seeds: &[MaskedExport], _stop: Option<u32>) -> Result<(), Self::Error> {
+            let (graph, snap, nodes) = (self.graph, self.snap, &self.plan.nodes);
+            let engine = self
+                .engine
+                .get_or_insert_with(|| PlanBatchState::with_parents(graph, snap, nodes));
             let seeds: Vec<MaskedSeedState> = seeds
                 .iter()
                 .map(|e| (NodeId(e.key.member), e.key.step, e.key.depth, e.mask))
                 .collect();
             let out = query::evaluate_plan_batch_seeded(
-                self.graph,
-                self.snap,
-                &self.plan.nodes,
+                graph,
+                snap,
+                nodes,
                 self.masks,
-                self.engine.as_mut().expect("opened"),
+                engine,
                 &seeds,
                 &[],
                 None,
             );
-            assert!(!self.panics, "lane failed mid-round");
-            Ok(LaneRound {
+            self.sent = Some(LaneRound {
                 matched: out
                     .matched
                     .iter()
@@ -720,7 +678,13 @@ mod tests {
                     .collect(),
                 states_expanded: out.stats.states_visited as u64,
                 ..LaneRound::default()
-            })
+            });
+            Ok(())
+        }
+
+        fn recv(&mut self) -> Result<LaneRound, Self::Error> {
+            assert!(!self.panics, "lane failed mid-round");
+            Ok(self.sent.take().expect("received after a send"))
         }
 
         fn end(&mut self) {}
@@ -747,12 +711,13 @@ mod tests {
                     plan: &plan,
                     masks: &masks,
                     engine: None,
+                    sent: None,
                     panics,
                 })
                 .collect()
         };
-        // Both lanes are seeded, so with several cores lane 0 panics on
-        // a fan-out thread and lane 1 runs on the driver.
+        // Both lanes are seeded, so both run their round in `send`
+        // before lane 0 panics in `recv`, on the driver thread.
         let seeds = [export(0, 0b01), export(10, 0b10)];
         let read = |mut lanes: Vec<EngineLane<'_>>| {
             masked_fixpoint(&mut lanes, home_of, &seeds, None, |_, run| Ok(run))

@@ -103,8 +103,7 @@
 //! shared-prefix plan ([`query::evaluate_plan_batch_seeded`]): each
 //! shard traverses its local CSR snapshot, exports every product state
 //! visited at a ghost, and the router re-seeds those states at the
-//! member's home shard (parallel scoped threads when several shards are
-//! active in a round) until no new state appears. Witnesses stitch
+//! member's home shard until no new state appears. Witnesses stitch
 //! per-shard walk segments. A differential proptest suite
 //! (`tests/shard_differential.rs`) pins the sharded semantics to the
 //! single-graph system across shard counts.
@@ -129,22 +128,25 @@
 //! audience or one targeted `check`/`explain`, in process or over the
 //! wire — runs the **same** round loop over the **same** engine, the
 //! crate-private `fixpoint::masked_fixpoint`:
-//! take each shard's pending seeds, run the active shards (inline when
-//! one is active or the host has one core; otherwise the driver runs
-//! the last active shard itself and scoped threads run the others),
-//! merge their reports in shard order, forward only condition bits a
-//! home shard has not been sent before, stop on the targeted
-//! requester's hit, and close every shard-side evaluation it opened
-//! whatever the outcome. The loop is generic over a small `ShardLane`
-//! trait (lazy open → `round(seeds, stop)` in global ids → `end`) with
-//! exactly two implementations: the in-process lane of [`sharded`]
-//! (a function call) and the remote lane of [`remote`] (`BeginEval` /
-//! `BeginEvalPlan` → `Round` sub-batches → `EndEval`). The shard-local
+//! take each shard's pending seeds, send every active shard its seeds,
+//! then receive their reports in shard order and merge them, forward
+//! only condition bits a home shard has not been sent before, stop on
+//! the targeted requester's hit, and end every lane it opened whatever
+//! the outcome. Everything runs on the caller's thread: remote shards
+//! compute in parallel in their own processes between the send and the
+//! receive, and an in-process shard runs its round inside the send.
+//! The loop is generic over a small `ShardLane` trait (`send(seeds,
+//! stop)` in global ids → `recv` → `end`, opening lazily on the first
+//! send) with exactly two implementations: the in-process lane of
+//! [`sharded`] (a function call) and the remote lane of [`remote`] (one
+//! request frame and one response frame per round on a pooled
+//! connection; the first round opens the shard's session). The shard-local
 //! half of a round — global→local seed translation, one plan-engine
 //! run, ghost filtering, local→global exports — is likewise one
 //! function, called by the in-process lane and by the shard server's
 //! `Round` handler. [`ShardedSystem`] and [`NetworkedSystem`]
-//! contribute seed construction and witness stitching; the
+//! contribute seed construction and, for `explain` only, parent
+//! tracking and witness stitching (a `check` needs neither); the
 //! single-graph backend needs no lanes and calls the plan engine
 //! directly. Per-condition sharded reads
 //! ([`ShardedSystem::evaluate_condition`]) run this driver too, so
@@ -208,9 +210,9 @@
 //! witnesses from remote `Trace` segments. Mutations publish through a
 //! two-phase **epoch fence** — `Prepare` everywhere, then `Commit`
 //! everywhere; any prepare failure aborts the epoch on every shard
-//! that staged it — and reads carry the expected epoch in `BeginEval`,
-//! so a lagging shard refuses the evaluation rather than serving a
-//! torn epoch. Transport faults surface as typed
+//! that staged it — and reads carry the expected epoch in each shard's
+//! first round, so a lagging shard refuses the evaluation rather than
+//! serving a torn epoch. Transport faults surface as typed
 //! [`EvalError::Remote`] errors, never as a wrong decision; a
 //! wire-level conformance and fault-injection tier
 //! (`tests/wire_roundtrip.rs`, `tests/remote_faults.rs`,
@@ -234,7 +236,7 @@
 //! masked multi-source BFS ([`query::engine`]) walks each shared
 //! prefix once per 64-condition chunk, and condition masks fork only
 //! where paths diverge — on the single graph, inside the sharded
-//! fixpoint, and across the wire (`BeginEvalPlan`). The compression
+//! fixpoint, and across the wire (a plan session). The compression
 //! achieved is reported per read as
 //! [`ReadStats::plan_states`]/[`ReadStats::expr_states`] and feeds the
 //! adaptive planner's per-resource profiles. A bundle past the

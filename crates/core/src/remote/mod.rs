@@ -35,28 +35,34 @@
 //! everywhere; once *all* shards prepared, the epoch is presumed
 //! committed — a shard that misses its commit is marked down and
 //! caught up from the router's per-shard op log on reconnect. Reads
-//! open every evaluation with the epoch the router believes current
-//! ([`proto::Request::BeginEval`]) and shards refuse mismatches, so a
-//! half-committed fleet returns a typed error instead of a torn
-//! mixed-epoch answer.
+//! open each shard's session with their first round
+//! ([`proto::Request::OpenRound`]), which carries the epoch the router
+//! believes current, and shards refuse mismatches. A session records
+//! its epoch, and a round or trace after a later commit is refused too,
+//! so a half-committed fleet — or a commit racing a read — returns a
+//! typed, retryable error instead of a torn mixed-epoch answer.
 //!
 //! # Batching and backpressure
 //!
-//! A fixpoint round's seeds for one shard are split into
-//! [`MAX_ROUND_EXPORTS`]-sized `Round` requests sent back-to-back on
-//! the shard's connection — at most one bounded frame in flight per
-//! shard, so a giant frontier can never balloon a single frame (the
-//! engine's round-persistent visited state makes the split
-//! semantically free, and re-delivered bits are absorbed, so
-//! duplicated or reordered batches cannot change a decision).
+//! A read exchanges one request frame and one response frame per shard
+//! and round; sessions open with the first round and never close by
+//! message. A round's seeds for one shard are split into
+//! [`MAX_ROUND_EXPORTS`]-sized requests, the sub-batches after the
+//! first exchanged one at a time — at most one bounded frame in flight
+//! per connection, so a giant frontier can never balloon a frame nor a
+//! full socket buffer deadlock a reply against a request (the engine's
+//! round-persistent visited state makes the split semantically free,
+//! and re-delivered bits are absorbed, so duplicated or reordered
+//! batches cannot change a decision).
 //!
 //! # Failure model
 //!
 //! Transport failures surface as [`RemoteError`] (wrapped in
 //! [`crate::EvalError::Remote`]): the router drops the failed
-//! connection, retries the whole read once after re-dialing (a fresh
-//! shard is replayed from the op log first), and otherwise returns the
-//! typed error — never a wrong decision. The fault-injection suite
+//! connection (it never goes back to the pool), retries the whole read
+//! once on another connection (a freshly dialed one is replayed from
+//! the op log first), and otherwise returns the typed error — never a
+//! wrong decision. The fault-injection suite
 //! drives torn frames, short reads, corrupt bytes, stalls and
 //! kill/restart through a byte-level proxy to pin exactly that.
 
@@ -77,7 +83,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 /// Cap on masked exports per `Round` request: the per-round batching
-/// unit and the in-flight bound (one request frame at a time per shard
+/// unit and the in-flight bound (one request frame at a time per
 /// connection).
 pub const MAX_ROUND_EXPORTS: usize = 512;
 
@@ -160,8 +166,9 @@ pub enum RemoteError {
         /// The shard's refusal.
         refusal: WireRefusal,
     },
-    /// The shard is marked down (its connection dropped and re-dialing
-    /// has not succeeded).
+    /// The shard is marked down. No longer produced since reads dial
+    /// on demand from a connection pool; a dead shard surfaces as
+    /// [`RemoteError::Connect`] or [`RemoteError::Io`].
     ShardDown {
         /// The shard index.
         shard: u32,

@@ -20,6 +20,14 @@
 //!   epoch; evaluations open with the epoch the router believes is
 //!   current and are refused on mismatch, so a half-committed fleet
 //!   can never serve a mixed-epoch read.
+//!
+//! A read exchanges one request frame and one response frame per lane
+//! and round, and nothing else. A lane's first round is an
+//! [`Request::OpenRound`]: it carries the lane's [`SessionSpec`] and is
+//! answered by that round's result, or by the open's refusal. Later
+//! rounds are plain [`Request::Round`]s. A session belongs to the
+//! connection that opened it and lives until that connection opens its
+//! next session or closes, so there is no close message either.
 
 use serde::{Deserialize, Serialize};
 use socialreach_graph::shard::MaskedExport;
@@ -28,7 +36,7 @@ use socialreach_graph::AttrValue;
 /// Wire-protocol version, checked in the `Hello` handshake. Bump on
 /// any incompatible message change (the golden-bytes pins in the
 /// round-trip suite catch accidental ones).
-pub const PROTOCOL_VERSION: u32 = 1;
+pub const PROTOCOL_VERSION: u32 = 2;
 
 /// One shard-local mutation, shipped inside a `Prepare` batch. All
 /// member ids are global; names ride along because each shard interns
@@ -62,6 +70,45 @@ pub enum ShardOp {
         label: String,
         /// Global id of the target member.
         dst: u32,
+    },
+}
+
+/// What an evaluation session runs, sent with the lane's first round
+/// ([`Request::OpenRound`]). Either body is refused unless `epoch`
+/// matches the shard's published epoch (the read half of the fence).
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub enum SessionSpec {
+    /// One path, run as its one-path plan, whose node ids are the step
+    /// indexes, with every condition bit riding the path's chain;
+    /// round seeds carry step indexes in the `step` slot. The targeted
+    /// check/explain session: it accepts a stop member, and built with
+    /// `parents` it answers `Trace`.
+    Path {
+        /// The epoch the router expects the shard to serve.
+        epoch: u64,
+        /// The path expression, in canonical text
+        /// ([`crate::path::PathExpr::to_text`]); the shard re-parses
+        /// it against its synchronized vocabulary.
+        path: String,
+        /// Mask word this evaluation's bits live in.
+        word: u32,
+        /// Build the engine with first-arrival parent tracking (the
+        /// `explain` path; enables `Trace`).
+        parents: bool,
+    },
+    /// A **shared-prefix trie plan** ([`crate::query::BundlePlan`])
+    /// shipped whole: `nodes` carries the plan's trie with each node's
+    /// step in canonical text and its per-chunk condition masks baked
+    /// in, and round seeds carry *plan node ids* in the `step` slot of
+    /// their masked keys. Plan sessions serve batched audience
+    /// fixpoints only — they refuse a stop member and `Trace`.
+    Plan {
+        /// The epoch the router expects the shard to serve.
+        epoch: u64,
+        /// The trie nodes; vector index is the plan node id.
+        nodes: Vec<WirePlanNode>,
+        /// Mask word this evaluation's bits live in.
+        word: u32,
     },
 }
 
@@ -102,58 +149,30 @@ pub enum Request {
         /// The epoch being abandoned.
         epoch: u64,
     },
-    /// Open a masked-fixpoint evaluation session over one path. The
-    /// shard runs it as the path's one-path plan, whose node ids are
-    /// the step indexes, with every condition bit riding the path's
-    /// chain; `Round` seeds carry step indexes in the `step` slot. The
-    /// targeted check/explain session: it accepts `Round.stop`, and
-    /// built with `parents` it answers `Trace`. Refused unless `epoch`
-    /// matches the shard's published epoch (the read half of the
-    /// fence).
-    BeginEval {
-        /// Router-unique evaluation id (shared by every shard of one
-        /// evaluation).
+    /// A lane's first round: drops the connection's previous session,
+    /// opens `session` on this connection under the name `eval`, then
+    /// runs the round exactly as [`Request::Round`] does and answers
+    /// with its response. An open the shard cannot serve (epoch fence,
+    /// unparsable text, uninterned vocabulary, an empty plan) is
+    /// answered with the refusal instead, and leaves no session.
+    OpenRound {
+        /// The evaluation id: the session's name.
         eval: u64,
-        /// The epoch the router expects the shard to serve.
-        epoch: u64,
-        /// The path expression, in canonical text
-        /// ([`crate::path::PathExpr::to_text`]); the shard re-parses
-        /// it against its synchronized vocabulary.
-        path: String,
-        /// Mask word this evaluation's bits live in.
-        word: u32,
-        /// Build the engine with first-arrival parent tracking (the
-        /// targeted check/explain path; enables `Trace`).
-        parents: bool,
+        /// What the session runs.
+        session: SessionSpec,
+        /// The seeds, as in [`Request::Round`].
+        seeds: Vec<MaskedExport>,
+        /// The early-exit target, as in [`Request::Round`].
+        stop: Option<u32>,
     },
-    /// Open a masked-fixpoint evaluation session over a **shared-prefix
-    /// trie plan** ([`crate::query::BundlePlan`]) shipped whole:
-    /// `nodes` carries the plan's trie with each node's step in
-    /// canonical text and its per-chunk condition masks baked in, and
-    /// subsequent `Round` seeds carry *plan node ids* in the `step`
-    /// slot of their masked keys. Plan sessions serve batched audience
-    /// fixpoints only — they refuse `Round.stop` and `Trace` (targeted
-    /// check/explain opens with `BeginEval`). Refused unless `epoch`
-    /// matches, exactly like `BeginEval`. Appended in protocol version
-    /// 1: the variant is new but no existing message changed shape.
-    BeginEvalPlan {
-        /// Router-unique evaluation id (shared by every shard of one
-        /// evaluation).
-        eval: u64,
-        /// The epoch the router expects the shard to serve.
-        epoch: u64,
-        /// The trie nodes; vector index is the plan node id.
-        nodes: Vec<WirePlanNode>,
-        /// Mask word this evaluation's bits live in.
-        word: u32,
-    },
-    /// Deliver one batch of masked seeds to an open evaluation and run
-    /// the shard's slice of the fixpoint round. Seeds are
-    /// [`MaskedExport`]s in global coordinates; the engine's visited
-    /// state persists across rounds, so re-delivered bits are
+    /// Deliver one batch of masked seeds to the connection's open
+    /// session and run the shard's slice of the fixpoint round. Seeds
+    /// are [`MaskedExport`]s in global coordinates; the engine's
+    /// visited state persists across rounds, so re-delivered bits are
     /// harmlessly absorbed (duplicate batches can never double-report).
     Round {
-        /// The evaluation id.
+        /// The evaluation id; any id but the connection's open
+        /// session's is refused.
         eval: u64,
         /// The seeds (global member coordinates + condition bits).
         seeds: Vec<MaskedExport>,
@@ -174,18 +193,13 @@ pub enum Request {
         /// Saturated depth of the traced state.
         depth: u32,
     },
-    /// Close an evaluation session and free its engine.
-    EndEval {
-        /// The evaluation id.
-        eval: u64,
-    },
     /// Size census of the shard.
     Census,
     /// Ask the server process to shut down.
     Shutdown,
 }
 
-/// One trie node of a shipped bundle plan (`BeginEvalPlan`): a
+/// One trie node of a shipped bundle plan ([`SessionSpec::Plan`]): a
 /// single-step path expression in canonical text plus the trie edges
 /// and this chunk's condition masks. The wire plan is chunk-specific —
 /// one evaluation session serves one 64-condition mask word, so the
@@ -247,8 +261,9 @@ pub enum WireRefusal {
         /// The epoch the request carried.
         requested: u64,
     },
-    /// The evaluation id is not open (e.g. the shard restarted or a
-    /// commit invalidated in-flight sessions).
+    /// The evaluation id is not this connection's open session: it was
+    /// never opened here, a later open replaced it, or a commit
+    /// invalidated it.
     UnknownEval {
         /// The offending evaluation id.
         eval: u64,
@@ -303,7 +318,7 @@ pub enum Response {
         /// Member copies the shard holds (home + ghosts).
         nodes: u64,
     },
-    /// Generic acknowledgement (`Intern`, `EndEval`, `Shutdown`).
+    /// Generic acknowledgement (`Intern`, `Shutdown`).
     Ok,
     /// `Prepare` staged.
     Prepared {
@@ -320,12 +335,8 @@ pub enum Response {
         /// The abandoned epoch.
         epoch: u64,
     },
-    /// `BeginEval` opened the session.
-    EvalOpen {
-        /// The evaluation id.
-        eval: u64,
-    },
-    /// One shard round of the masked fixpoint.
+    /// One shard round of the masked fixpoint (answers both
+    /// `OpenRound` and `Round`).
     Round {
         /// Members newly completing the final step (ghost copies
         /// already filtered — only home members are reported).
@@ -398,6 +409,15 @@ mod tests {
 
     #[test]
     fn requests_round_trip() {
+        let seeds = vec![MaskedExport {
+            key: MaskedStateKey {
+                member: 7,
+                step: 2,
+                depth: 9,
+                word: 1,
+            },
+            mask: 0b1011,
+        }];
         let reqs = [
             Request::Hello {
                 version: PROTOCOL_VERSION,
@@ -426,36 +446,32 @@ mod tests {
                     },
                 ],
             },
-            Request::BeginEvalPlan {
+            Request::OpenRound {
                 eval: 11,
-                epoch: 3,
-                nodes: vec![
-                    WirePlanNode {
-                        step: "friend+[1..2]".into(),
-                        children: vec![1],
-                        mask: 0b11,
-                        accept: 0b01,
-                    },
-                    WirePlanNode {
-                        step: "colleague+[1]".into(),
-                        children: vec![],
-                        mask: 0b10,
-                        accept: 0b10,
-                    },
-                ],
-                word: 0,
+                session: SessionSpec::Plan {
+                    epoch: 3,
+                    nodes: vec![
+                        WirePlanNode {
+                            step: "friend+[1..2]".into(),
+                            children: vec![1],
+                            mask: 0b11,
+                            accept: 0b01,
+                        },
+                        WirePlanNode {
+                            step: "colleague+[1]".into(),
+                            children: vec![],
+                            mask: 0b10,
+                            accept: 0b10,
+                        },
+                    ],
+                    word: 0,
+                },
+                seeds: seeds.clone(),
+                stop: None,
             },
             Request::Round {
                 eval: 12,
-                seeds: vec![MaskedExport {
-                    key: MaskedStateKey {
-                        member: 7,
-                        step: 2,
-                        depth: 9,
-                        word: 1,
-                    },
-                    mask: 0b1011,
-                }],
+                seeds,
                 stop: Some(9),
             },
         ];

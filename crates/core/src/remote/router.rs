@@ -17,25 +17,33 @@
 //! `Commit` everywhere; any prepare failure aborts the epoch). Once
 //! every shard has prepared, the epoch is *presumed committed*: the
 //! router records it in the op log and advances before sending
-//! commits, so a shard that dies between its prepare and its commit is
-//! simply marked down and replayed from the op log on revival — the
-//! fleet can never end up split between epochs from the router's point
-//! of view, and a shard that *is* behind refuses `BeginEval`'s epoch
-//! check rather than serving a torn read.
+//! commits, so a shard that misses its commit has its idle connections
+//! dropped and is replayed from the op log when the next connection to
+//! it is dialed — the fleet can never end up split between epochs from
+//! the router's point of view, and a shard that *is* behind refuses a
+//! read's epoch rather than serving a torn read.
+//!
+//! Each shard has a pool of idle connections. A read checks one out
+//! per shard it reaches and keeps it for every round and `Trace` of
+//! the read, since the shard-side session lives on it; it goes back
+//! only if every exchange on it completed. Writes and
+//! [`NetworkedSystem::shard_census`] check out the same way. An empty
+//! pool dials through `revive` (handshake, full vocabulary, op-log
+//! catch-up). Owned connections let a read keep a request in flight on
+//! every shard at once, and readers never wait on each other.
 //!
 //! Reads are `&self` and run the in-process backend's round loop,
 //! literally: both call `crate::fixpoint::masked_fixpoint`, and this
-//! module only contributes the remote lane (`BeginEval`/`BeginEvalPlan`
-//! → `Round` sub-batches → `EndEval` on one shard's connection), seed
-//! construction and `Trace`-based witness stitching. The driver closes
-//! every session it opened even when a lane fails mid-round. On a
-//! retryable transport failure the router re-dials every down shard
-//! (op-log catch-up included) and re-runs the whole evaluation once
-//! with fresh evaluation ids — the engines' masked state is
-//! per-evaluation, so a retry cannot observe leftovers.
+//! module only contributes the remote lane (an `OpenRound` on the
+//! lane's first send, then one `Round` per round and sub-batch), seed
+//! construction and `Trace`-based witness stitching for `explain`. A
+//! `check` opens its sessions without parent tracking and sends no
+//! `Trace`. On a retryable failure the router re-runs the whole
+//! evaluation once with fresh evaluation ids — the engines' masked
+//! state is per-evaluation, so a retry cannot observe leftovers.
 
 use super::frame::{self, FrameError};
-use super::proto::{self, Request, Response, ShardOp, PROTOCOL_VERSION};
+use super::proto::{self, Request, Response, SessionSpec, ShardOp, PROTOCOL_VERSION};
 use super::{Conn, RemoteError, ShardAddr, DEFAULT_READ_TIMEOUT, MAX_ROUND_EXPORTS};
 use crate::decision::{self, DecisionCache};
 use crate::error::EvalError;
@@ -89,13 +97,39 @@ impl ShardClient {
 
     /// One request/response exchange on the framed stream.
     fn call(&mut self, req: &Request) -> Result<Response, RemoteError> {
+        self.send(req)?;
+        self.recv()
+    }
+
+    /// [`ShardClient::call`] with a typed refusal lifted into the
+    /// error.
+    fn exchange(&mut self, req: &Request) -> Result<Response, RemoteError> {
+        match self.call(req)? {
+            Response::Refused(refusal) => Err(self.refused(refusal)),
+            resp => Ok(resp),
+        }
+    }
+
+    /// Writes one request frame.
+    fn send(&mut self, req: &Request) -> Result<(), RemoteError> {
         frame::write_frame(&mut self.conn, &proto::encode_request(req))
-            .map_err(|e| self.classify(e))?;
+            .map_err(|e| self.classify(e))
+    }
+
+    /// Reads one response frame.
+    fn recv(&mut self) -> Result<Response, RemoteError> {
         let payload = frame::read_frame(&mut self.conn).map_err(|e| self.classify(e))?;
         proto::decode_response(&payload).map_err(|detail| RemoteError::Protocol {
             addr: self.addr.clone(),
             detail,
         })
+    }
+
+    fn refused(&self, refusal: proto::WireRefusal) -> RemoteError {
+        RemoteError::Refused {
+            addr: self.addr.clone(),
+            refusal,
+        }
     }
 
     /// Maps a frame-layer failure to the typed remote error.
@@ -134,10 +168,12 @@ impl ShardClient {
     }
 }
 
-/// Per-shard connection lane: the client (None = marked down) plus how
-/// much of the master vocabulary the shard has acknowledged interning.
-struct Lane {
-    client: Option<ShardClient>,
+/// One shard's endpoint and idle connections (see the module docs,
+/// "Each shard has a pool"), plus how much of the master vocabulary the
+/// shard has acknowledged interning.
+struct ShardPool {
+    addr: ShardAddr,
+    idle: Vec<ShardClient>,
     synced_labels: usize,
     synced_attrs: usize,
 }
@@ -149,75 +185,136 @@ struct NetMember {
     ghosts: Vec<u32>,
 }
 
-/// The remote [`ShardLane`]: one shard process, reached by
-/// `BeginEval`/`BeginEvalPlan` → `Round` sub-batches → `EndEval` on
-/// its connection (each lane locks only its own shard's connection, so
-/// the driver's scoped threads never contend).
+/// The remote [`ShardLane`]: one shard process, reached over the
+/// connection the lane checks out on its first send and keeps until
+/// its end. A round is one `Round` frame out in `send` and its response
+/// in `recv`; a round of more than [`MAX_ROUND_EXPORTS`] seeds
+/// exchanges its later sub-batches one at a time inside `recv`, so at
+/// most one request frame is in flight on the connection.
 struct RemoteLane<'a> {
     sys: &'a NetworkedSystem,
     shard: usize,
     eval: u64,
-    /// The prebuilt open request, sent on the first round.
-    begin: &'a Request,
-    begun: bool,
+    /// The session the lane's first round opens.
+    session: &'a SessionSpec,
+    /// The checked-out connection; dropped on any error.
+    client: Option<ShardClient>,
+    /// Whether the session was opened (its `OpenRound` sent).
+    opened: bool,
+    /// A request was sent and its response not yet read.
+    in_flight: bool,
+    /// The current round's seeds past its first sub-batch.
+    rest: Vec<MaskedExport>,
+    stop: Option<u32>,
+}
+
+impl RemoteLane<'_> {
+    /// Writes one sub-batch of the current round; the lane's first
+    /// opens its session.
+    fn write(&mut self, seeds: &[MaskedExport]) -> Result<(), RemoteError> {
+        let (eval, seeds, stop) = (self.eval, seeds.to_vec(), self.stop);
+        let req = if std::mem::replace(&mut self.opened, true) {
+            Request::Round { eval, seeds, stop }
+        } else {
+            Request::OpenRound {
+                eval,
+                session: self.session.clone(),
+                seeds,
+                stop,
+            }
+        };
+        self.in_flight = true;
+        self.conn().send(&req)
+    }
+
+    /// Reads one sub-batch's response into `out`; returns whether it
+    /// carried the hit.
+    fn read(&mut self, out: &mut LaneRound) -> Result<bool, RemoteError> {
+        let resp = self.conn().recv()?;
+        self.in_flight = false;
+        match resp {
+            Response::Round {
+                matched,
+                exports,
+                hit,
+                states_expanded,
+            } => {
+                out.matched.extend(matched);
+                out.exports.extend(exports);
+                out.states_expanded += states_expanded;
+                out.hit = hit;
+                Ok(hit.is_some())
+            }
+            Response::Refused(refusal) => Err(self.conn().refused(refusal)),
+            other => Err(self.conn().unexpected("Round", &other)),
+        }
+    }
+
+    /// One `Trace` exchange on the lane's session.
+    fn trace(&mut self, member: u32, step: u16, depth: u32) -> Result<Response, RemoteError> {
+        let req = Request::Trace {
+            eval: self.eval,
+            member,
+            step,
+            depth,
+        };
+        let resp = self.conn().exchange(&req);
+        self.keep_if_ok(resp)
+    }
+
+    fn conn(&mut self) -> &mut ShardClient {
+        self.client
+            .as_mut()
+            .expect("a lane's connection is checked out from its first send until an error")
+    }
+
+    /// Drops the connection if `result` is an error: mid-exchange it
+    /// cannot be trusted, and it is never returned to the pool.
+    fn keep_if_ok<T>(&mut self, result: Result<T, RemoteError>) -> Result<T, RemoteError> {
+        if result.is_err() {
+            self.client = None;
+        }
+        result
+    }
 }
 
 impl ShardLane for RemoteLane<'_> {
     type Error = RemoteError;
 
-    /// Opens the evaluation on the shard if this is its first
-    /// activation, then delivers the seeds in
-    /// [`MAX_ROUND_EXPORTS`]-sized sub-batches (at most one frame in
-    /// flight per shard). Returns the merged outcome; an early-exit hit
-    /// stops further delivery.
-    fn round(
-        &mut self,
-        seeds: &[MaskedExport],
-        stop: Option<u32>,
-    ) -> Result<LaneRound, RemoteError> {
-        let (sys, shard, eval) = (self.sys, self.shard, self.eval);
-        if !self.begun {
-            sys.ensure_vocab(shard)?;
-            match sys.call_shard(shard, self.begin)? {
-                Response::EvalOpen { .. } => self.begun = true,
-                other => return Err(sys.unexpected(shard, "EvalOpen", &other)),
-            }
+    fn send(&mut self, seeds: &[MaskedExport], stop: Option<u32>) -> Result<(), RemoteError> {
+        if self.client.is_none() {
+            self.client = Some(self.sys.checkout(self.shard)?);
         }
-        let mut out = LaneRound::default();
-        for chunk in seeds.chunks(MAX_ROUND_EXPORTS) {
-            let req = Request::Round {
-                eval,
-                seeds: chunk.to_vec(),
-                stop,
-            };
-            match sys.call_shard(shard, &req)? {
-                Response::Round {
-                    matched,
-                    exports,
-                    hit,
-                    states_expanded,
-                } => {
-                    out.matched.extend(matched);
-                    out.exports.extend(exports);
-                    out.states_expanded += states_expanded;
-                    if hit.is_some() {
-                        out.hit = hit;
-                        break;
-                    }
-                }
-                other => return Err(sys.unexpected(shard, "Round", &other)),
-            }
-        }
-        Ok(out)
+        let (first, rest) = seeds.split_at(seeds.len().min(MAX_ROUND_EXPORTS));
+        self.rest = rest.to_vec();
+        self.stop = stop;
+        let sent = self.write(first);
+        self.keep_if_ok(sent)
     }
 
-    /// Closes the shard-side session if one was opened (best-effort: a
-    /// dead shard's sessions died with it).
+    /// Reads the first sub-batch's response, then exchanges the rest
+    /// one at a time; an early-exit hit stops further delivery.
+    fn recv(&mut self) -> Result<LaneRound, RemoteError> {
+        let rest = std::mem::take(&mut self.rest);
+        let mut out = LaneRound::default();
+        let mut read = self.read(&mut out);
+        for chunk in rest.chunks(MAX_ROUND_EXPORTS) {
+            if !matches!(read, Ok(false)) {
+                break;
+            }
+            read = self.write(chunk).and_then(|()| self.read(&mut out));
+        }
+        self.keep_if_ok(read).map(|_| out)
+    }
+
+    /// Returns the connection to the pool if nothing is in flight on
+    /// it. The shard-side session stays open until the connection's
+    /// next open, so closing costs no exchange.
     fn end(&mut self) {
-        if self.begun {
-            let _ = self
-                .sys
-                .call_shard(self.shard, &Request::EndEval { eval: self.eval });
+        if let Some(client) = self.client.take() {
+            if !self.in_flight {
+                self.sys.checkin(self.shard, client);
+            }
         }
     }
 }
@@ -225,10 +322,10 @@ impl ShardLane for RemoteLane<'_> {
 /// The networked deployment's router (see the module docs).
 pub struct NetworkedSystem {
     assignment: ShardAssignment,
-    /// Shard endpoints; retargetable so a shard restarted on a new
-    /// ephemeral port can be re-registered ([`NetworkedSystem::retarget`]).
-    addrs: Vec<Mutex<ShardAddr>>,
-    lanes: Vec<Mutex<Lane>>,
+    /// Per shard: the endpoint (retargetable, so a shard restarted on a
+    /// new ephemeral port can be re-registered —
+    /// [`NetworkedSystem::retarget`]) and its idle connections.
+    pools: Vec<Mutex<ShardPool>>,
     /// Master vocabulary; every shard interns the same names in the
     /// same order (`Intern` requests), so `LabelId`/`AttrKey` values
     /// agree fleet-wide.
@@ -272,11 +369,12 @@ impl NetworkedSystem {
         let n = addrs.len();
         let sys = NetworkedSystem {
             assignment,
-            addrs: addrs.iter().cloned().map(Mutex::new).collect(),
-            lanes: (0..n)
-                .map(|_| {
-                    Mutex::new(Lane {
-                        client: None,
+            pools: addrs
+                .iter()
+                .map(|addr| {
+                    Mutex::new(ShardPool {
+                        addr: addr.clone(),
+                        idle: Vec::new(),
                         synced_labels: 0,
                         synced_attrs: 0,
                     })
@@ -297,7 +395,8 @@ impl NetworkedSystem {
             read_timeout: DEFAULT_READ_TIMEOUT,
         };
         for shard in 0..n {
-            sys.revive(shard)?;
+            let client = sys.revive(shard)?;
+            sys.checkin(shard, client);
         }
         Ok(sys)
     }
@@ -337,21 +436,22 @@ impl NetworkedSystem {
     }
 
     /// Sets the per-exchange read timeout on future connections (tests
-    /// shrink it to exercise the stall path). Existing connections are
+    /// shrink it to exercise the stall path). Idle connections are
     /// dropped so the new patience applies immediately.
     pub fn set_read_timeout(&mut self, timeout: Duration) {
         self.read_timeout = timeout;
-        for lane in &self.lanes {
-            lane.lock().client = None;
+        for pool in &self.pools {
+            pool.lock().idle.clear();
         }
     }
 
     /// Re-registers a shard's endpoint (a restarted server usually
-    /// lands on a new ephemeral port) and drops the old connection;
+    /// lands on a new ephemeral port) and drops its idle connections;
     /// the next exchange re-dials and replays the op log.
     pub fn retarget(&self, shard: usize, addr: ShardAddr) {
-        *self.addrs[shard].lock() = addr;
-        self.lanes[shard].lock().client = None;
+        let mut pool = self.pools[shard].lock();
+        pool.addr = addr;
+        pool.idle.clear();
     }
 
     /// The placement function.
@@ -361,7 +461,7 @@ impl NetworkedSystem {
 
     /// Number of shards.
     pub fn num_shards(&self) -> usize {
-        self.lanes.len()
+        self.pools.len()
     }
 
     /// The fleet's current epoch (every committed mutation batch
@@ -407,7 +507,7 @@ impl NetworkedSystem {
     /// Live size census of every shard (`(members, ghosts, edges,
     /// epoch)` per shard), fetched over the wire.
     pub fn shard_census(&self) -> Result<Vec<(u64, u64, u64, u64)>, RemoteError> {
-        (0..self.lanes.len())
+        (0..self.pools.len())
             .map(|shard| match self.call_reviving(shard, &Request::Census)? {
                 Response::Census {
                     members,
@@ -423,7 +523,7 @@ impl NetworkedSystem {
     /// Asks every shard process to shut down (best-effort; used by the
     /// CLI drill for a clean fleet teardown).
     pub fn shutdown_fleet(&self) {
-        for shard in 0..self.lanes.len() {
+        for shard in 0..self.pools.len() {
             let _ = self.call_shard(shard, &Request::Shutdown);
         }
     }
@@ -432,51 +532,60 @@ impl NetworkedSystem {
     // Connection management
     // ------------------------------------------------------------------
 
-    /// One exchange with a shard. A transport failure marks the lane
-    /// down (the connection cannot be trusted mid-stream); a typed
-    /// refusal keeps it (the stream is still framed correctly).
-    fn call_shard(&self, shard: usize, req: &Request) -> Result<Response, RemoteError> {
-        let mut lane = self.lanes[shard].lock();
-        let Some(client) = lane.client.as_mut() else {
-            return Err(RemoteError::ShardDown {
-                shard: shard as u32,
-            });
+    /// Checks out a connection to `shard`: an idle one, or a fresh
+    /// dial through [`NetworkedSystem::revive`]. Either way the shard
+    /// has interned the whole master vocabulary before the caller's
+    /// first exchange, so vocabulary grown by `allow`/`parse` (which
+    /// touch no shard) reaches the fleet.
+    fn checkout(&self, shard: usize) -> Result<ShardClient, RemoteError> {
+        let idle = self.pools[shard].lock().idle.pop();
+        let Some(mut client) = idle else {
+            return self.revive(shard);
         };
-        match client.call(req) {
-            Ok(Response::Refused(refusal)) => Err(RemoteError::Refused {
-                addr: client.addr.clone(),
-                refusal,
-            }),
-            Ok(resp) => Ok(resp),
-            Err(e) => {
-                lane.client = None;
-                Err(e)
-            }
-        }
+        self.sync_vocab(shard, &mut client)?;
+        Ok(client)
     }
 
-    /// [`NetworkedSystem::call_shard`] with one revive-and-retry on a
-    /// retryable failure. Only safe for requests that are idempotent
-    /// across a shard restart (`Intern`, `Prepare`, `Commit`, `Abort`,
-    /// `Census`, `Shutdown`) — evaluation requests retry at the
-    /// whole-read level instead, with fresh evaluation ids.
+    /// Returns a connection whose every exchange completed.
+    fn checkin(&self, shard: usize, client: ShardClient) {
+        self.pools[shard].lock().idle.push(client);
+    }
+
+    /// One exchange with a shard on a checked-out connection. A typed
+    /// refusal returns the connection to the pool (the stream is still
+    /// framed correctly); a transport failure drops it.
+    fn call_shard(&self, shard: usize, req: &Request) -> Result<Response, RemoteError> {
+        let mut client = self.checkout(shard)?;
+        let resp = client.call(req)?;
+        let result = match resp {
+            Response::Refused(refusal) => Err(client.refused(refusal)),
+            resp => Ok(resp),
+        };
+        self.checkin(shard, client);
+        result
+    }
+
+    /// [`NetworkedSystem::call_shard`] with one retry, on a fresh
+    /// connection, after a retryable failure. Only safe for requests
+    /// that are idempotent across a shard restart (`Prepare`, `Commit`,
+    /// `Abort`, `Census`, `Shutdown`) — evaluation requests retry at
+    /// the whole-read level instead, with fresh evaluation ids.
     fn call_reviving(&self, shard: usize, req: &Request) -> Result<Response, RemoteError> {
         match self.call_shard(shard, req) {
             Err(e) if e.retryable() => {
-                self.revive(shard)?;
+                self.pools[shard].lock().idle.clear();
                 self.call_shard(shard, req)
             }
             other => other,
         }
     }
 
-    /// (Re-)dials a shard, interns the full vocabulary, and replays
-    /// any committed epochs the shard missed (a restarted process
-    /// reports epoch 0 and receives the whole op log as one jumped
-    /// prepare+commit).
-    fn revive(&self, shard: usize) -> Result<(), RemoteError> {
-        let addr = self.addrs[shard].lock().clone();
-        let mut lane = self.lanes[shard].lock();
+    /// Dials a shard, interns the full vocabulary, and replays any
+    /// committed epochs the shard missed (a restarted process reports
+    /// epoch 0 and receives the whole op log as one jumped
+    /// prepare+commit). Returns the caught-up connection.
+    fn revive(&self, shard: usize) -> Result<ShardClient, RemoteError> {
+        let addr = self.pools[shard].lock().addr.clone();
         let (mut client, shard_epoch) = ShardClient::connect(&addr, self.read_timeout)?;
         if shard_epoch > self.epoch {
             return Err(RemoteError::Protocol {
@@ -499,14 +608,8 @@ impl NetworkedSystem {
             })
             .collect();
         let (synced_labels, synced_attrs) = (labels.len(), attrs.len());
-        match client.call(&Request::Intern { labels, attrs })? {
+        match client.exchange(&Request::Intern { labels, attrs })? {
             Response::Ok => {}
-            Response::Refused(refusal) => {
-                return Err(RemoteError::Refused {
-                    addr: client.addr,
-                    refusal,
-                })
-            }
             other => return Err(client.unexpected("Ok", &other)),
         }
         if shard_epoch < self.epoch {
@@ -514,14 +617,8 @@ impl NetworkedSystem {
             // before the crash of the *connection* (server alive, the
             // commit lost): clear it, then replay everything missed as
             // one jumped epoch.
-            match client.call(&Request::Abort { epoch: self.epoch })? {
+            match client.exchange(&Request::Abort { epoch: self.epoch })? {
                 Response::Aborted { .. } => {}
-                Response::Refused(refusal) => {
-                    return Err(RemoteError::Refused {
-                        addr: client.addr,
-                        refusal,
-                    })
-                }
                 other => return Err(client.unexpected("Aborted", &other)),
             }
             let ops: Vec<ShardOp> = self.oplog[shard]
@@ -529,62 +626,35 @@ impl NetworkedSystem {
                 .filter(|(e, _)| *e > shard_epoch)
                 .flat_map(|(_, ops)| ops.iter().cloned())
                 .collect();
-            match client.call(&Request::Prepare {
+            match client.exchange(&Request::Prepare {
                 epoch: self.epoch,
                 ops,
             })? {
                 Response::Prepared { .. } => {}
-                Response::Refused(refusal) => {
-                    return Err(RemoteError::Refused {
-                        addr: client.addr,
-                        refusal,
-                    })
-                }
                 other => return Err(client.unexpected("Prepared", &other)),
             }
-            match client.call(&Request::Commit { epoch: self.epoch })? {
+            match client.exchange(&Request::Commit { epoch: self.epoch })? {
                 Response::Committed { .. } => {}
-                Response::Refused(refusal) => {
-                    return Err(RemoteError::Refused {
-                        addr: client.addr,
-                        refusal,
-                    })
-                }
                 other => return Err(client.unexpected("Committed", &other)),
             }
         }
-        lane.client = Some(client);
-        lane.synced_labels = synced_labels;
-        lane.synced_attrs = synced_attrs;
-        Ok(())
+        let mut pool = self.pools[shard].lock();
+        pool.synced_labels = synced_labels;
+        pool.synced_attrs = synced_attrs;
+        Ok(client)
     }
 
-    /// Brings every down lane back up, best-effort (the whole-read
-    /// retry path; individual failures surface on the retried calls).
-    fn revive_down_lanes(&self) {
-        for shard in 0..self.lanes.len() {
-            if self.lanes[shard].lock().client.is_none() {
-                let _ = self.revive(shard);
-            }
-        }
-    }
-
-    /// Sends the master-vocabulary suffix a shard has not acknowledged
-    /// yet (no-op when in sync). Reads call this lazily before opening
-    /// an evaluation, so vocabulary grown by `allow`/`parse` (which
-    /// touch no shard) reaches the fleet.
-    fn ensure_vocab(&self, shard: usize) -> Result<(), RemoteError> {
-        let mut lane = self.lanes[shard].lock();
-        let (have_l, have_a) = (lane.synced_labels, lane.synced_attrs);
+    /// Sends `client`'s shard the master-vocabulary suffix it has not
+    /// acknowledged yet (no-op when in sync).
+    fn sync_vocab(&self, shard: usize, client: &mut ShardClient) -> Result<(), RemoteError> {
+        let (have_l, have_a) = {
+            let pool = self.pools[shard].lock();
+            (pool.synced_labels, pool.synced_attrs)
+        };
         let (want_l, want_a) = (self.vocab.num_labels(), self.vocab.num_attrs());
         if have_l == want_l && have_a == want_a {
             return Ok(());
         }
-        let Some(client) = lane.client.as_mut() else {
-            return Err(RemoteError::ShardDown {
-                shard: shard as u32,
-            });
-        };
         let labels: Vec<String> = (have_l..want_l)
             .map(|i| self.vocab.label_name(LabelId::from_index(i)).to_owned())
             .collect();
@@ -595,27 +665,20 @@ impl NetworkedSystem {
                     .to_owned()
             })
             .collect();
-        match client.call(&Request::Intern { labels, attrs }) {
-            Ok(Response::Ok) => {
-                lane.synced_labels = want_l;
-                lane.synced_attrs = want_a;
+        match client.exchange(&Request::Intern { labels, attrs })? {
+            Response::Ok => {
+                let mut pool = self.pools[shard].lock();
+                pool.synced_labels = want_l;
+                pool.synced_attrs = want_a;
                 Ok(())
             }
-            Ok(Response::Refused(refusal)) => Err(RemoteError::Refused {
-                addr: client.addr.clone(),
-                refusal,
-            }),
-            Ok(other) => Err(client.unexpected("Ok", &other)),
-            Err(e) => {
-                lane.client = None;
-                Err(e)
-            }
+            other => Err(client.unexpected("Ok", &other)),
         }
     }
 
     fn unexpected(&self, shard: usize, wanted: &str, got: &Response) -> RemoteError {
         RemoteError::Protocol {
-            addr: self.addrs[shard].lock().to_string(),
+            addr: self.pools[shard].lock().addr.to_string(),
             detail: format!("expected a {wanted} response, got {got:?}"),
         }
     }
@@ -630,20 +693,11 @@ impl NetworkedSystem {
     /// applied it (prepares staged before the failure are aborted) and
     /// the router's state is untouched.
     fn commit_ops(&mut self, per_shard: Vec<Vec<ShardOp>>) -> Result<(), RemoteError> {
-        debug_assert_eq!(per_shard.len(), self.lanes.len());
+        debug_assert_eq!(per_shard.len(), self.pools.len());
         let epoch = self.epoch + 1;
-        // Vocabulary first: prepare validation refuses ops naming
-        // labels/attrs the shard has not interned.
-        for shard in 0..self.lanes.len() {
-            if let Err(e) = self.ensure_vocab(shard) {
-                if !e.retryable() {
-                    return Err(e);
-                }
-                self.revive(shard)?;
-                self.ensure_vocab(shard)?;
-            }
-        }
-        // Phase one: stage everywhere (every shard participates, even
+        // Phase one (every checkout syncs the vocabulary first: prepare
+        // validation refuses ops naming labels/attrs the shard has not
+        // interned): stage everywhere (every shard participates, even
         // with no ops — the epoch fence requires the whole fleet to
         // advance together).
         let mut prepared: Vec<usize> = Vec::new();
@@ -672,18 +726,17 @@ impl NetworkedSystem {
             self.oplog[shard].push((epoch, ops));
         }
         self.epoch = epoch;
-        // Phase two: publish. A shard whose commit is lost is marked
-        // down by `call_shard` and healed by the op-log replay on its
-        // next revival — it can never serve the old epoch to a read,
-        // because `BeginEval` carries the new epoch.
-        for shard in 0..self.lanes.len() {
-            match self.call_reviving(shard, &Request::Commit { epoch }) {
-                Ok(Response::Committed { .. }) | Err(_) => {}
-                Ok(other) => {
-                    // Treat as a lost commit: drop the lane, heal later.
-                    let _ = self.unexpected(shard, "Committed", &other);
-                    self.lanes[shard].lock().client = None;
-                }
+        // Phase two: publish. A shard whose commit is lost has its idle
+        // connections dropped, so its next checkout dials through
+        // `revive`, which finds it behind and replays the op log — it
+        // can never serve the old epoch to a read, because every
+        // session opens with the new epoch.
+        for shard in 0..self.pools.len() {
+            if !matches!(
+                self.call_reviving(shard, &Request::Commit { epoch }),
+                Ok(Response::Committed { .. })
+            ) {
+                self.pools[shard].lock().idle.clear();
             }
         }
         self.decisions.clear();
@@ -700,7 +753,7 @@ impl NetworkedSystem {
     pub fn try_add_user(&mut self, name: &str) -> Result<NodeId, RemoteError> {
         let global = NodeId::from_index(self.members.len());
         let home = self.assignment.shard_of(name);
-        let mut per_shard = vec![Vec::new(); self.lanes.len()];
+        let mut per_shard = vec![Vec::new(); self.pools.len()];
         per_shard[home as usize].push(ShardOp::AddNode {
             global: global.0,
             name: name.to_owned(),
@@ -727,7 +780,7 @@ impl NetworkedSystem {
         value: AttrValue,
     ) -> Result<(), RemoteError> {
         self.vocab.intern_attr(key);
-        let mut per_shard = vec![Vec::new(); self.lanes.len()];
+        let mut per_shard = vec![Vec::new(); self.pools.len()];
         let entry = &self.members[member.index()];
         let op = ShardOp::SetAttr {
             global: member.0,
@@ -760,7 +813,7 @@ impl NetworkedSystem {
         let l = self.vocab.intern_label(label);
         let s_home = self.members[src.index()].home;
         let d_home = self.members[dst.index()].home;
-        let mut per_shard = vec![Vec::new(); self.lanes.len()];
+        let mut per_shard = vec![Vec::new(); self.pools.len()];
         let edge = |shard_ops: &mut Vec<ShardOp>| {
             shard_ops.push(ShardOp::AddEdge {
                 src: src.0,
@@ -835,30 +888,33 @@ impl NetworkedSystem {
     // ------------------------------------------------------------------
 
     /// Runs a read closure with one whole-read retry: on a retryable
-    /// transport failure every down shard is revived (op-log replay
-    /// included) and the closure re-runs with fresh evaluation ids.
-    /// Non-retryable failures (corrupt frames, protocol violations,
-    /// semantic refusals) surface immediately — never a wrong answer.
+    /// failure the closure re-runs with fresh evaluation ids. The
+    /// failed lane dropped its connection, so the retry reaches that
+    /// shard on another one — dialed through `revive` (op-log replay
+    /// included) when none is idle. Non-retryable failures (corrupt
+    /// frames, protocol violations, semantic refusals) surface
+    /// immediately — never a wrong answer.
     fn with_read_retry<T>(&self, f: impl Fn() -> Result<T, RemoteError>) -> Result<T, EvalError> {
         match f() {
             Ok(v) => Ok(v),
-            Err(e) if e.retryable() => {
-                self.revive_down_lanes();
-                f().map_err(EvalError::Remote)
-            }
+            Err(e) if e.retryable() => f().map_err(EvalError::Remote),
             Err(e) => Err(EvalError::Remote(e)),
         }
     }
 
     /// One unopened remote lane per shard for evaluation `eval`.
-    fn lanes<'a>(&'a self, eval: u64, begin: &'a Request) -> Vec<RemoteLane<'a>> {
-        (0..self.lanes.len())
+    fn remote_lanes<'a>(&'a self, eval: u64, session: &'a SessionSpec) -> Vec<RemoteLane<'a>> {
+        (0..self.pools.len())
             .map(|shard| RemoteLane {
                 sys: self,
                 shard,
                 eval,
-                begin,
-                begun: false,
+                session,
+                client: None,
+                opened: false,
+                in_flight: false,
+                rest: Vec::new(),
+                stop: None,
             })
             .collect()
     }
@@ -869,7 +925,7 @@ impl NetworkedSystem {
     /// exchanges in place of in-process seeded runs: the router
     /// compiles the bundle into one shared-prefix
     /// [`crate::query::BundlePlan`] trie and ships each 64-condition
-    /// chunk to the shards it reaches as a [`Request::BeginEvalPlan`]
+    /// chunk to the shards it reaches as a [`SessionSpec::Plan`]
     /// (plan nodes travel as canonical one-step path text plus the
     /// chunk's ε-fork/accept masks), so each shared prefix is entered
     /// once per shard and condition masks fork where paths diverge.
@@ -878,7 +934,7 @@ impl NetworkedSystem {
         conds: &[(NodeId, &PathExpr)],
     ) -> Result<(Vec<Vec<NodeId>>, ReadStats), RemoteError> {
         let (audiences, stats) =
-            fixpoint::bundle_audiences(conds, self.lanes.len(), |plan, masks, word, seeds| {
+            fixpoint::bundle_audiences(conds, self.pools.len(), |plan, masks, word, seeds| {
                 let eval = self.eval_counter.fetch_add(1, Ordering::Relaxed);
                 let nodes: Vec<proto::WirePlanNode> = plan
                     .nodes
@@ -891,14 +947,13 @@ impl NetworkedSystem {
                         accept: masks.accept_mask[i],
                     })
                     .collect();
-                let begin = Request::BeginEvalPlan {
-                    eval,
+                let session = SessionSpec::Plan {
                     epoch: self.epoch,
                     nodes,
                     word,
                 };
                 fixpoint::masked_fixpoint(
-                    &mut self.lanes(eval, &begin),
+                    &mut self.remote_lanes(eval, &session),
                     |m| self.members[m as usize].home as usize,
                     seeds,
                     None,
@@ -909,16 +964,19 @@ impl NetworkedSystem {
     }
 
     /// The targeted single-condition fixpoint over the wire (the
-    /// `check`/`explain` path): a 1-bit bundle with first-arrival
-    /// parent tracking on every shard engine, early exit on the
-    /// requester's home shard, and the witness stitched from remote
-    /// `Trace` segments while the sessions are still open. Mirrors
-    /// [`crate::sharded::ShardedSystem::evaluate_condition_targeted_with_stats`].
+    /// `check`/`explain` path): a 1-bit bundle with early exit on the
+    /// requester's home shard. Returns `Some(walk)` when the requester
+    /// is granted. With `explain` every shard engine tracks
+    /// first-arrival parents and the walk is stitched from remote
+    /// `Trace` segments while the sessions are still open; without it
+    /// nothing is tracked or traced, and a grant's walk is empty.
+    /// Mirrors [`crate::sharded::ShardedSystem::evaluate_condition_targeted_with_stats`].
     fn evaluate_condition_targeted(
         &self,
         owner: NodeId,
         path: &PathExpr,
         requester: NodeId,
+        explain: bool,
     ) -> Result<(Option<Vec<WalkHop>>, ReadStats), RemoteError> {
         let mut stats = ReadStats {
             conditions: 1,
@@ -929,42 +987,41 @@ impl NetworkedSystem {
             return Ok(((requester == owner).then(Vec::new), stats));
         }
         let eval = self.eval_counter.fetch_add(1, Ordering::Relaxed);
-        let begin = Request::BeginEval {
-            eval,
+        let session = SessionSpec::Path {
             epoch: self.epoch,
             path: path.to_text(&self.vocab),
             word: 0,
-            parents: true,
+            parents: explain,
         };
         let stop = (self.members[requester.index()].home as usize, requester.0);
         fixpoint::masked_fixpoint(
-            &mut self.lanes(eval, &begin),
+            &mut self.remote_lanes(eval, &session),
             |m| self.members[m as usize].home as usize,
             &[fixpoint::owner_seed(owner)],
             Some(stop),
-            |_, run| {
+            |lanes, run| {
                 run.add_to(&mut stats);
-                let witness = match run.hit {
-                    None => None,
-                    Some((shard_ix, step, depth)) => {
+                let walk = match run.hit {
+                    Some((shard_ix, step, depth)) if explain => {
                         let at = (shard_ix, requester.0, step, depth);
-                        Some(self.stitch_remote(eval, &run.origin, owner, at)?)
+                        Some(self.stitch_remote(lanes, &run.origin, owner, at)?)
                     }
+                    hit => hit.map(|_| Vec::new()),
                 };
-                Ok((witness, stats))
+                Ok((walk, stats))
             },
         )
     }
 
-    /// Stitches a targeted grant's witness from remote `Trace`
-    /// segments, starting `at` the hit `(shard, member, step, depth)`:
-    /// the hit shard's parent chain ends at a seed the
-    /// router forwarded; `origin` names the exporting shard, where the
-    /// chain continues (the member's copy there is its ghost replica)
-    /// — until the owner seed terminates the walk.
+    /// Stitches a targeted grant's witness from `Trace` segments on the
+    /// lanes' sessions, starting `at` the hit `(shard, member, step,
+    /// depth)`: the hit shard's parent chain ends at a seed the router
+    /// forwarded; `origin` names the exporting shard, where the chain
+    /// continues (the member's copy there is its ghost replica) — until
+    /// the owner seed terminates the walk.
     fn stitch_remote(
         &self,
-        eval: u64,
+        lanes: &mut [RemoteLane<'_>],
         origin: &HashMap<StateKey, usize>,
         owner: NodeId,
         at: (usize, u32, u16, u32),
@@ -972,14 +1029,8 @@ impl NetworkedSystem {
         let (mut shard_ix, mut member, mut step, mut depth) = at;
         let mut segments: Vec<Vec<WalkHop>> = Vec::new();
         loop {
-            let req = Request::Trace {
-                eval,
-                member,
-                step,
-                depth,
-            };
             let (hops, seed_member, seed_step, seed_depth) =
-                match self.call_shard(shard_ix, &req)? {
+                match lanes[shard_ix].trace(member, step, depth)? {
                     Response::Traced {
                         hops,
                         seed_member,
@@ -1004,7 +1055,7 @@ impl NetworkedSystem {
             shard_ix = *origin
                 .get(&(seed_member, seed_step, seed_depth))
                 .ok_or_else(|| RemoteError::Protocol {
-                    addr: self.addrs[shard_ix].lock().to_string(),
+                    addr: self.pools[shard_ix].lock().addr.to_string(),
                     detail: format!(
                         "trace reached seed (member {seed_member}, step {seed_step}, depth \
                          {seed_depth}) the router never forwarded"
@@ -1047,7 +1098,7 @@ impl NetworkedSystem {
 /// each under the whole-read retry.
 impl AccessService for NetworkedSystem {
     fn describe(&self) -> String {
-        format!("networked(n={})", self.lanes.len())
+        format!("networked(n={})", self.pools.len())
     }
 
     fn num_members(&self) -> usize {
@@ -1080,10 +1131,10 @@ impl AccessService for NetworkedSystem {
         requester: NodeId,
     ) -> Result<(Decision, ReadStats), EvalError> {
         decision::check(&self.decisions, &self.store, rid, requester, |cond| {
-            let (witness, s) = self.with_read_retry(|| {
-                self.evaluate_condition_targeted(cond.owner, &cond.path, requester)
+            let (walk, s) = self.with_read_retry(|| {
+                self.evaluate_condition_targeted(cond.owner, &cond.path, requester, false)
             })?;
-            Ok((witness.is_some(), s))
+            Ok((walk.is_some(), s))
         })
     }
 
@@ -1094,7 +1145,7 @@ impl AccessService for NetworkedSystem {
     ) -> Result<(Option<Explanation>, ReadStats), EvalError> {
         decision::explain(&self.store, rid, requester, |cond| {
             self.with_read_retry(|| {
-                self.evaluate_condition_targeted(cond.owner, &cond.path, requester)
+                self.evaluate_condition_targeted(cond.owner, &cond.path, requester, true)
             })
         })
     }

@@ -11,22 +11,31 @@
 //!
 //! State changes only through the epoch fence: `Prepare` validates and
 //! stages a batch of [`ShardOp`]s, `Commit` applies them atomically
-//! under the core lock and publishes the new epoch (also invalidating
-//! every open evaluation session — their engines were built over the
-//! old topology). Evaluation sessions pin a CSR snapshot and a
-//! round-persistent [`ShardEngine`], and a `Round` request runs the
-//! same shard-local round ([`fixpoint::local_round`]) as the
-//! in-process sharded backend's lane — the wire only carries its
-//! inputs and outputs.
+//! under the core lock and publishes the new epoch.
+//!
+//! An evaluation session belongs to the connection that opened it (an
+//! `OpenRound`) and lives in that connection's worker, not in the
+//! shared core: opening the connection's next session drops it, and so
+//! does closing the connection, so no message ever closes one. A
+//! session pins a CSR snapshot and a round-persistent [`ShardEngine`]
+//! and records the epoch it opened at; after a commit its engine was
+//! built over the old topology, so the next `Round` or `Trace` on it is
+//! refused (`UnknownEval`, which the router retries) instead of mixing
+//! epochs. A `Round` runs the same shard-local round
+//! ([`fixpoint::local_round`]) as the in-process sharded backend's
+//! lane — the wire only carries its inputs and outputs.
 
 use super::frame;
-use super::proto::{self, Request, Response, ShardOp, WireHop, WireRefusal, PROTOCOL_VERSION};
+use super::proto::{
+    self, Request, Response, SessionSpec, ShardOp, WireHop, WireRefusal, PROTOCOL_VERSION,
+};
 use super::{Conn, Listener, ShardAddr};
 use crate::fixpoint::{self, ShardEngine, ShardView};
 use crate::path::parse_path;
 use crate::query::{BundlePlan, ChunkMasks, PlanBatchState, PlanNode};
 use parking_lot::Mutex;
 use socialreach_graph::csr::CsrSnapshot;
+use socialreach_graph::shard::MaskedExport;
 use socialreach_graph::{NodeId, SocialGraph};
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
@@ -42,15 +51,38 @@ const POLL: Duration = Duration::from_millis(50);
 /// client torn mid-frame releases the worker instead of pinning it.
 const FRAME_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// One open masked-fixpoint evaluation.
+/// A connection's open masked-fixpoint evaluation.
 struct EvalSession {
-    /// The plan engine over the one-path plan of a `BeginEval` path
-    /// (targeted stop and parent-tracked traces supported) or over the
-    /// shipped shared-prefix plan chunk of a `BeginEvalPlan` (audience
-    /// fixpoints only), owning what it re-parsed from the wire.
+    /// The session's name: a `Round` or `Trace` naming any other id is
+    /// refused.
+    eval: u64,
+    /// The epoch the session was opened at.
+    epoch: u64,
+    /// The plan engine over the one-path plan of a
+    /// [`SessionSpec::Path`] (targeted stop and parent-tracked traces
+    /// supported) or over the shipped shared-prefix plan chunk of a
+    /// [`SessionSpec::Plan`] (audience fixpoints only), owning what it
+    /// re-parsed from the wire.
     engine: ShardEngine<'static>,
     snap: Arc<CsrSnapshot>,
     word: u32,
+}
+
+/// The connection's session named `eval`, unless a commit has moved
+/// the shard past the epoch it was opened at — then the session is
+/// dropped and the request refused like any unknown id.
+fn current_session(
+    slot: &mut Option<EvalSession>,
+    eval: u64,
+    epoch: u64,
+) -> Result<&mut EvalSession, WireRefusal> {
+    if slot.as_ref().is_some_and(|s| s.epoch != epoch) {
+        *slot = None;
+    }
+    match slot {
+        Some(sess) if sess.eval == eval => Ok(sess),
+        _ => Err(WireRefusal::UnknownEval { eval }),
+    }
 }
 
 /// The shard's mutable state, shared by every connection worker.
@@ -68,7 +100,6 @@ struct ShardCore {
     epoch: u64,
     staged: Option<(u64, Vec<ShardOp>)>,
     snap: Option<Arc<CsrSnapshot>>,
-    evals: HashMap<u64, EvalSession>,
 }
 
 impl ShardCore {
@@ -81,7 +112,6 @@ impl ShardCore {
             epoch: 0,
             staged: None,
             snap: None,
-            evals: HashMap::new(),
         }
     }
 
@@ -174,9 +204,147 @@ impl ShardCore {
         }
     }
 
-    /// Serves one request. Returns the response and whether the server
-    /// should shut down afterwards.
-    fn handle(&mut self, req: Request) -> (Response, bool) {
+    /// Opens session `eval` over `spec`, or says why the shard cannot
+    /// serve it.
+    fn open(&mut self, eval: u64, spec: SessionSpec) -> Result<EvalSession, WireRefusal> {
+        let (SessionSpec::Path { epoch, word, .. } | SessionSpec::Plan { epoch, word, .. }) = spec;
+        if epoch != self.epoch {
+            return Err(WireRefusal::EpochMismatch {
+                shard_epoch: self.epoch,
+                requested: epoch,
+            });
+        }
+        // Parse against a throwaway copy of the vocabulary: text
+        // naming labels/attrs this shard has not interned means the
+        // router skipped `Intern` — refuse rather than intern out of
+        // master order.
+        let mut vocab = self.graph.vocab().clone();
+        let before = (vocab.num_labels(), vocab.num_attrs());
+        let (nodes, masks, parents) = match spec {
+            SessionSpec::Path { path, parents, .. } => {
+                let parsed =
+                    parse_path(&path, &mut vocab).map_err(|e| WireRefusal::BadRequest {
+                        detail: format!("unparsable path {path:?}: {}", crate::EvalError::from(e)),
+                    })?;
+                if (vocab.num_labels(), vocab.num_attrs()) != before {
+                    return Err(WireRefusal::BadRequest {
+                        detail: format!(
+                            "path {path:?} names vocabulary this shard has not interned"
+                        ),
+                    });
+                }
+                if parsed.is_empty() {
+                    return Err(WireRefusal::BadRequest {
+                        detail: "empty paths are decided router-side".to_owned(),
+                    });
+                }
+                // Both parsers refuse a path past the plan-node budget.
+                let plan = BundlePlan::compile(&[&parsed]).expect("a parsed path fits a plan");
+                // Every condition bit a seed may carry rides the one
+                // chain, as on the path's own automaton.
+                let masks = plan.chunk_masks(&[0; 64]);
+                (plan.nodes, masks, Some(parents))
+            }
+            SessionSpec::Plan { nodes, .. } => {
+                if nodes.is_empty() {
+                    return Err(WireRefusal::BadRequest {
+                        detail: "a bundle plan needs at least one node".to_owned(),
+                    });
+                }
+                let mut plan_nodes: Vec<PlanNode> = Vec::with_capacity(nodes.len());
+                let mut masks = ChunkMasks::default();
+                for n in &nodes {
+                    let parsed =
+                        parse_path(&n.step, &mut vocab).map_err(|e| WireRefusal::BadRequest {
+                            detail: format!(
+                                "unparsable plan step {:?}: {}",
+                                n.step,
+                                crate::EvalError::from(e)
+                            ),
+                        })?;
+                    if (vocab.num_labels(), vocab.num_attrs()) != before {
+                        return Err(WireRefusal::BadRequest {
+                            detail: format!(
+                                "plan step {:?} names vocabulary this shard has not interned",
+                                n.step
+                            ),
+                        });
+                    }
+                    if parsed.len() != 1 {
+                        return Err(WireRefusal::BadRequest {
+                            detail: format!("plan node step {:?} is not a single step", n.step),
+                        });
+                    }
+                    if let Some(&c) = n.children.iter().find(|&&c| c as usize >= nodes.len()) {
+                        return Err(WireRefusal::BadRequest {
+                            detail: format!("plan child id {c} is out of range"),
+                        });
+                    }
+                    plan_nodes.push(PlanNode {
+                        step: parsed.steps[0].canonical(),
+                        children: n.children.clone(),
+                    });
+                    masks.node_mask.push(n.mask);
+                    masks.accept_mask.push(n.accept);
+                }
+                (plan_nodes, masks, None)
+            }
+        };
+        let snap = self.snapshot();
+        let engine = if parents == Some(true) {
+            PlanBatchState::with_parents(&self.graph, &snap, &nodes)
+        } else {
+            PlanBatchState::new(&self.graph, &snap, &nodes)
+        };
+        Ok(EvalSession {
+            eval,
+            epoch,
+            engine: ShardEngine {
+                engine,
+                nodes: Cow::Owned(nodes),
+                masks: Cow::Owned(masks),
+                one_path: parents.is_some(),
+            },
+            snap,
+            word,
+        })
+    }
+
+    /// Runs one round of the connection's session `eval`.
+    fn round(
+        &self,
+        slot: &mut Option<EvalSession>,
+        eval: u64,
+        seeds: &[MaskedExport],
+        stop: Option<u32>,
+    ) -> Result<Response, WireRefusal> {
+        let sess = current_session(slot, eval, self.epoch)?;
+        let view = ShardView {
+            graph: &self.graph,
+            snap: &sess.snap,
+            globals: &self.globals,
+            ghost: &self.ghost,
+        };
+        let round = fixpoint::local_round(
+            &view,
+            |m| self.local_of.get(&m).copied(),
+            &mut sess.engine,
+            sess.word,
+            seeds,
+            stop,
+        )?;
+        Ok(Response::Round {
+            matched: round.matched,
+            exports: round.exports,
+            hit: round.hit,
+            states_expanded: round.states_expanded,
+        })
+    }
+
+    /// Serves one request; `slot` holds the connection's session.
+    /// Returns the response and whether the server should shut down
+    /// afterwards.
+    fn handle(&mut self, req: Request, slot: &mut Option<EvalSession>) -> (Response, bool) {
         let refuse = |r: WireRefusal| (Response::Refused(r), false);
         match req {
             Request::Hello { version } => {
@@ -233,13 +401,10 @@ impl ShardCore {
                 }
                 match self.staged.take() {
                     Some((staged, ops)) if staged == epoch => {
+                        // Every open session now names an older epoch
+                        // (see `current_session`).
                         self.apply(ops);
                         self.epoch = epoch;
-                        // Open sessions were built over the old
-                        // topology; a commit invalidates them so a
-                        // racing read fails typed instead of mixing
-                        // epochs.
-                        self.evals.clear();
                         (Response::Committed { epoch }, false)
                     }
                     other => {
@@ -257,199 +422,37 @@ impl ShardCore {
                 }
                 (Response::Aborted { epoch }, false)
             }
-            Request::BeginEval {
+            Request::OpenRound {
                 eval,
-                epoch,
-                path,
-                word,
-                parents,
+                session,
+                seeds,
+                stop,
             } => {
-                if epoch != self.epoch {
-                    return refuse(WireRefusal::EpochMismatch {
-                        shard_epoch: self.epoch,
-                        requested: epoch,
-                    });
+                // The connection's previous session goes first, whether
+                // or not the new one opens.
+                *slot = None;
+                match self.open(eval, session) {
+                    Ok(opened) => *slot = Some(opened),
+                    Err(refusal) => return refuse(refusal),
                 }
-                // Parse against a throwaway copy of the vocabulary: a
-                // path naming labels/attrs this shard has not interned
-                // means the router skipped `Intern` — refuse rather
-                // than intern out of master order.
-                let mut vocab = self.graph.vocab().clone();
-                let before = (vocab.num_labels(), vocab.num_attrs());
-                let parsed = match parse_path(&path, &mut vocab) {
-                    Ok(p) => p,
-                    Err(e) => {
-                        return refuse(WireRefusal::BadRequest {
-                            detail: format!(
-                                "unparsable path {path:?}: {}",
-                                crate::EvalError::from(e)
-                            ),
-                        })
-                    }
-                };
-                if (vocab.num_labels(), vocab.num_attrs()) != before {
-                    return refuse(WireRefusal::BadRequest {
-                        detail: format!(
-                            "path {path:?} names vocabulary this shard has not interned"
-                        ),
-                    });
-                }
-                if parsed.is_empty() {
-                    return refuse(WireRefusal::BadRequest {
-                        detail: "empty paths are decided router-side".to_owned(),
-                    });
-                }
-                let snap = self.snapshot();
-                // Both parsers refuse a path past the plan-node budget.
-                let plan = BundlePlan::compile(&[&parsed]).expect("a parsed path fits a plan");
-                // Every condition bit a seed may carry rides the one
-                // chain, as on the path's own automaton.
-                let masks = plan.chunk_masks(&[0; 64]);
-                let engine = if parents {
-                    PlanBatchState::with_parents(&self.graph, &snap, &plan.nodes)
-                } else {
-                    PlanBatchState::new(&self.graph, &snap, &plan.nodes)
-                };
-                self.evals.insert(
-                    eval,
-                    EvalSession {
-                        engine: ShardEngine {
-                            engine,
-                            nodes: Cow::Owned(plan.nodes),
-                            masks: Cow::Owned(masks),
-                            one_path: true,
-                        },
-                        snap,
-                        word,
-                    },
-                );
-                (Response::EvalOpen { eval }, false)
-            }
-            Request::BeginEvalPlan {
-                eval,
-                epoch,
-                nodes,
-                word,
-            } => {
-                if epoch != self.epoch {
-                    return refuse(WireRefusal::EpochMismatch {
-                        shard_epoch: self.epoch,
-                        requested: epoch,
-                    });
-                }
-                if nodes.is_empty() {
-                    return refuse(WireRefusal::BadRequest {
-                        detail: "a bundle plan needs at least one node".to_owned(),
-                    });
-                }
-                // Re-parse each node's step against a throwaway copy of
-                // the vocabulary, refusing unknown names exactly like
-                // `BeginEval` does for its one path.
-                let mut vocab = self.graph.vocab().clone();
-                let before = (vocab.num_labels(), vocab.num_attrs());
-                let mut plan_nodes: Vec<PlanNode> = Vec::with_capacity(nodes.len());
-                let mut masks = ChunkMasks::default();
-                for n in &nodes {
-                    let parsed = match parse_path(&n.step, &mut vocab) {
-                        Ok(p) => p,
-                        Err(e) => {
-                            return refuse(WireRefusal::BadRequest {
-                                detail: format!(
-                                    "unparsable plan step {:?}: {}",
-                                    n.step,
-                                    crate::EvalError::from(e)
-                                ),
-                            })
-                        }
-                    };
-                    if (vocab.num_labels(), vocab.num_attrs()) != before {
-                        return refuse(WireRefusal::BadRequest {
-                            detail: format!(
-                                "plan step {:?} names vocabulary this shard has not interned",
-                                n.step
-                            ),
-                        });
-                    }
-                    if parsed.len() != 1 {
-                        return refuse(WireRefusal::BadRequest {
-                            detail: format!("plan node step {:?} is not a single step", n.step),
-                        });
-                    }
-                    if let Some(&c) = n.children.iter().find(|&&c| c as usize >= nodes.len()) {
-                        return refuse(WireRefusal::BadRequest {
-                            detail: format!("plan child id {c} is out of range"),
-                        });
-                    }
-                    plan_nodes.push(PlanNode {
-                        step: parsed.steps[0].canonical(),
-                        children: n.children.clone(),
-                    });
-                    masks.node_mask.push(n.mask);
-                    masks.accept_mask.push(n.accept);
-                }
-                let snap = self.snapshot();
-                let engine = PlanBatchState::new(&self.graph, &snap, &plan_nodes);
-                self.evals.insert(
-                    eval,
-                    EvalSession {
-                        engine: ShardEngine {
-                            engine,
-                            nodes: Cow::Owned(plan_nodes),
-                            masks: Cow::Owned(masks),
-                            one_path: false,
-                        },
-                        snap,
-                        word,
-                    },
-                );
-                (Response::EvalOpen { eval }, false)
-            }
-            Request::Round { eval, seeds, stop } => {
-                let ShardCore {
-                    graph,
-                    globals,
-                    ghost,
-                    local_of,
-                    evals,
-                    ..
-                } = self;
-                let Some(sess) = evals.get_mut(&eval) else {
-                    return refuse(WireRefusal::UnknownEval { eval });
-                };
-                let view = ShardView {
-                    graph,
-                    snap: &sess.snap,
-                    globals,
-                    ghost,
-                };
-                match fixpoint::local_round(
-                    &view,
-                    |m| local_of.get(&m).copied(),
-                    &mut sess.engine,
-                    sess.word,
-                    &seeds,
-                    stop,
-                ) {
-                    Ok(round) => (
-                        Response::Round {
-                            matched: round.matched,
-                            exports: round.exports,
-                            hit: round.hit,
-                            states_expanded: round.states_expanded,
-                        },
-                        false,
-                    ),
+                match self.round(slot, eval, &seeds, stop) {
+                    Ok(resp) => (resp, false),
                     Err(refusal) => refuse(refusal),
                 }
             }
+            Request::Round { eval, seeds, stop } => match self.round(slot, eval, &seeds, stop) {
+                Ok(resp) => (resp, false),
+                Err(refusal) => refuse(refusal),
+            },
             Request::Trace {
                 eval,
                 member,
                 step,
                 depth,
             } => {
-                let Some(sess) = self.evals.get(&eval) else {
-                    return refuse(WireRefusal::UnknownEval { eval });
+                let sess = match current_session(slot, eval, self.epoch) {
+                    Ok(sess) => sess,
+                    Err(refusal) => return refuse(refusal),
                 };
                 let Some(&local) = self.local_of.get(&member) else {
                     return refuse(WireRefusal::UnknownMember { member });
@@ -488,10 +491,6 @@ impl ShardCore {
                         false,
                     ),
                 }
-            }
-            Request::EndEval { eval } => {
-                self.evals.remove(&eval);
-                (Response::Ok, false)
             }
             Request::Census => (
                 Response::Census {
@@ -622,11 +621,15 @@ impl Drop for ShardHandle {
 /// One connection worker: poll for a frame's first byte (noticing the
 /// stop flag between requests), read the frame, serve the request
 /// under the core lock, write the response. Any framing failure closes
-/// the connection — the client re-dials.
+/// the connection — the client re-dials. The worker owns the
+/// connection's evaluation session, so its engine's scratch is taken
+/// from and given back to this thread's pool, and the session dies
+/// with the connection.
 fn serve_conn(mut conn: Conn, core: Arc<Mutex<ShardCore>>, stop: Arc<AtomicBool>) {
     if conn.set_read_timeout(Some(POLL)).is_err() {
         return;
     }
+    let mut session: Option<EvalSession> = None;
     loop {
         if stop.load(Ordering::SeqCst) {
             return;
@@ -658,7 +661,7 @@ fn serve_conn(mut conn: Conn, core: Arc<Mutex<ShardCore>>, stop: Arc<AtomicBool>
             return;
         }
         let (resp, shutdown) = match proto::decode_request(&payload) {
-            Ok(req) => core.lock().handle(req),
+            Ok(req) => core.lock().handle(req, &mut session),
             Err(e) => (
                 Response::Refused(WireRefusal::BadRequest {
                     detail: format!("undecodable request: {e}"),

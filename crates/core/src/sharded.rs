@@ -46,22 +46,23 @@
 //! Each shard's visited/mask state **persists across rounds** of the
 //! evaluation, so a walk that ping-pongs through one shard k times
 //! expands each product state at most once per arriving bit: total
-//! work is linear in the explored region. Rounds with several active
-//! shards run on **parallel scoped threads**; answers are deterministic
-//! regardless of the interleaving because exports are merged in shard
-//! order. Decisions for `check_batch` fall out of the materialized
-//! audiences (a requester is granted exactly when a rule's every
-//! condition-audience contains them); a single `check`/`explain` runs
-//! the condition as a 1-bit bundle of its one-path plan with early exit
-//! on the requester's home shard and first-arrival parent tracking, and
-//! the witness is stitched from the shards' persistent parent chains.
+//! work is linear in the explored region. In process the shards of a
+//! round run one after the other on the caller's thread, and exports
+//! are merged in shard order. Decisions for `check_batch` fall out of
+//! the materialized audiences (a requester is granted exactly when a
+//! rule's every condition-audience contains them); a single `check`
+//! runs the condition as a 1-bit bundle of its one-path plan with
+//! early exit on the requester's home shard. `explain` runs the same
+//! read with first-arrival parent tracking, and the witness is stitched
+//! from the shards' persistent parent chains.
 //! The per-condition bundle arm ([`BundleStrategy::PerCondition`]) is
 //! one such fixpoint per distinct condition.
 //!
-//! The round loop itself — pending seeds, fan-out, shard-order merge,
-//! new-bit forwarding — lives once, in `crate::fixpoint`; this
-//! module contributes the in-process lane (one shard, reached by a
-//! function call), seed construction and witness stitching.
+//! The round loop itself — pending seeds, send-then-receive,
+//! shard-order merge, new-bit forwarding — lives once, in
+//! `crate::fixpoint`; this module contributes the in-process lane (one
+//! shard, reached by a function call), seed construction and witness
+//! stitching.
 //!
 //! # Mutations
 //!
@@ -203,13 +204,15 @@ struct MemberEntry {
 }
 
 /// What an in-process lane runs once it opens: one 64-condition chunk
-/// of a compiled plan, parent-tracked with a stop member allowed when
-/// `traced` (the targeted `check`/`explain` read of one path).
+/// of a compiled plan.
 #[derive(Clone, Copy)]
 struct LaneProgram<'a> {
     plan: &'a BundlePlan,
     masks: &'a ChunkMasks,
-    traced: bool,
+    /// The one-path plan of a targeted read: a stop member is allowed.
+    one_path: bool,
+    /// Track first-arrival parents, for `explain`'s witness.
+    parents: bool,
 }
 
 /// The in-process [`ShardLane`]: one shard of a [`ShardedSystem`],
@@ -221,40 +224,29 @@ struct LocalLane<'a> {
     snap: &'a CsrSnapshot,
     program: LaneProgram<'a>,
     word: u32,
-    /// Materialized when the lane opens: shards a traversal never
-    /// touches never take a mask scratch.
+    /// Materialized with the lane's first round: shards a traversal
+    /// never touches never take a mask scratch.
     engine: Option<ShardEngine<'a>>,
+    /// The round `send` ran, until `recv` hands it over.
+    sent: Option<LaneRound>,
 }
 
 impl ShardLane for LocalLane<'_> {
     type Error = Infallible;
 
-    fn open(&mut self) {
-        let (graph, snap) = (&self.shard.graph, self.snap);
-        let LaneProgram {
-            plan,
-            masks,
-            traced,
-        } = self.program;
-        self.engine = Some(ShardEngine {
-            engine: if traced {
-                PlanBatchState::with_parents(graph, snap, &plan.nodes)
+    /// Runs the round here, on the driver's thread.
+    fn send(&mut self, seeds: &[MaskedExport], stop: Option<u32>) -> Result<(), Infallible> {
+        let (shard, snap, program) = (self.shard, self.snap, self.program);
+        let engine = self.engine.get_or_insert_with(|| ShardEngine {
+            engine: if program.parents {
+                PlanBatchState::with_parents(&shard.graph, snap, &program.plan.nodes)
             } else {
-                PlanBatchState::new(graph, snap, &plan.nodes)
+                PlanBatchState::new(&shard.graph, snap, &program.plan.nodes)
             },
-            nodes: Cow::Borrowed(&plan.nodes),
-            masks: Cow::Borrowed(masks),
-            one_path: traced,
+            nodes: Cow::Borrowed(&program.plan.nodes),
+            masks: Cow::Borrowed(program.masks),
+            one_path: program.one_path,
         });
-    }
-
-    fn round(
-        &mut self,
-        seeds: &[MaskedExport],
-        stop: Option<u32>,
-    ) -> Result<LaneRound, Infallible> {
-        let (shard, snap) = (self.shard, self.snap);
-        let engine = self.engine.as_mut().expect("opened before its first round");
         let view = ShardView {
             graph: &shard.graph,
             snap,
@@ -270,10 +262,15 @@ impl ShardLane for LocalLane<'_> {
                 .filter(|e| e.home == index)
                 .map(|e| e.local)
         };
-        Ok(
+        self.sent = Some(
             fixpoint::local_round(&view, local_of, engine, self.word, seeds, stop)
                 .expect("the driver routes seeds and stops to their members' home shards"),
-        )
+        );
+        Ok(())
+    }
+
+    fn recv(&mut self) -> Result<LaneRound, Infallible> {
+        Ok(self.sent.take().expect("received after a send"))
     }
 
     /// Nothing to close: the engine dies with the lane, and its drop —
@@ -749,7 +746,8 @@ impl ShardedSystem {
                 let program = LaneProgram {
                     plan,
                     masks,
-                    traced: false,
+                    one_path: false,
+                    parents: false,
                 };
                 fixpoint::masked_fixpoint(
                     &mut self.lanes(snaps, program, word),
@@ -782,6 +780,7 @@ impl ShardedSystem {
                 program,
                 word,
                 engine: None,
+                sent: None,
             })
             .collect()
     }
@@ -806,6 +805,20 @@ impl ShardedSystem {
         path: &PathExpr,
         requester: NodeId,
     ) -> (ShardedEval, ReadStats) {
+        self.targeted(owner, path, requester, true)
+    }
+
+    /// The targeted read behind `check` (`witness == false`: no parent
+    /// tracking, no stitching, `witness` stays `None` on a grant) and
+    /// behind [`ShardedSystem::evaluate_condition_targeted_with_stats`]
+    /// (`witness == true`).
+    fn targeted(
+        &self,
+        owner: NodeId,
+        path: &PathExpr,
+        requester: NodeId,
+        witness: bool,
+    ) -> (ShardedEval, ReadStats) {
         let mut stats = ReadStats {
             conditions: 1,
             traversals: 1,
@@ -829,28 +842,29 @@ impl ShardedSystem {
         let program = LaneProgram {
             plan: &plan,
             masks: &masks,
-            traced: true,
+            one_path: true,
+            parents: witness,
         };
         let mut lanes = self.lanes(&snaps, program, 0);
-        let Ok((witness, run)) = fixpoint::masked_fixpoint(
+        let Ok((walk, run)) = fixpoint::masked_fixpoint(
             &mut lanes,
             |m| self.members[m as usize].home as usize,
             &[fixpoint::owner_seed(owner)],
             Some((req_entry.home as usize, requester.0)),
             |lanes, run| {
-                let witness = run.hit.map(|(shard_ix, step, depth)| {
+                let walk = run.hit.filter(|_| witness).map(|(shard_ix, step, depth)| {
                     let at = (shard_ix, req_entry.local, step, depth);
                     self.stitch_traced(lanes, &run.origin, owner, at)
                 });
-                Ok((witness, run))
+                Ok((walk, run))
             },
         );
         run.add_to(&mut stats);
         (
             ShardedEval {
                 matched: Vec::new(),
-                granted: witness.is_some(),
-                witness,
+                granted: run.hit.is_some(),
+                witness: walk,
             },
             stats,
         )
@@ -955,16 +969,15 @@ impl AccessService for ShardedSystem {
     }
 
     /// Each condition runs the early-exiting targeted cross-shard
-    /// fixpoint
-    /// ([`ShardedSystem::evaluate_condition_targeted_with_stats`]).
+    /// fixpoint, without the parent tracking and stitching only a
+    /// witness needs.
     fn check_with_stats(
         &self,
         rid: ResourceId,
         requester: NodeId,
     ) -> Result<(Decision, ReadStats), EvalError> {
         decision::check(&self.decisions, &self.store, rid, requester, |cond| {
-            let (out, s) =
-                self.evaluate_condition_targeted_with_stats(cond.owner, &cond.path, requester);
+            let (out, s) = self.targeted(cond.owner, &cond.path, requester, false);
             Ok((out.granted, s))
         })
     }
@@ -1005,8 +1018,8 @@ impl AccessService for ShardedSystem {
         })
     }
 
-    /// `threads` is accepted for API stability; the fixpoint already
-    /// fans out across shards on parallel scoped threads.
+    /// `threads` is accepted for API stability; every read runs on the
+    /// caller's thread.
     fn check_batch_forced(
         &self,
         requests: &[(ResourceId, NodeId)],

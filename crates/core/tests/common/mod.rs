@@ -1,14 +1,26 @@
 //! Shared plumbing of the serving-layer test suites: equivalence
 //! checks generic over **any two** [`AccessService`] implementations,
-//! and the path-automaton witness replay.
+//! the path-automaton witness replay, and a raw shard-protocol client.
 //!
 //! The equivalence harness never names a backend — a future deployment
 //! (e.g. the ROADMAP's distributed-transport shards) is testable
 //! against the existing ones the day it implements the trait.
 #![allow(dead_code)] // each test binary uses the slice it needs
 
-use socialreach_core::{AccessService, Decision, Explanation, PathExpr, ResourceId, WalkHop};
+use socialreach_core::remote::frame::{read_frame, write_frame};
+use socialreach_core::remote::proto::{
+    decode_response, encode_request, Request, Response, SessionSpec, WireMatch, WireRefusal,
+    PROTOCOL_VERSION,
+};
+use socialreach_core::{
+    AccessService, Decision, Explanation, PathExpr, ResourceId, ShardAddr, WalkHop,
+};
+use socialreach_graph::shard::{MaskedExport, MaskedStateKey};
 use socialreach_graph::{NodeId, SocialGraph};
+use std::io::{Read, Write};
+use std::net::TcpStream;
+use std::os::unix::net::UnixStream;
+use std::time::Duration;
 
 /// Asserts two serving backends agree on **every** observable read of
 /// the given resources: per-member decisions, per-resource audiences,
@@ -222,5 +234,88 @@ pub fn assert_explanation_valid(
                 );
             }
         }
+    }
+}
+
+/// A blocking client speaking the shard protocol directly (no router),
+/// over either transport.
+pub struct RawClient {
+    stream: Box<dyn RawStream>,
+}
+
+pub trait RawStream: Read + Write + Send {}
+impl<T: Read + Write + Send> RawStream for T {}
+
+impl RawClient {
+    /// Dials `addr` and completes the handshake.
+    pub fn dial(addr: &ShardAddr) -> RawClient {
+        let patience = Some(Duration::from_secs(10));
+        let stream: Box<dyn RawStream> = match addr {
+            ShardAddr::Tcp(a) => {
+                let s = TcpStream::connect(a).expect("dial shard");
+                s.set_read_timeout(patience).unwrap();
+                Box::new(s)
+            }
+            ShardAddr::Unix(p) => {
+                let s = UnixStream::connect(p).expect("dial shard");
+                s.set_read_timeout(patience).unwrap();
+                Box::new(s)
+            }
+        };
+        let mut c = RawClient { stream };
+        match c.call(&Request::Hello {
+            version: PROTOCOL_VERSION,
+        }) {
+            Response::Hello { version, .. } => assert_eq!(version, PROTOCOL_VERSION),
+            other => panic!("expected Hello, got {other:?}"),
+        }
+        c
+    }
+
+    pub fn call(&mut self, req: &Request) -> Response {
+        write_frame(&mut self.stream, &encode_request(req)).expect("write");
+        let payload = read_frame(&mut self.stream).expect("read");
+        decode_response(&payload).expect("decode")
+    }
+
+    /// One round of session `eval`, unstopped; `open` makes it the
+    /// session's first. Returns the matches and exports, or the
+    /// shard's refusal.
+    pub fn round(
+        &mut self,
+        eval: u64,
+        open: Option<SessionSpec>,
+        seeds: Vec<MaskedExport>,
+    ) -> Result<(Vec<WireMatch>, Vec<MaskedExport>), WireRefusal> {
+        let stop = None;
+        let req = match open {
+            Some(session) => Request::OpenRound {
+                eval,
+                session,
+                seeds,
+                stop,
+            },
+            None => Request::Round { eval, seeds, stop },
+        };
+        match self.call(&req) {
+            Response::Round {
+                matched, exports, ..
+            } => Ok((matched, exports)),
+            Response::Refused(refusal) => Err(refusal),
+            other => panic!("expected Round, got {other:?}"),
+        }
+    }
+}
+
+/// A seed at `member`'s start state (step 0, depth 0, word 0).
+pub fn start_seed(member: u32, mask: u64) -> MaskedExport {
+    MaskedExport {
+        key: MaskedStateKey {
+            member,
+            step: 0,
+            depth: 0,
+            word: 0,
+        },
+        mask,
     }
 }

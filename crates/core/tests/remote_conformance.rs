@@ -11,12 +11,16 @@
 mod common;
 
 use proptest::prelude::*;
+use socialreach_core::online::evaluate_reference;
+use socialreach_core::remote::proto::{Request, Response, SessionSpec, WireMatch, WireRefusal};
 use socialreach_core::remote::spawn_local_fleet;
 use socialreach_core::{
-    AccessService, Deployment, EvalError, MutateService, PolicyStore, ServiceInstance, ShardAddr,
-    ShardHandle, ShardServer,
+    parse_path, AccessService, Decision, Deployment, EvalError, Explanation, MutateService,
+    PolicyStore, ResourceId, ServiceInstance, ShardAddr, ShardHandle, ShardServer,
 };
-use socialreach_graph::{NodeId, ShardAssignment, SocialGraph};
+use socialreach_graph::{AttrValue, NodeId, ShardAssignment, SocialGraph};
+use std::collections::HashMap;
+use std::sync::{mpsc, Mutex};
 
 const SEED: u64 = 3;
 
@@ -272,10 +276,9 @@ fn uds_kill_and_restart_mid_stream_preserves_conformance() {
     kill_and_restart_mid_stream(true);
 }
 
-/// `Deployment::from_graph` parity: ingesting an existing graph +
-/// policy store over the wire preserves ids and semantics.
-#[test]
-fn tcp_from_graph_preserves_ids_and_semantics() {
+/// A 12-member chain of friend and colleague ties with ages on every
+/// other member, and two single-condition resources.
+fn chain_fixture() -> (SocialGraph, PolicyStore, Vec<ResourceId>) {
     let mut g = SocialGraph::new();
     for i in 0..12 {
         g.add_node(&format!("u{i}"));
@@ -299,8 +302,14 @@ fn tcp_from_graph_preserves_ids_and_semantics() {
     store
         .allow(r1, "colleague*[1..2]{age>=20}", &mut g)
         .unwrap();
-    let rids = [r0, r1];
+    (g, store, vec![r0, r1])
+}
 
+/// `Deployment::from_graph` parity: ingesting an existing graph +
+/// policy store over the wire preserves ids and semantics.
+#[test]
+fn tcp_from_graph_preserves_ids_and_semantics() {
+    let (g, store, rids) = chain_fixture();
     let (_handles, addrs) = fleet(3, false);
     let net = Deployment::networked_with(addrs, SEED).from_graph(&g, store.clone());
     let single = Deployment::online().from_graph(&g, store.clone());
@@ -390,4 +399,197 @@ proptest! {
         let sharded = Deployment::sharded_with(assignment).from_graph(&g, store);
         common::assert_services_agree(sharded.reads(), net.reads(), &rids);
     }
+}
+
+// ---------------------------------------------------------------------
+// Concurrency: pooled connections and session lifetimes
+// ---------------------------------------------------------------------
+
+/// Four threads read one networked(2) deployment at once — mixed
+/// `check`, `explain` and `audience_batch` — through one router whose
+/// connection pool they share. Every answer equals the single-graph
+/// twin's, and every `explain` walk is a valid witness.
+fn concurrent_readers_match_the_online_twin(unix: bool) {
+    let (g, store, rids) = chain_fixture();
+    let (_handles, addrs) = fleet(2, unix);
+    let net = Deployment::networked_with(addrs, SEED).from_graph(&g, store.clone());
+    let online = Deployment::online().from_graph(&g, store.clone());
+    std::thread::scope(|scope| {
+        for t in 0..4u32 {
+            let (net, online, g, store, rids) = (net.reads(), online.reads(), &g, &store, &rids);
+            scope.spawn(move || {
+                for i in 0..24u32 {
+                    let rid = rids[((t + i) % 2) as usize];
+                    let m = NodeId((5 * t + 7 * i) % 12);
+                    let want = online.check(rid, m).unwrap();
+                    match (t + i) % 3 {
+                        0 => assert_eq!(net.check(rid, m).unwrap(), want, "{rid:?} {m}"),
+                        1 => {
+                            let explained = net.explain(rid, m).unwrap();
+                            assert_eq!(explained.is_some(), want == Decision::Grant);
+                            if let Some(Explanation::Rule { walks }) = explained {
+                                let path = &store.rules_for(rid)[0].conditions[0].path;
+                                for w in &walks {
+                                    common::assert_witness_valid(g, w.start, m, path, &w.hops);
+                                }
+                            }
+                        }
+                        _ => assert_eq!(
+                            net.audience_batch(rids).unwrap(),
+                            online.audience_batch(rids).unwrap()
+                        ),
+                    }
+                }
+            });
+        }
+    });
+}
+
+#[test]
+fn tcp_concurrent_readers_match_the_online_twin() {
+    concurrent_readers_match_the_online_twin(false);
+}
+
+#[test]
+fn uds_concurrent_readers_match_the_online_twin() {
+    concurrent_readers_match_the_online_twin(true);
+}
+
+/// A raw reader races the router's writer on one shard. Each read is
+/// two rounds of one session: bit 0 from the owner, then bit 1 from the
+/// owner again. A served read must answer both rounds with the audience
+/// at the epoch its session opened at; otherwise it is refused with a
+/// retryable refusal (the open with `EpochMismatch`, the round after a
+/// commit with `UnknownEval`). Never a mix of two epochs — the age a
+/// commit flips would otherwise reach round 2 only. The reader paces
+/// the writer, so every run has reads that straddle a commit (refused)
+/// and reads that cannot (served).
+fn reader_racing_a_writer_sees_one_epoch_or_a_retry(unix: bool) {
+    const N: usize = 6;
+    const RULE: &str = "friend+[1..]{age>=30}";
+    let (_handles, addrs) = fleet(1, unix);
+    let mut net = socialreach_core::NetworkedSystem::connect(&addrs, SEED).expect("fleet");
+    let mut g = SocialGraph::new();
+    let mut members = Vec::new();
+    for i in 0..N {
+        let name = format!("r{i}");
+        members.push(net.try_add_user(&name).unwrap());
+        g.add_node(&name);
+        net.try_set_user_attr(members[i], "age", AttrValue::Int(20))
+            .unwrap();
+        g.set_node_attr(members[i], "age", 20i64);
+    }
+    for w in members.windows(2) {
+        net.try_connect(w[0], "friend", w[1]).unwrap();
+        g.connect(w[0], "friend", w[1]);
+    }
+    let path = parse_path(RULE, g.vocab_mut()).unwrap();
+    let owner = members[0];
+    let audience = move |g: &SocialGraph| evaluate_reference(g, owner, &path, None).matched;
+    // Audience per epoch, recorded before the epoch can be published.
+    let history = Mutex::new(HashMap::from([(net.epoch(), audience(&g))]));
+    let under = |matched: &[WireMatch], bit: u32| -> Vec<NodeId> {
+        let mut members: Vec<NodeId> = matched
+            .iter()
+            .filter(|m| m.mask >> bit & 1 == 1)
+            .map(|m| NodeId(m.member))
+            .collect();
+        members.sort_unstable();
+        members
+    };
+
+    std::thread::scope(|scope| {
+        // Each message asks for one commit; a sender, if any, hears
+        // when it has landed.
+        let (commits, requests) = mpsc::channel::<Option<mpsc::Sender<()>>>();
+        let history = &history;
+        scope.spawn(move || {
+            // Every commit flips one member across the rule's age bar.
+            let mut ages = [20i64; N];
+            for (i, landed) in requests.into_iter().enumerate() {
+                let j = 1 + i % (N - 1);
+                ages[j] = 60 - ages[j];
+                g.set_node_attr(members[j], "age", ages[j]);
+                history
+                    .lock()
+                    .unwrap()
+                    .insert(net.epoch() + 1, audience(&g));
+                net.try_set_user_attr(members[j], "age", AttrValue::Int(ages[j]))
+                    .unwrap();
+                if let Some(landed) = landed {
+                    landed.send(()).unwrap();
+                }
+            }
+        });
+        let commit = |wait: bool| {
+            let (tx, rx) = mpsc::channel();
+            commits.send(wait.then_some(tx)).unwrap();
+            if wait {
+                rx.recv().unwrap();
+            }
+        };
+        let mut raw = common::RawClient::dial(&addrs[0]);
+        let (mut served, mut refused) = (0, 0);
+        for eval in 1..=40u64 {
+            // Reads cycle through a commit that may land anywhere in the
+            // read (phases 0 and 2), one forced between its rounds (1),
+            // and none in flight (3).
+            let phase = eval % 4;
+            if phase != 1 {
+                commit(phase == 3);
+            }
+            let Response::Census { epoch, .. } = raw.call(&Request::Census) else {
+                panic!("expected a census")
+            };
+            let want = history.lock().unwrap()[&epoch].clone();
+            let session = SessionSpec::Path {
+                epoch,
+                path: RULE.into(),
+                word: 0,
+                parents: false,
+            };
+            let first = raw.round(eval, Some(session), vec![common::start_seed(owner.0, 1)]);
+            if phase == 1 {
+                commit(true);
+            }
+            let second = raw.round(eval, None, vec![common::start_seed(owner.0, 2)]);
+            match (first, second) {
+                (Ok((round1, _)), Ok((round2, _))) => {
+                    assert_eq!(
+                        under(&round1, 0),
+                        want,
+                        "round 1 of a read at epoch {epoch}"
+                    );
+                    assert_eq!(
+                        under(&round2, 1),
+                        want,
+                        "round 2 of a read at epoch {epoch}"
+                    );
+                    assert_ne!(phase, 1, "a read straddling a commit was served");
+                    served += 1;
+                }
+                (Ok(_) | Err(WireRefusal::EpochMismatch { .. }), Err(refusal)) => {
+                    assert_eq!(refusal, WireRefusal::UnknownEval { eval });
+                    assert_ne!(phase, 3, "a read between commits was refused");
+                    refused += 1;
+                }
+                other => panic!("neither one epoch nor a typed retry: {other:?}"),
+            }
+        }
+        assert!(
+            served >= 10 && refused >= 10,
+            "{served} served, {refused} refused"
+        );
+        drop(commits);
+    });
+}
+
+#[test]
+fn tcp_reader_racing_a_writer_sees_one_epoch_or_a_retry() {
+    reader_racing_a_writer_sees_one_epoch_or_a_retry(false);
+}
+
+#[test]
+fn uds_reader_racing_a_writer_sees_one_epoch_or_a_retry() {
+    reader_racing_a_writer_sees_one_epoch_or_a_retry(true);
 }

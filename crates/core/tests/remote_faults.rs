@@ -11,19 +11,19 @@
 
 mod common;
 
-use socialreach_core::remote::frame::{read_frame, write_frame};
+use common::{start_seed, RawClient};
 use socialreach_core::remote::proto::{
-    decode_response, encode_request, Request, Response, ShardOp, WireMatch, PROTOCOL_VERSION,
+    Request, Response, SessionSpec, ShardOp, WireMatch, WireRefusal,
 };
 use socialreach_core::remote::{spawn_local_fleet, NetworkedSystem};
 use socialreach_core::{
     AccessService, Deployment, EvalError, RemoteError, ResourceId, ServiceInstance, ShardAddr,
 };
-use socialreach_graph::shard::{MaskedExport, MaskedStateKey};
 use socialreach_graph::NodeId;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -49,17 +49,21 @@ enum Mode {
 }
 
 /// Spawns a TCP proxy in front of `upstream`. Returns the proxy's
-/// address and the shared fault mode. Connections dialed while a fault
-/// mode is active are faulted too (so the router's internal
-/// revive-and-retry cannot silently mask the fault from the test).
-fn spawn_proxy(upstream: String) -> (ShardAddr, Arc<Mutex<Mode>>) {
+/// address, the shared fault mode and a count of the connections the
+/// router dialed through it. Connections dialed while a fault mode is
+/// active are faulted too (so the router's internal revive-and-retry
+/// cannot silently mask the fault from the test).
+fn spawn_proxy(upstream: String) -> (ShardAddr, Arc<Mutex<Mode>>, Arc<AtomicUsize>) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("proxy binds");
     let addr = ShardAddr::Tcp(listener.local_addr().unwrap().to_string());
     let mode = Arc::new(Mutex::new(Mode::Pass));
     let shared = Arc::clone(&mode);
+    let dials = Arc::new(AtomicUsize::new(0));
+    let counted = Arc::clone(&dials);
     std::thread::spawn(move || {
         for conn in listener.incoming() {
             let Ok(client) = conn else { break };
+            counted.fetch_add(1, Ordering::SeqCst);
             let Ok(server) = TcpStream::connect(&upstream) else {
                 continue;
             };
@@ -77,7 +81,7 @@ fn spawn_proxy(upstream: String) -> (ShardAddr, Arc<Mutex<Mode>>) {
             std::thread::spawn(move || pump_faulty(server, client, mode));
         }
     });
-    (addr, mode)
+    (addr, mode, dials)
 }
 
 fn pump_faulty(mut from: TcpStream, mut to: TcpStream, mode: Arc<Mutex<Mode>>) {
@@ -130,6 +134,8 @@ struct Rig {
     net: NetworkedSystem,
     twin: ServiceInstance,
     mode: Arc<Mutex<Mode>>,
+    /// Connections the router dialed to shard 0 (through the proxy).
+    dials: Arc<AtomicUsize>,
     rid: ResourceId,
     members: Vec<NodeId>,
     _handles: Vec<socialreach_core::ShardHandle>,
@@ -140,7 +146,7 @@ fn rig() -> Rig {
     let ShardAddr::Tcp(upstream) = handles[0].addr().clone() else {
         panic!("tcp fleet")
     };
-    let (proxy_addr, mode) = spawn_proxy(upstream);
+    let (proxy_addr, mode, dials) = spawn_proxy(upstream);
     let addrs = vec![proxy_addr, handles[1].addr().clone()];
     let mut net = NetworkedSystem::connect(&addrs, 7).expect("router connects");
 
@@ -169,6 +175,7 @@ fn rig() -> Rig {
         net,
         twin,
         mode,
+        dials,
         rid,
         members,
         _handles: handles,
@@ -255,6 +262,48 @@ fn stall_past_read_timeout_is_typed_and_bounded() {
 
     set_mode(&r, Mode::Pass);
     assert_eq!(r.net.audience(r.rid).unwrap(), want, "stall lifted, healed");
+}
+
+/// A stall between a lane's send and its receive — the round reached
+/// the shard, its response never comes back — surfaces as `Timeout`,
+/// and the stalled connection never returns to the pool: the failed
+/// read and its retry each give one connection up, and once the stall
+/// lifts the next read heals on a freshly dialed one. (A returned
+/// connection would be reused instead, its stale response read as the
+/// answer to a later request.)
+#[test]
+fn a_stall_between_send_and_receive_times_out_and_heals_on_a_fresh_connection() {
+    let mut r = rig();
+    let want = r.twin.reads().audience(r.rid).unwrap();
+    r.net.set_read_timeout(Duration::from_millis(250));
+    assert_eq!(r.net.audience(r.rid).unwrap(), want, "warm pool");
+    let warm = r.dials.load(Ordering::SeqCst);
+
+    set_mode(&r, Mode::Stall);
+    match r.net.audience(r.rid) {
+        Err(EvalError::Remote(RemoteError::Timeout { .. })) => {}
+        Err(other) => panic!("expected a Timeout, got {other}"),
+        Ok(_) => panic!("a stalled read must not produce a decision"),
+    }
+    assert_eq!(
+        r.dials.load(Ordering::SeqCst),
+        warm + 1,
+        "the read used its pooled connection; only the retry dialed"
+    );
+
+    set_mode(&r, Mode::Pass);
+    assert_eq!(r.net.audience(r.rid).unwrap(), want, "stall lifted, healed");
+    assert_eq!(
+        r.dials.load(Ordering::SeqCst),
+        warm + 2,
+        "neither stalled connection was pooled: the healing read dialed"
+    );
+    assert_eq!(r.net.audience(r.rid).unwrap(), want);
+    assert_eq!(
+        r.dials.load(Ordering::SeqCst),
+        warm + 2,
+        "and a healthy connection is reused"
+    );
 }
 
 /// A flipped payload bit is caught by the frame CRC and classified
@@ -385,61 +434,15 @@ fn killed_shard_mid_fixpoint_has_no_torn_epoch() {
 }
 
 // ---------------------------------------------------------------------
-// Raw-wire delivery faults: duplication and reordering
+// Raw-wire delivery faults and session lifetimes
 // ---------------------------------------------------------------------
 
-/// A blocking wire client speaking the protocol directly (no router).
-struct RawClient {
-    stream: TcpStream,
-}
-
-impl RawClient {
-    fn dial(addr: &ShardAddr) -> RawClient {
-        let ShardAddr::Tcp(tcp) = addr else {
-            panic!("raw client is TCP-only")
-        };
-        let stream = TcpStream::connect(tcp).expect("dial shard");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        RawClient { stream }
-    }
-
-    fn call(&mut self, req: &Request) -> Response {
-        write_frame(&mut self.stream, &encode_request(req)).expect("write");
-        let payload = read_frame(&mut self.stream).expect("read");
-        decode_response(&payload).expect("decode")
-    }
-
-    fn round(
-        &mut self,
-        eval: u64,
-        seeds: Vec<MaskedExport>,
-    ) -> (Vec<WireMatch>, Vec<MaskedExport>) {
-        match self.call(&Request::Round {
-            eval,
-            seeds,
-            stop: None,
-        }) {
-            Response::Round {
-                matched, exports, ..
-            } => (matched, exports),
-            other => panic!("expected Round, got {other:?}"),
-        }
-    }
-}
-
 /// Populates a single standalone shard with a friend chain over the raw
-/// wire and opens a 2-owner batched evaluation (bit 0 = owner 0,
-/// bit 1 = owner 3). Returns the client and the eval id.
-fn raw_eval_fixture(addr: &ShardAddr) -> (RawClient, u64) {
+/// wire (epoch 1). Returns the client and the session a batched
+/// evaluation over `friend+[1..3]` opens with (bit 0 = owner 0, bit 1 =
+/// owner 3 in the tests).
+fn raw_eval_fixture(addr: &ShardAddr) -> (RawClient, SessionSpec) {
     let mut c = RawClient::dial(addr);
-    match c.call(&Request::Hello {
-        version: PROTOCOL_VERSION,
-    }) {
-        Response::Hello { version, .. } => assert_eq!(version, PROTOCOL_VERSION),
-        other => panic!("expected Hello, got {other:?}"),
-    }
     assert_eq!(
         c.call(&Request::Intern {
             labels: vec!["friend".into()],
@@ -469,29 +472,15 @@ fn raw_eval_fixture(addr: &ShardAddr) -> (RawClient, u64) {
         c.call(&Request::Commit { epoch: 1 }),
         Response::Committed { epoch: 1 }
     );
-    let eval = 99;
-    assert_eq!(
-        c.call(&Request::BeginEval {
-            eval,
-            epoch: 1,
-            path: "friend+[1..3]".into(),
-            word: 0,
-            parents: false,
-        }),
-        Response::EvalOpen { eval }
-    );
-    (c, eval)
+    (c, chain_session())
 }
 
-fn seed(member: u32, mask: u64) -> MaskedExport {
-    MaskedExport {
-        key: MaskedStateKey {
-            member,
-            step: 0,
-            depth: 0,
-            word: 0,
-        },
-        mask,
+fn chain_session() -> SessionSpec {
+    SessionSpec::Path {
+        epoch: 1,
+        path: "friend+[1..3]".into(),
+        word: 0,
+        parents: false,
     }
 }
 
@@ -508,20 +497,20 @@ fn merge(into: &mut HashMap<u32, u64>, matched: &[WireMatch]) {
 #[test]
 fn duplicated_round_delivery_is_idempotent() {
     let handles = spawn_local_fleet(1, false).expect("fleet spawns");
-    let (mut c, eval) = raw_eval_fixture(handles[0].addr());
+    let (mut c, session) = raw_eval_fixture(handles[0].addr());
+    let eval = 99;
 
-    let seeds = vec![seed(0, 1), seed(3, 2)];
-    let (m1, e1) = c.round(eval, seeds.clone());
+    let seeds = vec![start_seed(0, 1), start_seed(3, 2)];
+    let (m1, e1) = c.round(eval, Some(session), seeds.clone()).unwrap();
     assert!(!m1.is_empty(), "the chain grants someone");
 
-    let (m2, e2) = c.round(eval, seeds);
+    let (m2, e2) = c.round(eval, None, seeds).unwrap();
     assert!(
         m2.is_empty(),
         "re-delivered seeds add no bits, so no new matches: {m2:?}"
     );
     assert!(e2.is_empty(), "and nothing new to export: {e2:?}");
     drop(e1);
-    assert_eq!(c.call(&Request::EndEval { eval }), Response::Ok);
 }
 
 /// Seed **sub-batch order does not matter**: delivering batch A then B
@@ -532,36 +521,76 @@ fn duplicated_round_delivery_is_idempotent() {
 fn reordered_batch_delivery_converges_identically() {
     let handles = spawn_local_fleet(1, false).expect("fleet spawns");
 
-    let batch_a = vec![seed(0, 1)];
-    let batch_b = vec![seed(3, 2)];
+    let batch_a = vec![start_seed(0, 1)];
+    let batch_b = vec![start_seed(3, 2)];
 
-    let (mut c1, e1) = raw_eval_fixture(handles[0].addr());
+    let (mut c1, session) = raw_eval_fixture(handles[0].addr());
+    let e1 = 99;
     let mut forward = HashMap::new();
-    let (m, _) = c1.round(e1, batch_a.clone());
+    let (m, _) = c1
+        .round(e1, Some(session.clone()), batch_a.clone())
+        .unwrap();
     merge(&mut forward, &m);
-    let (m, _) = c1.round(e1, batch_b.clone());
+    let (m, _) = c1.round(e1, None, batch_b.clone()).unwrap();
     merge(&mut forward, &m);
 
     let mut c2 = RawClient::dial(handles[0].addr());
-    let eval2 = 123;
-    assert_eq!(
-        c2.call(&Request::BeginEval {
-            eval: eval2,
-            epoch: 1,
-            path: "friend+[1..3]".into(),
-            word: 0,
-            parents: false,
-        }),
-        Response::EvalOpen { eval: eval2 }
-    );
+    let e2 = 123;
     let mut reversed = HashMap::new();
-    let (m, _) = c2.round(eval2, batch_b);
+    let (m, _) = c2.round(e2, Some(session), batch_b).unwrap();
     merge(&mut reversed, &m);
-    let (m, _) = c2.round(eval2, batch_a);
+    let (m, _) = c2.round(e2, None, batch_a).unwrap();
     merge(&mut reversed, &m);
 
     assert_eq!(
         forward, reversed,
         "cumulative matches are delivery-order independent"
     );
+}
+
+/// A session belongs to the connection that opened it: another
+/// connection naming its id — for a round or a trace — is refused as
+/// unknown, and the owner's session is untouched by the attempt.
+#[test]
+fn a_session_is_invisible_from_another_connection() {
+    let handles = spawn_local_fleet(1, false).expect("fleet spawns");
+    let (mut owner, session) = raw_eval_fixture(handles[0].addr());
+    let eval = 7;
+    owner
+        .round(eval, Some(session), vec![start_seed(0, 1)])
+        .unwrap();
+
+    let mut other = RawClient::dial(handles[0].addr());
+    assert_eq!(
+        other.round(eval, None, vec![start_seed(3, 2)]),
+        Err(WireRefusal::UnknownEval { eval })
+    );
+    assert_eq!(
+        other.call(&Request::Trace {
+            eval,
+            member: 1,
+            step: 0,
+            depth: 1,
+        }),
+        Response::Refused(WireRefusal::UnknownEval { eval })
+    );
+    let (matched, _) = owner.round(eval, None, vec![start_seed(3, 2)]).unwrap();
+    assert!(!matched.is_empty(), "the owner's session still serves");
+}
+
+/// Opening a connection's next session drops its previous one: the
+/// first eval id is then unknown, the second serves.
+#[test]
+fn a_second_open_on_one_connection_retires_the_first_eval() {
+    let handles = spawn_local_fleet(1, false).expect("fleet spawns");
+    let (mut c, session) = raw_eval_fixture(handles[0].addr());
+    c.round(7, Some(session.clone()), vec![start_seed(0, 1)])
+        .unwrap();
+    c.round(8, Some(session), vec![start_seed(0, 1)]).unwrap();
+    assert_eq!(
+        c.round(7, None, vec![start_seed(3, 2)]),
+        Err(WireRefusal::UnknownEval { eval: 7 })
+    );
+    let (matched, _) = c.round(8, None, vec![start_seed(3, 2)]).unwrap();
+    assert!(!matched.is_empty(), "the newer session serves");
 }

@@ -9,8 +9,8 @@
 use proptest::prelude::*;
 use socialreach_core::remote::frame::{encode_frame, read_frame, write_frame, FrameError};
 use socialreach_core::remote::proto::{
-    decode_request, decode_response, encode_request, encode_response, Request, Response, ShardOp,
-    WireHop, WireMatch, WireRefusal, PROTOCOL_VERSION,
+    decode_request, decode_response, encode_request, encode_response, Request, Response,
+    SessionSpec, ShardOp, WireHop, WireMatch, WirePlanNode, WireRefusal, PROTOCOL_VERSION,
 };
 use socialreach_graph::shard::{MaskedExport, MaskedExportSet, MaskedStateKey};
 use socialreach_graph::AttrValue;
@@ -91,38 +91,56 @@ fn request_strategy() -> impl Strategy<Value = Request> {
         proptest::collection::vec(word_strategy(), 0..4),
     )
         .prop_map(
-            |((ix, path_ix), (eval, epoch, word, member), ops, seeds, names)| match ix {
-                0 => Request::Hello {
-                    version: eval as u32,
-                },
-                1 => Request::Intern {
-                    labels: names.clone(),
-                    attrs: names,
-                },
-                2 => Request::Prepare { epoch, ops },
-                3 => Request::Commit { epoch },
-                4 => Request::Abort { epoch },
-                5 => Request::BeginEval {
-                    eval,
-                    epoch,
-                    path: PATHS[path_ix].to_string(),
-                    word,
-                    parents: member % 2 == 0,
-                },
-                6 => Request::Round {
-                    eval,
-                    seeds,
-                    stop: if member % 2 == 0 { Some(member) } else { None },
-                },
-                7 => Request::Trace {
-                    eval,
-                    member,
-                    step: word as u16,
-                    depth: member / 2,
-                },
-                8 => Request::EndEval { eval },
-                9 => Request::Census,
-                _ => Request::Shutdown,
+            |((ix, path_ix), (eval, epoch, word, member), ops, seeds, names)| {
+                let stop = if member % 2 == 0 { Some(member) } else { None };
+                let session = match ix {
+                    5 => SessionSpec::Path {
+                        epoch,
+                        path: PATHS[path_ix].to_string(),
+                        word,
+                        parents: member % 2 == 0,
+                    },
+                    _ => SessionSpec::Plan {
+                        epoch,
+                        nodes: names
+                            .iter()
+                            .map(|step| WirePlanNode {
+                                step: step.clone(),
+                                children: vec![word as u16],
+                                mask: eval,
+                                accept: eval >> 1,
+                            })
+                            .collect(),
+                        word,
+                    },
+                };
+                match ix {
+                    0 => Request::Hello {
+                        version: eval as u32,
+                    },
+                    1 => Request::Intern {
+                        labels: names.clone(),
+                        attrs: names,
+                    },
+                    2 => Request::Prepare { epoch, ops },
+                    3 => Request::Commit { epoch },
+                    4 => Request::Abort { epoch },
+                    5 | 6 => Request::OpenRound {
+                        eval,
+                        session,
+                        seeds,
+                        stop,
+                    },
+                    7 => Request::Round { eval, seeds, stop },
+                    8 => Request::Trace {
+                        eval,
+                        member,
+                        step: word as u16,
+                        depth: member / 2,
+                    },
+                    9 => Request::Census,
+                    _ => Request::Shutdown,
+                }
             },
         )
 }
@@ -158,7 +176,7 @@ fn hop_strategy() -> impl Strategy<Value = WireHop> {
 
 fn response_strategy() -> impl Strategy<Value = Response> {
     (
-        (0..10usize, refusal_strategy()),
+        (0..9usize, refusal_strategy()),
         (0..1_000_000u64, 0..1_000u64, 0..100_000u64, 0..100_000u64),
         (
             proptest::collection::vec(match_strategy(), 0..5),
@@ -177,8 +195,7 @@ fn response_strategy() -> impl Strategy<Value = Response> {
                 2 => Response::Prepared { epoch: b },
                 3 => Response::Committed { epoch: b },
                 4 => Response::Aborted { epoch: b },
-                5 => Response::EvalOpen { eval: a },
-                6 => Response::Round {
+                5 => Response::Round {
                     matched,
                     exports,
                     hit: if a % 2 == 0 {
@@ -188,13 +205,13 @@ fn response_strategy() -> impl Strategy<Value = Response> {
                     },
                     states_expanded: d,
                 },
-                7 => Response::Traced {
+                6 => Response::Traced {
                     hops,
                     seed_member: a as u32,
                     seed_step: b as u16,
                     seed_depth: c as u32,
                 },
-                8 => Response::Census {
+                7 => Response::Census {
                     members: a,
                     ghosts: b,
                     edges: c,
@@ -401,18 +418,40 @@ fn golden_protocol_encodings() {
             version: PROTOCOL_VERSION
         }))
         .unwrap(),
-        r#"{"Hello":{"version":1}}"#
+        r#"{"Hello":{"version":2}}"#
     );
-    assert_eq!(
-        String::from_utf8(encode_request(&Request::BeginEval {
-            eval: 5,
-            epoch: 3,
-            path: "friend+[1,2]".into(),
+    let seeds = vec![MaskedExport {
+        key: MaskedStateKey {
+            member: 7,
+            step: 0,
+            depth: 0,
             word: 0,
-            parents: true,
+        },
+        mask: 1,
+    }];
+    assert_eq!(
+        String::from_utf8(encode_request(&Request::OpenRound {
+            eval: 5,
+            session: SessionSpec::Path {
+                epoch: 3,
+                path: "friend+[1,2]".into(),
+                word: 0,
+                parents: true,
+            },
+            seeds: seeds.clone(),
+            stop: Some(9),
         }))
         .unwrap(),
-        r#"{"BeginEval":{"eval":5,"epoch":3,"path":"friend+[1,2]","word":0,"parents":true}}"#
+        r#"{"OpenRound":{"eval":5,"session":{"Path":{"epoch":3,"path":"friend+[1,2]","word":0,"parents":true}},"seeds":[{"key":{"member":7,"step":0,"depth":0,"word":0},"mask":1}],"stop":9}}"#
+    );
+    assert_eq!(
+        String::from_utf8(encode_request(&Request::Round {
+            eval: 5,
+            seeds,
+            stop: None,
+        }))
+        .unwrap(),
+        r#"{"Round":{"eval":5,"seeds":[{"key":{"member":7,"step":0,"depth":0,"word":0},"mask":1}],"stop":null}}"#
     );
     assert_eq!(
         String::from_utf8(encode_request(&Request::Census)).unwrap(),

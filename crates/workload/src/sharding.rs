@@ -7,7 +7,8 @@
 //! are placement-oblivious — hashing their members spreads ties at the
 //! *expected* crossing rate `1 − 1/N` and nothing else. This module
 //! generates ties with a **controlled crossing rate** instead, so the
-//! shard-scaling experiments (bench P11) can sweep from
+//! shard-scaling experiments (bench P11, now retired and recorded in
+//! CHANGES.md) could sweep from
 //! shard-friendly (mostly intra) to adversarial (dense cross-shard
 //! traffic) workloads under the very [`ShardAssignment`] the serving
 //! layer will use.
@@ -123,8 +124,7 @@ impl CrossShardTopology {
     /// mix (`friend` 70% / `colleague` 20% / `parent` 10%) and half of
     /// them reciprocated — mirroring [`crate::spec::GraphSpec::build`]
     /// over this generator's placement-aware ties. Deterministic per
-    /// RNG state; bench P11 and the batch-amortization workloads share
-    /// this shape.
+    /// RNG state; the batch-amortization workloads share this shape.
     pub fn build_graph(&self, rng: &mut StdRng) -> SocialGraph {
         let ties = self.generate(rng);
         let mut graph = SocialGraph::new();
