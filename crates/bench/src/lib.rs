@@ -1,8 +1,9 @@
 #![warn(missing_docs)]
-//! Shared benchmark harness: dataset registry, timing helpers and ASCII
-//! table rendering used by the `paper-artifacts` / `run-experiments`
-//! binaries and the Criterion benches (experiments P1–P8, each
-//! documented where `run-experiments` runs it).
+//! Shared experiment harness: sweep sizes, timing helpers and ASCII
+//! table rendering used by the two experiment binaries —
+//! `run-experiments` (the performance study P0–P8, each documented
+//! where it runs, asserting every decision against ground truth) and
+//! `paper-artifacts` (the paper's figures).
 //!
 //! Sizing: `SOCIALREACH_QUICK=1` shrinks every sweep so the full suite
 //! finishes in seconds (CI mode); the default sizes target a laptop
@@ -11,14 +12,6 @@
 use socialreach_core::{JoinEngineConfig, JoinIndexConfig, JoinStrategy, PlanConfig};
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
-
-pub mod p14;
-pub mod p9;
-
-pub use socialreach_core as core;
-pub use socialreach_graph as graph;
-pub use socialreach_reach as reach;
-pub use socialreach_workload as workload;
 
 /// True when the environment asks for the quick (CI) sweep.
 pub fn quick_mode() -> bool {
@@ -56,14 +49,6 @@ pub fn forward_join_config(strategy: JoinStrategy) -> JoinEngineConfig {
             virtual_root: None,
         },
         max_tuples: 5_000_000,
-    }
-}
-
-/// An augmented configuration (supports `−`/`∗` steps).
-pub fn augmented_join_config(strategy: JoinStrategy) -> JoinEngineConfig {
-    JoinEngineConfig {
-        strategy,
-        ..JoinEngineConfig::default()
     }
 }
 
@@ -224,11 +209,6 @@ mod tests {
         use socialreach_core::JoinStrategy;
         assert!(
             !forward_join_config(JoinStrategy::OwnerSeeded)
-                .index
-                .augment_reverse
-        );
-        assert!(
-            augmented_join_config(JoinStrategy::OwnerSeeded)
                 .index
                 .augment_reverse
         );

@@ -20,10 +20,9 @@
 //! one for persistence — and routes every `audience_batch` /
 //! `check_batch` / `check` through a [`Planner`] that:
 //!
-//! 1. keeps a decaying [`ResourceProfile`] per resource (audience
-//!    size, deduped conditions, fixpoint rounds, boundary-crossing
-//!    rate, states per condition), learned from the [`ReadStats`]
-//!    censuses of prior reads;
+//! 1. keeps a decaying [`ResourceProfile`] per resource (deduped
+//!    conditions and shared-prefix share), learned from the
+//!    [`ReadStats`] censuses of prior reads;
 //! 2. keeps per-strategy decayed **measured cost** (wall nanoseconds
 //!    per resource) in the same profile;
 //! 3. at read time, sums the profile costs over the bundle's deduped
@@ -212,20 +211,9 @@ impl CostEstimate {
 /// seeds them directly.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ResourceProfile {
-    /// Audience cardinality (members granted access).
-    pub audience_size: f64,
     /// Deduped `(owner, path)` conditions attributable to this
     /// resource per bundle read.
     pub conditions: f64,
-    /// Fixpoint rounds per traversal pass (1.0 on a single graph;
-    /// cross-shard round-trips on a sharded one).
-    pub rounds: f64,
-    /// Boundary-crossing rate: exported states over expanded states
-    /// (always 0 on single-graph deployments). The resharding
-    /// hotspot-detection follow-on consumes this same field.
-    pub boundary_rate: f64,
-    /// Product states expanded per deduped condition.
-    pub states_per_condition: f64,
     /// Shared-prefix hit rate of the batched trie plan: the fraction
     /// of per-condition product states the bundle's shared-prefix
     /// compilation eliminated (`1 − plan/expr`, from
@@ -265,15 +253,7 @@ impl ResourceProfile {
             }
         };
         let first = self.shape_samples == 0;
-        blend(&mut self.audience_size, sample.audience_size, first);
         blend(&mut self.conditions, sample.conditions, first);
-        blend(&mut self.rounds, sample.rounds, first);
-        blend(&mut self.boundary_rate, sample.boundary_rate, first);
-        blend(
-            &mut self.states_per_condition,
-            sample.states_per_condition,
-            first,
-        );
         blend(&mut self.prefix_share, sample.prefix_share, first);
         self.shape_samples += 1;
     }
@@ -281,32 +261,18 @@ impl ResourceProfile {
 
 /// One read's shape evidence for one resource, derived from a bundle
 /// census. `None` fields leave the profile's EWMA untouched (e.g. a
-/// check batch observes no audience cardinality).
+/// read without a trie plan observes no prefix share).
 struct ShapeSample {
-    audience_size: Option<f64>,
     conditions: Option<f64>,
-    rounds: Option<f64>,
-    boundary_rate: Option<f64>,
-    states_per_condition: Option<f64>,
     prefix_share: Option<f64>,
 }
 
 impl ShapeSample {
     /// Shape evidence shared by every bundle read: per-resource
-    /// condition share plus bundle-uniform ratios.
+    /// condition share plus the bundle's prefix share.
     fn from_stats(stats: &ReadStats, resources: usize) -> ShapeSample {
-        let conditions = (resources > 0).then(|| stats.conditions as f64 / resources as f64);
-        let rounds = (stats.traversals > 0).then(|| stats.rounds as f64 / stats.traversals as f64);
-        let boundary_rate = (stats.states_expanded > 0)
-            .then(|| stats.exported_states as f64 / stats.states_expanded as f64);
-        let states_per_condition =
-            (stats.conditions > 0).then(|| stats.states_expanded as f64 / stats.conditions as f64);
         ShapeSample {
-            audience_size: None,
-            conditions,
-            rounds,
-            boundary_rate,
-            states_per_condition,
+            conditions: (resources > 0).then(|| stats.conditions as f64 / resources as f64),
             prefix_share: stats.prefix_share(),
         }
     }
@@ -527,7 +493,6 @@ impl Planner {
         strategy: BundleStrategy,
         elapsed_ns: u64,
         stats: &ReadStats,
-        audiences: &[Vec<NodeId>],
     ) {
         let unique = dedup(rids);
         if unique.is_empty() {
@@ -538,15 +503,10 @@ impl Planner {
             BundleStrategy::PerCondition => S_PER_CONDITION,
         };
         self.executed[slot].fetch_add(1, Ordering::Relaxed);
-        let mut sample = ShapeSample::from_stats(stats, unique.len());
+        let sample = ShapeSample::from_stats(stats, unique.len());
         let cost = elapsed_ns as f64 / unique.len() as f64;
-        let mut sizes: HashMap<ResourceId, f64> = HashMap::new();
-        for (rid, audience) in rids.iter().zip(audiences) {
-            sizes.entry(*rid).or_insert(audience.len() as f64);
-        }
         let mut profiles = self.profiles.write();
         for rid in &unique {
-            sample.audience_size = sizes.get(rid).copied();
             let profile = profiles.entry(*rid).or_default();
             profile.absorb_shape(&sample);
             profile.costs[slot].absorb(cost);
@@ -797,13 +757,8 @@ impl AccessService for PlannedService {
     ) -> Result<(Vec<Vec<NodeId>>, ReadStats), EvalError> {
         let start = Instant::now();
         let (audiences, stats) = self.inner.audience_batch_forced(rids, strategy)?;
-        self.planner.observe_audience(
-            rids,
-            strategy,
-            start.elapsed().as_nanos() as u64,
-            &stats,
-            &audiences,
-        );
+        self.planner
+            .observe_audience(rids, strategy, start.elapsed().as_nanos() as u64, &stats);
         Ok((audiences, stats))
     }
 
@@ -901,56 +856,28 @@ mod tests {
     #[test]
     fn ewma_decay_math_is_exact() {
         let p = Planner::new(PlannerMode::Adaptive);
-        p.observe_audience(
-            &[rid(0)],
-            BundleStrategy::Batched,
-            100,
-            &stats(2, 40, 10),
-            &[vec![NodeId(1)]],
-        );
+        p.observe_audience(&[rid(0)], BundleStrategy::Batched, 100, &stats(2, 40, 10));
         let prof = p.profile(rid(0)).unwrap();
         // First sample seeds directly.
         assert_eq!(prof.costs[S_BATCHED].cost_ns, 100.0);
         assert_eq!(prof.conditions, 2.0);
-        assert_eq!(prof.boundary_rate, 0.25);
-        assert_eq!(prof.audience_size, 1.0);
 
-        p.observe_audience(
-            &[rid(0)],
-            BundleStrategy::Batched,
-            200,
-            &stats(4, 40, 0),
-            &[vec![NodeId(1), NodeId(2), NodeId(3)]],
-        );
+        p.observe_audience(&[rid(0)], BundleStrategy::Batched, 200, &stats(4, 40, 0));
         let prof = p.profile(rid(0)).unwrap();
         // Costs seed with the arithmetic mean: (100 + 200) / 2.
         assert_eq!(prof.costs[S_BATCHED].cost_ns, 150.0);
         assert_eq!(prof.costs[S_BATCHED].samples, 2);
         // Shape fields blend with α = 0.25 from the first sample on.
         assert_eq!(prof.conditions, 2.5);
-        assert_eq!(prof.boundary_rate, 0.1875);
-        assert_eq!(prof.audience_size, 1.5);
 
         // Two more samples complete the mean seeding…
         for ns in [300, 400] {
-            p.observe_audience(
-                &[rid(0)],
-                BundleStrategy::Batched,
-                ns,
-                &stats(4, 40, 0),
-                &[vec![NodeId(1)]],
-            );
+            p.observe_audience(&[rid(0)], BundleStrategy::Batched, ns, &stats(4, 40, 0));
         }
         let prof = p.profile(rid(0)).unwrap();
         assert_eq!(prof.costs[S_BATCHED].cost_ns, 250.0);
         // …after which the EWMA takes over: 250 + 0.25·(450−250).
-        p.observe_audience(
-            &[rid(0)],
-            BundleStrategy::Batched,
-            450,
-            &stats(4, 40, 0),
-            &[vec![NodeId(1)]],
-        );
+        p.observe_audience(&[rid(0)], BundleStrategy::Batched, 450, &stats(4, 40, 0));
         let prof = p.profile(rid(0)).unwrap();
         assert_eq!(prof.costs[S_BATCHED].cost_ns, 300.0);
         assert_eq!(prof.costs[S_BATCHED].samples, 5);
@@ -959,40 +886,32 @@ mod tests {
     #[test]
     fn prefix_share_ewma_math_is_exact() {
         let p = Planner::new(PlannerMode::Adaptive);
-        let audiences = [vec![NodeId(1)]];
         // First trie-planned census: 100 per-condition states collapsed
         // to 50 plan states → share 0.5 seeds the field directly.
         let mut s = stats(2, 40, 0);
         s.plan_states = 50;
         s.expr_states = 100;
-        p.observe_audience(&[rid(0)], BundleStrategy::Batched, 100, &s, &audiences);
+        p.observe_audience(&[rid(0)], BundleStrategy::Batched, 100, &s);
         let prof = p.profile(rid(0)).unwrap();
         assert_eq!(prof.prefix_share, 0.5);
 
         // Second census at share 0.25 blends with α = ¼:
         // 0.5 + 0.25·(0.25 − 0.5).
         s.plan_states = 75;
-        p.observe_audience(&[rid(0)], BundleStrategy::Batched, 100, &s, &audiences);
+        p.observe_audience(&[rid(0)], BundleStrategy::Batched, 100, &s);
         let prof = p.profile(rid(0)).unwrap();
         assert_eq!(prof.prefix_share, 0.4375);
 
         // A census without a plan (targeted or per-condition read →
         // expr_states == 0) reports no share and must leave the EWMA
         // untouched.
-        p.observe_audience(
-            &[rid(0)],
-            BundleStrategy::Batched,
-            100,
-            &stats(2, 40, 0),
-            &audiences,
-        );
+        p.observe_audience(&[rid(0)], BundleStrategy::Batched, 100, &stats(2, 40, 0));
         let prof = p.profile(rid(0)).unwrap();
         assert_eq!(prof.prefix_share, 0.4375);
     }
 
     #[test]
     fn near_tie_breaks_on_learned_prefix_share() {
-        let audiences = [vec![NodeId(1)]];
         // Costs within the 15% near-tie margin on both planners; only
         // the learned prefix overlap differs.
         let learn = |share_states: usize| {
@@ -1001,19 +920,12 @@ mod tests {
             batched_stats.plan_states = share_states;
             batched_stats.expr_states = 100;
             for _ in 0..MIN_ARM_SAMPLES {
-                p.observe_audience(
-                    &[rid(0)],
-                    BundleStrategy::Batched,
-                    1_000,
-                    &batched_stats,
-                    &audiences,
-                );
+                p.observe_audience(&[rid(0)], BundleStrategy::Batched, 1_000, &batched_stats);
                 p.observe_audience(
                     &[rid(0)],
                     BundleStrategy::PerCondition,
                     950,
                     &stats(1, 10, 0),
-                    &audiences,
                 );
             }
             p
@@ -1038,7 +950,6 @@ mod tests {
                 BundleStrategy::PerCondition,
                 100,
                 &stats(1, 10, 0),
-                &audiences,
             );
         }
         assert_eq!(p.plan_audience(&[rid(0)]), BundleStrategy::PerCondition);
@@ -1079,40 +990,25 @@ mod tests {
     #[test]
     fn adaptive_picks_the_measured_cheaper_engine() {
         let p = Planner::new(PlannerMode::Adaptive);
-        let audiences = [vec![NodeId(1)]];
         // Meet the evidence floor on both arms.
         for _ in 0..MIN_ARM_SAMPLES {
-            p.observe_audience(
-                &[rid(0)],
-                BundleStrategy::Batched,
-                9_000,
-                &stats(1, 10, 0),
-                &audiences,
-            );
+            p.observe_audience(&[rid(0)], BundleStrategy::Batched, 9_000, &stats(1, 10, 0));
             p.observe_audience(
                 &[rid(0)],
                 BundleStrategy::PerCondition,
                 1_000,
                 &stats(1, 10, 0),
-                &audiences,
             );
         }
         assert_eq!(p.plan_audience(&[rid(0)]), BundleStrategy::PerCondition);
         // Flip the evidence; decay converges on the new winner.
         for _ in 0..8 {
-            p.observe_audience(
-                &[rid(0)],
-                BundleStrategy::Batched,
-                100,
-                &stats(1, 10, 0),
-                &audiences,
-            );
+            p.observe_audience(&[rid(0)], BundleStrategy::Batched, 100, &stats(1, 10, 0));
             p.observe_audience(
                 &[rid(0)],
                 BundleStrategy::PerCondition,
                 20_000,
                 &stats(1, 10, 0),
-                &audiences,
             );
         }
         assert_eq!(p.plan_audience(&[rid(0)]), BundleStrategy::Batched);
@@ -1121,18 +1017,11 @@ mod tests {
     #[test]
     fn periodic_probe_refreshes_the_least_sampled_candidate() {
         let p = Planner::new(PlannerMode::Adaptive);
-        let audiences = [vec![NodeId(1)]];
         // Both arms past the evidence floor — batched cheap and
         // better-sampled, so the argmin alone would never run
         // per-condition again.
         for _ in 0..MIN_ARM_SAMPLES + 1 {
-            p.observe_audience(
-                &[rid(0)],
-                BundleStrategy::Batched,
-                10,
-                &stats(1, 10, 0),
-                &audiences,
-            );
+            p.observe_audience(&[rid(0)], BundleStrategy::Batched, 10, &stats(1, 10, 0));
         }
         for _ in 0..MIN_ARM_SAMPLES {
             p.observe_audience(
@@ -1140,7 +1029,6 @@ mod tests {
                 BundleStrategy::PerCondition,
                 90_000,
                 &stats(1, 10, 0),
-                &audiences,
             );
         }
         let mut probed = false;
@@ -1158,7 +1046,6 @@ mod tests {
     #[test]
     fn evidence_floor_alternates_arms_before_exploiting() {
         let p = Planner::new(PlannerMode::Adaptive);
-        let audiences = [vec![NodeId(1)]];
         // Drive audience planning closed-loop: execute whatever the
         // planner prescribes, with batched cheap and per-condition
         // expensive. The floor must alternate arms — the one
@@ -1173,7 +1060,7 @@ mod tests {
                     90_000
                 }
             };
-            p.observe_audience(&[rid(0)], strategy, cost, &stats(1, 10, 0), &audiences);
+            p.observe_audience(&[rid(0)], strategy, cost, &stats(1, 10, 0));
         }
         assert_eq!(per_cond_runs, MIN_ARM_SAMPLES, "arms must alternate");
         let prof = p.profile(rid(0)).unwrap();

@@ -33,11 +33,11 @@
 //! applied), then `Commit{epoch+1}` applies and publishes them
 //! atomically per shard. Any prepare failure aborts the epoch
 //! everywhere; once *all* shards prepared, the epoch is presumed
-//! committed — a shard that misses its commit is marked down and
-//! caught up from the router's per-shard op log on reconnect. Reads
-//! open each shard's session with their first round
-//! ([`proto::Request::OpenRound`]), which carries the epoch the router
-//! believes current, and shards refuse mismatches. A session records
+//! committed — a shard that misses its commit loses its idle
+//! connections and is caught up from the router's per-shard op log on
+//! its next dial. Reads open each shard's session with their first
+//! round ([`proto::Request::OpenRound`]), which carries the epoch the
+//! router believes current, and shards refuse mismatches. A session records
 //! its epoch, and a round or trace after a later commit is refused too,
 //! so a half-committed fleet — or a commit racing a read — returns a
 //! typed, retryable error instead of a torn mixed-epoch answer.
@@ -166,13 +166,6 @@ pub enum RemoteError {
         /// The shard's refusal.
         refusal: WireRefusal,
     },
-    /// The shard is marked down. No longer produced since reads dial
-    /// on demand from a connection pool; a dead shard surfaces as
-    /// [`RemoteError::Connect`] or [`RemoteError::Io`].
-    ShardDown {
-        /// The shard index.
-        shard: u32,
-    },
 }
 
 impl RemoteError {
@@ -181,10 +174,9 @@ impl RemoteError {
     /// sessions; *not* semantic refusals like a version mismatch).
     pub fn retryable(&self) -> bool {
         match self {
-            RemoteError::Connect { .. }
-            | RemoteError::Io { .. }
-            | RemoteError::Timeout { .. }
-            | RemoteError::ShardDown { .. } => true,
+            RemoteError::Connect { .. } | RemoteError::Io { .. } | RemoteError::Timeout { .. } => {
+                true
+            }
             RemoteError::Refused { refusal, .. } => matches!(
                 refusal,
                 WireRefusal::UnknownEval { .. } | WireRefusal::EpochMismatch { .. }
@@ -211,7 +203,6 @@ impl fmt::Display for RemoteError {
                 write!(f, "protocol violation from shard {addr}: {detail}")
             }
             RemoteError::Refused { addr, refusal } => write!(f, "shard {addr} refused: {refusal}"),
-            RemoteError::ShardDown { shard } => write!(f, "shard {shard} is down"),
         }
     }
 }

@@ -688,8 +688,8 @@ impl NetworkedSystem {
     // ------------------------------------------------------------------
 
     /// Commits one batch of per-shard ops as the next epoch, or rolls
-    /// it back. On `Ok` every shard either applied the epoch or is
-    /// marked down with the epoch in its replay log; on `Err` no shard
+    /// it back. On `Ok` every shard either applied the epoch or has it
+    /// in its replay log for the next dial; on `Err` no shard
     /// applied it (prepares staged before the failure are aborted) and
     /// the router's state is untouched.
     fn commit_ops(&mut self, per_shard: Vec<Vec<ShardOp>>) -> Result<(), RemoteError> {

@@ -315,8 +315,17 @@ impl AccessService for AccessControlSystem {
         rid: ResourceId,
         requester: NodeId,
     ) -> Result<(Option<Explanation>, ReadStats), EvalError> {
+        // The published snapshot, not the thread cache: reads of every
+        // kind share one epoch. Generation 0 cannot be published.
+        let snap = self.online.publish_snapshot(&self.graph);
         decision::explain(&self.store, rid, requester, |cond| {
-            let out = online::evaluate(&self.graph, cond.owner, &cond.path, Some(requester));
+            let (owner, path, target) = (cond.owner, &cond.path, Some(requester));
+            let out = match &snap {
+                Some(snap) => {
+                    online::evaluate_with_snapshot(&self.graph, snap, owner, path, target)
+                }
+                None => online::evaluate_reference(&self.graph, owner, path, target),
+            };
             let census = ReadStats::one_pass(out.stats.states_visited);
             let hops = out.witness.map(|witness| {
                 witness
@@ -511,6 +520,28 @@ mod tests {
         let alice = sys.user("Alice").unwrap();
         let explanation = sys.service().explain_lines(rid, alice).unwrap().unwrap();
         assert!(explanation[0].contains("owns"));
+    }
+
+    #[test]
+    fn explain_reads_the_published_snapshot() {
+        online::release_thread_snapshot();
+        let (sys, rid) = populated(EngineChoice::Online);
+        let carol = sys.user("Carol").unwrap();
+        let explained: Vec<_> = (0..3)
+            .map(|_| sys.service().explain(rid, carol).unwrap())
+            .collect();
+        assert!(
+            matches!(&explained[0], Some(Explanation::Rule { walks }) if walks[0].hops.len() == 2)
+        );
+        assert!(
+            explained.iter().all(|e| *e == explained[0]),
+            "witness unchanged"
+        );
+        assert!(
+            !online::thread_cache_stats().snapshot_cached,
+            "no per-thread CSR built beside the published one"
+        );
+        assert_eq!(sys.snapshot_epoch(), 1, "one publication served all three");
     }
 
     #[test]

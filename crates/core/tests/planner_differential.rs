@@ -181,6 +181,15 @@ proptest! {
                 for _ in 0..3 {
                     common::assert_services_agree(reference.reads(), &planned, &rids);
                 }
+                // The adaptive planner re-probes its thinner-evidenced
+                // arm on every 256th decision: read bundles until the
+                // first probe has been served too.
+                if mode == PlannerMode::Adaptive {
+                    let bundle = reference.reads().audience_batch(&rids).unwrap();
+                    while planned.planner().decisions() < 256 {
+                        prop_assert_eq!(&planned.audience_batch(&rids).unwrap(), &bundle);
+                    }
+                }
                 // Granted explanations replay through the automaton.
                 for &rid in &rids {
                     let conditions: Vec<(NodeId, PathExpr)> = store

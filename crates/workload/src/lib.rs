@@ -9,18 +9,13 @@
 //!   assignment + member attributes + reciprocity, deterministic per
 //!   seed;
 //! * [`policies`] — random access-rule workloads over a graph's labels;
-//! * [`bundles`] — batch-audience bundles: groups of resources whose
-//!   rules reuse a few path templates across many owners (the
-//!   multi-source audience-evaluation workload);
 //! * [`sharding`] — shard-aware tie generation with a controlled
-//!   cross-shard crossing rate, for the shard-scaling experiments;
+//!   cross-shard crossing rate under the serving placement;
 //! * [`requests`] — access-request streams with ground-truth outcomes
 //!   and controllable grant rates;
 //! * [`replay`] — deployment-agnostic replay of a request stream
 //!   through any `AccessService` backend, audited against the stream's
-//!   ground truth;
-//! * [`streams`] — mixed dense/sparse/cross-heavy read streams whose
-//!   regimes favour different engines (the adaptive-planner workload).
+//!   ground truth.
 //!
 //! ```
 //! use socialreach_workload::{GraphSpec, PolicyWorkloadConfig};
@@ -35,7 +30,6 @@
 //! assert_eq!(rids.len(), 50);
 //! ```
 
-pub mod bundles;
 pub mod io;
 pub mod policies;
 pub mod replay;
@@ -43,13 +37,8 @@ pub mod requests;
 pub mod sharding;
 pub mod spec;
 pub mod stats;
-pub mod streams;
 pub mod topology;
 
-pub use bundles::{
-    generate_audience_bundles, generate_cross_shard_bundles, AudienceBundleConfig,
-    CrossShardBundleConfig,
-};
 pub use io::{read_edge_list, write_edge_list, EdgeListError};
 pub use policies::{generate_policies, random_path_text, PolicyWorkloadConfig};
 pub use replay::{compare_replays, replay_requests, DecisionFlip, DriftReport, ReplayReport};
@@ -57,5 +46,4 @@ pub use requests::{requests_with_grant_rate, uniform_requests, Request};
 pub use sharding::CrossShardTopology;
 pub use spec::{AttributeModel, GraphSpec, LabelModel};
 pub use stats::GraphStats;
-pub use streams::{generate_mixed_stream, MixedStream, MixedStreamConfig, PlannerRead, RegimeKind};
 pub use topology::Topology;

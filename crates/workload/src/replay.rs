@@ -4,9 +4,8 @@
 //!
 //! The replay holds only a `&dyn AccessService`, so the same stream
 //! exercises the single-graph system, the sharded system, or any
-//! future backend — the benches use it to compare deployments on
-//! identical traffic, and the differential tests to prove they cannot
-//! diverge.
+//! future backend — the examples use it to audit a deployment (or a
+//! recovered history against the present) on identical traffic.
 
 use crate::requests::Request;
 use socialreach_core::{AccessService, Decision, EvalError, ResourceId};
