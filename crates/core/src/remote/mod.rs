@@ -28,7 +28,8 @@
 //!
 //! # The epoch fence
 //!
-//! Every mutation runs a **two-phase commit** across the whole fleet:
+//! Every epoch — one mutation, or one bounded batch of a bulk load —
+//! runs a **two-phase commit** across the whole fleet:
 //! `Prepare{epoch+1, ops}` stages per-shard mutations (validated, not
 //! applied), then `Commit{epoch+1}` applies and publishes them
 //! atomically per shard. Any prepare failure aborts the epoch
@@ -54,6 +55,21 @@
 //! round-persistent visited state makes the split semantically free,
 //! and re-delivered bits are absorbed, so duplicated or reordered
 //! batches cannot change a decision).
+//!
+//! Writes batch by [`MAX_EPOCH_OPS`]: an epoch carries at most that
+//! many shard ops, summed over its `Prepare`s. A bulk load
+//! ([`NetworkedSystem::from_graph`]) stages its mutations and commits
+//! one epoch each time the batch fills, instead of one epoch — a
+//! `Prepare` and a `Commit` to every shard — per mutation; a restarted
+//! shard is replayed in jumps of at most that many ops. The bound is
+//! small on purpose. On the `feed_networked` benchmark cell (3·10³
+//! members, two shard processes over loopback, a 2-core host), 64 ops
+//! per epoch cut the bulk load 10–12× (median 5.7 s to 0.54 s at seed
+//! 11) and lowered peak RSS from 42.7 to 36.5 MB with read latency
+//! within its bounds, whereas batches of 1 024–4 096 ops left bundle reads 5–20 % and read
+//! throughput 7–18 % slower, and one whole-graph epoch raised peak RSS
+//! by 72 % — a staged epoch is held whole, as ops and as one encoded
+//! frame, on both ends of the wire.
 //!
 //! # Failure model
 //!
@@ -86,6 +102,12 @@ use std::time::Duration;
 /// unit and the in-flight bound (one request frame at a time per
 /// connection).
 pub const MAX_ROUND_EXPORTS: usize = 512;
+
+/// Cap on shard ops per epoch, summed over the fleet: the write-side
+/// batching unit. A bulk load commits one two-phase epoch per full
+/// batch, and a restarted shard's op-log replay jumps at most this many
+/// ops per `Prepare`, so no `Prepare` frame carries more.
+pub const MAX_EPOCH_OPS: usize = 64;
 
 /// Default client read timeout: a shard stalling longer than this
 /// surfaces as [`RemoteError::Timeout`] instead of hanging the router.

@@ -131,7 +131,8 @@ pub enum Request {
     },
     /// Phase one of the epoch fence: stage `ops` for `epoch` without
     /// applying them. `epoch` must exceed the shard's current epoch
-    /// (a restarted shard catches up through one jumped prepare).
+    /// (a restarted shard catches up through jumped prepares, each of
+    /// at most [`super::MAX_EPOCH_OPS`] ops).
     Prepare {
         /// The epoch the ops will publish as.
         epoch: u64,

@@ -13,15 +13,25 @@
 //! epoch. Graph topology lives exclusively on the shards; all reads
 //! fan out.
 //!
-//! Mutations run the two-phase epoch fence (`Prepare` everywhere →
-//! `Commit` everywhere; any prepare failure aborts the epoch). Once
-//! every shard has prepared, the epoch is *presumed committed*: the
-//! router records it in the op log and advances before sending
-//! commits, so a shard that misses its commit has its idle connections
-//! dropped and is replayed from the op log when the next connection to
-//! it is dialed — the fleet can never end up split between epochs from
-//! the router's point of view, and a shard that *is* behind refuses a
-//! read's epoch rather than serving a torn read.
+//! Mutations are staged as per-shard ops and committed through the
+//! two-phase epoch fence (`Prepare` everywhere → `Commit` everywhere;
+//! any prepare failure aborts the epoch). Staging reads the router's
+//! committed metadata overlaid with the ops staged so far, and the
+//! metadata itself changes only when a batch commits. A single
+//! `try_*` mutation stages its ops and commits them; a bulk load
+//! ([`NetworkedSystem::from_graph`]) stages every mutation and commits
+//! one epoch each time [`MAX_EPOCH_OPS`] ops are staged. (A mutation
+//! of more ops than that — a ghost for a member with nearly as many
+//! attributes — spans consecutive epochs; an error between them leaves
+//! the committed ones in place, and the metadata says so.) Once every
+//! shard has prepared, the epoch is *presumed committed*: the router
+//! records it in the op log and advances before sending commits, so a
+//! shard that misses its commit has its idle connections dropped and
+//! is replayed from the op log when the next connection to it is
+//! dialed — in jumps of at most [`MAX_EPOCH_OPS`] ops — so the fleet
+//! can never end up split between epochs from the router's point of
+//! view, and a shard that *is* behind refuses a read's epoch rather
+//! than serving a torn read.
 //!
 //! Each shard has a pool of idle connections. A read checks one out
 //! per shard it reaches and keeps it for every round and `Trace` of
@@ -44,7 +54,7 @@
 
 use super::frame::{self, FrameError};
 use super::proto::{self, Request, Response, SessionSpec, ShardOp, PROTOCOL_VERSION};
-use super::{Conn, RemoteError, ShardAddr, DEFAULT_READ_TIMEOUT, MAX_ROUND_EXPORTS};
+use super::{Conn, RemoteError, ShardAddr, DEFAULT_READ_TIMEOUT, MAX_EPOCH_OPS, MAX_ROUND_EXPORTS};
 use crate::decision::{self, DecisionCache};
 use crate::error::EvalError;
 use crate::fixpoint::{self, LaneRound, ShardLane, StateKey};
@@ -183,6 +193,30 @@ struct ShardPool {
 struct NetMember {
     home: u32,
     ghosts: Vec<u32>,
+}
+
+/// Shard ops staged for the fleet, in staging order, each tagged with
+/// the shard it goes to: the one form in which a mutation reaches
+/// `NetworkedSystem::commit_ops`.
+type Staged = Vec<(u32, ShardOp)>;
+
+/// A `Prepare` for `epoch`; no `Prepare` carries more than
+/// [`MAX_EPOCH_OPS`] ops.
+fn prepare(epoch: u64, ops: Vec<ShardOp>) -> Request {
+    debug_assert!(
+        ops.len() <= MAX_EPOCH_OPS,
+        "{} ops in one Prepare",
+        ops.len()
+    );
+    Request::Prepare { epoch, ops }
+}
+
+/// Sets `key` in an attribute tuple, in place or appended.
+fn assign(tuple: &mut Vec<(String, AttrValue)>, key: &str, value: &AttrValue) {
+    match tuple.iter_mut().find(|(k, _)| k == key) {
+        Some(slot) => slot.1 = value.clone(),
+        None => tuple.push((key.to_owned(), value.clone())),
+    }
 }
 
 /// The remote [`ShardLane`]: one shard process, reached over the
@@ -404,7 +438,12 @@ impl NetworkedSystem {
     /// Ingests an existing graph + policy store: same member ids
     /// (insertion order), same label/attr ids, same edge order — the
     /// conformance suites build networked twins of in-process systems
-    /// with this.
+    /// with this. The load is staged through the same code as the
+    /// `try_*` mutations and committed in epochs of [`MAX_EPOCH_OPS`]
+    /// shard ops each (a mutation may straddle two), so it takes
+    /// ⌈ops / [`MAX_EPOCH_OPS`]⌉ epochs rather than one per mutation.
+    /// On `Err` the epoch that failed was aborted on every shard it
+    /// reached and the partly loaded fleet is abandoned.
     pub fn from_graph(
         addrs: &[ShardAddr],
         assignment: ShardAssignment,
@@ -421,16 +460,25 @@ impl NetworkedSystem {
                     .attr_name(socialreach_graph::AttrKey::from_index(i)),
             );
         }
+        let mut staged = Staged::new();
         for v in g.nodes() {
-            let global = sys.try_add_user(g.node_name(v))?;
+            let global = sys.stage_add_user(&mut staged, g.node_name(v));
             debug_assert_eq!(global, v, "ingestion preserves member ids");
             for (k, val) in g.node_attrs(v).iter() {
-                sys.try_set_user_attr(global, g.vocab().attr_name(k), val.clone())?;
+                sys.stage_set_attr(&mut staged, global, g.vocab().attr_name(k), val);
             }
+            sys.commit_staged(&mut staged, false)?;
         }
         for (_, rec) in g.edges() {
-            sys.try_connect(rec.src, g.vocab().label_name(rec.label), rec.dst)?;
+            sys.stage_connect(
+                &mut staged,
+                rec.src,
+                g.vocab().label_name(rec.label),
+                rec.dst,
+            );
+            sys.commit_staged(&mut staged, false)?;
         }
+        sys.commit_staged(&mut staged, true)?;
         sys.store = store;
         Ok(sys)
     }
@@ -464,8 +512,10 @@ impl NetworkedSystem {
         self.pools.len()
     }
 
-    /// The fleet's current epoch (every committed mutation batch
-    /// advanced it by one).
+    /// The fleet's current epoch: every committed batch of at most
+    /// [`MAX_EPOCH_OPS`] shard ops advanced it by one — a `try_*`
+    /// mutation commits one batch, a bulk load
+    /// ([`NetworkedSystem::from_graph`]) one per [`MAX_EPOCH_OPS`] ops.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -582,8 +632,8 @@ impl NetworkedSystem {
 
     /// Dials a shard, interns the full vocabulary, and replays any
     /// committed epochs the shard missed (a restarted process reports
-    /// epoch 0 and receives the whole op log as one jumped
-    /// prepare+commit). Returns the caught-up connection.
+    /// epoch 0 and receives the whole op log). Returns the caught-up
+    /// connection.
     fn revive(&self, shard: usize) -> Result<ShardClient, RemoteError> {
         let addr = self.pools[shard].lock().addr.clone();
         let (mut client, shard_epoch) = ShardClient::connect(&addr, self.read_timeout)?;
@@ -615,27 +665,36 @@ impl NetworkedSystem {
         if shard_epoch < self.epoch {
             // A presumed-committed epoch may still be staged from
             // before the crash of the *connection* (server alive, the
-            // commit lost): clear it, then replay everything missed as
-            // one jumped epoch.
+            // commit lost): clear it, then replay everything missed.
             match client.exchange(&Request::Abort { epoch: self.epoch })? {
                 Response::Aborted { .. } => {}
                 other => return Err(client.unexpected("Aborted", &other)),
             }
-            let ops: Vec<ShardOp> = self.oplog[shard]
-                .iter()
-                .filter(|(e, _)| *e > shard_epoch)
-                .flat_map(|(_, ops)| ops.iter().cloned())
-                .collect();
-            match client.exchange(&Request::Prepare {
-                epoch: self.epoch,
-                ops,
-            })? {
-                Response::Prepared { .. } => {}
-                other => return Err(client.unexpected("Prepared", &other)),
-            }
-            match client.exchange(&Request::Commit { epoch: self.epoch })? {
-                Response::Committed { .. } => {}
-                other => return Err(client.unexpected("Committed", &other)),
+            // Consecutive missed epochs group into jumps of at most
+            // `MAX_EPOCH_OPS` ops, each prepared and committed at its
+            // last epoch; the last jump lands on the router's epoch.
+            // (Every committed epoch is logged for every shard and
+            // carries at most `MAX_EPOCH_OPS` ops.)
+            let log = &self.oplog[shard];
+            let missed = &log[log.partition_point(|(e, _)| *e <= shard_epoch)..];
+            let mut ops: Vec<ShardOp> = Vec::new();
+            for (i, (epoch, epoch_ops)) in missed.iter().enumerate() {
+                ops.extend(epoch_ops.iter().cloned());
+                if missed
+                    .get(i + 1)
+                    .is_some_and(|(_, next)| ops.len() + next.len() <= MAX_EPOCH_OPS)
+                {
+                    continue;
+                }
+                let epoch = *epoch;
+                match client.exchange(&prepare(epoch, std::mem::take(&mut ops)))? {
+                    Response::Prepared { .. } => {}
+                    other => return Err(client.unexpected("Prepared", &other)),
+                }
+                match client.exchange(&Request::Commit { epoch })? {
+                    Response::Committed { .. } => {}
+                    other => return Err(client.unexpected("Committed", &other)),
+                }
             }
         }
         let mut pool = self.pools[shard].lock();
@@ -687,37 +746,34 @@ impl NetworkedSystem {
     // Mutations: the two-phase epoch fence
     // ------------------------------------------------------------------
 
-    /// Commits one batch of per-shard ops as the next epoch, or rolls
-    /// it back. On `Ok` every shard either applied the epoch or has it
-    /// in its replay log for the next dial; on `Err` no shard
-    /// applied it (prepares staged before the failure are aborted) and
-    /// the router's state is untouched.
-    fn commit_ops(&mut self, per_shard: Vec<Vec<ShardOp>>) -> Result<(), RemoteError> {
-        debug_assert_eq!(per_shard.len(), self.pools.len());
+    /// Commits one batch of staged ops (at most [`MAX_EPOCH_OPS`]) as
+    /// the next epoch, or rolls it back. On `Ok` every shard either
+    /// applied the epoch or has it in its replay log for the next dial,
+    /// and the batch is folded into the router's metadata; on `Err` no
+    /// shard applied it (every shard a prepare was sent to is aborted —
+    /// a prepare whose response was lost may still be staged) and the
+    /// router's state is untouched.
+    fn commit_ops(&mut self, batch: &[(u32, ShardOp)]) -> Result<(), RemoteError> {
         let epoch = self.epoch + 1;
+        let mut per_shard = vec![Vec::new(); self.pools.len()];
+        for (shard, op) in batch {
+            per_shard[*shard as usize].push(op.clone());
+        }
         // Phase one (every checkout syncs the vocabulary first: prepare
         // validation refuses ops naming labels/attrs the shard has not
         // interned): stage everywhere (every shard participates, even
         // with no ops — the epoch fence requires the whole fleet to
         // advance together).
-        let mut prepared: Vec<usize> = Vec::new();
         for (shard, ops) in per_shard.iter().enumerate() {
-            let req = Request::Prepare {
-                epoch,
-                ops: ops.clone(),
+            let err = match self.call_reviving(shard, &prepare(epoch, ops.clone())) {
+                Ok(Response::Prepared { .. }) => continue,
+                Ok(other) => self.unexpected(shard, "Prepared", &other),
+                Err(e) => e,
             };
-            match self.call_reviving(shard, &req) {
-                Ok(Response::Prepared { .. }) => prepared.push(shard),
-                Ok(other) => {
-                    let err = self.unexpected(shard, "Prepared", &other);
-                    self.abort_prepared(&prepared, epoch);
-                    return Err(err);
-                }
-                Err(e) => {
-                    self.abort_prepared(&prepared, epoch);
-                    return Err(e);
-                }
+            for sent in 0..=shard {
+                let _ = self.call_shard(sent, &Request::Abort { epoch });
             }
+            return Err(err);
         }
         // Point of no return: every shard holds the staged epoch, so
         // it is presumed committed — record it for replay *before*
@@ -726,6 +782,9 @@ impl NetworkedSystem {
             self.oplog[shard].push((epoch, ops));
         }
         self.epoch = epoch;
+        for (shard, op) in batch {
+            self.fold_committed(*shard, op);
+        }
         // Phase two: publish. A shard whose commit is lost has its idle
         // connections dropped, so its next checkout dials through
         // `revive`, which finds it behind and replays the op log — it
@@ -743,31 +802,205 @@ impl NetworkedSystem {
         Ok(())
     }
 
-    fn abort_prepared(&self, prepared: &[usize], epoch: u64) {
-        for &shard in prepared {
-            let _ = self.call_shard(shard, &Request::Abort { epoch });
+    /// Commits `staged` oldest first in epochs of [`MAX_EPOCH_OPS`] ops
+    /// while a full batch is staged, and with `all` the remainder too.
+    /// On `Err` the batches before the failed one stay committed and
+    /// the failed batch is dropped.
+    fn commit_staged(&mut self, staged: &mut Staged, all: bool) -> Result<(), RemoteError> {
+        while staged.len() >= MAX_EPOCH_OPS || (all && !staged.is_empty()) {
+            let batch: Staged = staged.drain(..staged.len().min(MAX_EPOCH_OPS)).collect();
+            self.commit_ops(&batch)?;
         }
+        Ok(())
+    }
+
+    /// Applies one committed op to the router's metadata. An edge is
+    /// recorded once, when its copy on the destination's home shard
+    /// commits (the last copy staged).
+    fn fold_committed(&mut self, shard: u32, op: &ShardOp) {
+        match op {
+            ShardOp::AddNode {
+                global,
+                name,
+                ghost: false,
+            } => {
+                debug_assert_eq!(*global as usize, self.members.len());
+                self.members.push(NetMember {
+                    home: shard,
+                    ghosts: Vec::new(),
+                });
+                self.names.push(name.clone());
+                self.name_lookup
+                    .entry(name.clone())
+                    .or_insert(NodeId(*global));
+                self.attrs.push(Vec::new());
+            }
+            ShardOp::AddNode {
+                global,
+                ghost: true,
+                ..
+            } => self.members[*global as usize].ghosts.push(shard),
+            ShardOp::SetAttr { global, key, value } => {
+                if self.members[*global as usize].home == shard {
+                    assign(&mut self.attrs[*global as usize], key, value);
+                }
+            }
+            ShardOp::AddEdge { src, label, dst } => {
+                let s_home = self.members[*src as usize].home;
+                let d_home = self.members[*dst as usize].home;
+                if shard != d_home {
+                    return;
+                }
+                let l = self
+                    .vocab
+                    .label(label)
+                    .expect("staging interns every label");
+                if s_home != d_home {
+                    self.boundary.record(BoundaryEdge {
+                        src: *src,
+                        dst: *dst,
+                        label: l,
+                        src_shard: s_home,
+                        dst_shard: d_home,
+                    });
+                }
+                self.edges.push((NodeId(*src), l, NodeId(*dst)));
+            }
+        }
+    }
+
+    /// `member` as staged — committed metadata overlaid with `staged`:
+    /// its name and the shards holding a copy of it, home first.
+    fn staged_copies(&self, staged: &[(u32, ShardOp)], member: NodeId) -> (String, Vec<u32>) {
+        let mut name = self.names.get(member.index()).cloned();
+        let mut copies: Vec<u32> = self
+            .members
+            .get(member.index())
+            .map(|entry| std::iter::once(entry.home).chain(entry.ghosts.iter().copied()))
+            .into_iter()
+            .flatten()
+            .collect();
+        for (shard, op) in staged {
+            if let ShardOp::AddNode {
+                global, name: n, ..
+            } = op
+            {
+                if *global == member.0 {
+                    name.get_or_insert_with(|| n.clone());
+                    copies.push(*shard);
+                }
+            }
+        }
+        (name.expect("a registered member"), copies)
+    }
+
+    /// `member`'s attribute tuple as staged: the committed tuple with
+    /// the staged `SetAttr`s applied in order (every copy of a member
+    /// is staged the same value, so each copy's op may be applied).
+    fn staged_attrs(&self, staged: &[(u32, ShardOp)], member: NodeId) -> Vec<(String, AttrValue)> {
+        let mut tuple = self.attrs.get(member.index()).cloned().unwrap_or_default();
+        for (_, op) in staged {
+            if let ShardOp::SetAttr { global, key, value } = op {
+                if *global == member.0 {
+                    assign(&mut tuple, key, value);
+                }
+            }
+        }
+        tuple
+    }
+
+    /// Stages a member's registration on their hash-assigned home
+    /// shard; returns the id it will have.
+    fn stage_add_user(&self, staged: &mut Staged, name: &str) -> NodeId {
+        let pending = staged
+            .iter()
+            .filter(|(_, op)| matches!(op, ShardOp::AddNode { ghost: false, .. }))
+            .count();
+        let global = NodeId::from_index(self.members.len() + pending);
+        staged.push((
+            self.assignment.shard_of(name),
+            ShardOp::AddNode {
+                global: global.0,
+                name: name.to_owned(),
+                ghost: false,
+            },
+        ));
+        global
+    }
+
+    /// Stages an attribute write on every copy of `member`.
+    fn stage_set_attr(
+        &mut self,
+        staged: &mut Staged,
+        member: NodeId,
+        key: &str,
+        value: &AttrValue,
+    ) {
+        self.vocab.intern_attr(key);
+        for shard in self.staged_copies(staged, member).1 {
+            staged.push((
+                shard,
+                ShardOp::SetAttr {
+                    global: member.0,
+                    key: key.to_owned(),
+                    value: value.clone(),
+                },
+            ));
+        }
+    }
+
+    /// Stages a directed relationship: on the shared home shard, or on
+    /// both endpoint shards against ghost replicas, materializing each
+    /// missing ghost with the member's attribute tuple as staged.
+    fn stage_connect(&mut self, staged: &mut Staged, src: NodeId, label: &str, dst: NodeId) {
+        self.vocab.intern_label(label);
+        let (src_name, src_copies) = self.staged_copies(staged, src);
+        let (dst_name, dst_copies) = self.staged_copies(staged, dst);
+        let (s_home, d_home) = (src_copies[0], dst_copies[0]);
+        for (member, name, copies, shard) in [
+            (dst, dst_name, dst_copies, s_home),
+            (src, src_name, src_copies, d_home),
+        ] {
+            if copies.contains(&shard) {
+                continue;
+            }
+            let tuple = self.staged_attrs(staged, member);
+            staged.push((
+                shard,
+                ShardOp::AddNode {
+                    global: member.0,
+                    name,
+                    ghost: true,
+                },
+            ));
+            for (key, value) in tuple {
+                staged.push((
+                    shard,
+                    ShardOp::SetAttr {
+                        global: member.0,
+                        key,
+                        value,
+                    },
+                ));
+            }
+        }
+        let edge = ShardOp::AddEdge {
+            src: src.0,
+            label: label.to_owned(),
+            dst: dst.0,
+        };
+        if s_home != d_home {
+            staged.push((s_home, edge.clone()));
+        }
+        staged.push((d_home, edge));
     }
 
     /// Registers a member on their hash-assigned home shard.
     pub fn try_add_user(&mut self, name: &str) -> Result<NodeId, RemoteError> {
-        let global = NodeId::from_index(self.members.len());
-        let home = self.assignment.shard_of(name);
-        let mut per_shard = vec![Vec::new(); self.pools.len()];
-        per_shard[home as usize].push(ShardOp::AddNode {
-            global: global.0,
-            name: name.to_owned(),
-            ghost: false,
-        });
-        self.commit_ops(per_shard)?;
-        self.members.push(NetMember {
-            home,
-            ghosts: Vec::new(),
-        });
-        self.names.push(name.to_owned());
-        self.name_lookup.entry(name.to_owned()).or_insert(global);
-        self.attrs.push(Vec::new());
-        Ok(global)
+        let mut staged = Staged::new();
+        let member = self.stage_add_user(&mut staged, name);
+        self.commit_staged(&mut staged, true)?;
+        Ok(member)
     }
 
     /// Sets a member attribute on the home copy and every ghost
@@ -779,25 +1012,9 @@ impl NetworkedSystem {
         key: &str,
         value: AttrValue,
     ) -> Result<(), RemoteError> {
-        self.vocab.intern_attr(key);
-        let mut per_shard = vec![Vec::new(); self.pools.len()];
-        let entry = &self.members[member.index()];
-        let op = ShardOp::SetAttr {
-            global: member.0,
-            key: key.to_owned(),
-            value: value.clone(),
-        };
-        per_shard[entry.home as usize].push(op.clone());
-        for &shard in &entry.ghosts {
-            per_shard[shard as usize].push(op.clone());
-        }
-        self.commit_ops(per_shard)?;
-        let tuple = &mut self.attrs[member.index()];
-        match tuple.iter_mut().find(|(k, _)| k == key) {
-            Some(slot) => slot.1 = value,
-            None => tuple.push((key.to_owned(), value)),
-        }
-        Ok(())
+        let mut staged = Staged::new();
+        self.stage_set_attr(&mut staged, member, key, &value);
+        self.commit_staged(&mut staged, true)
     }
 
     /// Adds a directed relationship. Intra-shard edges land on the
@@ -810,57 +1027,9 @@ impl NetworkedSystem {
         label: &str,
         dst: NodeId,
     ) -> Result<(), RemoteError> {
-        let l = self.vocab.intern_label(label);
-        let s_home = self.members[src.index()].home;
-        let d_home = self.members[dst.index()].home;
-        let mut per_shard = vec![Vec::new(); self.pools.len()];
-        let edge = |shard_ops: &mut Vec<ShardOp>| {
-            shard_ops.push(ShardOp::AddEdge {
-                src: src.0,
-                label: label.to_owned(),
-                dst: dst.0,
-            });
-        };
-        let mut new_ghosts: Vec<(NodeId, u32)> = Vec::new();
-        if s_home == d_home {
-            edge(&mut per_shard[s_home as usize]);
-        } else {
-            for (member, shard) in [(dst, s_home), (src, d_home)] {
-                if !self.members[member.index()].ghosts.contains(&shard) {
-                    let ops = &mut per_shard[shard as usize];
-                    ops.push(ShardOp::AddNode {
-                        global: member.0,
-                        name: self.names[member.index()].clone(),
-                        ghost: true,
-                    });
-                    for (key, value) in &self.attrs[member.index()] {
-                        ops.push(ShardOp::SetAttr {
-                            global: member.0,
-                            key: key.clone(),
-                            value: value.clone(),
-                        });
-                    }
-                    new_ghosts.push((member, shard));
-                }
-            }
-            edge(&mut per_shard[s_home as usize]);
-            edge(&mut per_shard[d_home as usize]);
-        }
-        self.commit_ops(per_shard)?;
-        for (member, shard) in new_ghosts {
-            self.members[member.index()].ghosts.push(shard);
-        }
-        if s_home != d_home {
-            self.boundary.record(BoundaryEdge {
-                src: src.0,
-                dst: dst.0,
-                label: l,
-                src_shard: s_home,
-                dst_shard: d_home,
-            });
-        }
-        self.edges.push((src, l, dst));
-        Ok(())
+        let mut staged = Staged::new();
+        self.stage_connect(&mut staged, src, label, dst);
+        self.commit_staged(&mut staged, true)
     }
 
     /// Registers a resource owned by `owner` (router-local: policy

@@ -13,13 +13,13 @@ mod common;
 use proptest::prelude::*;
 use socialreach_core::online::evaluate_reference;
 use socialreach_core::remote::proto::{Request, Response, SessionSpec, WireMatch, WireRefusal};
-use socialreach_core::remote::spawn_local_fleet;
+use socialreach_core::remote::{spawn_local_fleet, MAX_EPOCH_OPS};
 use socialreach_core::{
     parse_path, AccessService, Decision, Deployment, EvalError, Explanation, MutateService,
     PolicyStore, ResourceId, ServiceInstance, ShardAddr, ShardHandle, ShardServer,
 };
 use socialreach_graph::{AttrValue, NodeId, ShardAssignment, SocialGraph};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::{mpsc, Mutex};
 
 const SEED: u64 = 3;
@@ -307,10 +307,9 @@ fn chain_fixture() -> (SocialGraph, PolicyStore, Vec<ResourceId>) {
 
 /// `Deployment::from_graph` parity: ingesting an existing graph +
 /// policy store over the wire preserves ids and semantics.
-#[test]
-fn tcp_from_graph_preserves_ids_and_semantics() {
+fn from_graph_preserves_ids_and_semantics(unix: bool) {
     let (g, store, rids) = chain_fixture();
-    let (_handles, addrs) = fleet(3, false);
+    let (_handles, addrs) = fleet(3, unix);
     let net = Deployment::networked_with(addrs, SEED).from_graph(&g, store.clone());
     let single = Deployment::online().from_graph(&g, store.clone());
     let sharded = Deployment::sharded_with(ShardAssignment::hashed(3, SEED)).from_graph(&g, store);
@@ -321,6 +320,202 @@ fn tcp_from_graph_preserves_ids_and_semantics() {
     for m in 0..12u32 {
         assert_eq!(net.member_shard(NodeId(m)), sharded.member_shard(NodeId(m)));
     }
+}
+
+#[test]
+fn tcp_from_graph_preserves_ids_and_semantics() {
+    from_graph_preserves_ids_and_semantics(false);
+}
+
+#[test]
+fn uds_from_graph_preserves_ids_and_semantics() {
+    from_graph_preserves_ids_and_semantics(true);
+}
+
+/// A 180-member graph whose bulk load spans many epochs, built against
+/// the 2-shard placement so that the staged-state cases of batched
+/// ingest are certain to occur:
+///
+/// * the member phase ends mid-batch, so the last members' ages are
+///   still staged when the edge phase starts — and the first edges
+///   ghost exactly those members onto the other shard;
+/// * a hub follows members on the other shard back to back, so its
+///   ghost there is staged once and reused inside one batch;
+/// * a ring and chords over everyone add ghosts that later batches
+///   reuse.
+///
+/// Every resource is gated on age; the first two check it at the last
+/// members' ghosts before walking on from them.
+fn many_epochs_fixture() -> (SocialGraph, PolicyStore, Vec<ResourceId>) {
+    const N: u32 = 180;
+    let place = ShardAssignment::hashed(2, SEED);
+    let mut g = SocialGraph::new();
+    for i in 0..N {
+        let v = g.add_node(&format!("p{i:03}"));
+        g.set_node_attr(v, "age", i64::from(15 + (i * 13) % 60));
+        if i % 3 == 0 {
+            g.set_node_attr(v, "tier", i64::from(i % 5));
+        }
+    }
+    let shard = |v: u32| place.shard_of(&format!("p{v:03}"));
+    // The first member (from the front) on the other shard than `v`.
+    let across = |v: u32, skip: usize| {
+        (0..N)
+            .filter(|&u| shard(u) != shard(v))
+            .nth(skip)
+            .expect("both shards are populated")
+    };
+    let (friend, colleague, follows) = (
+        g.intern_label("friend"),
+        g.intern_label("colleague"),
+        g.intern_label("follows"),
+    );
+    // The last members first: their attributes are the staged ones.
+    let last: Vec<u32> = (N - 8..N).rev().collect();
+    for (k, &v) in last.iter().enumerate() {
+        g.add_edge(NodeId(across(v, k)), NodeId(v), friend);
+        g.add_edge(NodeId(v), NodeId(across(v, k + 8)), colleague);
+    }
+    let hub = 0;
+    for k in 0..30 {
+        g.add_edge(NodeId(hub), NodeId(across(hub, k)), follows);
+    }
+    for i in 0..N {
+        g.add_edge(NodeId(i), NodeId((i + 1) % N), friend);
+        if i % 4 == 1 {
+            g.add_edge(NodeId(i), NodeId((i * 7 + 3) % N), colleague);
+        }
+    }
+    let mut store = PolicyStore::new();
+    let mut rids = Vec::new();
+    for (owner, rule) in [
+        // Through the last members' ghosts, where the age is checked
+        // before the walk goes on.
+        (across(N - 1, 0), "friend+[1]{age>=30}/colleague+[1]"),
+        (across(N - 2, 1), "friend+[1]{age>=40}/colleague+[1]"),
+        (N - 1, "colleague+[1]{age>=30}/friend+[1..2]"),
+        (hub, "follows+[1]{age>=35}"),
+        (N - 4, "friend-[1..3]{age>=50}"),
+    ] {
+        let rid = store.register_resource(NodeId(owner));
+        store.allow(rid, rule, &mut g).unwrap();
+        rids.push(rid);
+    }
+    (g, store, rids)
+}
+
+/// The shard ops a bulk load of `g` stages under `place`: one
+/// `AddNode` and one `SetAttr` per attribute for every home copy and
+/// every ghost replica (a ghost copies its member's whole tuple, since
+/// attributes load before edges), and one `AddEdge` per copy of an
+/// edge. Returns `(ops, copies, edge copies)`.
+fn bulk_load_ops(g: &SocialGraph, place: &ShardAssignment) -> (usize, usize, usize) {
+    let home = |v: NodeId| place.shard_of(g.node_name(v));
+    let attrs = |v: NodeId| g.node_attrs(v).iter().count();
+    let mut ops: usize = g.nodes().map(|v| 1 + attrs(v)).sum();
+    let (mut ghosts, mut edge_copies) = (HashSet::new(), 0);
+    for (_, e) in g.edges() {
+        let (s, d) = (home(e.src), home(e.dst));
+        edge_copies += if s == d { 1 } else { 2 };
+        if s != d {
+            for (member, shard) in [(e.dst, s), (e.src, d)] {
+                if ghosts.insert((member, shard)) {
+                    ops += 1 + attrs(member);
+                }
+            }
+        }
+    }
+    let copies = g.num_nodes() + ghosts.len();
+    (ops + edge_copies, copies, edge_copies)
+}
+
+/// A bulk load of more than three epochs' worth of shard ops commits
+/// one epoch per [`MAX_EPOCH_OPS`] ops, not one per mutation, and the
+/// result is the in-process twins' graph: networked(2) ≡ online ≡
+/// sharded(2) on every read, and every `explain` walk is a witness of
+/// its rule. A shard killed and restarted empty heals through the
+/// bounded op-log replay to the same answers.
+fn from_graph_across_many_epochs_matches_twins(unix: bool) {
+    let (g, store, rids) = many_epochs_fixture();
+    let place = ShardAssignment::hashed(2, SEED);
+    let (ops, copies, edge_copies) = bulk_load_ops(&g, &place);
+    assert!(ops >= 3 * MAX_EPOCH_OPS, "{ops} ops span several epochs");
+
+    let (mut handles, addrs) = fleet(2, unix);
+    let net = Deployment::networked_with(addrs, SEED).from_graph(&g, store.clone());
+    let online = Deployment::online().from_graph(&g, store.clone());
+    let sharded = Deployment::sharded_with(place).from_graph(&g, store.clone());
+    let agree = |net: &ServiceInstance| {
+        common::assert_services_agree(online.reads(), net.reads(), &rids);
+        common::assert_services_agree(sharded.reads(), net.reads(), &rids);
+        for &rid in &rids {
+            // The shards hold the in-process shards' graphs, ghost
+            // attributes included: the same read does the same work.
+            assert_eq!(
+                net.reads().audience_batch_with_stats(&[rid]).unwrap(),
+                sharded.reads().audience_batch_with_stats(&[rid]).unwrap(),
+                "{rid:?}: audience and census"
+            );
+            let path = &store.rules_for(rid)[0].conditions[0].path;
+            for m in g.nodes() {
+                if let Some(Explanation::Rule { walks }) = net.reads().explain(rid, m).unwrap() {
+                    for w in &walks {
+                        common::assert_witness_valid(&g, w.start, m, path, &w.hops);
+                    }
+                }
+            }
+        }
+    };
+    agree(&net);
+
+    let sys = net.as_networked().unwrap();
+    assert_eq!(
+        sys.num_relationships(),
+        g.num_edges(),
+        "each edge recorded once"
+    );
+    let epoch = sys.epoch();
+    assert!(
+        epoch <= (ops.div_ceil(MAX_EPOCH_OPS) + 1) as u64,
+        "{ops} shard ops took {epoch} epochs: the load did not batch"
+    );
+    let census = sys.shard_census().unwrap();
+    let sum = |f: fn(&(u64, u64, u64, u64)) -> u64| census.iter().map(f).sum::<u64>() as usize;
+    assert_eq!(sum(|c| c.0 + c.1), copies, "home copies and ghosts");
+    assert_eq!(sum(|c| c.2), edge_copies, "edge copies");
+    assert!(census.iter().all(|c| c.3 == epoch), "no shard lags");
+
+    // Restart shard 1 empty on a fresh endpoint: it is replayed the
+    // whole op log, in jumps of at most `MAX_EPOCH_OPS` ops.
+    handles[1].kill();
+    let fresh = if unix {
+        ShardAddr::Unix(std::env::temp_dir().join(format!(
+            "socialreach-many-epochs-{}.sock",
+            std::process::id()
+        )))
+    } else {
+        ShardAddr::Tcp("127.0.0.1:0".to_owned())
+    };
+    let server = ShardServer::bind(&fresh).expect("rebind");
+    sys.retarget(1, server.local_addr().clone());
+    handles[1] = server.spawn();
+    agree(&net);
+    let census = sys.shard_census().unwrap();
+    assert!(
+        census.iter().all(|c| c.3 == epoch),
+        "the replay lands on the router's epoch"
+    );
+    assert_eq!(sys.epoch(), epoch, "a replay commits no new epoch");
+}
+
+#[test]
+fn tcp_from_graph_across_many_epochs_matches_twins() {
+    from_graph_across_many_epochs_matches_twins(false);
+}
+
+#[test]
+fn uds_from_graph_across_many_epochs_matches_twins() {
+    from_graph_across_many_epochs_matches_twins(true);
 }
 
 // ---------------------------------------------------------------------

@@ -46,6 +46,13 @@ enum Mode {
     Stall,
     /// Flip one bit in every forwarded chunk: the CRC must catch it.
     Corrupt,
+    /// Forward verbatim until a `Prepared` response arrives with this
+    /// many earlier ones passed, then tear it and the next response:
+    /// the router's one retry of the prepare fails at its handshake,
+    /// and whatever the router sends after that is answered again.
+    TearPrepared(usize),
+    /// Tear the next this-many responses, then forward verbatim.
+    TearNext(usize),
 }
 
 /// Spawns a TCP proxy in front of `upstream`. Returns the proxy's
@@ -92,14 +99,38 @@ fn pump_faulty(mut from: TcpStream, mut to: TcpStream, mode: Arc<Mutex<Mode>>) {
             Ok(n) => n,
         };
         loop {
-            match *mode.lock().unwrap() {
+            let mut current = mode.lock().unwrap();
+            match *current {
+                Mode::TearPrepared(passed) => {
+                    if buf[..n].windows(10).any(|w| w == b"\"Prepared\"") {
+                        *current = match passed.checked_sub(1) {
+                            Some(left) => Mode::TearPrepared(left),
+                            // This response and the retry's handshake.
+                            None => Mode::TearNext(2),
+                        };
+                        if passed == 0 {
+                            continue;
+                        }
+                    }
+                    if to.write_all(&buf[..n]).is_err() {
+                        return;
+                    }
+                    break;
+                }
                 Mode::Pass => {
                     if to.write_all(&buf[..n]).is_err() {
                         return;
                     }
                     break;
                 }
-                Mode::Tear => {
+                Mode::Tear | Mode::TearNext(_) => {
+                    if let Mode::TearNext(left) = *current {
+                        *current = if left > 1 {
+                            Mode::TearNext(left - 1)
+                        } else {
+                            Mode::Pass
+                        };
+                    }
                     let _ = to.write_all(&buf[..n.min(4)]);
                     let _ = to.shutdown(Shutdown::Both);
                     let _ = from.shutdown(Shutdown::Both);
@@ -116,7 +147,10 @@ fn pump_faulty(mut from: TcpStream, mut to: TcpStream, mode: Arc<Mutex<Mode>>) {
                 // Re-check the mode until the stall is lifted; the
                 // router gives up on this connection via its read
                 // timeout long before then.
-                Mode::Stall => std::thread::sleep(Duration::from_millis(10)),
+                Mode::Stall => {
+                    drop(current);
+                    std::thread::sleep(Duration::from_millis(10));
+                }
             }
         }
     }
@@ -376,6 +410,68 @@ fn mutation_during_stall_leaves_no_torn_epoch() {
         twin.reads().audience(r.rid).unwrap(),
         "exactly-once semantics: the retried mutation is not doubled"
     );
+}
+
+/// A bulk load that loses a shard partway — its fourth `Prepared`
+/// response torn, and the handshake of the router's retry too — fails
+/// with a typed error, not a panic or a hang, and leaves no torn
+/// epoch: both shards hold exactly the three committed epochs, and
+/// neither keeps the failed one staged (the torn shard had staged it
+/// before its response was lost).
+#[test]
+fn a_shard_torn_mid_ingest_fails_the_load_typed_with_nothing_staged() {
+    let handles = spawn_local_fleet(2, false).expect("fleet spawns");
+    let ShardAddr::Tcp(upstream) = handles[1].addr().clone() else {
+        panic!("tcp fleet")
+    };
+    let (proxy_addr, mode, _) = spawn_proxy(upstream);
+    let addrs = vec![handles[0].addr().clone(), proxy_addr];
+    let mut g = socialreach_graph::SocialGraph::new();
+    for i in 0..120u32 {
+        let v = g.add_node(&format!("m{i}"));
+        g.set_node_attr(v, "age", i64::from(20 + i % 40));
+    }
+    let friend = g.intern_label("friend");
+    for i in 0..119u32 {
+        g.add_edge(NodeId(i), NodeId(i + 1), friend);
+    }
+
+    *mode.lock().unwrap() = Mode::TearPrepared(3);
+    let t0 = Instant::now();
+    let load = NetworkedSystem::from_graph(
+        &addrs,
+        socialreach_graph::ShardAssignment::hashed(2, 7),
+        &g,
+        socialreach_core::PolicyStore::new(),
+    );
+    match load {
+        Err(RemoteError::Io { .. }) => {}
+        Err(other) => panic!("a torn shard is an i/o fault, got {other}"),
+        Ok(_) => panic!("the load cannot commit through a torn shard"),
+    }
+    assert!(t0.elapsed() < Duration::from_secs(10), "{:?}", t0.elapsed());
+    assert_eq!(
+        *mode.lock().unwrap(),
+        Mode::Pass,
+        "the tear hit the fourth prepare and the retry's handshake"
+    );
+    for h in &handles {
+        let mut raw = RawClient::dial(h.addr());
+        let Response::Census { epoch, .. } = raw.call(&Request::Census) else {
+            panic!("expected a census")
+        };
+        assert_eq!(epoch, 3, "every shard holds the committed epochs");
+        // A staged epoch 4 would refuse a prepare of any other epoch.
+        assert_eq!(
+            raw.call(&Request::Prepare {
+                epoch: 5,
+                ops: Vec::new(),
+            }),
+            Response::Prepared { epoch: 5 },
+            "no shard keeps the failed epoch staged"
+        );
+        raw.call(&Request::Abort { epoch: 5 });
+    }
 }
 
 /// Killing a shard process mid-stream (not merely faulting its bytes)
