@@ -505,3 +505,74 @@ fn replayed_record_with_out_of_range_id_is_a_typed_error() {
         Ok(_) => panic!("an out-of-range record must not recover"),
     }
 }
+
+#[test]
+fn wal_bytes_are_pinned_per_record_kind() {
+    // The write-ahead log's on-disk format is a compatibility contract:
+    // every data directory ever written must keep recovering. One record
+    // of each kind, written through the public write seam, must produce
+    // exactly these frames (`[u32 LE len][u32 LE CRC-32][JSON payload]`)
+    // and exactly these `history` lines.
+    let dir = DataDir::new("golden");
+    {
+        let mut svc = Deployment::online().durable(&dir.0).unwrap();
+        let w = svc.writes();
+        let ava = w.add_user("Ava");
+        let ben = w.add_user("Ben");
+        w.set_user_attr(ben, "age", 30i64.into());
+        w.add_relationship(ava, "friend", ben);
+        let rid = w.add_resource(ava);
+        w.add_rule(rid, "friend+[1]").unwrap();
+    }
+    let golden: [(u32, u32, &str, &str); 6] = [
+        (
+            26,
+            0x9d0ba7a5,
+            r#"{"AddUser":{"name":"Ava"}}"#,
+            r#"add-user "Ava""#,
+        ),
+        (
+            26,
+            0x64bc280f,
+            r#"{"AddUser":{"name":"Ben"}}"#,
+            r#"add-user "Ben""#,
+        ),
+        (
+            57,
+            0xaea0b80b,
+            r#"{"SetUserAttr":{"user":1,"key":"age","value":{"Int":30}}}"#,
+            "set-attr member=1 age=Int(30)",
+        ),
+        (
+            54,
+            0x9df040db,
+            r#"{"AddRelationship":{"src":0,"label":"friend","dst":1}}"#,
+            "add-relationship 0 -friend-> 1",
+        ),
+        (
+            27,
+            0x3749320d,
+            r#"{"AddResource":{"owner":0}}"#,
+            "add-resource owner=0",
+        ),
+        (
+            46,
+            0xf9d93c4f,
+            r#"{"AddRule":{"resource":0,"path":"friend+[1]"}}"#,
+            r#"add-rule resource=0 "friend+[1]""#,
+        ),
+    ];
+    let wal = std::fs::read(dir.wal()).unwrap();
+    let history = socialreach_core::durability::read_history(&dir.0).unwrap();
+    let mut expected = Vec::new();
+    for (len, crc, payload, _) in golden {
+        assert_eq!(len as usize, payload.len(), "{payload}");
+        expected.extend_from_slice(&len.to_le_bytes());
+        expected.extend_from_slice(&crc.to_le_bytes());
+        expected.extend_from_slice(payload.as_bytes());
+    }
+    assert_eq!(wal, expected, "wal.log bytes");
+    let lines: Vec<String> = history.iter().map(|e| e.record.to_string()).collect();
+    let want: Vec<&str> = golden.iter().map(|g| g.3).collect();
+    assert_eq!(lines, want, "history lines");
+}
