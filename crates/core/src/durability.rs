@@ -7,12 +7,13 @@
 //! durable without touching either backend:
 //!
 //! * **Write-ahead log** — [`DurableService`] wraps a
-//!   [`ServiceInstance`] and records every [`MutateService`] operation
-//!   as a [`WalRecord`] in an append-only log (`wal.log`) of
-//!   length-prefixed, CRC-32-checksummed frames *before* applying it.
-//!   Replaying the log through the same `MutateService` trait rebuilds
-//!   the exact state — member and resource ids are assigned
-//!   sequentially by every backend, so replay is deterministic.
+//!   [`ServiceInstance`] and records every [`Mutation`] the backend
+//!   accepted in an append-only log (`wal.log`) of length-prefixed,
+//!   CRC-32-checksummed frames, before the canonical mirror applies
+//!   it; a refused write is never logged. Replaying the log through
+//!   the same [`MutateService::apply`] rebuilds the exact state —
+//!   member and resource ids are assigned sequentially by every
+//!   backend, so replay is deterministic.
 //! * **Snapshots** — [`DurableService::snapshot`] serializes the
 //!   canonical state (graph via the binary codec in
 //!   `socialreach_graph::persist`, policy store as JSON) into a
@@ -93,10 +94,11 @@
 
 use crate::error::EvalError;
 use crate::policy::{PolicyStore, ResourceId};
-use crate::service::{AccessService, Deployment, MutateService, ServiceInstance};
-use serde::{Deserialize, Serialize};
+use crate::service::{
+    AccessService, Applied, Deployment, MutateService, Mutation, ServiceInstance,
+};
 use socialreach_graph::wire::crc32;
-use socialreach_graph::{persist, AttrValue, NodeId, SocialGraph};
+use socialreach_graph::{persist, GraphError, NodeId, SocialGraph};
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
@@ -327,73 +329,11 @@ fn io_err(path: &Path, op: &'static str, e: std::io::Error) -> DurabilityError {
 // WAL records and framing
 // ---------------------------------------------------------------------
 
-/// One logged [`MutateService`] operation, in wire form. Ids are
-/// recorded (not re-derived) so replay can cross-check the backend's
-/// sequential assignment.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub enum WalRecord {
-    /// [`MutateService::add_user`].
-    AddUser {
-        /// Display name.
-        name: String,
-    },
-    /// [`MutateService::set_user_attr`].
-    SetUserAttr {
-        /// The member.
-        user: NodeId,
-        /// Attribute key.
-        key: String,
-        /// Attribute value.
-        value: AttrValue,
-    },
-    /// [`MutateService::add_relationship`].
-    AddRelationship {
-        /// Source member.
-        src: NodeId,
-        /// Relationship type name.
-        label: String,
-        /// Target member.
-        dst: NodeId,
-    },
-    /// [`MutateService::add_resource`].
-    AddResource {
-        /// The owner.
-        owner: NodeId,
-    },
-    /// [`MutateService::add_rule`] (the rule re-parses on replay).
-    AddRule {
-        /// The resource.
-        resource: ResourceId,
-        /// The path-expression text.
-        path: String,
-    },
-}
-
-impl fmt::Display for WalRecord {
-    /// Human-readable one-liner for audit surfaces (`history` in the
-    /// CLI, the audit-trail example).
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            WalRecord::AddUser { name } => write!(f, "add-user {name:?}"),
-            WalRecord::SetUserAttr { user, key, value } => {
-                write!(f, "set-attr member={user} {key}={value:?}")
-            }
-            WalRecord::AddRelationship { src, label, dst } => {
-                write!(f, "add-relationship {src} -{label}-> {dst}")
-            }
-            WalRecord::AddResource { owner } => write!(f, "add-resource owner={owner}"),
-            WalRecord::AddRule { resource, path } => {
-                write!(f, "add-rule resource={} {path:?}", resource.0)
-            }
-        }
-    }
-}
-
 /// Encodes one record as a WAL frame:
 /// `[u32 LE payload len][u32 LE CRC-32][payload]`, where the checksum
 /// covers the length bytes *and* the payload, so a damaged length
 /// field cannot masquerade as a valid frame.
-fn encode_frame(record: &WalRecord) -> Vec<u8> {
+fn encode_frame(record: &Mutation) -> Vec<u8> {
     let payload = serde_json::to_string(record)
         .expect("WAL records serialize (no non-finite floats)")
         .into_bytes();
@@ -425,7 +365,7 @@ struct WalScan {
     /// Absolute position of the first record in the file (0 unless the
     /// log was compacted; read from the compaction header).
     base: u64,
-    records: Vec<WalRecord>,
+    records: Vec<Mutation>,
     /// Byte offset each record's frame *ends* at (`ends[i]` closes
     /// record `base + i`; the first frame starts at the header end).
     ends: Vec<u64>,
@@ -519,7 +459,7 @@ fn read_wal(path: &Path) -> Result<WalScan, DurabilityError> {
                 torn: None,
             });
         }
-        let torn = |records: Vec<WalRecord>, ends: Vec<u64>, detail: String| {
+        let torn = |records: Vec<Mutation>, ends: Vec<u64>, detail: String| {
             Ok(WalScan {
                 base,
                 records,
@@ -597,7 +537,7 @@ fn read_wal(path: &Path) -> Result<WalScan, DurabilityError> {
             offset: pos as u64,
             detail: "checksummed payload is not UTF-8".to_owned(),
         })?;
-        let record: WalRecord =
+        let record: Mutation =
             serde_json::from_str(text).map_err(|e| DurabilityError::CorruptWal {
                 path: path.to_path_buf(),
                 offset: pos as u64,
@@ -871,7 +811,7 @@ pub struct HistoryEntry {
     /// Absolute zero-based position of the record in the WAL.
     pub position: u64,
     /// The logged operation, in wire form.
-    pub record: WalRecord,
+    pub record: Mutation,
 }
 
 /// Enumerates the durable history of a data directory: every intact
@@ -1074,19 +1014,23 @@ fn recover_to(
         None => (SocialGraph::new(), PolicyStore::new(), 0),
     };
     let mut inner = deployment.from_graph(&mirror, store.clone());
-    {
-        let writes = inner.writes();
-        let lo = (replay_from - scan.base) as usize;
-        let hi = (target - scan.base) as usize;
-        for (i, record) in scan.records[lo..hi].iter().enumerate() {
-            apply_record(record, writes, &mut mirror, &mut store).map_err(|detail| {
-                DurabilityError::Replay {
-                    record: replay_from + i as u64,
-                    detail,
+    let lo = (replay_from - scan.base) as usize;
+    let hi = (target - scan.base) as usize;
+    for (i, m) in scan.records[lo..hi].iter().enumerate() {
+        let replay = |detail| DurabilityError::Replay {
+            record: replay_from + i as u64,
+            detail,
+        };
+        let got = inner.apply(m).map_err(|e| {
+            replay(match e {
+                EvalError::Graph(GraphError::UnknownNode(n)) => {
+                    format!("member {n} out of range ({} members)", mirror.num_nodes())
                 }
-            })?;
-            report.records_replayed += 1;
-        }
+                e => e.to_string(),
+            })
+        })?;
+        mirror_write(&mut mirror, &mut store, m, got).map_err(replay)?;
+        report.records_replayed += 1;
     }
     Ok(Recovered {
         inner,
@@ -1307,7 +1251,7 @@ impl DurableService {
     /// Appends one frame to the log. WAL append failure is fail-stop:
     /// acknowledging a write the log did not capture would break the
     /// recovery contract.
-    fn append(&mut self, record: &WalRecord) {
+    fn append(&mut self, record: &Mutation) {
         let frame = encode_frame(record);
         self.wal
             .write_all(&frame)
@@ -1316,132 +1260,43 @@ impl DurableService {
     }
 }
 
-/// Applies one record to a backend and the canonical mirror, checking
-/// the two stay id-for-id identical. Invalid ids (possible only under
-/// a log that disagrees with its own history) error — never panic.
-fn apply_record(
-    record: &WalRecord,
-    inner: &mut dyn MutateService,
+/// Applies `m`, which the backend already applied and answered with
+/// `got`, to the canonical mirror, checking the two stay id-for-id
+/// identical — the step live writes and recovery share after the
+/// backend's `apply`.
+fn mirror_write(
     mirror: &mut SocialGraph,
     store: &mut PolicyStore,
+    m: &Mutation,
+    got: Applied,
 ) -> Result<(), String> {
-    let check_member = |user: NodeId, mirror: &SocialGraph| {
-        if mirror.contains_node(user) {
-            Ok(())
-        } else {
-            Err(format!(
-                "member {user} out of range ({} members)",
-                mirror.num_nodes()
-            ))
-        }
-    };
-    match record {
-        WalRecord::AddUser { name } => {
-            let got = inner.add_user(name);
-            let expect = mirror.add_node(name);
-            if got != expect {
-                return Err(format!(
-                    "backend assigned member id {got}, history says {expect}"
-                ));
-            }
-        }
-        WalRecord::SetUserAttr { user, key, value } => {
-            check_member(*user, mirror)?;
-            inner.set_user_attr(*user, key, value.clone());
-            mirror.set_node_attr(*user, key, value.clone());
-        }
-        WalRecord::AddRelationship { src, label, dst } => {
-            check_member(*src, mirror)?;
-            check_member(*dst, mirror)?;
-            inner.add_relationship(*src, label, *dst);
-            mirror.connect(*src, label, *dst);
-        }
-        WalRecord::AddResource { owner } => {
-            check_member(*owner, mirror)?;
-            let got = inner.add_resource(*owner);
-            let expect = store.register_resource(*owner);
-            if got != expect {
-                return Err(format!(
-                    "backend assigned resource id {got:?}, history says {expect:?}"
-                ));
-            }
-        }
-        WalRecord::AddRule { resource, path } => {
-            store
-                .allow(*resource, path, mirror)
-                .map_err(|e| format!("rule rejected: {e}"))?;
-            inner
-                .add_rule(*resource, path)
-                .map_err(|e| format!("backend rejected a rule the history accepted: {e}"))?;
-        }
-    }
-    Ok(())
+    let want = m.apply_to(mirror, store);
+    let want = want.map_err(|e| format!("the canonical mirror refused it: {e}"))?;
+    let diverged = || format!("backend assigned {got:?}, history says {want:?}");
+    (got == want).then_some(()).ok_or_else(diverged)
 }
 
-// ---------------------------------------------------------------------
-// Trait impl: writes log (reads are the backend's own — see
-// [`DurableService::reads`])
-// ---------------------------------------------------------------------
-
+/// Writes log: the backend applies first, so a refused write — an
+/// unknown id, a rejected rule, a networked fleet that could not
+/// commit — leaves the log, the mirror and the backend unchanged.
+/// Only an accepted write is appended, then mirrored. Recovery runs
+/// the same two applies without the append. (Reads are the backend's
+/// own — see [`DurableService::reads`].)
 impl MutateService for DurableService {
-    fn add_user(&mut self, name: &str) -> NodeId {
-        self.append(&WalRecord::AddUser {
-            name: name.to_owned(),
-        });
-        let got = self.inner.writes().add_user(name);
-        let expect = self.mirror.add_node(name);
-        debug_assert_eq!(got, expect, "sequential id assignment diverged");
-        got
-    }
-
-    fn set_user_attr(&mut self, user: NodeId, key: &str, value: AttrValue) {
-        self.append(&WalRecord::SetUserAttr {
-            user,
-            key: key.to_owned(),
-            value: value.clone(),
-        });
-        self.inner.writes().set_user_attr(user, key, value.clone());
-        self.mirror.set_node_attr(user, key, value);
-    }
-
-    fn add_relationship(&mut self, src: NodeId, label: &str, dst: NodeId) {
-        self.append(&WalRecord::AddRelationship {
-            src,
-            label: label.to_owned(),
-            dst,
-        });
-        self.inner.writes().add_relationship(src, label, dst);
-        self.mirror.connect(src, label, dst);
-    }
-
-    fn add_resource(&mut self, owner: NodeId) -> ResourceId {
-        self.append(&WalRecord::AddResource { owner });
-        let got = self.inner.writes().add_resource(owner);
-        let expect = self.store.register_resource(owner);
-        debug_assert_eq!(got, expect, "sequential id assignment diverged");
-        got
-    }
-
-    /// Validate-then-log: the rule is parsed and applied to the
-    /// canonical mirror first, so a rejected rule is never logged (a
-    /// logged record must always re-apply on recovery).
-    fn add_rule(&mut self, resource: ResourceId, path_text: &str) -> Result<(), EvalError> {
-        self.store.allow(resource, path_text, &mut self.mirror)?;
-        self.append(&WalRecord::AddRule {
-            resource,
-            path: path_text.to_owned(),
-        });
-        self.inner
-            .writes()
-            .add_rule(resource, path_text)
-            .expect("backend accepts a rule the canonical mirror accepted");
-        Ok(())
+    fn apply(&mut self, m: &Mutation) -> Result<Applied, EvalError> {
+        let got = self.inner.apply(m)?;
+        self.append(m);
+        if let Err(detail) = mirror_write(&mut self.mirror, &mut self.store, m, got) {
+            panic!("logged write `{m}` diverged from the canonical mirror: {detail}");
+        }
+        Ok(got)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use socialreach_graph::AttrValue;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -1456,21 +1311,21 @@ mod tests {
     #[test]
     fn wal_frames_round_trip() {
         let records = vec![
-            WalRecord::AddUser {
+            Mutation::AddUser {
                 name: "Alice".to_owned(),
             },
-            WalRecord::SetUserAttr {
+            Mutation::SetUserAttr {
                 user: NodeId(0),
                 key: "age".to_owned(),
                 value: AttrValue::Int(30),
             },
-            WalRecord::AddRelationship {
+            Mutation::AddRelationship {
                 src: NodeId(0),
                 label: "friend".to_owned(),
                 dst: NodeId(1),
             },
-            WalRecord::AddResource { owner: NodeId(0) },
-            WalRecord::AddRule {
+            Mutation::AddResource { owner: NodeId(0) },
+            Mutation::AddRule {
                 resource: ResourceId(0),
                 path: "friend+[1,2]{age>=18}".to_owned(),
             },

@@ -72,6 +72,12 @@ pub enum EvalError {
     UnsupportedDirection,
     /// The policy references a resource that was never registered.
     UnknownResource(u64),
+    /// A write sets a float attribute to NaN or an infinity, which
+    /// neither the write-ahead log nor the wire protocol can carry.
+    NonFiniteAttr {
+        /// The attribute key.
+        key: String,
+    },
     /// A networked deployment could not complete the read against its
     /// shard fleet (transport failure, corrupt frame, protocol
     /// violation, or a shard's typed refusal) even after the router's
@@ -98,6 +104,9 @@ impl fmt::Display for EvalError {
                  was built with augment_reverse = false"
             ),
             EvalError::UnknownResource(r) => write!(f, "unknown resource id {r}"),
+            EvalError::NonFiniteAttr { key } => {
+                write!(f, "attribute {key:?} must be a finite number")
+            }
             EvalError::Remote(e) => write!(f, "remote shard fleet: {e}"),
         }
     }

@@ -48,11 +48,12 @@
 //! | [`lineplan`] | §3.1 | depth expansion into line queries (Fig. 4) |
 //! | [`joinengine`] | §3.3–3.4 | join pipeline + post-processing |
 //! | [`engine`] | — | engine trait, caching enforcer, per-generation snapshot cache |
-//! | [`service`] | — | the deployment-agnostic serving API: `AccessService` / `MutateService` traits, request/response vocabulary, `Deployment` builder |
+//! | [`service`] | — | the deployment-agnostic serving API: `AccessService` / `MutateService` traits, the `Mutation` write vocabulary (applied by every backend, logged by the WAL), request/response vocabulary, `Deployment` builder |
 //! | [`query`] | — | openCypher-flavored query front-end + shared-prefix bundle plan compiler and its masked trie engine |
 //! | [`planner`] | — | telemetry-fed adaptive read planner: per-resource decaying profiles pick the winning engine per bundle |
 //! | [`system`] | — | single-graph backend (`AccessControlSystem`) |
 //! | [`sharded`] | — | hash-partitioned multi-shard backend with cross-shard stitching |
+//! | [`durability`] | — | durable decorator: write-ahead log of `Mutation`s, checksummed snapshots, crash recovery, point-in-time audit reads |
 //! | [`remote`] | — | shards as **processes**: CRC-framed wire protocol over TCP/Unix sockets, shard servers, and the networked router |
 //! | [`examples`] | §2–3 | the Figure 1 graph, Q1, worked queries |
 //! | [`carminati`] | §4 | the Carminati et al. trust+radius baseline |
@@ -268,7 +269,7 @@ pub mod system;
 pub use carminati::{CarminatiOutcome, CarminatiRule, TrustAggregation};
 pub use durability::{
     read_history, AudienceDiff, AuditError, CompactionReport, DurabilityError, DurableService,
-    HistoryEntry, RecoveryReport, TornTail, WalRecord,
+    HistoryEntry, RecoveryReport, TornTail,
 };
 pub use engine::{
     resource_audience, resource_audience_batch_per_condition_with_stats,
@@ -286,9 +287,9 @@ pub use policy::{AccessCondition, AccessRule, Decision, PolicyStore, ResourceId}
 pub use query::{parse_policy, parse_query, render_query, BundlePlan};
 pub use remote::{NetworkedSystem, RemoteError, ShardAddr, ShardHandle, ShardServer};
 pub use service::{
-    AccessResponse, AccessService, BundleStrategy, CheckPlan, Deployment, Explanation,
-    MutateService, NetworkedSpec, ReadBatch, ReadRequest, ReadStats, ServiceInstance, WalkHop,
-    WitnessWalk,
+    AccessResponse, AccessService, Applied, BundleStrategy, CheckPlan, Deployment, Explanation,
+    MutateService, Mutation, NetworkedSpec, ReadBatch, ReadRequest, ReadStats, ServiceInstance,
+    WalkHop, WitnessWalk,
 };
 pub use sharded::{BundleFixpointStats, ShardedEval, ShardedHop, ShardedSystem};
 pub use system::{AccessControlSystem, EngineChoice};

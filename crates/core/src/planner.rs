@@ -35,7 +35,7 @@
 //! the planner serves the backend's current default, so the very
 //! first reads behave exactly like an unplanned deployment. From
 //! there it alternates arms — weakest evidence first — until every
-//! candidate has [`MIN_ARM_SAMPLES`] per resource, and only then
+//! candidate has `MIN_ARM_SAMPLES` per resource, and only then
 //! exploits the argmin: a single cold-cache sample can therefore
 //! never lock in the losing engine, and estimates seed with an
 //! arithmetic mean before switching to the EWMA for the same reason.
@@ -87,11 +87,11 @@
 use crate::error::EvalError;
 use crate::policy::{Decision, ResourceId};
 use crate::service::{
-    AccessService, BundleStrategy, CheckPlan, Deployment, Explanation, MutateService, ReadStats,
-    ServiceInstance,
+    AccessService, Applied, BundleStrategy, CheckPlan, Deployment, Explanation, MutateService,
+    Mutation, ReadStats, ServiceInstance,
 };
 use parking_lot::RwLock;
-use socialreach_graph::{AttrValue, LabelId, NodeId};
+use socialreach_graph::{LabelId, NodeId};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -811,24 +811,8 @@ impl AccessService for PlannedService {
 }
 
 impl MutateService for PlannedService {
-    fn add_user(&mut self, name: &str) -> NodeId {
-        self.inner.writes().add_user(name)
-    }
-
-    fn set_user_attr(&mut self, user: NodeId, key: &str, value: AttrValue) {
-        self.inner.writes().set_user_attr(user, key, value)
-    }
-
-    fn add_relationship(&mut self, src: NodeId, label: &str, dst: NodeId) {
-        self.inner.writes().add_relationship(src, label, dst)
-    }
-
-    fn add_resource(&mut self, owner: NodeId) -> ResourceId {
-        self.inner.writes().add_resource(owner)
-    }
-
-    fn add_rule(&mut self, resource: ResourceId, path_text: &str) -> Result<(), EvalError> {
-        self.inner.writes().add_rule(resource, path_text)
+    fn apply(&mut self, m: &Mutation) -> Result<Applied, EvalError> {
+        self.inner.apply(m)
     }
 }
 

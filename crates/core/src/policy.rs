@@ -18,7 +18,7 @@
 use crate::error::EvalError;
 use crate::path::{parse_path, PathExpr};
 use serde::{Deserialize, Serialize};
-use socialreach_graph::{NodeId, SocialGraph};
+use socialreach_graph::{NodeId, SocialGraph, Vocabulary};
 use std::collections::HashMap;
 
 /// Identifier of a shared resource (photo, note, album, …).
@@ -131,8 +131,19 @@ impl PolicyStore {
         path_text: &str,
         g: &mut SocialGraph,
     ) -> Result<(), EvalError> {
+        self.allow_in(rid, path_text, g.vocab_mut())
+    }
+
+    /// [`PolicyStore::allow`] against a bare vocabulary (the
+    /// partitioned backends keep one master vocabulary, no graph).
+    pub(crate) fn allow_in(
+        &mut self,
+        rid: ResourceId,
+        path_text: &str,
+        vocab: &mut Vocabulary,
+    ) -> Result<(), EvalError> {
         let owner = self.owner_of(rid)?;
-        let path = crate::query::parse_policy(path_text, g.vocab_mut())?;
+        let path = crate::query::parse_policy(path_text, vocab)?;
         self.add_rule(AccessRule {
             resource: rid,
             conditions: vec![AccessCondition { owner, path }],

@@ -4,7 +4,7 @@
 //!
 //! * **Front-end** ([`parse_query`]): an openCypher-flavored query
 //!   language — `MATCH (owner)-[:friend*1..2]->(v {age >= 18})` —
-//!   that lowers to the same [`PathExpr`](crate::path::PathExpr) AST
+//!   that lowers to the same [path AST](crate::path::PathExpr)
 //!   the classic syntax (`friend+[1..2]{age>=18}`) parses to, with the
 //!   same position-annotated caret errors. [`parse_policy`] accepts
 //!   either syntax, so `add_rule` and the CLI take both;

@@ -17,8 +17,8 @@
 //! two-phase epoch fence (`Prepare` everywhere → `Commit` everywhere;
 //! any prepare failure aborts the epoch). Staging reads the router's
 //! committed metadata overlaid with the ops staged so far, and the
-//! metadata itself changes only when a batch commits. A single
-//! `try_*` mutation stages its ops and commits them; a bulk load
+//! metadata itself changes only when a batch commits. One
+//! [`MutateService::apply`] stages its ops and commits them; a bulk load
 //! ([`NetworkedSystem::from_graph`]) stages every mutation and commits
 //! one epoch each time [`MAX_EPOCH_OPS`] ops are staged. (A mutation
 //! of more ops than that — a ghost for a member with nearly as many
@@ -61,7 +61,8 @@ use crate::fixpoint::{self, LaneRound, ShardLane, StateKey};
 use crate::path::PathExpr;
 use crate::policy::{Decision, PolicyStore, ResourceId};
 use crate::service::{
-    AccessService, BundleStrategy, CheckPlan, Explanation, MutateService, ReadStats, WalkHop,
+    AccessService, Applied, BundleStrategy, CheckPlan, Explanation, MutateService, Mutation,
+    ReadStats, WalkHop,
 };
 use crate::sharded::partitioned_check_plan;
 use parking_lot::Mutex;
@@ -438,9 +439,9 @@ impl NetworkedSystem {
     /// Ingests an existing graph + policy store: same member ids
     /// (insertion order), same label/attr ids, same edge order — the
     /// conformance suites build networked twins of in-process systems
-    /// with this. The load is staged through the same code as the
-    /// `try_*` mutations and committed in epochs of [`MAX_EPOCH_OPS`]
-    /// shard ops each (a mutation may straddle two), so it takes
+    /// with this. The load is staged through the same code as
+    /// [`MutateService::apply`] and committed in epochs of
+    /// [`MAX_EPOCH_OPS`] shard ops each (a mutation may straddle two), so it takes
     /// ⌈ops / [`MAX_EPOCH_OPS`]⌉ epochs rather than one per mutation.
     /// On `Err` the epoch that failed was aborted on every shard it
     /// reached and the partly loaded fleet is abandoned.
@@ -451,15 +452,7 @@ impl NetworkedSystem {
         store: PolicyStore,
     ) -> Result<NetworkedSystem, RemoteError> {
         let mut sys = Self::with_assignment(addrs, assignment)?;
-        for (_, name) in g.vocab().labels() {
-            sys.vocab.intern_label(name);
-        }
-        for i in 0..g.vocab().num_attrs() {
-            sys.vocab.intern_attr(
-                g.vocab()
-                    .attr_name(socialreach_graph::AttrKey::from_index(i)),
-            );
-        }
+        sys.vocab = g.vocab().clone();
         let mut staged = Staged::new();
         for v in g.nodes() {
             let global = sys.stage_add_user(&mut staged, g.node_name(v));
@@ -513,7 +506,7 @@ impl NetworkedSystem {
     }
 
     /// The fleet's current epoch: every committed batch of at most
-    /// [`MAX_EPOCH_OPS`] shard ops advanced it by one — a `try_*`
+    /// [`MAX_EPOCH_OPS`] shard ops advanced it by one — one applied
     /// mutation commits one batch, a bulk load
     /// ([`NetworkedSystem::from_graph`]) one per [`MAX_EPOCH_OPS`] ops.
     pub fn epoch(&self) -> u64 {
@@ -585,8 +578,8 @@ impl NetworkedSystem {
     /// Checks out a connection to `shard`: an idle one, or a fresh
     /// dial through [`NetworkedSystem::revive`]. Either way the shard
     /// has interned the whole master vocabulary before the caller's
-    /// first exchange, so vocabulary grown by `allow`/`parse` (which
-    /// touch no shard) reaches the fleet.
+    /// first exchange, so vocabulary grown by a rule write (which
+    /// touches no shard) reaches the fleet.
     fn checkout(&self, shard: usize) -> Result<ShardClient, RemoteError> {
         let idle = self.pools[shard].lock().idle.pop();
         let Some(mut client) = idle else {
@@ -851,10 +844,7 @@ impl NetworkedSystem {
                 if shard != d_home {
                     return;
                 }
-                let l = self
-                    .vocab
-                    .label(label)
-                    .expect("staging interns every label");
+                let l = self.vocab.intern_label(label);
                 if s_home != d_home {
                     self.boundary.record(BoundaryEdge {
                         src: *src,
@@ -870,9 +860,14 @@ impl NetworkedSystem {
     }
 
     /// `member` as staged — committed metadata overlaid with `staged`:
-    /// its name and the shards holding a copy of it, home first.
+    /// its name and the shards holding a copy of it, home first. The
+    /// member is registered, committed or staged: `apply` checks ids
+    /// before staging, and a bulk load stages members before edges.
     fn staged_copies(&self, staged: &[(u32, ShardOp)], member: NodeId) -> (String, Vec<u32>) {
-        let mut name = self.names.get(member.index()).cloned();
+        let mut name = self
+            .names
+            .get(member.index())
+            .map_or_else(String::new, String::clone);
         let mut copies: Vec<u32> = self
             .members
             .get(member.index())
@@ -886,12 +881,12 @@ impl NetworkedSystem {
             } = op
             {
                 if *global == member.0 {
-                    name.get_or_insert_with(|| n.clone());
+                    name.clone_from(n);
                     copies.push(*shard);
                 }
             }
         }
-        (name.expect("a registered member"), copies)
+        (name, copies)
     }
 
     /// `member`'s attribute tuple as staged: the committed tuple with
@@ -993,63 +988,6 @@ impl NetworkedSystem {
             staged.push((s_home, edge.clone()));
         }
         staged.push((d_home, edge));
-    }
-
-    /// Registers a member on their hash-assigned home shard.
-    pub fn try_add_user(&mut self, name: &str) -> Result<NodeId, RemoteError> {
-        let mut staged = Staged::new();
-        let member = self.stage_add_user(&mut staged, name);
-        self.commit_staged(&mut staged, true)?;
-        Ok(member)
-    }
-
-    /// Sets a member attribute on the home copy and every ghost
-    /// replica (predicates must evaluate identically on any shard the
-    /// member appears on).
-    pub fn try_set_user_attr(
-        &mut self,
-        member: NodeId,
-        key: &str,
-        value: AttrValue,
-    ) -> Result<(), RemoteError> {
-        let mut staged = Staged::new();
-        self.stage_set_attr(&mut staged, member, key, &value);
-        self.commit_staged(&mut staged, true)
-    }
-
-    /// Adds a directed relationship. Intra-shard edges land on the
-    /// home shard; cross-shard edges are replicated into both endpoint
-    /// shards against ghost replicas (materialized in the same epoch)
-    /// and recorded in the boundary table.
-    pub fn try_connect(
-        &mut self,
-        src: NodeId,
-        label: &str,
-        dst: NodeId,
-    ) -> Result<(), RemoteError> {
-        let mut staged = Staged::new();
-        self.stage_connect(&mut staged, src, label, dst);
-        self.commit_staged(&mut staged, true)
-    }
-
-    /// Registers a resource owned by `owner` (router-local: policy
-    /// lives at the router, only topology is sharded).
-    pub fn share(&mut self, owner: NodeId) -> ResourceId {
-        self.decisions.clear();
-        self.store.register_resource(owner)
-    }
-
-    /// Attaches a single-condition rule parsed from `path_text` — in
-    /// either syntax, classic path notation or the openCypher-flavored
-    /// `MATCH` grammar ([`crate::query::parse_policy`]).
-    pub fn allow(&mut self, rid: ResourceId, path_text: &str) -> Result<(), EvalError> {
-        self.decisions.clear();
-        let owner = self.store.owner_of(rid)?;
-        let path = crate::query::parse_policy(path_text, &mut self.vocab)?;
-        self.store.add_rule(crate::policy::AccessRule {
-            resource: rid,
-            conditions: vec![crate::policy::AccessCondition { owner, path }],
-        })
     }
 
     // ------------------------------------------------------------------
@@ -1366,32 +1304,37 @@ impl AccessService for NetworkedSystem {
     }
 }
 
+/// The write surface over the two-phase epoch fence. Topology writes
+/// stage their shard ops and commit them as one epoch; resources and
+/// rules are router-local. On `Err` — an unknown id, a rejected rule,
+/// a fleet that could not commit ([`EvalError::Remote`]) — the epoch
+/// was rolled back everywhere it reached and the router's metadata is
+/// unchanged (save for a mutation of more than [`MAX_EPOCH_OPS`] ops,
+/// which keeps the epochs it committed — see the module docs).
 impl MutateService for NetworkedSystem {
-    /// The trait's infallible write surface is **fail-stop** over the
-    /// wire: a mutation the fleet cannot atomically commit panics
-    /// (after rolling the epoch back everywhere reachable). Callers
-    /// that want typed transport errors use the `try_*` inherent
-    /// methods directly.
-    fn add_user(&mut self, name: &str) -> NodeId {
-        self.try_add_user(name)
-            .expect("networked add_user failed (use try_add_user for typed errors)")
-    }
-
-    fn set_user_attr(&mut self, user: NodeId, key: &str, value: AttrValue) {
-        self.try_set_user_attr(user, key, value)
-            .expect("networked set_user_attr failed (use try_set_user_attr for typed errors)")
-    }
-
-    fn add_relationship(&mut self, src: NodeId, label: &str, dst: NodeId) {
-        self.try_connect(src, label, dst)
-            .expect("networked add_relationship failed (use try_connect for typed errors)")
-    }
-
-    fn add_resource(&mut self, owner: NodeId) -> ResourceId {
-        self.share(owner)
-    }
-
-    fn add_rule(&mut self, rid: ResourceId, path_text: &str) -> Result<(), EvalError> {
-        self.allow(rid, path_text)
+    fn apply(&mut self, m: &Mutation) -> Result<Applied, EvalError> {
+        m.validate(self.members.len())?;
+        let mut staged = Staged::new();
+        let applied = match m {
+            Mutation::AddUser { name } => Applied::Member(self.stage_add_user(&mut staged, name)),
+            Mutation::SetUserAttr { user, key, value } => {
+                self.stage_set_attr(&mut staged, *user, key, value);
+                Applied::Done
+            }
+            Mutation::AddRelationship { src, label, dst } => {
+                self.stage_connect(&mut staged, *src, label, *dst);
+                Applied::Done
+            }
+            Mutation::AddResource { owner } => {
+                Applied::Resource(self.store.register_resource(*owner))
+            }
+            Mutation::AddRule { resource, path } => {
+                self.store.allow_in(*resource, path, &mut self.vocab)?;
+                Applied::Done
+            }
+        };
+        self.commit_staged(&mut staged, true)?;
+        self.decisions.clear();
+        Ok(applied)
     }
 }

@@ -13,8 +13,11 @@
 //!   `check_batch`, `audience`, `audience_batch`, `explain`, …) every
 //!   backend implements. Callers hold a `&dyn AccessService` and never
 //!   learn which deployment answers them.
-//! * [`MutateService`] — the `&mut self` write surface
-//!   (`add_user` / `add_relationship` / `add_resource` / `add_rule`).
+//! * [`MutateService`] — the `&mut self` write surface: one required
+//!   method, [`MutateService::apply`], taking a [`Mutation`] (the same
+//!   value the write-ahead log records) and returning the [`Applied`]
+//!   id or a typed refusal; `add_user` / `add_relationship` /
+//!   `add_resource` / `add_rule` are provided wrappers over it.
 //! * [`ReadRequest`] / [`ReadBatch`] / [`AccessResponse`] — a uniform
 //!   request/response vocabulary carrying decisions, audiences,
 //!   structured witnesses and per-read [`ReadStats`].
@@ -51,12 +54,14 @@
 //! ```
 
 use crate::error::EvalError;
-use crate::policy::{Decision, ResourceId};
+use crate::policy::{Decision, PolicyStore, ResourceId};
 use crate::remote::{NetworkedSystem, ShardAddr};
 use crate::sharded::ShardedSystem;
 use crate::system::{AccessControlSystem, EngineChoice};
+use serde::{Deserialize, Serialize};
 use socialreach_graph::shard::ShardAssignment;
-use socialreach_graph::{AttrValue, LabelId, NodeId, SocialGraph};
+use socialreach_graph::{AttrValue, GraphError, LabelId, NodeId, SocialGraph};
+use std::fmt;
 
 // ---------------------------------------------------------------------
 // Uniform read statistics
@@ -662,22 +667,202 @@ pub trait AccessService: Send + Sync {
 // The write trait
 // ---------------------------------------------------------------------
 
+/// One write, in the one vocabulary every backend applies, the
+/// write-ahead log records and recovery replays. Ids are carried (not
+/// re-derived), so a replayed log can be cross-checked against each
+/// backend's sequential id assignment. The serde form is the WAL's
+/// on-disk record format.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub enum Mutation {
+    /// Register a member ([`MutateService::add_user`]).
+    AddUser {
+        /// Display name.
+        name: String,
+    },
+    /// Set a member attribute ([`MutateService::set_user_attr`]).
+    SetUserAttr {
+        /// The member.
+        user: NodeId,
+        /// Attribute key.
+        key: String,
+        /// Attribute value.
+        value: AttrValue,
+    },
+    /// Add a directed relationship
+    /// ([`MutateService::add_relationship`]).
+    AddRelationship {
+        /// Source member.
+        src: NodeId,
+        /// Relationship type name.
+        label: String,
+        /// Target member.
+        dst: NodeId,
+    },
+    /// Register a resource ([`MutateService::add_resource`]).
+    AddResource {
+        /// The owner.
+        owner: NodeId,
+    },
+    /// Attach a rule ([`MutateService::add_rule`]); the text re-parses
+    /// on replay.
+    AddRule {
+        /// The resource.
+        resource: ResourceId,
+        /// The path-expression text.
+        path: String,
+    },
+}
+
+impl Mutation {
+    /// The checks every backend runs before it changes anything: a
+    /// member outside `0..members` is [`GraphError::UnknownNode`], and
+    /// a NaN or infinite float attribute — which neither the log nor
+    /// the wire can carry — is [`EvalError::NonFiniteAttr`].
+    pub(crate) fn validate(&self, members: usize) -> Result<(), EvalError> {
+        let named = match self {
+            Mutation::SetUserAttr { user, key, value } => {
+                if matches!(value, AttrValue::Float(x) if !x.is_finite()) {
+                    return Err(EvalError::NonFiniteAttr { key: key.clone() });
+                }
+                [Some(*user), None]
+            }
+            Mutation::AddRelationship { src, dst, .. } => [Some(*src), Some(*dst)],
+            Mutation::AddResource { owner } => [Some(*owner), None],
+            Mutation::AddUser { .. } | Mutation::AddRule { .. } => [None, None],
+        };
+        match named.into_iter().flatten().find(|m| m.index() >= members) {
+            Some(unknown) => Err(GraphError::UnknownNode(unknown).into()),
+            None => Ok(()),
+        }
+    }
+
+    /// Applies the mutation to a graph and its policy store — the one
+    /// function that does, for the single-graph backend, the durable
+    /// layer's canonical mirror and recovery alike. The mutation is
+    /// validated first, so on `Err` the graph and store are unchanged
+    /// (a rule whose text fails to parse may leave newly interned
+    /// vocabulary behind, which no read observes).
+    pub fn apply_to(
+        &self,
+        graph: &mut SocialGraph,
+        store: &mut PolicyStore,
+    ) -> Result<Applied, EvalError> {
+        self.validate(graph.num_nodes())?;
+        Ok(match self {
+            Mutation::AddUser { name } => Applied::Member(graph.add_node(name)),
+            Mutation::SetUserAttr { user, key, value } => {
+                graph.set_node_attr(*user, key, value.clone());
+                Applied::Done
+            }
+            Mutation::AddRelationship { src, label, dst } => {
+                graph.connect(*src, label, *dst);
+                Applied::Done
+            }
+            Mutation::AddResource { owner } => Applied::Resource(store.register_resource(*owner)),
+            Mutation::AddRule { resource, path } => {
+                store.allow(*resource, path, graph)?;
+                Applied::Done
+            }
+        })
+    }
+}
+
+impl fmt::Display for Mutation {
+    /// Human-readable one-liner for audit surfaces (`history` in the
+    /// CLI, the audit-trail example).
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Mutation::AddUser { name } => write!(f, "add-user {name:?}"),
+            Mutation::SetUserAttr { user, key, value } => {
+                write!(f, "set-attr member={user} {key}={value:?}")
+            }
+            Mutation::AddRelationship { src, label, dst } => {
+                write!(f, "add-relationship {src} -{label}-> {dst}")
+            }
+            Mutation::AddResource { owner } => write!(f, "add-resource owner={owner}"),
+            Mutation::AddRule { resource, path } => {
+                write!(f, "add-rule resource={} {path:?}", resource.0)
+            }
+        }
+    }
+}
+
+/// What an applied [`Mutation`] assigned.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Applied {
+    /// [`Mutation::AddUser`]: the new member's id.
+    Member(NodeId),
+    /// [`Mutation::AddResource`]: the new resource's id.
+    Resource(ResourceId),
+    /// Every other mutation assigns nothing.
+    Done,
+}
+
 /// The deployment-agnostic **write** surface: every mutation takes
 /// `&mut self`, guaranteeing exclusivity against the lock-free `&self`
 /// readers of [`AccessService`]. Backends only *stale* derived state
 /// on mutation and republish incrementally on the next read.
+///
+/// A backend (or decorator) implements one method, [`apply`]: each
+/// backend's write logic lives there and nowhere else. The named
+/// writes ([`add_user`], [`add_relationship`], …) are provided
+/// wrappers that build the [`Mutation`] and apply it.
+///
+/// [`apply`]: MutateService::apply
+/// [`add_user`]: MutateService::add_user
+/// [`add_relationship`]: MutateService::add_relationship
 pub trait MutateService {
+    /// Applies one mutation and reports the id it assigned. A refusal
+    /// is a typed error, never a panic: a member id the deployment
+    /// never registered is [`EvalError::Graph`]
+    /// ([`GraphError::UnknownNode`]), a non-finite float attribute is
+    /// [`EvalError::NonFiniteAttr`], an unknown resource or an
+    /// unparsable rule is refused as [`MutateService::add_rule`]
+    /// documents, and a networked fleet that could not commit the
+    /// write is [`EvalError::Remote`]. On `Err` the deployment is
+    /// unchanged.
+    fn apply(&mut self, m: &Mutation) -> Result<Applied, EvalError>;
+
     /// Registers a member.
-    fn add_user(&mut self, name: &str) -> NodeId;
+    ///
+    /// # Panics
+    /// When [`MutateService::apply`] refuses the write (a networked
+    /// fleet's transport failure); call `apply` for the typed error.
+    fn add_user(&mut self, name: &str) -> NodeId {
+        let name = name.to_owned();
+        match applied(self, Mutation::AddUser { name }) {
+            Applied::Member(id) => id,
+            other => unreachable!("AddUser applied as {other:?}"),
+        }
+    }
 
     /// Sets a member attribute (path predicates read these).
-    fn set_user_attr(&mut self, user: NodeId, key: &str, value: AttrValue);
+    ///
+    /// # Panics
+    /// When [`MutateService::apply`] refuses the write (an unknown
+    /// member, a non-finite float, a networked fleet's transport
+    /// failure); call `apply` for the typed error.
+    fn set_user_attr(&mut self, user: NodeId, key: &str, value: AttrValue) {
+        let key = key.to_owned();
+        applied(self, Mutation::SetUserAttr { user, key, value });
+    }
 
     /// Adds a directed relationship.
-    fn add_relationship(&mut self, src: NodeId, label: &str, dst: NodeId);
+    ///
+    /// # Panics
+    /// When [`MutateService::apply`] refuses the write (an unknown
+    /// member, a networked fleet's transport failure); call `apply`
+    /// for the typed error.
+    fn add_relationship(&mut self, src: NodeId, label: &str, dst: NodeId) {
+        let label = label.to_owned();
+        applied(self, Mutation::AddRelationship { src, label, dst });
+    }
 
     /// Adds a mutual relationship (both directions), as platforms model
-    /// symmetric friendship.
+    /// symmetric friendship: two [`Mutation::AddRelationship`] writes.
+    ///
+    /// # Panics
+    /// As [`MutateService::add_relationship`].
     fn add_mutual_relationship(&mut self, a: NodeId, label: &str, b: NodeId) {
         self.add_relationship(a, label, b);
         self.add_relationship(b, label, a);
@@ -685,11 +870,36 @@ pub trait MutateService {
 
     /// Registers a resource owned by `owner`. New resources are
     /// private until a rule is attached.
-    fn add_resource(&mut self, owner: NodeId) -> ResourceId;
+    ///
+    /// # Panics
+    /// When [`MutateService::apply`] refuses the write (an unknown
+    /// owner); call `apply` for the typed error.
+    fn add_resource(&mut self, owner: NodeId) -> ResourceId {
+        match applied(self, Mutation::AddResource { owner }) {
+            Applied::Resource(id) => id,
+            other => unreachable!("AddResource applied as {other:?}"),
+        }
+    }
 
     /// Attaches a rule granting access along `path_text`
     /// (e.g. `"friend+[1,2]/colleague+[1]"`); repeated rules disjoin.
-    fn add_rule(&mut self, resource: ResourceId, path_text: &str) -> Result<(), EvalError>;
+    ///
+    /// # Errors
+    /// Every refusal of [`MutateService::apply`]: an unregistered
+    /// resource ([`EvalError::UnknownResource`]), a path that fails to
+    /// parse ([`EvalError::Parse`]), a networked fleet's failure.
+    fn add_rule(&mut self, resource: ResourceId, path_text: &str) -> Result<(), EvalError> {
+        let path = path_text.to_owned();
+        self.apply(&Mutation::AddRule { resource, path })
+            .map(|_| ())
+    }
+}
+
+/// Applies `m` for an infallible provided wrapper, panicking on a
+/// refusal (the `# Panics` contract of those wrappers).
+fn applied<S: MutateService + ?Sized>(svc: &mut S, m: Mutation) -> Applied {
+    svc.apply(&m)
+        .unwrap_or_else(|e| panic!("write `{m}` refused: {e}"))
 }
 
 // ---------------------------------------------------------------------
@@ -809,11 +1019,7 @@ impl Deployment {
     /// `g` is adopted verbatim). This is the one-liner the benches and
     /// differential harnesses use to stand any backend up over a
     /// shared workload.
-    pub fn from_graph(
-        &self,
-        g: &SocialGraph,
-        store: crate::policy::PolicyStore,
-    ) -> ServiceInstance {
+    pub fn from_graph(&self, g: &SocialGraph, store: PolicyStore) -> ServiceInstance {
         match self {
             Deployment::Single(choice) => {
                 let mut sys = AccessControlSystem::from_graph(g, *choice);
@@ -981,24 +1187,8 @@ impl AccessService for ServiceInstance {
 }
 
 impl MutateService for ServiceInstance {
-    fn add_user(&mut self, name: &str) -> NodeId {
-        self.writes().add_user(name)
-    }
-
-    fn set_user_attr(&mut self, user: NodeId, key: &str, value: AttrValue) {
-        self.writes().set_user_attr(user, key, value);
-    }
-
-    fn add_relationship(&mut self, src: NodeId, label: &str, dst: NodeId) {
-        self.writes().add_relationship(src, label, dst);
-    }
-
-    fn add_resource(&mut self, owner: NodeId) -> ResourceId {
-        self.writes().add_resource(owner)
-    }
-
-    fn add_rule(&mut self, resource: ResourceId, path_text: &str) -> Result<(), EvalError> {
-        self.writes().add_rule(resource, path_text)
+    fn apply(&mut self, m: &Mutation) -> Result<Applied, EvalError> {
+        self.writes().apply(m)
     }
 }
 

@@ -83,7 +83,8 @@ use crate::path::PathExpr;
 use crate::policy::{Decision, PolicyStore, ResourceId};
 use crate::query::{BundlePlan, ChunkMasks, PlanBatchState};
 use crate::service::{
-    AccessService, BundleStrategy, CheckPlan, Explanation, MutateService, ReadStats, WalkHop,
+    AccessService, Applied, BundleStrategy, CheckPlan, Explanation, MutateService, Mutation,
+    ReadStats, WalkHop,
 };
 use socialreach_graph::csr::CsrSnapshot;
 use socialreach_graph::shard::{BoundaryEdge, BoundaryTable, MaskedExport, ShardAssignment};
@@ -332,25 +333,17 @@ impl ShardedSystem {
     /// [`ShardedSystem::adopt_store`].
     pub fn from_graph(g: &SocialGraph, assignment: ShardAssignment) -> Self {
         let mut sys = Self::with_assignment(assignment);
-        for (_, name) in g.vocab().labels() {
-            sys.vocab.intern_label(name);
-        }
-        for i in 0..g.vocab().num_attrs() {
-            sys.vocab.intern_attr(
-                g.vocab()
-                    .attr_name(socialreach_graph::AttrKey::from_index(i)),
-            );
-        }
+        sys.vocab = g.vocab().clone();
         sys.sync_vocab();
         for v in g.nodes() {
-            let global = sys.add_user(g.node_name(v));
+            let global = sys.add_member(g.node_name(v));
             debug_assert_eq!(global, v, "ingestion preserves member ids");
             for (k, val) in g.node_attrs(v).iter() {
-                sys.set_user_attr(global, g.vocab().attr_name(k), val.clone());
+                sys.set_attr(global, g.vocab().attr_name(k), val);
             }
         }
         for (_, rec) in g.edges() {
-            sys.connect(rec.src, g.vocab().label_name(rec.label), rec.dst);
+            sys.add_edge(rec.src, g.vocab().label_name(rec.label), rec.dst);
         }
         sys
     }
@@ -442,12 +435,11 @@ impl ShardedSystem {
     }
 
     // ------------------------------------------------------------------
-    // Mutations (route to the owning shard(s))
+    // Mutations (route to the owning shard(s); ids checked by `apply`)
     // ------------------------------------------------------------------
 
     /// Registers a member on their hash-assigned home shard.
-    pub fn add_user(&mut self, name: &str) -> NodeId {
-        self.dirty();
+    fn add_member(&mut self, name: &str) -> NodeId {
         let global = NodeId::from_index(self.members.len());
         let home = self.assignment.shard_of(name);
         let shard = &mut self.shards[home as usize];
@@ -468,11 +460,9 @@ impl ShardedSystem {
     /// Sets a member attribute on the home replica **and every ghost
     /// replica**, so path predicates evaluate identically on any shard
     /// the member appears on.
-    pub fn set_user_attr(&mut self, member: NodeId, key: &str, value: impl Into<AttrValue>) {
-        self.dirty();
+    fn set_attr(&mut self, member: NodeId, key: &str, value: &AttrValue) {
         self.vocab.intern_attr(key);
         self.sync_vocab();
-        let value: AttrValue = value.into();
         let entry = &self.members[member.index()];
         let (home, local) = (entry.home, entry.local);
         let copies: Vec<(u32, NodeId)> = entry.ghosts.clone();
@@ -489,8 +479,7 @@ impl ShardedSystem {
     /// Adds a directed relationship. Intra-shard edges land on the home
     /// shard; cross-shard edges are recorded in the boundary table and
     /// replicated into both endpoint shards against ghost replicas.
-    pub fn connect(&mut self, src: NodeId, label: &str, dst: NodeId) {
-        self.dirty();
+    fn add_edge(&mut self, src: NodeId, label: &str, dst: NodeId) {
         let l = self.vocab.intern_label(label);
         self.sync_vocab();
         self.edges.push((src, l, dst));
@@ -522,34 +511,6 @@ impl ShardedSystem {
                 dst_shard: d_home,
             });
         }
-    }
-
-    /// Adds a mutual relationship (both directions).
-    pub fn connect_mutual(&mut self, a: NodeId, label: &str, b: NodeId) {
-        self.connect(a, label, b);
-        self.connect(b, label, a);
-    }
-
-    /// Registers a resource owned by `owner` (private until a rule is
-    /// attached).
-    pub fn share(&mut self, owner: NodeId) -> ResourceId {
-        self.dirty();
-        self.store.register_resource(owner)
-    }
-
-    /// Attaches a single-condition rule parsed from `path_text` — in
-    /// either syntax, classic path notation or the openCypher-flavored
-    /// `MATCH` grammar (same surface as
-    /// [`crate::AccessControlSystem::allow`]).
-    pub fn allow(&mut self, rid: ResourceId, path_text: &str) -> Result<(), EvalError> {
-        self.dirty();
-        let owner = self.store.owner_of(rid)?;
-        let path = crate::query::parse_policy(path_text, &mut self.vocab)?;
-        self.sync_vocab();
-        self.store.add_rule(crate::policy::AccessRule {
-            resource: rid,
-            conditions: vec![crate::policy::AccessCondition { owner, path }],
-        })
     }
 
     /// Parses a policy in either syntax against the master vocabulary.
@@ -1069,31 +1030,32 @@ pub(crate) fn partitioned_check_plan(len: usize) -> CheckPlan {
     }
 }
 
-/// The deployment-agnostic write surface (thin forwards onto the
-/// inherent mutators, which stay for richer ergonomics).
+/// The deployment-agnostic write surface: every write routes to the
+/// shard(s) owning its members, after the validation every backend
+/// runs.
 impl MutateService for ShardedSystem {
-    fn add_user(&mut self, name: &str) -> NodeId {
-        ShardedSystem::add_user(self, name)
-    }
-
-    fn set_user_attr(&mut self, user: NodeId, key: &str, value: AttrValue) {
-        ShardedSystem::set_user_attr(self, user, key, value);
-    }
-
-    fn add_relationship(&mut self, src: NodeId, label: &str, dst: NodeId) {
-        self.connect(src, label, dst);
-    }
-
-    fn add_mutual_relationship(&mut self, a: NodeId, label: &str, b: NodeId) {
-        self.connect_mutual(a, label, b);
-    }
-
-    fn add_resource(&mut self, owner: NodeId) -> ResourceId {
-        self.share(owner)
-    }
-
-    fn add_rule(&mut self, rid: ResourceId, path_text: &str) -> Result<(), EvalError> {
-        self.allow(rid, path_text)
+    fn apply(&mut self, m: &Mutation) -> Result<Applied, EvalError> {
+        m.validate(self.members.len())?;
+        self.dirty();
+        Ok(match m {
+            Mutation::AddUser { name } => Applied::Member(self.add_member(name)),
+            Mutation::SetUserAttr { user, key, value } => {
+                self.set_attr(*user, key, value);
+                Applied::Done
+            }
+            Mutation::AddRelationship { src, label, dst } => {
+                self.add_edge(*src, label, *dst);
+                Applied::Done
+            }
+            Mutation::AddResource { owner } => {
+                Applied::Resource(self.store.register_resource(*owner))
+            }
+            Mutation::AddRule { resource, path } => {
+                self.store.allow_in(*resource, path, &mut self.vocab)?;
+                self.sync_vocab();
+                Applied::Done
+            }
+        })
     }
 }
 
@@ -1109,11 +1071,11 @@ mod tests {
         let bob = sys.add_user("Bob");
         let carol = sys.add_user("Carol");
         let dave = sys.add_user("Dave");
-        sys.connect(alice, "friend", bob);
-        sys.connect(bob, "friend", carol);
-        sys.connect(carol, "colleague", dave);
-        let rid = sys.share(alice);
-        sys.allow(rid, "friend+[1,2]").unwrap();
+        sys.add_relationship(alice, "friend", bob);
+        sys.add_relationship(bob, "friend", carol);
+        sys.add_relationship(carol, "colleague", dave);
+        let rid = sys.add_resource(alice);
+        sys.add_rule(rid, "friend+[1,2]").unwrap();
         (sys, rid)
     }
 
@@ -1186,16 +1148,16 @@ mod tests {
         let bob = sys.add_user("Bob");
         let carol = sys.add_user("Carol");
         let dave = sys.add_user("Dave");
-        sys.connect(alice, "friend", bob);
-        sys.connect(bob, "friend", carol);
-        sys.connect(carol, "colleague", dave);
+        sys.add_relationship(alice, "friend", bob);
+        sys.add_relationship(bob, "friend", carol);
+        sys.add_relationship(carol, "colleague", dave);
         assert_eq!(sys.boundary().len(), 3, "every edge crosses");
         let stats = sys.shard_stats();
         assert_eq!(stats[0].members, 2);
         assert_eq!(stats[1].members, 2);
         assert!(stats[0].ghosts > 0 && stats[1].ghosts > 0);
-        let rid = sys.share(alice);
-        sys.allow(rid, "friend+[1,2]").unwrap();
+        let rid = sys.add_resource(alice);
+        sys.add_rule(rid, "friend+[1,2]").unwrap();
         assert_eq!(sys.service().check(rid, carol).unwrap(), Decision::Grant);
         assert_eq!(sys.service().check(rid, dave).unwrap(), Decision::Deny);
         let audience: Vec<&str> = sys
@@ -1215,10 +1177,10 @@ mod tests {
         let alice = sys.add_user("Alice");
         let bob = sys.add_user("Bob");
         let carol = sys.add_user("Carol");
-        sys.connect(alice, "friend", bob);
-        sys.connect(bob, "friend", carol);
-        let rid = sys.share(alice);
-        sys.allow(rid, "friend+[1,2]").unwrap();
+        sys.add_relationship(alice, "friend", bob);
+        sys.add_relationship(bob, "friend", carol);
+        let rid = sys.add_resource(alice);
+        sys.add_rule(rid, "friend+[1,2]").unwrap();
         let lines = sys
             .service()
             .explain_lines(rid, carol)
@@ -1243,7 +1205,7 @@ mod tests {
         let epochs_before = sys.snapshot_epochs();
         assert!(epochs_before.iter().all(|&e| e >= 1), "reads published");
         let alice = sys.user("Alice").unwrap();
-        sys.connect(alice, "friend", dave);
+        sys.add_relationship(alice, "friend", dave);
         assert_eq!(
             sys.service().check(rid, dave).unwrap(),
             Decision::Grant,
@@ -1317,12 +1279,12 @@ mod tests {
         let mut sys = ShardedSystem::with_assignment(a);
         let x = sys.add_user("A");
         let y = sys.add_user("B");
-        sys.connect(x, "friend", y); // materializes ghosts
-        sys.set_user_attr(y, "age", 20i64); // after ghost creation
-        let rid = sys.share(x);
-        sys.allow(rid, "friend+[1]{age>=30}").unwrap();
+        sys.add_relationship(x, "friend", y); // materializes ghosts
+        sys.set_user_attr(y, "age", 20i64.into()); // after ghost creation
+        let rid = sys.add_resource(x);
+        sys.add_rule(rid, "friend+[1]{age>=30}").unwrap();
         assert_eq!(sys.service().check(rid, y).unwrap(), Decision::Deny);
-        sys.set_user_attr(y, "age", 35i64);
+        sys.set_user_attr(y, "age", 35i64.into());
         assert_eq!(sys.service().check(rid, y).unwrap(), Decision::Grant);
         let lines = sys
             .service()

@@ -39,10 +39,11 @@ use crate::online;
 use crate::policy::{Decision, PolicyStore, ResourceId};
 use crate::query::parse_policy;
 use crate::service::{
-    AccessService, BundleStrategy, CheckPlan, Explanation, MutateService, ReadStats, WalkHop,
+    AccessService, Applied, BundleStrategy, CheckPlan, Explanation, MutateService, Mutation,
+    ReadStats, WalkHop,
 };
 use parking_lot::RwLock;
-use socialreach_graph::{AttrValue, EdgeId, LabelId, NodeId, SocialGraph};
+use socialreach_graph::{LabelId, NodeId, SocialGraph};
 use std::sync::Arc;
 
 /// Which engine evaluates access conditions.
@@ -118,37 +119,6 @@ impl AccessControlSystem {
         self
     }
 
-    // ------------------------------------------------------------------
-    // Graph management (mutations invalidate caches/indexes)
-    // ------------------------------------------------------------------
-
-    /// Registers a member.
-    pub fn add_user(&mut self, name: &str) -> NodeId {
-        self.dirty();
-        self.graph.add_node(name)
-    }
-
-    /// Sets a member attribute.
-    pub fn set_user_attr(&mut self, user: NodeId, key: &str, value: impl Into<AttrValue>) {
-        self.dirty();
-        self.graph.set_node_attr(user, key, value);
-    }
-
-    /// Adds a directed relationship.
-    pub fn connect(&mut self, src: NodeId, label: &str, dst: NodeId) -> EdgeId {
-        self.dirty();
-        self.graph.connect(src, label, dst)
-    }
-
-    /// Adds a mutual relationship (both directions), as platforms model
-    /// symmetric friendship.
-    pub fn connect_mutual(&mut self, a: NodeId, label: &str, b: NodeId) -> (EdgeId, EdgeId) {
-        self.dirty();
-        let e1 = self.graph.connect(a, label, b);
-        let e2 = self.graph.connect(b, label, a);
-        (e1, e2)
-    }
-
     /// Looks a member up by name.
     pub fn user(&self, name: &str) -> Result<NodeId, EvalError> {
         Ok(self.graph.require_node(name)?)
@@ -162,23 +132,6 @@ impl AccessControlSystem {
     /// Read-only view of the policy store.
     pub fn store(&self) -> &PolicyStore {
         &self.store
-    }
-
-    // ------------------------------------------------------------------
-    // Resources and policies
-    // ------------------------------------------------------------------
-
-    /// Registers a resource owned by `owner`. New resources are private.
-    pub fn share(&mut self, owner: NodeId) -> ResourceId {
-        self.dirty();
-        self.store.register_resource(owner)
-    }
-
-    /// Attaches a rule granting access along `path_text` (e.g.
-    /// `"friend+[1,2]/colleague+[1]"`) to the resource's audience.
-    pub fn allow(&mut self, rid: ResourceId, path_text: &str) -> Result<(), EvalError> {
-        self.dirty();
-        self.store.allow(rid, path_text, &mut self.graph)
     }
 
     // ------------------------------------------------------------------
@@ -410,32 +363,12 @@ impl AccessService for AccessControlSystem {
     }
 }
 
-/// The deployment-agnostic write surface (thin forwards onto the richer
-/// inherent mutators, which remain for callers that want `EdgeId`s or
-/// `impl Into<AttrValue>` ergonomics).
+/// The deployment-agnostic write surface: the graph-plus-store
+/// mutation every durable mirror applies, then stale derived state.
 impl MutateService for AccessControlSystem {
-    fn add_user(&mut self, name: &str) -> NodeId {
-        AccessControlSystem::add_user(self, name)
-    }
-
-    fn set_user_attr(&mut self, user: NodeId, key: &str, value: AttrValue) {
-        AccessControlSystem::set_user_attr(self, user, key, value);
-    }
-
-    fn add_relationship(&mut self, src: NodeId, label: &str, dst: NodeId) {
-        self.connect(src, label, dst);
-    }
-
-    fn add_mutual_relationship(&mut self, a: NodeId, label: &str, b: NodeId) {
-        self.connect_mutual(a, label, b);
-    }
-
-    fn add_resource(&mut self, owner: NodeId) -> ResourceId {
-        self.share(owner)
-    }
-
-    fn add_rule(&mut self, rid: ResourceId, path_text: &str) -> Result<(), EvalError> {
-        self.allow(rid, path_text)
+    fn apply(&mut self, m: &Mutation) -> Result<Applied, EvalError> {
+        self.dirty();
+        m.apply_to(&mut self.graph, &mut self.store)
     }
 }
 
@@ -449,11 +382,11 @@ mod tests {
         let bob = sys.add_user("Bob");
         let carol = sys.add_user("Carol");
         let dave = sys.add_user("Dave");
-        sys.connect(alice, "friend", bob);
-        sys.connect(bob, "friend", carol);
-        sys.connect(carol, "colleague", dave);
-        let rid = sys.share(alice);
-        sys.allow(rid, "friend+[1,2]").unwrap();
+        sys.add_relationship(alice, "friend", bob);
+        sys.add_relationship(bob, "friend", carol);
+        sys.add_relationship(carol, "colleague", dave);
+        let rid = sys.add_resource(alice);
+        sys.add_rule(rid, "friend+[1,2]").unwrap();
         (sys, rid)
     }
 
@@ -493,7 +426,7 @@ mod tests {
         assert_eq!(sys.service().check(rid, dave).unwrap(), Decision::Deny);
         // Alice befriends Dave directly; the index must be rebuilt.
         let alice = sys.user("Alice").unwrap();
-        sys.connect(alice, "friend", dave);
+        sys.add_relationship(alice, "friend", dave);
         assert_eq!(sys.service().check(rid, dave).unwrap(), Decision::Grant);
     }
 
@@ -549,7 +482,7 @@ mod tests {
         let mut sys = AccessControlSystem::new_online();
         let a = sys.add_user("A");
         let b = sys.add_user("B");
-        sys.connect_mutual(a, "friend", b);
+        sys.add_mutual_relationship(a, "friend", b);
         assert_eq!(sys.graph().num_edges(), 2);
     }
 
@@ -601,12 +534,12 @@ mod tests {
         assert_eq!(sys.service().check(rid, dave).unwrap(), Decision::Deny);
         assert_eq!(sys.snapshot_epoch(), 1);
         let alice = sys.user("Alice").unwrap();
-        sys.connect(alice, "friend", dave);
+        sys.add_relationship(alice, "friend", dave);
         assert_eq!(sys.service().check(rid, dave).unwrap(), Decision::Grant);
         assert_eq!(sys.snapshot_epoch(), 2, "append published a new epoch");
         // Attribute writes keep the epoch: the snapshot stores no
         // attributes, so no republication happens.
-        sys.set_user_attr(dave, "age", 44i64);
+        sys.set_user_attr(dave, "age", 44i64.into());
         assert_eq!(sys.service().check(rid, dave).unwrap(), Decision::Grant);
         assert_eq!(sys.snapshot_epoch(), 2);
     }
@@ -634,9 +567,9 @@ mod tests {
         ] {
             let (mut sys, rid) = populated(choice);
             let bob = sys.user("Bob").unwrap();
-            let rid2 = sys.share(bob);
-            sys.allow(rid2, "friend+[1,2]").unwrap();
-            let rid3 = sys.share(bob); // private
+            let rid2 = sys.add_resource(bob);
+            sys.add_rule(rid2, "friend+[1,2]").unwrap();
+            let rid3 = sys.add_resource(bob); // private
             let bundle = [rid, rid2, rid3];
             let batched = sys.service().audience_batch(&bundle).unwrap();
             for (&r, batch) in bundle.iter().zip(&batched) {

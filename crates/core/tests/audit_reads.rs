@@ -8,83 +8,69 @@
 
 mod common;
 
+use common::DataDir;
+
 use proptest::prelude::*;
 use socialreach_core::{
-    read_history, AuditError, Deployment, DurabilityError, MutateService, ResourceId,
-    ServiceInstance, WalRecord,
+    read_history, AuditError, Deployment, DurabilityError, MutateService, Mutation, ResourceId,
+    ServiceInstance,
 };
 use socialreach_graph::NodeId;
-use std::path::PathBuf;
 
-struct DataDir(PathBuf);
+// Shorthands for the scripts below. Every scripted mutation is valid
+// against the state built by the ones before it, so applying a prefix
+// logs exactly one WAL record per mutation on every backend.
 
-impl DataDir {
-    fn new(tag: &str) -> Self {
-        let dir = std::env::temp_dir().join(format!(
-            "srdur-audit-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        DataDir(dir)
+fn user(name: &str) -> Mutation {
+    Mutation::AddUser {
+        name: name.to_owned(),
     }
 }
 
-impl Drop for DataDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
+fn age(user: u32, age: i64) -> Mutation {
+    Mutation::SetUserAttr {
+        user: NodeId(user),
+        key: "age".to_owned(),
+        value: age.into(),
     }
 }
 
-/// One applied mutation — always valid against the state built by the
-/// ops before it, so applying a prefix logs exactly one WAL record per
-/// op on every backend.
-#[derive(Clone, Debug)]
-enum Op {
-    AddUser(String),
-    SetAge(u32, i64),
-    AddEdge(u32, &'static str, u32),
-    AddResource(u32),
-    AddRule(u64, &'static str),
+fn edge(src: u32, label: &str, dst: u32) -> Mutation {
+    Mutation::AddRelationship {
+        src: NodeId(src),
+        label: label.to_owned(),
+        dst: NodeId(dst),
+    }
 }
 
-impl Op {
-    fn apply(&self, svc: &mut dyn MutateService) {
-        match self {
-            Op::AddUser(name) => {
-                svc.add_user(name);
-            }
-            Op::SetAge(user, age) => {
-                svc.set_user_attr(NodeId(*user), "age", (*age).into());
-            }
-            Op::AddEdge(src, label, dst) => {
-                svc.add_relationship(NodeId(*src), label, NodeId(*dst));
-            }
-            Op::AddResource(owner) => {
-                svc.add_resource(NodeId(*owner));
-            }
-            Op::AddRule(resource, path) => {
-                svc.add_rule(ResourceId(*resource), path).unwrap();
-            }
-        }
+fn share(owner: u32) -> Mutation {
+    Mutation::AddResource {
+        owner: NodeId(owner),
+    }
+}
+
+fn rule(resource: u64, path: &str) -> Mutation {
+    Mutation::AddRule {
+        resource: ResourceId(resource),
+        path: path.to_owned(),
     }
 }
 
 /// The resources that exist after the first `k` ops.
-fn rids(ops: &[Op]) -> Vec<ResourceId> {
+fn rids(ops: &[Mutation]) -> Vec<ResourceId> {
     (0..ops
         .iter()
-        .filter(|op| matches!(op, Op::AddResource(_)))
+        .filter(|op| matches!(op, Mutation::AddResource { .. }))
         .count() as u64)
         .map(ResourceId)
         .collect()
 }
 
 /// A twin built incrementally from the first `k` ops, never persisted.
-fn prefix_twin(deployment: &Deployment, ops: &[Op]) -> ServiceInstance {
+fn prefix_twin(deployment: &Deployment, ops: &[Mutation]) -> ServiceInstance {
     let mut twin = deployment.build();
     for op in ops {
-        op.apply(twin.writes());
+        twin.apply(op).unwrap();
     }
     twin
 }
@@ -92,23 +78,23 @@ fn prefix_twin(deployment: &Deployment, ops: &[Op]) -> ServiceInstance {
 /// A deterministic audit script whose audiences *change over time*:
 /// the age-gated rule grants Ben, a later attribute overwrite revokes
 /// him, and a late edge admits Dan.
-fn audit_script() -> Vec<Op> {
+fn audit_script() -> Vec<Mutation> {
     vec![
-        Op::AddUser("Ava".into()),               // 0
-        Op::AddUser("Ben".into()),               // 1
-        Op::AddUser("Cleo".into()),              // 2
-        Op::AddUser("Dan".into()),               // 3
-        Op::AddEdge(0, "friend", 1),             // 4
-        Op::AddEdge(1, "friend", 2),             // 5
-        Op::SetAge(1, 25),                       // 6
-        Op::SetAge(2, 30),                       // 7
-        Op::AddResource(0),                      // 8
-        Op::AddRule(0, "friend+[1,2]{age>=18}"), // 9 — Ben, Cleo can see
-        Op::SetAge(1, 15),                       // 10 — Ben revoked
-        Op::AddEdge(0, "friend", 3),             // 11
-        Op::SetAge(3, 40),                       // 12 — Dan admitted
-        Op::AddResource(3),                      // 13
-        Op::AddRule(1, "friend-[1,2]"),          // 14
+        user("Ava"),                      // 0
+        user("Ben"),                      // 1
+        user("Cleo"),                     // 2
+        user("Dan"),                      // 3
+        edge(0, "friend", 1),             // 4
+        edge(1, "friend", 2),             // 5
+        age(1, 25),                       // 6
+        age(2, 30),                       // 7
+        share(0),                         // 8
+        rule(0, "friend+[1,2]{age>=18}"), // 9 — Ben, Cleo can see
+        age(1, 15),                       // 10 — Ben revoked
+        edge(0, "friend", 3),             // 11
+        age(3, 40),                       // 12 — Dan admitted
+        share(3),                         // 13
+        rule(1, "friend-[1,2]"),          // 14
     ]
 }
 
@@ -119,10 +105,10 @@ fn deployments() -> Vec<Deployment> {
 /// Populates a durable directory with `ops`, taking a snapshot after
 /// `snapshot_after` records so later positions recover snapshot-seeded
 /// while earlier ones must skip the too-new snapshot.
-fn populate(deployment: &Deployment, dir: &DataDir, ops: &[Op], snapshot_after: usize) {
+fn populate(deployment: &Deployment, dir: &DataDir, ops: &[Mutation], snapshot_after: usize) {
     let mut svc = deployment.durable(&dir.0).unwrap();
     for (i, op) in ops.iter().enumerate() {
-        op.apply(svc.writes());
+        svc.apply(op).unwrap();
         if i + 1 == snapshot_after {
             svc.snapshot().unwrap();
         }
@@ -175,21 +161,7 @@ fn history_enumerates_the_log_in_order() {
     assert_eq!(history.len(), ops.len());
     for (i, (entry, op)) in history.iter().zip(&ops).enumerate() {
         assert_eq!(entry.position, i as u64);
-        let matches = match (&entry.record, op) {
-            (WalRecord::AddUser { name }, Op::AddUser(n)) => name == n,
-            (WalRecord::SetUserAttr { user, key, .. }, Op::SetAge(u, _)) => {
-                user.0 == *u && key == "age"
-            }
-            (WalRecord::AddRelationship { src, label, dst }, Op::AddEdge(s, l, d)) => {
-                src.0 == *s && dst.0 == *d && label == l
-            }
-            (WalRecord::AddResource { owner }, Op::AddResource(o)) => owner.0 == *o,
-            (WalRecord::AddRule { resource, path }, Op::AddRule(r, p)) => {
-                resource.0 == *r && path == p
-            }
-            _ => false,
-        };
-        assert!(matches, "position {i}: {:?} vs {op:?}", entry.record);
+        assert_eq!(entry.record, *op, "position {i}");
     }
 
     // The service's own view of its history is the module function's.
@@ -324,31 +296,31 @@ fn raw_op_strategy() -> impl Strategy<Value = RawOp> {
 /// Grounds a raw stream: indexes wrap modulo the live counts, ops with
 /// no valid target yet are dropped, self-edges are skipped. The result
 /// is a stream where op `i` is exactly WAL record `i`.
-fn materialize(raw: &[RawOp]) -> Vec<Op> {
+fn materialize(raw: &[RawOp]) -> Vec<Mutation> {
     let mut users = 0u32;
     let mut resources = 0u64;
     let mut ops = Vec::new();
     for op in raw {
         match *op {
             RawOp::User => {
-                ops.push(Op::AddUser(format!("m{users}")));
+                ops.push(user(&format!("m{users}")));
                 users += 1;
             }
             RawOp::Age { pick, age } if users > 0 => {
-                ops.push(Op::SetAge(pick % users, age));
+                ops.push(self::age(pick % users, age));
             }
             RawOp::Edge { src, label, dst } if users > 0 => {
                 let (src, dst) = (src % users, dst % users);
                 if src != dst {
-                    ops.push(Op::AddEdge(src, LABELS[label], dst));
+                    ops.push(edge(src, LABELS[label], dst));
                 }
             }
             RawOp::Share { owner } if users > 0 => {
-                ops.push(Op::AddResource(owner % users));
+                ops.push(share(owner % users));
                 resources += 1;
             }
             RawOp::Rule { pick, template } if resources > 0 => {
-                ops.push(Op::AddRule(u64::from(pick) % resources, RULES[template]));
+                ops.push(rule(u64::from(pick) % resources, RULES[template]));
             }
             _ => {}
         }

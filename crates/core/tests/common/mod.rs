@@ -13,14 +13,95 @@ use socialreach_core::remote::proto::{
     PROTOCOL_VERSION,
 };
 use socialreach_core::{
-    AccessService, Decision, Explanation, PathExpr, ResourceId, ShardAddr, WalkHop,
+    AccessService, Decision, Deployment, Explanation, MutateService, Mutation, PathExpr,
+    ResourceId, ServiceInstance, ShardAddr, WalkHop,
 };
 use socialreach_graph::shard::{MaskedExport, MaskedStateKey};
 use socialreach_graph::{NodeId, SocialGraph};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
+use std::path::PathBuf;
 use std::time::Duration;
+
+/// A scratch data directory for one test, removed on drop. The name
+/// carries the test binary's pid and the test's thread, so suites and
+/// tests running in parallel never share one.
+pub struct DataDir(pub PathBuf);
+
+impl DataDir {
+    pub fn new(tag: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!(
+            "srdur-{tag}-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        DataDir(dir)
+    }
+
+    /// The directory's write-ahead log.
+    pub fn wal(&self) -> PathBuf {
+        self.0.join("wal.log")
+    }
+}
+
+impl Drop for DataDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// The durability suites' population script, one WAL record per
+/// mutation: six members, a friend forest, three ages, then two
+/// resources (created at 0-based positions 14 and 16), each with a rule
+/// late enough that mid-stream snapshots bracket it.
+pub fn durable_script() -> Vec<Mutation> {
+    let mut script: Vec<Mutation> = ["Ava", "Ben", "Cleo", "Dan", "Edith", "Femi"]
+        .map(|name| Mutation::AddUser {
+            name: name.to_owned(),
+        })
+        .into();
+    for (src, dst) in [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5)] {
+        let (src, dst, label) = (NodeId(src), NodeId(dst), "friend".to_owned());
+        script.push(Mutation::AddRelationship { src, label, dst });
+    }
+    for (user, age) in [(1, 25i64), (2, 17), (4, 40)] {
+        let (user, key, value) = (NodeId(user), "age".to_owned(), age.into());
+        script.push(Mutation::SetUserAttr { user, key, value });
+    }
+    for (rid, (owner, path)) in [(0, "friend+[1,2]{age>=18}"), (4, "friend+[1..3]")]
+        .into_iter()
+        .enumerate()
+    {
+        let (resource, path) = (ResourceId(rid as u64), path.to_owned());
+        script.push(Mutation::AddResource {
+            owner: NodeId(owner),
+        });
+        script.push(Mutation::AddRule { resource, path });
+    }
+    script
+}
+
+/// The resources that exist after the first `n` mutations of
+/// [`durable_script`].
+pub fn rids_after(n: usize) -> Vec<ResourceId> {
+    let created = durable_script()[..n]
+        .iter()
+        .filter(|m| matches!(m, Mutation::AddResource { .. }))
+        .count();
+    (0..created as u64).map(ResourceId).collect()
+}
+
+/// A never-crashed reference holding only the first `n` mutations of
+/// [`durable_script`].
+pub fn reference_prefix(deployment: &Deployment, n: usize) -> ServiceInstance {
+    let mut svc = deployment.build();
+    for m in &durable_script()[..n] {
+        svc.apply(m).unwrap();
+    }
+    svc
+}
 
 /// Asserts two serving backends agree on **every** observable read of
 /// the given resources: per-member decisions, per-resource audiences,

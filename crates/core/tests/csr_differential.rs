@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use socialreach_core::query::{
     evaluate_plan_audiences, evaluate_plan_batch_seeded, PlanBatchState,
 };
-use socialreach_core::{online, parse_path, BundlePlan, PathExpr};
+use socialreach_core::{online, parse_path, BundlePlan, MutateService, PathExpr};
 use socialreach_graph::{NodeId, SocialGraph};
 
 const LABELS: [&str; 3] = ["friend", "colleague", "parent"];
@@ -469,13 +469,13 @@ fn seed_only_sharded_checks_reset_what_they_touched_and_allocate_nothing() {
         .map(|i| sys.add_user(&format!("m{i}")))
         .collect();
     for (i, &m) in members.iter().enumerate() {
-        sys.connect(m, "friend", members[(i + 1) % members.len()]);
+        sys.add_relationship(m, "friend", members[(i + 1) % members.len()]);
     }
     let resources: Vec<_> = members[..120]
         .iter()
         .map(|&owner| {
-            let rid = sys.share(owner);
-            sys.allow(rid, "mentor+[1..2]").unwrap();
+            let rid = sys.add_resource(owner);
+            sys.add_rule(rid, "mentor+[1..2]").unwrap();
             rid
         })
         .collect();

@@ -7,100 +7,16 @@
 
 mod common;
 
-use socialreach_core::{Deployment, DurabilityError, MutateService, ResourceId, ServiceInstance};
-use std::path::{Path, PathBuf};
-
-struct DataDir(PathBuf);
-
-impl DataDir {
-    fn new(tag: &str) -> Self {
-        let dir = std::env::temp_dir().join(format!(
-            "srdur-fault-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        DataDir(dir)
-    }
-
-    fn wal(&self) -> PathBuf {
-        self.0.join("wal.log")
-    }
-}
-
-impl Drop for DataDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
-/// The population script, one WAL record per call, returned as
-/// replayable steps so prefix references can be rebuilt op-by-op.
-type Step = Box<dyn Fn(&mut dyn MutateService)>;
-
-fn script() -> Vec<Step> {
-    let mut steps: Vec<Step> = Vec::new();
-    for name in ["Ava", "Ben", "Cleo", "Dan", "Edith", "Femi"] {
-        steps.push(Box::new(move |s| {
-            s.add_user(name);
-        }));
-    }
-    for (src, dst) in [(0u32, 1u32), (1, 2), (2, 3), (0, 4), (4, 5)] {
-        steps.push(Box::new(move |s| {
-            s.add_relationship(
-                socialreach_graph::NodeId(src),
-                "friend",
-                socialreach_graph::NodeId(dst),
-            );
-        }));
-    }
-    for (user, age) in [(1u32, 25i64), (2, 17), (4, 40)] {
-        steps.push(Box::new(move |s| {
-            s.set_user_attr(socialreach_graph::NodeId(user), "age", age.into());
-        }));
-    }
-    steps.push(Box::new(|s| {
-        s.add_resource(socialreach_graph::NodeId(0));
-    }));
-    steps.push(Box::new(|s| {
-        s.add_rule(ResourceId(0), "friend+[1,2]{age>=18}").unwrap();
-    }));
-    steps.push(Box::new(|s| {
-        s.add_resource(socialreach_graph::NodeId(4));
-    }));
-    steps.push(Box::new(|s| {
-        s.add_rule(ResourceId(1), "friend+[1..3]").unwrap();
-    }));
-    steps
-}
-
-fn rids_after(steps: usize) -> Vec<ResourceId> {
-    // Resources are created at script steps 15 and 17 (0-based 14, 16).
-    let mut rids = Vec::new();
-    if steps >= 15 {
-        rids.push(ResourceId(0));
-    }
-    if steps >= 17 {
-        rids.push(ResourceId(1));
-    }
-    rids
-}
+use common::{durable_script as script, reference_prefix, rids_after, DataDir};
+use socialreach_core::{Deployment, DurabilityError, MutateService};
+use std::path::Path;
 
 /// Populates a durable service in `dir` with the full script.
 fn populate(deployment: &Deployment, dir: &Path) {
     let mut svc = deployment.durable(dir).unwrap();
-    for step in script() {
-        step(svc.writes());
+    for m in script() {
+        svc.apply(&m).unwrap();
     }
-}
-
-/// A never-crashed reference holding only the first `n` script steps.
-fn reference_prefix(deployment: &Deployment, n: usize) -> ServiceInstance {
-    let mut svc = deployment.build();
-    for step in script().into_iter().take(n) {
-        step(svc.writes());
-    }
-    svc
 }
 
 /// Parses the WAL's frame boundaries: byte offset where each frame
@@ -345,12 +261,12 @@ fn corrupt_newest_snapshot_falls_back_to_older_plus_longer_replay() {
         let half = steps.len() / 2;
         {
             let mut svc = deployment.durable(&dir.0).unwrap();
-            for step in &steps[..half] {
-                step(svc.writes());
+            for m in &steps[..half] {
+                svc.apply(m).unwrap();
             }
             let _old_snap = svc.snapshot().unwrap();
-            for step in &steps[half..] {
-                step(svc.writes());
+            for m in &steps[half..] {
+                svc.apply(m).unwrap();
             }
             let new_snap = svc.snapshot().unwrap();
             // Damage the newest snapshot's body.

@@ -9,31 +9,12 @@
 
 mod common;
 
+use common::DataDir;
+
 use parking_lot::RwLock;
 use socialreach_core::{AccessService, Decision, Deployment, DurableService, ResourceId};
 use socialreach_graph::NodeId;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-struct DataDir(PathBuf);
-
-impl DataDir {
-    fn new(tag: &str) -> Self {
-        let dir = std::env::temp_dir().join(format!(
-            "srdur-conc-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        DataDir(dir)
-    }
-}
-
-impl Drop for DataDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
 
 /// Seeds the chain u0 → u1 → … → u5 with two equivalent rules on two
 /// resources (an unbounded range vs. an explicit depth list).

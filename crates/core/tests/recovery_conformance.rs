@@ -9,30 +9,11 @@
 
 mod common;
 
+use common::DataDir;
+
 use socialreach_core::{Deployment, DurableService, MutateService, ResourceId, ServiceInstance};
-use std::path::PathBuf;
 
 /// A unique, self-cleaning data directory per test.
-struct DataDir(PathBuf);
-
-impl DataDir {
-    fn new(tag: &str) -> Self {
-        let dir = std::env::temp_dir().join(format!(
-            "srdur-conf-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        DataDir(dir)
-    }
-}
-
-impl Drop for DataDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
 /// The deployment shapes recovery must be transparent for.
 fn deployments() -> Vec<Deployment> {
     vec![Deployment::online(), Deployment::sharded(3, 3)]

@@ -16,7 +16,7 @@ use socialreach_core::remote::proto::{Request, Response, SessionSpec, WireMatch,
 use socialreach_core::remote::{spawn_local_fleet, MAX_EPOCH_OPS};
 use socialreach_core::{
     parse_path, AccessService, Decision, Deployment, EvalError, Explanation, MutateService,
-    PolicyStore, ResourceId, ServiceInstance, ShardAddr, ShardHandle, ShardServer,
+    Mutation, PolicyStore, ResourceId, ServiceInstance, ShardAddr, ShardHandle, ShardServer,
 };
 use socialreach_graph::{AttrValue, NodeId, ShardAssignment, SocialGraph};
 use std::collections::{HashMap, HashSet};
@@ -225,9 +225,14 @@ fn kill_and_restart_mid_stream(unix: bool) {
     // fence holds the epoch where it was.
     let net_sys = net.as_networked_mut().unwrap();
     let err = net_sys
-        .try_add_user("Zoe")
+        .apply(&Mutation::AddUser {
+            name: "Zoe".to_owned(),
+        })
         .expect_err("the epoch fence refuses to commit without the whole fleet");
-    assert!(err.retryable(), "{err}");
+    assert!(
+        matches!(&err, EvalError::Remote(e) if e.retryable()),
+        "{err}"
+    );
     assert_eq!(
         net_sys.epoch(),
         epoch_before,
@@ -668,14 +673,13 @@ fn reader_racing_a_writer_sees_one_epoch_or_a_retry(unix: bool) {
     let mut members = Vec::new();
     for i in 0..N {
         let name = format!("r{i}");
-        members.push(net.try_add_user(&name).unwrap());
+        members.push(net.add_user(&name));
         g.add_node(&name);
-        net.try_set_user_attr(members[i], "age", AttrValue::Int(20))
-            .unwrap();
+        net.set_user_attr(members[i], "age", AttrValue::Int(20));
         g.set_node_attr(members[i], "age", 20i64);
     }
     for w in members.windows(2) {
-        net.try_connect(w[0], "friend", w[1]).unwrap();
+        net.add_relationship(w[0], "friend", w[1]);
         g.connect(w[0], "friend", w[1]);
     }
     let path = parse_path(RULE, g.vocab_mut()).unwrap();
@@ -709,8 +713,7 @@ fn reader_racing_a_writer_sees_one_epoch_or_a_retry(unix: bool) {
                     .lock()
                     .unwrap()
                     .insert(net.epoch() + 1, audience(&g));
-                net.try_set_user_attr(members[j], "age", AttrValue::Int(ages[j]))
-                    .unwrap();
+                net.set_user_attr(members[j], "age", AttrValue::Int(ages[j]));
                 if let Some(landed) = landed {
                     landed.send(()).unwrap();
                 }

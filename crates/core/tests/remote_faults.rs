@@ -17,7 +17,8 @@ use socialreach_core::remote::proto::{
 };
 use socialreach_core::remote::{spawn_local_fleet, NetworkedSystem};
 use socialreach_core::{
-    AccessService, Deployment, EvalError, RemoteError, ResourceId, ServiceInstance, ShardAddr,
+    AccessService, Applied, Deployment, EvalError, MutateService, Mutation, RemoteError,
+    ResourceId, ServiceInstance, ShardAddr,
 };
 use socialreach_graph::NodeId;
 use std::collections::HashMap;
@@ -188,17 +189,16 @@ fn rig() -> Rig {
     let mut members = Vec::new();
     for i in 0..8u32 {
         let name = format!("u{i}");
-        members.push(net.try_add_user(&name).expect("add user"));
+        members.push(net.add_user(&name));
         g.add_node(&name);
     }
     let friend = g.intern_label("friend");
     for i in 0..7u32 {
-        net.try_connect(members[i as usize], "friend", members[i as usize + 1])
-            .expect("add edge");
+        net.add_relationship(members[i as usize], "friend", members[i as usize + 1]);
         g.add_edge(NodeId(i), NodeId(i + 1), friend);
     }
-    let rid = net.share(members[0]);
-    net.allow(rid, "friend+[1..3]").expect("rule parses");
+    let rid = net.add_resource(members[0]);
+    net.add_rule(rid, "friend+[1..3]").expect("rule parses");
     let mut store = socialreach_core::PolicyStore::new();
     let twin_rid = store.register_resource(NodeId(0));
     assert_eq!(twin_rid, rid);
@@ -218,6 +218,23 @@ fn rig() -> Rig {
 
 fn set_mode(rig: &Rig, m: Mode) {
     *rig.mode.lock().unwrap() = m;
+}
+
+fn add_user(name: &str) -> Mutation {
+    Mutation::AddUser {
+        name: name.to_owned(),
+    }
+}
+
+/// Every shard's committed epoch, asked directly (not through a proxy).
+fn fleet_epochs(handles: &[socialreach_core::ShardHandle]) -> Vec<u64> {
+    handles
+        .iter()
+        .map(|h| match RawClient::dial(h.addr()).call(&Request::Census) {
+            Response::Census { epoch, .. } => epoch,
+            other => panic!("expected a census, got {other:?}"),
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -369,7 +386,10 @@ fn mutation_during_stall_leaves_no_torn_epoch() {
 
     set_mode(&r, Mode::Stall);
     assert!(
-        r.net.try_add_user("newcomer").is_err(),
+        matches!(
+            r.net.apply(&add_user("newcomer")),
+            Err(EvalError::Remote(_))
+        ),
         "a mutation cannot commit through a stalled shard"
     );
     assert_eq!(
@@ -384,10 +404,8 @@ fn mutation_during_stall_leaves_no_torn_epoch() {
     );
 
     set_mode(&r, Mode::Pass);
-    let noah = r.net.try_add_user("newcomer").expect("retry commits");
-    r.net
-        .try_connect(r.members[0], "friend", noah)
-        .expect("edge commits");
+    let noah = r.net.add_user("newcomer");
+    r.net.add_relationship(r.members[0], "friend", noah);
     assert_eq!(r.net.epoch(), epoch_before + 2, "two committed epochs");
 
     // The twin applies the same two mutations; full agreement resumes.
@@ -410,6 +428,71 @@ fn mutation_during_stall_leaves_no_torn_epoch() {
         twin.reads().audience(r.rid).unwrap(),
         "exactly-once semantics: the retried mutation is not doubled"
     );
+}
+
+/// A durable deployment over a networked fleet: a write whose epoch
+/// cannot commit (shard 0's `Prepared` torn, and the handshake of the
+/// router's retry too) is refused typed and never logged. The log, the
+/// member table and the fleet's epoch are unchanged; the directory
+/// reopens over a fresh fleet to exactly the state before the write;
+/// and once the fault clears, a retry commits exactly once.
+#[test]
+fn a_durable_write_the_fleet_cannot_commit_is_typed_and_unlogged() {
+    let handles = spawn_local_fleet(2, false).expect("fleet spawns");
+    let ShardAddr::Tcp(upstream) = handles[0].addr().clone() else {
+        panic!("tcp fleet")
+    };
+    let (proxy_addr, mode, _) = spawn_proxy(upstream);
+    let dir = common::DataDir::new("net-durable");
+    let deployment = Deployment::networked(vec![proxy_addr, handles[1].addr().clone()]);
+    let mut svc = deployment.durable(&dir.0).expect("durable opens");
+    let script = common::durable_script();
+    for m in &script {
+        svc.apply(m).expect("population commits");
+    }
+    let (logged, members, epochs) = (
+        svc.wal_records(),
+        svc.reads().num_members(),
+        fleet_epochs(&handles),
+    );
+
+    *mode.lock().unwrap() = Mode::TearPrepared(0);
+    let gus = add_user("Gus");
+    match svc.apply(&gus) {
+        Err(EvalError::Remote(_)) => {}
+        other => panic!("a write the fleet cannot commit is a remote error, got {other:?}"),
+    }
+    assert_eq!(
+        *mode.lock().unwrap(),
+        Mode::Pass,
+        "the tear hit the prepare"
+    );
+    assert_eq!(svc.wal_records(), logged, "a refused write is never logged");
+    assert_eq!(svc.reads().num_members(), members, "member table untouched");
+    assert_eq!(fleet_epochs(&handles), epochs, "no epoch committed");
+
+    let mut twin = common::reference_prefix(&Deployment::online(), script.len());
+    let rids = common::rids_after(script.len());
+    let fresh = spawn_local_fleet(2, false).expect("fleet spawns");
+    let reopened = Deployment::networked(fresh.iter().map(|h| h.addr().clone()).collect())
+        .durable(&dir.0)
+        .expect("the directory recovers");
+    common::assert_services_agree(twin.reads(), reopened.reads(), &rids);
+    drop(reopened);
+
+    assert_eq!(
+        svc.apply(&gus).expect("the retry commits"),
+        Applied::Member(NodeId(members as u32))
+    );
+    twin.apply(&gus).unwrap();
+    assert_eq!(svc.wal_records(), logged + 1, "logged exactly once");
+    assert_eq!(svc.reads().num_members(), members + 1);
+    assert_eq!(
+        fleet_epochs(&handles),
+        epochs.iter().map(|e| e + 1).collect::<Vec<_>>(),
+        "one epoch committed"
+    );
+    common::assert_services_agree(twin.reads(), svc.reads(), &rids);
 }
 
 /// A bulk load that loses a shard partway — its fourth `Prepared`
@@ -495,7 +578,10 @@ fn killed_shard_mid_fixpoint_has_no_torn_epoch() {
         Err(EvalError::Remote(_)) => {}
         Err(other) => panic!("expected a typed remote error, got {other}"),
     }
-    assert!(r.net.try_add_user("ghostwriter").is_err());
+    assert!(matches!(
+        r.net.apply(&add_user("ghostwriter")),
+        Err(EvalError::Remote(_))
+    ));
     assert_eq!(r.net.epoch(), epoch_before, "no commit, no epoch movement");
 
     // Restart shard 1 on a fresh endpoint; replay heals it. (Shard 0's

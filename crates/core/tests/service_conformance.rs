@@ -14,11 +14,11 @@ mod common;
 
 use proptest::prelude::*;
 use socialreach_core::{
-    AccessService, BundleStrategy, CheckPlan, Decision, Deployment, DurableService, EngineChoice,
-    Explanation, JoinEngineConfig, MutateService, PathExpr, PlannedService, PlannerMode,
-    PolicyStore, ReadBatch, ResourceId, ServiceInstance,
+    AccessService, Applied, BundleStrategy, CheckPlan, Decision, Deployment, DurableService,
+    EngineChoice, EvalError, Explanation, JoinEngineConfig, MutateService, Mutation, PathExpr,
+    PlannedService, PlannerMode, PolicyStore, ReadBatch, ResourceId, ServiceInstance,
 };
-use socialreach_graph::{NodeId, SocialGraph};
+use socialreach_graph::{GraphError, NodeId, SocialGraph};
 use std::path::PathBuf;
 
 /// The deployments every conformance scenario must agree across. The
@@ -58,28 +58,8 @@ struct RawState {
 }
 
 impl MutateService for RawState {
-    fn add_user(&mut self, name: &str) -> NodeId {
-        self.g.add_node(name)
-    }
-
-    fn set_user_attr(&mut self, user: NodeId, key: &str, value: socialreach_graph::AttrValue) {
-        self.g.set_node_attr(user, key, value);
-    }
-
-    fn add_relationship(&mut self, src: NodeId, label: &str, dst: NodeId) {
-        self.g.connect(src, label, dst);
-    }
-
-    fn add_resource(&mut self, owner: NodeId) -> ResourceId {
-        self.store.register_resource(owner)
-    }
-
-    fn add_rule(
-        &mut self,
-        rid: ResourceId,
-        path_text: &str,
-    ) -> Result<(), socialreach_core::EvalError> {
-        self.store.allow(rid, path_text, &mut self.g)
+    fn apply(&mut self, m: &Mutation) -> Result<Applied, EvalError> {
+        m.apply_to(&mut self.g, &mut self.store)
     }
 }
 
@@ -264,6 +244,14 @@ impl Wrapped {
             Wrapped::Planned(s) => s,
         }
     }
+
+    fn writes(&mut self) -> &mut dyn MutateService {
+        match self {
+            Wrapped::Bare(s) => s,
+            Wrapped::Durable(s, _) => s.as_mut(),
+            Wrapped::Planned(s) => s,
+        }
+    }
 }
 
 impl Drop for Wrapped {
@@ -409,6 +397,75 @@ fn read_batches_match_individual_reads_everywhere() {
                         assert_eq!(*owner, m, "ownership explanations name the requester");
                     }
                 }
+            }
+        }
+    }
+}
+
+/// A write naming a member the deployment never registered, or a
+/// float the log cannot carry, is a typed refusal on every backend
+/// behind every decorator — never a panic.
+/// A durable leg logs nothing for it, and its directory still reopens
+/// to the same answers.
+#[test]
+fn unknown_member_ids_are_typed_refusals_everywhere() {
+    let wraps = [
+        Wrap::Bare,
+        Wrap::Durable,
+        Wrap::Planned(PlannerMode::Adaptive),
+    ];
+    for wrap in wraps {
+        for (tag, deployment) in deployments().into_iter().enumerate() {
+            let (mut svc, rids) = Wrapped::scripted(&deployment, wrap, 100 + tag);
+            let tag = format!("{wrap:?} over {}", deployment.describe());
+            let unknown = NodeId(svc.reads().num_members() as u32);
+            let logged = match &svc {
+                Wrapped::Durable(s, _) => s.wal_records(),
+                _ => 0,
+            };
+            let writes = [
+                Mutation::SetUserAttr {
+                    user: unknown,
+                    key: "age".to_owned(),
+                    value: 40i64.into(),
+                },
+                Mutation::AddRelationship {
+                    src: NodeId(0),
+                    label: "friend".to_owned(),
+                    dst: unknown,
+                },
+                Mutation::AddResource { owner: unknown },
+            ];
+            for m in &writes {
+                match svc.writes().apply(m) {
+                    Err(EvalError::Graph(GraphError::UnknownNode(n))) => {
+                        assert_eq!(n, unknown, "{m} ({tag})")
+                    }
+                    other => panic!("{m} ({tag}): expected UnknownNode, got {other:?}"),
+                }
+            }
+            let nan = Mutation::SetUserAttr {
+                user: NodeId(0),
+                key: "score".to_owned(),
+                value: f64::NAN.into(),
+            };
+            assert!(
+                matches!(
+                    svc.writes().apply(&nan),
+                    Err(EvalError::NonFiniteAttr { .. })
+                ),
+                "a value the log cannot carry is refused ({tag})"
+            );
+            assert_eq!(svc.reads().num_members(), unknown.0 as usize, "{tag}");
+            if let Wrapped::Durable(s, dir) = &svc {
+                assert_eq!(s.wal_records(), logged, "a refusal is never logged ({tag})");
+                // A fleet serves one router: reopen over a fresh one.
+                let again = match &deployment {
+                    Deployment::Networked(spec) => networked(spec.addrs.len()),
+                    other => other.clone(),
+                };
+                let reopened = again.durable(dir).expect("the directory still recovers");
+                common::assert_services_agree(svc.reads(), reopened.reads(), &rids);
             }
         }
     }

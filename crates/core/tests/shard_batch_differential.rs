@@ -20,8 +20,8 @@ mod common;
 
 use proptest::prelude::*;
 use socialreach_core::{
-    online, parse_path, AccessEngine, Decision, Deployment, OnlineEngine, PathExpr, PolicyStore,
-    ShardedSystem,
+    online, parse_path, AccessEngine, Decision, Deployment, MutateService, OnlineEngine, PathExpr,
+    PolicyStore, ShardedSystem,
 };
 use socialreach_graph::{NodeId, ShardAssignment, SocialGraph};
 
@@ -377,19 +377,19 @@ fn pingpong_fixpoint_expands_the_region_once() {
         })
         .collect();
     let sats: Vec<NodeId> = (1..=HUB).map(|j| sys.add_user(&format!("s{j}"))).collect();
-    sys.connect(o, "friend", heads[0]);
+    sys.add_relationship(o, "friend", heads[0]);
     for i in 0..K as usize {
-        sys.connect(heads[i], "friend", tails[i]);
-        sys.connect(heads[i], "friend", c);
+        sys.add_relationship(heads[i], "friend", tails[i]);
+        sys.add_relationship(heads[i], "friend", c);
         if i + 1 < K as usize {
             let (p, q) = relays[i];
-            sys.connect(tails[i], "friend", p);
-            sys.connect(p, "friend", q);
-            sys.connect(q, "friend", heads[i + 1]);
+            sys.add_relationship(tails[i], "friend", p);
+            sys.add_relationship(p, "friend", q);
+            sys.add_relationship(q, "friend", heads[i + 1]);
         }
     }
     for &s in &sats {
-        sys.connect(c, "friend", s);
+        sys.add_relationship(c, "friend", s);
     }
 
     let path = sys.parse("friend+[1..]").unwrap();
@@ -431,8 +431,8 @@ fn pingpong_fixpoint_expands_the_region_once() {
     // Semantics stay equal to the per-condition path and to a
     // single-graph deployment of the same members and edges on the
     // same adversarial topology.
-    let rid = sys.share(o);
-    sys.allow(rid, "friend+[1..]").unwrap();
+    let rid = sys.add_resource(o);
+    sys.add_rule(rid, "friend+[1..]").unwrap();
     let batched = sys.service().audience_batch(&[rid]).unwrap();
     let per_cond = sys.audience_batch_per_condition(&[rid]).unwrap();
     assert_eq!(batched, per_cond, "semantics agree on the ping-pong graph");

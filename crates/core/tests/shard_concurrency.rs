@@ -8,7 +8,7 @@
 //! `audience_batch` call observe a single coherent epoch.
 
 use parking_lot::RwLock;
-use socialreach_core::{Decision, ResourceId, ShardedSystem};
+use socialreach_core::{Decision, MutateService, ResourceId, ShardedSystem};
 use socialreach_graph::NodeId;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -22,10 +22,10 @@ fn readers_race_a_writer_across_epochs() {
         let mut s = sys.write();
         let members: Vec<NodeId> = (0..6).map(|i| s.add_user(&format!("u{i}"))).collect();
         for w in members.windows(2) {
-            s.connect(w[0], "friend", w[1]);
+            s.add_relationship(w[0], "friend", w[1]);
         }
-        let rid = s.share(members[0]);
-        s.allow(rid, "friend+[1..8]").unwrap();
+        let rid = s.add_resource(members[0]);
+        s.add_rule(rid, "friend+[1..8]").unwrap();
         // Publish every shard once before the race: publication is
         // lazy, so without this an interleaving where all appends land
         // before the first read would publish each shard exactly once.
@@ -46,7 +46,7 @@ fn readers_race_a_writer_across_epochs() {
                 let mut s = sys_ref.write();
                 let tail = *writer_members.last().unwrap();
                 let fresh = s.add_user(&format!("w{i}"));
-                s.connect(tail, "friend", fresh);
+                s.add_relationship(tail, "friend", fresh);
                 writer_members.push(fresh);
                 drop(s);
                 std::thread::yield_now();
@@ -141,12 +141,12 @@ fn batched_readers_observe_coherent_bundles_across_epochs() {
         let mut s = sys.write();
         let members: Vec<NodeId> = (0..6).map(|i| s.add_user(&format!("u{i}"))).collect();
         for w in members.windows(2) {
-            s.connect(w[0], "friend", w[1]);
+            s.add_relationship(w[0], "friend", w[1]);
         }
-        let rid_range = s.share(members[0]);
-        s.allow(rid_range, "friend+[1..16]").unwrap();
-        let rid_list = s.share(members[0]);
-        s.allow(rid_list, "friend+[1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16]")
+        let rid_range = s.add_resource(members[0]);
+        s.add_rule(rid_range, "friend+[1..16]").unwrap();
+        let rid_list = s.add_resource(members[0]);
+        s.add_rule(rid_list, "friend+[1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16]")
             .unwrap();
         (rid_range, rid_list, members)
     };
@@ -163,7 +163,7 @@ fn batched_readers_observe_coherent_bundles_across_epochs() {
                 let mut s = sys_ref.write();
                 let tail = *writer_members.last().unwrap();
                 let fresh = s.add_user(&format!("w{i}"));
-                s.connect(tail, "friend", fresh);
+                s.add_relationship(tail, "friend", fresh);
                 writer_members.push(fresh);
                 drop(s);
                 std::thread::yield_now();

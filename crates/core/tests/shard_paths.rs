@@ -8,7 +8,8 @@
 mod common;
 
 use socialreach_core::{
-    online, parse_path, Decision, Deployment, Explanation, PolicyStore, ShardedSystem,
+    online, parse_path, Decision, Deployment, Explanation, MutateService, PolicyStore,
+    ShardedSystem,
 };
 use socialreach_graph::{NodeId, ShardAssignment, SocialGraph};
 
@@ -31,9 +32,9 @@ fn single_crossing_grants_and_appears_in_audience() {
     let mut sys = ShardedSystem::with_assignment(pinned(2, &["A", "B"], &[0, 1]));
     let a = sys.add_user("A");
     let b = sys.add_user("B");
-    sys.connect(a, "friend", b);
-    let rid = sys.share(a);
-    sys.allow(rid, "friend+[1]").unwrap();
+    sys.add_relationship(a, "friend", b);
+    let rid = sys.add_resource(a);
+    sys.add_rule(rid, "friend+[1]").unwrap();
     assert_eq!(sys.service().check(rid, b).unwrap(), Decision::Grant);
     assert_eq!(sys.service().audience(rid).unwrap(), vec![a, b]);
     assert_eq!(sys.boundary().len(), 1);
@@ -47,10 +48,10 @@ fn double_crossing_out_and_back() {
     let a = sys.add_user("A");
     let b = sys.add_user("B");
     let c = sys.add_user("C");
-    sys.connect(a, "friend", b);
-    sys.connect(b, "friend", c);
-    let rid = sys.share(a);
-    sys.allow(rid, "friend+[2]").unwrap();
+    sys.add_relationship(a, "friend", b);
+    sys.add_relationship(b, "friend", c);
+    let rid = sys.add_resource(a);
+    sys.add_rule(rid, "friend+[2]").unwrap();
     assert_eq!(sys.boundary().len(), 2, "both hops cross");
     assert_eq!(sys.service().check(rid, c).unwrap(), Decision::Grant);
     assert_eq!(
@@ -78,10 +79,10 @@ fn n_crossings_along_a_zigzag_chain() {
     let mut sys = ShardedSystem::with_assignment(pinned(4, &name_refs, &placement));
     let members: Vec<_> = names.iter().map(|n| sys.add_user(n)).collect();
     for w in members.windows(2) {
-        sys.connect(w[0], "friend", w[1]);
+        sys.add_relationship(w[0], "friend", w[1]);
     }
-    let rid = sys.share(members[0]);
-    sys.allow(rid, "friend+[1..5]").unwrap();
+    let rid = sys.add_resource(members[0]);
+    sys.add_rule(rid, "friend+[1..5]").unwrap();
     assert_eq!(sys.boundary().len(), 5, "every hop is a boundary edge");
     for &m in &members[1..] {
         assert_eq!(
@@ -114,10 +115,10 @@ fn label_change_at_the_boundary() {
     let a = sys.add_user("A");
     let b = sys.add_user("B");
     let c = sys.add_user("C");
-    sys.connect(a, "friend", b);
-    sys.connect(b, "colleague", c);
-    let rid = sys.share(a);
-    sys.allow(rid, "friend+[1]/colleague+[1]").unwrap();
+    sys.add_relationship(a, "friend", b);
+    sys.add_relationship(b, "colleague", c);
+    let rid = sys.add_resource(a);
+    sys.add_rule(rid, "friend+[1]/colleague+[1]").unwrap();
     assert_eq!(sys.service().check(rid, c).unwrap(), Decision::Grant);
     assert_eq!(sys.service().check(rid, b).unwrap(), Decision::Deny);
     assert_eq!(sys.service().audience(rid).unwrap(), vec![a, c]);
@@ -136,9 +137,9 @@ fn direction_reversal_across_the_boundary() {
     let mut sys = ShardedSystem::with_assignment(pinned(2, &["A", "B"], &[0, 1]));
     let a = sys.add_user("A");
     let b = sys.add_user("B");
-    sys.connect(b, "friend", a);
-    let rid = sys.share(a);
-    sys.allow(rid, "friend-[1]").unwrap();
+    sys.add_relationship(b, "friend", a);
+    let rid = sys.add_resource(a);
+    sys.add_rule(rid, "friend-[1]").unwrap();
     assert_eq!(sys.service().check(rid, b).unwrap(), Decision::Grant);
     assert_eq!(sys.service().audience(rid).unwrap(), vec![a, b]);
     let lines = sys
@@ -158,10 +159,10 @@ fn boundary_only_members_appear_in_audiences() {
     let a = sys.add_user("A");
     let b = sys.add_user("B");
     let c = sys.add_user("C");
-    sys.connect(a, "friend", b);
-    sys.connect(b, "friend", c);
-    let rid = sys.share(a);
-    sys.allow(rid, "friend+[1,2]").unwrap();
+    sys.add_relationship(a, "friend", b);
+    sys.add_relationship(b, "friend", c);
+    let rid = sys.add_resource(a);
+    sys.add_rule(rid, "friend+[1,2]").unwrap();
     let stats = sys.shard_stats();
     assert_eq!(stats[1].members, 1, "B homes on shard 1");
     assert_eq!(stats[1].ghosts, 2, "A and C ghost onto B's shard");
@@ -183,12 +184,12 @@ fn unbounded_depth_circulates_across_shards() {
     let b = sys.add_user("B");
     let c = sys.add_user("C");
     let d = sys.add_user("D");
-    sys.connect(a, "friend", b);
-    sys.connect(b, "friend", c);
-    sys.connect(c, "friend", d);
-    sys.connect(d, "friend", a);
-    let rid = sys.share(a);
-    sys.allow(rid, "friend+[2..]").unwrap();
+    sys.add_relationship(a, "friend", b);
+    sys.add_relationship(b, "friend", c);
+    sys.add_relationship(c, "friend", d);
+    sys.add_relationship(d, "friend", a);
+    let rid = sys.add_resource(a);
+    sys.add_rule(rid, "friend+[2..]").unwrap();
     // Everyone (including A itself, 4 hops around) is ≥ 2 hops away.
     assert_eq!(sys.service().audience(rid).unwrap(), vec![a, b, c, d]);
     assert_eq!(
@@ -206,13 +207,14 @@ fn ghost_attribute_predicates_gate_mid_walk_completion() {
     let a = sys.add_user("A");
     let b = sys.add_user("B");
     let c = sys.add_user("C");
-    sys.connect(a, "friend", b);
-    sys.connect(b, "colleague", c);
-    let rid = sys.share(a);
-    sys.allow(rid, "friend+[1]{age>=30}/colleague+[1]").unwrap();
-    sys.set_user_attr(b, "age", 20i64);
+    sys.add_relationship(a, "friend", b);
+    sys.add_relationship(b, "colleague", c);
+    let rid = sys.add_resource(a);
+    sys.add_rule(rid, "friend+[1]{age>=30}/colleague+[1]")
+        .unwrap();
+    sys.set_user_attr(b, "age", 20i64.into());
     assert_eq!(sys.service().check(rid, c).unwrap(), Decision::Deny);
-    sys.set_user_attr(b, "age", 31i64);
+    sys.set_user_attr(b, "age", 31i64.into());
     assert_eq!(
         sys.service().check(rid, c).unwrap(),
         Decision::Grant,

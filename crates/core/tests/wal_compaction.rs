@@ -7,96 +7,12 @@
 
 mod common;
 
-use socialreach_core::{
-    read_history, Deployment, DurabilityError, MutateService, ResourceId, ServiceInstance,
-};
-use std::path::{Path, PathBuf};
-
-struct DataDir(PathBuf);
-
-impl DataDir {
-    fn new(tag: &str) -> Self {
-        let dir = std::env::temp_dir().join(format!(
-            "srdur-compact-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        DataDir(dir)
-    }
-
-    fn wal(&self) -> PathBuf {
-        self.0.join("wal.log")
-    }
-}
-
-impl Drop for DataDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
+use common::{durable_script as script, reference_prefix, rids_after, DataDir};
+use socialreach_core::{read_history, Deployment, DurabilityError, MutateService};
+use std::path::Path;
 
 const WAL_MAGIC: &[u8; 8] = b"SRWALHDR";
 const WAL_HEADER_LEN: usize = 20;
-
-type Step = Box<dyn Fn(&mut dyn MutateService)>;
-
-/// Same shape as the fault suite's script: one WAL record per step,
-/// with rules late enough that mid-stream snapshots bracket them.
-fn script() -> Vec<Step> {
-    let mut steps: Vec<Step> = Vec::new();
-    for name in ["Ava", "Ben", "Cleo", "Dan", "Edith", "Femi"] {
-        steps.push(Box::new(move |s| {
-            s.add_user(name);
-        }));
-    }
-    for (src, dst) in [(0u32, 1u32), (1, 2), (2, 3), (0, 4), (4, 5)] {
-        steps.push(Box::new(move |s| {
-            s.add_relationship(
-                socialreach_graph::NodeId(src),
-                "friend",
-                socialreach_graph::NodeId(dst),
-            );
-        }));
-    }
-    for (user, age) in [(1u32, 25i64), (2, 17), (4, 40)] {
-        steps.push(Box::new(move |s| {
-            s.set_user_attr(socialreach_graph::NodeId(user), "age", age.into());
-        }));
-    }
-    steps.push(Box::new(|s| {
-        s.add_resource(socialreach_graph::NodeId(0));
-    }));
-    steps.push(Box::new(|s| {
-        s.add_rule(ResourceId(0), "friend+[1,2]{age>=18}").unwrap();
-    }));
-    steps.push(Box::new(|s| {
-        s.add_resource(socialreach_graph::NodeId(4));
-    }));
-    steps.push(Box::new(|s| {
-        s.add_rule(ResourceId(1), "friend+[1..3]").unwrap();
-    }));
-    steps
-}
-
-fn rids_after(steps: usize) -> Vec<ResourceId> {
-    let mut rids = Vec::new();
-    if steps >= 15 {
-        rids.push(ResourceId(0));
-    }
-    if steps >= 17 {
-        rids.push(ResourceId(1));
-    }
-    rids
-}
-
-fn reference_prefix(deployment: &Deployment, n: usize) -> ServiceInstance {
-    let mut svc = deployment.build();
-    for step in script().into_iter().take(n) {
-        step(svc.writes());
-    }
-    svc
-}
 
 /// Snapshot positions bracketing the policy steps: an early anchor the
 /// compaction deletes, a later one it cuts at.
@@ -113,16 +29,16 @@ fn populate_and_compact(
 ) -> (String, String, socialreach_core::CompactionReport) {
     let steps = script();
     let mut svc = deployment.durable(&dir.0).unwrap();
-    for step in &steps[..EARLY] {
-        step(svc.writes());
+    for m in &steps[..EARLY] {
+        svc.apply(m).unwrap();
     }
     let early = svc.snapshot().unwrap();
-    for step in &steps[EARLY..LATE] {
-        step(svc.writes());
+    for m in &steps[EARLY..LATE] {
+        svc.apply(m).unwrap();
     }
     let late = svc.snapshot().unwrap();
-    for step in &steps[LATE..] {
-        step(svc.writes());
+    for m in &steps[LATE..] {
+        svc.apply(m).unwrap();
     }
     let report = svc.compact(horizon).unwrap();
     let name = |p: &Path| p.file_name().unwrap().to_string_lossy().into_owned();
@@ -154,8 +70,8 @@ fn compaction_without_a_snapshot_is_a_noop() {
     let deployment = Deployment::online();
     let dir = DataDir::new("noop");
     let mut svc = deployment.durable(&dir.0).unwrap();
-    for step in script() {
-        step(svc.writes());
+    for m in script() {
+        svc.apply(&m).unwrap();
     }
     let before = std::fs::read(dir.wal()).unwrap();
     let report = svc.compact(script().len() as u64).unwrap();
@@ -446,17 +362,17 @@ fn stale_snapshot_below_the_base_is_skipped_loudly() {
     let early_bytes;
     {
         let mut svc = deployment.durable(&dir.0).unwrap();
-        for step in &steps[..EARLY] {
-            step(svc.writes());
+        for m in &steps[..EARLY] {
+            svc.apply(m).unwrap();
         }
         let early = svc.snapshot().unwrap();
         early_bytes = (early.clone(), std::fs::read(&early).unwrap());
-        for step in &steps[EARLY..LATE] {
-            step(svc.writes());
+        for m in &steps[EARLY..LATE] {
+            svc.apply(m).unwrap();
         }
         svc.snapshot().unwrap();
-        for step in &steps[LATE..] {
-            step(svc.writes());
+        for m in &steps[LATE..] {
+            svc.apply(m).unwrap();
         }
         svc.compact((n - 1) as u64).unwrap();
     }

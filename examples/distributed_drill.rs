@@ -14,7 +14,8 @@
 //! success.
 
 use socialreach::{
-    AccessService, Deployment, EvalError, NetworkedSystem, NodeId, ShardAddr, ShardServer,
+    AccessService, Applied, Deployment, EvalError, MutateService, Mutation, NetworkedSystem,
+    NodeId, ShardAddr, ShardServer,
 };
 use std::io::{BufRead, BufReader, Write as _};
 use std::process::{Child, Command, Stdio};
@@ -91,17 +92,13 @@ fn main() {
     // --- Populate through the two-phase epoch fence, mirrored into an
     // in-process twin. ------------------------------------------------
     let names = ["ava", "ben", "cleo", "dan", "edith", "femi", "gus"];
-    let members: Vec<NodeId> = names
-        .iter()
-        .map(|n| net.try_add_user(n).expect("user commits"))
-        .collect();
+    let members: Vec<NodeId> = names.iter().map(|n| net.add_user(n)).collect();
     for w in members.windows(2) {
-        net.try_connect(w[0], "friend", w[1]).expect("edge commits");
+        net.add_relationship(w[0], "friend", w[1]);
     }
-    net.try_connect(members[6], "colleague", members[0])
-        .expect("edge commits");
-    let rid = net.share(members[0]);
-    net.allow(rid, "friend+[1..3]").expect("rule parses");
+    net.add_relationship(members[6], "colleague", members[0]);
+    let rid = net.add_resource(members[0]);
+    net.add_rule(rid, "friend+[1..3]").expect("rule parses");
 
     let mut g = socialreach::SocialGraph::new();
     for n in &names {
@@ -140,8 +137,11 @@ fn main() {
         Err(EvalError::Remote(e)) => println!("read during outage: typed error ({e})"),
         Err(other) => panic!("expected a typed remote error, got {other}"),
     }
+    let zoe = Mutation::AddUser {
+        name: "zoe".to_owned(),
+    };
     assert!(
-        net.try_add_user("zoe").is_err(),
+        matches!(net.apply(&zoe), Err(EvalError::Remote(_))),
         "a mutation cannot commit without the whole fleet"
     );
     assert_eq!(
@@ -162,9 +162,10 @@ fn main() {
     );
 
     // --- And the healed fleet keeps mutating. ------------------------
-    let zoe = net.try_add_user("zoe").expect("fleet whole again");
-    net.try_connect(members[0], "friend", zoe)
-        .expect("edge commits");
+    let Ok(Applied::Member(zoe)) = net.apply(&zoe) else {
+        panic!("fleet whole again, the registration commits")
+    };
+    net.add_relationship(members[0], "friend", zoe);
     let audience = net.audience(rid).expect("audience after heal");
     assert!(
         audience.contains(&zoe),

@@ -104,9 +104,9 @@
 use socialreach::graph::ShardAssignment;
 use socialreach::workload::read_edge_list;
 use socialreach::{
-    AccessService, Decision, Deployment, DurableService, MutateService, NetworkedSystem,
-    PlannedService, PlannerMode, PolicyStore, ResourceId, ServiceInstance, ShardAddr, ShardServer,
-    SocialGraph,
+    AccessService, Applied, Decision, Deployment, DurableService, MutateService, Mutation,
+    NetworkedSystem, PlannedService, PlannerMode, PolicyStore, ResourceId, ServiceInstance,
+    ShardAddr, ShardServer, SocialGraph,
 };
 use std::io::{Read as _, Write as _};
 use std::process::ExitCode;
@@ -406,6 +406,14 @@ impl Served {
             Served::Durable(svc) => svc.reads(),
         }
     }
+
+    fn writes(&mut self) -> &mut dyn MutateService {
+        match self {
+            Served::Ephemeral(svc) => svc.writes(),
+            Served::Planned(svc) => &mut **svc,
+            Served::Durable(svc) => svc.writes(),
+        }
+    }
 }
 
 /// Builds the configured deployment over the edge list, shares one
@@ -414,21 +422,8 @@ impl Served {
 fn serve(file: &str, owner: &str, path: &str) -> Result<(Served, ResourceId), String> {
     let mut svc = backend(file)?;
     let owner = resolve(svc.reads(), owner)?;
-    let (rid, rule) = match &mut svc {
-        Served::Ephemeral(s) => {
-            let rid = s.writes().add_resource(owner);
-            (rid, s.writes().add_rule(rid, path))
-        }
-        Served::Planned(s) => {
-            let rid = s.add_resource(owner);
-            (rid, s.add_rule(rid, path))
-        }
-        Served::Durable(s) => {
-            let rid = s.writes().add_resource(owner);
-            (rid, s.writes().add_rule(rid, path))
-        }
-    };
-    rule.map_err(to_msg)?;
+    let rid = svc.writes().add_resource(owner);
+    svc.writes().add_rule(rid, path).map_err(to_msg)?;
     Ok((svc, rid))
 }
 
@@ -469,7 +464,7 @@ fn backend(file: &str) -> Result<Served, String> {
                     .durable(&dir)
                     .map_err(|e| format!("recovering {dir}: {e}"))?;
                 if file != "@" {
-                    ingest(&load(file)?, &mut svc);
+                    ingest(&load(file)?, &mut svc)?;
                 }
                 Served::Durable(Box::new(svc))
             }
@@ -479,40 +474,47 @@ fn backend(file: &str) -> Result<Served, String> {
 }
 
 /// Replays an edge-list graph through the durable write path, honoring
-/// the `SOCIALREACH_CRASH_AFTER` crash lever.
-fn ingest(g: &SocialGraph, svc: &mut DurableService) {
+/// the `SOCIALREACH_CRASH_AFTER` crash lever. A refused write stops
+/// the ingest with its reason.
+fn ingest(g: &SocialGraph, svc: &mut DurableService) -> Result<(), String> {
     let crash_after: Option<u64> = std::env::var("SOCIALREACH_CRASH_AFTER")
         .ok()
         .and_then(|v| v.parse().ok());
     let mut done = 0u64;
-    let mut tick = move || {
+    let mut write = |m: Mutation| {
+        let applied = svc.apply(&m).map_err(|e| format!("ingesting `{m}`: {e}"))?;
         done += 1;
         if crash_after == Some(done) {
             eprintln!("SOCIALREACH_CRASH_AFTER: aborting after {done} mutations");
             std::process::abort();
         }
+        Ok::<_, String>(applied)
     };
     // The directory may already hold members: map graph ids to the
     // service's ids as they come back.
     let mut ids = Vec::with_capacity(g.num_nodes());
     for n in g.nodes() {
-        let id = svc.writes().add_user(g.node_name(n));
-        tick();
+        let name = g.node_name(n).to_owned();
+        let Applied::Member(id) = write(Mutation::AddUser { name })? else {
+            return Err("a registration assigned no member".into());
+        };
         for (key, value) in g.node_attrs(n).iter() {
-            svc.writes()
-                .set_user_attr(id, g.vocab().attr_name(key), value.clone());
-            tick();
+            write(Mutation::SetUserAttr {
+                user: id,
+                key: g.vocab().attr_name(key).to_owned(),
+                value: value.clone(),
+            })?;
         }
         ids.push(id);
     }
     for (_, e) in g.edges() {
-        svc.writes().add_relationship(
-            ids[e.src.index()],
-            g.vocab().label_name(e.label),
-            ids[e.dst.index()],
-        );
-        tick();
+        write(Mutation::AddRelationship {
+            src: ids[e.src.index()],
+            label: g.vocab().label_name(e.label).to_owned(),
+            dst: ids[e.dst.index()],
+        })?;
     }
+    Ok(())
 }
 
 /// The durable data directory, when the environment asks for one.

@@ -7,7 +7,7 @@ use rand::SeedableRng;
 use socialreach::workload::{generate_policies, uniform_requests, GraphSpec, PolicyWorkloadConfig};
 use socialreach::{
     AccessControlSystem, Decision, Enforcer, EngineChoice, JoinEngineConfig, JoinIndexEngine,
-    JoinStrategy, OnlineEngine, PolicyStore,
+    JoinStrategy, MutateService, OnlineEngine, PolicyStore,
 };
 
 #[test]
@@ -51,17 +51,18 @@ fn multi_rule_multi_condition_policies_compose() {
     let bob = sys.add_user("Bob");
     let carol = sys.add_user("Carol");
     let dave = sys.add_user("Dave");
-    sys.connect(alice, "friend", bob);
-    sys.connect(bob, "friend", carol);
-    sys.connect(alice, "colleague", dave);
-    sys.connect(dave, "friend", carol);
+    sys.add_relationship(alice, "friend", bob);
+    sys.add_relationship(bob, "friend", carol);
+    sys.add_relationship(alice, "colleague", dave);
+    sys.add_relationship(dave, "friend", carol);
 
     // Resource with two alternative audiences:
     //   rule 1: direct friends,
     //   rule 2: colleagues' friends.
-    let doc = sys.share(alice);
-    sys.allow(doc, "friend+[1]").expect("rule 1");
-    sys.allow(doc, "colleague+[1]/friend+[1]").expect("rule 2");
+    let doc = sys.add_resource(alice);
+    sys.add_rule(doc, "friend+[1]").expect("rule 1");
+    sys.add_rule(doc, "colleague+[1]/friend+[1]")
+        .expect("rule 2");
 
     assert_eq!(sys.service().check(doc, bob).unwrap(), Decision::Grant); // rule 1
     assert_eq!(sys.service().check(doc, carol).unwrap(), Decision::Grant); // rule 2
@@ -81,14 +82,14 @@ fn policy_changes_take_effect_immediately() {
         let mut sys = AccessControlSystem::new(choice);
         let alice = sys.add_user("Alice");
         let bob = sys.add_user("Bob");
-        sys.connect(alice, "friend", bob);
-        let rid = sys.share(alice);
+        sys.add_relationship(alice, "friend", bob);
+        let rid = sys.add_resource(alice);
         assert_eq!(
             sys.service().check(rid, bob).unwrap(),
             Decision::Deny,
             "private"
         );
-        sys.allow(rid, "friend+[1]").unwrap();
+        sys.add_rule(rid, "friend+[1]").unwrap();
         assert_eq!(
             sys.service().check(rid, bob).unwrap(),
             Decision::Grant,
@@ -145,7 +146,7 @@ fn deny_by_default_and_owner_override_hold_for_every_engine() {
         let mut sys = AccessControlSystem::new(choice);
         let alice = sys.add_user("Alice");
         let bob = sys.add_user("Bob");
-        let rid = sys.share(alice);
+        let rid = sys.add_resource(alice);
         assert_eq!(
             sys.service().check(rid, alice).unwrap(),
             Decision::Grant,
@@ -170,11 +171,11 @@ fn unbounded_depth_agrees_between_online_and_truncated_index() {
         let b = sys.add_user("b");
         let c = sys.add_user("c");
         let d = sys.add_user("d");
-        sys.connect(a, "friend", b);
-        sys.connect(b, "friend", c);
-        sys.connect(c, "friend", d);
-        let rid = sys.share(a);
-        sys.allow(rid, "friend+[1..]").unwrap();
+        sys.add_relationship(a, "friend", b);
+        sys.add_relationship(b, "friend", c);
+        sys.add_relationship(c, "friend", d);
+        let rid = sys.add_resource(a);
+        sys.add_rule(rid, "friend+[1..]").unwrap();
         let target = sys.user("d").unwrap();
         assert_eq!(sys.service().check(rid, target).unwrap(), Decision::Grant);
     }
@@ -184,8 +185,8 @@ fn unbounded_depth_agrees_between_online_and_truncated_index() {
 fn malformed_policy_is_rejected_with_position() {
     let mut sys = AccessControlSystem::new_online();
     let alice = sys.add_user("Alice");
-    let rid = sys.share(alice);
-    let err = sys.allow(rid, "friend+[2..1]").unwrap_err();
+    let rid = sys.add_resource(alice);
+    let err = sys.add_rule(rid, "friend+[2..1]").unwrap_err();
     let msg = err.to_string();
     assert!(msg.contains("empty depth range"), "got: {msg}");
 }

@@ -5,7 +5,7 @@
 use socialreach::core::{plan, PlanConfig};
 use socialreach::{
     parse_path, AccessControlSystem, AccessService, Decision, Deployment, EvalError, Explanation,
-    JoinEngineConfig, JoinIndexEngine, JoinStrategy, PathExpr, SocialGraph,
+    JoinEngineConfig, JoinIndexEngine, JoinStrategy, MutateService, PathExpr, SocialGraph,
 };
 
 // ---------------------------------------------------------------------
@@ -73,8 +73,8 @@ fn parse_error_positions_are_in_bounds() {
 fn empty_graph_everything_denies_cleanly() {
     let mut sys = AccessControlSystem::new_indexed();
     let ghost = sys.add_user("OnlyUser");
-    let rid = sys.share(ghost);
-    sys.allow(rid, "friend+[1..]").unwrap();
+    let rid = sys.add_resource(ghost);
+    sys.add_rule(rid, "friend+[1..]").unwrap();
     // No edges at all: nobody but the owner.
     assert_eq!(sys.service().check(rid, ghost).unwrap(), Decision::Grant);
     assert_eq!(sys.service().audience(rid).unwrap(), vec![ghost]);
@@ -191,11 +191,11 @@ fn unknown_labels_in_policies_deny_but_do_not_error() {
     let mut sys = AccessControlSystem::new_online();
     let a = sys.add_user("A");
     let b = sys.add_user("B");
-    sys.connect(a, "friend", b);
-    let rid = sys.share(a);
-    sys.allow(rid, "mentor+[1]").unwrap();
+    sys.add_relationship(a, "friend", b);
+    let rid = sys.add_resource(a);
+    sys.add_rule(rid, "mentor+[1]").unwrap();
     assert_eq!(sys.service().check(rid, b).unwrap(), Decision::Deny);
-    sys.connect(a, "mentor", b);
+    sys.add_relationship(a, "mentor", b);
     assert_eq!(sys.service().check(rid, b).unwrap(), Decision::Grant);
 }
 
@@ -206,10 +206,10 @@ fn deep_unbounded_policy_terminates_on_cyclic_graphs() {
     let mut sys = AccessControlSystem::new_online();
     let users: Vec<_> = (0..10).map(|i| sys.add_user(&format!("u{i}"))).collect();
     for i in 0..10 {
-        sys.connect(users[i], "friend", users[(i + 1) % 10]);
+        sys.add_relationship(users[i], "friend", users[(i + 1) % 10]);
     }
-    let rid = sys.share(users[0]);
-    sys.allow(rid, "friend+[1..]").unwrap();
+    let rid = sys.add_resource(users[0]);
+    sys.add_rule(rid, "friend+[1..]").unwrap();
     for &u in &users {
         assert_eq!(sys.service().check(rid, u).unwrap(), Decision::Grant);
     }
@@ -443,10 +443,10 @@ fn attribute_type_confusion_fails_closed() {
     let mut sys = AccessControlSystem::new_online();
     let a = sys.add_user("A");
     let b = sys.add_user("B");
-    sys.connect(a, "friend", b);
-    sys.set_user_attr(b, "age", "twenty-six"); // text, not a number
-    let rid = sys.share(a);
-    sys.allow(rid, "friend+[1]{age>=18}").unwrap();
+    sys.add_relationship(a, "friend", b);
+    sys.set_user_attr(b, "age", "twenty-six".into()); // text, not a number
+    let rid = sys.add_resource(a);
+    sys.add_rule(rid, "friend+[1]{age>=18}").unwrap();
     assert_eq!(
         sys.service().check(rid, b).unwrap(),
         Decision::Deny,
