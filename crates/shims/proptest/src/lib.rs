@@ -8,6 +8,13 @@
 //! shrinking** — a failing case panics with the sampled inputs' debug
 //! representation via the ordinary assert message, and cases are drawn
 //! from a fixed deterministic seed sequence so failures reproduce.
+//!
+//! Case `i` of a property draws from the seed `base ^ i`. The base seed
+//! is `PROPTEST_SEED` (decimal or `0x` hex) when set, else
+//! [`DEFAULT_SEED`]; `PROPTEST_CASES`, when set, overrides every
+//! property's case count. A failing case — a `prop_assert` or any other
+//! panic inside the body — panics with the property, the case and its
+//! seed, and the two variables that replay exactly that case.
 
 use rand::rngs::StdRng;
 use std::ops::{Range, RangeInclusive};
@@ -16,6 +23,64 @@ pub use rand::SeedableRng;
 
 /// The RNG handed to strategies.
 pub type TestRng = StdRng;
+
+/// The base seed when `PROPTEST_SEED` is unset.
+pub const DEFAULT_SEED: u64 = 0x5eed_0000_0000_0000;
+
+/// Parses a seed in decimal or `0x` hex.
+fn parse_seed(text: &str) -> Option<u64> {
+    let text = text.trim();
+    match text.strip_prefix("0x").or_else(|| text.strip_prefix("0X")) {
+        Some(hex) => u64::from_str_radix(&hex.replace('_', ""), 16).ok(),
+        None => text.replace('_', "").parse().ok(),
+    }
+}
+
+/// The base seed: `PROPTEST_SEED` when set, else [`DEFAULT_SEED`].
+///
+/// # Panics
+/// Panics when `PROPTEST_SEED` is set but is not a number.
+pub fn base_seed() -> u64 {
+    match std::env::var("PROPTEST_SEED") {
+        Ok(text) => parse_seed(&text)
+            .unwrap_or_else(|| panic!("PROPTEST_SEED={text:?} is not a decimal or 0x-hex u64")),
+        Err(_) => DEFAULT_SEED,
+    }
+}
+
+/// The case count: `PROPTEST_CASES` when set, else `configured`.
+///
+/// # Panics
+/// Panics when `PROPTEST_CASES` is set but is not a number.
+pub fn case_count(configured: u32) -> u32 {
+    match std::env::var("PROPTEST_CASES") {
+        Ok(text) => text
+            .trim()
+            .parse()
+            .unwrap_or_else(|_| panic!("PROPTEST_CASES={text:?} is not a u32")),
+        Err(_) => configured,
+    }
+}
+
+/// The message a failing case panics with: the property, the case, the
+/// case's seed, how to replay it alone, and what went wrong.
+pub fn failure_message(property: &str, case: u64, seed: u64, cause: &str) -> String {
+    format!(
+        "property {property} failed on case {case} (seed {seed:#018x}; replay it alone with \
+         PROPTEST_SEED={seed:#018x} PROPTEST_CASES=1): {cause}"
+    )
+}
+
+/// The text of a panic payload (`panic!` with a literal or a format).
+pub fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
+    match payload.downcast_ref::<&str>() {
+        Some(s) => (*s).to_owned(),
+        None => payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_else(|| "non-text panic payload".to_owned()),
+    }
+}
 
 /// Run configuration (subset of proptest's).
 #[derive(Clone, Debug)]
@@ -291,22 +356,27 @@ macro_rules! __proptest_items {
         $(#[$meta])*
         fn $name() {
             let cfg: $crate::ProptestConfig = $cfg;
-            for case in 0..cfg.cases as u64 {
-                // Deterministic per-case seed: failures reproduce on
-                // re-run; the case index surfaces in panic payloads.
-                let mut __rng = <$crate::TestRng as $crate::SeedableRng>::seed_from_u64(
-                    0x5eed_0000_0000_0000u64 ^ case,
-                );
+            let base = $crate::base_seed();
+            for case in 0..$crate::case_count(cfg.cases) as u64 {
+                // Case `case` of base `b` is case 0 of base `b ^ case`,
+                // so the seed in a failure message replays it alone.
+                let seed = base ^ case;
+                let mut __rng =
+                    <$crate::TestRng as $crate::SeedableRng>::seed_from_u64(seed);
                 $(let $arg = $crate::Strategy::sample(&($strat), &mut __rng);)*
                 // Real proptest bodies may `return Ok(())` early, so the
-                // body runs in a Result-returning closure.
+                // body runs in a Result-returning closure; a panic in it
+                // (every `prop_assert` is one) is caught to name the case.
                 let run = || -> ::std::result::Result<(), ::std::string::String> {
                     $body
                     ::std::result::Result::Ok(())
                 };
-                if let ::std::result::Result::Err(e) = run() {
-                    panic!("property {} failed on case {}: {}", stringify!($name), case, e);
-                }
+                let cause = match ::std::panic::catch_unwind(::std::panic::AssertUnwindSafe(run)) {
+                    ::std::result::Result::Ok(::std::result::Result::Ok(())) => continue,
+                    ::std::result::Result::Ok(::std::result::Result::Err(e)) => e,
+                    ::std::result::Result::Err(payload) => $crate::panic_text(&*payload),
+                };
+                panic!("{}", $crate::failure_message(stringify!($name), case, seed, &cause));
             }
         }
     )*};
@@ -361,6 +431,69 @@ mod tests {
             assert!(!v.is_empty() && v.len() <= 4);
             assert!(v.windows(2).all(|w| w[0] < w[1]), "{v:?}");
         }
+    }
+
+    #[test]
+    fn seeds_parse_in_decimal_and_hex() {
+        assert_eq!(parse_seed("42"), Some(42));
+        assert_eq!(
+            parse_seed(" 0x5eed_0000_0000_0007 "),
+            Some(DEFAULT_SEED ^ 7)
+        );
+        assert_eq!(parse_seed("0XFF"), Some(255));
+        assert_eq!(parse_seed("seven"), None);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        fn fails_on_its_fourth_case(x in 0..1000u32) {
+            let _ = x;
+            CALLS.with(|c| c.set(c.get() + 1));
+            let n = CALLS.with(|c| c.get());
+            if n == 4 {
+                return Err(format!("drew {x}"));
+            }
+            assert!(n != 6, "panicked on call {n}");
+        }
+    }
+
+    thread_local! {
+        static CALLS: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+    }
+
+    /// A failing case names the property, the case and the seed that
+    /// replays it, whether the body returned an error or panicked; the
+    /// two variables it names replay the case alone. (The other
+    /// properties in this binary hold for any seed and case count, so
+    /// setting the variables here cannot fail them.)
+    #[test]
+    fn failures_name_the_case_and_the_seed_that_replays_it() {
+        let caught = |seed: u64, cases: u32, calls_before: u32| {
+            std::env::set_var("PROPTEST_SEED", format!("{seed:#x}"));
+            std::env::set_var("PROPTEST_CASES", cases.to_string());
+            CALLS.with(|c| c.set(calls_before));
+            let payload = std::panic::catch_unwind(fails_on_its_fourth_case).unwrap_err();
+            panic_text(&*payload)
+        };
+        let err = caught(DEFAULT_SEED, 8, 0);
+        let seed = DEFAULT_SEED ^ 3;
+        let head = format!(
+            "property fails_on_its_fourth_case failed on case 3 (seed {seed:#018x}; \
+             replay it alone with PROPTEST_SEED={seed:#018x} PROPTEST_CASES=1): drew "
+        );
+        assert!(err.starts_with(&head), "{err}");
+        // The replay fails the same way on the same draw.
+        let replay = caught(seed, 1, 3);
+        let drawn = &err[head.len()..];
+        assert!(replay.contains("failed on case 0 "), "{replay}");
+        assert!(replay.ends_with(&format!("): drew {drawn}")), "{replay}");
+        // A panic inside the body is named the same way.
+        let err = caught(DEFAULT_SEED, 8, 4);
+        assert!(err.contains(&format!("on case 1 (seed {:#018x}", DEFAULT_SEED ^ 1)));
+        assert!(err.ends_with(": panicked on call 6"), "{err}");
+        std::env::remove_var("PROPTEST_SEED");
+        std::env::remove_var("PROPTEST_CASES");
     }
 
     proptest! {
