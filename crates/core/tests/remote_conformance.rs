@@ -184,6 +184,7 @@ fn kill_and_restart_mid_stream(unix: bool) {
     let rids = apply_script(net.writes());
     assert_eq!(apply_script(twin.writes()), rids);
     common::assert_services_agree(twin.reads(), net.reads(), &rids);
+    assert_same_placement(&net, &twin);
     let epoch_before = net.as_networked().unwrap().epoch();
 
     // Kill shard 1's server process outright.
@@ -269,6 +270,27 @@ fn kill_and_restart_mid_stream(unix: bool) {
     net.writes().add_relationship(members[0], "friend", z_net);
     twin.writes().add_relationship(members[0], "friend", z_twin);
     common::assert_services_agree(twin.reads(), net.reads(), &rids);
+    assert_same_placement(&net, &twin);
+}
+
+/// Every shard of the networked fleet holds the members, ghosts and
+/// edges its in-process twin's shard holds: the two backends place
+/// data identically, not just answer identically.
+fn assert_same_placement(net: &ServiceInstance, twin: &ServiceInstance) {
+    let census = net
+        .as_networked()
+        .unwrap()
+        .shard_census()
+        .expect("fleet is reachable");
+    let stats = twin.as_sharded().unwrap().shard_stats();
+    assert_eq!(census.len(), stats.len());
+    for (shard, (&(members, ghosts, edges, _), s)) in census.iter().zip(&stats).enumerate() {
+        assert_eq!(
+            (members, ghosts, edges),
+            (s.members as u64, s.ghosts as u64, s.edges as u64),
+            "shard {shard}: networked (members, ghosts, edges) vs the sharded twin"
+        );
+    }
 }
 
 #[test]
