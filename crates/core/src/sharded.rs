@@ -1286,6 +1286,25 @@ mod tests {
         assert_eq!(sys.service().check(rid, y).unwrap(), Decision::Deny);
         sys.set_user_attr(y, "age", 35i64.into());
         assert_eq!(sys.service().check(rid, y).unwrap(), Decision::Grant);
+        // Answers alone cannot tell: a ghost exports its arrival states
+        // before its predicates run, and the home copy re-evaluates
+        // them. So look at the copies themselves.
+        let age = |shard: usize, local: NodeId| {
+            sys.shards[shard]
+                .graph
+                .node_attr_by_name(local, "age")
+                .cloned()
+        };
+        let entry = &sys.members[y.index()];
+        assert_eq!(entry.ghosts.len(), 1);
+        for &(shard, local) in &entry.ghosts {
+            assert_eq!(
+                age(shard as usize, local),
+                Some(35i64.into()),
+                "ghost on {shard}"
+            );
+        }
+        assert_eq!(age(entry.home as usize, entry.local), Some(35i64.into()));
         let lines = sys
             .service()
             .explain_lines(rid, y)
