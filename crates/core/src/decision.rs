@@ -20,7 +20,7 @@ use crate::policy::{AccessCondition, Decision, PolicyStore, ResourceId};
 use crate::query::parse_queries_readonly;
 use crate::service::{Explanation, ReadStats, WalkHop, WitnessWalk};
 use parking_lot::RwLock;
-use socialreach_graph::{NodeId, Vocabulary};
+use socialreach_graph::{GraphError, NodeId, Vocabulary};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -65,6 +65,16 @@ impl DecisionCache {
     }
 }
 
+/// Refuses a member id outside `0..members` — typed, as writes refuse
+/// one ([`crate::Mutation`]), on every backend alike.
+fn known(member: NodeId, members: usize) -> Result<(), EvalError> {
+    if member.index() < members {
+        Ok(())
+    } else {
+        Err(GraphError::UnknownNode(member).into())
+    }
+}
+
 fn decision(granted: bool) -> Decision {
     if granted {
         Decision::Grant
@@ -102,17 +112,18 @@ fn granting_rule<W>(
     Ok((None, stats))
 }
 
-/// Decides one request. `satisfied` answers whether `requester`
-/// satisfies one condition and reports that evaluation's census; the
-/// owner fast path and decision-cache hits return an all-zero census
-/// without calling it.
+/// Decides one request of a deployment of `members` members.
+/// `satisfied` answers whether `requester` satisfies one condition and
+/// reports that evaluation's census; the owner fast path and
+/// decision-cache hits return an all-zero census without calling it.
 pub(crate) fn check(
     cache: &DecisionCache,
-    store: &PolicyStore,
+    (store, members): (&PolicyStore, usize),
     rid: ResourceId,
     requester: NodeId,
     mut satisfied: impl FnMut(&AccessCondition) -> Result<(bool, ReadStats), EvalError>,
 ) -> Result<(Decision, ReadStats), EvalError> {
+    known(requester, members)?;
     if requester == store.owner_of(rid)? {
         return Ok((Decision::Grant, ReadStats::default()));
     }
@@ -135,11 +146,12 @@ pub(crate) fn check(
 /// condition's owner to the requester). `None` when access is denied.
 /// Explanations are never cached — each one re-walks.
 pub(crate) fn explain(
-    store: &PolicyStore,
+    (store, members): (&PolicyStore, usize),
     rid: ResourceId,
     requester: NodeId,
     mut walk: impl FnMut(&AccessCondition) -> Result<(Option<Vec<WalkHop>>, ReadStats), EvalError>,
 ) -> Result<(Option<Explanation>, ReadStats), EvalError> {
+    known(requester, members)?;
     let owner = store.owner_of(rid)?;
     if requester == owner {
         return Ok((Some(Explanation::Ownership { owner }), ReadStats::default()));
@@ -178,7 +190,7 @@ pub(crate) fn check_each(
 /// [`check`] counts them.
 pub(crate) fn check_via_audiences(
     cache: &DecisionCache,
-    store: &PolicyStore,
+    (store, members): (&PolicyStore, usize),
     requests: &[(ResourceId, NodeId)],
     audiences: impl FnOnce(&[ResourceId]) -> Result<(Vec<Vec<NodeId>>, ReadStats), EvalError>,
 ) -> Result<(Vec<Decision>, ReadStats), EvalError> {
@@ -188,6 +200,7 @@ pub(crate) fn check_via_audiences(
         let mut needed: HashSet<ResourceId> = HashSet::new();
         let cached = cache.cache.read();
         for &(rid, req) in requests {
+            known(req, members)?;
             decisions.push(if req == store.owner_of(rid)? {
                 Some(Decision::Grant)
             } else if let Some(&d) = cached.get(&(rid, req)) {
@@ -233,10 +246,13 @@ pub(crate) fn check_via_audiences(
 /// answers back; a query naming vocabulary the deployment has never
 /// seen keeps its empty audience without being evaluated.
 pub(crate) fn query_bundle(
-    vocab: &Vocabulary,
+    (vocab, members): (&Vocabulary, usize),
     queries: &[(NodeId, &str)],
     audiences: impl FnOnce(&[(NodeId, &PathExpr)]) -> Result<Vec<Vec<NodeId>>, EvalError>,
 ) -> Result<Vec<Vec<NodeId>>, EvalError> {
+    for &(owner, _) in queries {
+        known(owner, members)?;
+    }
     let texts: Vec<&str> = queries.iter().map(|&(_, t)| t).collect();
     let parsed = parse_queries_readonly(&texts, vocab)?;
     let mut out: Vec<Vec<NodeId>> = vec![Vec::new(); queries.len()];

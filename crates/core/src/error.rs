@@ -126,6 +126,13 @@ impl From<socialreach_graph::GraphError> for EvalError {
     }
 }
 
+/// What an in-process read that cannot fail fails with.
+impl From<std::convert::Infallible> for EvalError {
+    fn from(never: std::convert::Infallible) -> Self {
+        match never {}
+    }
+}
+
 impl From<crate::remote::RemoteError> for EvalError {
     fn from(e: crate::remote::RemoteError) -> Self {
         EvalError::Remote(e)

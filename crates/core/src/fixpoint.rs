@@ -1,4 +1,4 @@
-//! The masked cross-shard fixpoint: **one** round loop, two lanes.
+//! The masked cross-shard fixpoint: **one** round loop, two links.
 //!
 //! A partitioned read — sharded or networked, a whole bundle's
 //! audiences or one targeted check — is the same algorithm: seed the
@@ -7,43 +7,40 @@
 //! to each exported member's home shard only the condition bits it has
 //! not been sent before, and repeat until nothing is pending (or the
 //! targeted requester is hit). [`masked_fixpoint`] is the only place
-//! that loop lives. It is generic over [`ShardLane`] — *how one round
-//! reaches one shard* — with exactly two production implementations:
-//! the in-process lane of [`crate::sharded`] (a function call) and the
-//! remote lane of [`crate::remote`] (a `Round` exchange on a socket).
-//! A round is send-then-receive on the driver's thread: remote shards
-//! compute in parallel between the two, an in-process lane inside
-//! `send`.
+//! that loop lives, and [`stitch`] the only place a witness is read off
+//! the lanes' parent chains. Both are generic over [`ShardLane`] — *how
+//! one read reaches one shard* — with exactly two production
+//! implementations, one per [`crate::link::ShardLink`]: the in-process
+//! lane (a function call into a `ShardCore`) and the remote lane of
+//! [`crate::remote`] (a `Round` exchange on a socket). A round is
+//! send-then-receive on the driver's thread: remote shards compute in
+//! parallel between the two, an in-process lane inside `send`.
 //!
 //! The shard-local half of a round is shared as well: the in-process
 //! lane and the shard server's `Round` handler both run
-//! [`local_round`] — global→local seed translation, one seeded run of
-//! the lane's [`ShardEngine`], ghost filtering, local→global exports —
-//! so the id translation an export-forwarding fix would touch exists
-//! once. The engine is always the plan engine ([`crate::query::engine`]):
-//! a bundle chunk runs its shared-prefix plan, a per-condition or
-//! targeted read the one-path plan of its condition.
+//! `ShardCore::round` — global→local seed translation, one seeded run of
+//! the plan engine ([`crate::query::engine`]), ghost filtering,
+//! local→global exports. A bundle chunk runs its shared-prefix plan, a
+//! per-condition or targeted read the one-path plan of its condition.
 
-use crate::online::MaskedSeedState;
 use crate::path::PathExpr;
-use crate::query::{self, BundlePlan, ChunkMasks, PlanBatchState, PlanNode};
-use crate::remote::proto::{WireMatch, WireRefusal};
-use crate::service::ReadStats;
+use crate::query::{BundlePlan, ChunkMasks};
+use crate::remote::proto::WireMatch;
+use crate::service::{ReadStats, WalkHop};
+use crate::shard::Traced;
 use crate::sharded::BundleFixpointStats;
-use socialreach_graph::csr::CsrSnapshot;
 use socialreach_graph::shard::{MaskedExport, MaskedExportSet, MaskedStateKey};
-use socialreach_graph::{NodeId, SocialGraph};
-use std::borrow::Cow;
+use socialreach_graph::NodeId;
 use std::collections::HashMap;
 
 /// A cross-shard product-state coordinate: global member, step index
 /// (or plan node id), saturated depth.
-pub(crate) type StateKey = (u32, u16, u32);
+pub type StateKey = (u32, u16, u32);
 
 /// What one shard reports for one round, in **global** member ids (the
 /// field-for-field shape of the wire's `Round` response).
 #[derive(Debug, Default)]
-pub(crate) struct LaneRound {
+pub struct LaneRound {
     /// Home members that completed the final step, with the condition
     /// bits that newly matched them (ghosts already filtered out).
     pub matched: Vec<WireMatch>,
@@ -65,7 +62,7 @@ pub(crate) struct LaneRound {
 /// from that thread's pool and gives it back there ([`crate::online`],
 /// "Pooled mask scratch"): a read allocates nothing after warm-up and
 /// resets only what it touched.
-pub(crate) trait ShardLane {
+pub trait ShardLane {
     /// Why a round can fail (`Infallible` in process, a transport or
     /// protocol error over the wire).
     type Error;
@@ -79,6 +76,15 @@ pub(crate) trait ShardLane {
     /// Finishes the round `send` started: returns what the shard's run
     /// matched and exported.
     fn recv(&mut self) -> Result<LaneRound, Self::Error>;
+
+    /// Walks the lane's parent chain back from the state `(member,
+    /// step, depth)` at the shard's copy of `member` (lanes of a
+    /// parent-tracked targeted read only).
+    fn trace(&mut self, member: u32, step: u16, depth: u32) -> Result<Traced, Self::Error>;
+
+    /// The error of a trace that reached `seed`, a seed no lane
+    /// exported.
+    fn stray_seed(&self, seed: StateKey) -> Self::Error;
 
     /// Closes the lane. The driver calls this exactly once on every
     /// lane it sent a round to, whatever the outcome.
@@ -254,6 +260,35 @@ fn run_rounds<L: ShardLane>(
     Ok(run)
 }
 
+/// Stitches a targeted grant's witness off the lanes' parent chains
+/// (no replay), starting `at` the hit `(lane, member, step, depth)`: the
+/// hit lane's chain ends at a seed the driver forwarded; `origin` names
+/// the lane that exported it, where the chain continues at the member's
+/// ghost copy — until the owner seed ends the walk.
+pub(crate) fn stitch<L: ShardLane>(
+    lanes: &mut [L],
+    origin: &HashMap<StateKey, usize>,
+    owner: NodeId,
+    at: (usize, u32, u16, u32),
+) -> Result<Vec<WalkHop>, L::Error> {
+    let (mut lane, mut member, mut step, mut depth) = at;
+    let mut segments: Vec<Vec<WalkHop>> = Vec::new();
+    loop {
+        let (hops, seed) = lanes[lane].trace(member, step, depth)?;
+        segments.push(hops);
+        if seed == (owner.0, 0, 0) {
+            break;
+        }
+        lane = match origin.get(&seed) {
+            Some(&exporter) => exporter,
+            None => return Err(lanes[lane].stray_seed(seed)),
+        };
+        (member, step, depth) = seed;
+    }
+    segments.reverse();
+    Ok(segments.concat())
+}
+
 /// Materializes a bundle's condition audiences (in `conds` order, each
 /// sorted) over `shards` lanes: compiles the conditions into
 /// shared-prefix plans ([`BundlePlan::compile_all`] — one, unless the
@@ -317,133 +352,13 @@ where
     Ok((audiences, stats))
 }
 
-// ---------------------------------------------------------------------
-// The shard-local half of a round
-// ---------------------------------------------------------------------
-
-/// One shard's node space: its graph and pinned snapshot in
-/// **shard-local** ids, plus the translation tables back to global
-/// member ids.
-pub(crate) struct ShardView<'a> {
-    /// The shard's graph of home members and ghost replicas.
-    pub graph: &'a SocialGraph,
-    /// The snapshot pinned for the whole evaluation.
-    pub snap: &'a CsrSnapshot,
-    /// Local node index → global member id.
-    pub globals: &'a [NodeId],
-    /// Local node index → is a ghost replica (the export watch set;
-    /// ghosts are never reported as matches — only a member's home
-    /// shard speaks for them).
-    pub ghost: &'a [bool],
-}
-
-/// The round-persistent plan engine behind an open lane, with what it
-/// runs: borrowed from the caller in process, owned (re-parsed from the
-/// wire) in a shard server's session. Seeds carry plan node ids in the
-/// `step` slot — step indexes, for a one-path plan.
-pub(crate) struct ShardEngine<'a> {
-    /// Round-persistent per-node masked visited state.
-    pub engine: PlanBatchState,
-    /// The trie nodes the engine was built for.
-    pub nodes: Cow<'a, [PlanNode]>,
-    /// The ε-fork/accept masks of the chunk.
-    pub masks: Cow<'a, ChunkMasks>,
-    /// Opened for one path (a targeted read, in process or a
-    /// `SessionSpec::Path` session) rather than for a bundle-plan
-    /// chunk: only such an engine takes a stop member or answers a
-    /// trace.
-    pub one_path: bool,
-}
-
-/// Runs one round on one shard: translates the seeds (global ids, as
-/// routed) into the shard's node space via `local_of`, drains the
-/// engine's frontier, and reports matches and exports back in global
-/// ids. Seeds and the stop member come from outside the shard — a
-/// word the session was not opened for, a member the shard holds no
-/// copy of, a stop on a bundle-plan session or at a ghost are refused,
-/// never evaluated.
-pub(crate) fn local_round(
-    view: &ShardView<'_>,
-    local_of: impl Fn(u32) -> Option<NodeId>,
-    engine: &mut ShardEngine<'_>,
-    word: u32,
-    seeds: &[MaskedExport],
-    stop: Option<u32>,
-) -> Result<LaneRound, WireRefusal> {
-    let mut local_seeds: Vec<MaskedSeedState> = Vec::with_capacity(seeds.len());
-    for e in seeds {
-        if e.key.word != word {
-            return Err(WireRefusal::BadRequest {
-                detail: format!(
-                    "seed word {} does not match the session's word {word}",
-                    e.key.word
-                ),
-            });
-        }
-        let local = local_of(e.key.member).ok_or(WireRefusal::UnknownMember {
-            member: e.key.member,
-        })?;
-        local_seeds.push((local, e.key.step, e.key.depth, e.mask));
-    }
-    if stop.is_some() && !engine.one_path {
-        return Err(WireRefusal::BadRequest {
-            detail: "plan sessions serve audience fixpoints only (no stop target)".to_owned(),
-        });
-    }
-    let stop_local = match stop {
-        Some(m) => match local_of(m) {
-            Some(l) if !view.ghost[l.index()] => Some(l),
-            Some(_) => {
-                return Err(WireRefusal::BadRequest {
-                    detail: format!("stop member {m} is a ghost on this shard"),
-                })
-            }
-            None => return Err(WireRefusal::UnknownMember { member: m }),
-        },
-        None => None,
-    };
-    let out = query::evaluate_plan_batch_seeded(
-        view.graph,
-        view.snap,
-        &engine.nodes,
-        &engine.masks,
-        &mut engine.engine,
-        &local_seeds,
-        view.ghost,
-        stop_local,
-    );
-    Ok(LaneRound {
-        matched: out
-            .matched
-            .iter()
-            .filter(|(m, _)| !view.ghost[m.index()])
-            .map(|&(m, bits)| WireMatch {
-                member: view.globals[m.index()].0,
-                mask: bits,
-            })
-            .collect(),
-        exports: out
-            .exports
-            .iter()
-            .map(|&(m, step, depth, bits)| MaskedExport {
-                key: MaskedStateKey {
-                    member: view.globals[m.index()].0,
-                    step,
-                    depth,
-                    word,
-                },
-                mask: bits,
-            })
-            .collect(),
-        hit: out.hit,
-        states_expanded: out.stats.states_visited as u64,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::online;
+    use crate::online::{self, MaskedSeedState};
+    use crate::query::{self, PlanBatchState};
+    use socialreach_graph::csr::CsrSnapshot;
+    use socialreach_graph::SocialGraph;
     use std::collections::VecDeque;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -534,6 +449,14 @@ mod tests {
 
         fn recv(&mut self) -> Result<LaneRound, Self::Error> {
             self.sent.take().expect("received after a send")
+        }
+
+        fn trace(&mut self, _: u32, _: u16, _: u32) -> Result<Traced, Self::Error> {
+            Err("scripted lanes keep no parent chains")
+        }
+
+        fn stray_seed(&self, _: StateKey) -> Self::Error {
+            "stray seed"
         }
 
         fn end(&mut self) {
@@ -685,6 +608,14 @@ mod tests {
         fn recv(&mut self) -> Result<LaneRound, Self::Error> {
             assert!(!self.panics, "lane failed mid-round");
             Ok(self.sent.take().expect("received after a send"))
+        }
+
+        fn trace(&mut self, _: u32, _: u16, _: u32) -> Result<Traced, Self::Error> {
+            unreachable!("audience reads trace nothing")
+        }
+
+        fn stray_seed(&self, _: StateKey) -> Self::Error {
+            unreachable!("audience reads trace nothing")
         }
 
         fn end(&mut self) {}

@@ -248,6 +248,7 @@
 //! planned path to per-condition evaluation on all three deployments.
 
 pub mod carminati;
+pub mod coordinator;
 mod decision;
 pub mod durability;
 pub mod engine;
@@ -256,6 +257,7 @@ pub mod examples;
 mod fixpoint;
 pub mod joinengine;
 pub mod lineplan;
+mod link;
 pub mod online;
 pub mod path;
 pub mod planner;
@@ -263,10 +265,12 @@ pub mod policy;
 pub mod query;
 pub mod remote;
 pub mod service;
+mod shard;
 pub mod sharded;
 pub mod system;
 
 pub use carminati::{CarminatiOutcome, CarminatiRule, TrustAggregation};
+pub use coordinator::Partitioned;
 pub use durability::{
     read_history, AudienceDiff, AuditError, CompactionReport, DurabilityError, DurableService,
     HistoryEntry, RecoveryReport, TornTail,

@@ -1,75 +1,69 @@
-//! The router: [`AccessService`]/[`MutateService`] over remote shards.
+//! The remote link: the partitioned coordinator over shard servers.
 //!
-//! [`NetworkedSystem`] is the wire twin of
-//! [`crate::sharded::ShardedSystem`]: the same hash placement
-//! ([`ShardAssignment`]), the same ghost-replicated boundary edges,
-//! and the same round-based masked fixpoint — but each shard's graph
-//! lives in a server process ([`super::ShardServer`]) and the rounds
-//! exchange [`MaskedExport`] batches over CRC-framed sockets.
+//! [`NetworkedSystem`] is [`crate::coordinator::Partitioned`] — the
+//! coordinator [`crate::ShardedSystem`] runs in process, with the same
+//! placement, ghosts, masked fixpoint and witness stitching — over
+//! remote links: each shard's `ShardCore` lives in a server process
+//! ([`super::ShardServer`]) and the rounds exchange [`MaskedExport`]
+//! batches over CRC-framed sockets. A remote link owns the shard's
+//! endpoint and its pool of idle connections, how much of the master
+//! vocabulary the shard has acknowledged, and the shard's op log; the
+//! fleet beside the links owns the epoch, the writes staged for the
+//! next one and each member's attribute tuple (to make ghosts with).
 //!
-//! The router keeps only **metadata**: member placement, names,
-//! attribute tuples (to materialize ghost replicas), the policy store,
-//! the boundary table, and a per-shard op log of every committed
-//! epoch. Graph topology lives exclusively on the shards; all reads
-//! fan out.
-//!
-//! Mutations are staged as per-shard ops and committed through the
-//! two-phase epoch fence (`Prepare` everywhere → `Commit` everywhere;
-//! any prepare failure aborts the epoch). Staging reads the router's
-//! committed metadata overlaid with the ops staged so far, and the
-//! metadata itself changes only when a batch commits. One
-//! [`MutateService::apply`] stages its ops and commits them; a bulk load
-//! ([`NetworkedSystem::from_graph`]) stages every mutation and commits
-//! one epoch each time [`MAX_EPOCH_OPS`] ops are staged. (A mutation
-//! of more ops than that — a ghost for a member with nearly as many
+//! Writes are staged as per-shard [`ShardOp`]s and committed through
+//! the two-phase epoch fence (`Prepare` everywhere → `Commit`
+//! everywhere; any prepare failure aborts the epoch). One
+//! [`MutateService::apply`] commits its ops; a bulk load
+//! ([`NetworkedSystem::from_graph`]) commits one epoch each time
+//! [`MAX_EPOCH_OPS`] ops are staged. When an epoch cannot commit, its
+//! ops and every op staged after them are dropped, the attribute
+//! tuples they changed are restored and the coordinator rolls its
+//! metadata back to the last committed op. (A mutation of more ops than
+//! one epoch carries — a ghost for a member with nearly as many
 //! attributes — spans consecutive epochs; an error between them leaves
 //! the committed ones in place, and the metadata says so.) Once every
-//! shard has prepared, the epoch is *presumed committed*: the router
+//! shard has prepared, the epoch is *presumed committed*: the link
 //! records it in the op log and advances before sending commits, so a
 //! shard that misses its commit has its idle connections dropped and
 //! is replayed from the op log when the next connection to it is
 //! dialed — in jumps of at most [`MAX_EPOCH_OPS`] ops — so the fleet
-//! can never end up split between epochs from the router's point of
-//! view, and a shard that *is* behind refuses a read's epoch rather
+//! can never end up split between epochs from the coordinator's point
+//! of view, and a shard that *is* behind refuses a read's epoch rather
 //! than serving a torn read.
 //!
-//! Each shard has a pool of idle connections. A read checks one out
-//! per shard it reaches and keeps it for every round and `Trace` of
-//! the read, since the shard-side session lives on it; it goes back
-//! only if every exchange on it completed. Writes and
-//! [`NetworkedSystem::shard_census`] check out the same way. An empty
-//! pool dials through `revive` (handshake, full vocabulary, op-log
-//! catch-up). Owned connections let a read keep a request in flight on
-//! every shard at once, and readers never wait on each other.
+//! A read checks one connection out per shard it reaches and keeps it
+//! for every round and `Trace` of the read, since the shard-side
+//! session lives on it; it goes back only if every exchange on it
+//! completed. Writes and [`NetworkedSystem::shard_census`] check out
+//! the same way. An empty pool dials through `revive` (handshake, full
+//! vocabulary, op-log catch-up). Owned connections let a read keep a
+//! request in flight on every shard at once, and readers never wait on
+//! each other.
 //!
-//! Reads are `&self` and run the in-process backend's round loop,
-//! literally: both call `crate::fixpoint::masked_fixpoint`, and this
-//! module only contributes the remote lane (an `OpenRound` on the
-//! lane's first send, then one `Round` per round and sub-batch), seed
-//! construction and `Trace`-based witness stitching for `explain`. A
-//! `check` opens its sessions without parent tracking and sends no
-//! `Trace`. On a retryable failure the router re-runs the whole
-//! evaluation once with fresh evaluation ids — the engines' masked
-//! state is per-evaluation, so a retry cannot observe leftovers.
+//! A remote lane opens its shard's session with its first round (an
+//! `OpenRound`, then one `Round` per round and sub-batch); a `check`
+//! opens its sessions without parent tracking and sends no `Trace`. On
+//! a retryable failure the whole read re-runs once with fresh
+//! evaluation ids — the engines' masked state is per-evaluation, so a
+//! retry cannot observe leftovers.
 
 use super::frame::{self, FrameError};
 use super::proto::{self, Request, Response, SessionSpec, ShardOp, PROTOCOL_VERSION};
 use super::{Conn, RemoteError, ShardAddr, DEFAULT_READ_TIMEOUT, MAX_EPOCH_OPS, MAX_ROUND_EXPORTS};
-use crate::decision::{self, DecisionCache};
+use crate::coordinator::{Mark, Partitioned};
 use crate::error::EvalError;
-use crate::fixpoint::{self, LaneRound, ShardLane, StateKey};
+use crate::fixpoint::{LaneRound, ShardLane, StateKey};
+use crate::link::{Program, ShardLink, Write};
 use crate::path::PathExpr;
-use crate::policy::{Decision, PolicyStore, ResourceId};
-use crate::service::{
-    AccessService, Applied, BundleStrategy, CheckPlan, Explanation, MutateService, Mutation,
-    ReadStats, WalkHop,
-};
-use crate::sharded::partitioned_check_plan;
+use crate::policy::PolicyStore;
+use crate::service::WalkHop;
+use crate::shard::Traced;
 use parking_lot::Mutex;
-use socialreach_graph::shard::{BoundaryEdge, BoundaryTable, MaskedExport, ShardAssignment};
-use socialreach_graph::{AttrValue, LabelId, NodeId, SocialGraph, Vocabulary};
-use std::collections::HashMap;
+use socialreach_graph::shard::{MaskedExport, ShardAssignment};
+use socialreach_graph::{AttrKey, AttrMap, AttrValue, LabelId, NodeId, SocialGraph, Vocabulary};
 use std::io;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -179,9 +173,13 @@ impl ShardClient {
     }
 }
 
-/// One shard's endpoint and idle connections (see the module docs,
-/// "Each shard has a pool"), plus how much of the master vocabulary the
-/// shard has acknowledged interning.
+/// Evaluation ids, unique in the process: a shard names a connection's
+/// session by one.
+static NEXT_EVAL: AtomicU64 = AtomicU64::new(1);
+
+/// One shard's endpoint and idle connections (see the module docs),
+/// plus how much of the master vocabulary the shard has acknowledged
+/// interning.
 struct ShardPool {
     addr: ShardAddr,
     idle: Vec<ShardClient>,
@@ -189,17 +187,39 @@ struct ShardPool {
     synced_attrs: usize,
 }
 
-/// Where a member lives, plus the shards holding a ghost replica
-/// (shard-local ids stay server-side).
-struct NetMember {
-    home: u32,
-    ghosts: Vec<u32>,
+/// The remote [`ShardLink`]: one shard server (see the module docs).
+pub struct RemoteLink {
+    /// The endpoint (retargetable, so a shard restarted on a new
+    /// ephemeral port can be re-registered —
+    /// [`NetworkedSystem::retarget`]) and its idle connections.
+    pool: Mutex<ShardPool>,
+    /// The shard's committed history `(epoch, ops)` — the revival
+    /// replay source when it missed commits.
+    oplog: Vec<(u64, Vec<ShardOp>)>,
 }
 
-/// Shard ops staged for the fleet, in staging order, each tagged with
-/// the shard it goes to: the one form in which a mutation reaches
-/// `NetworkedSystem::commit_ops`.
-type Staged = Vec<(u32, ShardOp)>;
+/// What the remote links of one fleet share.
+pub struct RemoteFleet {
+    /// The fleet's epoch: every committed batch of at most
+    /// [`MAX_EPOCH_OPS`] shard ops advanced it by one.
+    epoch: u64,
+    read_timeout: Duration,
+    /// Ops staged for the next epochs, in staging order.
+    staged: Vec<Staged>,
+    /// The coordinator's mark as of the last committed op.
+    committed: Mark,
+    /// Each member's attribute tuple as staged, to make ghosts with.
+    attrs: Vec<AttrMap>,
+}
+
+/// One staged shard op, the coordinator's mark as of it, and for a
+/// member's home `SetAttr` the tuple entry it replaced.
+struct Staged {
+    shard: u32,
+    op: ShardOp,
+    mark: Mark,
+    undo: Option<(NodeId, AttrKey, Option<AttrValue>)>,
+}
 
 /// A `Prepare` for `epoch`; no `Prepare` carries more than
 /// [`MAX_EPOCH_OPS`] ops.
@@ -212,11 +232,429 @@ fn prepare(epoch: u64, ops: Vec<ShardOp>) -> Request {
     Request::Prepare { epoch, ops }
 }
 
-/// Sets `key` in an attribute tuple, in place or appended.
-fn assign(tuple: &mut Vec<(String, AttrValue)>, key: &str, value: &AttrValue) {
-    match tuple.iter_mut().find(|(k, _)| k == key) {
-        Some(slot) => slot.1 = value.clone(),
-        None => tuple.push((key.to_owned(), value.clone())),
+impl RemoteLink {
+    /// Checks out a connection to the shard: an idle one, or a fresh
+    /// dial through [`RemoteLink::revive`]. Either way the shard has
+    /// interned the whole master vocabulary before the caller's first
+    /// exchange, so vocabulary grown by a rule write (which touches no
+    /// shard) reaches it.
+    fn checkout(
+        &self,
+        fleet: &RemoteFleet,
+        vocab: &Vocabulary,
+    ) -> Result<ShardClient, RemoteError> {
+        let idle = self.pool.lock().idle.pop();
+        let Some(mut client) = idle else {
+            return self.revive(fleet, vocab);
+        };
+        self.sync_vocab(vocab, &mut client)?;
+        Ok(client)
+    }
+
+    /// Returns a connection whose every exchange completed.
+    fn checkin(&self, client: ShardClient) {
+        self.pool.lock().idle.push(client);
+    }
+
+    /// One exchange on a checked-out connection. A typed refusal
+    /// returns the connection to the pool (the stream is still framed
+    /// correctly); a transport failure drops it.
+    fn call(
+        &self,
+        fleet: &RemoteFleet,
+        vocab: &Vocabulary,
+        req: &Request,
+    ) -> Result<Response, RemoteError> {
+        let mut client = self.checkout(fleet, vocab)?;
+        let resp = client.call(req)?;
+        let result = match resp {
+            Response::Refused(refusal) => Err(client.refused(refusal)),
+            resp => Ok(resp),
+        };
+        self.checkin(client);
+        result
+    }
+
+    /// [`RemoteLink::call`] with one retry, on a fresh connection,
+    /// after a retryable failure. Only safe for requests that are
+    /// idempotent across a shard restart (`Prepare`, `Commit`, `Abort`,
+    /// `Census`, `Shutdown`) — evaluation requests retry at the
+    /// whole-read level instead, with fresh evaluation ids.
+    fn call_reviving(
+        &self,
+        fleet: &RemoteFleet,
+        vocab: &Vocabulary,
+        req: &Request,
+    ) -> Result<Response, RemoteError> {
+        match self.call(fleet, vocab, req) {
+            Err(e) if e.retryable() => {
+                self.pool.lock().idle.clear();
+                self.call(fleet, vocab, req)
+            }
+            other => other,
+        }
+    }
+
+    /// Dials the shard, interns the full vocabulary, and replays any
+    /// committed epochs it missed (a restarted process reports epoch 0
+    /// and receives the whole op log). Returns the caught-up
+    /// connection.
+    fn revive(&self, fleet: &RemoteFleet, vocab: &Vocabulary) -> Result<ShardClient, RemoteError> {
+        let addr = self.pool.lock().addr.clone();
+        let (mut client, shard_epoch) = ShardClient::connect(&addr, fleet.read_timeout)?;
+        if shard_epoch > fleet.epoch {
+            return Err(RemoteError::Protocol {
+                addr: client.addr,
+                detail: format!(
+                    "shard is at epoch {shard_epoch}, ahead of the router's {} — refusing to \
+                     adopt a fleet this router did not populate",
+                    fleet.epoch
+                ),
+            });
+        }
+        let labels: Vec<String> = (0..vocab.num_labels())
+            .map(|i| vocab.label_name(LabelId::from_index(i)).to_owned())
+            .collect();
+        let attrs: Vec<String> = (0..vocab.num_attrs())
+            .map(|i| vocab.attr_name(AttrKey::from_index(i)).to_owned())
+            .collect();
+        let (synced_labels, synced_attrs) = (labels.len(), attrs.len());
+        match client.exchange(&Request::Intern { labels, attrs })? {
+            Response::Ok => {}
+            other => return Err(client.unexpected("Ok", &other)),
+        }
+        if shard_epoch < fleet.epoch {
+            // A presumed-committed epoch may still be staged from
+            // before the crash of the *connection* (server alive, the
+            // commit lost): clear it, then replay everything missed.
+            match client.exchange(&Request::Abort { epoch: fleet.epoch })? {
+                Response::Aborted { .. } => {}
+                other => return Err(client.unexpected("Aborted", &other)),
+            }
+            // Consecutive missed epochs group into jumps of at most
+            // `MAX_EPOCH_OPS` ops, each prepared and committed at its
+            // last epoch; the last jump lands on the router's epoch.
+            // (Every committed epoch is logged for every shard and
+            // carries at most `MAX_EPOCH_OPS` ops.)
+            let log = &self.oplog;
+            let missed = &log[log.partition_point(|(e, _)| *e <= shard_epoch)..];
+            let mut ops: Vec<ShardOp> = Vec::new();
+            for (i, (epoch, epoch_ops)) in missed.iter().enumerate() {
+                ops.extend(epoch_ops.iter().cloned());
+                if missed
+                    .get(i + 1)
+                    .is_some_and(|(_, next)| ops.len() + next.len() <= MAX_EPOCH_OPS)
+                {
+                    continue;
+                }
+                let epoch = *epoch;
+                match client.exchange(&prepare(epoch, std::mem::take(&mut ops)))? {
+                    Response::Prepared { .. } => {}
+                    other => return Err(client.unexpected("Prepared", &other)),
+                }
+                match client.exchange(&Request::Commit { epoch })? {
+                    Response::Committed { .. } => {}
+                    other => return Err(client.unexpected("Committed", &other)),
+                }
+            }
+        }
+        let mut pool = self.pool.lock();
+        pool.synced_labels = synced_labels;
+        pool.synced_attrs = synced_attrs;
+        Ok(client)
+    }
+
+    /// Sends `client`'s shard the master-vocabulary suffix it has not
+    /// acknowledged yet (no-op when in sync).
+    fn sync_vocab(&self, vocab: &Vocabulary, client: &mut ShardClient) -> Result<(), RemoteError> {
+        let (have_l, have_a) = {
+            let pool = self.pool.lock();
+            (pool.synced_labels, pool.synced_attrs)
+        };
+        let (want_l, want_a) = (vocab.num_labels(), vocab.num_attrs());
+        if have_l == want_l && have_a == want_a {
+            return Ok(());
+        }
+        let labels: Vec<String> = (have_l..want_l)
+            .map(|i| vocab.label_name(LabelId::from_index(i)).to_owned())
+            .collect();
+        let attrs: Vec<String> = (have_a..want_a)
+            .map(|i| vocab.attr_name(AttrKey::from_index(i)).to_owned())
+            .collect();
+        match client.exchange(&Request::Intern { labels, attrs })? {
+            Response::Ok => {
+                let mut pool = self.pool.lock();
+                pool.synced_labels = want_l;
+                pool.synced_attrs = want_a;
+                Ok(())
+            }
+            other => Err(client.unexpected("Ok", &other)),
+        }
+    }
+
+    fn unexpected(&self, wanted: &str, got: &Response) -> RemoteError {
+        RemoteError::Protocol {
+            addr: self.pool.lock().addr.to_string(),
+            detail: format!("expected a {wanted} response, got {got:?}"),
+        }
+    }
+}
+
+/// Commits one batch of staged ops (at most [`MAX_EPOCH_OPS`]) as the
+/// fleet's next epoch, or rolls it back. On `Ok` every shard either
+/// applied the epoch or has it in its replay log for the next dial; on
+/// `Err` no shard applied it (every shard a prepare was sent to is
+/// aborted — a prepare whose response was lost may still be staged).
+fn commit(
+    links: &mut [RemoteLink],
+    fleet: &mut RemoteFleet,
+    vocab: &Vocabulary,
+    batch: &[Staged],
+) -> Result<(), RemoteError> {
+    let epoch = fleet.epoch + 1;
+    let mut per_shard = vec![Vec::new(); links.len()];
+    for staged in batch {
+        per_shard[staged.shard as usize].push(staged.op.clone());
+    }
+    // Phase one (every checkout syncs the vocabulary first: prepare
+    // validation refuses ops naming labels/attrs the shard has not
+    // interned): stage everywhere (every shard participates, even with
+    // no ops — the epoch fence requires the whole fleet to advance
+    // together).
+    for (shard, ops) in per_shard.iter().enumerate() {
+        let err = match links[shard].call_reviving(fleet, vocab, &prepare(epoch, ops.clone())) {
+            Ok(Response::Prepared { .. }) => continue,
+            Ok(other) => links[shard].unexpected("Prepared", &other),
+            Err(e) => e,
+        };
+        for sent in &links[..=shard] {
+            let _ = sent.call(fleet, vocab, &Request::Abort { epoch });
+        }
+        return Err(err);
+    }
+    // Point of no return: every shard holds the staged epoch, so it is
+    // presumed committed — record it for replay *before* sending
+    // commits, then advance.
+    for (link, ops) in links.iter_mut().zip(per_shard) {
+        link.oplog.push((epoch, ops));
+    }
+    fleet.epoch = epoch;
+    // Phase two: publish. A shard whose commit is lost has its idle
+    // connections dropped, so its next checkout dials through `revive`,
+    // which finds it behind and replays the op log — it can never serve
+    // the old epoch to a read, because every session opens with the new
+    // epoch.
+    for link in links.iter() {
+        if !matches!(
+            link.call_reviving(fleet, vocab, &Request::Commit { epoch }),
+            Ok(Response::Committed { .. })
+        ) {
+            link.pool.lock().idle.clear();
+        }
+    }
+    Ok(())
+}
+
+impl ShardLink for RemoteLink {
+    type Fleet = RemoteFleet;
+    type Error = RemoteError;
+    type Lane<'a> = RemoteLane<'a>;
+
+    const KIND: &'static str = "networked";
+
+    /// The lanes share one session spec: the targeted read's path, or
+    /// the plan chunk shipped whole (plan nodes travel as canonical
+    /// one-step path text plus the chunk's ε-fork/accept masks, so
+    /// each shared prefix is entered once per shard).
+    fn lanes<'a>(
+        links: &'a [Self],
+        fleet: &'a RemoteFleet,
+        vocab: &'a Vocabulary,
+        program: Program<'a>,
+    ) -> Vec<RemoteLane<'a>> {
+        let (epoch, word) = (fleet.epoch, program.word);
+        let session = Rc::new(match program.path {
+            Some(path) => SessionSpec::Path {
+                epoch,
+                path: path.to_text(vocab),
+                word,
+                parents: program.parents,
+            },
+            None => SessionSpec::Plan {
+                epoch,
+                nodes: program
+                    .plan
+                    .nodes
+                    .iter()
+                    .enumerate()
+                    .map(|(i, node)| proto::WirePlanNode {
+                        step: PathExpr::new(vec![node.step.clone()]).to_text(vocab),
+                        children: node.children.clone(),
+                        mask: program.masks.node_mask[i],
+                        accept: program.masks.accept_mask[i],
+                    })
+                    .collect(),
+                word,
+            },
+        });
+        let eval = NEXT_EVAL.fetch_add(1, Ordering::Relaxed);
+        links
+            .iter()
+            .map(|link| RemoteLane {
+                link,
+                fleet,
+                vocab,
+                eval,
+                session: Rc::clone(&session),
+                client: None,
+                opened: false,
+                in_flight: false,
+                rest: Vec::new(),
+                stop: None,
+            })
+            .collect()
+    }
+
+    /// Runs a read with one whole-read retry: on a retryable failure it
+    /// re-runs with fresh evaluation ids. The failed lane dropped its
+    /// connection, so the retry reaches that shard on another one —
+    /// dialed through `revive` (op-log replay included) when none is
+    /// idle. Non-retryable failures (corrupt frames, protocol
+    /// violations, semantic refusals) surface immediately — never a
+    /// wrong answer.
+    fn read<T>(attempt: impl Fn() -> Result<T, RemoteError>) -> Result<T, EvalError> {
+        match attempt() {
+            Ok(v) => Ok(v),
+            Err(e) if e.retryable() => attempt().map_err(EvalError::Remote),
+            Err(e) => Err(EvalError::Remote(e)),
+        }
+    }
+
+    /// Shards intern new names on their next checkout.
+    fn sync_vocab(_: &mut [Self], _: &Vocabulary) {}
+
+    fn write(
+        _: &mut [Self],
+        fleet: &mut RemoteFleet,
+        vocab: &Vocabulary,
+        write: Write<'_>,
+        mark: Mark,
+    ) {
+        let mut stage = |shard: u32, op: ShardOp, undo| {
+            fleet.staged.push(Staged {
+                shard,
+                op,
+                mark,
+                undo,
+            })
+        };
+        match write {
+            Write::Node {
+                shard,
+                member,
+                name,
+                home,
+            } => {
+                if home.is_none() {
+                    debug_assert_eq!(member.index(), fleet.attrs.len());
+                    fleet.attrs.push(AttrMap::new());
+                }
+                stage(
+                    shard,
+                    ShardOp::AddNode {
+                        global: member.0,
+                        name: name.to_owned(),
+                        ghost: home.is_some(),
+                    },
+                    None,
+                );
+                if home.is_some() {
+                    let tuple = fleet.attrs[member.index()].clone();
+                    for (key, value) in tuple.iter() {
+                        fleet.staged.push(Staged {
+                            shard,
+                            op: ShardOp::SetAttr {
+                                global: member.0,
+                                key: vocab.attr_name(key).to_owned(),
+                                value: value.clone(),
+                            },
+                            mark,
+                            undo: None,
+                        });
+                    }
+                }
+            }
+            Write::Attr {
+                member,
+                home,
+                ghosts,
+                key,
+                value,
+            } => {
+                let old = fleet.attrs[member.index()].set(key, value.clone());
+                let mut undo = Some((member, key, old));
+                for &shard in std::iter::once(&home).chain(ghosts) {
+                    let op = ShardOp::SetAttr {
+                        global: member.0,
+                        key: vocab.attr_name(key).to_owned(),
+                        value: value.clone(),
+                    };
+                    fleet.staged.push(Staged {
+                        shard,
+                        op,
+                        mark,
+                        undo: undo.take(),
+                    });
+                }
+            }
+            Write::Edge {
+                shard,
+                src,
+                label,
+                dst,
+            } => stage(
+                shard,
+                ShardOp::AddEdge {
+                    src: src.0,
+                    label: vocab.label_name(label).to_owned(),
+                    dst: dst.0,
+                },
+                None,
+            ),
+        }
+    }
+
+    /// Commits the staged ops oldest first in epochs of
+    /// [`MAX_EPOCH_OPS`]; on `Err` the batches before the failed one
+    /// stay committed, and the failed one and everything after it are
+    /// dropped.
+    fn flush(
+        links: &mut [Self],
+        fleet: &mut RemoteFleet,
+        vocab: &Vocabulary,
+        all: bool,
+    ) -> Result<(), (RemoteError, Mark)> {
+        while fleet.staged.len() >= MAX_EPOCH_OPS || (all && !fleet.staged.is_empty()) {
+            let batch: Vec<Staged> = fleet
+                .staged
+                .drain(..fleet.staged.len().min(MAX_EPOCH_OPS))
+                .collect();
+            if let Err(e) = commit(links, fleet, vocab, &batch) {
+                let dropped = batch.into_iter().chain(fleet.staged.drain(..));
+                let undos: Vec<_> = dropped.filter_map(|s| s.undo).collect();
+                for (member, key, old) in undos.into_iter().rev() {
+                    let tuple = &mut fleet.attrs[member.index()];
+                    match old {
+                        Some(value) => tuple.set(key, value),
+                        None => tuple.remove(key),
+                    };
+                }
+                fleet.attrs.truncate(fleet.committed.members());
+                return Err((e, fleet.committed));
+            }
+            fleet.committed = batch.last().map_or(fleet.committed, |s| s.mark);
+        }
+        Ok(())
     }
 }
 
@@ -226,12 +664,14 @@ fn assign(tuple: &mut Vec<(String, AttrValue)>, key: &str, value: &AttrValue) {
 /// in `recv`; a round of more than [`MAX_ROUND_EXPORTS`] seeds
 /// exchanges its later sub-batches one at a time inside `recv`, so at
 /// most one request frame is in flight on the connection.
-struct RemoteLane<'a> {
-    sys: &'a NetworkedSystem,
-    shard: usize,
+pub struct RemoteLane<'a> {
+    link: &'a RemoteLink,
+    fleet: &'a RemoteFleet,
+    vocab: &'a Vocabulary,
     eval: u64,
-    /// The session the lane's first round opens.
-    session: &'a SessionSpec,
+    /// The session the lane's first round opens (shared by the read's
+    /// lanes).
+    session: Rc<SessionSpec>,
     /// The checked-out connection; dropped on any error.
     client: Option<ShardClient>,
     /// Whether the session was opened (its `OpenRound` sent).
@@ -253,7 +693,7 @@ impl RemoteLane<'_> {
         } else {
             Request::OpenRound {
                 eval,
-                session: self.session.clone(),
+                session: SessionSpec::clone(&self.session),
                 seeds,
                 stop,
             }
@@ -285,18 +725,6 @@ impl RemoteLane<'_> {
         }
     }
 
-    /// One `Trace` exchange on the lane's session.
-    fn trace(&mut self, member: u32, step: u16, depth: u32) -> Result<Response, RemoteError> {
-        let req = Request::Trace {
-            eval: self.eval,
-            member,
-            step,
-            depth,
-        };
-        let resp = self.conn().exchange(&req);
-        self.keep_if_ok(resp)
-    }
-
     fn conn(&mut self) -> &mut ShardClient {
         self.client
             .as_mut()
@@ -318,7 +746,7 @@ impl ShardLane for RemoteLane<'_> {
 
     fn send(&mut self, seeds: &[MaskedExport], stop: Option<u32>) -> Result<(), RemoteError> {
         if self.client.is_none() {
-            self.client = Some(self.sys.checkout(self.shard)?);
+            self.client = Some(self.link.checkout(self.fleet, self.vocab)?);
         }
         let (first, rest) = seeds.split_at(seeds.len().min(MAX_ROUND_EXPORTS));
         self.rest = rest.to_vec();
@@ -342,46 +770,62 @@ impl ShardLane for RemoteLane<'_> {
         self.keep_if_ok(read).map(|_| out)
     }
 
+    /// One `Trace` exchange on the lane's session.
+    fn trace(&mut self, member: u32, step: u16, depth: u32) -> Result<Traced, RemoteError> {
+        let req = Request::Trace {
+            eval: self.eval,
+            member,
+            step,
+            depth,
+        };
+        let resp = self.conn().exchange(&req);
+        match self.keep_if_ok(resp)? {
+            Response::Traced {
+                hops,
+                seed_member,
+                seed_step,
+                seed_depth,
+            } => {
+                let hops = hops
+                    .iter()
+                    .map(|h| WalkHop {
+                        src: NodeId(h.src),
+                        dst: NodeId(h.dst),
+                        label: LabelId(h.label),
+                        forward: h.forward,
+                    })
+                    .collect();
+                Ok((hops, (seed_member, seed_step, seed_depth)))
+            }
+            other => Err(self.link.unexpected("Traced", &other)),
+        }
+    }
+
+    fn stray_seed(&self, (member, step, depth): StateKey) -> RemoteError {
+        RemoteError::Protocol {
+            addr: self.link.pool.lock().addr.to_string(),
+            detail: format!(
+                "trace reached seed (member {member}, step {step}, depth {depth}) the router \
+                 never forwarded"
+            ),
+        }
+    }
+
     /// Returns the connection to the pool if nothing is in flight on
     /// it. The shard-side session stays open until the connection's
     /// next open, so closing costs no exchange.
     fn end(&mut self) {
         if let Some(client) = self.client.take() {
             if !self.in_flight {
-                self.sys.checkin(self.shard, client);
+                self.link.checkin(client);
             }
         }
     }
 }
 
-/// The networked deployment's router (see the module docs).
-pub struct NetworkedSystem {
-    assignment: ShardAssignment,
-    /// Per shard: the endpoint (retargetable, so a shard restarted on a
-    /// new ephemeral port can be re-registered —
-    /// [`NetworkedSystem::retarget`]) and its idle connections.
-    pools: Vec<Mutex<ShardPool>>,
-    /// Master vocabulary; every shard interns the same names in the
-    /// same order (`Intern` requests), so `LabelId`/`AttrKey` values
-    /// agree fleet-wide.
-    vocab: Vocabulary,
-    members: Vec<NetMember>,
-    names: Vec<String>,
-    name_lookup: HashMap<String, NodeId>,
-    /// Current attribute tuple per member, kept to materialize ghost
-    /// replicas with the right predicate state.
-    attrs: Vec<Vec<(String, AttrValue)>>,
-    store: PolicyStore,
-    boundary: BoundaryTable,
-    edges: Vec<(NodeId, LabelId, NodeId)>,
-    /// Per-shard committed history `(epoch, ops)` — the revival replay
-    /// source for shards that missed commits.
-    oplog: Vec<Vec<(u64, Vec<ShardOp>)>>,
-    epoch: u64,
-    decisions: DecisionCache,
-    eval_counter: AtomicU64,
-    read_timeout: Duration,
-}
+/// The networked deployment: the partitioned coordinator over shard
+/// servers (see the module docs).
+pub type NetworkedSystem = Partitioned<RemoteLink>;
 
 impl NetworkedSystem {
     /// Connects to a fleet of (fresh, epoch-0) shard servers with
@@ -396,42 +840,28 @@ impl NetworkedSystem {
         addrs: &[ShardAddr],
         assignment: ShardAssignment,
     ) -> Result<NetworkedSystem, RemoteError> {
-        assert_eq!(
-            addrs.len(),
-            assignment.shards() as usize,
-            "one endpoint per shard of the placement"
-        );
-        let n = addrs.len();
-        let sys = NetworkedSystem {
-            assignment,
-            pools: addrs
-                .iter()
-                .map(|addr| {
-                    Mutex::new(ShardPool {
-                        addr: addr.clone(),
-                        idle: Vec::new(),
-                        synced_labels: 0,
-                        synced_attrs: 0,
-                    })
-                })
-                .collect(),
-            vocab: Vocabulary::new(),
-            members: Vec::new(),
-            names: Vec::new(),
-            name_lookup: HashMap::new(),
-            attrs: Vec::new(),
-            store: PolicyStore::new(),
-            boundary: BoundaryTable::new(n as u32),
-            edges: Vec::new(),
-            oplog: vec![Vec::new(); n],
+        let links = addrs
+            .iter()
+            .map(|addr| RemoteLink {
+                pool: Mutex::new(ShardPool {
+                    addr: addr.clone(),
+                    idle: Vec::new(),
+                    synced_labels: 0,
+                    synced_attrs: 0,
+                }),
+                oplog: Vec::new(),
+            })
+            .collect();
+        let fleet = RemoteFleet {
             epoch: 0,
-            decisions: DecisionCache::default(),
-            eval_counter: AtomicU64::new(1),
             read_timeout: DEFAULT_READ_TIMEOUT,
+            staged: Vec::new(),
+            committed: Mark::default(),
+            attrs: Vec::new(),
         };
-        for shard in 0..n {
-            let client = sys.revive(shard)?;
-            sys.checkin(shard, client);
+        let sys = Partitioned::over(assignment, links, fleet);
+        for link in &sys.links {
+            link.checkin(link.revive(&sys.fleet, sys.vocab())?);
         }
         Ok(sys)
     }
@@ -440,39 +870,19 @@ impl NetworkedSystem {
     /// (insertion order), same label/attr ids, same edge order — the
     /// conformance suites build networked twins of in-process systems
     /// with this. The load is staged through the same code as
-    /// [`MutateService::apply`] and committed in epochs of
-    /// [`MAX_EPOCH_OPS`] shard ops each (a mutation may straddle two), so it takes
-    /// ⌈ops / [`MAX_EPOCH_OPS`]⌉ epochs rather than one per mutation.
-    /// On `Err` the epoch that failed was aborted on every shard it
-    /// reached and the partly loaded fleet is abandoned.
+    /// [`crate::MutateService::apply`] and committed in epochs of
+    /// [`MAX_EPOCH_OPS`] shard ops each (a mutation may straddle two),
+    /// so it takes ⌈ops / [`MAX_EPOCH_OPS`]⌉ epochs rather than one per
+    /// mutation. On `Err` the epoch that failed was aborted on every
+    /// shard it reached and the partly loaded fleet is abandoned.
     pub fn from_graph(
         addrs: &[ShardAddr],
         assignment: ShardAssignment,
         g: &SocialGraph,
         store: PolicyStore,
     ) -> Result<NetworkedSystem, RemoteError> {
-        let mut sys = Self::with_assignment(addrs, assignment)?;
-        sys.vocab = g.vocab().clone();
-        let mut staged = Staged::new();
-        for v in g.nodes() {
-            let global = sys.stage_add_user(&mut staged, g.node_name(v));
-            debug_assert_eq!(global, v, "ingestion preserves member ids");
-            for (k, val) in g.node_attrs(v).iter() {
-                sys.stage_set_attr(&mut staged, global, g.vocab().attr_name(k), val);
-            }
-            sys.commit_staged(&mut staged, false)?;
-        }
-        for (_, rec) in g.edges() {
-            sys.stage_connect(
-                &mut staged,
-                rec.src,
-                g.vocab().label_name(rec.label),
-                rec.dst,
-            );
-            sys.commit_staged(&mut staged, false)?;
-        }
-        sys.commit_staged(&mut staged, true)?;
-        sys.store = store;
+        let mut sys = Self::with_assignment(addrs, assignment)?.load(g)?;
+        sys.adopt_store(store);
         Ok(sys)
     }
 
@@ -480,9 +890,9 @@ impl NetworkedSystem {
     /// shrink it to exercise the stall path). Idle connections are
     /// dropped so the new patience applies immediately.
     pub fn set_read_timeout(&mut self, timeout: Duration) {
-        self.read_timeout = timeout;
-        for pool in &self.pools {
-            pool.lock().idle.clear();
+        self.fleet.read_timeout = timeout;
+        for link in &self.links {
+            link.pool.lock().idle.clear();
         }
     }
 
@@ -490,19 +900,9 @@ impl NetworkedSystem {
     /// lands on a new ephemeral port) and drops its idle connections;
     /// the next exchange re-dials and replays the op log.
     pub fn retarget(&self, shard: usize, addr: ShardAddr) {
-        let mut pool = self.pools[shard].lock();
+        let mut pool = self.links[shard].pool.lock();
         pool.addr = addr;
         pool.idle.clear();
-    }
-
-    /// The placement function.
-    pub fn assignment(&self) -> &ShardAssignment {
-        &self.assignment
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.pools.len()
     }
 
     /// The fleet's current epoch: every committed batch of at most
@@ -510,831 +910,33 @@ impl NetworkedSystem {
     /// mutation commits one batch, a bulk load
     /// ([`NetworkedSystem::from_graph`]) one per [`MAX_EPOCH_OPS`] ops.
     pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Master vocabulary (labels + attribute keys).
-    pub fn vocab(&self) -> &Vocabulary {
-        &self.vocab
-    }
-
-    /// Read-only view of the policy store.
-    pub fn store(&self) -> &PolicyStore {
-        &self.store
-    }
-
-    /// Adopts a policy store built against the same member ids.
-    pub fn adopt_store(&mut self, store: PolicyStore) {
-        self.decisions.clear();
-        self.store = store;
-    }
-
-    /// Display name of a member.
-    pub fn member_name(&self, member: NodeId) -> &str {
-        &self.names[member.index()]
-    }
-
-    /// The home shard of a member.
-    pub fn member_shard(&self, member: NodeId) -> u32 {
-        self.members[member.index()].home
-    }
-
-    /// Looks a member up by name (first registered wins).
-    pub fn user(&self, name: &str) -> Result<NodeId, EvalError> {
-        self.name_lookup
-            .get(name)
-            .copied()
-            .ok_or_else(|| socialreach_graph::GraphError::UnknownName(name.to_owned()).into())
+        self.fleet.epoch
     }
 
     /// Live size census of every shard (`(members, ghosts, edges,
     /// epoch)` per shard), fetched over the wire.
     pub fn shard_census(&self) -> Result<Vec<(u64, u64, u64, u64)>, RemoteError> {
-        (0..self.pools.len())
-            .map(|shard| match self.call_reviving(shard, &Request::Census)? {
-                Response::Census {
-                    members,
-                    ghosts,
-                    edges,
-                    epoch,
-                } => Ok((members, ghosts, edges, epoch)),
-                other => Err(self.unexpected(shard, "Census", &other)),
-            })
+        self.links
+            .iter()
+            .map(
+                |link| match link.call_reviving(&self.fleet, self.vocab(), &Request::Census)? {
+                    Response::Census {
+                        members,
+                        ghosts,
+                        edges,
+                        epoch,
+                    } => Ok((members, ghosts, edges, epoch)),
+                    other => Err(link.unexpected("Census", &other)),
+                },
+            )
             .collect()
     }
 
     /// Asks every shard process to shut down (best-effort; used by the
     /// CLI drill for a clean fleet teardown).
     pub fn shutdown_fleet(&self) {
-        for shard in 0..self.pools.len() {
-            let _ = self.call_shard(shard, &Request::Shutdown);
+        for link in &self.links {
+            let _ = link.call(&self.fleet, self.vocab(), &Request::Shutdown);
         }
-    }
-
-    // ------------------------------------------------------------------
-    // Connection management
-    // ------------------------------------------------------------------
-
-    /// Checks out a connection to `shard`: an idle one, or a fresh
-    /// dial through [`NetworkedSystem::revive`]. Either way the shard
-    /// has interned the whole master vocabulary before the caller's
-    /// first exchange, so vocabulary grown by a rule write (which
-    /// touches no shard) reaches the fleet.
-    fn checkout(&self, shard: usize) -> Result<ShardClient, RemoteError> {
-        let idle = self.pools[shard].lock().idle.pop();
-        let Some(mut client) = idle else {
-            return self.revive(shard);
-        };
-        self.sync_vocab(shard, &mut client)?;
-        Ok(client)
-    }
-
-    /// Returns a connection whose every exchange completed.
-    fn checkin(&self, shard: usize, client: ShardClient) {
-        self.pools[shard].lock().idle.push(client);
-    }
-
-    /// One exchange with a shard on a checked-out connection. A typed
-    /// refusal returns the connection to the pool (the stream is still
-    /// framed correctly); a transport failure drops it.
-    fn call_shard(&self, shard: usize, req: &Request) -> Result<Response, RemoteError> {
-        let mut client = self.checkout(shard)?;
-        let resp = client.call(req)?;
-        let result = match resp {
-            Response::Refused(refusal) => Err(client.refused(refusal)),
-            resp => Ok(resp),
-        };
-        self.checkin(shard, client);
-        result
-    }
-
-    /// [`NetworkedSystem::call_shard`] with one retry, on a fresh
-    /// connection, after a retryable failure. Only safe for requests
-    /// that are idempotent across a shard restart (`Prepare`, `Commit`,
-    /// `Abort`, `Census`, `Shutdown`) — evaluation requests retry at
-    /// the whole-read level instead, with fresh evaluation ids.
-    fn call_reviving(&self, shard: usize, req: &Request) -> Result<Response, RemoteError> {
-        match self.call_shard(shard, req) {
-            Err(e) if e.retryable() => {
-                self.pools[shard].lock().idle.clear();
-                self.call_shard(shard, req)
-            }
-            other => other,
-        }
-    }
-
-    /// Dials a shard, interns the full vocabulary, and replays any
-    /// committed epochs the shard missed (a restarted process reports
-    /// epoch 0 and receives the whole op log). Returns the caught-up
-    /// connection.
-    fn revive(&self, shard: usize) -> Result<ShardClient, RemoteError> {
-        let addr = self.pools[shard].lock().addr.clone();
-        let (mut client, shard_epoch) = ShardClient::connect(&addr, self.read_timeout)?;
-        if shard_epoch > self.epoch {
-            return Err(RemoteError::Protocol {
-                addr: client.addr,
-                detail: format!(
-                    "shard is at epoch {shard_epoch}, ahead of the router's {} — refusing to \
-                     adopt a fleet this router did not populate",
-                    self.epoch
-                ),
-            });
-        }
-        let labels: Vec<String> = (0..self.vocab.num_labels())
-            .map(|i| self.vocab.label_name(LabelId::from_index(i)).to_owned())
-            .collect();
-        let attrs: Vec<String> = (0..self.vocab.num_attrs())
-            .map(|i| {
-                self.vocab
-                    .attr_name(socialreach_graph::AttrKey::from_index(i))
-                    .to_owned()
-            })
-            .collect();
-        let (synced_labels, synced_attrs) = (labels.len(), attrs.len());
-        match client.exchange(&Request::Intern { labels, attrs })? {
-            Response::Ok => {}
-            other => return Err(client.unexpected("Ok", &other)),
-        }
-        if shard_epoch < self.epoch {
-            // A presumed-committed epoch may still be staged from
-            // before the crash of the *connection* (server alive, the
-            // commit lost): clear it, then replay everything missed.
-            match client.exchange(&Request::Abort { epoch: self.epoch })? {
-                Response::Aborted { .. } => {}
-                other => return Err(client.unexpected("Aborted", &other)),
-            }
-            // Consecutive missed epochs group into jumps of at most
-            // `MAX_EPOCH_OPS` ops, each prepared and committed at its
-            // last epoch; the last jump lands on the router's epoch.
-            // (Every committed epoch is logged for every shard and
-            // carries at most `MAX_EPOCH_OPS` ops.)
-            let log = &self.oplog[shard];
-            let missed = &log[log.partition_point(|(e, _)| *e <= shard_epoch)..];
-            let mut ops: Vec<ShardOp> = Vec::new();
-            for (i, (epoch, epoch_ops)) in missed.iter().enumerate() {
-                ops.extend(epoch_ops.iter().cloned());
-                if missed
-                    .get(i + 1)
-                    .is_some_and(|(_, next)| ops.len() + next.len() <= MAX_EPOCH_OPS)
-                {
-                    continue;
-                }
-                let epoch = *epoch;
-                match client.exchange(&prepare(epoch, std::mem::take(&mut ops)))? {
-                    Response::Prepared { .. } => {}
-                    other => return Err(client.unexpected("Prepared", &other)),
-                }
-                match client.exchange(&Request::Commit { epoch })? {
-                    Response::Committed { .. } => {}
-                    other => return Err(client.unexpected("Committed", &other)),
-                }
-            }
-        }
-        let mut pool = self.pools[shard].lock();
-        pool.synced_labels = synced_labels;
-        pool.synced_attrs = synced_attrs;
-        Ok(client)
-    }
-
-    /// Sends `client`'s shard the master-vocabulary suffix it has not
-    /// acknowledged yet (no-op when in sync).
-    fn sync_vocab(&self, shard: usize, client: &mut ShardClient) -> Result<(), RemoteError> {
-        let (have_l, have_a) = {
-            let pool = self.pools[shard].lock();
-            (pool.synced_labels, pool.synced_attrs)
-        };
-        let (want_l, want_a) = (self.vocab.num_labels(), self.vocab.num_attrs());
-        if have_l == want_l && have_a == want_a {
-            return Ok(());
-        }
-        let labels: Vec<String> = (have_l..want_l)
-            .map(|i| self.vocab.label_name(LabelId::from_index(i)).to_owned())
-            .collect();
-        let attrs: Vec<String> = (have_a..want_a)
-            .map(|i| {
-                self.vocab
-                    .attr_name(socialreach_graph::AttrKey::from_index(i))
-                    .to_owned()
-            })
-            .collect();
-        match client.exchange(&Request::Intern { labels, attrs })? {
-            Response::Ok => {
-                let mut pool = self.pools[shard].lock();
-                pool.synced_labels = want_l;
-                pool.synced_attrs = want_a;
-                Ok(())
-            }
-            other => Err(client.unexpected("Ok", &other)),
-        }
-    }
-
-    fn unexpected(&self, shard: usize, wanted: &str, got: &Response) -> RemoteError {
-        RemoteError::Protocol {
-            addr: self.pools[shard].lock().addr.to_string(),
-            detail: format!("expected a {wanted} response, got {got:?}"),
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Mutations: the two-phase epoch fence
-    // ------------------------------------------------------------------
-
-    /// Commits one batch of staged ops (at most [`MAX_EPOCH_OPS`]) as
-    /// the next epoch, or rolls it back. On `Ok` every shard either
-    /// applied the epoch or has it in its replay log for the next dial,
-    /// and the batch is folded into the router's metadata; on `Err` no
-    /// shard applied it (every shard a prepare was sent to is aborted —
-    /// a prepare whose response was lost may still be staged) and the
-    /// router's state is untouched.
-    fn commit_ops(&mut self, batch: &[(u32, ShardOp)]) -> Result<(), RemoteError> {
-        let epoch = self.epoch + 1;
-        let mut per_shard = vec![Vec::new(); self.pools.len()];
-        for (shard, op) in batch {
-            per_shard[*shard as usize].push(op.clone());
-        }
-        // Phase one (every checkout syncs the vocabulary first: prepare
-        // validation refuses ops naming labels/attrs the shard has not
-        // interned): stage everywhere (every shard participates, even
-        // with no ops — the epoch fence requires the whole fleet to
-        // advance together).
-        for (shard, ops) in per_shard.iter().enumerate() {
-            let err = match self.call_reviving(shard, &prepare(epoch, ops.clone())) {
-                Ok(Response::Prepared { .. }) => continue,
-                Ok(other) => self.unexpected(shard, "Prepared", &other),
-                Err(e) => e,
-            };
-            for sent in 0..=shard {
-                let _ = self.call_shard(sent, &Request::Abort { epoch });
-            }
-            return Err(err);
-        }
-        // Point of no return: every shard holds the staged epoch, so
-        // it is presumed committed — record it for replay *before*
-        // sending commits, then advance.
-        for (shard, ops) in per_shard.into_iter().enumerate() {
-            self.oplog[shard].push((epoch, ops));
-        }
-        self.epoch = epoch;
-        for (shard, op) in batch {
-            self.fold_committed(*shard, op);
-        }
-        // Phase two: publish. A shard whose commit is lost has its idle
-        // connections dropped, so its next checkout dials through
-        // `revive`, which finds it behind and replays the op log — it
-        // can never serve the old epoch to a read, because every
-        // session opens with the new epoch.
-        for shard in 0..self.pools.len() {
-            if !matches!(
-                self.call_reviving(shard, &Request::Commit { epoch }),
-                Ok(Response::Committed { .. })
-            ) {
-                self.pools[shard].lock().idle.clear();
-            }
-        }
-        self.decisions.clear();
-        Ok(())
-    }
-
-    /// Commits `staged` oldest first in epochs of [`MAX_EPOCH_OPS`] ops
-    /// while a full batch is staged, and with `all` the remainder too.
-    /// On `Err` the batches before the failed one stay committed and
-    /// the failed batch is dropped.
-    fn commit_staged(&mut self, staged: &mut Staged, all: bool) -> Result<(), RemoteError> {
-        while staged.len() >= MAX_EPOCH_OPS || (all && !staged.is_empty()) {
-            let batch: Staged = staged.drain(..staged.len().min(MAX_EPOCH_OPS)).collect();
-            self.commit_ops(&batch)?;
-        }
-        Ok(())
-    }
-
-    /// Applies one committed op to the router's metadata. An edge is
-    /// recorded once, when its copy on the destination's home shard
-    /// commits (the last copy staged).
-    fn fold_committed(&mut self, shard: u32, op: &ShardOp) {
-        match op {
-            ShardOp::AddNode {
-                global,
-                name,
-                ghost: false,
-            } => {
-                debug_assert_eq!(*global as usize, self.members.len());
-                self.members.push(NetMember {
-                    home: shard,
-                    ghosts: Vec::new(),
-                });
-                self.names.push(name.clone());
-                self.name_lookup
-                    .entry(name.clone())
-                    .or_insert(NodeId(*global));
-                self.attrs.push(Vec::new());
-            }
-            ShardOp::AddNode {
-                global,
-                ghost: true,
-                ..
-            } => self.members[*global as usize].ghosts.push(shard),
-            ShardOp::SetAttr { global, key, value } => {
-                if self.members[*global as usize].home == shard {
-                    assign(&mut self.attrs[*global as usize], key, value);
-                }
-            }
-            ShardOp::AddEdge { src, label, dst } => {
-                let s_home = self.members[*src as usize].home;
-                let d_home = self.members[*dst as usize].home;
-                if shard != d_home {
-                    return;
-                }
-                let l = self.vocab.intern_label(label);
-                if s_home != d_home {
-                    self.boundary.record(BoundaryEdge {
-                        src: *src,
-                        dst: *dst,
-                        label: l,
-                        src_shard: s_home,
-                        dst_shard: d_home,
-                    });
-                }
-                self.edges.push((NodeId(*src), l, NodeId(*dst)));
-            }
-        }
-    }
-
-    /// `member` as staged — committed metadata overlaid with `staged`:
-    /// its name and the shards holding a copy of it, home first. The
-    /// member is registered, committed or staged: `apply` checks ids
-    /// before staging, and a bulk load stages members before edges.
-    fn staged_copies(&self, staged: &[(u32, ShardOp)], member: NodeId) -> (String, Vec<u32>) {
-        let mut name = self
-            .names
-            .get(member.index())
-            .map_or_else(String::new, String::clone);
-        let mut copies: Vec<u32> = self
-            .members
-            .get(member.index())
-            .map(|entry| std::iter::once(entry.home).chain(entry.ghosts.iter().copied()))
-            .into_iter()
-            .flatten()
-            .collect();
-        for (shard, op) in staged {
-            if let ShardOp::AddNode {
-                global, name: n, ..
-            } = op
-            {
-                if *global == member.0 {
-                    name.clone_from(n);
-                    copies.push(*shard);
-                }
-            }
-        }
-        (name, copies)
-    }
-
-    /// `member`'s attribute tuple as staged: the committed tuple with
-    /// the staged `SetAttr`s applied in order (every copy of a member
-    /// is staged the same value, so each copy's op may be applied).
-    fn staged_attrs(&self, staged: &[(u32, ShardOp)], member: NodeId) -> Vec<(String, AttrValue)> {
-        let mut tuple = self.attrs.get(member.index()).cloned().unwrap_or_default();
-        for (_, op) in staged {
-            if let ShardOp::SetAttr { global, key, value } = op {
-                if *global == member.0 {
-                    assign(&mut tuple, key, value);
-                }
-            }
-        }
-        tuple
-    }
-
-    /// Stages a member's registration on their hash-assigned home
-    /// shard; returns the id it will have.
-    fn stage_add_user(&self, staged: &mut Staged, name: &str) -> NodeId {
-        let pending = staged
-            .iter()
-            .filter(|(_, op)| matches!(op, ShardOp::AddNode { ghost: false, .. }))
-            .count();
-        let global = NodeId::from_index(self.members.len() + pending);
-        staged.push((
-            self.assignment.shard_of(name),
-            ShardOp::AddNode {
-                global: global.0,
-                name: name.to_owned(),
-                ghost: false,
-            },
-        ));
-        global
-    }
-
-    /// Stages an attribute write on every copy of `member`.
-    fn stage_set_attr(
-        &mut self,
-        staged: &mut Staged,
-        member: NodeId,
-        key: &str,
-        value: &AttrValue,
-    ) {
-        self.vocab.intern_attr(key);
-        for shard in self.staged_copies(staged, member).1 {
-            staged.push((
-                shard,
-                ShardOp::SetAttr {
-                    global: member.0,
-                    key: key.to_owned(),
-                    value: value.clone(),
-                },
-            ));
-        }
-    }
-
-    /// Stages a directed relationship: on the shared home shard, or on
-    /// both endpoint shards against ghost replicas, materializing each
-    /// missing ghost with the member's attribute tuple as staged.
-    fn stage_connect(&mut self, staged: &mut Staged, src: NodeId, label: &str, dst: NodeId) {
-        self.vocab.intern_label(label);
-        let (src_name, src_copies) = self.staged_copies(staged, src);
-        let (dst_name, dst_copies) = self.staged_copies(staged, dst);
-        let (s_home, d_home) = (src_copies[0], dst_copies[0]);
-        for (member, name, copies, shard) in [
-            (dst, dst_name, dst_copies, s_home),
-            (src, src_name, src_copies, d_home),
-        ] {
-            if copies.contains(&shard) {
-                continue;
-            }
-            let tuple = self.staged_attrs(staged, member);
-            staged.push((
-                shard,
-                ShardOp::AddNode {
-                    global: member.0,
-                    name,
-                    ghost: true,
-                },
-            ));
-            for (key, value) in tuple {
-                staged.push((
-                    shard,
-                    ShardOp::SetAttr {
-                        global: member.0,
-                        key,
-                        value,
-                    },
-                ));
-            }
-        }
-        let edge = ShardOp::AddEdge {
-            src: src.0,
-            label: label.to_owned(),
-            dst: dst.0,
-        };
-        if s_home != d_home {
-            staged.push((s_home, edge.clone()));
-        }
-        staged.push((d_home, edge));
-    }
-
-    // ------------------------------------------------------------------
-    // Reads: the remote masked fixpoint
-    // ------------------------------------------------------------------
-
-    /// Runs a read closure with one whole-read retry: on a retryable
-    /// failure the closure re-runs with fresh evaluation ids. The
-    /// failed lane dropped its connection, so the retry reaches that
-    /// shard on another one — dialed through `revive` (op-log replay
-    /// included) when none is idle. Non-retryable failures (corrupt
-    /// frames, protocol violations, semantic refusals) surface
-    /// immediately — never a wrong answer.
-    fn with_read_retry<T>(&self, f: impl Fn() -> Result<T, RemoteError>) -> Result<T, EvalError> {
-        match f() {
-            Ok(v) => Ok(v),
-            Err(e) if e.retryable() => f().map_err(EvalError::Remote),
-            Err(e) => Err(EvalError::Remote(e)),
-        }
-    }
-
-    /// One unopened remote lane per shard for evaluation `eval`.
-    fn remote_lanes<'a>(&'a self, eval: u64, session: &'a SessionSpec) -> Vec<RemoteLane<'a>> {
-        (0..self.pools.len())
-            .map(|shard| RemoteLane {
-                sys: self,
-                shard,
-                eval,
-                session,
-                client: None,
-                opened: false,
-                in_flight: false,
-                rest: Vec::new(),
-                stop: None,
-            })
-            .collect()
-    }
-
-    /// The batched bundle fixpoint over the wire — the algorithm of
-    /// [`crate::sharded::ShardedSystem::evaluate_conditions_batched`],
-    /// literally (both call [`fixpoint::masked_fixpoint`]), with `Round`
-    /// exchanges in place of in-process seeded runs: the router
-    /// compiles the bundle into one shared-prefix
-    /// [`crate::query::BundlePlan`] trie and ships each 64-condition
-    /// chunk to the shards it reaches as a [`SessionSpec::Plan`]
-    /// (plan nodes travel as canonical one-step path text plus the
-    /// chunk's ε-fork/accept masks), so each shared prefix is entered
-    /// once per shard and condition masks fork where paths diverge.
-    fn evaluate_conditions_batched(
-        &self,
-        conds: &[(NodeId, &PathExpr)],
-    ) -> Result<(Vec<Vec<NodeId>>, ReadStats), RemoteError> {
-        let (audiences, stats) =
-            fixpoint::bundle_audiences(conds, self.pools.len(), |plan, masks, word, seeds| {
-                let eval = self.eval_counter.fetch_add(1, Ordering::Relaxed);
-                let nodes: Vec<proto::WirePlanNode> = plan
-                    .nodes
-                    .iter()
-                    .enumerate()
-                    .map(|(i, node)| proto::WirePlanNode {
-                        step: PathExpr::new(vec![node.step.clone()]).to_text(&self.vocab),
-                        children: node.children.clone(),
-                        mask: masks.node_mask[i],
-                        accept: masks.accept_mask[i],
-                    })
-                    .collect();
-                let session = SessionSpec::Plan {
-                    epoch: self.epoch,
-                    nodes,
-                    word,
-                };
-                fixpoint::masked_fixpoint(
-                    &mut self.remote_lanes(eval, &session),
-                    |m| self.members[m as usize].home as usize,
-                    seeds,
-                    None,
-                    |_, run| Ok(run),
-                )
-            })?;
-        Ok((audiences, stats.read_stats(conds.len())))
-    }
-
-    /// The targeted single-condition fixpoint over the wire (the
-    /// `check`/`explain` path): a 1-bit bundle with early exit on the
-    /// requester's home shard. Returns `Some(walk)` when the requester
-    /// is granted. With `explain` every shard engine tracks
-    /// first-arrival parents and the walk is stitched from remote
-    /// `Trace` segments while the sessions are still open; without it
-    /// nothing is tracked or traced, and a grant's walk is empty.
-    /// Mirrors [`crate::sharded::ShardedSystem::evaluate_condition_targeted_with_stats`].
-    fn evaluate_condition_targeted(
-        &self,
-        owner: NodeId,
-        path: &PathExpr,
-        requester: NodeId,
-        explain: bool,
-    ) -> Result<(Option<Vec<WalkHop>>, ReadStats), RemoteError> {
-        let mut stats = ReadStats {
-            conditions: 1,
-            traversals: 1,
-            ..ReadStats::default()
-        };
-        if path.is_empty() {
-            return Ok(((requester == owner).then(Vec::new), stats));
-        }
-        let eval = self.eval_counter.fetch_add(1, Ordering::Relaxed);
-        let session = SessionSpec::Path {
-            epoch: self.epoch,
-            path: path.to_text(&self.vocab),
-            word: 0,
-            parents: explain,
-        };
-        let stop = (self.members[requester.index()].home as usize, requester.0);
-        fixpoint::masked_fixpoint(
-            &mut self.remote_lanes(eval, &session),
-            |m| self.members[m as usize].home as usize,
-            &[fixpoint::owner_seed(owner)],
-            Some(stop),
-            |lanes, run| {
-                run.add_to(&mut stats);
-                let walk = match run.hit {
-                    Some((shard_ix, step, depth)) if explain => {
-                        let at = (shard_ix, requester.0, step, depth);
-                        Some(self.stitch_remote(lanes, &run.origin, owner, at)?)
-                    }
-                    hit => hit.map(|_| Vec::new()),
-                };
-                Ok((walk, stats))
-            },
-        )
-    }
-
-    /// Stitches a targeted grant's witness from `Trace` segments on the
-    /// lanes' sessions, starting `at` the hit `(shard, member, step,
-    /// depth)`: the hit shard's parent chain ends at a seed the router
-    /// forwarded; `origin` names the exporting shard, where the chain
-    /// continues (the member's copy there is its ghost replica) — until
-    /// the owner seed terminates the walk.
-    fn stitch_remote(
-        &self,
-        lanes: &mut [RemoteLane<'_>],
-        origin: &HashMap<StateKey, usize>,
-        owner: NodeId,
-        at: (usize, u32, u16, u32),
-    ) -> Result<Vec<WalkHop>, RemoteError> {
-        let (mut shard_ix, mut member, mut step, mut depth) = at;
-        let mut segments: Vec<Vec<WalkHop>> = Vec::new();
-        loop {
-            let (hops, seed_member, seed_step, seed_depth) =
-                match lanes[shard_ix].trace(member, step, depth)? {
-                    Response::Traced {
-                        hops,
-                        seed_member,
-                        seed_step,
-                        seed_depth,
-                    } => (hops, seed_member, seed_step, seed_depth),
-                    other => return Err(self.unexpected(shard_ix, "Traced", &other)),
-                };
-            segments.push(
-                hops.iter()
-                    .map(|h| WalkHop {
-                        src: NodeId(h.src),
-                        dst: NodeId(h.dst),
-                        label: LabelId(h.label),
-                        forward: h.forward,
-                    })
-                    .collect(),
-            );
-            if seed_member == owner.0 && seed_step == 0 && seed_depth == 0 {
-                break;
-            }
-            shard_ix = *origin
-                .get(&(seed_member, seed_step, seed_depth))
-                .ok_or_else(|| RemoteError::Protocol {
-                    addr: self.pools[shard_ix].lock().addr.to_string(),
-                    detail: format!(
-                        "trace reached seed (member {seed_member}, step {seed_step}, depth \
-                         {seed_depth}) the router never forwarded"
-                    ),
-                })?;
-            member = seed_member;
-            step = seed_step;
-            depth = seed_depth;
-        }
-        segments.reverse();
-        Ok(segments.concat())
-    }
-
-    /// The per-condition bundle strategy: each deduped condition runs
-    /// its own 1-bit batched fixpoint (fresh eval, fresh engines) —
-    /// the planner's [`BundleStrategy::PerCondition`] arm.
-    fn audience_per_condition(
-        &self,
-        conds: &[(NodeId, &PathExpr)],
-    ) -> Result<(Vec<Vec<NodeId>>, ReadStats), RemoteError> {
-        let mut total = ReadStats::default();
-        let mut audiences = Vec::with_capacity(conds.len());
-        for &cond in conds {
-            let (mut auds, s) = self.evaluate_conditions_batched(&[cond])?;
-            // A one-condition plan shares nothing: no plan census.
-            total.absorb(&ReadStats {
-                plan_states: 0,
-                expr_states: 0,
-                ..s
-            });
-            audiences.push(auds.pop().expect("one audience per condition"));
-        }
-        Ok((audiences, total))
-    }
-}
-
-/// The deployment-agnostic read surface. Decisions run the shared
-/// decision layer; this backend contributes the over-the-wire
-/// evaluation of one condition (targeted) or one bundle (batched),
-/// each under the whole-read retry.
-impl AccessService for NetworkedSystem {
-    fn describe(&self) -> String {
-        format!("networked(n={})", self.pools.len())
-    }
-
-    fn num_members(&self) -> usize {
-        self.members.len()
-    }
-
-    fn num_relationships(&self) -> usize {
-        self.edges.len()
-    }
-
-    fn resolve_user(&self, name: &str) -> Result<NodeId, EvalError> {
-        self.user(name)
-    }
-
-    fn member_name(&self, member: NodeId) -> &str {
-        NetworkedSystem::member_name(self, member)
-    }
-
-    fn label_name(&self, label: LabelId) -> &str {
-        self.vocab.label_name(label)
-    }
-
-    fn cache_stats(&self) -> (u64, u64) {
-        self.decisions.stats()
-    }
-
-    fn check_with_stats(
-        &self,
-        rid: ResourceId,
-        requester: NodeId,
-    ) -> Result<(Decision, ReadStats), EvalError> {
-        decision::check(&self.decisions, &self.store, rid, requester, |cond| {
-            let (walk, s) = self.with_read_retry(|| {
-                self.evaluate_condition_targeted(cond.owner, &cond.path, requester, false)
-            })?;
-            Ok((walk.is_some(), s))
-        })
-    }
-
-    fn explain_with_stats(
-        &self,
-        rid: ResourceId,
-        requester: NodeId,
-    ) -> Result<(Option<Explanation>, ReadStats), EvalError> {
-        decision::explain(&self.store, rid, requester, |cond| {
-            self.with_read_retry(|| {
-                self.evaluate_condition_targeted(cond.owner, &cond.path, requester, true)
-            })
-        })
-    }
-
-    fn audience_batch_forced(
-        &self,
-        rids: &[ResourceId],
-        strategy: BundleStrategy,
-    ) -> Result<(Vec<Vec<NodeId>>, ReadStats), EvalError> {
-        crate::engine::merge_bundle_audiences(&self.store, rids, |uniq| {
-            self.with_read_retry(|| match strategy {
-                BundleStrategy::Batched => self.evaluate_conditions_batched(uniq),
-                BundleStrategy::PerCondition => self.audience_per_condition(uniq),
-            })
-        })
-    }
-
-    fn check_batch_forced(
-        &self,
-        requests: &[(ResourceId, NodeId)],
-        _threads: usize,
-        plan: CheckPlan,
-    ) -> Result<(Vec<Decision>, ReadStats), EvalError> {
-        match plan {
-            CheckPlan::Targeted => {
-                decision::check_each(requests, |rid, req| self.check_with_stats(rid, req))
-            }
-            CheckPlan::Audience(strategy) => {
-                decision::check_via_audiences(&self.decisions, &self.store, requests, |need| {
-                    self.audience_batch_forced(need, strategy)
-                })
-            }
-        }
-    }
-
-    fn query_audience_bundle(
-        &self,
-        queries: &[(NodeId, &str)],
-    ) -> Result<Vec<Vec<NodeId>>, EvalError> {
-        decision::query_bundle(&self.vocab, queries, |conds| {
-            Ok(self
-                .with_read_retry(|| self.evaluate_conditions_batched(conds))?
-                .0)
-        })
-    }
-
-    fn default_check_plan(&self, len: usize) -> CheckPlan {
-        partitioned_check_plan(len)
-    }
-}
-
-/// The write surface over the two-phase epoch fence. Topology writes
-/// stage their shard ops and commit them as one epoch; resources and
-/// rules are router-local. On `Err` — an unknown id, a rejected rule,
-/// a fleet that could not commit ([`EvalError::Remote`]) — the epoch
-/// was rolled back everywhere it reached and the router's metadata is
-/// unchanged (save for a mutation of more than [`MAX_EPOCH_OPS`] ops,
-/// which keeps the epochs it committed — see the module docs).
-impl MutateService for NetworkedSystem {
-    fn apply(&mut self, m: &Mutation) -> Result<Applied, EvalError> {
-        m.validate(self.members.len())?;
-        let mut staged = Staged::new();
-        let applied = match m {
-            Mutation::AddUser { name } => Applied::Member(self.stage_add_user(&mut staged, name)),
-            Mutation::SetUserAttr { user, key, value } => {
-                self.stage_set_attr(&mut staged, *user, key, value);
-                Applied::Done
-            }
-            Mutation::AddRelationship { src, label, dst } => {
-                self.stage_connect(&mut staged, *src, label, *dst);
-                Applied::Done
-            }
-            Mutation::AddResource { owner } => {
-                Applied::Resource(self.store.register_resource(*owner))
-            }
-            Mutation::AddRule { resource, path } => {
-                self.store.allow_in(*resource, path, &mut self.vocab)?;
-                Applied::Done
-            }
-        };
-        self.commit_staged(&mut staged, true)?;
-        self.decisions.clear();
-        Ok(applied)
     }
 }

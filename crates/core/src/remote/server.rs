@@ -1,44 +1,43 @@
-//! The shard server: one process (or thread) owning one partition.
+//! The shard server: one process (or thread) serving one `ShardCore`.
 //!
-//! A server holds a [`SocialGraph`] of home members and ghost replicas
-//! in **shard-local** node ids, a `global → local` translation map,
-//! and a published epoch. It speaks the [`super::proto`] protocol over
-//! the CRC frames of [`super::frame`]: one blocking acceptor thread
-//! plus one worker thread per connection (no async runtime — the
-//! acceptor polls non-blocking so a shutdown flag is honored, workers
-//! poll for each frame's first byte with a short timeout for the same
-//! reason).
+//! A server owns the same [`ShardCore`] the in-process link owns — a
+//! graph of home members and ghost replicas in **shard-local** node
+//! ids, the global↔local id tables and the snapshot publication — plus
+//! the epoch fence around it. It speaks the [`super::proto`] protocol
+//! over the CRC frames of [`super::frame`]: one blocking acceptor
+//! thread plus one worker thread per connection (no async runtime —
+//! the acceptor polls non-blocking so a shutdown flag is honored,
+//! workers poll for each frame's first byte with a short timeout for
+//! the same reason). This module keeps only that socket loop, the
+//! validation of wire input, and request dispatch.
 //!
 //! State changes only through the epoch fence: `Prepare` validates and
-//! stages a batch of [`ShardOp`]s, `Commit` applies them atomically
-//! under the core lock and publishes the new epoch.
+//! stages a batch of [`ShardOp`]s, `Commit` applies them through the
+//! core's typed appliers under the server lock and publishes the new
+//! epoch.
 //!
 //! An evaluation session belongs to the connection that opened it (an
 //! `OpenRound`) and lives in that connection's worker, not in the
-//! shared core: opening the connection's next session drops it, and so
-//! does closing the connection, so no message ever closes one. A
-//! session pins a CSR snapshot and a round-persistent [`ShardEngine`]
-//! and records the epoch it opened at; after a commit its engine was
-//! built over the old topology, so the next `Round` or `Trace` on it is
+//! shared state: opening the connection's next session drops it, and
+//! so does closing the connection, so no message ever closes one. A
+//! session pins a CSR snapshot and a round-persistent plan engine and
+//! records the epoch it opened at; after a commit its engine was built
+//! over the old topology, so the next `Round` or `Trace` on it is
 //! refused (`UnknownEval`, which the router retries) instead of mixing
-//! epochs. A `Round` runs the same shard-local round
-//! ([`fixpoint::local_round`]) as the in-process sharded backend's
-//! lane — the wire only carries its inputs and outputs.
+//! epochs. A `Round` runs `ShardCore::round`, as the in-process lane
+//! does — the wire only carries its inputs and outputs.
 
 use super::frame;
 use super::proto::{
     self, Request, Response, SessionSpec, ShardOp, WireHop, WireRefusal, PROTOCOL_VERSION,
 };
 use super::{Conn, Listener, ShardAddr};
-use crate::fixpoint::{self, ShardEngine, ShardView};
 use crate::path::parse_path;
-use crate::query::{BundlePlan, ChunkMasks, PlanBatchState, PlanNode};
+use crate::query::{BundlePlan, ChunkMasks, PlanNode};
+use crate::shard::{Session, ShardCore};
 use parking_lot::Mutex;
-use socialreach_graph::csr::CsrSnapshot;
-use socialreach_graph::shard::MaskedExport;
-use socialreach_graph::{NodeId, SocialGraph};
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::io::{self, Read};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -50,6 +49,9 @@ const POLL: Duration = Duration::from_millis(50);
 /// Patience for the rest of a frame once its first byte arrived — a
 /// client torn mid-frame releases the worker instead of pinning it.
 const FRAME_TIMEOUT: Duration = Duration::from_secs(10);
+/// Member ids a shard accepts: its global→local table is dense, so one
+/// `AddNode` may not make it absurdly large.
+const MAX_MEMBER_ID: u32 = 1 << 26;
 
 /// A connection's open masked-fixpoint evaluation.
 struct EvalSession {
@@ -58,14 +60,12 @@ struct EvalSession {
     eval: u64,
     /// The epoch the session was opened at.
     epoch: u64,
-    /// The plan engine over the one-path plan of a
-    /// [`SessionSpec::Path`] (targeted stop and parent-tracked traces
-    /// supported) or over the shipped shared-prefix plan chunk of a
-    /// [`SessionSpec::Plan`] (audience fixpoints only), owning what it
-    /// re-parsed from the wire.
-    engine: ShardEngine<'static>,
-    snap: Arc<CsrSnapshot>,
-    word: u32,
+    /// What it runs: the one-path plan of a [`SessionSpec::Path`]
+    /// (targeted stop and parent-tracked traces supported) or the
+    /// shipped shared-prefix plan chunk of a [`SessionSpec::Plan`]
+    /// (audience fixpoints only), owning what it re-parsed from the
+    /// wire.
+    session: Session<'static>,
 }
 
 /// The connection's session named `eval`, unless a commit has moved
@@ -85,54 +85,16 @@ fn current_session(
     }
 }
 
-/// The shard's mutable state, shared by every connection worker.
-struct ShardCore {
-    graph: SocialGraph,
-    /// Local node index → global member id.
-    globals: Vec<NodeId>,
-    /// Local node index → is this copy a ghost replica (the seeded
-    /// BFS's export watch set; ghosts are never reported as matches).
-    ghost: Vec<bool>,
-    /// Global member id → local node id.
-    local_of: HashMap<u32, NodeId>,
+/// What every connection worker of one server shares.
+struct Served {
+    core: ShardCore,
     /// Published epoch (0 = fresh process; the router replays its op
     /// log to catch a revived shard up).
     epoch: u64,
     staged: Option<(u64, Vec<ShardOp>)>,
-    snap: Option<Arc<CsrSnapshot>>,
 }
 
-impl ShardCore {
-    fn new() -> Self {
-        ShardCore {
-            graph: SocialGraph::new(),
-            globals: Vec::new(),
-            ghost: Vec::new(),
-            local_of: HashMap::new(),
-            epoch: 0,
-            staged: None,
-            snap: None,
-        }
-    }
-
-    /// The published snapshot for the current topology, patching or
-    /// rebuilding if a commit staled it.
-    fn snapshot(&mut self) -> Arc<CsrSnapshot> {
-        if let Some(s) = &self.snap {
-            if s.matches(&self.graph) {
-                return Arc::clone(s);
-            }
-        }
-        let next = self
-            .snap
-            .as_ref()
-            .and_then(|prev| prev.apply_edge_appends(&self.graph))
-            .unwrap_or_else(|| CsrSnapshot::build(&self.graph));
-        let arc = Arc::new(next);
-        self.snap = Some(Arc::clone(&arc));
-        arc
-    }
-
+impl Served {
     /// Checks a prepare batch without applying it: every referenced
     /// member must exist (or be added earlier in the batch), no member
     /// may be materialized twice, and every label/attr name must
@@ -140,12 +102,18 @@ impl ShardCore {
     /// order first, so interned ids agree fleet-wide).
     fn validate(&self, ops: &[ShardOp]) -> Result<(), WireRefusal> {
         let mut pending: HashSet<u32> = HashSet::new();
-        let known =
-            |m: &u32, pending: &HashSet<u32>| self.local_of.contains_key(m) || pending.contains(m);
+        let known = |m: &u32, pending: &HashSet<u32>| {
+            self.core.local_of(*m).is_some() || pending.contains(m)
+        };
         for op in ops {
             match op {
                 ShardOp::AddNode { global, .. } => {
-                    if self.local_of.contains_key(global) || !pending.insert(*global) {
+                    if *global >= MAX_MEMBER_ID {
+                        return Err(WireRefusal::BadRequest {
+                            detail: format!("member id {global} is past {MAX_MEMBER_ID}"),
+                        });
+                    }
+                    if self.core.local_of(*global).is_some() || !pending.insert(*global) {
                         return Err(WireRefusal::BadRequest {
                             detail: format!("member {global} already has a copy on this shard"),
                         });
@@ -155,7 +123,7 @@ impl ShardCore {
                     if !known(global, &pending) {
                         return Err(WireRefusal::UnknownMember { member: *global });
                     }
-                    if self.graph.vocab().attr(key).is_none() {
+                    if self.core.vocab().attr(key).is_none() {
                         return Err(WireRefusal::BadRequest {
                             detail: format!("attr key {key:?} not interned (Intern first)"),
                         });
@@ -167,7 +135,7 @@ impl ShardCore {
                             return Err(WireRefusal::UnknownMember { member: *m });
                         }
                     }
-                    if self.graph.vocab().label(label).is_none() {
+                    if self.core.vocab().label(label).is_none() {
                         return Err(WireRefusal::BadRequest {
                             detail: format!("label {label:?} not interned (Intern first)"),
                         });
@@ -180,25 +148,21 @@ impl ShardCore {
 
     /// Applies a validated batch (commit path).
     fn apply(&mut self, ops: Vec<ShardOp>) {
+        let core = &mut self.core;
         for op in ops {
             match op {
                 ShardOp::AddNode {
                     global,
                     name,
                     ghost,
-                } => {
-                    let local = self.graph.add_node(&name);
-                    self.globals.push(NodeId(global));
-                    self.ghost.push(ghost);
-                    self.local_of.insert(global, local);
-                }
+                } => core.add_node(global, &name, ghost),
                 ShardOp::SetAttr { global, key, value } => {
-                    let local = self.local_of[&global];
-                    self.graph.set_node_attr(local, &key, value);
+                    let key = core.vocab().attr(&key).expect("validated at prepare");
+                    core.set_attr(global, key, value);
                 }
                 ShardOp::AddEdge { src, label, dst } => {
-                    let (ls, ld) = (self.local_of[&src], self.local_of[&dst]);
-                    self.graph.connect(ls, &label, ld);
+                    let label = core.vocab().label(&label).expect("validated at prepare");
+                    core.add_edge(src, label, dst);
                 }
             }
         }
@@ -206,7 +170,7 @@ impl ShardCore {
 
     /// Opens session `eval` over `spec`, or says why the shard cannot
     /// serve it.
-    fn open(&mut self, eval: u64, spec: SessionSpec) -> Result<EvalSession, WireRefusal> {
+    fn open(&self, eval: u64, spec: SessionSpec) -> Result<EvalSession, WireRefusal> {
         let (SessionSpec::Path { epoch, word, .. } | SessionSpec::Plan { epoch, word, .. }) = spec;
         if epoch != self.epoch {
             return Err(WireRefusal::EpochMismatch {
@@ -218,7 +182,7 @@ impl ShardCore {
         // naming labels/attrs this shard has not interned means the
         // router skipped `Intern` — refuse rather than intern out of
         // master order.
-        let mut vocab = self.graph.vocab().clone();
+        let mut vocab = self.core.vocab().clone();
         let before = (vocab.num_labels(), vocab.num_attrs());
         let (nodes, masks, parents) = match spec {
             SessionSpec::Path { path, parents, .. } => {
@@ -290,23 +254,17 @@ impl ShardCore {
                 (plan_nodes, masks, None)
             }
         };
-        let snap = self.snapshot();
-        let engine = if parents == Some(true) {
-            PlanBatchState::with_parents(&self.graph, &snap, &nodes)
-        } else {
-            PlanBatchState::new(&self.graph, &snap, &nodes)
-        };
+        let session = self.core.open(
+            Cow::Owned(nodes),
+            Cow::Owned(masks),
+            word,
+            parents.is_some(),
+            parents == Some(true),
+        );
         Ok(EvalSession {
             eval,
             epoch,
-            engine: ShardEngine {
-                engine,
-                nodes: Cow::Owned(nodes),
-                masks: Cow::Owned(masks),
-                one_path: parents.is_some(),
-            },
-            snap,
-            word,
+            session,
         })
     }
 
@@ -315,24 +273,11 @@ impl ShardCore {
         &self,
         slot: &mut Option<EvalSession>,
         eval: u64,
-        seeds: &[MaskedExport],
+        seeds: &[socialreach_graph::shard::MaskedExport],
         stop: Option<u32>,
     ) -> Result<Response, WireRefusal> {
         let sess = current_session(slot, eval, self.epoch)?;
-        let view = ShardView {
-            graph: &self.graph,
-            snap: &sess.snap,
-            globals: &self.globals,
-            ghost: &self.ghost,
-        };
-        let round = fixpoint::local_round(
-            &view,
-            |m| self.local_of.get(&m).copied(),
-            &mut sess.engine,
-            sess.word,
-            seeds,
-            stop,
-        )?;
+        let round = self.core.round(&mut sess.session, seeds, stop)?;
         Ok(Response::Round {
             matched: round.matched,
             exports: round.exports,
@@ -354,22 +299,21 @@ impl ShardCore {
                         requested: version,
                     });
                 }
+                let census = self.core.census();
                 (
                     Response::Hello {
                         version: PROTOCOL_VERSION,
                         epoch: self.epoch,
-                        nodes: self.graph.num_nodes() as u64,
+                        nodes: (census.members + census.ghosts) as u64,
                     },
                     false,
                 )
             }
             Request::Intern { labels, attrs } => {
-                for name in &labels {
-                    self.graph.intern_label(name);
-                }
-                for name in &attrs {
-                    self.graph.intern_attr(name);
-                }
+                self.core.intern(
+                    labels.iter().map(String::as_str),
+                    attrs.iter().map(String::as_str),
+                );
                 (Response::Ok, false)
             }
             Request::Prepare { epoch, ops } => {
@@ -450,57 +394,41 @@ impl ShardCore {
                 step,
                 depth,
             } => {
-                let sess = match current_session(slot, eval, self.epoch) {
-                    Ok(sess) => sess,
-                    Err(refusal) => return refuse(refusal),
-                };
-                let Some(&local) = self.local_of.get(&member) else {
-                    return refuse(WireRefusal::UnknownMember { member });
-                };
-                if !sess.engine.one_path {
-                    return refuse(WireRefusal::BadRequest {
-                        detail: "plan sessions keep no parent chains (trace a linear session)"
-                            .to_owned(),
-                    });
-                }
-                match sess.engine.engine.trace(local, step, depth) {
-                    None => refuse(WireRefusal::BadRequest {
-                        detail: format!(
-                            "state (member {member}, step {step}, depth {depth}) has no \
-                             parent-tracked trace on this shard"
-                        ),
-                    }),
-                    Some((hops, (seed_local, seed_step, seed_depth))) => (
+                let traced = current_session(slot, eval, self.epoch)
+                    .and_then(|sess| self.core.trace(&sess.session, member, step, depth));
+                match traced {
+                    Ok((hops, (seed_member, seed_step, seed_depth))) => (
                         Response::Traced {
                             hops: hops
                                 .iter()
-                                .map(|&(eid, forward)| {
-                                    let rec = self.graph.edge(eid);
-                                    WireHop {
-                                        src: self.globals[rec.src.index()].0,
-                                        dst: self.globals[rec.dst.index()].0,
-                                        label: rec.label.0,
-                                        forward,
-                                    }
+                                .map(|h| WireHop {
+                                    src: h.src.0,
+                                    dst: h.dst.0,
+                                    label: h.label.0,
+                                    forward: h.forward,
                                 })
                                 .collect(),
-                            seed_member: self.globals[seed_local.index()].0,
+                            seed_member,
                             seed_step,
                             seed_depth,
                         },
                         false,
                     ),
+                    Err(refusal) => refuse(refusal),
                 }
             }
-            Request::Census => (
-                Response::Census {
-                    members: self.ghost.iter().filter(|g| !**g).count() as u64,
-                    ghosts: self.ghost.iter().filter(|g| **g).count() as u64,
-                    edges: self.graph.num_edges() as u64,
-                    epoch: self.epoch,
-                },
-                false,
-            ),
+            Request::Census => {
+                let census = self.core.census();
+                (
+                    Response::Census {
+                        members: census.members as u64,
+                        ghosts: census.ghosts as u64,
+                        edges: census.edges as u64,
+                        epoch: self.epoch,
+                    },
+                    false,
+                )
+            }
             Request::Shutdown => (Response::Ok, true),
         }
     }
@@ -510,7 +438,7 @@ impl ShardCore {
 pub struct ShardServer {
     listener: Listener,
     addr: ShardAddr,
-    core: Arc<Mutex<ShardCore>>,
+    core: Arc<Mutex<Served>>,
     stop: Arc<AtomicBool>,
 }
 
@@ -524,7 +452,11 @@ impl ShardServer {
         Ok(ShardServer {
             listener,
             addr,
-            core: Arc::new(Mutex::new(ShardCore::new())),
+            core: Arc::new(Mutex::new(Served {
+                core: ShardCore::new(),
+                epoch: 0,
+                staged: None,
+            })),
             stop: Arc::new(AtomicBool::new(false)),
         })
     }
@@ -625,7 +557,7 @@ impl Drop for ShardHandle {
 /// connection's evaluation session, so its engine's scratch is taken
 /// from and given back to this thread's pool, and the session dies
 /// with the connection.
-fn serve_conn(mut conn: Conn, core: Arc<Mutex<ShardCore>>, stop: Arc<AtomicBool>) {
+fn serve_conn(mut conn: Conn, core: Arc<Mutex<Served>>, stop: Arc<AtomicBool>) {
     if conn.set_read_timeout(Some(POLL)).is_err() {
         return;
     }

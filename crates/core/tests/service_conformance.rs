@@ -457,6 +457,37 @@ fn unknown_member_ids_are_typed_refusals_everywhere() {
                 "a value the log cannot carry is refused ({tag})"
             );
             assert_eq!(svc.reads().num_members(), unknown.0 as usize, "{tag}");
+            // Reads naming the unknown member are refused the same way.
+            let reads = svc.reads();
+            let (rid, known) = (rids[0], NodeId(0));
+            let refused: [(&str, Result<(), EvalError>); 5] = [
+                ("check", reads.check(rid, unknown).map(drop)),
+                ("explain", reads.explain(rid, unknown).map(drop)),
+                (
+                    "check_batch",
+                    reads
+                        .check_batch(&[(rid, known), (rid, unknown)], 1)
+                        .map(drop),
+                ),
+                (
+                    "check_batch of two",
+                    reads
+                        .check_batch(&[(rid, unknown), (rid, known)], 2)
+                        .map(drop),
+                ),
+                (
+                    "query_audience",
+                    reads.query_audience(unknown, "friend+[1]").map(drop),
+                ),
+            ];
+            for (read, outcome) in refused {
+                match outcome {
+                    Err(EvalError::Graph(GraphError::UnknownNode(n))) => {
+                        assert_eq!(n, unknown, "{read} ({tag})")
+                    }
+                    other => panic!("{read} ({tag}): expected UnknownNode, got {other:?}"),
+                }
+            }
             if let Wrapped::Durable(s, dir) = &svc {
                 assert_eq!(s.wal_records(), logged, "a refusal is never logged ({tag})");
                 // A fleet serves one router: reopen over a fresh one.

@@ -237,9 +237,14 @@ impl SocialGraph {
 
     /// Sets a node attribute (interning the key name).
     pub fn set_node_attr(&mut self, n: NodeId, key: &str, value: impl Into<AttrValue>) {
-        self.touch();
         let k = self.vocab.intern_attr(key);
-        self.node_attrs[n.index()].set(k, value.into());
+        self.set_node_attr_key(n, k, value.into());
+    }
+
+    /// Sets a node attribute under an interned key.
+    pub fn set_node_attr_key(&mut self, n: NodeId, key: AttrKey, value: AttrValue) {
+        self.touch();
+        self.node_attrs[n.index()].set(key, value);
     }
 
     /// Reads a node attribute by interned key.

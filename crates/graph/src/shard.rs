@@ -178,6 +178,16 @@ impl BoundaryTable {
         self.edges.push(edge);
     }
 
+    /// Forgets every edge recorded after the first `len`.
+    pub fn truncate(&mut self, len: usize) {
+        self.edges.truncate(len);
+        for list in &mut self.per_shard {
+            while list.last().is_some_and(|&i| i as usize >= len) {
+                list.pop();
+            }
+        }
+    }
+
     /// All recorded boundary edges, in insertion order.
     pub fn edges(&self) -> &[BoundaryEdge] {
         &self.edges
