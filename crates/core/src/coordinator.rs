@@ -3,71 +3,33 @@
 //!
 //! [`Partitioned`] hash-partitions the members of one social graph
 //! across N shards ([`ShardAssignment`], deterministic and seedable) and
-//! serves [`AccessService`] and [`MutateService`] over them. It is
-//! generic over how it reaches a shard — a `ShardLink`: in process
-//! ([`crate::ShardedSystem`]) or over a socket
-//! ([`crate::NetworkedSystem`]). Everything else is this module's, once.
+//! serves [`AccessService`] and [`MutateService`] over them, through one
+//! `ShardLink` per shard: in process ([`crate::ShardedSystem`]) or over
+//! a socket ([`crate::NetworkedSystem`]).
 //!
-//! # Data placement
+//! A member lives on one **home shard**. A relationship between members
+//! of two shards is a **boundary edge**: it is recorded in the
+//! [`BoundaryTable`] and replicated into both shards against a *ghost*
+//! copy of the remote endpoint, which carries the member's attributes
+//! but is never reported as an audience member. The coordinator keeps
+//! placement, names, ghost lists, the boundary table, the edge log and
+//! the policy store; what a shard holds — its graph and id tables, and
+//! for a remote shard the attribute tuples that seed new ghosts and the
+//! op log that revives a restarted server — stays behind its link.
 //!
-//! * A member lives on exactly one **home shard** (by stable hash of
-//!   their name). Intra-shard relationships are ordinary edges of the
-//!   home shard's graph.
-//! * A relationship whose endpoints live on different shards is a
-//!   **boundary edge**: it is recorded in the [`BoundaryTable`] and
-//!   **replicated into both endpoint shards**, attached to a *ghost*
-//!   copy of the remote endpoint. A ghost is made with a copy of the
-//!   member's attribute tuple and every later attribute write reaches
-//!   it, but it is never reported as an audience member — only a
-//!   member's home shard speaks for them.
+//! Every read is one round-based masked fixpoint over the links' lanes
+//! (`crate::fixpoint`): a bundle runs one per 64-condition chunk of its
+//! shared-prefix plan, a `check` one early-exiting 1-bit fixpoint of its
+//! condition's one-path plan, an `explain` the same with parent
+//! tracking, stitched into a witness off the lanes' parent chains.
 //!
-//! The coordinator keeps placement, names, each member's ghost list,
-//! the boundary table, the edge log and the policy store. What a shard
-//! holds — its graph, its id tables, and for a remote shard the
-//! attribute tuples that seed new ghosts and the op log that revives a
-//! restarted server — stays behind its link.
-//!
-//! # Reads: one masked fixpoint
-//!
-//! Every read — a bundle's audiences, one condition's audience, one
-//! targeted check — is the same **round-based masked fixpoint** of
-//! per-shard seeded plan BFS (`crate::fixpoint::masked_fixpoint`):
-//!
-//! 1. The conditions compile into one shared-prefix trie
-//!    ([`crate::query::BundlePlan`]; one condition is its one-path
-//!    plan) and every 64-condition chunk seeds its owners' home shards
-//!    at `(owner, root node, depth 0)`, each under its condition bit.
-//! 2. Each active shard traverses its local CSR snapshot, every product
-//!    state carrying the bitmask of the conditions that reached it.
-//!    Whenever the walk visits a state at a ghost, that masked
-//!    `(member, node, depth)` coordinate is exported
-//!    ([`socialreach_graph::shard::MaskedStateKey`]).
-//! 3. The driver forwards to each exported member's home shard — the
-//!    one place that has the member's full adjacency — only the bits it
-//!    has not forwarded before, and the next round begins.
-//!
-//! Each shard's visited/mask state persists across the rounds of a
-//! read, so a walk that ping-pongs through one shard k times expands
-//! each product state at most once per arriving bit. Decisions for
-//! `check_batch` fall out of the materialized audiences; a single
-//! `check` runs its condition as a 1-bit fixpoint of its one-path plan
-//! with early exit on the requester's home shard. `explain` runs the
-//! same read with first-arrival parent tracking and stitches the
-//! witness off the lanes' parent chains (`crate::fixpoint::stitch`).
-//!
-//! # Writes
-//!
-//! A write updates the coordinator's metadata and hands the shards'
-//! part to the links as typed writes: an edge touches one shard (intra)
-//! or two (boundary), a ghost materialization adds a node — all
-//! **append-only**, so every shard's next publication patches its CSR
-//! instead of rebuilding it. In process a write applies at once. Over
-//! the wire it is staged and committed in epochs of at most
-//! [`crate::remote::MAX_EPOCH_OPS`] shard ops; when an epoch cannot
-//! commit, the coordinator rolls its metadata back to the last write
-//! that did ([`Mark`]), so on `Err` it is unchanged — save for a
-//! mutation of more shard ops than one epoch carries, which keeps the
-//! epochs it committed.
+//! A write updates the metadata here and hands the shards' part to the
+//! links as typed, append-only writes. In process they apply at once;
+//! over the wire they are staged and committed in epochs of at most
+//! [`crate::remote::MAX_EPOCH_OPS`] shard ops, and when an epoch cannot
+//! commit the coordinator rolls back to the last committed op ([`Mark`])
+//! — so on `Err` nothing changed, save for a mutation of more shard ops
+//! than one epoch carries, which keeps the epochs it committed.
 
 use crate::decision::{self, DecisionCache};
 use crate::error::EvalError;
@@ -84,11 +46,6 @@ use socialreach_graph::shard::{BoundaryEdge, BoundaryTable, ShardAssignment};
 use socialreach_graph::{AttrKey, AttrValue, LabelId, NodeId, SocialGraph, Vocabulary};
 use std::collections::HashMap;
 
-/// One hop of a stitched cross-shard witness walk, in **global** ids —
-/// the shared [`WalkHop`] of the service vocabulary (the name is kept
-/// as an alias for downstream code).
-pub type ShardedHop = WalkHop;
-
 /// Result of one cross-shard access-condition evaluation.
 #[derive(Clone, Debug)]
 pub struct ShardedEval {
@@ -98,7 +55,7 @@ pub struct ShardedEval {
     /// Whether the target requester matched.
     pub granted: bool,
     /// A stitched walk from the owner to the requester when granted.
-    pub witness: Option<Vec<ShardedHop>>,
+    pub witness: Option<Vec<WalkHop>>,
 }
 
 /// Work census of one batched bundle evaluation (the masked

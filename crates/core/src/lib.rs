@@ -52,9 +52,12 @@
 //! | [`query`] | — | openCypher-flavored query front-end + shared-prefix bundle plan compiler and its masked trie engine |
 //! | [`planner`] | — | telemetry-fed adaptive read planner: per-resource decaying profiles pick the winning engine per bundle |
 //! | [`system`] | — | single-graph backend (`AccessControlSystem`) |
-//! | [`sharded`] | — | hash-partitioned multi-shard backend with cross-shard stitching |
+//! | [`coordinator`] | — | the partitioned coordinator over N shard links: placement, ghosts, boundary table, the cross-shard reads and writes of both partitioned backends |
+//! | `link` | — | `ShardLink`: how the coordinator reaches a shard, and the in-process link |
+//! | `shard` | — | `ShardCore`: one shard's graph, id tables, snapshot publication and round/trace, in process or in a server |
+//! | [`sharded`] | — | `ShardedSystem`: the coordinator over in-process shards |
 //! | [`durability`] | — | durable decorator: write-ahead log of `Mutation`s, checksummed snapshots, crash recovery, point-in-time audit reads |
-//! | [`remote`] | — | shards as **processes**: CRC-framed wire protocol over TCP/Unix sockets, shard servers, and the networked router |
+//! | [`remote`] | — | shards as **processes**: CRC-framed wire protocol over TCP/Unix sockets, shard servers, and the remote link (`NetworkedSystem`) |
 //! | [`examples`] | §2–3 | the Figure 1 graph, Q1, worked queries |
 //! | [`carminati`] | §4 | the Carminati et al. trust+radius baseline |
 //!
@@ -91,69 +94,39 @@
 //! together, one frontier pass per `(label, direction)` layer,
 //! amortizing edge scans across the bundle.
 //!
-//! ## Sharded serving
+//! ## Partitioned serving: one coordinator, two links
 //!
-//! [`ShardedSystem`] scales the read path horizontally: members are
-//! hash-partitioned across N independent shards (deterministic,
-//! seedable placement — [`socialreach_graph::shard::ShardAssignment`]),
-//! each shard an epoch-published graph of its own with the incremental
-//! append-patching pipeline above. Cross-shard relationships are
-//! recorded in a boundary table and replicated into both endpoint
-//! shards against attribute-synchronized *ghost* replicas. Reads run a
-//! round-based fixpoint of per-shard **seeded** masked BFS over a
-//! shared-prefix plan ([`query::evaluate_plan_batch_seeded`]): each
-//! shard traverses its local CSR snapshot, exports every product state
-//! visited at a ghost, and the router re-seeds those states at the
-//! member's home shard until no new state appears. Witnesses stitch
-//! per-shard walk segments. A differential proptest suite
-//! (`tests/shard_differential.rs`) pins the sharded semantics to the
-//! single-graph system across shard counts.
+//! [`ShardedSystem`] and [`NetworkedSystem`] are one coordinator,
+//! [`Partitioned`] ([`coordinator`]), over two kinds of shard link. It
+//! hash-partitions members across N shards (deterministic, seedable
+//! placement — [`socialreach_graph::shard::ShardAssignment`]), records
+//! cross-shard relationships in a boundary table and replicates them
+//! into both endpoint shards against *ghost* replicas. Each shard is a
+//! `ShardCore` (module `shard`): an epoch-published graph of its own,
+//! with the incremental append-patching pipeline above. The in-process
+//! link owns one and calls it; the remote link ([`remote`]) reaches one
+//! inside a [`remote::ShardServer`] process over a CRC-framed wire,
+//! stages writes for a two-phase epoch fence, and revives a restarted
+//! server from its op log.
 //!
-//! Bundle reads are **batch-amortized**: `ShardedSystem::audience_batch`
-//! and `check_batch` run *one* masked fixpoint per bundle instead of
-//! one per condition. The bundle's distinct conditions compile into a
-//! shared-prefix plan and traverse together as condition bits of the
-//! fixpoint; boundary exports carry those masks
-//! ([`socialreach_graph::shard::MaskedStateKey`], chunked into further
-//! 64-bit words for wider bundles), and each shard's visited/mask
-//! state persists across the fixpoint's rounds, keeping total work
-//! linear in the explored region even when walks ping-pong across a
-//! boundary. One condition — a targeted check, or one condition of the
-//! per-condition bundle arm — is the same fixpoint over its one-path
-//! plan. The batched path is pinned to the single-graph batch BFS and
-//! the reference engine by `tests/shard_batch_differential.rs`.
-//!
-//! ## One fixpoint driver, two lanes
-//!
-//! Every cross-shard read — a bundle's audiences, one condition's
-//! audience or one targeted `check`/`explain`, in process or over the
-//! wire — runs the **same** round loop over the **same** engine, the
-//! crate-private `fixpoint::masked_fixpoint`:
-//! take each shard's pending seeds, send every active shard its seeds,
-//! then receive their reports in shard order and merge them, forward
-//! only condition bits a home shard has not been sent before, stop on
-//! the targeted requester's hit, and end every lane it opened whatever
-//! the outcome. Everything runs on the caller's thread: remote shards
-//! compute in parallel in their own processes between the send and the
-//! receive, and an in-process shard runs its round inside the send.
-//! The loop is generic over a small `ShardLane` trait (`send(seeds,
-//! stop)` in global ids → `recv` → `end`, opening lazily on the first
-//! send) with exactly two implementations: the in-process lane of
-//! [`sharded`] (a function call) and the remote lane of [`remote`] (one
-//! request frame and one response frame per round on a pooled
-//! connection; the first round opens the shard's session). The shard-local
-//! half of a round — global→local seed translation, one plan-engine
-//! run, ghost filtering, local→global exports — is likewise one
-//! function, called by the in-process lane and by the shard server's
-//! `Round` handler. [`ShardedSystem`] and [`NetworkedSystem`]
-//! contribute seed construction and, for `explain` only, parent
-//! tracking and witness stitching (a `check` needs neither); the
-//! single-graph backend needs no lanes and calls the plan engine
-//! directly. Per-condition sharded reads
-//! ([`ShardedSystem::evaluate_condition`]) run this driver too, so
-//! they are no independent check of it: the oracles the differential
-//! suites compare the driver against are [`online::evaluate_reference`]
-//! and the single-graph deployment.
+//! Every partitioned read — a bundle's audiences, one condition's
+//! audience, one targeted `check`/`explain` — is the **same** round
+//! loop, the crate-private `fixpoint::masked_fixpoint`: each shard runs
+//! a seeded masked BFS over a shared-prefix plan
+//! ([`query::evaluate_plan_batch_seeded`]) and exports the states it
+//! visits at ghosts; the driver forwards to each exported member's home
+//! shard only the condition bits it has not forwarded before, until
+//! nothing is pending or the targeted requester is hit. Each shard's
+//! mask state persists across the rounds of a read, so total work is
+//! linear in the explored region. A bundle of up to 64 conditions runs
+//! one fixpoint. Witnesses are stitched off the shards' parent chains.
+//! Remote shards compute in parallel between a round's send and its
+//! receive; an in-process shard runs its round inside the send.
+//! Transport faults surface as typed [`EvalError::Remote`] errors,
+//! never as a wrong decision. The differential suites pin both
+//! deployments to the single graph and to [`online::evaluate_reference`]
+//! (`tests/shard_differential.rs`, `tests/shard_batch_differential.rs`,
+//! `tests/remote_conformance.rs`).
 //!
 //! ## Masked reads cost what they explore
 //!
@@ -173,7 +146,7 @@
 //! [`online::thread_cache_stats`] reports the pool;
 //! [`online::release_thread_caches`] sheds it.
 //!
-//! ## One decision layer, three backends
+//! ## One decision layer, every backend
 //!
 //! Above the engines sits the paper's grant rule — *the owner is
 //! always granted; otherwise some rule must have all of its conditions
@@ -182,43 +155,18 @@
 //! decision cache → the rules-disjoin / conditions-conjoin loop),
 //! `explain` (the same loop collecting witness walks),
 //! `check_via_audiences` (the membership route of a check batch), the
-//! targeted per-request loop and the ad-hoc query parse → scatter. The
-//! [`Enforcer`] of the single graph, [`ShardedSystem`] and
-//! [`NetworkedSystem`] each own one `DecisionCache` and pass a closure
-//! that evaluates *one condition* their own way — a snapshot walk
-//! (pinned only after a cache miss), the in-process targeted fixpoint,
-//! the over-the-wire one under its whole-read retry — so decisions and
-//! `cache_stats` accounting cannot drift between deployments. The
+//! targeted per-request loop and the ad-hoc query parse → scatter. It
+//! also refuses a member id outside the deployment, typed, for every
+//! read. The [`Enforcer`] of the single graph and the partitioned
+//! coordinator each own one `DecisionCache` and pass a closure that
+//! evaluates *one condition* their own way — a snapshot walk (pinned
+//! only after a cache miss) or the targeted fixpoint over the shard
+//! links — so decisions and `cache_stats` accounting cannot drift
+//! between deployments. The
 //! [`AccessService`] trait mirrors that split: a backend implements
 //! thirteen required methods (naming, the five census-returning read
 //! primitives, its default check route) and every other read is a
 //! provided method defined once on the trait.
-//!
-//! ## Networked serving: shards as processes
-//!
-//! The [`remote`] module lifts the sharded backend across process
-//! boundaries. Each shard runs as a [`remote::ShardServer`] — a plain
-//! `std::net` acceptor (TCP or Unix domain socket) with blocking
-//! worker threads — speaking a hand-rolled length-prefixed, CRC-framed
-//! request/response protocol ([`remote::frame`], [`remote::proto`]):
-//! `[u32 len][u32 crc][payload]`, the checksum covering length bytes
-//! and payload so a damaged header can never masquerade as a valid
-//! frame. The [`remote::NetworkedSystem`] router implements
-//! [`AccessService`]/[`MutateService`] by driving the *same*
-//! round-based masked fixpoint as [`ShardedSystem`], exchanging
-//! `MaskedExportSet` batches with remote shards (bounded per-round
-//! sub-batches, at most one frame in flight per shard) and stitching
-//! witnesses from remote `Trace` segments. Mutations publish through a
-//! two-phase **epoch fence** — `Prepare` everywhere, then `Commit`
-//! everywhere; any prepare failure aborts the epoch on every shard
-//! that staged it — and reads carry the expected epoch in each shard's
-//! first round, so a lagging shard refuses the evaluation rather than
-//! serving a torn epoch. Transport faults surface as typed
-//! [`EvalError::Remote`] errors, never as a wrong decision; a
-//! wire-level conformance and fault-injection tier
-//! (`tests/wire_roundtrip.rs`, `tests/remote_faults.rs`,
-//! `tests/remote_conformance.rs`) pins the networked deployment to its
-//! in-process twins byte by byte and fault by fault.
 //!
 //! ## Query front-end and bundle-wide plan sharing
 //!
@@ -295,7 +243,7 @@ pub use service::{
     MutateService, Mutation, NetworkedSpec, ReadBatch, ReadRequest, ReadStats, ServiceInstance,
     WalkHop, WitnessWalk,
 };
-pub use sharded::{BundleFixpointStats, ShardedEval, ShardedHop, ShardedSystem};
+pub use sharded::{BundleFixpointStats, ShardedEval, ShardedSystem};
 pub use system::{AccessControlSystem, EngineChoice};
 
 // Re-exported so `JoinEngineConfig` can be configured without naming the

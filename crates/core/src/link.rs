@@ -21,7 +21,6 @@ use crate::fixpoint::{LaneRound, ShardLane, StateKey};
 use crate::path::PathExpr;
 use crate::policy::ResourceId;
 use crate::query::{BundlePlan, ChunkMasks};
-use crate::service::ReadStats;
 use crate::shard::{Session, ShardCore, Traced};
 use crate::ShardedSystem;
 use socialreach_graph::shard::{MaskedExport, ShardAssignment};
@@ -54,38 +53,25 @@ pub enum Write<'a> {
     /// `None`, else a ghost carrying the attribute tuple of its copy on
     /// shard `home`.
     Node {
-        /// The shard the copy lands on.
         shard: u32,
-        /// The member.
         member: NodeId,
-        /// Its display name.
         name: &'a str,
-        /// The member's home shard, for a ghost.
         home: Option<u32>,
     },
     /// `key` set on every copy of `member`: on `home` first, then on
     /// each of `ghosts` in order.
     Attr {
-        /// The member.
         member: NodeId,
-        /// Its home shard.
         home: u32,
-        /// The shards holding its ghosts, oldest first.
         ghosts: &'a [u32],
-        /// The attribute key.
         key: AttrKey,
-        /// The value.
         value: &'a AttrValue,
     },
     /// `src --label--> dst` on `shard`, which holds a copy of both.
     Edge {
-        /// The shard the edge lands on.
         shard: u32,
-        /// Source member.
         src: NodeId,
-        /// Relationship label.
         label: LabelId,
-        /// Target member.
         dst: NodeId,
     },
 }
@@ -147,7 +133,7 @@ pub trait ShardLink: Sized + Send + Sync {
 
 /// The in-process link: one [`ShardCore`], reached by a direct call.
 pub struct LocalLink {
-    core: ShardCore,
+    pub(crate) core: ShardCore,
 }
 
 impl LocalLink {
@@ -155,10 +141,6 @@ impl LocalLink {
         LocalLink {
             core: ShardCore::new(),
         }
-    }
-
-    pub(crate) fn core(&self) -> &ShardCore {
-        &self.core
     }
 }
 
@@ -272,47 +254,32 @@ impl ShardedSystem {
 
     /// Per-shard size census.
     pub fn shard_stats(&self) -> Vec<ShardStats> {
-        self.links.iter().map(|l| l.core().census()).collect()
+        self.links.iter().map(|l| l.core.census()).collect()
     }
 
     /// Per-shard snapshot publication epochs (mirrors
     /// [`crate::AccessControlSystem::snapshot_epoch`] per shard).
     pub fn snapshot_epochs(&self) -> Vec<u64> {
-        self.links
-            .iter()
-            .map(|l| l.core().snapshot_epoch())
-            .collect()
+        self.links.iter().map(|l| l.core.snapshot_epoch()).collect()
     }
 
-    /// The per-condition bundle path: every distinct condition runs its
-    /// **own** one-condition masked fixpoint, so no two conditions
-    /// share a traversal. Semantics are identical to
-    /// [`crate::AccessService::audience_batch`].
+    /// The [`crate::BundleStrategy::PerCondition`] arm: every distinct
+    /// condition runs its **own** one-condition masked fixpoint.
+    /// Semantics are identical to [`crate::AccessService::audience_batch`].
     pub fn audience_batch_per_condition(
         &self,
         rids: &[ResourceId],
     ) -> Result<Vec<Vec<NodeId>>, EvalError> {
-        Ok(self.audience_batch_per_condition_with_stats(rids)?.0)
-    }
-
-    /// [`ShardedSystem::audience_batch_per_condition`] plus the
-    /// bundle's cumulative work census — the
-    /// [`crate::BundleStrategy::PerCondition`] arm of both partitioned
-    /// backends. Each deduped condition reports one condition and its
-    /// fixpoint; one-condition plans share nothing, so there is no plan
-    /// census.
-    pub fn audience_batch_per_condition_with_stats(
-        &self,
-        rids: &[ResourceId],
-    ) -> Result<(Vec<Vec<NodeId>>, ReadStats), EvalError> {
-        crate::engine::merge_bundle_audiences(self.store(), rids, |uniq| self.per_condition(uniq))
+        let merged = crate::engine::merge_bundle_audiences(self.store(), rids, |uniq| {
+            self.per_condition(uniq)
+        });
+        Ok(merged?.0)
     }
 
     /// Evaluates one access condition `(owner, path)` across the
-    /// shards. With `target = Some(v)` it is the targeted read
-    /// ([`ShardedSystem::evaluate_condition_targeted_with_stats`]):
-    /// it short-circuits on grant and stitches a witness. With `None`
-    /// it is a one-condition
+    /// shards. With `target = Some(v)` it is the targeted read: it
+    /// early-exits on a grant and stitches a witness (`matched` stays
+    /// empty). With `None` it is a one-condition
     /// [`ShardedSystem::evaluate_conditions_batched`] that materializes
     /// the full (global) audience.
     pub fn evaluate_condition(
@@ -321,76 +288,32 @@ impl ShardedSystem {
         path: &PathExpr,
         target: Option<NodeId>,
     ) -> ShardedEval {
-        self.evaluate_condition_with_stats(owner, path, target).0
-    }
-
-    /// [`ShardedSystem::evaluate_condition`] plus the fixpoint's
-    /// uniform work census: one condition, its traversal, the
-    /// cross-shard rounds, the product states the shards expanded and
-    /// the boundary states exported between them (no plan census — a
-    /// one-condition plan shares nothing).
-    pub fn evaluate_condition_with_stats(
-        &self,
-        owner: NodeId,
-        path: &PathExpr,
-        target: Option<NodeId>,
-    ) -> (ShardedEval, ReadStats) {
-        if let Some(requester) = target {
-            return self.evaluate_condition_targeted_with_stats(owner, path, requester);
-        }
-        let Ok((mut audiences, stats)) = self.bundle(&[(owner, path)]);
-        let matched = audiences.pop().expect("one audience per condition");
-        // A one-condition plan shares nothing: no plan census.
-        let stats = ReadStats {
-            plan_states: 0,
-            expr_states: 0,
-            ..stats.read_stats(1)
-        };
-        (
-            ShardedEval {
-                matched,
+        let Some(requester) = target else {
+            let (mut audiences, _) = self.evaluate_conditions_batched(&[(owner, path)]);
+            return ShardedEval {
+                matched: audiences.pop().expect("one audience per condition"),
                 granted: false,
                 witness: None,
-            },
-            stats,
-        )
+            };
+        };
+        let Ok((witness, _)) = self.targeted(owner, path, requester, true);
+        ShardedEval {
+            matched: Vec::new(),
+            granted: witness.is_some(),
+            witness,
+        }
     }
 
     /// Evaluates a bundle's distinct access conditions through the
-    /// masked batch fixpoint: the whole bundle compiles into one
-    /// shared-prefix trie ([`crate::query::BundlePlan`]) and each
-    /// 64-condition chunk of it runs as **one** round-based cross-shard
-    /// fixpoint — shared prefixes traverse once per chunk, masks fork
-    /// at divergence points. Returns each condition's audience (global
-    /// ids, sorted) in `conds` order, plus the work census.
+    /// masked batch fixpoint (one per 64-condition chunk of the
+    /// bundle's shared-prefix plan). Returns each condition's audience
+    /// (global ids, sorted) in `conds` order, plus the work census.
     pub fn evaluate_conditions_batched(
         &self,
         conds: &[(NodeId, &PathExpr)],
     ) -> (Vec<Vec<NodeId>>, BundleFixpointStats) {
         let Ok(out) = self.bundle(conds);
         out
-    }
-
-    /// Targeted single-condition evaluation: does `requester` satisfy
-    /// `(owner, path)`? The condition runs as a 1-bit fixpoint of its
-    /// one-path plan that early-exits on the requester's home shard,
-    /// with first-arrival parent tracking so the stitched witness is
-    /// read off the persistent chains. `matched` is always empty —
-    /// audiences go through
-    /// [`ShardedSystem::evaluate_conditions_batched`].
-    pub fn evaluate_condition_targeted_with_stats(
-        &self,
-        owner: NodeId,
-        path: &PathExpr,
-        requester: NodeId,
-    ) -> (ShardedEval, ReadStats) {
-        let Ok((witness, stats)) = self.targeted(owner, path, requester, true);
-        let eval = ShardedEval {
-            matched: Vec::new(),
-            granted: witness.is_some(),
-            witness,
-        };
-        (eval, stats)
     }
 }
 

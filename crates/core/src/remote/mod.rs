@@ -1,16 +1,13 @@
 //! `core::remote` — shards as processes: the networked shard backend.
 //!
-//! The in-process [`crate::sharded::ShardedSystem`] moves
-//! [`MaskedStateKey`](socialreach_graph::shard::MaskedStateKey) /
-//! [`MaskedExportSet`](socialreach_graph::shard::MaskedExportSet)
-//! boundary exports between shards through function calls. This module
-//! is the same round-based masked fixpoint with the calls replaced by
-//! a wire: shard **server processes** ([`ShardServer`]) own one
-//! partition each — a [`SocialGraph`](socialreach_graph::SocialGraph)
-//! of home members and ghost replicas behind an epoch-publishing
-//! enforcer — and a **router** ([`NetworkedSystem`]) implements
-//! [`crate::AccessService`] / [`crate::MutateService`] by exchanging
-//! masked-export batches with them.
+//! The partitioned coordinator ([`crate::coordinator`]) reaches an
+//! in-process shard by a function call. This module is the same
+//! coordinator with the call replaced by a wire: shard **server
+//! processes** ([`ShardServer`]) each serve one `ShardCore` — a
+//! [`SocialGraph`](socialreach_graph::SocialGraph) of home members and
+//! ghost replicas behind an epoch-publishing enforcer — and the remote
+//! link behind [`NetworkedSystem`] exchanges masked-export batches with
+//! them.
 //!
 //! # Wire stack
 //!

@@ -1,52 +1,27 @@
 //! The remote link: the partitioned coordinator over shard servers.
 //!
-//! [`NetworkedSystem`] is [`crate::coordinator::Partitioned`] — the
-//! coordinator [`crate::ShardedSystem`] runs in process, with the same
-//! placement, ghosts, masked fixpoint and witness stitching — over
-//! remote links: each shard's `ShardCore` lives in a server process
-//! ([`super::ShardServer`]) and the rounds exchange [`MaskedExport`]
-//! batches over CRC-framed sockets. A remote link owns the shard's
-//! endpoint and its pool of idle connections, how much of the master
-//! vocabulary the shard has acknowledged, and the shard's op log; the
-//! fleet beside the links owns the epoch, the writes staged for the
-//! next one and each member's attribute tuple (to make ghosts with).
+//! [`NetworkedSystem`] is the coordinator [`crate::ShardedSystem`] runs
+//! in process ([`crate::coordinator`]) over remote links: each shard's
+//! `ShardCore` lives in a server process ([`super::ShardServer`]). A
+//! [`RemoteLink`] owns the shard's endpoint, its pool of idle
+//! connections, how much of the master vocabulary the shard has
+//! acknowledged, and its op log; the fleet beside the links owns the
+//! epoch, the ops staged for the next one, and each member's attribute
+//! tuple (to make ghosts with).
 //!
-//! Writes are staged as per-shard [`ShardOp`]s and committed through
-//! the two-phase epoch fence (`Prepare` everywhere → `Commit`
-//! everywhere; any prepare failure aborts the epoch). One
-//! [`MutateService::apply`] commits its ops; a bulk load
-//! ([`NetworkedSystem::from_graph`]) commits one epoch each time
-//! [`MAX_EPOCH_OPS`] ops are staged. When an epoch cannot commit, its
-//! ops and every op staged after them are dropped, the attribute
-//! tuples they changed are restored and the coordinator rolls its
-//! metadata back to the last committed op. (A mutation of more ops than
-//! one epoch carries — a ghost for a member with nearly as many
-//! attributes — spans consecutive epochs; an error between them leaves
-//! the committed ones in place, and the metadata says so.) Once every
-//! shard has prepared, the epoch is *presumed committed*: the link
-//! records it in the op log and advances before sending commits, so a
-//! shard that misses its commit has its idle connections dropped and
-//! is replayed from the op log when the next connection to it is
-//! dialed — in jumps of at most [`MAX_EPOCH_OPS`] ops — so the fleet
-//! can never end up split between epochs from the coordinator's point
-//! of view, and a shard that *is* behind refuses a read's epoch rather
-//! than serving a torn read.
+//! Writes stage one [`ShardOp`] per shard copy they touch and commit
+//! through the epoch fence (see [`super`]) in epochs of at most
+//! [`MAX_EPOCH_OPS`] ops. When an epoch cannot commit, its ops and every
+//! op staged after them are dropped, the tuples they changed restored,
+//! and the coordinator rolls back to the last committed op.
 //!
 //! A read checks one connection out per shard it reaches and keeps it
 //! for every round and `Trace` of the read, since the shard-side
-//! session lives on it; it goes back only if every exchange on it
-//! completed. Writes and [`NetworkedSystem::shard_census`] check out
-//! the same way. An empty pool dials through `revive` (handshake, full
-//! vocabulary, op-log catch-up). Owned connections let a read keep a
-//! request in flight on every shard at once, and readers never wait on
-//! each other.
-//!
-//! A remote lane opens its shard's session with its first round (an
-//! `OpenRound`, then one `Round` per round and sub-batch); a `check`
-//! opens its sessions without parent tracking and sends no `Trace`. On
-//! a retryable failure the whole read re-runs once with fresh
-//! evaluation ids — the engines' masked state is per-evaluation, so a
-//! retry cannot observe leftovers.
+//! session lives on it; the connection goes back only if every exchange
+//! on it completed, so readers never wait on each other. An empty pool
+//! dials through `revive` (handshake, full vocabulary, op-log catch-up
+//! in jumps of at most [`MAX_EPOCH_OPS`] ops). On a retryable failure
+//! the whole read re-runs once with fresh evaluation ids.
 
 use super::frame::{self, FrameError};
 use super::proto::{self, Request, Response, SessionSpec, ShardOp, PROTOCOL_VERSION};
@@ -312,17 +287,7 @@ impl RemoteLink {
                 ),
             });
         }
-        let labels: Vec<String> = (0..vocab.num_labels())
-            .map(|i| vocab.label_name(LabelId::from_index(i)).to_owned())
-            .collect();
-        let attrs: Vec<String> = (0..vocab.num_attrs())
-            .map(|i| vocab.attr_name(AttrKey::from_index(i)).to_owned())
-            .collect();
-        let (synced_labels, synced_attrs) = (labels.len(), attrs.len());
-        match client.exchange(&Request::Intern { labels, attrs })? {
-            Response::Ok => {}
-            other => return Err(client.unexpected("Ok", &other)),
-        }
+        self.intern(vocab, &mut client, (0, 0))?;
         if shard_epoch < fleet.epoch {
             // A presumed-committed epoch may still be staged from
             // before the crash of the *connection* (server alive, the
@@ -358,34 +323,44 @@ impl RemoteLink {
                 }
             }
         }
-        let mut pool = self.pool.lock();
-        pool.synced_labels = synced_labels;
-        pool.synced_attrs = synced_attrs;
         Ok(client)
     }
 
     /// Sends `client`'s shard the master-vocabulary suffix it has not
     /// acknowledged yet (no-op when in sync).
     fn sync_vocab(&self, vocab: &Vocabulary, client: &mut ShardClient) -> Result<(), RemoteError> {
-        let (have_l, have_a) = {
+        let synced = {
             let pool = self.pool.lock();
             (pool.synced_labels, pool.synced_attrs)
         };
-        let (want_l, want_a) = (vocab.num_labels(), vocab.num_attrs());
-        if have_l == want_l && have_a == want_a {
+        if synced == (vocab.num_labels(), vocab.num_attrs()) {
             return Ok(());
         }
-        let labels: Vec<String> = (have_l..want_l)
-            .map(|i| vocab.label_name(LabelId::from_index(i)).to_owned())
-            .collect();
-        let attrs: Vec<String> = (have_a..want_a)
-            .map(|i| vocab.attr_name(AttrKey::from_index(i)).to_owned())
-            .collect();
-        match client.exchange(&Request::Intern { labels, attrs })? {
+        self.intern(vocab, client, synced)
+    }
+
+    /// Has `client`'s shard intern the master vocabulary's labels and
+    /// attribute keys from index `from` on, and records that the shard
+    /// has all of them.
+    fn intern(
+        &self,
+        vocab: &Vocabulary,
+        client: &mut ShardClient,
+        (labels_from, attrs_from): (usize, usize),
+    ) -> Result<(), RemoteError> {
+        let (labels, attrs) = (vocab.num_labels(), vocab.num_attrs());
+        let req = Request::Intern {
+            labels: (labels_from..labels)
+                .map(|i| vocab.label_name(LabelId::from_index(i)).to_owned())
+                .collect(),
+            attrs: (attrs_from..attrs)
+                .map(|i| vocab.attr_name(AttrKey::from_index(i)).to_owned())
+                .collect(),
+        };
+        match client.exchange(&req)? {
             Response::Ok => {
                 let mut pool = self.pool.lock();
-                pool.synced_labels = want_l;
-                pool.synced_attrs = want_a;
+                (pool.synced_labels, pool.synced_attrs) = (labels, attrs);
                 Ok(())
             }
             other => Err(client.unexpected("Ok", &other)),
@@ -540,15 +515,13 @@ impl ShardLink for RemoteLink {
         write: Write<'_>,
         mark: Mark,
     ) {
-        let mut stage = |shard: u32, op: ShardOp, undo| {
-            fleet.staged.push(Staged {
-                shard,
-                op,
-                mark,
-                undo,
-            })
+        let set = |member: NodeId, key: AttrKey, value: &AttrValue| ShardOp::SetAttr {
+            global: member.0,
+            key: vocab.attr_name(key).to_owned(),
+            value: value.clone(),
         };
-        match write {
+        let mut undo = None;
+        let ops: Vec<(u32, ShardOp)> = match write {
             Write::Node {
                 shard,
                 member,
@@ -556,33 +529,17 @@ impl ShardLink for RemoteLink {
                 home,
             } => {
                 if home.is_none() {
-                    debug_assert_eq!(member.index(), fleet.attrs.len());
                     fleet.attrs.push(AttrMap::new());
                 }
-                stage(
-                    shard,
-                    ShardOp::AddNode {
-                        global: member.0,
-                        name: name.to_owned(),
-                        ghost: home.is_some(),
-                    },
-                    None,
-                );
-                if home.is_some() {
-                    let tuple = fleet.attrs[member.index()].clone();
-                    for (key, value) in tuple.iter() {
-                        fleet.staged.push(Staged {
-                            shard,
-                            op: ShardOp::SetAttr {
-                                global: member.0,
-                                key: vocab.attr_name(key).to_owned(),
-                                value: value.clone(),
-                            },
-                            mark,
-                            undo: None,
-                        });
-                    }
-                }
+                let node = ShardOp::AddNode {
+                    global: member.0,
+                    name: name.to_owned(),
+                    ghost: home.is_some(),
+                };
+                // A ghost carries the member's tuple as staged.
+                let tuple = fleet.attrs[member.index()].iter();
+                let attrs = tuple.map(|(key, value)| (shard, set(member, key, value)));
+                std::iter::once((shard, node)).chain(attrs).collect()
             }
             Write::Attr {
                 member,
@@ -592,35 +549,34 @@ impl ShardLink for RemoteLink {
                 value,
             } => {
                 let old = fleet.attrs[member.index()].set(key, value.clone());
-                let mut undo = Some((member, key, old));
-                for &shard in std::iter::once(&home).chain(ghosts) {
-                    let op = ShardOp::SetAttr {
-                        global: member.0,
-                        key: vocab.attr_name(key).to_owned(),
-                        value: value.clone(),
-                    };
-                    fleet.staged.push(Staged {
-                        shard,
-                        op,
-                        mark,
-                        undo: undo.take(),
-                    });
-                }
+                undo = Some((member, key, old));
+                let copies = std::iter::once(&home).chain(ghosts);
+                copies
+                    .map(|&shard| (shard, set(member, key, value)))
+                    .collect()
             }
             Write::Edge {
                 shard,
                 src,
                 label,
                 dst,
-            } => stage(
+            } => vec![(
                 shard,
                 ShardOp::AddEdge {
                     src: src.0,
                     label: vocab.label_name(label).to_owned(),
                     dst: dst.0,
                 },
-                None,
-            ),
+            )],
+        };
+        for (shard, op) in ops {
+            let undo = undo.take();
+            fleet.staged.push(Staged {
+                shard,
+                op,
+                mark,
+                undo,
+            });
         }
     }
 

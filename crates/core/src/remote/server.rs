@@ -36,6 +36,7 @@ use crate::path::parse_path;
 use crate::query::{BundlePlan, ChunkMasks, PlanNode};
 use crate::shard::{Session, ShardCore};
 use parking_lot::Mutex;
+use socialreach_graph::shard::MaskedExport;
 use std::borrow::Cow;
 use std::collections::HashSet;
 use std::io::{self, Read};
@@ -178,29 +179,32 @@ impl Served {
                 requested: epoch,
             });
         }
-        // Parse against a throwaway copy of the vocabulary: text
-        // naming labels/attrs this shard has not interned means the
-        // router skipped `Intern` — refuse rather than intern out of
-        // master order.
+        let bad = |detail: String| WireRefusal::BadRequest { detail };
+        // Parse against a throwaway copy of the vocabulary: text naming
+        // labels/attrs this shard has not interned means the router
+        // skipped `Intern` — refuse rather than intern out of master
+        // order.
         let mut vocab = self.core.vocab().clone();
         let before = (vocab.num_labels(), vocab.num_attrs());
+        let mut parse = |what: &str, text: &str| {
+            let parsed = parse_path(text, &mut vocab).map_err(|e| {
+                bad(format!(
+                    "unparsable {what} {text:?}: {}",
+                    crate::EvalError::from(e)
+                ))
+            })?;
+            if (vocab.num_labels(), vocab.num_attrs()) != before {
+                return Err(bad(format!(
+                    "{what} {text:?} names vocabulary this shard has not interned"
+                )));
+            }
+            Ok(parsed)
+        };
         let (nodes, masks, parents) = match spec {
             SessionSpec::Path { path, parents, .. } => {
-                let parsed =
-                    parse_path(&path, &mut vocab).map_err(|e| WireRefusal::BadRequest {
-                        detail: format!("unparsable path {path:?}: {}", crate::EvalError::from(e)),
-                    })?;
-                if (vocab.num_labels(), vocab.num_attrs()) != before {
-                    return Err(WireRefusal::BadRequest {
-                        detail: format!(
-                            "path {path:?} names vocabulary this shard has not interned"
-                        ),
-                    });
-                }
+                let parsed = parse("path", &path)?;
                 if parsed.is_empty() {
-                    return Err(WireRefusal::BadRequest {
-                        detail: "empty paths are decided router-side".to_owned(),
-                    });
+                    return Err(bad("empty paths are decided router-side".to_owned()));
                 }
                 // Both parsers refuse a path past the plan-node budget.
                 let plan = BundlePlan::compile(&[&parsed]).expect("a parsed path fits a plan");
@@ -211,38 +215,20 @@ impl Served {
             }
             SessionSpec::Plan { nodes, .. } => {
                 if nodes.is_empty() {
-                    return Err(WireRefusal::BadRequest {
-                        detail: "a bundle plan needs at least one node".to_owned(),
-                    });
+                    return Err(bad("a bundle plan needs at least one node".to_owned()));
                 }
                 let mut plan_nodes: Vec<PlanNode> = Vec::with_capacity(nodes.len());
                 let mut masks = ChunkMasks::default();
                 for n in &nodes {
-                    let parsed =
-                        parse_path(&n.step, &mut vocab).map_err(|e| WireRefusal::BadRequest {
-                            detail: format!(
-                                "unparsable plan step {:?}: {}",
-                                n.step,
-                                crate::EvalError::from(e)
-                            ),
-                        })?;
-                    if (vocab.num_labels(), vocab.num_attrs()) != before {
-                        return Err(WireRefusal::BadRequest {
-                            detail: format!(
-                                "plan step {:?} names vocabulary this shard has not interned",
-                                n.step
-                            ),
-                        });
-                    }
+                    let parsed = parse("plan step", &n.step)?;
                     if parsed.len() != 1 {
-                        return Err(WireRefusal::BadRequest {
-                            detail: format!("plan node step {:?} is not a single step", n.step),
-                        });
+                        return Err(bad(format!(
+                            "plan node step {:?} is not a single step",
+                            n.step
+                        )));
                     }
                     if let Some(&c) = n.children.iter().find(|&&c| c as usize >= nodes.len()) {
-                        return Err(WireRefusal::BadRequest {
-                            detail: format!("plan child id {c} is out of range"),
-                        });
+                        return Err(bad(format!("plan child id {c} is out of range")));
                     }
                     plan_nodes.push(PlanNode {
                         step: parsed.steps[0].canonical(),
@@ -254,12 +240,13 @@ impl Served {
                 (plan_nodes, masks, None)
             }
         };
+        let (one_path, parents) = (parents.is_some(), parents == Some(true));
         let session = self.core.open(
             Cow::Owned(nodes),
             Cow::Owned(masks),
             word,
-            parents.is_some(),
-            parents == Some(true),
+            one_path,
+            parents,
         );
         Ok(EvalSession {
             eval,
@@ -273,7 +260,7 @@ impl Served {
         &self,
         slot: &mut Option<EvalSession>,
         eval: u64,
-        seeds: &[socialreach_graph::shard::MaskedExport],
+        seeds: &[MaskedExport],
         stop: Option<u32>,
     ) -> Result<Response, WireRefusal> {
         let sess = current_session(slot, eval, self.epoch)?;
@@ -286,85 +273,72 @@ impl Served {
         })
     }
 
-    /// Serves one request; `slot` holds the connection's session.
-    /// Returns the response and whether the server should shut down
-    /// afterwards.
-    fn handle(&mut self, req: Request, slot: &mut Option<EvalSession>) -> (Response, bool) {
-        let refuse = |r: WireRefusal| (Response::Refused(r), false);
-        match req {
+    /// Serves one request other than `Shutdown`; `slot` holds the
+    /// connection's session.
+    fn handle(
+        &mut self,
+        req: Request,
+        slot: &mut Option<EvalSession>,
+    ) -> Result<Response, WireRefusal> {
+        let mismatch = |shard_epoch, requested| WireRefusal::EpochMismatch {
+            shard_epoch,
+            requested,
+        };
+        Ok(match req {
             Request::Hello { version } => {
                 if version != PROTOCOL_VERSION {
-                    return refuse(WireRefusal::Version {
+                    return Err(WireRefusal::Version {
                         shard: PROTOCOL_VERSION,
                         requested: version,
                     });
                 }
                 let census = self.core.census();
-                (
-                    Response::Hello {
-                        version: PROTOCOL_VERSION,
-                        epoch: self.epoch,
-                        nodes: (census.members + census.ghosts) as u64,
-                    },
-                    false,
-                )
+                Response::Hello {
+                    version: PROTOCOL_VERSION,
+                    epoch: self.epoch,
+                    nodes: (census.members + census.ghosts) as u64,
+                }
             }
             Request::Intern { labels, attrs } => {
-                self.core.intern(
-                    labels.iter().map(String::as_str),
-                    attrs.iter().map(String::as_str),
-                );
-                (Response::Ok, false)
+                let (labels, attrs) = (labels.iter(), attrs.iter());
+                self.core
+                    .intern(labels.map(String::as_str), attrs.map(String::as_str));
+                Response::Ok
             }
             Request::Prepare { epoch, ops } => {
-                let replacing = self.staged.as_ref().is_some_and(|(e, _)| *e == epoch);
                 if epoch <= self.epoch {
-                    return refuse(WireRefusal::EpochMismatch {
-                        shard_epoch: self.epoch,
-                        requested: epoch,
+                    return Err(mismatch(self.epoch, epoch));
+                }
+                if let Some((staged, _)) = self.staged.as_ref().filter(|(e, _)| *e != epoch) {
+                    return Err(WireRefusal::BadRequest {
+                        detail: format!("epoch {staged} is already staged"),
                     });
                 }
-                if !replacing {
-                    if let Some((staged, _)) = &self.staged {
-                        return refuse(WireRefusal::BadRequest {
-                            detail: format!("epoch {staged} is already staged"),
-                        });
-                    }
-                }
-                if let Err(r) = self.validate(&ops) {
-                    return refuse(r);
-                }
+                self.validate(&ops)?;
                 self.staged = Some((epoch, ops));
-                (Response::Prepared { epoch }, false)
+                Response::Prepared { epoch }
             }
-            Request::Commit { epoch } => {
-                if epoch == self.epoch {
-                    // Idempotent re-commit (a router retrying after a
-                    // lost acknowledgement).
-                    return (Response::Committed { epoch }, false);
+            // An idempotent re-commit: a router retrying after a lost
+            // acknowledgement.
+            Request::Commit { epoch } if epoch == self.epoch => Response::Committed { epoch },
+            Request::Commit { epoch } => match self.staged.take() {
+                Some((staged, ops)) if staged == epoch => {
+                    // Every open session now names an older epoch (see
+                    // `current_session`).
+                    self.apply(ops);
+                    self.epoch = epoch;
+                    Response::Committed { epoch }
                 }
-                match self.staged.take() {
-                    Some((staged, ops)) if staged == epoch => {
-                        // Every open session now names an older epoch
-                        // (see `current_session`).
-                        self.apply(ops);
-                        self.epoch = epoch;
-                        (Response::Committed { epoch }, false)
-                    }
-                    other => {
-                        self.staged = other;
-                        refuse(WireRefusal::EpochMismatch {
-                            shard_epoch: self.epoch,
-                            requested: epoch,
-                        })
-                    }
+                other => {
+                    self.staged = other;
+                    return Err(mismatch(self.epoch, epoch));
                 }
-            }
+            },
             Request::Abort { epoch } => {
                 if self.staged.as_ref().is_some_and(|(e, _)| *e == epoch) {
                     self.staged = None;
                 }
-                (Response::Aborted { epoch }, false)
+                Response::Aborted { epoch }
             }
             Request::OpenRound {
                 eval,
@@ -375,62 +349,46 @@ impl Served {
                 // The connection's previous session goes first, whether
                 // or not the new one opens.
                 *slot = None;
-                match self.open(eval, session) {
-                    Ok(opened) => *slot = Some(opened),
-                    Err(refusal) => return refuse(refusal),
-                }
-                match self.round(slot, eval, &seeds, stop) {
-                    Ok(resp) => (resp, false),
-                    Err(refusal) => refuse(refusal),
-                }
+                *slot = Some(self.open(eval, session)?);
+                self.round(slot, eval, &seeds, stop)?
             }
-            Request::Round { eval, seeds, stop } => match self.round(slot, eval, &seeds, stop) {
-                Ok(resp) => (resp, false),
-                Err(refusal) => refuse(refusal),
-            },
+            Request::Round { eval, seeds, stop } => self.round(slot, eval, &seeds, stop)?,
             Request::Trace {
                 eval,
                 member,
                 step,
                 depth,
             } => {
-                let traced = current_session(slot, eval, self.epoch)
-                    .and_then(|sess| self.core.trace(&sess.session, member, step, depth));
-                match traced {
-                    Ok((hops, (seed_member, seed_step, seed_depth))) => (
-                        Response::Traced {
-                            hops: hops
-                                .iter()
-                                .map(|h| WireHop {
-                                    src: h.src.0,
-                                    dst: h.dst.0,
-                                    label: h.label.0,
-                                    forward: h.forward,
-                                })
-                                .collect(),
-                            seed_member,
-                            seed_step,
-                            seed_depth,
-                        },
-                        false,
-                    ),
-                    Err(refusal) => refuse(refusal),
+                let sess = current_session(slot, eval, self.epoch)?;
+                let (hops, (seed_member, seed_step, seed_depth)) =
+                    self.core.trace(&sess.session, member, step, depth)?;
+                let hops = hops
+                    .iter()
+                    .map(|h| WireHop {
+                        src: h.src.0,
+                        dst: h.dst.0,
+                        label: h.label.0,
+                        forward: h.forward,
+                    })
+                    .collect();
+                Response::Traced {
+                    hops,
+                    seed_member,
+                    seed_step,
+                    seed_depth,
                 }
             }
             Request::Census => {
                 let census = self.core.census();
-                (
-                    Response::Census {
-                        members: census.members as u64,
-                        ghosts: census.ghosts as u64,
-                        edges: census.edges as u64,
-                        epoch: self.epoch,
-                    },
-                    false,
-                )
+                Response::Census {
+                    members: census.members as u64,
+                    ghosts: census.ghosts as u64,
+                    edges: census.edges as u64,
+                    epoch: self.epoch,
+                }
             }
-            Request::Shutdown => (Response::Ok, true),
-        }
+            Request::Shutdown => Response::Ok,
+        })
     }
 }
 
@@ -592,15 +550,13 @@ fn serve_conn(mut conn: Conn, core: Arc<Mutex<Served>>, stop: Arc<AtomicBool>) {
         if conn.set_read_timeout(Some(POLL)).is_err() {
             return;
         }
-        let (resp, shutdown) = match proto::decode_request(&payload) {
-            Ok(req) => core.lock().handle(req, &mut session),
-            Err(e) => (
-                Response::Refused(WireRefusal::BadRequest {
-                    detail: format!("undecodable request: {e}"),
-                }),
-                false,
-            ),
-        };
+        let request = proto::decode_request(&payload).map_err(|e| WireRefusal::BadRequest {
+            detail: format!("undecodable request: {e}"),
+        });
+        let shutdown = matches!(request, Ok(Request::Shutdown));
+        let resp = request
+            .and_then(|req| core.lock().handle(req, &mut session))
+            .unwrap_or_else(Response::Refused);
         if frame::write_frame(&mut conn, &proto::encode_response(&resp)).is_err() {
             return;
         }

@@ -11,7 +11,7 @@
 //! ([`crate::coordinator`], shared with [`crate::NetworkedSystem`]).
 
 use crate::coordinator::Partitioned;
-pub use crate::coordinator::{BundleFixpointStats, ShardStats, ShardedEval, ShardedHop};
+pub use crate::coordinator::{BundleFixpointStats, ShardStats, ShardedEval};
 use crate::link::LocalLink;
 
 /// The sharded serving façade: the [`crate::AccessControlSystem`] API
@@ -259,8 +259,8 @@ mod tests {
         let copies: Vec<_> = sys
             .links
             .iter()
-            .filter(|l| l.core().local_of(y.0).is_some())
-            .map(|l| l.core().attrs(y.0).get(age).cloned())
+            .filter(|l| l.core.local_of(y.0).is_some())
+            .map(|l| l.core.attrs(y.0).get(age).cloned())
             .collect();
         assert_eq!(copies, vec![Some(35i64.into()); 2], "home and ghost");
         let lines = sys
