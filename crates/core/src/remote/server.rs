@@ -566,3 +566,36 @@ fn serve_conn(mut conn: Conn, core: Arc<Mutex<Served>>, stop: Arc<AtomicBool>) {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A shard's global→local table is dense, so a `Prepare` naming a
+    /// member id past [`MAX_MEMBER_ID`] is refused before it can grow
+    /// the table; one just below it is staged.
+    #[test]
+    fn a_member_id_past_the_bound_is_refused_at_prepare() {
+        let mut served = Served {
+            core: ShardCore::new(),
+            epoch: 0,
+            staged: None,
+        };
+        let prepare = |global| Request::Prepare {
+            epoch: 1,
+            ops: vec![ShardOp::AddNode {
+                global,
+                name: "m".to_owned(),
+                ghost: true,
+            }],
+        };
+        let refused = served.handle(prepare(MAX_MEMBER_ID), &mut None);
+        assert!(
+            matches!(&refused, Err(WireRefusal::BadRequest { detail }) if detail.contains("past")),
+            "{refused:?}"
+        );
+        assert!(served.staged.is_none());
+        let staged = served.handle(prepare(MAX_MEMBER_ID - 1), &mut None);
+        assert!(matches!(staged, Ok(Response::Prepared { epoch: 1 })));
+    }
+}

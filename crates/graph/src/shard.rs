@@ -1,8 +1,10 @@
 //! Shard placement and cross-shard boundary bookkeeping.
 //!
-//! The sharded serving layer (`socialreach-core`'s `ShardedSystem`)
-//! hash-partitions members across N independent epoch-published graphs.
-//! This module holds the graph-side vocabulary of that split:
+//! The partitioned serving layer (`socialreach-core`'s coordinator,
+//! behind both `ShardedSystem` and `NetworkedSystem`) hash-partitions
+//! members across N independent epoch-published graphs, in process or
+//! in shard server processes. This module holds the graph-side
+//! vocabulary of that split:
 //!
 //! * [`ShardAssignment`] — the member → shard placement function.
 //!   Placement must be **deterministic and seedable**: the same member
@@ -16,7 +18,8 @@
 //!   endpoints live on different shards. The serving layer replicates
 //!   each boundary edge into both endpoint shards (attached to a ghost
 //!   copy of the remote endpoint) and uses this table for
-//!   introspection, rebalancing decisions and audits.
+//!   introspection, rebalancing decisions and audits; a write that
+//!   cannot commit is rolled back with [`BoundaryTable::truncate`].
 //! * [`MaskedStateKey`] / [`MaskedExportSet`] — the vocabulary of
 //!   **masked** boundary exports. The batched serving path evaluates a
 //!   whole bundle of access conditions in one cross-shard fixpoint:
@@ -26,8 +29,8 @@
 //!   conditions split into multiple mask **words**; the word index is
 //!   part of the key, so one export set serves an arbitrarily wide
 //!   bundle without cross-talk between words. [`MaskedExport`] is the
-//!   serialization-friendly wire entry (the unit a future
-//!   distributed-transport shard protocol would batch onto sockets).
+//!   serialization-friendly wire entry (the unit the networked shard
+//!   protocol batches onto sockets).
 
 use crate::ids::LabelId;
 use serde::{Deserialize, Serialize};
