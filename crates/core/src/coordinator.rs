@@ -417,11 +417,6 @@ impl<L: ShardLink> Partitioned<L> {
     // Reads: the masked fixpoint over the links' lanes
     // ------------------------------------------------------------------
 
-    /// The policy store and how many members its rules may name.
-    fn policy(&self) -> (&PolicyStore, usize) {
-        (&self.store, self.members.len())
-    }
-
     fn home_of(&self, member: u32) -> usize {
         self.members[member as usize].home as usize
     }
@@ -577,10 +572,18 @@ impl<L: ShardLink> AccessService for Partitioned<L> {
         rid: ResourceId,
         requester: NodeId,
     ) -> Result<(Decision, ReadStats), EvalError> {
-        decision::check(&self.decisions, self.policy(), rid, requester, |cond| {
-            let (walk, s) = L::read(|| self.targeted(cond.owner, &cond.path, requester, false))?;
-            Ok((walk.is_some(), s))
-        })
+        decision::check(
+            &self.decisions,
+            &self.store,
+            self.members.len(),
+            rid,
+            requester,
+            |cond| {
+                let (walk, s) =
+                    L::read(|| self.targeted(cond.owner, &cond.path, requester, false))?;
+                Ok((walk.is_some(), s))
+            },
+        )
     }
 
     /// One stitched cross-shard walk per condition of the first
@@ -590,7 +593,7 @@ impl<L: ShardLink> AccessService for Partitioned<L> {
         rid: ResourceId,
         requester: NodeId,
     ) -> Result<(Option<Explanation>, ReadStats), EvalError> {
-        decision::explain(self.policy(), rid, requester, |cond| {
+        decision::explain(&self.store, self.members.len(), rid, requester, |cond| {
             L::read(|| self.targeted(cond.owner, &cond.path, requester, true))
         })
     }
@@ -622,11 +625,13 @@ impl<L: ShardLink> AccessService for Partitioned<L> {
             CheckPlan::Targeted => {
                 decision::check_each(requests, |rid, req| self.check_with_stats(rid, req))
             }
-            CheckPlan::Audience(strategy) => {
-                decision::check_via_audiences(&self.decisions, self.policy(), requests, |need| {
-                    self.audience_batch_forced(need, strategy)
-                })
-            }
+            CheckPlan::Audience(strategy) => decision::check_via_audiences(
+                &self.decisions,
+                &self.store,
+                self.members.len(),
+                requests,
+                |need| self.audience_batch_forced(need, strategy),
+            ),
         }
     }
 
@@ -637,7 +642,7 @@ impl<L: ShardLink> AccessService for Partitioned<L> {
         &self,
         queries: &[(NodeId, &str)],
     ) -> Result<Vec<Vec<NodeId>>, EvalError> {
-        decision::query_bundle((&self.vocab, self.members.len()), queries, |conds| {
+        decision::query_bundle(&self.vocab, self.members.len(), queries, |conds| {
             Ok(self.bundle_read(conds)?.0)
         })
     }

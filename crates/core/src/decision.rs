@@ -118,7 +118,8 @@ fn granting_rule<W>(
 /// decision-cache hits return an all-zero census without calling it.
 pub(crate) fn check(
     cache: &DecisionCache,
-    (store, members): (&PolicyStore, usize),
+    store: &PolicyStore,
+    members: usize,
     rid: ResourceId,
     requester: NodeId,
     mut satisfied: impl FnMut(&AccessCondition) -> Result<(bool, ReadStats), EvalError>,
@@ -146,7 +147,8 @@ pub(crate) fn check(
 /// condition's owner to the requester). `None` when access is denied.
 /// Explanations are never cached — each one re-walks.
 pub(crate) fn explain(
-    (store, members): (&PolicyStore, usize),
+    store: &PolicyStore,
+    members: usize,
     rid: ResourceId,
     requester: NodeId,
     mut walk: impl FnMut(&AccessCondition) -> Result<(Option<Vec<WalkHop>>, ReadStats), EvalError>,
@@ -190,7 +192,8 @@ pub(crate) fn check_each(
 /// [`check`] counts them.
 pub(crate) fn check_via_audiences(
     cache: &DecisionCache,
-    (store, members): (&PolicyStore, usize),
+    store: &PolicyStore,
+    members: usize,
     requests: &[(ResourceId, NodeId)],
     audiences: impl FnOnce(&[ResourceId]) -> Result<(Vec<Vec<NodeId>>, ReadStats), EvalError>,
 ) -> Result<(Vec<Decision>, ReadStats), EvalError> {
@@ -246,7 +249,8 @@ pub(crate) fn check_via_audiences(
 /// answers back; a query naming vocabulary the deployment has never
 /// seen keeps its empty audience without being evaluated.
 pub(crate) fn query_bundle(
-    (vocab, members): (&Vocabulary, usize),
+    vocab: &Vocabulary,
+    members: usize,
     queries: &[(NodeId, &str)],
     audiences: impl FnOnce(&[(NodeId, &PathExpr)]) -> Result<Vec<Vec<NodeId>>, EvalError>,
 ) -> Result<Vec<Vec<NodeId>>, EvalError> {

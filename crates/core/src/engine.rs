@@ -590,22 +590,17 @@ impl<E: AccessEngine> Enforcer<E> {
         requester: NodeId,
     ) -> Result<(Decision, ReadStats), EvalError> {
         let mut pinned: Option<Option<Arc<CsrSnapshot>>> = None;
-        decision::check(
-            &self.decisions,
-            (store, g.num_nodes()),
-            rid,
-            requester,
-            |cond| {
-                let snap = pinned.get_or_insert_with(|| self.publish_snapshot(g));
-                let out = match snap {
-                    Some(s) => self
-                        .engine
-                        .check_with_snapshot(g, s, cond.owner, &cond.path, requester)?,
-                    None => self.engine.check(g, cond.owner, &cond.path, requester)?,
-                };
-                Ok((out.granted, ReadStats::one_pass(out.stats.states_visited)))
-            },
-        )
+        let members = g.num_nodes();
+        decision::check(&self.decisions, store, members, rid, requester, |cond| {
+            let snap = pinned.get_or_insert_with(|| self.publish_snapshot(g));
+            let out = match snap {
+                Some(s) => self
+                    .engine
+                    .check_with_snapshot(g, s, cond.owner, &cond.path, requester)?,
+                None => self.engine.check(g, cond.owner, &cond.path, requester)?,
+            };
+            Ok((out.granted, ReadStats::one_pass(out.stats.states_visited)))
+        })
     }
 
     /// Decides a batch of requests along the forced route; decisions
@@ -634,9 +629,11 @@ impl<E: AccessEngine> Enforcer<E> {
         E: Sync,
     {
         if let CheckPlan::Audience(strategy) = plan {
+            let members = g.num_nodes();
             return decision::check_via_audiences(
                 &self.decisions,
-                (store, g.num_nodes()),
+                store,
+                members,
                 requests,
                 |need| self.audience_batch_forced(g, store, need, strategy),
             );

@@ -271,36 +271,32 @@ impl AccessService for AccessControlSystem {
         // The published snapshot, not the thread cache: reads of every
         // kind share one epoch. Generation 0 cannot be published.
         let snap = self.online.publish_snapshot(&self.graph);
-        decision::explain(
-            (&self.store, self.graph.num_nodes()),
-            rid,
-            requester,
-            |cond| {
-                let (owner, path, target) = (cond.owner, &cond.path, Some(requester));
-                let out = match &snap {
-                    Some(snap) => {
-                        online::evaluate_with_snapshot(&self.graph, snap, owner, path, target)
-                    }
-                    None => online::evaluate_reference(&self.graph, owner, path, target),
-                };
-                let census = ReadStats::one_pass(out.stats.states_visited);
-                let hops = out.witness.map(|witness| {
-                    witness
-                        .into_iter()
-                        .map(|(eid, forward)| {
-                            let rec = self.graph.edge(eid);
-                            WalkHop {
-                                src: rec.src,
-                                dst: rec.dst,
-                                label: rec.label,
-                                forward,
-                            }
-                        })
-                        .collect()
-                });
-                Ok((hops, census))
-            },
-        )
+        let members = self.graph.num_nodes();
+        decision::explain(&self.store, members, rid, requester, |cond| {
+            let (owner, path, target) = (cond.owner, &cond.path, Some(requester));
+            let out = match &snap {
+                Some(snap) => {
+                    online::evaluate_with_snapshot(&self.graph, snap, owner, path, target)
+                }
+                None => online::evaluate_reference(&self.graph, owner, path, target),
+            };
+            let census = ReadStats::one_pass(out.stats.states_visited);
+            let hops = out.witness.map(|witness| {
+                witness
+                    .into_iter()
+                    .map(|(eid, forward)| {
+                        let rec = self.graph.edge(eid);
+                        WalkHop {
+                            src: rec.src,
+                            dst: rec.dst,
+                            label: rec.label,
+                            forward,
+                        }
+                    })
+                    .collect()
+            });
+            Ok((hops, census))
+        })
     }
 
     /// Under the online engine the bundle's distinct conditions are
@@ -342,28 +338,25 @@ impl AccessService for AccessControlSystem {
         &self,
         queries: &[(NodeId, &str)],
     ) -> Result<Vec<Vec<NodeId>>, EvalError> {
-        decision::query_bundle(
-            (self.graph.vocab(), self.graph.num_nodes()),
-            queries,
-            |conds| {
-                match self.online.publish_snapshot(&self.graph) {
-                    Some(snap) => Ok(OnlineEngine
-                        .audience_batch_with_snapshot(&self.graph, &snap, conds)?
-                        .0),
-                    // Edge-free graph: nothing to publish, nothing to walk.
-                    None => Ok(conds
-                        .iter()
-                        .map(|&(owner, path)| {
-                            if path.is_empty() {
-                                vec![owner]
-                            } else {
-                                Vec::new()
-                            }
-                        })
-                        .collect()),
-                }
-            },
-        )
+        let members = self.graph.num_nodes();
+        decision::query_bundle(self.graph.vocab(), members, queries, |conds| {
+            match self.online.publish_snapshot(&self.graph) {
+                Some(snap) => Ok(OnlineEngine
+                    .audience_batch_with_snapshot(&self.graph, &snap, conds)?
+                    .0),
+                // Edge-free graph: nothing to publish, nothing to walk.
+                None => Ok(conds
+                    .iter()
+                    .map(|&(owner, path)| {
+                        if path.is_empty() {
+                            vec![owner]
+                        } else {
+                            Vec::new()
+                        }
+                    })
+                    .collect()),
+            }
+        })
     }
 
     /// One early-exit walk per request, whatever the batch size.
