@@ -17,7 +17,7 @@ use socialreach_core::{
     ResourceId, ServiceInstance, ShardAddr, WalkHop,
 };
 use socialreach_graph::shard::{MaskedExport, MaskedStateKey};
-use socialreach_graph::{NodeId, SocialGraph};
+use socialreach_graph::{AttrValue, NodeId, SocialGraph};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
@@ -79,6 +79,69 @@ pub fn durable_script() -> Vec<Mutation> {
             owner: NodeId(owner),
         });
         script.push(Mutation::AddRule { resource, path });
+    }
+    script
+}
+
+/// The snapshot-export script: eight members carrying attributes of all
+/// four value kinds (one overwritten after the edges, so the change
+/// reaches every copy of the member), `friend` and `colleague` edges
+/// that mix intra-shard and cross-shard under both `sharded(3, 3)` and
+/// a two-shard fleet, and three resources with rules in both policy
+/// grammars — one naming `follows`, a label no edge carries, so the
+/// vocabulary holds a name only a rule interned.
+pub fn export_script() -> Vec<Mutation> {
+    let mut script: Vec<Mutation> = ["Ava", "Ben", "Cleo", "Dan", "Edith", "Femi", "Gus", "Hana"]
+        .map(|name| Mutation::AddUser {
+            name: name.to_owned(),
+        })
+        .into();
+    let attrs: [(u32, &str, AttrValue); 8] = [
+        (0, "age", AttrValue::Int(34)),
+        (1, "score", AttrValue::Float(0.75)),
+        (2, "city", AttrValue::Text("Lyon".to_owned())),
+        (3, "verified", AttrValue::Bool(true)),
+        (4, "age", AttrValue::Int(17)),
+        (5, "city", AttrValue::Text("Oslo".to_owned())),
+        (0, "verified", AttrValue::Bool(false)),
+        (6, "score", AttrValue::Float(-2.5)),
+    ];
+    let set = |(user, key, value): (u32, &str, AttrValue)| Mutation::SetUserAttr {
+        user: NodeId(user),
+        key: key.to_owned(),
+        value,
+    };
+    script.extend(attrs.into_iter().map(set));
+    for (src, label, dst) in [
+        (0, "friend", 1),
+        (1, "friend", 2),
+        (2, "colleague", 3),
+        (3, "friend", 4),
+        (4, "colleague", 5),
+        (5, "friend", 6),
+        (6, "colleague", 7),
+        (7, "friend", 0),
+        (0, "colleague", 4),
+        (2, "friend", 6),
+        (3, "colleague", 1),
+    ] {
+        let (src, label, dst) = (NodeId(src), label.to_owned(), NodeId(dst));
+        script.push(Mutation::AddRelationship { src, label, dst });
+    }
+    script.push(set((1, "age", AttrValue::Int(19))));
+    let resources: [(u32, &[&str]); 3] = [
+        (0, &["friend+[1,2]{age>=18}"]),
+        (4, &["MATCH (owner)-[:colleague*1..2]->(v)"]),
+        (2, &["friend+[1]/colleague+[1]", "follows+[1]"]),
+    ];
+    for (rid, (owner, paths)) in resources.into_iter().enumerate() {
+        script.push(Mutation::AddResource {
+            owner: NodeId(owner),
+        });
+        for path in paths {
+            let (resource, path) = (ResourceId(rid as u64), (*path).to_owned());
+            script.push(Mutation::AddRule { resource, path });
+        }
     }
     script
 }

@@ -8,6 +8,7 @@
 mod common;
 
 use common::{durable_script as script, reference_prefix, rids_after, DataDir};
+use socialreach_core::remote::spawn_local_fleet;
 use socialreach_core::{Deployment, DurabilityError, MutateService};
 use std::path::Path;
 
@@ -491,4 +492,57 @@ fn wal_bytes_are_pinned_per_record_kind() {
     let lines: Vec<String> = history.iter().map(|e| e.record.to_string()).collect();
     let want: Vec<&str> = golden.iter().map(|g| g.3).collect();
     assert_eq!(lines, want, "history lines");
+}
+
+#[test]
+fn snapshot_bytes_are_pinned_per_backend() {
+    // A snapshot holds the deployment's state, not its shape's: one
+    // script through a single graph, a 3-shard partition and a 2-shard
+    // networked fleet snapshots to the same bytes. The format is a
+    // compatibility contract besides, so the bytes are pinned by length
+    // and CRC-32.
+    let script = common::export_script();
+    for placement in [Deployment::sharded(3, 3), Deployment::sharded(2, 0)] {
+        // The networked fleet below hashes members as `sharded(2, 0)`.
+        let mut svc = placement.build();
+        for m in &script {
+            svc.apply(m).unwrap();
+        }
+        let sharded = svc.as_sharded().expect("a partition");
+        let crossing = sharded.boundary().len();
+        assert!(
+            crossing > 0 && crossing < sharded.num_edges(),
+            "{}: {crossing} of {} edges cross shards",
+            placement.describe(),
+            sharded.num_edges()
+        );
+    }
+    let fleet = spawn_local_fleet(2, false).expect("fleet spawns");
+    let networked = Deployment::networked(fleet.iter().map(|h| h.addr().clone()).collect());
+    let mut snapshots = Vec::new();
+    for deployment in [Deployment::online(), Deployment::sharded(3, 3), networked] {
+        let dir = DataDir::new("snappin");
+        let mut svc = deployment.durable(&dir.0).unwrap();
+        for m in &script {
+            svc.apply(m).unwrap();
+        }
+        let path = svc.snapshot().unwrap();
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        snapshots.push((deployment.describe(), name, std::fs::read(&path).unwrap()));
+    }
+    let (_, name, bytes) = &snapshots[0];
+    for (describe, other_name, other) in &snapshots[1..] {
+        assert_eq!(other_name, name, "{describe}: snapshot file name");
+        assert!(
+            other == bytes,
+            "{describe}: snapshot bytes differ from the single graph's"
+        );
+    }
+    assert_eq!(name, "snap-00000000000000000035.snap");
+    let crc = socialreach_graph::wire::crc32(bytes);
+    assert_eq!(
+        (bytes.len(), crc),
+        (1146, 0x10e76197),
+        "snapshot length and CRC-32"
+    );
 }
