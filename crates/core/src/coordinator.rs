@@ -204,6 +204,26 @@ impl<L: ShardLink> Partitioned<L> {
         Ok(self)
     }
 
+    /// The deployment's state as one graph, the inverse of loading one
+    /// ([`crate::ShardedSystem::from_graph`]): the master vocabulary, the
+    /// members in id order with their names and their home copies'
+    /// attributes, and the edge log in insertion order. Built on each call — the shards hold
+    /// the topology, so there is no global graph to lend.
+    pub fn export_graph(&self) -> SocialGraph {
+        let mut g = SocialGraph::new();
+        *g.vocab_mut() = self.vocab.clone();
+        for (name, m) in self.names.iter().zip(&self.members) {
+            let member = g.add_node(name);
+            for (key, value) in L::attrs(&self.links, &self.fleet, m.home, member).iter() {
+                g.set_node_attr_key(member, key, value.clone());
+            }
+        }
+        for &(src, label, dst) in &self.edges {
+            g.add_edge(src, dst, label);
+        }
+        g
+    }
+
     /// Adopts a policy store built against the graph this deployment
     /// was loaded from (ids align by construction).
     pub fn adopt_store(&mut self, store: PolicyStore) {

@@ -9,17 +9,19 @@
 //! * **Write-ahead log** — [`DurableService`] wraps a
 //!   [`ServiceInstance`] and records every [`Mutation`] the backend
 //!   accepted in an append-only log (`wal.log`) of length-prefixed,
-//!   CRC-32-checksummed frames, before the canonical mirror applies
-//!   it; a refused write is never logged. Replaying the log through
+//!   CRC-32-checksummed frames; a refused write is never logged. The
+//!   backend is the only copy of the state. Replaying the log through
 //!   the same [`MutateService::apply`] rebuilds the exact state —
 //!   member and resource ids are assigned sequentially by every
-//!   backend, so replay is deterministic.
-//! * **Snapshots** — [`DurableService::snapshot`] serializes the
-//!   canonical state (graph via the binary codec in
-//!   `socialreach_graph::persist`, policy store as JSON) into a
-//!   versioned, per-section-checksummed file stamped with the WAL
-//!   position it covers. Snapshots are written to a temp file and
-//!   atomically renamed; older snapshots are kept as a fallback chain.
+//!   backend, so replay is deterministic, and every live write and
+//!   every replayed record is checked against that sequence.
+//! * **Snapshots** — [`DurableService::snapshot`] writes the backend's
+//!   canonical state ([`ServiceInstance::canonical`]: the graph via the
+//!   binary codec in `socialreach_graph::persist`, the policy store as
+//!   JSON) into a versioned, per-section-checksummed file stamped with
+//!   the WAL position it covers, whatever the deployment's shape.
+//!   Snapshots are written to a temp file and atomically renamed; older
+//!   snapshots are kept as a fallback chain.
 //! * **Recovery** — [`Deployment::durable`] reopens a data directory:
 //!   newest valid snapshot + WAL suffix replay. A torn or truncated
 //!   WAL tail (the expected shape of a crash mid-append) is discarded
@@ -97,8 +99,9 @@ use crate::policy::{PolicyStore, ResourceId};
 use crate::service::{
     AccessService, Applied, Deployment, MutateService, Mutation, ServiceInstance,
 };
-use socialreach_graph::wire::crc32;
+use socialreach_graph::wire::{crc32, crc32_parts};
 use socialreach_graph::{persist, GraphError, NodeId, SocialGraph};
+use std::borrow::Cow;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
@@ -332,21 +335,23 @@ fn io_err(path: &Path, op: &'static str, e: std::io::Error) -> DurabilityError {
 /// Encodes one record as a WAL frame:
 /// `[u32 LE payload len][u32 LE CRC-32][payload]`, where the checksum
 /// covers the length bytes *and* the payload, so a damaged length
-/// field cannot masquerade as a valid frame.
-fn encode_frame(record: &Mutation) -> Vec<u8> {
-    let payload = serde_json::to_string(record)
-        .expect("WAL records serialize (no non-finite floats)")
-        .into_bytes();
-    let len = payload.len() as u32;
-    let mut checked = Vec::with_capacity(4 + payload.len());
-    checked.extend_from_slice(&len.to_le_bytes());
-    checked.extend_from_slice(&payload);
-    let crc = crc32(&checked);
+/// field cannot masquerade as a valid frame. JSON cannot carry a NaN or
+/// an infinity, and only an attribute value holds a float, so a record
+/// that does not encode is [`EvalError::NonFiniteAttr`].
+fn encode_frame(record: &Mutation) -> Result<Vec<u8>, EvalError> {
+    let payload = serde_json::to_string(record).map_err(|_| EvalError::NonFiniteAttr {
+        key: match record {
+            Mutation::SetUserAttr { key, .. } => key.clone(),
+            _ => String::new(),
+        },
+    })?;
     let mut frame = Vec::with_capacity(8 + payload.len());
-    frame.extend_from_slice(&len.to_le_bytes());
-    frame.extend_from_slice(&crc.to_le_bytes());
-    frame.extend_from_slice(&payload);
-    frame
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&[0; 4]);
+    frame.extend_from_slice(payload.as_bytes());
+    let crc = crc32_parts(&[&frame[..4], &frame[8..]]);
+    frame[4..8].copy_from_slice(&crc.to_le_bytes());
+    Ok(frame)
 }
 
 /// A discarded torn tail: the expected damage shape of a crash during
@@ -392,10 +397,7 @@ fn later_valid_frame(bytes: &[u8], after: usize) -> Option<usize> {
         let len = u32::from_le_bytes(bytes[o..o + 4].try_into().expect("len 4"));
         if len <= MAX_FRAME && o + 8 + len as usize <= bytes.len() {
             let crc = u32::from_le_bytes(bytes[o + 4..o + 8].try_into().expect("len 4"));
-            let mut checked = Vec::with_capacity(4 + len as usize);
-            checked.extend_from_slice(&len.to_le_bytes());
-            checked.extend_from_slice(&bytes[o + 8..o + 8 + len as usize]);
-            if crc32(&checked) == crc {
+            if crc32_parts(&[&bytes[o..o + 4], &bytes[o + 8..o + 8 + len as usize]]) == crc {
                 return Some(o);
             }
         }
@@ -508,11 +510,9 @@ fn read_wal(path: &Path) -> Result<WalScan, DurabilityError> {
             );
         }
         let payload = &bytes[pos + 8..pos + 8 + len as usize];
-        let mut checked = Vec::with_capacity(4 + payload.len());
-        checked.extend_from_slice(&len.to_le_bytes());
-        checked.extend_from_slice(payload);
+        let computed = crc32_parts(&[&bytes[pos..pos + 4], payload]);
         let frame_end = pos + 8 + len as usize;
-        if crc32(&checked) != crc {
+        if computed != crc {
             if frame_end == bytes.len() {
                 // Checksum mismatch on what claims to be the final
                 // frame. A torn write (header landed, payload didn't
@@ -527,8 +527,7 @@ fn read_wal(path: &Path) -> Result<WalScan, DurabilityError> {
                 path: path.to_path_buf(),
                 offset: pos as u64,
                 detail: format!(
-                    "checksum mismatch (stored {crc:#010x}, computed {:#010x}) before end of log",
-                    crc32(&checked)
+                    "checksum mismatch (stored {crc:#010x}, computed {computed:#010x}) before end of log"
                 ),
             });
         }
@@ -558,23 +557,30 @@ fn snapshot_file_name(wal_records: u64) -> String {
     format!("snap-{wal_records:020}.snap")
 }
 
-fn encode_snapshot(g: &SocialGraph, store: &PolicyStore, wal_records: u64) -> Vec<u8> {
+/// Writes a snapshot of `g` and `store`, stamped with the WAL position
+/// `wal_records`, to `out`: the checksummed header, then each section's
+/// length, CRC-32 and bytes, with no copy of the whole file in memory.
+fn write_snapshot(
+    out: &mut impl Write,
+    g: &SocialGraph,
+    store: &PolicyStore,
+    wal_records: u64,
+) -> std::io::Result<()> {
     let graph_bytes = persist::encode_graph(g);
-    let store_bytes = serde_json::to_string(store)
-        .expect("policy store serializes")
-        .into_bytes();
-    let mut out = Vec::with_capacity(28 + graph_bytes.len() + store_bytes.len() + 16);
-    out.extend_from_slice(SNAPSHOT_MAGIC);
-    out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-    out.extend_from_slice(&wal_records.to_le_bytes());
-    let header_crc = crc32(&out);
-    out.extend_from_slice(&header_crc.to_le_bytes());
-    for section in [&graph_bytes, &store_bytes] {
-        out.extend_from_slice(&(section.len() as u32).to_le_bytes());
-        out.extend_from_slice(&crc32(section).to_le_bytes());
-        out.extend_from_slice(section);
+    let store_bytes = serde_json::to_string(store).expect("policy store serializes");
+    let mut header = [0u8; 24];
+    header[..8].copy_from_slice(SNAPSHOT_MAGIC);
+    header[8..12].copy_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+    header[12..20].copy_from_slice(&wal_records.to_le_bytes());
+    let header_crc = crc32(&header[..20]);
+    header[20..].copy_from_slice(&header_crc.to_le_bytes());
+    out.write_all(&header)?;
+    for section in [&graph_bytes[..], store_bytes.as_bytes()] {
+        out.write_all(&(section.len() as u32).to_le_bytes())?;
+        out.write_all(&crc32(section).to_le_bytes())?;
+        out.write_all(section)?;
     }
-    out
+    Ok(())
 }
 
 fn decode_snapshot(
@@ -670,20 +676,18 @@ pub struct RecoveryReport {
 // ---------------------------------------------------------------------
 
 /// A [`ServiceInstance`] with durability: every write is appended to
-/// the write-ahead log, a canonical mirror of the state (graph +
-/// policy store) is kept for snapshotting, and reads forward to the
+/// the write-ahead log, snapshots persist the backend's own canonical
+/// state ([`ServiceInstance::canonical`]), and reads forward to the
 /// wrapped backend untouched. Construct with [`Deployment::durable`].
 ///
-/// The mirror exists because the sharded backend has no global graph
-/// to export; it is authoritative for snapshots and doubles as the
-/// ground-truth source recovery audits replay against. Backends assign
-/// member and resource ids sequentially, so the mirror, the backend
-/// and any replayed copy agree on every id — divergence is checked on
-/// every write and surfaces as a loud error, never a wrong answer.
+/// The backend is the only copy of the state. Backends assign member
+/// and resource ids sequentially, so the backend and any replayed copy
+/// agree on every id; the decorator counts members and resources and
+/// checks each id the backend assigns against that count, so a
+/// divergence surfaces as a loud error, never a wrong answer.
 pub struct DurableService {
     inner: ServiceInstance,
-    mirror: SocialGraph,
-    store: PolicyStore,
+    ids: NextIds,
     dir: PathBuf,
     wal_path: PathBuf,
     wal: File,
@@ -750,7 +754,7 @@ impl Deployment {
         check_position(&wal_path, &scan, to)?;
         let audience_at = |target: u64| -> Result<Vec<NodeId>, AuditError> {
             let rec = recover_to(self, dir, &wal_path, &scan, target)?;
-            if (resource.0 as usize) < rec.store.num_resources() {
+            if (resource.0 as usize) < rec.ids.resources {
                 rec.inner
                     .reads()
                     .audience(resource)
@@ -925,13 +929,75 @@ fn check_position(wal_path: &Path, scan: &WalScan, position: u64) -> Result<(), 
     }
 }
 
-/// A recovered state: the backend, its canonical mirror, and the
-/// report of how it was reconstructed.
+/// A recovered state: the backend, the ids its next member and
+/// resource must get, and the report of how it was reconstructed.
 struct Recovered {
     inner: ServiceInstance,
-    mirror: SocialGraph,
-    store: PolicyStore,
+    ids: NextIds,
     report: RecoveryReport,
+}
+
+/// The ids the next member and the next resource must get: counted
+/// from the recovered state, then advanced by every applied write. A
+/// backend that assigns any other id has diverged from the history.
+#[derive(Clone, Copy, Debug, Default)]
+struct NextIds {
+    members: usize,
+    resources: usize,
+}
+
+impl NextIds {
+    fn of(g: &SocialGraph, store: &PolicyStore) -> Self {
+        NextIds {
+            members: g.num_nodes(),
+            resources: store.num_resources(),
+        }
+    }
+
+    /// Checks what the backend assigned for `m` against the sequence,
+    /// and advances past it.
+    fn advance(&mut self, m: &Mutation, got: Applied) -> Result<(), String> {
+        let want = match m {
+            Mutation::AddUser { .. } => Applied::Member(NodeId::from_index(self.members)),
+            Mutation::AddResource { .. } => Applied::Resource(ResourceId(self.resources as u64)),
+            _ => Applied::Done,
+        };
+        if got != want {
+            return Err(format!("backend assigned {got:?}, history says {want:?}"));
+        }
+        match got {
+            Applied::Member(_) => self.members += 1,
+            Applied::Resource(_) => self.resources += 1,
+            Applied::Done => {}
+        }
+        Ok(())
+    }
+}
+
+/// Replays `records`, the first of them at absolute position `first`,
+/// into `inner`, checking every id it assigns against `ids`.
+fn replay(
+    inner: &mut ServiceInstance,
+    ids: &mut NextIds,
+    records: &[Mutation],
+    first: u64,
+) -> Result<(), DurabilityError> {
+    for (i, m) in records.iter().enumerate() {
+        let replay = |detail| DurabilityError::Replay {
+            record: first + i as u64,
+            detail,
+        };
+        let got = inner.apply(m).map_err(|e| {
+            replay(match e {
+                EvalError::Graph(GraphError::UnknownNode(n)) => {
+                    format!("member {n} out of range ({} members)", ids.members)
+                }
+                e => e.to_string(),
+            })
+        })?;
+        ids.advance(m, got).map_err(replay)?;
+    }
+    Ok(())
 }
 
 /// The shared recovery engine: reconstructs the state as of absolute
@@ -1001,7 +1067,7 @@ fn recover_to(
         }
     }
 
-    let (mut mirror, mut store, replay_from) = match base_state {
+    let (g, store, replay_from) = match base_state {
         Some(found) => found,
         None if scan.base > 0 => {
             // A compacted log cannot fall back to empty + full replay:
@@ -1013,31 +1079,15 @@ fn recover_to(
         }
         None => (SocialGraph::new(), PolicyStore::new(), 0),
     };
-    let mut inner = deployment.from_graph(&mirror, store.clone());
+    // The decoded snapshot becomes the backend (or seeds it and is
+    // dropped): replay runs into the backend alone.
+    let mut ids = NextIds::of(&g, &store);
+    let mut inner = deployment.adopt_graph(g, store);
     let lo = (replay_from - scan.base) as usize;
     let hi = (target - scan.base) as usize;
-    for (i, m) in scan.records[lo..hi].iter().enumerate() {
-        let replay = |detail| DurabilityError::Replay {
-            record: replay_from + i as u64,
-            detail,
-        };
-        let got = inner.apply(m).map_err(|e| {
-            replay(match e {
-                EvalError::Graph(GraphError::UnknownNode(n)) => {
-                    format!("member {n} out of range ({} members)", mirror.num_nodes())
-                }
-                e => e.to_string(),
-            })
-        })?;
-        mirror_write(&mut mirror, &mut store, m, got).map_err(replay)?;
-        report.records_replayed += 1;
-    }
-    Ok(Recovered {
-        inner,
-        mirror,
-        store,
-        report,
-    })
+    replay(&mut inner, &mut ids, &scan.records[lo..hi], replay_from)?;
+    report.records_replayed = (hi - lo) as u64;
+    Ok(Recovered { inner, ids, report })
 }
 
 impl DurableService {
@@ -1067,8 +1117,7 @@ impl DurableService {
 
         Ok(DurableService {
             inner: recovered.inner,
-            mirror: recovered.mirror,
-            store: recovered.store,
+            ids: recovered.ids,
             dir: dir.to_path_buf(),
             wal_path,
             wal,
@@ -1109,15 +1158,11 @@ impl DurableService {
         &self.dir
     }
 
-    /// The canonical mirror graph (authoritative for snapshots and for
-    /// ground-truth audits of the wrapped backend).
-    pub fn graph(&self) -> &SocialGraph {
-        &self.mirror
-    }
-
-    /// The canonical policy store.
-    pub fn store(&self) -> &PolicyStore {
-        &self.store
+    /// The backend's canonical state, the graph and policy store a
+    /// snapshot persists (see [`ServiceInstance::canonical`]: a
+    /// partitioned backend builds the graph on each call).
+    pub fn canonical(&self) -> (Cow<'_, SocialGraph>, &PolicyStore) {
+        self.inner.canonical()
     }
 
     /// The read surface: durability adds nothing to a read, so this is
@@ -1132,20 +1177,22 @@ impl DurableService {
         self
     }
 
-    /// Persists a snapshot of the current state, stamped with the WAL
-    /// position it covers, and returns its path. Written to a temp
-    /// file and atomically renamed; never overwrites a good snapshot
-    /// with a partial one. Takes `&self`: concurrent readers (behind a
-    /// shared lock) keep reading while the snapshot persists.
+    /// Persists a snapshot of the backend's canonical state, stamped
+    /// with the WAL position it covers, and returns its path. Written
+    /// to a temp file and atomically renamed; never overwrites a good
+    /// snapshot with a partial one. Takes `&self`: concurrent readers
+    /// (behind a shared lock) keep reading while the snapshot persists.
     pub fn snapshot(&self) -> Result<PathBuf, DurabilityError> {
-        let bytes = encode_snapshot(&self.mirror, &self.store, self.wal_records);
         let final_path = self.dir.join(snapshot_file_name(self.wal_records));
         let tmp_path = self.dir.join(format!(
             "{}.tmp-{}",
             snapshot_file_name(self.wal_records),
             std::process::id()
         ));
-        fs::write(&tmp_path, &bytes).map_err(|e| io_err(&tmp_path, "write", e))?;
+        let (g, store) = self.inner.canonical();
+        File::create(&tmp_path)
+            .and_then(|mut file| write_snapshot(&mut file, &g, store, self.wal_records))
+            .map_err(|e| io_err(&tmp_path, "write", e))?;
         fs::rename(&tmp_path, &final_path).map_err(|e| io_err(&final_path, "rename", e))?;
         Ok(final_path)
     }
@@ -1248,47 +1295,32 @@ impl DurableService {
         Ok(report)
     }
 
-    /// Appends one frame to the log. WAL append failure is fail-stop:
-    /// acknowledging a write the log did not capture would break the
-    /// recovery contract.
-    fn append(&mut self, record: &Mutation) {
-        let frame = encode_frame(record);
+    /// Appends one encoded frame to the log. WAL append failure is
+    /// fail-stop: acknowledging a write the log did not capture would
+    /// break the recovery contract.
+    fn append(&mut self, frame: &[u8]) {
         self.wal
-            .write_all(&frame)
+            .write_all(frame)
             .unwrap_or_else(|e| panic!("WAL append to {} failed: {e}", self.wal_path.display()));
         self.wal_records += 1;
     }
 }
 
-/// Applies `m`, which the backend already applied and answered with
-/// `got`, to the canonical mirror, checking the two stay id-for-id
-/// identical — the step live writes and recovery share after the
-/// backend's `apply`.
-fn mirror_write(
-    mirror: &mut SocialGraph,
-    store: &mut PolicyStore,
-    m: &Mutation,
-    got: Applied,
-) -> Result<(), String> {
-    let want = m.apply_to(mirror, store);
-    let want = want.map_err(|e| format!("the canonical mirror refused it: {e}"))?;
-    let diverged = || format!("backend assigned {got:?}, history says {want:?}");
-    (got == want).then_some(()).ok_or_else(diverged)
-}
-
-/// Writes log: the backend applies first, so a refused write — an
-/// unknown id, a rejected rule, a networked fleet that could not
-/// commit — leaves the log, the mirror and the backend unchanged.
-/// Only an accepted write is appended, then mirrored. Recovery runs
-/// the same two applies without the append. (Reads are the backend's
-/// own — see [`DurableService::reads`].)
+/// Writes log: the frame is encoded first and the backend applies
+/// next, so a refused write — a record the log cannot carry, an
+/// unknown id, a rejected rule, a networked fleet that could not commit
+/// — leaves the log and the backend unchanged. An accepted write has
+/// its ids checked against the history's sequence and is then appended.
+/// Recovery runs the same apply and check without the append. (Reads
+/// are the backend's own — see [`DurableService::reads`].)
 impl MutateService for DurableService {
     fn apply(&mut self, m: &Mutation) -> Result<Applied, EvalError> {
+        let frame = encode_frame(m)?;
         let got = self.inner.apply(m)?;
-        self.append(m);
-        if let Err(detail) = mirror_write(&mut self.mirror, &mut self.store, m, got) {
-            panic!("logged write `{m}` diverged from the canonical mirror: {detail}");
+        if let Err(detail) = self.ids.advance(m, got) {
+            panic!("write `{m}` diverged from the logged history: {detail}");
         }
+        self.append(&frame);
         Ok(got)
     }
 }
@@ -1335,7 +1367,7 @@ mod tests {
         let path = dir.join(WAL_FILE);
         let mut bytes = Vec::new();
         for r in &records {
-            bytes.extend_from_slice(&encode_frame(r));
+            bytes.extend_from_slice(&encode_frame(r).unwrap());
         }
         fs::write(&path, &bytes).unwrap();
         let scan = read_wal(&path).unwrap();
@@ -1346,11 +1378,69 @@ mod tests {
     }
 
     #[test]
+    fn a_record_the_log_cannot_carry_is_refused_before_the_backend_sees_it() {
+        let dir = temp_dir("nonfinite");
+        let mut svc = Deployment::online().durable(&dir).unwrap();
+        let ava = svc.add_user("Ava");
+        for value in [f64::NAN, f64::INFINITY] {
+            let m = Mutation::SetUserAttr {
+                user: ava,
+                key: "score".to_owned(),
+                value: AttrValue::Float(value),
+            };
+            assert!(matches!(
+                encode_frame(&m),
+                Err(EvalError::NonFiniteAttr { ref key }) if key == "score"
+            ));
+            assert!(matches!(
+                svc.apply(&m),
+                Err(EvalError::NonFiniteAttr { ref key }) if key == "score"
+            ));
+        }
+        assert_eq!(svc.wal_records(), 1, "nothing logged");
+        assert_eq!(read_history(&dir).unwrap().len(), 1);
+        let (g, _) = svc.canonical();
+        assert!(g.node_attrs(ava).is_empty(), "backend unchanged");
+        drop(g);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn replayed_ids_out_of_sequence_are_a_typed_error() {
+        // A backend whose next member is 0 while the history says 1:
+        // replay refuses the record instead of serving a shifted id.
+        let mut inner = Deployment::online().build();
+        let mut ids = NextIds {
+            members: 1,
+            resources: 0,
+        };
+        let records = [Mutation::AddUser {
+            name: "Ava".to_owned(),
+        }];
+        match replay(&mut inner, &mut ids, &records, 7) {
+            Err(DurabilityError::Replay { record, detail }) => {
+                assert_eq!(record, 7);
+                assert!(detail.contains("history says"), "{detail}");
+            }
+            other => panic!("expected a Replay error, got {other:?}"),
+        }
+        let mut ids = NextIds::default();
+        replay(&mut Deployment::online().build(), &mut ids, &records, 0).unwrap();
+        assert_eq!((ids.members, ids.resources), (1, 0));
+    }
+
+    #[test]
     fn missing_wal_reads_as_empty() {
         let dir = temp_dir("missing");
         let scan = read_wal(&dir.join(WAL_FILE)).unwrap();
         assert!(scan.records.is_empty());
         assert!(scan.torn.is_none());
+    }
+
+    fn encode_snapshot(g: &SocialGraph, store: &PolicyStore, wal_records: u64) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        write_snapshot(&mut bytes, g, store, wal_records).unwrap();
+        bytes
     }
 
     #[test]

@@ -24,7 +24,7 @@ use crate::query::{BundlePlan, ChunkMasks};
 use crate::shard::{Session, ShardCore, Traced};
 use crate::ShardedSystem;
 use socialreach_graph::shard::{MaskedExport, ShardAssignment};
-use socialreach_graph::{AttrKey, AttrValue, LabelId, NodeId, SocialGraph, Vocabulary};
+use socialreach_graph::{AttrKey, AttrMap, AttrValue, LabelId, NodeId, SocialGraph, Vocabulary};
 use std::borrow::Cow;
 use std::convert::Infallible;
 
@@ -104,6 +104,15 @@ pub trait ShardLink: Sized + Send + Sync {
     /// Runs one read (retried as the link's failure model allows).
     fn read<T>(attempt: impl Fn() -> Result<T, Self::Error>) -> Result<T, EvalError>;
 
+    /// The attribute tuple of `member`, whose home shard is `home`, as
+    /// of the last write.
+    fn attrs<'a>(
+        links: &'a [Self],
+        fleet: &'a Self::Fleet,
+        home: u32,
+        member: NodeId,
+    ) -> &'a AttrMap;
+
     /// Lets the shards intern the master vocabulary's new names before
     /// a write or a read names them.
     fn sync_vocab(links: &mut [Self], vocab: &Vocabulary);
@@ -173,6 +182,10 @@ impl ShardLink for LocalLink {
         Ok(out)
     }
 
+    fn attrs<'a>(links: &'a [Self], _: &'a (), home: u32, member: NodeId) -> &'a AttrMap {
+        links[home as usize].core.attrs(member.0)
+    }
+
     fn sync_vocab(links: &mut [Self], vocab: &Vocabulary) {
         for link in links {
             link.core.sync_vocab(vocab);
@@ -188,7 +201,7 @@ impl ShardLink for LocalLink {
                 home,
             } => {
                 let tuple: Vec<(AttrKey, AttrValue)> = home.map_or_else(Vec::new, |home| {
-                    let attrs = links[home as usize].core.attrs(member.0);
+                    let attrs = Self::attrs(links, &(), home, member);
                     attrs.iter().map(|(k, v)| (k, v.clone())).collect()
                 });
                 let core = &mut links[shard as usize].core;

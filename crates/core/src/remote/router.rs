@@ -505,6 +505,12 @@ impl ShardLink for RemoteLink {
         }
     }
 
+    /// The fleet's copy of the tuple: after a flush it is the committed
+    /// one (a failed flush undoes what it staged).
+    fn attrs<'a>(_: &'a [Self], fleet: &'a RemoteFleet, _: u32, member: NodeId) -> &'a AttrMap {
+        &fleet.attrs[member.index()]
+    }
+
     /// Shards intern new names on their next checkout.
     fn sync_vocab(_: &mut [Self], _: &Vocabulary) {}
 

@@ -61,6 +61,7 @@ use crate::system::{AccessControlSystem, EngineChoice};
 use serde::{Deserialize, Serialize};
 use socialreach_graph::shard::ShardAssignment;
 use socialreach_graph::{AttrValue, GraphError, LabelId, NodeId, SocialGraph};
+use std::borrow::Cow;
 use std::fmt;
 
 // ---------------------------------------------------------------------
@@ -736,12 +737,12 @@ impl Mutation {
         }
     }
 
-    /// Applies the mutation to a graph and its policy store — the one
-    /// function that does, for the single-graph backend, the durable
-    /// layer's canonical mirror and recovery alike. The mutation is
-    /// validated first, so on `Err` the graph and store are unchanged
-    /// (a rule whose text fails to parse may leave newly interned
-    /// vocabulary behind, which no read observes).
+    /// Applies the mutation to a graph and its policy store: the
+    /// single-graph backend's whole write path, live and in recovery's
+    /// replay alike. The mutation is validated first, so on `Err` the
+    /// graph and store are unchanged (a rule whose text fails to parse
+    /// may leave newly interned vocabulary behind, which no read
+    /// observes; a snapshot taken after it persists it).
     pub fn apply_to(
         &self,
         graph: &mut SocialGraph,
@@ -1021,11 +1022,7 @@ impl Deployment {
     /// shared workload.
     pub fn from_graph(&self, g: &SocialGraph, store: PolicyStore) -> ServiceInstance {
         match self {
-            Deployment::Single(choice) => {
-                let mut sys = AccessControlSystem::from_graph(g, *choice);
-                sys.adopt_store(store);
-                ServiceInstance::Single(sys)
-            }
+            Deployment::Single(_) => self.adopt_graph(g.clone(), store),
             Deployment::Sharded(a) => {
                 let mut sys = ShardedSystem::from_graph(g, a.clone());
                 sys.adopt_store(store);
@@ -1040,6 +1037,20 @@ impl Deployment {
                 )
                 .expect("networked deployment: shard fleet unreachable"),
             ),
+        }
+    }
+
+    /// [`Deployment::from_graph`] taking the graph by value: a single
+    /// graph adopts it without a copy, a partitioned backend loads it
+    /// and drops it.
+    pub(crate) fn adopt_graph(&self, g: SocialGraph, store: PolicyStore) -> ServiceInstance {
+        match self {
+            Deployment::Single(choice) => {
+                let mut sys = AccessControlSystem::adopting(g, *choice);
+                sys.adopt_store(store);
+                ServiceInstance::Single(sys)
+            }
+            _ => self.from_graph(&g, store),
         }
     }
 }
@@ -1072,6 +1083,19 @@ impl ServiceInstance {
             ServiceInstance::Single(s) => s,
             ServiceInstance::Sharded(s) => s,
             ServiceInstance::Networked(s) => s,
+        }
+    }
+
+    /// The deployment's canonical state: one graph and its policy store,
+    /// what a snapshot persists and [`Deployment::from_graph`] rebuilds
+    /// the same backend from. The single graph lends its own; a
+    /// partitioned backend builds the graph from its metadata and its
+    /// shards' attributes on each call.
+    pub fn canonical(&self) -> (Cow<'_, SocialGraph>, &PolicyStore) {
+        match self {
+            ServiceInstance::Single(s) => (Cow::Borrowed(s.graph()), s.store()),
+            ServiceInstance::Sharded(s) => (Cow::Owned(s.export_graph()), s.store()),
+            ServiceInstance::Networked(s) => (Cow::Owned(s.export_graph()), s.store()),
         }
     }
 

@@ -101,8 +101,14 @@ impl AccessControlSystem {
     /// [`crate::service::Deployment::from_graph`] stands either backend
     /// up over one shared workload).
     pub fn from_graph(g: &SocialGraph, choice: EngineChoice) -> Self {
+        Self::adopting(g.clone(), choice)
+    }
+
+    /// [`AccessControlSystem::from_graph`] without the copy: the system
+    /// takes `g` itself.
+    pub(crate) fn adopting(g: SocialGraph, choice: EngineChoice) -> Self {
         let mut sys = Self::new(choice);
-        sys.graph = g.clone();
+        sys.graph = g;
         sys
     }
 
@@ -366,7 +372,7 @@ impl AccessService for AccessControlSystem {
 }
 
 /// The deployment-agnostic write surface: the graph-plus-store
-/// mutation every durable mirror applies, then stale derived state.
+/// mutation ([`Mutation::apply_to`]), then stale derived state.
 impl MutateService for AccessControlSystem {
     fn apply(&mut self, m: &Mutation) -> Result<Applied, EvalError> {
         self.dirty();

@@ -5,13 +5,20 @@
 //! and never crashed. Runs against both deployment shapes behind
 //! [`Deployment::durable`]: a single epoch-published graph and a
 //! sharded system, plus the cross pair (recovered sharded vs.
-//! never-crashed single).
+//! never-crashed single) and, for the exported state, a networked
+//! fleet.
 
 mod common;
 
 use common::DataDir;
 
-use socialreach_core::{Deployment, DurableService, MutateService, ResourceId, ServiceInstance};
+use socialreach_core::remote::spawn_local_fleet;
+use socialreach_core::{
+    AccessRule, Deployment, DurableService, MutateService, Mutation, PolicyStore, ResourceId,
+    ServiceInstance,
+};
+use socialreach_graph::{AttrKey, AttrValue, LabelId, NodeId, SocialGraph};
+use std::borrow::Cow;
 
 /// A unique, self-cleaning data directory per test.
 /// The deployment shapes recovery must be transparent for.
@@ -226,33 +233,109 @@ fn recovered_sharded_agrees_with_never_crashed_single() {
     common::assert_services_agree(reference.reads(), recovered.reads(), &rids);
 }
 
+/// Everything a snapshot persists, in comparable form: the vocabulary
+/// (labels, attribute keys), each member's name and attributes in id
+/// order, the edge list in order, and each resource's owner and rules.
+#[derive(Debug, PartialEq)]
+struct Exported {
+    labels: Vec<String>,
+    attr_keys: Vec<String>,
+    members: Vec<(String, Vec<(AttrKey, AttrValue)>)>,
+    edges: Vec<(NodeId, LabelId, NodeId)>,
+    resources: Vec<(ResourceId, NodeId, Vec<AccessRule>)>,
+}
+
+fn exported((g, store): (Cow<'_, SocialGraph>, &PolicyStore)) -> Exported {
+    let vocab = g.vocab();
+    let mut resources: Vec<_> = store
+        .resources()
+        .map(|(rid, owner)| (rid, owner, store.rules_for(rid).to_vec()))
+        .collect();
+    resources.sort_by_key(|r| r.0);
+    Exported {
+        labels: vocab.labels().map(|(_, name)| name.to_owned()).collect(),
+        attr_keys: (0..vocab.num_attrs())
+            .map(|i| vocab.attr_name(AttrKey::from_index(i)).to_owned())
+            .collect(),
+        members: g
+            .nodes()
+            .map(|n| {
+                let attrs = g.node_attrs(n).iter().map(|(k, v)| (k, v.clone()));
+                (g.node_name(n).to_owned(), attrs.collect())
+            })
+            .collect(),
+        edges: g.edges().map(|(_, e)| (e.src, e.label, e.dst)).collect(),
+        resources,
+    }
+}
+
 #[test]
-fn mirror_matches_backend_after_recovery() {
-    // The canonical mirror (what snapshots serialize) stays id-for-id
-    // with the serving backend through crash/recover cycles.
-    for deployment in deployments() {
-        let dir = DataDir::new("mirror");
+fn exported_state_matches_a_never_crashed_single_twin() {
+    // The backend is the only copy of the durable state, so what it
+    // exports — and snapshots persist — must be the single graph's own
+    // state, id for id and in order, on every deployment shape, through
+    // a snapshot and a recovery. A rule refused after interning a new
+    // label leaves that label in the vocabulary (no read observes it);
+    // the snapshot taken after it carries it, so the recovered state
+    // still equals the twin's, which saw the same refusal.
+    let refused = Mutation::AddRule {
+        resource: ResourceId(0),
+        path: "acquaintance+[1]/friend+[0]".to_owned(),
+    };
+    let suffix = Mutation::AddRelationship {
+        src: NodeId(7),
+        label: "mentor".to_owned(),
+        dst: NodeId(2),
+    };
+    let mut twin = Deployment::online().build();
+    for m in common::export_script() {
+        twin.apply(&m).unwrap();
+    }
+    twin.apply(&refused)
+        .expect_err("a malformed depth is refused");
+    twin.apply(&suffix).unwrap();
+    let want = exported(twin.canonical());
+    assert!(
+        want.labels.contains(&"acquaintance".to_owned()),
+        "the refused rule interned its label: {:?}",
+        want.labels
+    );
+
+    let fleets = [
+        spawn_local_fleet(2, false).expect("fleet spawns"),
+        spawn_local_fleet(2, false).expect("fleet spawns"),
+    ];
+    let addrs = |i: usize| fleets[i].iter().map(|h| h.addr().clone()).collect();
+    let shapes = [
+        (Deployment::online(), Deployment::online()),
+        (Deployment::sharded(3, 3), Deployment::sharded(3, 3)),
+        (
+            Deployment::networked(addrs(0)),
+            Deployment::networked(addrs(1)),
+        ),
+    ];
+    for (live, reopened) in shapes {
+        let dir = DataDir::new("exported");
         {
-            let mut svc = deployment.durable(&dir.0).unwrap();
-            populate_all(svc.writes());
+            let mut svc = live.durable(&dir.0).unwrap();
+            for m in common::export_script() {
+                svc.apply(&m).unwrap();
+            }
+            svc.apply(&refused)
+                .expect_err("a malformed depth is refused");
             svc.snapshot().unwrap();
+            svc.apply(&suffix).unwrap();
+            assert_eq!(exported(svc.canonical()), want, "{} live", live.describe());
         }
-        let recovered = deployment.durable(&dir.0).unwrap();
+        let recovered = reopened.durable(&dir.0).unwrap();
+        assert_eq!(recovered.recovery_report().records_replayed, 1);
         assert_eq!(
-            recovered.graph().num_nodes(),
-            recovered.reads().num_members()
+            exported(recovered.canonical()),
+            want,
+            "{} recovered",
+            live.describe()
         );
-        assert_eq!(
-            recovered.graph().num_edges(),
-            recovered.reads().num_relationships()
-        );
-        for n in recovered.graph().nodes() {
-            let name = recovered.graph().node_name(n);
-            assert_eq!(
-                recovered.reads().resolve_user(name).unwrap(),
-                n,
-                "mirror and backend disagree on {name}"
-            );
-        }
+        let rids: Vec<ResourceId> = want.resources.iter().map(|r| r.0).collect();
+        common::assert_services_agree(twin.reads(), recovered.reads(), &rids);
     }
 }

@@ -89,4 +89,4 @@ pub use shard::{
     BoundaryEdge, BoundaryTable, MaskedExport, MaskedExportSet, MaskedStateKey, ShardAssignment,
 };
 pub use vocab::Vocabulary;
-pub use wire::{crc32, WireError, WireReader, WireWriter};
+pub use wire::{crc32, crc32_parts, WireError, WireReader, WireWriter};

@@ -42,6 +42,19 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !c
 }
 
+/// CRC-32 of the concatenation of `parts`, without concatenating them
+/// (a frame checksums its length field and its payload, with the
+/// checksum field between them).
+pub fn crc32_parts(parts: &[&[u8]]) -> u32 {
+    let mut c = 0xFFFF_FFFFu32;
+    for part in parts {
+        for &b in *part {
+            c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+    }
+    !c
+}
+
 /// Typed decode failure: every variant names the byte offset at which
 /// the input stopped making sense, so corruption reports point at the
 /// damage instead of at the code that tripped over it.
@@ -253,6 +266,12 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_ne!(crc32(b"abc"), crc32(b"abd"));
+    }
+
+    #[test]
+    fn crc32_parts_is_the_crc_of_the_concatenation() {
+        assert_eq!(crc32_parts(&[b"1234", b"", b"56789"]), 0xCBF4_3926);
+        assert_eq!(crc32_parts(&[]), 0);
     }
 
     #[test]

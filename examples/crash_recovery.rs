@@ -15,9 +15,9 @@
 //! `std::process::abort()` after that many mutations, leaving whatever
 //! the WAL captured. `audit` recovers the directory, prints the
 //! recovery report, regenerates a seeded request stream whose expected
-//! outcomes come from the *recovered* canonical graph, and replays it
-//! through the serving backend: any divergence between recovered state
-//! and recovered backend fails the audit. A populate → kill → audit
+//! outcomes come from the recovered backend's canonical graph
+//! (`DurableService::canonical`), and replays it through the serving
+//! backend: any divergence between the two fails the audit. A populate → kill → audit
 //! round-trip is the crash-safety smoke test CI runs.
 //!
 //! `timetravel` drills the point-in-time read surface over a
@@ -162,8 +162,8 @@ fn populate(dir: &str, crash_after: Option<u64>) -> ExitCode {
 
     println!(
         "populated {} members, {} resources, {} WAL records in {dir}",
-        svc.graph().num_nodes(),
-        svc.store().num_resources(),
+        svc.reads().num_members(),
+        svc.canonical().1.num_resources(),
         svc.wal_records()
     );
     ExitCode::SUCCESS
@@ -198,17 +198,19 @@ fn audit(dir: &str) -> ExitCode {
         );
     }
 
-    let rids: Vec<ResourceId> = svc.store().resources().map(|(rid, _)| rid).collect();
-    if rids.is_empty() || svc.graph().num_nodes() == 0 {
+    let (graph, store) = svc.canonical();
+    let rids: Vec<ResourceId> = store.resources().map(|(rid, _)| rid).collect();
+    if rids.is_empty() || graph.num_nodes() == 0 {
         println!("nothing recovered to audit (empty state)");
         return ExitCode::SUCCESS;
     }
 
-    // Ground truth comes from the recovered canonical graph; the
-    // decisions come from the recovered serving backend. Faithful
-    // replay means recovery left the two in perfect agreement.
+    // Ground truth is the online engine run over the recovered
+    // backend's canonical graph (for a partitioned backend, one graph
+    // rebuilt from its shards); the decisions come from the recovered
+    // serving backend. Faithful replay means the two agree.
     let mut rng = StdRng::seed_from_u64(0xD15A57E5);
-    let requests = uniform_requests(svc.graph(), svc.store(), &rids, 400, &mut rng);
+    let requests = uniform_requests(&graph, store, &rids, 400, &mut rng);
     let replay = match replay_requests(svc.reads(), &requests, 4) {
         Ok(r) => r,
         Err(e) => {
@@ -275,9 +277,10 @@ fn timetravel(dir: &str) -> ExitCode {
 
     // Drift report: the same request stream answered at both points.
     // Requests the final record decided differently show up as flips.
-    let rids: Vec<ResourceId> = svc.store().resources().map(|(rid, _)| rid).collect();
+    let (graph, store) = svc.canonical();
+    let rids: Vec<ResourceId> = store.resources().map(|(rid, _)| rid).collect();
     let mut rng = StdRng::seed_from_u64(0x7173);
-    let requests = uniform_requests(svc.graph(), svc.store(), &rids, 200, &mut rng);
+    let requests = uniform_requests(&graph, store, &rids, 200, &mut rng);
     let drift = match compare_replays(past_svc.reads(), svc.reads(), &requests, 4) {
         Ok(drift) => drift,
         Err(e) => {

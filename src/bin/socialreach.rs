@@ -223,7 +223,7 @@ fn run(args: &[String]) -> Result<bool, String> {
                     .map_err(|e| format!("recovering {dir}: {e}"))?;
                 println!(
                     "{}",
-                    socialreach::workload::GraphStats::compute(svc.graph())
+                    socialreach::workload::GraphStats::compute(&svc.canonical().0)
                 );
             } else {
                 let g = load(file)?;
