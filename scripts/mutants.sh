@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Mutation check for the partitioned read and write paths.
+# Mutation check for the partitioned read and write paths and the
+# durability layer (WAL scanning, replay, snapshot export).
 #
 # Each tests/mutants/*.patch is one small, deliberate bug. Its header
 # names the bug and the test suites that must kill it:
