@@ -209,7 +209,7 @@ impl<L: ShardLink> Partitioned<L> {
     /// members in id order with their names and their home copies'
     /// attributes, and the edge log in insertion order. Built on each call — the shards hold
     /// the topology, so there is no global graph to lend.
-    pub fn export_graph(&self) -> SocialGraph {
+    pub(crate) fn export_graph(&self) -> SocialGraph {
         let mut g = SocialGraph::new();
         *g.vocab_mut() = self.vocab.clone();
         for (name, m) in self.names.iter().zip(&self.members) {

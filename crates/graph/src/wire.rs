@@ -35,11 +35,7 @@ const CRC_TABLE: [u32; 256] = {
 
 /// CRC-32 (IEEE, reflected) of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
+    crc32_parts(&[bytes])
 }
 
 /// CRC-32 of the concatenation of `parts`, without concatenating them
