@@ -31,16 +31,16 @@
 //! — so on `Err` nothing changed, save for a mutation of more shard ops
 //! than one epoch carries, which keeps the epochs it committed.
 
-use crate::decision::{self, DecisionCache};
+use crate::decision::{self, DecisionCache, Ground};
 use crate::error::EvalError;
 use crate::fixpoint;
 use crate::link::{Program, ShardLink, Write};
 use crate::path::PathExpr;
-use crate::policy::{Decision, PolicyStore, ResourceId};
+use crate::policy::{AccessCondition, PolicyStore};
 use crate::query::BundlePlan;
 use crate::service::{
-    AccessService, Applied, BundleStrategy, CheckPlan, Explanation, MutateService, Mutation,
-    ReadStats, WalkHop,
+    AccessResponse, AccessService, Applied, BundleStrategy, CheckPlan, MutateService, Mutation,
+    ReadBatch, ReadStats, WalkHop,
 };
 use socialreach_graph::shard::{BoundaryEdge, BoundaryTable, ShardAssignment};
 use socialreach_graph::{AttrKey, AttrValue, LabelId, NodeId, SocialGraph, Vocabulary};
@@ -478,27 +478,6 @@ impl<L: ShardLink> Partitioned<L> {
         Ok((audiences, stats.read_stats(conds.len())))
     }
 
-    /// The per-condition bundle strategy: each deduped condition runs
-    /// its own one-condition fixpoint. A one-condition plan shares
-    /// nothing, so there is no plan census.
-    pub(crate) fn per_condition(
-        &self,
-        conds: &[(NodeId, &PathExpr)],
-    ) -> Result<(Vec<Vec<NodeId>>, ReadStats), EvalError> {
-        let mut total = ReadStats::default();
-        let mut audiences = Vec::with_capacity(conds.len());
-        for &cond in conds {
-            let (mut audience, s) = self.bundle_read(&[cond])?;
-            total.absorb(&ReadStats {
-                plan_states: 0,
-                expr_states: 0,
-                ..s
-            });
-            audiences.push(audience.pop().expect("one audience per condition"));
-        }
-        Ok((audiences, total))
-    }
-
     /// The targeted read: does `requester` satisfy `(owner, path)`? The
     /// condition runs as a 1-bit fixpoint (bit 0, word 0) of its
     /// one-path plan that **early-exits** on the requester's home shard.
@@ -551,12 +530,88 @@ impl<L: ShardLink> Partitioned<L> {
     }
 }
 
-/// The deployment-agnostic read surface of both partitioned backends.
-/// Decisions run the shared decision layer; the coordinator contributes
-/// the cross-shard evaluation of one condition (targeted) or one bundle
-/// (batched), each run as the link's read (over the wire: with one
-/// whole-read retry).
+/// A lone check is cheaper through the early-exiting targeted fixpoint;
+/// anything larger materializes the touched resources' audiences in
+/// **one** masked fixpoint per bundle and decides by membership.
+fn default_check_plan(len: usize) -> CheckPlan {
+    if len <= 1 {
+        CheckPlan::Targeted
+    } else {
+        CheckPlan::Audience(BundleStrategy::Batched)
+    }
+}
+
+/// How both partitioned backends evaluate conditions: one condition for
+/// a requester is the early-exiting targeted fixpoint (a witness walk
+/// the same with parent tracking), a bundle the masked fixpoint of its
+/// shared-prefix plan, each run as the link's read (over the wire: with
+/// one whole-read retry). Checks run on the caller's thread.
+impl<L: ShardLink> decision::Evaluate for Partitioned<L> {
+    type Pin = ();
+
+    fn ground(&self) -> Ground<'_> {
+        Ground {
+            members: self.members.len(),
+            store: &self.store,
+            vocab: &self.vocab,
+            cache: &self.decisions,
+            default_check_plan,
+            fans_out: false,
+        }
+    }
+
+    fn pin(&self) {}
+
+    /// Without the parent tracking and stitching only a witness needs.
+    fn satisfied(
+        &self,
+        _: &(),
+        cond: &AccessCondition,
+        requester: NodeId,
+    ) -> Result<(bool, ReadStats), EvalError> {
+        let (walk, s) = L::read(|| self.targeted(cond.owner, &cond.path, requester, false))?;
+        Ok((walk.is_some(), s))
+    }
+
+    fn walk(
+        &self,
+        cond: &AccessCondition,
+        requester: NodeId,
+    ) -> Result<(Option<Vec<WalkHop>>, ReadStats), EvalError> {
+        L::read(|| self.targeted(cond.owner, &cond.path, requester, true))
+    }
+
+    /// `PerCondition` runs each condition's one-path plan alone; a plan
+    /// of one condition shares nothing, so there is no plan census.
+    fn audiences(
+        &self,
+        conds: &[(NodeId, &PathExpr)],
+        strategy: BundleStrategy,
+    ) -> Result<(Vec<Vec<NodeId>>, ReadStats), EvalError> {
+        if strategy == BundleStrategy::Batched {
+            return self.bundle_read(conds);
+        }
+        let (mut audiences, mut total) = (Vec::with_capacity(conds.len()), ReadStats::default());
+        for &cond in conds {
+            let (mut audience, s) = self.bundle_read(&[cond])?;
+            total.absorb(&ReadStats {
+                plan_states: 0,
+                expr_states: 0,
+                ..s
+            });
+            audiences.push(audience.pop().expect("one audience per condition"));
+        }
+        Ok((audiences, total))
+    }
+}
+
+/// The deployment-agnostic read surface of both partitioned backends:
+/// every read runs the shared decision layer over the coordinator.
 impl<L: ShardLink> AccessService for Partitioned<L> {
+    fn read(&self, batch: &ReadBatch) -> Result<Vec<AccessResponse>, EvalError> {
+        decision::read(self, batch)
+    }
+
     fn describe(&self) -> String {
         format!("{}(n={})", L::KIND, self.links.len())
     }
@@ -585,98 +640,8 @@ impl<L: ShardLink> AccessService for Partitioned<L> {
         self.decisions.stats()
     }
 
-    /// Each condition runs the early-exiting targeted fixpoint, without
-    /// the parent tracking and stitching only a witness needs.
-    fn check_with_stats(
-        &self,
-        rid: ResourceId,
-        requester: NodeId,
-    ) -> Result<(Decision, ReadStats), EvalError> {
-        decision::check(
-            &self.decisions,
-            &self.store,
-            self.members.len(),
-            rid,
-            requester,
-            |cond| {
-                let (walk, s) =
-                    L::read(|| self.targeted(cond.owner, &cond.path, requester, false))?;
-                Ok((walk.is_some(), s))
-            },
-        )
-    }
-
-    /// One stitched cross-shard walk per condition of the first
-    /// granting rule.
-    fn explain_with_stats(
-        &self,
-        rid: ResourceId,
-        requester: NodeId,
-    ) -> Result<(Option<Explanation>, ReadStats), EvalError> {
-        decision::explain(&self.store, self.members.len(), rid, requester, |cond| {
-            L::read(|| self.targeted(cond.owner, &cond.path, requester, true))
-        })
-    }
-
-    /// `Batched` runs **one** masked fixpoint per 64-condition chunk of
-    /// the bundle's shared-prefix plan; `PerCondition` one per distinct
-    /// condition. The per-resource merge is the single-graph system's,
-    /// literally (`engine::merge_bundle_audiences`).
-    fn audience_batch_forced(
-        &self,
-        rids: &[ResourceId],
-        strategy: BundleStrategy,
-    ) -> Result<(Vec<Vec<NodeId>>, ReadStats), EvalError> {
-        crate::engine::merge_bundle_audiences(&self.store, rids, |uniq| match strategy {
-            BundleStrategy::Batched => self.bundle_read(uniq),
-            BundleStrategy::PerCondition => self.per_condition(uniq),
-        })
-    }
-
-    /// `threads` is accepted for API stability; every read runs on the
-    /// caller's thread.
-    fn check_batch_forced(
-        &self,
-        requests: &[(ResourceId, NodeId)],
-        _threads: usize,
-        plan: CheckPlan,
-    ) -> Result<(Vec<Decision>, ReadStats), EvalError> {
-        match plan {
-            CheckPlan::Targeted => {
-                decision::check_each(requests, |rid, req| self.check_with_stats(rid, req))
-            }
-            CheckPlan::Audience(strategy) => decision::check_via_audiences(
-                &self.decisions,
-                &self.store,
-                self.members.len(),
-                requests,
-                |need| self.audience_batch_forced(need, strategy),
-            ),
-        }
-    }
-
-    /// Ad-hoc query bundles run the same masked fixpoint as
-    /// registered-rule bundles, parsed read-only against the master
-    /// vocabulary.
-    fn query_audience_bundle(
-        &self,
-        queries: &[(NodeId, &str)],
-    ) -> Result<Vec<Vec<NodeId>>, EvalError> {
-        decision::query_bundle(&self.vocab, self.members.len(), queries, |conds| {
-            Ok(self.bundle_read(conds)?.0)
-        })
-    }
-
-    /// A lone check is cheaper through the early-exiting targeted
-    /// fixpoint; anything larger materializes the touched resources'
-    /// audiences in **one** masked fixpoint per bundle and decides by
-    /// membership.
     fn default_check_plan(&self, len: usize) -> CheckPlan {
-        if len <= 1 {
-            CheckPlan::Targeted
-        } else {
-            CheckPlan::Audience(BundleStrategy::Batched)
-        }
+        default_check_plan(len)
     }
 }
 

@@ -12,8 +12,8 @@ use crate::decision::{self, DecisionCache};
 use crate::error::EvalError;
 use crate::online;
 use crate::path::PathExpr;
-use crate::policy::{Decision, PolicyStore, ResourceId};
-use crate::service::{BundleStrategy, CheckPlan, ReadStats};
+use crate::policy::{AccessCondition, Decision, PolicyStore, ResourceId};
+use crate::service::{BundleStrategy, ReadStats};
 use parking_lot::RwLock;
 use socialreach_graph::csr::CsrSnapshot;
 use socialreach_graph::{NodeId, SocialGraph};
@@ -150,21 +150,7 @@ pub trait AccessEngine {
         snap: &CsrSnapshot,
         conds: &[(NodeId, &PathExpr)],
     ) -> Result<(Vec<Vec<NodeId>>, ReadStats), EvalError> {
-        let mut stats = ReadStats {
-            conditions: conds.len(),
-            traversals: conds.len(),
-            rounds: conds.len(),
-            ..ReadStats::default()
-        };
-        let audiences = conds
-            .iter()
-            .map(|&(owner, path)| {
-                let out = self.audience_with_snapshot(g, snap, owner, path)?;
-                stats.states_expanded += out.stats.states_visited;
-                Ok(out.members)
-            })
-            .collect::<Result<_, EvalError>>()?;
-        Ok((audiences, stats))
+        per_condition(self, g, Some(snap), conds)
     }
 }
 
@@ -301,147 +287,33 @@ pub fn resource_audience<E: AccessEngine>(
     Ok(audience)
 }
 
-/// [`resource_audience`] for a whole **bundle** of resources at once,
-/// plus the bundle's uniform work census ([`ReadStats`]).
-///
-/// Every distinct `(owner, path)` condition across the bundle's rules
-/// is evaluated exactly once through
-/// [`AccessEngine::audience_batch_with_snapshot`], so engines that
-/// amortize traversal across conditions (the online engine's
-/// shared-prefix plan) pay one shared frontier pass per 64-condition
-/// chunk of the bundle's plan instead of one walk per condition.
-/// Results come back in `rids` order with the usual policy semantics
-/// per resource: union over rules of the intersection over each rule's
-/// condition audiences, plus the owner. The census is the engine's own
-/// (deduped conditions, traversal passes, product states, the
-/// plan-vs-chains counts behind [`ReadStats::prefix_share`]); `rounds`
-/// equals `traversals` on a single graph — there is no cross-shard
-/// fixpoint — and `exported_states` is always zero here. Without a
-/// snapshot the conditions fall back to one-at-a-time
-/// [`AccessEngine::audience`].
-pub fn resource_audience_batch_with_stats<E: AccessEngine>(
-    g: &SocialGraph,
-    store: &PolicyStore,
-    rids: &[ResourceId],
+/// One engine traversal per condition, over `snap` when given: one
+/// condition, traversal and round each. `exported_states` stays zero —
+/// a single graph has no boundary.
+fn per_condition<E: AccessEngine + ?Sized>(
     engine: &E,
+    g: &SocialGraph,
     snap: Option<&CsrSnapshot>,
+    conds: &[(NodeId, &PathExpr)],
 ) -> Result<(Vec<Vec<NodeId>>, ReadStats), EvalError> {
-    let Some(snap) = snap else {
-        return resource_audience_batch_per_condition_with_stats(g, store, rids, engine, None);
+    let mut stats = ReadStats {
+        conditions: conds.len(),
+        traversals: conds.len(),
+        rounds: conds.len(),
+        ..ReadStats::default()
     };
-    merge_bundle_audiences(store, rids, |uniq| {
-        engine.audience_batch_with_snapshot(g, snap, uniq)
-    })
-}
-
-/// [`resource_audience_batch_with_stats`] with batching **disabled**:
-/// one independent engine traversal per deduped condition over the
-/// shared snapshot — the [`BundleStrategy::PerCondition`] entry point
-/// the planner dispatches to, and the strategy experiment P10
-/// showed winning on sparse graphs. Audiences and census conventions are
-/// identical to the batched path; only the traversal grouping differs.
-pub fn resource_audience_batch_per_condition_with_stats<E: AccessEngine>(
-    g: &SocialGraph,
-    store: &PolicyStore,
-    rids: &[ResourceId],
-    engine: &E,
-    snap: Option<&CsrSnapshot>,
-) -> Result<(Vec<Vec<NodeId>>, ReadStats), EvalError> {
-    merge_bundle_audiences(store, rids, |uniq| {
-        let mut stats = ReadStats {
-            conditions: uniq.len(),
-            traversals: uniq.len(),
-            rounds: uniq.len(),
-            ..ReadStats::default()
-        };
-        let audiences = uniq
-            .iter()
-            .map(|&(o, p)| {
-                let out = match snap {
-                    Some(s) => engine.audience_with_snapshot(g, s, o, p)?,
-                    None => engine.audience(g, o, p)?,
-                };
-                stats.states_expanded += out.stats.states_visited;
-                Ok(out.members)
-            })
-            .collect::<Result<_, EvalError>>()?;
-        Ok((audiences, stats))
-    })
-}
-
-/// The bundle-audience **semantics**, shared by every serving backend
-/// (the single-graph functions above, the sharded and the networked
-/// `audience_batch_forced`): dedupe the distinct `(owner, path)`
-/// conditions across the bundle's rules, obtain each unique
-/// condition's **sorted** audience from `eval` (called once, in
-/// condition-discovery order, returning the audiences and the census
-/// of producing them), and merge per resource — union over rules of
-/// the intersection over each rule's condition audiences, plus the
-/// owner; empty-condition rules contribute nothing. The census passes
-/// through.
-pub(crate) fn merge_bundle_audiences<F>(
-    store: &PolicyStore,
-    rids: &[ResourceId],
-    eval: F,
-) -> Result<(Vec<Vec<NodeId>>, ReadStats), EvalError>
-where
-    F: for<'a> FnOnce(
-        &'a [(NodeId, &'a PathExpr)],
-    ) -> Result<(Vec<Vec<NodeId>>, ReadStats), EvalError>,
-{
-    // Dedupe conditions across the bundle; remember each resource's
-    // rule structure as indices into the unique list.
-    let mut uniq: Vec<(NodeId, &PathExpr)> = Vec::new();
-    let mut shape: Vec<(NodeId, Vec<Vec<usize>>)> = Vec::with_capacity(rids.len());
-    for &rid in rids {
-        let owner = store.owner_of(rid)?;
-        let mut rule_shapes = Vec::new();
-        for rule in store.rules_for(rid) {
-            let mut cond_ix = Vec::with_capacity(rule.conditions.len());
-            for cond in &rule.conditions {
-                let i = uniq
-                    .iter()
-                    .position(|&(o, p)| o == cond.owner && *p == cond.path)
-                    .unwrap_or_else(|| {
-                        uniq.push((cond.owner, &cond.path));
-                        uniq.len() - 1
-                    });
-                cond_ix.push(i);
-            }
-            rule_shapes.push(cond_ix);
-        }
-        shape.push((owner, rule_shapes));
-    }
-
-    let (audiences, stats) = eval(&uniq)?;
-    debug_assert_eq!(audiences.len(), uniq.len());
-
-    let merged = shape
-        .into_iter()
-        .map(|(owner, rule_shapes)| {
-            let mut audience = vec![owner];
-            for cond_ix in rule_shapes {
-                let mut rule_audience: Option<Vec<NodeId>> = None;
-                for i in cond_ix {
-                    let members = &audiences[i];
-                    rule_audience = Some(match rule_audience {
-                        None => members.clone(),
-                        Some(prev) => prev
-                            .into_iter()
-                            .filter(|m| members.binary_search(m).is_ok())
-                            .collect(),
-                    });
-                }
-                if let Some(members) = rule_audience {
-                    audience.extend(members);
-                }
-            }
-            audience.sort_unstable();
-            audience.dedup();
-            audience
+    let audiences = conds
+        .iter()
+        .map(|&(owner, path)| {
+            let out = match snap {
+                Some(snap) => engine.audience_with_snapshot(g, snap, owner, path)?,
+                None => engine.audience(g, owner, path)?,
+            };
+            stats.states_expanded += out.stats.states_visited;
+            Ok(out.members)
         })
-        .collect();
-    Ok((merged, stats))
+        .collect::<Result<_, EvalError>>()?;
+    Ok((audiences, stats))
 }
 
 /// Caching policy enforcer: intercepts access requests, consults the
@@ -453,9 +325,9 @@ where
 /// For snapshot-consuming engines ([`AccessEngine::uses_snapshot`]) the
 /// enforcer maintains a **publication pipeline**: at any time one
 /// `Arc<CsrSnapshot>` is *published* as the current epoch's index, and
-/// every reader — [`Enforcer::check_access`], [`Enforcer::audience_batch`],
-/// each [`Enforcer::check_batch_forced`] worker — clones the `Arc` and runs
-/// against that immutable snapshot concurrently, through `&self`.
+/// every reader — each check, each bundle, each worker of a check batch
+/// fanned out over threads — clones the `Arc` and runs against that
+/// immutable snapshot concurrently, through `&self`.
 /// When a reader finds the published snapshot stale for `g`, exactly
 /// one publisher (under the write lock) installs a fresh one — built
 /// from scratch, or **patched** from the previous epoch via
@@ -564,7 +436,8 @@ impl<E: AccessEngine> Enforcer<E> {
     /// Semantics (documented in `policy.rs`): the owner is always
     /// granted; otherwise access is granted iff some rule of the
     /// resource has **all** of its conditions satisfied; resources
-    /// without rules are private.
+    /// without rules are private. The snapshot is pinned by the first
+    /// condition that actually evaluates.
     pub fn check_access(
         &self,
         g: &SocialGraph,
@@ -572,149 +445,65 @@ impl<E: AccessEngine> Enforcer<E> {
         rid: ResourceId,
         requester: NodeId,
     ) -> Result<Decision, EvalError> {
-        Ok(self.check_access_with_stats(g, store, rid, requester)?.0)
-    }
-
-    /// [`Enforcer::check_access`] plus the read's uniform work census:
-    /// one condition / traversal / round per engine evaluation actually
-    /// run (short-circuited conditions don't count), product states
-    /// from the engine's own counters. The owner fast path and
-    /// decision-cache hits report an all-zero census — no traversal
-    /// ran, and no snapshot was pinned: the epoch's `Arc` is cloned by
-    /// the first condition that actually evaluates.
-    pub fn check_access_with_stats(
-        &self,
-        g: &SocialGraph,
-        store: &PolicyStore,
-        rid: ResourceId,
-        requester: NodeId,
-    ) -> Result<(Decision, ReadStats), EvalError> {
-        let mut pinned: Option<Option<Arc<CsrSnapshot>>> = None;
+        let pin = || self.publish_snapshot(g);
         let members = g.num_nodes();
-        decision::check(&self.decisions, store, members, rid, requester, |cond| {
-            let snap = pinned.get_or_insert_with(|| self.publish_snapshot(g));
-            let out = match snap {
-                Some(s) => self
-                    .engine
-                    .check_with_snapshot(g, s, cond.owner, &cond.path, requester)?,
-                None => self.engine.check(g, cond.owner, &cond.path, requester)?,
-            };
-            Ok((out.granted, ReadStats::one_pass(out.stats.states_visited)))
-        })
-    }
-
-    /// Decides a batch of requests along the forced route; decisions
-    /// come back in request order with the batch's cumulative census.
-    ///
-    /// [`CheckPlan::Targeted`] runs one early-exit walk per request on
-    /// up to `threads` scoped worker threads (no detached state). The
-    /// decision cache is shared across workers, so duplicate requests
-    /// are answered once. [`CheckPlan::Audience`] materializes the
-    /// uncached resources' audiences with the given bundle strategy and
-    /// decides by membership (`threads` is unused). Owner fast path and
-    /// cache accounting are identical on both routes, so they are
-    /// interchangeable per batch.
-    ///
-    /// Engines are immutable after construction, so `E: Sync` is the
-    /// only extra requirement.
-    pub fn check_batch_forced(
-        &self,
-        g: &SocialGraph,
-        store: &PolicyStore,
-        requests: &[(ResourceId, NodeId)],
-        threads: usize,
-        plan: CheckPlan,
-    ) -> Result<(Vec<Decision>, ReadStats), EvalError>
-    where
-        E: Sync,
-    {
-        if let CheckPlan::Audience(strategy) = plan {
-            let members = g.num_nodes();
-            return decision::check_via_audiences(
-                &self.decisions,
-                store,
-                members,
-                requests,
-                |need| self.audience_batch_forced(g, store, need, strategy),
-            );
-        }
-        let check = |slice: &[(ResourceId, NodeId)]| {
-            decision::check_each(slice, |rid, req| {
-                self.check_access_with_stats(g, store, rid, req)
-            })
+        let satisfied = |snap: &Option<Arc<CsrSnapshot>>, cond: &AccessCondition| {
+            self.satisfied(g, snap.as_deref(), cond, requester)
         };
-        let threads = threads.max(1).min(requests.len().max(1));
-        if threads == 1 {
-            return check(requests);
-        }
-        // Publish the epoch's snapshot once up front so cold workers
-        // start traversing immediately instead of queueing on the
-        // publisher's write lock.
-        let _ = self.publish_snapshot(g);
-        let chunk = requests.len().div_ceil(threads);
-        type ChunkResult = Result<(Vec<Decision>, ReadStats), EvalError>;
-        let results: Vec<ChunkResult> = std::thread::scope(|scope| {
-            let check = &check;
-            let handles: Vec<_> = requests
-                .chunks(chunk)
-                .map(|slice| scope.spawn(move || check(slice)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker thread panicked"))
-                .collect()
-        });
-        let mut out = Vec::with_capacity(requests.len());
-        let mut stats = ReadStats::default();
-        for r in results {
-            let (decisions, s) = r?;
-            out.extend(decisions);
-            stats.absorb(&s);
-        }
-        Ok((out, stats))
+        let (d, _) = decision::check(
+            &self.decisions,
+            store,
+            members,
+            rid,
+            requester,
+            pin,
+            satisfied,
+        )?;
+        Ok(d)
     }
 
-    /// Audiences of a whole bundle of resources over one shared
-    /// snapshot epoch, batched through the engine
-    /// ([`resource_audience_batch_with_stats`]); results come back in
-    /// `rids` order.
-    pub fn audience_batch(
+    /// Whether `requester` satisfies `cond` — over `snap` when the
+    /// engine consumes one — plus the evaluation's census: one
+    /// condition / traversal / round, product states from the engine's
+    /// own counters.
+    pub(crate) fn satisfied(
         &self,
         g: &SocialGraph,
-        store: &PolicyStore,
-        rids: &[ResourceId],
-    ) -> Result<Vec<Vec<NodeId>>, EvalError> {
-        Ok(self
-            .audience_batch_forced(g, store, rids, BundleStrategy::Batched)?
-            .0)
+        snap: Option<&CsrSnapshot>,
+        cond: &AccessCondition,
+        requester: NodeId,
+    ) -> Result<(bool, ReadStats), EvalError> {
+        let out = match snap {
+            Some(s) => self
+                .engine
+                .check_with_snapshot(g, s, cond.owner, &cond.path, requester)?,
+            None => self.engine.check(g, cond.owner, &cond.path, requester)?,
+        };
+        Ok((out.granted, ReadStats::one_pass(out.stats.states_visited)))
     }
 
-    /// [`Enforcer::audience_batch`] plus the bundle's uniform work
-    /// census ([`ReadStats`]), with the bundle strategy **forced**:
-    /// `Batched` is the multi-source path; `PerCondition` runs one
-    /// traversal per deduped condition over the same published
-    /// snapshot. Both arms return identical audiences — the planner's
-    /// single-graph dispatch seam.
-    pub fn audience_batch_forced(
+    /// The audiences of distinct conditions, in `conds` order, over the
+    /// published snapshot, traversed by `strategy`: `Batched` through
+    /// [`AccessEngine::audience_batch_with_snapshot`], `PerCondition` —
+    /// and `Batched` without a snapshot — one traversal per condition.
+    /// Both return identical audiences.
+    pub(crate) fn audiences(
         &self,
         g: &SocialGraph,
-        store: &PolicyStore,
-        rids: &[ResourceId],
+        conds: &[(NodeId, &PathExpr)],
         strategy: BundleStrategy,
     ) -> Result<(Vec<Vec<NodeId>>, ReadStats), EvalError> {
-        let snap = self.publish_snapshot(g);
-        match strategy {
-            BundleStrategy::Batched => {
-                resource_audience_batch_with_stats(g, store, rids, &self.engine, snap.as_deref())
+        match (self.publish_snapshot(g), strategy) {
+            (Some(snap), BundleStrategy::Batched) => {
+                self.engine.audience_batch_with_snapshot(g, &snap, conds)
             }
-            BundleStrategy::PerCondition => resource_audience_batch_per_condition_with_stats(
-                g,
-                store,
-                rids,
-                &self.engine,
-                snap.as_deref(),
-            ),
+            (snap, _) => per_condition(&self.engine, g, snap.as_deref(), conds),
         }
+    }
+
+    /// The decision cache.
+    pub(crate) fn decisions(&self) -> &DecisionCache {
+        &self.decisions
     }
 
     /// Drops every cached decision but **keeps** the published snapshot
@@ -754,7 +543,17 @@ impl<E: AccessEngine> Enforcer<E> {
 mod tests {
     use super::*;
     use crate::path::parse_path;
-    use crate::policy::{AccessCondition, AccessRule};
+    use crate::policy::AccessRule;
+    use crate::service::{AccessService, CheckPlan};
+    use crate::system::{AccessControlSystem, EngineChoice};
+
+    /// `g` and `store` served by the single graph, whose reads run the
+    /// enforcer through the decision layer.
+    fn served(g: &SocialGraph, store: &PolicyStore) -> AccessControlSystem {
+        let mut sys = AccessControlSystem::from_graph(g, EngineChoice::Online);
+        sys.adopt_store(store.clone());
+        sys
+    }
 
     fn setup() -> (SocialGraph, PolicyStore, ResourceId) {
         let mut g = SocialGraph::new();
@@ -910,9 +709,10 @@ mod tests {
             .iter()
             .map(|&(r, u)| enforcer.check_access(&g, &store, r, u).unwrap())
             .collect();
+        let sys = served(&g, &store);
         for threads in [1, 2, 4, 7] {
-            let (parallel, _) = enforcer
-                .check_batch_forced(&g, &store, &requests, threads, CheckPlan::Targeted)
+            let (parallel, _) = sys
+                .check_batch_forced(&requests, threads, CheckPlan::Targeted)
                 .unwrap();
             assert_eq!(parallel, sequential, "threads = {threads}");
         }
@@ -922,10 +722,9 @@ mod tests {
     fn check_batch_propagates_errors() {
         let (g, store, _) = setup();
         let alice = g.node_by_name("Alice").unwrap();
-        let enforcer = Enforcer::new(OnlineEngine);
         let bad = vec![(crate::policy::ResourceId(999), alice)];
         assert!(matches!(
-            enforcer.check_batch_forced(&g, &store, &bad, 4, CheckPlan::Targeted),
+            served(&g, &store).check_batch_forced(&bad, 4, CheckPlan::Targeted),
             Err(EvalError::UnknownResource(999))
         ));
     }
@@ -933,9 +732,8 @@ mod tests {
     #[test]
     fn check_batch_on_empty_input() {
         let (g, store, _) = setup();
-        let enforcer = Enforcer::new(OnlineEngine);
-        let (decisions, census) = enforcer
-            .check_batch_forced(&g, &store, &[], 8, CheckPlan::Targeted)
+        let (decisions, census) = served(&g, &store)
+            .check_batch_forced(&[], 8, CheckPlan::Targeted)
             .unwrap();
         assert!(decisions.is_empty());
         assert_eq!(census, ReadStats::default());
@@ -1082,17 +880,15 @@ mod tests {
         store.allow(rid2, "friend+[1,2]", &mut g).unwrap();
         store.allow(rid2, "friend-[1]", &mut g).unwrap();
         let rid3 = store.register_resource(alice);
-        let enforcer = Enforcer::new(OnlineEngine);
+        let sys = served(&g, &store);
         let bundle = [rid, rid2, rid3, rid];
-        let batched = enforcer.audience_batch(&g, &store, &bundle).unwrap();
+        let batched = sys.audience_batch(&bundle).unwrap();
         for (&r, batch) in bundle.iter().zip(&batched) {
             let solo = resource_audience(&g, &store, r, &OnlineEngine).unwrap();
             assert_eq!(batch, &solo, "resource {r:?}");
         }
         assert!(matches!(
-            enforcer
-                .audience_batch(&g, &store, &[ResourceId(999)])
-                .unwrap_err(),
+            sys.audience_batch(&[ResourceId(999)]).unwrap_err(),
             EvalError::UnknownResource(999)
         ));
     }
@@ -1120,7 +916,7 @@ mod tests {
         // The bundle work census must count ONE traversal for a bundle
         // whose two rules spell the same condition differently (one
         // chunk, fully shared plan). Owner differs per rule so the
-        // conditions don't dedupe upstream in `merge_bundle_audiences`.
+        // conditions don't dedupe upstream in the bundle merge.
         let (mut g, mut store, rid) = setup();
         let bob = g.node_by_name("Bob").unwrap();
         let rid2 = store.register_resource(bob);
@@ -1130,15 +926,9 @@ mod tests {
         store
             .allow(rid2, "friend+[1..2]{city=\"lyon\",age>=18}", &mut g)
             .unwrap();
-        let snap = g.snapshot();
-        let (_, stats) = resource_audience_batch_with_stats(
-            &g,
-            &store,
-            &[rid, rid2],
-            &OnlineEngine,
-            Some(&snap),
-        )
-        .unwrap();
+        let (_, stats) = served(&g, &store)
+            .audience_batch_with_stats(&[rid, rid2])
+            .unwrap();
         assert_eq!(stats.conditions, 2, "distinct owners keep both conditions");
         assert_eq!(
             stats.traversals, 1,

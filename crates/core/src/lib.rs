@@ -146,28 +146,30 @@
 //! [`online::thread_cache_stats`] reports the pool;
 //! [`online::release_thread_caches`] sheds it.
 //!
-//! ## One decision layer, every backend
+//! ## One read seam, one decision layer, every backend
 //!
-//! Above the engines sits the paper's grant rule — *the owner is
-//! always granted; otherwise some rule must have all of its conditions
-//! satisfied; no rules means private* — and it is written **once**, in
-//! the crate-private `decision` module: `check` (owner fast path →
-//! decision cache → the rules-disjoin / conditions-conjoin loop),
-//! `explain` (the same loop collecting witness walks),
-//! `check_via_audiences` (the membership route of a check batch), the
-//! targeted per-request loop and the ad-hoc query parse → scatter. It
-//! also refuses a member id outside the deployment, typed, for every
-//! read. The [`Enforcer`] of the single graph and the partitioned
-//! coordinator each own one `DecisionCache` and pass a closure that
-//! evaluates *one condition* their own way — a snapshot walk (pinned
-//! only after a cache miss) or the targeted fixpoint over the shard
-//! links — so decisions and `cache_stats` accounting cannot drift
-//! between deployments. The
-//! [`AccessService`] trait mirrors that split: a backend implements
-//! thirteen required methods (naming, the five census-returning read
-//! primitives, its default check route) and every other read is a
-//! provided method defined once on the trait.
+//! [`AccessService`] has one required read, [`AccessService::read`]: a
+//! [`ReadBatch`] of checks, audiences, explains and ad-hoc queries in,
+//! one [`AccessResponse`] per read out, in request order. A batch may
+//! force its checks' route ([`CheckPlan`]) and its bundles' traversal
+//! ([`BundleStrategy`]). Every named read (`check`, `explain`,
+//! `audience_batch_forced`, `query_audience`, …) is a provided wrapper
+//! over `read`; the rest of the trait is metadata.
 //!
+//! Behind `read` sits the paper's grant rule — *the owner is always
+//! granted; otherwise some rule must have all of its conditions
+//! satisfied; no rules means private* — written **once**, in the
+//! crate-private `decision` module, with everything else a read does:
+//! the split of a batch by kind, the choice of route, the targeted
+//! loop, the membership route of a check batch, the bundle merge, the
+//! query scatter and the census attribution. A backend contributes only
+//! how it evaluates conditions — a snapshot walk through the single
+//! graph's [`Enforcer`] (pinned only after a cache miss), or the masked
+//! fixpoint over the partitioned coordinator's shard links — so
+//! decisions and `cache_stats` cannot drift between deployments.
+//! Decorators forward `read`; [`PlannedService`] first fills a batch's
+//! unset route from its planner.
+
 //! ## Query front-end and bundle-wide plan sharing
 //!
 //! The [`query`] module adds a second policy surface and a second
@@ -224,9 +226,8 @@ pub use durability::{
     HistoryEntry, RecoveryReport, TornTail,
 };
 pub use engine::{
-    resource_audience, resource_audience_batch_per_condition_with_stats,
-    resource_audience_batch_with_stats, AccessEngine, AudienceOutcome, CheckOutcome, Enforcer,
-    EvalStats, OnlineEngine,
+    resource_audience, AccessEngine, AudienceOutcome, CheckOutcome, Enforcer, EvalStats,
+    OnlineEngine,
 };
 pub use error::{EvalError, ParseError};
 pub use joinengine::{JoinEngineConfig, JoinIndexEngine, JoinStrategy};

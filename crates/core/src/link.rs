@@ -19,7 +19,6 @@ use crate::coordinator::{BundleFixpointStats, Mark, Partitioned, ShardStats, Sha
 use crate::error::EvalError;
 use crate::fixpoint::{LaneRound, ShardLane, StateKey};
 use crate::path::PathExpr;
-use crate::policy::ResourceId;
 use crate::query::{BundlePlan, ChunkMasks};
 use crate::shard::{Session, ShardCore, Traced};
 use crate::ShardedSystem;
@@ -274,19 +273,6 @@ impl ShardedSystem {
     /// [`crate::AccessControlSystem::snapshot_epoch`] per shard).
     pub fn snapshot_epochs(&self) -> Vec<u64> {
         self.links.iter().map(|l| l.core.snapshot_epoch()).collect()
-    }
-
-    /// The [`crate::BundleStrategy::PerCondition`] arm: every distinct
-    /// condition runs its **own** one-condition masked fixpoint.
-    /// Semantics are identical to [`crate::AccessService::audience_batch`].
-    pub fn audience_batch_per_condition(
-        &self,
-        rids: &[ResourceId],
-    ) -> Result<Vec<Vec<NodeId>>, EvalError> {
-        let merged = crate::engine::merge_bundle_audiences(self.store(), rids, |uniq| {
-            self.per_condition(uniq)
-        });
-        Ok(merged?.0)
     }
 
     /// Evaluates one access condition `(owner, path)` across the

@@ -17,8 +17,9 @@
 //!
 //! [`PlannedService`] closes that gap. It decorates any
 //! [`ServiceInstance`] — exactly like [`crate::DurableService`] wraps
-//! one for persistence — and routes every `audience_batch` /
-//! `check_batch` / `check` through a [`Planner`] that:
+//! one for persistence — and routes every audience bundle and check
+//! batch of [`AccessService::read`] that leaves its route unset through
+//! a [`Planner`] that:
 //!
 //! 1. keeps a decaying [`ResourceProfile`] per resource (deduped
 //!    conditions and shared-prefix share), learned from the
@@ -26,10 +27,9 @@
 //! 2. keeps per-strategy decayed **measured cost** (wall nanoseconds
 //!    per resource) in the same profile;
 //! 3. at read time, sums the profile costs over the bundle's deduped
-//!    resources per candidate strategy and dispatches the argmin
-//!    through the backend's forced entry points
-//!    ([`AccessService::audience_batch_forced`] /
-//!    [`AccessService::check_batch_forced`]).
+//!    resources per candidate strategy, writes the argmin into the
+//!    batch's forced field ([`crate::ReadBatch::strategy`] /
+//!    [`crate::ReadBatch::plan`]) and forwards the batch.
 //!
 //! Cold start is safe by construction: with no measurements at all
 //! the planner serves the backend's current default, so the very
@@ -85,13 +85,14 @@
 //! ```
 
 use crate::error::EvalError;
-use crate::policy::{Decision, ResourceId};
+use crate::policy::ResourceId;
 use crate::service::{
-    AccessService, Applied, BundleStrategy, CheckPlan, Deployment, Explanation, MutateService,
-    Mutation, ReadStats, ServiceInstance,
+    AccessResponse, AccessService, Applied, BundleStrategy, CheckPlan, Deployment, MutateService,
+    Mutation, ReadBatch, ReadRequest, ReadStats, ServiceInstance,
 };
 use parking_lot::RwLock;
 use socialreach_graph::{LabelId, NodeId};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -494,29 +495,15 @@ impl Planner {
         elapsed_ns: u64,
         stats: &ReadStats,
     ) {
-        let unique = dedup(rids);
-        if unique.is_empty() {
-            return;
-        }
-        let slot = match strategy {
-            BundleStrategy::Batched => S_BATCHED,
-            BundleStrategy::PerCondition => S_PER_CONDITION,
-        };
-        self.executed[slot].fetch_add(1, Ordering::Relaxed);
-        let sample = ShapeSample::from_stats(stats, unique.len());
-        let cost = elapsed_ns as f64 / unique.len() as f64;
-        let mut profiles = self.profiles.write();
-        for rid in &unique {
-            let profile = profiles.entry(*rid).or_default();
-            profile.absorb_shape(&sample);
-            profile.costs[slot].absorb(cost);
-        }
+        let slot = bundle_slot(strategy);
+        self.observe(rids, slot, None, |p| &mut p.costs[..], elapsed_ns, stats);
     }
 
-    /// Absorbs the outcome of an executed check batch. Audience routes
-    /// attribute cost per deduped resource (they materialized those
-    /// audiences); the targeted route per request (each request
-    /// walked).
+    /// Absorbs the outcome of an executed check batch (an explain is a
+    /// targeted one). Audience routes attribute cost per deduped
+    /// resource (they materialized those audiences) to the check-route
+    /// estimates — warm checks ride the decision cache; the targeted
+    /// route per request (each request walked) to the targeted slot.
     pub fn observe_checks(
         &self,
         requests: &[(ResourceId, NodeId)],
@@ -524,46 +511,55 @@ impl Planner {
         elapsed_ns: u64,
         stats: &ReadStats,
     ) {
-        let unique: Vec<ResourceId> = dedup(&requests.iter().map(|&(r, _)| r).collect::<Vec<_>>());
+        let rids: Vec<ResourceId> = requests.iter().map(|&(r, _)| r).collect();
+        let (slot, per_request, table): (usize, Option<usize>, Table) = match plan {
+            CheckPlan::Targeted => (S_TARGETED, Some(requests.len()), |p| &mut p.costs[..]),
+            CheckPlan::Audience(s) => (bundle_slot(s), None, |p| &mut p.check_costs[..]),
+        };
+        self.observe(&rids, slot, per_request, table, elapsed_ns, stats);
+    }
+
+    /// Counts one executed read under `slot`, blends its shape into the
+    /// profile of each of its deduped resources, and its cost —
+    /// `elapsed_ns` per request when `per_request` counts them, else per
+    /// resource — into the `slot` estimate of the profile's `table`.
+    fn observe(
+        &self,
+        rids: &[ResourceId],
+        slot: usize,
+        per_request: Option<usize>,
+        table: Table,
+        elapsed_ns: u64,
+        stats: &ReadStats,
+    ) {
+        let unique = dedup(rids);
         if unique.is_empty() {
             return;
         }
-        let slot = match plan {
-            CheckPlan::Targeted => S_TARGETED,
-            CheckPlan::Audience(BundleStrategy::Batched) => S_BATCHED,
-            CheckPlan::Audience(BundleStrategy::PerCondition) => S_PER_CONDITION,
-        };
         self.executed[slot].fetch_add(1, Ordering::Relaxed);
         let sample = ShapeSample::from_stats(stats, unique.len());
-        let cost = if plan == CheckPlan::Targeted {
-            elapsed_ns as f64 / requests.len().max(1) as f64
-        } else {
-            elapsed_ns as f64 / unique.len() as f64
-        };
+        let cost = elapsed_ns as f64 / per_request.unwrap_or(unique.len()).max(1) as f64;
         let mut profiles = self.profiles.write();
         for rid in &unique {
             let profile = profiles.entry(*rid).or_default();
             profile.absorb_shape(&sample);
-            // Check evidence lands in check-route estimates; only the
-            // targeted slot is shared with single check/explain reads.
-            match plan {
-                CheckPlan::Targeted => profile.costs[S_TARGETED].absorb(cost),
-                CheckPlan::Audience(_) => profile.check_costs[slot].absorb(cost),
-            }
+            table(profile)[slot].absorb(cost);
         }
     }
+}
 
-    /// Absorbs a targeted single read (`check` / `explain`): warms the
-    /// targeted cost slot and the shape profile.
-    pub fn observe_targeted(&self, rid: ResourceId, elapsed_ns: u64, stats: &ReadStats) {
-        self.executed[S_TARGETED].fetch_add(1, Ordering::Relaxed);
-        let sample = ShapeSample::from_stats(stats, 1);
-        let mut profiles = self.profiles.write();
-        let profile = profiles.entry(rid).or_default();
-        profile.absorb_shape(&sample);
-        profile.costs[S_TARGETED].absorb(elapsed_ns as f64);
+/// The cost slot of a bundle strategy.
+fn bundle_slot(strategy: BundleStrategy) -> usize {
+    match strategy {
+        BundleStrategy::Batched => S_BATCHED,
+        BundleStrategy::PerCondition => S_PER_CONDITION,
     }
 }
+
+/// A profile's estimates a read's cost lands in: `costs` (audience
+/// bundles, targeted checks) or `check_costs` (a check batch's
+/// audience routes).
+type Table = fn(&mut ResourceProfile) -> &mut [CostEstimate];
 
 /// Order-preserving dedup of a resource list.
 fn dedup(rids: &[ResourceId]) -> Vec<ResourceId> {
@@ -689,11 +685,67 @@ impl PlannedService {
     }
 }
 
-/// Forwards naming and the un-profiled reads, **observes** the
-/// primitives that carry a census (an explicit force outranks the
-/// planner but still warms the profile), and overrides exactly the two
-/// provided reads where a policy is chosen.
+/// Forwards the metadata; [`AccessService::read`] plans, forwards and
+/// observes.
 impl AccessService for PlannedService {
+    /// Answers each kind of read in the batch on its own, so each kind
+    /// keeps its own timing: fills the kind's unset route from the
+    /// planner, forwards, and observes the kind's census and wall time.
+    /// A route the caller forced outranks the planner but still warms
+    /// the profile; explains warm the targeted slot. Ad-hoc queries
+    /// carry no [`ResourceId`] to profile: they pass through unplanned
+    /// and unobserved.
+    fn read(&self, batch: &ReadBatch) -> Result<Vec<AccessResponse>, EvalError> {
+        batch.by_kind(|batch| {
+            let reads = &batch.reads;
+            let timed = |batch: &ReadBatch| {
+                let start = Instant::now();
+                let responses = self.inner.read(batch)?;
+                let elapsed = start.elapsed().as_nanos() as u64;
+                let mut stats = ReadStats::default();
+                for r in &responses {
+                    stats.absorb(&r.stats);
+                }
+                Ok::<_, EvalError>((responses, elapsed, stats))
+            };
+            match reads[0] {
+                ReadRequest::Check { .. } | ReadRequest::Explain { .. } => {
+                    let requests: Vec<_> = reads.iter().map(ReadRequest::request).collect();
+                    let (plan, planned) = match (&reads[0], batch.plan) {
+                        (ReadRequest::Explain { .. }, _) => {
+                            (CheckPlan::Targeted, Cow::Borrowed(batch))
+                        }
+                        (_, Some(plan)) => (plan, Cow::Borrowed(batch)),
+                        (_, None) => {
+                            let default = self.inner.default_check_plan(requests.len());
+                            let plan = self.planner.plan_checks(&requests, default);
+                            (plan, Cow::Owned(batch.clone().with_plan(plan)))
+                        }
+                    };
+                    let (responses, elapsed, stats) = timed(&planned)?;
+                    self.planner
+                        .observe_checks(&requests, plan, elapsed, &stats);
+                    Ok(responses)
+                }
+                ReadRequest::Audience { .. } => {
+                    let rids: Vec<_> = reads.iter().map(ReadRequest::resource).collect();
+                    let (strategy, planned) = match batch.strategy {
+                        Some(strategy) => (strategy, Cow::Borrowed(batch)),
+                        None => {
+                            let strategy = self.planner.plan_audience(&rids);
+                            (strategy, Cow::Owned(batch.clone().with_strategy(strategy)))
+                        }
+                    };
+                    let (responses, elapsed, stats) = timed(&planned)?;
+                    self.planner
+                        .observe_audience(&rids, strategy, elapsed, &stats);
+                    Ok(responses)
+                }
+                ReadRequest::Query { .. } => self.inner.read(batch),
+            }
+        })
+    }
+
     fn describe(&self) -> String {
         format!(
             "planned({}, {})",
@@ -726,87 +778,8 @@ impl AccessService for PlannedService {
         self.inner.cache_stats()
     }
 
-    fn check_with_stats(
-        &self,
-        resource: ResourceId,
-        requester: NodeId,
-    ) -> Result<(Decision, ReadStats), EvalError> {
-        let start = Instant::now();
-        let (decision, stats) = self.inner.check_with_stats(resource, requester)?;
-        self.planner
-            .observe_targeted(resource, start.elapsed().as_nanos() as u64, &stats);
-        Ok((decision, stats))
-    }
-
-    fn explain_with_stats(
-        &self,
-        resource: ResourceId,
-        requester: NodeId,
-    ) -> Result<(Option<Explanation>, ReadStats), EvalError> {
-        let start = Instant::now();
-        let (explanation, stats) = self.inner.explain_with_stats(resource, requester)?;
-        self.planner
-            .observe_targeted(resource, start.elapsed().as_nanos() as u64, &stats);
-        Ok((explanation, stats))
-    }
-
-    fn audience_batch_forced(
-        &self,
-        rids: &[ResourceId],
-        strategy: BundleStrategy,
-    ) -> Result<(Vec<Vec<NodeId>>, ReadStats), EvalError> {
-        let start = Instant::now();
-        let (audiences, stats) = self.inner.audience_batch_forced(rids, strategy)?;
-        self.planner
-            .observe_audience(rids, strategy, start.elapsed().as_nanos() as u64, &stats);
-        Ok((audiences, stats))
-    }
-
-    fn check_batch_forced(
-        &self,
-        requests: &[(ResourceId, NodeId)],
-        threads: usize,
-        plan: CheckPlan,
-    ) -> Result<(Vec<Decision>, ReadStats), EvalError> {
-        let start = Instant::now();
-        let (decisions, stats) = self.inner.check_batch_forced(requests, threads, plan)?;
-        self.planner
-            .observe_checks(requests, plan, start.elapsed().as_nanos() as u64, &stats);
-        Ok((decisions, stats))
-    }
-
-    /// Read-only ad-hoc queries carry no [`ResourceId`] to profile, so
-    /// they bypass the planner and ride the backend's default bundle
-    /// strategy.
-    fn query_audience_bundle(
-        &self,
-        queries: &[(NodeId, &str)],
-    ) -> Result<Vec<Vec<NodeId>>, EvalError> {
-        self.inner.query_audience_bundle(queries)
-    }
-
     fn default_check_plan(&self, len: usize) -> CheckPlan {
         self.inner.default_check_plan(len)
-    }
-
-    /// The planner picks the bundle strategy.
-    fn audience_batch_with_stats(
-        &self,
-        rids: &[ResourceId],
-    ) -> Result<(Vec<Vec<NodeId>>, ReadStats), EvalError> {
-        self.audience_batch_forced(rids, self.planner.plan_audience(rids))
-    }
-
-    /// The planner picks the decision route (cold start serves the
-    /// backend's [`AccessService::default_check_plan`]).
-    fn check_batch_with_stats(
-        &self,
-        requests: &[(ResourceId, NodeId)],
-        threads: usize,
-    ) -> Result<(Vec<Decision>, ReadStats), EvalError> {
-        let default = self.default_check_plan(requests.len());
-        let plan = self.planner.plan_checks(requests, default);
-        self.check_batch_forced(requests, threads, plan)
     }
 }
 
@@ -819,7 +792,7 @@ impl MutateService for PlannedService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::ReadBatch;
+    use crate::policy::Decision;
 
     fn rid(n: u64) -> ResourceId {
         ResourceId(n)
@@ -1141,7 +1114,7 @@ mod tests {
     }
 
     #[test]
-    fn read_batch_routes_through_the_planner() {
+    fn read_routes_through_the_planner() {
         let mut svc = Deployment::sharded(2, 7).planned(PlannerMode::Adaptive);
         let alice = svc.add_user("Alice");
         let bob = svc.add_user("Bob");
@@ -1152,7 +1125,7 @@ mod tests {
             .check(album, bob)
             .audience(album)
             .explain(album, bob);
-        let responses = svc.read_batch(&batch).unwrap();
+        let responses = svc.read(&batch).unwrap();
         assert_eq!(responses[0].decision, Some(Decision::Grant));
         assert_eq!(responses[1].audience, Some(vec![alice, bob]));
         assert!(responses[2].explanation.is_some());

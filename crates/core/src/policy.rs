@@ -135,7 +135,9 @@ impl PolicyStore {
     }
 
     /// [`PolicyStore::allow`] against a bare vocabulary (the
-    /// partitioned backends keep one master vocabulary, no graph).
+    /// partitioned backends keep one master vocabulary, no graph). The
+    /// text parses against a copy of `vocab`, which replaces it only
+    /// once the rule is accepted: a refused rule interns nothing.
     pub(crate) fn allow_in(
         &mut self,
         rid: ResourceId,
@@ -143,7 +145,9 @@ impl PolicyStore {
         vocab: &mut Vocabulary,
     ) -> Result<(), EvalError> {
         let owner = self.owner_of(rid)?;
-        let path = crate::query::parse_policy(path_text, vocab)?;
+        let mut scratch = vocab.clone();
+        let path = crate::query::parse_policy(path_text, &mut scratch)?;
+        *vocab = scratch;
         self.add_rule(AccessRule {
             resource: rid,
             conditions: vec![AccessCondition { owner, path }],

@@ -9,9 +9,11 @@
 //! cross-shard fixpoints). This module is the seam that makes the
 //! backends interchangeable:
 //!
-//! * [`AccessService`] — the **object-safe read surface** (`check`,
-//!   `check_batch`, `audience`, `audience_batch`, `explain`, …) every
-//!   backend implements. Callers hold a `&dyn AccessService` and never
+//! * [`AccessService`] — the **object-safe read surface**: one required
+//!   read, [`AccessService::read`], taking a [`ReadBatch`] and returning
+//!   one [`AccessResponse`] per read; `check` / `audience` / `explain` /
+//!   `query_audience` and their batched and forced forms are provided
+//!   wrappers over it. Callers hold a `&dyn AccessService` and never
 //!   learn which deployment answers them.
 //! * [`MutateService`] — the `&mut self` write surface: one required
 //!   method, [`MutateService::apply`], taking a [`Mutation`] (the same
@@ -20,7 +22,9 @@
 //!   `add_resource` / `add_rule` are provided wrappers over it.
 //! * [`ReadRequest`] / [`ReadBatch`] / [`AccessResponse`] — a uniform
 //!   request/response vocabulary carrying decisions, audiences,
-//!   structured witnesses and per-read [`ReadStats`].
+//!   structured witnesses and per-read [`ReadStats`]; a batch may force
+//!   its checks' route ([`CheckPlan`]) and its bundles' traversal
+//!   ([`BundleStrategy`]).
 //! * [`Deployment`] — the builder that constructs either backend from
 //!   one config: [`Deployment::single`] wraps an [`EngineChoice`],
 //!   [`Deployment::sharded`] a shard count + placement seed (or a full
@@ -30,9 +34,8 @@
 //!   [`ServiceInstance::writes`].
 //!
 //! The differential harnesses compare any two `&dyn AccessService`
-//! implementations, so a future backend (e.g. the ROADMAP's
-//! distributed-transport shards) is testable against the existing ones
-//! the day it implements the trait.
+//! implementations, so a new backend is testable the day it implements
+//! [`AccessService::read`].
 //!
 //! ```
 //! use socialreach_core::service::{AccessService, Deployment, MutateService};
@@ -244,7 +247,7 @@ impl Explanation {
 // ---------------------------------------------------------------------
 
 /// One read, in the shared deployment-agnostic vocabulary.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ReadRequest {
     /// Decide whether `requester` may access `resource`.
     Check {
@@ -265,11 +268,53 @@ pub enum ReadRequest {
         /// Who is asking.
         requester: NodeId,
     },
+    /// Materialize the audience of an **ad-hoc query**: `text`, in
+    /// either syntax of [`crate::query::parse_policy`], evaluated as a
+    /// raw access condition anchored at `owner`. No resource or rule is
+    /// registered; parsing is read-only, and a query naming vocabulary
+    /// the graph has never seen has an empty audience.
+    Query {
+        /// The member the query's walks start from.
+        owner: NodeId,
+        /// The query text.
+        text: String,
+    },
+}
+
+impl ReadRequest {
+    /// The resource a check, audience or explain read names.
+    pub(crate) fn resource(&self) -> ResourceId {
+        match *self {
+            ReadRequest::Check { resource, .. }
+            | ReadRequest::Audience { resource }
+            | ReadRequest::Explain { resource, .. } => resource,
+            ReadRequest::Query { .. } => unreachable!("a query names no resource"),
+        }
+    }
+
+    /// The `(resource, requester)` of a check or explain read.
+    pub(crate) fn request(&self) -> (ResourceId, NodeId) {
+        match *self {
+            ReadRequest::Check {
+                resource,
+                requester,
+            }
+            | ReadRequest::Explain {
+                resource,
+                requester,
+            } => (resource, requester),
+            _ => unreachable!("only checks and explains name a requester"),
+        }
+    }
 }
 
 /// A batch of reads evaluated together (backends answer every request
 /// of one batch against a coherent snapshot state, amortizing shared
-/// work — condition dedup, multi-source traversal — across the batch).
+/// work — condition dedup, multi-source traversal — across the batch):
+/// its checks along one route, its audiences and its queries as one
+/// bundle each, its explains one by one. An unset forced field leaves
+/// the choice to the deployment (a [`crate::PlannedService`] asks its
+/// planner); every choice returns the same answers.
 #[derive(Clone, Debug, Default)]
 pub struct ReadBatch {
     /// The reads, answered in order.
@@ -278,10 +323,16 @@ pub struct ReadBatch {
     /// request (sharded deployments parallelize per fixpoint round
     /// across shards instead and ignore it). `0` behaves as `1`.
     pub threads: usize,
+    /// The route of the batch's checks. Unset:
+    /// [`AccessService::default_check_plan`] of their number.
+    pub plan: Option<CheckPlan>,
+    /// The traversal strategy of the batch's audience and query
+    /// bundles. Unset: [`BundleStrategy::Batched`].
+    pub strategy: Option<BundleStrategy>,
 }
 
 impl ReadBatch {
-    /// An empty batch with the default thread hint.
+    /// An empty batch with the default thread hint and no forced field.
     pub fn new() -> Self {
         ReadBatch::default()
     }
@@ -309,18 +360,76 @@ impl ReadBatch {
         });
         self
     }
+
+    /// Appends an ad-hoc query read.
+    pub fn query(mut self, owner: NodeId, text: &str) -> Self {
+        let text = text.to_owned();
+        self.reads.push(ReadRequest::Query { owner, text });
+        self
+    }
+
+    /// Forces the route of the batch's checks.
+    pub fn with_plan(mut self, plan: CheckPlan) -> Self {
+        self.plan = Some(plan);
+        self
+    }
+
+    /// Forces the strategy of the batch's audience and query bundles.
+    pub fn with_strategy(mut self, strategy: BundleStrategy) -> Self {
+        self.strategy = Some(strategy);
+        self
+    }
+
+    /// Answers the batch one read kind at a time: `read_kind` gets a
+    /// batch of one kind's reads, in request order and under this
+    /// batch's thread hint and forced fields, and returns one response
+    /// per read; the responses are scattered back into request order.
+    /// A batch of a single kind is handed over as it is.
+    pub(crate) fn by_kind(
+        &self,
+        mut read_kind: impl FnMut(&ReadBatch) -> Result<Vec<AccessResponse>, EvalError>,
+    ) -> Result<Vec<AccessResponse>, EvalError> {
+        let kind = std::mem::discriminant::<ReadRequest>;
+        let Some(first) = self.reads.first() else {
+            return Ok(Vec::new());
+        };
+        if self.reads.iter().all(|r| kind(r) == kind(first)) {
+            return read_kind(self);
+        }
+        let mut responses = vec![AccessResponse::default(); self.reads.len()];
+        let mut done = Vec::new();
+        for read in &self.reads {
+            if done.contains(&kind(read)) {
+                continue;
+            }
+            done.push(kind(read));
+            let slots: Vec<usize> = (0..self.reads.len())
+                .filter(|&i| kind(&self.reads[i]) == kind(read))
+                .collect();
+            let sub = ReadBatch {
+                reads: slots.iter().map(|&i| self.reads[i].clone()).collect(),
+                ..*self
+            };
+            for (i, response) in slots.into_iter().zip(read_kind(&sub)?) {
+                responses[i] = response;
+            }
+        }
+        Ok(responses)
+    }
 }
 
 /// The response to one [`ReadRequest`]: exactly the fields the request
 /// kind implies are populated, plus the read's share of the batch work
-/// census (shared traversal work is attributed to the first read that
-/// triggered it and zero on the rest, so summing responses stays
-/// truthful — the [`crate::AccessEngine`] convention).
+/// census (the work shared by a batch's reads of one kind is
+/// attributed to the first of them and zero on the rest — each explain
+/// carries its own — so summing responses stays truthful, the
+/// [`crate::AccessEngine`] convention).
 #[derive(Clone, Debug, Default)]
 pub struct AccessResponse {
     /// The decision (`Check` and `Explain` reads).
     pub decision: Option<Decision>,
-    /// The materialized audience, sorted (`Audience` reads).
+    /// The materialized audience, sorted (`Audience` and `Query`
+    /// reads).
     pub audience: Option<Vec<NodeId>>,
     /// The structured witness walks (`Explain` reads that granted).
     pub explanation: Option<Explanation>,
@@ -371,62 +480,40 @@ pub enum CheckPlan {
 /// and stay oblivious to whether one epoch-published graph, N
 /// in-process shards or N shard processes answer them.
 ///
-/// **Required = what a backend answers differently; provided =
-/// written once.** A backend (or decorator) implements thirteen
-/// methods:
+/// **One required read; every named read written once.** A backend (or
+/// decorator) implements [`read`] — a [`ReadBatch`] in, one
+/// [`AccessResponse`] per read out, in request order — plus eight
+/// metadata methods, [`describe`] through [`default_check_plan`]. Every
+/// other method is a named read: a provided wrapper that builds a
+/// batch, calls `read` and unpacks the responses, so none can drift
+/// between deployments. A `*_forced` read sets the batch's forced field
+/// ([`ReadBatch::plan`], [`ReadBatch::strategy`]); its unforced twin
+/// leaves it unset. A lone check is always targeted.
 ///
-/// * seven naming/introspection methods — [`describe`], [`num_members`],
-///   [`num_relationships`], [`resolve_user`], [`member_name`],
-///   [`label_name`], [`cache_stats`];
-/// * five read primitives, each returning its answer *and* the real
-///   work census of producing it — [`check_with_stats`],
-///   [`explain_with_stats`], [`audience_batch_forced`] (bundle strategy
-///   named by the caller), [`check_batch_forced`] (decision route named
-///   by the caller), [`query_audience_bundle`];
-/// * one policy answer — [`default_check_plan`], the route an
-///   unplanned check batch of a given size takes.
+/// The in-tree backends answer `read` through one shared decision layer
+/// (the crate-private `decision` module): the grant rule, the split of
+/// a batch by kind, the choice between a forced and the default route,
+/// the bundle merge and the census attribution are written there once,
+/// and each backend contributes only how it evaluates conditions.
+/// Decorators forward `read` ([`crate::PlannedService`] first fills a
+/// batch's unset fields from its planner).
 ///
-/// Every other read — [`check`], [`check_batch`],
-/// [`check_batch_with_stats`], [`explain`], [`explain_lines`],
-/// [`audience`], [`audience_batch`], [`audience_batch_with_stats`],
-/// [`query_audience`], [`read_batch`] — is a provided method defined
-/// here, once, in terms of those primitives, so it cannot drift between
-/// deployments. Decorators forward the required methods and override a
-/// provided one only where they *choose* a policy
-/// ([`crate::PlannedService`] picks the strategy of
-/// `audience_batch_with_stats` and the route of
-/// `check_batch_with_stats`).
-///
-/// The in-tree backends decide through one shared decision layer (the
-/// crate-private `decision` module): the grant rule below is written
-/// once and each backend contributes only how it evaluates a single
-/// condition.
-///
+/// [`read`]: AccessService::read
 /// [`describe`]: AccessService::describe
-/// [`num_members`]: AccessService::num_members
-/// [`num_relationships`]: AccessService::num_relationships
-/// [`resolve_user`]: AccessService::resolve_user
-/// [`member_name`]: AccessService::member_name
-/// [`label_name`]: AccessService::label_name
-/// [`cache_stats`]: AccessService::cache_stats
-/// [`check_with_stats`]: AccessService::check_with_stats
-/// [`explain_with_stats`]: AccessService::explain_with_stats
-/// [`audience_batch_forced`]: AccessService::audience_batch_forced
-/// [`check_batch_forced`]: AccessService::check_batch_forced
-/// [`query_audience_bundle`]: AccessService::query_audience_bundle
 /// [`default_check_plan`]: AccessService::default_check_plan
-/// [`check`]: AccessService::check
-/// [`check_batch`]: AccessService::check_batch
-/// [`check_batch_with_stats`]: AccessService::check_batch_with_stats
-/// [`explain`]: AccessService::explain
-/// [`explain_lines`]: AccessService::explain_lines
-/// [`audience`]: AccessService::audience
-/// [`audience_batch`]: AccessService::audience_batch
-/// [`audience_batch_with_stats`]: AccessService::audience_batch_with_stats
-/// [`query_audience`]: AccessService::query_audience
-/// [`read_batch`]: AccessService::read_batch
 pub trait AccessService: Send + Sync {
-    // -- required: naming and introspection ---------------------------
+    // -- required: the one read ---------------------------------------
+
+    /// Evaluates a batch of reads: one response per read, in request
+    /// order. Checks decide as `check` documents, audiences are the
+    /// sorted members a resource admits, explains carry witness walks
+    /// when granted, queries the sorted members their walks reach. Each
+    /// kind's census is attributed as [`AccessResponse`] documents.
+    /// Decision-cache hits and the owner fast path legitimately report
+    /// an all-zero census — no traversal ran.
+    fn read(&self, batch: &ReadBatch) -> Result<Vec<AccessResponse>, EvalError>;
+
+    // -- required: metadata -------------------------------------------
 
     /// Deployment label for logs and benchmark tables
     /// (e.g. `"single(online-bfs)"`, `"sharded(n=4)"`).
@@ -455,82 +542,40 @@ pub trait AccessService: Send + Sync {
     /// batch is one miss, then one hit).
     fn cache_stats(&self) -> (u64, u64);
 
-    // -- required: the read primitives --------------------------------
-
-    /// Decides whether `requester` may access `resource` (owner always
-    /// granted; rules disjoin; conditions within a rule conjoin; no
-    /// rules ⇒ private), plus the read's work census. Decision-cache
-    /// hits and the owner fast path legitimately report an all-zero
-    /// census — no traversal ran.
-    fn check_with_stats(
-        &self,
-        resource: ResourceId,
-        requester: NodeId,
-    ) -> Result<(Decision, ReadStats), EvalError>;
-
-    /// Explains a grant with structured witness walks, or `None` when
-    /// access is denied, plus the read's work census. Render with
-    /// [`Explanation::render`] or [`AccessService::explain_lines`];
-    /// replay through the path automaton in conformance tests.
-    fn explain_with_stats(
-        &self,
-        resource: ResourceId,
-        requester: NodeId,
-    ) -> Result<(Option<Explanation>, ReadStats), EvalError>;
-
-    /// Audiences of a whole bundle of resources in `rids` order, with
-    /// the bundle's deduped conditions traversed by the **named**
-    /// strategy, plus the bundle's uniform work census. This is the
-    /// primitive every audience read builds on. Both strategies return
-    /// identical audiences on every backend — the choice moves
-    /// latency, never correctness.
-    fn audience_batch_forced(
-        &self,
-        rids: &[ResourceId],
-        strategy: BundleStrategy,
-    ) -> Result<(Vec<Vec<NodeId>>, ReadStats), EvalError>;
-
-    /// Decides a batch of requests over one coherent snapshot state
-    /// along the **named** route; decisions come back in request order
-    /// with the batch's cumulative census. `threads` is the worker
-    /// hint of [`ReadBatch::threads`]. Every route returns identical
-    /// decisions and moves [`AccessService::cache_stats`] identically.
-    fn check_batch_forced(
-        &self,
-        requests: &[(ResourceId, NodeId)],
-        threads: usize,
-        plan: CheckPlan,
-    ) -> Result<(Vec<Decision>, ReadStats), EvalError>;
-
-    /// Materializes the audiences of a bundle of **ad-hoc queries**,
-    /// in request order: each `(owner, text)` pair is parsed with
-    /// [`crate::query::parse_policy`] (openCypher-flavored `MATCH`
-    /// syntax or classic path syntax) and evaluated as a raw access
-    /// condition anchored at `owner` — the sorted members some
-    /// matching walk reaches. No resource or rule is registered;
-    /// parsing is read-only against the deployment's vocabulary, and a
-    /// query mentioning a relationship type or attribute the graph has
-    /// never seen has an empty audience. Backends share traversal
-    /// across the bundle exactly as registered-rule bundles do.
-    fn query_audience_bundle(
-        &self,
-        queries: &[(NodeId, &str)],
-    ) -> Result<Vec<Vec<NodeId>>, EvalError>;
-
-    // -- required: the one policy answer ------------------------------
-
-    /// The route an unplanned [`AccessService::check_batch`] of `len`
-    /// requests takes on this backend (a single graph walks targeted;
-    /// a partitioned one materializes batched audiences once a batch
-    /// holds more than one request). [`crate::PlannedService`] serves
-    /// it verbatim on cold start.
+    /// The route a check batch of `len` requests takes when the batch
+    /// forces none (a single graph walks targeted; a partitioned one
+    /// materializes batched audiences once a batch holds more than one
+    /// request). [`crate::PlannedService`] serves it verbatim on cold
+    /// start.
     fn default_check_plan(&self, len: usize) -> CheckPlan;
 
-    // -- provided: written once ---------------------------------------
+    // -- provided: the named reads, written once ----------------------
 
     /// [`AccessService::check_with_stats`] without the census.
     fn check(&self, resource: ResourceId, requester: NodeId) -> Result<Decision, EvalError> {
         Ok(self.check_with_stats(resource, requester)?.0)
+    }
+
+    /// Decides whether `requester` may access `resource` (owner always
+    /// granted; rules disjoin; conditions within a rule conjoin; no
+    /// rules ⇒ private) by one early-exit targeted evaluation, plus the
+    /// read's work census.
+    fn check_with_stats(
+        &self,
+        resource: ResourceId,
+        requester: NodeId,
+    ) -> Result<(Decision, ReadStats), EvalError> {
+        let batch = ReadBatch {
+            reads: vec![ReadRequest::Check {
+                resource,
+                requester,
+            }],
+            plan: Some(CheckPlan::Targeted),
+            ..ReadBatch::default()
+        };
+        let response = self.read(&batch)?.pop().expect("one response per read");
+        let decision = response.decision.expect("a check is decided");
+        Ok((decision, response.stats))
     }
 
     /// [`AccessService::check_batch_with_stats`] without the census.
@@ -542,16 +587,30 @@ pub trait AccessService: Send + Sync {
         Ok(self.check_batch_with_stats(requests, threads)?.0)
     }
 
-    /// Decides a batch along the backend's default route:
-    /// [`AccessService::check_batch_forced`] under
-    /// [`AccessService::default_check_plan`].
+    /// Decides a batch along the deployment's route (a planner's pick,
+    /// or [`AccessService::default_check_plan`]); decisions come back in
+    /// request order with the batch's cumulative census.
     fn check_batch_with_stats(
         &self,
         requests: &[(ResourceId, NodeId)],
         threads: usize,
     ) -> Result<(Vec<Decision>, ReadStats), EvalError> {
-        let plan = self.default_check_plan(requests.len());
-        self.check_batch_forced(requests, threads, plan)
+        Ok(unpack(self.read(&check_batch(requests, threads))?, |r| {
+            r.decision
+        }))
+    }
+
+    /// [`AccessService::check_batch_with_stats`] along the **named**
+    /// route. Every route returns identical decisions and moves
+    /// [`AccessService::cache_stats`] identically.
+    fn check_batch_forced(
+        &self,
+        requests: &[(ResourceId, NodeId)],
+        threads: usize,
+        plan: CheckPlan,
+    ) -> Result<(Vec<Decision>, ReadStats), EvalError> {
+        let batch = check_batch(requests, threads).with_plan(plan);
+        Ok(unpack(self.read(&batch)?, |r| r.decision))
     }
 
     /// [`AccessService::explain_with_stats`] without the census.
@@ -561,6 +620,20 @@ pub trait AccessService: Send + Sync {
         requester: NodeId,
     ) -> Result<Option<Explanation>, EvalError> {
         Ok(self.explain_with_stats(resource, requester)?.0)
+    }
+
+    /// Explains a grant with structured witness walks, or `None` when
+    /// access is denied, plus the read's work census. Render with
+    /// [`Explanation::render`] or [`AccessService::explain_lines`];
+    /// replay through the path automaton in conformance tests.
+    fn explain_with_stats(
+        &self,
+        resource: ResourceId,
+        requester: NodeId,
+    ) -> Result<(Option<Explanation>, ReadStats), EvalError> {
+        let batch = ReadBatch::new().explain(resource, requester);
+        let response = self.read(&batch)?.pop().expect("one response per read");
+        Ok((response.explanation, response.stats))
     }
 
     /// [`AccessService::explain`], rendered to the human-readable walk
@@ -586,14 +659,26 @@ pub trait AccessService: Send + Sync {
         Ok(self.audience_batch_with_stats(rids)?.0)
     }
 
-    /// Audiences of a bundle plus its census under the default bundle
-    /// strategy: [`AccessService::audience_batch_forced`] with
-    /// [`BundleStrategy::Batched`].
+    /// Audiences of a bundle plus its census, under the deployment's
+    /// strategy (a planner's pick, or [`BundleStrategy::Batched`]).
     fn audience_batch_with_stats(
         &self,
         rids: &[ResourceId],
     ) -> Result<(Vec<Vec<NodeId>>, ReadStats), EvalError> {
-        self.audience_batch_forced(rids, BundleStrategy::Batched)
+        Ok(unpack(self.read(&audience_batch(rids))?, |r| r.audience))
+    }
+
+    /// Audiences of a bundle in `rids` order, with the bundle's deduped
+    /// conditions traversed by the **named** strategy, plus the
+    /// bundle's uniform work census. Both strategies return identical
+    /// audiences on every backend.
+    fn audience_batch_forced(
+        &self,
+        rids: &[ResourceId],
+        strategy: BundleStrategy,
+    ) -> Result<(Vec<Vec<NodeId>>, ReadStats), EvalError> {
+        let batch = audience_batch(rids).with_strategy(strategy);
+        Ok(unpack(self.read(&batch)?, |r| r.audience))
     }
 
     /// [`AccessService::query_audience_bundle`] for one query.
@@ -604,64 +689,50 @@ pub trait AccessService: Send + Sync {
             .expect("one audience per query"))
     }
 
-    /// Evaluates a heterogeneous batch of reads, responses in request
-    /// order. Check reads of the batch are decided together through
-    /// [`AccessService::check_batch_with_stats`] (whose census is
-    /// attributed to the first check read); audience reads together
-    /// through [`AccessService::audience_batch_with_stats`] (census on
-    /// the first audience read); explains run targeted, each carrying
-    /// its own census.
-    fn read_batch(&self, batch: &ReadBatch) -> Result<Vec<AccessResponse>, EvalError> {
-        let mut responses: Vec<AccessResponse> = (0..batch.reads.len())
-            .map(|_| AccessResponse::default())
-            .collect();
-        let mut checks: Vec<(usize, (ResourceId, NodeId))> = Vec::new();
-        let mut audiences: Vec<(usize, ResourceId)> = Vec::new();
-        for (i, read) in batch.reads.iter().enumerate() {
-            match *read {
-                ReadRequest::Check {
-                    resource,
-                    requester,
-                } => checks.push((i, (resource, requester))),
-                ReadRequest::Audience { resource } => audiences.push((i, resource)),
-                ReadRequest::Explain {
-                    resource,
-                    requester,
-                } => {
-                    let (explanation, stats) = self.explain_with_stats(resource, requester)?;
-                    responses[i].decision = Some(if explanation.is_some() {
-                        Decision::Grant
-                    } else {
-                        Decision::Deny
-                    });
-                    responses[i].explanation = explanation;
-                    responses[i].stats = stats;
-                }
-            }
-        }
-        if !checks.is_empty() {
-            let requests: Vec<(ResourceId, NodeId)> = checks.iter().map(|&(_, r)| r).collect();
-            let (decisions, stats) =
-                self.check_batch_with_stats(&requests, batch.threads.max(1))?;
-            for (k, (&(i, _), d)) in checks.iter().zip(decisions).enumerate() {
-                responses[i].decision = Some(d);
-                if k == 0 {
-                    responses[i].stats = stats;
-                }
-            }
-        }
-        if !audiences.is_empty() {
-            let rids: Vec<ResourceId> = audiences.iter().map(|&(_, r)| r).collect();
-            let (results, stats) = self.audience_batch_with_stats(&rids)?;
-            for (k, (&(i, _), audience)) in audiences.iter().zip(results).enumerate() {
-                responses[i].audience = Some(audience);
-                if k == 0 {
-                    responses[i].stats = stats;
-                }
-            }
-        }
-        Ok(responses)
+    /// Materializes the audiences of a bundle of ad-hoc queries
+    /// ([`ReadRequest::Query`]), in request order. Backends share
+    /// traversal across the bundle exactly as registered-rule bundles
+    /// do.
+    fn query_audience_bundle(
+        &self,
+        queries: &[(NodeId, &str)],
+    ) -> Result<Vec<Vec<NodeId>>, EvalError> {
+        let batch = queries
+            .iter()
+            .fold(ReadBatch::new(), |b, &(owner, text)| b.query(owner, text));
+        Ok(unpack(self.read(&batch)?, |r| r.audience).0)
     }
+}
+
+/// A batch of check reads.
+fn check_batch(requests: &[(ResourceId, NodeId)], threads: usize) -> ReadBatch {
+    let batch = ReadBatch {
+        threads,
+        ..ReadBatch::default()
+    };
+    requests.iter().fold(batch, |b, &(rid, m)| b.check(rid, m))
+}
+
+/// A batch of audience reads.
+fn audience_batch(rids: &[ResourceId]) -> ReadBatch {
+    rids.iter()
+        .fold(ReadBatch::new(), |b, &rid| b.audience(rid))
+}
+
+/// Each response's `field`, in order, plus the batch's census.
+fn unpack<T>(
+    responses: Vec<AccessResponse>,
+    field: impl Fn(AccessResponse) -> Option<T>,
+) -> (Vec<T>, ReadStats) {
+    let mut stats = ReadStats::default();
+    let fields = responses
+        .into_iter()
+        .map(|r| {
+            stats.absorb(&r.stats);
+            field(r).expect("a read of the batch's kind answers it")
+        })
+        .collect();
+    (fields, stats)
 }
 
 // ---------------------------------------------------------------------
@@ -740,9 +811,7 @@ impl Mutation {
     /// Applies the mutation to a graph and its policy store: the
     /// single-graph backend's whole write path, live and in recovery's
     /// replay alike. The mutation is validated first, so on `Err` the
-    /// graph and store are unchanged (a rule whose text fails to parse
-    /// may leave newly interned vocabulary behind, which no read
-    /// observes; a snapshot taken after it persists it).
+    /// graph, its vocabulary and the store are unchanged.
     pub fn apply_to(
         &self,
         graph: &mut SocialGraph,
@@ -1134,9 +1203,13 @@ impl ServiceInstance {
     }
 }
 
-/// Forwards the required methods to the wrapped backend; the provided
-/// reads then run against it unchanged.
+/// Forwards `read` and the metadata to the wrapped backend; the
+/// provided reads then run against it unchanged.
 impl AccessService for ServiceInstance {
+    fn read(&self, batch: &ReadBatch) -> Result<Vec<AccessResponse>, EvalError> {
+        self.reads().read(batch)
+    }
+
     fn describe(&self) -> String {
         self.reads().describe()
     }
@@ -1163,46 +1236,6 @@ impl AccessService for ServiceInstance {
 
     fn cache_stats(&self) -> (u64, u64) {
         self.reads().cache_stats()
-    }
-
-    fn check_with_stats(
-        &self,
-        resource: ResourceId,
-        requester: NodeId,
-    ) -> Result<(Decision, ReadStats), EvalError> {
-        self.reads().check_with_stats(resource, requester)
-    }
-
-    fn explain_with_stats(
-        &self,
-        resource: ResourceId,
-        requester: NodeId,
-    ) -> Result<(Option<Explanation>, ReadStats), EvalError> {
-        self.reads().explain_with_stats(resource, requester)
-    }
-
-    fn audience_batch_forced(
-        &self,
-        rids: &[ResourceId],
-        strategy: BundleStrategy,
-    ) -> Result<(Vec<Vec<NodeId>>, ReadStats), EvalError> {
-        self.reads().audience_batch_forced(rids, strategy)
-    }
-
-    fn check_batch_forced(
-        &self,
-        requests: &[(ResourceId, NodeId)],
-        threads: usize,
-        plan: CheckPlan,
-    ) -> Result<(Vec<Decision>, ReadStats), EvalError> {
-        self.reads().check_batch_forced(requests, threads, plan)
-    }
-
-    fn query_audience_bundle(
-        &self,
-        queries: &[(NodeId, &str)],
-    ) -> Result<Vec<Vec<NodeId>>, EvalError> {
-        self.reads().query_audience_bundle(queries)
     }
 
     fn default_check_plan(&self, len: usize) -> CheckPlan {
@@ -1260,16 +1293,17 @@ mod tests {
     }
 
     #[test]
-    fn read_batch_mixes_request_kinds() {
+    fn read_mixes_request_kinds() {
         let mut svc = Deployment::sharded(2, 5).build();
         let (members, rid) = populate(svc.writes());
         let batch = ReadBatch::new()
             .check(rid, members[2])
             .audience(rid)
             .explain(rid, members[1])
-            .check(rid, members[3]);
-        let responses = svc.reads().read_batch(&batch).unwrap();
-        assert_eq!(responses.len(), 4);
+            .check(rid, members[3])
+            .query(members[0], "friend+[1]");
+        let responses = svc.reads().read(&batch).unwrap();
+        assert_eq!(responses.len(), 5);
         assert_eq!(responses[0].decision, Some(Decision::Grant));
         assert_eq!(
             responses[1].audience.as_deref(),
@@ -1284,6 +1318,7 @@ mod tests {
             .render(svc.reads());
         assert_eq!(lines, vec!["Alice -friend-> Bob".to_owned()]);
         assert_eq!(responses[3].decision, Some(Decision::Deny));
+        assert_eq!(responses[4].audience, Some(vec![members[1]]));
     }
 
     #[test]

@@ -7,13 +7,15 @@
 //!
 //! # Read/write split and the publication lifecycle
 //!
-//! Every **read** — [`check`](AccessService::check),
-//! [`check_batch`](AccessService::check_batch),
-//! [`audience`](AccessService::audience),
+//! Every **read** enters through [`AccessService::read`] — the named
+//! reads ([`check`](AccessService::check),
 //! [`audience_batch`](AccessService::audience_batch),
-//! [`explain`](AccessService::explain) — takes `&self`, so any
-//! number of requester threads can evaluate concurrently against one
-//! system (e.g. through `std::thread::scope`). Reads share the
+//! [`explain`](AccessService::explain), …) are wrappers over it — and
+//! runs the shared decision layer over the active engine's [`Enforcer`]
+//! (witness walks and ad-hoc queries over the online one). Reads take
+//! `&self`, so any number of requester threads can evaluate
+//! concurrently against one system (e.g. through `std::thread::scope`),
+//! and a targeted check batch fans out over its thread hint. Reads share the
 //! epoch-published [`CsrSnapshot`] held by the wrapped [`Enforcer`]:
 //! each read clones the current epoch's `Arc` and traverses the
 //! immutable index lock-free. Every **mutation** — adding members,
@@ -31,18 +33,20 @@
 //! [`CsrSnapshot`]: socialreach_graph::csr::CsrSnapshot
 //! [`CsrSnapshot::apply_edge_appends`]: socialreach_graph::csr::CsrSnapshot::apply_edge_appends
 
-use crate::decision;
+use crate::decision::{self, Ground};
 use crate::engine::{AccessEngine, Enforcer, OnlineEngine};
 use crate::error::EvalError;
 use crate::joinengine::{JoinEngineConfig, JoinIndexEngine};
 use crate::online;
-use crate::policy::{Decision, PolicyStore, ResourceId};
+use crate::path::PathExpr;
+use crate::policy::{AccessCondition, PolicyStore};
 use crate::query::parse_policy;
 use crate::service::{
-    AccessService, Applied, BundleStrategy, CheckPlan, Explanation, MutateService, Mutation,
-    ReadStats, WalkHop,
+    AccessResponse, AccessService, Applied, BundleStrategy, CheckPlan, MutateService, Mutation,
+    ReadBatch, ReadRequest, ReadStats, WalkHop,
 };
 use parking_lot::RwLock;
+use socialreach_graph::csr::CsrSnapshot;
 use socialreach_graph::{LabelId, NodeId, SocialGraph};
 use std::sync::Arc;
 
@@ -190,29 +194,111 @@ impl AccessControlSystem {
     }
 }
 
-/// Runs `$body` with `$e` bound to the active engine's enforcer — the
-/// online one, or the lazily built join-index one — statically
-/// dispatched on both arms.
-macro_rules! with_enforcer {
-    ($sys:expr, |$e:ident| $body:expr) => {
-        match $sys.choice {
-            EngineChoice::Online => {
-                let $e = &$sys.online;
-                $body
-            }
-            EngineChoice::JoinIndex(_) => {
-                let join = $sys.join_enforcer();
-                let $e = &*join;
-                $body
-            }
-        }
-    };
+/// One early-exit walk per request, whatever the batch size.
+fn default_check_plan(_len: usize) -> CheckPlan {
+    CheckPlan::Targeted
 }
 
-/// The deployment-agnostic read surface: this impl block is the **one
-/// place** the single-graph backend's reads live. Decisions run the
-/// shared decision layer inside the active [`Enforcer`].
+/// The single graph read through one of its enforcers.
+struct GraphRead<'a, E> {
+    sys: &'a AccessControlSystem,
+    enforcer: &'a Enforcer<E>,
+}
+
+impl<E: AccessEngine + Sync> decision::Evaluate for GraphRead<'_, E> {
+    type Pin = Option<Arc<CsrSnapshot>>;
+
+    fn ground(&self) -> Ground<'_> {
+        Ground {
+            members: self.sys.graph.num_nodes(),
+            store: &self.sys.store,
+            vocab: self.sys.graph.vocab(),
+            cache: self.enforcer.decisions(),
+            default_check_plan,
+            fans_out: true,
+        }
+    }
+
+    fn pin(&self) -> Self::Pin {
+        self.enforcer.publish_snapshot(&self.sys.graph)
+    }
+
+    fn satisfied(
+        &self,
+        pin: &Self::Pin,
+        cond: &AccessCondition,
+        requester: NodeId,
+    ) -> Result<(bool, ReadStats), EvalError> {
+        self.enforcer
+            .satisfied(&self.sys.graph, pin.as_deref(), cond, requester)
+    }
+
+    fn walk(
+        &self,
+        cond: &AccessCondition,
+        requester: NodeId,
+    ) -> Result<(Option<Vec<WalkHop>>, ReadStats), EvalError> {
+        let g = &self.sys.graph;
+        let (owner, path, target) = (cond.owner, &cond.path, Some(requester));
+        // The published snapshot, not the thread cache: reads of every
+        // kind share one epoch. Generation 0 cannot be published.
+        let out = match self.enforcer.publish_snapshot(g) {
+            Some(snap) => online::evaluate_with_snapshot(g, &snap, owner, path, target),
+            None => online::evaluate_reference(g, owner, path, target),
+        };
+        let hops = out.witness.map(|witness| {
+            witness
+                .into_iter()
+                .map(|(eid, forward)| {
+                    let rec = g.edge(eid);
+                    WalkHop {
+                        src: rec.src,
+                        dst: rec.dst,
+                        label: rec.label,
+                        forward,
+                    }
+                })
+                .collect()
+        });
+        Ok((hops, ReadStats::one_pass(out.stats.states_visited)))
+    }
+
+    fn audiences(
+        &self,
+        conds: &[(NodeId, &PathExpr)],
+        strategy: BundleStrategy,
+    ) -> Result<(Vec<Vec<NodeId>>, ReadStats), EvalError> {
+        self.enforcer.audiences(&self.sys.graph, conds, strategy)
+    }
+}
+
+/// The deployment-agnostic read surface: every read runs the shared
+/// decision layer over the active engine's enforcer (`GraphRead`).
 impl AccessService for AccessControlSystem {
+    /// Under the join-index choice the index serves checks and
+    /// audiences; explains and ad-hoc queries still run online (the
+    /// index keeps no witnesses, and a one-shot query leaves its
+    /// precomputation nothing to amortize) and never build it.
+    fn read(&self, batch: &ReadBatch) -> Result<Vec<AccessResponse>, EvalError> {
+        let sys = self;
+        let online = GraphRead {
+            sys,
+            enforcer: &self.online,
+        };
+        if let EngineChoice::Online = self.choice {
+            return decision::read(&online, batch);
+        }
+        batch.by_kind(|batch| match batch.reads[0] {
+            ReadRequest::Explain { .. } | ReadRequest::Query { .. } => {
+                decision::read(&online, batch)
+            }
+            _ => {
+                let enforcer = &*self.join_enforcer();
+                decision::read(&GraphRead { sys, enforcer }, batch)
+            }
+        })
+    }
+
     fn describe(&self) -> String {
         match self.choice {
             EngineChoice::Online => "single(online-bfs)".to_owned(),
@@ -254,120 +340,8 @@ impl AccessService for AccessControlSystem {
         }
     }
 
-    fn check_with_stats(
-        &self,
-        rid: ResourceId,
-        requester: NodeId,
-    ) -> Result<(Decision, ReadStats), EvalError> {
-        with_enforcer!(self, |e| e.check_access_with_stats(
-            &self.graph,
-            &self.store,
-            rid,
-            requester
-        ))
-    }
-
-    /// Always uses the online engine (the join index does not keep
-    /// witnesses).
-    fn explain_with_stats(
-        &self,
-        rid: ResourceId,
-        requester: NodeId,
-    ) -> Result<(Option<Explanation>, ReadStats), EvalError> {
-        // The published snapshot, not the thread cache: reads of every
-        // kind share one epoch. Generation 0 cannot be published.
-        let snap = self.online.publish_snapshot(&self.graph);
-        let members = self.graph.num_nodes();
-        decision::explain(&self.store, members, rid, requester, |cond| {
-            let (owner, path, target) = (cond.owner, &cond.path, Some(requester));
-            let out = match &snap {
-                Some(snap) => {
-                    online::evaluate_with_snapshot(&self.graph, snap, owner, path, target)
-                }
-                None => online::evaluate_reference(&self.graph, owner, path, target),
-            };
-            let census = ReadStats::one_pass(out.stats.states_visited);
-            let hops = out.witness.map(|witness| {
-                witness
-                    .into_iter()
-                    .map(|(eid, forward)| {
-                        let rec = self.graph.edge(eid);
-                        WalkHop {
-                            src: rec.src,
-                            dst: rec.dst,
-                            label: rec.label,
-                            forward,
-                        }
-                    })
-                    .collect()
-            });
-            Ok((hops, census))
-        })
-    }
-
-    /// Under the online engine the bundle's distinct conditions are
-    /// deduped and compiled into one shared-prefix plan that traverses
-    /// the shared snapshot in one multi-source pass per 64-condition
-    /// chunk — the batch-audience workload this system is built around.
-    fn audience_batch_forced(
-        &self,
-        rids: &[ResourceId],
-        strategy: BundleStrategy,
-    ) -> Result<(Vec<Vec<NodeId>>, ReadStats), EvalError> {
-        with_enforcer!(self, |e| e.audience_batch_forced(
-            &self.graph,
-            &self.store,
-            rids,
-            strategy
-        ))
-    }
-
-    fn check_batch_forced(
-        &self,
-        requests: &[(ResourceId, NodeId)],
-        threads: usize,
-        plan: CheckPlan,
-    ) -> Result<(Vec<Decision>, ReadStats), EvalError> {
-        with_enforcer!(self, |e| e.check_batch_forced(
-            &self.graph,
-            &self.store,
-            requests,
-            threads,
-            plan
-        ))
-    }
-
-    /// Ad-hoc query bundles always run on the online engine over the
-    /// published snapshot — they are one-shot reads, so the join
-    /// index's precomputation has nothing to amortize.
-    fn query_audience_bundle(
-        &self,
-        queries: &[(NodeId, &str)],
-    ) -> Result<Vec<Vec<NodeId>>, EvalError> {
-        let members = self.graph.num_nodes();
-        decision::query_bundle(self.graph.vocab(), members, queries, |conds| {
-            match self.online.publish_snapshot(&self.graph) {
-                Some(snap) => Ok(OnlineEngine
-                    .audience_batch_with_snapshot(&self.graph, &snap, conds)?
-                    .0),
-                // Edge-free graph: nothing to publish, nothing to walk.
-                None => Ok(conds
-                    .iter()
-                    .map(|&(owner, path)| {
-                        if path.is_empty() {
-                            vec![owner]
-                        } else {
-                            Vec::new()
-                        }
-                    })
-                    .collect()),
-            }
-        })
-    }
-
-    /// One early-exit walk per request, whatever the batch size.
-    fn default_check_plan(&self, _len: usize) -> CheckPlan {
-        CheckPlan::Targeted
+    fn default_check_plan(&self, len: usize) -> CheckPlan {
+        default_check_plan(len)
     }
 }
 
@@ -383,6 +357,8 @@ impl MutateService for AccessControlSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::{Decision, ResourceId};
+    use crate::service::Explanation;
 
     fn populated(choice: EngineChoice) -> (AccessControlSystem, ResourceId) {
         let mut sys = AccessControlSystem::new(choice);

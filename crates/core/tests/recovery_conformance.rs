@@ -274,10 +274,9 @@ fn exported_state_matches_a_never_crashed_single_twin() {
     // The backend is the only copy of the durable state, so what it
     // exports — and snapshots persist — must be the single graph's own
     // state, id for id and in order, on every deployment shape, through
-    // a snapshot and a recovery. A rule refused after interning a new
-    // label leaves that label in the vocabulary (no read observes it);
-    // the snapshot taken after it carries it, so the recovered state
-    // still equals the twin's, which saw the same refusal.
+    // a snapshot and a recovery. A rule refused after its parser met a
+    // new label leaves no trace in the vocabulary, so the snapshot taken
+    // after it and the recovered state both equal the twin's.
     let refused = Mutation::AddRule {
         resource: ResourceId(0),
         path: "acquaintance+[1]/friend+[0]".to_owned(),
@@ -296,7 +295,7 @@ fn exported_state_matches_a_never_crashed_single_twin() {
     twin.apply(&suffix).unwrap();
     let want = exported(twin.canonical());
     assert!(
-        want.labels.contains(&"acquaintance".to_owned()),
+        !want.labels.contains(&"acquaintance".to_owned()),
         "the refused rule interned its label: {:?}",
         want.labels
     );
@@ -323,6 +322,12 @@ fn exported_state_matches_a_never_crashed_single_twin() {
             }
             svc.apply(&refused)
                 .expect_err("a malformed depth is refused");
+            let labels = exported(svc.canonical()).labels;
+            assert!(
+                !labels.contains(&"acquaintance".to_owned()),
+                "{} kept the refused rule's label: {labels:?}",
+                live.describe()
+            );
             svc.snapshot().unwrap();
             svc.apply(&suffix).unwrap();
             assert_eq!(exported(svc.canonical()), want, "{} live", live.describe());

@@ -14,9 +14,10 @@ mod common;
 
 use proptest::prelude::*;
 use socialreach_core::{
-    AccessService, Applied, BundleStrategy, CheckPlan, Decision, Deployment, DurableService,
-    EngineChoice, EvalError, Explanation, JoinEngineConfig, MutateService, Mutation, PathExpr,
-    PlannedService, PlannerMode, PolicyStore, ReadBatch, ResourceId, ServiceInstance,
+    AccessResponse, AccessService, Applied, BundleStrategy, CheckPlan, Decision, Deployment,
+    DurableService, EngineChoice, EvalError, Explanation, JoinEngineConfig, MutateService,
+    Mutation, PathExpr, PlannedService, PlannerMode, PolicyStore, ReadBatch, ReadRequest,
+    ReadStats, ResourceId, ServiceInstance,
 };
 use socialreach_graph::{GraphError, NodeId, SocialGraph};
 use std::path::PathBuf;
@@ -266,9 +267,10 @@ impl Drop for Wrapped {
 /// `DurableService`-wrapped and `PlannedService`-wrapped backends every
 /// provided read equals the primitive it is defined by, a decorator
 /// passes the inner census through unchanged (checked against a bare
-/// twin), and the heterogeneous `read_batch` vocabulary answers exactly
-/// like the individual reads with a sane census (single-graph
-/// deployments never export boundary states).
+/// twin), and a heterogeneous batch through `read` answers exactly
+/// like the named reads, in request order, under every forced route and
+/// strategy, with a sane census (single-graph deployments never export
+/// boundary states).
 #[test]
 fn read_batches_match_individual_reads_everywhere() {
     let wraps = [
@@ -361,42 +363,124 @@ fn read_batches_match_individual_reads_everywhere() {
                 "{tag}"
             );
 
-            // The heterogeneous batch answers like the individual reads.
-            let mut batch = ReadBatch::new();
-            for &rid in &rids {
-                batch = batch.audience(rid);
+            // Forcing a bundle strategy is honoured: one traversal per
+            // distinct condition, whatever the default would batch.
+            let (_, per) = reads
+                .audience_batch_forced(&rids, BundleStrategy::PerCondition)
+                .unwrap();
+            assert!(per.conditions > 1, "{tag}");
+            assert_eq!(per.traversals, per.conditions, "{tag}");
+
+            // The heterogeneous batch answers like the named reads, in
+            // request order, under every forced route and strategy and
+            // under none; each kind's census sits on its first read, and
+            // the censuses sum to those of the kinds read alone.
+            let texts = [
+                "MATCH (o)-[:friend*1..2]->(v)",
+                "colleague*[1..3]",
+                "MATCH (o)-[:stranger]->(v)",
+            ];
+            let mut mixed = ReadBatch::new();
+            for (k, &rid) in rids.iter().enumerate() {
+                mixed = mixed.audience(rid);
                 for &m in &members {
-                    batch = batch.check(rid, m).explain(rid, m);
+                    mixed = mixed.check(rid, m).explain(rid, m);
                 }
+                mixed = mixed.query(members[k], texts[k % texts.len()]);
             }
-            let responses = reads.read_batch(&batch).unwrap();
-            assert_eq!(responses.len(), batch.reads.len());
-            let mut it = responses.iter();
-            for &rid in &rids {
-                let audience = it.next().unwrap();
-                assert_eq!(
-                    audience.audience.as_ref().unwrap(),
-                    &reads.audience(rid).unwrap(),
-                    "{tag}"
-                );
-                if matches!(deployment, Deployment::Single(_)) {
-                    assert_eq!(
-                        audience.stats.exported_states, 0,
-                        "single-graph reads never cross a boundary"
-                    );
-                }
-                for &m in &members {
-                    let check = it.next().unwrap();
-                    assert_eq!(check.decision.unwrap(), reads.check(rid, m).unwrap());
-                    let explain = it.next().unwrap();
-                    assert_eq!(
-                        explain.explanation.is_some(),
-                        check.decision.unwrap() == Decision::Grant
-                    );
-                    if let Some(Explanation::Ownership { owner }) = &explain.explanation {
-                        assert_eq!(*owner, m, "ownership explanations name the requester");
+            let forced = [
+                (None, None),
+                (Some(CheckPlan::Targeted), None),
+                (Some(CheckPlan::Audience(BundleStrategy::Batched)), None),
+                (
+                    Some(CheckPlan::Audience(BundleStrategy::PerCondition)),
+                    None,
+                ),
+                (None, Some(BundleStrategy::Batched)),
+                (None, Some(BundleStrategy::PerCondition)),
+            ];
+            for (plan, strategy) in forced {
+                let tag = format!("{tag}, plan {plan:?}, strategy {strategy:?}");
+                let batch = ReadBatch {
+                    plan,
+                    strategy,
+                    ..mixed.clone()
+                };
+                let responses = reads.read(&batch).unwrap();
+                assert_eq!(responses.len(), batch.reads.len(), "{tag}");
+                let mut kinds = Vec::new();
+                for (read, got) in batch.reads.iter().zip(&responses) {
+                    let first = !kinds.contains(&std::mem::discriminant(read));
+                    if first {
+                        kinds.push(std::mem::discriminant(read));
+                    }
+                    match read {
+                        &ReadRequest::Check {
+                            resource,
+                            requester,
+                        } => {
+                            let want = reads.check(resource, requester).unwrap();
+                            assert_eq!(got.decision, Some(want), "{tag}");
+                        }
+                        &ReadRequest::Audience { resource } => {
+                            let want = match strategy {
+                                Some(s) => reads.audience_batch_forced(&[resource], s).unwrap().0,
+                                None => reads.audience_batch(&[resource]).unwrap(),
+                            };
+                            assert_eq!(got.audience.as_ref(), want.first(), "{tag}");
+                            if matches!(deployment, Deployment::Single(_)) {
+                                assert_eq!(
+                                    got.stats.exported_states, 0,
+                                    "single-graph reads never cross a boundary"
+                                );
+                            }
+                        }
+                        &ReadRequest::Explain {
+                            resource,
+                            requester,
+                        } => {
+                            let want = reads.explain_with_stats(resource, requester).unwrap();
+                            assert_eq!((got.explanation.clone(), got.stats), want, "{tag}");
+                            let granted = want.0.is_some();
+                            let decided = if granted {
+                                Decision::Grant
+                            } else {
+                                Decision::Deny
+                            };
+                            assert_eq!(got.decision, Some(decided), "{tag}");
+                            if let Some(Explanation::Ownership { owner }) = &want.0 {
+                                assert_eq!(*owner, requester, "the owner asked");
+                            }
+                        }
+                        ReadRequest::Query { owner, text } => {
+                            let want = reads.query_audience(*owner, text).unwrap();
+                            assert_eq!(got.audience.as_ref(), Some(&want), "{tag}");
+                        }
+                    }
+                    if !first && !matches!(read, ReadRequest::Explain { .. }) {
+                        assert_eq!(got.stats, ReadStats::default(), "census on the first read");
                     }
                 }
+                let census = |responses: &[AccessResponse]| {
+                    let mut total = ReadStats::default();
+                    responses.iter().for_each(|r| total.absorb(&r.stats));
+                    total
+                };
+                let mut alone = ReadStats::default();
+                for kind in kinds {
+                    let reads_of_kind = batch
+                        .reads
+                        .iter()
+                        .filter(|r| std::mem::discriminant(*r) == kind)
+                        .cloned()
+                        .collect();
+                    let one_kind = ReadBatch {
+                        reads: reads_of_kind,
+                        ..batch.clone()
+                    };
+                    alone.absorb(&census(&reads.read(&one_kind).unwrap()));
+                }
+                assert_eq!(census(&responses), alone, "{tag}");
             }
         }
     }

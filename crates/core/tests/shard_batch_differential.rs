@@ -6,7 +6,7 @@
 //! 1. the single-graph multi-source plan BFS
 //!    (`query::evaluate_plan_audiences`, via the engine's batch path),
 //! 2. the per-condition sharded path — one masked fixpoint per
-//!    condition (`ShardedSystem::audience_batch_per_condition`), which
+//!    condition (`audience_batch_forced` under `PerCondition`), which
 //!    shares the driver and engine with the batched path, so every
 //!    comparison with it also has an independent leg below —, and
 //! 3. the reference engine, member-for-member,
@@ -19,9 +19,10 @@
 mod common;
 
 use proptest::prelude::*;
+use socialreach_core::BundleStrategy::PerCondition;
 use socialreach_core::{
-    online, parse_path, AccessEngine, Decision, Deployment, MutateService, OnlineEngine, PathExpr,
-    PolicyStore, ShardedSystem,
+    online, parse_path, AccessEngine, AccessService, Decision, Deployment, MutateService,
+    OnlineEngine, PathExpr, PolicyStore, ShardedSystem,
 };
 use socialreach_graph::{NodeId, ShardAssignment, SocialGraph};
 
@@ -202,7 +203,7 @@ proptest! {
             // Resource-level: batched ≡ per-condition ≡ the single
             // deployment, through the backend-agnostic harness.
             let batched = sys.service().audience_batch(&rids).unwrap();
-            let per_condition = sys.audience_batch_per_condition(&rids).unwrap();
+            let per_condition = sys.audience_batch_forced(&rids, PerCondition).unwrap().0;
             prop_assert_eq!(&batched, &per_condition, "shards={}", shards);
             let single = Deployment::online().from_graph(&g, store.clone());
             common::assert_services_agree(single.reads(), sys.service(), &rids);
@@ -310,7 +311,7 @@ fn wide_bundles_chunk_into_words_without_cross_talk() {
             "70 conditions of one template = two mask words (shards {shards})"
         );
         assert_eq!(stats.conditions, 70, "the bundle dedups to 70 conditions");
-        let per_condition = sys.audience_batch_per_condition(&rids).unwrap();
+        let per_condition = sys.audience_batch_forced(&rids, PerCondition).unwrap().0;
         assert_eq!(batched, per_condition, "shards {shards}");
         for (i, audience) in batched.iter().enumerate() {
             let owner = i as u32;
@@ -434,7 +435,7 @@ fn pingpong_fixpoint_expands_the_region_once() {
     let rid = sys.add_resource(o);
     sys.add_rule(rid, "friend+[1..]").unwrap();
     let batched = sys.service().audience_batch(&[rid]).unwrap();
-    let per_cond = sys.audience_batch_per_condition(&[rid]).unwrap();
+    let per_cond = sys.audience_batch_forced(&[rid], PerCondition).unwrap().0;
     assert_eq!(batched, per_cond, "semantics agree on the ping-pong graph");
     let mut single = Deployment::online().build();
     for m in 0..sys.num_members() {

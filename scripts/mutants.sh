@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# Mutation check for the partitioned read and write paths and the
-# durability layer (WAL scanning, replay, snapshot export).
+# Mutation check for the read seam (`AccessService::read`: the split of
+# a batch by kind, the forced or default route) and the decision layer
+# behind it (the grant rule), the partitioned read and write paths, and
+# the durability layer (WAL scanning, replay, snapshot export).
 #
 # Each tests/mutants/*.patch is one small, deliberate bug. Its header
 # names the bug and the test suites that must kill it:

@@ -73,14 +73,13 @@ pub use socialreach_reach as reach;
 pub use socialreach_workload as workload;
 
 pub use socialreach_core::{
-    examples, online, parse_path, read_history, resource_audience_batch_with_stats,
-    AccessCondition, AccessControlSystem, AccessEngine, AccessResponse, AccessRule, AccessService,
-    Applied, AudienceDiff, AuditError, BundleStrategy, CheckPlan, CompactionReport, Decision,
-    Deployment, DurabilityError, DurableService, Enforcer, EngineChoice, EvalError, Explanation,
-    HistoryEntry, JoinEngineConfig, JoinIndexEngine, JoinStrategy, MutateService, Mutation,
-    NetworkedSpec, NetworkedSystem, OnlineEngine, ParseError, PathExpr, PlannedService, Planner,
-    PlannerMode, PolicyStore, ReadBatch, ReadRequest, ReadStats, RecoveryReport, RemoteError,
-    ResourceId, ServiceInstance, ShardAddr, ShardHandle, ShardServer, ShardedSystem, WalkHop,
-    WitnessWalk,
+    examples, online, parse_path, read_history, AccessCondition, AccessControlSystem, AccessEngine,
+    AccessResponse, AccessRule, AccessService, Applied, AudienceDiff, AuditError, BundleStrategy,
+    CheckPlan, CompactionReport, Decision, Deployment, DurabilityError, DurableService, Enforcer,
+    EngineChoice, EvalError, Explanation, HistoryEntry, JoinEngineConfig, JoinIndexEngine,
+    JoinStrategy, MutateService, Mutation, NetworkedSpec, NetworkedSystem, OnlineEngine,
+    ParseError, PathExpr, PlannedService, Planner, PlannerMode, PolicyStore, ReadBatch,
+    ReadRequest, ReadStats, RecoveryReport, RemoteError, ResourceId, ServiceInstance, ShardAddr,
+    ShardHandle, ShardServer, ShardedSystem, WalkHop, WitnessWalk,
 };
 pub use socialreach_graph::{AttrValue, Direction, EdgeId, LabelId, NodeId, SocialGraph};
