@@ -213,6 +213,17 @@ pub(crate) fn read<B: Evaluate>(
     batch: &ReadBatch,
 ) -> Result<Vec<AccessResponse>, EvalError> {
     let ground = b.ground();
+    // A lone check forced targeted (every `check`) skips the batch
+    // machinery: its census is its own.
+    if let ([read @ ReadRequest::Check { .. }], Some(CheckPlan::Targeted)) =
+        (&batch.reads[..], batch.plan)
+    {
+        let (d, stats) = check_one(b, &ground, read.request())?;
+        return Ok(vec![AccessResponse {
+            stats,
+            ..decided(d)
+        }]);
+    }
     let strategy = batch.strategy.unwrap_or(BundleStrategy::Batched);
     batch.by_kind(|batch| {
         let reads = &batch.reads;
@@ -280,16 +291,7 @@ fn targeted<B: Evaluate>(
         let mut stats = ReadStats::default();
         let mut responses = Vec::with_capacity(reads.len());
         for read in reads {
-            let (rid, requester) = read.request();
-            let (d, s) = check(
-                ground.cache,
-                ground.store,
-                ground.members,
-                rid,
-                requester,
-                || b.pin(),
-                |pin, cond| b.satisfied(pin, cond, requester),
-            )?;
+            let (d, s) = check_one(b, ground, read.request())?;
             stats.absorb(&s);
             responses.push(decided(d));
         }
@@ -321,6 +323,17 @@ fn targeted<B: Evaluate>(
         }
         Ok((responses, stats))
     })
+}
+
+/// Decides one request through `b`'s condition evaluation.
+fn check_one<B: Evaluate>(
+    b: &B,
+    ground: &Ground,
+    (rid, requester): (ResourceId, NodeId),
+) -> Result<(Decision, ReadStats), EvalError> {
+    let satisfied = |pin: &B::Pin, cond: &AccessCondition| b.satisfied(pin, cond, requester);
+    let (cache, store, members) = (ground.cache, ground.store, ground.members);
+    check(cache, store, members, rid, requester, || b.pin(), satisfied)
 }
 
 /// Explains a grant: ownership, or one witness walk per condition of
