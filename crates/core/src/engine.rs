@@ -545,12 +545,12 @@ mod tests {
     use crate::path::parse_path;
     use crate::policy::AccessRule;
     use crate::service::{AccessService, CheckPlan};
-    use crate::system::{AccessControlSystem, EngineChoice};
+    use crate::system::AccessControlSystem;
 
     /// `g` and `store` served by the single graph, whose reads run the
     /// enforcer through the decision layer.
     fn served(g: &SocialGraph, store: &PolicyStore) -> AccessControlSystem {
-        let mut sys = AccessControlSystem::from_graph(g, EngineChoice::Online);
+        let mut sys = AccessControlSystem::from_graph(g);
         sys.adopt_store(store.clone());
         sys
     }

@@ -8,10 +8,15 @@
 //! **path expressions** over the social graph: *"only the children of my
 //! friends' friends can read my notes"* becomes
 //! `friend+[1,2]/children+[1]`. Enforcement reduces each access request
-//! to an ordered label-constraint reachability query, answered either
-//! by a constrained product BFS ([`engine::OnlineEngine`]) or through
-//! the precomputed line-graph cluster join index of §3
-//! ([`joinengine::JoinIndexEngine`]).
+//! to an ordered label-constraint reachability query. Every serving
+//! backend answers it by a constrained product BFS
+//! ([`engine::OnlineEngine`] and the masked plan engine of [`query`]).
+//! The precomputed line-graph cluster join index of §3
+//! ([`joinengine::JoinIndexEngine`]) is a library behind the same
+//! [`AccessEngine`] trait, wrapped in an [`Enforcer`] by the paper's
+//! experiments and tests. It is not a serving backend: it is built for
+//! a static graph, and on the benchmark's feed inputs it refuses most
+//! reads past its candidate-tuple limit.
 //!
 //! ## Quick start
 //!
@@ -46,12 +51,12 @@
 //! | [`policy`] | §2 Def. 2 | access rules, policy store, decisions |
 //! | [`online`] | §1 | constrained product BFS over a label-partitioned CSR snapshot (flat-array engine + retained reference implementation) |
 //! | [`lineplan`] | §3.1 | depth expansion into line queries (Fig. 4) |
-//! | [`joinengine`] | §3.3–3.4 | join pipeline + post-processing |
+//! | [`joinengine`] | §3.3–3.4 | join pipeline + post-processing (a library engine: experiments and tests, not a serving backend) |
 //! | [`engine`] | — | engine trait, caching enforcer, per-generation snapshot cache |
 //! | [`service`] | — | the deployment-agnostic serving API: `AccessService` / `MutateService` traits, the `Mutation` write vocabulary (applied by every backend, logged by the WAL), request/response vocabulary, `Deployment` builder |
 //! | [`query`] | — | openCypher-flavored query front-end + shared-prefix bundle plan compiler and its masked trie engine |
 //! | [`planner`] | — | telemetry-fed adaptive read planner: per-resource decaying profiles pick the winning engine per bundle |
-//! | [`system`] | — | single-graph backend (`AccessControlSystem`) |
+//! | [`system`] | — | single-graph backend (`AccessControlSystem`), evaluated online |
 //! | [`coordinator`] | — | the partitioned coordinator over N shard links: placement, ghosts, boundary table, the cross-shard reads and writes of both partitioned backends |
 //! | `link` | — | `ShardLink`: how the coordinator reaches a shard, and the in-process link |
 //! | `shard` | — | `ShardCore`: one shard's graph, id tables, snapshot publication and round/trace, in process or in a server |
@@ -245,7 +250,7 @@ pub use service::{
     WalkHop, WitnessWalk,
 };
 pub use sharded::{BundleFixpointStats, ShardedEval, ShardedSystem};
-pub use system::{AccessControlSystem, EngineChoice};
+pub use system::AccessControlSystem;
 
 // Re-exported so `JoinEngineConfig` can be configured without naming the
 // reach crate directly.

@@ -4,8 +4,8 @@
 //! The paper's model is a single contract — a path-expression rule
 //! evaluated as an ordered label-constraint reachability query — but
 //! the repo grew two serving facades with drifting surfaces:
-//! [`AccessControlSystem`] (one epoch-published graph, pluggable
-//! engines) and [`ShardedSystem`] (N hash-partitioned shards with
+//! [`AccessControlSystem`] (one epoch-published graph, evaluated
+//! online) and [`ShardedSystem`] (N hash-partitioned shards with
 //! cross-shard fixpoints). This module is the seam that makes the
 //! backends interchangeable:
 //!
@@ -25,10 +25,11 @@
 //!   structured witnesses and per-read [`ReadStats`]; a batch may force
 //!   its checks' route ([`CheckPlan`]) and its bundles' traversal
 //!   ([`BundleStrategy`]).
-//! * [`Deployment`] — the builder that constructs either backend from
-//!   one config: [`Deployment::single`] wraps an [`EngineChoice`],
+//! * [`Deployment`] — the builder that constructs any backend from
+//!   one config: [`Deployment::online`] is the single graph,
 //!   [`Deployment::sharded`] a shard count + placement seed (or a full
-//!   [`ShardAssignment`] via [`Deployment::sharded_with`]).
+//!   [`ShardAssignment`] via [`Deployment::sharded_with`]), and
+//!   [`Deployment::networked`] a fleet of shard processes.
 //! * [`ServiceInstance`] — the constructed backend, usable as both
 //!   traits or narrowed with [`ServiceInstance::reads`] /
 //!   [`ServiceInstance::writes`].
@@ -39,10 +40,10 @@
 //!
 //! ```
 //! use socialreach_core::service::{AccessService, Deployment, MutateService};
-//! use socialreach_core::{Decision, EngineChoice};
+//! use socialreach_core::Decision;
 //!
 //! // One config line decides the deployment; nothing below changes.
-//! let mut svc = Deployment::single(EngineChoice::Online).build();
+//! let mut svc = Deployment::online().build();
 //! // let mut svc = Deployment::sharded(4, 7).build();
 //!
 //! let alice = svc.add_user("Alice");
@@ -60,7 +61,7 @@ use crate::error::EvalError;
 use crate::policy::{Decision, PolicyStore, ResourceId};
 use crate::remote::{NetworkedSystem, ShardAddr};
 use crate::sharded::ShardedSystem;
-use crate::system::{AccessControlSystem, EngineChoice};
+use crate::system::AccessControlSystem;
 use serde::{Deserialize, Serialize};
 use socialreach_graph::shard::ShardAssignment;
 use socialreach_graph::{AttrValue, GraphError, LabelId, NodeId, SocialGraph};
@@ -91,8 +92,7 @@ pub struct ReadStats {
     /// deployment it counts the cross-shard round-trips the read paid.
     pub rounds: usize,
     /// Product states expanded by the engines (cumulative across
-    /// shards; zero for the join-index engine, which counts work in
-    /// [`crate::EvalStats::line_queries`] instead).
+    /// shards).
     pub states_expanded: usize,
     /// Boundary states routed between shards (always zero on
     /// single-graph deployments — a useful sanity probe for tests).
@@ -1000,8 +1000,9 @@ fn applied<S: MutateService + ?Sized>(svc: &mut S, m: Mutation) -> Applied {
 /// records themselves — see [`crate::durability`].
 #[derive(Clone, Debug)]
 pub enum Deployment {
-    /// One epoch-published graph behind the chosen evaluation engine.
-    Single(EngineChoice),
+    /// One epoch-published graph, evaluated online
+    /// ([`AccessControlSystem`]).
+    Single,
     /// Members hash-partitioned across shards under the placement.
     Sharded(ShardAssignment),
     /// Shards as **processes**: the same hash placement, but each
@@ -1024,15 +1025,9 @@ pub struct NetworkedSpec {
 }
 
 impl Deployment {
-    /// A single-graph deployment with an explicit engine choice.
-    pub fn single(choice: EngineChoice) -> Self {
-        Deployment::Single(choice)
-    }
-
-    /// A single-graph deployment evaluating online (good default for
-    /// evolving graphs).
+    /// A single-graph deployment evaluating online.
     pub fn online() -> Self {
-        Deployment::Single(EngineChoice::Online)
+        Deployment::Single
     }
 
     /// A sharded deployment of `shards` hash-partitioned shards
@@ -1062,7 +1057,7 @@ impl Deployment {
     /// Deployment label for logs and benchmark tables.
     pub fn describe(&self) -> String {
         match self {
-            Deployment::Single(choice) => format!("single({choice:?})"),
+            Deployment::Single => "single(online)".to_owned(),
             Deployment::Sharded(a) => format!("sharded(n={})", a.shards()),
             Deployment::Networked(spec) => format!("networked(n={})", spec.addrs.len()),
         }
@@ -1071,9 +1066,7 @@ impl Deployment {
     /// Constructs an empty backend for this deployment.
     pub fn build(&self) -> ServiceInstance {
         match self {
-            Deployment::Single(choice) => {
-                ServiceInstance::Single(AccessControlSystem::new(*choice))
-            }
+            Deployment::Single => ServiceInstance::Single(AccessControlSystem::new_online()),
             Deployment::Sharded(a) => {
                 ServiceInstance::Sharded(ShardedSystem::with_assignment(a.clone()))
             }
@@ -1091,7 +1084,7 @@ impl Deployment {
     /// shared workload.
     pub fn from_graph(&self, g: &SocialGraph, store: PolicyStore) -> ServiceInstance {
         match self {
-            Deployment::Single(_) => self.adopt_graph(g.clone(), store),
+            Deployment::Single => self.adopt_graph(g.clone(), store),
             Deployment::Sharded(a) => {
                 let mut sys = ShardedSystem::from_graph(g, a.clone());
                 sys.adopt_store(store);
@@ -1114,8 +1107,8 @@ impl Deployment {
     /// and drops it.
     pub(crate) fn adopt_graph(&self, g: SocialGraph, store: PolicyStore) -> ServiceInstance {
         match self {
-            Deployment::Single(choice) => {
-                let mut sys = AccessControlSystem::adopting(g, *choice);
+            Deployment::Single => {
+                let mut sys = AccessControlSystem::adopting(g);
                 sys.adopt_store(store);
                 ServiceInstance::Single(sys)
             }
@@ -1268,13 +1261,7 @@ mod tests {
 
     #[test]
     fn both_deployments_serve_the_same_script() {
-        for deployment in [
-            Deployment::online(),
-            Deployment::single(EngineChoice::JoinIndex(
-                crate::joinengine::JoinEngineConfig::default(),
-            )),
-            Deployment::sharded(3, 7),
-        ] {
+        for deployment in [Deployment::online(), Deployment::sharded(3, 7)] {
             let mut svc = deployment.build();
             let (members, rid) = populate(svc.writes());
             let reads = svc.reads();

@@ -1,9 +1,13 @@
 //! `AccessControlSystem` — the single-graph serving backend: members,
 //! relationships, shared resources, textual policies, and enforced
-//! access checks with pluggable engines. Reads are served through the
+//! access checks by the online engine (a constrained product BFS over
+//! an epoch-published CSR snapshot). Reads are served through the
 //! deployment-agnostic [`AccessService`] trait, writes through
 //! [`MutateService`]; construct one via
-//! [`crate::service::Deployment::single`] to stay backend-agnostic.
+//! [`crate::service::Deployment::online`] to stay backend-agnostic.
+//! The paper's §3 join index is a library
+//! ([`crate::joinengine::JoinIndexEngine`] behind an [`Enforcer`]),
+//! not a serving backend: its index is built for a static graph.
 //!
 //! # Read/write split and the publication lifecycle
 //!
@@ -11,9 +15,8 @@
 //! reads ([`check`](AccessService::check),
 //! [`audience_batch`](AccessService::audience_batch),
 //! [`explain`](AccessService::explain), …) are wrappers over it — and
-//! runs the shared decision layer over the active engine's [`Enforcer`]
-//! (witness walks and ad-hoc queries over the online one). Reads take
-//! `&self`, so any number of requester threads can evaluate
+//! runs the shared decision layer over the system's [`Enforcer`]. Reads
+//! take `&self`, so any number of requester threads can evaluate
 //! concurrently against one system (e.g. through `std::thread::scope`),
 //! and a targeted check batch fans out over its thread hint. Reads share the
 //! epoch-published [`CsrSnapshot`] held by the wrapped [`Enforcer`]:
@@ -27,69 +30,40 @@
 //! so the append-only lineage the patch requires holds by
 //! construction). The patch rebuilds only the index pages the new
 //! members and relationships land on and shares the rest with the
-//! previous epoch. The lazily built join index is dropped and rebuilt
-//! on the next indexed read, as in the paper's static-graph model.
+//! previous epoch.
 //!
 //! [`CsrSnapshot`]: socialreach_graph::csr::CsrSnapshot
 //! [`CsrSnapshot::apply_edge_appends`]: socialreach_graph::csr::CsrSnapshot::apply_edge_appends
 
 use crate::decision::{self, Ground};
-use crate::engine::{AccessEngine, Enforcer, OnlineEngine};
+use crate::engine::{Enforcer, OnlineEngine};
 use crate::error::EvalError;
-use crate::joinengine::{JoinEngineConfig, JoinIndexEngine};
 use crate::online;
 use crate::path::PathExpr;
 use crate::policy::{AccessCondition, PolicyStore};
 use crate::query::parse_policy;
 use crate::service::{
     AccessResponse, AccessService, Applied, BundleStrategy, CheckPlan, MutateService, Mutation,
-    ReadBatch, ReadRequest, ReadStats, WalkHop,
+    ReadBatch, ReadStats, WalkHop,
 };
-use parking_lot::RwLock;
 use socialreach_graph::csr::CsrSnapshot;
 use socialreach_graph::{LabelId, NodeId, SocialGraph};
 use std::sync::Arc;
-
-/// Which engine evaluates access conditions.
-#[derive(Clone, Copy, Debug)]
-pub enum EngineChoice {
-    /// Constrained product BFS per request (no precomputation).
-    Online,
-    /// The §3 line-graph cluster join index (built lazily, rebuilt after
-    /// mutations).
-    JoinIndex(JoinEngineConfig),
-}
 
 /// High-level access-control façade (see the module docs for the
 /// `&self` read path / `&mut self` write path contract).
 pub struct AccessControlSystem {
     graph: SocialGraph,
     store: PolicyStore,
-    choice: EngineChoice,
-    join: RwLock<Option<Arc<Enforcer<JoinIndexEngine>>>>,
     online: Enforcer<OnlineEngine>,
 }
 
 impl AccessControlSystem {
-    /// A system evaluating requests online (good default for evolving
-    /// graphs).
+    /// An empty system evaluating requests online.
     pub fn new_online() -> Self {
-        Self::new(EngineChoice::Online)
-    }
-
-    /// A system evaluating requests through the join index (good for
-    /// read-mostly graphs).
-    pub fn new_indexed() -> Self {
-        Self::new(EngineChoice::JoinIndex(JoinEngineConfig::default()))
-    }
-
-    /// A system with an explicit engine choice.
-    pub fn new(choice: EngineChoice) -> Self {
         AccessControlSystem {
             graph: SocialGraph::new(),
             store: PolicyStore::new(),
-            choice,
-            join: RwLock::new(None),
             // The system owns its graph and routes every mutation, so
             // the append-only lineage incremental publication needs is
             // guaranteed by construction.
@@ -104,18 +78,17 @@ impl AccessControlSystem {
     /// [`crate::ShardedSystem::from_graph`], so
     /// [`crate::service::Deployment::from_graph`] stands either backend
     /// up over one shared workload).
-    pub fn from_graph(g: &SocialGraph, choice: EngineChoice) -> Self {
-        Self::adopting(g.clone(), choice)
+    pub fn from_graph(g: &SocialGraph) -> Self {
+        Self::adopting(g.clone())
     }
 
     /// [`AccessControlSystem::from_graph`] without the copy: the system
     /// takes `g` itself.
-    pub(crate) fn adopting(g: SocialGraph, choice: EngineChoice) -> Self {
-        let mut sys = Self::new(choice);
+    pub(crate) fn adopting(g: SocialGraph) -> Self {
+        let mut sys = Self::new_online();
         sys.graph = g;
         sys
     }
-
     /// Adopts a policy store built against the graph this system was
     /// ingested from ([`AccessControlSystem::from_graph`] — ids align
     /// by construction).
@@ -148,27 +121,6 @@ impl AccessControlSystem {
     // Enforcement (the `&self` read path)
     // ------------------------------------------------------------------
 
-    /// The lazily built join-index enforcer (double-checked so
-    /// concurrent cold readers build it once).
-    ///
-    /// # Panics
-    /// Panics when called under [`EngineChoice::Online`].
-    fn join_enforcer(&self) -> Arc<Enforcer<JoinIndexEngine>> {
-        let EngineChoice::JoinIndex(cfg) = self.choice else {
-            unreachable!("join enforcer requested under the online choice")
-        };
-        if let Some(join) = self.join.read().as_ref() {
-            return Arc::clone(join);
-        }
-        let mut slot = self.join.write();
-        if let Some(join) = slot.as_ref() {
-            return Arc::clone(join);
-        }
-        let fresh = Arc::new(Enforcer::new(JoinIndexEngine::build(&self.graph, cfg)));
-        *slot = Some(Arc::clone(&fresh));
-        fresh
-    }
-
     /// Number of snapshot publications the online enforcer has made
     /// (each rebuild or incremental patch is one epoch).
     pub fn snapshot_epoch(&self) -> u64 {
@@ -187,10 +139,8 @@ impl AccessControlSystem {
         // snapshot is *kept* as the next epoch's base: the system's
         // mutations are all appends or attribute/policy writes, so the
         // next read either revalidates it (non-topology writes) or
-        // patches it incrementally (appends). The join index has no
-        // incremental path; drop it and rebuild lazily.
+        // patches it incrementally (appends).
         self.online.invalidate_decisions();
-        *self.join.get_mut() = None;
     }
 }
 
@@ -199,28 +149,24 @@ fn default_check_plan(_len: usize) -> CheckPlan {
     CheckPlan::Targeted
 }
 
-/// The single graph read through one of its enforcers.
-struct GraphRead<'a, E> {
-    sys: &'a AccessControlSystem,
-    enforcer: &'a Enforcer<E>,
-}
-
-impl<E: AccessEngine + Sync> decision::Evaluate for GraphRead<'_, E> {
+/// The single graph under the decision layer: conditions are
+/// evaluated by the online enforcer over its published snapshot.
+impl decision::Evaluate for AccessControlSystem {
     type Pin = Option<Arc<CsrSnapshot>>;
 
     fn ground(&self) -> Ground<'_> {
         Ground {
-            members: self.sys.graph.num_nodes(),
-            store: &self.sys.store,
-            vocab: self.sys.graph.vocab(),
-            cache: self.enforcer.decisions(),
+            members: self.graph.num_nodes(),
+            store: &self.store,
+            vocab: self.graph.vocab(),
+            cache: self.online.decisions(),
             default_check_plan,
             fans_out: true,
         }
     }
 
     fn pin(&self) -> Self::Pin {
-        self.enforcer.publish_snapshot(&self.sys.graph)
+        self.online.publish_snapshot(&self.graph)
     }
 
     fn satisfied(
@@ -229,8 +175,8 @@ impl<E: AccessEngine + Sync> decision::Evaluate for GraphRead<'_, E> {
         cond: &AccessCondition,
         requester: NodeId,
     ) -> Result<(bool, ReadStats), EvalError> {
-        self.enforcer
-            .satisfied(&self.sys.graph, pin.as_deref(), cond, requester)
+        self.online
+            .satisfied(&self.graph, pin.as_deref(), cond, requester)
     }
 
     fn walk(
@@ -238,11 +184,11 @@ impl<E: AccessEngine + Sync> decision::Evaluate for GraphRead<'_, E> {
         cond: &AccessCondition,
         requester: NodeId,
     ) -> Result<(Option<Vec<WalkHop>>, ReadStats), EvalError> {
-        let g = &self.sys.graph;
+        let g = &self.graph;
         let (owner, path, target) = (cond.owner, &cond.path, Some(requester));
         // The published snapshot, not the thread cache: reads of every
         // kind share one epoch. Generation 0 cannot be published.
-        let out = match self.enforcer.publish_snapshot(g) {
+        let out = match self.online.publish_snapshot(g) {
             Some(snap) => online::evaluate_with_snapshot(g, &snap, owner, path, target),
             None => online::evaluate_reference(g, owner, path, target),
         };
@@ -268,42 +214,19 @@ impl<E: AccessEngine + Sync> decision::Evaluate for GraphRead<'_, E> {
         conds: &[(NodeId, &PathExpr)],
         strategy: BundleStrategy,
     ) -> Result<(Vec<Vec<NodeId>>, ReadStats), EvalError> {
-        self.enforcer.audiences(&self.sys.graph, conds, strategy)
+        self.online.audiences(&self.graph, conds, strategy)
     }
 }
 
 /// The deployment-agnostic read surface: every read runs the shared
-/// decision layer over the active engine's enforcer (`GraphRead`).
+/// decision layer over the system.
 impl AccessService for AccessControlSystem {
-    /// Under the join-index choice the index serves checks and
-    /// audiences; explains and ad-hoc queries still run online (the
-    /// index keeps no witnesses, and a one-shot query leaves its
-    /// precomputation nothing to amortize) and never build it.
     fn read(&self, batch: &ReadBatch) -> Result<Vec<AccessResponse>, EvalError> {
-        let sys = self;
-        let online = GraphRead {
-            sys,
-            enforcer: &self.online,
-        };
-        if let EngineChoice::Online = self.choice {
-            return decision::read(&online, batch);
-        }
-        batch.by_kind(|batch| match batch.reads[0] {
-            ReadRequest::Explain { .. } | ReadRequest::Query { .. } => {
-                decision::read(&online, batch)
-            }
-            _ => {
-                let enforcer = &*self.join_enforcer();
-                decision::read(&GraphRead { sys, enforcer }, batch)
-            }
-        })
+        decision::read(self, batch)
     }
 
     fn describe(&self) -> String {
-        match self.choice {
-            EngineChoice::Online => "single(online-bfs)".to_owned(),
-            EngineChoice::JoinIndex(_) => "single(join-index)".to_owned(),
-        }
+        "single(online-bfs)".to_owned()
     }
 
     fn num_members(&self) -> usize {
@@ -326,18 +249,8 @@ impl AccessService for AccessControlSystem {
         self.graph.vocab().label_name(label)
     }
 
-    /// Of the active engine (zero before the join index is first
-    /// built).
     fn cache_stats(&self) -> (u64, u64) {
-        match self.choice {
-            EngineChoice::Online => self.online.cache_stats(),
-            EngineChoice::JoinIndex(_) => self
-                .join
-                .read()
-                .as_ref()
-                .map(|e| e.cache_stats())
-                .unwrap_or((0, 0)),
-        }
+        self.online.cache_stats()
     }
 
     fn default_check_plan(&self, len: usize) -> CheckPlan {
@@ -357,11 +270,13 @@ impl MutateService for AccessControlSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::resource_audience;
+    use crate::joinengine::{JoinEngineConfig, JoinIndexEngine};
     use crate::policy::{Decision, ResourceId};
     use crate::service::Explanation;
 
-    fn populated(choice: EngineChoice) -> (AccessControlSystem, ResourceId) {
-        let mut sys = AccessControlSystem::new(choice);
+    fn populated() -> (AccessControlSystem, ResourceId) {
+        let mut sys = AccessControlSystem::new_online();
         let alice = sys.add_user("Alice");
         let bob = sys.add_user("Bob");
         let carol = sys.add_user("Carol");
@@ -374,25 +289,36 @@ mod tests {
         (sys, rid)
     }
 
+    /// The service and the §3 join index, as a library enforcer over
+    /// the service's own graph and store, decide and materialize alike.
     #[test]
     fn online_and_indexed_agree_end_to_end() {
-        for choice in [
-            EngineChoice::Online,
-            EngineChoice::JoinIndex(JoinEngineConfig::default()),
+        let (sys, rid) = populated();
+        let (g, store) = (sys.graph(), sys.store());
+        let engine = JoinIndexEngine::build(g, JoinEngineConfig::default());
+        assert_eq!(
+            resource_audience(g, store, rid, &engine).unwrap(),
+            sys.service().audience(rid).unwrap()
+        );
+        let indexed = Enforcer::new(engine);
+        for (name, expect) in [
+            ("Bob", Decision::Grant),
+            ("Carol", Decision::Grant),
+            ("Dave", Decision::Deny),
         ] {
-            let (sys, rid) = populated(choice);
-            let bob = sys.user("Bob").unwrap();
-            let carol = sys.user("Carol").unwrap();
-            let dave = sys.user("Dave").unwrap();
-            assert_eq!(sys.service().check(rid, bob).unwrap(), Decision::Grant);
-            assert_eq!(sys.service().check(rid, carol).unwrap(), Decision::Grant);
-            assert_eq!(sys.service().check(rid, dave).unwrap(), Decision::Deny);
+            let user = sys.user(name).unwrap();
+            assert_eq!(sys.service().check(rid, user).unwrap(), expect, "{name}");
+            assert_eq!(
+                indexed.check_access(g, store, rid, user).unwrap(),
+                expect,
+                "{name}"
+            );
         }
     }
 
     #[test]
     fn audience_includes_owner_and_matching_members() {
-        let (sys, rid) = populated(EngineChoice::Online);
+        let (sys, rid) = populated();
         let names: Vec<String> = sys
             .service()
             .audience(rid)
@@ -404,19 +330,8 @@ mod tests {
     }
 
     #[test]
-    fn mutation_invalidates_the_index() {
-        let (mut sys, rid) = populated(EngineChoice::JoinIndex(JoinEngineConfig::default()));
-        let dave = sys.user("Dave").unwrap();
-        assert_eq!(sys.service().check(rid, dave).unwrap(), Decision::Deny);
-        // Alice befriends Dave directly; the index must be rebuilt.
-        let alice = sys.user("Alice").unwrap();
-        sys.add_relationship(alice, "friend", dave);
-        assert_eq!(sys.service().check(rid, dave).unwrap(), Decision::Grant);
-    }
-
-    #[test]
     fn explain_produces_a_readable_walk() {
-        let (sys, rid) = populated(EngineChoice::Online);
+        let (sys, rid) = populated();
         let carol = sys.user("Carol").unwrap();
         let explanation = sys
             .service()
@@ -433,7 +348,7 @@ mod tests {
 
     #[test]
     fn owner_explanation_is_ownership() {
-        let (sys, rid) = populated(EngineChoice::Online);
+        let (sys, rid) = populated();
         let alice = sys.user("Alice").unwrap();
         let explanation = sys.service().explain_lines(rid, alice).unwrap().unwrap();
         assert!(explanation[0].contains("owns"));
@@ -442,7 +357,7 @@ mod tests {
     #[test]
     fn explain_reads_the_published_snapshot() {
         online::release_thread_snapshot();
-        let (sys, rid) = populated(EngineChoice::Online);
+        let (sys, rid) = populated();
         let carol = sys.user("Carol").unwrap();
         let explained: Vec<_> = (0..3)
             .map(|_| sys.service().explain(rid, carol).unwrap())
@@ -472,7 +387,7 @@ mod tests {
 
     #[test]
     fn cache_stats_track_repeat_checks() {
-        let (sys, rid) = populated(EngineChoice::Online);
+        let (sys, rid) = populated();
         let bob = sys.user("Bob").unwrap();
         sys.service().check(rid, bob).unwrap();
         sys.service().check(rid, bob).unwrap();
@@ -481,7 +396,7 @@ mod tests {
 
     #[test]
     fn concurrent_readers_share_one_snapshot_epoch() {
-        let (sys, rid) = populated(EngineChoice::Online);
+        let (sys, rid) = populated();
         let bob = sys.user("Bob").unwrap();
         let carol = sys.user("Carol").unwrap();
         let dave = sys.user("Dave").unwrap();
@@ -513,7 +428,7 @@ mod tests {
 
     #[test]
     fn appends_republish_incrementally_not_from_scratch() {
-        let (mut sys, rid) = populated(EngineChoice::Online);
+        let (mut sys, rid) = populated();
         let dave = sys.user("Dave").unwrap();
         assert_eq!(sys.service().check(rid, dave).unwrap(), Decision::Deny);
         assert_eq!(sys.snapshot_epoch(), 1);
@@ -530,7 +445,7 @@ mod tests {
 
     #[test]
     fn check_batch_through_the_facade_matches_sequential() {
-        let (sys, rid) = populated(EngineChoice::Online);
+        let (sys, rid) = populated();
         let bob = sys.user("Bob").unwrap();
         let dave = sys.user("Dave").unwrap();
         let requests: Vec<_> = (0..30)
@@ -545,20 +460,15 @@ mod tests {
 
     #[test]
     fn audience_batch_matches_per_resource_audiences() {
-        for choice in [
-            EngineChoice::Online,
-            EngineChoice::JoinIndex(JoinEngineConfig::default()),
-        ] {
-            let (mut sys, rid) = populated(choice);
-            let bob = sys.user("Bob").unwrap();
-            let rid2 = sys.add_resource(bob);
-            sys.add_rule(rid2, "friend+[1,2]").unwrap();
-            let rid3 = sys.add_resource(bob); // private
-            let bundle = [rid, rid2, rid3];
-            let batched = sys.service().audience_batch(&bundle).unwrap();
-            for (&r, batch) in bundle.iter().zip(&batched) {
-                assert_eq!(batch, &sys.service().audience(r).unwrap());
-            }
+        let (mut sys, rid) = populated();
+        let bob = sys.user("Bob").unwrap();
+        let rid2 = sys.add_resource(bob);
+        sys.add_rule(rid2, "friend+[1,2]").unwrap();
+        let rid3 = sys.add_resource(bob); // private
+        let bundle = [rid, rid2, rid3];
+        let batched = sys.service().audience_batch(&bundle).unwrap();
+        for (&r, batch) in bundle.iter().zip(&batched) {
+            assert_eq!(batch, &sys.service().audience(r).unwrap());
         }
     }
 

@@ -2,7 +2,7 @@
 //! behind real sockets must be semantically invisible. The same
 //! trait-level script and the same generic differential harness
 //! (`common::assert_services_agree`) that pin `Deployment::sharded` to
-//! `Deployment::single` here pin `Deployment::networked` — over
+//! `Deployment::online` here pin `Deployment::networked` — over
 //! loopback TCP *and* Unix domain sockets (test names carry `tcp_` /
 //! `uds_` prefixes so CI can run the legs separately), across fleet
 //! sizes {2, 4}, through mutation streams, and across killing a shard

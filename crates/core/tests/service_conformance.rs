@@ -1,23 +1,21 @@
 //! Trait-level conformance suite for the [`AccessService`] /
 //! [`MutateService`] API: one scenario script, written **only** against
 //! the deployment-agnostic traits, runs against every backend —
-//! `Deployment::single` (both engines), `Deployment::sharded`
-//! (several shard counts) and `Deployment::networked` (a live shard
-//! fleet behind loopback TCP) — and must produce identical decisions,
-//! audiences and batch responses, with every granted explain walk
-//! replaying through the path automaton. A proptest instance of the
-//! generic differential harness (`common::assert_services_agree`)
-//! pairs `Deployment::single` against `Deployment::sharded(4)` on
-//! random graphs × policies.
+//! `Deployment::online`, `Deployment::sharded` (several shard counts)
+//! and `Deployment::networked` (a live shard fleet behind loopback
+//! TCP) — and must produce identical decisions, audiences and batch
+//! responses, with every granted explain walk replaying through the
+//! path automaton. A proptest instance of the generic differential
+//! harness (`common::assert_services_agree`) pairs `Deployment::online`
+//! against `Deployment::sharded(4)` on random graphs × policies.
 
 mod common;
 
 use proptest::prelude::*;
 use socialreach_core::{
     AccessResponse, AccessService, Applied, BundleStrategy, CheckPlan, Decision, Deployment,
-    DurableService, EngineChoice, EvalError, Explanation, JoinEngineConfig, MutateService,
-    Mutation, PathExpr, PlannedService, PlannerMode, PolicyStore, ReadBatch, ReadRequest,
-    ReadStats, ResourceId, ServiceInstance,
+    DurableService, EvalError, Explanation, MutateService, Mutation, PathExpr, PlannedService,
+    PlannerMode, PolicyStore, ReadBatch, ReadRequest, ReadStats, ResourceId, ServiceInstance,
 };
 use socialreach_graph::{GraphError, NodeId, SocialGraph};
 use std::path::PathBuf;
@@ -30,7 +28,6 @@ use std::path::PathBuf;
 fn deployments() -> Vec<Deployment> {
     vec![
         Deployment::online(),
-        Deployment::single(EngineChoice::JoinIndex(JoinEngineConfig::default())),
         Deployment::sharded(1, 3),
         Deployment::sharded(4, 3),
         Deployment::sharded(7, 3),
@@ -65,8 +62,9 @@ impl MutateService for RawState {
 }
 
 /// The scenario: a two-community graph with attribute-gated paths,
-/// incoming-direction steps, unbounded depths, a private resource and
-/// a multi-rule (disjunctive) resource. Returns the resources.
+/// incoming-direction steps, an unbounded depth set over friendship
+/// cycles, a private resource and a multi-rule (disjunctive) resource.
+/// Returns the resources.
 fn apply_script(svc: &mut dyn MutateService) -> Vec<ResourceId> {
     let names = [
         "Ava", "Ben", "Cleo", "Dan", "Edith", "Femi", "Gus", "Hana", "Ivan", "June",
@@ -93,10 +91,6 @@ fn apply_script(svc: &mut dyn MutateService) -> Vec<ResourceId> {
     let album = svc.add_resource(m[0]);
     svc.add_rule(album, "friend+[1,2]{age>=18}").unwrap();
     let feed = svc.add_resource(m[0]);
-    // Depths stay bounded: the conformance script must sit inside every
-    // backend's capability envelope, and the join-index engine's §3.1
-    // expansion is exponential on unbounded depth sets (unbounded
-    // coverage lives in the shard differential suites).
     svc.add_rule(feed, "friend+[1..4]").unwrap();
     svc.add_rule(feed, "follows-[1,2]").unwrap(); // disjoins
     let memo = svc.add_resource(m[3]);
@@ -104,7 +98,11 @@ fn apply_script(svc: &mut dyn MutateService) -> Vec<ResourceId> {
     let diary = svc.add_resource(m[4]); // private: no rules
     let ring = svc.add_resource(m[7]);
     svc.add_rule(ring, "colleague*[1]/friend+[1]").unwrap();
-    vec![album, feed, memo, diary, ring]
+    // Unbounded: walks go round the mutual friendships, so every read
+    // runs to saturation.
+    let wall = svc.add_resource(m[1]);
+    svc.add_rule(wall, "friend+[2..]").unwrap();
+    vec![album, feed, memo, diary, ring, wall]
 }
 
 /// Every backend serves the script with identical decisions,
@@ -428,7 +426,7 @@ fn read_batches_match_individual_reads_everywhere() {
                                 None => reads.audience_batch(&[resource]).unwrap(),
                             };
                             assert_eq!(got.audience.as_ref(), want.first(), "{tag}");
-                            if matches!(deployment, Deployment::Single(_)) {
+                            if matches!(deployment, Deployment::Single) {
                                 assert_eq!(
                                     got.stats.exported_states, 0,
                                     "single-graph reads never cross a boundary"
@@ -669,7 +667,7 @@ fn read_stats_are_comparable_across_backends() {
         assert_eq!(audiences.len(), rids.len());
         assert!(stats.conditions >= 5, "{}", svc.reads().describe());
         assert!(stats.traversals >= 1);
-        if matches!(deployment, Deployment::Single(_)) {
+        if matches!(deployment, Deployment::Single) {
             assert_eq!(stats.exported_states, 0);
         }
         censuses.push((svc.reads().describe(), stats));
@@ -734,7 +732,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The now-generic differential harness, instantiated at
-    /// `Deployment::single` vs `Deployment::sharded(4)` on random
+    /// `Deployment::online` vs `Deployment::sharded(4)` on random
     /// graphs × random policies.
     #[test]
     fn single_and_sharded_deployments_agree_on_random_workloads(

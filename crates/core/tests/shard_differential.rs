@@ -7,7 +7,7 @@
 //! semantics may never observe. The equivalence harness
 //! ([`common::assert_services_agree`]) is generic over any two
 //! [`socialreach_core::AccessService`] implementations; this suite
-//! instantiates it with `Deployment::single` vs `Deployment::sharded`.
+//! instantiates it with `Deployment::online` vs `Deployment::sharded`.
 
 mod common;
 

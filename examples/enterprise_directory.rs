@@ -1,9 +1,9 @@
 //! Access control over a synthetic enterprise-scale graph: build a
 //! 2,000-member community network with the workload generators, attach
-//! policies, and replay the same request stream through **three
-//! deployments** of the service API — online single-graph, the paper's
-//! join index, and a four-shard partition — a miniature of the
-//! benchmark suite, runnable as an example.
+//! policies, and replay the same request stream through **two
+//! deployments** of the service API — the online single graph and a
+//! four-shard partition — a miniature of the benchmark suite, runnable
+//! as an example.
 //!
 //! ```text
 //! cargo run --release --example enterprise_directory
@@ -15,7 +15,7 @@ use socialreach::workload::{
     generate_policies, replay_requests, requests_with_grant_rate, AttributeModel, GraphSpec,
     LabelModel, PolicyWorkloadConfig, Topology,
 };
-use socialreach::{Deployment, EngineChoice, JoinEngineConfig, JoinStrategy, PolicyStore};
+use socialreach::{Deployment, PolicyStore};
 use std::time::Instant;
 
 fn main() {
@@ -70,14 +70,7 @@ fn main() {
     // The same stream through every deployment: the scenario below
     // holds nothing but `&dyn AccessService`.
     println!();
-    let deployments = [
-        Deployment::online(),
-        Deployment::single(EngineChoice::JoinIndex(JoinEngineConfig {
-            strategy: JoinStrategy::AdjacencyOnly,
-            ..JoinEngineConfig::default()
-        })),
-        Deployment::sharded(4, 9),
-    ];
+    let deployments = [Deployment::online(), Deployment::sharded(4, 9)];
     for deployment in deployments {
         let t0 = Instant::now();
         let svc = deployment.from_graph(&g, store.clone());

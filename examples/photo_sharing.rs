@@ -6,9 +6,10 @@
 //!   which grants George through Alice → Colin → Fred → George;
 //! * a denial with the reason surfaced to the user.
 //!
-//! Three deployments of the service API answer the same requests — the
-//! online single-graph backend, the paper's join index, and a two-shard
-//! partition — and must agree on every decision.
+//! Two deployments of the service API answer the same requests — the
+//! online single-graph backend and a two-shard partition — and so does
+//! the paper's §3 join index, as a library enforcer over the same graph
+//! and policy store. All three must agree on every decision.
 //!
 //! ```text
 //! cargo run --example photo_sharing
@@ -16,7 +17,7 @@
 
 use socialreach::core::examples::paper_graph;
 use socialreach::{
-    Decision, Deployment, EngineChoice, JoinEngineConfig, JoinStrategy, PolicyStore,
+    Decision, Deployment, Enforcer, JoinEngineConfig, JoinIndexEngine, JoinStrategy, PolicyStore,
 };
 
 fn main() {
@@ -42,20 +43,17 @@ fn main() {
         .allow(jokes, "friend+[1]/parent+[1]/friend+[1]", &mut g)
         .expect("valid policy");
 
-    // Three deployments, same decisions.
-    let deployments = [
-        Deployment::online(),
-        Deployment::single(EngineChoice::JoinIndex(JoinEngineConfig {
+    // Two deployments and the join index, same decisions.
+    let backends =
+        [Deployment::online(), Deployment::sharded(2, 1)].map(|d| d.from_graph(&g, store.clone()));
+    let online = backends[0].reads();
+    let join = Enforcer::new(JoinIndexEngine::build(
+        &g,
+        JoinEngineConfig {
             strategy: JoinStrategy::AdjacencyOnly,
             ..JoinEngineConfig::default()
-        })),
-        Deployment::sharded(2, 1),
-    ];
-    let backends: Vec<_> = deployments
-        .iter()
-        .map(|d| d.from_graph(&g, store.clone()))
-        .collect();
-    let online = backends[0].reads();
+        },
+    ));
 
     for (rid, label) in [(photos, "birthday photos"), (jokes, "jokes")] {
         println!("\n== {label} ==");
@@ -72,6 +70,8 @@ fn main() {
                     online.describe()
                 );
             }
+            let d3 = join.check_access(&g, &store, rid, user).expect("ok");
+            assert_eq!(d1, d3, "the join index must agree on {name}");
             println!("  {name:>6} -> {d1:?}");
         }
     }
@@ -101,8 +101,6 @@ fn main() {
         .expect("ok")
         .expect("granted");
     for other in &backends[1..] {
-        // The join index keeps no witnesses; explain always evaluates
-        // online — another thing the trait makes uniform.
         let theirs = other
             .reads()
             .explain_lines(jokes, george)

@@ -71,11 +71,8 @@ fn run(mut svc: ServiceInstance) -> Vec<String> {
 
 fn main() {
     // The deployment is the only backend-specific line: one
-    // epoch-published graph behind the paper's join index…
-    let single = run(Deployment::single(socialreach::EngineChoice::JoinIndex(
-        socialreach::JoinEngineConfig::default(),
-    ))
-    .build());
+    // epoch-published graph…
+    let single = run(Deployment::online().build());
 
     // …or three hash-partitioned shards — same script, same answers.
     let sharded = run(Deployment::sharded(3, 7).build());

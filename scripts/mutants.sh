@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Mutation check for the read seam (`AccessService::read`: the split of
 # a batch by kind, the forced or default route) and the decision layer
-# behind it (the grant rule), the partitioned read and write paths, and
-# the durability layer (WAL scanning, replay, snapshot export).
+# behind it (the grant rule), the partitioned read and write paths, the
+# durability layer (WAL scanning, replay, snapshot export), and the
+# engines' path semantics (depth bounds, the plan compiler's step
+# canonicalization).
 #
 # Each tests/mutants/*.patch is one small, deliberate bug. Its header
 # names the bug and the test suites that must kill it:

@@ -12,17 +12,19 @@
 //! **path expression** over the social graph — *"only the colleagues of
 //! my friends (or of my friends' friends)"* is `friend+[1,2]/colleague+[1]`
 //! — and every access request becomes an *ordered label-constraint
-//! reachability query*, answered online (constrained BFS) or through the
-//! paper's precomputed line-graph + 2-hop cluster join index.
+//! reachability query*. Serving answers it online (constrained BFS);
+//! the paper's precomputed line-graph + 2-hop cluster join index is a
+//! library engine ([`JoinIndexEngine`] behind an [`Enforcer`]) that the
+//! experiments and tests run against the same decisions.
 //!
 //! ## One API, any deployment
 //!
 //! Serving goes through the **deployment-agnostic service API**
 //! ([`AccessService`] for reads, [`MutateService`] for writes): a
-//! [`Deployment`] config constructs either the single-graph backend
-//! (one epoch-published CSR snapshot, pluggable engines) or the
-//! sharded backend (members hash-partitioned across N epoch-published
-//! shards with cross-shard fixpoint reads). Everything downstream of
+//! [`Deployment`] config constructs the single-graph backend (one
+//! epoch-published CSR snapshot), the sharded backend (members
+//! hash-partitioned across N epoch-published shards with cross-shard
+//! fixpoint reads) or the networked one (the same shards as processes). Everything downstream of
 //! the config line — the CLI, the examples, the benches, the
 //! differential test harnesses — holds `&dyn AccessService` and never
 //! learns which backend answers.
@@ -76,10 +78,10 @@ pub use socialreach_core::{
     examples, online, parse_path, read_history, AccessCondition, AccessControlSystem, AccessEngine,
     AccessResponse, AccessRule, AccessService, Applied, AudienceDiff, AuditError, BundleStrategy,
     CheckPlan, CompactionReport, Decision, Deployment, DurabilityError, DurableService, Enforcer,
-    EngineChoice, EvalError, Explanation, HistoryEntry, JoinEngineConfig, JoinIndexEngine,
-    JoinStrategy, MutateService, Mutation, NetworkedSpec, NetworkedSystem, OnlineEngine,
-    ParseError, PathExpr, PlannedService, Planner, PlannerMode, PolicyStore, ReadBatch,
-    ReadRequest, ReadStats, RecoveryReport, RemoteError, ResourceId, ServiceInstance, ShardAddr,
-    ShardHandle, ShardServer, ShardedSystem, WalkHop, WitnessWalk,
+    EvalError, Explanation, HistoryEntry, JoinEngineConfig, JoinIndexEngine, JoinStrategy,
+    MutateService, Mutation, NetworkedSpec, NetworkedSystem, OnlineEngine, ParseError, PathExpr,
+    PlannedService, Planner, PlannerMode, PolicyStore, ReadBatch, ReadRequest, ReadStats,
+    RecoveryReport, RemoteError, ResourceId, ServiceInstance, ShardAddr, ShardHandle, ShardServer,
+    ShardedSystem, WalkHop, WitnessWalk,
 };
 pub use socialreach_graph::{AttrValue, Direction, EdgeId, LabelId, NodeId, SocialGraph};

@@ -6,8 +6,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use socialreach::workload::{generate_policies, uniform_requests, GraphSpec, PolicyWorkloadConfig};
 use socialreach::{
-    AccessControlSystem, Decision, Enforcer, EngineChoice, JoinEngineConfig, JoinIndexEngine,
-    JoinStrategy, MutateService, OnlineEngine, PolicyStore,
+    AccessControlSystem, Decision, Enforcer, JoinEngineConfig, JoinIndexEngine, JoinStrategy,
+    MutateService, OnlineEngine, PolicyStore,
 };
 
 #[test]
@@ -75,27 +75,22 @@ fn multi_rule_multi_condition_policies_compose() {
 
 #[test]
 fn policy_changes_take_effect_immediately() {
-    for choice in [
-        EngineChoice::Online,
-        EngineChoice::JoinIndex(JoinEngineConfig::default()),
-    ] {
-        let mut sys = AccessControlSystem::new(choice);
-        let alice = sys.add_user("Alice");
-        let bob = sys.add_user("Bob");
-        sys.add_relationship(alice, "friend", bob);
-        let rid = sys.add_resource(alice);
-        assert_eq!(
-            sys.service().check(rid, bob).unwrap(),
-            Decision::Deny,
-            "private"
-        );
-        sys.add_rule(rid, "friend+[1]").unwrap();
-        assert_eq!(
-            sys.service().check(rid, bob).unwrap(),
-            Decision::Grant,
-            "after allow"
-        );
-    }
+    let mut sys = AccessControlSystem::new_online();
+    let alice = sys.add_user("Alice");
+    let bob = sys.add_user("Bob");
+    sys.add_relationship(alice, "friend", bob);
+    let rid = sys.add_resource(alice);
+    assert_eq!(
+        sys.service().check(rid, bob).unwrap(),
+        Decision::Deny,
+        "private"
+    );
+    sys.add_rule(rid, "friend+[1]").unwrap();
+    assert_eq!(
+        sys.service().check(rid, bob).unwrap(),
+        Decision::Grant,
+        "after allow"
+    );
 }
 
 #[test]
@@ -137,26 +132,30 @@ fn graph_and_policies_round_trip_through_serde() {
     }
 }
 
+/// The join index as a library enforcer over the service's own graph
+/// and store.
+fn indexed(sys: &AccessControlSystem) -> Enforcer<JoinIndexEngine> {
+    Enforcer::new(JoinIndexEngine::build(
+        sys.graph(),
+        JoinEngineConfig::default(),
+    ))
+}
+
 #[test]
 fn deny_by_default_and_owner_override_hold_for_every_engine() {
-    for choice in [
-        EngineChoice::Online,
-        EngineChoice::JoinIndex(JoinEngineConfig::default()),
+    let mut sys = AccessControlSystem::new_online();
+    let alice = sys.add_user("Alice");
+    let bob = sys.add_user("Bob");
+    let rid = sys.add_resource(alice);
+    let join = indexed(&sys);
+    let (g, store) = (sys.graph(), sys.store());
+    for (user, expect, what) in [
+        (alice, Decision::Grant, "owner"),
+        (bob, Decision::Deny, "stranger"),
     ] {
-        let mut sys = AccessControlSystem::new(choice);
-        let alice = sys.add_user("Alice");
-        let bob = sys.add_user("Bob");
-        let rid = sys.add_resource(alice);
-        assert_eq!(
-            sys.service().check(rid, alice).unwrap(),
-            Decision::Grant,
-            "owner"
-        );
-        assert_eq!(
-            sys.service().check(rid, bob).unwrap(),
-            Decision::Deny,
-            "stranger"
-        );
+        assert_eq!(sys.service().check(rid, user).unwrap(), expect, "{what}");
+        let d = join.check_access(g, store, rid, user).unwrap();
+        assert_eq!(d, expect, "{what} (join index)");
     }
 }
 
@@ -164,21 +163,22 @@ fn deny_by_default_and_owner_override_hold_for_every_engine() {
 fn unbounded_depth_agrees_between_online_and_truncated_index() {
     // On a short-diameter graph the planner's max_depth cap is not a
     // truncation in practice: decisions agree with the exact engine.
-    let mut sys_online = AccessControlSystem::new_online();
-    let mut sys_indexed = AccessControlSystem::new_indexed();
-    for sys in [&mut sys_online, &mut sys_indexed] {
-        let a = sys.add_user("a");
-        let b = sys.add_user("b");
-        let c = sys.add_user("c");
-        let d = sys.add_user("d");
-        sys.add_relationship(a, "friend", b);
-        sys.add_relationship(b, "friend", c);
-        sys.add_relationship(c, "friend", d);
-        let rid = sys.add_resource(a);
-        sys.add_rule(rid, "friend+[1..]").unwrap();
-        let target = sys.user("d").unwrap();
-        assert_eq!(sys.service().check(rid, target).unwrap(), Decision::Grant);
-    }
+    let mut sys = AccessControlSystem::new_online();
+    let a = sys.add_user("a");
+    let b = sys.add_user("b");
+    let c = sys.add_user("c");
+    let d = sys.add_user("d");
+    sys.add_relationship(a, "friend", b);
+    sys.add_relationship(b, "friend", c);
+    sys.add_relationship(c, "friend", d);
+    let rid = sys.add_resource(a);
+    sys.add_rule(rid, "friend+[1..]").unwrap();
+    assert_eq!(sys.service().check(rid, d).unwrap(), Decision::Grant);
+    let (g, store) = (sys.graph(), sys.store());
+    assert_eq!(
+        indexed(&sys).check_access(g, store, rid, d).unwrap(),
+        Decision::Grant
+    );
 }
 
 #[test]

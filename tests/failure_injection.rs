@@ -2,10 +2,11 @@
 //! boundaries. The policy layer must fail *closed* and fail *loudly*
 //! (typed errors), never panic or silently grant.
 
-use socialreach::core::{plan, PlanConfig};
+use socialreach::core::{plan, resource_audience, PlanConfig};
 use socialreach::{
-    parse_path, AccessControlSystem, AccessService, Decision, Deployment, EvalError, Explanation,
-    JoinEngineConfig, JoinIndexEngine, JoinStrategy, MutateService, PathExpr, SocialGraph,
+    parse_path, AccessControlSystem, AccessService, Decision, Deployment, Enforcer, EvalError,
+    Explanation, JoinEngineConfig, JoinIndexEngine, JoinStrategy, MutateService, PathExpr,
+    PolicyStore, SocialGraph,
 };
 
 // ---------------------------------------------------------------------
@@ -71,13 +72,22 @@ fn parse_error_positions_are_in_bounds() {
 
 #[test]
 fn empty_graph_everything_denies_cleanly() {
-    let mut sys = AccessControlSystem::new_indexed();
-    let ghost = sys.add_user("OnlyUser");
-    let rid = sys.add_resource(ghost);
-    sys.add_rule(rid, "friend+[1..]").unwrap();
-    // No edges at all: nobody but the owner.
-    assert_eq!(sys.service().check(rid, ghost).unwrap(), Decision::Grant);
-    assert_eq!(sys.service().audience(rid).unwrap(), vec![ghost]);
+    let mut g = SocialGraph::new();
+    let ghost = g.add_node("OnlyUser");
+    let mut store = PolicyStore::new();
+    let rid = store.register_resource(ghost);
+    store.allow(rid, "friend+[1..]", &mut g).unwrap();
+    // No edges at all: nobody but the owner, through the join index.
+    let engine = JoinIndexEngine::build(&g, JoinEngineConfig::default());
+    assert_eq!(
+        resource_audience(&g, &store, rid, &engine).unwrap(),
+        vec![ghost]
+    );
+    let indexed = Enforcer::new(engine);
+    assert_eq!(
+        indexed.check_access(&g, &store, rid, ghost).unwrap(),
+        Decision::Grant
+    );
 }
 
 #[test]
