@@ -1057,7 +1057,7 @@ impl Deployment {
     /// Deployment label for logs and benchmark tables.
     pub fn describe(&self) -> String {
         match self {
-            Deployment::Single => "single(online)".to_owned(),
+            Deployment::Single => "single(online-bfs)".to_owned(),
             Deployment::Sharded(a) => format!("sharded(n={})", a.shards()),
             Deployment::Networked(spec) => format!("networked(n={})", spec.addrs.len()),
         }

@@ -89,6 +89,7 @@ impl AccessControlSystem {
         sys.graph = g;
         sys
     }
+
     /// Adopts a policy store built against the graph this system was
     /// ingested from ([`AccessControlSystem::from_graph`] — ids align
     /// by construction).

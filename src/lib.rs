@@ -24,10 +24,10 @@
 //! [`Deployment`] config constructs the single-graph backend (one
 //! epoch-published CSR snapshot), the sharded backend (members
 //! hash-partitioned across N epoch-published shards with cross-shard
-//! fixpoint reads) or the networked one (the same shards as processes). Everything downstream of
-//! the config line — the CLI, the examples, the benches, the
-//! differential test harnesses — holds `&dyn AccessService` and never
-//! learns which backend answers.
+//! fixpoint reads) or the networked one (the same shards as
+//! processes). Everything downstream of the config line — the CLI, the
+//! examples, the benches, the differential test harnesses — holds
+//! `&dyn AccessService` and never learns which backend answers.
 //!
 //! ```
 //! use socialreach::{AccessService, Decision, Deployment, MutateService};
