@@ -9,9 +9,9 @@
 //! the rest, so no backend keeps a copy of it.
 //!
 //! Everything is generic (no `dyn`): on the single graph the compiler
-//! inlines the layer into the enforcer, and the owner fast path and
-//! cache hits return before any condition is evaluated — hence before
-//! any snapshot is pinned.
+//! inlines the layer into the system's own evaluation, and the owner
+//! fast path and cache hits return before any condition is evaluated —
+//! hence before any snapshot is pinned.
 
 use crate::error::EvalError;
 use crate::path::PathExpr;

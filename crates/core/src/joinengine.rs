@@ -195,19 +195,28 @@ impl JoinIndexEngine {
         let mut tuples: Vec<Vec<u32>> = seed.into_iter().map(|x| vec![x]).collect();
         for w in q.hops.windows(2) {
             let (xk, yk) = (w[0], w[1]);
-            let mut next: Vec<Vec<u32>> = Vec::new();
+            // Size the hop before materializing it: a hop of more than
+            // `max_tuples` tuples is refused without cloning any.
+            let mut total = 0usize;
+            let mut continuations = Vec::with_capacity(tuples.len());
             for t in &tuples {
                 let end = *t.last().expect("tuples are non-empty");
-                let continuations: Vec<u32> = self.index.successors_via_wtable(end, xk, yk);
-                for y in continuations {
-                    let mut nt = t.clone();
+                let ys = self.index.successors_via_wtable(end, xk, yk);
+                total += ys.len();
+                if total > self.cfg.max_tuples {
+                    return Err(EvalError::TupleOverflow {
+                        limit: self.cfg.max_tuples,
+                    });
+                }
+                continuations.push(ys);
+            }
+            let mut next: Vec<Vec<u32>> = Vec::with_capacity(total);
+            for (t, ys) in tuples.iter().zip(continuations) {
+                for y in ys {
+                    let mut nt = Vec::with_capacity(t.len() + 1);
+                    nt.extend_from_slice(t);
                     nt.push(y);
                     next.push(nt);
-                    if next.len() > self.cfg.max_tuples {
-                        return Err(EvalError::TupleOverflow {
-                            limit: self.cfg.max_tuples,
-                        });
-                    }
                 }
             }
             tuples = next;
@@ -552,6 +561,36 @@ mod tests {
             engine.evaluate(&g, nodes[0], &p, None),
             Err(EvalError::TupleOverflow { limit: 10 })
         ));
+        // The boundary: the last hop's candidates are the line query's
+        // whole output, and a hop of exactly `max_tuples` answers.
+        let two_hops = parse_path("friend+[2]", g.vocab_mut()).unwrap();
+        let unlimited = JoinIndexEngine::build(
+            &g,
+            JoinEngineConfig {
+                max_tuples: usize::MAX,
+                ..cfg
+            },
+        );
+        let candidates = |path: &PathExpr| {
+            let out = unlimited.evaluate(&g, nodes[0], path, None).unwrap();
+            out.stats.candidate_tuples
+        };
+        let last_hop = candidates(&p);
+        assert!(
+            candidates(&two_hops) < last_hop - 1,
+            "only the last hop overflows"
+        );
+        let with_limit = |max_tuples| {
+            JoinIndexEngine::build(&g, JoinEngineConfig { max_tuples, ..cfg })
+                .evaluate(&g, nodes[0], &p, None)
+        };
+        assert!(with_limit(last_hop).is_ok());
+        assert_eq!(
+            with_limit(last_hop - 1).unwrap_err(),
+            EvalError::TupleOverflow {
+                limit: last_hop - 1
+            }
+        );
     }
 
     #[test]

@@ -9,14 +9,16 @@
 //! friends' friends can read my notes"* becomes
 //! `friend+[1,2]/children+[1]`. Enforcement reduces each access request
 //! to an ordered label-constraint reachability query. Every serving
-//! backend answers it by a constrained product BFS
-//! ([`engine::OnlineEngine`] and the masked plan engine of [`query`]).
-//! The precomputed line-graph cluster join index of §3
-//! ([`joinengine::JoinIndexEngine`]) is a library behind the same
-//! [`AccessEngine`] trait, wrapped in an [`Enforcer`] by the paper's
-//! experiments and tests. It is not a serving backend: it is built for
-//! a static graph, and on the benchmark's feed inputs it refuses most
-//! reads past its candidate-tuple limit.
+//! backend answers it by a constrained product BFS over CSR snapshots
+//! it publishes itself ([`online`] and the masked plan engine of
+//! [`query`]). The paper's two engines — the online BFS of §1
+//! ([`engine::OnlineEngine`]) and the precomputed line-graph cluster
+//! join index of §3 ([`joinengine::JoinIndexEngine`]) — implement the
+//! [`AccessEngine`] trait, and the paper's experiments and tests wrap
+//! either in an [`Enforcer`] to compare them on the same requests. The
+//! join index is not a serving backend: it is built for a static
+//! graph, and on the benchmark's feed inputs it refuses most reads past
+//! its candidate-tuple limit.
 //!
 //! ## Quick start
 //!
@@ -52,13 +54,14 @@
 //! | [`online`] | §1 | constrained product BFS over a label-partitioned CSR snapshot (flat-array engine + retained reference implementation) |
 //! | [`lineplan`] | §3.1 | depth expansion into line queries (Fig. 4) |
 //! | [`joinengine`] | §3.3–3.4 | join pipeline + post-processing (a library engine: experiments and tests, not a serving backend) |
-//! | [`engine`] | — | engine trait, caching enforcer, per-generation snapshot cache |
+//! | [`engine`] | §1, §3 | the engine trait the experiments swap (`name`, `check`, `audience`) and the caching enforcer over it |
 //! | [`service`] | — | the deployment-agnostic serving API: `AccessService` / `MutateService` traits, the `Mutation` write vocabulary (applied by every backend, logged by the WAL), request/response vocabulary, `Deployment` builder |
 //! | [`query`] | — | openCypher-flavored query front-end + shared-prefix bundle plan compiler and its masked trie engine |
 //! | [`planner`] | — | telemetry-fed adaptive read planner: per-resource decaying profiles pick the winning engine per bundle |
 //! | [`system`] | — | single-graph backend (`AccessControlSystem`), evaluated online |
 //! | [`coordinator`] | — | the partitioned coordinator over N shard links: placement, ghosts, boundary table, the cross-shard reads and writes of both partitioned backends |
 //! | `link` | — | `ShardLink`: how the coordinator reaches a shard, and the in-process link |
+//! | `publish` | — | `Publisher`: the epoch-published CSR snapshot of one owned graph, patched from the last epoch on appends |
 //! | `shard` | — | `ShardCore`: one shard's graph, id tables, snapshot publication and round/trace, in process or in a server |
 //! | [`sharded`] | — | `ShardedSystem`: the coordinator over in-process shards |
 //! | [`durability`] | — | durable decorator: write-ahead log of `Mutation`s, checksummed snapshots, crash recovery, point-in-time audit reads |
@@ -71,17 +74,18 @@
 //! The online engine runs over an immutable
 //! [`socialreach_graph::csr::CsrSnapshot`]: edges sorted by
 //! `(node, label)` with per-(node, label) offset runs, so each step
-//! expands exactly the matching `O(deg_label)` slice. The enforcement
-//! layer treats snapshots as **publications**: at any time one
+//! expands exactly the matching `O(deg_label)` slice. Each serving
+//! backend treats snapshots as **publications**: at any time one
 //! `Arc<CsrSnapshot>` is the current *epoch*, and every reader —
 //! `check`, `audience`, `check_batch`, `audience_batch`, all `&self` —
 //! clones that `Arc` and traverses the immutable index concurrently.
 //! Mutations (`&mut self` on [`AccessControlSystem`]) never touch the
 //! published snapshot; they advance the graph's process-unique
 //! *generation* stamp, which makes the epoch stale. The next reader
-//! republishes under a write lock — **incrementally** when the owner
-//! can vouch for append-only lineage, and by a **parallel full build**
-//! otherwise (workers claim pages of both directions from one queue).
+//! republishes under a write lock — **incrementally**, since the
+//! backend owns its graph and every topology write is an append, and by
+//! a **parallel full build** for the first epoch (workers claim pages
+//! of both directions from one queue).
 //! The index is split into immutable pages of 256 consecutive members,
 //! so the incremental path
 //! ([`CsrSnapshot::apply_edge_appends`](socialreach_graph::csr::CsrSnapshot::apply_edge_appends))
@@ -95,7 +99,7 @@
 //! On top of the shared snapshot, `audience_batch` evaluates all the
 //! owners/conditions of a policy bundle with a multi-source flat BFS
 //! over the bundle's shared-prefix plan
-//! ([`query::evaluate_plan_audiences`]): up to 64 conditions traverse
+//! ([`query::evaluate_bundle_audiences`]): up to 64 conditions traverse
 //! together, one frontier pass per `(label, direction)` layer,
 //! amortizing edge scans across the bundle.
 //!
@@ -168,9 +172,10 @@
 //! the split of a batch by kind, the choice of route, the targeted
 //! loop, the membership route of a check batch, the bundle merge, the
 //! query scatter and the census attribution. A backend contributes only
-//! how it evaluates conditions — a snapshot walk through the single
-//! graph's [`Enforcer`] (pinned only after a cache miss), or the masked
-//! fixpoint over the partitioned coordinator's shard links — so
+//! how it evaluates conditions — a walk of the online engine over the
+//! single graph's published snapshot (pinned only after a cache miss),
+//! or the masked fixpoint over the partitioned coordinator's shard
+//! links — so
 //! decisions and `cache_stats` cannot drift between deployments.
 //! Decorators forward `read`; [`PlannedService`] first fills a batch's
 //! unset route from its planner.
@@ -217,6 +222,7 @@ pub mod online;
 pub mod path;
 pub mod planner;
 pub mod policy;
+mod publish;
 pub mod query;
 pub mod remote;
 pub mod service;

@@ -267,23 +267,11 @@ thread_local! {
     /// The mask engines' scratches this thread holds, all of them
     /// all-zero (see the module docs).
     static MASK_POOL: RefCell<MaskPool> = RefCell::default();
-    /// One cached snapshot per thread for callers that evaluate against
-    /// a bare `&SocialGraph` (the engine layer caches its own shared
-    /// snapshot; see `Enforcer`).
+    /// One cached snapshot per thread for library callers that evaluate
+    /// against a bare `&SocialGraph` (the serving backends publish their
+    /// own shared snapshot; see `crate::publish`).
     static SNAPSHOT: RefCell<Option<Rc<CsrSnapshot>>> = const { RefCell::new(None) };
-    /// `(topology generation, targeted-check misses)` — see
-    /// `BUILD_AFTER_MISSES`.
-    static SNAPSHOT_MISSES: RefCell<(u64, u32)> = const { RefCell::new((0, 0)) };
 }
-
-/// A one-shot targeted check on a graph with no current snapshot runs
-/// the reference engine instead of paying an `O(|E| log deg)` index
-/// build the seed never charged (a CLI `check`, or a mutate-then-check
-/// loop where every check sees a fresh topology generation). After
-/// this many consecutive targeted misses on one generation the build
-/// amortizes, so the snapshot is built. Audience materialization
-/// explores the whole product space and builds immediately.
-const BUILD_AFTER_MISSES: u32 = 2;
 
 /// Returns a current snapshot of `g`, reusing the thread-local cache
 /// when the topology generation still matches. `None` for uncacheable
@@ -334,10 +322,10 @@ pub fn release_thread_caches() {
     MASK_POOL.with(|pool| pool.borrow_mut().free = Vec::new());
 }
 
-/// Releases only this thread's cached [`CsrSnapshot`] (and the
-/// deferred-build miss counter), keeping the BFS scratch buffers.
+/// Releases only this thread's cached [`CsrSnapshot`], keeping the BFS
+/// scratch buffers.
 ///
-/// The enforcement layer calls this from `Enforcer::invalidate`: after
+/// The library enforcer calls this from `Enforcer::invalidate`: after
 /// a mutation the calling thread's fallback snapshot is stale and would
 /// otherwise pin the old index in memory until the thread's next
 /// bare-graph evaluation notices the generation moved. The scratch
@@ -345,7 +333,6 @@ pub fn release_thread_caches() {
 /// free and keeps mutate-then-check loops allocation-free.
 pub fn release_thread_snapshot() {
     SNAPSHOT.with(|slot| slot.borrow_mut().take());
-    SNAPSHOT_MISSES.with(|m| *m.borrow_mut() = (0, 0));
 }
 
 /// Observable footprint of this thread's online-engine caches, for
@@ -404,9 +391,11 @@ pub fn thread_cache_stats() -> ThreadCacheStats {
 /// reconstructs a witness walk. With `target = None` it explores the
 /// whole product space and returns the full audience (sorted).
 ///
-/// Runs on the label-partitioned CSR engine, building (and caching, per
-/// thread) a [`CsrSnapshot`] as needed. Callers holding a snapshot —
-/// the enforcement layer does — should use [`evaluate_with_snapshot`].
+/// Runs on the label-partitioned CSR engine over this thread's cached
+/// [`CsrSnapshot`] of `g`, built when the topology generation moved;
+/// only a graph of generation 0 runs on [`evaluate_reference`]. Callers
+/// holding a snapshot — the serving backends do — should use
+/// [`evaluate_with_snapshot`].
 pub fn evaluate(
     g: &SocialGraph,
     owner: NodeId,
@@ -415,23 +404,6 @@ pub fn evaluate(
 ) -> OnlineOutcome {
     if path.is_empty() {
         return OnlineOutcome::empty_path(owner, target);
-    }
-    if target.is_some() && thread_snapshot_if_current(g).is_none() {
-        // No snapshot yet for this topology: only build one once a few
-        // targeted checks have hit the same generation (see
-        // BUILD_AFTER_MISSES); a single early-exit BFS is cheaper than
-        // an index build.
-        let defer = SNAPSHOT_MISSES.with(|m| {
-            let m = &mut *m.borrow_mut();
-            if m.0 != g.topology_generation() {
-                *m = (g.topology_generation(), 0);
-            }
-            m.1 += 1;
-            m.1 <= BUILD_AFTER_MISSES
-        });
-        if defer {
-            return evaluate_reference(g, owner, path, target);
-        }
     }
     match thread_snapshot(g) {
         Some(snap) => evaluate_with_snapshot(g, &snap, owner, path, target),
@@ -1295,6 +1267,25 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The thread-cached path and a caller's snapshot are one engine:
+    /// same decision, same audience, same work counters.
+    #[test]
+    fn evaluate_matches_a_caller_snapshot() {
+        let mut g = chain();
+        let alice = g.node_by_name("Alice").unwrap();
+        let bob = g.node_by_name("Bob").unwrap();
+        let p = parse(&mut g, "friend+[1]");
+        let snap = g.snapshot();
+        let direct = evaluate(&g, alice, &p, Some(bob));
+        let snapped = evaluate_with_snapshot(&g, &snap, alice, &p, Some(bob));
+        assert_eq!(direct.granted, snapped.granted);
+        assert_eq!(direct.stats, snapped.stats);
+        assert_eq!(
+            evaluate(&g, alice, &p, None).matched,
+            evaluate_with_snapshot(&g, &snap, alice, &p, None).matched
+        );
     }
 
     #[test]

@@ -55,7 +55,9 @@ use crate::online::{
     is_watched, MaskScratch, MaskedSeedState, SeedState, SeededBatchOutcome, WitnessHop, HOP_NONE,
     MAX_FLAT_LAYERS, MAX_FLAT_STATES,
 };
+use crate::path::PathExpr;
 use crate::query::plan::{BundlePlan, ChunkMasks, PlanNode};
+use crate::service::ReadStats;
 use socialreach_graph::csr::Neighbors;
 use socialreach_graph::{CsrSnapshot, Direction, NodeId, SocialGraph};
 use std::collections::HashMap;
@@ -629,6 +631,39 @@ pub fn evaluate_plan_audiences(
         a.dedup();
     }
     out
+}
+
+/// The audiences of a bundle of `(owner, path)` conditions on one
+/// graph, in `conds` order, plus the bundle's census. The conditions
+/// compile into shared-prefix plans — one, or several when the bundle
+/// is bisected past the plan's node budget
+/// ([`BundlePlan::compile_all`]) — and each plan runs
+/// [`evaluate_plan_audiences`]. The census counts one traversal per
+/// 64-condition chunk, sums the plan-vs-chains automaton state counts
+/// behind [`ReadStats::prefix_share`], and has `rounds == traversals`:
+/// a single graph has no cross-shard fixpoint and exports nothing.
+pub fn evaluate_bundle_audiences(
+    g: &SocialGraph,
+    snap: &CsrSnapshot,
+    conds: &[(NodeId, &PathExpr)],
+) -> (Vec<Vec<NodeId>>, ReadStats) {
+    let mut stats = ReadStats {
+        conditions: conds.len(),
+        ..ReadStats::default()
+    };
+    let mut audiences = Vec::with_capacity(conds.len());
+    let paths: Vec<&PathExpr> = conds.iter().map(|&(_, p)| p).collect();
+    for (part, plan) in BundlePlan::compile_all(&paths) {
+        let owners: Vec<NodeId> = conds[part].iter().map(|&(o, _)| o).collect();
+        let run = evaluate_plan_audiences(g, snap, &plan, &owners);
+        audiences.extend(run.audiences);
+        stats.traversals += run.traversals;
+        stats.states_expanded += run.states_visited;
+        stats.plan_states += plan.plan_states();
+        stats.expr_states += plan.expr_states();
+    }
+    stats.rounds = stats.traversals;
+    (audiences, stats)
 }
 
 #[cfg(test)]

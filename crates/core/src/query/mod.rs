@@ -49,7 +49,9 @@ pub mod engine;
 pub mod parse;
 pub mod plan;
 
-pub use engine::{evaluate_plan_audiences, evaluate_plan_batch_seeded, PlanBatchState};
+pub use engine::{
+    evaluate_bundle_audiences, evaluate_plan_audiences, evaluate_plan_batch_seeded, PlanBatchState,
+};
 pub use parse::{looks_like_query, parse_query, render_query};
 pub use plan::{BundlePlan, ChunkMasks, PlanNode};
 

@@ -5,7 +5,7 @@
 //! coordinator with the call replaced by a wire: shard **server
 //! processes** ([`ShardServer`]) each serve one `ShardCore` — a
 //! [`SocialGraph`](socialreach_graph::SocialGraph) of home members and
-//! ghost replicas behind an epoch-publishing enforcer — and the remote
+//! ghost replicas with epoch-published snapshots — and the remote
 //! link behind [`NetworkedSystem`] exchanges masked-export batches with
 //! them.
 //!

@@ -4,8 +4,8 @@
 //! A shard holds a [`SocialGraph`] of its home members and of ghost
 //! replicas of remote members, in **shard-local** node ids, with the
 //! tables that translate between local ids and global member ids, and
-//! an [`Enforcer`] that publishes its CSR snapshots incrementally (every
-//! write a shard takes is an append). The in-process link of the
+//! a [`Publisher`] of its CSR snapshots, which patches each new epoch
+//! from the last (every write a shard takes is an append). The in-process link of the
 //! partitioned coordinator owns one `ShardCore` and calls it directly;
 //! a shard server owns one behind a lock and calls it from the request
 //! dispatch. Both reach it through the same typed appliers and the same
@@ -13,9 +13,9 @@
 //! [`ShardCore::round`]s of it, and [`ShardCore::trace`] a parent chain.
 
 use crate::coordinator::ShardStats;
-use crate::engine::{Enforcer, OnlineEngine};
 use crate::fixpoint::{LaneRound, StateKey};
 use crate::online::MaskedSeedState;
+use crate::publish::Publisher;
 use crate::query::{self, ChunkMasks, PlanBatchState, PlanNode};
 use crate::remote::proto::{WireMatch, WireRefusal};
 use crate::service::WalkHop;
@@ -32,7 +32,7 @@ const NO_COPY: u32 = u32::MAX;
 /// and the published snapshot.
 pub(crate) struct ShardCore {
     graph: SocialGraph,
-    enforcer: Enforcer<OnlineEngine>,
+    snapshots: Publisher,
     /// Local node index → global member id.
     globals: Vec<NodeId>,
     /// Local node index → is this copy a ghost replica (the seeded
@@ -71,7 +71,7 @@ impl ShardCore {
     pub(crate) fn new() -> Self {
         ShardCore {
             graph: SocialGraph::new(),
-            enforcer: Enforcer::new(OnlineEngine).with_append_publication(),
+            snapshots: Publisher::default(),
             globals: Vec::new(),
             ghost: Vec::new(),
             locals: Vec::new(),
@@ -161,9 +161,9 @@ impl ShardCore {
         }
     }
 
-    /// Snapshot publications so far (see [`Enforcer::snapshot_epoch`]).
+    /// Snapshot publications so far (see [`Publisher::epoch`]).
     pub(crate) fn snapshot_epoch(&self) -> u64 {
-        self.enforcer.snapshot_epoch()
+        self.snapshots.epoch()
     }
 
     /// Opens an evaluation of `nodes` under the chunk `masks` in mask
@@ -179,9 +179,9 @@ impl ShardCore {
         parents: bool,
     ) -> Session<'a> {
         let snap = self
-            .enforcer
-            .publish_snapshot(&self.graph)
-            .expect("online engine publishes snapshots");
+            .snapshots
+            .current(&self.graph)
+            .expect("a shard's graph is built, never deserialized");
         let engine = if parents {
             PlanBatchState::with_parents(&self.graph, &snap, &nodes)
         } else {

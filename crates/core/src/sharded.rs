@@ -1,12 +1,12 @@
 //! `ShardedSystem` — the partitioned coordinator over in-process
 //! shards.
 //!
-//! The epoch-publication pipeline ([`crate::engine::Enforcer`] +
-//! `Arc<CsrSnapshot>`) serves one graph per enforcer. This backend
-//! scales the read path out: members are hash-partitioned across N
-//! shards, each a `ShardCore` with a graph and an epoch-published
-//! snapshot of its own, reached by a direct call through the
-//! in-process link. Placement, ghost replicas, the cross-shard masked
+//! The single graph ([`crate::AccessControlSystem`]) publishes one
+//! `Arc<CsrSnapshot>` per epoch of one graph. This backend scales the
+//! read path out: members are hash-partitioned across N shards, each a
+//! `ShardCore` with a graph and an epoch-published snapshot of its own
+//! (the same crate-private publisher), reached by a direct call through
+//! the in-process link. Placement, ghost replicas, the cross-shard masked
 //! fixpoint and witness stitching are the coordinator's
 //! ([`crate::coordinator`], shared with [`crate::NetworkedSystem`]).
 

@@ -5,9 +5,9 @@
 //! deployment-agnostic [`AccessService`] trait, writes through
 //! [`MutateService`]; construct one via
 //! [`crate::service::Deployment::online`] to stay backend-agnostic.
-//! The paper's §3 join index is a library
-//! ([`crate::joinengine::JoinIndexEngine`] behind an [`Enforcer`]),
-//! not a serving backend: its index is built for a static graph.
+//! The paper's §3 join index ([`crate::joinengine::JoinIndexEngine`])
+//! is a library engine for the experiments, not a serving backend: its
+//! index is built for a static graph.
 //!
 //! # Read/write split and the publication lifecycle
 //!
@@ -15,33 +15,34 @@
 //! reads ([`check`](AccessService::check),
 //! [`audience_batch`](AccessService::audience_batch),
 //! [`explain`](AccessService::explain), …) are wrappers over it — and
-//! runs the shared decision layer over the system's [`Enforcer`]. Reads
-//! take `&self`, so any number of requester threads can evaluate
-//! concurrently against one system (e.g. through `std::thread::scope`),
-//! and a targeted check batch fans out over its thread hint. Reads share the
-//! epoch-published [`CsrSnapshot`] held by the wrapped [`Enforcer`]:
-//! each read clones the current epoch's `Arc` and traverses the
-//! immutable index lock-free. Every **mutation** — adding members,
-//! relationships, resources or rules — takes `&mut self`, guaranteeing
-//! exclusivity, and only *stales* derived state: the decision caches
-//! drop immediately, while the published snapshot is retained so the
-//! next read can republish it **incrementally**
-//! ([`CsrSnapshot::apply_edge_appends`] — the system owns its graph,
-//! so the append-only lineage the patch requires holds by
-//! construction). The patch rebuilds only the index pages the new
+//! runs the shared decision layer over the system, which evaluates
+//! conditions with [`online::evaluate_with_snapshot`] and bundles with
+//! [`query::evaluate_bundle_audiences`]. Reads take `&self`, so any
+//! number of requester threads can evaluate concurrently against one
+//! system (e.g. through `std::thread::scope`), and a targeted check
+//! batch fans out over its thread hint. Reads share the system's
+//! epoch-published [`CsrSnapshot`]: each read clones the current
+//! epoch's `Arc` and traverses the immutable index lock-free. Every
+//! **mutation** — adding members, relationships, resources or rules —
+//! takes `&mut self`, guaranteeing exclusivity, and only *stales*
+//! derived state: the decision cache drops immediately, while the
+//! published snapshot is retained so the next read can republish it
+//! **incrementally** ([`CsrSnapshot::apply_edge_appends`] — the system
+//! owns its graph, so the append-only lineage the patch requires holds
+//! by construction). The patch rebuilds only the index pages the new
 //! members and relationships land on and shares the rest with the
 //! previous epoch.
 //!
 //! [`CsrSnapshot`]: socialreach_graph::csr::CsrSnapshot
 //! [`CsrSnapshot::apply_edge_appends`]: socialreach_graph::csr::CsrSnapshot::apply_edge_appends
 
-use crate::decision::{self, Ground};
-use crate::engine::{Enforcer, OnlineEngine};
+use crate::decision::{self, DecisionCache, Ground};
 use crate::error::EvalError;
-use crate::online;
+use crate::online::{self, OnlineOutcome};
 use crate::path::PathExpr;
 use crate::policy::{AccessCondition, PolicyStore};
-use crate::query::parse_policy;
+use crate::publish::Publisher;
+use crate::query::{self, parse_policy};
 use crate::service::{
     AccessResponse, AccessService, Applied, BundleStrategy, CheckPlan, MutateService, Mutation,
     ReadBatch, ReadStats, WalkHop,
@@ -55,7 +56,8 @@ use std::sync::Arc;
 pub struct AccessControlSystem {
     graph: SocialGraph,
     store: PolicyStore,
-    online: Enforcer<OnlineEngine>,
+    snapshots: Publisher,
+    decisions: DecisionCache,
 }
 
 impl AccessControlSystem {
@@ -64,10 +66,8 @@ impl AccessControlSystem {
         AccessControlSystem {
             graph: SocialGraph::new(),
             store: PolicyStore::new(),
-            // The system owns its graph and routes every mutation, so
-            // the append-only lineage incremental publication needs is
-            // guaranteed by construction.
-            online: Enforcer::new(OnlineEngine).with_append_publication(),
+            snapshots: Publisher::default(),
+            decisions: DecisionCache::default(),
         }
     }
 
@@ -122,10 +122,10 @@ impl AccessControlSystem {
     // Enforcement (the `&self` read path)
     // ------------------------------------------------------------------
 
-    /// Number of snapshot publications the online enforcer has made
-    /// (each rebuild or incremental patch is one epoch).
+    /// Number of snapshot publications the system has made (each
+    /// rebuild or incremental patch is one epoch).
     pub fn snapshot_epoch(&self) -> u64 {
-        self.online.snapshot_epoch()
+        self.snapshots.epoch()
     }
 
     /// Parses a policy in either syntax — classic path notation or the
@@ -141,7 +141,21 @@ impl AccessControlSystem {
         // mutations are all appends or attribute/policy writes, so the
         // next read either revalidates it (non-topology writes) or
         // patches it incrementally (appends).
-        self.online.invalidate_decisions();
+        self.decisions.clear();
+    }
+
+    /// Evaluates `cond` over `snap`, or — when nothing can be published
+    /// (generation 0) — on the reference engine.
+    fn evaluate(
+        &self,
+        snap: Option<&CsrSnapshot>,
+        (owner, path): (NodeId, &PathExpr),
+        target: Option<NodeId>,
+    ) -> OnlineOutcome {
+        match snap {
+            Some(snap) => online::evaluate_with_snapshot(&self.graph, snap, owner, path, target),
+            None => online::evaluate_reference(&self.graph, owner, path, target),
+        }
     }
 }
 
@@ -151,7 +165,7 @@ fn default_check_plan(_len: usize) -> CheckPlan {
 }
 
 /// The single graph under the decision layer: conditions are
-/// evaluated by the online enforcer over its published snapshot.
+/// evaluated by the online engine over the published snapshot.
 impl decision::Evaluate for AccessControlSystem {
     type Pin = Option<Arc<CsrSnapshot>>;
 
@@ -160,14 +174,14 @@ impl decision::Evaluate for AccessControlSystem {
             members: self.graph.num_nodes(),
             store: &self.store,
             vocab: self.graph.vocab(),
-            cache: self.online.decisions(),
+            cache: &self.decisions,
             default_check_plan,
             fans_out: true,
         }
     }
 
     fn pin(&self) -> Self::Pin {
-        self.online.publish_snapshot(&self.graph)
+        self.snapshots.current(&self.graph)
     }
 
     fn satisfied(
@@ -176,8 +190,8 @@ impl decision::Evaluate for AccessControlSystem {
         cond: &AccessCondition,
         requester: NodeId,
     ) -> Result<(bool, ReadStats), EvalError> {
-        self.online
-            .satisfied(&self.graph, pin.as_deref(), cond, requester)
+        let out = self.evaluate(pin.as_deref(), (cond.owner, &cond.path), Some(requester));
+        Ok((out.granted, ReadStats::one_pass(out.stats.states_visited)))
     }
 
     fn walk(
@@ -185,19 +199,15 @@ impl decision::Evaluate for AccessControlSystem {
         cond: &AccessCondition,
         requester: NodeId,
     ) -> Result<(Option<Vec<WalkHop>>, ReadStats), EvalError> {
-        let g = &self.graph;
-        let (owner, path, target) = (cond.owner, &cond.path, Some(requester));
         // The published snapshot, not the thread cache: reads of every
-        // kind share one epoch. Generation 0 cannot be published.
-        let out = match self.online.publish_snapshot(g) {
-            Some(snap) => online::evaluate_with_snapshot(g, &snap, owner, path, target),
-            None => online::evaluate_reference(g, owner, path, target),
-        };
+        // kind share one epoch.
+        let snap = self.snapshots.current(&self.graph);
+        let out = self.evaluate(snap.as_deref(), (cond.owner, &cond.path), Some(requester));
         let hops = out.witness.map(|witness| {
             witness
                 .into_iter()
                 .map(|(eid, forward)| {
-                    let rec = g.edge(eid);
+                    let rec = self.graph.edge(eid);
                     WalkHop {
                         src: rec.src,
                         dst: rec.dst,
@@ -210,12 +220,33 @@ impl decision::Evaluate for AccessControlSystem {
         Ok((hops, ReadStats::one_pass(out.stats.states_visited)))
     }
 
+    /// `Batched` runs the bundle's shared-prefix plans; `PerCondition` —
+    /// and `Batched` with nothing published — one traversal per
+    /// condition. Both return identical audiences.
     fn audiences(
         &self,
         conds: &[(NodeId, &PathExpr)],
         strategy: BundleStrategy,
     ) -> Result<(Vec<Vec<NodeId>>, ReadStats), EvalError> {
-        self.online.audiences(&self.graph, conds, strategy)
+        let snap = self.snapshots.current(&self.graph);
+        if let (Some(snap), BundleStrategy::Batched) = (&snap, strategy) {
+            return Ok(query::evaluate_bundle_audiences(&self.graph, snap, conds));
+        }
+        let mut stats = ReadStats {
+            conditions: conds.len(),
+            traversals: conds.len(),
+            rounds: conds.len(),
+            ..ReadStats::default()
+        };
+        let audiences = conds
+            .iter()
+            .map(|&cond| {
+                let out = self.evaluate(snap.as_deref(), cond, None);
+                stats.states_expanded += out.stats.states_visited;
+                out.matched
+            })
+            .collect();
+        Ok((audiences, stats))
     }
 }
 
@@ -251,7 +282,7 @@ impl AccessService for AccessControlSystem {
     }
 
     fn cache_stats(&self) -> (u64, u64) {
-        self.online.cache_stats()
+        self.decisions.stats()
     }
 
     fn default_check_plan(&self, len: usize) -> CheckPlan {
@@ -271,8 +302,6 @@ impl MutateService for AccessControlSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::resource_audience;
-    use crate::joinengine::{JoinEngineConfig, JoinIndexEngine};
     use crate::policy::{Decision, ResourceId};
     use crate::service::Explanation;
 
@@ -288,33 +317,6 @@ mod tests {
         let rid = sys.add_resource(alice);
         sys.add_rule(rid, "friend+[1,2]").unwrap();
         (sys, rid)
-    }
-
-    /// The service and the §3 join index, as a library enforcer over
-    /// the service's own graph and store, decide and materialize alike.
-    #[test]
-    fn online_and_indexed_agree_end_to_end() {
-        let (sys, rid) = populated();
-        let (g, store) = (sys.graph(), sys.store());
-        let engine = JoinIndexEngine::build(g, JoinEngineConfig::default());
-        assert_eq!(
-            resource_audience(g, store, rid, &engine).unwrap(),
-            sys.service().audience(rid).unwrap()
-        );
-        let indexed = Enforcer::new(engine);
-        for (name, expect) in [
-            ("Bob", Decision::Grant),
-            ("Carol", Decision::Grant),
-            ("Dave", Decision::Deny),
-        ] {
-            let user = sys.user(name).unwrap();
-            assert_eq!(sys.service().check(rid, user).unwrap(), expect, "{name}");
-            assert_eq!(
-                indexed.check_access(g, store, rid, user).unwrap(),
-                expect,
-                "{name}"
-            );
-        }
     }
 
     #[test]

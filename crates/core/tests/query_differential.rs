@@ -17,10 +17,9 @@
 //! pinned caret-annotated errors.
 
 use proptest::prelude::*;
-use socialreach_core::query::{parse_queries_readonly, render_query};
+use socialreach_core::query::{self, parse_queries_readonly, render_query};
 use socialreach_core::{
-    online, parse_path, parse_query, AccessEngine, BundlePlan, Deployment, OnlineEngine, PathExpr,
-    ShardedSystem,
+    online, parse_path, parse_query, BundlePlan, Deployment, PathExpr, ShardedSystem,
 };
 use socialreach_graph::{NodeId, ShardAssignment, SocialGraph};
 
@@ -124,9 +123,7 @@ proptest! {
 
         // Single graph: trie vs the reference engine.
         let snap = g.snapshot();
-        let (trie, single_stats) = OnlineEngine
-            .audience_batch_with_snapshot(&g, &snap, &cond_refs)
-            .unwrap();
+        let (trie, single_stats) = query::evaluate_bundle_audiences(&g, &snap, &cond_refs);
         for (i, (owner, path)) in conds.iter().enumerate() {
             let truth = online::evaluate_reference(&g, *owner, path, None);
             prop_assert_eq!(
@@ -276,9 +273,7 @@ fn bundles_past_the_plan_node_budget_are_bisected_not_regrouped() {
     // 252 hops around an 8-ring land 4 members on.
     assert_eq!(truth[3], vec![ring[7]]);
 
-    let (single, stats) = OnlineEngine
-        .audience_batch_with_snapshot(&g, &snap, &cond_refs)
-        .unwrap();
+    let (single, stats) = query::evaluate_bundle_audiences(&g, &snap, &cond_refs);
     assert_eq!(single, truth, "single graph, bisected");
     assert_eq!(stats.conditions, 261);
     assert_eq!(

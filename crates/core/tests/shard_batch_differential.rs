@@ -4,7 +4,7 @@
 //! `check_batch`) must agree condition-for-condition with
 //!
 //! 1. the single-graph multi-source plan BFS
-//!    (`query::evaluate_plan_audiences`, via the engine's batch path),
+//!    (`query::evaluate_bundle_audiences`),
 //! 2. the per-condition sharded path — one masked fixpoint per
 //!    condition (`audience_batch_forced` under `PerCondition`), which
 //!    shares the driver and engine with the batched path, so every
@@ -21,8 +21,8 @@ mod common;
 use proptest::prelude::*;
 use socialreach_core::BundleStrategy::PerCondition;
 use socialreach_core::{
-    online, parse_path, AccessEngine, AccessService, Decision, Deployment, MutateService,
-    OnlineEngine, PathExpr, PolicyStore, ShardedSystem,
+    online, parse_path, query, AccessService, Decision, Deployment, MutateService, PathExpr,
+    PolicyStore, ShardedSystem,
 };
 use socialreach_graph::{NodeId, ShardAssignment, SocialGraph};
 
@@ -165,9 +165,7 @@ proptest! {
         let snap = g.snapshot();
         let cond_refs: Vec<(NodeId, &PathExpr)> =
             conds.iter().map(|(o, p)| (*o, p)).collect();
-        let (single_conds, _) = OnlineEngine
-            .audience_batch_with_snapshot(&g, &snap, &cond_refs)
-            .unwrap();
+        let (single_conds, _) = query::evaluate_bundle_audiences(&g, &snap, &cond_refs);
 
         for &shards in &SHARD_COUNTS {
             let mut sys = ShardedSystem::from_graph(&g, ShardAssignment::hashed(shards, 11));

@@ -2,9 +2,10 @@
 # Mutation check for the read seam (`AccessService::read`: the split of
 # a batch by kind, the forced or default route) and the decision layer
 # behind it (the grant rule), the partitioned read and write paths, the
-# durability layer (WAL scanning, replay, snapshot export), and the
+# durability layer (WAL scanning, replay, snapshot export), the
 # engines' path semantics (depth bounds, the plan compiler's step
-# canonicalization).
+# canonicalization), and snapshot publication (the copy-on-write page
+# patch, the publisher's currency check).
 #
 # Each tests/mutants/*.patch is one small, deliberate bug. Its header
 # names the bug and the test suites that must kill it:

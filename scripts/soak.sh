@@ -15,13 +15,14 @@
 #   -s LIST    run exactly these seeds instead (decimal or 0x hex),
 #              e.g. to replay the failing seeds of an earlier soak
 #   SUITE      integration suites to run (default: service_conformance
-#              planner_differential query_differential)
+#              planner_differential query_differential csr_incremental
+#              csr_differential shard_batch_differential)
 #
 # Prints one row per (seed, suite) run, then every failing seed, and
 # exits non-zero when any run fails.
 set -euo pipefail
 
-usage() { sed -n '2,21p' "$0" | sed 's/^# \{0,1\}//'; }
+usage() { sed -n '2,22p' "$0" | sed 's/^# \{0,1\}//'; }
 
 count=20
 cases=256
@@ -38,7 +39,8 @@ done
 shift $((OPTIND - 1))
 suites=("$@")
 if [ "${#suites[@]}" -eq 0 ]; then
-    suites=(service_conformance planner_differential query_differential)
+    suites=(service_conformance planner_differential query_differential
+        csr_incremental csr_differential shard_batch_differential)
 fi
 if [ -z "$seeds" ]; then
     for _ in $(seq "$count"); do
