@@ -213,8 +213,7 @@ impl JoinIndexEngine {
             let mut next: Vec<Vec<u32>> = Vec::with_capacity(total);
             for (t, ys) in tuples.iter().zip(continuations) {
                 for y in ys {
-                    let mut nt = Vec::with_capacity(t.len() + 1);
-                    nt.extend_from_slice(t);
+                    let mut nt = t.clone();
                     nt.push(y);
                     next.push(nt);
                 }
