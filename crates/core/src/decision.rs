@@ -31,17 +31,27 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// neither counter; a request found in the cache is one hit; a request
 /// that had to be evaluated is one miss — so a duplicate of an uncached
 /// request within one batch is a miss followed by a hit on every route.
+///
+/// The decisions live in a bounded table ([`DecisionTable`]): 4-way
+/// sets of 16-byte slots, starting at 1 Ki slots (16 KB) and doubling
+/// only when an insert would evict a current decision, up to
+/// [`MAX_SLOTS`] (4 MB). Once there, an insert into a full set evicts
+/// that set's oldest decision. A lookup takes the read lock, an insert
+/// the write lock. Every slot is stamped with the generation it was
+/// decided in, so [`DecisionCache::clear`] — called after every write —
+/// retires all of them at once by bumping the generation.
 #[derive(Debug, Default)]
 pub(crate) struct DecisionCache {
-    cache: RwLock<HashMap<(ResourceId, NodeId), Decision>>,
+    table: RwLock<DecisionTable>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
 impl DecisionCache {
-    /// Drops every cached decision (the counters keep running).
+    /// Retires every cached decision in O(1) by bumping the generation
+    /// (the counters keep running).
     pub(crate) fn clear(&self) {
-        self.cache.write().clear();
+        self.table.write().clear();
     }
 
     /// `(hits, misses)` since construction.
@@ -52,9 +62,9 @@ impl DecisionCache {
         )
     }
 
-    /// Number of cached decisions.
+    /// Number of cached decisions of the current generation.
     pub(crate) fn len(&self) -> usize {
-        self.cache.read().len()
+        self.table.read().live
     }
 
     fn hit(&self, d: Decision) -> Decision {
@@ -64,6 +74,139 @@ impl DecisionCache {
 
     fn miss(&self) {
         self.misses.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// Ways per set of the decision table.
+const WAYS: usize = 4;
+/// Slots a decision table starts with (16 KB).
+const MIN_SLOTS: usize = 1 << 10;
+/// Slots a decision table stops growing at (4 MB).
+const MAX_SLOTS: usize = 1 << 18;
+/// The largest generation a slot's stamp holds next to its grant bit.
+const MAX_GENERATION: u32 = u32::MAX >> 1;
+
+/// One cached decision: `stamp` is `generation << 1 | granted`, and 0
+/// (generation 0, never current) marks an empty slot.
+#[derive(Clone, Copy, Debug, Default)]
+struct Slot {
+    rid: u64,
+    requester: u32,
+    stamp: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Slot>() == 16);
+
+/// The decision cache's storage: a set-associative table of [`Slot`]s.
+/// A key's set is picked by a multiplicative hash of `(rid,
+/// requester)`; a lookup matches the **whole** key and the current
+/// generation. Within a set the ways run newest first and the current
+/// decisions form a prefix, so an insert takes the first way that holds
+/// its key or no current decision, or else the last (oldest) way, and
+/// shifts the ways before it down one.
+#[derive(Debug)]
+struct DecisionTable {
+    slots: Box<[Slot]>,
+    /// `64 - log2(sets)`: a set is the top bits of the key's hash.
+    shift: u32,
+    /// The current generation, in `1..=MAX_GENERATION`.
+    generation: u32,
+    /// Slots holding a decision of the current generation.
+    live: usize,
+}
+
+impl Default for DecisionTable {
+    fn default() -> Self {
+        DecisionTable::with_slots(MIN_SLOTS)
+    }
+}
+
+impl DecisionTable {
+    fn with_slots(slots: usize) -> Self {
+        DecisionTable {
+            slots: vec![Slot::default(); slots].into_boxed_slice(),
+            shift: 64 - (slots / WAYS).trailing_zeros(),
+            generation: 1,
+            live: 0,
+        }
+    }
+
+    /// The first slot of the set `(rid, requester)` lives in.
+    fn set_at(&self, rid: u64, requester: u32) -> usize {
+        let key = rid ^ (u64::from(requester) << 32);
+        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize * WAYS
+    }
+
+    fn get(&self, rid: ResourceId, requester: NodeId) -> Option<Decision> {
+        let at = self.set_at(rid.0, requester.0);
+        self.slots[at..at + WAYS]
+            .iter()
+            .find(|s| {
+                s.rid == rid.0 && s.requester == requester.0 && s.stamp >> 1 == self.generation
+            })
+            .map(|s| decision(s.stamp & 1 == 1))
+    }
+
+    fn insert(&mut self, rid: ResourceId, requester: NodeId, d: Decision) {
+        let granted = u32::from(d == Decision::Grant);
+        self.put(Slot {
+            rid: rid.0,
+            requester: requester.0,
+            stamp: self.generation << 1 | granted,
+        });
+    }
+
+    fn put(&mut self, slot: Slot) {
+        let at = self.set_at(slot.rid, slot.requester);
+        let (generation, capped) = (self.generation, self.slots.len() == MAX_SLOTS);
+        let set = &mut self.slots[at..at + WAYS];
+        let way = set.iter().position(|s| {
+            s.stamp >> 1 != generation || (s.rid, s.requester) == (slot.rid, slot.requester)
+        });
+        let way = match way {
+            Some(way) => {
+                if set[way].stamp >> 1 != generation {
+                    self.live += 1;
+                }
+                way
+            }
+            None if !capped => {
+                self.grow();
+                return self.put(slot);
+            }
+            None => WAYS - 1,
+        };
+        set.copy_within(0..way, 1);
+        set[0] = slot;
+    }
+
+    /// Doubles the table, re-inserting the current decisions oldest
+    /// first so each set keeps its order. Each set splits in two, so
+    /// no re-insert evicts.
+    fn grow(&mut self) {
+        let mut bigger = DecisionTable::with_slots(self.slots.len() * 2);
+        bigger.generation = self.generation;
+        for set in self.slots.chunks_exact(WAYS) {
+            for &s in set.iter().rev() {
+                if s.stamp >> 1 == self.generation {
+                    bigger.put(s);
+                }
+            }
+        }
+        *self = bigger;
+    }
+
+    /// Retires every decision: a new generation, or — when the stamp
+    /// would overflow — generation 1 over zeroed slots, so no stamp of
+    /// an earlier generation 1 survives.
+    fn clear(&mut self) {
+        self.live = 0;
+        if self.generation == MAX_GENERATION {
+            self.generation = 1;
+            self.slots.fill(Slot::default());
+        } else {
+            self.generation += 1;
+        }
     }
 }
 
@@ -133,7 +276,7 @@ pub(crate) fn check<P>(
     if requester == store.owner_of(rid)? {
         return Ok((Decision::Grant, ReadStats::default()));
     }
-    if let Some(&d) = cache.cache.read().get(&(rid, requester)) {
+    if let Some(d) = cache.table.read().get(rid, requester) {
         return Ok((cache.hit(d), ReadStats::default()));
     }
     cache.miss();
@@ -144,7 +287,7 @@ pub(crate) fn check<P>(
         Ok((ok.then_some(()), s))
     })?;
     let d = decision(granted.is_some());
-    cache.cache.write().insert((rid, requester), d);
+    cache.table.write().insert(rid, requester, d);
     Ok((d, stats))
 }
 
@@ -383,13 +526,13 @@ fn check_via_audiences<B: Evaluate>(
     let mut need: Vec<ResourceId> = Vec::new();
     {
         let mut needed: HashSet<ResourceId> = HashSet::new();
-        let cached = cache.cache.read();
+        let cached = cache.table.read();
         for read in reads {
             let (rid, req) = read.request();
             known(req, ground.members)?;
             decisions.push(if req == store.owner_of(rid)? {
                 Some(Decision::Grant)
-            } else if let Some(&d) = cached.get(&(rid, req)) {
+            } else if let Some(d) = cached.get(rid, req) {
                 Some(cache.hit(d))
             } else {
                 if needed.insert(rid) {
@@ -406,20 +549,20 @@ fn check_via_audiences<B: Evaluate>(
     let (audiences, stats) =
         merge_bundle_audiences(store, &need, |uniq| b.audiences(uniq, strategy))?;
     let by_rid: HashMap<ResourceId, &Vec<NodeId>> = need.iter().copied().zip(&audiences).collect();
-    let mut cached = cache.cache.write();
+    let mut cached = cache.table.write();
     let responses = reads
         .iter()
         .zip(decisions)
         .map(|(read, known)| {
             let (rid, req) = read.request();
-            decided(known.unwrap_or_else(|| match cached.get(&(rid, req)) {
+            decided(known.unwrap_or_else(|| match cached.get(rid, req) {
                 // An earlier duplicate in this batch (or a racing
                 // reader) decided it meanwhile.
-                Some(&d) => cache.hit(d),
+                Some(d) => cache.hit(d),
                 None => {
                     cache.miss();
                     let d = decision(by_rid[&rid].binary_search(&req).is_ok());
-                    cached.insert((rid, req), d);
+                    cached.insert(rid, req, d);
                     d
                 }
             }))
@@ -537,4 +680,152 @@ where
         })
         .collect();
     Ok((merged, stats))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::service::MutateService;
+    use crate::system::AccessControlSystem;
+
+    /// `n` keys `(rid, requester)` that share `key`'s set in a table of
+    /// `table`'s size, varying one half of the key.
+    fn set_mates(
+        table: &DecisionTable,
+        key: (u64, u32),
+        vary_rid: bool,
+        n: usize,
+    ) -> Vec<(u64, u32)> {
+        let at = table.set_at(key.0, key.1);
+        let candidates = (1..).map(|i| {
+            if vary_rid {
+                (key.0 + i, key.1)
+            } else {
+                (key.0, key.1 + i as u32)
+            }
+        });
+        candidates
+            .filter(|&(rid, req)| table.set_at(rid, req) == at)
+            .take(n)
+            .collect()
+    }
+
+    #[test]
+    fn keys_sharing_a_set_never_answer_for_each_other() {
+        for vary_rid in [true, false] {
+            let mut table = DecisionTable::default();
+            let first = (7u64, 3u32);
+            let mates = set_mates(&table, first, vary_rid, WAYS - 1);
+            let keys: Vec<_> = std::iter::once(first).chain(mates).collect();
+            // Alternating decisions: a key answering for its neighbour
+            // would flip one.
+            for (i, &(rid, req)) in keys.iter().enumerate() {
+                assert_eq!(table.get(ResourceId(rid), NodeId(req)), None);
+                table.insert(ResourceId(rid), NodeId(req), decision(i.is_multiple_of(2)));
+            }
+            assert_eq!(table.slots.len(), MIN_SLOTS, "one set holds {WAYS} keys");
+            for (i, &(rid, req)) in keys.iter().enumerate() {
+                let got = table.get(ResourceId(rid), NodeId(req));
+                assert_eq!(got, Some(decision(i.is_multiple_of(2))), "{rid}/{req}");
+            }
+            // A set-mate never inserted is a miss, not a neighbour's hit.
+            let stranger = set_mates(&table, first, vary_rid, WAYS)[WAYS - 1];
+            assert_eq!(table.get(ResourceId(stranger.0), NodeId(stranger.1)), None);
+            assert_eq!(table.live, WAYS);
+        }
+    }
+
+    #[test]
+    fn the_table_grows_to_its_cap_and_stops() {
+        let mut table = DecisionTable::default();
+        let key = |i: u64| (ResourceId(i % 1021), NodeId((i / 1021) as u32));
+        let granted = |i: u64| i.is_multiple_of(3);
+        let inserts = 1u64 << 20;
+        for i in 0..inserts {
+            let (rid, req) = key(i);
+            table.insert(rid, req, decision(granted(i)));
+            assert!(table.slots.len() <= MAX_SLOTS);
+        }
+        assert_eq!(table.slots.len(), MAX_SLOTS, "the table stops at its cap");
+        assert!(table.live <= MAX_SLOTS);
+        let mut hits = 0;
+        for i in 0..inserts {
+            let (rid, req) = key(i);
+            if let Some(d) = table.get(rid, req) {
+                assert_eq!(d, decision(granted(i)), "{rid:?}/{req}");
+                hits += 1;
+            }
+        }
+        assert_eq!(hits, table.live, "every live slot answers for its key");
+        assert!(hits > MAX_SLOTS / 2, "a full table keeps most of its slots");
+        // Only a set's oldest way is evicted: the last inserts stay.
+        for i in inserts - WAYS as u64..inserts {
+            let (rid, req) = key(i);
+            assert_eq!(table.get(rid, req), Some(decision(granted(i))));
+        }
+    }
+
+    #[test]
+    fn clear_retires_every_entry_even_across_a_generation_wrap() {
+        let mut table = DecisionTable::default();
+        let keys: Vec<_> = (0..2000u32)
+            .map(|i| (ResourceId(u64::from(i % 7)), NodeId(i)))
+            .collect();
+        let fill = |table: &mut DecisionTable| {
+            for &(rid, req) in &keys {
+                table.insert(rid, req, Decision::Grant);
+            }
+            assert_eq!(table.live, keys.len());
+        };
+        let all_miss = |table: &DecisionTable| {
+            assert_eq!(table.live, 0);
+            assert!(keys.iter().all(|&(rid, req)| table.get(rid, req).is_none()));
+        };
+        fill(&mut table);
+        table.clear();
+        all_miss(&table);
+        // Generation-1 stamps outlive the 2^31 - 2 clears that take the
+        // generation to its last value (done here by hand, as those
+        // clears would): the wrap back to generation 1 must not revive
+        // them.
+        let mut table = DecisionTable::default();
+        fill(&mut table);
+        let size = table.slots.len();
+        (table.generation, table.live) = (MAX_GENERATION, 0);
+        table.clear();
+        assert_eq!(table.generation, 1, "the generation wrapped");
+        assert_eq!(table.slots.len(), size, "a wrap keeps the table's size");
+        all_miss(&table);
+        fill(&mut table);
+        table.clear();
+        all_miss(&table);
+    }
+
+    #[test]
+    fn a_duplicate_in_one_batch_is_a_miss_then_a_hit() {
+        let mut sys = AccessControlSystem::new_online();
+        let (alice, bob) = (sys.add_user("Alice"), sys.add_user("Bob"));
+        sys.add_relationship(alice, "friend", bob);
+        let rid = sys.add_resource(alice);
+        sys.add_rule(rid, "friend+[1]").unwrap();
+        let plans = [
+            CheckPlan::Targeted,
+            CheckPlan::Audience(BundleStrategy::Batched),
+        ];
+        for plan in plans {
+            sys.apply(&crate::Mutation::SetUserAttr {
+                user: alice,
+                key: "age".to_owned(),
+                value: 30i64.into(),
+            })
+            .unwrap(); // a write: nothing stays cached
+            let reads = sys.service();
+            let (hits, misses) = reads.cache_stats();
+            let requests = [(rid, bob), (rid, alice), (rid, bob)];
+            let (decisions, _) = reads.check_batch_forced(&requests, 1, plan).unwrap();
+            assert_eq!(decisions, [Decision::Grant; 3], "{plan:?}");
+            let (h, m) = reads.cache_stats();
+            assert_eq!((h - hits, m - misses), (1, 1), "{plan:?}");
+        }
+    }
 }

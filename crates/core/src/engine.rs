@@ -167,7 +167,8 @@ pub fn resource_audience<E: AccessEngine>(
 
 /// Caching policy enforcer: intercepts access requests, consults the
 /// policy store, delegates to the engine and memoizes decisions until
-/// invalidated (graph or policy mutation). The experiments wrap each
+/// invalidated (graph or policy mutation), in a bounded table that
+/// keeps at most 2^18 of them and evicts the oldest beyond that. The experiments wrap each
 /// engine in one to compare them on the same requests; the serving
 /// backends evaluate the online engine directly
 /// ([`crate::AccessControlSystem`]).
@@ -209,13 +210,14 @@ impl<E: AccessEngine> Enforcer<E> {
         Ok(d)
     }
 
-    /// Drops every cached decision — the right call after mutations
-    /// of the graph or the policy store the enforcer is handed.
+    /// Retires every cached decision in O(1) by bumping the decision
+    /// cache's generation — the right call after mutations of the
+    /// graph or the policy store the enforcer is handed.
     pub fn invalidate_decisions(&self) {
         self.decisions.clear();
     }
 
-    /// Drops every cached decision **and** the calling thread's
+    /// Retires every cached decision **and** drops the calling thread's
     /// snapshot cache ([`online::release_thread_snapshot`]) — the
     /// conservative reset when the enforcer may next see an unrelated
     /// graph. (Only the calling thread's cache can be dropped from

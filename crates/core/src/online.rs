@@ -412,8 +412,9 @@ pub fn evaluate(
 }
 
 /// [`evaluate`] over a caller-provided snapshot (no cache probe, no
-/// build). Falls back to [`evaluate_reference`] when the snapshot is
-/// stale for `g` or the dense product space would be unreasonable.
+/// build). Falls back to [`evaluate_reference`] when the dense product
+/// space would be unreasonable. A snapshot stale for `g` is a caller's
+/// bug: debug builds panic on one, release builds fall back too.
 pub fn evaluate_with_snapshot(
     g: &SocialGraph,
     snap: &CsrSnapshot,
@@ -424,7 +425,9 @@ pub fn evaluate_with_snapshot(
     if path.is_empty() {
         return OnlineOutcome::empty_path(owner, target);
     }
-    if !snap.matches(g) {
+    let current = snap.matches(g);
+    debug_assert!(current, "stale snapshot: every caller hands a current one");
+    if !current {
         return evaluate_reference(g, owner, path, target);
     }
 
@@ -1289,6 +1292,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "stale snapshot"))]
     fn stale_snapshot_falls_back_to_current_graph_semantics() {
         let mut g = chain();
         let snap = g.snapshot();
@@ -1558,10 +1562,12 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "stale snapshot"))]
     fn seeded_flat_and_sparse_agree() {
-        // A snapshot of another graph is stale for `g`, so the engine runs
-        // its sparse variant over `g`'s adjacency (the pool lends it
-        // nothing). Both variants match, export, stop and trace alike.
+        // A snapshot of another graph is stale for `g`: release builds
+        // run the sparse variant over `g`'s adjacency (the pool lends it
+        // nothing), debug builds panic on it. Both variants match,
+        // export, stop and trace alike.
         let mut g = chain();
         let [alice, bob, carol, dave] =
             ["Alice", "Bob", "Carol", "Dave"].map(|n| g.node_by_name(n).unwrap());
@@ -1589,6 +1595,11 @@ mod tests {
             let trace = state.trace(carol, step, depth);
             (out.matched, out.exports, (step, depth), trace)
         };
+        let flat = run(&snap);
+        assert!(!flat.1.is_empty(), "Bob is on the friend walk");
+        assert!(flat.0.contains(&(dave, 1)), "depth 99 saturates to 3");
+        let (hops, seed) = flat.3.as_ref().expect("Carol's hit traces");
+        assert_eq!((hops.len(), *seed), (1, (bob, 0, 2)), "one hop past a seed");
         let takes = thread_cache_stats().mask_pool.takes;
         let sparse = run(&stale);
         assert_eq!(
@@ -1596,12 +1607,7 @@ mod tests {
             takes,
             "a stale snapshot runs the sparse variant"
         );
-        let flat = run(&snap);
         assert_eq!(flat, sparse);
-        assert!(!flat.1.is_empty(), "Bob is on the friend walk");
-        assert!(flat.0.contains(&(dave, 1)), "depth 99 saturates to 3");
-        let (hops, seed) = flat.3.expect("Carol's hit traces");
-        assert_eq!((hops.len(), seed), (1, (bob, 0, 2)), "one hop past a seed");
     }
 
     /// Collects a masked run's audiences per condition bit, sorted.

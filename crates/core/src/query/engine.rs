@@ -39,8 +39,9 @@
 //!
 //! Two variants give identical answers: the flat one over dense arrays
 //! when the product space is reasonable, and a sparse HashMap mirror
-//! for degenerate product spaces (astronomical saturation depths) and
-//! snapshots stale for the graph. The flat variant owns no array of its
+//! for degenerate product spaces (astronomical saturation depths) and —
+//! in release builds; debug builds panic, since every caller hands a
+//! current one — snapshots stale for the graph. The flat variant owns no array of its
 //! own: its state directory and slot arena are a `MaskScratch`, taken
 //! from the calling thread's pool by [`PlanBatchState::new`] and given
 //! back — zeroed in `O(states reached)` — when the state is dropped.
@@ -151,9 +152,10 @@ fn flat_plan_dimensions(snap: &CsrSnapshot, nodes: &[PlanNode]) -> Option<(u32, 
 impl PlanBatchState {
     /// State for evaluating `nodes` over `snap`/`g`. Picks the flat
     /// dense-array variant (arrays from this thread's scratch pool)
-    /// when the product space is reasonable and the snapshot current,
-    /// and the sparse mirror otherwise — run results are identical
-    /// either way.
+    /// when the product space is reasonable, and the sparse mirror
+    /// otherwise — run results are identical either way. `snap` must
+    /// be current for `g`: debug builds panic on a stale one, release
+    /// builds take the sparse mirror.
     pub fn new(g: &SocialGraph, snap: &CsrSnapshot, nodes: &[PlanNode]) -> Self {
         Self::build(g, snap, nodes, false)
     }
@@ -172,7 +174,9 @@ impl PlanBatchState {
             !nodes.is_empty(),
             "a plan chunk traverses at least one node"
         );
-        let inner = match if snap.matches(g) {
+        let current = snap.matches(g);
+        debug_assert!(current, "stale snapshot: every caller hands a current one");
+        let inner = match if current {
             flat_plan_dimensions(snap, nodes)
         } else {
             None
@@ -822,6 +826,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "stale snapshot"))]
     fn stale_snapshots_fall_back_to_the_current_graph() {
         let mut g = fixture();
         let snap = g.snapshot();

@@ -25,7 +25,8 @@
 //! epoch's `Arc` and traverses the immutable index lock-free. Every
 //! **mutation** — adding members, relationships, resources or rules —
 //! takes `&mut self`, guaranteeing exclusivity, and only *stales*
-//! derived state: the decision cache drops immediately, while the
+//! derived state: the decision cache bumps its generation, which
+//! retires every cached decision at once, while the
 //! published snapshot is retained so the next read can republish it
 //! **incrementally** ([`CsrSnapshot::apply_edge_appends`] — the system
 //! owns its graph, so the append-only lineage the patch requires holds

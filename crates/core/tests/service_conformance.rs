@@ -584,6 +584,58 @@ fn unknown_member_ids_are_typed_refusals_everywhere() {
     }
 }
 
+/// A write that narrows an audience revokes a cached grant: Cleo's
+/// grant under `friend+[1,2]{age>=18}` is answered from the decision
+/// cache, a `SetUserAttr` then takes her under 18, and the next check
+/// denies — on both check routes of every backend behind every
+/// decorator. A cache that outlived the write would serve the grant.
+#[test]
+fn a_narrowing_write_revokes_a_cached_grant_everywhere() {
+    let wraps = [
+        Wrap::Bare,
+        Wrap::Durable,
+        Wrap::Planned(PlannerMode::Adaptive),
+    ];
+    let plans = [
+        CheckPlan::Targeted,
+        CheckPlan::Audience(BundleStrategy::Batched),
+    ];
+    for wrap in wraps {
+        for (tag, deployment) in deployments().into_iter().enumerate() {
+            let (mut svc, rids) = Wrapped::scripted(&deployment, wrap, 200 + tag);
+            let album = rids[0];
+            let cleo = svc.reads().resolve_user("Cleo").unwrap();
+            for plan in plans {
+                let tag = format!("{plan:?} on {wrap:?} over {}", deployment.describe());
+                let check = |svc: &Wrapped| {
+                    let reads = svc.reads();
+                    reads
+                        .check_batch_forced(&[(album, cleo)], 1, plan)
+                        .unwrap()
+                        .0[0]
+                };
+                let set_age = |svc: &mut Wrapped, age: i64| {
+                    let user = cleo;
+                    let (key, value) = ("age".to_owned(), age.into());
+                    let write = Mutation::SetUserAttr { user, key, value };
+                    svc.writes().apply(&write).unwrap();
+                };
+                set_age(&mut svc, 26);
+                assert_eq!(check(&svc), Decision::Grant, "{tag}");
+                let (hits, misses) = svc.reads().cache_stats();
+                assert_eq!(check(&svc), Decision::Grant, "{tag}");
+                assert_eq!(
+                    svc.reads().cache_stats(),
+                    (hits + 1, misses),
+                    "the grant is served from the cache ({tag})"
+                );
+                set_age(&mut svc, 16);
+                assert_eq!(check(&svc), Decision::Deny, "revoked ({tag})");
+            }
+        }
+    }
+}
+
 /// Routes agree on decisions **and** cache accounting: one script with
 /// owner requests, duplicate requests and already-cached requests is
 /// decided under every [`CheckPlan`] on fresh twins of every backend;

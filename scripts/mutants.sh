@@ -4,8 +4,9 @@
 # behind it (the grant rule), the partitioned read and write paths, the
 # durability layer (WAL scanning, replay, snapshot export), the
 # engines' path semantics (depth bounds, the plan compiler's step
-# canonicalization), and snapshot publication (the copy-on-write page
-# patch, the publisher's currency check).
+# canonicalization), snapshot publication (the copy-on-write page
+# patch, the publisher's currency check), and the decision cache (its
+# generation bump on every write, its whole-key match).
 #
 # Each tests/mutants/*.patch is one small, deliberate bug. Its header
 # names the bug and the test suites that must kill it:
