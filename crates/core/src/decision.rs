@@ -34,12 +34,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 ///
 /// The decisions live in a bounded table ([`DecisionTable`]): 4-way
 /// sets of 16-byte slots, starting at 1 Ki slots (16 KB) and doubling
-/// only when an insert would evict a current decision, up to
-/// [`MAX_SLOTS`] (4 MB). Once there, an insert into a full set evicts
-/// that set's oldest decision. A lookup takes the read lock, an insert
-/// the write lock. Every slot is stamped with the generation it was
-/// decided in, so [`DecisionCache::clear`] — called after every write —
-/// retires all of them at once by bumping the generation.
+/// only when an insert would evict a current decision from a table at
+/// least a quarter full, up to [`MAX_SLOTS`] (4 MB). Otherwise an
+/// insert into a full set evicts that set's oldest decision. A lookup
+/// takes the read lock, an insert the write lock. Every slot is stamped
+/// with the generation it was decided in, so [`DecisionCache::clear`] —
+/// called after every write — retires all of them at once by bumping
+/// the generation.
 #[derive(Debug, Default)]
 pub(crate) struct DecisionCache {
     table: RwLock<DecisionTable>,
@@ -133,8 +134,8 @@ impl DecisionTable {
 
     /// The first slot of the set `(rid, requester)` lives in.
     fn set_at(&self, rid: u64, requester: u32) -> usize {
-        let key = rid ^ (u64::from(requester) << 32);
-        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize * WAYS
+        let h = rid.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ u64::from(requester);
+        (h.wrapping_mul(0xBF58_476D_1CE4_E5B9) >> self.shift) as usize * WAYS
     }
 
     fn get(&self, rid: ResourceId, requester: NodeId) -> Option<Decision> {
@@ -158,7 +159,11 @@ impl DecisionTable {
 
     fn put(&mut self, slot: Slot) {
         let at = self.set_at(slot.rid, slot.requester);
-        let (generation, capped) = (self.generation, self.slots.len() == MAX_SLOTS);
+        let generation = self.generation;
+        // Some set overflows long before the table fills (the larger the
+        // table, the sooner), so a table under a quarter full evicts
+        // instead of doubling.
+        let grows = self.slots.len() < MAX_SLOTS && self.live >= self.slots.len() / 4;
         let set = &mut self.slots[at..at + WAYS];
         let way = set.iter().position(|s| {
             s.stamp >> 1 != generation || (s.rid, s.requester) == (slot.rid, slot.requester)
@@ -170,7 +175,7 @@ impl DecisionTable {
                 }
                 way
             }
-            None if !capped => {
+            None if grows => {
                 self.grow();
                 return self.put(slot);
             }
@@ -729,9 +734,16 @@ mod tests {
                 assert_eq!(got, Some(decision(i.is_multiple_of(2))), "{rid}/{req}");
             }
             // A set-mate never inserted is a miss, not a neighbour's hit.
-            let stranger = set_mates(&table, first, vary_rid, WAYS)[WAYS - 1];
-            assert_eq!(table.get(ResourceId(stranger.0), NodeId(stranger.1)), None);
-            assert_eq!(table.live, WAYS);
+            let (rid, req) = set_mates(&table, first, vary_rid, WAYS)[WAYS - 1];
+            assert_eq!(table.get(ResourceId(rid), NodeId(req)), None);
+            // A sparse table evicts the set's oldest decision instead of
+            // doubling.
+            table.insert(ResourceId(rid), NodeId(req), Decision::Deny);
+            assert_eq!((table.slots.len(), table.live), (MIN_SLOTS, WAYS));
+            assert_eq!(table.get(ResourceId(first.0), NodeId(first.1)), None);
+            for &(rid, req) in keys[1..].iter().chain([&(rid, req)]) {
+                assert!(table.get(ResourceId(rid), NodeId(req)).is_some());
+            }
         }
     }
 
@@ -775,7 +787,12 @@ mod tests {
             for &(rid, req) in &keys {
                 table.insert(rid, req, Decision::Grant);
             }
-            assert_eq!(table.live, keys.len());
+            let hits = keys
+                .iter()
+                .filter(|&&(rid, req)| table.get(rid, req).is_some());
+            let hits = hits.count();
+            assert!(hits > keys.len() / 2, "{hits} of {} kept", keys.len());
+            assert_eq!(table.live, hits);
         };
         let all_miss = |table: &DecisionTable| {
             assert_eq!(table.live, 0);

@@ -168,9 +168,9 @@ pub fn resource_audience<E: AccessEngine>(
 /// Caching policy enforcer: intercepts access requests, consults the
 /// policy store, delegates to the engine and memoizes decisions until
 /// invalidated (graph or policy mutation), in a bounded table that
-/// keeps at most 2^18 of them and evicts the oldest beyond that. The experiments wrap each
-/// engine in one to compare them on the same requests; the serving
-/// backends evaluate the online engine directly
+/// keeps at most 2^18 of them and evicts a full set's oldest. The
+/// experiments wrap each engine in one to compare them on the same
+/// requests; the serving backends evaluate the online engine directly
 /// ([`crate::AccessControlSystem`]).
 #[derive(Debug)]
 pub struct Enforcer<E> {
