@@ -171,7 +171,9 @@
 //! crate-private `decision` module, with everything else a read does:
 //! the split of a batch by kind, the choice of route, the targeted
 //! loop, the membership route of a check batch, the bundle merge, the
-//! query scatter and the census attribution. A backend contributes only
+//! query scatter, the census attribution and the decision cache (a
+//! bounded table that every write retires at once by bumping its
+//! generation). A backend contributes only
 //! how it evaluates conditions — a walk of the online engine over the
 //! single graph's published snapshot (pinned only after a cache miss),
 //! or the masked fixpoint over the partitioned coordinator's shard

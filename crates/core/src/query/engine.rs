@@ -39,12 +39,13 @@
 //!
 //! Two variants give identical answers: the flat one over dense arrays
 //! when the product space is reasonable, and a sparse HashMap mirror
-//! for degenerate product spaces (astronomical saturation depths) and —
-//! in release builds; debug builds panic, since every caller hands a
-//! current one — snapshots stale for the graph. The flat variant owns no array of its
-//! own: its state directory and slot arena are a `MaskScratch`, taken
-//! from the calling thread's pool by [`PlanBatchState::new`] and given
-//! back — zeroed in `O(states reached)` — when the state is dropped.
+//! for degenerate product spaces (astronomical saturation depths) and,
+//! in release builds, snapshots stale for the graph (debug builds panic
+//! on one: every caller hands a current one). The flat variant owns no
+//! array of its own: its state directory and slot arena are a
+//! `MaskScratch`, taken from the calling thread's pool by
+//! [`PlanBatchState::new`] and given back — zeroed in
+//! `O(states reached)` — when the state is dropped.
 //! The all-zero invariant, who resets, and why parents need no reset
 //! are written once, in [`crate::online`]'s module docs; this engine
 //! only ever reaches the masks through `MaskMarks`, which is what keeps

@@ -26,8 +26,8 @@
 //! **mutation** — adding members, relationships, resources or rules —
 //! takes `&mut self`, guaranteeing exclusivity, and only *stales*
 //! derived state: the decision cache bumps its generation, which
-//! retires every cached decision at once, while the
-//! published snapshot is retained so the next read can republish it
+//! retires every cached decision at once, while the published
+//! snapshot is retained so the next read can republish it
 //! **incrementally** ([`CsrSnapshot::apply_edge_appends`] — the system
 //! owns its graph, so the append-only lineage the patch requires holds
 //! by construction). The patch rebuilds only the index pages the new
