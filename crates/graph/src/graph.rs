@@ -129,7 +129,6 @@ impl SocialGraph {
 
     /// The graph's mutation generation: a process-unique stamp advanced
     /// by every mutating operation (topology *and* attribute writes).
-    /// Decision caches key on this one.
     pub fn generation(&self) -> u64 {
         self.generation
     }
