@@ -1019,6 +1019,31 @@ pub fn evaluate_reference(
     }
 }
 
+/// Runs a read that is handed a stale snapshot on purpose. Debug builds
+/// must panic with "stale snapshot" (`None`); release builds fall back
+/// and return the read's result for the caller to check.
+#[cfg(test)]
+pub(crate) fn on_stale_snapshot<R>(read: impl FnOnce() -> R) -> Option<R> {
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(read));
+    if !cfg!(debug_assertions) {
+        return Some(outcome.unwrap_or_else(|p| std::panic::resume_unwind(p)));
+    }
+    let payload = match outcome {
+        Ok(_) => panic!("debug builds must panic on a stale snapshot"),
+        Err(payload) => payload,
+    };
+    let message = payload
+        .downcast_ref::<&str>()
+        .map(|m| m.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_default();
+    assert!(
+        message.contains("stale snapshot"),
+        "unexpected panic: {message}"
+    );
+    None
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1292,7 +1317,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(debug_assertions, should_panic(expected = "stale snapshot"))]
     fn stale_snapshot_falls_back_to_current_graph_semantics() {
         let mut g = chain();
         let snap = g.snapshot();
@@ -1300,8 +1324,10 @@ mod tests {
         let dave = g.node_by_name("Dave").unwrap();
         g.connect(alice, "friend", dave); // invalidates `snap`
         let p = parse(&mut g, "friend+[1]");
-        let out = evaluate_with_snapshot(&g, &snap, alice, &p, Some(dave));
-        assert!(out.granted, "stale snapshot must not hide the new edge");
+        let read = || evaluate_with_snapshot(&g, &snap, alice, &p, Some(dave));
+        if let Some(out) = on_stale_snapshot(read) {
+            assert!(out.granted, "stale snapshot must not hide the new edge");
+        }
     }
 
     #[test]
@@ -1562,7 +1588,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(debug_assertions, should_panic(expected = "stale snapshot"))]
     fn seeded_flat_and_sparse_agree() {
         // A snapshot of another graph is stale for `g`: release builds
         // run the sparse variant over `g`'s adjacency (the pool lends it
@@ -1601,13 +1626,14 @@ mod tests {
         let (hops, seed) = flat.3.as_ref().expect("Carol's hit traces");
         assert_eq!((hops.len(), *seed), (1, (bob, 0, 2)), "one hop past a seed");
         let takes = thread_cache_stats().mask_pool.takes;
-        let sparse = run(&stale);
-        assert_eq!(
-            thread_cache_stats().mask_pool.takes,
-            takes,
-            "a stale snapshot runs the sparse variant"
-        );
-        assert_eq!(flat, sparse);
+        if let Some(sparse) = on_stale_snapshot(|| run(&stale)) {
+            assert_eq!(
+                thread_cache_stats().mask_pool.takes,
+                takes,
+                "a stale snapshot runs the sparse variant"
+            );
+            assert_eq!(flat, sparse);
+        }
     }
 
     /// Collects a masked run's audiences per condition bit, sorted.
