@@ -57,7 +57,7 @@
 //! | [`engine`] | §1, §3 | the engine trait the experiments swap (`name`, `check`, `audience`) and the caching enforcer over it |
 //! | [`service`] | — | the deployment-agnostic serving API: `AccessService` / `MutateService` traits, the `Mutation` write vocabulary (applied by every backend, logged by the WAL), request/response vocabulary, `Deployment` builder |
 //! | [`query`] | — | openCypher-flavored query front-end + shared-prefix bundle plan compiler and its masked trie engine |
-//! | [`planner`] | — | telemetry-fed adaptive read planner: per-resource decaying profiles pick the winning engine per bundle |
+//! | [`planner`] | — | telemetry-fed adaptive read planner: one measured argmin over per-resource decayed route costs picks each bundle's and check batch's route |
 //! | [`system`] | — | single-graph backend (`AccessControlSystem`), evaluated online |
 //! | [`coordinator`] | — | the partitioned coordinator over N shard links: placement, ghosts, boundary table, the cross-shard reads and writes of both partitioned backends |
 //! | `link` | — | `ShardLink`: how the coordinator reaches a shard, and the in-process link |
@@ -201,8 +201,7 @@
 //! where paths diverge — on the single graph, inside the sharded
 //! fixpoint, and across the wire (a plan session). The compression
 //! achieved is reported per read as
-//! [`ReadStats::plan_states`]/[`ReadStats::expr_states`] and feeds the
-//! adaptive planner's per-resource profiles. A bundle past the
+//! [`ReadStats::plan_states`]/[`ReadStats::expr_states`]. A bundle past the
 //! plan's `u16` node budget is bisected into several plans and served
 //! through the same code (one *path* past that budget,
 //! [`PathExpr::MAX_STEPS`], is refused by both parsers with a caret
@@ -246,9 +245,7 @@ pub use error::{EvalError, ParseError};
 pub use joinengine::{JoinEngineConfig, JoinIndexEngine, JoinStrategy};
 pub use lineplan::{plan, LinePlan, LineQuery, PlanConfig};
 pub use path::{parse_path, AttrPredicate, CmpOp, DepthSet, PathExpr, Step};
-pub use planner::{
-    CostEstimate, PlannedService, Planner, PlannerMode, PlannerTally, ResourceProfile,
-};
+pub use planner::{PlannedService, Planner, PlannerMode, PlannerTally};
 pub use policy::{AccessCondition, AccessRule, Decision, PolicyStore, ResourceId};
 pub use query::{parse_policy, parse_query, render_query, BundlePlan};
 pub use remote::{NetworkedSystem, RemoteError, ShardAddr, ShardHandle, ShardServer};

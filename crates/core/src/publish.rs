@@ -39,16 +39,14 @@ pub(crate) struct Publisher {
 
 impl Publisher {
     /// A snapshot current for `g`: the published epoch when it still
-    /// matches, otherwise a new epoch patched from it or rebuilt. `None`
-    /// for a graph that cannot be validated against a snapshot
-    /// (generation 0: deserialized without `rebuild_lookups`).
-    pub(crate) fn current(&self, g: &SocialGraph) -> Option<Arc<CsrSnapshot>> {
-        if g.topology_generation() == 0 {
-            return None;
-        }
+    /// matches, otherwise a new epoch patched from it or rebuilt. `g`
+    /// has a topology generation (a deserialized graph has been through
+    /// `rebuild_lookups`): a snapshot of generation 0 is never current.
+    pub(crate) fn current(&self, g: &SocialGraph) -> Arc<CsrSnapshot> {
+        debug_assert_ne!(g.topology_generation(), 0, "a graph without lookups");
         if let Some(s) = self.published.read().as_ref() {
             if s.matches(g) {
-                return Some(Arc::clone(s));
+                return Arc::clone(s);
             }
         }
         // Double-check under the write lock: concurrent cold readers
@@ -57,14 +55,14 @@ impl Publisher {
         let mut slot = self.published.write();
         if let Some(s) = slot.as_ref() {
             if s.matches(g) {
-                return Some(Arc::clone(s));
+                return Arc::clone(s);
             }
         }
         let patched = slot.as_ref().and_then(|base| base.apply_edge_appends(g));
         let fresh = Arc::new(patched.unwrap_or_else(|| CsrSnapshot::build(g)));
         *slot = Some(Arc::clone(&fresh));
         self.epoch.fetch_add(1, Ordering::Relaxed);
-        Some(fresh)
+        fresh
     }
 
     /// Number of publications since construction (each build or patch
@@ -102,7 +100,7 @@ mod tests {
     /// Whether `requester` satisfies `path` from Alice, over the
     /// snapshot `p` publishes for `g`.
     fn granted(p: &Publisher, g: &SocialGraph, path: &PathExpr, requester: NodeId) -> bool {
-        let snap = p.current(g).expect("a built graph publishes");
+        let snap = p.current(g);
         let alice = g.node_by_name("Alice").unwrap();
         online::evaluate_with_snapshot(g, &snap, alice, path, Some(requester)).granted
     }
@@ -176,7 +174,7 @@ mod tests {
             g.add_edge(NodeId(i % 3), v, friend);
         }
         let publisher = Publisher::default();
-        let pinned = publisher.current(&g).expect("a built graph publishes");
+        let pinned = publisher.current(&g);
         let epoch = publisher.epoch();
         // Built independently, so it shares no page with `pinned`.
         let expected = CsrSnapshot::build(&g);

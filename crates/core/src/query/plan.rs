@@ -204,7 +204,7 @@ impl BundlePlan {
     /// Automaton states one-chain-per-condition evaluation would
     /// occupy: every condition pays for its full path. The ratio
     /// `plan_states / expr_states` is the shared-prefix compression
-    /// the planner's telemetry tracks.
+    /// a read's census reports.
     pub fn expr_states(&self) -> usize {
         self.chains
             .iter()

@@ -104,8 +104,7 @@ pub struct ReadStats {
     pub plan_states: usize,
     /// Automaton layers the same bundle occupies with one chain per
     /// condition (no sharing). `1 − plan_states / expr_states` is the
-    /// bundle's shared-prefix hit rate — the telemetry
-    /// [`crate::planner::PlannedService`] learns from.
+    /// bundle's shared-prefix hit rate ([`ReadStats::prefix_share`]).
     pub expr_states: usize,
 }
 

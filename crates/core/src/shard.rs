@@ -178,10 +178,7 @@ impl ShardCore {
         one_path: bool,
         parents: bool,
     ) -> Session<'a> {
-        let snap = self
-            .snapshots
-            .current(&self.graph)
-            .expect("a shard's graph is built, never deserialized");
+        let snap = self.snapshots.current(&self.graph);
         let engine = if parents {
             PlanBatchState::with_parents(&self.graph, &snap, &nodes)
         } else {

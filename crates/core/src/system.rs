@@ -39,7 +39,7 @@
 
 use crate::decision::{self, DecisionCache, Ground};
 use crate::error::EvalError;
-use crate::online::{self, OnlineOutcome};
+use crate::online;
 use crate::path::PathExpr;
 use crate::policy::{AccessCondition, PolicyStore};
 use crate::publish::Publisher;
@@ -84,8 +84,14 @@ impl AccessControlSystem {
     }
 
     /// [`AccessControlSystem::from_graph`] without the copy: the system
-    /// takes `g` itself.
-    pub(crate) fn adopting(g: SocialGraph) -> Self {
+    /// takes `g` itself. A graph deserialized without
+    /// [`SocialGraph::rebuild_lookups`] (topology generation 0, no name
+    /// lookup) gets its lookups rebuilt, so it resolves names and
+    /// publishes snapshots like any other.
+    pub(crate) fn adopting(mut g: SocialGraph) -> Self {
+        if g.topology_generation() == 0 {
+            g.rebuild_lookups();
+        }
         let mut sys = Self::new_online();
         sys.graph = g;
         sys
@@ -144,20 +150,6 @@ impl AccessControlSystem {
         // patches it incrementally (appends).
         self.decisions.clear();
     }
-
-    /// Evaluates `cond` over `snap`, or — when nothing can be published
-    /// (generation 0) — on the reference engine.
-    fn evaluate(
-        &self,
-        snap: Option<&CsrSnapshot>,
-        (owner, path): (NodeId, &PathExpr),
-        target: Option<NodeId>,
-    ) -> OnlineOutcome {
-        match snap {
-            Some(snap) => online::evaluate_with_snapshot(&self.graph, snap, owner, path, target),
-            None => online::evaluate_reference(&self.graph, owner, path, target),
-        }
-    }
 }
 
 /// One early-exit walk per request, whatever the batch size.
@@ -168,7 +160,7 @@ fn default_check_plan(_len: usize) -> CheckPlan {
 /// The single graph under the decision layer: conditions are
 /// evaluated by the online engine over the published snapshot.
 impl decision::Evaluate for AccessControlSystem {
-    type Pin = Option<Arc<CsrSnapshot>>;
+    type Pin = Arc<CsrSnapshot>;
 
     fn ground(&self) -> Ground<'_> {
         Ground {
@@ -191,7 +183,13 @@ impl decision::Evaluate for AccessControlSystem {
         cond: &AccessCondition,
         requester: NodeId,
     ) -> Result<(bool, ReadStats), EvalError> {
-        let out = self.evaluate(pin.as_deref(), (cond.owner, &cond.path), Some(requester));
+        let out = online::evaluate_with_snapshot(
+            &self.graph,
+            pin,
+            cond.owner,
+            &cond.path,
+            Some(requester),
+        );
         Ok((out.granted, ReadStats::one_pass(out.stats.states_visited)))
     }
 
@@ -203,7 +201,13 @@ impl decision::Evaluate for AccessControlSystem {
         // The published snapshot, not the thread cache: reads of every
         // kind share one epoch.
         let snap = self.snapshots.current(&self.graph);
-        let out = self.evaluate(snap.as_deref(), (cond.owner, &cond.path), Some(requester));
+        let out = online::evaluate_with_snapshot(
+            &self.graph,
+            &snap,
+            cond.owner,
+            &cond.path,
+            Some(requester),
+        );
         let hops = out.witness.map(|witness| {
             witness
                 .into_iter()
@@ -221,17 +225,16 @@ impl decision::Evaluate for AccessControlSystem {
         Ok((hops, ReadStats::one_pass(out.stats.states_visited)))
     }
 
-    /// `Batched` runs the bundle's shared-prefix plans; `PerCondition` —
-    /// and `Batched` with nothing published — one traversal per
-    /// condition. Both return identical audiences.
+    /// `Batched` runs the bundle's shared-prefix plans; `PerCondition`
+    /// one traversal per condition. Both return identical audiences.
     fn audiences(
         &self,
         conds: &[(NodeId, &PathExpr)],
         strategy: BundleStrategy,
     ) -> Result<(Vec<Vec<NodeId>>, ReadStats), EvalError> {
         let snap = self.snapshots.current(&self.graph);
-        if let (Some(snap), BundleStrategy::Batched) = (&snap, strategy) {
-            return Ok(query::evaluate_bundle_audiences(&self.graph, snap, conds));
+        if strategy == BundleStrategy::Batched {
+            return Ok(query::evaluate_bundle_audiences(&self.graph, &snap, conds));
         }
         let mut stats = ReadStats {
             conditions: conds.len(),
@@ -241,8 +244,8 @@ impl decision::Evaluate for AccessControlSystem {
         };
         let audiences = conds
             .iter()
-            .map(|&cond| {
-                let out = self.evaluate(snap.as_deref(), cond, None);
+            .map(|&(owner, path)| {
+                let out = online::evaluate_with_snapshot(&self.graph, &snap, owner, path, None);
                 stats.states_expanded += out.stats.states_visited;
                 out.matched
             })
@@ -304,7 +307,7 @@ impl MutateService for AccessControlSystem {
 mod tests {
     use super::*;
     use crate::policy::{Decision, ResourceId};
-    use crate::service::Explanation;
+    use crate::service::{Deployment, Explanation};
 
     fn populated() -> (AccessControlSystem, ResourceId) {
         let mut sys = AccessControlSystem::new_online();
@@ -473,6 +476,49 @@ mod tests {
         let batched = sys.service().audience_batch(&bundle).unwrap();
         for (&r, batch) in bundle.iter().zip(&batched) {
             assert_eq!(batch, &sys.service().audience(r).unwrap());
+        }
+    }
+
+    /// A graph decoded by serde without `rebuild_lookups` (topology
+    /// generation 0, no name lookup) serves like the original: names
+    /// resolve, and both check routes and both bundle strategies answer
+    /// as the original does.
+    #[test]
+    fn a_decoded_graph_without_lookups_serves_like_the_original() {
+        let (mut sys, rid) = populated();
+        let bob = sys.user("Bob").unwrap();
+        let rid2 = sys.add_resource(bob);
+        sys.add_rule(rid2, "friend-[1]/friend+[1..2]").unwrap();
+        let json = serde_json::to_string(sys.graph()).unwrap();
+        let decoded: SocialGraph = serde_json::from_str(&json).unwrap();
+        assert_eq!(decoded.topology_generation(), 0);
+        let revived = Deployment::online().from_graph(&decoded, sys.store().clone());
+        let (reads, original) = (revived.reads(), sys.service());
+        for member in sys.graph().nodes() {
+            let name = sys.graph().node_name(member);
+            assert_eq!(reads.resolve_user(name).unwrap(), member);
+        }
+        let rids = [rid, rid2];
+        let requests: Vec<_> = rids
+            .iter()
+            .flat_map(|&r| sys.graph().nodes().map(move |m| (r, m)))
+            .collect();
+        for plan in [
+            CheckPlan::Targeted,
+            CheckPlan::Audience(BundleStrategy::Batched),
+        ] {
+            assert_eq!(
+                reads.check_batch_forced(&requests, 1, plan).unwrap().0,
+                original.check_batch_forced(&requests, 1, plan).unwrap().0,
+                "{plan:?}"
+            );
+        }
+        for strategy in [BundleStrategy::Batched, BundleStrategy::PerCondition] {
+            assert_eq!(
+                reads.audience_batch_forced(&rids, strategy).unwrap().0,
+                original.audience_batch_forced(&rids, strategy).unwrap().0,
+                "{strategy:?}"
+            );
         }
     }
 

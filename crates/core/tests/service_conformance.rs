@@ -636,6 +636,55 @@ fn a_narrowing_write_revokes_a_cached_grant_everywhere() {
     }
 }
 
+/// A read publishes an epoch, then topology grows: an `AddRelationship`
+/// opens a new grant on the feed (Femi joins at friend depth 4 of its
+/// owner Ava; on the second route Gus at depth 2), and an `AddUser`
+/// joins a member with a friend edge from Ava. The next check batch
+/// grants both, on each check route of every backend behind every
+/// decorator. A publisher that kept serving the read's epoch would deny
+/// them.
+#[test]
+fn topology_written_after_a_read_is_seen_everywhere() {
+    let wraps = [
+        Wrap::Bare,
+        Wrap::Durable,
+        Wrap::Planned(PlannerMode::Adaptive),
+    ];
+    let growth = [
+        (CheckPlan::Targeted, ("Dan", "Femi"), "Kai"),
+        (
+            CheckPlan::Audience(BundleStrategy::Batched),
+            ("Edith", "Gus"),
+            "Lea",
+        ),
+    ];
+    for wrap in wraps {
+        for (tag, deployment) in deployments().into_iter().enumerate() {
+            let (mut svc, rids) = Wrapped::scripted(&deployment, wrap, 300 + tag);
+            let feed = rids[1];
+            for (plan, (src, dst), joiner) in growth {
+                let tag = format!("{plan:?} on {wrap:?} over {}", deployment.describe());
+                let check = |svc: &Wrapped, requests: &[(ResourceId, NodeId)]| {
+                    let reads = svc.reads();
+                    reads.check_batch_forced(requests, 1, plan).unwrap().0
+                };
+                let id = |name: &str| svc.reads().resolve_user(name).unwrap();
+                let (ava, src, dst) = (id("Ava"), id(src), id(dst));
+                assert_eq!(check(&svc, &[(feed, dst)]), [Decision::Deny], "{tag}");
+                let writes = svc.writes();
+                writes.add_relationship(src, "friend", dst);
+                let joined = writes.add_user(joiner);
+                writes.add_relationship(ava, "friend", joined);
+                assert_eq!(
+                    check(&svc, &[(feed, dst), (feed, joined)]),
+                    [Decision::Grant, Decision::Grant],
+                    "{tag}"
+                );
+            }
+        }
+    }
+}
+
 /// Routes agree on decisions **and** cache accounting: one script with
 /// owner requests, duplicate requests and already-cached requests is
 /// decided under every [`CheckPlan`] on fresh twins of every backend;

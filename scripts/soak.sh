@@ -16,13 +16,14 @@
 #              e.g. to replay the failing seeds of an earlier soak
 #   SUITE      integration suites to run (default: service_conformance
 #              planner_differential query_differential csr_incremental
-#              csr_differential shard_batch_differential)
+#              csr_differential shard_batch_differential
+#              shard_differential plan_properties)
 #
 # Prints one row per (seed, suite) run, then every failing seed, and
 # exits non-zero when any run fails.
 set -euo pipefail
 
-usage() { sed -n '2,22p' "$0" | sed 's/^# \{0,1\}//'; }
+usage() { sed -n '2,23p' "$0" | sed 's/^# \{0,1\}//'; }
 
 count=20
 cases=256
@@ -40,7 +41,8 @@ shift $((OPTIND - 1))
 suites=("$@")
 if [ "${#suites[@]}" -eq 0 ]; then
     suites=(service_conformance planner_differential query_differential
-        csr_incremental csr_differential shard_batch_differential)
+        csr_incremental csr_differential shard_batch_differential
+        shard_differential plan_properties)
 fi
 if [ -z "$seeds" ]; then
     for _ in $(seq "$count"); do
