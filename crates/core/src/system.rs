@@ -39,7 +39,7 @@
 
 use crate::decision::{self, DecisionCache, Ground};
 use crate::error::EvalError;
-use crate::online;
+use crate::online::{self, OnlineOutcome};
 use crate::path::PathExpr;
 use crate::policy::{AccessCondition, PolicyStore};
 use crate::publish::Publisher;
@@ -150,6 +150,16 @@ impl AccessControlSystem {
         // patches it incrementally (appends).
         self.decisions.clear();
     }
+
+    /// Evaluates `cond` for `requester` over the published `snap`.
+    fn evaluate(
+        &self,
+        snap: &CsrSnapshot,
+        cond: &AccessCondition,
+        requester: NodeId,
+    ) -> OnlineOutcome {
+        online::evaluate_with_snapshot(&self.graph, snap, cond.owner, &cond.path, Some(requester))
+    }
 }
 
 /// One early-exit walk per request, whatever the batch size.
@@ -183,13 +193,7 @@ impl decision::Evaluate for AccessControlSystem {
         cond: &AccessCondition,
         requester: NodeId,
     ) -> Result<(bool, ReadStats), EvalError> {
-        let out = online::evaluate_with_snapshot(
-            &self.graph,
-            pin,
-            cond.owner,
-            &cond.path,
-            Some(requester),
-        );
+        let out = self.evaluate(pin, cond, requester);
         Ok((out.granted, ReadStats::one_pass(out.stats.states_visited)))
     }
 
@@ -201,13 +205,7 @@ impl decision::Evaluate for AccessControlSystem {
         // The published snapshot, not the thread cache: reads of every
         // kind share one epoch.
         let snap = self.snapshots.current(&self.graph);
-        let out = online::evaluate_with_snapshot(
-            &self.graph,
-            &snap,
-            cond.owner,
-            &cond.path,
-            Some(requester),
-        );
+        let out = self.evaluate(&snap, cond, requester);
         let hops = out.witness.map(|witness| {
             witness
                 .into_iter()
