@@ -425,7 +425,7 @@ fn dedup(rids: &[ResourceId]) -> Vec<ResourceId> {
 // The decorator
 // ---------------------------------------------------------------------
 
-/// A [`ServiceInstance`] whose bundle reads are routed by a
+/// A [`ServiceInstance`] whose bundle and check reads are routed by a
 /// [`Planner`]. Construct with [`Deployment::planned`] (empty backend)
 /// or [`PlannedService::over`] (existing backend — the bench harness
 /// path). Implements both service traits, so it drops in anywhere a
@@ -456,7 +456,7 @@ impl PlannedService {
         }
     }
 
-    /// The planner (profiles, tallies, decision count).
+    /// The planner (mode, tallies, decision count).
     pub fn planner(&self) -> &Planner {
         &self.planner
     }
