@@ -8,12 +8,12 @@
 //! a socket ([`crate::NetworkedSystem`]).
 //!
 //! A member lives on one **home shard**. A relationship between members
-//! of two shards is a **boundary edge**: it is recorded in the
-//! [`BoundaryTable`] and replicated into both shards against a *ghost*
-//! copy of the remote endpoint, which carries the member's attributes
-//! but is never reported as an audience member. The coordinator keeps
-//! placement, names, ghost lists, the boundary table, the edge log and
-//! the policy store; what a shard holds — its graph and id tables, and
+//! of two shards is a **boundary edge**: an entry of the edge log whose
+//! endpoints have different home shards, replicated into both shards
+//! against a *ghost* copy of the remote endpoint, which carries the
+//! member's attributes but is never reported as an audience member. The
+//! coordinator keeps placement, names, ghost lists, the edge log and the
+//! policy store; what a shard holds — its graph and id tables, and
 //! for a remote shard the attribute tuples that seed new ghosts and the
 //! op log that revives a restarted server — stays behind its link.
 //!
@@ -42,7 +42,7 @@ use crate::service::{
     AccessResponse, AccessService, Applied, BundleStrategy, CheckPlan, MutateService, Mutation,
     ReadBatch, ReadStats, WalkHop,
 };
-use socialreach_graph::shard::{BoundaryEdge, BoundaryTable, ShardAssignment};
+use socialreach_graph::shard::ShardAssignment;
 use socialreach_graph::{AttrKey, AttrValue, LabelId, NodeId, SocialGraph, Vocabulary};
 use std::collections::HashMap;
 
@@ -72,7 +72,7 @@ pub struct BundleFixpointStats {
     /// bundle. Persistence of per-shard mask state across rounds keeps
     /// this linear in the explored region per condition bit.
     pub states_expanded: Vec<usize>,
-    /// Masked boundary exports the router forwarded (new bits only).
+    /// Masked boundary exports the driver forwarded.
     pub exported_states: usize,
     /// Automaton states the shared trie plan occupies — see
     /// [`crate::query::BundlePlan::plan_states`].
@@ -116,7 +116,6 @@ pub struct Mark {
     members: usize,
     ghosts: usize,
     edges: usize,
-    boundary: usize,
 }
 
 impl Mark {
@@ -151,7 +150,6 @@ pub struct Partitioned<L: ShardLink> {
     /// The member of each ghost made, in order (rollback pops them).
     ghost_log: Vec<u32>,
     store: PolicyStore,
-    boundary: BoundaryTable,
     /// Global edge log `(src, label, dst)` in insertion order.
     edges: Vec<(NodeId, LabelId, NodeId)>,
     decisions: DecisionCache,
@@ -165,7 +163,6 @@ impl<L: ShardLink> Partitioned<L> {
             assignment.shards() as usize,
             "one link per shard of the placement"
         );
-        let n = assignment.shards();
         Partitioned {
             assignment,
             vocab: Vocabulary::new(),
@@ -176,7 +173,6 @@ impl<L: ShardLink> Partitioned<L> {
             name_lookup: HashMap::new(),
             ghost_log: Vec::new(),
             store: PolicyStore::new(),
-            boundary: BoundaryTable::new(n),
             edges: Vec::new(),
             decisions: DecisionCache::default(),
         }
@@ -187,6 +183,9 @@ impl<L: ShardLink> Partitioned<L> {
     /// order, flushing each time a batch of shard writes is staged.
     pub(crate) fn load(mut self, g: &SocialGraph) -> Result<Self, L::Error> {
         self.vocab = g.vocab().clone();
+        // A graph decoded without its lookups lends a vocabulary that
+        // resolves no name; a rule naming a loaded label must find it.
+        self.vocab.rebuild_lookups();
         L::sync_vocab(&mut self.links, &self.vocab);
         for v in g.nodes() {
             let member = self.add_member(g.node_name(v));
@@ -261,11 +260,6 @@ impl<L: ShardLink> Partitioned<L> {
         &self.names[member.index()]
     }
 
-    /// The cross-shard boundary table.
-    pub fn boundary(&self) -> &BoundaryTable {
-        &self.boundary
-    }
-
     /// The global edge log `(src, label, dst)` in insertion order.
     pub fn edge_log(&self) -> &[(NodeId, LabelId, NodeId)] {
         &self.edges
@@ -311,7 +305,6 @@ impl<L: ShardLink> Partitioned<L> {
             members: self.members.len(),
             ghosts: self.ghost_log.len(),
             edges: self.edges.len(),
-            boundary: self.boundary.len(),
         }
     }
 
@@ -356,8 +349,8 @@ impl<L: ShardLink> Partitioned<L> {
     }
 
     /// Adds a directed relationship: on the shared home shard, or on
-    /// both endpoint shards against ghosts (made as needed) and in the
-    /// boundary table. The edge counts once its last copy is written.
+    /// both endpoint shards against ghosts (made as needed). The edge
+    /// counts once its last copy is written.
     fn add_edge(&mut self, src: NodeId, label: LabelId, dst: NodeId) {
         let (s_home, d_home) = (self.member_shard(src), self.member_shard(dst));
         if s_home != d_home {
@@ -368,13 +361,6 @@ impl<L: ShardLink> Partitioned<L> {
                 src,
                 label,
                 dst,
-            });
-            self.boundary.record(BoundaryEdge {
-                src: src.0,
-                dst: dst.0,
-                label,
-                src_shard: s_home,
-                dst_shard: d_home,
             });
         }
         self.edges.push((src, label, dst));
@@ -429,7 +415,6 @@ impl<L: ShardLink> Partitioned<L> {
             }
         }
         self.edges.truncate(to.edges);
-        self.boundary.truncate(to.boundary);
         Err(err)
     }
 
@@ -455,7 +440,7 @@ impl<L: ShardLink> Partitioned<L> {
                 plan,
                 masks,
                 word,
-                path: None,
+                one_path: false,
                 parents: false,
             };
             fixpoint::masked_fixpoint(
@@ -506,7 +491,7 @@ impl<L: ShardLink> Partitioned<L> {
             plan: &plan,
             masks: &masks,
             word: 0,
-            path: Some(path),
+            one_path: true,
             parents: witness,
         };
         let mut lanes = L::lanes(&self.links, &self.fleet, &self.vocab, program);

@@ -4,9 +4,11 @@
 //! audiences or one targeted check — is the same algorithm: seed the
 //! owners' home shards, let every shard with pending seeds drain its
 //! local frontier, merge what the shards report in shard order, forward
-//! to each exported member's home shard only the condition bits it has
-//! not been sent before, and repeat until nothing is pending (or the
-//! targeted requester is hit). [`masked_fixpoint`] is the only place
+//! each export to its member's home shard as received, and repeat until
+//! nothing is pending (or the targeted requester is hit). The driver
+//! keeps no record of the bits it forwarded: each shard's persistent
+//! mask state already holds them, a shard exports only bits newly
+//! arrived at a ghost, and a home shard absorbs bits it already holds. [`masked_fixpoint`] is the only place
 //! that loop lives, and [`stitch`] the only place a witness is read off
 //! the lanes' parent chains. Both are generic over [`ShardLane`] — *how
 //! one read reaches one shard* — with exactly two production
@@ -29,7 +31,7 @@ use crate::remote::proto::WireMatch;
 use crate::service::{ReadStats, WalkHop};
 use crate::shard::Traced;
 use crate::sharded::BundleFixpointStats;
-use socialreach_graph::shard::{MaskedExport, MaskedExportSet, MaskedStateKey};
+use socialreach_graph::shard::{MaskedExport, MaskedStateKey};
 use socialreach_graph::NodeId;
 use std::collections::HashMap;
 
@@ -105,7 +107,7 @@ pub(crate) struct FixpointRun {
     pub origin: HashMap<StateKey, usize>,
     /// Fixpoint rounds run.
     pub rounds: usize,
-    /// Masked boundary exports forwarded (new bits only).
+    /// Masked boundary exports forwarded.
     pub exported_states: usize,
     /// Product states expanded, per lane.
     pub states_expanded: Vec<usize>,
@@ -178,13 +180,8 @@ fn run_rounds<L: ShardLane>(
         states_expanded: vec![0; lanes.len()],
         ..FixpointRun::default()
     };
-    // Bits already forwarded: re-delivering a known bit would be
-    // absorbed by the shard's persistent mask state anyway, so it is
-    // never sent.
-    let mut imported = MaskedExportSet::new();
     let mut pending: Vec<Vec<MaskedExport>> = vec![Vec::new(); lanes.len()];
     for seed in seeds {
-        imported.insert(seed.key, seed.mask);
         pending[home_of(seed.key.member)].push(*seed);
     }
 
@@ -234,19 +231,18 @@ fn run_rounds<L: ShardLane>(
                     }
                 }
             }
+            // Each export goes to its member's home shard as received.
+            // A shard exports only bits newly arrived at its ghost copy,
+            // and a home shard absorbs bits it already holds, so a state
+            // two shards both export costs its home one no-op seed and
+            // the rounds still end.
+            run.exported_states += out.exports.len();
             for exp in &out.exports {
-                let new = imported.insert(exp.key, exp.mask);
-                if new != 0 {
-                    run.exported_states += 1;
-                    if stop.is_some() {
-                        run.origin
-                            .insert((exp.key.member, exp.key.step, exp.key.depth), i);
-                    }
-                    pending[home_of(exp.key.member)].push(MaskedExport {
-                        key: exp.key,
-                        mask: new,
-                    });
+                if stop.is_some() {
+                    let key = (exp.key.member, exp.key.step, exp.key.depth);
+                    run.origin.entry(key).or_insert(i);
                 }
+                pending[home_of(exp.key.member)].push(*exp);
             }
         }
     }
@@ -689,6 +685,7 @@ mod tests {
         // Lanes 0 and 2 both reach member 10 (under different bits);
         // one of them reports its export twice, and `swap` exchanges
         // which lane says what — the order lane 1 hears them in.
+        // Neither the audiences nor the census depend on that order.
         let outcome = |swap: bool| {
             let ends: [AtomicUsize; 3] = Default::default();
             let once = vec![export(10, 0b01), export(11, 0b01)];
@@ -711,8 +708,11 @@ mod tests {
                 vec![NodeId(10), NodeId(20)]
             ]
         );
-        assert_eq!(forward.1, 3, "the repeated export forwards no new bit");
-        assert_eq!(forward.3, 3, "and is never delivered");
+        // The driver forwards exports as received: the repeat reaches
+        // lane 1, whose persistent mask state absorbs it, and the
+        // census counts every export forwarded.
+        assert_eq!(forward.1, 4, "the repeated export is forwarded");
+        assert_eq!(forward.3, 4, "and delivered to the member's home");
         assert_eq!(outcome(true), forward, "lane order is immaterial");
     }
 }

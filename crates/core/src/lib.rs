@@ -59,7 +59,7 @@
 //! | [`query`] | — | openCypher-flavored query front-end + shared-prefix bundle plan compiler and its masked trie engine |
 //! | [`planner`] | — | telemetry-fed adaptive read planner: one measured argmin over per-resource decayed route costs picks each bundle's and check batch's route |
 //! | [`system`] | — | single-graph backend (`AccessControlSystem`), evaluated online |
-//! | [`coordinator`] | — | the partitioned coordinator over N shard links: placement, ghosts, boundary table, the cross-shard reads and writes of both partitioned backends |
+//! | [`coordinator`] | — | the partitioned coordinator over N shard links: placement, ghosts, the edge log, the cross-shard reads and writes of both partitioned backends |
 //! | `link` | — | `ShardLink`: how the coordinator reaches a shard, and the in-process link |
 //! | `publish` | — | `Publisher`: the epoch-published CSR snapshot of one owned graph, patched from the last epoch on appends |
 //! | `shard` | — | `ShardCore`: one shard's graph, id tables, snapshot publication and round/trace, in process or in a server |
@@ -108,9 +108,10 @@
 //! [`ShardedSystem`] and [`NetworkedSystem`] are one coordinator,
 //! [`Partitioned`] ([`coordinator`]), over two kinds of shard link. It
 //! hash-partitions members across N shards (deterministic, seedable
-//! placement — [`socialreach_graph::shard::ShardAssignment`]), records
-//! cross-shard relationships in a boundary table and replicates them
-//! into both endpoint shards against *ghost* replicas. Each shard is a
+//! placement — [`socialreach_graph::shard::ShardAssignment`]) and
+//! replicates each cross-shard relationship (an edge-log entry whose
+//! endpoints have different home shards) into both endpoint shards
+//! against *ghost* replicas. Each shard is a
 //! `ShardCore` (module `shard`): an epoch-published graph of its own,
 //! with the incremental append-patching pipeline above. The in-process
 //! link owns one and calls it; the remote link ([`remote`]) reaches one

@@ -1,7 +1,7 @@
 //! `ShardLink` — how the partitioned coordinator reaches one shard.
 //!
 //! [`crate::Partitioned`] keeps placement, names, ghost lists and the
-//! boundary table; everything a shard holds is behind its link. A link
+//! edge log; everything a shard holds is behind its link. A link
 //! does two things. It opens a [`ShardLane`] per read, which runs the
 //! read's rounds on its shard for the one fixpoint driver
 //! (`crate::fixpoint`). And it takes typed writes in global member ids,
@@ -38,9 +38,9 @@ pub struct Program<'a> {
     pub masks: &'a ChunkMasks,
     /// The mask word the chunk's bits live in.
     pub word: u32,
-    /// A targeted read's condition (`plan` is its one-path plan): its
-    /// lanes take a stop member.
-    pub path: Option<&'a PathExpr>,
+    /// `plan` is a targeted read's one-path plan: its lanes take a
+    /// stop member.
+    pub one_path: bool,
     /// Track first-arrival parents, so a grant can be traced.
     pub parents: bool,
 }
@@ -339,7 +339,7 @@ impl ShardLane for CoreLane<'_> {
                 Cow::Borrowed(&p.plan.nodes),
                 Cow::Borrowed(p.masks),
                 p.word,
-                p.path.is_some(),
+                p.one_path,
                 p.parents,
             )
         });

@@ -36,7 +36,7 @@ use socialreach_graph::AttrValue;
 /// Wire-protocol version, checked in the `Hello` handshake. Bump on
 /// any incompatible message change (the golden-bytes pins in the
 /// round-trip suite catch accidental ones).
-pub const PROTOCOL_VERSION: u32 = 2;
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// One shard-local mutation, shipped inside a `Prepare` batch. All
 /// member ids are global; names ride along because each shard interns
@@ -74,42 +74,28 @@ pub enum ShardOp {
 }
 
 /// What an evaluation session runs, sent with the lane's first round
-/// ([`Request::OpenRound`]). Either body is refused unless `epoch`
-/// matches the shard's published epoch (the read half of the fence).
+/// ([`Request::OpenRound`]): the plan the router compiled, shipped
+/// whole — one 64-condition chunk of a bundle's **shared-prefix trie
+/// plan** ([`crate::query::BundlePlan`]), or a targeted read's one-path
+/// plan. Round seeds carry *plan node ids* in the `step` slot of their
+/// masked keys. The shard parses each node's step and compiles nothing.
+/// Refused unless `epoch` matches the shard's published epoch (the read
+/// half of the fence).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub enum SessionSpec {
-    /// One path, run as its one-path plan, whose node ids are the step
-    /// indexes, with every condition bit riding the path's chain;
-    /// round seeds carry step indexes in the `step` slot. The targeted
-    /// check/explain session: it accepts a stop member, and built with
-    /// `parents` it answers `Trace`.
-    Path {
-        /// The epoch the router expects the shard to serve.
-        epoch: u64,
-        /// The path expression, in canonical text
-        /// ([`crate::path::PathExpr::to_text`]); the shard re-parses
-        /// it against its synchronized vocabulary.
-        path: String,
-        /// Mask word this evaluation's bits live in.
-        word: u32,
-        /// Build the engine with first-arrival parent tracking (the
-        /// `explain` path; enables `Trace`).
-        parents: bool,
-    },
-    /// A **shared-prefix trie plan** ([`crate::query::BundlePlan`])
-    /// shipped whole: `nodes` carries the plan's trie with each node's
-    /// step in canonical text and its per-chunk condition masks baked
-    /// in, and round seeds carry *plan node ids* in the `step` slot of
-    /// their masked keys. Plan sessions serve batched audience
-    /// fixpoints only — they refuse a stop member and `Trace`.
-    Plan {
-        /// The epoch the router expects the shard to serve.
-        epoch: u64,
-        /// The trie nodes; vector index is the plan node id.
-        nodes: Vec<WirePlanNode>,
-        /// Mask word this evaluation's bits live in.
-        word: u32,
-    },
+pub struct SessionSpec {
+    /// The epoch the router expects the shard to serve.
+    pub epoch: u64,
+    /// The plan's nodes with this chunk's condition masks baked in;
+    /// vector index is the plan node id.
+    pub nodes: Vec<WirePlanNode>,
+    /// Mask word this evaluation's bits live in.
+    pub word: u32,
+    /// A targeted read's one-path plan: only such a session takes a
+    /// stop member or answers `Trace`.
+    pub one_path: bool,
+    /// Build the engine with first-arrival parent tracking (the
+    /// `explain` path; a one-path session only).
+    pub parents: bool,
 }
 
 /// A router → shard request.
@@ -154,8 +140,10 @@ pub enum Request {
     /// opens `session` on this connection under the name `eval`, then
     /// runs the round exactly as [`Request::Round`] does and answers
     /// with its response. An open the shard cannot serve (epoch fence,
-    /// unparsable text, uninterned vocabulary, an empty plan) is
-    /// answered with the refusal instead, and leaves no session.
+    /// unparsable or multi-step node text, uninterned vocabulary, an
+    /// empty plan, a child id out of range, parent tracking on a
+    /// bundle-plan session) is answered with the refusal instead, and
+    /// leaves no session.
     OpenRound {
         /// The evaluation id: the session's name.
         eval: u64,
@@ -189,7 +177,8 @@ pub enum Request {
         eval: u64,
         /// Global member id of the traced state.
         member: u32,
-        /// Path step index of the traced state.
+        /// Plan node id of the traced state (a one-path plan's step
+        /// index).
         step: u16,
         /// Saturated depth of the traced state.
         depth: u32,
@@ -200,11 +189,11 @@ pub enum Request {
     Shutdown,
 }
 
-/// One trie node of a shipped bundle plan ([`SessionSpec::Plan`]): a
-/// single-step path expression in canonical text plus the trie edges
-/// and this chunk's condition masks. The wire plan is chunk-specific —
-/// one evaluation session serves one 64-condition mask word, so the
-/// masks ride with the nodes instead of a separate message.
+/// One node of a shipped plan ([`SessionSpec`]): a single-step path
+/// expression in canonical text plus the trie edges and this chunk's
+/// condition masks. The wire plan is chunk-specific — one evaluation
+/// session serves one 64-condition mask word, so the masks ride with
+/// the nodes instead of a separate message.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct WirePlanNode {
     /// The node's step as a one-step path expression in canonical text
@@ -449,7 +438,7 @@ mod tests {
             },
             Request::OpenRound {
                 eval: 11,
-                session: SessionSpec::Plan {
+                session: SessionSpec {
                     epoch: 3,
                     nodes: vec![
                         WirePlanNode {
@@ -466,6 +455,8 @@ mod tests {
                         },
                     ],
                     word: 0,
+                    one_path: false,
+                    parents: false,
                 },
                 seeds: seeds.clone(),
                 stop: None,

@@ -437,40 +437,30 @@ impl ShardLink for RemoteLink {
 
     const KIND: &'static str = "networked";
 
-    /// The lanes share one session spec: the targeted read's path, or
-    /// the plan chunk shipped whole (plan nodes travel as canonical
-    /// one-step path text plus the chunk's ε-fork/accept masks, so
-    /// each shared prefix is entered once per shard).
+    /// The lanes share one session spec: the read's compiled plan
+    /// shipped whole (plan nodes travel as canonical one-step path text
+    /// plus the chunk's ε-fork/accept masks, so each shared prefix is
+    /// entered once per shard and no shard compiles it again).
     fn lanes<'a>(
         links: &'a [Self],
         fleet: &'a RemoteFleet,
         vocab: &'a Vocabulary,
         program: Program<'a>,
     ) -> Vec<RemoteLane<'a>> {
-        let (epoch, word) = (fleet.epoch, program.word);
-        let session = Rc::new(match program.path {
-            Some(path) => SessionSpec::Path {
-                epoch,
-                path: path.to_text(vocab),
-                word,
-                parents: program.parents,
-            },
-            None => SessionSpec::Plan {
-                epoch,
-                nodes: program
-                    .plan
-                    .nodes
-                    .iter()
-                    .enumerate()
-                    .map(|(i, node)| proto::WirePlanNode {
-                        step: PathExpr::new(vec![node.step.clone()]).to_text(vocab),
-                        children: node.children.clone(),
-                        mask: program.masks.node_mask[i],
-                        accept: program.masks.accept_mask[i],
-                    })
-                    .collect(),
-                word,
-            },
+        let nodes = program.plan.nodes.iter().enumerate();
+        let session = Rc::new(SessionSpec {
+            epoch: fleet.epoch,
+            nodes: nodes
+                .map(|(i, node)| proto::WirePlanNode {
+                    step: PathExpr::new(vec![node.step.clone()]).to_text(vocab),
+                    children: node.children.clone(),
+                    mask: program.masks.node_mask[i],
+                    accept: program.masks.accept_mask[i],
+                })
+                .collect(),
+            word: program.word,
+            one_path: program.one_path,
+            parents: program.parents,
         });
         let eval = NEXT_EVAL.fetch_add(1, Ordering::Relaxed);
         links

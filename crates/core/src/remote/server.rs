@@ -24,8 +24,10 @@
 //! records the epoch it opened at; after a commit its engine was built
 //! over the old topology, so the next `Round` or `Trace` on it is
 //! refused (`UnknownEval`, which the router retries) instead of mixing
-//! epochs. A `Round` runs `ShardCore::round`, as the in-process lane
-//! does — the wire only carries its inputs and outputs.
+//! epochs. The `OpenRound` ships the plan the router compiled; the
+//! server parses its node steps, checks them, and compiles nothing. A
+//! `Round` runs `ShardCore::round`, as the in-process lane does — the
+//! wire only carries its inputs and outputs.
 
 use super::frame;
 use super::proto::{
@@ -33,7 +35,7 @@ use super::proto::{
 };
 use super::{Conn, Listener, ShardAddr};
 use crate::path::parse_path;
-use crate::query::{BundlePlan, ChunkMasks, PlanNode};
+use crate::query::{ChunkMasks, PlanNode};
 use crate::shard::{Session, ShardCore};
 use parking_lot::Mutex;
 use socialreach_graph::shard::MaskedExport;
@@ -61,11 +63,10 @@ struct EvalSession {
     eval: u64,
     /// The epoch the session was opened at.
     epoch: u64,
-    /// What it runs: the one-path plan of a [`SessionSpec::Path`]
-    /// (targeted stop and parent-tracked traces supported) or the
-    /// shipped shared-prefix plan chunk of a [`SessionSpec::Plan`]
-    /// (audience fixpoints only), owning what it re-parsed from the
-    /// wire.
+    /// What it runs: the shipped plan of its [`SessionSpec`] — a
+    /// shared-prefix plan chunk (audience fixpoints only) or a one-path
+    /// plan (targeted stop and parent-tracked traces supported) —
+    /// owning the node steps it parsed from the wire.
     session: Session<'static>,
 }
 
@@ -172,85 +173,67 @@ impl Served {
     /// Opens session `eval` over `spec`, or says why the shard cannot
     /// serve it.
     fn open(&self, eval: u64, spec: SessionSpec) -> Result<EvalSession, WireRefusal> {
-        let (SessionSpec::Path { epoch, word, .. } | SessionSpec::Plan { epoch, word, .. }) = spec;
-        if epoch != self.epoch {
+        if spec.epoch != self.epoch {
             return Err(WireRefusal::EpochMismatch {
                 shard_epoch: self.epoch,
-                requested: epoch,
+                requested: spec.epoch,
             });
         }
         let bad = |detail: String| WireRefusal::BadRequest { detail };
+        if spec.nodes.is_empty() {
+            return Err(bad("a plan needs at least one node".to_owned()));
+        }
+        if spec.parents && !spec.one_path {
+            return Err(bad("bundle-plan sessions keep no parent chains".to_owned()));
+        }
         // Parse against a throwaway copy of the vocabulary: text naming
         // labels/attrs this shard has not interned means the router
         // skipped `Intern` — refuse rather than intern out of master
         // order.
         let mut vocab = self.core.vocab().clone();
         let before = (vocab.num_labels(), vocab.num_attrs());
-        let mut parse = |what: &str, text: &str| {
-            let parsed = parse_path(text, &mut vocab).map_err(|e| {
+        let mut nodes: Vec<PlanNode> = Vec::with_capacity(spec.nodes.len());
+        let mut masks = ChunkMasks::default();
+        for n in &spec.nodes {
+            let parsed = parse_path(&n.step, &mut vocab).map_err(|e| {
                 bad(format!(
-                    "unparsable {what} {text:?}: {}",
+                    "unparsable plan step {:?}: {}",
+                    n.step,
                     crate::EvalError::from(e)
                 ))
             })?;
             if (vocab.num_labels(), vocab.num_attrs()) != before {
                 return Err(bad(format!(
-                    "{what} {text:?} names vocabulary this shard has not interned"
+                    "plan step {:?} names vocabulary this shard has not interned",
+                    n.step
                 )));
             }
-            Ok(parsed)
-        };
-        let (nodes, masks, parents) = match spec {
-            SessionSpec::Path { path, parents, .. } => {
-                let parsed = parse("path", &path)?;
-                if parsed.is_empty() {
-                    return Err(bad("empty paths are decided router-side".to_owned()));
-                }
-                // Both parsers refuse a path past the plan-node budget.
-                let plan = BundlePlan::compile(&[&parsed]).expect("a parsed path fits a plan");
-                // Every condition bit a seed may carry rides the one
-                // chain, as on the path's own automaton.
-                let masks = plan.chunk_masks(&[0; 64]);
-                (plan.nodes, masks, Some(parents))
+            if parsed.len() != 1 {
+                return Err(bad(format!(
+                    "plan node step {:?} is not a single step",
+                    n.step
+                )));
             }
-            SessionSpec::Plan { nodes, .. } => {
-                if nodes.is_empty() {
-                    return Err(bad("a bundle plan needs at least one node".to_owned()));
-                }
-                let mut plan_nodes: Vec<PlanNode> = Vec::with_capacity(nodes.len());
-                let mut masks = ChunkMasks::default();
-                for n in &nodes {
-                    let parsed = parse("plan step", &n.step)?;
-                    if parsed.len() != 1 {
-                        return Err(bad(format!(
-                            "plan node step {:?} is not a single step",
-                            n.step
-                        )));
-                    }
-                    if let Some(&c) = n.children.iter().find(|&&c| c as usize >= nodes.len()) {
-                        return Err(bad(format!("plan child id {c} is out of range")));
-                    }
-                    plan_nodes.push(PlanNode {
-                        step: parsed.steps[0].canonical(),
-                        children: n.children.clone(),
-                    });
-                    masks.node_mask.push(n.mask);
-                    masks.accept_mask.push(n.accept);
-                }
-                (plan_nodes, masks, None)
+            if let Some(&c) = n.children.iter().find(|&&c| c as usize >= spec.nodes.len()) {
+                return Err(bad(format!("plan child id {c} is out of range")));
             }
-        };
-        let (one_path, parents) = (parents.is_some(), parents == Some(true));
+            nodes.push(PlanNode {
+                step: parsed.steps[0].canonical(),
+                children: n.children.clone(),
+            });
+            masks.node_mask.push(n.mask);
+            masks.accept_mask.push(n.accept);
+        }
         let session = self.core.open(
             Cow::Owned(nodes),
             Cow::Owned(masks),
-            word,
-            one_path,
-            parents,
+            spec.word,
+            spec.one_path,
+            spec.parents,
         );
         Ok(EvalSession {
             eval,
-            epoch,
+            epoch: spec.epoch,
             session,
         })
     }
@@ -570,6 +553,81 @@ fn serve_conn(mut conn: Conn, core: Arc<Mutex<Served>>, stop: Arc<AtomicBool>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::remote::proto::WirePlanNode;
+
+    /// A router's plan reaches the shard as outside input: the shard
+    /// checks every node before it opens a session, and a bundle-plan
+    /// session takes no stop member and answers no `Trace`.
+    #[test]
+    fn a_shipped_plan_is_checked_before_its_session_opens() {
+        let mut core = ShardCore::new();
+        core.intern(["friend"], std::iter::empty());
+        core.add_node(0, "m", false);
+        let mut served = Served {
+            core,
+            epoch: 0,
+            staged: None,
+        };
+        let node = |step: &str, children: Vec<u16>| WirePlanNode {
+            step: step.to_owned(),
+            children,
+            mask: 1,
+            accept: 1,
+        };
+        let spec = |nodes, one_path, parents| SessionSpec {
+            epoch: 0,
+            nodes,
+            word: 0,
+            one_path,
+            parents,
+        };
+        let refused = |result: &Result<Response, WireRefusal>, why: &str| matches!(result, Err(WireRefusal::BadRequest { detail }) if detail.contains(why));
+        let mut open = |session, stop, slot: &mut Option<EvalSession>| {
+            let seeds = Vec::new();
+            let req = Request::OpenRound {
+                eval: 1,
+                session,
+                seeds,
+                stop,
+            };
+            served.handle(req, slot)
+        };
+        let friend = || vec![node("friend+[1]", vec![])];
+        for (session, why) in [
+            (spec(vec![], true, false), "at least one node"),
+            (
+                spec(vec![node("friend+[1]/friend+[1]", vec![])], true, false),
+                "single step",
+            ),
+            (
+                spec(vec![node("friend+[1]", vec![1])], false, false),
+                "out of range",
+            ),
+            (
+                spec(vec![node("colleague+[1]", vec![])], true, false),
+                "not interned",
+            ),
+            (spec(friend(), false, true), "no parent chains"),
+        ] {
+            let mut slot = None;
+            let result = open(session, None, &mut slot);
+            assert!(refused(&result, why), "{why}: {result:?}");
+            assert!(slot.is_none(), "{why}: no session is left open");
+        }
+        let mut slot = None;
+        let stopped = open(spec(friend(), false, false), Some(0), &mut slot);
+        assert!(refused(&stopped, "no stop target"), "{stopped:?}");
+        let opened = open(spec(friend(), false, false), None, &mut slot);
+        assert!(matches!(opened, Ok(Response::Round { .. })), "{opened:?}");
+        let trace = Request::Trace {
+            eval: 1,
+            member: 0,
+            step: 0,
+            depth: 0,
+        };
+        let traced = served.handle(trace, &mut slot);
+        assert!(refused(&traced, "no parent chains"), "{traced:?}");
+    }
 
     /// A shard's global→local table is dense, so a `Prepare` naming a
     /// member id past [`MAX_MEMBER_ID`] is refused before it can grow

@@ -94,8 +94,9 @@ pub struct ReadStats {
     /// Product states expanded by the engines (cumulative across
     /// shards).
     pub states_expanded: usize,
-    /// Boundary states routed between shards (always zero on
-    /// single-graph deployments — a useful sanity probe for tests).
+    /// Masked boundary exports forwarded between shards, as received
+    /// (always zero on single-graph deployments — a useful sanity
+    /// probe for tests).
     pub exported_states: usize,
     /// Automaton layers of the shared-prefix bundle plan
     /// ([`crate::query::BundlePlan`]) the batched read compiled — each

@@ -46,7 +46,7 @@ pub(crate) struct ShardCore {
 
 /// An open evaluation on one shard: the snapshot it pinned and the
 /// round-persistent plan engine over what it runs — borrowed from the
-/// caller in process, owned (re-parsed from the wire) in a shard
+/// caller in process, owned (parsed from the wire) in a shard
 /// server's session. Seeds carry plan node ids in the `step` slot —
 /// step indexes, for a one-path plan.
 pub(crate) struct Session<'a> {

@@ -117,7 +117,12 @@ mod tests {
         sys.add_relationship(alice, "friend", bob);
         sys.add_relationship(bob, "friend", carol);
         sys.add_relationship(carol, "colleague", dave);
-        assert_eq!(sys.boundary().len(), 3, "every edge crosses");
+        let crossing = sys
+            .edge_log()
+            .iter()
+            .filter(|&&(s, _, d)| sys.member_shard(s) != sys.member_shard(d))
+            .count();
+        assert_eq!(crossing, 3, "every edge crosses");
         let stats = sys.shard_stats();
         assert_eq!(stats[0].members, 2);
         assert_eq!(stats[1].members, 2);

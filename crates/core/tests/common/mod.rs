@@ -9,8 +9,8 @@
 
 use socialreach_core::remote::frame::{read_frame, write_frame};
 use socialreach_core::remote::proto::{
-    decode_response, encode_request, Request, Response, SessionSpec, WireMatch, WireRefusal,
-    PROTOCOL_VERSION,
+    decode_response, encode_request, Request, Response, SessionSpec, WireMatch, WirePlanNode,
+    WireRefusal, PROTOCOL_VERSION,
 };
 use socialreach_core::{
     AccessService, Decision, Deployment, Explanation, MutateService, Mutation, PathExpr,
@@ -448,6 +448,24 @@ impl RawClient {
             Response::Refused(refusal) => Err(refusal),
             other => panic!("expected Round, got {other:?}"),
         }
+    }
+}
+
+/// The session of a one-path plan of the single step `step` (canonical
+/// text) at `epoch`, in word 0, whose one node carries every condition
+/// bit, untracked.
+pub fn one_step_session(epoch: u64, step: &str) -> SessionSpec {
+    SessionSpec {
+        epoch,
+        nodes: vec![WirePlanNode {
+            step: step.to_owned(),
+            children: Vec::new(),
+            mask: u64::MAX,
+            accept: u64::MAX,
+        }],
+        word: 0,
+        one_path: true,
+        parents: false,
     }
 }
 

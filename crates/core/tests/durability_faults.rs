@@ -509,7 +509,9 @@ fn snapshot_bytes_are_pinned_per_backend() {
             svc.apply(m).unwrap();
         }
         let sharded = svc.as_sharded().expect("a partition");
-        let crossing = sharded.boundary().len();
+        let home = |m| sharded.member_shard(m);
+        let log = sharded.edge_log().iter();
+        let crossing = log.filter(|&&(s, _, d)| home(s) != home(d)).count();
         assert!(
             crossing > 0 && crossing < sharded.num_edges(),
             "{}: {crossing} of {} edges cross shards",

@@ -12,7 +12,7 @@ mod common;
 
 use proptest::prelude::*;
 use socialreach_core::online::evaluate_reference;
-use socialreach_core::remote::proto::{Request, Response, SessionSpec, WireMatch, WireRefusal};
+use socialreach_core::remote::proto::{Request, Response, WireMatch, WireRefusal};
 use socialreach_core::remote::{spawn_local_fleet, MAX_EPOCH_OPS};
 use socialreach_core::{
     parse_path, AccessService, Decision, Deployment, EvalError, Explanation, MutateService,
@@ -762,12 +762,7 @@ fn reader_racing_a_writer_sees_one_epoch_or_a_retry(unix: bool) {
                 panic!("expected a census")
             };
             let want = history.lock().unwrap()[&epoch].clone();
-            let session = SessionSpec::Path {
-                epoch,
-                path: RULE.into(),
-                word: 0,
-                parents: false,
-            };
+            let session = common::one_step_session(epoch, RULE);
             let first = raw.round(eval, Some(session), vec![common::start_seed(owner.0, 1)]);
             if phase == 1 {
                 commit(true);

@@ -648,12 +648,7 @@ fn raw_eval_fixture(addr: &ShardAddr) -> (RawClient, SessionSpec) {
 }
 
 fn chain_session() -> SessionSpec {
-    SessionSpec::Path {
-        epoch: 1,
-        path: "friend+[1..3]".into(),
-        word: 0,
-        parents: false,
-    }
+    common::one_step_session(1, "friend+[1..3]")
 }
 
 fn merge(into: &mut HashMap<u32, u64>, matched: &[WireMatch]) {

@@ -685,6 +685,54 @@ fn topology_written_after_a_read_is_seen_everywhere() {
     }
 }
 
+/// A graph decoded by serde without `rebuild_lookups` lends an empty
+/// label lookup. Loaded into a partition it must serve like the single
+/// graph does: a rule or an ad-hoc query added after the load names the
+/// loaded labels, not fresh ones no loaded edge carries.
+#[test]
+fn a_decoded_graph_without_lookups_serves_like_the_single_graph() {
+    let mut g = SocialGraph::new();
+    let m: Vec<NodeId> = ["Alice", "Bob", "Carol", "Dan", "Eve"]
+        .iter()
+        .map(|name| g.add_node(name))
+        .collect();
+    for (src, label, dst) in [
+        (0, "friend", 1),
+        (1, "friend", 2),
+        (2, "colleague", 3),
+        (1, "colleague", 4),
+        (4, "friend", 0),
+    ] {
+        g.connect(m[src], label, m[dst]);
+    }
+    let json = serde_json::to_string(&g).unwrap();
+    let decoded: SocialGraph = serde_json::from_str(&json).unwrap();
+    let rules = ["friend+[1]", "friend+[1..2]/colleague+[1]"];
+    let queries = [(m[0], "friend+[1]"), (m[3], "colleague-[1]/friend-[1]")];
+    let answers = |deployment: &Deployment| {
+        let mut svc = deployment.from_graph(&decoded, PolicyStore::new());
+        let mut checks = Vec::new();
+        for rule in rules {
+            let rid = svc.add_resource(m[0]);
+            svc.add_rule(rid, rule).unwrap();
+            for &requester in &m {
+                checks.push(svc.check(rid, requester).unwrap());
+            }
+        }
+        let audiences: Vec<Vec<NodeId>> = queries
+            .iter()
+            .map(|&(owner, text)| svc.query_audience(owner, text).unwrap())
+            .collect();
+        (checks, audiences)
+    };
+    let want = answers(&Deployment::online());
+    assert!(want.0.contains(&Decision::Grant), "the rules grant someone");
+    assert_eq!(want.1, [vec![m[1]], vec![m[1]]], "each query reaches Bob");
+    for deployment in [Deployment::sharded(2, 3), networked(2)] {
+        assert_eq!(answers(&deployment), want, "{}", deployment.describe());
+    }
+}
+
 /// Routes agree on decisions **and** cache accounting: one script with
 /// owner requests, duplicate requests and already-cached requests is
 /// decided under every [`CheckPlan`] on fresh twins of every backend;

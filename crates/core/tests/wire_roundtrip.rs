@@ -12,7 +12,7 @@ use socialreach_core::remote::proto::{
     decode_request, decode_response, encode_request, encode_response, Request, Response,
     SessionSpec, ShardOp, WireHop, WireMatch, WirePlanNode, WireRefusal, PROTOCOL_VERSION,
 };
-use socialreach_graph::shard::{MaskedExport, MaskedExportSet, MaskedStateKey};
+use socialreach_graph::shard::{MaskedExport, MaskedStateKey};
 use socialreach_graph::AttrValue;
 
 // ---------------------------------------------------------------------
@@ -93,26 +93,26 @@ fn request_strategy() -> impl Strategy<Value = Request> {
         .prop_map(
             |((ix, path_ix), (eval, epoch, word, member), ops, seeds, names)| {
                 let stop = if member % 2 == 0 { Some(member) } else { None };
-                let session = match ix {
-                    5 => SessionSpec::Path {
-                        epoch,
-                        path: PATHS[path_ix].to_string(),
-                        word,
-                        parents: member % 2 == 0,
-                    },
-                    _ => SessionSpec::Plan {
-                        epoch,
-                        nodes: names
-                            .iter()
-                            .map(|step| WirePlanNode {
-                                step: step.clone(),
-                                children: vec![word as u16],
-                                mask: eval,
-                                accept: eval >> 1,
-                            })
-                            .collect(),
-                        word,
-                    },
+                // A one-path session ships one node; a bundle-plan
+                // session any number, none included.
+                let steps = match ix {
+                    5 => vec![PATHS[path_ix].to_string()],
+                    _ => names.clone(),
+                };
+                let session = SessionSpec {
+                    epoch,
+                    nodes: steps
+                        .into_iter()
+                        .map(|step| WirePlanNode {
+                            step,
+                            children: vec![word as u16],
+                            mask: eval,
+                            accept: eval >> 1,
+                        })
+                        .collect(),
+                    word,
+                    one_path: ix == 5,
+                    parents: ix == 5 && member % 2 == 0,
                 };
                 match ix {
                     0 => Request::Hello {
@@ -235,26 +235,6 @@ proptest! {
         let enc = serde_json::to_string(&exports).unwrap();
         let dec: Vec<MaskedExport> = serde_json::from_str(&enc).unwrap();
         prop_assert_eq!(dec, exports);
-    }
-
-    /// `MaskedExportSet` round-trips through its wire entries, and the
-    /// rebuilt set absorbs exactly the same bits (duplicate-delivery
-    /// idempotence: re-inserting an entry yields no new bits).
-    #[test]
-    fn masked_export_sets_round_trip(exports in proptest::collection::vec(export_strategy(), 0..16)) {
-        let mut set = MaskedExportSet::new();
-        for e in &exports {
-            set.insert(e.key, e.mask);
-        }
-        let entries = set.to_entries();
-        let enc = serde_json::to_string(&entries).unwrap();
-        let wire: Vec<MaskedExport> = serde_json::from_str(&enc).unwrap();
-        let mut rebuilt = MaskedExportSet::from_entries(&wire);
-        prop_assert_eq!(rebuilt.len(), set.len());
-        for e in &entries {
-            prop_assert_eq!(rebuilt.mask(&e.key), set.mask(&e.key));
-            prop_assert_eq!(rebuilt.insert(e.key, e.mask), 0, "re-delivery yields no new bits");
-        }
     }
 
     /// Every request round-trips through encode → frame → read → decode.
@@ -418,7 +398,7 @@ fn golden_protocol_encodings() {
             version: PROTOCOL_VERSION
         }))
         .unwrap(),
-        r#"{"Hello":{"version":2}}"#
+        r#"{"Hello":{"version":3}}"#
     );
     let seeds = vec![MaskedExport {
         key: MaskedStateKey {
@@ -432,17 +412,23 @@ fn golden_protocol_encodings() {
     assert_eq!(
         String::from_utf8(encode_request(&Request::OpenRound {
             eval: 5,
-            session: SessionSpec::Path {
+            session: SessionSpec {
                 epoch: 3,
-                path: "friend+[1,2]".into(),
+                nodes: vec![WirePlanNode {
+                    step: "friend+[1,2]".into(),
+                    children: vec![],
+                    mask: 1,
+                    accept: 1,
+                }],
                 word: 0,
+                one_path: true,
                 parents: true,
             },
             seeds: seeds.clone(),
             stop: Some(9),
         }))
         .unwrap(),
-        r#"{"OpenRound":{"eval":5,"session":{"Path":{"epoch":3,"path":"friend+[1,2]","word":0,"parents":true}},"seeds":[{"key":{"member":7,"step":0,"depth":0,"word":0},"mask":1}],"stop":9}}"#
+        r#"{"OpenRound":{"eval":5,"session":{"epoch":3,"nodes":[{"step":"friend+[1,2]","children":[],"mask":1,"accept":1}],"word":0,"one_path":true,"parents":true},"seeds":[{"key":{"member":7,"step":0,"depth":0,"word":0},"mask":1}],"stop":9}}"#
     );
     assert_eq!(
         String::from_utf8(encode_request(&Request::Round {

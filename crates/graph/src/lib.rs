@@ -31,11 +31,10 @@
 //! * [`algo`] — BFS, iterative Tarjan SCC, condensation and topological
 //!   order over [`digraph::DiGraph`];
 //! * [`shard`] — shard placement ([`ShardAssignment`]: deterministic,
-//!   seedable member → shard hashing with explicit pins for tests) and
-//!   the [`BoundaryTable`] of cross-shard relationships, the substrate
-//!   of the core crate's sharded serving layer. Its masked traversal
-//!   state ([`MaskedStateKey`], [`MaskedExport`], [`MaskedExportSet`])
-//!   doubles as the **wire vocabulary** of the networked deployment:
+//!   seedable member → shard hashing with explicit pins for tests), the
+//!   substrate of the core crate's sharded serving layer. Its masked
+//!   traversal state ([`MaskedStateKey`], [`MaskedExport`]) doubles as
+//!   the **wire vocabulary** of the networked deployment:
 //!   the serde encodings are frozen by golden-bytes tests (here and in
 //!   core's `wire_roundtrip` suite) because shard *processes* exchange
 //!   them over sockets — a field reorder is a protocol break, not a
@@ -85,8 +84,6 @@ pub use error::GraphError;
 pub use graph::{Direction, EdgeRecord, SocialGraph};
 pub use ids::{AttrKey, EdgeId, LabelId, NodeId};
 pub use persist::{decode_graph, encode_graph};
-pub use shard::{
-    BoundaryEdge, BoundaryTable, MaskedExport, MaskedExportSet, MaskedStateKey, ShardAssignment,
-};
+pub use shard::{MaskedExport, MaskedStateKey, ShardAssignment};
 pub use vocab::Vocabulary;
 pub use wire::{crc32, crc32_parts, WireError, WireReader, WireWriter};

@@ -30,7 +30,12 @@ fn placement_survives_an_edge_list_round_trip() {
         );
     }
     // Same boundary census: the same ties cross the same placements.
-    assert_eq!(original.boundary().len(), rebuilt.boundary().len());
+    let crossing = |sys: &ShardedSystem| {
+        let home = |m| sys.member_shard(m);
+        let log = sys.edge_log().iter();
+        log.filter(|&&(s, _, d)| home(s) != home(d)).count()
+    };
+    assert_eq!(crossing(&original), crossing(&rebuilt));
 }
 
 #[test]
