@@ -7,8 +7,7 @@
 //! each export to its member's home shard as received, and repeat until
 //! nothing is pending (or the targeted requester is hit). The driver
 //! keeps no record of the bits it forwarded: each shard's persistent
-//! mask state already holds them, a shard exports only bits newly
-//! arrived at a ghost, and a home shard absorbs bits it already holds. [`masked_fixpoint`] is the only place
+//! mask state already holds them. [`masked_fixpoint`] is the only place
 //! that loop lives, and [`stitch`] the only place a witness is read off
 //! the lanes' parent chains. Both are generic over [`ShardLane`] — *how
 //! one read reaches one shard* — with exactly two production
@@ -102,8 +101,8 @@ pub(crate) struct FixpointRun {
     /// `(lane, step, depth)` of the early-exit hit, if the stop member
     /// completed the final step.
     pub hit: Option<(usize, u16, u32)>,
-    /// Which lane exported each forwarded state — the hand-offs a
-    /// stitched witness follows. Recorded by targeted runs only.
+    /// Which lane first exported each forwarded state — the hand-offs
+    /// a stitched witness follows. Recorded by targeted runs only.
     pub origin: HashMap<StateKey, usize>,
     /// Fixpoint rounds run.
     pub rounds: usize,

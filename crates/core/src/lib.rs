@@ -111,9 +111,9 @@
 //! placement — [`socialreach_graph::shard::ShardAssignment`]) and
 //! replicates each cross-shard relationship (an edge-log entry whose
 //! endpoints have different home shards) into both endpoint shards
-//! against *ghost* replicas. Each shard is a
-//! `ShardCore` (module `shard`): an epoch-published graph of its own,
-//! with the incremental append-patching pipeline above. The in-process
+//! against *ghost* replicas. Each shard is a `ShardCore` (module
+//! `shard`): an epoch-published graph of its own, with the incremental
+//! append-patching pipeline above. The in-process
 //! link owns one and calls it; the remote link ([`remote`]) reaches one
 //! inside a [`remote::ShardServer`] process over a CRC-framed wire,
 //! stages writes for a two-phase epoch fence, and revives a restarted
@@ -124,11 +124,11 @@
 //! loop, the crate-private `fixpoint::masked_fixpoint`: each shard runs
 //! a seeded masked BFS over a shared-prefix plan
 //! ([`query::evaluate_plan_batch_seeded`]) and exports the states it
-//! visits at ghosts; the driver forwards to each exported member's home
-//! shard only the condition bits it has not forwarded before, until
+//! visits at ghosts with the bits newly arrived there; the driver
+//! forwards each export to its member's home shard as received, until
 //! nothing is pending or the targeted requester is hit. Each shard's
-//! mask state persists across the rounds of a read, so total work is
-//! linear in the explored region. A bundle of up to 64 conditions runs
+//! mask state persists across the rounds of a read and absorbs bits it
+//! already holds, so total work is linear in the explored region. A bundle of up to 64 conditions runs
 //! one fixpoint. Witnesses are stitched off the shards' parent chains.
 //! Remote shards compute in parallel between a round's send and its
 //! receive; an in-process shard runs its round inside the send.

@@ -197,7 +197,7 @@ pub enum Request {
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct WirePlanNode {
     /// The node's step as a one-step path expression in canonical text
-    /// ([`crate::path::PathExpr::to_text`]); the shard re-parses it
+    /// ([`crate::path::PathExpr::to_text`]); the shard parses it
     /// against its synchronized vocabulary.
     pub step: String,
     /// Plan node ids of the trie children (divergence points fork the

@@ -554,10 +554,12 @@ fn serve_conn(mut conn: Conn, core: Arc<Mutex<Served>>, stop: Arc<AtomicBool>) {
 mod tests {
     use super::*;
     use crate::remote::proto::WirePlanNode;
+    use socialreach_graph::shard::MaskedStateKey;
 
     /// A router's plan reaches the shard as outside input: the shard
-    /// checks every node before it opens a session, and a bundle-plan
-    /// session takes no stop member and answers no `Trace`.
+    /// checks every node before it opens a session, a round's seeds
+    /// must name nodes of that plan, and a bundle-plan session takes no
+    /// stop member and answers no `Trace`.
     #[test]
     fn a_shipped_plan_is_checked_before_its_session_opens() {
         let mut core = ShardCore::new();
@@ -581,7 +583,10 @@ mod tests {
             one_path,
             parents,
         };
-        let refused = |result: &Result<Response, WireRefusal>, why: &str| matches!(result, Err(WireRefusal::BadRequest { detail }) if detail.contains(why));
+        let refused = |result: &Result<Response, WireRefusal>, why: &str| match result {
+            Err(WireRefusal::BadRequest { detail }) => detail.contains(why),
+            _ => false,
+        };
         let mut open = |session, stop, slot: &mut Option<EvalSession>| {
             let seeds = Vec::new();
             let req = Request::OpenRound {
@@ -619,6 +624,22 @@ mod tests {
         assert!(refused(&stopped, "no stop target"), "{stopped:?}");
         let opened = open(spec(friend(), false, false), None, &mut slot);
         assert!(matches!(opened, Ok(Response::Round { .. })), "{opened:?}");
+        let past_the_plan = MaskedExport {
+            key: MaskedStateKey {
+                member: 0,
+                step: 1,
+                depth: 0,
+                word: 0,
+            },
+            mask: 1,
+        };
+        let round = Request::Round {
+            eval: 1,
+            seeds: vec![past_the_plan],
+            stop: None,
+        };
+        let seeded = served.handle(round, &mut slot);
+        assert!(refused(&seeded, "plan node"), "{seeded:?}");
         let trace = Request::Trace {
             eval: 1,
             member: 0,

@@ -199,8 +199,8 @@ impl ShardCore {
     /// frontier, and reports matches and exports back in global ids.
     /// Seeds and the stop member come from outside the shard — a word
     /// the session was not opened for, a member the shard holds no copy
-    /// of, a stop on a bundle-plan session or at a ghost are refused,
-    /// never evaluated.
+    /// of, a plan node past the session's plan, a stop on a
+    /// bundle-plan session or at a ghost are refused, never evaluated.
     pub(crate) fn round(
         &self,
         session: &mut Session<'_>,
@@ -216,6 +216,11 @@ impl ShardCore {
                         "seed word {} does not match the session's word {word}",
                         e.key.word
                     ),
+                });
+            }
+            if usize::from(e.key.step) >= session.nodes.len() {
+                return Err(WireRefusal::BadRequest {
+                    detail: format!("seed plan node {} is past the plan", e.key.step),
                 });
             }
             let local = self
