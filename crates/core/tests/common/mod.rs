@@ -451,9 +451,8 @@ impl RawClient {
     }
 }
 
-/// The session of a one-path plan of the single step `step` (canonical
-/// text) at `epoch`, in word 0, whose one node carries every condition
-/// bit, untracked.
+/// The session of a one-path plan of the single step `step` at `epoch`,
+/// in word 0, whose one node carries every condition bit, untracked.
 pub fn one_step_session(epoch: u64, step: &str) -> SessionSpec {
     SessionSpec {
         epoch,

@@ -25,8 +25,8 @@
 //!   [`MaskedExport`] is the serialization-friendly wire entry (the
 //!   unit the networked shard protocol batches onto sockets).
 //!
-//! A relationship whose endpoints live on different shards is kept
-//! nowhere apart: it is an edge of the coordinator's edge log whose
+//! A relationship whose endpoints live on different shards has no
+//! record of its own: it is an edge of the coordinator's edge log whose
 //! endpoints have different home shards.
 
 use serde::{Deserialize, Serialize};
