@@ -46,23 +46,10 @@ use socialreach_graph::shard::ShardAssignment;
 use socialreach_graph::{AttrKey, AttrValue, LabelId, NodeId, SocialGraph, Vocabulary};
 use std::collections::HashMap;
 
-/// Result of one cross-shard access-condition evaluation.
-#[derive(Clone, Debug)]
-pub struct ShardedEval {
-    /// Every member matching the condition (global ids, sorted).
-    /// Populated only for audience evaluations (`target == None`).
-    pub matched: Vec<NodeId>,
-    /// Whether the target requester matched.
-    pub granted: bool,
-    /// A stitched walk from the owner to the requester when granted.
-    pub witness: Option<Vec<WalkHop>>,
-}
-
 /// Work census of one batched bundle evaluation (the masked
-/// cross-shard fixpoint), for benchmarks and the round-linearity
-/// regression tests.
+/// cross-shard fixpoint), before it becomes the uniform [`ReadStats`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct BundleFixpointStats {
+pub(crate) struct BundleFixpointStats {
     /// Masked fixpoints run: one per 64-condition chunk of the shared
     /// trie plan — *not* one per condition.
     pub fixpoints: usize,

@@ -24,12 +24,12 @@
 //! local→global exports. A bundle chunk runs its shared-prefix plan, a
 //! per-condition or targeted read the one-path plan of its condition.
 
+use crate::coordinator::BundleFixpointStats;
 use crate::path::PathExpr;
 use crate::query::{BundlePlan, ChunkMasks};
 use crate::remote::proto::WireMatch;
 use crate::service::{ReadStats, WalkHop};
 use crate::shard::Traced;
-use crate::sharded::BundleFixpointStats;
 use socialreach_graph::shard::{MaskedExport, MaskedStateKey};
 use socialreach_graph::NodeId;
 use std::collections::HashMap;

@@ -255,7 +255,7 @@ pub use service::{
     MutateService, Mutation, NetworkedSpec, ReadBatch, ReadRequest, ReadStats, ServiceInstance,
     WalkHop, WitnessWalk,
 };
-pub use sharded::{BundleFixpointStats, ShardedEval, ShardedSystem};
+pub use sharded::ShardedSystem;
 pub use system::AccessControlSystem;
 
 // Re-exported so `JoinEngineConfig` can be configured without naming the

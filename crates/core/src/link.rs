@@ -15,10 +15,9 @@
 //! stages writes as wire `ShardOp`s that a flush commits across the
 //! fleet through the two-phase epoch fence.
 
-use crate::coordinator::{BundleFixpointStats, Mark, Partitioned, ShardStats, ShardedEval};
+use crate::coordinator::{Mark, Partitioned, ShardStats};
 use crate::error::EvalError;
 use crate::fixpoint::{LaneRound, ShardLane, StateKey};
-use crate::path::PathExpr;
 use crate::query::{BundlePlan, ChunkMasks};
 use crate::shard::{Session, ShardCore, Traced};
 use crate::ShardedSystem;
@@ -273,46 +272,6 @@ impl ShardedSystem {
     /// [`crate::AccessControlSystem::snapshot_epoch`] per shard).
     pub fn snapshot_epochs(&self) -> Vec<u64> {
         self.links.iter().map(|l| l.core.snapshot_epoch()).collect()
-    }
-
-    /// Evaluates one access condition `(owner, path)` across the
-    /// shards. With `target = Some(v)` it is the targeted read: it
-    /// early-exits on a grant and stitches a witness (`matched` stays
-    /// empty). With `None` it is a one-condition
-    /// [`ShardedSystem::evaluate_conditions_batched`] that materializes
-    /// the full (global) audience.
-    pub fn evaluate_condition(
-        &self,
-        owner: NodeId,
-        path: &PathExpr,
-        target: Option<NodeId>,
-    ) -> ShardedEval {
-        let Some(requester) = target else {
-            let (mut audiences, _) = self.evaluate_conditions_batched(&[(owner, path)]);
-            return ShardedEval {
-                matched: audiences.pop().expect("one audience per condition"),
-                granted: false,
-                witness: None,
-            };
-        };
-        let Ok((witness, _)) = self.targeted(owner, path, requester, true);
-        ShardedEval {
-            matched: Vec::new(),
-            granted: witness.is_some(),
-            witness,
-        }
-    }
-
-    /// Evaluates a bundle's distinct access conditions through the
-    /// masked batch fixpoint (one per 64-condition chunk of the
-    /// bundle's shared-prefix plan). Returns each condition's audience
-    /// (global ids, sorted) in `conds` order, plus the work census.
-    pub fn evaluate_conditions_batched(
-        &self,
-        conds: &[(NodeId, &PathExpr)],
-    ) -> (Vec<Vec<NodeId>>, BundleFixpointStats) {
-        let Ok(out) = self.bundle(conds);
-        out
     }
 }
 

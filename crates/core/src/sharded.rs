@@ -11,7 +11,7 @@
 //! ([`crate::coordinator`], shared with [`crate::NetworkedSystem`]).
 
 use crate::coordinator::Partitioned;
-pub use crate::coordinator::{BundleFixpointStats, ShardStats, ShardedEval};
+pub use crate::coordinator::ShardStats;
 use crate::link::LocalLink;
 
 /// The sharded serving façade: the [`crate::AccessControlSystem`] API

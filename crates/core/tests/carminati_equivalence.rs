@@ -3,27 +3,23 @@
 //! `label dir [1..radius]` audience, and trust thresholds must only ever
 //! shrink audiences (monotonicity).
 
+mod common;
+
 use proptest::prelude::*;
 use socialreach_core::carminati::{self, CarminatiRule, TrustAggregation};
 use socialreach_core::online;
 use socialreach_graph::{Direction, NodeId, SocialGraph};
 
+/// Random `friend`/`colleague` graphs (see `common::oracle::graph`)
+/// whose every edge carries a trust in tenths.
 fn graph_strategy() -> impl Strategy<Value = SocialGraph> {
-    (2..10usize).prop_flat_map(|n| {
-        proptest::collection::vec((0..n as u32, 0..n as u32, 0..2usize, 0..=10u32), 0..24).prop_map(
-            move |edges| {
-                let mut g = SocialGraph::new();
-                for i in 0..n {
-                    g.add_node(&format!("u{i}"));
-                }
-                let labels = [g.intern_label("friend"), g.intern_label("colleague")];
-                for (s, t, l, trust10) in edges {
-                    let e = g.add_edge(NodeId(s), NodeId(t), labels[l]);
-                    g.set_edge_attr(e, "trust", trust10 as f64 / 10.0);
-                }
-                g
-            },
-        )
+    let trusts = proptest::collection::vec(0..=10u32, 24);
+    (common::graphs(2..10, 0..24, 2), trusts).prop_map(|(mut g, trusts)| {
+        let edges: Vec<_> = g.edge_ids().collect();
+        for (e, trust10) in edges.into_iter().zip(trusts) {
+            g.set_edge_attr(e, "trust", trust10 as f64 / 10.0);
+        }
+        g
     })
 }
 

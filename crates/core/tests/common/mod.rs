@@ -1,11 +1,62 @@
-//! Shared plumbing of the serving-layer test suites: equivalence
-//! checks generic over **any two** [`AccessService`] implementations,
-//! the path-automaton witness replay, and a raw shard-protocol client.
+//! Shared plumbing of the serving-layer test suites: the shared-nothing
+//! [`oracle`], equivalence checks generic over **any two**
+//! [`AccessService`] implementations, witness replay through the
+//! oracle, and a raw shard-protocol client.
 //!
 //! The equivalence harness never names a backend — a future deployment
 //! (e.g. the ROADMAP's distributed-transport shards) is testable
 //! against the existing ones the day it implements the trait.
 #![allow(dead_code)] // each test binary uses the slice it needs
+
+pub mod oracle;
+
+use oracle::{Case, Cond, Step};
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::ops::Range;
+
+/// A property-test input drawn by `f` from a seeded generator.
+pub fn seeded<T>(f: impl Fn(&mut StdRng) -> T) -> impl Strategy<Value = T> {
+    (0..u64::MAX).prop_map(move |seed| f(&mut StdRng::seed_from_u64(seed)))
+}
+
+/// Seeded cases (see [`oracle::case`]).
+pub fn cases() -> impl Strategy<Value = Case> {
+    seeded(oracle::case)
+}
+
+/// Seeded graphs of `n` members and `m` edges over `k` labels (see
+/// [`oracle::graph`]).
+pub fn graphs(n: Range<usize>, m: Range<usize>, k: usize) -> impl Strategy<Value = SocialGraph> {
+    seeded(move |rng| oracle::graph(rng, n.clone(), m.clone(), k))
+}
+
+/// A step of `label` in `dir` over the depth items `depths`, its
+/// endpoint bound by `min_age` (see [`oracle::Step`]).
+pub fn step(
+    label: &'static str,
+    dir: Direction,
+    depths: &[(u32, Option<u32>)],
+    min_age: Option<i64>,
+) -> Step {
+    let depths = depths.to_vec();
+    Step {
+        label,
+        dir,
+        depths,
+        min_age,
+    }
+}
+
+/// Seeded classic-grammar path texts of `steps` random steps over the
+/// first `k` labels (see [`oracle::random_step`]).
+pub fn path_texts(steps: Range<usize>, k: usize) -> impl Strategy<Value = String> {
+    seeded(move |rng| {
+        let steps = (0..rng.gen_range(steps.clone())).map(|_| oracle::random_step(rng, k));
+        oracle::path_text(&steps.collect::<Vec<Step>>())
+    })
+}
 
 use socialreach_core::remote::frame::{read_frame, write_frame};
 use socialreach_core::remote::proto::{
@@ -13,11 +64,11 @@ use socialreach_core::remote::proto::{
     WireRefusal, PROTOCOL_VERSION,
 };
 use socialreach_core::{
-    AccessService, Decision, Deployment, Explanation, MutateService, Mutation, PathExpr,
-    ResourceId, ServiceInstance, ShardAddr, WalkHop,
+    AccessService, Decision, Deployment, Explanation, MutateService, Mutation, ResourceId,
+    ServiceInstance, ShardAddr, WalkHop,
 };
 use socialreach_graph::shard::{MaskedExport, MaskedStateKey};
-use socialreach_graph::{AttrValue, NodeId, SocialGraph};
+use socialreach_graph::{AttrValue, Direction, NodeId, SocialGraph};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
@@ -232,153 +283,48 @@ pub fn assert_services_agree(
     );
 }
 
-/// Checks a witness walk: a connected walk `owner ⇝ requester` whose
-/// hops are real edges of the reference graph and whose
-/// label/direction/depth sequence is accepted by the path automaton
-/// (NFA over `(step, depth)` states with ε-completions between steps).
-/// Returns the violation, or `None` when the walk is valid.
-pub fn witness_violation(
+/// Replays a witness walk through the oracle (`oracle::replay`),
+/// naming its labels through the service that produced it.
+pub fn replay(
+    reads: &dyn AccessService,
     g: &SocialGraph,
-    owner: NodeId,
+    cond: &Cond,
     requester: NodeId,
-    path: &PathExpr,
-    witness: &[WalkHop],
-) -> Option<String> {
-    // 1. Each hop is an edge of the reference graph and the walk chains.
-    let mut at = owner;
-    for hop in witness {
-        let exists = g
-            .edges()
-            .any(|(_, r)| r.src == hop.src && r.dst == hop.dst && r.label == hop.label);
-        if !exists {
-            return Some(format!("hop {hop:?} is not an edge of the graph"));
-        }
-        let (from, to) = if hop.forward {
-            (hop.src, hop.dst)
-        } else {
-            (hop.dst, hop.src)
-        };
-        if from != at {
-            return Some(format!("witness disconnects at {hop:?}"));
-        }
-        at = to;
-    }
-    if at != requester {
-        return Some("witness does not end at the requester".to_owned());
-    }
-
-    // 2. The hop sequence is accepted by the path automaton.
-    let steps = &path.steps;
-    // Saturation point of a depth set (all deeper depths equivalent),
-    // from the public interval view.
-    let sat: Vec<u32> = steps
+    hops: &[WalkHop],
+) -> Result<(), String> {
+    let hops: Vec<_> = hops
         .iter()
-        .map(|s| {
-            let &(lo, hi) = s.depths.intervals().last().expect("non-empty depth set");
-            hi.unwrap_or(lo)
-        })
+        .map(|h| (h.src, h.dst, reads.label_name(h.label), h.forward))
         .collect();
-    let completes = |i: usize, d: u32, node: NodeId| {
-        d >= 1
-            && steps[i].depths.contains(d)
-            && steps[i].conds.iter().all(|c| c.eval(g.node_attrs(node)))
-    };
-    let close = |states: &mut Vec<(usize, u32)>, node: NodeId| {
-        let mut k = 0;
-        while k < states.len() {
-            let (i, d) = states[k];
-            if i + 1 < steps.len() && completes(i, d, node) && !states.contains(&(i + 1, 0)) {
-                states.push((i + 1, 0));
-            }
-            k += 1;
-        }
-    };
-    let mut states: Vec<(usize, u32)> = vec![(0, 0)];
-    let mut at = owner;
-    for hop in witness {
-        close(&mut states, at);
-        let (label, forward) = (hop.label, hop.forward);
-        let mut next: Vec<(usize, u32)> = Vec::new();
-        for &(i, d) in &states {
-            let step = &steps[i];
-            if step.label != label {
-                continue;
-            }
-            let dir_ok = match step.dir {
-                socialreach_graph::Direction::Out => forward,
-                socialreach_graph::Direction::In => !forward,
-                socialreach_graph::Direction::Both => true,
-            };
-            if !dir_ok {
-                continue;
-            }
-            if d < sat[i] || step.depths.is_unbounded() {
-                let nd = (d + 1).min(sat[i]);
-                if !next.contains(&(i, nd)) {
-                    next.push((i, nd));
-                }
-            }
-        }
-        states = next;
-        if states.is_empty() {
-            return Some(format!("witness hop {hop:?} matches no step"));
-        }
-        at = if forward { hop.dst } else { hop.src };
-    }
-    if states
-        .iter()
-        .any(|&(i, d)| i == steps.len() - 1 && completes(i, d, at))
-    {
-        None
-    } else {
-        Some("witness walk does not complete the path at the requester".to_owned())
-    }
+    oracle::replay(g, cond, requester, &hops)
 }
 
-/// Panicking wrapper of [`witness_violation`] for suites that know the
-/// unique condition a walk must satisfy.
-pub fn assert_witness_valid(
-    g: &SocialGraph,
-    owner: NodeId,
-    requester: NodeId,
-    path: &PathExpr,
-    witness: &[WalkHop],
-) {
-    if let Some(violation) = witness_violation(g, owner, requester, path, witness) {
-        panic!("{violation}");
-    }
-}
-
-/// Validates every walk of a granted [`Explanation`] against the
-/// reference graph: each walk must reach `requester` and be accepted
-/// by the automaton of a rule condition it claims to satisfy (matched
-/// by the walk's `start` owner; `conditions` are the resource's
-/// `(owner, path)` pairs).
+/// Validates a granted [`Explanation`] against the graph: an ownership
+/// names the requester, and a rule grant carries one walk per condition
+/// of some rule of `rules`, in order, each from the condition's owner
+/// and replayed by the oracle.
 pub fn assert_explanation_valid(
+    reads: &dyn AccessService,
     g: &SocialGraph,
     requester: NodeId,
-    conditions: &[(NodeId, PathExpr)],
+    rules: &[Vec<Cond>],
     explanation: &Explanation,
 ) {
-    match explanation {
-        Explanation::Ownership { .. } => {}
-        Explanation::Rule { walks } => {
-            assert!(!walks.is_empty(), "a rule grant carries walks");
-            for walk in walks {
-                // Several conditions can share an owner; at least one
-                // must accept the walk.
-                let accepted = conditions.iter().any(|(owner, path)| {
-                    *owner == walk.start
-                        && witness_violation(g, *owner, requester, path, &walk.hops).is_none()
-                });
-                assert!(
-                    accepted,
-                    "no condition of the rule accepts walk from {}",
-                    walk.start
-                );
-            }
-        }
-    }
+    let walks = match explanation {
+        Explanation::Ownership { owner } => return assert_eq!(*owner, requester),
+        Explanation::Rule { walks } => walks,
+    };
+    let explains = |rule: &Vec<Cond>| {
+        rule.len() == walks.len()
+            && rule
+                .iter()
+                .zip(walks)
+                .all(|(c, w)| c.owner == w.start && replay(reads, g, c, requester, &w.hops).is_ok())
+    };
+    assert!(
+        rules.iter().any(|r| !r.is_empty() && explains(r)),
+        "no rule accepts the walks to {requester}: {walks:?}"
+    );
 }
 
 /// A blocking client speaking the shard protocol directly (no router),

@@ -6,6 +6,9 @@
 //! original HashMap/VecDeque product BFS, retained as the executable
 //! specification).
 
+mod common;
+
+use common::oracle::LABELS;
 use proptest::prelude::*;
 use socialreach_core::query::{
     evaluate_plan_audiences, evaluate_plan_batch_seeded, PlanBatchState,
@@ -13,64 +16,18 @@ use socialreach_core::query::{
 use socialreach_core::{online, parse_path, BundlePlan, MutateService, PathExpr};
 use socialreach_graph::{NodeId, SocialGraph};
 
-const LABELS: [&str; 3] = ["friend", "colleague", "parent"];
-
 #[derive(Clone, Debug)]
 struct Case {
     graph: SocialGraph,
     paths: Vec<String>,
 }
 
-/// A random labeled multigraph (self-loops and parallel edges welcome)
-/// with discriminating ages sprinkled on some members.
-fn graph_strategy() -> impl Strategy<Value = SocialGraph> {
-    (2..10usize).prop_flat_map(|n| {
-        proptest::collection::vec((0..n as u32, 0..n as u32, 0..3usize, 10..60i64), 0..28).prop_map(
-            move |edges| {
-                let mut g = SocialGraph::new();
-                for i in 0..n {
-                    g.add_node(&format!("u{i}"));
-                }
-                for l in LABELS {
-                    g.intern_label(l);
-                }
-                for (i, (s, t, l, age)) in edges.iter().enumerate() {
-                    let label = g.vocab().label(LABELS[*l]).unwrap();
-                    g.add_edge(NodeId(*s), NodeId(*t), label);
-                    let node = NodeId((i as u32 + s + t) % n as u32);
-                    g.set_node_attr(node, "age", *age);
-                }
-                g
-            },
-        )
-    })
-}
-
-/// A random path expression, step by step: label, direction, depth set
-/// shape (single / range / list-with-hole / unbounded tail), and an
-/// optional endpoint predicate.
-fn path_text_strategy() -> impl Strategy<Value = String> {
-    let step = (0..3usize, 0..3usize, 1..4u32, 0..3u32, 0..5usize).prop_map(
-        |(label, dir, lo, extra, shape)| {
-            let dir = ["+", "-", "*"][dir];
-            let hi = lo + extra;
-            let depths = match shape {
-                0 => format!("[{lo}]"),
-                1 => format!("[{lo}..{hi}]"),
-                2 => format!("[{lo},{}]", hi + 2),
-                3 => format!("[{lo}..]"),
-                _ => format!("[{lo}..{hi}]{{age>=30}}"),
-            };
-            format!("{}{}{}", LABELS[label], dir, depths)
-        },
-    );
-    proptest::collection::vec(step, 1..4).prop_map(|steps| steps.join("/"))
-}
-
+/// Random graphs of 2–9 members (see `common::oracle::graph`) and one
+/// to three paths of one to three steps over their three labels.
 fn case_strategy() -> impl Strategy<Value = Case> {
     (
-        graph_strategy(),
-        proptest::collection::vec(path_text_strategy(), 1..4),
+        common::graphs(2..10, 0..28, 3),
+        proptest::collection::vec(common::path_texts(1..4, 3), 1..4),
     )
         .prop_map(|(graph, paths)| Case { graph, paths })
 }
@@ -198,28 +155,11 @@ proptest! {
 // Recycled mask scratch can never change an answer
 // ---------------------------------------------------------------------
 
-/// A small **dense** graph over two labels (`graph_strategy`'s sparse
-/// three-label graphs leave most reads at their seed): 4–10 members,
-/// 12–40 edges.
+/// A small **dense** graph over two labels (the three-label graphs of
+/// `case_strategy` leave most reads at their seed): 4–9 members, 12–39
+/// edges.
 fn dense_graph_strategy() -> impl Strategy<Value = SocialGraph> {
-    (4..10usize).prop_flat_map(|n| {
-        proptest::collection::vec((0..n as u32, 0..n as u32, 0..2usize, 10..60i64), 12..40)
-            .prop_map(move |edges| {
-                let mut g = SocialGraph::new();
-                for i in 0..n {
-                    g.add_node(&format!("u{i}"));
-                }
-                for l in LABELS {
-                    g.intern_label(l);
-                }
-                for (s, t, l, age) in edges {
-                    let label = g.vocab().label(LABELS[l]).unwrap();
-                    g.add_edge(NodeId(s), NodeId(t), label);
-                    g.set_node_attr(NodeId(t), "age", age);
-                }
-                g
-            })
-    })
+    common::graphs(4..10, 12..40, 2)
 }
 
 /// A dense graph padded with isolated members to 96–200 nodes: reads
@@ -233,22 +173,6 @@ fn padded_graph_strategy() -> impl Strategy<Value = SocialGraph> {
         }
         g
     })
-}
-
-/// Paths over the dense graphs' two labels, one to three steps.
-fn dense_path_strategy() -> impl Strategy<Value = String> {
-    let step = (0..2usize, 0..3usize, 1..3u32, 0..5usize).prop_map(|(label, dir, lo, shape)| {
-        let dir = ["+", "-", "*"][dir];
-        let depths = match shape {
-            0 => format!("[{lo}]"),
-            1 => format!("[{lo}..{}]", lo + 1),
-            2 => format!("[{lo},{}]", lo + 2),
-            3 => format!("[{lo}..]"),
-            _ => format!("[1..{lo}]{{age>=30}}"),
-        };
-        format!("{}{}{}", LABELS[label], dir, depths)
-    });
-    proptest::collection::vec(step, 1..4).prop_map(|steps| steps.join("/"))
 }
 
 /// One masked read, by shape. Indexes are taken modulo what the chosen
@@ -420,9 +344,9 @@ proptest! {
     #[test]
     fn recycled_scratch_never_changes_an_answer(
         small in dense_graph_strategy(),
-        other in graph_strategy(),
+        other in common::graphs(2..10, 0..28, 3),
         padded in padded_graph_strategy(),
-        texts in proptest::collection::vec(dense_path_strategy(), 1..4),
+        texts in proptest::collection::vec(common::path_texts(1..4, 2), 1..4),
         reads in proptest::collection::vec(read_strategy(), 4..24),
     ) {
         // Three graphs of different |V| (one of them large enough for

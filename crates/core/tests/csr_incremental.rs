@@ -10,12 +10,13 @@
 //! runs on graphs of three to four pages of members, aimed at the page
 //! boundaries of the copy-on-write patch.
 
+mod common;
+
+use common::oracle::LABELS;
 use proptest::prelude::*;
 use socialreach_core::{online, parse_path, PathExpr};
 use socialreach_graph::csr::CsrSnapshot;
 use socialreach_graph::{NodeId, SocialGraph};
-
-const LABELS: [&str; 3] = ["friend", "colleague", "parent"];
 
 #[derive(Clone, Debug)]
 struct Append {
@@ -42,19 +43,12 @@ fn append_strategy() -> impl Strategy<Value = Append> {
         .prop_map(|(new_nodes, edges)| Append { new_nodes, edges })
 }
 
-fn path_text_strategy() -> impl Strategy<Value = String> {
-    (0..3usize, 0..3usize, 1..3u32, 0..2u32).prop_map(|(label, dir, lo, extra)| {
-        let dir = ["+", "-", "*"][dir];
-        format!("{}{}[{}..{}]", LABELS[label], dir, lo, lo + extra)
-    })
-}
-
 fn case_strategy() -> impl Strategy<Value = Case> {
     (
         2..8usize,
         proptest::collection::vec((0..64u32, 0..64u32, 0..3usize), 0..16),
         proptest::collection::vec(append_strategy(), 1..4),
-        proptest::collection::vec(path_text_strategy(), 1..3),
+        proptest::collection::vec(common::path_texts(1..3, 3), 1..3),
     )
         .prop_map(|(base_nodes, base_edges, appends, paths)| Case {
             base_nodes,

@@ -3,13 +3,13 @@
 //! audiences and decisions as the §1 online product BFS, on arbitrary
 //! graphs and arbitrary policies.
 
+mod common;
+
 use proptest::prelude::*;
 use socialreach_core::{
     online, parse_path, AccessEngine, JoinEngineConfig, JoinIndexEngine, JoinStrategy, PathExpr,
 };
-use socialreach_graph::{NodeId, SocialGraph};
-
-const LABELS: [&str; 3] = ["friend", "colleague", "parent"];
+use socialreach_graph::SocialGraph;
 
 #[derive(Clone, Debug)]
 struct Case {
@@ -17,29 +17,11 @@ struct Case {
     paths: Vec<String>,
 }
 
+/// Random graphs (see `common::oracle::graph`) and paths from a pool
+/// inside the fragment the join engines plan within their budget:
+/// bounded depths, one interval per step.
 fn case_strategy() -> impl Strategy<Value = Case> {
-    let graph = (2..9usize).prop_flat_map(|n| {
-        proptest::collection::vec((0..n as u32, 0..n as u32, 0..3usize, 10..60i64), 0..20).prop_map(
-            move |edges| {
-                let mut g = SocialGraph::new();
-                for i in 0..n {
-                    g.add_node(&format!("u{i}"));
-                }
-                for l in LABELS {
-                    g.intern_label(l);
-                }
-                for (i, (s, t, l, age)) in edges.iter().enumerate() {
-                    let label = g.vocab().label(LABELS[*l]).unwrap();
-                    g.add_edge(NodeId(*s), NodeId(*t), label);
-                    // vary ages so attribute predicates discriminate
-                    let node = NodeId((i as u32 + s + t) % n as u32);
-                    g.set_node_attr(node, "age", *age);
-                }
-                g
-            },
-        )
-    });
-
+    let graph = common::graphs(2..9, 0..20, 3);
     let path_pool = prop::sample::subsequence(
         vec![
             "friend+[1]".to_string(),

@@ -2,26 +2,17 @@
 //! complete (every authorized depth/orientation combination within the
 //! caps appears exactly once) and structurally well-formed.
 
+mod common;
+
 use proptest::prelude::*;
 use socialreach_core::{parse_path, plan, PlanConfig};
 use socialreach_graph::Vocabulary;
-
-/// A random syntactically valid path text over two labels.
-fn path_text_strategy() -> impl Strategy<Value = String> {
-    let step = (0..2usize, 0..3usize, 1..3u32, 0..3u32).prop_map(|(label, dir, lo, extra)| {
-        let label = ["friend", "colleague"][label];
-        let dir = ["+", "-", "*"][dir];
-        let hi = lo + extra;
-        format!("{label}{dir}[{lo}..{hi}]")
-    });
-    proptest::collection::vec(step, 1..4).prop_map(|steps| steps.join("/"))
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn expansion_is_complete_and_duplicate_free(text in path_text_strategy()) {
+    fn expansion_is_complete_and_duplicate_free(text in common::path_texts(1..4, 2)) {
         let mut vocab = Vocabulary::new();
         let path = parse_path(&text, &mut vocab).expect("generated paths parse");
         let cfg = PlanConfig { max_depth: 6, max_line_queries: 100_000 };
@@ -72,7 +63,7 @@ proptest! {
     }
 
     #[test]
-    fn truncation_flag_iff_unbounded_depth(text in path_text_strategy()) {
+    fn truncation_flag_iff_unbounded_depth(text in common::path_texts(1..4, 2)) {
         let mut vocab = Vocabulary::new();
         let path = parse_path(&text, &mut vocab).expect("parses");
         let cfg = PlanConfig { max_depth: 6, max_line_queries: 100_000 };

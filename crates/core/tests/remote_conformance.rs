@@ -10,14 +10,15 @@
 
 mod common;
 
-use proptest::prelude::*;
+use common::oracle::Cond;
 use socialreach_core::online::evaluate_reference;
 use socialreach_core::remote::proto::{Request, Response, WireMatch, WireRefusal};
 use socialreach_core::remote::{spawn_local_fleet, MAX_EPOCH_OPS};
 use socialreach_core::{
-    parse_path, AccessService, Decision, Deployment, EvalError, Explanation, MutateService,
-    Mutation, PolicyStore, ResourceId, ServiceInstance, ShardAddr, ShardHandle, ShardServer,
+    parse_path, AccessService, Decision, Deployment, EvalError, MutateService, Mutation,
+    PolicyStore, ResourceId, ServiceInstance, ShardAddr, ShardHandle, ShardServer,
 };
+use socialreach_graph::Direction::{Both, In, Out};
 use socialreach_graph::{AttrValue, NodeId, ShardAssignment, SocialGraph};
 use std::collections::{HashMap, HashSet};
 use std::sync::{mpsc, Mutex};
@@ -304,8 +305,9 @@ fn uds_kill_and_restart_mid_stream_preserves_conformance() {
 }
 
 /// A 12-member chain of friend and colleague ties with ages on every
-/// other member, and two single-condition resources.
-fn chain_fixture() -> (SocialGraph, PolicyStore, Vec<ResourceId>) {
+/// other member, and two single-condition resources, whose conditions
+/// come last as the oracle reads them.
+fn chain_fixture() -> (SocialGraph, PolicyStore, Vec<ResourceId>, Vec<Cond>) {
     let mut g = SocialGraph::new();
     for i in 0..12 {
         g.add_node(&format!("u{i}"));
@@ -322,20 +324,37 @@ fn chain_fixture() -> (SocialGraph, PolicyStore, Vec<ResourceId>) {
     for i in (0..12u32).step_by(2) {
         g.set_node_attr(NodeId(i), "age", i64::from(18 + i));
     }
+    let conds = vec![
+        Cond {
+            owner: NodeId(0),
+            steps: vec![common::step("friend", Out, &[(1, Some(3))], None)],
+        },
+        Cond {
+            owner: NodeId(5),
+            steps: vec![common::step("colleague", Both, &[(1, Some(2))], Some(20))],
+        },
+    ];
+    let (store, rids) = register(&mut g, &conds);
+    (g, store, rids, conds)
+}
+
+/// One resource per condition, owned by its owner, with the condition
+/// as its one rule.
+fn register(g: &mut SocialGraph, conds: &[Cond]) -> (PolicyStore, Vec<ResourceId>) {
     let mut store = PolicyStore::new();
-    let r0 = store.register_resource(NodeId(0));
-    store.allow(r0, "friend+[1..3]", &mut g).unwrap();
-    let r1 = store.register_resource(NodeId(5));
-    store
-        .allow(r1, "colleague*[1..2]{age>=20}", &mut g)
-        .unwrap();
-    (g, store, vec![r0, r1])
+    let mut rids = Vec::new();
+    for c in conds {
+        let rid = store.register_resource(c.owner);
+        store.allow(rid, &c.text(), g).unwrap();
+        rids.push(rid);
+    }
+    (store, rids)
 }
 
 /// `Deployment::from_graph` parity: ingesting an existing graph +
 /// policy store over the wire preserves ids and semantics.
 fn from_graph_preserves_ids_and_semantics(unix: bool) {
-    let (g, store, rids) = chain_fixture();
+    let (g, store, rids, _) = chain_fixture();
     let (_handles, addrs) = fleet(3, unix);
     let net = Deployment::networked_with(addrs, SEED).from_graph(&g, store.clone());
     let single = Deployment::online().from_graph(&g, store.clone());
@@ -372,8 +391,9 @@ fn uds_from_graph_preserves_ids_and_semantics() {
 ///   reuse.
 ///
 /// Every resource is gated on age; the first two check it at the last
-/// members' ghosts before walking on from them.
-fn many_epochs_fixture() -> (SocialGraph, PolicyStore, Vec<ResourceId>) {
+/// members' ghosts before walking on from them. The conditions come
+/// last as the oracle reads them.
+fn many_epochs_fixture() -> (SocialGraph, PolicyStore, Vec<ResourceId>, Vec<Cond>) {
     const N: u32 = 180;
     let place = ShardAssignment::hashed(2, SEED);
     let mut g = SocialGraph::new();
@@ -413,22 +433,43 @@ fn many_epochs_fixture() -> (SocialGraph, PolicyStore, Vec<ResourceId>) {
             g.add_edge(NodeId(i), NodeId((i * 7 + 3) % N), colleague);
         }
     }
-    let mut store = PolicyStore::new();
-    let mut rids = Vec::new();
-    for (owner, rule) in [
+    let one = [(1, Some(1))];
+    let cond = |owner, steps| Cond {
+        owner: NodeId(owner),
+        steps,
+    };
+    let conds = vec![
         // Through the last members' ghosts, where the age is checked
         // before the walk goes on.
-        (across(N - 1, 0), "friend+[1]{age>=30}/colleague+[1]"),
-        (across(N - 2, 1), "friend+[1]{age>=40}/colleague+[1]"),
-        (N - 1, "colleague+[1]{age>=30}/friend+[1..2]"),
-        (hub, "follows+[1]{age>=35}"),
-        (N - 4, "friend-[1..3]{age>=50}"),
-    ] {
-        let rid = store.register_resource(NodeId(owner));
-        store.allow(rid, rule, &mut g).unwrap();
-        rids.push(rid);
-    }
-    (g, store, rids)
+        cond(
+            across(N - 1, 0),
+            vec![
+                common::step("friend", Out, &one, Some(30)),
+                common::step("colleague", Out, &one, None),
+            ],
+        ),
+        cond(
+            across(N - 2, 1),
+            vec![
+                common::step("friend", Out, &one, Some(40)),
+                common::step("colleague", Out, &one, None),
+            ],
+        ),
+        cond(
+            N - 1,
+            vec![
+                common::step("colleague", Out, &one, Some(30)),
+                common::step("friend", Out, &[(1, Some(2))], None),
+            ],
+        ),
+        cond(hub, vec![common::step("follows", Out, &one, Some(35))]),
+        cond(
+            N - 4,
+            vec![common::step("friend", In, &[(1, Some(3))], Some(50))],
+        ),
+    ];
+    let (store, rids) = register(&mut g, &conds);
+    (g, store, rids, conds)
 }
 
 /// The shard ops a bulk load of `g` stages under `place`: one
@@ -463,7 +504,7 @@ fn bulk_load_ops(g: &SocialGraph, place: &ShardAssignment) -> (usize, usize, usi
 /// its rule. A shard killed and restarted empty heals through the
 /// bounded op-log replay to the same answers.
 fn from_graph_across_many_epochs_matches_twins(unix: bool) {
-    let (g, store, rids) = many_epochs_fixture();
+    let (g, store, rids, conds) = many_epochs_fixture();
     let place = ShardAssignment::hashed(2, SEED);
     let (ops, copies, edge_copies) = bulk_load_ops(&g, &place);
     assert!(ops >= 3 * MAX_EPOCH_OPS, "{ops} ops span several epochs");
@@ -483,12 +524,10 @@ fn from_graph_across_many_epochs_matches_twins(unix: bool) {
                 sharded.reads().audience_batch_with_stats(&[rid]).unwrap(),
                 "{rid:?}: audience and census"
             );
-            let path = &store.rules_for(rid)[0].conditions[0].path;
+            let rules = [vec![conds[rid.0 as usize].clone()]];
             for m in g.nodes() {
-                if let Some(Explanation::Rule { walks }) = net.reads().explain(rid, m).unwrap() {
-                    for w in &walks {
-                        common::assert_witness_valid(&g, w.start, m, path, &w.hops);
-                    }
+                if let Some(e) = net.reads().explain(rid, m).unwrap() {
+                    common::assert_explanation_valid(net.reads(), &g, m, &rules, &e);
                 }
             }
         }
@@ -546,84 +585,6 @@ fn uds_from_graph_across_many_epochs_matches_twins() {
 }
 
 // ---------------------------------------------------------------------
-// Property: random workloads through the wire
-// ---------------------------------------------------------------------
-
-const LABELS: [&str; 3] = ["friend", "colleague", "parent"];
-
-fn graph_strategy() -> impl Strategy<Value = SocialGraph> {
-    (3..9usize).prop_flat_map(|n| {
-        proptest::collection::vec((0..n as u32, 0..n as u32, 0..3usize, 10..60i64), 0..22).prop_map(
-            move |edges| {
-                let mut g = SocialGraph::new();
-                for i in 0..n {
-                    g.add_node(&format!("u{i}"));
-                }
-                for l in LABELS {
-                    g.intern_label(l);
-                }
-                for (i, (s, t, l, age)) in edges.iter().enumerate() {
-                    let label = g.vocab().label(LABELS[*l]).unwrap();
-                    g.add_edge(NodeId(*s), NodeId(*t), label);
-                    let node = NodeId((i as u32 + s + t) % n as u32);
-                    g.set_node_attr(node, "age", *age);
-                }
-                g
-            },
-        )
-    })
-}
-
-fn path_text_strategy() -> impl Strategy<Value = String> {
-    let step = (0..3usize, 0..3usize, 1..3u32, 0..2u32, 0..5usize).prop_map(
-        |(label, dir, lo, extra, shape)| {
-            let dir = ["+", "-", "*"][dir];
-            let hi = lo + extra;
-            let depths = match shape {
-                0 => format!("[{lo}]"),
-                1 => format!("[{lo}..{hi}]"),
-                2 => format!("[{lo},{}]", hi + 2),
-                3 => format!("[{lo}..]"),
-                _ => format!("[{lo}..{hi}]{{age>=30}}"),
-            };
-            format!("{}{}{}", LABELS[label], dir, depths)
-        },
-    );
-    proptest::collection::vec(step, 1..3).prop_map(|steps| steps.join("/"))
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// The generic differential harness on random graphs × policies,
-    /// instantiated at in-process sharded(2) vs networked(2) over TCP
-    /// (every evaluation crosses the wire).
-    #[test]
-    fn tcp_networked_agrees_on_random_workloads(
-        graph in graph_strategy(),
-        policies in proptest::collection::vec((0..8u32, path_text_strategy()), 1..4),
-    ) {
-        let mut g = graph;
-        let n = g.num_nodes() as u32;
-        let mut store = PolicyStore::new();
-        let mut rids = Vec::new();
-        for (owner_ix, text) in &policies {
-            let rid = store.register_resource(NodeId(owner_ix % n));
-            store.allow(rid, text, &mut g).expect("generated paths parse");
-            rids.push(rid);
-        }
-        let (_handles, addrs) = fleet(2, false);
-        let assignment = ShardAssignment::hashed(2, 17);
-        let net = ServiceInstance::Networked(
-            socialreach_core::NetworkedSystem::from_graph(&addrs, assignment.clone(), &g, store.clone())
-                .expect("fleet reachable"),
-        );
-        let sharded = Deployment::sharded_with(assignment).from_graph(&g, store);
-        common::assert_services_agree(sharded.reads(), net.reads(), &rids);
-    }
-}
-
-// ---------------------------------------------------------------------
 // Concurrency: pooled connections and session lifetimes
 // ---------------------------------------------------------------------
 
@@ -632,13 +593,13 @@ proptest! {
 /// connection pool they share. Every answer equals the single-graph
 /// twin's, and every `explain` walk is a valid witness.
 fn concurrent_readers_match_the_online_twin(unix: bool) {
-    let (g, store, rids) = chain_fixture();
+    let (g, store, rids, conds) = chain_fixture();
     let (_handles, addrs) = fleet(2, unix);
     let net = Deployment::networked_with(addrs, SEED).from_graph(&g, store.clone());
     let online = Deployment::online().from_graph(&g, store.clone());
     std::thread::scope(|scope| {
         for t in 0..4u32 {
-            let (net, online, g, store, rids) = (net.reads(), online.reads(), &g, &store, &rids);
+            let (net, online, g, conds, rids) = (net.reads(), online.reads(), &g, &conds, &rids);
             scope.spawn(move || {
                 for i in 0..24u32 {
                     let rid = rids[((t + i) % 2) as usize];
@@ -649,11 +610,9 @@ fn concurrent_readers_match_the_online_twin(unix: bool) {
                         1 => {
                             let explained = net.explain(rid, m).unwrap();
                             assert_eq!(explained.is_some(), want == Decision::Grant);
-                            if let Some(Explanation::Rule { walks }) = explained {
-                                let path = &store.rules_for(rid)[0].conditions[0].path;
-                                for w in &walks {
-                                    common::assert_witness_valid(g, w.start, m, path, &w.hops);
-                                }
+                            if let Some(e) = explained {
+                                let rules = [vec![conds[rid.0 as usize].clone()]];
+                                common::assert_explanation_valid(net, g, m, &rules, &e);
                             }
                         }
                         _ => assert_eq!(

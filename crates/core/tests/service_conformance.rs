@@ -3,20 +3,20 @@
 //! the deployment-agnostic traits, runs against every backend —
 //! `Deployment::online`, `Deployment::sharded` (several shard counts)
 //! and `Deployment::networked` (a live shard fleet behind loopback
-//! TCP) — and must produce identical decisions, audiences and batch
-//! responses, with every granted explain walk replaying through the
-//! path automaton. A proptest instance of the generic differential
-//! harness (`common::assert_services_agree`) pairs `Deployment::online`
-//! against `Deployment::sharded(4)` on random graphs × policies.
+//! TCP) — and must answer it as the shared-nothing oracle
+//! (`common::oracle`) reads it, with every granted explain walk
+//! replayed by the oracle. The random comparison of every deployment
+//! with the oracle is `differential_matrix`.
 
 mod common;
 
-use proptest::prelude::*;
+use common::oracle::{self, Cond, Resource, Step};
 use socialreach_core::{
     AccessResponse, AccessService, Applied, BundleStrategy, CheckPlan, Decision, Deployment,
-    DurableService, EvalError, Explanation, MutateService, Mutation, PathExpr, PlannedService,
-    PlannerMode, PolicyStore, ReadBatch, ReadRequest, ReadStats, ResourceId, ServiceInstance,
+    DurableService, EvalError, Explanation, MutateService, Mutation, PlannedService, PlannerMode,
+    PolicyStore, ReadBatch, ReadRequest, ReadStats, ResourceId, ServiceInstance,
 };
+use socialreach_graph::Direction::{Both, In, Out};
 use socialreach_graph::{GraphError, NodeId, SocialGraph};
 use std::path::PathBuf;
 
@@ -61,10 +61,51 @@ impl MutateService for RawState {
     }
 }
 
+/// The scenario's resources as the oracle reads them, in creation
+/// order: an adults-only album, a feed whose rules disjoin friends at
+/// any depth with follower paths, a colleague memo, a private diary, a
+/// two-step ring and an unbounded wall (its walks go round the mutual
+/// friendships, so every read runs to saturation).
+fn scenario() -> Vec<Resource> {
+    let step = common::step;
+    let (one, two) = ([(1, Some(1))], [(1, Some(1)), (2, Some(2))]);
+    // Each resource's owner, and each of its rules' one condition.
+    let resources: [(u32, Vec<Vec<Step>>); 6] = [
+        (0, vec![vec![step("friend", Out, &two, Some(18))]]),
+        (
+            0,
+            vec![
+                vec![step("friend", Out, &[(1, Some(4))], None)],
+                vec![step("follows", In, &two, None)],
+            ],
+        ),
+        (
+            3,
+            vec![vec![step("colleague", Both, &[(1, Some(3))], None)]],
+        ),
+        (4, vec![]),
+        (
+            7,
+            vec![vec![
+                step("colleague", Both, &one, None),
+                step("friend", Out, &one, None),
+            ]],
+        ),
+        (1, vec![vec![step("friend", Out, &[(2, None)], None)]]),
+    ];
+    let resource = |(owner, rules): (u32, Vec<Vec<Step>>)| {
+        let owner = NodeId(owner);
+        let rule = |steps| vec![Cond { owner, steps }];
+        let rules = rules.into_iter().map(rule).collect();
+        Resource { owner, rules }
+    };
+    resources.into_iter().map(resource).collect()
+}
+
 /// The scenario: a two-community graph with attribute-gated paths,
 /// incoming-direction steps, an unbounded depth set over friendship
-/// cycles, a private resource and a multi-rule (disjunctive) resource.
-/// Returns the resources.
+/// cycles, a private resource and a multi-rule (disjunctive) resource
+/// ([`scenario`]). Returns the resources.
 fn apply_script(svc: &mut dyn MutateService) -> Vec<ResourceId> {
     let names = [
         "Ava", "Ben", "Cleo", "Dan", "Edith", "Femi", "Gus", "Hana", "Ivan", "June",
@@ -87,35 +128,62 @@ fn apply_script(svc: &mut dyn MutateService) -> Vec<ResourceId> {
     for (i, age) in [(0usize, 34i64), (2, 26), (3, 17), (4, 41), (8, 52)] {
         svc.set_user_attr(m[i], "age", age.into());
     }
-
-    let album = svc.add_resource(m[0]);
-    svc.add_rule(album, "friend+[1,2]{age>=18}").unwrap();
-    let feed = svc.add_resource(m[0]);
-    svc.add_rule(feed, "friend+[1..4]").unwrap();
-    svc.add_rule(feed, "follows-[1,2]").unwrap(); // disjoins
-    let memo = svc.add_resource(m[3]);
-    svc.add_rule(memo, "colleague*[1..3]").unwrap();
-    let diary = svc.add_resource(m[4]); // private: no rules
-    let ring = svc.add_resource(m[7]);
-    svc.add_rule(ring, "colleague*[1]/friend+[1]").unwrap();
-    // Unbounded: walks go round the mutual friendships, so every read
-    // runs to saturation.
-    let wall = svc.add_resource(m[1]);
-    svc.add_rule(wall, "friend+[2..]").unwrap();
-    vec![album, feed, memo, diary, ring, wall]
+    let mut rids = Vec::new();
+    for res in scenario() {
+        let rid = svc.add_resource(res.owner);
+        for rule in &res.rules {
+            svc.add_rule(rid, &rule[0].text()).unwrap();
+        }
+        rids.push(rid);
+    }
+    rids
 }
 
-/// Every backend serves the script with identical decisions,
-/// audiences, batched reads and explain grant-ness.
+/// The script written into a bare graph and store, and the oracle's
+/// audiences of its resources.
+fn scripted_oracle() -> (RawState, Vec<ResourceId>, Vec<Vec<NodeId>>) {
+    let mut raw = RawState::default();
+    let rids = apply_script(&mut raw);
+    let want = scenario()
+        .iter()
+        .map(|r| oracle::audience(&raw.g, r))
+        .collect();
+    (raw, rids, want)
+}
+
+/// Every backend serves the script as the oracle reads it: per-member
+/// decisions, audiences, batched reads and explain grant-ness.
 #[test]
 fn all_backends_agree_on_the_scenario_script() {
-    let mut reference: Option<ServiceInstance> = None;
+    let (raw, rids, want) = scripted_oracle();
+    let requests: Vec<(ResourceId, NodeId)> = rids
+        .iter()
+        .flat_map(|&rid| raw.g.nodes().map(move |m| (rid, m)))
+        .collect();
+    let decisions: Vec<Decision> = requests
+        .iter()
+        .map(|&(rid, m)| match want[rid.0 as usize].contains(&m) {
+            true => Decision::Grant,
+            false => Decision::Deny,
+        })
+        .collect();
     for deployment in deployments() {
         let mut svc = deployment.build();
-        let rids = apply_script(svc.writes());
-        match &reference {
-            None => reference = Some(svc),
-            Some(r) => common::assert_services_agree(r.reads(), svc.reads(), &rids),
+        assert_eq!(
+            apply_script(svc.writes()),
+            rids,
+            "the script is deterministic"
+        );
+        let (reads, tag) = (svc.reads(), deployment.describe());
+        assert_eq!(reads.audience_batch(&rids).unwrap(), want, "{tag}");
+        assert_eq!(reads.check_batch(&requests, 2).unwrap(), decisions, "{tag}");
+        for (&(rid, m), &d) in requests.iter().zip(&decisions) {
+            assert_eq!(reads.check(rid, m).unwrap(), d, "{tag}: {rid:?}/{m}");
+            let explained = reads.explain(rid, m).unwrap();
+            assert_eq!(explained.is_some(), d.is_granted(), "{tag}: {rid:?}/{m}");
+        }
+        for (&rid, audience) in rids.iter().zip(&want) {
+            assert_eq!(&reads.audience(rid).unwrap(), audience, "{tag}");
         }
     }
 }
@@ -146,35 +214,24 @@ fn scenario_semantics_are_the_expected_ones() {
     );
 }
 
-/// Every granted explain of every backend replays through the path
-/// automaton against the script's reference graph.
+/// Every granted explain of every backend replays through the oracle
+/// against the script's graph.
 #[test]
 fn granted_explains_replay_through_the_path_automaton() {
-    // The oracle state comes from the same trait-level script.
-    let mut raw = RawState::default();
-    let rids = apply_script(&mut raw);
-    let conditions_of = |rid: ResourceId| -> Vec<(NodeId, PathExpr)> {
-        raw.store
-            .rules_for(rid)
-            .iter()
-            .flat_map(|r| r.conditions.iter())
-            .map(|c| (c.owner, c.path.clone()))
-            .collect()
-    };
-
+    let (raw, rids, _) = scripted_oracle();
+    let resources = scenario();
     for deployment in deployments() {
         let mut svc = deployment.build();
         let script_rids = apply_script(svc.writes());
         assert_eq!(script_rids, rids, "the script is deterministic");
         let reads = svc.reads();
-        for &rid in &rids {
-            let conditions = conditions_of(rid);
+        for (&rid, res) in rids.iter().zip(&resources) {
             for member in 0..reads.num_members() as u32 {
                 let member = NodeId(member);
                 let explanation = reads.explain(rid, member).unwrap();
                 match (&explanation, reads.check(rid, member).unwrap()) {
                     (Some(e), Decision::Grant) => {
-                        common::assert_explanation_valid(&raw.g, member, &conditions, e);
+                        common::assert_explanation_valid(reads, &raw.g, member, &res.rules, e);
                         // Rendering is deployment-agnostic: walk lines
                         // read the same on every backend.
                         for line in e.render(reads) {
@@ -746,7 +803,7 @@ fn check_routes_agree_on_decisions_and_cache_accounting() {
         CheckPlan::Audience(BundleStrategy::Batched),
         CheckPlan::Audience(BundleStrategy::PerCondition),
     ];
-    let mut reference: Option<Vec<Decision>> = None;
+    let (_, _, want) = scripted_oracle();
     for plan in plans {
         let mut legs = deployments();
         legs.push(networked(2));
@@ -794,10 +851,8 @@ fn check_routes_agree_on_decisions_and_cache_accounting() {
             );
             for (&(rid, m), &d) in requests.iter().zip(&decisions) {
                 assert_eq!(d, reads.check(rid, m).unwrap(), "{rid:?}/{m} ({tag})");
-            }
-            match &reference {
-                None => reference = Some(decisions),
-                Some(expect) => assert_eq!(&decisions, expect, "{tag}"),
+                let granted = want[rid.0 as usize].contains(&m);
+                assert_eq!(d.is_granted(), granted, "the oracle on {rid:?}/{m} ({tag})");
             }
         }
     }
@@ -827,79 +882,5 @@ fn read_stats_are_comparable_across_backends() {
             stats.conditions, conditions,
             "{name} dedups the same bundle to the same conditions"
         );
-    }
-}
-
-// ---------------------------------------------------------------------
-// Property: the generic harness on random workloads
-// ---------------------------------------------------------------------
-
-const LABELS: [&str; 3] = ["friend", "colleague", "parent"];
-
-fn graph_strategy() -> impl Strategy<Value = SocialGraph> {
-    (3..11usize).prop_flat_map(|n| {
-        proptest::collection::vec((0..n as u32, 0..n as u32, 0..3usize, 10..60i64), 0..30).prop_map(
-            move |edges| {
-                let mut g = SocialGraph::new();
-                for i in 0..n {
-                    g.add_node(&format!("u{i}"));
-                }
-                for l in LABELS {
-                    g.intern_label(l);
-                }
-                for (i, (s, t, l, age)) in edges.iter().enumerate() {
-                    let label = g.vocab().label(LABELS[*l]).unwrap();
-                    g.add_edge(NodeId(*s), NodeId(*t), label);
-                    let node = NodeId((i as u32 + s + t) % n as u32);
-                    g.set_node_attr(node, "age", *age);
-                }
-                g
-            },
-        )
-    })
-}
-
-fn path_text_strategy() -> impl Strategy<Value = String> {
-    let step = (0..3usize, 0..3usize, 1..3u32, 0..2u32, 0..5usize).prop_map(
-        |(label, dir, lo, extra, shape)| {
-            let dir = ["+", "-", "*"][dir];
-            let hi = lo + extra;
-            let depths = match shape {
-                0 => format!("[{lo}]"),
-                1 => format!("[{lo}..{hi}]"),
-                2 => format!("[{lo},{}]", hi + 2),
-                3 => format!("[{lo}..]"),
-                _ => format!("[{lo}..{hi}]{{age>=30}}"),
-            };
-            format!("{}{}{}", LABELS[label], dir, depths)
-        },
-    );
-    proptest::collection::vec(step, 1..3).prop_map(|steps| steps.join("/"))
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// The now-generic differential harness, instantiated at
-    /// `Deployment::online` vs `Deployment::sharded(4)` on random
-    /// graphs × random policies.
-    #[test]
-    fn single_and_sharded_deployments_agree_on_random_workloads(
-        graph in graph_strategy(),
-        policies in proptest::collection::vec((0..8u32, path_text_strategy()), 1..4),
-    ) {
-        let mut g = graph;
-        let n = g.num_nodes() as u32;
-        let mut store = PolicyStore::new();
-        let mut rids = Vec::new();
-        for (owner_ix, text) in &policies {
-            let rid = store.register_resource(NodeId(owner_ix % n));
-            store.allow(rid, text, &mut g).expect("generated paths parse");
-            rids.push(rid);
-        }
-
-        let single = Deployment::online().from_graph(&g, store.clone());
-        let sharded = Deployment::sharded(4, 17).from_graph(&g, store.clone());
-        common::assert_services_agree(single.reads(), sharded.reads(), &rids);
     }
 }

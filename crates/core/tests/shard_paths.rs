@@ -7,10 +7,12 @@
 
 mod common;
 
+use common::oracle::Cond;
 use socialreach_core::{
     online, parse_path, Decision, Deployment, Explanation, MutateService, PolicyStore,
     ShardedSystem,
 };
+use socialreach_graph::Direction::Out;
 use socialreach_graph::{NodeId, ShardAssignment, SocialGraph};
 
 /// Pins `names[i]` to `shards[i]`, everyone else hashed.
@@ -100,17 +102,10 @@ fn n_crossings_along_a_zigzag_chain() {
     }
     assert_eq!(sys.service().audience(rid).unwrap(), members);
     // The witness for the far end walks all five boundary edges.
-    let path = sys_parse(&sys, "friend+[1..5]");
-    let eval = sys.evaluate_condition(members[0], &path, Some(members[5]));
-    assert!(eval.granted);
-    assert_eq!(eval.witness.expect("granted").len(), 5);
-}
-
-/// Parses `text` against a clone of the system's master vocabulary
-/// (tests only need label ids that already exist in the system).
-fn sys_parse(sys: &ShardedSystem, text: &str) -> socialreach_core::PathExpr {
-    let mut vocab = sys.vocab().clone();
-    socialreach_core::parse_path(text, &mut vocab).expect("test path parses")
+    match sys.service().explain(rid, members[5]).unwrap() {
+        Some(Explanation::Rule { walks }) => assert_eq!(walks[0].hops.len(), 5),
+        other => panic!("expected a rule grant, got {other:?}"),
+    }
 }
 
 #[test]
@@ -249,7 +244,11 @@ fn astronomical_depths_check_and_explain_on_the_sparse_engine() {
     ] {
         g.connect(m[s], "friend", m[d]);
     }
-    let text = "friend+[1..4000000]";
+    let cond = Cond {
+        owner: m[0],
+        steps: vec![common::step("friend", Out, &[(1, Some(4_000_000))], None)],
+    };
+    let text = &cond.text();
     let path = parse_path(text, g.vocab_mut()).unwrap();
     let mut store = PolicyStore::new();
     let rid = store.register_resource(m[0]);
@@ -274,13 +273,10 @@ fn astronomical_depths_check_and_explain_on_the_sparse_engine() {
             let decision = svc.reads().check(rid, requester).unwrap();
             assert_eq!(decision, expect, "{tag}: check of {requester}");
             match svc.reads().explain(rid, requester).unwrap() {
-                Some(Explanation::Rule { walks }) => {
-                    assert!(truth.granted, "{tag}: a walk for {requester}");
-                    for walk in walks {
-                        common::assert_witness_valid(&g, m[0], requester, &path, &walk.hops);
-                    }
+                Some(e) => {
+                    let rules = [vec![cond.clone()]];
+                    common::assert_explanation_valid(svc.reads(), &g, requester, &rules, &e);
                 }
-                Some(Explanation::Ownership { owner }) => assert_eq!(owner, requester),
                 None => assert_eq!(expect, Decision::Deny, "{tag}: explain of {requester}"),
             }
         }
