@@ -431,7 +431,7 @@ fn run(case: &Case, seed: u64, wrap: Wrap) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Bare deployments loaded with `from_graph`.
     #[test]
