@@ -133,10 +133,10 @@
 //! Remote shards compute in parallel between a round's send and its
 //! receive; an in-process shard runs its round inside the send.
 //! Transport faults surface as typed [`EvalError::Remote`] errors,
-//! never as a wrong decision. The differential suites pin both
-//! deployments to the single graph and to [`online::evaluate_reference`]
-//! (`tests/shard_differential.rs`, `tests/shard_batch_differential.rs`,
-//! `tests/remote_conformance.rs`).
+//! never as a wrong decision. `tests/differential_matrix.rs` pins every
+//! deployment, bare, durable and planned, to a test oracle that shares
+//! no code with the crate; `tests/remote_conformance.rs` adds the wire's
+//! fixed-input regressions.
 //!
 //! ## Masked reads cost what they explore
 //!
@@ -207,7 +207,8 @@
 //! through the same code (one *path* past that budget,
 //! [`PathExpr::MAX_STEPS`], is refused by both parsers with a caret
 //! error); `tests/query_differential.rs` pins the
-//! planned path to per-condition evaluation on all three deployments.
+//! bisected path to per-condition evaluation on the single graph and a
+//! partition.
 
 pub mod carminati;
 pub mod coordinator;

@@ -33,7 +33,9 @@
 //!   is property-tested decision-for-decision against it
 //!   (`tests/csr_differential.rs`), and degenerate inputs whose product
 //!   space would make the dense arrays unreasonable (astronomical
-//!   saturation depths) transparently fall back to it.
+//!   saturation depths) transparently fall back to it. Both are shared
+//!   code; `tests/differential_matrix.rs` pins every deployment to a
+//!   test oracle that shares none.
 //! * The pooled mask scratch (below) — the state of the one **masked**
 //!   engine, [`crate::query::engine`]'s plan engine, which serves every
 //!   bundle, every partitioned read and every seeded run: a linear path

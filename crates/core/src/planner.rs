@@ -50,8 +50,8 @@
 //! table sits behind one `RwLock` and all counters are atomic, so
 //! concurrent readers plan and observe coherently. A misprediction
 //! costs latency, never correctness: every route returns identical
-//! decisions, audiences and witnesses (pinned by
-//! `tests/planner_differential.rs`).
+//! decisions, audiences and witnesses (pinned by the planned legs of
+//! `tests/differential_matrix.rs`).
 //!
 //! `explain` stays on the targeted witness path (the only route that
 //! produces walks on every backend) but still warms the targeted cost.

@@ -64,8 +64,8 @@ use socialreach_core::remote::proto::{
     WireRefusal, PROTOCOL_VERSION,
 };
 use socialreach_core::{
-    AccessService, Decision, Deployment, Explanation, MutateService, Mutation, ResourceId,
-    ServiceInstance, ShardAddr, WalkHop,
+    AccessService, Decision, Deployment, DurableService, Explanation, MutateService, Mutation,
+    PlannedService, PlannerMode, PolicyStore, ResourceId, ServiceInstance, ShardAddr, WalkHop,
 };
 use socialreach_graph::shard::{MaskedExport, MaskedStateKey};
 use socialreach_graph::{AttrValue, Direction, NodeId, SocialGraph};
@@ -100,6 +100,63 @@ impl DataDir {
 impl Drop for DataDir {
     fn drop(&mut self) {
         let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// What stands between the caller and a deployment.
+#[derive(Clone, Copy, Debug)]
+pub enum Wrap {
+    Bare,
+    Durable,
+    Planned(PlannerMode),
+}
+
+/// A deployment behind a [`Wrap`]. A durable one logs to a scratch
+/// directory, removed after the service drops.
+pub enum Wrapped {
+    Bare(ServiceInstance),
+    Durable(Box<DurableService>, DataDir),
+    Planned(PlannedService),
+}
+
+impl Wrapped {
+    /// `deployment` behind `wrap`, loaded from a graph and a store built
+    /// against it with `Deployment::from_graph`, or empty without them.
+    /// A durable one always starts empty.
+    pub fn new(
+        deployment: &Deployment,
+        wrap: Wrap,
+        load: Option<(&SocialGraph, PolicyStore)>,
+    ) -> Self {
+        let build = || match load {
+            Some((g, store)) => deployment.from_graph(g, store),
+            None => deployment.build(),
+        };
+        match wrap {
+            Wrap::Bare => Wrapped::Bare(build()),
+            Wrap::Planned(mode) => Wrapped::Planned(PlannedService::over(build(), mode)),
+            Wrap::Durable => {
+                let dir = DataDir::new("wrapped");
+                let svc = deployment.durable(&dir.0).expect("durable opens");
+                Wrapped::Durable(Box::new(svc), dir)
+            }
+        }
+    }
+
+    pub fn reads(&self) -> &dyn AccessService {
+        match self {
+            Wrapped::Bare(s) => s.reads(),
+            Wrapped::Durable(s, _) => s.reads(),
+            Wrapped::Planned(s) => s,
+        }
+    }
+
+    pub fn writes(&mut self) -> &mut dyn MutateService {
+        match self {
+            Wrapped::Bare(s) => s,
+            Wrapped::Durable(s, _) => s.writes(),
+            Wrapped::Planned(s) => s,
+        }
     }
 }
 

@@ -6,8 +6,8 @@
 //!   `networked(2)`, a fleet of two shard servers over loopback TCP.
 //! * Wrappers: bare, durable and planned, one test each.
 //! * Read shapes, each one [`ReadBatch`]: checks under the default route
-//!   and each [`CheckPlan`]; audiences under the default strategy and
-//!   each [`BundleStrategy`]; explains, every walk replayed by the
+//!   and each `CheckPlan`; audiences under the default strategy and
+//!   each `BundleStrategy`; explains, every walk replayed by the
 //!   oracle; and ad-hoc queries in both grammars.
 //! * Writes after the first read: a member joins with an edge that
 //!   extends a condition's first step, then a rule is added; every
@@ -27,67 +27,38 @@
 mod common;
 
 use common::oracle::{self, Case, Cond};
-use common::DataDir;
+use common::{Wrap, Wrapped};
 use proptest::prelude::*;
 use socialreach_core::BundleStrategy::{Batched, PerCondition};
+use socialreach_core::CheckPlan::{Audience, Targeted};
 use socialreach_core::{
-    parse_policy, AccessCondition, AccessRule, AccessService, Applied, CheckPlan, Decision,
-    Deployment, DurableService, Explanation, MutateService, Mutation, PlannedService, PlannerMode,
-    PolicyStore, ReadBatch, ResourceId, ServiceInstance, ShardHandle,
+    parse_policy, AccessCondition, AccessRule, AccessService, Applied, Deployment, Explanation,
+    Mutation, PlannerMode, PolicyStore, ReadBatch, ResourceId, ShardHandle,
 };
 use socialreach_graph::{Direction, NodeId, SocialGraph};
 use std::iter;
 
 const SHARDS: [u32; 4] = [1, 2, 4, 7];
 
-/// What stands between the reads and the deployment.
-#[derive(Clone, Copy, Debug)]
-enum Wrap {
-    Bare,
-    Durable,
-    Planned(PlannerMode),
-}
-
-enum Backend {
-    Bare(ServiceInstance),
-    Durable(Box<DurableService>),
-    Planned(PlannedService),
-}
-
-/// One backend under test, the case as it was written into it, and
-/// what it must outlive (fields drop in order).
+/// One deployment under test, the case as it was written into it, and
+/// the fleet it must outlive.
 struct Leg {
-    backend: Backend,
+    svc: Wrapped,
     case: Case,
-    _dir: DataDir,
     _fleet: Vec<ShardHandle>,
 }
 
 impl Leg {
     fn reads(&self) -> &dyn AccessService {
-        match &self.backend {
-            Backend::Bare(s) => s.reads(),
-            Backend::Durable(s) => s.reads(),
-            Backend::Planned(s) => s,
-        }
+        self.svc.reads()
     }
 
-    fn writes(&mut self) -> &mut dyn MutateService {
-        match &mut self.backend {
-            Backend::Bare(s) => s,
-            Backend::Durable(s) => s.writes(),
-            Backend::Planned(s) => s,
-        }
-    }
-
-    /// Applies `writes` to the backend and the same change, `next`, to
-    /// the case.
+    /// Applies `writes` to the deployment and the same change, `next`,
+    /// to the case.
     fn write(&mut self, writes: &[Mutation], next: Case) {
         for m in writes {
-            let applied = self
-                .writes()
-                .apply(m)
-                .unwrap_or_else(|e| panic!("{m}: {e}"));
+            let applied = self.svc.writes().apply(m);
+            let applied = applied.unwrap_or_else(|e| panic!("{m}: {e}"));
             if let Applied::Member(id) = applied {
                 assert_eq!(id.index(), self.case.graph.num_nodes(), "{m}");
             }
@@ -177,35 +148,23 @@ fn mutations(case: &Case) -> (Vec<Mutation>, Case) {
     (out, kept)
 }
 
-fn leg(deployment: Deployment, fleet: Vec<ShardHandle>, wrap: Wrap, case: &Case) -> Leg {
-    let dir = DataDir::new("matrix");
+/// `case` in `deployment` behind `wrap`: loaded with `from_graph`, or
+/// for a durable one written through [`Mutation`]s.
+fn leg(deployment: Deployment, _fleet: Vec<ShardHandle>, wrap: Wrap, case: &Case) -> Leg {
+    if let Wrap::Durable = wrap {
+        let (writes, case) = mutations(case);
+        let mut svc = Wrapped::new(&deployment, wrap, None);
+        for m in &writes {
+            svc.writes().apply(m).unwrap_or_else(|e| panic!("{m}: {e}"));
+        }
+        return Leg { svc, case, _fleet };
+    }
     let (g, store) = load(case);
-    let (backend, case) = match wrap {
-        Wrap::Bare => (
-            Backend::Bare(deployment.from_graph(&g, store)),
-            case.clone(),
-        ),
-        Wrap::Planned(mode) => {
-            let inner = deployment.from_graph(&g, store);
-            (
-                Backend::Planned(PlannedService::over(inner, mode)),
-                case.clone(),
-            )
-        }
-        Wrap::Durable => {
-            let mut svc = deployment.durable(&dir.0).expect("durable opens");
-            let (writes, kept) = mutations(case);
-            for m in &writes {
-                svc.writes().apply(m).unwrap_or_else(|e| panic!("{m}: {e}"));
-            }
-            (Backend::Durable(Box::new(svc)), kept)
-        }
-    };
+    let svc = Wrapped::new(&deployment, wrap, Some((&g, store)));
     Leg {
-        backend,
-        case,
-        _dir: dir,
-        _fleet: fleet,
+        svc,
+        case: case.clone(),
+        _fleet,
     }
 }
 
@@ -228,53 +187,43 @@ fn assert_reads(leg: &Leg, tag: &str) -> Vec<Vec<NodeId>> {
         .iter()
         .map(|r| oracle::audience(g, r))
         .collect();
-    let rids: Vec<ResourceId> = (0..want.len() as u64).map(ResourceId).collect();
-    let pairs: Vec<(ResourceId, NodeId)> = rids
-        .iter()
-        .flat_map(|&r| g.nodes().map(move |m| (r, m)))
+    let rids = (0..want.len() as u64).map(ResourceId);
+    let pairs: Vec<_> = rids
+        .clone()
+        .flat_map(|r| g.nodes().map(move |m| (r, m)))
         .collect();
-    let grants = |(rid, m): (ResourceId, NodeId)| want[rid.0 as usize].binary_search(&m).is_ok();
+    let grants = |&(rid, m): &(ResourceId, NodeId)| want[rid.0 as usize].binary_search(&m).is_ok();
     let read = |batch: ReadBatch| reads.read(&batch).unwrap_or_else(|e| panic!("{tag}: {e}"));
 
     let checks = pairs
         .iter()
         .fold(ReadBatch::new(), |b, &(r, m)| b.check(r, m));
-    let plans = [
+    let granted: Vec<bool> = pairs.iter().map(grants).collect();
+    for plan in [
         None,
-        Some(CheckPlan::Targeted),
-        Some(CheckPlan::Audience(Batched)),
-        Some(CheckPlan::Audience(PerCondition)),
-    ];
-    for plan in plans {
+        Some(Targeted),
+        Some(Audience(Batched)),
+        Some(Audience(PerCondition)),
+    ] {
         let got = read(ReadBatch {
             plan,
             ..checks.clone()
         });
-        for (&pair, got) in pairs.iter().zip(got) {
-            let want = if grants(pair) {
-                Decision::Grant
-            } else {
-                Decision::Deny
-            };
-            assert_eq!(
-                got.decision,
-                Some(want),
-                "{tag}: check {pair:?} under {plan:?}"
-            );
-        }
+        let got: Vec<bool> = got
+            .iter()
+            .map(|r| r.decision.unwrap().is_granted())
+            .collect();
+        assert_eq!(got, granted, "{tag}: checks of {pairs:?} under {plan:?}");
     }
 
-    let audiences = rids.iter().fold(ReadBatch::new(), |b, &r| b.audience(r));
+    let audiences = rids.fold(ReadBatch::new(), |b, r| b.audience(r));
     let mut own = Vec::new();
     for strategy in [None, Some(Batched), Some(PerCondition)] {
         let got = read(ReadBatch {
             strategy,
             ..audiences.clone()
         });
-        own = got
-            .into_iter()
-            .map(|r| r.audience.expect("an audience"))
-            .collect();
+        own = got.into_iter().map(|r| r.audience.unwrap()).collect();
         assert_eq!(own, want, "{tag}: audiences under {strategy:?}");
     }
 
@@ -283,61 +232,48 @@ fn assert_reads(leg: &Leg, tag: &str) -> Vec<Vec<NodeId>> {
             .iter()
             .fold(ReadBatch::new(), |b, &(r, m)| b.explain(r, m)),
     );
-    for (&(rid, m), got) in pairs.iter().zip(explained) {
-        let res = &case.resources[rid.0 as usize];
-        let tag = format!("{tag}: explain {rid:?}/{m}");
-        assert_eq!(got.explanation.is_some(), grants((rid, m)), "{tag}");
-        if let Some(e) = &got.explanation {
-            if let Explanation::Ownership { owner } = e {
-                assert_eq!(*owner, res.owner, "{tag}");
-            }
-            common::assert_explanation_valid(reads, g, m, &res.rules, e);
+    for ((rid, m), got) in pairs.iter().zip(explained) {
+        let (res, tag) = (
+            &case.resources[rid.0 as usize],
+            format!("{tag}: explain {rid:?}/{m}"),
+        );
+        assert_eq!(got.explanation.is_some(), grants(&(*rid, *m)), "{tag}");
+        match &got.explanation {
+            Some(Explanation::Ownership { owner }) => assert_eq!(*owner, res.owner, "{tag}"),
+            Some(e) => common::assert_explanation_valid(reads, g, *m, &res.rules, e),
+            None => {}
         }
     }
 
+    // Each condition in both grammars, and its last step one level wider.
     let mut conds: Vec<&Cond> = case
         .resources
         .iter()
         .flat_map(|r| r.rules.iter().flatten())
         .collect();
     conds.dedup();
-    let mut texts: Vec<(&Cond, String)> = Vec::new();
+    let (mut texts, mut widenings) = (Vec::new(), Vec::new());
     for &c in &conds {
-        texts.push((c, c.text()));
-        texts.extend(c.query().map(|q| (c, q)));
+        texts.push((c.clone(), c.text()));
+        texts.extend(c.query().map(|q| (c.clone(), q)));
+        if let Some(w) = widened(c) {
+            widenings.push((texts.len() - 1, texts.len()));
+            texts.push((w.clone(), w.text()));
+        }
     }
-    let queries = texts
-        .iter()
-        .fold(ReadBatch::new(), |b, (c, t)| b.query(c.owner, t));
-    for ((c, text), got) in texts.iter().zip(read(queries)) {
+    let got = read(
+        texts
+            .iter()
+            .fold(ReadBatch::new(), |b, (c, t)| b.query(c.owner, t)),
+    );
+    let got: Vec<Vec<NodeId>> = got.into_iter().map(|r| r.audience.unwrap()).collect();
+    for ((c, text), got) in texts.iter().zip(&got) {
         let want: Vec<NodeId> = oracle::reach(g, c).into_iter().collect();
-        assert_eq!(
-            got.audience,
-            Some(want),
-            "{tag}: query {text:?} at {}",
-            c.owner
-        );
+        assert_eq!(got, &want, "{tag}: query {text:?} at {}", c.owner);
     }
-    let wide: Vec<(&Cond, Cond)> = conds
-        .iter()
-        .filter_map(|&c| Some((c, widened(c)?)))
-        .collect();
-    let both = wide.iter().fold(ReadBatch::new(), |b, (c, w)| {
-        b.query(c.owner, &c.text()).query(w.owner, &w.text())
-    });
-    let got = read(both);
-    for ((_, w), pair) in wide.iter().zip(got.chunks(2)) {
-        let (narrow, wider) = (
-            pair[0].audience.as_ref().unwrap(),
-            pair[1].audience.as_ref().unwrap(),
-        );
-        assert!(
-            narrow.iter().all(|m| wider.contains(m)),
-            "{tag}: widening to {} shrank",
-            w.text()
-        );
-        let want: Vec<NodeId> = oracle::reach(g, w).into_iter().collect();
-        assert_eq!(wider, &want, "{tag}: query {:?}", w.text());
+    for (narrow, wide) in widenings {
+        let shrank = got[narrow].iter().any(|m| !got[wide].contains(m));
+        assert!(!shrank, "{tag}: widening {} shrank", texts[narrow].1);
     }
     own
 }

@@ -11,14 +11,14 @@
 mod common;
 
 use common::oracle::{self, Cond, Resource, Step};
+use common::{Wrap, Wrapped};
 use socialreach_core::{
     AccessResponse, AccessService, Applied, BundleStrategy, CheckPlan, Decision, Deployment,
-    DurableService, EvalError, Explanation, MutateService, Mutation, PlannedService, PlannerMode,
-    PolicyStore, ReadBatch, ReadRequest, ReadStats, ResourceId, ServiceInstance,
+    EvalError, Explanation, MutateService, Mutation, PlannerMode, PolicyStore, ReadBatch,
+    ReadRequest, ReadStats, ResourceId,
 };
 use socialreach_graph::Direction::{Both, In, Out};
 use socialreach_graph::{GraphError, NodeId, SocialGraph};
-use std::path::PathBuf;
 
 /// The deployments every conformance scenario must agree across. The
 /// first entry is the reference. The networked leg spawns a live
@@ -253,69 +253,11 @@ fn granted_explains_replay_through_the_path_automaton() {
     }
 }
 
-/// What stands between the caller and the scripted backend.
-#[derive(Clone, Copy, Debug)]
-enum Wrap {
-    Bare,
-    Durable,
-    Planned(PlannerMode),
-}
-
-/// A scripted backend behind a [`Wrap`] (the durable leg owns its
-/// scratch directory).
-enum Wrapped {
-    Bare(ServiceInstance),
-    Durable(Box<DurableService>, PathBuf),
-    Planned(PlannedService),
-}
-
-impl Wrapped {
-    fn scripted(deployment: &Deployment, wrap: Wrap, tag: usize) -> (Wrapped, Vec<ResourceId>) {
-        match wrap {
-            Wrap::Bare => {
-                let mut svc = deployment.build();
-                let rids = apply_script(svc.writes());
-                (Wrapped::Bare(svc), rids)
-            }
-            Wrap::Durable => {
-                let dir = std::env::temp_dir()
-                    .join(format!("srconf-durable-{}-{tag}", std::process::id()));
-                let _ = std::fs::remove_dir_all(&dir);
-                let mut svc = deployment.durable(&dir).expect("durable opens");
-                let rids = apply_script(svc.writes());
-                (Wrapped::Durable(Box::new(svc), dir), rids)
-            }
-            Wrap::Planned(mode) => {
-                let mut svc = PlannedService::over(deployment.build(), mode);
-                let rids = apply_script(&mut svc);
-                (Wrapped::Planned(svc), rids)
-            }
-        }
-    }
-
-    fn reads(&self) -> &dyn AccessService {
-        match self {
-            Wrapped::Bare(s) => s.reads(),
-            Wrapped::Durable(s, _) => s.reads(),
-            Wrapped::Planned(s) => s,
-        }
-    }
-
-    fn writes(&mut self) -> &mut dyn MutateService {
-        match self {
-            Wrapped::Bare(s) => s,
-            Wrapped::Durable(s, _) => s.as_mut(),
-            Wrapped::Planned(s) => s,
-        }
-    }
-}
-
-impl Drop for Wrapped {
-    fn drop(&mut self) {
-        if let Wrapped::Durable(_, dir) = self {
-            let _ = std::fs::remove_dir_all(dir);
-        }
-    }
+/// A backend behind `wrap`, written by the script.
+fn scripted(deployment: &Deployment, wrap: Wrap) -> (Wrapped, Vec<ResourceId>) {
+    let mut svc = Wrapped::new(deployment, wrap, None);
+    let rids = apply_script(svc.writes());
+    (svc, rids)
 }
 
 /// Provided ≡ primitive, through every decorator: on bare,
@@ -335,9 +277,9 @@ fn read_batches_match_individual_reads_everywhere() {
         Wrap::Planned(PlannerMode::ForcedPerCondition),
     ];
     for wrap in wraps {
-        for (tag, (deployment, twin)) in deployments().into_iter().zip(deployments()).enumerate() {
-            let (svc, rids) = Wrapped::scripted(&deployment, wrap, tag);
-            let (bare, _) = Wrapped::scripted(&twin, Wrap::Bare, tag);
+        for (deployment, twin) in deployments().into_iter().zip(deployments()) {
+            let (svc, rids) = scripted(&deployment, wrap);
+            let (bare, _) = scripted(&twin, Wrap::Bare);
             let (reads, bare) = (svc.reads(), bare.reads());
             let tag = format!("{wrap:?} over {}", bare.describe());
             let members: Vec<NodeId> = (0..reads.num_members() as u32).map(NodeId).collect();
@@ -554,8 +496,8 @@ fn unknown_member_ids_are_typed_refusals_everywhere() {
         Wrap::Planned(PlannerMode::Adaptive),
     ];
     for wrap in wraps {
-        for (tag, deployment) in deployments().into_iter().enumerate() {
-            let (mut svc, rids) = Wrapped::scripted(&deployment, wrap, 100 + tag);
+        for deployment in deployments() {
+            let (mut svc, rids) = scripted(&deployment, wrap);
             let tag = format!("{wrap:?} over {}", deployment.describe());
             let unknown = NodeId(svc.reads().num_members() as u32);
             let logged = match &svc {
@@ -634,7 +576,7 @@ fn unknown_member_ids_are_typed_refusals_everywhere() {
                     Deployment::Networked(spec) => networked(spec.addrs.len()),
                     other => other.clone(),
                 };
-                let reopened = again.durable(dir).expect("the directory still recovers");
+                let reopened = again.durable(&dir.0).expect("the directory still recovers");
                 common::assert_services_agree(svc.reads(), reopened.reads(), &rids);
             }
         }
@@ -658,8 +600,8 @@ fn a_narrowing_write_revokes_a_cached_grant_everywhere() {
         CheckPlan::Audience(BundleStrategy::Batched),
     ];
     for wrap in wraps {
-        for (tag, deployment) in deployments().into_iter().enumerate() {
-            let (mut svc, rids) = Wrapped::scripted(&deployment, wrap, 200 + tag);
+        for deployment in deployments() {
+            let (mut svc, rids) = scripted(&deployment, wrap);
             let album = rids[0];
             let cleo = svc.reads().resolve_user("Cleo").unwrap();
             for plan in plans {
@@ -716,8 +658,8 @@ fn topology_written_after_a_read_is_seen_everywhere() {
         ),
     ];
     for wrap in wraps {
-        for (tag, deployment) in deployments().into_iter().enumerate() {
-            let (mut svc, rids) = Wrapped::scripted(&deployment, wrap, 300 + tag);
+        for deployment in deployments() {
+            let (mut svc, rids) = scripted(&deployment, wrap);
             let feed = rids[1];
             for (plan, (src, dst), joiner) in growth {
                 let tag = format!("{plan:?} on {wrap:?} over {}", deployment.describe());

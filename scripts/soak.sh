@@ -14,10 +14,10 @@
 #   -c CASES   PROPTEST_CASES for every run (default 256)
 #   -s LIST    run exactly these seeds instead (decimal or 0x hex),
 #              e.g. to replay the failing seeds of an earlier soak
-#   SUITE      integration suites to run (default: service_conformance
-#              planner_differential query_differential csr_incremental
-#              csr_differential shard_batch_differential
-#              shard_differential plan_properties)
+#   SUITE      integration suites to run (default: the suites with
+#              property tests: differential_matrix query_differential
+#              csr_incremental csr_differential plan_properties
+#              engine_equivalence carminati_equivalence)
 #
 # Prints one row per (seed, suite) run, then every failing seed, and
 # exits non-zero when any run fails.
@@ -40,9 +40,9 @@ done
 shift $((OPTIND - 1))
 suites=("$@")
 if [ "${#suites[@]}" -eq 0 ]; then
-    suites=(service_conformance planner_differential query_differential
-        csr_incremental csr_differential shard_batch_differential
-        shard_differential plan_properties)
+    suites=(differential_matrix query_differential csr_incremental
+        csr_differential plan_properties engine_equivalence
+        carminati_equivalence)
 fi
 if [ -z "$seeds" ]; then
     for _ in $(seq "$count"); do
