@@ -245,7 +245,8 @@ fn assert_reads(leg: &Leg, tag: &str) -> Vec<Vec<NodeId>> {
         }
     }
 
-    // Each condition in both grammars, and its last step one level wider.
+    // Each condition in both grammars, and with its last step one level
+    // wider.
     let mut conds: Vec<&Cond> = case
         .resources
         .iter()
@@ -254,13 +255,29 @@ fn assert_reads(leg: &Leg, tag: &str) -> Vec<Vec<NodeId>> {
     conds.dedup();
     let (mut texts, mut widenings) = (Vec::new(), Vec::new());
     for &c in &conds {
+        let narrow = texts.len();
         texts.push((c.clone(), c.text()));
         texts.extend(c.query().map(|q| (c.clone(), q)));
         if let Some(w) = widened(c) {
-            widenings.push((texts.len() - 1, texts.len()));
+            widenings.push((narrow, texts.len()));
             texts.push((w.clone(), w.text()));
         }
     }
+    // The empty path reaches its owner; a label no edge carries, nobody.
+    let owner = case.resources[0].owner;
+    let stranger = common::step("stranger", Direction::Out, &[(1, Some(3))], None);
+    let stranger = Cond {
+        owner,
+        steps: vec![stranger],
+    };
+    texts.push((
+        Cond {
+            owner,
+            steps: Vec::new(),
+        },
+        "MATCH (owner)".to_owned(),
+    ));
+    texts.push((stranger.clone(), stranger.text()));
     let got = read(
         texts
             .iter()
