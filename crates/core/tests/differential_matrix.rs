@@ -223,6 +223,8 @@ fn assert_reads(leg: &Leg, tag: &str) -> Vec<Vec<NodeId>> {
             strategy,
             ..audiences.clone()
         });
+        let stats = got.first().map(|r| r.stats).unwrap_or_default();
+        assert!(stats.plan_states <= stats.expr_states, "{tag}: {stats:?}");
         own = got.into_iter().map(|r| r.audience.unwrap()).collect();
         assert_eq!(own, want, "{tag}: audiences under {strategy:?}");
     }

@@ -97,6 +97,7 @@ fn bundles_past_the_plan_node_budget_are_bisected_not_regrouped() {
     assert_eq!(got, truth, "sharded(2), bisected");
     assert_eq!(responses[0].stats.traversals, stats.traversals);
     assert_eq!(responses[0].stats.expr_states, stats.expr_states);
+    assert_eq!(responses[0].stats.plan_states, stats.plan_states);
 }
 
 /// Read-only parsing interns nothing: an unknown label in a query must
