@@ -10,7 +10,7 @@
 
 pub mod oracle;
 
-use oracle::{Case, Cond, Step};
+use oracle::{Case, Cond, Resource, Step};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -64,11 +64,13 @@ use socialreach_core::remote::proto::{
     WireRefusal, PROTOCOL_VERSION,
 };
 use socialreach_core::{
-    AccessService, Decision, Deployment, DurableService, Explanation, MutateService, Mutation,
-    PlannedService, PlannerMode, PolicyStore, ResourceId, ServiceInstance, ShardAddr, WalkHop,
+    AccessService, Applied, Decision, Deployment, DurableService, EvalError, Explanation,
+    MutateService, Mutation, PlannedService, PlannerMode, PolicyStore, ResourceId, ServiceInstance,
+    ShardAddr, WalkHop,
 };
 use socialreach_graph::shard::{MaskedExport, MaskedStateKey};
-use socialreach_graph::{AttrValue, Direction, NodeId, SocialGraph};
+use socialreach_graph::Direction::{self, Both, In, Out};
+use socialreach_graph::{AttrValue, NodeId, SocialGraph};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
@@ -157,6 +159,135 @@ impl Wrapped {
             Wrapped::Durable(s, _) => s.writes(),
             Wrapped::Planned(s) => s,
         }
+    }
+}
+
+/// A raw graph + policy store behind the [`MutateService`] trait: the
+/// conformance script ([`apply_script`]) writes through the trait, so the *oracle* state
+/// used for witness replay is produced by the very same script that
+/// populated the backends.
+#[derive(Default)]
+pub struct RawState {
+    pub g: SocialGraph,
+    pub store: PolicyStore,
+}
+
+impl MutateService for RawState {
+    fn apply(&mut self, m: &Mutation) -> Result<Applied, EvalError> {
+        m.apply_to(&mut self.g, &mut self.store)
+    }
+}
+
+/// The scenario's resources as the oracle reads them, in creation
+/// order: an adults-only album, a feed whose rules disjoin friends at
+/// any depth with follower paths, a colleague memo, a private diary, a
+/// two-step ring and an unbounded wall (its walks go round the mutual
+/// friendships, so every read runs to saturation).
+pub fn scenario() -> Vec<Resource> {
+    let (one, two) = ([(1, Some(1))], [(1, Some(1)), (2, Some(2))]);
+    // Each resource's owner, and each of its rules' one condition.
+    let resources: [(u32, Vec<Vec<Step>>); 6] = [
+        (0, vec![vec![step("friend", Out, &two, Some(18))]]),
+        (
+            0,
+            vec![
+                vec![step("friend", Out, &[(1, Some(4))], None)],
+                vec![step("follows", In, &two, None)],
+            ],
+        ),
+        (
+            3,
+            vec![vec![step("colleague", Both, &[(1, Some(3))], None)]],
+        ),
+        (4, vec![]),
+        (
+            7,
+            vec![vec![
+                step("colleague", Both, &one, None),
+                step("friend", Out, &one, None),
+            ]],
+        ),
+        (1, vec![vec![step("friend", Out, &[(2, None)], None)]]),
+    ];
+    let resource = |(owner, rules): (u32, Vec<Vec<Step>>)| {
+        let owner = NodeId(owner);
+        let rule = |steps| vec![Cond { owner, steps }];
+        let rules = rules.into_iter().map(rule).collect();
+        Resource { owner, rules }
+    };
+    resources.into_iter().map(resource).collect()
+}
+
+/// The scenario: a two-community graph with attribute-gated paths,
+/// incoming-direction steps, an unbounded depth set over friendship
+/// cycles, a private resource and a multi-rule (disjunctive) resource
+/// ([`scenario`]). Returns the resources.
+pub fn apply_script(svc: &mut dyn MutateService) -> Vec<ResourceId> {
+    let names = [
+        "Ava", "Ben", "Cleo", "Dan", "Edith", "Femi", "Gus", "Hana", "Ivan", "June",
+    ];
+    let m: Vec<NodeId> = names.iter().map(|n| svc.add_user(n)).collect();
+    // Friendship chain with a branch, mutual where platforms would be.
+    svc.add_mutual_relationship(m[0], "friend", m[1]);
+    svc.add_mutual_relationship(m[1], "friend", m[2]);
+    svc.add_relationship(m[2], "friend", m[3]);
+    svc.add_mutual_relationship(m[0], "friend", m[4]);
+    // A colleague cluster bridging to the second half.
+    svc.add_relationship(m[3], "colleague", m[5]);
+    svc.add_relationship(m[5], "colleague", m[6]);
+    svc.add_mutual_relationship(m[6], "colleague", m[7]);
+    // Followers (incoming-direction policies read these backwards).
+    svc.add_relationship(m[8], "follows", m[0]);
+    svc.add_relationship(m[9], "follows", m[8]);
+    // Ages gate the predicate paths; Ben deliberately has none
+    // (predicates fail closed).
+    for (i, age) in [(0usize, 34i64), (2, 26), (3, 17), (4, 41), (8, 52)] {
+        svc.set_user_attr(m[i], "age", age.into());
+    }
+    let mut rids = Vec::new();
+    for res in scenario() {
+        let rid = svc.add_resource(res.owner);
+        for rule in &res.rules {
+            svc.add_rule(rid, &rule[0].text()).unwrap();
+        }
+        rids.push(rid);
+    }
+    rids
+}
+
+/// The script written into a bare graph and store, and the oracle's
+/// audiences of its resources.
+pub fn scripted_oracle() -> (RawState, Vec<ResourceId>, Vec<Vec<NodeId>>) {
+    let mut raw = RawState::default();
+    let rids = apply_script(&mut raw);
+    let want = scenario()
+        .iter()
+        .map(|r| oracle::audience(&raw.g, r))
+        .collect();
+    (raw, rids, want)
+}
+
+/// Asserts that `reads`, written by [`apply_script`], serves the script
+/// as the oracle reads it: per-member decisions, audiences, batched
+/// reads and explain grant-ness.
+pub fn assert_serves_the_scenario(reads: &dyn AccessService) {
+    let (raw, rids, want) = scripted_oracle();
+    let tag = reads.describe();
+    let requests: Vec<(ResourceId, NodeId)> = rids
+        .iter()
+        .flat_map(|&rid| raw.g.nodes().map(move |m| (rid, m)))
+        .collect();
+    let granted = |&(rid, m): &(ResourceId, NodeId)| want[rid.0 as usize].contains(&m);
+    let decisions = reads.check_batch(&requests, 2).unwrap();
+    for (request, d) in requests.iter().zip(decisions) {
+        assert_eq!(d.is_granted(), granted(request), "{tag}: {request:?}");
+        assert_eq!(reads.check(request.0, request.1).unwrap(), d, "{tag}");
+        let explained = reads.explain(request.0, request.1).unwrap();
+        assert_eq!(explained.is_some(), d.is_granted(), "{tag}: {request:?}");
+    }
+    assert_eq!(reads.audience_batch(&rids).unwrap(), want, "{tag}");
+    for (&rid, audience) in rids.iter().zip(&want) {
+        assert_eq!(&reads.audience(rid).unwrap(), audience, "{tag}");
     }
 }
 

@@ -34,60 +34,18 @@ fn fleet(n: usize, unix: bool) -> (Vec<ShardHandle>, Vec<ShardAddr>) {
     (handles, addrs)
 }
 
-/// The scenario script of `service_conformance.rs`, written only
-/// against [`MutateService`]: friendship chain + colleague cluster +
-/// followers + attribute-gated, incoming-direction, disjunctive and
-/// private resources.
-fn apply_script(svc: &mut dyn MutateService) -> Vec<socialreach_core::ResourceId> {
-    let names = [
-        "Ava", "Ben", "Cleo", "Dan", "Edith", "Femi", "Gus", "Hana", "Ivan", "June",
-    ];
-    let m: Vec<NodeId> = names.iter().map(|n| svc.add_user(n)).collect();
-    svc.add_mutual_relationship(m[0], "friend", m[1]);
-    svc.add_mutual_relationship(m[1], "friend", m[2]);
-    svc.add_relationship(m[2], "friend", m[3]);
-    svc.add_mutual_relationship(m[0], "friend", m[4]);
-    svc.add_relationship(m[3], "colleague", m[5]);
-    svc.add_relationship(m[5], "colleague", m[6]);
-    svc.add_mutual_relationship(m[6], "colleague", m[7]);
-    svc.add_relationship(m[8], "follows", m[0]);
-    svc.add_relationship(m[9], "follows", m[8]);
-    for (i, age) in [(0usize, 34i64), (2, 26), (3, 17), (4, 41), (8, 52)] {
-        svc.set_user_attr(m[i], "age", age.into());
-    }
-    let album = svc.add_resource(m[0]);
-    svc.add_rule(album, "friend+[1,2]{age>=18}").unwrap();
-    let feed = svc.add_resource(m[0]);
-    svc.add_rule(feed, "friend+[1..4]").unwrap();
-    svc.add_rule(feed, "follows-[1,2]").unwrap();
-    let memo = svc.add_resource(m[3]);
-    svc.add_rule(memo, "colleague*[1..3]").unwrap();
-    let diary = svc.add_resource(m[4]); // private: no rules
-    let ring = svc.add_resource(m[7]);
-    svc.add_rule(ring, "colleague*[1]/friend+[1]").unwrap();
-    vec![album, feed, memo, diary, ring]
-}
-
-/// Networked(n) over the given transport ≡ the in-process sharded twin
-/// with the identical placement ≡ the single-graph reference, on the
-/// scripted scenario.
+/// Networked(n) over the given transport serves the conformance
+/// script ([`common::apply_script`]) as the oracle reads it.
 fn networked_matches_twins(n: usize, unix: bool) {
     let (_handles, addrs) = fleet(n, unix);
     let mut networked = Deployment::networked_with(addrs, SEED).build();
-    let rids = apply_script(networked.writes());
-
-    let mut single = Deployment::online().build();
-    assert_eq!(apply_script(single.writes()), rids);
-    let mut sharded = Deployment::sharded(n as u32, SEED).build();
-    assert_eq!(apply_script(sharded.writes()), rids);
-
+    common::apply_script(networked.writes());
     assert_eq!(
         networked.reads().describe(),
         format!("networked(n={n})"),
         "the deployment label names the backend"
     );
-    common::assert_services_agree(single.reads(), networked.reads(), &rids);
-    common::assert_services_agree(sharded.reads(), networked.reads(), &rids);
+    common::assert_serves_the_scenario(networked.reads());
 }
 
 #[test]
@@ -182,8 +140,8 @@ fn kill_and_restart_mid_stream(unix: bool) {
     let (mut handles, addrs) = fleet(3, unix);
     let mut net = Deployment::networked_with(addrs, SEED).build();
     let mut twin = Deployment::sharded(3, SEED).build();
-    let rids = apply_script(net.writes());
-    assert_eq!(apply_script(twin.writes()), rids);
+    let rids = common::apply_script(net.writes());
+    assert_eq!(common::apply_script(twin.writes()), rids);
     common::assert_services_agree(twin.reads(), net.reads(), &rids);
     assert_same_placement(&net, &twin);
     let epoch_before = net.as_networked().unwrap().epoch();

@@ -10,14 +10,12 @@
 
 mod common;
 
-use common::oracle::{self, Cond, Resource, Step};
-use common::{Wrap, Wrapped};
+use common::{apply_script, scenario, scripted_oracle, Wrap, Wrapped};
 use socialreach_core::{
-    AccessResponse, AccessService, Applied, BundleStrategy, CheckPlan, Decision, Deployment,
-    EvalError, Explanation, MutateService, Mutation, PlannerMode, PolicyStore, ReadBatch,
-    ReadRequest, ReadStats, ResourceId,
+    AccessResponse, AccessService, BundleStrategy, CheckPlan, Decision, Deployment, EvalError,
+    Explanation, MutateService, Mutation, PlannerMode, PolicyStore, ReadBatch, ReadRequest,
+    ReadStats, ResourceId,
 };
-use socialreach_graph::Direction::{Both, In, Out};
 use socialreach_graph::{GraphError, NodeId, SocialGraph};
 
 /// The deployments every conformance scenario must agree across. The
@@ -45,146 +43,14 @@ fn networked(shards: usize) -> Deployment {
     Deployment::networked_with(addrs, 3)
 }
 
-/// A raw graph + policy store behind the [`MutateService`] trait: the
-/// conformance script writes through the trait, so the *oracle* state
-/// used for witness replay is produced by the very same script that
-/// populated the backends.
-#[derive(Default)]
-struct RawState {
-    g: SocialGraph,
-    store: PolicyStore,
-}
-
-impl MutateService for RawState {
-    fn apply(&mut self, m: &Mutation) -> Result<Applied, EvalError> {
-        m.apply_to(&mut self.g, &mut self.store)
-    }
-}
-
-/// The scenario's resources as the oracle reads them, in creation
-/// order: an adults-only album, a feed whose rules disjoin friends at
-/// any depth with follower paths, a colleague memo, a private diary, a
-/// two-step ring and an unbounded wall (its walks go round the mutual
-/// friendships, so every read runs to saturation).
-fn scenario() -> Vec<Resource> {
-    let step = common::step;
-    let (one, two) = ([(1, Some(1))], [(1, Some(1)), (2, Some(2))]);
-    // Each resource's owner, and each of its rules' one condition.
-    let resources: [(u32, Vec<Vec<Step>>); 6] = [
-        (0, vec![vec![step("friend", Out, &two, Some(18))]]),
-        (
-            0,
-            vec![
-                vec![step("friend", Out, &[(1, Some(4))], None)],
-                vec![step("follows", In, &two, None)],
-            ],
-        ),
-        (
-            3,
-            vec![vec![step("colleague", Both, &[(1, Some(3))], None)]],
-        ),
-        (4, vec![]),
-        (
-            7,
-            vec![vec![
-                step("colleague", Both, &one, None),
-                step("friend", Out, &one, None),
-            ]],
-        ),
-        (1, vec![vec![step("friend", Out, &[(2, None)], None)]]),
-    ];
-    let resource = |(owner, rules): (u32, Vec<Vec<Step>>)| {
-        let owner = NodeId(owner);
-        let rule = |steps| vec![Cond { owner, steps }];
-        let rules = rules.into_iter().map(rule).collect();
-        Resource { owner, rules }
-    };
-    resources.into_iter().map(resource).collect()
-}
-
-/// The scenario: a two-community graph with attribute-gated paths,
-/// incoming-direction steps, an unbounded depth set over friendship
-/// cycles, a private resource and a multi-rule (disjunctive) resource
-/// ([`scenario`]). Returns the resources.
-fn apply_script(svc: &mut dyn MutateService) -> Vec<ResourceId> {
-    let names = [
-        "Ava", "Ben", "Cleo", "Dan", "Edith", "Femi", "Gus", "Hana", "Ivan", "June",
-    ];
-    let m: Vec<NodeId> = names.iter().map(|n| svc.add_user(n)).collect();
-    // Friendship chain with a branch, mutual where platforms would be.
-    svc.add_mutual_relationship(m[0], "friend", m[1]);
-    svc.add_mutual_relationship(m[1], "friend", m[2]);
-    svc.add_relationship(m[2], "friend", m[3]);
-    svc.add_mutual_relationship(m[0], "friend", m[4]);
-    // A colleague cluster bridging to the second half.
-    svc.add_relationship(m[3], "colleague", m[5]);
-    svc.add_relationship(m[5], "colleague", m[6]);
-    svc.add_mutual_relationship(m[6], "colleague", m[7]);
-    // Followers (incoming-direction policies read these backwards).
-    svc.add_relationship(m[8], "follows", m[0]);
-    svc.add_relationship(m[9], "follows", m[8]);
-    // Ages gate the predicate paths; Ben deliberately has none
-    // (predicates fail closed).
-    for (i, age) in [(0usize, 34i64), (2, 26), (3, 17), (4, 41), (8, 52)] {
-        svc.set_user_attr(m[i], "age", age.into());
-    }
-    let mut rids = Vec::new();
-    for res in scenario() {
-        let rid = svc.add_resource(res.owner);
-        for rule in &res.rules {
-            svc.add_rule(rid, &rule[0].text()).unwrap();
-        }
-        rids.push(rid);
-    }
-    rids
-}
-
-/// The script written into a bare graph and store, and the oracle's
-/// audiences of its resources.
-fn scripted_oracle() -> (RawState, Vec<ResourceId>, Vec<Vec<NodeId>>) {
-    let mut raw = RawState::default();
-    let rids = apply_script(&mut raw);
-    let want = scenario()
-        .iter()
-        .map(|r| oracle::audience(&raw.g, r))
-        .collect();
-    (raw, rids, want)
-}
-
 /// Every backend serves the script as the oracle reads it: per-member
 /// decisions, audiences, batched reads and explain grant-ness.
 #[test]
 fn all_backends_agree_on_the_scenario_script() {
-    let (raw, rids, want) = scripted_oracle();
-    let requests: Vec<(ResourceId, NodeId)> = rids
-        .iter()
-        .flat_map(|&rid| raw.g.nodes().map(move |m| (rid, m)))
-        .collect();
-    let decisions: Vec<Decision> = requests
-        .iter()
-        .map(|&(rid, m)| match want[rid.0 as usize].contains(&m) {
-            true => Decision::Grant,
-            false => Decision::Deny,
-        })
-        .collect();
     for deployment in deployments() {
         let mut svc = deployment.build();
-        assert_eq!(
-            apply_script(svc.writes()),
-            rids,
-            "the script is deterministic"
-        );
-        let (reads, tag) = (svc.reads(), deployment.describe());
-        assert_eq!(reads.audience_batch(&rids).unwrap(), want, "{tag}");
-        assert_eq!(reads.check_batch(&requests, 2).unwrap(), decisions, "{tag}");
-        for (&(rid, m), &d) in requests.iter().zip(&decisions) {
-            assert_eq!(reads.check(rid, m).unwrap(), d, "{tag}: {rid:?}/{m}");
-            let explained = reads.explain(rid, m).unwrap();
-            assert_eq!(explained.is_some(), d.is_granted(), "{tag}: {rid:?}/{m}");
-        }
-        for (&rid, audience) in rids.iter().zip(&want) {
-            assert_eq!(&reads.audience(rid).unwrap(), audience, "{tag}");
-        }
+        apply_script(svc.writes());
+        common::assert_serves_the_scenario(svc.reads());
     }
 }
 
