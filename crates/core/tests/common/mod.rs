@@ -64,9 +64,9 @@ use socialreach_core::remote::proto::{
     WireRefusal, PROTOCOL_VERSION,
 };
 use socialreach_core::{
-    AccessService, Applied, Decision, Deployment, DurableService, EvalError, Explanation,
-    MutateService, Mutation, PlannedService, PlannerMode, PolicyStore, ResourceId, ServiceInstance,
-    ShardAddr, WalkHop,
+    parse_policy, AccessCondition, AccessRule, AccessService, Applied, Decision, Deployment,
+    DurableService, EvalError, Explanation, MutateService, Mutation, PlannedService, PlannerMode,
+    PolicyStore, ReadBatch, ResourceId, ServiceInstance, ShardAddr, WalkHop,
 };
 use socialreach_graph::shard::{MaskedExport, MaskedStateKey};
 use socialreach_graph::Direction::{self, Both, In, Out};
@@ -158,6 +158,99 @@ impl Wrapped {
             Wrapped::Bare(s) => s,
             Wrapped::Durable(s, _) => s.writes(),
             Wrapped::Planned(s) => s,
+        }
+    }
+}
+
+/// The case as a copy of its graph and a policy store built against it,
+/// each condition parsed from its rendering (every other one in the
+/// `MATCH` grammar when it can say it).
+pub fn load(case: &Case) -> (SocialGraph, PolicyStore) {
+    let (mut g, mut store, mut k) = (case.graph.clone(), PolicyStore::new(), 0);
+    for res in &case.resources {
+        let resource = store.register_resource(res.owner);
+        for rule in &res.rules {
+            let mut conditions = Vec::new();
+            for c in rule {
+                k += 1;
+                let text = c.query().filter(|_| k % 2 == 0).unwrap_or_else(|| c.text());
+                let path = parse_policy(&text, g.vocab_mut()).expect("rendered paths parse");
+                conditions.push(AccessCondition {
+                    owner: c.owner,
+                    path,
+                });
+            }
+            store
+                .add_rule(AccessRule {
+                    resource,
+                    conditions,
+                })
+                .unwrap();
+        }
+    }
+    (g, store)
+}
+
+/// The case loaded into `deployment` with `Deployment::from_graph`.
+pub fn serve(deployment: &Deployment, case: &Case) -> ServiceInstance {
+    let (g, store) = load(case);
+    deployment.from_graph(&g, store)
+}
+
+/// The case's resources, in registration order.
+pub fn case_rids(case: &Case) -> Vec<ResourceId> {
+    (0..case.resources.len() as u64).map(ResourceId).collect()
+}
+
+/// The oracle's audience of each of the case's resources.
+pub fn oracle_audiences(case: &Case) -> Vec<Vec<NodeId>> {
+    let audience = |r| oracle::audience(&case.graph, r);
+    case.resources.iter().map(audience).collect()
+}
+
+/// Every `(resource, member)` pair of the case, resource-major, and
+/// whether the oracle grants it.
+pub fn oracle_pairs(case: &Case) -> (Vec<(ResourceId, NodeId)>, Vec<bool>) {
+    let want = oracle_audiences(case);
+    let pairs: Vec<_> = case_rids(case)
+        .into_iter()
+        .flat_map(|r| case.graph.nodes().map(move |m| (r, m)))
+        .collect();
+    let grants = pairs
+        .iter()
+        .map(|(r, m)| want[r.0 as usize].binary_search(m).is_ok())
+        .collect();
+    (pairs, grants)
+}
+
+/// The case's conditions, each once, in rule order.
+pub fn case_conds(case: &Case) -> Vec<&Cond> {
+    let mut conds: Vec<&Cond> = Vec::new();
+    for c in case.resources.iter().flat_map(|r| r.rules.iter().flatten()) {
+        if !conds.contains(&c) {
+            conds.push(c);
+        }
+    }
+    conds
+}
+
+/// Explains every pair of the case in one [`ReadBatch`]: `reads` must
+/// explain exactly the pairs the oracle grants, an ownership naming the
+/// resource's owner and a rule grant with walks the oracle replays.
+pub fn assert_explains(reads: &dyn AccessService, case: &Case, tag: &str) {
+    let (pairs, grants) = oracle_pairs(case);
+    let batch = pairs
+        .iter()
+        .fold(ReadBatch::new(), |b, &(r, m)| b.explain(r, m));
+    let explained = reads.read(&batch).unwrap_or_else(|e| panic!("{tag}: {e}"));
+    for (((rid, m), granted), got) in pairs.iter().zip(grants).zip(explained) {
+        let res = &case.resources[rid.0 as usize];
+        let tag = format!("{tag}: explain {rid:?}/{m}");
+        assert_eq!(got.explanation.is_some(), granted, "{tag}");
+        match &got.explanation {
+            Some(Explanation::Ownership { owner }) => assert_eq!(*owner, res.owner, "{tag}"),
+            Some(e) => assert_explanation_valid(reads, &case.graph, *m, &res.rules, e),
+            None => {}
         }
     }
 }

@@ -32,10 +32,9 @@ use proptest::prelude::*;
 use socialreach_core::BundleStrategy::{Batched, PerCondition};
 use socialreach_core::CheckPlan::{Audience, Targeted};
 use socialreach_core::{
-    parse_policy, AccessCondition, AccessRule, AccessService, Applied, Deployment, Explanation,
-    Mutation, PlannerMode, PolicyStore, ReadBatch, ResourceId, ShardHandle,
+    AccessService, Applied, Deployment, Mutation, PlannerMode, ReadBatch, ResourceId, ShardHandle,
 };
-use socialreach_graph::{Direction, NodeId, SocialGraph};
+use socialreach_graph::{Direction, NodeId};
 use std::iter;
 
 const SHARDS: [u32; 4] = [1, 2, 4, 7];
@@ -80,35 +79,6 @@ fn deployments(seed: u64) -> impl Iterator<Item = (Deployment, Vec<ShardHandle>)
     in_process
         .map(|d| (d, Vec::new()))
         .chain(iter::once_with(fleet))
-}
-
-/// The case as a copy of its graph and a policy store built against it,
-/// each condition parsed from its rendering (every other one in the
-/// `MATCH` grammar when it can say it).
-fn load(case: &Case) -> (SocialGraph, PolicyStore) {
-    let (mut g, mut store, mut k) = (case.graph.clone(), PolicyStore::new(), 0);
-    for res in &case.resources {
-        let resource = store.register_resource(res.owner);
-        for rule in &res.rules {
-            let mut conditions = Vec::new();
-            for c in rule {
-                k += 1;
-                let text = c.query().filter(|_| k % 2 == 0).unwrap_or_else(|| c.text());
-                let path = parse_policy(&text, g.vocab_mut()).expect("rendered paths parse");
-                conditions.push(AccessCondition {
-                    owner: c.owner,
-                    path,
-                });
-            }
-            store
-                .add_rule(AccessRule {
-                    resource,
-                    conditions,
-                })
-                .unwrap();
-        }
-    }
-    (g, store)
 }
 
 /// The case as [`Mutation`]s, keeping only the rules `AddRule` can
@@ -159,7 +129,7 @@ fn leg(deployment: Deployment, _fleet: Vec<ShardHandle>, wrap: Wrap, case: &Case
         }
         return Leg { svc, case, _fleet };
     }
-    let (g, store) = load(case);
+    let (g, store) = common::load(case);
     let svc = Wrapped::new(&deployment, wrap, Some((&g, store)));
     Leg {
         svc,
@@ -182,23 +152,13 @@ fn widened(cond: &Cond) -> Option<Cond> {
 fn assert_reads(leg: &Leg, tag: &str) -> Vec<Vec<NodeId>> {
     let (case, reads) = (&leg.case, leg.reads());
     let g = &case.graph;
-    let want: Vec<Vec<NodeId>> = case
-        .resources
-        .iter()
-        .map(|r| oracle::audience(g, r))
-        .collect();
-    let rids = (0..want.len() as u64).map(ResourceId);
-    let pairs: Vec<_> = rids
-        .clone()
-        .flat_map(|r| g.nodes().map(move |m| (r, m)))
-        .collect();
-    let grants = |&(rid, m): &(ResourceId, NodeId)| want[rid.0 as usize].binary_search(&m).is_ok();
+    let want = common::oracle_audiences(case);
+    let (pairs, granted) = common::oracle_pairs(case);
     let read = |batch: ReadBatch| reads.read(&batch).unwrap_or_else(|e| panic!("{tag}: {e}"));
 
     let checks = pairs
         .iter()
         .fold(ReadBatch::new(), |b, &(r, m)| b.check(r, m));
-    let granted: Vec<bool> = pairs.iter().map(grants).collect();
     for plan in [
         None,
         Some(Targeted),
@@ -216,7 +176,9 @@ fn assert_reads(leg: &Leg, tag: &str) -> Vec<Vec<NodeId>> {
         assert_eq!(got, granted, "{tag}: checks of {pairs:?} under {plan:?}");
     }
 
-    let audiences = rids.fold(ReadBatch::new(), |b, r| b.audience(r));
+    let audiences = common::case_rids(case)
+        .into_iter()
+        .fold(ReadBatch::new(), |b, r| b.audience(r));
     let mut own = Vec::new();
     for strategy in [None, Some(Batched), Some(PerCondition)] {
         let got = read(ReadBatch {
@@ -229,32 +191,11 @@ fn assert_reads(leg: &Leg, tag: &str) -> Vec<Vec<NodeId>> {
         assert_eq!(own, want, "{tag}: audiences under {strategy:?}");
     }
 
-    let explained = read(
-        pairs
-            .iter()
-            .fold(ReadBatch::new(), |b, &(r, m)| b.explain(r, m)),
-    );
-    for ((rid, m), got) in pairs.iter().zip(explained) {
-        let (res, tag) = (
-            &case.resources[rid.0 as usize],
-            format!("{tag}: explain {rid:?}/{m}"),
-        );
-        assert_eq!(got.explanation.is_some(), grants(&(*rid, *m)), "{tag}");
-        match &got.explanation {
-            Some(Explanation::Ownership { owner }) => assert_eq!(*owner, res.owner, "{tag}"),
-            Some(e) => common::assert_explanation_valid(reads, g, *m, &res.rules, e),
-            None => {}
-        }
-    }
+    common::assert_explains(reads, case, tag);
 
     // Each condition in both grammars, and with its last step one level
     // wider.
-    let mut conds: Vec<&Cond> = case
-        .resources
-        .iter()
-        .flat_map(|r| r.rules.iter().flatten())
-        .collect();
-    conds.dedup();
+    let conds = common::case_conds(case);
     let (mut texts, mut widenings) = (Vec::new(), Vec::new());
     for &c in &conds {
         let narrow = texts.len();

@@ -1,15 +1,20 @@
-//! Regressions for the query front-end and the shared-prefix bundle
-//! plan: a bundle past the plan's `u16` node budget is bisected into
-//! several plans and answers like per-condition evaluation; rendering a
-//! path expression into `MATCH` syntax and re-parsing it is the
-//! identity (up to canonicalization); read-only parsing interns
-//! nothing; and malformed queries are refused with pinned
-//! caret-annotated errors. The random comparison of trie-planned
-//! bundles and ad-hoc queries with the oracle, on every deployment, is
-//! `differential_matrix`.
+//! The query front-end and the shared-prefix bundle plan. On seeded
+//! random cases, a bundle of every condition as an ad-hoc query, in
+//! both grammars, answers like each query read alone and like the
+//! shared-nothing oracle (`common::oracle`), on the single graph and a
+//! 4-shard partition; a fixed query bundle, with an unknown
+//! relationship type and an empty path, answers alike on single,
+//! sharded and networked deployments. Regressions: a bundle past the
+//! plan's `u16` node budget is bisected into several plans and answers
+//! like per-condition evaluation; rendering a path expression into
+//! `MATCH` syntax and re-parsing it is the identity (up to
+//! canonicalization); read-only parsing interns nothing; and malformed
+//! queries are refused with pinned caret-annotated errors. Every
+//! deployment, wrapper and read shape is `differential_matrix`.
 
 mod common;
 
+use common::oracle;
 use proptest::prelude::*;
 use socialreach_core::query::{self, parse_queries_readonly, render_query};
 use socialreach_core::{
@@ -19,6 +24,30 @@ use socialreach_graph::{NodeId, SocialGraph};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Trie-planned query bundles ≡ per-condition reads ≡ the oracle:
+    /// every condition of the case, in both grammars, read in one
+    /// bundle and each alone, on the single graph and sharded(4).
+    #[test]
+    fn trie_plan_matches_per_condition(case in common::cases(), seed in 0..1000u64) {
+        let mut queries = Vec::new();
+        for c in common::case_conds(&case) {
+            let want: Vec<NodeId> = oracle::reach(&case.graph, c).into_iter().collect();
+            let texts = std::iter::once(c.text()).chain(c.query());
+            queries.extend(texts.map(|t| (c.owner, t, want.clone())));
+        }
+        let bundle: Vec<(NodeId, &str)> = queries.iter().map(|(o, t, _)| (*o, &t[..])).collect();
+        for deployment in [Deployment::online(), Deployment::sharded(4, seed)] {
+            let svc = common::serve(&deployment, &case);
+            let trie = svc.reads().query_audience_bundle(&bundle).unwrap();
+            for ((owner, text, want), got) in queries.iter().zip(&trie) {
+                let tag = format!("{text} at {owner} on {}", deployment.describe());
+                let alone = svc.reads().query_audience(*owner, text).unwrap();
+                prop_assert_eq!(&alone, want, "{} alone", tag);
+                prop_assert_eq!(got, want, "{} in the bundle", tag);
+            }
+        }
+    }
 
     /// Rendering a path expression into the `MATCH` syntax and
     /// re-parsing it is the identity, up to canonicalization; a path
@@ -35,6 +64,72 @@ proptest! {
         let reparsed = parse_query(&query, &mut vocab)
             .unwrap_or_else(|e| panic!("rendered query must re-parse: {e}\n  {query}"));
         prop_assert_eq!(reparsed.canonical(), path.canonical(), "query: {}", query);
+    }
+}
+
+/// The same ad-hoc query bundle answers identically on single,
+/// sharded(4) and networked(2) deployments — including a query whose
+/// relationship type no graph has interned (empty audience, never an
+/// error) and an empty-path `MATCH (owner)` (owner-only audience).
+#[test]
+fn query_bundles_agree_across_deployments() {
+    let handles = socialreach_core::remote::spawn_local_fleet(2, false).expect("fleet spawns");
+    let addrs: Vec<_> = handles.iter().map(|h| h.addr().clone()).collect();
+    let mut backends = vec![
+        Deployment::online().build(),
+        Deployment::sharded(4, 7).build(),
+        Deployment::networked_with(addrs, 7).build(),
+    ];
+
+    let mut members = Vec::new();
+    for svc in &mut backends {
+        let w = svc.writes();
+        let names = ["Ava", "Ben", "Cleo", "Dan", "Edith", "Femi"];
+        let m: Vec<NodeId> = names.iter().map(|n| w.add_user(n)).collect();
+        w.add_mutual_relationship(m[0], "friend", m[1]);
+        w.add_mutual_relationship(m[1], "friend", m[2]);
+        w.add_relationship(m[2], "friend", m[3]);
+        w.add_relationship(m[3], "colleague", m[4]);
+        w.add_relationship(m[5], "follows", m[0]);
+        w.set_user_attr(m[2], "age", 26i64.into());
+        w.set_user_attr(m[3], "age", 17i64.into());
+        members = m;
+    }
+
+    // Shared prefixes across distinct conditions, both syntaxes, one
+    // unknown relationship type, one empty path.
+    let texts = [
+        "MATCH (owner)-[:friend*1..2]->(v)",
+        "MATCH (owner)-[:friend*1..2]->(v)-[:colleague]->(w)",
+        "friend+[1..2]{age>=18}",
+        "MATCH (owner)<-[:follows]-(v)",
+        "MATCH (owner)-[:quarreled_with*1..3]->(v)",
+        "MATCH (owner)",
+    ];
+    let queries: Vec<(NodeId, &str)> = texts
+        .iter()
+        .enumerate()
+        .map(|(i, &t)| (members[i % 2], t))
+        .collect();
+
+    let mut seen: Option<Vec<Vec<NodeId>>> = None;
+    for svc in &backends {
+        let got = svc.reads().query_audience_bundle(&queries).unwrap();
+        match &seen {
+            None => {
+                // Spot-check the reference leg before fanning out.
+                assert_eq!(got[4], vec![], "unknown type → empty audience");
+                assert_eq!(got[5], vec![members[1]], "empty path → owner only");
+                assert!(got[0].contains(&members[2]));
+                seen = Some(got);
+            }
+            Some(expect) => assert_eq!(
+                &got,
+                expect,
+                "{} must match the single-graph answers",
+                svc.reads().describe()
+            ),
+        }
     }
 }
 

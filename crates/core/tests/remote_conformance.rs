@@ -11,6 +11,7 @@
 mod common;
 
 use common::oracle::Cond;
+use proptest::prelude::*;
 use socialreach_core::online::evaluate_reference;
 use socialreach_core::remote::proto::{Request, Response, WireMatch, WireRefusal};
 use socialreach_core::remote::{spawn_local_fleet, MAX_EPOCH_OPS};
@@ -46,6 +47,23 @@ fn networked_matches_twins(n: usize, unix: bool) {
         "the deployment label names the backend"
     );
     common::assert_serves_the_scenario(networked.reads());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The generic differential harness on seeded random cases,
+    /// instantiated at in-process sharded(2) vs networked(2) over TCP
+    /// (every evaluation crosses the wire), with the networked grants
+    /// explained by walks the oracle replays.
+    #[test]
+    fn tcp_networked_agrees_on_random_workloads(case in common::cases(), seed in 0..1000u64) {
+        let (_handles, addrs) = fleet(2, false);
+        let net = common::serve(&Deployment::networked_with(addrs, seed), &case);
+        let sharded = common::serve(&Deployment::sharded(2, seed), &case);
+        common::assert_services_agree(sharded.reads(), net.reads(), &common::case_rids(&case));
+        common::assert_explains(net.reads(), &case, "networked(2)");
+    }
 }
 
 #[test]

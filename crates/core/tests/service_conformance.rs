@@ -11,6 +11,7 @@
 mod common;
 
 use common::{apply_script, scenario, scripted_oracle, Wrap, Wrapped};
+use proptest::prelude::*;
 use socialreach_core::{
     AccessResponse, AccessService, BundleStrategy, CheckPlan, Decision, Deployment, EvalError,
     Explanation, MutateService, Mutation, PlannerMode, PolicyStore, ReadBatch, ReadRequest,
@@ -690,5 +691,26 @@ fn read_stats_are_comparable_across_backends() {
             stats.conditions, conditions,
             "{name} dedups the same bundle to the same conditions"
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The generic differential harness, instantiated at
+    /// `Deployment::online` vs `Deployment::sharded(4)` on seeded random
+    /// cases, with the online answers pinned to the oracle's.
+    #[test]
+    fn single_and_sharded_deployments_agree_on_random_workloads(
+        case in common::cases(),
+        seed in 0..1000u64,
+    ) {
+        let rids = common::case_rids(&case);
+        let single = common::serve(&Deployment::online(), &case);
+        let want = common::oracle_audiences(&case);
+        prop_assert_eq!(single.reads().audience_batch(&rids).unwrap(), want);
+        common::assert_explains(single.reads(), &case, "online");
+        let sharded = common::serve(&Deployment::sharded(4, seed), &case);
+        common::assert_services_agree(single.reads(), sharded.reads(), &rids);
     }
 }

@@ -1,15 +1,75 @@
-//! Regressions for the **batched** sharded read path, the masked
-//! fixpoint that runs one traversal per 64-condition chunk of a
-//! bundle's plan: wide bundles chunk into mask words without cross-talk,
-//! and a walk that re-enters a shard many times expands the region
-//! once. The random comparison of every deployment, strategy and route
-//! with the oracle is `differential_matrix`.
+//! The **batched** sharded read path, the masked fixpoint that runs one
+//! traversal per 64-condition chunk of a bundle's plan. On seeded random
+//! cases, across shard counts {1, 2, 4, 7}, audience bundles under each
+//! `BundleStrategy` are the oracle's (`common::oracle`) and census the
+//! single graph's plan, and check batches under each `CheckPlan` decide
+//! as the oracle does with every grant witnessable. Regressions: wide
+//! bundles chunk into mask words without cross-talk, and a walk that
+//! re-enters a shard many times expands the region once. Every wrapper,
+//! read shape and write-after-read leg is `differential_matrix`.
 
-use socialreach_core::BundleStrategy::PerCondition;
+mod common;
+
+use proptest::prelude::*;
+use socialreach_core::BundleStrategy::{Batched, PerCondition};
+use socialreach_core::CheckPlan::{Audience, Targeted};
 use socialreach_core::{
-    AccessService, Deployment, MutateService, PolicyStore, ReadBatch, ShardedSystem,
+    AccessService, Deployment, MutateService, PolicyStore, ReadBatch, ReadStats, ServiceInstance,
+    ShardedSystem,
 };
 use socialreach_graph::{NodeId, ShardAssignment, SocialGraph};
+
+const SHARDS: [u32; 4] = [1, 2, 4, 7];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Audience bundles forced down each strategy: on every shard count
+    /// the masked fixpoint returns the oracle's audiences, and censuses
+    /// the same shared-prefix plan, in as many traversals, as the single
+    /// graph's multi-source BFS.
+    #[test]
+    fn batched_audiences_match_every_oracle(case in common::cases(), seed in 0..1000u64) {
+        let (rids, want) = (common::case_rids(&case), common::oracle_audiences(&case));
+        let single = common::serve(&Deployment::online(), &case);
+        for k in SHARDS {
+            let sharded = common::serve(&Deployment::sharded(k, seed), &case);
+            for strategy in [Batched, PerCondition] {
+                let forced = |svc: &ServiceInstance| {
+                    svc.reads().audience_batch_forced(&rids, strategy).unwrap()
+                };
+                let (expect, base) = forced(&single);
+                prop_assert_eq!(&expect, &want, "single graph under {:?}", strategy);
+                let (got, stats) = forced(&sharded);
+                prop_assert_eq!(&got, &want, "sharded({}) under {:?}", k, strategy);
+                prop_assert!(stats.plan_states <= stats.expr_states, "{:?}", stats);
+                let census = |s: ReadStats| (s.plan_states, s.expr_states, s.traversals);
+                let tag = format!("census of sharded({k}) under {strategy:?}");
+                prop_assert_eq!(census(stats), census(base), "{}", tag);
+            }
+        }
+    }
+
+    /// Check batches forced down each plan decide as the oracle does on
+    /// every shard count, and every grant is explained by walks the
+    /// oracle replays.
+    #[test]
+    fn batched_checks_match_and_grants_are_witnessable(
+        case in common::cases(),
+        seed in 0..1000u64,
+    ) {
+        let (pairs, granted) = common::oracle_pairs(&case);
+        for k in SHARDS {
+            let sharded = common::serve(&Deployment::sharded(k, seed), &case);
+            for plan in [Targeted, Audience(Batched), Audience(PerCondition)] {
+                let (got, _) = sharded.reads().check_batch_forced(&pairs, 2, plan).unwrap();
+                let got: Vec<bool> = got.iter().map(|d| d.is_granted()).collect();
+                prop_assert_eq!(&got, &granted, "sharded({}) under {:?}", k, plan);
+            }
+            common::assert_explains(sharded.reads(), &case, &format!("sharded({k})"));
+        }
+    }
+}
 
 /// A 64+-condition bundle chunks into multiple mask words; chunking
 /// must be invisible in the answers and cost one extra fixpoint per

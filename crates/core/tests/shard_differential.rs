@@ -1,10 +1,78 @@
-//! Placement regressions for the sharded serving layer: the hashed
+//! The sharded serving layer against the single graph and the
+//! shared-nothing oracle (`common::oracle`), on seeded random cases:
+//! across shard counts {1, 2, 4, 7} (and a networked(2) fleet behind
+//! loopback TCP) a sharded deployment returns the single graph's
+//! decisions and audiences, explains each grant with walks the oracle
+//! replays, and reaches each condition's oracle audience. The hashed
 //! placement is seeded and stable, so two independently built systems
-//! place every member alike and answer alike. The random comparison of
-//! every deployment with the oracle is `differential_matrix`.
+//! place every member alike and answer alike. Every wrapper, read
+//! shape and write-after-read leg is `differential_matrix`.
 
-use socialreach_core::{Decision, PolicyStore, ShardedSystem};
+mod common;
+
+use common::oracle;
+use proptest::prelude::*;
+use socialreach_core::remote::spawn_local_fleet;
+use socialreach_core::{Decision, Deployment, PolicyStore, ShardedSystem};
 use socialreach_graph::{NodeId, ShardAssignment, SocialGraph};
+
+const SHARDS: [u32; 4] = [1, 2, 4, 7];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Decisions, audiences, batched reads and explain grant-ness: every
+    /// sharded deployment, and a networked(2) fleet, answers like the
+    /// single-graph deployment, whose audiences are the oracle's.
+    #[test]
+    fn sharded_decisions_and_audiences_match_single_graph(
+        case in common::cases(),
+        seed in 0..1000u64,
+    ) {
+        let rids = common::case_rids(&case);
+        let single = common::serve(&Deployment::online(), &case);
+        let want = common::oracle_audiences(&case);
+        prop_assert_eq!(single.reads().audience_batch(&rids).unwrap(), want);
+        for k in SHARDS {
+            let sharded = common::serve(&Deployment::sharded(k, seed), &case);
+            common::assert_services_agree(single.reads(), sharded.reads(), &rids);
+        }
+        let fleet = spawn_local_fleet(2, false).expect("fleet spawns");
+        let addrs = fleet.iter().map(|h| h.addr().clone()).collect();
+        let networked = common::serve(&Deployment::networked_with(addrs, seed), &case);
+        common::assert_services_agree(single.reads(), networked.reads(), &rids);
+    }
+
+    /// Witnesses: on every shard count, each grant is explained by walks
+    /// the oracle replays from the conditions' owners, and no deny is.
+    #[test]
+    fn sharded_witnesses_are_valid_accepting_walks(
+        case in common::cases(),
+        seed in 0..1000u64,
+    ) {
+        for k in SHARDS {
+            let sharded = common::serve(&Deployment::sharded(k, seed), &case);
+            common::assert_explains(sharded.reads(), &case, &format!("sharded({k})"));
+        }
+    }
+
+    /// Condition audiences: each condition of the case, read alone as an
+    /// ad-hoc query in both grammars, reaches exactly the oracle's
+    /// members on every shard count.
+    #[test]
+    fn sharded_condition_audiences_match_reference(case in common::cases(), seed in 0..1000u64) {
+        for k in SHARDS {
+            let sharded = common::serve(&Deployment::sharded(k, seed), &case);
+            for c in common::case_conds(&case) {
+                let want: Vec<NodeId> = oracle::reach(&case.graph, c).into_iter().collect();
+                for text in std::iter::once(c.text()).chain(c.query()) {
+                    let got = sharded.reads().query_audience(c.owner, &text).unwrap();
+                    prop_assert_eq!(&got, &want, "{} at {} on sharded({})", text, c.owner, k);
+                }
+            }
+        }
+    }
+}
 
 /// Placement determinism: two independently built systems place every
 /// member identically (the hash is seeded and stable), and decisions
