@@ -26,10 +26,10 @@ pub struct EvalStats {
     /// Product states dequeued (online engine).
     pub states_visited: usize,
     /// Label-matching edge traversals (online engine; comparable
-    /// across the CSR and reference implementations).
+    /// across its flat and sparse variants).
     pub edges_scanned: usize,
-    /// Non-matching edges inspected and skipped (reference
-    /// implementation only; the CSR engine never touches them).
+    /// Non-matching edges inspected and skipped (the sparse variant
+    /// only; the CSR slices of a flat read never hold them).
     pub edges_filtered: usize,
     /// Line queries evaluated (join engine).
     pub line_queries: usize,

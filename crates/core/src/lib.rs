@@ -51,7 +51,7 @@
 //! |--------|---------------|----------|
 //! | [`path`] | §2 Def. 3 | path-expression AST, parser, printer |
 //! | [`policy`] | §2 Def. 2 | access rules, policy store, decisions |
-//! | [`online`] | §1 | constrained product BFS over a label-partitioned CSR snapshot (flat-array engine + retained reference implementation) |
+//! | [`online`] | §1 | constrained product BFS over a label-partitioned CSR snapshot (flat-array engine; degenerate product spaces run as the one-path plan on the `query` engine) |
 //! | [`lineplan`] | §3.1 | depth expansion into line queries (Fig. 4) |
 //! | [`joinengine`] | §3.3–3.4 | join pipeline + post-processing (a library engine: experiments and tests, not a serving backend) |
 //! | [`engine`] | §1, §3 | the engine trait the experiments swap (`name`, `check`, `audience`) and the caching enforcer over it |

@@ -19,7 +19,7 @@
 //!
 //! Matching is over **walks** — members and relationships may repeat.
 //!
-//! # The targeted engine, the reference and the mask-scratch pool
+//! # The targeted engine, its fallback and the mask-scratch pool
 //!
 //! * [`evaluate`] / [`evaluate_with_snapshot`] — the single-graph
 //!   engine: a level-synchronous BFS from the owner over a
@@ -28,27 +28,28 @@
 //!   frontiers. A path step scans only the `O(deg_label)` matching CSR
 //!   slice instead of filtering all `O(deg)` incident edges, and the
 //!   hot loop touches no hash map or `VecDeque`.
-//! * [`evaluate_reference`] — the original HashMap/VecDeque product BFS,
-//!   retained verbatim as the executable specification. The flat engine
-//!   is property-tested decision-for-decision against it
-//!   (`tests/csr_differential.rs`), and degenerate inputs whose product
-//!   space would make the dense arrays unreasonable (astronomical
-//!   saturation depths) transparently fall back to it. Both are shared
-//!   code; `tests/differential_matrix.rs` pins every deployment to a
-//!   test oracle that shares none.
+//!   `tests/csr_differential.rs` pins it to a test oracle that shares
+//!   no code with the crate.
+//! * Its degenerate inputs — a product space past the flat caps
+//!   (astronomical saturation depths), a graph of generation 0 (no
+//!   snapshot is ever current for one) and, in release builds, a
+//!   snapshot stale for the graph — run the path as its **one-path
+//!   plan** on the plan engine, which picks its sparse variant for
+//!   exactly these inputs: the route the partitioned targeted read
+//!   takes for every check.
 //! * The pooled mask scratch (below) — the state of the one **masked**
 //!   engine, [`crate::query::engine`]'s plan engine, which serves every
 //!   bundle, every partitioned read and every seeded run: a linear path
 //!   runs there as the one-path plan.
 //!
-//! Both traversals expand states in identical FIFO order, so audiences,
-//! decisions and witness walks agree exactly — including
-//! [`SearchStats::edges_scanned`], which on **both** engines counts
-//! label-matching traversals only. The reference engine additionally
-//! reports the non-matching edges it had to inspect and skip as
-//! [`SearchStats::edges_filtered`]; the snapshot engine never even
-//! looks at those, so its `edges_filtered` is always zero. The two
-//! `edges_scanned` series therefore share an axis in experiments.
+//! Both engines expand states in the same level-synchronous FIFO
+//! order, so audiences and decisions agree, and witness walks are
+//! equally short. [`SearchStats::edges_scanned`] counts label-matching
+//! traversals only on both, so the series share an axis in
+//! experiments. The plan engine's sparse variant walks the graph's
+//! adjacency lists and additionally reports the non-matching edges it
+//! had to inspect and skip as [`SearchStats::edges_filtered`]; the CSR
+//! slices never hold those, so every flat read reports zero.
 //!
 //! # Pooled mask scratch: the all-zero invariant
 //!
@@ -94,13 +95,13 @@
 //! [`release_thread_caches`] drops the pool; [`thread_cache_stats`]
 //! reports what it holds and what it has done.
 
-use crate::path::PathExpr;
+use crate::path::{PathExpr, Step};
+use crate::query::{evaluate_plan_batch_seeded, BundlePlan, PlanBatchState};
 use socialreach_graph::csr::CsrSnapshot;
 use socialreach_graph::{Direction, EdgeId, NodeId, SocialGraph};
 use std::cell::RefCell;
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
+use std::sync::OnceLock;
 
 /// Counters describing how much work an evaluation performed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -112,9 +113,10 @@ pub struct SearchStats {
     /// comparable across engines.
     pub edges_scanned: usize,
     /// Edges inspected and skipped because their label did not match.
-    /// Only the reference engine pays this cost (it filters the full
-    /// adjacency list); the snapshot engine's per-(node, label) slices
-    /// never touch a non-matching edge, so it reports zero.
+    /// Only the plan engine's sparse variant pays this cost (it filters
+    /// the full adjacency list); the per-(node, label) CSR slices of
+    /// every flat read never touch a non-matching edge, so those
+    /// report zero.
     pub edges_filtered: usize,
 }
 
@@ -158,11 +160,11 @@ impl OnlineOutcome {
 // ---------------------------------------------------------------------
 
 /// Cap on `layers · |V|` dense state slots (64 MiB of visited stamps).
-/// Above it the reference engine's sparse bookkeeping wins.
-pub(crate) const MAX_FLAT_STATES: u64 = 1 << 24;
+/// Above it the plan engine's sparse bookkeeping wins.
+const MAX_FLAT_STATES: u64 = 1 << 24;
 /// Cap on the number of `(step, depth)` layers by themselves, so a
 /// degenerate `label+[1..2^30]` cannot force a huge layer table.
-pub(crate) const MAX_FLAT_LAYERS: u64 = 1 << 20;
+const MAX_FLAT_LAYERS: u64 = 1 << 20;
 /// `parent_hop` packs `edge id << 1 | forward`; this marks ε-moves and
 /// the start state.
 pub(crate) const HOP_NONE: u32 = u32::MAX;
@@ -220,7 +222,7 @@ struct LayerInfo {
 
 /// Fills `layers` with the dense per-(step, depth) layer table of
 /// `steps`.
-fn fill_layer_table(steps: &[crate::path::Step], layers: &mut Vec<LayerInfo>) {
+fn fill_layer_table(steps: &[Step], layers: &mut Vec<LayerInfo>) {
     layers.clear();
     let mut base = 0u32;
     for (i, step) in steps.iter().enumerate() {
@@ -240,16 +242,18 @@ fn fill_layer_table(steps: &[crate::path::Step], layers: &mut Vec<LayerInfo>) {
     }
 }
 
-/// `(v_count, layer_count, total_states)` when the dense product space
-/// of `path` over `snap` is reasonable, `None` when the reference
-/// engine's sparse bookkeeping should take over.
-fn flat_dimensions(snap: &CsrSnapshot, path: &PathExpr) -> Option<(u32, u64, usize)> {
+/// `(v_count, layer_count)` when the dense product space of `steps`
+/// (a path's, or a plan's nodes') over `snap` is reasonable: within
+/// [`MAX_FLAT_LAYERS`] `(step, depth)` layers and [`MAX_FLAT_STATES`]
+/// states, with edge ids that fit a packed hop. `None` when the plan
+/// engine's sparse bookkeeping should take over. Both engines size
+/// their flat arrays by this one check.
+pub(crate) fn flat_dimensions<'s>(
+    snap: &CsrSnapshot,
+    steps: impl Iterator<Item = &'s Step>,
+) -> Option<(u32, u64)> {
     let num_nodes = snap.num_nodes() as u64;
-    let layer_count: u64 = path
-        .steps
-        .iter()
-        .map(|s| s.depths.saturation() as u64 + 1)
-        .sum();
+    let layer_count: u64 = steps.map(|s| s.depths.saturation() as u64 + 1).sum();
     if num_nodes == 0
         || layer_count > MAX_FLAT_LAYERS
         || layer_count * num_nodes > MAX_FLAT_STATES
@@ -257,11 +261,7 @@ fn flat_dimensions(snap: &CsrSnapshot, path: &PathExpr) -> Option<(u32, u64, usi
     {
         return None;
     }
-    Some((
-        num_nodes as u32,
-        layer_count,
-        (layer_count * num_nodes) as usize,
-    ))
+    Some((num_nodes as u32, layer_count))
 }
 
 thread_local! {
@@ -394,8 +394,10 @@ pub fn thread_cache_stats() -> ThreadCacheStats {
 /// whole product space and returns the full audience (sorted).
 ///
 /// Runs on the label-partitioned CSR engine over this thread's cached
-/// [`CsrSnapshot`] of `g`, built when the topology generation moved;
-/// only a graph of generation 0 runs on [`evaluate_reference`]. Callers
+/// [`CsrSnapshot`] of `g`, built when the topology generation moved. A
+/// graph of generation 0 (decoded without `rebuild_lookups`) has no
+/// current snapshot: it runs as its one-path plan on the plan engine's
+/// sparse variant, like the degenerate reads below. Callers
 /// holding a snapshot — the serving backends do — should use
 /// [`evaluate_with_snapshot`].
 pub fn evaluate(
@@ -409,14 +411,23 @@ pub fn evaluate(
     }
     match thread_snapshot(g) {
         Some(snap) => evaluate_with_snapshot(g, &snap, owner, path, target),
-        None => evaluate_reference(g, owner, path, target),
+        // Generation 0: no snapshot is ever current for `g`, and
+        // building one per read costs O(|E|). The plan engine's sparse
+        // variant reads `g` itself; an empty snapshot, built once,
+        // says so.
+        None => {
+            static NO_SNAPSHOT: OnceLock<CsrSnapshot> = OnceLock::new();
+            let none = NO_SNAPSHOT.get_or_init(|| SocialGraph::new().snapshot());
+            evaluate_one_path_plan(g, none, owner, path, target)
+        }
     }
 }
 
 /// [`evaluate`] over a caller-provided snapshot (no cache probe, no
-/// build). Falls back to [`evaluate_reference`] when the dense product
-/// space would be unreasonable. A snapshot stale for `g` is a caller's
-/// bug: debug builds panic on one, release builds fall back too.
+/// build). When the dense product space would be unreasonable, the
+/// path runs as its one-path plan on the plan engine's sparse variant.
+/// A snapshot stale for `g` is a caller's bug: debug builds panic on
+/// one, release builds take that route too.
 pub fn evaluate_with_snapshot(
     g: &SocialGraph,
     snap: &CsrSnapshot,
@@ -430,13 +441,14 @@ pub fn evaluate_with_snapshot(
     let current = snap.matches(g);
     debug_assert!(current, "stale snapshot: every caller hands a current one");
     if !current {
-        return evaluate_reference(g, owner, path, target);
+        return evaluate_one_path_plan(g, snap, owner, path, target);
     }
 
     let steps = &path.steps;
-    let Some((v_count, _, total_states)) = flat_dimensions(snap, path) else {
-        return evaluate_reference(g, owner, path, target);
+    let Some((v_count, layer_count)) = flat_dimensions(snap, steps.iter()) else {
+        return evaluate_one_path_plan(g, snap, owner, path, target);
     };
+    let total_states = (layer_count * u64::from(v_count)) as usize;
 
     let mut stats = SearchStats::default();
     let mut matched: Vec<NodeId> = Vec::new();
@@ -584,6 +596,42 @@ pub fn evaluate_with_snapshot(
         matched,
         witness,
         stats,
+    }
+}
+
+/// The degenerate reads — a product space past [`flat_dimensions`], a
+/// stale snapshot in release builds, a graph of generation 0 — as the
+/// partitioned targeted read runs every check: the one-path plan,
+/// seeded at the owner's start state and stopping at `target`, its
+/// witness traced off first-arrival parents. The plan engine picks its
+/// sparse variant for exactly these inputs.
+fn evaluate_one_path_plan(
+    g: &SocialGraph,
+    snap: &CsrSnapshot,
+    owner: NodeId,
+    path: &PathExpr,
+    target: Option<NodeId>,
+) -> OnlineOutcome {
+    let plan = BundlePlan::compile(&[path]).expect("a parsed path fits a plan");
+    let masks = plan.chunk_masks(&[0]);
+    let mut state = match target {
+        Some(_) => PlanBatchState::with_parents(g, snap, &plan.nodes),
+        None => PlanBatchState::new(g, snap, &plan.nodes),
+    };
+    let seed = [(owner, 0, 0, 1)];
+    let run =
+        evaluate_plan_batch_seeded(g, snap, &plan.nodes, &masks, &mut state, &seed, &[], target);
+    let witness = match (run.hit, target) {
+        (Some((node, depth)), Some(requester)) => state.trace(requester, node, depth),
+        _ => None,
+    };
+    let mut matched: Vec<NodeId> = run.matched.iter().map(|&(m, _)| m).collect();
+    matched.sort_unstable();
+    OnlineOutcome {
+        granted: run.hit.is_some(),
+        matched,
+        witness: witness.map(|(hops, _)| hops),
+        stats: run.stats,
     }
 }
 
@@ -895,132 +943,6 @@ pub struct SeededBatchOutcome {
     pub stats: SearchStats,
 }
 
-// ---------------------------------------------------------------------
-// Reference engine (original implementation, retained as the spec)
-// ---------------------------------------------------------------------
-
-/// Product state: (member, step index, depth within step).
-type State = (u32, u16, u32);
-
-/// The original HashMap/VecDeque product BFS, kept verbatim as the
-/// executable specification the flat-array engine is differential-tested
-/// against, and as the fallback for degenerate product spaces.
-pub fn evaluate_reference(
-    g: &SocialGraph,
-    owner: NodeId,
-    path: &PathExpr,
-    target: Option<NodeId>,
-) -> OnlineOutcome {
-    let mut stats = SearchStats::default();
-
-    // Empty path: only the owner matches.
-    if path.is_empty() {
-        return OnlineOutcome::empty_path(owner, target);
-    }
-
-    let steps = &path.steps;
-    let sat: Vec<u32> = steps.iter().map(|s| s.depths.saturation()).collect();
-
-    // parent[state] = (previous state, hop taken), for witness
-    // reconstruction; also doubles as the visited set.
-    let mut parent: HashMap<State, Option<(State, Option<WitnessHop>)>> = HashMap::new();
-    let mut queue: VecDeque<State> = VecDeque::new();
-    let start: State = (owner.0, 0, 0);
-    parent.insert(start, None);
-    queue.push_back(start);
-
-    let mut matched: Vec<NodeId> = Vec::new();
-    let mut matched_seen = vec![false; g.num_nodes()];
-    let mut granted_state: Option<State> = None;
-
-    'search: while let Some(state) = queue.pop_front() {
-        let (v, i, d) = state;
-        stats.states_visited += 1;
-        let step = &steps[i as usize];
-        let node = NodeId(v);
-
-        // Step completion: d hops taken, d ∈ I_i, conditions accept v.
-        if d >= 1
-            && step.depths.contains(d)
-            && step.conds.iter().all(|c| c.eval(g.node_attrs(node)))
-        {
-            if (i as usize) == steps.len() - 1 {
-                if !matched_seen[node.index()] {
-                    matched_seen[node.index()] = true;
-                    matched.push(node);
-                }
-                if target == Some(node) {
-                    granted_state = Some(state);
-                    break 'search;
-                }
-            } else {
-                let eps: State = (v, i + 1, 0);
-                if let Entry::Vacant(e) = parent.entry(eps) {
-                    e.insert(Some((state, None)));
-                    queue.push_back(eps);
-                }
-            }
-        }
-
-        // Edge expansion within step i.
-        if d >= sat[i as usize] && !step.depths.is_unbounded() {
-            continue; // bounded step exhausted
-        }
-        let d_next = (d + 1).min(sat[i as usize]);
-        let out = matches!(step.dir, Direction::Out | Direction::Both);
-        let inc = matches!(step.dir, Direction::In | Direction::Both);
-        if out {
-            for (eid, rec) in g.out_edges(node) {
-                if rec.label != step.label {
-                    stats.edges_filtered += 1;
-                    continue;
-                }
-                stats.edges_scanned += 1;
-                let next: State = (rec.dst.0, i, d_next);
-                if let Entry::Vacant(e) = parent.entry(next) {
-                    e.insert(Some((state, Some((eid, true)))));
-                    queue.push_back(next);
-                }
-            }
-        }
-        if inc {
-            for (eid, rec) in g.in_edges(node) {
-                if rec.label != step.label {
-                    stats.edges_filtered += 1;
-                    continue;
-                }
-                stats.edges_scanned += 1;
-                let next: State = (rec.src.0, i, d_next);
-                if let Entry::Vacant(e) = parent.entry(next) {
-                    e.insert(Some((state, Some((eid, false)))));
-                    queue.push_back(next);
-                }
-            }
-        }
-    }
-
-    let witness = granted_state.map(|end| {
-        let mut hops = Vec::new();
-        let mut cur = end;
-        while let Some(Some((prev, hop))) = parent.get(&cur) {
-            if let Some(h) = hop {
-                hops.push(*h);
-            }
-            cur = *prev;
-        }
-        hops.reverse();
-        hops
-    });
-
-    matched.sort_unstable();
-    OnlineOutcome {
-        granted: granted_state.is_some(),
-        matched,
-        witness,
-        stats,
-    }
-}
-
 /// Runs a read that is handed a stale snapshot on purpose. Debug builds
 /// must panic with "stale snapshot" (`None`); release builds fall back
 /// and return the read's result for the caller to check.
@@ -1266,6 +1188,10 @@ mod tests {
         assert_eq!(names(&g, &out.matched), vec!["Alice"]);
     }
 
+    /// The fallback route — the path as its one-path plan — answers as
+    /// the flat engine does on a current snapshot: the same audiences
+    /// from the same number of states, the same decisions, and
+    /// witnesses of the same (shortest) length.
     #[test]
     fn snapshot_engine_matches_reference_on_the_chain() {
         let mut g = chain();
@@ -1282,18 +1208,22 @@ mod tests {
         let snap = g.snapshot();
         for (p, text) in paths.iter().zip(texts) {
             for owner in g.nodes() {
-                let fast = evaluate_with_snapshot(&g, &snap, owner, p, None);
-                let slow = evaluate_reference(&g, owner, p, None);
-                assert_eq!(fast.matched, slow.matched, "{text} from {owner}");
+                let plan = evaluate_one_path_plan(&g, &snap, owner, p, None);
+                let flat = evaluate_with_snapshot(&g, &snap, owner, p, None);
+                assert_eq!(plan.matched, flat.matched, "{text} from {owner}");
                 assert_eq!(
-                    fast.stats.states_visited, slow.stats.states_visited,
+                    plan.stats.states_visited, flat.stats.states_visited,
                     "{text}"
                 );
                 for requester in g.nodes() {
-                    let fast = evaluate_with_snapshot(&g, &snap, owner, p, Some(requester));
-                    let slow = evaluate_reference(&g, owner, p, Some(requester));
-                    assert_eq!(fast.granted, slow.granted, "{text} {owner}->{requester}");
-                    assert_eq!(fast.witness, slow.witness, "{text} {owner}->{requester}");
+                    let plan = evaluate_one_path_plan(&g, &snap, owner, p, Some(requester));
+                    let flat = evaluate_with_snapshot(&g, &snap, owner, p, Some(requester));
+                    assert_eq!(plan.granted, flat.granted, "{text} {owner}->{requester}");
+                    assert_eq!(
+                        plan.witness.map(|w| w.len()),
+                        flat.witness.map(|w| w.len()),
+                        "{text} {owner}->{requester}"
+                    );
                 }
             }
         }
@@ -1334,13 +1264,30 @@ mod tests {
 
     #[test]
     fn astronomical_depths_use_the_reference_fallback() {
-        // sat ≈ 2^30 would want a ~2^30-layer dense space; the wrapper
-        // must transparently fall back and still answer correctly.
+        // sat ≈ 2^30 would want a ~2^30-layer dense space; the read
+        // must run as the one-path plan instead and still answer as
+        // the flat engine does on the same walks. So must every read
+        // of a graph decoded without `rebuild_lookups` (generation 0).
         let mut g = chain();
         let alice = g.node_by_name("Alice").unwrap();
+        let carol = g.node_by_name("Carol").unwrap();
         let p = parse(&mut g, "friend+[1073741824..]");
-        let out = evaluate(&g, alice, &p, None);
-        assert!(out.matched.is_empty());
+        let deep = parse(&mut g, "friend+[1..1073741824]");
+        let open = parse(&mut g, "friend+[1..]");
+        let decoded: SocialGraph =
+            serde_json::from_str(&serde_json::to_string(&g).unwrap()).unwrap();
+        assert_eq!(decoded.topology_generation(), 0);
+        let flat = evaluate_with_snapshot(&g, &g.snapshot(), alice, &open, Some(carol));
+        for g in [&g, &decoded] {
+            assert!(evaluate(g, alice, &p, None).matched.is_empty());
+            let audience = evaluate(g, alice, &open, None).matched;
+            assert_eq!(names(g, &audience), vec!["Bob", "Carol", "Eve"]);
+            let audience = evaluate(g, alice, &deep, None).matched;
+            assert_eq!(names(g, &audience), vec!["Bob", "Carol", "Eve"]);
+            let check = evaluate(g, alice, &deep, Some(carol));
+            assert!(check.granted, "Carol is two friend hops away");
+            assert_eq!(check.witness, flat.witness);
+        }
     }
 
     #[test]
@@ -1363,19 +1310,24 @@ mod tests {
 
     #[test]
     fn reference_engine_reports_filtered_edges_separately() {
+        // `friend+[1..2000000]` is past the flat caps, so it runs on
+        // the plan engine's sparse variant; on the chain it walks what
+        // `friend+[1..]` walks on the flat engine.
         let mut g = chain();
         let alice = g.node_by_name("Alice").unwrap();
-        let p = parse(&mut g, "friend+[1]");
-        let slow = evaluate_reference(&g, alice, &p, None);
+        let deep = parse(&mut g, "friend+[1..2000000]");
+        let open = parse(&mut g, "friend+[1..]");
         let snap = g.snapshot();
-        let fast = evaluate_with_snapshot(&g, &snap, alice, &p, None);
+        let slow = evaluate_with_snapshot(&g, &snap, alice, &deep, None);
+        let fast = evaluate_with_snapshot(&g, &snap, alice, &open, None);
         // Same matching traversals on both engines, shared axis.
+        assert_eq!(fast.matched, slow.matched);
         assert_eq!(fast.stats.edges_scanned, slow.stats.edges_scanned);
         assert_eq!(fast.stats.edges_filtered, 0, "CSR never inspects misses");
         // Alice's neighborhood spans friend and colleague edges, so the
-        // reference engine must have filtered at least one.
-        let colleague = parse(&mut g, "colleague*[1]");
-        let slow = evaluate_reference(&g, alice, &colleague, None);
+        // sparse variant must have filtered at least one.
+        let colleague = parse(&mut g, "colleague*[1..2000000]");
+        let slow = evaluate_with_snapshot(&g, &snap, alice, &colleague, None);
         assert!(slow.stats.edges_filtered > 0);
     }
 
@@ -1514,7 +1466,7 @@ mod tests {
         // One pooled buffer through: a hit that leaves the frontier
         // undrained and `pending` non-zero, a path with fewer layers,
         // a larger graph (grow), the fill fallback — each answer equal
-        // to the reference's, and the give-back assert (debug builds)
+        // to the flat engine's, and the give-back assert (debug builds)
         // checking the whole buffer after every one.
         release_thread_caches();
         let mut small = chain();
@@ -1550,24 +1502,24 @@ mod tests {
         assert_eq!(seed, (alice, 0, 0));
         assert_eq!(
             Some(hops),
-            evaluate_reference(&small, alice, &long, Some(dave)).witness
+            evaluate_with_snapshot(&small, &small_snap, alice, &long, Some(dave)).witness
         );
         drop(state);
 
         assert_eq!(
             audience(&small, &small_snap, &short, alice),
-            evaluate_reference(&small, alice, &short, None).matched
+            evaluate_with_snapshot(&small, &small_snap, alice, &short, None).matched
         );
         let fills = thread_cache_stats().mask_pool.full_fills;
         assert_eq!(
             audience(&big, &big_snap, &ring, nodes[0]),
-            evaluate_reference(&big, nodes[0], &ring, None).matched
+            evaluate_with_snapshot(&big, &big_snap, nodes[0], &ring, None).matched
         );
         let after_big = thread_cache_stats().mask_pool;
         assert!(after_big.full_fills > fills, "the whole chain was touched");
         assert_eq!(
             audience(&small, &small_snap, &long, alice),
-            evaluate_reference(&small, alice, &long, None).matched
+            evaluate_with_snapshot(&small, &small_snap, alice, &long, None).matched
         );
         let done = thread_cache_stats().mask_pool;
         assert_eq!(done.buffers_held, 1, "one buffer served every read");
@@ -1740,6 +1692,9 @@ mod tests {
         let owners: Vec<NodeId> = g.nodes().collect();
         let none = vec![false; g.num_nodes()];
         let p = parse(&mut g, "friend+[1..4000000]");
+        // The chain's friend walks end within two hops, so the open
+        // tail walks the same on the flat engine.
+        let open = parse(&mut g, "friend+[1..]");
         let snap = g.snapshot();
         let one = OnePath::new(&g, &snap, &p);
         let takes = thread_cache_stats().mask_pool.takes;
@@ -1757,7 +1712,7 @@ mod tests {
         let out = one.run(&mut state, &seeds, &none, None);
         let audiences = audiences_by_bit(&out.matched, owners.len());
         for (bit, &owner) in owners.iter().enumerate() {
-            let truth = evaluate(&g, owner, &p, None);
+            let truth = evaluate_with_snapshot(&g, &snap, owner, &open, None);
             assert_eq!(audiences[bit], truth.matched, "owner {owner}");
         }
     }

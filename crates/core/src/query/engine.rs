@@ -38,10 +38,14 @@
 //!   for a one-condition read.
 //!
 //! Two variants give identical answers: the flat one over dense arrays
-//! when the product space is reasonable, and a sparse HashMap mirror
-//! for degenerate product spaces (astronomical saturation depths) and,
-//! in release builds, snapshots stale for the graph (debug builds panic
-//! on one: every caller hands a current one). The flat variant owns no
+//! when the product space is reasonable (`online::flat_dimensions`, the
+//! one check both engines size their arrays by), and a sparse HashMap
+//! mirror for degenerate product spaces (astronomical saturation
+//! depths), for graphs of generation 0 (no snapshot is ever current for
+//! one) and, in release builds, snapshots stale for the graph (debug
+//! builds panic on one: every caller hands a current one). The sparse
+//! variant is also where [`crate::online`]'s targeted engine sends
+//! those inputs, as the one-path plan. The flat variant owns no
 //! array of its own: its state directory and slot arena are a
 //! `MaskScratch`, taken from the calling thread's pool by
 //! [`PlanBatchState::new`] and given back — zeroed in
@@ -54,8 +58,8 @@
 //! 64-condition chunk.
 
 use crate::online::{
-    is_watched, MaskScratch, MaskedSeedState, SeedState, SeededBatchOutcome, WitnessHop, HOP_NONE,
-    MAX_FLAT_LAYERS, MAX_FLAT_STATES,
+    flat_dimensions, is_watched, MaskScratch, MaskedSeedState, SeedState, SeededBatchOutcome,
+    WitnessHop, HOP_NONE,
 };
 use crate::path::PathExpr;
 use crate::query::plan::{BundlePlan, ChunkMasks, PlanNode};
@@ -131,32 +135,14 @@ struct SparsePlanBatch {
     parents: Option<HashMap<PState, (PState, Option<WitnessHop>)>>,
 }
 
-/// `(v_count, layer_count)` when the dense product space of the plan
-/// over `snap` is reasonable: within the targeted engine's state and
-/// layer caps, and with edge ids that fit a packed hop.
-fn flat_plan_dimensions(snap: &CsrSnapshot, nodes: &[PlanNode]) -> Option<(u32, u64)> {
-    let num_nodes = snap.num_nodes() as u64;
-    let layer_count: u64 = nodes
-        .iter()
-        .map(|n| n.step.depths.saturation() as u64 + 1)
-        .sum();
-    if num_nodes == 0
-        || layer_count > MAX_FLAT_LAYERS
-        || layer_count * num_nodes > MAX_FLAT_STATES
-        || snap.num_edges() as u64 >= u64::from(HOP_NONE >> 1)
-    {
-        return None;
-    }
-    Some((num_nodes as u32, layer_count))
-}
-
 impl PlanBatchState {
     /// State for evaluating `nodes` over `snap`/`g`. Picks the flat
     /// dense-array variant (arrays from this thread's scratch pool)
     /// when the product space is reasonable, and the sparse mirror
     /// otherwise — run results are identical either way. `snap` must
     /// be current for `g`: debug builds panic on a stale one, release
-    /// builds take the sparse mirror.
+    /// builds take the sparse mirror. A graph of generation 0 has no
+    /// current snapshot and always takes the sparse mirror.
     pub fn new(g: &SocialGraph, snap: &CsrSnapshot, nodes: &[PlanNode]) -> Self {
         Self::build(g, snap, nodes, false)
     }
@@ -176,9 +162,12 @@ impl PlanBatchState {
             "a plan chunk traverses at least one node"
         );
         let current = snap.matches(g);
-        debug_assert!(current, "stale snapshot: every caller hands a current one");
+        debug_assert!(
+            current || g.topology_generation() == 0,
+            "stale snapshot: every caller hands a current one"
+        );
         let inner = match if current {
-            flat_plan_dimensions(snap, nodes)
+            flat_dimensions(snap, nodes.iter().map(|n| &n.step))
         } else {
             None
         } {

@@ -23,8 +23,7 @@
 //! `node_mask[child]`, so a bit never enters a node outside its chain,
 //! and within its chain the node sequence *is* the linear automaton of
 //! its path. Per-bit reachability is therefore identical to running
-//! the path's own automaton — the targeted engine's and the
-//! reference's — state for state.
+//! the path's own automaton — the targeted engine's — state for state.
 
 use crate::path::ast::{PathExpr, Step};
 use std::ops::Range;

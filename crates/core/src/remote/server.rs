@@ -194,7 +194,7 @@ impl Served {
         let before = (vocab.num_labels(), vocab.num_attrs());
         let mut nodes: Vec<PlanNode> = Vec::with_capacity(spec.nodes.len());
         let mut masks = ChunkMasks::default();
-        for n in &spec.nodes {
+        for (id, n) in spec.nodes.iter().enumerate() {
             let parsed = parse_path(&n.step, &mut vocab).map_err(|e| {
                 bad(format!(
                     "unparsable plan step {:?}: {}",
@@ -216,6 +216,13 @@ impl Served {
             }
             if let Some(&c) = n.children.iter().find(|&&c| c as usize >= spec.nodes.len()) {
                 return Err(bad(format!("plan child id {c} is out of range")));
+            }
+            // A compiled plan appends children after their parent, so a
+            // child id at or below its parent's closes a cycle.
+            if let Some(&c) = n.children.iter().find(|&&c| c as usize <= id) {
+                return Err(bad(format!(
+                    "plan child id {c} is not past its parent {id}"
+                )));
             }
             nodes.push(PlanNode {
                 step: parsed.steps[0].canonical(),
@@ -607,6 +614,10 @@ mod tests {
             (
                 spec(vec![node("friend+[1]", vec![1])], false, false),
                 "out of range",
+            ),
+            (
+                spec(vec![node("friend+[1]", vec![0])], false, false),
+                "not past its parent",
             ),
             (
                 spec(vec![node("colleague+[1]", vec![])], true, false),

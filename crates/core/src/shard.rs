@@ -199,8 +199,9 @@ impl ShardCore {
     /// frontier, and reports matches and exports back in global ids.
     /// Seeds and the stop member come from outside the shard — a word
     /// the session was not opened for, a member the shard holds no copy
-    /// of, a plan node past the session's plan, a stop on a
-    /// bundle-plan session or at a ghost are refused, never evaluated.
+    /// of, a plan node past the session's plan, a depth past its node's
+    /// saturation, a stop on a bundle-plan session or at a ghost are
+    /// refused, never evaluated.
     pub(crate) fn round(
         &self,
         session: &mut Session<'_>,
@@ -218,9 +219,19 @@ impl ShardCore {
                     ),
                 });
             }
-            if usize::from(e.key.step) >= session.nodes.len() {
+            let Some(node) = session.nodes.get(usize::from(e.key.step)) else {
                 return Err(WireRefusal::BadRequest {
                     detail: format!("seed plan node {} is past the plan", e.key.step),
+                });
+            };
+            // Exported depths are saturated; a deeper one would be
+            // served as saturated, and complete where it must not.
+            if e.key.depth > node.step.depths.saturation() {
+                return Err(WireRefusal::BadRequest {
+                    detail: format!(
+                        "seed depth {} is past plan node {}'s saturation",
+                        e.key.depth, e.key.step
+                    ),
                 });
             }
             let local = self

@@ -49,13 +49,18 @@ pub fn step(
     }
 }
 
-/// Seeded classic-grammar path texts of `steps` random steps over the
-/// first `k` labels (see [`oracle::random_step`]).
-pub fn path_texts(steps: Range<usize>, k: usize) -> impl Strategy<Value = String> {
+/// Seeded paths of `steps` random steps over the first `k` labels
+/// (see [`oracle::random_step`]).
+pub fn paths(steps: Range<usize>, k: usize) -> impl Strategy<Value = Vec<Step>> {
     seeded(move |rng| {
         let steps = (0..rng.gen_range(steps.clone())).map(|_| oracle::random_step(rng, k));
-        oracle::path_text(&steps.collect::<Vec<Step>>())
+        steps.collect()
     })
+}
+
+/// [`paths`] as classic-grammar texts.
+pub fn path_texts(steps: Range<usize>, k: usize) -> impl Strategy<Value = String> {
+    paths(steps, k).prop_map(|steps| oracle::path_text(&steps))
 }
 
 use socialreach_core::remote::frame::{read_frame, write_frame};

@@ -1,25 +1,29 @@
 //! Differential property tests for the CSR flat-array online engine:
 //! on random graphs × random path expressions, `evaluate` /
 //! `evaluate_with_snapshot` (label-partitioned CSR, dense state arrays,
-//! swap-buffer frontiers) must return exactly the same decisions,
-//! audiences and *valid* witnesses as `evaluate_reference` (the
-//! original HashMap/VecDeque product BFS, retained as the executable
-//! specification).
+//! swap-buffer frontiers) must return exactly the decisions and
+//! audiences of the shared-nothing test oracle (`common::oracle`), with
+//! witnesses the oracle replays — and so must their fallback, the
+//! one-path plan on the plan engine's sparse variant, on paths past the
+//! flat caps.
 
 mod common;
 
-use common::oracle::LABELS;
+use common::oracle::{self, Cond, Step, LABELS};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::Rng;
 use socialreach_core::query::{
     evaluate_plan_audiences, evaluate_plan_batch_seeded, PlanBatchState,
 };
 use socialreach_core::{online, parse_path, BundlePlan, MutateService, PathExpr};
-use socialreach_graph::{NodeId, SocialGraph};
+use socialreach_graph::Direction::{Both, In, Out};
+use socialreach_graph::{EdgeId, NodeId, SocialGraph};
 
 #[derive(Clone, Debug)]
 struct Case {
     graph: SocialGraph,
-    paths: Vec<String>,
+    paths: Vec<Vec<Step>>,
 }
 
 /// Random graphs of 2–9 members (see `common::oracle::graph`) and one
@@ -27,28 +31,120 @@ struct Case {
 fn case_strategy() -> impl Strategy<Value = Case> {
     (
         common::graphs(2..10, 0..28, 3),
-        proptest::collection::vec(common::path_texts(1..4, 3), 1..4),
+        proptest::collection::vec(common::paths(1..4, 3), 1..4),
     )
         .prop_map(|(graph, paths)| Case { graph, paths })
 }
 
+/// The oracle's audience of `steps` from `owner`, sorted.
+fn oracle_audience(g: &SocialGraph, owner: NodeId, steps: &[Step]) -> Vec<NodeId> {
+    let cond = Cond {
+        owner,
+        steps: steps.to_vec(),
+    };
+    oracle::reach(g, &cond).into_iter().collect()
+}
+
+/// Replays an engine's witness walk through the oracle: real edges,
+/// chained from `owner` to `requester`, accepted by the steps.
 fn replay_witness(
     g: &SocialGraph,
     owner: NodeId,
-    witness: &[(socialreach_graph::EdgeId, bool)],
-) -> NodeId {
-    let mut at = owner;
-    for &(eid, forward) in witness {
-        let rec = g.edge(eid);
-        if forward {
-            assert_eq!(rec.src, at, "witness hop disconnects");
-            at = rec.dst;
-        } else {
-            assert_eq!(rec.dst, at, "witness hop disconnects");
-            at = rec.src;
+    steps: &[Step],
+    requester: NodeId,
+    witness: &[(EdgeId, bool)],
+) -> Result<(), String> {
+    let hops: Vec<oracle::Hop> = witness
+        .iter()
+        .map(|&(eid, forward)| {
+            let rec = g.edge(eid);
+            (rec.src, rec.dst, g.vocab().label_name(rec.label), forward)
+        })
+        .collect();
+    let cond = Cond {
+        owner,
+        steps: steps.to_vec(),
+    };
+    oracle::replay(g, &cond, requester, &hops)
+}
+
+/// Every check and audience of `path` (parsed from `steps`) over `g`
+/// through both entry points of the online engine, against the oracle.
+fn assert_online_matches_the_oracle(g: &SocialGraph, steps: &[Step], path: &PathExpr) {
+    let text = oracle::path_text(steps);
+    let snap = g.snapshot();
+    for owner in g.nodes() {
+        let truth = oracle_audience(g, owner, steps);
+        let fast = online::evaluate_with_snapshot(g, &snap, owner, path, None);
+        prop_assert_eq!(
+            &fast.matched,
+            &truth,
+            "audience mismatch: path={} owner={}",
+            text,
+            owner
+        );
+        // The wrapper (thread-cached snapshot) agrees too.
+        let wrapped = online::evaluate(g, owner, path, None);
+        prop_assert_eq!(&wrapped.matched, &truth);
+
+        for requester in g.nodes() {
+            let fast = online::evaluate_with_snapshot(g, &snap, owner, path, Some(requester));
+            prop_assert_eq!(
+                fast.granted,
+                truth.binary_search(&requester).is_ok(),
+                "decision mismatch: path={} owner={} requester={}",
+                text,
+                owner,
+                requester
+            );
+            prop_assert_eq!(fast.witness.is_some(), fast.granted);
+            if let Some(w) = &fast.witness {
+                let replayed = replay_witness(g, owner, steps, requester, w);
+                prop_assert!(replayed.is_ok(), "path={}: {:?}", text, replayed);
+            }
         }
     }
-    at
+}
+
+/// A step bound no flat layer table holds: `2^21` layers, past the
+/// flat engines' cap of `2^20`.
+const PAST_THE_FLAT_CAPS: u32 = 1 << 21;
+
+/// Graphs of 2–9 members over the three labels whose edges all run
+/// from a lower to a higher member id, with ages on some members.
+fn ascending_graph(rng: &mut StdRng) -> SocialGraph {
+    let mut g = SocialGraph::new();
+    let n = rng.gen_range(2..10u32);
+    for i in 0..n {
+        g.add_node(&format!("u{i}"));
+    }
+    let ids: Vec<_> = LABELS.iter().map(|l| g.intern_label(l)).collect();
+    for _ in 0..rng.gen_range(0..28) {
+        let (s, t) = (rng.gen_range(0..n), rng.gen_range(0..n));
+        if s != t {
+            let label = ids[rng.gen_range(0..LABELS.len())];
+            g.add_edge(NodeId(s.min(t)), NodeId(s.max(t)), label);
+        }
+        g.set_node_attr(NodeId(rng.gen_range(0..n)), "age", rng.gen_range(10..60i64));
+    }
+    g
+}
+
+/// One or two `+`/`-` steps, one of them bounded at
+/// [`PAST_THE_FLAT_CAPS`]: over an ascending graph every walk of them
+/// ends within `|V|` hops a step.
+fn deep_path(rng: &mut StdRng) -> Vec<Step> {
+    let mut steps: Vec<Step> = (0..rng.gen_range(1..3))
+        .map(|_| oracle::random_step(rng, LABELS.len()))
+        .collect();
+    for step in &mut steps {
+        if step.dir == Both {
+            step.dir = [Out, In][rng.gen_range(0..2usize)];
+        }
+    }
+    let deep = rng.gen_range(0..steps.len());
+    steps[deep].depths = vec![(rng.gen_range(1..4), Some(PAST_THE_FLAT_CAPS))];
+    steps
 }
 
 proptest! {
@@ -60,46 +156,10 @@ proptest! {
         let parsed: Vec<PathExpr> = case
             .paths
             .iter()
-            .map(|t| parse_path(t, g.vocab_mut()).expect("generated paths parse"))
+            .map(|s| parse_path(&oracle::path_text(s), g.vocab_mut()).expect("generated paths parse"))
             .collect();
-        let snap = g.snapshot();
-
-        for (path, text) in parsed.iter().zip(&case.paths) {
-            for owner in g.nodes() {
-                let truth = online::evaluate_reference(&g, owner, path, None);
-                let fast = online::evaluate_with_snapshot(&g, &snap, owner, path, None);
-                prop_assert_eq!(
-                    &fast.matched, &truth.matched,
-                    "audience mismatch: path={} owner={}", text, owner
-                );
-                // Identical traversal ⇒ identical state counts.
-                prop_assert_eq!(
-                    fast.stats.states_visited, truth.stats.states_visited,
-                    "state count mismatch: path={} owner={}", text, owner
-                );
-                // The wrapper (thread-cached snapshot) agrees too.
-                let wrapped = online::evaluate(&g, owner, path, None);
-                prop_assert_eq!(&wrapped.matched, &truth.matched);
-
-                for requester in g.nodes() {
-                    let truth = online::evaluate_reference(&g, owner, path, Some(requester));
-                    let fast = online::evaluate_with_snapshot(&g, &snap, owner, path, Some(requester));
-                    prop_assert_eq!(
-                        fast.granted, truth.granted,
-                        "decision mismatch: path={} owner={} requester={}",
-                        text, owner, requester
-                    );
-                    prop_assert_eq!(fast.witness.is_some(), fast.granted);
-                    if let Some(w) = &fast.witness {
-                        // Valid witness: a connected walk owner ⇝ requester.
-                        let end = replay_witness(&g, owner, w);
-                        prop_assert_eq!(end, requester, "path={}", text);
-                        // Same-length (both BFS, both shortest in hops).
-                        let truth_len = truth.witness.as_ref().expect("reference grants too").len();
-                        prop_assert_eq!(w.len(), truth_len, "witness length: path={}", text);
-                    }
-                }
-            }
+        for (path, steps) in parsed.iter().zip(&case.paths) {
+            assert_online_matches_the_oracle(&g, steps, path);
         }
     }
 
@@ -107,27 +167,27 @@ proptest! {
     fn batch_audiences_equal_reference_audiences(case in case_strategy()) {
         // The multi-source plan engine, run as a one-path plan with
         // every owner a condition of it, must agree member-for-member
-        // with the reference spec for every owner, including duplicate
-        // owners in one chunk (masks must not cross-contaminate).
+        // with the oracle for every owner, including duplicate owners
+        // in one chunk (masks must not cross-contaminate).
         let mut g = case.graph;
         let parsed: Vec<PathExpr> = case
             .paths
             .iter()
-            .map(|t| parse_path(t, g.vocab_mut()).expect("generated paths parse"))
+            .map(|s| parse_path(&oracle::path_text(s), g.vocab_mut()).expect("generated paths parse"))
             .collect();
         let snap = g.snapshot();
         let mut owners: Vec<NodeId> = g.nodes().collect();
         owners.push(NodeId(0)); // duplicate source in the same chunk
 
-        for (path, text) in parsed.iter().zip(&case.paths) {
+        for (path, steps) in parsed.iter().zip(&case.paths) {
             let plan = BundlePlan::compile(&vec![path; owners.len()]).expect("one chain");
             let batch = evaluate_plan_audiences(&g, &snap, &plan, &owners);
             prop_assert_eq!(batch.audiences.len(), owners.len());
             for (owner, audience) in owners.iter().zip(&batch.audiences) {
-                let truth = online::evaluate_reference(&g, *owner, path, None);
+                let truth = oracle_audience(&g, *owner, steps);
                 prop_assert_eq!(
-                    audience, &truth.matched,
-                    "batch audience mismatch: path={} owner={}", text, owner
+                    audience, &truth,
+                    "batch audience mismatch: path={} owner={}", oracle::path_text(steps), owner
                 );
             }
         }
@@ -138,16 +198,36 @@ proptest! {
         // Evaluate → mutate → evaluate must see the new edge through
         // every entry point (generation invalidation end to end).
         let mut g = case.graph;
-        let Some(text) = case.paths.first() else { return Ok(()); };
-        let path = parse_path(text, g.vocab_mut()).expect("parses");
+        let Some(steps) = case.paths.first() else { return Ok(()); };
+        let text = oracle::path_text(steps);
+        let path = parse_path(&text, g.vocab_mut()).expect("parses");
         let owner = NodeId(0);
         let _ = online::evaluate(&g, owner, &path, None);
         let label = g.vocab().label(LABELS[0]).unwrap();
         let extra = NodeId((g.num_nodes() - 1) as u32);
         g.add_edge(owner, extra, label);
         let after = online::evaluate(&g, owner, &path, None);
-        let truth = online::evaluate_reference(&g, owner, &path, None);
-        prop_assert_eq!(after.matched, truth.matched, "path={}", text);
+        prop_assert_eq!(after.matched, oracle_audience(&g, owner, steps), "path={}", text);
+    }
+
+    #[test]
+    fn past_the_flat_caps_the_one_path_plan_matches_the_oracle(
+        g in common::seeded(ascending_graph),
+        steps in common::seeded(deep_path),
+    ) {
+        // The flat engine refuses the layer table, so every read runs
+        // as the one-path plan on the sparse variant: checks with their
+        // witnesses, audiences, and the multi-owner plan read beside.
+        let mut g = g;
+        let text = oracle::path_text(&steps);
+        let path = parse_path(&text, g.vocab_mut()).expect("generated paths parse");
+        assert_online_matches_the_oracle(&g, &steps, &path);
+        let owners: Vec<NodeId> = g.nodes().collect();
+        let plan = BundlePlan::compile(&vec![&path; owners.len()]).expect("one chain");
+        let batch = evaluate_plan_audiences(&g, &g.snapshot(), &plan, &owners);
+        for (&owner, audience) in owners.iter().zip(&batch.audiences) {
+            prop_assert_eq!(audience, &oracle_audience(&g, owner, &steps), "path={}", text);
+        }
     }
 }
 
@@ -197,10 +277,26 @@ enum Answer {
     Audiences(Vec<Vec<NodeId>>),
 }
 
+impl Answer {
+    /// The answer without a check's witness length: the oracle decides
+    /// and replays walks, it does not search for a shortest one.
+    fn decided(&self) -> Answer {
+        match self {
+            Answer::Check { granted, .. } => Answer::Check {
+                granted: *granted,
+                witness_hops: None,
+            },
+            audiences => audiences.clone(),
+        }
+    }
+}
+
 struct World {
     graphs: Vec<SocialGraph>,
     snaps: Vec<socialreach_graph::CsrSnapshot>,
-    /// `paths[graph][i]`: the i-th path text parsed against that graph.
+    /// The generated paths, as the oracle reads them.
+    steps: Vec<Vec<Step>>,
+    /// `paths[graph][i]`: the i-th path parsed against that graph.
     paths: Vec<Vec<PathExpr>>,
 }
 
@@ -222,7 +318,8 @@ impl World {
     fn masked(&self, read: &ReadSpec) -> Answer {
         let gi = read.graph % self.graphs.len();
         let (g, snap) = (&self.graphs[gi], &self.snaps[gi]);
-        let path = &self.paths[gi][read.path % self.paths[gi].len()];
+        let pi = read.path % self.paths[gi].len();
+        let path = &self.paths[gi][pi];
         let [a, b, c] = read.members.map(|m| self.member(gi, m));
         let one_path = BundlePlan::compile(&[path]).expect("one chain");
         match read.kind {
@@ -242,11 +339,8 @@ impl World {
                 let witness_hops = run.hit.map(|(step, depth)| {
                     let (hops, seed) = state.trace(b, step, depth).expect("hit states trace");
                     assert_eq!(seed, (a, 0, 0), "the chain ends at the owner's seed");
-                    assert_eq!(
-                        replay_witness(g, a, &hops),
-                        b,
-                        "witness reaches the requester"
-                    );
+                    let replayed = replay_witness(g, a, &self.steps[pi], b, &hops);
+                    assert!(replayed.is_ok(), "{replayed:?}");
                     hops.len()
                 });
                 Answer::Check {
@@ -291,30 +385,27 @@ impl World {
         }
     }
 
-    /// Answers `read` on the HashMap/VecDeque specification.
-    fn reference(&self, read: &ReadSpec) -> Answer {
+    /// Answers `read` on the oracle: decisions and audiences.
+    fn oracle(&self, read: &ReadSpec) -> Answer {
         let gi = read.graph % self.graphs.len();
         let g = &self.graphs[gi];
-        let path = &self.paths[gi][read.path % self.paths[gi].len()];
+        let steps = &self.steps[read.path % self.steps.len()];
         let [a, b, c] = read.members.map(|m| self.member(gi, m));
         match read.kind {
-            0 => {
-                let truth = online::evaluate_reference(g, a, path, Some(b));
-                Answer::Check {
-                    granted: truth.granted,
-                    witness_hops: truth.witness.map(|w| w.len()),
-                }
-            }
+            0 => Answer::Check {
+                granted: oracle_audience(g, a, steps).contains(&b),
+                witness_hops: None,
+            },
             1 => Answer::Audiences(
-                self.bundle(gi, a, b)
-                    .into_iter()
-                    .map(|(o, p)| online::evaluate_reference(g, o, p, None).matched)
+                self.steps
+                    .iter()
+                    .flat_map(|s| [oracle_audience(g, a, s), oracle_audience(g, b, s)])
                     .collect(),
             ),
             _ => Answer::Audiences(
                 [a, b, c]
                     .iter()
-                    .map(|&o| online::evaluate_reference(g, o, path, None).matched)
+                    .map(|&o| oracle_audience(g, o, steps))
                     .collect(),
             ),
         }
@@ -346,7 +437,7 @@ proptest! {
         small in dense_graph_strategy(),
         other in common::graphs(2..10, 0..28, 3),
         padded in padded_graph_strategy(),
-        texts in proptest::collection::vec(common::path_texts(1..4, 2), 1..4),
+        steps in proptest::collection::vec(common::paths(1..4, 2), 1..4),
         reads in proptest::collection::vec(read_strategy(), 4..24),
     ) {
         // Three graphs of different |V| (one of them large enough for
@@ -355,6 +446,7 @@ proptest! {
         // through one thread's pool, so every read inherits whatever
         // the previous shapes left in (and grew) the buffers.
         let mut graphs = vec![small, other, padded];
+        let texts: Vec<String> = steps.iter().map(|s| oracle::path_text(s)).collect();
         let paths: Vec<Vec<PathExpr>> = graphs
             .iter_mut()
             .map(|g| {
@@ -365,7 +457,7 @@ proptest! {
             })
             .collect();
         let snaps = graphs.iter().map(|g| g.snapshot()).collect();
-        let world = World { graphs, snaps, paths };
+        let world = World { graphs, snaps, steps, paths };
 
         online::release_thread_caches();
         let recycled: Vec<Answer> = reads.iter().map(|r| world.masked(r)).collect();
@@ -376,9 +468,10 @@ proptest! {
                 world.masked(r)
             })
             .collect();
-        let truth: Vec<Answer> = reads.iter().map(|r| world.reference(r)).collect();
+        let truth: Vec<Answer> = reads.iter().map(|r| world.oracle(r)).collect();
+        let decided: Vec<Answer> = recycled.iter().map(Answer::decided).collect();
         prop_assert_eq!(&recycled, &fresh, "reads={:?} paths={:?}", reads, texts);
-        prop_assert_eq!(&recycled, &truth, "reads={:?} paths={:?}", reads, texts);
+        prop_assert_eq!(&decided, &truth, "reads={:?} paths={:?}", reads, texts);
     }
 }
 

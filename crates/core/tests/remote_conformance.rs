@@ -12,12 +12,11 @@ mod common;
 
 use common::oracle::Cond;
 use proptest::prelude::*;
-use socialreach_core::online::evaluate_reference;
 use socialreach_core::remote::proto::{Request, Response, WireMatch, WireRefusal};
 use socialreach_core::remote::{spawn_local_fleet, MAX_EPOCH_OPS};
 use socialreach_core::{
-    parse_path, AccessService, Decision, Deployment, EvalError, MutateService, Mutation,
-    PolicyStore, ResourceId, ServiceInstance, ShardAddr, ShardHandle, ShardServer,
+    AccessService, Decision, Deployment, EvalError, MutateService, Mutation, PolicyStore,
+    ResourceId, ServiceInstance, ShardAddr, ShardHandle, ShardServer,
 };
 use socialreach_graph::Direction::{Both, In, Out};
 use socialreach_graph::{AttrValue, NodeId, ShardAssignment, SocialGraph};
@@ -639,9 +638,13 @@ fn reader_racing_a_writer_sees_one_epoch_or_a_retry(unix: bool) {
         net.add_relationship(w[0], "friend", w[1]);
         g.connect(w[0], "friend", w[1]);
     }
-    let path = parse_path(RULE, g.vocab_mut()).unwrap();
     let owner = members[0];
-    let audience = move |g: &SocialGraph| evaluate_reference(g, owner, &path, None).matched;
+    let cond = Cond {
+        owner,
+        steps: vec![common::step("friend", Out, &[(1, None)], Some(30))],
+    };
+    assert_eq!(cond.text(), RULE);
+    let audience = move |g: &SocialGraph| Vec::from_iter(common::oracle::reach(g, &cond));
     // Audience per epoch, recorded before the epoch can be published.
     let history = Mutex::new(HashMap::from([(net.epoch(), audience(&g))]));
     let under = |matched: &[WireMatch], bit: u32| -> Vec<NodeId> {

@@ -13,7 +13,7 @@ mod common;
 
 use common::{start_seed, RawClient};
 use socialreach_core::remote::proto::{
-    Request, Response, SessionSpec, ShardOp, WireMatch, WireRefusal,
+    Request, Response, SessionSpec, ShardOp, WireMatch, WirePlanNode, WireRefusal,
 };
 use socialreach_core::remote::{spawn_local_fleet, NetworkedSystem};
 use socialreach_core::{
@@ -760,4 +760,69 @@ fn a_second_open_on_one_connection_retires_the_first_eval() {
     );
     let (matched, _) = c.round(8, None, vec![start_seed(3, 2)]).unwrap();
     assert!(!matched.is_empty(), "the newer session serves");
+}
+
+/// A shard refuses a plan whose `children` close a cycle — a child id
+/// at or below its parent's, which no compiled plan has — typed, before
+/// a session opens, and keeps serving the connection.
+#[test]
+fn a_cyclic_plan_is_refused_and_the_shard_keeps_serving() {
+    let handles = spawn_local_fleet(1, false).expect("fleet spawns");
+    let (mut c, session) = raw_eval_fixture(handles[0].addr());
+    let cyclic = |children: &[Vec<u16>]| {
+        let mut spec = chain_session();
+        let node = spec.nodes[0].clone();
+        spec.nodes = children
+            .iter()
+            .map(|kids| WirePlanNode {
+                children: kids.clone(),
+                ..node.clone()
+            })
+            .collect();
+        spec
+    };
+    for (tag, spec) in [
+        ("self-loop", cyclic(&[vec![0]])),
+        ("2-cycle", cyclic(&[vec![1], vec![0]])),
+    ] {
+        match c.round(5, Some(spec), vec![start_seed(0, 1)]) {
+            Err(WireRefusal::BadRequest { detail }) => {
+                assert!(detail.contains("not past its parent"), "{tag}: {detail}")
+            }
+            other => panic!("{tag}: expected a typed refusal, got {other:?}"),
+        }
+    }
+    assert_eq!(
+        c.round(5, None, vec![start_seed(0, 1)]),
+        Err(WireRefusal::UnknownEval { eval: 5 }),
+        "no session was left open"
+    );
+    let (matched, _) = c.round(6, Some(session), vec![start_seed(0, 1)]).unwrap();
+    assert!(!matched.is_empty(), "the shard still serves a trie");
+}
+
+/// A seed deeper than its plan node's saturation is refused typed (an
+/// exported depth is always saturated, so no router sends one), and
+/// the session keeps serving: a seed at the saturation is evaluated.
+#[test]
+fn a_seed_past_its_saturation_is_refused_and_the_shard_keeps_serving() {
+    let handles = spawn_local_fleet(1, false).expect("fleet spawns");
+    let (mut c, session) = raw_eval_fixture(handles[0].addr());
+    let at_depth = |member, depth| {
+        let mut seed = start_seed(member, 1);
+        seed.key.depth = depth;
+        seed
+    };
+    c.round(9, Some(session), vec![]).unwrap();
+    match c.round(9, None, vec![at_depth(0, 4)]) {
+        Err(WireRefusal::BadRequest { detail }) => {
+            assert!(detail.contains("saturation"), "{detail}")
+        }
+        other => panic!("expected a typed refusal, got {other:?}"),
+    }
+    let (matched, _) = c.round(9, None, vec![at_depth(5, 3)]).unwrap();
+    let members: Vec<u32> = matched.iter().map(|m| m.member).collect();
+    assert_eq!(members, vec![5], "depth 3 of friend+[1..3] completes");
+    let (matched, _) = c.round(9, None, vec![start_seed(0, 2)]).unwrap();
+    assert!(!matched.is_empty(), "the session still serves");
 }
