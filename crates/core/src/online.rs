@@ -413,8 +413,8 @@ pub fn evaluate(
         Some(snap) => evaluate_with_snapshot(g, &snap, owner, path, target),
         // Generation 0: no snapshot is ever current for `g`, and
         // building one per read costs O(|E|). The plan engine's sparse
-        // variant reads `g` itself; an empty snapshot, built once,
-        // says so.
+        // variant reads `g` itself and ignores the snapshot it is
+        // handed: an empty one, built once.
         None => {
             static NO_SNAPSHOT: OnceLock<CsrSnapshot> = OnceLock::new();
             let none = NO_SNAPSHOT.get_or_init(|| SocialGraph::new().snapshot());
@@ -603,8 +603,9 @@ pub fn evaluate_with_snapshot(
 /// stale snapshot in release builds, a graph of generation 0 — as the
 /// partitioned targeted read runs every check: the one-path plan,
 /// seeded at the owner's start state and stopping at `target`, its
-/// witness traced off first-arrival parents. The plan engine picks its
-/// sparse variant for exactly these inputs.
+/// witness traced off first-arrival parents. No current flat space
+/// serves these inputs, so the plan runs on its sparse variant, which
+/// reads `g` and ignores `snap`.
 fn evaluate_one_path_plan(
     g: &SocialGraph,
     snap: &CsrSnapshot,
@@ -614,10 +615,7 @@ fn evaluate_one_path_plan(
 ) -> OnlineOutcome {
     let plan = BundlePlan::compile(&[path]).expect("a parsed path fits a plan");
     let masks = plan.chunk_masks(&[0]);
-    let mut state = match target {
-        Some(_) => PlanBatchState::with_parents(g, snap, &plan.nodes),
-        None => PlanBatchState::new(g, snap, &plan.nodes),
-    };
+    let mut state = PlanBatchState::sparse(&plan.nodes, target.is_some());
     let seed = [(owner, 0, 0, 1)];
     let run =
         evaluate_plan_batch_seeded(g, snap, &plan.nodes, &masks, &mut state, &seed, &[], target);
@@ -653,7 +651,7 @@ const MASK_POOL_CAP: usize = 8;
 
 /// `parent` of a slot nothing leads to: a seed, or any slot of an
 /// engine that does not track parents.
-const NO_PARENT: u32 = u32::MAX;
+pub(crate) const NO_PARENT: u32 = u32::MAX;
 
 #[derive(Default)]
 struct MaskPool {
@@ -1194,6 +1192,9 @@ mod tests {
     /// witnesses of the same (shortest) length.
     #[test]
     fn snapshot_engine_matches_reference_on_the_chain() {
+        // The fallback runs the plan engine's sparse variant whatever
+        // the snapshot, so this pins that variant — decision, audience,
+        // state count and witness length — to the flat engine.
         let mut g = chain();
         g.set_node_attr(g.node_by_name("Carol").unwrap(), "age", 20i64);
         let texts = [

@@ -39,15 +39,15 @@
 //!
 //! Two variants give identical answers: the flat one over dense arrays
 //! when the product space is reasonable (`online::flat_dimensions`, the
-//! one check both engines size their arrays by), and a sparse HashMap
-//! mirror for degenerate product spaces (astronomical saturation
-//! depths), for graphs of generation 0 (no snapshot is ever current for
-//! one) and, in release builds, snapshots stale for the graph (debug
-//! builds panic on one: every caller hands a current one). The sparse
-//! variant is also where [`crate::online`]'s targeted engine sends
-//! those inputs, as the one-path plan. The flat variant owns no
-//! array of its own: its state directory and slot arena are a
-//! `MaskScratch`, taken from the calling thread's pool by
+//! one check both engines size their arrays by), and a sparse mirror
+//! (the same slot arena under a hashed directory) for degenerate
+//! product spaces (astronomical saturation depths) and, in release
+//! builds, snapshots stale for the graph (debug builds panic on one:
+//! every caller hands a current one). The sparse variant is also where
+//! [`crate::online`]'s targeted engine sends its degenerate reads, a
+//! graph of generation 0 among them, as the one-path plan. The flat
+//! variant owns no array of its own: its state directory and slot
+//! arena are a `MaskScratch`, taken from the calling thread's pool by
 //! [`PlanBatchState::new`] and given back — zeroed in
 //! `O(states reached)` — when the state is dropped.
 //! The all-zero invariant, who resets, and why parents need no reset
@@ -59,7 +59,7 @@
 
 use crate::online::{
     flat_dimensions, is_watched, MaskScratch, MaskedSeedState, SeedState, SeededBatchOutcome,
-    WitnessHop, HOP_NONE,
+    WitnessHop, HOP_NONE, NO_PARENT,
 };
 use crate::path::PathExpr;
 use crate::query::plan::{BundlePlan, ChunkMasks, PlanNode};
@@ -121,18 +121,40 @@ impl Drop for FlatPlanBatch {
     }
 }
 
-/// Sparse mirror for degenerate product spaces, keyed by
-/// `(member, node, depth)`.
+/// Sparse mirror for degenerate product spaces: the flat variant's
+/// slot arena, with a hash map for its dense directory. Only arrivals
+/// hash; frontiers queue arena positions.
 struct SparsePlanBatch {
     sats: Vec<u32>,
-    seen: HashMap<PState, u64>,
-    pending: HashMap<PState, u64>,
+    states: SparseStates,
     matched_mask: HashMap<u32, u64>,
-    frontier: Vec<PState>,
-    next: Vec<PState>,
-    /// First-arrival parent pointers (`state → (predecessor, hop)`;
-    /// seeds map to themselves with no hop), when tracking is enabled.
-    parents: Option<HashMap<PState, (PState, Option<WitnessHop>)>>,
+    frontier: Vec<u32>,
+    next: Vec<u32>,
+    /// Whether [`PlanBatchState::trace`] may follow parents
+    /// ([`PlanBatchState::with_parents`]).
+    track_parents: bool,
+}
+
+/// The sparse variant's reached states: arena positions by
+/// `(member, node, depth)`, and the arena in arrival order.
+#[derive(Default)]
+struct SparseStates {
+    directory: HashMap<PState, u32>,
+    slots: Vec<SparseSlot>,
+}
+
+/// What the sparse variant knows about one product state it reached.
+struct SparseSlot {
+    state: PState,
+    /// Bits ever arrived.
+    seen: u64,
+    /// Bits arrived since the state was last processed (`⊆ seen`).
+    pending: u64,
+    /// Arena position of the state this one was **first** reached
+    /// from, or [`NO_PARENT`] for a seed.
+    parent: u32,
+    /// The hop of that first arrival.
+    hop: Option<WitnessHop>,
 }
 
 impl PlanBatchState {
@@ -141,8 +163,7 @@ impl PlanBatchState {
     /// when the product space is reasonable, and the sparse mirror
     /// otherwise — run results are identical either way. `snap` must
     /// be current for `g`: debug builds panic on a stale one, release
-    /// builds take the sparse mirror. A graph of generation 0 has no
-    /// current snapshot and always takes the sparse mirror.
+    /// builds take the sparse mirror.
     pub fn new(g: &SocialGraph, snap: &CsrSnapshot, nodes: &[PlanNode]) -> Self {
         Self::build(g, snap, nodes, false)
     }
@@ -162,10 +183,7 @@ impl PlanBatchState {
             "a plan chunk traverses at least one node"
         );
         let current = snap.matches(g);
-        debug_assert!(
-            current || g.topology_generation() == 0,
-            "stale snapshot: every caller hands a current one"
-        );
+        debug_assert!(current, "stale snapshot: every caller hands a current one");
         let inner = match if current {
             flat_dimensions(snap, nodes.iter().map(|n| &n.step))
         } else {
@@ -199,19 +217,29 @@ impl PlanBatchState {
                     scratch: MaskScratch::take(v_count, layer_count as usize),
                 })
             }
-            None => PlanInner::Sparse(SparsePlanBatch {
-                sats: nodes.iter().map(|n| n.step.depths.saturation()).collect(),
-                seen: HashMap::new(),
-                pending: HashMap::new(),
-                matched_mask: HashMap::new(),
-                frontier: Vec::new(),
-                next: Vec::new(),
-                parents: parents.then(HashMap::new),
-            }),
+            None => return Self::sparse(nodes, parents),
         };
         PlanBatchState {
             states_expanded: 0,
             inner,
+        }
+    }
+
+    /// The sparse mirror, whatever the snapshot: the online engine's
+    /// fallback, for the inputs no current flat space serves (a product
+    /// space past the flat caps, a stale snapshot, a graph of
+    /// generation 0). Its runs read `g` and ignore the snapshot.
+    pub(crate) fn sparse(nodes: &[PlanNode], parents: bool) -> Self {
+        PlanBatchState {
+            states_expanded: 0,
+            inner: PlanInner::Sparse(SparsePlanBatch {
+                sats: nodes.iter().map(|n| n.step.depths.saturation()).collect(),
+                states: SparseStates::default(),
+                matched_mask: HashMap::new(),
+                frontier: Vec::new(),
+                next: Vec::new(),
+                track_parents: parents,
+            }),
         }
     }
 
@@ -249,19 +277,20 @@ impl PlanBatchState {
                 Some((hops, (NodeId(seed_v), li.node, seed_depth)))
             }
             PlanInner::Sparse(sb) => {
-                let parents = sb.parents.as_ref()?;
-                let mut cur: PState = (member.0, node, depth.min(*sb.sats.get(node as usize)?));
+                if !sb.track_parents {
+                    return None;
+                }
+                let st: PState = (member.0, node, depth.min(*sb.sats.get(node as usize)?));
+                let slots = &sb.states.slots;
+                let mut slot = &slots[*sb.states.directory.get(&st)? as usize];
                 let mut hops = Vec::new();
-                loop {
-                    let &(prev, hop) = parents.get(&cur)?;
-                    hops.extend(hop);
-                    if prev == cur {
-                        break;
-                    }
-                    cur = prev;
+                while slot.parent != NO_PARENT {
+                    hops.extend(slot.hop);
+                    slot = &slots[slot.parent as usize];
                 }
                 hops.reverse();
-                Some((hops, (NodeId(cur.0), cur.1, cur.2)))
+                let (v, n, d) = slot.state;
+                Some((hops, (NodeId(v), n, d)))
             }
         }
     }
@@ -415,32 +444,47 @@ impl FlatPlanBatch {
     }
 }
 
-impl SparsePlanBatch {
-    /// Forwards `bits` to `st`, queueing it on the 0 → non-zero pending
-    /// transition. Returns `true` on the state's first-ever arrival —
-    /// the moment a parent pointer is recorded.
+impl SparseStates {
+    /// Forwards `bits` to `st` from the slot at `parent` over `hop`,
+    /// queueing it on the 0 → non-zero pending transition. A state's
+    /// first-ever arrival creates its slot, recording that parent.
     #[inline]
     fn send(
-        seen: &mut HashMap<PState, u64>,
-        pending: &mut HashMap<PState, u64>,
-        queue: &mut Vec<PState>,
+        &mut self,
+        queue: &mut Vec<u32>,
         st: PState,
         bits: u64,
-    ) -> bool {
-        let slot = seen.entry(st).or_insert(0);
-        let first = *slot == 0;
-        let new = bits & !*slot;
-        if new != 0 {
-            *slot |= new;
-            let p = pending.entry(st).or_insert(0);
-            if *p == 0 {
-                queue.push(st);
-            }
-            *p |= new;
+        parent: u32,
+        hop: Option<WitnessHop>,
+    ) {
+        if bits == 0 {
+            return;
         }
-        first && new != 0
+        let SparseStates { directory, slots } = self;
+        let at = *directory.entry(st).or_insert_with(|| {
+            let at = u32::try_from(slots.len()).expect("below 2^32 reached states");
+            slots.push(SparseSlot {
+                state: st,
+                seen: 0,
+                pending: 0,
+                parent,
+                hop,
+            });
+            at
+        });
+        let slot = &mut slots[at as usize];
+        let new = bits & !slot.seen;
+        if new != 0 {
+            slot.seen |= new;
+            if slot.pending == 0 {
+                queue.push(at);
+            }
+            slot.pending |= new;
+        }
     }
+}
 
+impl SparsePlanBatch {
     #[allow(clippy::too_many_arguments)]
     fn run(
         &mut self,
@@ -455,31 +499,24 @@ impl SparsePlanBatch {
         let mut out = SeededBatchOutcome::default();
         let SparsePlanBatch {
             sats,
-            seen,
-            pending,
+            states,
             matched_mask,
             frontier,
             next,
-            parents,
+            ..
         } = self;
-        let mut record = |st: PState, from: PState, hop: Option<WitnessHop>| {
-            if let Some(p) = parents.as_mut() {
-                p.insert(st, (from, hop));
-            }
-        };
 
         debug_assert!(frontier.is_empty(), "previous run drained its frontier");
         for &(m, node, depth, bits) in seeds {
             let st: PState = (m.0, node, depth.min(sats[node as usize]));
-            if Self::send(seen, pending, frontier, st, bits) {
-                record(st, st, None);
-            }
+            states.send(frontier, st, bits, NO_PARENT, None);
         }
 
         while !frontier.is_empty() {
-            for &st in frontier.iter() {
-                let (v, n, d) = st;
-                let delta = pending.insert(st, 0).unwrap_or(0);
+            for &at in frontier.iter() {
+                let slot = &mut states.slots[at as usize];
+                let (v, n, d) = slot.state;
+                let delta = std::mem::take(&mut slot.pending);
                 debug_assert_ne!(delta, 0, "queued state without pending bits");
                 out.stats.states_visited += 1;
                 *states_expanded += 1;
@@ -507,9 +544,7 @@ impl SparsePlanBatch {
                     }
                     for &child in &pn.children {
                         let fwd = delta & masks.node_mask[child as usize];
-                        if fwd != 0 && Self::send(seen, pending, next, (v, child, 0), fwd) {
-                            record((v, child, 0), st, None);
-                        }
+                        states.send(next, (v, child, 0), fwd, at, None);
                     }
                 }
 
@@ -525,9 +560,7 @@ impl SparsePlanBatch {
                         }
                         out.stats.edges_scanned += 1;
                         let ns = (rec.dst.0, n, d_next);
-                        if Self::send(seen, pending, next, ns, delta) {
-                            record(ns, st, Some((eid, true)));
-                        }
+                        states.send(next, ns, delta, at, Some((eid, true)));
                     }
                 }
                 if matches!(step.dir, Direction::In | Direction::Both) {
@@ -538,9 +571,7 @@ impl SparsePlanBatch {
                         }
                         out.stats.edges_scanned += 1;
                         let ns = (rec.src.0, n, d_next);
-                        if Self::send(seen, pending, next, ns, delta) {
-                            record(ns, st, Some((eid, false)));
-                        }
+                        states.send(next, ns, delta, at, Some((eid, false)));
                     }
                 }
             }

@@ -18,7 +18,7 @@ use socialreach_core::query::{
 };
 use socialreach_core::{online, parse_path, BundlePlan, MutateService, PathExpr};
 use socialreach_graph::Direction::{Both, In, Out};
-use socialreach_graph::{EdgeId, NodeId, SocialGraph};
+use socialreach_graph::{CsrSnapshot, EdgeId, NodeId, SocialGraph};
 
 #[derive(Clone, Debug)]
 struct Case {
@@ -68,9 +68,49 @@ fn replay_witness(
     oracle::replay(g, &cond, requester, &hops)
 }
 
+/// Where a test reads what the oracle does not compute: how many
+/// product states an audience read explores, and how long a shortest
+/// witness walk is.
+enum Twin<'p> {
+    /// The path's own one-path plan on the plan engine, its witness
+    /// traced off first-arrival parents: state counts and witness
+    /// lengths.
+    OnePathPlan,
+    /// The flat engine on an equivalent path inside the flat caps:
+    /// witness lengths only (its product space, and so its state
+    /// count, differs).
+    Flat(&'p PathExpr),
+}
+
+/// `path` from `owner` run as its one-path plan: the product states it
+/// processed and, with a target it accepts, its traced witness's length.
+fn one_path_plan_run(
+    g: &SocialGraph,
+    snap: &CsrSnapshot,
+    owner: NodeId,
+    path: &PathExpr,
+    target: Option<NodeId>,
+) -> (usize, Option<usize>) {
+    let plan = BundlePlan::compile(&[path]).expect("one chain");
+    let masks = plan.chunk_masks(&[0]);
+    let mut state = PlanBatchState::with_parents(g, snap, &plan.nodes);
+    let seed = [(owner, 0, 0, 1)];
+    let run =
+        evaluate_plan_batch_seeded(g, snap, &plan.nodes, &masks, &mut state, &seed, &[], target);
+    let hops = run.hit.zip(target).map(|((node, depth), requester)| {
+        let (hops, _) = state
+            .trace(requester, node, depth)
+            .expect("hit states trace");
+        hops.len()
+    });
+    (run.stats.states_visited, hops)
+}
+
 /// Every check and audience of `path` (parsed from `steps`) over `g`
-/// through both entry points of the online engine, against the oracle.
-fn assert_online_matches_the_oracle(g: &SocialGraph, steps: &[Step], path: &PathExpr) {
+/// through both entry points of the online engine: decisions and
+/// audiences against the oracle, witnesses replayed by it, and state
+/// counts and witness lengths against `twin`.
+fn assert_online_matches_the_oracle(g: &SocialGraph, steps: &[Step], path: &PathExpr, twin: Twin) {
     let text = oracle::path_text(steps);
     let snap = g.snapshot();
     for owner in g.nodes() {
@@ -83,6 +123,17 @@ fn assert_online_matches_the_oracle(g: &SocialGraph, steps: &[Step], path: &Path
             text,
             owner
         );
+        if let Twin::OnePathPlan = twin {
+            // Identical automaton, whole space explored ⇒ identical
+            // state counts.
+            prop_assert_eq!(
+                fast.stats.states_visited,
+                one_path_plan_run(g, &snap, owner, path, None).0,
+                "state count mismatch: path={} owner={}",
+                text,
+                owner
+            );
+        }
         // The wrapper (thread-cached snapshot) agrees too.
         let wrapped = online::evaluate(g, owner, path, None);
         prop_assert_eq!(&wrapped.matched, &truth);
@@ -101,6 +152,18 @@ fn assert_online_matches_the_oracle(g: &SocialGraph, steps: &[Step], path: &Path
             if let Some(w) = &fast.witness {
                 let replayed = replay_witness(g, owner, steps, requester, w);
                 prop_assert!(replayed.is_ok(), "path={}: {:?}", text, replayed);
+                // Both BFS, both shortest in hops.
+                let shortest = match twin {
+                    Twin::OnePathPlan => {
+                        one_path_plan_run(g, &snap, owner, path, Some(requester)).1
+                    }
+                    Twin::Flat(equivalent) => {
+                        online::evaluate_with_snapshot(g, &snap, owner, equivalent, Some(requester))
+                            .witness
+                            .map(|w| w.len())
+                    }
+                };
+                prop_assert_eq!(Some(w.len()), shortest, "witness length: path={}", text);
             }
         }
     }
@@ -159,7 +222,7 @@ proptest! {
             .map(|s| parse_path(&oracle::path_text(s), g.vocab_mut()).expect("generated paths parse"))
             .collect();
         for (path, steps) in parsed.iter().zip(&case.paths) {
-            assert_online_matches_the_oracle(&g, steps, path);
+            assert_online_matches_the_oracle(&g, steps, path, Twin::OnePathPlan);
         }
     }
 
@@ -218,10 +281,27 @@ proptest! {
         // The flat engine refuses the layer table, so every read runs
         // as the one-path plan on the sparse variant: checks with their
         // witnesses, audiences, and the multi-owner plan read beside.
+        // Every walk here ends within |V| - 1 hops, so `[lo..]` in place
+        // of `[lo..2^21]` accepts the same walks inside the flat caps:
+        // the flat engine's shortest witness is the fallback's length.
         let mut g = g;
         let text = oracle::path_text(&steps);
         let path = parse_path(&text, g.vocab_mut()).expect("generated paths parse");
-        assert_online_matches_the_oracle(&g, &steps, &path);
+        let unbounded: Vec<Step> = steps
+            .iter()
+            .cloned()
+            .map(|mut step| {
+                for (_, hi) in &mut step.depths {
+                    if *hi == Some(PAST_THE_FLAT_CAPS) {
+                        *hi = None;
+                    }
+                }
+                step
+            })
+            .collect();
+        let equivalent = parse_path(&oracle::path_text(&unbounded), g.vocab_mut())
+            .expect("generated paths parse");
+        assert_online_matches_the_oracle(&g, &steps, &path, Twin::Flat(&equivalent));
         let owners: Vec<NodeId> = g.nodes().collect();
         let plan = BundlePlan::compile(&vec![&path; owners.len()]).expect("one chain");
         let batch = evaluate_plan_audiences(&g, &g.snapshot(), &plan, &owners);
@@ -277,23 +357,9 @@ enum Answer {
     Audiences(Vec<Vec<NodeId>>),
 }
 
-impl Answer {
-    /// The answer without a check's witness length: the oracle decides
-    /// and replays walks, it does not search for a shortest one.
-    fn decided(&self) -> Answer {
-        match self {
-            Answer::Check { granted, .. } => Answer::Check {
-                granted: *granted,
-                witness_hops: None,
-            },
-            audiences => audiences.clone(),
-        }
-    }
-}
-
 struct World {
     graphs: Vec<SocialGraph>,
-    snaps: Vec<socialreach_graph::CsrSnapshot>,
+    snaps: Vec<CsrSnapshot>,
     /// The generated paths, as the oracle reads them.
     steps: Vec<Vec<Step>>,
     /// `paths[graph][i]`: the i-th path parsed against that graph.
@@ -385,16 +451,27 @@ impl World {
         }
     }
 
-    /// Answers `read` on the oracle: decisions and audiences.
+    /// Answers `read` on the oracle: decisions and audiences. A check's
+    /// witness length, which the oracle does not search for, is the
+    /// flat engine's shortest walk.
     fn oracle(&self, read: &ReadSpec) -> Answer {
         let gi = read.graph % self.graphs.len();
-        let g = &self.graphs[gi];
-        let steps = &self.steps[read.path % self.steps.len()];
+        let (g, snap) = (&self.graphs[gi], &self.snaps[gi]);
+        let pi = read.path % self.paths[gi].len();
+        let steps = &self.steps[pi];
         let [a, b, c] = read.members.map(|m| self.member(gi, m));
         match read.kind {
             0 => Answer::Check {
                 granted: oracle_audience(g, a, steps).contains(&b),
-                witness_hops: None,
+                witness_hops: online::evaluate_with_snapshot(
+                    g,
+                    snap,
+                    a,
+                    &self.paths[gi][pi],
+                    Some(b),
+                )
+                .witness
+                .map(|w| w.len()),
             },
             1 => Answer::Audiences(
                 self.steps
@@ -469,9 +546,8 @@ proptest! {
             })
             .collect();
         let truth: Vec<Answer> = reads.iter().map(|r| world.oracle(r)).collect();
-        let decided: Vec<Answer> = recycled.iter().map(Answer::decided).collect();
         prop_assert_eq!(&recycled, &fresh, "reads={:?} paths={:?}", reads, texts);
-        prop_assert_eq!(&decided, &truth, "reads={:?} paths={:?}", reads, texts);
+        prop_assert_eq!(&recycled, &truth, "reads={:?} paths={:?}", reads, texts);
     }
 }
 
