@@ -51,7 +51,7 @@
 //! |--------|---------------|----------|
 //! | [`path`] | §2 Def. 3 | path-expression AST, parser, printer |
 //! | [`policy`] | §2 Def. 2 | access rules, policy store, decisions |
-//! | [`online`] | §1 | constrained product BFS over a label-partitioned CSR snapshot (flat-array engine; degenerate product spaces run as the one-path plan on the `query` engine) |
+//! | [`online`] | §1 | constrained product BFS over a label-partitioned CSR snapshot (flat-array engine; checks walk from both ends; degenerate product spaces run as the one-path plan on the `query` engine) |
 //! | [`lineplan`] | §3.1 | depth expansion into line queries (Fig. 4) |
 //! | [`joinengine`] | §3.3–3.4 | join pipeline + post-processing (a library engine: experiments and tests, not a serving backend) |
 //! | [`engine`] | §1, §3 | the engine trait the experiments swap (`name`, `check`, `audience`) and the caching enforcer over it |
@@ -176,7 +176,8 @@
 //! bounded table that every write retires at once by bumping its
 //! generation). A backend contributes only
 //! how it evaluates conditions — a walk of the online engine over the
-//! single graph's published snapshot (pinned only after a cache miss),
+//! single graph's published snapshot (pinned only after a cache miss;
+//! a check walks from both ends),
 //! or the masked fixpoint over the partitioned coordinator's shard
 //! links — so
 //! decisions and `cache_stats` cannot drift between deployments.

@@ -30,7 +30,32 @@
 //!   hot loop touches no hash map or `VecDeque`.
 //!   `tests/csr_differential.rs` pins it to a test oracle that shares
 //!   no code with the crate.
-//! * Its degenerate inputs — a product space past the flat caps
+//! * `decide` — the single graph's **check**, which the serving
+//!   backend calls for every condition it decides: the same dense
+//!   indexing and snapshot, walked from both ends. A forward level
+//!   expands from the owner's start state; a backward level expands
+//!   from the requester over the **reversed** product automaton, whose
+//!   layer table reads:
+//!   - the walk ends at the requester in every completing layer of the
+//!     last step, when that step's conditions accept the requester;
+//!   - `(i, d)` is entered over an edge from `(i, d-1)`, and at the
+//!     saturation depth of an unbounded step from `(i, d)` itself;
+//!   - `(i+1, 0)` is entered by an ε-move from each completing layer of
+//!     step `i` at the same member, when step `i`'s conditions accept
+//!     that member;
+//!   - an `Out` step is walked backward over `in_neighbors`, an `In`
+//!     step over `out_neighbors`, a `Both` step over both.
+//!
+//!   Each level expands the side with the smaller frontier (forward on
+//!   a tie). Both sides stamp the one epoch-stamped array, each with an
+//!   epoch of its own, so a state holds the stamp of the side that
+//!   reached it first. The walk grants when a side reaches a state the
+//!   other side has stamped, and denies as soon as either frontier
+//!   empties, so a deny costs the cheaper side's closure, not the whole
+//!   bounded walk from the owner. It keeps no parents: explanations and
+//!   audiences walk forward. Its [`SearchStats::states_visited`] counts
+//!   the states both sides processed.
+//! * Their degenerate inputs — a product space past the flat caps
 //!   (astronomical saturation depths), a graph of generation 0 (no
 //!   snapshot is ever current for one) and, in release builds, a
 //!   snapshot stale for the graph — run the path as its **one-path
@@ -42,8 +67,8 @@
 //!   bundle, every partitioned read and every seeded run: a linear path
 //!   runs there as the one-path plan.
 //!
-//! Both engines expand states in the same level-synchronous FIFO
-//! order, so audiences and decisions agree, and witness walks are
+//! Both forward engines expand states in the same level-synchronous
+//! FIFO order, so audiences and decisions agree, and witness walks are
 //! equally short. [`SearchStats::edges_scanned`] counts label-matching
 //! traversals only on both, so the series share an axis in
 //! experiments. The plan engine's sparse variant walks the graph's
@@ -55,7 +80,8 @@
 //!
 //! The plan engine's flat variant keeps its state in one type,
 //! `MaskScratch`, held in a per-thread pool beside the targeted
-//! engine's epoch-stamped scratch.
+//! engine's epoch-stamped scratch (one stamp array, 4 B per product
+//! state, and the frontiers).
 //! A read must cost what its walk explores — in time *and* in memory it
 //! dirties — not `layers · |V|`, so a scratch is a dense **directory**
 //! (`u32` per product state: where the state's slot is, `0` for a state
@@ -92,8 +118,9 @@
 //! an arena no larger than the directory — a quarter of the 16 B
 //! `seen`/`pending` pair the engines used to allocate and zero per
 //! read, and the part a read makes resident is the pages it touches.
-//! [`release_thread_caches`] drops the pool; [`thread_cache_stats`]
-//! reports what it holds and what it has done.
+//! [`release_thread_caches`] drops the pool and the epoch-stamped
+//! scratch; [`thread_cache_stats`] reports what the pool holds and what
+//! it has done, and how many stamp slots the scratch holds.
 
 use crate::path::{PathExpr, Step};
 use crate::query::{evaluate_plan_batch_seeded, BundlePlan, PlanBatchState};
@@ -184,6 +211,15 @@ struct Scratch {
     parent_hop: Vec<u32>,
     /// Per-path layer table, rebuilt per call without reallocating.
     layers: Vec<LayerInfo>,
+    /// [`decide`]'s backward frontiers (its forward side uses
+    /// `frontier` and `next`; both sides stamp `visited`).
+    back_frontier: Vec<u64>,
+    back_next: Vec<u64>,
+    /// [`decide`]'s move tables, one per side, and the layers they
+    /// move to.
+    forward_moves: Vec<Moves>,
+    backward_moves: Vec<Moves>,
+    move_targets: Vec<u32>,
 }
 
 impl Scratch {
@@ -240,6 +276,107 @@ fn fill_layer_table(steps: &[Step], layers: &mut Vec<LayerInfo>) {
         }
         base += sat + 1;
     }
+}
+
+/// What one side of [`decide`] does from a state of one `(step, depth)`
+/// layer — forward over the product automaton, or backward over its
+/// reversal. Layers are numbered as [`fill_layer_table`] numbers them.
+#[derive(Clone, Copy, Debug)]
+struct Moves {
+    /// The step whose label the edge moves take.
+    step: u16,
+    /// The direction they take it in (reversed on the backward side).
+    dir: Direction,
+    /// The step whose conditions the member must pass to take the
+    /// ε-moves.
+    eps_step: u16,
+    /// `targets[eps.0..eps.1]`: the layers an ε-move reaches, at the
+    /// same member.
+    eps: (u32, u32),
+    /// `targets[edges.0..edges.1]`: the layers an edge move reaches, at
+    /// the neighbour.
+    edges: (u32, u32),
+}
+
+/// Fills [`decide`]'s two move tables over the layers of `steps`, the
+/// layers they move to in `targets`, and returns the backward walk's
+/// starts — the last step's completing layers — as a range of
+/// `targets`.
+///
+/// Forward, `(i, d)` ε-moves to `(i+1, 0)` when it completes a step
+/// that is not the last, and takes an edge to `(i, min(d+1, sat))` while
+/// it expands (see [`LayerInfo`]). Backward is the reversal:
+/// * `(i, d)` is entered over an edge from `(i, d-1)` and, at the
+///   saturation depth of an unbounded step, from `(i, d)` itself;
+/// * `(i+1, 0)` is entered by an ε-move from every completing layer of
+///   step `i` at the same member, when step `i`'s conditions accept it.
+fn fill_move_tables(
+    steps: &[Step],
+    forward: &mut Vec<Moves>,
+    backward: &mut Vec<Moves>,
+    targets: &mut Vec<u32>,
+) -> (u32, u32) {
+    forward.clear();
+    backward.clear();
+    targets.clear();
+    let mut base = 0u32;
+    let mut completing = (0, 0);
+    for (i, step) in steps.iter().enumerate() {
+        let sat = step.depths.saturation();
+        let unbounded = step.depths.is_unbounded();
+        let last = i == steps.len() - 1;
+        let before = completing;
+        let start = targets.len() as u32;
+        targets.extend(
+            (1..=sat)
+                .filter(|&d| step.depths.contains(d))
+                .map(|d| base + d),
+        );
+        completing = (start, targets.len() as u32);
+        let reversed = match step.dir {
+            Direction::Out => Direction::In,
+            Direction::In => Direction::Out,
+            Direction::Both => Direction::Both,
+        };
+        for d in 0..=sat {
+            let mut push = |layers: &[u32]| {
+                let start = targets.len() as u32;
+                targets.extend_from_slice(layers);
+                (start, targets.len() as u32)
+            };
+            let eps = if d >= 1 && step.depths.contains(d) && !last {
+                push(&[base + sat + 1])
+            } else {
+                push(&[])
+            };
+            let edges = if d < sat || unbounded {
+                push(&[base + (d + 1).min(sat)])
+            } else {
+                push(&[])
+            };
+            forward.push(Moves {
+                step: i as u16,
+                dir: step.dir,
+                eps_step: i as u16,
+                eps,
+                edges,
+            });
+            let edges = match d {
+                0 => push(&[]),
+                _ if d == sat && unbounded => push(&[base + d - 1, base + d]),
+                _ => push(&[base + d - 1]),
+            };
+            backward.push(Moves {
+                step: i as u16,
+                dir: reversed,
+                eps_step: i.saturating_sub(1) as u16,
+                eps: if d == 0 { before } else { (0, 0) },
+                edges,
+            });
+        }
+        base += sat + 1;
+    }
+    completing
 }
 
 /// `(v_count, layer_count)` when the dense product space of `steps`
@@ -309,8 +446,9 @@ pub(crate) fn thread_snapshot_if_current(g: &SocialGraph) -> Option<Rc<CsrSnapsh
     })
 }
 
-/// Releases this thread's cached snapshot, search buffers and pooled
-/// mask scratches.
+/// Releases this thread's cached snapshot, search buffers (the stamp
+/// array both engines and both sides of a check use among them) and
+/// pooled mask scratches.
 ///
 /// The caches are sized to the largest graph/query this thread has
 /// evaluated and are otherwise retained for reuse; a long-lived worker
@@ -596,6 +734,203 @@ pub fn evaluate_with_snapshot(
         matched,
         witness,
         stats,
+    }
+}
+
+/// Decides whether `requester` matches `path` from `owner`, walking from
+/// both ends: forward from the owner over the product automaton and
+/// backward from the requester over its reversal, a level at a time on
+/// whichever side has the smaller frontier (forward on a tie). It
+/// grants on the first state both sides have stamped, and denies when
+/// either side runs out of states.
+///
+/// It answers what `evaluate_with_snapshot(.., Some(requester))` answers,
+/// without a witness: explanations and audiences walk forward. Its
+/// [`SearchStats::states_visited`] counts the states both sides
+/// processed. A stale snapshot (a caller's bug: debug builds panic) or
+/// a product space past [`flat_dimensions`] runs the path as its
+/// one-path plan, as [`evaluate_with_snapshot`] does.
+///
+/// The single graph's checks run here; it is public only so the
+/// differential suites can pin it to the oracle.
+#[doc(hidden)]
+pub fn decide(
+    g: &SocialGraph,
+    snap: &CsrSnapshot,
+    owner: NodeId,
+    path: &PathExpr,
+    requester: NodeId,
+) -> (bool, SearchStats) {
+    if path.is_empty() {
+        return (owner == requester, SearchStats::default());
+    }
+    let current = snap.matches(g);
+    debug_assert!(current, "stale snapshot: every caller hands a current one");
+    let steps = &path.steps;
+    let Some((v_count, layer_count)) = flat_dimensions(snap, steps.iter()).filter(|_| current)
+    else {
+        let out = evaluate_one_path_plan(g, snap, owner, path, Some(requester));
+        return (out.granted, out.stats);
+    };
+    let total_states = (layer_count * u64::from(v_count)) as usize;
+    let mut stats = SearchStats::default();
+
+    let granted = SCRATCH.with(|scratch| {
+        let s = &mut *scratch.borrow_mut();
+        let starts = fill_move_tables(
+            steps,
+            &mut s.forward_moves,
+            &mut s.backward_moves,
+            &mut s.move_targets,
+        );
+        if s.visited.len() < total_states {
+            s.visited.resize(total_states, 0);
+        }
+        // Two fresh epochs, one per side: a state holds the stamp of the
+        // side that reached it first, and the other side reaching it is
+        // the meet.
+        let (forward, backward) = (s.next_epoch(), s.next_epoch());
+        let Scratch {
+            visited,
+            frontier,
+            next,
+            back_frontier,
+            back_next,
+            forward_moves,
+            backward_moves,
+            move_targets,
+            ..
+        } = s;
+        frontier.clear();
+        back_frontier.clear();
+
+        visited[owner.index()] = forward; // layer 0 is (step 0, depth 0)
+        frontier.push(u64::from(owner.0));
+        let last = steps.len() - 1;
+        if steps[last]
+            .conds
+            .iter()
+            .all(|c| c.eval(g.node_attrs(requester)))
+        {
+            for &layer in &move_targets[starts.0 as usize..starts.1 as usize] {
+                visited[(layer * v_count + requester.0) as usize] = backward;
+                back_frontier.push((u64::from(layer) << 32) | u64::from(requester.0));
+            }
+        }
+
+        let walk = Walk {
+            g,
+            snap,
+            steps,
+            targets: move_targets,
+            v_count,
+        };
+        loop {
+            if frontier.is_empty() || back_frontier.is_empty() {
+                break false;
+            }
+            let met = if frontier.len() <= back_frontier.len() {
+                let sides = (forward, backward);
+                let met = walk.level(forward_moves, visited, sides, frontier, next, &mut stats);
+                std::mem::swap(frontier, next);
+                met
+            } else {
+                let sides = (backward, forward);
+                let met = walk.level(
+                    backward_moves,
+                    visited,
+                    sides,
+                    back_frontier,
+                    back_next,
+                    &mut stats,
+                );
+                std::mem::swap(back_frontier, back_next);
+                met
+            };
+            if met {
+                break true;
+            }
+        }
+    });
+    (granted, stats)
+}
+
+/// What both sides of one [`decide`] call share.
+struct Walk<'a> {
+    g: &'a SocialGraph,
+    snap: &'a CsrSnapshot,
+    steps: &'a [Step],
+    targets: &'a [u32],
+    v_count: u32,
+}
+
+impl Walk<'_> {
+    /// Expands every state of `frontier` by `moves`, stamping what it
+    /// reaches with `mine` of the `(mine, theirs)` epochs and queueing it
+    /// on `next` (cleared first). Returns `true` as soon as it reaches a
+    /// state stamped `theirs`: the two walks meet there.
+    fn level(
+        &self,
+        moves: &[Moves],
+        visited: &mut [u32],
+        (mine, theirs): (u32, u32),
+        frontier: &[u64],
+        next: &mut Vec<u64>,
+        stats: &mut SearchStats,
+    ) -> bool {
+        next.clear();
+        let v_count = self.v_count;
+        let mut stamp = |layer: u32, u: u32| {
+            let idx = (layer * v_count + u) as usize;
+            let stamped = visited[idx];
+            if stamped == mine {
+                return false;
+            }
+            if stamped == theirs {
+                return true;
+            }
+            visited[idx] = mine;
+            next.push((u64::from(layer) << 32) | u64::from(u));
+            false
+        };
+        for &state in frontier {
+            let v = state as u32;
+            let m = moves[(state >> 32) as usize];
+            stats.states_visited += 1;
+            let eps = &self.targets[m.eps.0 as usize..m.eps.1 as usize];
+            if !eps.is_empty() {
+                let conds = &self.steps[m.eps_step as usize].conds;
+                if conds.iter().all(|c| c.eval(self.g.node_attrs(NodeId(v)))) {
+                    for &layer in eps {
+                        if stamp(layer, v) {
+                            return true;
+                        }
+                    }
+                }
+            }
+            let edges = &self.targets[m.edges.0 as usize..m.edges.1 as usize];
+            if edges.is_empty() {
+                continue;
+            }
+            let label = self.steps[m.step as usize].label;
+            let (out, inn) = match m.dir {
+                Direction::Out => (self.snap.out_neighbors(v, label).nodes, &[][..]),
+                Direction::In => (&[][..], self.snap.in_neighbors(v, label).nodes),
+                Direction::Both => (
+                    self.snap.out_neighbors(v, label).nodes,
+                    self.snap.in_neighbors(v, label).nodes,
+                ),
+            };
+            for &u in out.iter().chain(inn) {
+                stats.edges_scanned += 1;
+                for &layer in edges {
+                    if stamp(layer, u) {
+                        return true;
+                    }
+                }
+            }
+        }
+        false
     }
 }
 
@@ -1230,6 +1565,95 @@ mod tests {
         }
     }
 
+    /// The walk from both ends decides as the forward walk does, on
+    /// every pair of the chain, under bounded, unbounded, multi-step
+    /// and conditioned paths.
+    #[test]
+    fn decide_answers_as_the_forward_walk_on_the_chain() {
+        let mut g = chain();
+        g.set_node_attr(g.node_by_name("Carol").unwrap(), "age", 20i64);
+        g.connect(
+            g.node_by_name("Carol").unwrap(),
+            "friend",
+            g.node_by_name("Alice").unwrap(),
+        );
+        let texts = [
+            "friend+[1]",
+            "friend+[2..]",
+            "friend-[1..]",
+            "friend*[1..]/colleague+[1]",
+            "friend+[1..]/friend-[2..]",
+            "friend+[2]{age>=18}/colleague*[1,3]",
+            "friend+[1,3]/friend+[1]{age>=18}",
+        ];
+        let paths: Vec<PathExpr> = texts.iter().map(|t| parse(&mut g, t)).collect();
+        let snap = g.snapshot();
+        for (p, text) in paths.iter().zip(texts) {
+            for owner in g.nodes() {
+                for requester in g.nodes() {
+                    let (granted, _) = decide(&g, &snap, owner, p, requester);
+                    let forward = evaluate_with_snapshot(&g, &snap, owner, p, Some(requester));
+                    assert_eq!(granted, forward.granted, "{text} {owner}->{requester}");
+                }
+            }
+        }
+    }
+
+    /// A deny costs what the cheaper side costs: a requester nobody has
+    /// an edge to is settled from its end, whatever the owner's degree.
+    #[test]
+    fn a_deny_at_an_unreachable_member_walks_from_its_end() {
+        let mut g = SocialGraph::new();
+        let hub = g.add_node("hub");
+        for i in 0..1_000 {
+            let leaf = g.add_node(&format!("leaf{i}"));
+            g.connect(hub, "friend", leaf);
+        }
+        let loner = g.add_node("loner");
+        g.connect(loner, "friend", hub);
+        let p = parse(&mut g, "friend+[1..2]");
+        let snap = g.snapshot();
+        let forward = evaluate_with_snapshot(&g, &snap, hub, &p, Some(loner));
+        assert!(!forward.granted);
+        assert_eq!(
+            forward.stats.states_visited, 1_001,
+            "forward walks every leaf"
+        );
+        let (granted, stats) = decide(&g, &snap, hub, &p, loner);
+        assert!(!granted);
+        assert!(
+            stats.states_visited <= 4,
+            "{} states for a deny nothing leads to",
+            stats.states_visited
+        );
+        assert!(
+            decide(&g, &snap, loner, &p, NodeId(1)).0,
+            "loner -> hub -> leaf0"
+        );
+    }
+
+    /// A stale snapshot and a space past the flat caps take the
+    /// one-path-plan fallback, which decides as the flat walk does.
+    #[test]
+    fn decide_falls_back_on_stale_snapshots_and_past_the_caps() {
+        let mut g = chain();
+        let alice = g.node_by_name("Alice").unwrap();
+        let [carol, dave] = ["Carol", "Dave"].map(|n| g.node_by_name(n).unwrap());
+        let deep = parse(&mut g, "friend+[1..1073741824]");
+        let snap = g.snapshot();
+        let (granted, stats) = decide(&g, &snap, alice, &deep, carol);
+        assert!(granted, "Carol is two friend hops away");
+        let out = evaluate_one_path_plan(&g, &snap, alice, &deep, Some(carol));
+        assert_eq!(stats, out.stats, "the fallback runs unchanged");
+        assert!(!decide(&g, &snap, alice, &deep, dave).0);
+
+        g.connect(alice, "friend", dave); // stales `snap`
+        let p = parse(&mut g, "friend+[1]");
+        if let Some((granted, _)) = on_stale_snapshot(|| decide(&g, &snap, alice, &p, dave)) {
+            assert!(granted, "stale snapshot must not hide the new edge");
+        }
+    }
+
     /// The thread-cached path and a caller's snapshot are one engine:
     /// same decision, same audience, same work counters.
     #[test]
@@ -1402,6 +1826,13 @@ mod tests {
             "audience evaluation caches a snapshot"
         );
         assert!(warm.scratch_state_slots > 0, "scratch sized to the search");
+        let snap = g.snapshot();
+        let _ = decide(&g, &snap, alice, &p, alice);
+        assert_eq!(
+            thread_cache_stats(),
+            warm,
+            "both sides of a check stamp the one array"
+        );
 
         release_thread_snapshot();
         let after_snap = thread_cache_stats();

@@ -299,6 +299,12 @@ impl Served {
                 if epoch <= self.epoch {
                     return Err(mismatch(self.epoch, epoch));
                 }
+                // Committing it would leave no later epoch to prepare.
+                if epoch == u64::MAX {
+                    return Err(WireRefusal::BadRequest {
+                        detail: format!("epoch {epoch} has no successor"),
+                    });
+                }
                 if let Some((staged, _)) = self.staged.as_ref().filter(|(e, _)| *e != epoch) {
                     return Err(WireRefusal::BadRequest {
                         detail: format!("epoch {staged} is already staged"),

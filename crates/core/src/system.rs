@@ -15,8 +15,12 @@
 //! reads ([`check`](AccessService::check),
 //! [`audience_batch`](AccessService::audience_batch),
 //! [`explain`](AccessService::explain), …) are wrappers over it — and
-//! runs the shared decision layer over the system, which evaluates
-//! conditions with [`online::evaluate_with_snapshot`] and bundles with
+//! runs the shared decision layer over the system. A check decides
+//! each condition with the online engine's walk from both ends
+//! (`online::decide`: forward from the owner, backward from the
+//! requester, meeting in the middle); an explanation's witness walks
+//! and a per-condition audience come from its forward walk,
+//! [`online::evaluate_with_snapshot`]; bundles run
 //! [`query::evaluate_bundle_audiences`]. Reads take `&self`, so any
 //! number of requester threads can evaluate concurrently against one
 //! system (e.g. through `std::thread::scope`), and a targeted check
@@ -39,7 +43,7 @@
 
 use crate::decision::{self, DecisionCache, Ground};
 use crate::error::EvalError;
-use crate::online::{self, OnlineOutcome};
+use crate::online;
 use crate::path::PathExpr;
 use crate::policy::{AccessCondition, PolicyStore};
 use crate::publish::Publisher;
@@ -150,16 +154,6 @@ impl AccessControlSystem {
         // patches it incrementally (appends).
         self.decisions.clear();
     }
-
-    /// Evaluates `cond` for `requester` over the published `snap`.
-    fn evaluate(
-        &self,
-        snap: &CsrSnapshot,
-        cond: &AccessCondition,
-        requester: NodeId,
-    ) -> OnlineOutcome {
-        online::evaluate_with_snapshot(&self.graph, snap, cond.owner, &cond.path, Some(requester))
-    }
 }
 
 /// One early-exit walk per request, whatever the batch size.
@@ -168,7 +162,8 @@ fn default_check_plan(_len: usize) -> CheckPlan {
 }
 
 /// The single graph under the decision layer: conditions are
-/// evaluated by the online engine over the published snapshot.
+/// evaluated by the online engine over the published snapshot — checks
+/// walking from both ends, witnesses and audiences forward.
 impl decision::Evaluate for AccessControlSystem {
     type Pin = Arc<CsrSnapshot>;
 
@@ -193,8 +188,8 @@ impl decision::Evaluate for AccessControlSystem {
         cond: &AccessCondition,
         requester: NodeId,
     ) -> Result<(bool, ReadStats), EvalError> {
-        let out = self.evaluate(pin, cond, requester);
-        Ok((out.granted, ReadStats::one_pass(out.stats.states_visited)))
+        let (granted, stats) = online::decide(&self.graph, pin, cond.owner, &cond.path, requester);
+        Ok((granted, ReadStats::one_pass(stats.states_visited)))
     }
 
     fn walk(
@@ -205,7 +200,8 @@ impl decision::Evaluate for AccessControlSystem {
         // The published snapshot, not the thread cache: reads of every
         // kind share one epoch.
         let snap = self.snapshots.current(&self.graph);
-        let out = self.evaluate(&snap, cond, requester);
+        let (owner, path) = (cond.owner, &cond.path);
+        let out = online::evaluate_with_snapshot(&self.graph, &snap, owner, path, Some(requester));
         let hops = out.witness.map(|witness| {
             witness
                 .into_iter()

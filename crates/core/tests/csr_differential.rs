@@ -5,7 +5,9 @@
 //! audiences of the shared-nothing test oracle (`common::oracle`), with
 //! witnesses the oracle replays — and so must their fallback, the
 //! one-path plan on the plan engine's sparse variant, on paths past the
-//! flat caps.
+//! flat caps. The single graph's check, `online::decide`, walks from
+//! both ends; it decides as the oracle and the forward walk do, on
+//! either side of the flat caps and on a stale snapshot.
 
 mod common;
 
@@ -169,6 +171,29 @@ fn assert_online_matches_the_oracle(g: &SocialGraph, steps: &[Step], path: &Path
     }
 }
 
+/// `decide` — the single graph's check, walking from both ends — on
+/// every pair of `g` over `snap`: the oracle's decision, and the
+/// forward walk's.
+fn assert_decide_matches(g: &SocialGraph, snap: &CsrSnapshot, steps: &[Step], path: &PathExpr) {
+    let text = oracle::path_text(steps);
+    for owner in g.nodes() {
+        let truth = oracle_audience(g, owner, steps);
+        for requester in g.nodes() {
+            let (granted, _) = online::decide(g, snap, owner, path, requester);
+            prop_assert_eq!(
+                granted,
+                truth.binary_search(&requester).is_ok(),
+                "decide vs oracle: path={} owner={} requester={}",
+                text,
+                owner,
+                requester
+            );
+            let forward = online::evaluate_with_snapshot(g, snap, owner, path, Some(requester));
+            prop_assert_eq!(granted, forward.granted, "decide vs forward: path={}", text);
+        }
+    }
+}
+
 /// A step bound no flat layer table holds: `2^21` layers, past the
 /// flat engines' cap of `2^20`.
 const PAST_THE_FLAT_CAPS: u32 = 1 << 21;
@@ -224,6 +249,42 @@ proptest! {
         for (path, steps) in parsed.iter().zip(&case.paths) {
             assert_online_matches_the_oracle(&g, steps, path, Twin::OnePathPlan);
         }
+    }
+
+    #[test]
+    fn both_ends_decide_as_the_oracle_and_the_forward_walk(
+        case in case_strategy(),
+        deep_graph in common::seeded(ascending_graph),
+        deep_steps in common::seeded(deep_path),
+    ) {
+        // Inside the flat caps on a current snapshot, then on one an
+        // edge has staled (the one-path-plan fallback; debug builds
+        // refuse a stale snapshot), then past the flat caps.
+        let mut g = case.graph;
+        let parsed: Vec<PathExpr> = case
+            .paths
+            .iter()
+            .map(|s| parse_path(&oracle::path_text(s), g.vocab_mut()).expect("generated paths parse"))
+            .collect();
+        let snap = g.snapshot();
+        for (path, steps) in parsed.iter().zip(&case.paths) {
+            assert_decide_matches(&g, &snap, steps, path);
+        }
+        let label = g.vocab().label(LABELS[0]).expect("interned by the generator");
+        let last = NodeId((g.num_nodes() - 1) as u32);
+        g.add_edge(NodeId(0), last, label);
+        prop_assert!(!snap.matches(&g));
+        if cfg!(debug_assertions) {
+            let stale = || online::decide(&g, &snap, NodeId(0), &parsed[0], last);
+            prop_assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(stale)).is_err());
+        } else {
+            for (path, steps) in parsed.iter().zip(&case.paths) {
+                assert_decide_matches(&g, &snap, steps, path);
+            }
+        }
+        let mut g = deep_graph;
+        let path = parse_path(&oracle::path_text(&deep_steps), g.vocab_mut()).expect("parses");
+        assert_decide_matches(&g, &g.snapshot(), &deep_steps, &path);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The central correctness property of the reproduction: the §3
 //! join-index engine (all three strategies) computes exactly the same
 //! audiences and decisions as the §1 online product BFS, on arbitrary
-//! graphs and arbitrary policies.
+//! graphs and arbitrary policies; so does the online engine's check,
+//! which walks from both ends.
 
 mod common;
 
@@ -69,6 +70,7 @@ proptest! {
         })
         .collect();
 
+        let snap = g.snapshot();
         for (path, text) in parsed.iter().zip(&case.paths) {
             for owner in g.nodes() {
                 let truth = online::evaluate(&g, owner, path, None);
@@ -86,6 +88,15 @@ proptest! {
                 // Spot-check the decision API on every possible requester.
                 for requester in g.nodes() {
                     let expect = truth.matched.contains(&requester);
+                    // The single graph's check, walked from both ends.
+                    prop_assert_eq!(
+                        online::decide(&g, &snap, owner, path, requester).0,
+                        expect,
+                        "decide mismatch: path={} owner={} requester={}",
+                        text,
+                        owner,
+                        requester
+                    );
                     for engine in &engines {
                         let got = engine
                             .evaluate(&g, owner, path, Some(requester))

@@ -826,3 +826,52 @@ fn a_seed_past_its_saturation_is_refused_and_the_shard_keeps_serving() {
     let (matched, _) = c.round(9, None, vec![start_seed(0, 2)]).unwrap();
     assert!(!matched.is_empty(), "the session still serves");
 }
+
+/// The last epoch is refused typed — committing it would leave no
+/// successor to prepare, freezing the shard's writes — and the shard
+/// keeps its epoch, its data and its write path.
+#[test]
+fn the_last_epoch_is_refused_and_the_shard_keeps_serving() {
+    let handles = spawn_local_fleet(1, false).expect("fleet spawns");
+    let (mut c, session) = raw_eval_fixture(handles[0].addr());
+    let add = |global: u32| ShardOp::AddNode {
+        global,
+        name: format!("u{global}"),
+        ghost: false,
+    };
+    match c.call(&Request::Prepare {
+        epoch: u64::MAX,
+        ops: vec![add(8)],
+    }) {
+        Response::Refused(WireRefusal::BadRequest { detail }) => {
+            assert!(detail.contains("no successor"), "{detail}")
+        }
+        other => panic!("expected a typed refusal, got {other:?}"),
+    }
+    assert_eq!(
+        c.call(&Request::Commit { epoch: u64::MAX }),
+        Response::Refused(WireRefusal::EpochMismatch {
+            shard_epoch: 1,
+            requested: u64::MAX,
+        }),
+        "nothing was staged"
+    );
+    let (matched, _) = c.round(3, Some(session), vec![start_seed(0, 1)]).unwrap();
+    assert!(!matched.is_empty(), "the shard still serves reads");
+    assert_eq!(
+        c.call(&Request::Prepare {
+            epoch: 2,
+            ops: vec![add(8)],
+        }),
+        Response::Prepared { epoch: 2 }
+    );
+    assert_eq!(
+        c.call(&Request::Commit { epoch: 2 }),
+        Response::Committed { epoch: 2 },
+        "and still takes writes"
+    );
+    match c.call(&Request::Census) {
+        Response::Census { members, epoch, .. } => assert_eq!((members, epoch), (9, 2)),
+        other => panic!("expected a census, got {other:?}"),
+    }
+}

@@ -4,10 +4,12 @@
 # behind it (the grant rule), the partitioned read and write paths, the
 # durability layer (WAL scanning, replay, snapshot export), the
 # engines' path semantics (depth bounds, the plan compiler's step
-# canonicalization), snapshot publication (the copy-on-write page
-# patch, the publisher's currency check), the decision cache (its
-# generation bump on every write, its whole-key match), and the read
-# planner (its argmin, a caller-forced route outranking its pick).
+# canonicalization, the single graph's check walking from both ends:
+# its meet and its reversed layer table), snapshot publication (the
+# copy-on-write page patch, the publisher's currency check), the
+# decision cache (its generation bump on every write, its whole-key
+# match), and the read planner (its argmin, a caller-forced route
+# outranking its pick).
 #
 # Each tests/mutants/*.patch is one small, deliberate bug. Its header
 # names the bug and the test suites that must kill it:
