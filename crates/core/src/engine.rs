@@ -106,7 +106,9 @@ pub trait AccessEngine {
     ) -> Result<AudienceOutcome, EvalError>;
 }
 
-/// The index-free engine of §1 (constrained product BFS).
+/// The index-free engine of §1 (constrained product BFS): a check walks
+/// from both ends, as the single graph's serving checks do; an audience
+/// walks forward from the owner.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct OnlineEngine;
 
@@ -122,10 +124,10 @@ impl AccessEngine for OnlineEngine {
         path: &PathExpr,
         requester: NodeId,
     ) -> Result<CheckOutcome, EvalError> {
-        let out = online::evaluate(g, owner, path, Some(requester));
+        let (granted, stats) = online::decide_on_thread_snapshot(g, owner, path, requester);
         Ok(CheckOutcome {
-            granted: out.granted,
-            stats: out.stats.into(),
+            granted,
+            stats: stats.into(),
         })
     }
 

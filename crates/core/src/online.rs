@@ -30,12 +30,14 @@
 //!   hot loop touches no hash map or `VecDeque`.
 //!   `tests/csr_differential.rs` pins it to a test oracle that shares
 //!   no code with the crate.
-//! * `decide` — the single graph's **check**, which the serving
-//!   backend calls for every condition it decides: the same dense
-//!   indexing and snapshot, walked from both ends. A forward level
-//!   expands from the owner's start state; a backward level expands
-//!   from the requester over the **reversed** product automaton, whose
-//!   layer table reads:
+//! * `decide` — the **check**, which the single graph's serving backend
+//!   calls for every condition it decides and [`crate::OnlineEngine`]
+//!   for every check: the same dense indexing and snapshot, walked from
+//!   both ends. A forward level expands from the owner's start state;
+//!   a backward level expands from the requester over the **reversed**
+//!   product automaton. One function builds both move tables, so the
+//!   forward walk above and both sides of a check read the same facts
+//!   about a layer. The backward table reads:
 //!   - the walk ends at the requester in every completing layer of the
 //!     last step, when that step's conditions accept the requester;
 //!   - `(i, d)` is entered over an edge from `(i, d-1)`, and at the
@@ -49,7 +51,9 @@
 //!   Each level expands the side with the smaller frontier (forward on
 //!   a tie). Both sides stamp the one epoch-stamped array, each with an
 //!   epoch of its own, so a state holds the stamp of the side that
-//!   reached it first. The walk grants when a side reaches a state the
+//!   reached it first; a check reserves both epochs at once, so a wrap
+//!   of the counter (which clears the array) never falls between them.
+//!   The walk grants when a side reaches a state the
 //!   other side has stamped, and denies as soon as either frontier
 //!   empties, so a deny costs the cheaper side's closure, not the whole
 //!   bounded walk from the owner. It keeps no parents: explanations and
@@ -209,78 +213,39 @@ struct Scratch {
     next: Vec<u64>,
     parent_state: Vec<u32>,
     parent_hop: Vec<u32>,
-    /// Per-path layer table, rebuilt per call without reallocating.
-    layers: Vec<LayerInfo>,
     /// [`decide`]'s backward frontiers (its forward side uses
     /// `frontier` and `next`; both sides stamp `visited`).
     back_frontier: Vec<u64>,
     back_next: Vec<u64>,
-    /// [`decide`]'s move tables, one per side, and the layers they
-    /// move to.
+    /// The per-path move tables, one per direction of walk, and the
+    /// layers they move to, rebuilt per call without reallocating.
     forward_moves: Vec<Moves>,
     backward_moves: Vec<Moves>,
     move_targets: Vec<u32>,
 }
 
 impl Scratch {
-    /// Advances and returns the reuse epoch, clearing every stamp array
-    /// on the (rare) wrap so stale stamps can never alias a new search.
-    fn next_epoch(&mut self) -> u32 {
-        if self.epoch == u32::MAX {
+    /// Reserves `N` fresh reuse epochs, all of them above every stamp in
+    /// the arrays. When the counter has no room for all `N`, it clears
+    /// every stamp array first and starts over, so no epoch handed out
+    /// can alias a stamp left by an earlier call.
+    fn next_epochs<const N: usize>(&mut self) -> [u32; N] {
+        if self.epoch > u32::MAX - N as u32 {
             self.visited.fill(0);
             self.matched_epoch.fill(0);
             self.epoch = 0;
         }
-        self.epoch += 1;
-        self.epoch
+        let first = self.epoch + 1;
+        self.epoch += N as u32;
+        std::array::from_fn(|k| first + k as u32)
     }
 }
 
-/// Everything about a `(step, depth)` layer that is constant across its
-/// `|V|` states, precomputed once per call so the per-state loop is
-/// table lookups: depth-set membership, last-step flag, the ε-target
-/// layer, and the edge-expansion target layer.
-#[derive(Clone, Copy, Debug)]
-struct LayerInfo {
-    /// Index of the step this layer belongs to.
-    step: u16,
-    /// `d >= 1 && d ∈ I_step`: states here may complete the step.
-    completes: bool,
-    /// This is the path's final step (completion ⇒ match).
-    last: bool,
-    /// Layer id of `(step+1, 0)` for ε-moves (unused when `last`).
-    eps_layer: u32,
-    /// States here may take another `label_step` edge.
-    expands: bool,
-    /// Layer id reached by that edge (`min(d+1, sat)` of the same step).
-    next_layer: u32,
-}
-
-/// Fills `layers` with the dense per-(step, depth) layer table of
-/// `steps`.
-fn fill_layer_table(steps: &[Step], layers: &mut Vec<LayerInfo>) {
-    layers.clear();
-    let mut base = 0u32;
-    for (i, step) in steps.iter().enumerate() {
-        let sat = step.depths.saturation();
-        let unbounded = step.depths.is_unbounded();
-        for d in 0..=sat {
-            layers.push(LayerInfo {
-                step: i as u16,
-                completes: d >= 1 && step.depths.contains(d),
-                last: i == steps.len() - 1,
-                eps_layer: base + sat + 1, // first layer of step i+1
-                expands: d < sat || unbounded,
-                next_layer: base + (d + 1).min(sat),
-            });
-        }
-        base += sat + 1;
-    }
-}
-
-/// What one side of [`decide`] does from a state of one `(step, depth)`
-/// layer — forward over the product automaton, or backward over its
-/// reversal. Layers are numbered as [`fill_layer_table`] numbers them.
+/// What a walk does from a state of one `(step, depth)` layer — forward
+/// over the product automaton, or backward over its reversal —
+/// precomputed once per call so the per-state loop is table lookups.
+/// Layer `(i, d)` is numbered `Σ_{j<i} (sat_j + 1) + d`, so a product
+/// state is the single index `layer · |V| + member`.
 #[derive(Clone, Copy, Debug)]
 struct Moves {
     /// The step whose label the edge moves take.
@@ -288,8 +253,11 @@ struct Moves {
     /// The direction they take it in (reversed on the backward side).
     dir: Direction,
     /// The step whose conditions the member must pass to take the
-    /// ε-moves.
+    /// ε-moves, or to match.
     eps_step: u16,
+    /// Forward only: a member here that passes `eps_step`'s conditions
+    /// matches the path (`d >= 1`, `d ∈ I` of the last step).
+    accepts: bool,
     /// `targets[eps.0..eps.1]`: the layers an ε-move reaches, at the
     /// same member.
     eps: (u32, u32),
@@ -298,14 +266,14 @@ struct Moves {
     edges: (u32, u32),
 }
 
-/// Fills [`decide`]'s two move tables over the layers of `steps`, the
-/// layers they move to in `targets`, and returns the backward walk's
-/// starts — the last step's completing layers — as a range of
-/// `targets`.
+/// Fills the two move tables over the layers of `steps`, the layers
+/// they move to in `targets`, and returns the backward walk's starts —
+/// the last step's completing layers — as a range of `targets`.
 ///
-/// Forward, `(i, d)` ε-moves to `(i+1, 0)` when it completes a step
-/// that is not the last, and takes an edge to `(i, min(d+1, sat))` while
-/// it expands (see [`LayerInfo`]). Backward is the reversal:
+/// Forward, `(i, d)` with `d >= 1` and `d ∈ I_i` completes step `i`: on
+/// the last step it matches, otherwise it ε-moves to `(i+1, 0)`; and
+/// `(i, d)` takes an edge to `(i, min(d+1, sat))` while `d < sat` or the
+/// step is unbounded. Backward is the reversal:
 /// * `(i, d)` is entered over an edge from `(i, d-1)` and, at the
 ///   saturation depth of an unbounded step, from `(i, d)` itself;
 /// * `(i+1, 0)` is entered by an ε-move from every completing layer of
@@ -344,8 +312,9 @@ fn fill_move_tables(
                 targets.extend_from_slice(layers);
                 (start, targets.len() as u32)
             };
-            let eps = if d >= 1 && step.depths.contains(d) && !last {
-                push(&[base + sat + 1])
+            let completes = d >= 1 && step.depths.contains(d);
+            let eps = if completes && !last {
+                push(&[base + sat + 1]) // first layer of step i+1
             } else {
                 push(&[])
             };
@@ -358,6 +327,7 @@ fn fill_move_tables(
                 step: i as u16,
                 dir: step.dir,
                 eps_step: i as u16,
+                accepts: completes && last,
                 eps,
                 edges,
             });
@@ -370,6 +340,7 @@ fn fill_move_tables(
                 step: i as u16,
                 dir: reversed,
                 eps_step: i.saturating_sub(1) as u16,
+                accepts: false,
                 eps: if d == 0 { before } else { (0, 0) },
                 edges,
             });
@@ -596,10 +567,15 @@ pub fn evaluate_with_snapshot(
     let witness = SCRATCH.with(|scratch| {
         let s = &mut *scratch.borrow_mut();
 
-        // Layer table: (step, depth) <-> dense layer id, so a product
+        // Move table: (step, depth) <-> dense layer id, so a product
         // state is the single index `layer · |V| + member`, and all
         // depth logic is resolved here once instead of per state.
-        fill_layer_table(steps, &mut s.layers);
+        fill_move_tables(
+            steps,
+            &mut s.forward_moves,
+            &mut s.backward_moves,
+            &mut s.move_targets,
+        );
 
         if s.visited.len() < total_states {
             s.visited.resize(total_states, 0);
@@ -611,7 +587,7 @@ pub fn evaluate_with_snapshot(
             s.parent_state.resize(total_states, 0);
             s.parent_hop.resize(total_states, 0);
         }
-        let epoch = s.next_epoch();
+        let [epoch] = s.next_epochs();
         s.frontier.clear();
         s.next.clear();
 
@@ -633,22 +609,27 @@ pub fn evaluate_with_snapshot(
                 next,
                 parent_state,
                 parent_hop,
-                layers,
+                forward_moves,
+                move_targets,
                 ..
             } = s;
             for &state in frontier.iter() {
                 let v = state as u32;
                 let lay = (state >> 32) as usize;
                 let idx = lay as u32 * v_count + v;
-                let li = layers[lay];
+                let m = forward_moves[lay];
                 stats.states_visited += 1;
-                let step = &steps[li.step as usize];
                 let node = NodeId(v);
 
                 // Step completion: d hops taken, d ∈ I_i, conditions
-                // accept v.
-                if li.completes && step.conds.iter().all(|c| c.eval(g.node_attrs(node))) {
-                    if li.last {
+                // accept v — a match on the last step, an ε-move to the
+                // next step's first layer before it.
+                let eps = &move_targets[m.eps.0 as usize..m.eps.1 as usize];
+                let conds = &steps[m.eps_step as usize].conds;
+                if (m.accepts || !eps.is_empty())
+                    && conds.iter().all(|c| c.eval(g.node_attrs(node)))
+                {
+                    if m.accepts {
                         if matched_epoch[node.index()] != epoch {
                             matched_epoch[node.index()] = epoch;
                             matched.push(node);
@@ -657,47 +638,50 @@ pub fn evaluate_with_snapshot(
                             granted_state = Some(state);
                             break 'search;
                         }
-                    } else {
-                        let eps = li.eps_layer * v_count + v;
-                        let slot = &mut visited[eps as usize];
+                    }
+                    for &layer in eps {
+                        let e = layer * v_count + v;
+                        let slot = &mut visited[e as usize];
                         if *slot != epoch {
                             *slot = epoch;
                             if track_parents {
-                                parent_state[eps as usize] = idx;
-                                parent_hop[eps as usize] = HOP_NONE;
+                                parent_state[e as usize] = idx;
+                                parent_hop[e as usize] = HOP_NONE;
                             }
-                            next.push((u64::from(li.eps_layer) << 32) | u64::from(v));
+                            next.push((u64::from(layer) << 32) | u64::from(v));
                         }
                     }
                 }
 
                 // Edge expansion within step i.
-                if !li.expands {
+                let edges = &move_targets[m.edges.0 as usize..m.edges.1 as usize];
+                if edges.is_empty() {
                     continue; // bounded step exhausted
                 }
-                let next_base = li.next_layer * v_count;
-                let next_tag = u64::from(li.next_layer) << 32;
                 let mut expand = |nbr: u32, eid: u32, forward: bool| {
                     stats.edges_scanned += 1;
-                    let ns = next_base + nbr;
-                    let slot = &mut visited[ns as usize];
-                    if *slot != epoch {
-                        *slot = epoch;
-                        if track_parents {
-                            parent_state[ns as usize] = idx;
-                            parent_hop[ns as usize] = (eid << 1) | u32::from(forward);
+                    for &layer in edges {
+                        let ns = layer * v_count + nbr;
+                        let slot = &mut visited[ns as usize];
+                        if *slot != epoch {
+                            *slot = epoch;
+                            if track_parents {
+                                parent_state[ns as usize] = idx;
+                                parent_hop[ns as usize] = (eid << 1) | u32::from(forward);
+                            }
+                            next.push((u64::from(layer) << 32) | u64::from(nbr));
                         }
-                        next.push(next_tag | u64::from(nbr));
                     }
                 };
-                if matches!(step.dir, Direction::Out | Direction::Both) {
-                    let out = snap.out_neighbors(v, step.label);
+                let label = steps[m.step as usize].label;
+                if matches!(m.dir, Direction::Out | Direction::Both) {
+                    let out = snap.out_neighbors(v, label);
                     for (&nbr, &eid) in out.nodes.iter().zip(out.edges) {
                         expand(nbr, eid, true);
                     }
                 }
-                if matches!(step.dir, Direction::In | Direction::Both) {
-                    let inn = snap.in_neighbors(v, step.label);
+                if matches!(m.dir, Direction::In | Direction::Both) {
+                    let inn = snap.in_neighbors(v, label);
                     for (&nbr, &eid) in inn.nodes.iter().zip(inn.edges) {
                         expand(nbr, eid, false);
                     }
@@ -751,10 +735,9 @@ pub fn evaluate_with_snapshot(
 /// a product space past [`flat_dimensions`] runs the path as its
 /// one-path plan, as [`evaluate_with_snapshot`] does.
 ///
-/// The single graph's checks run here; it is public only so the
-/// differential suites can pin it to the oracle.
-#[doc(hidden)]
-pub fn decide(
+/// The single graph's checks run here, and the library engine's
+/// through [`decide_on_thread_snapshot`].
+pub(crate) fn decide(
     g: &SocialGraph,
     snap: &CsrSnapshot,
     owner: NodeId,
@@ -789,7 +772,7 @@ pub fn decide(
         // Two fresh epochs, one per side: a state holds the stamp of the
         // side that reached it first, and the other side reaching it is
         // the meet.
-        let (forward, backward) = (s.next_epoch(), s.next_epoch());
+        let [forward, backward] = s.next_epochs();
         let Scratch {
             visited,
             frontier,
@@ -853,6 +836,25 @@ pub fn decide(
         }
     });
     (granted, stats)
+}
+
+/// [`decide`] over this thread's cached snapshot of `g`, built when the
+/// topology generation moved — the library engine's check. A graph of
+/// generation 0 has no current snapshot: it runs as its one-path plan,
+/// as [`evaluate`] does.
+pub(crate) fn decide_on_thread_snapshot(
+    g: &SocialGraph,
+    owner: NodeId,
+    path: &PathExpr,
+    requester: NodeId,
+) -> (bool, SearchStats) {
+    match thread_snapshot(g) {
+        Some(snap) => decide(g, &snap, owner, path, requester),
+        None => {
+            let out = evaluate(g, owner, path, Some(requester));
+            (out.granted, out.stats)
+        }
+    }
 }
 
 /// What both sides of one [`decide`] call share.
@@ -1651,6 +1653,65 @@ mod tests {
         let p = parse(&mut g, "friend+[1]");
         if let Some((granted, _)) = on_stale_snapshot(|| decide(&g, &snap, alice, &p, dave)) {
             assert!(granted, "stale snapshot must not hide the new edge");
+        }
+    }
+
+    /// The reuse epochs wrap without a stamp outliving its call. A check
+    /// (two epochs) and a forward walk (one) entering at each epoch near
+    /// `u32::MAX` answer as the one-path plan does, which keeps no
+    /// epoch-stamped state, and leave no stamp above the counter. So do
+    /// they when the counter comes round to those epochs again, as it
+    /// does 2^32 epochs later, with no clear but the wrap's in between.
+    #[test]
+    fn epochs_wrap_without_aliasing_a_stamp() {
+        let mut g = chain();
+        let [alice, carol] = ["Alice", "Carol"].map(|n| g.node_by_name(n).unwrap());
+        g.connect(carol, "friend", alice);
+        let texts = ["friend+[1..]", "friend+[1,2]/colleague+[1]", "friend*[2..]"];
+        let paths: Vec<PathExpr> = texts.iter().map(|t| parse(&mut g, t)).collect();
+        let snap = g.snapshot();
+        // Moves the counter to `e` as epochs handed out without stamping
+        // would; moving it back passes a wrap, which clears.
+        let advance_to = |e: u32| {
+            SCRATCH.with(|s| {
+                let s = &mut *s.borrow_mut();
+                if e < s.epoch {
+                    s.visited.fill(0);
+                    s.matched_epoch.fill(0);
+                }
+                s.epoch = e;
+            })
+        };
+        let no_stamp_above_the_counter = || {
+            SCRATCH.with(|s| {
+                let s = s.borrow();
+                let behind = |stamps: &[u32]| stamps.iter().all(|&e| e <= s.epoch);
+                behind(&s.visited) && behind(&s.matched_epoch)
+            })
+        };
+        let near_the_end = u32::MAX - 3..=u32::MAX;
+        for (p, text) in paths.iter().zip(texts) {
+            for owner in g.nodes() {
+                for requester in g.nodes() {
+                    let truth = evaluate_one_path_plan(&g, &snap, owner, p, Some(requester));
+                    let at = format!("{text} {owner}->{requester}");
+                    let check = || decide(&g, &snap, owner, p, requester).0;
+                    let walk = || evaluate_with_snapshot(&g, &snap, owner, p, Some(requester));
+                    for entry in near_the_end.clone() {
+                        for again in near_the_end.clone() {
+                            advance_to(entry);
+                            assert_eq!(check(), truth.granted, "check from {entry}: {at}");
+                            assert!(no_stamp_above_the_counter(), "check from {entry}");
+                            advance_to(again);
+                            assert_eq!(check(), truth.granted, "{entry}, {again}: {at}");
+                            assert_eq!(walk().granted, truth.granted, "{entry}, {again}: {at}");
+                        }
+                        advance_to(entry);
+                        assert_eq!(walk().granted, truth.granted, "walk from {entry}: {at}");
+                        assert!(no_stamp_above_the_counter(), "walk from {entry}");
+                    }
+                }
+            }
         }
     }
 

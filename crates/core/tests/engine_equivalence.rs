@@ -8,7 +8,8 @@ mod common;
 
 use proptest::prelude::*;
 use socialreach_core::{
-    online, parse_path, AccessEngine, JoinEngineConfig, JoinIndexEngine, JoinStrategy, PathExpr,
+    online, parse_path, AccessEngine, JoinEngineConfig, JoinIndexEngine, JoinStrategy,
+    OnlineEngine, PathExpr,
 };
 use socialreach_graph::SocialGraph;
 
@@ -70,7 +71,6 @@ proptest! {
         })
         .collect();
 
-        let snap = g.snapshot();
         for (path, text) in parsed.iter().zip(&case.paths) {
             for owner in g.nodes() {
                 let truth = online::evaluate(&g, owner, path, None);
@@ -88,11 +88,11 @@ proptest! {
                 // Spot-check the decision API on every possible requester.
                 for requester in g.nodes() {
                     let expect = truth.matched.contains(&requester);
-                    // The single graph's check, walked from both ends.
+                    // The online engine's check, walked from both ends.
                     prop_assert_eq!(
-                        online::decide(&g, &snap, owner, path, requester).0,
+                        OnlineEngine.check(&g, owner, path, requester).unwrap().granted,
                         expect,
-                        "decide mismatch: path={} owner={} requester={}",
+                        "check mismatch: path={} owner={} requester={}",
                         text,
                         owner,
                         requester
