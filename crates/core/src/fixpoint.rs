@@ -673,7 +673,7 @@ mod tests {
         assert_eq!(fresh.grows, after.grows + 2, "nothing was left to reuse");
         assert_eq!(fresh.buffers_held, 2, "a clean read gives back");
         for (bit, owner) in [(0, members[0]), (1, members[10])] {
-            let truth = online::evaluate_with_snapshot(&g, &snap, owner, &path, None).matched;
+            let truth = online::decided_audience(&g, &snap, owner, &path);
             assert_eq!(run.audiences[bit], truth, "owner {owner}");
         }
         online::release_thread_caches();

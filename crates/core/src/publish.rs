@@ -39,9 +39,7 @@ pub(crate) struct Publisher {
 
 impl Publisher {
     /// A snapshot current for `g`: the published epoch when it still
-    /// matches, otherwise a new epoch patched from it or rebuilt. `g`
-    /// has a topology generation (a deserialized graph has been through
-    /// `rebuild_lookups`): a snapshot of generation 0 is never current.
+    /// matches, otherwise a new epoch patched from it or rebuilt.
     pub(crate) fn current(&self, g: &SocialGraph) -> Arc<CsrSnapshot> {
         if let Some(s) = self.published.read().as_ref() {
             if s.matches(g) {

@@ -13,9 +13,11 @@
 //!
 //! A linear path is the **one-path plan** `BundlePlan::compile(&[path])`,
 //! whose node ids are its step indexes: this engine is therefore also
-//! the sharded and networked backends' per-condition and targeted
-//! primitive, and exported `(member, step, depth)` keys keep their
-//! meaning.
+//! the crate's only forward walk — every backend's explanations and
+//! per-condition audiences, the single graph's through
+//! [`crate::online::evaluate_with_snapshot`] — and exported
+//! `(member, step, depth)` keys keep their meaning. The single graph's
+//! check walks from both ends in [`crate::online`] instead.
 //!
 //! * **Seeded runs.** A run enters the product space at arbitrary
 //!   `(member, node, depth, mask)` states and exports the masked states
@@ -37,15 +39,14 @@
 //!   condition bits, so a chain is only guaranteed to carry a given bit
 //!   for a one-condition read.
 //!
-//! Two variants give identical answers: the flat one over dense arrays
-//! when the product space is reasonable (`online::flat_dimensions`, the
-//! one check both engines size their arrays by), and a sparse mirror
-//! (the same slot arena under a hashed directory) for degenerate
-//! product spaces (astronomical saturation depths) and, in release
-//! builds, snapshots stale for the graph (debug builds panic on one:
-//! every caller hands a current one). The sparse variant is also where
-//! [`crate::online`]'s targeted engine sends its degenerate reads, a
-//! graph of generation 0 among them, as the one-path plan. The flat
+//! Two variants give identical answers, and [`PlanBatchState::new`]
+//! picks between them: the flat one over dense arrays when the product
+//! space is reasonable (`online::flat_dimensions`, the one test the
+//! check sizes its arrays by too), and a sparse mirror (the same slot
+//! arena under a hashed directory) for degenerate product spaces
+//! (astronomical saturation depths) and, in release builds, snapshots
+//! stale for the graph (debug builds panic on one: every caller hands
+//! a current one). The flat
 //! variant owns no array of its own: its state directory and slot
 //! arena are a `MaskScratch`, taken from the calling thread's pool by
 //! [`PlanBatchState::new`] and given back — zeroed in
@@ -184,11 +185,8 @@ impl PlanBatchState {
         );
         let current = snap.matches(g);
         debug_assert!(current, "stale snapshot: every caller hands a current one");
-        let inner = match if current {
-            flat_dimensions(snap, nodes.iter().map(|n| &n.step))
-        } else {
-            None
-        } {
+        let flat = flat_dimensions(snap, nodes.iter().map(|n| &n.step)).filter(|_| current);
+        let inner = match flat {
             Some((v_count, layer_count)) => {
                 let mut bases = Vec::with_capacity(nodes.len());
                 let mut sats = Vec::with_capacity(nodes.len());
@@ -225,11 +223,11 @@ impl PlanBatchState {
         }
     }
 
-    /// The sparse mirror, whatever the snapshot: the online engine's
-    /// fallback, for the inputs no current flat space serves (a product
-    /// space past the flat caps, a stale snapshot, a graph of
-    /// generation 0). Its runs read `g` and ignore the snapshot.
-    pub(crate) fn sparse(nodes: &[PlanNode], parents: bool) -> Self {
+    /// The sparse mirror, whatever the snapshot: what [`Self::build`]
+    /// picks for the inputs no current flat space serves (a product
+    /// space past the flat caps, a stale snapshot in release builds).
+    /// Its runs read `g` and ignore the snapshot.
+    fn sparse(nodes: &[PlanNode], parents: bool) -> Self {
         PlanBatchState {
             states_expanded: 0,
             inner: PlanInner::Sparse(SparsePlanBatch {
@@ -694,7 +692,7 @@ pub fn evaluate_bundle_audiences(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::online::{evaluate_with_snapshot, on_stale_snapshot};
+    use crate::online::{decided_audience, evaluate_with_snapshot, on_stale_snapshot};
     use crate::path::parse_path;
 
     /// A small two-community graph: a friend chain 0-1-2-3 (out
@@ -717,17 +715,6 @@ mod tests {
         g
     }
 
-    fn single_audience(
-        g: &SocialGraph,
-        snap: &CsrSnapshot,
-        owner: NodeId,
-        path: &crate::path::PathExpr,
-    ) -> Vec<NodeId> {
-        let mut a = evaluate_with_snapshot(g, snap, owner, path, None).matched;
-        a.sort_unstable_by_key(|n| n.0);
-        a
-    }
-
     #[test]
     fn plan_matches_per_condition_evaluation() {
         let mut g = fixture();
@@ -747,7 +734,7 @@ mod tests {
         let plan = BundlePlan::compile(&paths.iter().collect::<Vec<_>>()).unwrap();
         let got = evaluate_plan_audiences(&g, &snap, &plan, &owners);
         for (i, path) in paths.iter().enumerate() {
-            let want = single_audience(&g, &snap, owners[i], path);
+            let want = decided_audience(&g, &snap, owners[i], path);
             assert_eq!(got.audiences[i], want, "condition {i}: {}", texts[i]);
         }
         assert!(got.traversals == 1, "five conditions share one traversal");
@@ -842,7 +829,63 @@ mod tests {
             batch.edges_scanned
         );
         for (i, &o) in leaves.iter().enumerate() {
-            assert_eq!(batch.audiences[i], single_audience(&g, &snap, o, &p));
+            assert_eq!(batch.audiences[i], decided_audience(&g, &snap, o, &p));
+        }
+    }
+
+    /// Both variants walk one automaton the same way: on every path and
+    /// pair of the fixture they reach the same audiences from the same
+    /// number of states, and trace witness walks of the same length.
+    #[test]
+    fn sparse_and_flat_variants_count_the_same_states() {
+        let mut g = fixture();
+        let texts = [
+            "friend+[1..2]/colleague+[1]",
+            "friend*[1..]{age>=21}",
+            "boss-[1]/friend+[2..]",
+        ];
+        let snap = g.snapshot();
+        let paths: Vec<_> = texts
+            .iter()
+            .map(|t| parse_path(t, g.vocab_mut()).unwrap())
+            .collect();
+        let run = |sparse: bool, path: &PathExpr, owner: NodeId, stop: Option<NodeId>| {
+            let plan = BundlePlan::compile(&[path]).unwrap();
+            let masks = plan.chunk_masks(&[0]);
+            let mut state = match sparse {
+                true => PlanBatchState::sparse(&plan.nodes, true),
+                false => PlanBatchState::with_parents(&g, &snap, &plan.nodes),
+            };
+            assert_eq!(matches!(state.inner, PlanInner::Sparse(_)), sparse);
+            let seed = [(owner, 0, 0, 1)];
+            let nodes = &plan.nodes;
+            let out =
+                evaluate_plan_batch_seeded(&g, &snap, nodes, &masks, &mut state, &seed, &[], stop);
+            let mut matched: Vec<NodeId> = out.matched.iter().map(|&(m, _)| m).collect();
+            matched.sort_unstable();
+            let hops = out.hit.zip(stop).map(|((node, depth), m)| {
+                state
+                    .trace(m, node, depth)
+                    .expect("hit states trace")
+                    .0
+                    .len()
+            });
+            (matched, out.stats.states_visited, hops)
+        };
+        for (path, text) in paths.iter().zip(texts) {
+            for owner in g.nodes() {
+                let flat = run(false, path, owner, None);
+                assert_eq!(run(true, path, owner, None), flat, "{text} from {owner}");
+                for requester in g.nodes() {
+                    let stop = Some(requester);
+                    let at = format!("{text} {owner}->{requester}");
+                    assert_eq!(
+                        run(true, path, owner, stop),
+                        run(false, path, owner, stop),
+                        "{at}"
+                    );
+                }
+            }
         }
     }
 

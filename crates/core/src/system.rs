@@ -18,10 +18,12 @@
 //! runs the shared decision layer over the system. A check decides
 //! each condition with the online engine's walk from both ends
 //! (`online::decide`: forward from the owner, backward from the
-//! requester, meeting in the middle); an explanation's witness walks
-//! and a per-condition audience come from its forward walk,
-//! [`online::evaluate_with_snapshot`]; bundles run
-//! [`query::evaluate_bundle_audiences`]. Reads take `&self`, so any
+//! requester, meeting in the middle). Everything else walks forward on
+//! the plan engine: an explanation's witness walks and a per-condition
+//! audience are the condition's one-path plan
+//! ([`online::evaluate_with_snapshot`]), as on the partitioned
+//! backends, and bundles run [`query::evaluate_bundle_audiences`].
+//! Reads take `&self`, so any
 //! number of requester threads can evaluate concurrently against one
 //! system (e.g. through `std::thread::scope`), and a targeted check
 //! batch fans out over its thread hint. Reads share the system's
@@ -89,11 +91,12 @@ impl AccessControlSystem {
 
     /// [`AccessControlSystem::from_graph`] without the copy: the system
     /// takes `g` itself. A graph deserialized without
-    /// [`SocialGraph::rebuild_lookups`] (topology generation 0, no name
-    /// lookup) gets its lookups rebuilt, so it resolves names and
-    /// publishes snapshots like any other.
+    /// [`SocialGraph::rebuild_lookups`] resolves no name, not even its
+    /// first member's: it gets its lookups rebuilt, so it resolves
+    /// names like any other.
     pub(crate) fn adopting(mut g: SocialGraph) -> Self {
-        if g.topology_generation() == 0 {
+        let first = g.nodes().next();
+        if first.is_some_and(|v| g.node_by_name(g.node_name(v)).is_none()) {
             g.rebuild_lookups();
         }
         let mut sys = Self::new_online();
@@ -162,8 +165,8 @@ fn default_check_plan(_len: usize) -> CheckPlan {
 }
 
 /// The single graph under the decision layer: conditions are
-/// evaluated by the online engine over the published snapshot — checks
-/// walking from both ends, witnesses and audiences forward.
+/// evaluated over the published snapshot — checks walking from both
+/// ends, witnesses and audiences forward on the plan engine.
 impl decision::Evaluate for AccessControlSystem {
     type Pin = Arc<CsrSnapshot>;
 
@@ -473,10 +476,9 @@ mod tests {
         }
     }
 
-    /// A graph decoded by serde without `rebuild_lookups` (topology
-    /// generation 0, no name lookup) serves like the original: names
-    /// resolve, and both check routes and both bundle strategies answer
-    /// as the original does.
+    /// A graph decoded by serde without `rebuild_lookups` (no name
+    /// lookup) serves like the original: names resolve, and both check
+    /// routes and both bundle strategies answer as the original does.
     #[test]
     fn a_decoded_graph_without_lookups_serves_like_the_original() {
         let (mut sys, rid) = populated();
@@ -485,7 +487,7 @@ mod tests {
         sys.add_rule(rid2, "friend-[1]/friend+[1..2]").unwrap();
         let json = serde_json::to_string(sys.graph()).unwrap();
         let decoded: SocialGraph = serde_json::from_str(&json).unwrap();
-        assert_eq!(decoded.topology_generation(), 0);
+        assert_eq!(decoded.node_by_name("Alice"), None, "no lookups");
         let revived = Deployment::online().from_graph(&decoded, sys.store().clone());
         let (reads, original) = (revived.reads(), sys.service());
         for member in sys.graph().nodes() {

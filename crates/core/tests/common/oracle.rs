@@ -245,6 +245,45 @@ pub fn reach(g: &SocialGraph, cond: &Cond) -> BTreeSet<NodeId> {
     cond.steps.iter().fold(BTreeSet::from([cond.owner]), layers)
 }
 
+/// The hop count of a shortest walk from the condition owner to
+/// `requester` that the steps accept, `None` when none is: a BFS over
+/// `(member, step, depth)` states, each run cut at the step's
+/// [`Step::cap`] (cutting a longer run's cycle out shortens the walk).
+pub fn shortest(g: &SocialGraph, cond: &Cond, requester: NodeId) -> Option<usize> {
+    let (steps, n) = (&cond.steps, g.num_nodes() as u32);
+    let Some(last) = steps.len().checked_sub(1) else {
+        return (requester == cond.owner).then_some(0);
+    };
+    let mut layer = vec![(cond.owner, 0, 0)];
+    let mut seen = BTreeSet::from([layer[0]]);
+    for hops in 0.. {
+        let mut k = 0; // the layer grows by its ε-moves as it is read
+        while let Some(&(m, i, d)) = layer.get(k) {
+            k += 1;
+            let done = d >= 1 && steps[i].allows(d) && steps[i].passes(g, m);
+            if done && i == last && m == requester {
+                return Some(hops);
+            }
+            if done && i < last && seen.insert((m, i + 1, 0)) {
+                layer.push((m, i + 1, 0));
+            }
+        }
+        let reach = |&(m, i, d): &(NodeId, usize, u32)| {
+            let next = (d < steps[i].cap(n)).then(|| steps[i].hop(g, &BTreeSet::from([m])));
+            next.into_iter().flatten().map(move |u| (u, i, d + 1))
+        };
+        layer = layer
+            .iter()
+            .flat_map(reach)
+            .filter(|&s| seen.insert(s))
+            .collect();
+        if layer.is_empty() {
+            break;
+        }
+    }
+    None
+}
+
 /// The audience of `res`, sorted: its owner, and whoever some rule
 /// with conditions grants.
 pub fn audience(g: &SocialGraph, res: &Resource) -> Vec<NodeId> {

@@ -1,13 +1,15 @@
-//! Differential property tests for the CSR flat-array online engine:
-//! on random graphs × random path expressions, `evaluate` /
-//! `evaluate_with_snapshot` (label-partitioned CSR, dense state arrays,
-//! swap-buffer frontiers) must return exactly the decisions and
-//! audiences of the shared-nothing test oracle (`common::oracle`), with
-//! witnesses the oracle replays — and so must their fallback, the
-//! one-path plan on the plan engine's sparse variant, on paths past the
-//! flat caps. The online engine's check walks from both ends, as the
-//! single graph's serving checks do; it decides as the oracle and the
-//! forward walk do, on either side of the flat caps.
+//! Differential property tests for the online engine: on random graphs
+//! × random path expressions, the forward walk — `evaluate` /
+//! `evaluate_with_snapshot`, the path's one-path plan on the plan
+//! engine — must return exactly the decisions and audiences of the
+//! shared-nothing test oracle (`common::oracle`), with witnesses the
+//! oracle replays and whose lengths are the oracle's shortest walks.
+//! It must on both variants of the plan engine: the flat one over the
+//! label-partitioned CSR, and the sparse one on paths past the flat
+//! caps, where it answers as the flat variant does on an equivalent
+//! path inside them. The online engine's check walks from both ends, as
+//! the single graph's serving checks do; it decides as the oracle and
+//! the forward walk do, on either side of the flat caps.
 
 mod common;
 
@@ -72,49 +74,11 @@ fn replay_witness(
     oracle::replay(g, &cond, requester, &hops)
 }
 
-/// Where a test reads what the oracle does not compute: how many
-/// product states an audience read explores, and how long a shortest
-/// witness walk is.
-enum Twin<'p> {
-    /// The path's own one-path plan on the plan engine, its witness
-    /// traced off first-arrival parents: state counts and witness
-    /// lengths.
-    OnePathPlan,
-    /// The flat engine on an equivalent path inside the flat caps:
-    /// witness lengths only (its product space, and so its state
-    /// count, differs).
-    Flat(&'p PathExpr),
-}
-
-/// `path` from `owner` run as its one-path plan: the product states it
-/// processed and, with a target it accepts, its traced witness's length.
-fn one_path_plan_run(
-    g: &SocialGraph,
-    snap: &CsrSnapshot,
-    owner: NodeId,
-    path: &PathExpr,
-    target: Option<NodeId>,
-) -> (usize, Option<usize>) {
-    let plan = BundlePlan::compile(&[path]).expect("one chain");
-    let masks = plan.chunk_masks(&[0]);
-    let mut state = PlanBatchState::with_parents(g, snap, &plan.nodes);
-    let seed = [(owner, 0, 0, 1)];
-    let run =
-        evaluate_plan_batch_seeded(g, snap, &plan.nodes, &masks, &mut state, &seed, &[], target);
-    let hops = run.hit.zip(target).map(|((node, depth), requester)| {
-        let (hops, _) = state
-            .trace(requester, node, depth)
-            .expect("hit states trace");
-        hops.len()
-    });
-    (run.stats.states_visited, hops)
-}
-
 /// Every check and audience of `path` (parsed from `steps`) over `g`
 /// through both entry points of the online engine: decisions and
-/// audiences against the oracle, witnesses replayed by it, and state
-/// counts and witness lengths against `twin`.
-fn assert_online_matches_the_oracle(g: &SocialGraph, steps: &[Step], path: &PathExpr, twin: Twin) {
+/// audiences against the oracle, witnesses replayed by it and as long
+/// as its shortest walk.
+fn assert_online_matches_the_oracle(g: &SocialGraph, steps: &[Step], path: &PathExpr) {
     let text = oracle::path_text(steps);
     let snap = g.snapshot();
     for owner in g.nodes() {
@@ -127,17 +91,6 @@ fn assert_online_matches_the_oracle(g: &SocialGraph, steps: &[Step], path: &Path
             text,
             owner
         );
-        if let Twin::OnePathPlan = twin {
-            // Identical automaton, whole space explored ⇒ identical
-            // state counts.
-            prop_assert_eq!(
-                fast.stats.states_visited,
-                one_path_plan_run(g, &snap, owner, path, None).0,
-                "state count mismatch: path={} owner={}",
-                text,
-                owner
-            );
-        }
         // The wrapper (thread-cached snapshot) agrees too.
         let wrapped = online::evaluate(g, owner, path, None);
         prop_assert_eq!(&wrapped.matched, &truth);
@@ -156,17 +109,11 @@ fn assert_online_matches_the_oracle(g: &SocialGraph, steps: &[Step], path: &Path
             if let Some(w) = &fast.witness {
                 let replayed = replay_witness(g, owner, steps, requester, w);
                 prop_assert!(replayed.is_ok(), "path={}: {:?}", text, replayed);
-                // Both BFS, both shortest in hops.
-                let shortest = match twin {
-                    Twin::OnePathPlan => {
-                        one_path_plan_run(g, &snap, owner, path, Some(requester)).1
-                    }
-                    Twin::Flat(equivalent) => {
-                        online::evaluate_with_snapshot(g, &snap, owner, equivalent, Some(requester))
-                            .witness
-                            .map(|w| w.len())
-                    }
+                let cond = Cond {
+                    owner,
+                    steps: steps.to_vec(),
                 };
+                let shortest = oracle::shortest(g, &cond, requester);
                 prop_assert_eq!(Some(w.len()), shortest, "witness length: path={}", text);
             }
         }
@@ -252,7 +199,7 @@ proptest! {
             .map(|s| parse_path(&oracle::path_text(s), g.vocab_mut()).expect("generated paths parse"))
             .collect();
         for (path, steps) in parsed.iter().zip(&case.paths) {
-            assert_online_matches_the_oracle(&g, steps, path, Twin::OnePathPlan);
+            assert_online_matches_the_oracle(&g, steps, path);
         }
     }
 
@@ -328,12 +275,12 @@ proptest! {
         g in common::seeded(ascending_graph),
         steps in common::seeded(deep_path),
     ) {
-        // The flat engine refuses the layer table, so every read runs
-        // as the one-path plan on the sparse variant: checks with their
-        // witnesses, audiences, and the multi-owner plan read beside.
-        // Every walk here ends within |V| - 1 hops, so `[lo..]` in place
-        // of `[lo..2^21]` accepts the same walks inside the flat caps:
-        // the flat engine's shortest witness is the fallback's length.
+        // The flat variant refuses the layer table, so every read runs
+        // on the sparse variant: checks with their witnesses, audiences,
+        // and the multi-owner plan read beside. Every walk here ends
+        // within |V| - 1 hops, so `[lo..]` in place of `[lo..2^21]`
+        // accepts the same walks inside the flat caps: the flat
+        // variant answers it as the sparse one answers the deep path.
         let mut g = g;
         let text = oracle::path_text(&steps);
         let path = parse_path(&text, g.vocab_mut()).expect("generated paths parse");
@@ -351,7 +298,20 @@ proptest! {
             .collect();
         let equivalent = parse_path(&oracle::path_text(&unbounded), g.vocab_mut())
             .expect("generated paths parse");
-        assert_online_matches_the_oracle(&g, &steps, &path, Twin::Flat(&equivalent));
+        assert_online_matches_the_oracle(&g, &steps, &path);
+        let snap = g.snapshot();
+        for owner in g.nodes() {
+            for target in g.nodes().map(Some).chain([None]) {
+                let deep = online::evaluate_with_snapshot(&g, &snap, owner, &path, target);
+                let flat = online::evaluate_with_snapshot(&g, &snap, owner, &equivalent, target);
+                if target.is_none() {
+                    prop_assert_eq!(deep.matched, flat.matched, "path={}", text);
+                }
+                prop_assert_eq!(deep.granted, flat.granted, "path={}", text);
+                let hops = |w: Option<Vec<(EdgeId, bool)>>| w.map(|w| w.len());
+                prop_assert_eq!(hops(deep.witness), hops(flat.witness), "path={}", text);
+            }
+        }
         let owners: Vec<NodeId> = g.nodes().collect();
         let plan = BundlePlan::compile(&vec![&path; owners.len()]).expect("one chain");
         let batch = evaluate_plan_audiences(&g, &g.snapshot(), &plan, &owners);
@@ -501,27 +461,25 @@ impl World {
         }
     }
 
-    /// Answers `read` on the oracle: decisions and audiences. A check's
-    /// witness length, which the oracle does not search for, is the
-    /// flat engine's shortest walk.
+    /// Answers `read` on the oracle: decisions, audiences and the
+    /// lengths of shortest witness walks.
     fn oracle(&self, read: &ReadSpec) -> Answer {
         let gi = read.graph % self.graphs.len();
-        let (g, snap) = (&self.graphs[gi], &self.snaps[gi]);
+        let g = &self.graphs[gi];
         let pi = read.path % self.paths[gi].len();
         let steps = &self.steps[pi];
         let [a, b, c] = read.members.map(|m| self.member(gi, m));
         match read.kind {
             0 => Answer::Check {
                 granted: oracle_audience(g, a, steps).contains(&b),
-                witness_hops: online::evaluate_with_snapshot(
+                witness_hops: oracle::shortest(
                     g,
-                    snap,
-                    a,
-                    &self.paths[gi][pi],
-                    Some(b),
-                )
-                .witness
-                .map(|w| w.len()),
+                    &Cond {
+                        owner: a,
+                        steps: steps.to_vec(),
+                    },
+                    b,
+                ),
             },
             1 => Answer::Audiences(
                 self.steps

@@ -18,9 +18,9 @@ use common::oracle;
 use proptest::prelude::*;
 use socialreach_core::query::{self, parse_queries_readonly, render_query};
 use socialreach_core::{
-    online, parse_path, parse_query, BundlePlan, Deployment, PathExpr, PolicyStore, ReadBatch,
+    parse_path, parse_query, BundlePlan, Deployment, PathExpr, PolicyStore, ReadBatch,
 };
-use socialreach_graph::{NodeId, SocialGraph};
+use socialreach_graph::{Direction, NodeId, SocialGraph};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -136,9 +136,9 @@ fn query_bundles_agree_across_deployments() {
 /// A bundle needing more trie nodes than the plan's `u16` budget is
 /// bisected into plans that fit and served through the same code: on
 /// an 8-member ring, 261 conditions of 252 pairwise-distinct steps
-/// (65 772 nodes) answer exactly as per-condition evaluation does, on
-/// the single graph and on a 2-shard partition, with the census summed
-/// over both plans.
+/// (65 772 nodes) answer exactly as the oracle does, on the single
+/// graph and on a 2-shard partition, with the census summed over both
+/// plans.
 #[test]
 fn bundles_past_the_plan_node_budget_are_bisected_not_regrouped() {
     let mut g = SocialGraph::new();
@@ -147,25 +147,31 @@ fn bundles_past_the_plan_node_budget_are_bisected_not_regrouped() {
         g.connect(ring[i], "friend", ring[(i + 1) % 8]);
         g.set_node_attr(ring[i], "age", 1_000_000i64);
     }
-    let conds: Vec<(NodeId, PathExpr)> = (0..261usize)
-        .map(|i| {
-            let steps: Vec<String> = (0..252)
-                .map(|j| format!("friend+[1]{{age>={}}}", i * 252 + j))
-                .collect();
-            (
-                ring[i % 8],
-                parse_path(&steps.join("/"), g.vocab_mut()).unwrap(),
-            )
+    let oracle_conds: Vec<oracle::Cond> = (0..261usize)
+        .map(|i| oracle::Cond {
+            owner: ring[i % 8],
+            steps: (0..252)
+                .map(|j| oracle::Step {
+                    label: "friend",
+                    dir: Direction::Out,
+                    depths: vec![(1, Some(1))],
+                    min_age: Some((i * 252 + j) as i64),
+                })
+                .collect(),
         })
+        .collect();
+    let conds: Vec<(NodeId, PathExpr)> = oracle_conds
+        .iter()
+        .map(|c| (c.owner, parse_path(&c.text(), g.vocab_mut()).unwrap()))
         .collect();
     let cond_refs: Vec<(NodeId, &PathExpr)> = conds.iter().map(|(o, p)| (*o, p)).collect();
     let paths: Vec<&PathExpr> = conds.iter().map(|(_, p)| p).collect();
     assert!(BundlePlan::compile(&paths).is_none(), "one plan overflows");
 
     let snap = g.snapshot();
-    let truth: Vec<Vec<NodeId>> = conds
+    let truth: Vec<Vec<NodeId>> = oracle_conds
         .iter()
-        .map(|(o, p)| online::evaluate_with_snapshot(&g, &snap, *o, p, None).matched)
+        .map(|c| oracle::reach(&g, c).into_iter().collect())
         .collect();
     // 252 hops around an 8-ring land 4 members on.
     assert_eq!(truth[3], vec![ring[7]]);

@@ -573,6 +573,8 @@ fn a_decoded_graph_without_lookups_serves_like_the_single_graph() {
     }
     let json = serde_json::to_string(&g).unwrap();
     let decoded: SocialGraph = serde_json::from_str(&json).unwrap();
+    assert_eq!(decoded.node_by_name("Alice"), None, "no lookups");
+    assert_eq!(decoded.vocab().label("friend"), None, "none at all");
     let rules = ["friend+[1]", "friend+[1..2]/colleague+[1]"];
     let queries = [(m[0], "friend+[1]"), (m[3], "colleague-[1]/friend-[1]")];
     let answers = |deployment: &Deployment| {

@@ -499,13 +499,9 @@ impl CsrSnapshot {
     /// guarantee this. Generations are process-unique random-ish
     /// stamps, so lineage cannot be verified here; what *can* be
     /// checked is checked: `None` is returned when `g` has fewer nodes
-    /// or edges than the snapshot, or when either side carries the
-    /// unvalidatable generation `0`. Callers receiving `None` must
+    /// or edges than the snapshot. Callers receiving `None` must
     /// rebuild.
     pub fn apply_edge_appends(&self, g: &SocialGraph) -> Option<CsrSnapshot> {
-        if self.generation == 0 || g.topology_generation() == 0 {
-            return None;
-        }
         let (old_n, old_m) = (self.num_nodes as usize, self.num_edges as usize);
         if g.num_nodes() < old_n || g.num_edges() < old_m {
             return None;
@@ -534,14 +530,12 @@ impl CsrSnapshot {
     }
 
     /// True when the snapshot is current for `g` — same topology
-    /// generation (and, defensively, same node/edge counts; a
-    /// deserialized graph that skipped `rebuild_lookups` carries
-    /// generation 0 and never matches). Attribute writes do **not**
+    /// generation (and, defensively, same node/edge counts). Attribute
+    /// writes do **not**
     /// stale a snapshot: it stores no attributes, and condition
     /// evaluation reads them live from the graph.
     pub fn matches(&self, g: &SocialGraph) -> bool {
-        self.generation != 0
-            && self.generation == g.topology_generation()
+        self.generation == g.topology_generation()
             && self.num_nodes as usize == g.num_nodes()
             && self.num_edges as usize == g.num_edges()
     }

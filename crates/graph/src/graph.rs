@@ -25,6 +25,18 @@ fn next_generation() -> u64 {
     GENERATION.fetch_add(1, Ordering::Relaxed)
 }
 
+/// A generation stamp whose `Default` draws a fresh one, so serde —
+/// which fills a skipped field with its default — stamps a decoded
+/// graph as [`SocialGraph::new`] stamps an empty one.
+#[derive(Clone, Copy, Debug)]
+struct Stamp(u64);
+
+impl Default for Stamp {
+    fn default() -> Self {
+        Stamp(next_generation())
+    }
+}
+
 /// Traversal direction of a relationship, relative to a node.
 ///
 /// The paper's access-condition steps carry `dir ∈ {+, −, ∗}`: `+` follows
@@ -77,21 +89,19 @@ pub struct SocialGraph {
     in_adj: Vec<Vec<EdgeId>>,
     /// Mutation stamp for cache invalidation, advanced by **every**
     /// mutating operation (see [`SocialGraph::generation`]). Not
-    /// serialized: deserialized graphs get a fresh stamp from
-    /// [`SocialGraph::rebuild_lookups`] (and carry the never-matching
-    /// `0` until then).
+    /// serialized: a decoded graph draws a fresh one.
     #[serde(skip)]
-    generation: u64,
+    generation: Stamp,
     /// Stamp advanced only by **topology** mutations (nodes/edges
     /// added). [`CsrSnapshot`]s key on this one: attribute writes never
     /// force a re-index, because snapshots store no attributes.
     #[serde(skip)]
-    topology_generation: u64,
+    topology_generation: Stamp,
 }
 
 impl Default for SocialGraph {
     fn default() -> Self {
-        let stamp = next_generation();
+        let stamp = Stamp::default();
         SocialGraph {
             vocab: Vocabulary::default(),
             node_names: Vec::new(),
@@ -112,7 +122,9 @@ impl SocialGraph {
         Self::default()
     }
 
-    /// Rebuilds non-serialized lookups after deserialization.
+    /// Rebuilds the non-serialized name lookups after deserialization
+    /// (a decoded graph resolves no member, label or attribute name
+    /// until then).
     pub fn rebuild_lookups(&mut self) {
         self.vocab.rebuild_lookups();
         // `add_node` gives duplicate display names first-wins semantics
@@ -124,13 +136,12 @@ impl SocialGraph {
                 .entry(s.clone())
                 .or_insert(NodeId::from_index(i));
         }
-        self.touch_topology();
     }
 
     /// The graph's mutation generation: a process-unique stamp advanced
     /// by every mutating operation (topology *and* attribute writes).
     pub fn generation(&self) -> u64 {
-        self.generation
+        self.generation.0
     }
 
     /// The graph's topology generation: advanced only when nodes or
@@ -139,7 +150,7 @@ impl SocialGraph {
     /// in O(1) ([`CsrSnapshot::matches`]) without rebuilding after mere
     /// attribute churn (conditions read attributes live from the graph).
     pub fn topology_generation(&self) -> u64 {
-        self.topology_generation
+        self.topology_generation.0
     }
 
     /// Builds an immutable label-partitioned CSR adjacency snapshot of
@@ -150,12 +161,12 @@ impl SocialGraph {
 
     #[inline]
     fn touch(&mut self) {
-        self.generation = next_generation();
+        self.generation = Stamp::default();
     }
 
     #[inline]
     fn touch_topology(&mut self) {
-        let stamp = next_generation();
+        let stamp = Stamp::default();
         self.generation = stamp;
         self.topology_generation = stamp;
     }
@@ -516,6 +527,24 @@ mod tests {
         g2.name_lookup.clear();
         g2.rebuild_lookups();
         assert_eq!(g2.node_by_name("A"), Some(a));
+    }
+
+    #[test]
+    fn a_decoded_graph_draws_a_fresh_stamp() {
+        let (g, a, _, _, _, _) = tiny();
+        let json = serde_json::to_string(&g).unwrap();
+        let mut decoded: SocialGraph = serde_json::from_str(&json).unwrap();
+        assert_eq!(
+            serde_json::to_string(&decoded).unwrap(),
+            json,
+            "stamps are not encoded"
+        );
+        assert_ne!(decoded.topology_generation(), g.topology_generation());
+        assert!(!g.snapshot().matches(&decoded), "a fresh stamp");
+        assert!(decoded.snapshot().matches(&decoded));
+        assert_eq!(decoded.node_by_name("A"), None, "no lookups yet");
+        decoded.rebuild_lookups();
+        assert_eq!(decoded.node_by_name("A"), Some(a));
     }
 
     #[test]

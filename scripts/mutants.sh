@@ -4,8 +4,10 @@
 # behind it (the grant rule), the partitioned read and write paths, the
 # durability layer (WAL scanning, replay, snapshot export), the
 # engines' path semantics (depth bounds, the plan compiler's step
-# canonicalization, the single graph's check walking from both ends:
-# its meet and its reversed layer table), snapshot publication (the
+# canonicalization, the forward walk — the one-path plan on the plan
+# engine — with its seed and its stop member, and the single graph's
+# check walking from both ends: its meet and its reversed layer
+# table), snapshot publication (the
 # copy-on-write page patch, the publisher's currency check), the
 # decision cache (its generation bump on every write, its whole-key
 # match), and the read planner (its argmin, a caller-forced route
